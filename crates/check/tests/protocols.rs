@@ -1,9 +1,10 @@
 //! Model-check harnesses for the workspace's real concurrency
 //! protocols: the generation barrier under scripted rank death and the
 //! membership join handshake racing that death
-//! (`zi-comm`), the write-behind engine's `flush` durability barrier and
-//! the checkpoint store's `save_async`/crash/`open` recovery
-//! (`zi-nvme`), and the buffer pools (`zi-memory`).
+//! (`zi-comm`), the write-behind engine's completion barrier and
+//! staging-buffer hand-back and the checkpoint store's
+//! `save_async`/crash/`open` recovery (`zi-nvme`), and the buffer pools
+//! (`zi-memory`).
 //!
 //! Under `RUSTFLAGS="--cfg zi_check"` each body is explored across
 //! thousands of distinct interleavings with deadlock, lost-wakeup, and
@@ -18,7 +19,9 @@ use zi_adapt::{KnobCell, Knobs};
 use zi_check::{Checker, Report};
 use zi_comm::{CommConfig, CommFaultPlan, CommGroup, Membership};
 use zi_memory::{PinnedBufferPool, PlacementPolicy, PlanCell, ScratchPool};
-use zi_nvme::{CheckpointStore, FaultPlan, FaultyBackend, MemBackend, NvmeEngine, StorageBackend};
+use zi_nvme::{
+    CheckpointStore, FaultPlan, FaultyBackend, MemBackend, NvmeEngine, RetryPolicy, StorageBackend,
+};
 use zi_sync::thread;
 use zi_trace::{Category, Event, Ring};
 use zi_types::Error;
@@ -114,12 +117,16 @@ fn barrier_survives_scripted_rank_death() {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol 2: write-behind engine — `flush` is a true durability
-// barrier.
+// Protocol 2: write-behind engine — the completion barrier and the
+// staging-buffer hand-back.
 //
-// Invariant: after `flush` returns, every previously submitted write
+// Invariants, in every interleaving of submitter, worker, and reaper:
+// after `barrier`/`flush` returns, every previously submitted write
 // (ticketed and detached) has reached the backend and nothing is in
-// flight — in every interleaving of submitter, worker, and flusher.
+// flight; and every staging buffer that rode a request — served,
+// failed on the device, or refused because the worker pool is gone —
+// is handed back exactly once (the pool ends with nothing outstanding
+// and every buffer it ever allocated parked).
 
 fn engine_flush_body() {
     let backend = Arc::new(MemBackend::new());
@@ -128,14 +135,65 @@ fn engine_flush_body() {
     let ticket = eng.submit_write(64, vec![2u8; 8]);
     eng.flush().expect("flush cannot fail on a healthy backend");
     assert_eq!(eng.in_flight(), 0, "flush left requests in flight");
-    assert_eq!(backend.bytes_written(), 16, "flush returned before writes were durable");
+    assert_eq!(backend.bytes_written(), 16, "flush returned before the writes completed");
     assert!(eng.wait(ticket).expect("ticketed write").is_none());
     drop(eng); // must join the worker without hanging in any schedule
 }
 
 #[test]
-fn engine_flush_is_a_durability_barrier() {
+fn engine_flush_is_a_completion_barrier() {
     run("engine-flush-drain", engine_flush_body);
+}
+
+fn engine_handback_body() {
+    let plan = FaultPlan::new();
+    let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan.clone()));
+    let eng = Arc::new(NvmeEngine::with_policy(
+        backend as Arc<dyn StorageBackend>,
+        1,
+        RetryPolicy::none(),
+    ));
+    let pool = ScratchPool::new();
+    // The single worker serves FIFO, so the scripted failure lands on
+    // the first write; giving up latches the device, so the rest fail
+    // fast — every buffer must come home on each of those paths.
+    plan.fail_next_writes(1);
+    let (tx, rx) = zi_sync::channel::unbounded();
+    let reaper = {
+        let eng = Arc::clone(&eng);
+        thread::spawn(move || {
+            let mut failed = 0;
+            while let Ok(ticket) = rx.recv() {
+                match eng.wait_buf(ticket) {
+                    Ok(buf) => drop(buf.into_staging().expect("staging in, staging out")),
+                    Err(_) => failed += 1,
+                }
+            }
+            failed
+        })
+    };
+    for i in 0..3u64 {
+        let ticket = eng.submit_write_from(i * 8, pool.acquire(8));
+        tx.send(ticket).expect("reaper is alive");
+    }
+    drop(tx);
+    eng.barrier().expect("no detached writes, so no deferred errors");
+    assert_eq!(eng.in_flight(), 0, "barrier returned with requests in flight");
+    assert_eq!(reaper.join().expect("reaper thread"), 3, "scripted failure, then fail-fast");
+    // With the worker pool gone a submission cannot be delivered: it
+    // resolves as a typed failure and still returns its buffer.
+    let mut eng = Arc::try_unwrap(eng).ok().expect("reaper dropped its handle");
+    eng.shutdown();
+    let refused = eng.submit_read_into(0, pool.acquire(8));
+    assert!(matches!(eng.wait_buf(refused), Err(Error::Internal(_))));
+    eng.barrier().expect("barrier on a stopped engine");
+    assert_eq!(pool.outstanding(), 0, "a staging buffer was never handed back");
+    assert_eq!(pool.idle() as u64, pool.stats().allocated, "a staging buffer was lost");
+}
+
+#[test]
+fn engine_hands_every_staging_buffer_back_exactly_once() {
+    run("engine-buffer-handback", engine_handback_body);
 }
 
 // ---------------------------------------------------------------------------
@@ -200,13 +258,13 @@ fn pool_checkout_body() {
         let mut b = p2.acquire();
         b.as_mut_slice()[0] ^= 0xff;
         let mut v = s2.acquire(4);
-        v.push(1.0);
+        v.as_f32_mut()[0] = 1.0;
     });
     {
         let mut b = pool.acquire();
         b.as_mut_slice()[0] ^= 0xff;
         let mut v = scratch.acquire(4);
-        v.push(2.0);
+        v.as_f32_mut()[0] = 2.0;
     }
     t.join().expect("contending thread");
     assert_eq!(pool.outstanding(), 0, "a checkout was never returned");

@@ -145,6 +145,11 @@ fn write_blob(b: &Blob) -> Vec<u8> {
     out
 }
 
+/// The data-parallel world size a checkpoint blob was saved at.
+pub(crate) fn checkpoint_world(bytes: &[u8]) -> Result<usize> {
+    Ok(parse_blob(bytes)?.world)
+}
+
 fn parse_blob(bytes: &[u8]) -> Result<Blob> {
     let mut r = Reader { buf: bytes, pos: 0 };
     if r.take(8)? != MAGIC {

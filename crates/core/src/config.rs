@@ -2,6 +2,10 @@
 
 use zi_types::{DType, DeviceKind};
 
+/// Streams the chunked optimizer step moves per chunk: fp32 master,
+/// momentum, variance, and the parameter published in storage dtype.
+const STREAMS_PER_CHUNK: usize = 4;
+
 /// Where each class of model state lives when not in active use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
@@ -57,7 +61,8 @@ pub struct Strategy {
     pub step_pipeline_depth: usize,
     /// Bound on in-flight write-behind requests during the streamed
     /// optimizer step. `0` means *auto*: follow the pipeline depth
-    /// (three writes per in-flight chunk). Nonzero values pin the window
+    /// (four writes per in-flight chunk: master, m, v and the published
+    /// parameter). Nonzero values pin the window
     /// independently of depth — the adaptive controller tunes this to
     /// keep deferred writes from crowding latency-critical reads.
     pub write_behind: usize,
@@ -198,7 +203,7 @@ impl Strategy {
         Strategy { prefetch_window: window, ..self }
     }
 
-    /// Override the write-behind window (0 = auto: 3 × pipeline depth).
+    /// Override the write-behind window (0 = auto: 4 × pipeline depth).
     pub fn with_write_behind(self, window: usize) -> Strategy {
         Strategy { write_behind: window, ..self }
     }
@@ -225,13 +230,13 @@ impl Strategy {
     }
 
     /// The write-behind bound in force for a given pipeline depth:
-    /// the explicit window, or three writes per in-flight chunk when
-    /// on auto.
+    /// the explicit window, or one write per stream of every in-flight
+    /// chunk when on auto.
     pub fn write_behind_bound(&self) -> usize {
         if self.write_behind > 0 {
             self.write_behind
         } else {
-            3 * self.step_pipeline_depth.max(1)
+            STREAMS_PER_CHUNK * self.step_pipeline_depth.max(1)
         }
     }
 

@@ -19,22 +19,25 @@
 //!    gradient tier.
 //! 5. **Step** — each rank streams its optimizer-state shard through
 //!    bounded chunks (NVMe→CPU→update→NVMe, Sec. 5.2.2), updates the fp32
-//!    master, and writes the fresh fp16 shard back to the parameter tier.
+//!    master, and writes the fresh fp16 shard back to the parameter tier
+//!    chunk by chunk, as the fourth stream of the same pipeline.
 //!    Replicated-parameter strategies (ZeRO-1/2/Offload) instead allgather
 //!    the updated slices back into every replica.
 
 use std::collections::{HashMap, VecDeque};
 
 use zi_comm::{Communicator, Partitioner};
-use zi_memory::{Block, PlacementPolicy, ScratchPool};
+use zi_memory::{Block, PlacementPolicy, ScratchVec};
 use zi_model::{ParamId, ParamRegistry, ParamStore};
-use zi_optim::{adam_update_chunk_publish, AdamConfig, LossScaler};
+use zi_optim::{adam_update_chunk, adam_update_chunk_publish, AdamConfig, LossScaler};
 use zi_tensor::{FlatBuffer, Tensor};
 use zi_trace::{Category, Counter};
 use zi_types::{DType, Device, DeviceKind, Error, Result};
 
 use crate::config::Strategy;
-use crate::offload::{DeviceBuf, OffloadManager, PlacedBuf, PlacedPending, WriteBehind};
+use crate::offload::{
+    DeviceBuf, OffloadManager, PlacedBuf, PlacedPending, PublishStream, WriteBehind,
+};
 use crate::prefetch::{PrefetchStats, Prefetcher, TraceMap};
 
 /// How parameters are stored between uses.
@@ -130,8 +133,6 @@ pub struct ZeroEngine {
     resident: HashMap<ParamId, Resident>,
     prefetcher: Prefetcher,
     trace: TraceMap,
-    /// Recycled f32 chunk buffers for the streaming optimizer step.
-    scratch: ScratchPool,
     /// Last placement-cell version consumed; newer publishes (a
     /// degradation collapse) are folded in at the next step.
     placement_seen: u64,
@@ -184,7 +185,6 @@ impl ZeroEngine {
         let rank = comm.rank();
         let world = comm.world_size();
         let part = Partitioner::new(world);
-        let _ = rank;
         let mut shards = Vec::with_capacity(registry.len());
         for meta in registry.iter() {
             // One parameter at a time: peak init memory is a single
@@ -256,7 +256,6 @@ impl ZeroEngine {
             resident: HashMap::new(),
             prefetcher: Prefetcher::new(),
             trace: TraceMap::new(),
-            scratch: ScratchPool::new(),
             placement_seen,
             stats: EngineStats::default(),
         })
@@ -395,101 +394,109 @@ impl ZeroEngine {
         }
         self.scaler.update(false);
 
-        let world = self.comm.world_size() as f32 * self.grad_accum_steps;
-        let rank = self.comm.rank();
-        for idx in 0..self.shards.len() {
-            let Some(gs) = self.shards[idx].grad.take() else { continue };
-            self.shards[idx].grad_nonfinite = false;
-            let st = &self.shards[idx];
-            let numel = st.numel;
-            let shard_len = st.shard_len;
-
-            // Assemble the gradient slice covering this rank's update
-            // range, averaged over ranks.
-            let (mut grad_vec, _slice_is_shard) = match gs {
-                GradStorage::Partitioned(buf) => {
-                    let v = self.mgr.load(&buf)?.to_f32_vec();
-                    self.mgr.free(buf);
-                    (v, true)
-                }
-                GradStorage::Replicated(buf) => {
-                    let v = self.mgr.load(&buf)?.to_f32_vec();
-                    self.mgr.free(buf);
-                    if self.strategy.partition_optimizer {
-                        let range = self.part.shard_range(numel, rank);
-                        let mut slice = vec![0f32; shard_len];
-                        let end = range.end.min(numel);
-                        if range.start < end {
-                            slice[..end - range.start].copy_from_slice(&v[range.start..end]);
-                        }
-                        (slice, true)
-                    } else {
-                        (v, false)
-                    }
-                }
-            };
-            for g in &mut grad_vec {
-                *g /= world;
-            }
-
-            // Stream the optimizer state through bounded chunks with a
-            // depth-deep read pipeline and bounded write-behind.
-            let total = grad_vec.len();
-            let chunk = self.strategy.optimizer_chunk.min(total.max(1));
-            let depth = self.strategy.step_pipeline_depth.max(1);
-            let wb_window = self.strategy.write_behind_bound();
-            let mut new_master = vec![0f32; total];
-            let st = &mut self.shards[idx];
-            st.optim.step += 1;
-            let streamed = stream_shard_update(
-                &self.mgr,
-                &self.scratch,
-                &self.adam,
-                &mut st.optim,
-                &grad_vec,
-                chunk,
-                depth,
-                wb_window,
-                &mut new_master,
-            )?;
-            self.stats.optimizer_chunks += streamed.chunks;
-            self.stats.step_io_overlap += streamed.overlapped;
-
-            // Publish the updated parameters in storage dtype.
-            self.publish_master(idx, &new_master)?;
-        }
+        // One write-behind window spans every parameter, so one
+        // parameter's writes overlap the next one's reads. All of it is
+        // reaped here, inside the step — on the success path and on every
+        // error path — so write failures surface as the step's own typed
+        // error and nothing leaks into the end-of-iteration barrier.
+        let mut wb = WriteBehind::new(self.strategy.write_behind_bound());
+        let updated = (0..self.shards.len()).try_for_each(|idx| self.update_shard(idx, &mut wb));
+        let drained = wb.drain(&self.mgr);
+        updated.and(drained)?;
         self.stats.steps += 1;
         self.end_iteration()?;
         Ok(true)
     }
 
+    /// Apply parameter `idx`'s accumulated gradient (if any) to its
+    /// optimizer shard and publish the fresh parameter values.
+    fn update_shard(&mut self, idx: usize, wb: &mut WriteBehind) -> Result<()> {
+        let Some(gs) = self.shards[idx].grad.take() else { return Ok(()) };
+        self.shards[idx].grad_nonfinite = false;
+        let (numel, shard_len) = (self.shards[idx].numel, self.shards[idx].shard_len);
+
+        // The gradient slice covering this rank's update range, averaged
+        // over ranks in place in the buffer taken out of gradient storage
+        // (no load → clone → decode round trip).
+        let (buf, replicated) = match gs {
+            GradStorage::Partitioned(buf) => (buf, false),
+            GradStorage::Replicated(buf) => (buf, true),
+        };
+        let mut grad = self.mgr.take(buf)?;
+        let full = grad.as_f32_mut().ok_or_else(|| {
+            Error::Internal("gradient storage is not an aligned f32 buffer".into())
+        })?;
+        let mut slice;
+        let grad = if replicated && self.strategy.partition_optimizer {
+            let range = self.part.shard_range(numel, self.comm.rank());
+            slice = vec![0f32; shard_len];
+            let end = range.end.min(numel);
+            if range.start < end {
+                slice[..end - range.start].copy_from_slice(&full[range.start..end]);
+            }
+            &mut slice[..]
+        } else {
+            full
+        };
+        let world = self.comm.world_size() as f32 * self.grad_accum_steps;
+        for g in grad.iter_mut() {
+            *g /= world;
+        }
+
+        // Stream the optimizer state through bounded chunks with a
+        // depth-deep read pipeline and bounded write-behind. A
+        // partitioned parameter's fresh shard rides the same
+        // write-behind, chunk by chunk; a replicated one collects the
+        // whole master for the allgather publish below.
+        let total = grad.len();
+        let chunk = self.strategy.optimizer_chunk.min(total.max(1));
+        let depth = self.strategy.step_pipeline_depth.max(1);
+        let ShardState { optim, param, .. } = &mut self.shards[idx];
+        optim.step += 1;
+        let mut new_master = Vec::new();
+        let publish = match param {
+            ParamStorage::Partitioned(buf) => Publish::Stream(self.mgr.begin_publish(buf)),
+            ParamStorage::Replicated(_) => {
+                new_master.resize(total, 0f32);
+                Publish::Whole(&mut new_master)
+            }
+        };
+        let stats = &mut self.stats;
+        stream_shard_update(&self.mgr, &self.adam, optim, grad, chunk, depth, wb, publish, stats)?;
+        if matches!(param, ParamStorage::Replicated(_)) {
+            self.publish_master(idx, &new_master)?;
+        }
+        Ok(())
+    }
+
     /// Write the fp32 master values covering this rank's update range back
-    /// into parameter storage (casting to the storage dtype). For
+    /// into parameter storage (casting to the storage dtype) — the
+    /// one-chunk case of the step's chunk-streamed publish. For
     /// replicated parameters with a partitioned optimizer (ZeRO-1/2) this
     /// performs an allgather and is therefore a collective.
     fn publish_master(&mut self, idx: usize, new_master: &[f32]) -> Result<()> {
         let dtype = self.strategy.param_dtype;
         let numel = self.shards[idx].numel;
-        match &mut self.shards[idx].param {
-            ParamStorage::Partitioned(buf) => {
-                // new_master covers exactly this rank's padded shard.
-                self.mgr.overwrite(buf, &FlatBuffer::from_f32(dtype, new_master))
+        let gathered;
+        let (buf, values) = match &mut self.shards[idx].param {
+            // new_master covers exactly this rank's padded shard.
+            ParamStorage::Partitioned(buf) => (buf, new_master),
+            ParamStorage::Replicated(buf) if self.strategy.partition_optimizer => {
+                // ZeRO-1/2: gather every rank's updated slice back
+                // into the full replica.
+                let mine = FlatBuffer::from_f32(dtype, new_master);
+                let bytes = self.comm.allgather_bytes(mine.as_bytes())?;
+                gathered = FlatBuffer::from_bytes(dtype, bytes)?.to_f32_vec();
+                (buf, &gathered[..numel])
             }
-            ParamStorage::Replicated(buf) => {
-                if self.strategy.partition_optimizer {
-                    // ZeRO-1/2: gather every rank's updated slice back
-                    // into the full replica.
-                    let mine = FlatBuffer::from_f32(dtype, new_master);
-                    let gathered = self.comm.allgather_bytes(mine.as_bytes())?;
-                    let fb = FlatBuffer::from_bytes(dtype, gathered)?;
-                    let mut vals = fb.to_f32_vec();
-                    vals.truncate(numel);
-                    self.mgr.overwrite(buf, &FlatBuffer::from_f32(dtype, &vals))
-                } else {
-                    self.mgr.overwrite(buf, &FlatBuffer::from_f32(dtype, new_master))
-                }
-            }
-        }
+            ParamStorage::Replicated(buf) => (buf, new_master),
+        };
+        let mut wb = WriteBehind::new(1);
+        let mut publish = self.mgr.begin_publish(buf);
+        let pushed = publish.push(&self.mgr, &mut wb, values);
+        let drained = wb.drain(&self.mgr);
+        pushed.and(drained)?;
+        publish.finish(&self.mgr)
     }
 
     /// Bring every optimizer shard's placement in line with the current
@@ -712,8 +719,9 @@ impl ParamStore for ZeroEngine {
         };
         r.refcount -= 1;
         if r.refcount == 0 {
-            let r = self.resident.remove(&id).expect("checked above");
-            self.mgr.hierarchy().free(self.gpu_device(), r.gpu_block);
+            if let Some(r) = self.resident.remove(&id) {
+                self.mgr.hierarchy().free(self.gpu_device(), r.gpu_block);
+            }
         }
         Ok(())
     }
@@ -767,119 +775,162 @@ fn device_for(kind: DeviceKind, rank: usize) -> Device {
     }
 }
 
-/// Counters produced by one shard's streamed update.
-#[derive(Default)]
-struct StreamStats {
-    /// Chunks updated.
-    chunks: u64,
-    /// Chunks whose update began with device I/O still in flight.
-    overlapped: u64,
+/// Where a streamed update publishes the fresh master values.
+enum Publish<'a> {
+    /// Collect them (replicated parameters: published by allgather).
+    Whole(&'a mut [f32]),
+    /// Convert each chunk to the storage dtype and write it behind, as
+    /// the chunk's fourth stream (partitioned parameters).
+    Stream(PublishStream<'a>),
+}
+
+/// The f32 elements of one streamed chunk: the staging buffer the
+/// device filled, or the resident shard itself.
+fn chunk_f32<'a>(
+    staged: &'a mut Option<ScratchVec>,
+    buf: &'a mut PlacedBuf,
+    start: usize,
+    len: usize,
+) -> Result<&'a mut [f32]> {
+    match staged {
+        Some(staging) => Ok(staging.as_f32_mut()),
+        None => buf.resident_f32_mut(start, len),
+    }
 }
 
 /// Stream one shard's optimizer state (master, m, v) through bounded
 /// chunks with a `depth`-deep read pipeline and bounded write-behind
 /// (Sec. 5.2.2 + overlap-centric design, Sec. 6.2).
 ///
-/// While chunk k runs `adam_update_chunk_publish`, the three reads of
-/// chunks k+1..k+depth are already in flight and the writes of chunks
-/// < k drain asynchronously under back-pressure. `depth == 1`
-/// degenerates to the fully sequential read→update→write loop (each
-/// chunk's writes are drained before the next chunk starts).
+/// While chunk k runs Adam, the three reads of chunks k+1..k+depth are
+/// already in flight and the writes of chunks < k drain asynchronously
+/// under back-pressure. One staging buffer carries each NVMe stream of a
+/// chunk the whole way: the device reads into it, the CRC is verified
+/// over it, Adam updates it in place, and it moves into the write
+/// request; RAM-resident chunks are updated in the resident buffer
+/// itself. `depth == 1` degenerates to the fully sequential
+/// read→update→write loop (each chunk's writes are drained before the
+/// next chunk starts).
 ///
-/// All write-behind tickets are reconciled before returning — on the
-/// success path and on every error path — so failures surface as typed
-/// errors here (preserving the retry/checksum/failover semantics) and
-/// no request leaks into the end-of-iteration flush barrier.
+/// Every read is reaped before returning — on the success path and on
+/// every error path — and every write is queued on the caller's `wb`,
+/// which the step drains before it returns: failures surface as typed
+/// errors inside the step (preserving the retry/checksum/failover
+/// semantics) and every staging buffer goes back to its pool.
 #[allow(clippy::too_many_arguments)]
 fn stream_shard_update(
     mgr: &OffloadManager,
-    scratch: &ScratchPool,
     adam: &AdamConfig,
     optim: &mut OptimStorage,
-    grad_vec: &[f32],
+    grad: &[f32],
     chunk: usize,
     depth: usize,
-    wb_window: usize,
-    new_master: &mut [f32],
-) -> Result<StreamStats> {
-    let total = grad_vec.len();
+    wb: &mut WriteBehind,
+    mut publish: Publish<'_>,
+    stats: &mut EngineStats,
+) -> Result<()> {
+    let total = grad.len();
     let step_no = optim.step;
-    let mut stats = StreamStats::default();
-    let mut wb = WriteBehind::new(wb_window);
     let mut pending: VecDeque<(usize, usize, [PlacedPending; 3])> = VecDeque::new();
-    let mut issued = 0usize;
+    let (mut issued, mut updated) = (0usize, 0usize);
 
     let mut run = || -> Result<()> {
-        while issued < total || !pending.is_empty() {
-            // Keep `depth` chunks' reads in flight ahead of the update.
-            // A split shard fans each chunk out over both placement
-            // paths: the NVMe parts queue on the device while the
-            // CPU-DRAM parts land immediately — concurrent nc + cp
-            // traffic within one pipelined step.
-            while issued < total && pending.len() < depth {
-                let len = chunk.min(total - issued);
+        while updated < total {
+            // Keep `depth` chunks' worth of reads in flight ahead of the
+            // update. A chunk ends early at a segment boundary of a split
+            // shard, so each one lies on a single path: the NVMe ones
+            // queue on the device while the CPU-DRAM ones need no
+            // transfer — concurrent nc + cp traffic within one step.
+            while issued < total && issued - updated < depth.saturating_mul(chunk) {
+                let end = [&optim.master, &optim.m, &optim.v]
+                    .iter()
+                    .fold(issued.saturating_add(chunk).min(total), |end, buf| {
+                        end.min(buf.segment_end(issued))
+                    });
                 let loads = [
-                    mgr.begin_load_elems_placed(&optim.master, issued, len)?,
-                    mgr.begin_load_elems_placed(&optim.m, issued, len)?,
-                    mgr.begin_load_elems_placed(&optim.v, issued, len)?,
+                    mgr.begin_load_elems_placed(&optim.master, issued, end - issued)?,
+                    mgr.begin_load_elems_placed(&optim.m, issued, end - issued)?,
+                    mgr.begin_load_elems_placed(&optim.v, issued, end - issued)?,
                 ];
-                pending.push_back((issued, len, loads));
-                issued += len;
+                pending.push_back((issued, end - issued, loads));
+                issued = end;
             }
-            let (start, len, [pm, p1, p2]) = pending.pop_front().expect("pending non-empty");
-            let mut mchunk = scratch.acquire(len);
-            let mut m1 = scratch.acquire(len);
-            let mut m2 = scratch.acquire(len);
-            pm.wait(mgr)?.decode_f32_into(&mut mchunk);
-            p1.wait(mgr)?.decode_f32_into(&mut m1);
-            p2.wait(mgr)?.decode_f32_into(&mut m2);
+            let (start, len, loads) = pending
+                .pop_front()
+                .filter(|&(_, len, _)| len > 0)
+                .ok_or_else(|| Error::Internal("optimizer stream has no chunk to update".into()))?;
+            // All three are reaped before any failure surfaces.
+            let [sm, s1, s2] = loads.map(|load| load.wait(mgr));
+            let (mut sm, mut s1, mut s2) = (sm?, s1?, s2?);
             // Measured after the waits: anything still in flight now is
             // genuine overlap (later chunks' reads, earlier writes).
             if mgr.nvme().in_flight() > 0 {
-                stats.overlapped += 1;
+                stats.step_io_overlap += 1;
             }
             {
-                // The compute half of the streamed step: I/O hidden
-                // behind these spans is the pipeline's overlap win.
-                let mut span = mgr.tracer().span(Category::Compute, "adam_chunk");
-                span.set_bytes((len * 4) as u64);
-                // ~15 scalar flops per element in the Adam recurrence
-                // (moment updates, bias correction, sqrt, update).
-                span.set_flops(15 * len as u64);
-                span.set_id(start as u64);
-                adam_update_chunk_publish(
-                    adam,
-                    step_no,
-                    &mut mchunk,
-                    &mut m1,
-                    &mut m2,
-                    &grad_vec[start..start + len],
-                    &mut new_master[start..start + len],
-                );
+                let resident = [&sm, &s1, &s2].iter().filter(|s| s.is_none()).count();
+                let resident = (resident * len * 4) as u64;
+                let master = chunk_f32(&mut sm, &mut optim.master, start, len)?;
+                let m = chunk_f32(&mut s1, &mut optim.m, start, len)?;
+                let v = chunk_f32(&mut s2, &mut optim.v, start, len)?;
+                // The cp hop of a resident chunk is the kernel's own
+                // traffic over the DRAM-resident state: read and written
+                // once each, in place.
+                let _cp = (resident > 0).then(|| {
+                    mgr.tracer().count(Counter::CpReadBytes, resident);
+                    mgr.tracer().count(Counter::CpWriteBytes, resident);
+                    let mut span = mgr.tracer().span(Category::CpTransfer, "cp.update");
+                    span.set_bytes(2 * resident);
+                    span.set_id(start as u64);
+                    span
+                });
+                {
+                    // The compute half of the streamed step: I/O hidden
+                    // behind these spans is the pipeline's overlap win.
+                    let mut span = mgr.tracer().span(Category::Compute, "adam_chunk");
+                    span.set_bytes((len * 4) as u64);
+                    // ~15 scalar flops per element in the Adam recurrence
+                    // (moment updates, bias correction, sqrt, update).
+                    span.set_flops(15 * len as u64);
+                    span.set_id(start as u64);
+                    let grad = &grad[start..start + len];
+                    match &mut publish {
+                        Publish::Whole(out) => adam_update_chunk_publish(
+                            adam, step_no, master, m, v, grad, &mut out[start..start + len],
+                        ),
+                        Publish::Stream(_) => adam_update_chunk(adam, step_no, master, m, v, grad),
+                    }
+                }
+                if let Publish::Stream(stream) = &mut publish {
+                    stream.push(mgr, wb, master)?;
+                }
             }
-            wb.submit_elems_placed(
-                mgr,
-                &mut optim.master,
-                start,
-                &FlatBuffer::from_f32(DType::F32, &mchunk),
-            )?;
-            wb.submit_elems_placed(mgr, &mut optim.m, start, &FlatBuffer::from_f32(DType::F32, &m1))?;
-            wb.submit_elems_placed(mgr, &mut optim.v, start, &FlatBuffer::from_f32(DType::F32, &m2))?;
+            for (staged, buf) in [(sm, &optim.master), (s1, &optim.m), (s2, &optim.v)] {
+                if let Some(staging) = staged {
+                    wb.submit_staged(mgr, buf, start, staging)?;
+                }
+            }
             if depth == 1 {
-                // Sequential semantics: this chunk is durable before the
-                // next chunk's reads are even issued.
+                // Sequential semantics: this chunk's writes completed
+                // before the next chunk's reads are even issued.
                 wb.drain(mgr)?;
             }
-            stats.chunks += 1;
+            updated += len;
+            stats.optimizer_chunks += 1;
         }
         Ok(())
     };
     let result = run();
-    // Reconcile the write-behind in every case; the first error wins.
-    match (result, wb.drain(mgr)) {
-        (Err(e), _) => Err(e),
-        (Ok(()), Err(e)) => Err(e),
-        (Ok(()), Ok(())) => Ok(stats),
+    // Reap the reads a failure abandoned.
+    for (_, _, loads) in pending.drain(..) {
+        for load in loads {
+            load.discard(mgr);
+        }
+    }
+    result?;
+    match publish {
+        Publish::Stream(stream) => stream.finish(mgr),
+        Publish::Whole(_) => Ok(()),
     }
 }
 
@@ -1178,20 +1229,124 @@ mod tests {
 
     #[test]
     fn step_scratch_buffers_are_recycled() {
-        let (_node, mut eng, reg) = single_rank(
-            Strategy::infinity_nvme().with_f32_params().with_optimizer_chunk(4),
-        );
+        use std::time::Duration;
+        use zi_nvme::{MemBackend, ThrottledBackend};
+        // A device far slower than the step loop pins the regime: no
+        // write completes before the next is queued, so every step
+        // drives the staging pool through the same sequence and reaches
+        // the same peak (prefetch off: only the step touches the device).
+        let depth = 3;
+        let spec = NodeMemorySpec::test_spec(1, 1 << 22, 1 << 22, 1 << 22);
+        let backend = zi_sync::Arc::new(ThrottledBackend::new(
+            MemBackend::new(),
+            2e9,
+            Duration::from_millis(1),
+        ));
+        let node = NodeResources::with_backend(&spec, 1, backend);
+        let reg = tiny_registry();
+        let mut eng = ZeroEngine::new(
+            &reg,
+            Strategy::infinity_nvme()
+                .with_f32_params()
+                .with_prefetch(false)
+                .with_optimizer_chunk(4)
+                .with_step_pipeline_depth(depth),
+            node.offload_manager(),
+            node.group.communicator(0),
+            AdamConfig::default(),
+        )
+        .unwrap();
         let id = reg.find("w").unwrap();
-        for _ in 0..3 {
+        let step = |eng: &mut ZeroEngine| {
             eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![0.5; 12]).unwrap()).unwrap();
             eng.step().unwrap();
-        }
-        let st = eng.scratch.stats();
-        assert!(
-            st.reused > st.allocated,
-            "steady-state steps must recycle chunk buffers: {st:?}"
-        );
+        };
+        step(&mut eng);
+        step(&mut eng);
+        // Warm: the pool has converged to the pipeline's working set and
+        // a further step allocates nothing.
+        let warm = eng.mgr.staging().stats();
+        step(&mut eng);
+        let pool = eng.mgr.staging();
+        let st = pool.stats();
+        assert_eq!(st.allocated, warm.allocated, "a steady-state step allocated staging: {st:?}");
+        assert!(st.reused > warm.reused, "steady-state steps must recycle chunk buffers: {st:?}");
+        // Read-ahead (3 streams) plus the chunk in hand (3 + its publish)
+        // fit in depth × 4; the rest is the write-behind window.
+        let bound = (depth * 4 + eng.strategy.write_behind_bound()) as u64;
+        assert!(st.peak_outstanding <= bound, "peak {} over bound {bound}", st.peak_outstanding);
+        assert_eq!((pool.outstanding(), pool.idle() as u64), (0, st.allocated));
         eng.dispose().unwrap();
+    }
+
+    /// One rank over a scriptable faulty device, prefetch off so every
+    /// device read belongs to the call that issued it.
+    fn faulty_rank(chunk: usize) -> (zi_nvme::FaultPlan, NodeResources, ZeroEngine, ParamId) {
+        let spec = NodeMemorySpec::test_spec(1, 1 << 22, 1 << 22, 1 << 22);
+        let plan = zi_nvme::FaultPlan::new();
+        let backend =
+            zi_sync::Arc::new(zi_nvme::FaultyBackend::new(zi_nvme::MemBackend::new(), plan.clone()));
+        let node = NodeResources::with_backend_policy(&spec, 1, backend, zi_nvme::RetryPolicy::none());
+        let reg = tiny_registry();
+        let strategy = Strategy::infinity_nvme()
+            .with_f32_params()
+            .with_prefetch(false)
+            .with_optimizer_chunk(chunk)
+            .with_step_pipeline_depth(2);
+        let engine = ZeroEngine::new(
+            &reg,
+            strategy,
+            node.offload_manager(),
+            node.group.communicator(0),
+            AdamConfig::default(),
+        )
+        .unwrap();
+        let id = reg.find("w").unwrap();
+        (plan, node, engine, id)
+    }
+
+    #[test]
+    fn chunk_streamed_publish_keeps_parameter_fetches_checksum_verified() {
+        let (plan, _node, mut eng, id) = faulty_rank(5);
+        eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
+        eng.step().unwrap(); // publishes w in three chunks
+        let clean = eng.export_param(id).unwrap();
+        // A silently corrupted fetch is caught by the whole-extent CRC the
+        // stream accumulated chunk by chunk, and repaired by a re-read.
+        plan.bitflip_next_reads(1);
+        assert_eq!(eng.export_param(id).unwrap().data(), clean.data());
+        assert_eq!(eng.mgr.health().corruptions_recovered, 1);
+        // Corruption that survives every re-read is a typed error.
+        plan.bitflip_next_reads(u32::MAX);
+        let err = eng.export_param(id).unwrap_err();
+        assert!(matches!(err, Error::Corruption { .. }), "got {err}");
+        plan.bitflip_next_reads(0);
+        eng.dispose().unwrap();
+    }
+
+    #[test]
+    fn device_death_mid_stream_is_typed_and_returns_every_staging_buffer() {
+        // Calibrate: how many device ops does one healthy step issue?
+        let (plan, _node, mut eng, id) = faulty_rank(2);
+        let grad = Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap();
+        let before = plan.ops_seen();
+        eng.add_grad(id, &grad).unwrap();
+        eng.step().unwrap();
+        let per_step = plan.ops_seen() - before;
+        assert!(per_step >= 12, "six chunks of reads and writes: {per_step}");
+        eng.dispose().unwrap();
+        // Kill the device at several points inside the stream: reads of
+        // later chunks and writes of earlier ones are in flight.
+        for frac in [4, 2] {
+            let (plan, _node, mut eng, id) = faulty_rank(2);
+            eng.add_grad(id, &grad).unwrap();
+            plan.kill_after_ops(per_step / frac);
+            let err = eng.step().unwrap_err();
+            assert!(err.is_device_failure(), "death at 1/{frac} of the step: got {err}");
+            let pool = eng.mgr.staging();
+            assert_eq!(pool.outstanding(), 0, "a staging buffer is still checked out");
+            assert_eq!(pool.idle() as u64, pool.stats().allocated, "a staging buffer was lost");
+        }
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! memory tier. GPU and CPU buffers hold their bytes in process memory and
 //! charge the corresponding capacity pool; NVMe buffers own an extent of
 //! the backing device and move bytes through the asynchronous
-//! [`zi_nvme::NvmeEngine`]. Every NVMe transfer checks a staging buffer out
-//! of the pinned pool for its duration, bounding staging memory the way
-//! the paper's pinned-memory management layer does (Sec. 6.3).
+//! [`zi_nvme::NvmeEngine`]. Whole-shard transfers check a staging buffer
+//! out of the pinned pool for their submission, bounding staging memory
+//! the way the paper's pinned-memory management layer does (Sec. 6.3);
+//! the chunk-streamed optimizer step instead carries each chunk in one
+//! recycled [`ScratchVec`] from device read to device write.
 
 use std::collections::{BTreeMap, VecDeque};
 use zi_sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -16,8 +18,11 @@ use zi_sync::Mutex;
 use zi_comm::{CommConfig, CommGroup, Membership};
 use zi_memory::{
     Block, MemoryHierarchy, NodeMemorySpec, PathKind, PinnedBufferPool, PlacementPolicy, PlanCell,
+    ScratchPool, ScratchVec,
 };
-use zi_nvme::{checksum::crc32, FileBackend, MemBackend, NvmeEngine, RetryPolicy, StorageBackend, Ticket};
+use zi_nvme::checksum::{crc32, crc32_update};
+use zi_nvme::{FileBackend, IoBuf, MemBackend, NvmeEngine, RetryPolicy, StorageBackend, Ticket};
+use zi_tensor::storage::encode_f32;
 use zi_tensor::FlatBuffer;
 use zi_trace::{Category, Counter, Tracer};
 use zi_types::{DType, Device, DeviceKind, Error, Result, WorldSize};
@@ -49,9 +54,15 @@ impl ResilienceState {
     /// Record the checksum of a just-written extent, invalidating any
     /// previously recorded extent it overlaps.
     fn record(&self, offset: u64, data: &[u8]) {
+        self.record_crc(offset, data.len() as u64, crc32(data));
+    }
+
+    /// [`Self::record`] for an extent whose checksum the caller already
+    /// holds (accumulated over in-order chunk writes).
+    fn record_crc(&self, offset: u64, len: u64, crc: u32) {
         let mut map = self.checksums.lock();
-        Self::invalidate_locked(&mut map, offset, data.len() as u64);
-        map.insert(offset, (data.len() as u64, crc32(data)));
+        Self::invalidate_locked(&mut map, offset, len);
+        map.insert(offset, (len, crc));
     }
 
     /// Forget checksums overlapping `[offset, offset + len)`.
@@ -116,6 +127,9 @@ pub struct NodeResources {
     pub pinned: PinnedBufferPool,
     /// Data-parallel communicator group.
     pub group: CommGroup,
+    /// Recycled staging buffers the chunk-streamed step reads into,
+    /// updates in place, and writes from (node-wide, like the engine).
+    staging: ScratchPool,
     /// Shared checksum registry and degradation latch.
     resilience: Arc<ResilienceState>,
     /// Node-wide placement-policy cell: degradation (and re-tiering)
@@ -167,26 +181,16 @@ impl NodeResources {
         backend: Arc<dyn StorageBackend>,
         policy: RetryPolicy,
     ) -> Self {
-        Self::with_backend_policy_comm(spec, world, backend, policy, CommConfig::default())
-    }
-
-    /// [`Self::with_backend_policy`] with an explicit communicator
-    /// configuration (collective deadline + comm fault plan) — the
-    /// elastic trainer and comm-chaos tests build groups through this.
-    pub fn with_backend_policy_comm(
-        spec: &NodeMemorySpec,
-        world: WorldSize,
-        backend: Arc<dyn StorageBackend>,
-        policy: RetryPolicy,
-        comm: CommConfig,
-    ) -> Self {
+        let comm = CommConfig::default();
         Self::with_backend_policy_comm_tracer(spec, world, backend, policy, comm, Tracer::new())
     }
 
-    /// [`Self::with_backend_policy_comm`] recording every subsystem's
-    /// spans and counters into an externally owned tracer — the trainer
-    /// passes one tracer here so a whole node (engine workers, pinned
-    /// pool, collectives, all ranks) shares a single event stream.
+    /// [`Self::with_backend_policy`] with an explicit communicator
+    /// configuration (collective deadline + comm fault plan), recording
+    /// every subsystem's spans and counters into an externally owned
+    /// tracer — the trainer passes one tracer here so a whole node
+    /// (engine workers, pinned pool, collectives, all ranks) shares a
+    /// single event stream.
     pub fn with_backend_policy_comm_tracer(
         spec: &NodeMemorySpec,
         world: WorldSize,
@@ -238,6 +242,7 @@ impl NodeResources {
                 tracer.clone(),
             ),
             group,
+            staging: ScratchPool::new(),
             resilience: Arc::new(ResilienceState::default()),
             placement: Arc::new(PlanCell::new(PlacementPolicy::all_nvme())),
             tracer,
@@ -273,11 +278,19 @@ impl NodeResources {
             hierarchy: Arc::clone(&self.hierarchy),
             nvme: Arc::clone(&self.nvme),
             pinned: self.pinned.clone(),
+            staging: self.staging.clone(),
             resilience: Arc::clone(&self.resilience),
             placement: Arc::clone(&self.placement),
             tracer: self.tracer.clone(),
         }
     }
+}
+
+/// The typed error for a buffer that came back from the engine as the
+/// wrong [`IoBuf`] kind (heap bytes where staging was submitted, or the
+/// reverse) — an engine bug, never a device fault.
+fn wrong_buf_kind() -> Error {
+    Error::Internal("engine returned a different buffer kind than was submitted".into())
 }
 
 /// One tensor's bytes, resident on a device tier.
@@ -336,12 +349,13 @@ impl DeviceBuf {
 /// longer can deadlock ranks that block inside collectives while a
 /// sibling rank waits for staging (the pinned pool is a node-shared
 /// resource).
-pub struct PendingLoad {
-    dtype: DType,
+pub struct PendingLoad(Loading);
+
+enum Loading {
     /// Outstanding NVMe read and its device extent (for verification).
-    ticket: Option<(Ticket, u64, usize)>,
+    Read { dtype: DType, ticket: Ticket, offset: u64, len: usize },
     /// Immediate result for GPU/CPU sources.
-    immediate: Option<FlatBuffer>,
+    Ready(FlatBuffer),
 }
 
 impl PendingLoad {
@@ -350,32 +364,27 @@ impl PendingLoad {
     /// synchronous re-reads before surfacing [`Error::Corruption`], so a
     /// prefetched buffer is never silently poisoned.
     pub fn wait(self, mgr: &OffloadManager) -> Result<FlatBuffer> {
-        match (self.ticket, self.immediate) {
-            (Some((ticket, offset, len)), _) => {
-                let bytes = mgr
-                    .nvme
-                    .wait(ticket)?
-                    .ok_or_else(|| Error::Internal("read ticket returned no data".into()))?;
-                let bytes = mgr.verify_or_reread(offset, len, bytes)?;
-                FlatBuffer::from_bytes(self.dtype, bytes)
+        match self.0 {
+            Loading::Read { dtype, ticket, offset, len } => {
+                let buf = mgr.verify_or_reread(offset, len, mgr.nvme.wait_buf(ticket)?)?;
+                FlatBuffer::from_bytes(dtype, buf.into_bytes().ok_or_else(wrong_buf_kind)?)
             }
-            (None, Some(buf)) => Ok(buf),
-            (None, None) => Err(Error::Internal("empty PendingLoad".into())),
+            Loading::Ready(buf) => Ok(buf),
         }
     }
 
     /// True if this load still has an outstanding NVMe request.
     pub fn is_async(&self) -> bool {
-        self.ticket.is_some()
+        matches!(self.0, Loading::Read { .. })
     }
 
     /// True once the data is available without blocking: the NVMe read
     /// completed (successfully or not), or the load was immediate. The
     /// prefetcher uses this to tell a timely hit from a late one.
     pub fn ready(&self, mgr: &OffloadManager) -> bool {
-        match &self.ticket {
-            Some((ticket, _, _)) => mgr.nvme.is_ready(*ticket),
-            None => true,
+        match &self.0 {
+            Loading::Read { ticket, .. } => mgr.nvme.is_ready(*ticket),
+            Loading::Ready(_) => true,
         }
     }
 }
@@ -386,6 +395,7 @@ pub struct OffloadManager {
     hierarchy: Arc<MemoryHierarchy>,
     nvme: Arc<NvmeEngine>,
     pinned: PinnedBufferPool,
+    staging: ScratchPool,
     resilience: Arc<ResilienceState>,
     placement: Arc<PlanCell>,
     tracer: Tracer,
@@ -402,9 +412,9 @@ impl OffloadManager {
         &self.nvme
     }
 
-    /// The pinned staging pool.
-    pub fn pinned(&self) -> &PinnedBufferPool {
-        &self.pinned
+    /// The node's staging-buffer pool (for reuse statistics).
+    pub fn staging(&self) -> &ScratchPool {
+        &self.staging
     }
 
     /// The node-wide tracer this manager records into.
@@ -499,49 +509,49 @@ impl OffloadManager {
         Ok(DeviceBuf { device, dtype, numel, block, ram })
     }
 
-    /// One synchronous device read of `[offset, offset+len)`.
-    fn read_once(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+    /// One synchronous device read of `[offset, offset+len)`, reusing
+    /// `into` when it is a staging buffer (already `len` bytes long).
+    fn read_once(&self, offset: u64, len: usize, into: IoBuf) -> Result<IoBuf> {
         let _staging = self.pinned.acquire();
-        let ticket = self.nvme.submit_read(offset, len);
-        self.nvme
-            .wait(ticket)?
-            .ok_or_else(|| Error::Internal("read returned no data".into()))
+        let ticket = match into {
+            IoBuf::Staging(buf) => self.nvme.submit_read_into(offset, buf),
+            IoBuf::Bytes(_) => self.nvme.submit_read(offset, len),
+        };
+        self.nvme.wait_buf(ticket)
     }
 
-    /// Verify `bytes` against the checksum recorded for the extent, if
+    /// Verify `buf` against the checksum recorded for the extent, if
     /// any. On mismatch, re-read the device up to [`CORRUPTION_REREADS`]
     /// times (silent transfer corruption is transient — the device still
     /// holds clean data); persistent mismatch surfaces as
     /// [`Error::Corruption`].
-    fn verify_or_reread(&self, offset: u64, len: usize, bytes: Vec<u8>) -> Result<Vec<u8>> {
-        let expected = match self.resilience.lookup(offset, len as u64) {
-            Some(crc) => crc,
-            None => return Ok(bytes),
-        };
-        let mut actual = crc32(&bytes);
-        if actual == expected {
-            return Ok(bytes);
-        }
-        for _ in 0..CORRUPTION_REREADS {
-            let again = self.read_once(offset, len)?;
-            actual = crc32(&again);
-            if actual == expected {
-                self.resilience.corruptions_recovered.fetch_add(1, Ordering::Relaxed);
-                return Ok(again);
+    fn verify_or_reread(&self, offset: u64, len: usize, mut buf: IoBuf) -> Result<IoBuf> {
+        let Some(expected) = self.resilience.lookup(offset, len as u64) else { return Ok(buf) };
+        let mut actual = crc32(buf.as_bytes());
+        let mut rereads = 0;
+        while actual != expected {
+            if rereads == CORRUPTION_REREADS {
+                self.resilience.corruptions_unrecovered.fetch_add(1, Ordering::Relaxed);
+                return Err(Error::Corruption {
+                    context: format!("NVMe extent [{offset:#x}, +{len} B) after {rereads} re-reads"),
+                    expected,
+                    actual,
+                });
             }
+            buf = self.read_once(offset, len, buf)?;
+            actual = crc32(buf.as_bytes());
+            rereads += 1;
         }
-        self.resilience.corruptions_unrecovered.fetch_add(1, Ordering::Relaxed);
-        Err(Error::Corruption {
-            context: format!("NVMe extent [{offset:#x}, +{len} B) after {CORRUPTION_REREADS} re-reads"),
-            expected,
-            actual,
-        })
+        if rereads > 0 {
+            self.resilience.corruptions_recovered.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(buf)
     }
 
     /// Checksum-verified synchronous read.
     fn read_verified(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
-        let bytes = self.read_once(offset, len)?;
-        self.verify_or_reread(offset, len, bytes)
+        let buf = self.read_once(offset, len, IoBuf::Bytes(Vec::new()))?;
+        self.verify_or_reread(offset, len, buf)?.into_bytes().ok_or_else(wrong_buf_kind)
     }
 
     /// Load the entire buffer.
@@ -555,29 +565,15 @@ impl OffloadManager {
         }
     }
 
-    /// Load elements `[start, start+len)`.
-    pub fn load_elems(&self, buf: &DeviceBuf, start: usize, len: usize) -> Result<FlatBuffer> {
-        if start + len > buf.numel {
-            return Err(Error::shape(format!(
-                "load_elems [{start}, {}) out of buffer of {} elements",
-                start + len,
-                buf.numel
-            )));
-        }
-        match &buf.ram {
-            Some(data) => data.slice(start, len),
-            None => {
-                let es = buf.dtype.size_in_bytes() as u64;
-                // Sub-range reads verify only when they cover a recorded
-                // extent exactly (start == 0 and len == numel); partial
-                // extents have no recorded CRC and pass through.
-                let bytes = self.read_verified(
-                    buf.block.offset + start as u64 * es,
-                    buf.dtype.bytes_for(len),
-                )?;
-                FlatBuffer::from_bytes(buf.dtype, bytes)
-            }
-        }
+    /// Consume the buffer: hand back its contents (RAM-resident data is
+    /// moved out, not copied) and release its device memory.
+    pub fn take(&self, mut buf: DeviceBuf) -> Result<FlatBuffer> {
+        let data = match buf.ram.take() {
+            Some(data) => Ok(data),
+            None => self.load(&buf),
+        };
+        self.free(buf);
+        data
     }
 
     /// Begin an asynchronous load of the whole buffer. NVMe sources issue
@@ -585,65 +581,14 @@ impl OffloadManager {
     /// This is the `nc-transfer` stage the prefetcher overlaps with
     /// compute (Sec. 6.2).
     pub fn begin_load(&self, buf: &DeviceBuf) -> Result<PendingLoad> {
-        match &buf.ram {
-            Some(data) => {
-                Ok(PendingLoad { dtype: buf.dtype, ticket: None, immediate: Some(data.clone()) })
-            }
-            None => {
-                // Staging is charged transiently for the submission only.
-                let _staging = self.pinned.acquire();
-                let len = buf.size_in_bytes();
-                let ticket = self.nvme.submit_read(buf.block.offset, len);
-                Ok(PendingLoad {
-                    dtype: buf.dtype,
-                    ticket: Some((ticket, buf.block.offset, len)),
-                    immediate: None,
-                })
-            }
-        }
-    }
-
-    /// Begin an asynchronous load of elements `[start, start+len)` — the
-    /// partial-range sibling of [`Self::begin_load`]. The pipelined
-    /// optimizer step uses this to keep the next chunks' reads in flight
-    /// while the current chunk updates (Sec. 5.2.2 + 6.2); resolved
-    /// loads verify against any checksum recorded for exactly this
-    /// extent, so steady-state chunk streams keep PR 1's integrity
-    /// guarantees once each chunk has been written back at least once.
-    pub fn begin_load_elems(
-        &self,
-        buf: &DeviceBuf,
-        start: usize,
-        len: usize,
-    ) -> Result<PendingLoad> {
-        if start + len > buf.numel {
-            return Err(Error::shape(format!(
-                "begin_load_elems [{start}, {}) out of buffer of {} elements",
-                start + len,
-                buf.numel
-            )));
-        }
-        match &buf.ram {
-            Some(data) => Ok(PendingLoad {
-                dtype: buf.dtype,
-                ticket: None,
-                immediate: Some(data.slice(start, len)?),
-            }),
-            None => {
-                // Staging is charged transiently for the submission only
-                // (see `PendingLoad` for why holding it would deadlock).
-                let _staging = self.pinned.acquire();
-                let es = buf.dtype.size_in_bytes() as u64;
-                let off = buf.block.offset + start as u64 * es;
-                let nbytes = buf.dtype.bytes_for(len);
-                let ticket = self.nvme.submit_read(off, nbytes);
-                Ok(PendingLoad {
-                    dtype: buf.dtype,
-                    ticket: Some((ticket, off, nbytes)),
-                    immediate: None,
-                })
-            }
-        }
+        let Some(data) = &buf.ram else {
+            // Staging is charged transiently for the submission only.
+            let _staging = self.pinned.acquire();
+            let (offset, len) = (buf.block.offset, buf.size_in_bytes());
+            let ticket = self.nvme.submit_read(offset, len);
+            return Ok(PendingLoad(Loading::Read { dtype: buf.dtype, ticket, offset, len }));
+        };
+        Ok(PendingLoad(Loading::Ready(data.clone())))
     }
 
     /// Accumulate `delta` into the buffer in place, returning whether any
@@ -661,35 +606,26 @@ impl OffloadManager {
         match &mut buf.ram {
             Some(ram) => ram.accumulate_f32(delta),
             None => {
-                // One pinned buffer held across every chunk bounds the
-                // transfer memory of the whole read-modify-write pass
-                // (Sec. 6.3); its size sets the chunk granularity.
-                let staging = self.pinned.acquire();
-                let chunk = (staging.capacity() / DType::F32.size_in_bytes()).max(1);
-                let es = DType::F32.size_in_bytes() as u64;
+                // One recycled staging buffer carries every chunk of the
+                // read-modify-write pass — device read, in-place add,
+                // device write — bounding its transfer memory (Sec. 6.3);
+                // the pinned buffer size sets the chunk granularity.
+                let chunk = (self.pinned.buffer_size() / DType::F32.size_in_bytes()).max(1);
                 let mut nonfinite = false;
-                let mut start = 0usize;
-                while start < buf.numel {
+                for start in (0..buf.numel).step_by(chunk) {
                     let len = chunk.min(buf.numel - start);
-                    let off = buf.block.offset + start as u64 * es;
+                    let off = buf.block.offset + DType::F32.bytes_for(start) as u64;
                     let nbytes = DType::F32.bytes_for(len);
-                    let ticket = self.nvme.submit_read(off, nbytes);
-                    let bytes = self
-                        .nvme
-                        .wait(ticket)?
-                        .ok_or_else(|| Error::Internal("read returned no data".into()))?;
-                    let mut bytes = self.verify_or_reread(off, nbytes, bytes)?;
-                    for (c, d) in bytes.chunks_exact_mut(4).zip(&delta[start..start + len]) {
-                        let sum = f32::from_le_bytes([c[0], c[1], c[2], c[3]]) + d;
+                    let read = self.nvme.submit_read_into(off, self.staging.acquire(nbytes));
+                    let sums = self.verify_or_reread(off, nbytes, self.nvme.wait_buf(read)?)?;
+                    let mut sums = sums.into_staging().ok_or_else(wrong_buf_kind)?;
+                    for (sum, d) in sums.as_f32_mut().iter_mut().zip(&delta[start..start + len]) {
+                        *sum += d;
                         nonfinite |= !sum.is_finite();
-                        c.copy_from_slice(&sum.to_le_bytes());
                     }
-                    self.resilience.record(off, &bytes);
-                    let ticket = self.nvme.submit_write(off, bytes);
-                    self.nvme.wait(ticket)?;
-                    start += len;
+                    self.resilience.record(off, sums.as_bytes());
+                    self.nvme.wait_buf(self.nvme.submit_write_from(off, sums))?;
                 }
-                drop(staging);
                 Ok(nonfinite)
             }
         }
@@ -697,79 +633,48 @@ impl OffloadManager {
 
     /// Replace the buffer's entire contents.
     pub fn overwrite(&self, buf: &mut DeviceBuf, data: &FlatBuffer) -> Result<()> {
-        if data.numel() != buf.numel || data.dtype() != buf.dtype {
-            return Err(Error::shape("overwrite size/dtype mismatch"));
-        }
-        match &mut buf.ram {
-            Some(ram) => {
-                *ram = data.clone();
-                Ok(())
-            }
-            None => {
-                let _staging = self.pinned.acquire();
-                let ticket = self.nvme.submit_write(buf.block.offset, data.as_bytes().to_vec());
-                self.nvme.wait(ticket)?;
-                self.resilience.record(buf.block.offset, data.as_bytes());
-                Ok(())
-            }
-        }
-    }
-
-    /// Overwrite elements starting at `start` with `data`.
-    pub fn overwrite_elems(
-        &self,
-        buf: &mut DeviceBuf,
-        start: usize,
-        data: &FlatBuffer,
-    ) -> Result<()> {
-        if data.dtype() != buf.dtype || start + data.numel() > buf.numel {
-            return Err(Error::shape("overwrite_elems size/dtype mismatch"));
-        }
-        match &mut buf.ram {
-            Some(ram) => ram.write_slice(start, data),
-            None => {
-                let es = buf.dtype.size_in_bytes() as u64;
-                let off = buf.block.offset + start as u64 * es;
-                let _staging = self.pinned.acquire();
-                let ticket = self.nvme.submit_write(off, data.as_bytes().to_vec());
-                self.nvme.wait(ticket)?;
-                // A partial overwrite invalidates the whole-buffer CRC
-                // and records one for the sub-extent it wrote.
-                self.resilience.record(off, data.as_bytes());
-                Ok(())
-            }
-        }
+        self.overwrite_whole(buf, data, false)
     }
 
     /// Asynchronously overwrite the buffer (gradient offload overlap,
     /// Sec. 6.2); completion is guaranteed only after [`Self::flush`].
     pub fn overwrite_async(&self, buf: &mut DeviceBuf, data: &FlatBuffer) -> Result<()> {
-        if data.numel() != buf.numel || data.dtype() != buf.dtype {
-            return Err(Error::shape("overwrite_async size/dtype mismatch"));
-        }
-        match &mut buf.ram {
-            Some(ram) => {
-                *ram = data.clone();
-                Ok(())
-            }
-            None => {
-                // Record the CRC at submission: the detached write either
-                // lands these exact bytes or reports failure at `flush`.
-                self.resilience.record(buf.block.offset, data.as_bytes());
-                self.nvme.submit_write_detached(buf.block.offset, data.as_bytes().to_vec());
-                Ok(())
-            }
-        }
+        self.overwrite_whole(buf, data, true)
     }
 
-    /// Drain all outstanding NVMe requests.
+    fn overwrite_whole(&self, buf: &mut DeviceBuf, data: &FlatBuffer, detached: bool) -> Result<()> {
+        if data.numel() != buf.numel || data.dtype() != buf.dtype {
+            return Err(Error::shape("overwrite size/dtype mismatch"));
+        }
+        let Some(ram) = &mut buf.ram else {
+            // Record the CRC at submission: the write either lands these
+            // exact bytes or reports failure (here, or at `flush` when
+            // detached). The one copy hands the engine bytes it owns.
+            self.resilience.record(buf.block.offset, data.as_bytes());
+            let bytes = data.as_bytes().to_vec();
+            if detached {
+                self.nvme.submit_write_detached(buf.block.offset, bytes);
+                return Ok(());
+            }
+            let _staging = self.pinned.acquire();
+            return self.nvme.wait(self.nvme.submit_write(buf.block.offset, bytes)).map(drop);
+        };
+        ram.as_bytes_mut().copy_from_slice(data.as_bytes());
+        Ok(())
+    }
+
+    /// Drain all outstanding NVMe requests: a completion barrier —
+    /// nothing in flight, detached-write errors surfaced — not a
+    /// durability sync. The offload region has no on-device index (its
+    /// extents live in the in-process allocator), so nothing could re-read
+    /// it after a crash; durability belongs to the `CheckpointStore`,
+    /// which syncs the backend itself at each of its publish points.
     ///
     /// A device failure here degrades the node instead of erroring: new
     /// stores already avoid the device, and lost detached writes are
     /// caught by the checksum registry when (if ever) the extent is read.
-    /// Durability of a dead device is moot, so training continues.
     pub fn flush(&self) -> Result<()> {
-        match self.nvme.flush() {
+        match self.nvme.barrier() {
             Err(e) if e.is_device_failure() => {
                 self.latch_degraded();
                 Ok(())
@@ -791,11 +696,13 @@ impl OffloadManager {
 
 /// Bounded asynchronous write-behind for chunk-streamed updates.
 ///
-/// The pipelined optimizer step hands each updated chunk to the NVMe
-/// engine as a *ticketed* write and keeps going; at most `window` writes
-/// are in flight at once, and submitting into a full window first waits
-/// out the oldest one (back-pressure), so a slow device throttles the
-/// pipeline instead of ballooning queued memory.
+/// The pipelined optimizer step hands each updated staging buffer to the
+/// NVMe engine as a *ticketed* write and keeps going; at most `window`
+/// writes are in flight at once, and submitting into a full window first
+/// waits out the oldest one (back-pressure), so a slow device throttles
+/// the pipeline instead of ballooning queued memory. Each buffer moves
+/// into its write request by value and goes home to the staging pool
+/// when the ticket is reaped — on success and on every error path.
 ///
 /// Unlike [`OffloadManager::overwrite_async`]'s detached writes — whose
 /// failures are deferred to the `flush` barrier — every write-behind
@@ -821,68 +728,62 @@ impl WriteBehind {
         self.inflight.len()
     }
 
-    /// Queue an overwrite of `buf[start .. start + data.numel())`.
-    ///
-    /// RAM-resident buffers are written synchronously (there is nothing
-    /// to overlap); NVMe buffers go through the bounded async window.
-    pub fn submit_elems(
+    /// Queue `staging` for device offset `offset`, first making room in
+    /// the window. A failure here drops `staging` back into its pool.
+    fn push(&mut self, mgr: &OffloadManager, offset: u64, staging: ScratchVec) -> Result<()> {
+        // Harvest writes that already completed before deciding to
+        // block: FIFO service completes the oldest tickets first, so
+        // reaping from the front retires everything the device has
+        // finished. This keeps the window bound meaningful (in-flight
+        // requests, not unclaimed completions) and makes the stall
+        // counter a true back-pressure signal — it fires only when the
+        // device is genuinely behind.
+        while let Some(&oldest) = self.inflight.front() {
+            if !mgr.nvme.is_ready(oldest) {
+                if self.inflight.len() < self.window {
+                    break;
+                }
+                // Back-pressure: the device is behind the pipeline.
+                mgr.tracer.count(Counter::WbStalls, 1);
+            }
+            self.inflight.pop_front();
+            mgr.nvme.wait_buf(oldest)?;
+        }
+        self.inflight.push_back(mgr.nvme.submit_write_from(offset, staging));
+        Ok(())
+    }
+
+    /// Queue `staging` as the new contents of `buf[start ..]` — a range
+    /// inside one NVMe segment, normally the extent the buffer was read
+    /// from. The CRC is recorded at submission over these exact bytes:
+    /// the ticketed write either lands them or a wait surfaces the
+    /// failure.
+    pub fn submit_staged(
         &mut self,
         mgr: &OffloadManager,
-        buf: &mut DeviceBuf,
+        buf: &PlacedBuf,
         start: usize,
-        data: &FlatBuffer,
+        staging: ScratchVec,
     ) -> Result<()> {
-        if data.dtype() != buf.dtype || start + data.numel() > buf.numel {
-            return Err(Error::shape("write-behind size/dtype mismatch"));
-        }
-        match &mut buf.ram {
-            Some(ram) => ram.write_slice(start, data),
-            None => {
-                // Harvest writes that already completed before deciding to
-                // block: FIFO service completes the oldest tickets first,
-                // so reaping from the front retires everything the device
-                // has finished. This keeps the window bound meaningful
-                // (in-flight requests, not unclaimed completions) and
-                // makes the stall counter a true back-pressure signal —
-                // it fires only when the device is genuinely behind.
-                while let Some(&oldest) = self.inflight.front() {
-                    if !mgr.nvme.is_ready(oldest) {
-                        break;
-                    }
-                    self.inflight.pop_front();
-                    mgr.nvme.wait(oldest)?;
-                }
-                if self.inflight.len() >= self.window {
-                    // Back-pressure: the device is behind the pipeline.
-                    mgr.tracer.count(Counter::WbStalls, 1);
-                    let oldest = self.inflight.pop_front().expect("window non-empty");
-                    mgr.nvme.wait(oldest)?;
-                }
-                let es = buf.dtype.size_in_bytes() as u64;
-                let off = buf.block.offset + start as u64 * es;
-                // CRC recorded at submission: the ticketed write either
-                // lands these exact bytes or a wait surfaces the failure.
-                mgr.resilience.record(off, data.as_bytes());
-                self.inflight.push_back(mgr.nvme.submit_write(off, data.as_bytes().to_vec()));
-                Ok(())
-            }
-        }
+        let offset = buf
+            .device_offset(start, staging.as_bytes().len())
+            .ok_or_else(|| Error::Internal("write-behind range is not one NVMe extent".into()))?;
+        mgr.resilience.record(offset, staging.as_bytes());
+        self.push(mgr, offset, staging)
     }
 
     /// Wait out every queued write, surfacing the first failure as a
     /// typed error. All tickets are waited regardless of earlier
-    /// failures, so no request leaks into the engine's flush barrier.
+    /// failures, so no request leaks into the engine's flush barrier
+    /// and every staging buffer is back in its pool.
     pub fn drain(&mut self, mgr: &OffloadManager) -> Result<()> {
         let mut first_err = None;
         while let Some(ticket) = self.inflight.pop_front() {
-            if let Err(e) = mgr.nvme.wait(ticket) {
+            if let Err(e) = mgr.nvme.wait_buf(ticket) {
                 first_err.get_or_insert(e);
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 }
 
@@ -945,8 +846,8 @@ impl PlacedSegment {
 /// This is the "placement plan per shard" generalization of the old
 /// one-backing-store model: a [`PlacementPolicy`] split places part of
 /// the shard in CPU DRAM (the cp path) and the rest on NVMe (the nc
-/// path), and every ranged operation fans out across the segments it
-/// touches — so a streamed pass drives both paths concurrently.
+/// path), and a streamed pass walks the segments piece by piece — so it
+/// drives both paths concurrently.
 #[derive(Debug)]
 pub struct PlacedBuf {
     dtype: DType,
@@ -989,44 +890,133 @@ impl PlacedBuf {
     pub fn is_offloaded(&self) -> bool {
         self.segments.iter().any(|s| s.buf.is_offloaded())
     }
+
+    /// Index of the segment holding element `at`.
+    fn segment_index(&self, at: usize) -> usize {
+        self.segments.partition_point(|s| s.end() <= at)
+    }
+
+    /// One past the last element of the segment holding `at` (the shard
+    /// length when `at` is past the end): the farthest a piece starting
+    /// at `at` can reach while staying on one path.
+    pub fn segment_end(&self, at: usize) -> usize {
+        self.segments.get(self.segment_index(at)).map_or(self.numel, PlacedSegment::end)
+    }
+
+    /// Device offset of elements `[start, ..)` spanning `nbytes`, when
+    /// that range lies inside one NVMe-resident segment.
+    fn device_offset(&self, start: usize, nbytes: usize) -> Option<u64> {
+        let seg = self.segments.get(self.segment_index(start))?;
+        let lo = self.dtype.bytes_for(start - seg.start);
+        (seg.buf.is_offloaded() && lo + nbytes <= seg.buf.size_in_bytes())
+            .then_some(seg.buf.block.offset + lo as u64)
+    }
+
+    /// The RAM-resident F32 elements `[start, start+len)` as a mutable
+    /// slice of the resident buffer itself — Adam updates a cp-path
+    /// piece in place here, with no slice → decode → encode → write-back.
+    /// The range must lie inside one resident segment.
+    pub fn resident_f32_mut(&mut self, start: usize, len: usize) -> Result<&mut [f32]> {
+        let i = self.segment_index(start);
+        self.segments
+            .get_mut(i)
+            .and_then(|seg| {
+                let lo = start - seg.start;
+                seg.buf.ram.as_mut()?.as_f32_mut()?.get_mut(lo..lo + len)
+            })
+            .ok_or_else(|| {
+                Error::Internal(format!("[{start}, +{len}) is not one resident f32 range"))
+            })
+    }
 }
 
-/// A placed load in flight: one [`PendingLoad`] per touched segment.
-/// CPU-path parts resolve immediately; NVMe parts stay queued on the
-/// device — so waiting a placed pending overlaps exactly the nc share
-/// of the range.
+/// One piece of a streamed chunk — a range inside a single segment of
+/// a placed shard. A RAM-resident piece has nothing to wait for (the
+/// caller updates it in place through [`PlacedBuf::resident_f32_mut`]);
+/// an NVMe piece is a device read in flight *into* a staging buffer.
 pub struct PlacedPending {
-    dtype: DType,
-    len: usize,
-    /// `(offset within the requested range, part)`, in range order.
-    parts: Vec<(usize, PendingLoad)>,
+    /// Outstanding NVMe read and its device extent (for verification).
+    read: Option<(Ticket, u64, usize)>,
 }
 
 impl PlacedPending {
-    /// Block until every part landed and assemble the range.
-    pub fn wait(mut self, mgr: &OffloadManager) -> Result<FlatBuffer> {
-        if self.parts.len() == 1 {
-            let (off, part) = self.parts.pop().expect("checked above");
-            debug_assert_eq!(off, 0);
-            return part.wait(mgr);
-        }
-        let mut bytes = vec![0u8; self.dtype.bytes_for(self.len)];
-        for (off, part) in self.parts {
-            let fb = part.wait(mgr)?;
-            let lo = self.dtype.bytes_for(off);
-            bytes[lo..lo + fb.size_in_bytes()].copy_from_slice(fb.as_bytes());
-        }
-        FlatBuffer::from_bytes(self.dtype, bytes)
+    /// Block until the piece is available. An NVMe piece yields the
+    /// staging buffer the device filled, verified against the checksum
+    /// recorded for its extent (a mismatch re-reads into the same
+    /// buffer before surfacing [`Error::Corruption`]); a resident piece
+    /// yields `None`.
+    pub fn wait(self, mgr: &OffloadManager) -> Result<Option<ScratchVec>> {
+        let Some((ticket, offset, len)) = self.read else { return Ok(None) };
+        let buf = mgr.verify_or_reread(offset, len, mgr.nvme.wait_buf(ticket)?)?;
+        buf.into_staging().map(Some).ok_or_else(wrong_buf_kind)
     }
 
-    /// True if any part still has an outstanding NVMe request.
-    pub fn is_async(&self) -> bool {
-        self.parts.iter().any(|(_, p)| p.is_async())
+    /// Reap the piece without looking at it (a failed stream abandoning
+    /// its read-ahead): the staging buffer goes back to its pool.
+    pub fn discard(self, mgr: &OffloadManager) {
+        if let Some((ticket, ..)) = self.read {
+            let _ = mgr.nvme.wait_buf(ticket);
+        }
+    }
+}
+
+/// An in-order, chunk-at-a-time overwrite of one whole parameter buffer
+/// in its storage dtype: the chunk-streamed step's fourth stream.
+///
+/// Each pushed chunk is converted into a staging buffer and queued on
+/// the caller's [`WriteBehind`], so the publish overlaps the next
+/// chunk's update instead of costing a whole-shard vector plus a
+/// blocking write per parameter. Parameter fetches verify the *whole*
+/// extent, so the checksum is accumulated incrementally over the
+/// in-order chunks and recorded once by [`PublishStream::finish`] —
+/// at submission, like every write-behind CRC: each ticketed write
+/// either lands those exact bytes or a wait surfaces the failure. A
+/// whole-buffer overwrite is the one-chunk case.
+pub struct PublishStream<'a> {
+    buf: &'a mut DeviceBuf,
+    next: usize,
+    crc: u32,
+}
+
+impl PublishStream<'_> {
+    /// Overwrite the next `values.len()` elements with `values`.
+    pub fn push(
+        &mut self,
+        mgr: &OffloadManager,
+        wb: &mut WriteBehind,
+        values: &[f32],
+    ) -> Result<()> {
+        let dtype = self.buf.dtype;
+        if self.next + values.len() > self.buf.numel {
+            return Err(Error::shape("publish past the end of the parameter buffer"));
+        }
+        let (lo, nbytes) = (dtype.bytes_for(self.next), dtype.bytes_for(values.len()));
+        self.next += values.len();
+        match &mut self.buf.ram {
+            Some(ram) => encode_f32(dtype, values, &mut ram.as_bytes_mut()[lo..lo + nbytes]),
+            None => {
+                let mut staging = mgr.staging.acquire(nbytes);
+                encode_f32(dtype, values, staging.as_bytes_mut())?;
+                self.crc = crc32_update(self.crc, staging.as_bytes());
+                wb.push(mgr, self.buf.block.offset + lo as u64, staging)
+            }
+        }
     }
 
-    /// True once every part is available without blocking.
-    pub fn ready(&self, mgr: &OffloadManager) -> bool {
-        self.parts.iter().all(|(_, p)| p.ready(mgr))
+    /// Seal the overwrite: every element was pushed, and the
+    /// whole-extent checksum that parameter fetches verify is recorded.
+    pub fn finish(self, mgr: &OffloadManager) -> Result<()> {
+        if self.next != self.buf.numel {
+            return Err(Error::Internal(format!(
+                "publish covered {} of {} elements",
+                self.next, self.buf.numel
+            )));
+        }
+        if self.buf.is_offloaded() {
+            let len = self.buf.size_in_bytes() as u64;
+            mgr.resilience.record_crc(self.buf.block.offset, len, self.crc);
+        }
+        Ok(())
     }
 }
 
@@ -1064,11 +1054,12 @@ impl OffloadManager {
         let policy = if self.is_degraded() { PlacementPolicy::all_cpu() } else { *policy };
         let plan = policy.plan(numel);
         let mut segments: Vec<PlacedSegment> = Vec::with_capacity(plan.segments().len());
+        let mut whole = Some(data);
         for seg in plan.segments() {
-            let part = if plan.is_single_path() && seg.len == numel {
-                data.clone()
-            } else {
-                data.slice(seg.start, seg.len)?
+            // A single-path plan stores the caller's buffer itself.
+            let part = match &whole {
+                Some(data) if seg.len < numel => data.slice(seg.start, seg.len)?,
+                _ => whole.take().ok_or_else(|| Error::Internal("plan repeats a segment".into()))?,
             };
             let target = Self::path_device(seg.path);
             if seg.path == PathKind::Cpu {
@@ -1105,85 +1096,71 @@ impl OffloadManager {
         FlatBuffer::from_bytes(buf.dtype, bytes)
     }
 
-    /// Begin an asynchronous load of elements `[start, start+len)` of a
-    /// placed shard. NVMe parts are issued to the device immediately;
-    /// CPU-DRAM parts are materialized here under a cp-hop span — so a
-    /// pipelined caller streams both paths concurrently.
+    /// Begin streaming elements `[start, start+len)` of a placed shard —
+    /// a piece inside one segment (see [`PlacedBuf::segment_end`]). An
+    /// NVMe piece is issued to the device immediately, reading into a
+    /// recycled staging buffer; a CPU-DRAM piece needs no transfer at
+    /// all — so a pipelined caller streams both paths concurrently.
     pub fn begin_load_elems_placed(
         &self,
         buf: &PlacedBuf,
         start: usize,
         len: usize,
     ) -> Result<PlacedPending> {
-        if start + len > buf.numel {
+        if start + len > buf.segment_end(start) {
             return Err(Error::shape(format!(
-                "begin_load_elems_placed [{start}, {}) out of shard of {} elements",
+                "begin_load_elems_placed [{start}, {}) crosses a segment of a {}-element shard",
                 start + len,
                 buf.numel
             )));
         }
-        let end = start + len;
-        let mut parts = Vec::new();
-        for seg in &buf.segments {
-            if seg.end() <= start {
-                continue;
-            }
-            if seg.start() >= end {
-                break;
-            }
-            let lo = seg.start().max(start);
-            let hi = seg.end().min(end);
-            let part = if seg.path() == PathKind::Cpu {
-                let nbytes = buf.dtype.bytes_for(hi - lo) as u64;
-                let mut span = self.tracer.span(Category::CpTransfer, "cp.read");
-                span.set_bytes(nbytes);
-                span.set_id(lo as u64);
-                let p = self.begin_load_elems(&seg.buf, lo - seg.start(), hi - lo)?;
-                self.tracer.count(Counter::CpReadBytes, nbytes);
-                p
-            } else {
-                self.begin_load_elems(&seg.buf, lo - seg.start(), hi - lo)?
-            };
-            parts.push((lo - start, part));
-        }
-        Ok(PlacedPending { dtype: buf.dtype, len, parts })
+        let nbytes = buf.dtype.bytes_for(len);
+        let read = buf.device_offset(start, nbytes).map(|offset| {
+            let staging = self.staging.acquire(nbytes);
+            (self.nvme.submit_read_into(offset, staging), offset, nbytes)
+        });
+        Ok(PlacedPending { read })
     }
 
     /// Replace the placed shard's entire contents, each segment over its
     /// own path.
     pub fn overwrite_placed(&self, buf: &mut PlacedBuf, data: &FlatBuffer) -> Result<()> {
-        if data.numel() != buf.numel || data.dtype() != buf.dtype {
-            return Err(Error::shape("overwrite_placed size/dtype mismatch"));
-        }
-        let single = buf.segments.len() == 1;
-        for seg in &mut buf.segments {
-            let part = if single { data.clone() } else { data.slice(seg.start, seg.buf.numel())? };
-            if seg.path() == PathKind::Cpu {
-                let mut span = self.tracer.span(Category::CpTransfer, "cp.write");
-                span.set_bytes(part.size_in_bytes() as u64);
-                self.tracer.count(Counter::CpWriteBytes, part.size_in_bytes() as u64);
-            }
-            self.overwrite(&mut seg.buf, &part)?;
-        }
-        Ok(())
+        self.overwrite_segments(buf, data, Self::overwrite)
     }
 
     /// Asynchronously overwrite the placed shard: NVMe segments go out
     /// as detached writes (completion at [`Self::flush`]), CPU segments
     /// land synchronously under a cp-hop span.
     pub fn overwrite_async_placed(&self, buf: &mut PlacedBuf, data: &FlatBuffer) -> Result<()> {
+        self.overwrite_segments(buf, data, Self::overwrite_async)
+    }
+
+    /// Apply `write` to every segment with its share of `data` — the
+    /// caller's buffer itself when the shard is one segment.
+    fn overwrite_segments(
+        &self,
+        buf: &mut PlacedBuf,
+        data: &FlatBuffer,
+        write: fn(&Self, &mut DeviceBuf, &FlatBuffer) -> Result<()>,
+    ) -> Result<()> {
         if data.numel() != buf.numel || data.dtype() != buf.dtype {
-            return Err(Error::shape("overwrite_async_placed size/dtype mismatch"));
+            return Err(Error::shape("placed overwrite size/dtype mismatch"));
         }
         let single = buf.segments.len() == 1;
         for seg in &mut buf.segments {
-            let part = if single { data.clone() } else { data.slice(seg.start, seg.buf.numel())? };
+            let sliced;
+            let part = if single {
+                data
+            } else {
+                sliced = data.slice(seg.start, seg.buf.numel())?;
+                &sliced
+            };
             if seg.path() == PathKind::Cpu {
                 let mut span = self.tracer.span(Category::CpTransfer, "cp.write");
                 span.set_bytes(part.size_in_bytes() as u64);
                 self.tracer.count(Counter::CpWriteBytes, part.size_in_bytes() as u64);
             }
-            self.overwrite_async(&mut seg.buf, &part)?;
+            write(self, &mut seg.buf, part)?;
         }
         Ok(())
     }
@@ -1233,50 +1210,15 @@ impl OffloadManager {
             self.free(seg.buf);
         }
     }
-}
 
-impl WriteBehind {
-    /// Queue an overwrite of `buf[start .. start + data.numel())` of a
-    /// placed shard: NVMe parts enter the bounded async window, CPU
-    /// parts land synchronously under a cp-hop span — the write half of
-    /// the two-path stream.
-    pub fn submit_elems_placed(
-        &mut self,
-        mgr: &OffloadManager,
-        buf: &mut PlacedBuf,
-        start: usize,
-        data: &FlatBuffer,
-    ) -> Result<()> {
-        if data.dtype() != buf.dtype || start + data.numel() > buf.numel {
-            return Err(Error::shape("write-behind size/dtype mismatch"));
+    /// Begin overwriting `buf` chunk by chunk (see [`PublishStream`]).
+    /// The whole-extent checksum is dropped until the stream finishes:
+    /// the device holds a mix of old and new chunks in between.
+    pub fn begin_publish<'a>(&self, buf: &'a mut DeviceBuf) -> PublishStream<'a> {
+        if buf.is_offloaded() {
+            self.resilience.invalidate(buf.block.offset, buf.size_in_bytes() as u64);
         }
-        let end = start + data.numel();
-        let single = buf.segments.len() == 1;
-        for seg in &mut buf.segments {
-            if seg.end() <= start {
-                continue;
-            }
-            if seg.start() >= end {
-                break;
-            }
-            let lo = seg.start().max(start);
-            let hi = seg.end().min(end);
-            let part = if single && lo == start && hi == end {
-                data.clone()
-            } else {
-                data.slice(lo - start, hi - lo)?
-            };
-            if seg.path() == PathKind::Cpu {
-                let mut span = mgr.tracer.span(Category::CpTransfer, "cp.write");
-                span.set_bytes(part.size_in_bytes() as u64);
-                span.set_id(lo as u64);
-                mgr.tracer.count(Counter::CpWriteBytes, part.size_in_bytes() as u64);
-                self.submit_elems(mgr, &mut seg.buf, lo - seg.start, &part)?;
-            } else {
-                self.submit_elems(mgr, &mut seg.buf, lo - seg.start, &part)?;
-            }
-        }
-        Ok(())
+        PublishStream { buf, next: 0, crc: 0 }
     }
 }
 
@@ -1306,20 +1248,6 @@ mod tests {
             assert_eq!(back.to_f32_vec(), data.to_f32_vec(), "tier {device}");
             mgr.free(buf);
             assert_eq!(mgr.hierarchy().stats(device).in_use, 0);
-        }
-    }
-
-    #[test]
-    fn partial_load_and_overwrite() {
-        let node = node();
-        let mgr = node.offload_manager();
-        for device in [Device::cpu(), Device::nvme()] {
-            let mut buf = mgr.store(device, buf_f32(&[0.0, 1.0, 2.0, 3.0, 4.0])).unwrap();
-            let mid = mgr.load_elems(&buf, 1, 3).unwrap();
-            assert_eq!(mid.to_f32_vec(), vec![1.0, 2.0, 3.0]);
-            mgr.overwrite_elems(&mut buf, 2, &buf_f32(&[9.0, 8.0])).unwrap();
-            assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), vec![0.0, 1.0, 9.0, 8.0, 4.0]);
-            mgr.free(buf);
         }
     }
 
@@ -1475,80 +1403,98 @@ mod tests {
         mgr.free(buf);
     }
 
+    /// A staging buffer holding `vals`.
+    fn staged(mgr: &OffloadManager, vals: &[f32]) -> ScratchVec {
+        let mut buf = mgr.staging().acquire(vals.len() * 4);
+        buf.as_f32_mut().copy_from_slice(vals);
+        buf
+    }
+
+    fn store_nvme(mgr: &OffloadManager, policy: PlacementPolicy, vals: &[f32]) -> PlacedBuf {
+        mgr.store_placed(Device::nvme(), &policy, buf_f32(vals)).unwrap()
+    }
+
     #[test]
     fn bounds_checked() {
         let node = node();
         let mgr = node.offload_manager();
         let mut buf = mgr.store(Device::cpu(), buf_f32(&[0.0; 4])).unwrap();
-        assert!(mgr.load_elems(&buf, 3, 2).is_err());
-        assert!(mgr.overwrite_elems(&mut buf, 3, &buf_f32(&[0.0; 2])).is_err());
         assert!(mgr.overwrite(&mut buf, &buf_f32(&[0.0; 5])).is_err());
-        assert!(mgr.begin_load_elems(&buf, 3, 2).is_err());
-        let mut wb = WriteBehind::new(2);
-        assert!(wb.submit_elems(&mgr, &mut buf, 3, &buf_f32(&[0.0; 2])).is_err());
         mgr.free(buf);
+        let mut split = store_nvme(&mgr, PlacementPolicy::split(500, 8), &[0.0; 32]);
+        let seg_end = split.segment_end(0);
+        assert!(mgr.begin_load_elems_placed(&split, 0, seg_end + 1).is_err(), "crosses a segment");
+        assert!(mgr.begin_load_elems_placed(&split, 30, 4).is_err(), "past the end");
+        assert!(split.resident_f32_mut(0, seg_end + 1).is_err());
+        // Write-behind only takes ranges inside one NVMe extent.
+        let cpu_start = split.segments().iter().find(|s| s.path() == PathKind::Cpu).unwrap().start();
+        let mut wb = WriteBehind::new(2);
+        assert!(wb.submit_staged(&mgr, &split, cpu_start, staged(&mgr, &[0.0; 2])).is_err());
+        assert_eq!(mgr.staging().outstanding(), 0, "a refused buffer still goes home");
+        mgr.free_placed(split);
     }
 
     #[test]
-    fn partial_async_load_matches_sync() {
+    fn streamed_pieces_read_into_staging_and_update_ram_in_place() {
         let node = node();
         let mgr = node.offload_manager();
-        let vals: Vec<f32> = (0..64).map(|i| i as f32).collect();
-        for device in [Device::cpu(), Device::nvme()] {
-            let buf = mgr.store(device, buf_f32(&vals)).unwrap();
-            let pending = mgr.begin_load_elems(&buf, 10, 20).unwrap();
-            assert_eq!(pending.is_async(), device.kind == DeviceKind::Nvme);
-            assert_eq!(pending.wait(&mgr).unwrap().to_f32_vec(), &vals[10..30]);
-            mgr.free(buf);
+        let vals: Vec<f32> = (0..256).map(|i| (i as f32) * 0.25).collect();
+        let mut buf = store_nvme(&mgr, PlacementPolicy::split(500, 16), &vals);
+        let mut wb = WriteBehind::new(2);
+        let mut at = 0;
+        while at < 256 {
+            // Pieces of at most 10 elements, cut at segment boundaries.
+            let len = (buf.segment_end(at) - at).min(10);
+            match mgr.begin_load_elems_placed(&buf, at, len).unwrap().wait(&mgr).unwrap() {
+                Some(mut staging) => {
+                    assert_eq!(staging.as_f32(), &vals[at..at + len], "nc piece at {at}");
+                    staging.as_f32_mut().iter_mut().for_each(|x| *x = -*x);
+                    wb.submit_staged(&mgr, &buf, at, staging).unwrap();
+                    assert!(wb.in_flight() <= 2, "window respected");
+                }
+                None => {
+                    let resident = buf.resident_f32_mut(at, len).unwrap();
+                    assert_eq!(resident, &vals[at..at + len], "cp piece at {at}");
+                    resident.iter_mut().for_each(|x| *x = -*x);
+                }
+            }
+            at += len;
         }
+        wb.drain(&mgr).unwrap();
+        assert_eq!(wb.in_flight(), 0);
+        let want: Vec<f32> = vals.iter().map(|x| -x).collect();
+        assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), want);
+        let pool = mgr.staging();
+        assert_eq!((pool.outstanding(), pool.idle() as u64), (0, pool.stats().allocated));
+        assert!(pool.stats().reused > 0, "staging buffers are recycled across pieces");
+        mgr.free_placed(buf);
     }
 
     #[test]
     fn steady_state_chunk_reads_are_checksum_verified() {
         // Once a chunk has been written back (recording a sub-extent
         // CRC), a later chunk read of that exact extent is verified —
-        // and repaired on a transient bitflip.
+        // and repaired on a transient bitflip, into the same buffer.
         let (plan, node) = faulty_node();
         let mgr = node.offload_manager();
-        let mut buf = mgr.store(Device::nvme(), buf_f32(&[0.0; 32])).unwrap();
-        mgr.overwrite_elems(&mut buf, 8, &buf_f32(&[4.0; 8])).unwrap();
-        plan.bitflip_next_reads(1);
-        let data = mgr.begin_load_elems(&buf, 8, 8).unwrap().wait(&mgr).unwrap();
-        assert_eq!(data.to_f32_vec(), vec![4.0; 8]);
-        assert_eq!(mgr.health().corruptions_recovered, 1);
-        mgr.free(buf);
-    }
-
-    #[test]
-    fn write_behind_bounds_inflight_and_lands_every_chunk() {
-        let node = node();
-        let mgr = node.offload_manager();
-        let mut buf = mgr.store(Device::nvme(), buf_f32(&[0.0; 64])).unwrap();
-        let mut wb = WriteBehind::new(2);
-        for k in 0..8 {
-            wb.submit_elems(&mgr, &mut buf, k * 8, &buf_f32(&[k as f32; 8])).unwrap();
-            assert!(wb.in_flight() <= 2, "window respected");
-        }
+        let buf = store_nvme(&mgr, PlacementPolicy::all_nvme(), &[0.0; 32]);
+        let mut wb = WriteBehind::new(1);
+        wb.submit_staged(&mgr, &buf, 8, staged(&mgr, &[4.0; 8])).unwrap();
         wb.drain(&mgr).unwrap();
-        assert_eq!(wb.in_flight(), 0);
-        let back = mgr.load(&buf).unwrap().to_f32_vec();
-        for k in 0..8 {
-            assert_eq!(&back[k * 8..(k + 1) * 8], &[k as f32; 8][..], "chunk {k}");
-        }
-        // RAM-resident buffers write synchronously through the same API.
-        let mut cbuf = mgr.store(Device::cpu(), buf_f32(&[0.0; 8])).unwrap();
-        wb.submit_elems(&mgr, &mut cbuf, 2, &buf_f32(&[7.0; 4])).unwrap();
-        assert_eq!(wb.in_flight(), 0);
-        assert_eq!(mgr.load(&cbuf).unwrap().to_f32_vec(), vec![0.0, 0.0, 7.0, 7.0, 7.0, 7.0, 0.0, 0.0]);
-        mgr.free(buf);
-        mgr.free(cbuf);
+        plan.bitflip_next_reads(1);
+        let data = mgr.begin_load_elems_placed(&buf, 8, 8).unwrap().wait(&mgr).unwrap().unwrap();
+        assert_eq!(data.as_f32(), [4.0; 8]);
+        assert_eq!(mgr.health().corruptions_recovered, 1);
+        drop(data);
+        assert_eq!(mgr.staging().stats().allocated, 1, "the re-read reused the staging buffer");
+        mgr.free_placed(buf);
     }
 
     #[test]
     fn write_behind_surfaces_device_death_as_typed_error() {
         let (plan, node) = faulty_node();
         let mgr = node.offload_manager();
-        let mut buf = mgr.store(Device::nvme(), buf_f32(&[0.0; 16])).unwrap();
+        let buf = store_nvme(&mgr, PlacementPolicy::all_nvme(), &[0.0; 16]);
         let mut wb = WriteBehind::new(4);
         plan.kill();
         // Submission harvests already-completed tickets before queuing,
@@ -1556,8 +1502,8 @@ mod tests {
         // retired the first failed write in between) or at drain — the
         // same typed error either way.
         let early = wb
-            .submit_elems(&mgr, &mut buf, 0, &buf_f32(&[1.0; 8]))
-            .and_then(|()| wb.submit_elems(&mgr, &mut buf, 8, &buf_f32(&[2.0; 8])));
+            .submit_staged(&mgr, &buf, 0, staged(&mgr, &[1.0; 8]))
+            .and_then(|()| wb.submit_staged(&mgr, &buf, 8, staged(&mgr, &[2.0; 8])));
         let err = match early {
             Ok(()) => wb.drain(&mgr).unwrap_err(),
             Err(e) => {
@@ -1567,21 +1513,59 @@ mod tests {
         };
         assert!(err.is_device_failure(), "got {err}");
         assert_eq!(wb.in_flight(), 0, "drain consumes every ticket even on failure");
-        mgr.free(buf);
+        assert_eq!(mgr.staging().outstanding(), 0, "failed writes return their buffers");
+        mgr.free_placed(buf);
     }
 
     #[test]
     fn write_behind_transient_faults_retry_invisibly() {
         let (plan, node) = faulty_node();
         let mgr = node.offload_manager();
-        let mut buf = mgr.store(Device::nvme(), buf_f32(&[0.0; 16])).unwrap();
+        let buf = store_nvme(&mgr, PlacementPolicy::all_nvme(), &[0.0; 16]);
         let mut wb = WriteBehind::new(2);
         plan.fail_next_writes(2); // < max_attempts
-        wb.submit_elems(&mgr, &mut buf, 0, &buf_f32(&[3.0; 16])).unwrap();
+        wb.submit_staged(&mgr, &buf, 0, staged(&mgr, &[3.0; 16])).unwrap();
         wb.drain(&mgr).unwrap();
-        assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), vec![3.0; 16]);
+        assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vec![3.0; 16]);
         assert!(mgr.nvme().stats().retries >= 2);
-        mgr.free(buf);
+        mgr.free_placed(buf);
+    }
+
+    #[test]
+    fn chunked_publish_equals_whole_overwrite_and_keeps_fetches_verified() {
+        let (plan, node) = faulty_node();
+        let mgr = node.offload_manager();
+        let vals: Vec<f32> = (0..37).map(|i| (i as f32) * 0.5 - 9.0).collect();
+        for device in [Device::cpu(), Device::nvme()] {
+            let mut whole = mgr.store(device, FlatBuffer::zeros(DType::F16, 37)).unwrap();
+            mgr.overwrite(&mut whole, &FlatBuffer::from_f32(DType::F16, &vals)).unwrap();
+            let mut chunked = mgr.store(device, FlatBuffer::zeros(DType::F16, 37)).unwrap();
+            let mut wb = WriteBehind::new(2);
+            let mut publish = mgr.begin_publish(&mut chunked);
+            for chunk in vals.chunks(5) {
+                publish.push(&mgr, &mut wb, chunk).unwrap();
+            }
+            wb.drain(&mgr).unwrap();
+            publish.finish(&mgr).unwrap();
+            assert_eq!(mgr.load(&chunked).unwrap(), mgr.load(&whole).unwrap(), "tier {device}");
+            if device == Device::nvme() {
+                // The incrementally accumulated checksum covers the whole
+                // extent a parameter fetch reads: corruption is caught.
+                let recovered = mgr.health().corruptions_recovered;
+                plan.bitflip_next_reads(1);
+                assert_eq!(mgr.load(&chunked).unwrap(), mgr.load(&whole).unwrap());
+                assert_eq!(mgr.health().corruptions_recovered, recovered + 1);
+                plan.bitflip_next_reads(1 + super::CORRUPTION_REREADS);
+                assert!(matches!(mgr.load(&chunked), Err(Error::Corruption { .. })));
+            }
+            // An unfinished stream is a typed error, not a short shard.
+            let mut short = mgr.begin_publish(&mut chunked);
+            short.push(&mgr, &mut wb, &vals[..5]).unwrap();
+            wb.drain(&mgr).unwrap();
+            assert!(matches!(short.finish(&mgr), Err(Error::Internal(_))));
+            mgr.free(whole);
+            mgr.free(chunked);
+        }
     }
 
     #[test]
@@ -1617,6 +1601,7 @@ mod tests {
             )),
             pinned: PinnedBufferPool::new(2, 64), // 16 f32 per chunk
             group: CommGroup::new(1),
+            staging: ScratchPool::new(),
             resilience: Arc::new(ResilienceState::default()),
             placement: Arc::new(PlanCell::new(PlacementPolicy::all_nvme())),
             tracer: Tracer::new(),
@@ -1671,44 +1656,6 @@ mod tests {
         for b in [nv, cp, gpu] {
             mgr.free_placed(b);
         }
-    }
-
-    #[test]
-    fn placed_ranged_load_spans_both_paths() {
-        let node = node();
-        let mgr = node.offload_manager();
-        let vals: Vec<f32> = (0..256).map(|i| (i as f32) * 0.25).collect();
-        let buf = mgr
-            .store_placed(Device::nvme(), &PlacementPolicy::split(500, 16), buf_f32(&vals))
-            .unwrap();
-        let pending = mgr.begin_load_elems_placed(&buf, 5, 100).unwrap();
-        assert!(pending.is_async(), "NVMe part of the range should be queued on the device");
-        let got = pending.wait(&mgr).unwrap();
-        assert_eq!(got.to_f32_vec(), vals[5..105].to_vec());
-        let snap = mgr.tracer.snapshot();
-        assert!(snap.cp_read_bytes > 0, "cp hop should account the DRAM share");
-        assert!(mgr.begin_load_elems_placed(&buf, 200, 100).is_err(), "bounds enforced");
-        mgr.free_placed(buf);
-    }
-
-    #[test]
-    fn placed_write_behind_lands_every_chunk_on_both_paths() {
-        let node = node();
-        let mgr = node.offload_manager();
-        let n = 128;
-        let mut buf = mgr
-            .store_placed(Device::nvme(), &PlacementPolicy::split(500, 8), buf_f32(&vec![0.0; n]))
-            .unwrap();
-        let want: Vec<f32> = (0..n).map(|i| (i as f32) * 0.5 - 7.0).collect();
-        let mut wb = WriteBehind::new(2);
-        for start in (0..n).step_by(10) {
-            let hi = (start + 10).min(n);
-            wb.submit_elems_placed(&mgr, &mut buf, start, &buf_f32(&want[start..hi])).unwrap();
-        }
-        wb.drain(&mgr).unwrap();
-        assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), want);
-        assert!(mgr.tracer.snapshot().cp_write_bytes > 0);
-        mgr.free_placed(buf);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use zi_trace::{Category, Tracer, STEP_SPAN};
 use zi_types::{Error, Result};
 
 use crate::adaptive::TelemetryCursor;
-use crate::checkpoint::reshard_checkpoint_blobs;
+use crate::checkpoint::{checkpoint_world, reshard_checkpoint_blobs};
 use crate::config::Strategy;
 use crate::engine::{EngineStats, ZeroEngine};
 use crate::offload::{NodeResources, OffloadHealth};
@@ -472,7 +472,14 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
             node.degrade();
         }
         let resume = if spec.checkpoint_every > 0 {
-            vault.latest_consistent(world)?
+            // A version complete over ranks 0..world can still be a
+            // partial set saved at a larger world — a rank died before
+            // saving, so the shrink found nothing to reshard. That is not
+            // a checkpoint of this world: start over rather than load it.
+            match vault.latest_consistent(world)? {
+                Some(v) if checkpoint_world(&vault.get(0, v)?.0)? == world => Some(v),
+                _ => None,
+            }
         } else {
             None
         };

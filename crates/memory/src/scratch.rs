@@ -1,48 +1,63 @@
-//! Reusable f32 scratch vectors for chunk-streaming hot paths.
+//! Recycled, f32-aligned staging buffers for chunk-streaming hot paths.
 //!
-//! The pipelined optimizer step decodes three optimizer-state chunks and
-//! re-encodes three updated chunks per pipeline stage. Allocating fresh
-//! vectors for each chunk would churn the allocator on the hottest
-//! non-compute path in training; this pool recycles a small set of
-//! vectors instead — the f32-typed sibling of [`crate::PinnedBufferPool`]'s
-//! "reuse a small amount for the entire model states" discipline
-//! (paper Sec. 6.3).
+//! The pipelined optimizer step moves four streams per chunk (master,
+//! momentum, variance, and the published parameter) between the device
+//! and the Adam kernel. One [`ScratchVec`] carries a chunk the whole
+//! round trip: the NVMe worker reads the device *into* it, the CRC is
+//! checked over it, Adam updates it in place through its f32 view, and
+//! ownership moves to the write request, which hands it back here when
+//! the write is reaped. This is the f32-typed sibling of
+//! [`crate::PinnedBufferPool`]'s "reuse a small amount for the entire
+//! model states" discipline (paper Sec. 6.3).
 //!
 //! Unlike the pinned pool, acquisition never blocks: a miss allocates a
-//! fresh vector that joins the pool when dropped, so the pool converges
-//! to the working set of the pipeline (depth × buffers-per-chunk) and
-//! then reuses forever. Reuse is observable via [`ScratchPool::stats`].
+//! fresh buffer that joins the pool when dropped, so the pool converges
+//! to the working set of the pipeline (read depth × streams + the
+//! write-behind window) and then never allocates again. Reuse is
+//! observable via [`ScratchPool::stats`].
+//!
+//! Buffers are `Vec<f32>`-backed, so the byte view handed to the device
+//! is always 4-byte aligned and the f32 view needs no fallback path.
 
 use zi_sync::Arc;
 
 use zi_sync::Mutex;
 
+#[cfg(target_endian = "big")]
+compile_error!("staging buffers alias f32 state with the device's little-endian bytes");
+
 /// Reuse counters for a [`ScratchPool`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScratchStats {
-    /// Acquisitions served by recycling a returned vector.
+    /// Acquisitions served by a returned buffer that was large enough.
     pub reused: u64,
-    /// Acquisitions that had to allocate a fresh vector.
+    /// Acquisitions that had to allocate (a fresh buffer, or growing a
+    /// returned one that was too small).
     pub allocated: u64,
+    /// High-water mark of simultaneously checked-out buffers.
+    pub peak_outstanding: u64,
 }
 
 #[derive(Default)]
-struct Shared {
-    free: Mutex<Vec<Vec<f32>>>,
-    stats: Mutex<ScratchStats>,
+struct State {
+    free: Vec<Vec<f32>>,
+    outstanding: u64,
+    stats: ScratchStats,
 }
 
-/// Pool of reusable `Vec<f32>` scratch buffers.
+/// Pool of reusable staging buffers.
 #[derive(Clone, Default)]
 pub struct ScratchPool {
-    shared: Arc<Shared>,
+    shared: Arc<Mutex<State>>,
 }
 
-/// A scratch vector checked out of a [`ScratchPool`]; returned (with its
-/// capacity) to the pool on drop.
+/// A staging buffer checked out of a [`ScratchPool`]; returned (with its
+/// capacity) to the pool on drop, wherever that happens — on the caller,
+/// on an NVMe worker, or inside a failed request's completion.
 pub struct ScratchVec {
     data: Vec<f32>,
-    pool: Arc<Shared>,
+    bytes: usize,
+    pool: Arc<Mutex<State>>,
 }
 
 impl ScratchPool {
@@ -51,54 +66,83 @@ impl ScratchPool {
         Self::default()
     }
 
-    /// Check out a cleared scratch vector with at least `capacity` free
-    /// elements, recycling a previously returned one when possible.
-    pub fn acquire(&self, capacity: usize) -> ScratchVec {
-        let recycled = self.shared.free.lock().pop();
-        let mut stats = self.shared.stats.lock();
-        let data = match recycled {
-            Some(mut v) => {
-                stats.reused += 1;
-                v.clear();
-                v.reserve(capacity);
-                v
-            }
-            None => {
-                stats.allocated += 1;
-                Vec::with_capacity(capacity)
-            }
+    /// Check out a staging buffer whose byte view is exactly `bytes`
+    /// long, recycling a returned one when possible. Contents are
+    /// unspecified (a recycled buffer keeps its previous bytes): callers
+    /// fill it — from the device or an encoder — before reading it.
+    pub fn acquire(&self, bytes: usize) -> ScratchVec {
+        let words = bytes.div_ceil(4);
+        let mut st = self.shared.lock();
+        // Prefer the most recently returned buffer that already fits;
+        // otherwise grow any returned one before allocating from nothing.
+        let pick = st.free.iter().rposition(|v| v.capacity() >= words);
+        let recycled = match pick {
+            Some(i) => Some(st.free.swap_remove(i)),
+            None => st.free.pop(),
         };
-        drop(stats);
-        ScratchVec { data, pool: Arc::clone(&self.shared) }
+        if pick.is_some() {
+            st.stats.reused += 1;
+        } else {
+            st.stats.allocated += 1;
+        }
+        st.outstanding += 1;
+        st.stats.peak_outstanding = st.stats.peak_outstanding.max(st.outstanding);
+        drop(st);
+        let mut data = recycled.unwrap_or_default();
+        if data.len() < words {
+            data.resize(words, 0.0);
+        }
+        ScratchVec { data, bytes, pool: Arc::clone(&self.shared) }
     }
 
     /// Reuse counters.
     pub fn stats(&self) -> ScratchStats {
-        *self.shared.stats.lock()
+        self.shared.lock().stats
     }
 
-    /// Vectors currently parked in the pool.
+    /// Buffers currently parked in the pool.
     pub fn idle(&self) -> usize {
-        self.shared.free.lock().len()
+        self.shared.lock().free.len()
+    }
+
+    /// Buffers currently checked out.
+    pub fn outstanding(&self) -> u64 {
+        self.shared.lock().outstanding
     }
 }
 
-impl std::ops::Deref for ScratchVec {
-    type Target = Vec<f32>;
-    fn deref(&self) -> &Vec<f32> {
-        &self.data
+impl ScratchVec {
+    /// The buffer as bytes — what the device reads and writes.
+    pub fn as_bytes(&self) -> &[u8] {
+        // SAFETY: the backing `Vec<f32>` holds at least `bytes.div_ceil(4)`
+        // initialized words (`acquire` sized it), u8 has alignment 1, and
+        // every f32 bit pattern is valid as four bytes.
+        unsafe { std::slice::from_raw_parts(self.data.as_ptr().cast::<u8>(), self.bytes) }
     }
-}
 
-impl std::ops::DerefMut for ScratchVec {
-    fn deref_mut(&mut self) -> &mut Vec<f32> {
-        &mut self.data
+    /// Mutable byte view.
+    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
+        // SAFETY: as in `as_bytes`, plus every byte pattern is a valid
+        // f32, so writes through this view cannot invalidate the backing.
+        unsafe { std::slice::from_raw_parts_mut(self.data.as_mut_ptr().cast::<u8>(), self.bytes) }
+    }
+
+    /// The whole f32 words of the buffer (`bytes / 4` of them).
+    pub fn as_f32(&self) -> &[f32] {
+        &self.data[..self.bytes / 4]
+    }
+
+    /// Mutable f32 view — the Adam kernel updates a chunk in place here.
+    pub fn as_f32_mut(&mut self) -> &mut [f32] {
+        &mut self.data[..self.bytes / 4]
     }
 }
 
 impl Drop for ScratchVec {
     fn drop(&mut self) {
-        self.pool.free.lock().push(std::mem::take(&mut self.data));
+        let mut st = self.pool.lock();
+        st.outstanding -= 1;
+        st.free.push(std::mem::take(&mut self.data));
     }
 }
 
@@ -110,14 +154,13 @@ mod tests {
     fn capacity_is_recycled_across_acquisitions() {
         let pool = ScratchPool::new();
         let ptr = {
-            let mut a = pool.acquire(64);
-            a.extend_from_slice(&[1.0; 64]);
-            a.as_ptr() as usize
+            let mut a = pool.acquire(256);
+            a.as_f32_mut().fill(1.0);
+            a.as_bytes().as_ptr() as usize
         };
         assert_eq!(pool.idle(), 1);
-        let b = pool.acquire(64);
-        assert!(b.is_empty(), "recycled vectors come back cleared");
-        assert_eq!(b.as_ptr() as usize, ptr, "same backing allocation");
+        let b = pool.acquire(256);
+        assert_eq!(b.as_bytes().as_ptr() as usize, ptr, "same backing allocation");
         let st = pool.stats();
         assert_eq!((st.allocated, st.reused), (1, 1));
     }
@@ -126,17 +169,51 @@ mod tests {
     fn concurrent_misses_allocate_then_converge() {
         let pool = ScratchPool::new();
         {
-            let _a = pool.acquire(8);
-            let _b = pool.acquire(8);
+            let _a = pool.acquire(32);
+            let _b = pool.acquire(32);
             assert_eq!(pool.stats().allocated, 2);
+            assert_eq!(pool.outstanding(), 2);
         }
         // Working set of 2 established; further pairs only reuse.
         for _ in 0..5 {
-            let _a = pool.acquire(8);
-            let _b = pool.acquire(8);
+            let _a = pool.acquire(32);
+            let _b = pool.acquire(32);
         }
         let st = pool.stats();
-        assert_eq!(st.allocated, 2);
-        assert_eq!(st.reused, 10);
+        assert_eq!((st.allocated, st.reused, st.peak_outstanding), (2, 10, 2));
+        assert_eq!((pool.outstanding(), pool.idle()), (0, 2));
+    }
+
+    #[test]
+    fn byte_and_f32_views_alias_and_odd_lengths_round_up() {
+        let pool = ScratchPool::new();
+        let mut a = pool.acquire(8);
+        a.as_f32_mut().copy_from_slice(&[1.5, -2.0]);
+        assert_eq!(&a.as_bytes()[..4], &1.5f32.to_le_bytes());
+        assert_eq!(a.as_bytes().as_ptr() as usize % 4, 0, "byte view is f32-aligned");
+        drop(a);
+        // Six bytes (three f16 values): two backing words, one whole f32.
+        let mut h = pool.acquire(6);
+        assert_eq!((h.as_bytes().len(), h.as_f32().len()), (6, 1));
+        h.as_bytes_mut().copy_from_slice(&[1, 2, 3, 4, 5, 6]);
+        assert_eq!(h.as_bytes(), &[1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn a_too_small_buffer_grows_once_and_fitting_ones_are_preferred() {
+        let pool = ScratchPool::new();
+        drop(pool.acquire(16));
+        drop(pool.acquire(64)); // grows the only buffer: counted as an allocation
+        assert_eq!(pool.stats().allocated, 2);
+        let big = pool.acquire(64);
+        let small = pool.acquire(16); // fresh: the only buffer is out
+        drop(big);
+        drop(small);
+        // Both parked; a large request must pick the large buffer, not
+        // grow the small one that was returned last.
+        let before = pool.stats();
+        let _again = pool.acquire(64);
+        let after = pool.stats();
+        assert_eq!((after.allocated, after.reused), (before.allocated, before.reused + 1));
     }
 }

@@ -38,10 +38,11 @@ fn tables() -> &'static [[u32; 256]; 8] {
 }
 
 /// Software slicing-by-8: folds 8 input bytes per iteration through
-/// eight independent table lookups.
-fn crc32c_sw(data: &[u8]) -> u32 {
+/// eight independent table lookups. `crc` is the CRC of the bytes that
+/// precede `data` (0 for none).
+fn crc32c_sw(crc: u32, data: &[u8]) -> u32 {
     let t = tables();
-    let mut c = 0xffff_ffffu32;
+    let mut c = !crc;
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
@@ -58,7 +59,7 @@ fn crc32c_sw(data: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
-    c ^ 0xffff_ffff
+    !c
 }
 
 /// Hardware path: the SSE 4.2 `crc32` instruction, 8 bytes at a time.
@@ -67,9 +68,9 @@ fn crc32c_sw(data: &[u8]) -> u32 {
 /// Caller must have verified `sse4.2` is available on this CPU.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
-unsafe fn crc32c_hw(data: &[u8]) -> u32 {
+unsafe fn crc32c_hw(crc: u32, data: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-    let mut c = u64::from(!0u32);
+    let mut c = u64::from(!crc);
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
         let v = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
@@ -84,14 +85,22 @@ unsafe fn crc32c_hw(data: &[u8]) -> u32 {
 
 /// CRC32-C of `data` (Castagnoli, as used by iSCSI/ext4/btrfs).
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_update(0, data)
+}
+
+/// Extend a CRC32-C over more bytes: `crc` is the checksum of everything
+/// before `data` (0 for nothing), the result the checksum of both — so
+/// an extent written as in-order chunks gets the same whole-extent CRC
+/// as one written at once, without a second pass over it.
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("sse4.2") {
             // SAFETY: feature presence checked immediately above.
-            return unsafe { crc32c_hw(data) };
+            return unsafe { crc32c_hw(crc, data) };
         }
     }
-    crc32c_sw(data)
+    crc32c_sw(crc, data)
 }
 
 #[cfg(test)]
@@ -122,9 +131,21 @@ mod tests {
         let data: Vec<u8> = (0..1024u32).map(|i| (i.wrapping_mul(31) >> 3) as u8).collect();
         for len in [0usize, 1, 7, 8, 9, 15, 16, 63, 64, 100, 1023, 1024] {
             let expect = crc32c_bytewise(&data[..len]);
-            assert_eq!(crc32c_sw(&data[..len]), expect, "sw len {len}");
+            assert_eq!(crc32c_sw(0, &data[..len]), expect, "sw len {len}");
             assert_eq!(crc32(&data[..len]), expect, "dispatch len {len}");
         }
+    }
+
+    #[test]
+    fn chunked_updates_equal_the_one_shot_checksum() {
+        let data: Vec<u8> = (0..4099u32).map(|i| (i.wrapping_mul(131) >> 2) as u8).collect();
+        let whole = crc32(&data);
+        for chunk in [1usize, 7, 8, 64, 1000, 4099] {
+            let hw = data.chunks(chunk).fold(0, crc32_update);
+            let sw = data.chunks(chunk).fold(0, crc32c_sw);
+            assert_eq!((hw, sw), (whole, whole), "chunk size {chunk}");
+        }
+        assert_eq!(crc32_update(whole, &[]), whole, "empty update is the identity");
     }
 
     #[test]

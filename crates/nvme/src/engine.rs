@@ -3,8 +3,12 @@
 //! The engine accepts bulk read/write submissions, executes them on a pool
 //! of worker threads (the analogue of DeepNVMe's parallelized I/O request
 //! handling), and lets callers either wait on individual tickets or issue a
-//! `flush` barrier that drains every outstanding request — the "explicit
-//! synchronization requests to flush ongoing read/writes" of Sec. 6.3.
+//! completion `barrier` that drains every outstanding request — the
+//! "explicit synchronization requests to flush ongoing read/writes" of
+//! Sec. 6.3 (`flush` adds a durability sync on top). Requests carry
+//! caller-owned buffers both ways ([`IoBuf`]): a read fills the buffer it
+//! was given and a write hands its buffer back when waited, so the
+//! staging path neither allocates nor frees per request.
 //!
 //! Every request runs under a [`RetryPolicy`]: transient backend errors
 //! are retried with bounded, jittered backoff and a per-request deadline.
@@ -17,8 +21,9 @@
 use std::collections::HashMap;
 use zi_sync::Arc;
 
+use zi_memory::ScratchVec;
 use zi_sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use zi_sync::channel::{unbounded, Sender};
+use zi_sync::channel::{unbounded, SendError, Sender};
 use zi_sync::thread::JoinHandle;
 use zi_sync::{Condvar, Mutex};
 use zi_trace::{Category, Counter, Tracer};
@@ -55,29 +60,80 @@ pub struct IoStats {
     pub in_flight_peak: u64,
 }
 
-enum Request {
-    Read { ticket: Ticket, offset: u64, len: usize },
-    Write { ticket: Ticket, offset: u64, data: Vec<u8> },
-    /// Fire-and-forget write: no completion entry is stored; errors are
-    /// collected for the next `flush`. Used for overlapped offload writes
-    /// that nobody waits on individually.
-    DetachedWrite { offset: u64, data: Vec<u8> },
+/// A caller-owned buffer that rides a request to the worker and back:
+/// reads fill it, writes drain it, and either way [`NvmeEngine::wait_buf`]
+/// hands it back — the engine never allocates or frees payload memory
+/// on the staging path.
+pub enum IoBuf {
+    /// Plain heap bytes (the `submit_read` / `submit_write` surface).
+    Bytes(Vec<u8>),
+    /// A recycled, f32-aligned staging buffer; dropping it anywhere
+    /// (including inside a failed request) returns it to its pool.
+    Staging(ScratchVec),
 }
 
-enum Outcome {
-    /// Read completed; buffer holds the data.
-    ReadOk(Vec<u8>),
-    /// Write completed.
-    WriteOk,
-    /// Request failed after exhausting its retry policy (or with a
-    /// permanent error).
-    Failed(Error),
+impl IoBuf {
+    /// The payload bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        match self {
+            IoBuf::Bytes(v) => v,
+            IoBuf::Staging(s) => s.as_bytes(),
+        }
+    }
+
+    fn as_bytes_mut(&mut self) -> &mut [u8] {
+        match self {
+            IoBuf::Bytes(v) => v,
+            IoBuf::Staging(s) => s.as_bytes_mut(),
+        }
+    }
+
+    /// The heap bytes, if this is the [`IoBuf::Bytes`] kind.
+    pub fn into_bytes(self) -> Option<Vec<u8>> {
+        match self {
+            IoBuf::Bytes(v) => Some(v),
+            IoBuf::Staging(_) => None,
+        }
+    }
+
+    /// The staging buffer, if this is the [`IoBuf::Staging`] kind.
+    pub fn into_staging(self) -> Option<ScratchVec> {
+        match self {
+            IoBuf::Bytes(_) => None,
+            IoBuf::Staging(s) => Some(s),
+        }
+    }
+}
+
+impl std::fmt::Debug for IoBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let kind = if matches!(self, IoBuf::Bytes(_)) { "Bytes" } else { "Staging" };
+        write!(f, "IoBuf::{kind}({} B)", self.as_bytes().len())
+    }
+}
+
+struct Request {
+    /// `None` for a detached write: no completion entry is stored and
+    /// errors are collected for the next barrier.
+    ticket: Option<Ticket>,
+    /// Reads carry the length to fill; writes send the whole buffer.
+    read_len: Option<usize>,
+    offset: u64,
+    buf: IoBuf,
+}
+
+/// A served request awaiting its owner: the result and the buffer.
+struct Outcome {
+    result: Result<()>,
+    is_read: bool,
+    buf: IoBuf,
 }
 
 struct Shared {
     completions: Mutex<HashMap<u64, Outcome>>,
     done: Condvar,
     in_flight: AtomicU64,
+    in_flight_peak: AtomicU64,
     stats: Mutex<IoStats>,
     detached_errors: Mutex<Vec<Error>>,
     /// Latched when any request gives up; later requests fail fast.
@@ -93,10 +149,8 @@ impl Shared {
     fn note_submit(&self) {
         let now = self.in_flight.fetch_add(1, Ordering::AcqRel) + 1;
         self.tracer.io_inflight_inc();
-        let mut st = self.stats.lock();
-        if now > st.in_flight_peak {
-            st.in_flight_peak = now;
-        }
+        // A statistic that publishes no other data.
+        self.in_flight_peak.fetch_max(now, Ordering::Relaxed);
     }
 
     /// Undo one submission's in-flight accounting (request completed or
@@ -107,13 +161,14 @@ impl Shared {
     }
 
     /// Run `op` under `policy` with fail-fast once the device is dead,
-    /// recording retry/give-up stats.
-    fn execute<T>(
+    /// recording retry/give-up stats. `context` is rendered only if the
+    /// request fails.
+    fn execute(
         &self,
         policy: &RetryPolicy,
-        context: &str,
-        op: impl FnMut() -> Result<T>,
-    ) -> Result<T> {
+        context: std::fmt::Arguments<'_>,
+        op: impl FnMut() -> Result<()>,
+    ) -> Result<()> {
         if self.device_failed.load(Ordering::Acquire) {
             self.stats.lock().errors += 1;
             return Err(Error::DeviceFailed(format!(
@@ -121,15 +176,11 @@ impl Shared {
             )));
         }
         let report = policy.run(context, op);
-        {
+        if report.retries > 0 || report.gave_up || report.result.is_err() {
             let mut st = self.stats.lock();
             st.retries += report.retries as u64;
-            if report.gave_up {
-                st.gave_up += 1;
-            }
-            if report.result.is_err() {
-                st.errors += 1;
-            }
+            st.gave_up += report.gave_up as u64;
+            st.errors += report.result.is_err() as u64;
         }
         if report.retries > 0 {
             self.tracer.count(Counter::Retries, report.retries as u64);
@@ -144,6 +195,22 @@ impl Shared {
             self.tracer.instant(Category::Retry, "io.gave_up", 0, 0);
         }
         report.result
+    }
+
+    /// Hand a finished request to whoever owns it: ticketed outcomes
+    /// (with their buffer) wait in the completion map; a detached write
+    /// drops its buffer here and leaves only its error, if any.
+    fn complete(&self, ticket: Option<Ticket>, outcome: Outcome) {
+        match ticket {
+            Some(t) => {
+                self.completions.lock().insert(t.0, outcome);
+            }
+            None => {
+                if let Err(e) = outcome.result {
+                    self.detached_errors.lock().push(e);
+                }
+            }
+        }
     }
 }
 
@@ -189,6 +256,7 @@ impl NvmeEngine {
             completions: Mutex::new(HashMap::new()),
             done: Condvar::new(),
             in_flight: AtomicU64::new(0),
+            in_flight_peak: AtomicU64::new(0),
             stats: Mutex::new(IoStats::default()),
             detached_errors: Mutex::new(Vec::new()),
             device_failed: AtomicBool::new(false),
@@ -204,12 +272,13 @@ impl NvmeEngine {
                     .name(format!("zi-nvme-{i}"))
                     .spawn(move || {
                         while let Ok(req) = rx.recv() {
-                            Self::serve(&req, &backend, &shared, &policy);
-                            // Decrement under the completions lock: flush()
-                            // checks `in_flight` while holding that lock, so
-                            // a decrement+notify slipped between its check
-                            // and its wait would be a lost wakeup (flush
-                            // sleeps forever on an already-drained engine).
+                            Self::serve(req, &backend, &shared, &policy);
+                            // Decrement under the completions lock: the
+                            // barrier checks `in_flight` while holding
+                            // that lock, so a decrement+notify slipped
+                            // between its check and its wait would be a
+                            // lost wakeup (it sleeps forever on an
+                            // already-drained engine).
                             let _comps = shared.completions.lock();
                             shared.note_done();
                             shared.done.notify_all();
@@ -222,111 +291,101 @@ impl NvmeEngine {
     }
 
     /// Execute one request on a worker thread and record its outcome.
-    fn serve(req: &Request, backend: &Arc<dyn StorageBackend>, shared: &Shared, policy: &RetryPolicy) {
-        match req {
-            Request::DetachedWrite { offset, data } => {
-                let context = format!("detached write {} B at {offset:#x}", data.len());
-                let mut span = shared.tracer.span(Category::NcTransfer, "nc.write_detached");
-                span.set_bytes(data.len() as u64);
-                match shared.execute(policy, &context, || backend.write_at(*offset, data)) {
-                    Ok(()) => {
-                        shared.tracer.count(Counter::NcWriteBytes, data.len() as u64);
-                        let mut st = shared.stats.lock();
-                        st.writes += 1;
-                        st.bytes_written += data.len() as u64;
-                    }
-                    Err(e) => shared.detached_errors.lock().push(e),
-                }
-            }
-            Request::Read { ticket, offset, len } => {
-                let context = format!("read {len} B at {offset:#x}");
-                let mut span = shared.tracer.span(Category::NcTransfer, "nc.read");
-                span.set_bytes(*len as u64);
-                span.set_id(ticket.0);
-                let outcome = match shared.execute(policy, &context, || {
-                    let mut buf = vec![0u8; *len];
-                    backend.read_at(*offset, &mut buf)?;
-                    Ok(buf)
-                }) {
-                    Ok(buf) => {
-                        shared.tracer.count(Counter::NcReadBytes, *len as u64);
-                        let mut st = shared.stats.lock();
-                        st.reads += 1;
-                        st.bytes_read += *len as u64;
-                        Outcome::ReadOk(buf)
-                    }
-                    Err(e) => Outcome::Failed(e),
-                };
-                drop(span);
-                shared.completions.lock().insert(ticket.0, outcome);
-            }
-            Request::Write { ticket, offset, data } => {
-                let context = format!("write {} B at {offset:#x}", data.len());
-                let mut span = shared.tracer.span(Category::NcTransfer, "nc.write");
-                span.set_bytes(data.len() as u64);
-                span.set_id(ticket.0);
-                let outcome =
-                    match shared.execute(policy, &context, || backend.write_at(*offset, data)) {
-                        Ok(()) => {
-                            shared.tracer.count(Counter::NcWriteBytes, data.len() as u64);
-                            let mut st = shared.stats.lock();
-                            st.writes += 1;
-                            st.bytes_written += data.len() as u64;
-                            Outcome::WriteOk
-                        }
-                        Err(e) => Outcome::Failed(e),
-                    };
-                drop(span);
-                shared.completions.lock().insert(ticket.0, outcome);
+    fn serve(req: Request, backend: &Arc<dyn StorageBackend>, shared: &Shared, policy: &RetryPolicy) {
+        let Request { ticket, read_len, offset, mut buf } = req;
+        let name = match (read_len, ticket) {
+            (Some(_), _) => "nc.read",
+            (None, Some(_)) => "nc.write",
+            (None, None) => "nc.write_detached",
+        };
+        if let (Some(len), IoBuf::Bytes(v)) = (read_len, &mut buf) {
+            v.resize(len, 0);
+        }
+        let len = buf.as_bytes().len() as u64;
+        let mut span = shared.tracer.span(Category::NcTransfer, name);
+        span.set_bytes(len);
+        if let Some(t) = ticket {
+            span.set_id(t.0);
+        }
+        let result = match read_len {
+            Some(_) => shared.execute(policy, format_args!("read {len} B at {offset:#x}"), || {
+                backend.read_at(offset, buf.as_bytes_mut())
+            }),
+            None => shared.execute(policy, format_args!("write {len} B at {offset:#x}"), || {
+                backend.write_at(offset, buf.as_bytes())
+            }),
+        };
+        if result.is_ok() {
+            let is_read = read_len.is_some();
+            shared.tracer.count(if is_read { Counter::NcReadBytes } else { Counter::NcWriteBytes }, len);
+            let mut st = shared.stats.lock();
+            if is_read {
+                st.reads += 1;
+                st.bytes_read += len;
+            } else {
+                st.writes += 1;
+                st.bytes_written += len;
             }
         }
+        drop(span);
+        shared.complete(ticket, Outcome { result, is_read: read_len.is_some(), buf });
     }
 
-    /// Resolve a submission that could not reach the worker pool (every
-    /// worker exited — a bug or a panic storm, not a device fault) as a
-    /// typed failure the owner's `wait` will surface, instead of
-    /// panicking in the submitter.
-    fn fail_submission(&self, ticket: Option<Ticket>) {
+    /// Enqueue `req`. A submission that cannot reach the worker pool
+    /// (every worker exited — a bug, a panic storm, or [`Self::shutdown`],
+    /// not a device fault) resolves as a typed failure the owner's wait
+    /// will surface — buffer included — instead of panicking here.
+    fn submit(&self, req: Request) {
+        self.shared.note_submit();
+        let req = match &self.tx {
+            Some(tx) => match tx.send(req) {
+                Ok(()) => return,
+                Err(SendError(req)) => req,
+            },
+            None => req,
+        };
         let err = Error::Internal("nvme worker pool is gone; request dropped".into());
-        let mut comps = self.shared.completions.lock();
-        match ticket {
-            Some(t) => {
-                comps.insert(t.0, Outcome::Failed(err));
-            }
-            None => self.shared.detached_errors.lock().push(err),
-        }
+        let outcome = Outcome { result: Err(err), is_read: req.read_len.is_some(), buf: req.buf };
+        self.shared.complete(req.ticket, outcome);
+        let _comps = self.shared.completions.lock();
         self.shared.note_done();
         self.shared.done.notify_all();
     }
 
-    fn submit(&self, make: impl FnOnce(Ticket) -> Request) -> Ticket {
+    fn submit_ticketed(&self, read_len: Option<usize>, offset: u64, buf: IoBuf) -> Ticket {
         let ticket = Ticket(self.next_ticket.fetch_add(1, Ordering::Relaxed));
-        self.shared.note_submit();
-        match &self.tx {
-            Some(tx) if tx.send(make(ticket)).is_ok() => {}
-            _ => self.fail_submission(Some(ticket)),
-        }
+        self.submit(Request { ticket: Some(ticket), read_len, offset, buf });
         ticket
     }
 
-    /// Submit an asynchronous read of `len` bytes at `offset`.
+    /// Submit an asynchronous read at `offset` that fills all of `buf`;
+    /// [`Self::wait_buf`] hands the filled buffer back.
+    pub fn submit_read_into(&self, offset: u64, buf: ScratchVec) -> Ticket {
+        self.submit_ticketed(Some(buf.as_bytes().len()), offset, IoBuf::Staging(buf))
+    }
+
+    /// Submit an asynchronous write of all of `buf` at `offset`;
+    /// [`Self::wait_buf`] hands the buffer back for reuse.
+    pub fn submit_write_from(&self, offset: u64, buf: ScratchVec) -> Ticket {
+        self.submit_ticketed(None, offset, IoBuf::Staging(buf))
+    }
+
+    /// Submit an asynchronous read of `len` bytes at `offset` into a
+    /// fresh buffer (allocated on the worker).
     pub fn submit_read(&self, offset: u64, len: usize) -> Ticket {
-        self.submit(|ticket| Request::Read { ticket, offset, len })
+        self.submit_ticketed(Some(len), offset, IoBuf::Bytes(Vec::new()))
     }
 
     /// Submit an asynchronous write of `data` at `offset`.
     pub fn submit_write(&self, offset: u64, data: Vec<u8>) -> Ticket {
-        self.submit(|ticket| Request::Write { ticket, offset, data })
+        self.submit_ticketed(None, offset, IoBuf::Bytes(data))
     }
 
     /// Submit a fire-and-forget write. No ticket: the write completes in
-    /// the background and any error surfaces at the next [`Self::flush`].
+    /// the background and any error surfaces at the next
+    /// [`Self::barrier`].
     pub fn submit_write_detached(&self, offset: u64, data: Vec<u8>) {
-        self.shared.note_submit();
-        match &self.tx {
-            Some(tx) if tx.send(Request::DetachedWrite { offset, data }).is_ok() => {}
-            _ => self.fail_submission(None),
-        }
+        self.submit(Request { ticket: None, read_len: None, offset, buf: IoBuf::Bytes(data) });
     }
 
     /// Submit a bulk batch of reads: `(offset, len)` pairs.
@@ -342,28 +401,39 @@ impl NvmeEngine {
         self.shared.completions.lock().contains_key(&ticket.0)
     }
 
-    /// Block until `ticket` completes. Reads return `Some(buffer)`, writes
-    /// return `None`.
-    pub fn wait(&self, ticket: Ticket) -> Result<Option<Vec<u8>>> {
+    fn wait_outcome(&self, ticket: Ticket) -> Outcome {
         let mut comps = self.shared.completions.lock();
         loop {
             if let Some(outcome) = comps.remove(&ticket.0) {
-                return match outcome {
-                    Outcome::ReadOk(buf) => Ok(Some(buf)),
-                    Outcome::WriteOk => Ok(None),
-                    Outcome::Failed(err) => Err(err),
-                };
+                return outcome;
             }
             self.shared.done.wait(&mut comps);
         }
     }
 
-    /// Wait until every outstanding request has completed (synchronization
-    /// barrier), then issue a durability sync on the backend. Errors from
-    /// detached writes are reported here. Completions awaiting their
-    /// owner's `wait` are left untouched, so concurrent users of a shared
-    /// engine are unaffected.
-    pub fn flush(&self) -> Result<()> {
+    /// Block until `ticket` completes and take its buffer back: filled
+    /// for a read, ready for reuse after a write. A failed request drops
+    /// its buffer here (a staging buffer goes home to its pool).
+    pub fn wait_buf(&self, ticket: Ticket) -> Result<IoBuf> {
+        let Outcome { result, buf, .. } = self.wait_outcome(ticket);
+        result.map(|()| buf)
+    }
+
+    /// Block until `ticket` completes. Reads return `Some(buffer)`, writes
+    /// return `None`.
+    pub fn wait(&self, ticket: Ticket) -> Result<Option<Vec<u8>>> {
+        let Outcome { result, is_read, buf } = self.wait_outcome(ticket);
+        result?;
+        Ok(buf.into_bytes().filter(|_| is_read))
+    }
+
+    /// Wait until every outstanding request has completed — the paper's
+    /// "explicit synchronization requests to flush ongoing read/writes"
+    /// — and report errors from detached writes. A completion barrier,
+    /// not a durability one: nothing is synced. Completions awaiting
+    /// their owner's `wait` are left untouched, so concurrent users of a
+    /// shared engine are unaffected.
+    pub fn barrier(&self) -> Result<()> {
         // An instant, not a span: the barrier's wait is idle time, and a
         // duration here would pollute the nc hop's busy union.
         self.shared.tracer.instant(Category::NcTransfer, "nc.flush", 0, 0);
@@ -372,12 +442,18 @@ impl NvmeEngine {
             self.shared.done.wait(&mut comps);
         }
         drop(comps);
-        if let Some(err) = {
-            let mut errs = self.shared.detached_errors.lock();
-            if errs.is_empty() { None } else { Some(errs.remove(0)) }
-        } {
-            return Err(err);
+        let mut errs = self.shared.detached_errors.lock();
+        if errs.is_empty() {
+            Ok(())
+        } else {
+            Err(errs.remove(0))
         }
+    }
+
+    /// [`Self::barrier`], then a durability sync on the backend — for
+    /// callers whose bytes must survive a crash.
+    pub fn flush(&self) -> Result<()> {
+        self.barrier()?;
         self.backend.sync()
     }
 
@@ -388,7 +464,8 @@ impl NvmeEngine {
 
     /// Statistics snapshot.
     pub fn stats(&self) -> IoStats {
-        *self.shared.stats.lock()
+        let in_flight_peak = self.shared.in_flight_peak.load(Ordering::Relaxed);
+        IoStats { in_flight_peak, ..*self.shared.stats.lock() }
     }
 
     /// True once any request has exhausted its retry budget — the device
@@ -412,15 +489,21 @@ impl NvmeEngine {
     pub fn tracer(&self) -> &Tracer {
         &self.shared.tracer
     }
-}
 
-impl Drop for NvmeEngine {
-    fn drop(&mut self) {
-        // Close the channel so workers exit, then join them.
+    /// Close the submission channel and join the workers (queued
+    /// requests are served first). Later submissions resolve as typed
+    /// `Error::Internal` failures. Dropping the engine does the same.
+    pub fn shutdown(&mut self) {
         self.tx.take();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
+    }
+}
+
+impl Drop for NvmeEngine {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
@@ -597,6 +680,82 @@ mod tests {
         assert!(err.to_string().contains("injected write failure"));
         // A subsequent flush succeeds (error consumed).
         eng.flush().unwrap();
+    }
+
+    /// A staging buffer holding `vals`.
+    fn staged(pool: &zi_memory::ScratchPool, vals: &[f32]) -> ScratchVec {
+        let mut buf = pool.acquire(vals.len() * 4);
+        buf.as_f32_mut().copy_from_slice(vals);
+        buf
+    }
+
+    #[test]
+    fn staging_buffers_ride_requests_both_ways_and_come_home() {
+        let (_, eng) = engine(2);
+        let pool = zi_memory::ScratchPool::new();
+        let vals = [1.5f32, -2.0, 3.25, 8.0];
+        let w = eng.submit_write_from(128, staged(&pool, &vals));
+        // The write hands its buffer back; the read fills the same one.
+        let buf = eng.wait_buf(w).unwrap().into_staging().expect("staging in, staging out");
+        assert_eq!(pool.outstanding(), 1, "the reaped buffer is the caller's again");
+        let r = eng.submit_read_into(128, buf);
+        let buf = eng.wait_buf(r).unwrap().into_staging().expect("staging in, staging out");
+        assert_eq!(buf.as_f32(), vals);
+        drop(buf);
+        let st = pool.stats();
+        assert_eq!((st.allocated, pool.idle(), pool.outstanding()), (1, 1, 0));
+        assert_eq!((eng.stats().bytes_written, eng.stats().bytes_read), (16, 16));
+    }
+
+    #[test]
+    fn failed_and_undeliverable_requests_return_their_buffers() {
+        let (plan, mut eng) = faulty_engine(1, RetryPolicy::none());
+        let pool = zi_memory::ScratchPool::new();
+        let good = eng.submit_write_from(64, staged(&pool, &[2.0; 8]));
+        drop(eng.wait_buf(good).unwrap());
+        plan.fail_next_writes(1);
+        let bad = eng.submit_write_from(0, staged(&pool, &[1.0; 8]));
+        assert!(eng.wait_buf(bad).unwrap_err().to_string().contains("injected write failure"));
+        assert_eq!(pool.outstanding(), 0, "the failed write's buffer was not leaked");
+        // With the worker pool gone a submission resolves as a typed
+        // failure at its wait — and still gives the buffer back.
+        eng.shutdown();
+        let dead = eng.submit_read_into(0, pool.acquire(32));
+        assert!(matches!(eng.wait_buf(dead).unwrap_err(), Error::Internal(_)));
+        eng.barrier().unwrap();
+        assert_eq!(eng.in_flight(), 0);
+        assert_eq!((pool.outstanding(), pool.idle() as u64), (0, pool.stats().allocated));
+    }
+
+    #[test]
+    fn barrier_completes_without_syncing_and_flush_syncs() {
+        struct CountSync(MemBackend, AtomicU64);
+        impl StorageBackend for CountSync {
+            fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+                self.0.read_at(offset, buf)
+            }
+            fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+                self.0.write_at(offset, data)
+            }
+            fn sync(&self) -> Result<()> {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
+            fn len(&self) -> Result<u64> {
+                self.0.len()
+            }
+        }
+        let backend = Arc::new(CountSync(MemBackend::new(), AtomicU64::new(0)));
+        let eng = NvmeEngine::new(Arc::clone(&backend) as Arc<dyn StorageBackend>, 2);
+        for i in 0..16u64 {
+            eng.submit_write_detached(i * 8, vec![i as u8; 8]);
+        }
+        eng.barrier().unwrap();
+        assert_eq!(eng.in_flight(), 0);
+        assert_eq!(backend.0.bytes_written(), 128, "barrier returned with writes outstanding");
+        assert_eq!(backend.1.load(Ordering::Relaxed), 0, "the barrier is not a durability sync");
+        eng.flush().unwrap();
+        assert_eq!(backend.1.load(Ordering::Relaxed), 1);
     }
 
     #[test]

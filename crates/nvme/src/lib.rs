@@ -32,7 +32,7 @@ pub mod retry;
 pub mod store;
 
 pub use backend::{FileBackend, MemBackend, StorageBackend, ThrottledBackend};
-pub use engine::{IoStats, NvmeEngine, Ticket};
+pub use engine::{IoBuf, IoStats, NvmeEngine, Ticket};
 pub use fault::{FaultPlan, FaultProfile, FaultyBackend, InjectedStats};
 pub use retry::{RetryPolicy, RetryReport};
 pub use store::{CheckpointStore, StoreStats};

@@ -99,8 +99,13 @@ impl RetryPolicy {
     /// backoff; permanent errors and successes return immediately.
     ///
     /// `context` names the request in give-up errors (e.g. `"read 4096 B
-    /// at 0x1000"`).
-    pub fn run<T>(&self, context: &str, mut op: impl FnMut() -> Result<T>) -> RetryReport<T> {
+    /// at 0x1000"`); it is rendered only when the policy gives up, so a
+    /// lazy `format_args!` costs the success path nothing.
+    pub fn run<T>(
+        &self,
+        context: impl std::fmt::Display,
+        mut op: impl FnMut() -> Result<T>,
+    ) -> RetryReport<T> {
         let start = Instant::now();
         let mut attempt = 0u32;
         loop {

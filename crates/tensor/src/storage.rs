@@ -50,6 +50,55 @@ fn bytes_as_f32(bytes: &[u8]) -> Option<&[f32]> {
     (pre.is_empty() && suf.is_empty()).then_some(mid)
 }
 
+/// Mutable variant of [`bytes_as_f32`].
+#[inline]
+fn bytes_as_f32_mut(bytes: &mut [u8]) -> Option<&mut [f32]> {
+    if cfg!(target_endian = "big") {
+        return None;
+    }
+    // SAFETY: every bit pattern is a valid f32, so writes through the
+    // view cannot invalidate the bytes; align_to guarantees alignment.
+    let (pre, mid, suf) = unsafe { bytes.align_to_mut::<f32>() };
+    if pre.is_empty() && suf.is_empty() {
+        Some(mid)
+    } else {
+        None
+    }
+}
+
+/// Encode f32 `values` as little-endian `dtype` elements into `out`
+/// (exactly `dtype.bytes_for(values.len())` bytes) — the conversion
+/// behind [`FlatBuffer::write_f32`], usable on any byte destination
+/// (a staging buffer, a sub-range of a resident shard).
+pub fn encode_f32(dtype: DType, values: &[f32], out: &mut [u8]) -> Result<()> {
+    if out.len() != dtype.bytes_for(values.len()) {
+        return Err(Error::shape(format!(
+            "encode_f32: {} {dtype} values into {} bytes",
+            values.len(),
+            out.len()
+        )));
+    }
+    match dtype {
+        DType::F32 => match bytes_as_f32_mut(out) {
+            Some(words) => words.copy_from_slice(values),
+            None => {
+                for (chunk, v) in out.chunks_exact_mut(4).zip(values) {
+                    chunk.copy_from_slice(&v.to_le_bytes());
+                }
+            }
+        },
+        DType::F16 => match bytes_as_f16_mut(out) {
+            Some(halves) => crate::simd::f32_to_f16_slice(values, halves),
+            None => {
+                for (chunk, v) in out.chunks_exact_mut(2).zip(values) {
+                    chunk.copy_from_slice(&F16::from_f32(*v).to_bits().to_le_bytes());
+                }
+            }
+        },
+    }
+    Ok(())
+}
+
 /// A flat, dtype-tagged byte buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatBuffer {
@@ -206,23 +255,19 @@ impl FlatBuffer {
                 self.numel()
             )));
         }
-        match self.dtype {
-            DType::F32 => {
-                for (chunk, v) in self.bytes.chunks_exact_mut(4).zip(values) {
-                    chunk.copy_from_slice(&v.to_le_bytes());
-                }
-            }
-            DType::F16 => {
-                if let Some(halves) = bytes_as_f16_mut(&mut self.bytes) {
-                    crate::simd::f32_to_f16_slice(values, halves);
-                } else {
-                    for (chunk, v) in self.bytes.chunks_exact_mut(2).zip(values) {
-                        chunk.copy_from_slice(&F16::from_f32(*v).to_bits().to_le_bytes());
-                    }
-                }
-            }
+        encode_f32(self.dtype, values, &mut self.bytes)
+    }
+
+    /// The elements as a mutable f32 slice, for in-place updates of
+    /// resident F32 state. `None` for other dtypes, and in the (allocator-
+    /// dependent, in practice unseen) case that the bytes are not 4-byte
+    /// aligned — callers then go through [`Self::to_f32_vec`] and
+    /// [`Self::write_f32`].
+    pub fn as_f32_mut(&mut self) -> Option<&mut [f32]> {
+        if self.dtype != DType::F32 {
+            return None;
         }
-        Ok(())
+        bytes_as_f32_mut(&mut self.bytes)
     }
 
     /// Copy `len` elements starting at `offset` into a new buffer.
@@ -370,6 +415,19 @@ mod tests {
         b.pad_to(5);
         assert_eq!(b.numel(), 5);
         assert_eq!(b.to_f32_vec(), vec![1.0, 2.0, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn f32_view_updates_in_place_and_encode_targets_any_bytes() {
+        let mut b = FlatBuffer::from_f32(DType::F32, &[1.0, 2.0, 3.0]);
+        b.as_f32_mut().expect("heap bytes are word-aligned")[1] = -4.5;
+        assert_eq!(b.to_f32_vec(), vec![1.0, -4.5, 3.0]);
+        assert!(FlatBuffer::zeros(DType::F16, 2).as_f32_mut().is_none());
+        // Encoding into a sub-range equals a whole-buffer write of it.
+        let mut shard = FlatBuffer::zeros(DType::F16, 4);
+        encode_f32(DType::F16, &[0.5, -1.0], &mut shard.as_bytes_mut()[2..6]).unwrap();
+        assert_eq!(shard.to_f32_vec(), vec![0.0, 0.5, -1.0, 0.0]);
+        assert!(encode_f32(DType::F32, &[1.0], &mut [0u8; 3]).is_err());
     }
 
     #[test]

@@ -5,8 +5,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+cargo test --workspace -q
 cargo clippy --workspace -- -D warnings
+# Ledger harness: its unit tests build benchmark/src/bind.rs against the
+# crates, so a drift in any load-bearing signature (benchmark/README.md)
+# fails here rather than in the next ledger run.
+bash benchmark/run.sh test \
+    || { echo "benchmark harness tests failed: signature drift against benchmark/src/bind.rs? (exit $?)"; exit 1; }
 # Audit stage: the zi-audit static pass (DESIGN.md §13) — sync-hygiene
 # wall, static lock-order cycles, unsafe/SAFETY inventory, panic-path
 # audit. Exits nonzero on any finding not covered by a justified
@@ -20,7 +25,8 @@ cargo run -q --release -p zi-audit -- --root . --json "$AUDIT_JSON" \
 # zi-sync lock/condvar/channel/atomic routes through the zi-check
 # scheduler, then run the detector's seeded-bug fixtures and the
 # protocol harnesses (barrier rank-death, membership join handshake
-# racing rank death, engine flush barrier, checkpoint crash recovery,
+# racing rank death, engine completion barrier + staging-buffer
+# hand-back, checkpoint crash recovery,
 # pool checkout/return, trace ring drain, knob hand-off, kernel
 # worker-pool tiling).
 # Each harness must
