@@ -115,6 +115,36 @@ fn scalar_vs_auto(
     KernelResult { name, scalar_secs, auto_secs, bytes, flops }
 }
 
+type MatmulFn = fn(&Tensor, &Tensor) -> zi_types::Result<Tensor>;
+
+/// A matmul variant at the shape one of the benchmark models runs it at
+/// (`a: [m, k]`; `b` is `[k, n]`, `[n, k]` or `[m, n]` by variant, as
+/// the `ops` entry point takes it). These are microseconds long, so one
+/// timed sample is a batch of calls sized to ~4 MFLOP and the reported
+/// time is per call.
+fn model_shape(
+    name: &'static str,
+    reps: usize,
+    op: MatmulFn,
+    a_shape: [usize; 2],
+    b_shape: [usize; 2],
+    flops: u64,
+) -> KernelResult {
+    let a = Tensor::randn_seeded(&a_shape, 11, 1.0);
+    let b = Tensor::randn_seeded(&b_shape, 12, 1.0);
+    let batch = (4_000_000 / flops).max(1);
+    let out = op(&a, &b).expect("model-shape matmul").numel();
+    let bytes = 4 * (a.numel() + b.numel() + out) as u64;
+    let mut r = scalar_vs_auto(name, reps, bytes, flops, || {
+        for _ in 0..batch {
+            std::hint::black_box(op(&a, &b).expect("model-shape matmul"));
+        }
+    });
+    r.scalar_secs /= batch as f64;
+    r.auto_secs /= batch as f64;
+    r
+}
+
 /// The old inner loop with the `av == 0.0` skip branch (satellite
 /// ablation reference — dense data, so the branch only costs).
 fn matmul_zero_skip(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
@@ -212,9 +242,23 @@ fn main() {
     results.push(scalar_vs_auto("matmul_tn", sz.reps, mm_bytes, mm_flops, || {
         let _ = ops::matmul_tn(&a, &b).expect("matmul_tn");
     }));
-    results.push(scalar_vs_auto("matmul_blocked", sz.reps, mm_bytes, mm_flops, || {
-        let _ = ops::matmul_blocked(&a, &b).expect("matmul_blocked");
-    }));
+    // The shapes the models actually run (the square probe above hides
+    // them): the dense benchmark model's attention heads (seq 64, head
+    // dim 32) and widest weight gradient, and the wide offload model's
+    // 16-row LM-head and MLP matmuls.
+    let (nn, nt, tn): (MatmulFn, MatmulFn, MatmulFn) =
+        (ops::matmul, ops::matmul_nt, ops::matmul_tn);
+    let model_shapes = [
+        ("matmul 64x64x32", nn, [64, 64], [64, 32], 64 * 64 * 32),
+        ("matmul_tn 64x64x32", tn, [64, 64], [64, 32], 64 * 64 * 32),
+        ("matmul_nt 64x32x64", nt, [64, 32], [64, 32], 64 * 32 * 64),
+        ("matmul_tn 128x768x192", tn, [128, 768], [128, 192], 128 * 768 * 192),
+        ("matmul 16x2048x256", nn, [16, 2048], [2048, 256], 16 * 2048 * 256),
+        ("matmul_tn 16x256x1024", tn, [16, 256], [16, 1024], 16 * 256 * 1024),
+    ];
+    for (name, op, a_shape, b_shape, mkn) in model_shapes {
+        results.push(model_shape(name, sz.reps, op, a_shape, b_shape, 2 * mkn as u64));
+    }
 
     let x = Tensor::randn_seeded(&[sz.elem_n], 3, 2.0);
     let dy = Tensor::randn_seeded(&[sz.elem_n], 4, 1.0);

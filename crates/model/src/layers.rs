@@ -5,8 +5,7 @@
 //! [`crate::param::ParamStore`] seam. Parameter/gradient vectors use a
 //! fixed documented order so the runner can zip them with `ParamId`s.
 
-use zi_tensor::ops;
-use zi_tensor::Tensor;
+use zi_tensor::{ops, simd, Tensor};
 use zi_types::{Error, Result};
 
 /// Shape configuration shared by all blocks of a model.
@@ -66,45 +65,126 @@ pub struct AttnSaved {
     /// Fused QKV output `[rows, 3*hidden]`.
     qkv: Tensor,
     /// Post-softmax attention probabilities, one `[seq, seq]` tensor per
-    /// `(batch, head)` pair in row-major `(b, h)` order.
+    /// `(batch, head)` pair in row-major `(b, h)` order; the masked upper
+    /// triangle is exactly zero.
     probs: Vec<Tensor>,
     /// Concatenated per-head context `[rows, hidden]` (input to out-proj).
     context: Tensor,
 }
 
-fn copy_head(
-    src: &Tensor,
-    cfg: &BlockConfig,
-    batch: usize,
-    col_offset: usize,
-) -> Tensor {
-    let dh = cfg.head_dim();
-    let width = src.shape()[1];
-    let mut out = vec![0f32; cfg.seq * dh];
-    for t in 0..cfg.seq {
-        let row = batch * cfg.seq + t;
-        let s = &src.data()[row * width + col_offset..row * width + col_offset + dh];
-        out[t * dh..(t + 1) * dh].copy_from_slice(s);
-    }
-    Tensor::from_vec(&[cfg.seq, dh], out).expect("head slice shape")
+/// Query rows per kernel call. Causal row `i` attends to keys `0..=i`
+/// only, so the rows `[i0, i0 + R)` run their GEMMs over the first
+/// `i0 + R` keys and nothing to the right of the block is computed,
+/// multiplied or accumulated. Inside the block's own `R` columns the
+/// masked probabilities are exact zeros (a `±0` product never changes a
+/// non-zero accumulator), which is what the rounding-up to `R` costs.
+const ATTN_ROW_BLOCK: usize = 8;
+
+/// Offset of head `h` of batch `b` in a `[rows, width]` matrix whose
+/// heads sit side by side in `dh`-column groups: the `[seq, dh]` block
+/// is the strided view starting here with leading dimension `width`.
+fn head_offset(cfg: &BlockConfig, width: usize, b: usize, h: usize) -> usize {
+    b * cfg.seq * width + h * cfg.head_dim()
 }
 
-fn add_head(
-    dst: &mut Tensor,
-    src: &Tensor,
-    cfg: &BlockConfig,
-    batch: usize,
-    col_offset: usize,
-) {
-    let dh = cfg.head_dim();
-    let width = dst.shape()[1];
-    for t in 0..cfg.seq {
-        let row = batch * cfg.seq + t;
-        let d = &mut dst.data_mut()[row * width + col_offset..row * width + col_offset + dh];
-        for (dv, sv) in d.iter_mut().zip(&src.data()[t * dh..(t + 1) * dh]) {
-            *dv += sv;
+/// Per-head causal `softmax(Q Kᵀ / √dh) V` over the fused `qkv`
+/// (`[rows, 3*hidden]`, read in place through strided views). Returns
+/// the concatenated context `[rows, hidden]` and one `[seq, seq]`
+/// probability matrix per `(batch, head)` whose upper triangle is
+/// exactly zero.
+fn attention_heads_forward(cfg: &BlockConfig, qkv: &Tensor) -> (Tensor, Vec<Tensor>) {
+    let (d, dh, seq) = (cfg.hidden, cfg.head_dim(), cfg.seq);
+    let ld = 3 * d;
+    let scale = 1.0 / (dh as f32).sqrt();
+    let qkv = qkv.data();
+    let mut context = Tensor::zeros(&[cfg.rows(), d]);
+    let mut probs = Vec::with_capacity(cfg.batch * cfg.heads);
+    for b in 0..cfg.batch {
+        for h in 0..cfg.heads {
+            let at = head_offset(cfg, ld, b, h);
+            let (q, k, v) = (&qkv[at..], &qkv[at + d..], &qkv[at + 2 * d..]);
+            let out = &mut context.data_mut()[head_offset(cfg, d, b, h)..];
+            let mut p = vec![0f32; seq * seq];
+            for i0 in (0..seq).step_by(ATTN_ROW_BLOCK) {
+                let rows = ATTN_ROW_BLOCK.min(seq - i0);
+                let keys = i0 + rows;
+                let p_rows = &mut p[i0 * seq..];
+                simd::gemm_nt(rows, keys, dh, &q[i0 * ld..], ld, k, ld, p_rows, seq);
+                for (r, row) in p_rows.chunks_mut(seq).take(rows).enumerate() {
+                    let (live, masked) = row[..keys].split_at_mut(i0 + r + 1);
+                    for s in live.iter_mut() {
+                        *s *= scale;
+                    }
+                    ops::softmax_row(live);
+                    masked.fill(0.0);
+                }
+                simd::gemm(rows, dh, keys, p_rows, seq, 1, v, ld, &mut out[i0 * d..], d);
+            }
+            probs.push(Tensor::from_vec(&[seq, seq], p).expect("probs shape"));
         }
     }
+    (context, probs)
+}
+
+/// Backward of [`attention_heads_forward`]: `d(qkv)` from `d(context)`,
+/// written straight into the heads' column groups of one
+/// `[rows, 3*hidden]` matrix.
+fn attention_heads_backward(
+    cfg: &BlockConfig,
+    qkv: &Tensor,
+    probs: &[Tensor],
+    dcontext: &Tensor,
+) -> Tensor {
+    let (d, dh, seq) = (cfg.hidden, cfg.head_dim(), cfg.seq);
+    let ld = 3 * d;
+    let scale = 1.0 / (dh as f32).sqrt();
+    let (qkv, dcontext) = (qkv.data(), dcontext.data());
+    let mut dqkv = Tensor::zeros(&[cfg.rows(), ld]);
+    // dP for one block of query rows, and dS for one head. Only the
+    // lower triangle of `ds` is ever written: the masked half stays the
+    // exact zero it was allocated as, for every head.
+    let mut dp = vec![0f32; ATTN_ROW_BLOCK * seq];
+    let mut ds = vec![0f32; seq * seq];
+    for b in 0..cfg.batch {
+        for h in 0..cfg.heads {
+            let at = head_offset(cfg, ld, b, h);
+            let (q, k, v) = (&qkv[at..], &qkv[at + d..], &qkv[at + 2 * d..]);
+            let dout = &dcontext[head_offset(cfg, d, b, h)..];
+            let p = probs[b * cfg.heads + h].data();
+            // dQ, dK, dV of this head start at columns 0, d, 2d from here.
+            let dhead = &mut dqkv.data_mut()[at..];
+            // By query rows, keys 0..=i: dP = dO Vᵀ, the softmax backward
+            // dS = P ∘ (dP − rowsum(dP ∘ P)) (scaled), then dQ = dS K.
+            for i0 in (0..seq).step_by(ATTN_ROW_BLOCK) {
+                let rows = ATTN_ROW_BLOCK.min(seq - i0);
+                let keys = i0 + rows;
+                simd::gemm_nt(rows, keys, dh, &dout[i0 * d..], d, v, ld, &mut dp, seq);
+                for r in 0..rows {
+                    let (i, live) = (i0 + r, i0 + r + 1);
+                    let prow = &p[i * seq..i * seq + live];
+                    let dprow = &dp[r * seq..r * seq + live];
+                    let dot: f32 = prow.iter().zip(dprow).map(|(a, b)| a * b).sum();
+                    for (j, o) in ds[i * seq..i * seq + live].iter_mut().enumerate() {
+                        *o = (prow[j] * (dprow[j] - dot)) * scale;
+                    }
+                }
+                let dq = &mut dhead[i0 * ld..];
+                simd::gemm(rows, dh, keys, &ds[i0 * seq..], seq, 1, k, ld, dq, ld);
+            }
+            // By key rows, queries i ≥ j: dK = dSᵀ Q and dV = Pᵀ dO, the
+            // transposed views starting on the diagonal.
+            for j0 in (0..seq).step_by(ATTN_ROW_BLOCK) {
+                let cols = ATTN_ROW_BLOCK.min(seq - j0);
+                let queries = seq - j0;
+                let (ds_t, p_t) = (&ds[j0 * seq + j0..], &p[j0 * seq + j0..]);
+                let dkv = &mut dhead[j0 * ld..];
+                simd::gemm(cols, dh, queries, ds_t, 1, seq, &q[j0 * ld..], ld, &mut dkv[d..], ld);
+                let dv = &mut dkv[2 * d..];
+                simd::gemm(cols, dh, queries, p_t, 1, seq, &dout[j0 * d..], d, dv, ld);
+            }
+        }
+    }
+    dqkv
 }
 
 /// Causal self-attention forward.
@@ -118,9 +198,6 @@ pub fn attention_forward(
     proj_b: &Tensor,
     x: &Tensor,
 ) -> Result<(Tensor, AttnSaved)> {
-    let d = cfg.hidden;
-    let dh = cfg.head_dim();
-    let scale = 1.0 / (dh as f32).sqrt();
     // The input width is the QKV weight's column count, which exceeds
     // `cfg.hidden` under tensor-slicing model parallelism (x stays full
     // width while the heads are local).
@@ -133,27 +210,7 @@ pub fn attention_forward(
         )));
     }
     let qkv = linear_forward(qkv_w, qkv_b, x)?;
-    let mut context = Tensor::zeros(&[cfg.rows(), d]);
-    let mut probs = Vec::with_capacity(cfg.batch * cfg.heads);
-    for b in 0..cfg.batch {
-        for h in 0..cfg.heads {
-            let q = copy_head(&qkv, cfg, b, h * dh);
-            let k = copy_head(&qkv, cfg, b, d + h * dh);
-            let v = copy_head(&qkv, cfg, b, 2 * d + h * dh);
-            // S = Q K^T * scale, causal-masked, then softmax.
-            let mut s = ops::matmul_nt(&q, &k)?;
-            s.scale(scale);
-            for i in 0..cfg.seq {
-                for j in (i + 1)..cfg.seq {
-                    s.data_mut()[i * cfg.seq + j] = f32::NEG_INFINITY;
-                }
-            }
-            ops::softmax_rows(&mut s);
-            let o = ops::matmul(&s, &v)?;
-            add_head(&mut context, &o, cfg, b, h * dh);
-            probs.push(s);
-        }
-    }
+    let (context, probs) = attention_heads_forward(cfg, &qkv);
     let y = linear_forward(proj_w, proj_b, &context)?;
     Ok((y, AttnSaved { x: x.clone(), qkv, probs, context }))
 }
@@ -179,49 +236,8 @@ pub fn attention_backward(
     saved: &AttnSaved,
     dy: &Tensor,
 ) -> Result<(Tensor, AttnGrads)> {
-    let d = cfg.hidden;
-    let dh = cfg.head_dim();
-    let scale = 1.0 / (dh as f32).sqrt();
-
-    // Out-projection backward.
     let (dcontext, dproj_w, dproj_b) = linear_backward(proj_w, &saved.context, dy)?;
-
-    // Per-head attention backward into d(qkv).
-    let mut dqkv = Tensor::zeros(&[cfg.rows(), 3 * d]);
-    for b in 0..cfg.batch {
-        for h in 0..cfg.heads {
-            let p = &saved.probs[b * cfg.heads + h];
-            let q = copy_head(&saved.qkv, cfg, b, h * dh);
-            let k = copy_head(&saved.qkv, cfg, b, d + h * dh);
-            let v = copy_head(&saved.qkv, cfg, b, 2 * d + h * dh);
-            let doh = copy_head(&dcontext, cfg, b, h * dh);
-
-            // dV = P^T dO ; dP = dO V^T
-            let dv = ops::matmul_tn(p, &doh)?;
-            let dp = ops::matmul_nt(&doh, &v)?;
-            // Softmax backward: dS = P ∘ (dP − rowsum(dP ∘ P)).
-            let mut ds = Tensor::zeros(&[cfg.seq, cfg.seq]);
-            for i in 0..cfg.seq {
-                let prow = &p.data()[i * cfg.seq..(i + 1) * cfg.seq];
-                let dprow = &dp.data()[i * cfg.seq..(i + 1) * cfg.seq];
-                let dot: f32 = prow.iter().zip(dprow).map(|(a, b)| a * b).sum();
-                let dsrow = &mut ds.data_mut()[i * cfg.seq..(i + 1) * cfg.seq];
-                for j in 0..cfg.seq {
-                    // Masked entries have p == 0, so dS is naturally 0 there.
-                    dsrow[j] = prow[j] * (dprow[j] - dot);
-                }
-            }
-            ds.scale(scale);
-            // dQ = dS K ; dK = dS^T Q (scale already applied to dS).
-            let dq = ops::matmul(&ds, &k)?;
-            let dk = ops::matmul_tn(&ds, &q)?;
-            add_head(&mut dqkv, &dq, cfg, b, h * dh);
-            add_head(&mut dqkv, &dk, cfg, b, d + h * dh);
-            add_head(&mut dqkv, &dv, cfg, b, 2 * d + h * dh);
-        }
-    }
-
-    // QKV projection backward.
+    let dqkv = attention_heads_backward(cfg, &saved.qkv, &saved.probs, &dcontext);
     let (dx, dqkv_w, dqkv_b) = linear_backward(qkv_w, &saved.x, &dqkv)?;
     Ok((dx, AttnGrads { qkv_w: dqkv_w, qkv_b: dqkv_b, proj_w: dproj_w, proj_b: dproj_b }))
 }
@@ -633,6 +649,169 @@ mod tests {
                 grads.qkv_w.data()[idx]
             );
         }
+    }
+
+    /// The `[seq, dh]` block of `src` at column `col` of `batch`, copied out.
+    fn copy_head(src: &Tensor, cfg: &BlockConfig, batch: usize, col: usize) -> Tensor {
+        let dh = cfg.head_dim();
+        let width = src.shape()[1];
+        let mut out = Vec::with_capacity(cfg.seq * dh);
+        for t in 0..cfg.seq {
+            let at = (batch * cfg.seq + t) * width + col;
+            out.extend_from_slice(&src.data()[at..at + dh]);
+        }
+        Tensor::from_vec(&[cfg.seq, dh], out).unwrap()
+    }
+
+    fn add_head(dst: &mut Tensor, src: &Tensor, cfg: &BlockConfig, batch: usize, col: usize) {
+        let dh = cfg.head_dim();
+        let width = dst.shape()[1];
+        for t in 0..cfg.seq {
+            let at = (batch * cfg.seq + t) * width + col;
+            for (d, s) in dst.data_mut()[at..at + dh].iter_mut().zip(&src.data()[t * dh..]) {
+                *d += s;
+            }
+        }
+    }
+
+    /// The masked-dense formulation of the attention heads, built from
+    /// the plain matmuls on copied-out heads: full `[seq, seq]` scores,
+    /// masked logits at `-inf` (exactly-zero probabilities), every
+    /// product and sum over the masked half carried out. Returns
+    /// `(context, probs, dqkv)`.
+    fn dense_heads(
+        cfg: &BlockConfig,
+        qkv: &Tensor,
+        dcontext: &Tensor,
+    ) -> (Tensor, Vec<Tensor>, Tensor) {
+        let (d, dh, seq) = (cfg.hidden, cfg.head_dim(), cfg.seq);
+        let scale = 1.0 / (dh as f32).sqrt();
+        let mut context = Tensor::zeros(&[cfg.rows(), d]);
+        let mut dqkv = Tensor::zeros(&[cfg.rows(), 3 * d]);
+        let mut probs = Vec::new();
+        for b in 0..cfg.batch {
+            for h in 0..cfg.heads {
+                let q = copy_head(qkv, cfg, b, h * dh);
+                let k = copy_head(qkv, cfg, b, d + h * dh);
+                let v = copy_head(qkv, cfg, b, 2 * d + h * dh);
+                let mut p = ops::matmul_nt(&q, &k).unwrap();
+                p.scale(scale);
+                for i in 0..seq {
+                    p.data_mut()[i * seq + i + 1..(i + 1) * seq].fill(f32::NEG_INFINITY);
+                }
+                ops::softmax_rows(&mut p);
+                add_head(&mut context, &ops::matmul(&p, &v).unwrap(), cfg, b, h * dh);
+
+                let doh = copy_head(dcontext, cfg, b, h * dh);
+                let dv = ops::matmul_tn(&p, &doh).unwrap();
+                let dp = ops::matmul_nt(&doh, &v).unwrap();
+                let mut ds = Tensor::zeros(&[seq, seq]);
+                for i in 0..seq {
+                    let prow = &p.data()[i * seq..(i + 1) * seq];
+                    let dprow = &dp.data()[i * seq..(i + 1) * seq];
+                    let dot: f32 = prow.iter().zip(dprow).map(|(a, b)| a * b).sum();
+                    for j in 0..seq {
+                        ds.data_mut()[i * seq + j] = prow[j] * (dprow[j] - dot);
+                    }
+                }
+                ds.scale(scale);
+                add_head(&mut dqkv, &ops::matmul(&ds, &k).unwrap(), cfg, b, h * dh);
+                add_head(&mut dqkv, &ops::matmul_tn(&ds, &q).unwrap(), cfg, b, d + h * dh);
+                add_head(&mut dqkv, &dv, cfg, b, 2 * d + h * dh);
+                probs.push(p);
+            }
+        }
+        (context, probs, dqkv)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn causal_attention_equals_the_masked_dense_reference_bit_for_bit() {
+        // (seq, dh, heads, batch, input width): one row, a ragged row
+        // block, the two benchmark models' head shapes, and a
+        // tensor-sliced block whose input is wider than its local heads.
+        for &(seq, dh, heads, batch, width) in &[
+            (1usize, 8usize, 2usize, 2usize, 16usize),
+            (5, 8, 2, 2, 16),
+            (16, 64, 2, 1, 128),
+            (64, 32, 2, 2, 64),
+            (13, 8, 2, 1, 32),
+        ] {
+            let c = BlockConfig { hidden: heads * dh, heads, batch, seq };
+            let qkv_w = seeded(&[3 * c.hidden, width], 80);
+            let qkv_b = seeded(&[3 * c.hidden], 81);
+            let proj_w = seeded(&[width, c.hidden], 82);
+            let proj_b = seeded(&[width], 83);
+            let x = seeded(&[c.rows(), width], 84);
+            let dy = seeded(&[c.rows(), width], 85);
+
+            let (y, saved) = attention_forward(&c, &qkv_w, &qkv_b, &proj_w, &proj_b, &x).unwrap();
+            let (dx, grads) = attention_backward(&c, &qkv_w, &proj_w, &saved, &dy).unwrap();
+
+            let qkv = linear_forward(&qkv_w, &qkv_b, &x).unwrap();
+            let (dcontext, dproj_w, dproj_b) =
+                linear_backward(&proj_w, &saved.context, &dy).unwrap();
+            let (context, probs, dqkv) = dense_heads(&c, &qkv, &dcontext);
+            let want_y = linear_forward(&proj_w, &proj_b, &context).unwrap();
+            let (want_dx, dqkv_w, dqkv_b) = linear_backward(&qkv_w, &x, &dqkv).unwrap();
+
+            let tag = format!("seq {seq} dh {dh}");
+            assert_eq!(bits(&saved.context), bits(&context), "{tag}: context");
+            for (got, want) in saved.probs.iter().zip(&probs) {
+                assert_eq!(bits(got), bits(want), "{tag}: probs");
+            }
+            let got_dqkv = attention_heads_backward(&c, &saved.qkv, &saved.probs, &dcontext);
+            assert_eq!(bits(&got_dqkv), bits(&dqkv), "{tag}: dqkv");
+            assert_eq!(bits(&y), bits(&want_y), "{tag}: y");
+            assert_eq!(bits(&dx), bits(&want_dx), "{tag}: dx");
+            assert_eq!(bits(&grads.qkv_w), bits(&dqkv_w), "{tag}: dqkv_w");
+            assert_eq!(bits(&grads.qkv_b), bits(&dqkv_b), "{tag}: dqkv_b");
+            assert_eq!(bits(&grads.proj_w), bits(&dproj_w), "{tag}: dproj_w");
+            assert_eq!(bits(&grads.proj_b), bits(&dproj_b), "{tag}: dproj_b");
+        }
+    }
+
+    #[test]
+    fn attention_of_a_seeded_gpt_carries_no_subnormals() {
+        // Block 0 of a seeded model at the dense benchmark's shape. A
+        // masked probability that is a tiny number instead of a zero
+        // (e^-87 / rowsum) is a subnormal, and so is everything it is
+        // multiplied into: up to 2016 of the 4096 entries of every head's
+        // `P`, and through them `context` and `dqkv`.
+        use crate::gpt::{GptConfig, GptModel};
+        use crate::param::{DenseStore, ParamStore};
+        let cfg = GptConfig { vocab: 256, hidden: 192, layers: 1, heads: 6, seq: 64, seed: 1 };
+        let model = GptModel::new(cfg);
+        let mut store = DenseStore::new(model.registry());
+        let mut fetch = |module: usize| -> Vec<Tensor> {
+            model.plans()[module].own_params.iter().map(|&id| store.get(id).unwrap()).collect()
+        };
+        let embed = fetch(0);
+        let p = BlockParams::from_vec(fetch(1));
+        let c = BlockConfig { hidden: cfg.hidden, heads: cfg.heads, batch: 2, seq: cfg.seq };
+        let tokens: Vec<usize> = (0..c.rows()).map(|i| (i * 7 + 1) % cfg.vocab).collect();
+        let x = embedding_forward(&c, &embed[0], &embed[1], &tokens).unwrap();
+        let (ln1, _) = ops::layernorm(&x, p.ln1_g.data(), p.ln1_b.data(), LN_EPS).unwrap();
+
+        let (_, saved) =
+            attention_forward(&c, &p.qkv_w, &p.qkv_b, &p.proj_w, &p.proj_b, &ln1).unwrap();
+        let dy = seeded(&[c.rows(), c.hidden], 90);
+        let (dcontext, _, _) = linear_backward(&p.proj_w, &saved.context, &dy).unwrap();
+        let dqkv = attention_heads_backward(&c, &saved.qkv, &saved.probs, &dcontext);
+
+        let subnormals = |t: &Tensor| t.data().iter().filter(|v| v.is_subnormal()).count();
+        for (i, probs) in saved.probs.iter().enumerate() {
+            assert_eq!(subnormals(probs), 0, "head {i}: subnormal probabilities");
+            for r in 0..c.seq {
+                let masked = &probs.data()[r * c.seq + r + 1..(r + 1) * c.seq];
+                assert!(masked.iter().all(|v| v.to_bits() == 0), "head {i} row {r}: mask not +0.0");
+            }
+        }
+        assert_eq!(subnormals(&saved.context), 0, "subnormals in context");
+        assert_eq!(subnormals(&dqkv), 0, "subnormals in dqkv");
     }
 
     #[test]

@@ -19,11 +19,6 @@ use crate::tensor::Tensor;
 /// overhead dominates for the tiny models used in tests).
 const PAR_FLOP_THRESHOLD: usize = 1 << 18;
 
-/// Cache-block edge (elements) for the blocked matmul kernel. Must stay
-/// a multiple of 4 so the axpy4 register-block grouping is identical in
-/// the full-k and k-panelled paths (keeps them bit-identical).
-const MM_BLOCK: usize = 64;
-
 /// Elementwise kernels (gelu) go parallel above this element count.
 const ELEMWISE_PAR_THRESHOLD: usize = 1 << 15;
 
@@ -33,88 +28,37 @@ const ELEMWISE_CHUNK: usize = 1 << 13;
 /// Rows per pool task for the parallel layernorm forward.
 const LN_ROWS_PER_TASK: usize = 8;
 
-/// The one shared dispatch predicate for all four matmul variants:
-/// go parallel when the FLOP volume `m·k·n` clears the threshold.
-#[inline]
-fn mm_parallel(m: usize, k: usize, n: usize) -> bool {
-    m.saturating_mul(k).saturating_mul(n) >= PAR_FLOP_THRESHOLD
-}
-
-/// Accumulate `out_row += Σ_kk a_row[kk] · B[k0+kk, :]` with the
-/// register-blocked axpy4 microkernel (4 k-steps per traversal of the
-/// output row), falling back to single axpys for the k remainder.
-///
-/// The k-grouping starts at `k0`, so as long as callers panel `k` in
-/// multiples of 4 (see [`MM_BLOCK`]) the per-element accumulation order
-/// is identical to an un-panelled pass — dense inputs take a fixed,
-/// data-independent FLOP count (no zero-skip branches; see DESIGN.md §11
-/// for the before/after bench).
-#[inline]
-fn mm_panel(a_row: &[f32], b: &[f32], k0: usize, n: usize, out_row: &mut [f32]) {
-    let mut kk = 0;
-    while kk + 4 <= a_row.len() {
-        let r0 = &b[(k0 + kk) * n..(k0 + kk) * n + n];
-        let r1 = &b[(k0 + kk + 1) * n..(k0 + kk + 1) * n + n];
-        let r2 = &b[(k0 + kk + 2) * n..(k0 + kk + 2) * n + n];
-        let r3 = &b[(k0 + kk + 3) * n..(k0 + kk + 3) * n + n];
-        simd::axpy4(
-            out_row,
-            [a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]],
-            [r0, r1, r2, r3],
-        );
-        kk += 4;
+/// Run `gemm(first_row, block)` over the row-major `[rows, n]` output
+/// `out`: as one call, or — when the FLOP volume `rows·k·n` clears the
+/// threshold and the pool has workers — as one contiguous row range per
+/// participating thread (workers + the submitter). Rows of a GEMM are
+/// independent, so the split never changes a byte.
+fn for_row_ranges<F>(out: &mut [f32], n: usize, k: usize, gemm: F)
+where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
+    if out.is_empty() {
+        return;
     }
-    while kk < a_row.len() {
-        simd::axpy(out_row, a_row[kk], &b[(k0 + kk) * n..(k0 + kk) * n + n]);
-        kk += 1;
-    }
+    let rows = out.len() / n;
+    let parallel = rows.saturating_mul(k).saturating_mul(n) >= PAR_FLOP_THRESHOLD;
+    let threads = if parallel { pool::global().workers() + 1 } else { 1 };
+    // Whole register tiles per range, so only the last range has edge rows.
+    let per = rows.div_ceil(threads).next_multiple_of(simd::scalar::GEMM_MR);
+    pool::for_chunks(out, per * n, parallel, |i, block| gemm(i * per, block));
 }
 
 /// `C[m,n] = A[m,k] * B[k,n]`.
-///
-/// Dispatches to the cache-blocked, pool-parallel kernel for large
-/// problems and a simple row kernel for small ones.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, ka) = a.as_2d();
     let (kb, n) = b.as_2d();
     if ka != kb {
         return Err(Error::shape(format!("matmul inner dims {ka} vs {kb}")));
     }
-    if mm_parallel(m, ka, n) {
-        return matmul_blocked(a, b);
-    }
     let mut out = vec![0f32; m * n];
-    for (row, out_row) in out.chunks_mut(n).enumerate() {
-        let a_row = &a.data()[row * ka..(row + 1) * ka];
-        mm_panel(a_row, b.data(), 0, n, out_row);
-    }
-    Tensor::from_vec(&[m, n], out)
-}
-
-/// Cache-blocked `C[m,n] = A[m,k] * B[k,n]`: row-block parallelism
-/// across the kernel pool, k-blocking to keep the active slice of `B`
-/// in cache, and the unit-stride axpy4 SIMD microkernel over `n`.
-pub fn matmul_blocked(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, ka) = a.as_2d();
-    let (kb, n) = b.as_2d();
-    if ka != kb {
-        return Err(Error::shape(format!("matmul_blocked inner dims {ka} vs {kb}")));
-    }
-    let mut out = vec![0f32; m * n];
-    let adata = a.data();
-    let bdata = b.data();
-    pool::for_chunks(&mut out, MM_BLOCK * n, mm_parallel(m, ka, n), |bi, out_block| {
-        let i0 = bi * MM_BLOCK;
-        let rows = out_block.len() / n;
-        let mut k0 = 0;
-        while k0 < ka {
-            let kend = (k0 + MM_BLOCK).min(ka);
-            for i in 0..rows {
-                let a_row = &adata[(i0 + i) * ka + k0..(i0 + i) * ka + kend];
-                mm_panel(a_row, bdata, k0, n, &mut out_block[i * n..(i + 1) * n]);
-            }
-            k0 = kend;
-        }
+    let (adata, bdata) = (a.data(), b.data());
+    for_row_ranges(&mut out, n, ka, |row, block| {
+        simd::gemm(block.len() / n, n, ka, &adata[row * ka..], ka, 1, bdata, n, block, n);
     });
     Tensor::from_vec(&[m, n], out)
 }
@@ -123,7 +67,7 @@ pub fn matmul_blocked(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 ///
 /// This is the PyTorch `Linear` convention: `y = x W^T`. Both operands
 /// are traversed unit-stride, so each output element is a SIMD dot
-/// product; four output columns share each load of the `A` row.
+/// product.
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, ka) = a.as_2d();
     let (n, kb) = b.as_2d();
@@ -131,24 +75,9 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         return Err(Error::shape(format!("matmul_nt inner dims {ka} vs {kb}")));
     }
     let mut out = vec![0f32; m * n];
-    let adata = a.data();
-    let bdata = b.data();
-    pool::for_chunks(&mut out, n, mm_parallel(m, ka, n), |row, out_row| {
-        let a_row = &adata[row * ka..(row + 1) * ka];
-        let mut col = 0;
-        while col + 4 <= n {
-            let w0 = &bdata[col * ka..(col + 1) * ka];
-            let w1 = &bdata[(col + 1) * ka..(col + 2) * ka];
-            let w2 = &bdata[(col + 2) * ka..(col + 3) * ka];
-            let w3 = &bdata[(col + 3) * ka..(col + 4) * ka];
-            let d = simd::dot4(a_row, [w0, w1, w2, w3]);
-            out_row[col..col + 4].copy_from_slice(&d);
-            col += 4;
-        }
-        while col < n {
-            out_row[col] = simd::dot(a_row, &bdata[col * ka..(col + 1) * ka]);
-            col += 1;
-        }
+    let (adata, bdata) = (a.data(), b.data());
+    for_row_ranges(&mut out, n, ka, |row, block| {
+        simd::gemm_nt(block.len() / n, n, ka, &adata[row * ka..], ka, bdata, ka, block, n);
     });
     Tensor::from_vec(&[m, n], out)
 }
@@ -161,30 +90,11 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         return Err(Error::shape(format!("matmul_tn outer dims {m} vs {mb}")));
     }
     let mut out = vec![0f32; k * n];
-    let adata = a.data();
-    let bdata = b.data();
-    // Parallelize over output rows (k); each output row gathers column
-    // `row` of A against all of B with the axpy4 microkernel.
-    pool::for_chunks(&mut out, n, mm_parallel(m, k, n), |row, out_row| {
-        let mut i = 0;
-        while i + 4 <= m {
-            let av = [
-                adata[i * k + row],
-                adata[(i + 1) * k + row],
-                adata[(i + 2) * k + row],
-                adata[(i + 3) * k + row],
-            ];
-            let r0 = &bdata[i * n..(i + 1) * n];
-            let r1 = &bdata[(i + 1) * n..(i + 2) * n];
-            let r2 = &bdata[(i + 2) * n..(i + 3) * n];
-            let r3 = &bdata[(i + 3) * n..(i + 4) * n];
-            simd::axpy4(out_row, av, [r0, r1, r2, r3]);
-            i += 4;
-        }
-        while i < m {
-            simd::axpy(out_row, adata[i * k + row], &bdata[i * n..(i + 1) * n]);
-            i += 1;
-        }
+    let (adata, bdata) = (a.data(), b.data());
+    // Output row `r` reads column `r` of A: the transposed view of the
+    // same tile kernel `matmul` runs.
+    for_row_ranges(&mut out, n, m, |row, block| {
+        simd::gemm(block.len() / n, n, m, &adata[row..], 1, k, bdata, n, block, n);
     });
     Tensor::from_vec(&[k, n], out)
 }
@@ -351,27 +261,34 @@ pub fn layernorm_backward(
     Ok((Tensor::from_vec(x.shape(), dx)?, dgamma, dbeta))
 }
 
-/// Row-wise numerically stable softmax (in place over the last dim).
+/// Numerically stable softmax of one row, in place.
 ///
 /// The exponentials go through [`simd::exp_slice`] — the shared lane
 /// polynomial — so softmax (and [`cross_entropy`], which routes through
 /// here) is bit-identical across SIMD backends like every other kernel.
+/// An entry more than 87 below the row maximum (a `-inf` mask) comes out
+/// exactly `0.0`, never a subnormal.
+pub fn softmax_row(row: &mut [f32]) {
+    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    for v in row.iter_mut() {
+        *v -= max;
+    }
+    simd::exp_slice(row);
+    let mut sum = 0f32;
+    for &v in row.iter() {
+        sum += v;
+    }
+    let inv = 1.0 / sum;
+    for v in row.iter_mut() {
+        *v *= inv;
+    }
+}
+
+/// Row-wise [`softmax_row`] over the last dimension, in place.
 pub fn softmax_rows(x: &mut Tensor) {
     let (_, n) = x.as_2d();
     for row in x.data_mut().chunks_exact_mut(n) {
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        for v in row.iter_mut() {
-            *v -= max;
-        }
-        simd::exp_slice(row);
-        let mut sum = 0f32;
-        for &v in row.iter() {
-            sum += v;
-        }
-        let inv = 1.0 / sum;
-        for v in row.iter_mut() {
-            *v *= inv;
-        }
+        softmax_row(row);
     }
 }
 
@@ -653,20 +570,17 @@ mod tests {
         }
         assert!(c.data()[..n].iter().all(|&v| v == 0.0), "zero row stays zero");
     }
-}
-
-#[cfg(test)]
-mod blocked_tests {
-    use super::*;
 
     #[test]
-    fn blocked_matches_naive_on_awkward_sizes() {
-        // Sizes straddling block boundaries: 1, exact multiple, off-by-one.
-        for &(m, k, n) in &[(1usize, 65usize, 3usize), (64, 64, 64), (65, 127, 66), (3, 200, 5)] {
+    fn matmul_matches_naive_on_awkward_sizes() {
+        // Sizes straddling tile, vector and k-panel boundaries: 1, exact
+        // multiples, off-by-one, and k past one panel of the AVX2 driver.
+        for &(m, k, n) in
+            &[(1usize, 65usize, 3usize), (64, 64, 64), (65, 127, 66), (3, 200, 5), (7, 600, 41)]
+        {
             let a = Tensor::randn_seeded(&[m, k], 11, 1.0);
             let b = Tensor::randn_seeded(&[k, n], 13, 1.0);
-            let blocked = matmul_blocked(&a, &b).unwrap();
-            // Naive reference.
+            let got = matmul(&a, &b).unwrap();
             let mut expect = vec![0f32; m * n];
             for i in 0..m {
                 for kk in 0..k {
@@ -676,23 +590,9 @@ mod blocked_tests {
                     }
                 }
             }
-            for (g, e) in blocked.data().iter().zip(&expect) {
+            for (g, e) in got.data().iter().zip(&expect) {
                 assert!((g - e).abs() < 1e-3, "({m},{k},{n})");
             }
         }
-    }
-
-    #[test]
-    fn dispatch_threshold_is_seamless() {
-        // A size just above the parallel threshold goes through the
-        // blocked path via `matmul` and must agree with `matmul_blocked`.
-        let m = 72;
-        let k = 72;
-        let n = 72;
-        let a = Tensor::randn_seeded(&[m, k], 5, 1.0);
-        let b = Tensor::randn_seeded(&[k, n], 6, 1.0);
-        let via_dispatch = matmul(&a, &b).unwrap();
-        let direct = matmul_blocked(&a, &b).unwrap();
-        assert_eq!(via_dispatch.data(), direct.data());
     }
 }

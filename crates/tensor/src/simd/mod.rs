@@ -1,7 +1,7 @@
 //! Runtime-dispatched SIMD kernel layer.
 //!
 //! Every bulk numeric kernel in the workspace (f16↔f32 conversion, the
-//! matmul microkernels, gelu/layernorm row kernels, the Adam update)
+//! GEMM tile kernels, gelu/layernorm row kernels, the Adam update)
 //! funnels through this module, which selects an instruction-set backend
 //! once at startup and dispatches each call to it:
 //!
@@ -235,54 +235,101 @@ pub fn f16_to_f32_slice(src: &[F16], dst: &mut [f32]) {
     )
 }
 
-/// `acc[j] += a * x[j]` — the matmul row update.
-pub fn axpy(acc: &mut [f32], a: f32, x: &[f32]) {
-    assert!(x.len() >= acc.len(), "axpy operand shorter than accumulator");
+/// `C[m,n] = A·B` over strided views: `A(i,p) = a[i*a_rs + p*a_ks]`
+/// (so `a_rs = lda, a_ks = 1` reads `A` and `a_rs = 1, a_ks = lda` reads
+/// `Aᵀ`), `B(p,j) = b[p*ldb + j]`, `C(i,j) = c[i*ldc + j]`. A view is a
+/// slice starting at the block's first element plus a leading
+/// dimension, so a head of a fused QKV matrix or a row range of an
+/// output needs no copy. `C` is overwritten; with `k == 0` it is zeroed.
+///
+/// Backend and FMA knob are resolved once, here; the backend then runs
+/// its register-tile kernel over the whole problem (see
+/// [`scalar::gemm`] for the canonical per-element chain).
+#[allow(clippy::too_many_arguments)]
+pub fn gemm(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_ks: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    if gemm_is_trivial(m, n, k, c, ldc) {
+        return;
+    }
+    assert!(view_fits(a.len(), m, a_rs, k, a_ks), "gemm: A view out of bounds");
+    assert!(view_fits(b.len(), k, ldb, n, 1), "gemm: B view out of bounds");
     let fma = fma_enabled();
     dispatch!(
-        x86::axpy(acc, a, x, fma),
-        neon::axpy(acc, a, x, fma),
-        scalar::axpy(acc, a, x, fma)
+        x86::gemm(m, n, k, a, a_rs, a_ks, b, ldb, c, ldc, fma),
+        scalar::gemm(m, n, k, a, a_rs, a_ks, b, ldb, c, ldc, fma),
+        scalar::gemm(m, n, k, a, a_rs, a_ks, b, ldb, c, ldc, fma)
     )
 }
 
-/// Four k-steps of the matmul row update in one register-blocked pass:
-/// `acc[j] += a[0]*x0[j]; acc[j] += a[1]*x1[j]; …` in that (k-sequential)
-/// order, so the result is bit-identical to four [`axpy`] calls.
-pub fn axpy4(acc: &mut [f32], a: [f32; 4], x: [&[f32]; 4]) {
-    for xi in &x {
-        assert!(xi.len() >= acc.len(), "axpy4 operand shorter than accumulator");
+/// `C[m,n] = A·Bᵀ` over strided views: `A(i,p) = a[i*lda + p]`,
+/// `B(j,p) = b[j*ldb + p]`, `C(i,j) = c[i*ldc + j]`. Every output is the
+/// canonical 8-lane dot product ([`scalar::dot`]). `C` is overwritten;
+/// with `k == 0` it is zeroed.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_nt(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    if gemm_is_trivial(m, n, k, c, ldc) {
+        return;
     }
+    assert!(view_fits(a.len(), m, lda, k, 1), "gemm_nt: A view out of bounds");
+    assert!(view_fits(b.len(), n, ldb, k, 1), "gemm_nt: B view out of bounds");
     let fma = fma_enabled();
     dispatch!(
-        x86::axpy4(acc, a, x, fma),
-        neon::axpy4(acc, a, x, fma),
-        scalar::axpy4(acc, a, x, fma)
+        x86::gemm_nt(m, n, k, a, lda, b, ldb, c, ldc, fma),
+        scalar::gemm_nt(m, n, k, a, lda, b, ldb, c, ldc, fma),
+        scalar::gemm_nt(m, n, k, a, lda, b, ldb, c, ldc, fma)
     )
 }
 
-/// Canonical 8-lane dot product of `x` and `w`.
-pub fn dot(x: &[f32], w: &[f32]) -> f32 {
-    assert_eq!(x.len(), w.len(), "dot length mismatch");
-    let fma = fma_enabled();
-    dispatch!(x86::dot(x, w, fma), neon::dot(x, w, fma), scalar::dot(x, w, fma))
+/// True when the strided `rows`×`cols` view (both ≥ 1) with element
+/// `(i, j)` at `i*rs + j*cs` lies inside a slice of `len` elements. The
+/// SIMD backends index through raw pointers on the strength of this
+/// check, so the span is computed without wrapping.
+fn view_fits(len: usize, rows: usize, rs: usize, cols: usize, cs: usize) -> bool {
+    let last = (rows - 1).checked_mul(rs).zip((cols - 1).checked_mul(cs));
+    last.and_then(|(r, c)| r.checked_add(c)).is_some_and(|last| last < len)
 }
 
-/// Four independent dot products of `x` against `w0..w3` (each
-/// bit-identical to [`dot`]); the fused form lets SIMD backends reuse
-/// every load of `x` four times.
-pub fn dot4(x: &[f32], w: [&[f32]; 4]) -> [f32; 4] {
-    for wi in &w {
-        assert_eq!(x.len(), wi.len(), "dot4 length mismatch");
+/// Shared front of the GEMM entry points: checks the `C` view and
+/// settles the shapes no kernel needs to see — an empty output, and
+/// `k == 0`, where the product is all zeros. Returns true when it did;
+/// otherwise `m`, `n`, `k` are all ≥ 1, which the backends rely on.
+fn gemm_is_trivial(m: usize, n: usize, k: usize, c: &mut [f32], ldc: usize) -> bool {
+    if m == 0 || n == 0 {
+        return true;
     }
-    let fma = fma_enabled();
-    dispatch!(x86::dot4(x, w, fma), neon::dot4(x, w, fma), scalar::dot4(x, w, fma))
+    assert!(ldc >= n && view_fits(c.len(), m, ldc, n, 1), "gemm: C view out of bounds");
+    if k == 0 {
+        for row in c.chunks_mut(ldc).take(m) {
+            row[..n].fill(0.0);
+        }
+    }
+    k == 0
 }
 
 /// Elementwise in-place `x[i] = e^{x[i]}` with the shared lane
-/// polynomial ([`scalar::exp_approx`], argument clamped to ±87): the
-/// exp kernel behind softmax and cross-entropy. Bit-identical across
-/// backends like every other kernel here.
+/// polynomial ([`scalar::exp_one`]: argument clamped to 87 above, exactly
+/// `+0.0` below −87): the exp kernel behind softmax and cross-entropy.
+/// Bit-identical across backends like every other kernel here.
 pub fn exp_slice(x: &mut [f32]) {
     dispatch!(x86::exp(x), scalar::exp(x), scalar::exp(x))
 }

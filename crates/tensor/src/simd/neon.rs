@@ -1,148 +1,18 @@
 //! NEON backend for aarch64.
 //!
-//! NEON registers are 128-bit, so the canonical 8-lane accumulator
-//! (see [`super::scalar`]) is modeled as two 4-wide registers: the
-//! first holds lanes 0–3, the second lanes 4–7. Reductions store both
-//! registers and reuse [`scalar::sum8`], so results are bit-identical
-//! to the scalar and AVX2 backends. FMA (`vfmaq_f32`) is only used in
-//! the `fma = true` variants, mirroring `f32::mul_add` in the scalar
-//! backend. The f16 conversions and the gelu/layernorm row kernels
-//! currently dispatch to the scalar backend (see `super`).
+//! NEON registers are 128-bit, so lane-structured kernels model the
+//! canonical 8-lane shape (see [`super::scalar`]) as two 4-wide
+//! registers. Only the Adam chunk update is hand-vectorized here; FMA
+//! (`vfmaq_f32`) is used only in its `fma = true` variant, mirroring
+//! `f32::mul_add` in the scalar backend. The GEMM tile kernels, the f16
+//! conversions and the exp/gelu/layernorm row kernels dispatch to the
+//! scalar backend (see `super`): the scalar tile kernel is elementwise
+//! IEEE arithmetic over fixed-size register blocks, which the compiler
+//! vectorizes for NEON without changing a single rounding.
 
 use core::arch::aarch64::*;
 
-use super::{scalar, AdamParams, LANES};
-
-/// `acc[j] += a * x[j]`.
-// SAFETY: NEON is baseline on aarch64, so the intrinsics are always
-// available; `unsafe fn` only mirrors the cross-backend kernel signature.
-pub unsafe fn axpy(acc: &mut [f32], a: f32, x: &[f32], fma: bool) {
-    // SAFETY: all pointer arithmetic stays within the slice bounds checked
-    // by the surrounding loop conditions (chunks of 4/8 lanes + scalar tail).
-    unsafe {
-        let n = acc.len();
-        let av = vdupq_n_f32(a);
-        let ap = acc.as_mut_ptr();
-        let xp = x.as_ptr();
-        let mut j = 0;
-        while j + 4 <= n {
-            let o = vld1q_f32(ap.add(j));
-            let xv = vld1q_f32(xp.add(j));
-            let o = if fma { vfmaq_f32(o, xv, av) } else { vaddq_f32(o, vmulq_f32(av, xv)) };
-            vst1q_f32(ap.add(j), o);
-            j += 4;
-        }
-        scalar::axpy(&mut acc[j..], a, &x[j..], fma);
-    }
-}
-
-/// Register-blocked 4-step axpy; numerics match [`scalar::axpy4`].
-// SAFETY: NEON is baseline on aarch64, so the intrinsics are always
-// available; `unsafe fn` only mirrors the cross-backend kernel signature.
-pub unsafe fn axpy4(acc: &mut [f32], a: [f32; 4], x: [&[f32]; 4], fma: bool) {
-    // SAFETY: all pointer arithmetic stays within the slice bounds checked
-    // by the surrounding loop conditions (chunks of 4/8 lanes + scalar tail).
-    unsafe {
-        let n = acc.len();
-        let av = [vdupq_n_f32(a[0]), vdupq_n_f32(a[1]), vdupq_n_f32(a[2]), vdupq_n_f32(a[3])];
-        let ap = acc.as_mut_ptr();
-        let mut j = 0;
-        while j + 4 <= n {
-            let mut o = vld1q_f32(ap.add(j));
-            for kk in 0..4 {
-                let xv = vld1q_f32(x[kk].as_ptr().add(j));
-                o = if fma { vfmaq_f32(o, xv, av[kk]) } else { vaddq_f32(o, vmulq_f32(av[kk], xv)) };
-            }
-            vst1q_f32(ap.add(j), o);
-            j += 4;
-        }
-        scalar::axpy4(&mut acc[j..], a, [&x[0][j..], &x[1][j..], &x[2][j..], &x[3][j..]], fma);
-    }
-}
-
-#[inline(always)]
-// SAFETY: writes exactly LANES f32s into a stack array of that size.
-unsafe fn store8(lo: float32x4_t, hi: float32x4_t) -> [f32; LANES] {
-    // SAFETY: all pointer arithmetic stays within the slice bounds checked
-    // by the surrounding loop conditions (chunks of 4/8 lanes + scalar tail).
-    unsafe {
-        let mut lanes = [0f32; LANES];
-        vst1q_f32(lanes.as_mut_ptr(), lo);
-        vst1q_f32(lanes.as_mut_ptr().add(4), hi);
-        lanes
-    }
-}
-
-/// Canonical 8-lane dot product (two 4-wide accumulators).
-// SAFETY: NEON is baseline on aarch64, so the intrinsics are always
-// available; `unsafe fn` only mirrors the cross-backend kernel signature.
-pub unsafe fn dot(x: &[f32], w: &[f32], fma: bool) -> f32 {
-    // SAFETY: all pointer arithmetic stays within the slice bounds checked
-    // by the surrounding loop conditions (chunks of 4/8 lanes + scalar tail).
-    unsafe {
-        let n = x.len();
-        let xp = x.as_ptr();
-        let wp = w.as_ptr();
-        let mut lo = vdupq_n_f32(0.0);
-        let mut hi = vdupq_n_f32(0.0);
-        let mut i = 0;
-        while i + LANES <= n {
-            let x0 = vld1q_f32(xp.add(i));
-            let x1 = vld1q_f32(xp.add(i + 4));
-            let w0 = vld1q_f32(wp.add(i));
-            let w1 = vld1q_f32(wp.add(i + 4));
-            if fma {
-                lo = vfmaq_f32(lo, x0, w0);
-                hi = vfmaq_f32(hi, x1, w1);
-            } else {
-                lo = vaddq_f32(lo, vmulq_f32(x0, w0));
-                hi = vaddq_f32(hi, vmulq_f32(x1, w1));
-            }
-            i += LANES;
-        }
-        let mut lanes = store8(lo, hi);
-        scalar::dot_tail(&mut lanes, x, w, i, fma);
-        scalar::sum8(lanes)
-    }
-}
-
-/// Four dot products sharing each load of `x`.
-// SAFETY: NEON is baseline on aarch64, so the intrinsics are always
-// available; `unsafe fn` only mirrors the cross-backend kernel signature.
-pub unsafe fn dot4(x: &[f32], w: [&[f32]; 4], fma: bool) -> [f32; 4] {
-    // SAFETY: all pointer arithmetic stays within the slice bounds checked
-    // by the surrounding loop conditions (chunks of 4/8 lanes + scalar tail).
-    unsafe {
-        let n = x.len();
-        let xp = x.as_ptr();
-        let mut lo = [vdupq_n_f32(0.0); 4];
-        let mut hi = [vdupq_n_f32(0.0); 4];
-        let mut i = 0;
-        while i + LANES <= n {
-            let x0 = vld1q_f32(xp.add(i));
-            let x1 = vld1q_f32(xp.add(i + 4));
-            for c in 0..4 {
-                let w0 = vld1q_f32(w[c].as_ptr().add(i));
-                let w1 = vld1q_f32(w[c].as_ptr().add(i + 4));
-                if fma {
-                    lo[c] = vfmaq_f32(lo[c], x0, w0);
-                    hi[c] = vfmaq_f32(hi[c], x1, w1);
-                } else {
-                    lo[c] = vaddq_f32(lo[c], vmulq_f32(x0, w0));
-                    hi[c] = vaddq_f32(hi[c], vmulq_f32(x1, w1));
-                }
-            }
-            i += LANES;
-        }
-        let mut out = [0f32; 4];
-        for c in 0..4 {
-            let mut lanes = store8(lo[c], hi[c]);
-            scalar::dot_tail(&mut lanes, x, w[c], i, fma);
-            out[c] = scalar::sum8(lanes);
-        }
-        out
-    }
-}
+use super::{scalar, AdamParams};
 
 /// Elementwise Adam chunk update with optional fused publish.
 // SAFETY: NEON is baseline on aarch64, so the intrinsics are always

@@ -75,76 +75,110 @@ pub fn f16_to_f32(src: &[F16], dst: &mut [f32]) {
 }
 
 // ---------------------------------------------------------------------------
-// matmul microkernels
+// GEMM tile kernels
 
-/// `acc[j] += a * x[j]`.
-pub fn axpy(acc: &mut [f32], a: f32, x: &[f32], fma: bool) {
-    if fma {
-        for (o, &v) in acc.iter_mut().zip(x) {
-            *o = v.mul_add(a, *o);
-        }
-    } else {
-        for (o, &v) in acc.iter_mut().zip(x) {
-            *o += a * v;
-        }
-    }
-}
+/// Rows of `C` one register tile of the GEMM kernels covers.
+pub const GEMM_MR: usize = 4;
+/// Columns of `C` one register tile covers (two 8-lane vectors).
+pub const GEMM_NR: usize = 2 * LANES;
 
-/// Four k-sequential axpy passes fused over one traversal of `acc`;
-/// per-element update order matches four separate [`axpy`] calls.
-pub fn axpy4(acc: &mut [f32], a: [f32; 4], x: [&[f32]; 4], fma: bool) {
-    for (j, o) in acc.iter_mut().enumerate() {
-        let mut t = *o;
-        if fma {
-            t = x[0][j].mul_add(a[0], t);
-            t = x[1][j].mul_add(a[1], t);
-            t = x[2][j].mul_add(a[2], t);
-            t = x[3][j].mul_add(a[3], t);
-        } else {
-            t += a[0] * x[0][j];
-            t += a[1] * x[1][j];
-            t += a[2] * x[2][j];
-            t += a[3] * x[3][j];
-        }
-        *o = t;
-    }
-}
-
-/// Accumulate the tail elements `x[i..]·w[i..]` into lanes `0..rem`,
-/// one element per lane — shared by all backends so remainders agree.
+/// `acc + a·b` — the one update every GEMM output element goes
+/// through, once per `k` step in `k` order; fused under the FMA knob.
 #[inline(always)]
-pub fn dot_tail(lanes: &mut [f32; LANES], x: &[f32], w: &[f32], i: usize, fma: bool) {
-    for (j, (xv, wv)) in x[i..].iter().zip(&w[i..]).enumerate() {
-        if fma {
-            lanes[j] = xv.mul_add(*wv, lanes[j]);
-        } else {
-            lanes[j] += xv * wv;
-        }
-    }
+pub fn madd(acc: f32, a: f32, b: f32, fma: bool) -> f32 {
+    if fma { a.mul_add(b, acc) } else { acc + a * b }
 }
 
-/// Canonical 8-lane dot product.
-pub fn dot(x: &[f32], w: &[f32], fma: bool) -> f32 {
-    let mut lanes = [0f32; LANES];
-    let mut i = 0;
-    while i + LANES <= x.len() {
-        for j in 0..LANES {
-            if fma {
-                lanes[j] = x[i + j].mul_add(w[i + j], lanes[j]);
-            } else {
-                lanes[j] += x[i + j] * w[i + j];
+/// `C[m,n] = A·B` with `A(i,p) = a[i*a_rs + p*a_ks]` (row stride, k
+/// stride: one body serves `A` and `Aᵀ`), `B(p,j) = b[p*ldb + j]` and
+/// `C(i,j) = c[i*ldc + j]`.
+///
+/// The canonical tile algorithm: a [`GEMM_MR`]×[`GEMM_NR`] block of `C`
+/// starts at `+0.0`, stays in registers across the whole `k` loop and
+/// takes one [`madd`] per element per `k` step. Tiling only picks which
+/// elements share a register block — each element's operation chain is
+/// `((0 + a₀b₀) + a₁b₁) + …`, the same on every backend.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_ks: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    fma: bool,
+) {
+    for i0 in (0..m).step_by(GEMM_MR) {
+        let mr = GEMM_MR.min(m - i0);
+        for j0 in (0..n).step_by(GEMM_NR) {
+            let nr = GEMM_NR.min(n - j0);
+            let mut acc = [[0f32; GEMM_NR]; GEMM_MR];
+            for p in 0..k {
+                let b_row = &b[p * ldb + j0..p * ldb + j0 + nr];
+                for (i, acc_row) in acc[..mr].iter_mut().enumerate() {
+                    let av = a[(i0 + i) * a_rs + p * a_ks];
+                    for (t, &bv) in acc_row.iter_mut().zip(b_row) {
+                        *t = madd(*t, av, bv, fma);
+                    }
+                }
+            }
+            for (i, acc_row) in acc[..mr].iter().enumerate() {
+                let at = (i0 + i) * ldc + j0;
+                c[at..at + nr].copy_from_slice(&acc_row[..nr]);
             }
         }
-        i += LANES;
     }
-    dot_tail(&mut lanes, x, w, i, fma);
+}
+
+/// Accumulate the tail elements `x·w` (fewer than [`LANES`] of them)
+/// into lanes `0..len`, one element per lane — shared by all backends
+/// so remainders agree.
+#[inline(always)]
+pub fn dot_tail(lanes: &mut [f32; LANES], x: &[f32], w: &[f32], fma: bool) {
+    for (lane, (&xv, &wv)) in lanes.iter_mut().zip(x.iter().zip(w)) {
+        *lane = madd(*lane, xv, wv, fma);
+    }
+}
+
+/// Canonical 8-lane dot product: the element of [`gemm_nt`].
+pub fn dot(x: &[f32], w: &[f32], fma: bool) -> f32 {
+    let mut lanes = [0f32; LANES];
+    let body = x.len() - x.len() % LANES;
+    for (xc, wc) in x[..body].chunks_exact(LANES).zip(w[..body].chunks_exact(LANES)) {
+        for j in 0..LANES {
+            lanes[j] = madd(lanes[j], xc[j], wc[j], fma);
+        }
+    }
+    dot_tail(&mut lanes, &x[body..], &w[body..], fma);
     sum8(lanes)
 }
 
-/// Four independent [`dot`]s (identical numerics, shared `x` loads in
-/// the SIMD backends).
-pub fn dot4(x: &[f32], w: [&[f32]; 4], fma: bool) -> [f32; 4] {
-    [dot(x, w[0], fma), dot(x, w[1], fma), dot(x, w[2], fma), dot(x, w[3], fma)]
+/// `C[m,n] = A·Bᵀ` with `A(i,p) = a[i*lda + p]`, `B(j,p) = b[j*ldb + p]`:
+/// every output element is one [`dot`] — eight lane accumulators over
+/// `k`, the shared tail, the [`sum8`] tree.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_nt(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    fma: bool,
+) {
+    for i in 0..m {
+        let x = &a[i * lda..i * lda + k];
+        for j in 0..n {
+            c[i * ldc + j] = dot(x, &b[j * ldb..j * ldb + k], fma);
+        }
+    }
 }
 
 /// Canonical 8-lane sum.
@@ -207,17 +241,22 @@ pub fn exp_approx(z: f32) -> f32 {
 
 /// Argument clamp for the standalone exp kernel: keeps the
 /// range-reduction exponent `k + 127` of [`exp_approx`] inside
-/// `(0, 255)` so the exponent-bits scale never wraps. `e^±87` already
-/// brackets the representable f32 range for softmax/cross-entropy use
-/// (`e^-87 ≈ 1.6e-38`, the normal-number floor).
-const EXP_CLAMP: f32 = 87.0;
+/// `(0, 255)` so the exponent-bits scale never wraps (`e^-87 ≈ 1.6e-38`
+/// is the last value above the normal-number floor).
+pub const EXP_CLAMP: f32 = 87.0;
 
 /// `e^z` over the full f32 range: [`exp_approx`] with the argument
-/// clamped to ±[`EXP_CLAMP`]. The one scalar element every backend's
-/// exp kernel must reproduce bit for bit.
+/// clamped to +[`EXP_CLAMP`], and exactly `+0.0` below −[`EXP_CLAMP`] —
+/// a floor of `e^-87` would turn into a subnormal as soon as softmax
+/// divides it by a row sum above 1.4, and arithmetic on subnormals runs
+/// on the CPU's microcode-assist path. The one scalar element every
+/// backend's exp kernel must reproduce bit for bit.
 #[inline(always)]
 pub fn exp_one(z: f32) -> f32 {
-    exp_approx(mirror_max(mirror_min(z, EXP_CLAMP), -EXP_CLAMP))
+    if z < -EXP_CLAMP {
+        return 0.0;
+    }
+    exp_approx(mirror_min(z, EXP_CLAMP))
 }
 
 /// Elementwise in-place `x[i] = e^{x[i]}` (clamped, shared polynomial):

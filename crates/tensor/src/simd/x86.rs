@@ -17,6 +17,9 @@
 //! supported; `super::backend()` guarantees this before dispatching.
 
 #![allow(unsafe_op_in_unsafe_fn)]
+// Register tiles are const-sized arrays whose index is also the pointer
+// offset of the row/vector it holds; an iterator would hide that pairing.
+#![allow(clippy::needless_range_loop)]
 
 use core::arch::x86_64::*;
 
@@ -126,207 +129,413 @@ pub unsafe fn f32_to_f16(src: &[f32], dst: &mut [F16]) {
 }
 
 // ---------------------------------------------------------------------------
-// matmul microkernels
+// GEMM tile kernels
 
+/// k-panel of the `C = A·B` driver: a `GEMM_KC`×16 strip of `B` (16 KB)
+/// stays in L1 while every row tile of `C` passes over it.
+const GEMM_KC: usize = 256;
+
+/// A strip of `B` is packed once more than two row tiles will read it;
+/// below that the copy costs more than it saves.
+const PACK_MIN_ROWS: usize = 2 * scalar::GEMM_MR;
+
+/// `A` rows per block of the `C = A·Bᵀ` driver are chosen so the block
+/// (`rows × k` floats) stays in L1 while the rows of `B` stream past it.
+const NT_BLOCK_BYTES: usize = 24 * 1024;
+/// Rows of `A` / rows of `B` whose lane accumulators one `A·Bᵀ` tile
+/// keeps live (4×2 accumulators + 4 `A` vectors + 1 `B` vector).
+const NT_MR: usize = 4;
+const NT_NC: usize = 2;
+
+/// Vector mirror of [`scalar::madd`].
 #[inline(always)]
 // SAFETY: `inline(always)` helper with no feature gate of its own — must
 // only be inlined into a `target_feature(avx2[,fma])` caller, which every
 // call site in this module is.
-unsafe fn axpy_body<const FMA: bool>(acc: &mut [f32], a: f32, x: &[f32]) {
-    let n = acc.len();
-    let av = _mm256_set1_ps(a);
-    let ap = acc.as_mut_ptr();
-    let xp = x.as_ptr();
-    let mut j = 0;
-    while j + LANES <= n {
-        let o = _mm256_loadu_ps(ap.add(j));
-        let xv = _mm256_loadu_ps(xp.add(j));
-        let o = if FMA {
-            _mm256_fmadd_ps(xv, av, o)
-        } else {
-            _mm256_add_ps(o, _mm256_mul_ps(av, xv))
-        };
-        _mm256_storeu_ps(ap.add(j), o);
-        j += LANES;
+unsafe fn madd<const FMA: bool>(acc: __m256, a: __m256, b: __m256) -> __m256 {
+    if FMA {
+        _mm256_fmadd_ps(a, b, acc)
+    } else {
+        _mm256_add_ps(acc, _mm256_mul_ps(a, b))
     }
-    scalar::axpy(&mut acc[j..], a, &x[j..], FMA);
 }
 
-#[target_feature(enable = "avx2")]
-// SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
-unsafe fn axpy_plain(acc: &mut [f32], a: f32, x: &[f32]) {
-    axpy_body::<false>(acc, a, x)
-}
-
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
-unsafe fn axpy_fma(acc: &mut [f32], a: f32, x: &[f32]) {
-    axpy_body::<true>(acc, a, x)
-}
-
-/// `acc[j] += a * x[j]`.
-// SAFETY: forwards to `target_feature` kernels — the caller must ensure
-// AVX2 (and FMA when `fma` is true) support, as `super::backend()` does.
-pub unsafe fn axpy(acc: &mut [f32], a: f32, x: &[f32], fma: bool) {
-    if fma { axpy_fma(acc, a, x) } else { axpy_plain(acc, a, x) }
-}
-
+/// One `MR`×(`NV`·8) register tile of `C = A·B` over `k` steps: the
+/// block of `C` lives in `MR·NV` registers for the whole loop (loaded
+/// first when `resume`, i.e. on every k-panel after the first), each
+/// step broadcasts `MR` elements of `A` against `NV` vectors of `B`.
+/// Per element this is [`scalar::madd`] in `k` order — the canonical
+/// chain. Edge tiles are this same body at a smaller `MR`/`NV`.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 // SAFETY: `inline(always)` helper with no feature gate of its own — must
 // only be inlined into a `target_feature(avx2[,fma])` caller, which every
-// call site in this module is.
-unsafe fn axpy4_body<const FMA: bool>(acc: &mut [f32], a: [f32; 4], x: [&[f32]; 4]) {
-    let n = acc.len();
-    let av = [
-        _mm256_set1_ps(a[0]),
-        _mm256_set1_ps(a[1]),
-        _mm256_set1_ps(a[2]),
-        _mm256_set1_ps(a[3]),
-    ];
-    let ap = acc.as_mut_ptr();
-    let mut j = 0;
-    while j + LANES <= n {
-        let mut o = _mm256_loadu_ps(ap.add(j));
-        // k-sequential accumulation: identical update order to four axpys.
-        for kk in 0..4 {
-            let xv = _mm256_loadu_ps(x[kk].as_ptr().add(j));
-            o = if FMA {
-                _mm256_fmadd_ps(xv, av[kk], o)
-            } else {
-                _mm256_add_ps(o, _mm256_mul_ps(av[kk], xv))
-            };
+// call site in this module is. The caller guarantees `a`, `b`, `c`
+// address an `MR`×`k`, `k`×(`NV`·8), `MR`×(`NV`·8) block at the given
+// strides.
+unsafe fn tile<const FMA: bool, const MR: usize, const NV: usize>(
+    k: usize,
+    a: *const f32,
+    a_rs: usize,
+    a_ks: usize,
+    b: *const f32,
+    ldb: usize,
+    c: *mut f32,
+    ldc: usize,
+    resume: bool,
+) {
+    let mut acc = [[_mm256_setzero_ps(); NV]; MR];
+    if resume {
+        for i in 0..MR {
+            for v in 0..NV {
+                acc[i][v] = _mm256_loadu_ps(c.add(i * ldc + v * LANES));
+            }
         }
-        _mm256_storeu_ps(ap.add(j), o);
-        j += LANES;
     }
-    scalar::axpy4(
-        &mut acc[j..],
-        a,
-        [&x[0][j..], &x[1][j..], &x[2][j..], &x[3][j..]],
-        FMA,
-    );
-}
-
-#[target_feature(enable = "avx2")]
-// SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
-unsafe fn axpy4_plain(acc: &mut [f32], a: [f32; 4], x: [&[f32]; 4]) {
-    axpy4_body::<false>(acc, a, x)
-}
-
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
-unsafe fn axpy4_fma(acc: &mut [f32], a: [f32; 4], x: [&[f32]; 4]) {
-    axpy4_body::<true>(acc, a, x)
-}
-
-/// Register-blocked 4-step axpy; numerics match [`scalar::axpy4`].
-// SAFETY: forwards to `target_feature` kernels — the caller must ensure
-// AVX2 (and FMA when `fma` is true) support, as `super::backend()` does.
-pub unsafe fn axpy4(acc: &mut [f32], a: [f32; 4], x: [&[f32]; 4], fma: bool) {
-    if fma { axpy4_fma(acc, a, x) } else { axpy4_plain(acc, a, x) }
-}
-
-#[inline(always)]
-// SAFETY: `inline(always)` helper with no feature gate of its own — must
-// only be inlined into a `target_feature(avx2[,fma])` caller, which every
-// call site in this module is.
-unsafe fn dot_body<const FMA: bool>(x: &[f32], w: &[f32]) -> f32 {
-    let n = x.len();
-    let xp = x.as_ptr();
-    let wp = w.as_ptr();
-    let mut acc = _mm256_setzero_ps();
-    let mut i = 0;
-    while i + LANES <= n {
-        let xv = _mm256_loadu_ps(xp.add(i));
-        let wv = _mm256_loadu_ps(wp.add(i));
-        acc = if FMA {
-            _mm256_fmadd_ps(xv, wv, acc)
-        } else {
-            _mm256_add_ps(acc, _mm256_mul_ps(xv, wv))
-        };
-        i += LANES;
-    }
-    let mut lanes = [0f32; LANES];
-    _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-    scalar::dot_tail(&mut lanes, x, w, i, FMA);
-    scalar::sum8(lanes)
-}
-
-#[target_feature(enable = "avx2")]
-// SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
-unsafe fn dot_plain(x: &[f32], w: &[f32]) -> f32 {
-    dot_body::<false>(x, w)
-}
-
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
-unsafe fn dot_fma(x: &[f32], w: &[f32]) -> f32 {
-    dot_body::<true>(x, w)
-}
-
-/// Canonical 8-lane dot product.
-// SAFETY: forwards to `target_feature` kernels — the caller must ensure
-// AVX2 (and FMA when `fma` is true) support, as `super::backend()` does.
-pub unsafe fn dot(x: &[f32], w: &[f32], fma: bool) -> f32 {
-    if fma { dot_fma(x, w) } else { dot_plain(x, w) }
-}
-
-#[inline(always)]
-// SAFETY: `inline(always)` helper with no feature gate of its own — must
-// only be inlined into a `target_feature(avx2[,fma])` caller, which every
-// call site in this module is.
-unsafe fn dot4_body<const FMA: bool>(x: &[f32], w: [&[f32]; 4]) -> [f32; 4] {
-    let n = x.len();
-    let xp = x.as_ptr();
-    let mut acc = [_mm256_setzero_ps(); 4];
-    let mut i = 0;
-    while i + LANES <= n {
-        let xv = _mm256_loadu_ps(xp.add(i));
-        for c in 0..4 {
-            let wv = _mm256_loadu_ps(w[c].as_ptr().add(i));
-            acc[c] = if FMA {
-                _mm256_fmadd_ps(xv, wv, acc[c])
-            } else {
-                _mm256_add_ps(acc[c], _mm256_mul_ps(xv, wv))
-            };
+    for p in 0..k {
+        let bp = b.add(p * ldb);
+        let mut bv = [_mm256_setzero_ps(); NV];
+        for v in 0..NV {
+            bv[v] = _mm256_loadu_ps(bp.add(v * LANES));
         }
-        i += LANES;
+        let ap = a.add(p * a_ks);
+        for i in 0..MR {
+            let av = _mm256_set1_ps(*ap.add(i * a_rs));
+            for v in 0..NV {
+                acc[i][v] = madd::<FMA>(acc[i][v], av, bv[v]);
+            }
+        }
     }
-    let mut out = [0f32; 4];
-    for c in 0..4 {
-        let mut lanes = [0f32; LANES];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc[c]);
-        scalar::dot_tail(&mut lanes, x, w[c], i, FMA);
-        out[c] = scalar::sum8(lanes);
+    for i in 0..MR {
+        for v in 0..NV {
+            _mm256_storeu_ps(c.add(i * ldc + v * LANES), acc[i][v]);
+        }
     }
-    out
+}
+
+/// One k-panel of one `NV`·8-column strip of `B`, copied out so every
+/// row tile reads it contiguous and cache-line aligned: walked in place,
+/// `k` rows of a wide `B` alias into a few L1 sets and half the
+/// unaligned vector loads split a line.
+#[repr(align(64))]
+struct PackedStrip([f32; GEMM_KC * scalar::GEMM_NR]);
+
+/// All row tiles of one `NV`·8-column strip of `C` over one k-panel.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+// SAFETY: as [`tile`], for an `m`-row strip; `packed` is writable
+// scratch of one [`PackedStrip`], `k` ≤ [`GEMM_KC`].
+unsafe fn strip<const FMA: bool, const NV: usize>(
+    m: usize,
+    k: usize,
+    a: *const f32,
+    a_rs: usize,
+    a_ks: usize,
+    mut b: *const f32,
+    mut ldb: usize,
+    c: *mut f32,
+    ldc: usize,
+    resume: bool,
+    packed: *mut f32,
+) {
+    if m > PACK_MIN_ROWS {
+        for p in 0..k {
+            for v in 0..NV {
+                let row = _mm256_loadu_ps(b.add(p * ldb + v * LANES));
+                _mm256_store_ps(packed.add((p * NV + v) * LANES), row);
+            }
+        }
+        (b, ldb) = (packed, NV * LANES);
+    }
+    let mut i = 0;
+    while i + scalar::GEMM_MR <= m {
+        tile::<FMA, 4, NV>(k, a.add(i * a_rs), a_rs, a_ks, b, ldb, c.add(i * ldc), ldc, resume);
+        i += scalar::GEMM_MR;
+    }
+    let (a, c) = (a.add(i * a_rs), c.add(i * ldc));
+    match m - i {
+        3 => tile::<FMA, 3, NV>(k, a, a_rs, a_ks, b, ldb, c, ldc, resume),
+        2 => tile::<FMA, 2, NV>(k, a, a_rs, a_ks, b, ldb, c, ldc, resume),
+        1 => tile::<FMA, 1, NV>(k, a, a_rs, a_ks, b, ldb, c, ldc, resume),
+        _ => {}
+    }
+}
+
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+// SAFETY: `inline(always)` helper with no feature gate of its own — must
+// only be inlined into a `target_feature(avx2[,fma])` caller. Operand
+// bounds are [`gemm`]'s.
+unsafe fn gemm_body<const FMA: bool>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_ks: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    let wide = n - n % LANES;
+    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    let mut packed = std::mem::MaybeUninit::<PackedStrip>::uninit();
+    let pk = std::ptr::addr_of_mut!((*packed.as_mut_ptr()).0) as *mut f32;
+    let mut p0 = 0;
+    while p0 < k {
+        let kc = GEMM_KC.min(k - p0);
+        let (ap, bp) = (ap.add(p0 * a_ks), bp.add(p0 * ldb));
+        let mut j = 0;
+        while j + scalar::GEMM_NR <= wide {
+            strip::<FMA, 2>(m, kc, ap, a_rs, a_ks, bp.add(j), ldb, cp.add(j), ldc, p0 > 0, pk);
+            j += scalar::GEMM_NR;
+        }
+        if j < wide {
+            strip::<FMA, 1>(m, kc, ap, a_rs, a_ks, bp.add(j), ldb, cp.add(j), ldc, p0 > 0, pk);
+        }
+        p0 += kc;
+    }
+    // Columns past the last full vector: the scalar tile kernel.
+    if wide < n {
+        scalar::gemm(m, n - wide, k, a, a_rs, a_ks, &b[wide..], ldb, &mut c[wide..], ldc, FMA);
+    }
 }
 
 #[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
 // SAFETY: gated on the `target_feature` above — the caller must ensure the
 // CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
-unsafe fn dot4_plain(x: &[f32], w: [&[f32]; 4]) -> [f32; 4] {
-    dot4_body::<false>(x, w)
+unsafe fn gemm_plain(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_ks: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    gemm_body::<false>(m, n, k, a, a_rs, a_ks, b, ldb, c, ldc)
 }
 
 #[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
 // SAFETY: gated on the `target_feature` above — the caller must ensure the
 // CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
-unsafe fn dot4_fma(x: &[f32], w: [&[f32]; 4]) -> [f32; 4] {
-    dot4_body::<true>(x, w)
+unsafe fn gemm_fma(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_ks: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    gemm_body::<true>(m, n, k, a, a_rs, a_ks, b, ldb, c, ldc)
 }
 
-/// Four dot products sharing each load of `x`.
+/// `C = A·B` on the register tile kernel; numerics match
+/// [`scalar::gemm`], whose operand layout and bounds this shares
+/// (`m`, `n`, `k` ≥ 1, checked by `super::gemm`).
+#[allow(clippy::too_many_arguments)]
 // SAFETY: forwards to `target_feature` kernels — the caller must ensure
-// AVX2 (and FMA when `fma` is true) support, as `super::backend()` does.
-pub unsafe fn dot4(x: &[f32], w: [&[f32]; 4], fma: bool) -> [f32; 4] {
-    if fma { dot4_fma(x, w) } else { dot4_plain(x, w) }
+// AVX2 (and FMA when `fma` is true) support, as `super::backend()` does,
+// and that the slices cover the strided operands, as `super::gemm` does.
+pub unsafe fn gemm(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_ks: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    fma: bool,
+) {
+    if fma {
+        gemm_fma(m, n, k, a, a_rs, a_ks, b, ldb, c, ldc)
+    } else {
+        gemm_plain(m, n, k, a, a_rs, a_ks, b, ldb, c, ldc)
+    }
+}
+
+/// One `MR`×`NC` tile of `C = A·Bᵀ`: the canonical 8-lane dot shape with
+/// `MR·NC` outputs' lane accumulators live at once, so each vector of
+/// `A` is loaded once per `NC` outputs and each vector of `B` once per
+/// `MR`. Every output then finishes exactly like [`scalar::dot`]: shared
+/// tail into the low lanes, [`scalar::sum8`] tree.
+#[inline(always)]
+// SAFETY: `inline(always)` helper with no feature gate of its own — must
+// only be inlined into a `target_feature(avx2[,fma])` caller. The caller
+// guarantees `a`/`b` address `MR`/`NC` rows of `k` floats and `c` an
+// `MR`×`NC` block at the given strides.
+unsafe fn dot_tile<const FMA: bool, const MR: usize, const NC: usize>(
+    k: usize,
+    a: *const f32,
+    lda: usize,
+    b: *const f32,
+    ldb: usize,
+    c: *mut f32,
+    ldc: usize,
+) {
+    let mut acc = [[_mm256_setzero_ps(); NC]; MR];
+    let body = k - k % LANES;
+    let mut p = 0;
+    while p < body {
+        let mut xv = [_mm256_setzero_ps(); MR];
+        for i in 0..MR {
+            xv[i] = _mm256_loadu_ps(a.add(i * lda + p));
+        }
+        for j in 0..NC {
+            let wv = _mm256_loadu_ps(b.add(j * ldb + p));
+            for i in 0..MR {
+                acc[i][j] = madd::<FMA>(acc[i][j], xv[i], wv);
+            }
+        }
+        p += LANES;
+    }
+    for i in 0..MR {
+        let x_tail = std::slice::from_raw_parts(a.add(i * lda + body), k - body);
+        for j in 0..NC {
+            let w_tail = std::slice::from_raw_parts(b.add(j * ldb + body), k - body);
+            let mut lanes = [0f32; LANES];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), acc[i][j]);
+            scalar::dot_tail(&mut lanes, x_tail, w_tail, FMA);
+            *c.add(i * ldc + j) = scalar::sum8(lanes);
+        }
+    }
+}
+
+/// The `A` row tiles of one block against `NC` rows of `B`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+// SAFETY: as [`dot_tile`], for an `m`-row block.
+unsafe fn dot_rows<const FMA: bool, const NC: usize>(
+    m: usize,
+    k: usize,
+    a: *const f32,
+    lda: usize,
+    b: *const f32,
+    ldb: usize,
+    c: *mut f32,
+    ldc: usize,
+) {
+    let mut i = 0;
+    while i + NT_MR <= m {
+        dot_tile::<FMA, 4, NC>(k, a.add(i * lda), lda, b, ldb, c.add(i * ldc), ldc);
+        i += NT_MR;
+    }
+    let (a, c) = (a.add(i * lda), c.add(i * ldc));
+    match m - i {
+        3 => dot_tile::<FMA, 3, NC>(k, a, lda, b, ldb, c, ldc),
+        2 => dot_tile::<FMA, 2, NC>(k, a, lda, b, ldb, c, ldc),
+        1 => dot_tile::<FMA, 1, NC>(k, a, lda, b, ldb, c, ldc),
+        _ => {}
+    }
+}
+
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+// SAFETY: `inline(always)` helper with no feature gate of its own — must
+// only be inlined into a `target_feature(avx2[,fma])` caller. Operand
+// bounds are [`gemm_nt`]'s.
+unsafe fn gemm_nt_body<const FMA: bool>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    let block = (NT_BLOCK_BYTES / (4 * k) / NT_MR).max(1) * NT_MR;
+    let mut i0 = 0;
+    while i0 < m {
+        let rows = block.min(m - i0);
+        let (ap, cp) = (ap.add(i0 * lda), cp.add(i0 * ldc));
+        let mut j = 0;
+        while j + NT_NC <= n {
+            dot_rows::<FMA, 2>(rows, k, ap, lda, bp.add(j * ldb), ldb, cp.add(j), ldc);
+            j += NT_NC;
+        }
+        if j < n {
+            dot_rows::<FMA, 1>(rows, k, ap, lda, bp.add(j * ldb), ldb, cp.add(j), ldc);
+        }
+        i0 += rows;
+    }
+}
+
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+// SAFETY: gated on the `target_feature` above — the caller must ensure the
+// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
+unsafe fn gemm_nt_plain(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    gemm_nt_body::<false>(m, n, k, a, lda, b, ldb, c, ldc)
+}
+
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+// SAFETY: gated on the `target_feature` above — the caller must ensure the
+// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
+unsafe fn gemm_nt_fma(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    gemm_nt_body::<true>(m, n, k, a, lda, b, ldb, c, ldc)
+}
+
+/// `C = A·Bᵀ` on the dot tile kernel; numerics match
+/// [`scalar::gemm_nt`], whose operand layout and bounds this shares
+/// (`m`, `n`, `k` ≥ 1, checked by `super::gemm_nt`).
+#[allow(clippy::too_many_arguments)]
+// SAFETY: forwards to `target_feature` kernels — the caller must ensure
+// AVX2 (and FMA when `fma` is true) support, as `super::backend()` does,
+// and that the slices cover the strided operands, as `super::gemm_nt` does.
+pub unsafe fn gemm_nt(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    fma: bool,
+) {
+    if fma {
+        gemm_nt_fma(m, n, k, a, lda, b, ldb, c, ldc)
+    } else {
+        gemm_nt_plain(m, n, k, a, lda, b, ldb, c, ldc)
+    }
 }
 
 /// Canonical 8-lane sum.
@@ -399,19 +608,24 @@ unsafe fn exp_approx_v(z: __m256) -> __m256 {
 }
 
 /// Elementwise in-place `x[i] = e^{x[i]}`, mirror of [`scalar::exp`]
-/// (same ±87 clamp, same polynomial, plain mul/add).
+/// (same upper clamp, same polynomial, plain mul/add, and the same exact
+/// `+0.0` below the lower clamp via compare + and-not).
 #[target_feature(enable = "avx2")]
 // SAFETY: gated on the `target_feature` above — the caller must ensure the
 // CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
 pub unsafe fn exp(x: &mut [f32]) {
     let n = x.len();
     let p = x.as_mut_ptr();
-    let clamp = _mm256_set1_ps(87.0);
-    let nclamp = _mm256_sub_ps(_mm256_setzero_ps(), clamp);
+    let clamp = _mm256_set1_ps(scalar::EXP_CLAMP);
+    let nclamp = _mm256_set1_ps(-scalar::EXP_CLAMP);
     let mut i = 0;
     while i + LANES <= n {
-        let z = _mm256_max_ps(_mm256_min_ps(_mm256_loadu_ps(p.add(i)), clamp), nclamp);
-        _mm256_storeu_ps(p.add(i), exp_approx_v(z));
+        let z = _mm256_loadu_ps(p.add(i));
+        let below = _mm256_cmp_ps::<_CMP_LT_OQ>(z, nclamp);
+        // The lower clamp only keeps `exp_approx_v` in range for lanes
+        // the and-not then zeroes.
+        let e = exp_approx_v(_mm256_max_ps(_mm256_min_ps(z, clamp), nclamp));
+        _mm256_storeu_ps(p.add(i), _mm256_andnot_ps(below, e));
         i += LANES;
     }
     scalar::exp(&mut x[i..]);

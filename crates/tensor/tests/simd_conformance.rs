@@ -21,6 +21,7 @@
 //! they are compared against are covered by the unit tests in-crate).
 #![cfg(not(miri))]
 
+use proptest::prelude::*;
 use zi_sync::{Mutex, OnceLock};
 
 use zi_tensor::f16::F16;
@@ -200,9 +201,10 @@ fn bits(t: &Tensor) -> Vec<u32> {
 
 #[test]
 fn matmul_variants_are_bit_identical_across_backends() {
-    // Odd sizes exercise every vector tail; the larger case crosses the
-    // parallel-dispatch threshold and the k-panelling path.
-    for (m, k, n) in [(3, 5, 7), (17, 33, 29), (64, 96, 80)] {
+    // Odd sizes exercise every edge tile and vector tail; (64, 96, 80)
+    // crosses the parallel-dispatch threshold and the strip-packing row
+    // count, (9, 300, 40) the k-panel of the AVX2 driver.
+    for (m, k, n) in [(3, 5, 7), (17, 33, 29), (64, 96, 80), (9, 300, 40)] {
         let a = Tensor::from_vec(&[m, k], lcg_f32s(m * k, 11)).unwrap();
         let b = Tensor::from_vec(&[k, n], lcg_f32s(k * n, 22)).unwrap();
         let bt = Tensor::from_vec(&[n, k], lcg_f32s(n * k, 33)).unwrap();
@@ -216,9 +218,164 @@ fn matmul_variants_are_bit_identical_across_backends() {
         assert_backend_bit_identity(&format!("matmul_tn {m}x{k}x{n}"), || {
             bits(&ops::matmul_tn(&am, &b).unwrap())
         });
-        assert_backend_bit_identity(&format!("matmul_blocked {m}x{k}x{n}"), || {
-            bits(&ops::matmul_blocked(&a, &b).unwrap())
-        });
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Satellite: the GEMM tile kernels against the canonical row algorithm.
+
+/// `acc + a·b`, fused under the FMA knob: the update of every GEMM
+/// element, written out here so the reference shares no code with the
+/// kernels under test.
+fn ref_madd(acc: f32, a: f32, b: f32, fma: bool) -> f32 {
+    if fma { a.mul_add(b, acc) } else { acc + a * b }
+}
+
+/// The canonical row algorithm of `C = A·B`: each output row starts at
+/// zero and takes one k-sequential pass per row of `B`.
+#[allow(clippy::too_many_arguments)]
+fn ref_gemm(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_ks: usize,
+    b: &[f32],
+    ldb: usize,
+    fma: bool,
+) -> Vec<u32> {
+    let mut out = vec![0f32; m * n];
+    for i in 0..m {
+        for p in 0..k {
+            let av = a[i * a_rs + p * a_ks];
+            for j in 0..n {
+                out[i * n + j] = ref_madd(out[i * n + j], av, b[p * ldb + j], fma);
+            }
+        }
+    }
+    out.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The canonical dot of `C = A·Bᵀ`: element `p` accumulates into lane
+/// `p % 8`, the lanes collapse with the fixed `sum8` tree.
+#[allow(clippy::too_many_arguments)]
+fn ref_gemm_nt(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    fma: bool,
+) -> Vec<u32> {
+    let mut out = Vec::with_capacity(m * n);
+    for i in 0..m {
+        for j in 0..n {
+            let mut l = [0f32; 8];
+            for p in 0..k {
+                l[p % 8] = ref_madd(l[p % 8], a[i * lda + p], b[j * ldb + p], fma);
+            }
+            let sum = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
+            out.push(sum.to_bits());
+        }
+    }
+    out
+}
+
+/// A `rows`×`cols` matrix stored with leading dimension `ld`, the gap
+/// columns filled with NaN so a kernel that strays outside its view
+/// poisons its output.
+fn padded(rows: usize, cols: usize, ld: usize, seed: u64) -> Vec<f32> {
+    let vals = lcg_f32s(rows * cols, seed);
+    let mut out = vec![f32::NAN; rows * ld];
+    for r in 0..rows {
+        out[r * ld..r * ld + cols].copy_from_slice(&vals[r * cols..(r + 1) * cols]);
+    }
+    out
+}
+
+/// The `m`×`n` block of a padded output as bits, after checking that the
+/// gap columns still hold the sentinel they were filled with.
+fn unpad(c: &[f32], m: usize, n: usize, ldc: usize) -> Vec<u32> {
+    for (i, v) in c.iter().enumerate() {
+        let inside = i % ldc < n;
+        assert!(inside || v.to_bits() == SENTINEL.to_bits(), "wrote outside the C view at {i}");
+    }
+    (0..m).flat_map(|i| c[i * ldc..i * ldc + n].iter().map(|v| v.to_bits())).collect()
+}
+
+const SENTINEL: f32 = -12345.0;
+
+/// Tile, vector, strip-packing and edge boundaries of the kernels.
+const DIMS: [usize; 13] = [0, 1, 3, 4, 5, 15, 16, 17, 31, 63, 64, 65, 130];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every GEMM variant, on strided views with leading dimensions
+    /// larger than the width, equals the canonical row algorithm bit for
+    /// bit — under forced-scalar and auto dispatch, in both FMA states —
+    /// and the pool-split `ops` entry points equal the one-call kernel.
+    #[test]
+    fn gemm_variants_match_the_canonical_row_algorithm(
+        mi in 0usize..13,
+        ni in 0usize..13,
+        ki in 0usize..13,
+        pad in 1usize..4,
+        seed in 0u64..1000,
+    ) {
+        let (m, n, k) = (DIMS[mi], DIMS[ni], DIMS[ki]);
+        let (lda, ldb, ldbt, ldat, ldc) = (k + pad, n + 2 * pad, k + 3 * pad, m + pad, n + pad);
+        let a = padded(m, k, lda, seed);
+        let b = padded(k, n, ldb, seed + 1);
+        let bt = padded(n, k, ldbt, seed + 2);
+        let at = padded(k, m, ldat, seed + 3);
+        for fma in [false, true] {
+            let want_nn = ref_gemm(m, n, k, &a, lda, 1, &b, ldb, fma);
+            let want_tn = ref_gemm(m, n, k, &at, 1, ldat, &b, ldb, fma);
+            let want_nt = ref_gemm_nt(m, n, k, &a, lda, &bt, ldbt, fma);
+            for backend in [Some(Backend::Scalar), None] {
+                let (nn, tn, nt) = with_backend(backend, Some(fma), || {
+                    let mut c = vec![SENTINEL; m * ldc];
+                    simd::gemm(m, n, k, &a, lda, 1, &b, ldb, &mut c, ldc);
+                    let nn = unpad(&c, m, n, ldc);
+                    c.fill(SENTINEL);
+                    simd::gemm(m, n, k, &at, 1, ldat, &b, ldb, &mut c, ldc);
+                    let tn = unpad(&c, m, n, ldc);
+                    c.fill(SENTINEL);
+                    simd::gemm_nt(m, n, k, &a, lda, &bt, ldbt, &mut c, ldc);
+                    (nn, tn, unpad(&c, m, n, ldc))
+                });
+                let tag = format!("{m}x{n}x{k} {backend:?} fma={fma}");
+                prop_assert_eq!(&nn, &want_nn, "gemm {}", tag);
+                prop_assert_eq!(&tn, &want_tn, "gemm, transposed A {}", tag);
+                prop_assert_eq!(&nt, &want_nt, "gemm_nt {}", tag);
+            }
+            // The tensor entry points hand one row range to each pool
+            // thread; the bytes must not depend on the split. (`Tensor`
+            // has no zero-width matrices: `as_2d` divides by the width.)
+            if m * n * k == 0 {
+                continue;
+            }
+            let dense = |rows: usize, cols: usize, src: &[f32], ld: usize| {
+                let data = (0..rows).flat_map(|r| src[r * ld..r * ld + cols].to_vec()).collect();
+                Tensor::from_vec(&[rows, cols], data).unwrap()
+            };
+            let (ta, tb) = (dense(m, k, &a, lda), dense(k, n, &b, ldb));
+            let (tbt, tat) = (dense(n, k, &bt, ldbt), dense(k, m, &at, ldat));
+            let (nn, nt, tn) = with_backend(None, Some(fma), || {
+                (
+                    bits(&ops::matmul(&ta, &tb).unwrap()),
+                    bits(&ops::matmul_nt(&ta, &tbt).unwrap()),
+                    bits(&ops::matmul_tn(&tat, &tb).unwrap()),
+                )
+            });
+            prop_assert_eq!(&nn, &want_nn, "matmul {}x{}x{} fma={}", m, n, k, fma);
+            prop_assert_eq!(&nt, &want_nt, "matmul_nt {}x{}x{} fma={}", m, n, k, fma);
+            prop_assert_eq!(&tn, &want_tn, "matmul_tn {}x{}x{} fma={}", m, n, k, fma);
+        }
     }
 }
 
@@ -292,33 +449,42 @@ fn adam_chunk_is_bit_identical_across_backends() {
 
 #[test]
 fn microkernels_are_bit_identical_across_backends() {
-    let x = lcg_f32s(133, 3);
-    let w = lcg_f32s(133, 4);
-    let w2 = lcg_f32s(133, 5);
-    let w3 = lcg_f32s(133, 6);
-    let w4 = lcg_f32s(133, 7);
-    assert_backend_bit_identity("dot", || simd::dot(&x, &w).to_bits());
-    assert_backend_bit_identity("dot4", || {
-        simd::dot4(&x, [&w, &w2, &w3, &w4]).map(f32::to_bits)
+    // The kernel entry points themselves, below the `ops` wrappers: a
+    // 133-long dot (16 vector steps + a 5-element tail) alone and as a
+    // 5×7 tile block, a strided 5×37 `C = A·B` (full, half and scalar
+    // column tiles; one full and one edge row tile) read as `A` and as
+    // `Aᵀ`, and the lane sum.
+    let x = lcg_f32s(5 * 140, 3);
+    let w = lcg_f32s(7 * 150, 4);
+    assert_backend_bit_identity("dot", || {
+        let mut c = [0f32; 1];
+        simd::gemm_nt(1, 1, 133, &x, 140, &w, 150, &mut c, 1);
+        c[0].to_bits()
     });
-    assert_backend_bit_identity("vec_sum", || simd::vec_sum(&x).to_bits());
-    assert_backend_bit_identity("axpy", || {
-        let mut acc = w.clone();
-        simd::axpy(&mut acc, 1.37, &x);
-        acc.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    assert_backend_bit_identity("dot tiles", || {
+        let mut c = vec![0f32; 5 * 9];
+        simd::gemm_nt(5, 7, 133, &x, 140, &w, 150, &mut c, 9);
+        c.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
     });
-    assert_backend_bit_identity("axpy4", || {
-        let mut acc = x.clone();
-        simd::axpy4(&mut acc, [0.5, -1.25, 2.0, 0.125], [&w, &w2, &w3, &w4]);
-        acc.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    assert_backend_bit_identity("vec_sum", || simd::vec_sum(&x[..133]).to_bits());
+    let b = lcg_f32s(133 * 40, 5);
+    assert_backend_bit_identity("tile", || {
+        let mut c = vec![0f32; 5 * 41];
+        simd::gemm(5, 37, 133, &x, 140, 1, &b, 40, &mut c, 41);
+        c.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    });
+    assert_backend_bit_identity("tile, transposed A", || {
+        let mut c = vec![0f32; 5 * 41];
+        simd::gemm(5, 37, 133, &w, 1, 7, &b, 40, &mut c, 41);
+        c.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
     });
 }
 
 #[test]
 fn exp_slice_is_bit_identical_across_backends() {
     // Odd length exercises the vector tail; the catalogue covers both
-    // clamp edges, the subnormal-adjacent floor, zeros, and ±inf (which
-    // clamp to ±87 like the min/max lane ops define).
+    // clamp edges, the subnormal-adjacent floor, zeros, +inf (clamps to
+    // 87 like the min lane op defines) and the exact-zero side below −87.
     let mut x = lcg_f32s(203, 13);
     x.extend([
         0.0,
@@ -333,7 +499,7 @@ fn exp_slice_is_bit_identical_across_backends() {
         -100.0,
         f32::INFINITY,
         f32::NEG_INFINITY,
-        -87.33, // past the natural f32 underflow point, inside the clamp
+        -87.33, // past the natural f32 underflow point: exactly zero
         17.3,
         -45.6,
     ]);
@@ -349,6 +515,40 @@ fn exp_slice_is_bit_identical_across_backends() {
     assert_eq!(probe[0], 1.0);
     assert!((probe[1] - std::f32::consts::E).abs() < 1e-5);
     assert!((probe[2] - 1.0 / std::f32::consts::E).abs() < 1e-6);
+}
+
+#[test]
+fn masked_logits_become_exact_zeros_never_subnormals() {
+    // Below the clamp the exp kernel returns +0.0, not e^-87: the floor
+    // would turn subnormal as soon as softmax divides it by a row sum
+    // above 1.4. 19 columns put masked entries in the vector body and in
+    // the scalar tail.
+    let n = 19;
+    let mut row: Vec<f32> = (0..n).map(|j| (j as f32 * 0.37).sin() * 3.0).collect();
+    let masked = [2usize, 9, 10, 17, 18];
+    for (t, &j) in masked.iter().enumerate() {
+        row[j] = if t % 2 == 0 { f32::NEG_INFINITY } else { -1e9 };
+    }
+    let logits = Tensor::from_vec(&[1, n], row).unwrap();
+    for backend in [Some(Backend::Scalar), None] {
+        let p = with_backend(backend, None, || {
+            let mut p = logits.clone();
+            ops::softmax_rows(&mut p);
+            p
+        });
+        for (j, v) in p.data().iter().enumerate() {
+            assert!(!v.is_subnormal(), "{backend:?}: p[{j}] = {v:e} is subnormal");
+            assert_eq!(masked.contains(&j), v.to_bits() == 0, "{backend:?}: p[{j}] = {v:e}");
+        }
+        let (_, grad) =
+            with_backend(backend, None, || ops::cross_entropy(&logits, &[0]).unwrap());
+        assert!(grad.data().iter().all(|g| !g.is_subnormal()), "{backend:?}: subnormal in dlogits");
+    }
+    assert_backend_bit_identity("masked softmax", || {
+        let mut p = logits.clone();
+        ops::softmax_rows(&mut p);
+        bits(&p)
+    });
 }
 
 #[test]
@@ -375,8 +575,12 @@ fn fma_knob_defaults_to_bit_identical_canonical_path() {
     // match the explicit fma=false path: FMA contraction is opt-in.
     let x = lcg_f32s(97, 8);
     let w = lcg_f32s(97, 9);
-    let default_auto = with_backend(None, None, || simd::dot(&x, &w).to_bits());
-    let plain_scalar =
-        with_backend(Some(Backend::Scalar), Some(false), || simd::dot(&x, &w).to_bits());
+    let dot = || {
+        let mut c = [0f32; 1];
+        simd::gemm_nt(1, 1, 97, &x, 97, &w, 97, &mut c, 1);
+        c[0].to_bits()
+    };
+    let default_auto = with_backend(None, None, dot);
+    let plain_scalar = with_backend(Some(Backend::Scalar), Some(false), dot);
     assert_eq!(default_auto, plain_scalar, "default dispatch must be the unfused canonical path");
 }

@@ -107,23 +107,27 @@ timeout --kill-after=10s 300s \
     || { echo "adaptive stage failed: controller regressed from its start (exit $?)"; exit 1; }
 test -s "$TRACE_DIR/BENCH_adaptive.json" || { echo "adaptive stage wrote no report"; exit 1; }
 # Kernels stage: SIMD layer smoke. kernels_report --quick times every
-# dispatched kernel under forced-scalar and auto and exits nonzero if
-# a detected SIMD backend lost to scalar (dispatch regression); then
-# the tensor/optim unit suites re-run with the scalar fallback forced,
-# so the portable path keeps full coverage even on AVX2 machines.
+# dispatched kernel — the GEMM tile kernels at the square probe and at
+# the shapes the benchmark models run them at — under forced-scalar and
+# auto and exits nonzero if a detected SIMD backend lost to scalar
+# (dispatch regression); then the tensor/optim/model unit suites re-run
+# with the scalar fallback forced, so the portable tile kernels and the
+# causal attention built on them keep full coverage even on AVX2
+# machines.
 timeout --kill-after=10s 300s \
     cargo run -q --release -p zi-bench --bin kernels_report -- \
     "$TRACE_DIR/BENCH_kernels.json" --quick \
     || { echo "kernels stage failed: SIMD slower than scalar (exit $?)"; exit 1; }
 test -s "$TRACE_DIR/BENCH_kernels.json" || { echo "kernels stage wrote no report"; exit 1; }
-ZI_SIMD=scalar cargo test -q -p zi-tensor -p zi-optim \
+ZI_SIMD=scalar cargo test -q -p zi-tensor -p zi-optim -p zi-model \
     || { echo "scalar-forced unit suites failed"; exit 1; }
 # Parallel-pool pass: the kernel worker pool defaults to a single
-# thread under test, so the tiled fan-out/claim/completion path in
-# zi-tensor::pool only runs when ZI_KERNEL_THREADS forces it. One more
-# unit-suite run with two workers keeps that path covered by every
-# tensor/optim test, not just the pool's own.
-ZI_KERNEL_THREADS=2 cargo test -q -p zi-tensor -p zi-optim \
+# thread under test, so the per-thread row-range split of the GEMM entry
+# points and the claim/completion path in zi-tensor::pool only run when
+# ZI_KERNEL_THREADS forces them. One more unit-suite run with two
+# workers keeps that path covered by every tensor/optim/model test, not
+# just the pool's own.
+ZI_KERNEL_THREADS=2 cargo test -q -p zi-tensor -p zi-optim -p zi-model \
     || { echo "parallel-pool unit suites failed"; exit 1; }
 # Tiering stage: multi-path placement bench in quick mode. Must run in
 # release: under the debug profile compute (CRC, Adam, memcpy) dominates
