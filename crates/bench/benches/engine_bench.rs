@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use zero_infinity::{Strategy, TiledLinear, ZeroEngine};
-use zero_infinity::{trainer::synthetic_batch, NodeResources};
+use zero_infinity::{trainer::synthetic_batch, NodeEnv, NodeResources};
 use zi_memory::NodeMemorySpec;
 use zi_model::{GptConfig, GptModel, ParamRegistry, RunOptions};
 use zi_nvme::{FileBackend, MemBackend, StorageBackend, ThrottledBackend};
@@ -80,7 +80,7 @@ fn bench_prefetch(c: &mut Criterion) {
                 500e6,
                 Duration::from_micros(200),
             )) as Arc<dyn StorageBackend>;
-            let node = NodeResources::with_backend(&spec, 1, backend);
+            let node = NodeResources::new(&spec, 1, NodeEnv::new(backend));
             let model = GptModel::new(model_cfg());
             let mut engine = ZeroEngine::new(
                 model.registry(),
@@ -168,7 +168,7 @@ fn bench_prefetch_depth(c: &mut Criterion) {
                 500e6,
                 Duration::from_micros(200),
             )) as Arc<dyn StorageBackend>;
-            let node = NodeResources::with_backend(&spec, 1, backend);
+            let node = NodeResources::new(&spec, 1, NodeEnv::new(backend));
             let model = GptModel::new(model_cfg());
             let mut engine = ZeroEngine::new(
                 model.registry(),
@@ -210,7 +210,7 @@ fn bench_optimizer_chunking(c: &mut Criterion) {
                 2e9,
                 Duration::from_micros(100),
             )) as Arc<dyn StorageBackend>;
-            let node = NodeResources::with_backend(&spec, 1, backend);
+            let node = NodeResources::new(&spec, 1, NodeEnv::new(backend));
             let mut reg = ParamRegistry::new();
             let id = reg.register("big", &[NUMEL], 3, 0.1, 0.0);
             let mut engine = ZeroEngine::new(
@@ -254,7 +254,7 @@ fn bench_step_pipeline(c: &mut Criterion) {
                 2e9,
                 Duration::from_micros(100),
             )) as Arc<dyn StorageBackend>;
-            let node = NodeResources::with_backend(&spec, 1, backend);
+            let node = NodeResources::new(&spec, 1, NodeEnv::new(backend));
             let mut reg = ParamRegistry::new();
             let id = reg.register("big", &[NUMEL], 3, 0.1, 0.0);
             let mut engine = ZeroEngine::new(

@@ -20,7 +20,7 @@ use zi_sync::Arc;
 use std::time::{Duration, Instant};
 
 use zero_infinity::trainer::synthetic_batch;
-use zero_infinity::{NodeResources, Strategy, TelemetryCursor, ZeroEngine};
+use zero_infinity::{NodeEnv, NodeResources, Strategy, TelemetryCursor, ZeroEngine};
 use zi_adapt::{AdaptiveController, ControllerConfig, KnobBounds, Knobs};
 use zi_bench::report::{hrow, row, section, write_json_report, Json};
 use zi_memory::NodeMemorySpec;
@@ -101,7 +101,7 @@ impl Rig {
             }
         };
         let spec = NodeMemorySpec::test_spec(1, 1 << 24, 1 << 26, 1 << 26);
-        let node = NodeResources::with_backend(&spec, 1, backend);
+        let node = NodeResources::new(&spec, 1, NodeEnv::new(backend));
         let model = GptModel::new(model_cfg());
         let engine = ZeroEngine::new(
             model.registry(),

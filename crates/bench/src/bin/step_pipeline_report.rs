@@ -14,7 +14,7 @@
 use zi_sync::Arc;
 use std::time::{Duration, Instant};
 
-use zero_infinity::{NodeResources, Strategy, ZeroEngine};
+use zero_infinity::{NodeEnv, NodeResources, Strategy, ZeroEngine};
 use zi_bench::report::{hrow, row, section, write_json_report, Json};
 use zi_memory::NodeMemorySpec;
 use zi_model::{ParamRegistry, ParamStore};
@@ -49,7 +49,7 @@ fn run_depth(depth: usize) -> DepthResult {
         NVME_BYTES_PER_SEC,
         NVME_LATENCY,
     )) as Arc<dyn StorageBackend>;
-    let node = NodeResources::with_backend(&spec, 1, backend);
+    let node = NodeResources::new(&spec, 1, NodeEnv::new(backend));
     let mut reg = ParamRegistry::new();
     let id = reg.register("big", &[NUMEL], 3, 0.1, 0.0);
     let mut engine = ZeroEngine::new(

@@ -8,17 +8,18 @@
 
 use std::collections::HashMap;
 
+use zi_memory::PlacementPolicy;
 use zi_model::ActivationStore;
 use zi_tensor::{FlatBuffer, Tensor};
 use zi_types::{DType, Device, Error, Result};
 
-use crate::offload::{DeviceBuf, OffloadManager};
+use crate::offload::{OffloadManager, PlacedBuf};
 
-/// Activation store backed by CPU (or any tier's) device buffers.
+/// Activation store backed by CPU (or any tier's) placed buffers.
 pub struct OffloadActStore {
     mgr: OffloadManager,
     device: Device,
-    slots: HashMap<usize, (Vec<usize>, DeviceBuf)>,
+    slots: HashMap<usize, (Vec<usize>, PlacedBuf)>,
     /// Total bytes written over the store's lifetime.
     bytes_saved: u64,
     /// Total bytes read back.
@@ -51,7 +52,7 @@ impl OffloadActStore {
     /// Free any checkpoints left over (e.g. after an aborted step).
     pub fn clear(&mut self) {
         for (_, (_, buf)) in self.slots.drain() {
-            self.mgr.free(buf);
+            self.mgr.free_placed(buf);
         }
     }
 }
@@ -70,7 +71,7 @@ impl ActivationStore for OffloadActStore {
         let shape = t.shape().to_vec();
         let buf = FlatBuffer::from_f32(DType::F32, t.data());
         self.bytes_saved += buf.size_in_bytes() as u64;
-        let stored = self.mgr.store(self.device, buf)?;
+        let stored = self.mgr.store_placed(self.device, &PlacementPolicy::all_nvme(), buf)?;
         self.slots.insert(key, (shape, stored));
         Ok(())
     }
@@ -80,9 +81,8 @@ impl ActivationStore for OffloadActStore {
             .slots
             .remove(&key)
             .ok_or_else(|| Error::Internal(format!("activation {key} not offloaded")))?;
-        let data = self.mgr.load(&buf)?;
+        let data = self.mgr.take_placed(buf)?;
         self.bytes_loaded += data.size_in_bytes() as u64;
-        self.mgr.free(buf);
         Tensor::from_vec(&shape, data.to_f32_vec())
     }
 }

@@ -1,5 +1,6 @@
 //! Strategy and placement configuration (paper Table 2).
 
+use zi_adapt::Knobs;
 use zi_types::{DType, DeviceKind};
 
 /// Streams the chunked optimizer step moves per chunk: fp32 master,
@@ -48,32 +49,19 @@ pub struct Strategy {
     pub param_dtype: DType,
     /// Enable the dynamic prefetcher (Sec. 6.2).
     pub prefetch: bool,
-    /// Parameters prefetched ahead of the current trace position by the
-    /// dynamic prefetcher (Sec. 6.2). Ignored when `prefetch` is off.
-    pub prefetch_window: usize,
     /// Elements per chunk when streaming optimizer state through CPU
     /// memory during the step (Sec. 5.2.2); `usize::MAX` = monolithic.
     pub optimizer_chunk: usize,
-    /// Optimizer-step pipeline depth (Sec. 5.2.2 + 6.2 overlap-centric
-    /// design): how many chunks may have their NVMe→CPU reads in flight
-    /// at once while earlier chunks update and write back. Depth 1 is the
-    /// fully sequential read→update→write loop.
-    pub step_pipeline_depth: usize,
-    /// Bound on in-flight write-behind requests during the streamed
-    /// optimizer step. `0` means *auto*: follow the pipeline depth
-    /// (four writes per in-flight chunk: master, m, v and the published
-    /// parameter). Nonzero values pin the window
-    /// independently of depth — the adaptive controller tunes this to
-    /// keep deferred writes from crowding latency-critical reads.
-    pub write_behind: usize,
-    /// Fraction of each NVMe-tier optimizer shard placed in CPU DRAM
-    /// instead of on the device, in permille (0 = all-NVMe, 1000 =
-    /// all-CPU). Splitting lets the pipelined step stream the DRAM and
-    /// NVMe halves concurrently, so aggregate read bandwidth exceeds
-    /// either single tier; the adaptive controller re-tiers this at
-    /// runtime from measured per-hop bandwidth. Ignored unless the
+    /// The overlap knobs (pipeline depth, prefetch look-ahead,
+    /// write-behind window, CPU share of NVMe-tier optimizer shards): the
+    /// part of a strategy the adaptive controller retunes at runtime,
+    /// never changing numerics. Three readings are particular to a
+    /// strategy: `write_behind == 0` means *auto* (resolved by
+    /// [`Strategy::write_behind_bound`]; nonzero pins the window
+    /// independently of depth), `prefetch_window` is ignored when
+    /// `prefetch` is off, and `optimizer_cpu_permille` unless the
     /// optimizer placement is NVMe.
-    pub optimizer_cpu_permille: usize,
+    pub knobs: Knobs,
 }
 
 impl Strategy {
@@ -87,11 +75,13 @@ impl Strategy {
             placement: Placement::GPU,
             param_dtype: DType::F16,
             prefetch: false,
-            prefetch_window: 3,
             optimizer_chunk: usize::MAX,
-            step_pipeline_depth: 1,
-            write_behind: 0,
-            optimizer_cpu_permille: 0,
+            knobs: Knobs {
+                step_pipeline_depth: 1,
+                prefetch_window: 3,
+                write_behind: 0,
+                optimizer_cpu_permille: 0,
+            },
         }
     }
 
@@ -158,11 +148,11 @@ impl Strategy {
                 optimizer: DeviceKind::Nvme,
             },
             optimizer_chunk: 1 << 16,
-            // NVMe-resident optimizer state is where the three-hop
-            // pipeline pays off; overlap by default (Sec. 6.2).
-            step_pipeline_depth: 2,
             ..Strategy::zero_3()
         }
+        // NVMe-resident optimizer state is where the three-hop pipeline
+        // pays off; overlap by default (Sec. 6.2).
+        .with_step_pipeline_depth(2)
     }
 
     /// The Fig. 6a sweep, in the paper's order.
@@ -195,23 +185,24 @@ impl Strategy {
 
     /// Override the optimizer-step pipeline depth (1 = sequential).
     pub fn with_step_pipeline_depth(self, depth: usize) -> Strategy {
-        Strategy { step_pipeline_depth: depth, ..self }
+        Strategy { knobs: Knobs { step_pipeline_depth: depth, ..self.knobs }, ..self }
     }
 
     /// Override the dynamic-prefetch look-ahead window.
     pub fn with_prefetch_window(self, window: usize) -> Strategy {
-        Strategy { prefetch_window: window, ..self }
+        Strategy { knobs: Knobs { prefetch_window: window, ..self.knobs }, ..self }
     }
 
     /// Override the write-behind window (0 = auto: 4 × pipeline depth).
     pub fn with_write_behind(self, window: usize) -> Strategy {
-        Strategy { write_behind: window, ..self }
+        Strategy { knobs: Knobs { write_behind: window, ..self.knobs }, ..self }
     }
 
     /// Override the CPU-DRAM share of NVMe-tier optimizer shards,
     /// permille (clamped to 1000).
     pub fn with_optimizer_cpu_permille(self, permille: usize) -> Strategy {
-        Strategy { optimizer_cpu_permille: permille.min(1000), ..self }
+        let optimizer_cpu_permille = permille.min(1000);
+        Strategy { knobs: Knobs { optimizer_cpu_permille, ..self.knobs }, ..self }
     }
 
     /// The placement policy for optimizer shards. Single-path unless
@@ -219,36 +210,35 @@ impl Strategy {
     /// stripe is tied to the streaming chunk so every in-flight chunk
     /// straddles both paths (capped so tiny test chunks stay legal).
     pub fn optimizer_policy(&self) -> zi_memory::PlacementPolicy {
-        if self.placement.optimizer != DeviceKind::Nvme || self.optimizer_cpu_permille == 0 {
+        let permille = self.knobs.optimizer_cpu_permille;
+        if self.placement.optimizer != DeviceKind::Nvme || permille == 0 {
             return zi_memory::PlacementPolicy::all_nvme();
         }
-        if self.optimizer_cpu_permille >= 1000 {
+        if permille >= 1000 {
             return zi_memory::PlacementPolicy::all_cpu();
         }
         let stripe = (self.optimizer_chunk.min(1 << 20) / 2).max(1);
-        zi_memory::PlacementPolicy::split(self.optimizer_cpu_permille as u32, stripe)
+        zi_memory::PlacementPolicy::split(permille as u32, stripe)
     }
 
-    /// The write-behind bound in force for a given pipeline depth:
-    /// the explicit window, or one write per stream of every in-flight
-    /// chunk when on auto.
+    /// The write-behind bound in force: the explicit window, or one
+    /// write per stream of every in-flight chunk when on auto.
     pub fn write_behind_bound(&self) -> usize {
-        if self.write_behind > 0 {
-            self.write_behind
+        if self.knobs.write_behind > 0 {
+            self.knobs.write_behind
         } else {
-            STREAMS_PER_CHUNK * self.step_pipeline_depth.max(1)
+            STREAMS_PER_CHUNK * self.knobs.step_pipeline_depth.max(1)
         }
     }
 
-    /// The live overlap knobs this strategy starts from, as the
-    /// adaptive controller sees them (the write-behind auto rule is
-    /// resolved to its concrete bound).
-    pub fn knobs(&self) -> zi_adapt::Knobs {
-        zi_adapt::Knobs {
-            step_pipeline_depth: self.step_pipeline_depth.max(1),
-            prefetch_window: self.prefetch_window,
+    /// The overlap knobs as the adaptive controller sees them: the
+    /// write-behind auto rule resolved to its concrete bound.
+    pub fn live_knobs(&self) -> Knobs {
+        Knobs {
+            step_pipeline_depth: self.knobs.step_pipeline_depth.max(1),
             write_behind: self.write_behind_bound(),
-            optimizer_cpu_permille: self.optimizer_cpu_permille.min(1000),
+            optimizer_cpu_permille: self.knobs.optimizer_cpu_permille.min(1000),
+            ..self.knobs
         }
     }
 }
@@ -285,15 +275,15 @@ mod tests {
         assert!(!s.prefetch);
         assert_eq!(s.name, "ZeRO-Inf-NVMe");
         let s = s.with_step_pipeline_depth(4).with_prefetch_window(5);
-        assert_eq!(s.step_pipeline_depth, 4);
-        assert_eq!(s.prefetch_window, 5);
+        assert_eq!(s.knobs.step_pipeline_depth, 4);
+        assert_eq!(s.knobs.prefetch_window, 5);
     }
 
     #[test]
     fn nvme_strategy_pipelines_by_default() {
-        assert_eq!(Strategy::infinity_nvme().step_pipeline_depth, 2);
+        assert_eq!(Strategy::infinity_nvme().knobs.step_pipeline_depth, 2);
         // RAM-tier strategies resolve loads instantly; sequential default.
-        assert_eq!(Strategy::infinity_cpu().step_pipeline_depth, 1);
-        assert_eq!(Strategy::data_parallel().step_pipeline_depth, 1);
+        assert_eq!(Strategy::infinity_cpu().knobs.step_pipeline_depth, 1);
+        assert_eq!(Strategy::data_parallel().knobs.step_pipeline_depth, 1);
     }
 }

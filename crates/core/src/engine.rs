@@ -35,31 +35,13 @@ use zi_trace::{Category, Counter};
 use zi_types::{DType, Device, DeviceKind, Error, Result};
 
 use crate::config::Strategy;
-use crate::offload::{
-    DeviceBuf, OffloadManager, PlacedBuf, PlacedPending, PublishStream, WriteBehind,
-};
+use crate::offload::{OffloadManager, PlacedBuf, PlacedPending, PublishStream, WriteBehind};
 use crate::prefetch::{PrefetchStats, Prefetcher, TraceMap};
 
-/// How parameters are stored between uses.
-enum ParamStorage {
-    /// Every rank holds only its padded shard.
-    Partitioned(DeviceBuf),
-    /// Every rank holds the full tensor.
-    Replicated(DeviceBuf),
-}
-
-/// Accumulated gradient for one parameter (f32).
-enum GradStorage {
-    /// This rank's reduce-scattered shard (padded length / world).
-    Partitioned(DeviceBuf),
-    /// Fully reduced gradient replicated on every rank.
-    Replicated(DeviceBuf),
-}
-
 /// Optimizer state (fp32 master/momentum/variance) for this rank's
-/// update range. Each of the three lives under a placement plan: for
-/// NVMe-tier optimizer state the shard may be split between CPU DRAM
-/// and the device, and the streamed step drives both paths at once.
+/// update range. For NVMe-tier optimizer state each of the three may be
+/// split between CPU DRAM and the device, and the streamed step drives
+/// both paths at once.
 struct OptimStorage {
     master: PlacedBuf,
     m: PlacedBuf,
@@ -75,8 +57,13 @@ struct ShardState {
     shape: Vec<usize>,
     numel: usize,
     shard_len: usize,
-    param: ParamStorage,
-    grad: Option<GradStorage>,
+    /// The stored parameter: this rank's padded shard when the strategy
+    /// partitions parameters, the full tensor otherwise.
+    param: PlacedBuf,
+    /// Accumulated f32 gradient: this rank's reduce-scattered shard when
+    /// the strategy partitions gradients, the fully reduced gradient
+    /// otherwise.
+    grad: Option<PlacedBuf>,
     /// Set when any accumulated gradient element went non-finite; the
     /// overflow scan is fused into accumulation (a non-finite term keeps
     /// every later running sum non-finite, so OR-ing per-deposit flags
@@ -177,7 +164,7 @@ impl ZeroEngine {
         if strategy.optimizer_chunk == 0 {
             return Err(Error::InvalidArgument("optimizer_chunk must be nonzero".into()));
         }
-        if strategy.step_pipeline_depth == 0 {
+        if strategy.knobs.step_pipeline_depth == 0 {
             return Err(Error::InvalidArgument(
                 "step_pipeline_depth must be at least 1 (1 = sequential)".into(),
             ));
@@ -194,17 +181,18 @@ impl ZeroEngine {
             let shard_len = part.shard_len(numel);
 
             let param_device = device_for(strategy.placement.params, gpu_index);
-            let param = if strategy.partition_params {
+            let stored = if strategy.partition_params {
                 let mut padded = full.data().to_vec();
                 padded.resize(part.padded_len(numel), 0.0);
                 let range = part.shard_range(numel, rank);
-                let shard =
-                    FlatBuffer::from_f32(strategy.param_dtype, &padded[range]);
-                ParamStorage::Partitioned(mgr.store(param_device, shard)?)
+                FlatBuffer::from_f32(strategy.param_dtype, &padded[range])
             } else {
-                let buf = FlatBuffer::from_f32(strategy.param_dtype, full.data());
-                ParamStorage::Replicated(mgr.store(param_device, buf)?)
+                FlatBuffer::from_f32(strategy.param_dtype, full.data())
             };
+            // Parameters and gradients are stored whole on their tier —
+            // the one-segment plan; only optimizer state follows a
+            // configurable policy.
+            let param = mgr.store_placed(param_device, &PlacementPolicy::all_nvme(), stored)?;
 
             // Optimizer master state initialized from the same values so
             // fp32 masters agree with (or refine) the stored params.
@@ -293,22 +281,34 @@ impl ZeroEngine {
     /// Fetch the full f32 values of a parameter from wherever they live.
     fn gather_values(&mut self, id: ParamId) -> Result<Vec<f32>> {
         let st = &self.shards[id.0];
-        match &st.param {
-            ParamStorage::Replicated(buf) => Ok(self.mgr.load(buf)?.to_f32_vec()),
-            ParamStorage::Partitioned(buf) => {
-                let shard = if self.strategy.prefetch {
-                    self.prefetcher.fetch(&self.mgr, id, buf)?
-                } else {
-                    self.mgr.load(buf)?
-                };
-                let gathered = self.comm.allgather_bytes(shard.as_bytes())?;
-                self.stats.allgathers += 1;
-                self.stats.gathered_elems += (st.shard_len * self.part.world) as u64;
-                let fb = FlatBuffer::from_bytes(self.strategy.param_dtype, gathered)?;
-                let mut vals = fb.to_f32_vec();
-                vals.truncate(st.numel);
-                Ok(vals)
-            }
+        if !self.strategy.partition_params {
+            return Ok(self.mgr.load_placed(&st.param)?.to_f32_vec());
+        }
+        // A resident shard is borrowed for the collective, an NVMe one is
+        // the staging buffer its (pre)fetch filled.
+        let shard = if self.strategy.prefetch {
+            self.prefetcher.fetch(&self.mgr, id, &st.param)?
+        } else {
+            self.mgr.fetch_placed(&st.param)?
+        };
+        let gathered = self.comm.allgather_bytes(shard.as_bytes())?;
+        drop(shard);
+        self.stats.allgathers += 1;
+        self.stats.gathered_elems += (st.shard_len * self.part.world) as u64;
+        let fb = FlatBuffer::from_bytes(self.strategy.param_dtype, gathered)?;
+        let mut vals = fb.to_f32_vec();
+        vals.truncate(st.numel);
+        Ok(vals)
+    }
+
+    /// Start an asynchronous load of `id`'s shard unless it is resident
+    /// or already on its way.
+    fn prefetch_shard(&mut self, id: ParamId) {
+        if self.strategy.partition_params
+            && !self.resident.contains_key(&id)
+            && !self.prefetcher.is_pending(id)
+        {
+            self.prefetcher.prefetch(&self.mgr, id, &self.shards[id.0].param);
         }
     }
 
@@ -317,41 +317,28 @@ impl ZeroEngine {
         if !self.strategy.prefetch || !self.trace.has_history() {
             return;
         }
-        for nid in self.trace.predict_next(self.strategy.prefetch_window) {
-            if self.resident.contains_key(&nid) || self.prefetcher.is_pending(nid) {
-                continue;
-            }
-            if let ParamStorage::Partitioned(buf) = &self.shards[nid.0].param {
-                // Prefetch failures are not fatal: the demand path retries.
-                let _ = self.prefetcher.prefetch(&self.mgr, nid, buf);
-            }
+        for nid in self.trace.predict_next(self.strategy.knobs.prefetch_window) {
+            self.prefetch_shard(nid);
         }
     }
 
     /// Accumulate `delta` into the gradient storage for `id`.
-    fn accumulate_grad(&mut self, id: ParamId, delta: &[f32], partitioned: bool) -> Result<()> {
+    fn accumulate_grad(&mut self, id: ParamId, delta: &[f32]) -> Result<()> {
         let grad_device = device_for(self.strategy.placement.grads, self.gpu_index);
         let st = &mut self.shards[id.0];
         match &mut st.grad {
-            Some(gs) => {
-                let buf = match gs {
-                    GradStorage::Partitioned(b) | GradStorage::Replicated(b) => b,
-                };
+            Some(buf) => {
                 if buf.numel() != delta.len() {
                     return Err(Error::Internal("gradient accumulation length drift".into()));
                 }
                 // In place on the gradient tier: no load→add→overwrite
                 // round trip, and the overflow scan rides the same pass.
-                st.grad_nonfinite |= self.mgr.accumulate_f32(buf, delta)?;
+                st.grad_nonfinite |= self.mgr.accumulate_f32_placed(buf, delta)?;
             }
             slot @ None => {
-                let buf =
-                    self.mgr.store(grad_device, FlatBuffer::from_f32(DType::F32, delta))?;
-                *slot = Some(if partitioned {
-                    GradStorage::Partitioned(buf)
-                } else {
-                    GradStorage::Replicated(buf)
-                });
+                let data = FlatBuffer::from_f32(DType::F32, delta);
+                let whole = PlacementPolicy::all_nvme();
+                *slot = Some(self.mgr.store_placed(grad_device, &whole, data)?);
                 st.grad_nonfinite = LossScaler::has_overflow(delta);
             }
         }
@@ -362,11 +349,8 @@ impl ZeroEngine {
     pub fn clear_grads(&mut self) {
         for st in &mut self.shards {
             st.grad_nonfinite = false;
-            if let Some(gs) = st.grad.take() {
-                let buf = match gs {
-                    GradStorage::Partitioned(b) | GradStorage::Replicated(b) => b,
-                };
-                self.mgr.free(buf);
+            if let Some(buf) = st.grad.take() {
+                self.mgr.free_placed(buf);
             }
         }
     }
@@ -411,23 +395,19 @@ impl ZeroEngine {
     /// Apply parameter `idx`'s accumulated gradient (if any) to its
     /// optimizer shard and publish the fresh parameter values.
     fn update_shard(&mut self, idx: usize, wb: &mut WriteBehind) -> Result<()> {
-        let Some(gs) = self.shards[idx].grad.take() else { return Ok(()) };
+        let Some(buf) = self.shards[idx].grad.take() else { return Ok(()) };
         self.shards[idx].grad_nonfinite = false;
         let (numel, shard_len) = (self.shards[idx].numel, self.shards[idx].shard_len);
 
         // The gradient slice covering this rank's update range, averaged
         // over ranks in place in the buffer taken out of gradient storage
         // (no load → clone → decode round trip).
-        let (buf, replicated) = match gs {
-            GradStorage::Partitioned(buf) => (buf, false),
-            GradStorage::Replicated(buf) => (buf, true),
-        };
-        let mut grad = self.mgr.take(buf)?;
+        let mut grad = self.mgr.take_placed(buf)?;
         let full = grad.as_f32_mut().ok_or_else(|| {
             Error::Internal("gradient storage is not an aligned f32 buffer".into())
         })?;
         let mut slice;
-        let grad = if replicated && self.strategy.partition_optimizer {
+        let grad = if !self.strategy.partition_grads && self.strategy.partition_optimizer {
             let range = self.part.shard_range(numel, self.comm.rank());
             slice = vec![0f32; shard_len];
             let end = range.end.min(numel);
@@ -450,20 +430,20 @@ impl ZeroEngine {
         // whole master for the allgather publish below.
         let total = grad.len();
         let chunk = self.strategy.optimizer_chunk.min(total.max(1));
-        let depth = self.strategy.step_pipeline_depth.max(1);
+        let depth = self.strategy.knobs.step_pipeline_depth.max(1);
         let ShardState { optim, param, .. } = &mut self.shards[idx];
         optim.step += 1;
         let mut new_master = Vec::new();
-        let publish = match param {
-            ParamStorage::Partitioned(buf) => Publish::Stream(self.mgr.begin_publish(buf)),
-            ParamStorage::Replicated(_) => {
-                new_master.resize(total, 0f32);
-                Publish::Whole(&mut new_master)
-            }
+        let partitioned = self.strategy.partition_params;
+        let publish = if partitioned {
+            Publish::Stream(self.mgr.begin_publish(param))
+        } else {
+            new_master.resize(total, 0f32);
+            Publish::Whole(&mut new_master)
         };
         let stats = &mut self.stats;
         stream_shard_update(&self.mgr, &self.adam, optim, grad, chunk, depth, wb, publish, stats)?;
-        if matches!(param, ParamStorage::Replicated(_)) {
+        if !partitioned {
             self.publish_master(idx, &new_master)?;
         }
         Ok(())
@@ -478,25 +458,24 @@ impl ZeroEngine {
         let dtype = self.strategy.param_dtype;
         let numel = self.shards[idx].numel;
         let gathered;
-        let (buf, values) = match &mut self.shards[idx].param {
-            // new_master covers exactly this rank's padded shard.
-            ParamStorage::Partitioned(buf) => (buf, new_master),
-            ParamStorage::Replicated(buf) if self.strategy.partition_optimizer => {
-                // ZeRO-1/2: gather every rank's updated slice back
-                // into the full replica.
-                let mine = FlatBuffer::from_f32(dtype, new_master);
-                let bytes = self.comm.allgather_bytes(mine.as_bytes())?;
-                gathered = FlatBuffer::from_bytes(dtype, bytes)?.to_f32_vec();
-                (buf, &gathered[..numel])
-            }
-            ParamStorage::Replicated(buf) => (buf, new_master),
+        // Otherwise new_master covers exactly what this rank stores: its
+        // padded shard, or the full replica.
+        let values = if !self.strategy.partition_params && self.strategy.partition_optimizer {
+            // ZeRO-1/2: gather every rank's updated slice back into the
+            // full replica.
+            let mine = FlatBuffer::from_f32(dtype, new_master);
+            let bytes = self.comm.allgather_bytes(mine.as_bytes())?;
+            gathered = FlatBuffer::from_bytes(dtype, bytes)?.to_f32_vec();
+            &gathered[..numel]
+        } else {
+            new_master
         };
         let mut wb = WriteBehind::new(1);
-        let mut publish = self.mgr.begin_publish(buf);
+        let mut publish = self.mgr.begin_publish(&mut self.shards[idx].param);
         let pushed = publish.push(&self.mgr, &mut wb, values);
         let drained = wb.drain(&self.mgr);
         pushed.and(drained)?;
-        publish.finish(&self.mgr)
+        publish.finish()
     }
 
     /// Bring every optimizer shard's placement in line with the current
@@ -543,7 +522,7 @@ impl ZeroEngine {
 
     fn end_iteration(&mut self) -> Result<()> {
         self.trace.end_iteration();
-        self.prefetcher.clear(&self.mgr)?;
+        self.prefetcher.clear(&self.mgr);
         self.mgr.flush()
     }
 
@@ -587,19 +566,22 @@ impl ZeroEngine {
     /// step is bit-identical to the sequential one at every depth, and
     /// the prefetcher only warms caches.
     pub fn apply_knobs(&mut self, knobs: zi_adapt::Knobs) {
-        self.strategy.step_pipeline_depth = knobs.step_pipeline_depth.max(1);
-        self.strategy.prefetch_window = knobs.prefetch_window;
-        self.strategy.write_behind = knobs.write_behind.max(1);
-        // The re-tier knob: shards whose stored placement drifts from
-        // the new policy are moved at the start of the next step
-        // (load/store round trip — bit-preserving, like the others).
-        self.strategy.optimizer_cpu_permille = knobs.optimizer_cpu_permille.min(1000);
+        self.strategy.knobs = zi_adapt::Knobs {
+            step_pipeline_depth: knobs.step_pipeline_depth.max(1),
+            write_behind: knobs.write_behind.max(1),
+            // The re-tier knob: shards whose stored placement drifts
+            // from the new policy are moved at the start of the next
+            // step (load/store round trip — bit-preserving, like the
+            // others).
+            optimizer_cpu_permille: knobs.optimizer_cpu_permille.min(1000),
+            ..knobs
+        };
     }
 
     /// The overlap knobs currently in force (inverse of
     /// [`ZeroEngine::apply_knobs`]).
     pub fn knobs(&self) -> zi_adapt::Knobs {
-        self.strategy.knobs()
+        self.strategy.live_knobs()
     }
 
     /// Read every parameter's optimizer shard out of its tier
@@ -667,13 +649,10 @@ impl ZeroEngine {
     /// Free every device allocation held by this engine. The engine is
     /// consumed; pools return to their empty state.
     pub fn dispose(mut self) -> Result<()> {
-        let _ = self.prefetcher.clear(&self.mgr);
+        self.prefetcher.clear(&self.mgr);
         self.clear_grads();
         for st in self.shards.drain(..) {
-            let pbuf = match st.param {
-                ParamStorage::Partitioned(b) | ParamStorage::Replicated(b) => b,
-            };
-            self.mgr.free(pbuf);
+            self.mgr.free_placed(st.param);
             self.mgr.free_placed(st.optim.master);
             self.mgr.free_placed(st.optim.m);
             self.mgr.free_placed(st.optim.v);
@@ -740,11 +719,11 @@ impl ParamStore for ZeroEngine {
             let mut padded = grad.data().to_vec();
             padded.resize(self.part.padded_len(st.numel), 0.0);
             let shard = self.comm.reduce_scatter_sum(&padded)?;
-            self.accumulate_grad(id, &shard, true)
+            self.accumulate_grad(id, &shard)
         } else {
             let mut full = grad.data().to_vec();
             self.comm.allreduce_sum(&mut full)?;
-            self.accumulate_grad(id, &full, false)
+            self.accumulate_grad(id, &full)
         }
     }
 
@@ -757,12 +736,7 @@ impl ParamStore for ZeroEngine {
             return;
         }
         for &id in ids {
-            if self.resident.contains_key(&id) || self.prefetcher.is_pending(id) {
-                continue;
-            }
-            if let ParamStorage::Partitioned(buf) = &self.shards[id.0].param {
-                let _ = self.prefetcher.prefetch(&self.mgr, id, buf);
-            }
+            self.prefetch_shard(id);
         }
     }
 }
@@ -929,7 +903,7 @@ fn stream_shard_update(
     }
     result?;
     match publish {
-        Publish::Stream(stream) => stream.finish(mgr),
+        Publish::Stream(stream) => stream.finish(),
         Publish::Whole(_) => Ok(()),
     }
 }
@@ -937,7 +911,7 @@ fn stream_shard_update(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::offload::NodeResources;
+    use crate::offload::{NodeEnv, NodeResources};
     use zi_memory::NodeMemorySpec;
     use zi_model::ParamRegistry;
 
@@ -1167,7 +1141,7 @@ mod tests {
             2e9,
             Duration::from_millis(2),
         ));
-        let node = NodeResources::with_backend(&spec, 1, backend);
+        let node = NodeResources::new(&spec, 1, NodeEnv::new(backend));
         let reg = tiny_registry();
         let mut eng = ZeroEngine::new(
             &reg,
@@ -1242,7 +1216,7 @@ mod tests {
             2e9,
             Duration::from_millis(1),
         ));
-        let node = NodeResources::with_backend(&spec, 1, backend);
+        let node = NodeResources::new(&spec, 1, NodeEnv::new(backend));
         let reg = tiny_registry();
         let mut eng = ZeroEngine::new(
             &reg,
@@ -1286,7 +1260,8 @@ mod tests {
         let plan = zi_nvme::FaultPlan::new();
         let backend =
             zi_sync::Arc::new(zi_nvme::FaultyBackend::new(zi_nvme::MemBackend::new(), plan.clone()));
-        let node = NodeResources::with_backend_policy(&spec, 1, backend, zi_nvme::RetryPolicy::none());
+        let env = NodeEnv { policy: zi_nvme::RetryPolicy::none(), ..NodeEnv::new(backend) };
+        let node = NodeResources::new(&spec, 1, env);
         let reg = tiny_registry();
         let strategy = Strategy::infinity_nvme()
             .with_f32_params()
@@ -1321,6 +1296,24 @@ mod tests {
         let err = eng.export_param(id).unwrap_err();
         assert!(matches!(err, Error::Corruption { .. }), "got {err}");
         plan.bitflip_next_reads(0);
+        eng.dispose().unwrap();
+    }
+
+    #[test]
+    fn unconsumed_prefetch_is_reaped_without_verifying_stale_bytes() {
+        // A hinted shard nobody fetches (the embedding, in backward) is
+        // still in the prefetcher when the step overwrites it. Checking
+        // those old bytes against the new checksums used to count a
+        // "recovered corruption" and re-read the shard — on a healthy
+        // device, every step.
+        let (node, mut eng, reg) = single_rank(Strategy::infinity_nvme().with_f32_params());
+        let id = reg.find("w").unwrap();
+        eng.hint_upcoming(&[id]);
+        assert_eq!(eng.stats().prefetch.issued, 1);
+        eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
+        eng.step().unwrap();
+        assert_eq!(eng.mgr.health().corruptions_recovered, 0);
+        assert_eq!(node.offload_manager().staging().outstanding(), 0);
         eng.dispose().unwrap();
     }
 

@@ -8,9 +8,11 @@
 //! * [`config`] — device-placement strategies (Table 2): classic data
 //!   parallelism, ZeRO-1/2/3, ZeRO-Offload, ZeRO-Infinity with CPU or NVMe
 //!   offload.
-//! * [`offload`] — the infinity offload engine: placement-aware device
-//!   buffers over capacity-limited pools, asynchronous NVMe movement
-//!   through `zi-nvme`, pinned staging buffers from `zi-memory`.
+//! * [`offload`] — the infinity offload engine: one residency handle
+//!   ([`PlacedBuf`]) under every model state — fp16 parameters,
+//!   gradients, optimizer state, activation checkpoints — over
+//!   capacity-limited pools, with asynchronous, checksum-verified NVMe
+//!   movement through `zi-nvme` and staging buffers from `zi-memory`.
 //! * [`engine`] — the per-rank [`engine::ZeroEngine`], a
 //!   [`zi_model::ParamStore`] that gathers bandwidth-centrically
 //!   partitioned parameters on demand (allgather, Sec. 6.1), re-partitions
@@ -63,11 +65,14 @@ pub use adaptive::TelemetryCursor;
 pub use config::{Placement, Strategy};
 pub use engine::{EngineStats, ZeroEngine};
 pub use mp::{train_gpt_2d, MpAllReduce, Spec2D};
-pub use offload::{DeviceBuf, NodeResources, OffloadHealth, OffloadManager, PendingLoad, WriteBehind};
+pub use offload::{
+    NodeEnv, NodeResources, OffloadHealth, OffloadManager, PlacedBuf, PlacedPending, PublishStream,
+    WriteBehind,
+};
 pub use pp::{train_gpt_pipeline, PipelineSpec};
 pub use tiling::TiledLinear;
 pub use checkpoint::{reshard_checkpoint_blobs, CHECKPOINT_FORMAT};
 pub use trainer::{
-    decode_checkpoint_payload, encode_checkpoint_payload, train_gpt, train_gpt_env, train_gpt_on,
-    train_gpt_with_policy, ElasticEvent, TrainEnv, TrainOutcome, TrainSpec,
+    decode_checkpoint_payload, encode_checkpoint_payload, train_gpt, train_gpt_env, ElasticEvent,
+    TrainEnv, TrainOutcome, TrainSpec,
 };

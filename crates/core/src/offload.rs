@@ -1,14 +1,25 @@
-//! The infinity offload engine: placement-aware device buffers.
+//! The infinity offload engine: one residency mechanism for every model
+//! state.
 //!
-//! A [`DeviceBuf`] is one tensor's worth of bytes resident on a specific
-//! memory tier. GPU and CPU buffers hold their bytes in process memory and
-//! charge the corresponding capacity pool; NVMe buffers own an extent of
-//! the backing device and move bytes through the asynchronous
-//! [`zi_nvme::NvmeEngine`]. Whole-shard transfers check a staging buffer
-//! out of the pinned pool for their submission, bounding staging memory
-//! the way the paper's pinned-memory management layer does (Sec. 6.3);
-//! the chunk-streamed optimizer step instead carries each chunk in one
-//! recycled [`ScratchVec`] from device read to device write.
+//! A [`PlacedBuf`] is one tensor's worth of bytes — an fp16 parameter
+//! shard or replica, a gradient shard, an optimizer-state shard, an
+//! activation checkpoint — held as an ordered list of segments, each
+//! resident on one memory tier. GPU and CPU segments keep their bytes in
+//! process memory and charge the tier's capacity pool; NVMe segments own
+//! an extent of the backing device and move bytes through the
+//! asynchronous [`zi_nvme::NvmeEngine`]. All-GPU, all-CPU and all-NVMe
+//! are the one-segment plans; a [`PlacementPolicy`] split stripes an
+//! NVMe-tier buffer over CPU DRAM (the cp path) and the device (the nc
+//! path). Every operation — store, load, take, accumulate, overwrite,
+//! chunked publish, collapse, re-tier, free — is defined once per segment
+//! and applied to each segment of the buffer, so a multi-segment buffer
+//! is legal input to all of them.
+//!
+//! Device reads land in recycled [`ScratchVec`] staging buffers and are
+//! verified against the checksum registry (see
+//! [`OffloadManager::verify_or_reread`]); synchronous whole-segment
+//! writes hold a pinned buffer for their duration, bounding concurrent
+//! staging the way the paper's pinned-memory layer does (Sec. 6.3).
 
 use std::collections::{BTreeMap, VecDeque};
 use zi_sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -20,8 +31,8 @@ use zi_memory::{
     Block, MemoryHierarchy, NodeMemorySpec, PathKind, PinnedBufferPool, PlacementPolicy, PlanCell,
     ScratchPool, ScratchVec,
 };
-use zi_nvme::checksum::{crc32, crc32_update};
-use zi_nvme::{FileBackend, IoBuf, MemBackend, NvmeEngine, RetryPolicy, StorageBackend, Ticket};
+use zi_nvme::checksum::crc32;
+use zi_nvme::{MemBackend, NvmeEngine, RetryPolicy, StorageBackend, Ticket};
 use zi_tensor::storage::encode_f32;
 use zi_tensor::FlatBuffer;
 use zi_trace::{Category, Counter, Tracer};
@@ -54,15 +65,9 @@ impl ResilienceState {
     /// Record the checksum of a just-written extent, invalidating any
     /// previously recorded extent it overlaps.
     fn record(&self, offset: u64, data: &[u8]) {
-        self.record_crc(offset, data.len() as u64, crc32(data));
-    }
-
-    /// [`Self::record`] for an extent whose checksum the caller already
-    /// holds (accumulated over in-order chunk writes).
-    fn record_crc(&self, offset: u64, len: u64, crc: u32) {
         let mut map = self.checksums.lock();
-        Self::invalidate_locked(&mut map, offset, len);
-        map.insert(offset, (len, crc));
+        Self::invalidate_locked(&mut map, offset, data.len() as u64);
+        map.insert(offset, (data.len() as u64, crc32(data)));
     }
 
     /// Forget checksums overlapping `[offset, offset + len)`.
@@ -88,15 +93,23 @@ impl ResilienceState {
         }
     }
 
-    /// Checksum recorded for exactly the extent `[offset, offset+len)`,
-    /// if any. Reads of sub-ranges are not verified (no recorded CRC
-    /// covers them exactly).
-    fn lookup(&self, offset: u64, len: u64) -> Option<u32> {
-        self.checksums
-            .lock()
-            .get(&offset)
-            .filter(|(elen, _)| *elen == len)
-            .map(|(_, crc)| *crc)
+    /// The recorded extents that exactly tile `[offset, offset + len)`,
+    /// in order, as `(len, crc)`. A whole-extent write is one tile; a
+    /// chunk-written extent is one tile per chunk. `None` when the
+    /// registry does not tile the range (nothing recorded, a gap, or an
+    /// extent straddling either end): such a read is not verified.
+    fn tiles(&self, offset: u64, len: u64) -> Option<Vec<(u64, u32)>> {
+        let end = offset + len;
+        let mut at = offset;
+        let mut tiles = Vec::new();
+        for (&start, &(elen, crc)) in self.checksums.lock().range(offset..end) {
+            if start != at || start + elen > end {
+                return None;
+            }
+            tiles.push((elen, crc));
+            at += elen;
+        }
+        (at == end && !tiles.is_empty()).then_some(tiles)
     }
 }
 
@@ -116,6 +129,53 @@ pub struct OffloadHealth {
     pub io: zi_nvme::IoStats,
 }
 
+/// What a node is built from besides its memory spec and world size.
+/// Fill the fields that differ from [`NodeEnv::new`]'s defaults by
+/// struct update: `NodeEnv { policy, ..NodeEnv::new(backend) }`.
+pub struct NodeEnv<'a> {
+    /// Storage backend standing in for the NVMe device.
+    pub backend: Arc<dyn StorageBackend>,
+    /// Retry policy wrapped around every NVMe request (chaos tests
+    /// shorten the backoffs; production uses the default).
+    pub policy: RetryPolicy,
+    /// Collective deadline and communication fault plan.
+    pub comm: CommConfig,
+    /// Tracer every subsystem of the node records into (engine workers,
+    /// pinned pool, collectives, all ranks): one event stream per node.
+    pub tracer: Tracer,
+    /// Register the comm group with this membership: ranks queued to
+    /// join latch a resize on the group, retiring it with
+    /// `Error::MembershipChange` so the elastic trainer can rebuild at
+    /// the grown world.
+    pub membership: Option<&'a Membership>,
+    /// Pinned staging pool as `(buffer count, bytes per buffer)`.
+    pub pinned: (usize, usize),
+    /// NVMe engine worker threads.
+    pub nvme_workers: usize,
+}
+
+impl NodeEnv<'_> {
+    /// Defaults over `backend`: default retry policy and comm config, a
+    /// private tracer, no membership, 8 × 1 MiB pinned buffers, 4 NVMe
+    /// workers.
+    pub fn new(backend: Arc<dyn StorageBackend>) -> Self {
+        NodeEnv {
+            backend,
+            policy: RetryPolicy::default(),
+            comm: CommConfig::default(),
+            tracer: Tracer::new(),
+            membership: None,
+            pinned: (8, 1 << 20),
+            nvme_workers: 4,
+        }
+    }
+
+    /// [`NodeEnv::new`] over an in-memory device (deterministic tests).
+    pub fn in_memory() -> Self {
+        Self::new(Arc::new(MemBackend::new()))
+    }
+}
+
 /// Shared per-node resources: memory pools, the NVMe engine, the pinned
 /// staging pool, and the communicator group.
 pub struct NodeResources {
@@ -127,9 +187,15 @@ pub struct NodeResources {
     pub pinned: PinnedBufferPool,
     /// Data-parallel communicator group.
     pub group: CommGroup,
-    /// Recycled staging buffers the chunk-streamed step reads into,
-    /// updates in place, and writes from (node-wide, like the engine).
+    /// Recycled staging buffers device reads land in and chunk writes
+    /// leave from (node-wide, like the engine).
     staging: ScratchPool,
+    /// Recycled staging for whole-segment loads (parameter fetches and
+    /// prefetches). A pool of its own because these buffers are
+    /// shard-sized: mixed into the chunk pool they are handed out for
+    /// chunk reads, and every chunk buffer ends up as large as the
+    /// largest shard.
+    load_staging: ScratchPool,
     /// Shared checksum registry and degradation latch.
     resilience: Arc<ResilienceState>,
     /// Node-wide placement-policy cell: degradation (and re-tiering)
@@ -140,57 +206,38 @@ pub struct NodeResources {
     tracer: Tracer,
 }
 
-/// Default pinned staging buffer size (bytes).
-const PINNED_BUF_BYTES: usize = 1 << 20;
-/// Default number of pinned staging buffers.
-const PINNED_BUF_COUNT: usize = 8;
-/// Default NVMe worker threads.
-const NVME_WORKERS: usize = 4;
-
 impl NodeResources {
+    /// Build a node of `world` ranks over `spec`'s memory pools.
+    pub fn new(spec: &NodeMemorySpec, world: WorldSize, env: NodeEnv<'_>) -> Self {
+        let NodeEnv { backend, policy, comm, tracer, membership, pinned, nvme_workers } = env;
+        let group = match membership {
+            Some(m) => CommGroup::with_membership_tracer(world, comm, tracer.clone(), m),
+            None => CommGroup::with_config_tracer(world, comm, tracer.clone()),
+        };
+        NodeResources {
+            hierarchy: Arc::new(MemoryHierarchy::new(spec)),
+            nvme: Arc::new(NvmeEngine::with_policy_tracer(
+                backend,
+                nvme_workers,
+                policy,
+                tracer.clone(),
+            )),
+            pinned: PinnedBufferPool::with_tracer(pinned.0, pinned.1, tracer.clone()),
+            group,
+            staging: ScratchPool::new(),
+            load_staging: ScratchPool::new(),
+            resilience: Arc::new(ResilienceState::default()),
+            placement: Arc::new(PlanCell::new(PlacementPolicy::all_nvme())),
+            tracer,
+        }
+    }
+
     /// Node with an in-memory NVMe device (deterministic tests).
     pub fn in_memory(spec: &NodeMemorySpec, world: WorldSize) -> Self {
-        let backend = Arc::new(MemBackend::new()) as Arc<dyn StorageBackend>;
-        Self::with_backend(spec, world, backend)
+        Self::new(spec, world, NodeEnv::in_memory())
     }
 
-    /// Node whose NVMe device is a real file at `path` (benchmarks).
-    pub fn with_file_nvme(
-        spec: &NodeMemorySpec,
-        world: WorldSize,
-        path: &std::path::Path,
-    ) -> Result<Self> {
-        let backend = Arc::new(FileBackend::create(path)?) as Arc<dyn StorageBackend>;
-        Ok(Self::with_backend(spec, world, backend))
-    }
-
-    /// Node over an explicit storage backend.
-    pub fn with_backend(
-        spec: &NodeMemorySpec,
-        world: WorldSize,
-        backend: Arc<dyn StorageBackend>,
-    ) -> Self {
-        Self::with_backend_policy(spec, world, backend, RetryPolicy::default())
-    }
-
-    /// Node over an explicit storage backend and NVMe retry policy
-    /// (chaos tests shorten the backoffs; production uses the default).
-    pub fn with_backend_policy(
-        spec: &NodeMemorySpec,
-        world: WorldSize,
-        backend: Arc<dyn StorageBackend>,
-        policy: RetryPolicy,
-    ) -> Self {
-        let comm = CommConfig::default();
-        Self::with_backend_policy_comm_tracer(spec, world, backend, policy, comm, Tracer::new())
-    }
-
-    /// [`Self::with_backend_policy`] with an explicit communicator
-    /// configuration (collective deadline + comm fault plan), recording
-    /// every subsystem's spans and counters into an externally owned
-    /// tracer — the trainer passes one tracer here so a whole node
-    /// (engine workers, pinned pool, collectives, all ranks) shares a
-    /// single event stream.
+    /// [`NodeResources::new`] by position (the perf ledger's entry point).
     pub fn with_backend_policy_comm_tracer(
         spec: &NodeMemorySpec,
         world: WorldSize,
@@ -199,54 +246,7 @@ impl NodeResources {
         comm: CommConfig,
         tracer: Tracer,
     ) -> Self {
-        let group = CommGroup::with_config_tracer(world, comm, tracer.clone());
-        Self::assemble(spec, backend, policy, group, tracer)
-    }
-
-    /// [`Self::with_backend_policy_comm_tracer`] whose comm group is
-    /// registered with a [`Membership`]: ranks queued to join latch a
-    /// resize on this node's group, retiring it with
-    /// `Error::MembershipChange` so the elastic trainer can rebuild at
-    /// the grown world.
-    pub fn with_membership(
-        spec: &NodeMemorySpec,
-        world: WorldSize,
-        backend: Arc<dyn StorageBackend>,
-        policy: RetryPolicy,
-        comm: CommConfig,
-        tracer: Tracer,
-        membership: &Membership,
-    ) -> Self {
-        let group = CommGroup::with_membership_tracer(world, comm, tracer.clone(), membership);
-        Self::assemble(spec, backend, policy, group, tracer)
-    }
-
-    fn assemble(
-        spec: &NodeMemorySpec,
-        backend: Arc<dyn StorageBackend>,
-        policy: RetryPolicy,
-        group: CommGroup,
-        tracer: Tracer,
-    ) -> Self {
-        NodeResources {
-            hierarchy: Arc::new(MemoryHierarchy::new(spec)),
-            nvme: Arc::new(NvmeEngine::with_policy_tracer(
-                backend,
-                NVME_WORKERS,
-                policy,
-                tracer.clone(),
-            )),
-            pinned: PinnedBufferPool::with_tracer(
-                PINNED_BUF_COUNT,
-                PINNED_BUF_BYTES,
-                tracer.clone(),
-            ),
-            group,
-            staging: ScratchPool::new(),
-            resilience: Arc::new(ResilienceState::default()),
-            placement: Arc::new(PlanCell::new(PlacementPolicy::all_nvme())),
-            tracer,
-        }
+        Self::new(spec, world, NodeEnv { policy, comm, tracer, ..NodeEnv::new(backend) })
     }
 
     /// The node-wide tracer.
@@ -254,22 +254,12 @@ impl NodeResources {
         &self.tracer
     }
 
-    /// The node's placement-policy cell (see [`PlanCell`]): degradation
-    /// publishes the all-CPU collapse here, and engines poll it at step
-    /// boundaries to re-tier split shards.
-    pub fn placement_cell(&self) -> &Arc<PlanCell> {
-        &self.placement
-    }
-
     /// Start (or force) this node into degraded mode: every NVMe store
     /// is placed on CPU instead. Used when restarting after a device
     /// death — the replacement run must not trust the dead device.
     /// Publishes the all-CPU policy so split shards collapse too.
     pub fn degrade(&self) {
-        if !self.resilience.degraded.swap(true, Ordering::Release) {
-            self.tracer.count(Counter::DegradedTransitions, 1);
-            self.placement.publish(PlacementPolicy::all_cpu());
-        }
+        self.offload_manager().latch_degraded();
     }
 
     /// A per-rank offload manager handle.
@@ -279,6 +269,7 @@ impl NodeResources {
             nvme: Arc::clone(&self.nvme),
             pinned: self.pinned.clone(),
             staging: self.staging.clone(),
+            load_staging: self.load_staging.clone(),
             resilience: Arc::clone(&self.resilience),
             placement: Arc::clone(&self.placement),
             tracer: self.tracer.clone(),
@@ -286,107 +277,194 @@ impl NodeResources {
     }
 }
 
-/// The typed error for a buffer that came back from the engine as the
-/// wrong [`IoBuf`] kind (heap bytes where staging was submitted, or the
-/// reverse) — an engine bug, never a device fault.
-fn wrong_buf_kind() -> Error {
-    Error::Internal("engine returned a different buffer kind than was submitted".into())
-}
-
-/// One tensor's bytes, resident on a device tier.
+/// One contiguous piece of a [`PlacedBuf`], resident on one device.
 #[derive(Debug)]
-pub struct DeviceBuf {
+struct Segment {
+    /// First buffer element this segment covers.
+    start: usize,
+    /// Elements in the segment.
+    len: usize,
+    /// Where the bytes are now. A segment *planned* for NVMe sits on the
+    /// CPU device after a failover moved its bytes to DRAM.
     device: Device,
-    dtype: DType,
-    numel: usize,
     block: Block,
-    /// Present for GPU/CPU placements; NVMe bytes live on the device.
+    /// Present for GPU/CPU residency; NVMe bytes live on the device.
     ram: Option<FlatBuffer>,
 }
 
-impl DeviceBuf {
-    /// Device this buffer lives on.
-    pub fn device(&self) -> Device {
-        self.device
+impl Segment {
+    /// One past the last buffer element this segment covers.
+    fn end(&self) -> usize {
+        self.start + self.len
     }
 
+    /// The path the segment resolves through: NVMe extents go over the
+    /// nc path, everything RAM-resident over the cp path.
+    fn path(&self) -> PathKind {
+        if self.ram.is_some() {
+            PathKind::Cpu
+        } else {
+            PathKind::Nvme
+        }
+    }
+}
+
+/// One tensor's bytes under a placement plan: an ordered, disjoint,
+/// exhaustive list of per-device segments. The only residency handle —
+/// a GPU-, CPU- or NVMe-resident buffer is the one-segment plan; a
+/// [`PlacementPolicy`] split places part of an NVMe-tier buffer in CPU
+/// DRAM (the cp path) and the rest on the device (the nc path), and a
+/// streamed pass walks the segments piece by piece, driving both paths
+/// concurrently.
+#[derive(Debug)]
+pub struct PlacedBuf {
+    dtype: DType,
+    numel: usize,
+    segments: Vec<Segment>,
+}
+
+impl PlacedBuf {
     /// Element type.
     pub fn dtype(&self) -> DType {
         self.dtype
     }
 
-    /// Number of elements.
+    /// Number of elements across all segments.
     pub fn numel(&self) -> usize {
         self.numel
     }
 
-    /// Size in bytes.
+    /// Size in bytes across all segments.
     pub fn size_in_bytes(&self) -> usize {
         self.dtype.bytes_for(self.numel)
     }
 
-    /// True when the bytes live on the NVMe device (loading them costs an
-    /// nc-transfer); GPU/CPU buffers resolve from process memory.
+    /// Elements currently resolving through `path`.
+    pub fn elems_on(&self, path: PathKind) -> usize {
+        self.segments.iter().filter(|s| s.path() == path).map(|s| s.len).sum()
+    }
+
+    /// True when the buffer is split across both paths.
+    pub fn is_split(&self) -> bool {
+        self.elems_on(PathKind::Nvme) > 0 && self.elems_on(PathKind::Cpu) > 0
+    }
+
+    /// True when any part of the buffer lives on the NVMe device
+    /// (loading it costs an nc-transfer).
     pub fn is_offloaded(&self) -> bool {
-        self.ram.is_none()
+        self.segments.iter().any(|s| s.ram.is_none())
     }
 
-    /// The placement path this buffer resolves through: NVMe extents go
-    /// over the nc path, everything RAM-resident over the cp path.
-    pub fn path(&self) -> PathKind {
-        if self.is_offloaded() {
-            PathKind::Nvme
-        } else {
-            PathKind::Cpu
-        }
+    /// Index of the segment holding element `at`.
+    fn segment_index(&self, at: usize) -> usize {
+        self.segments.partition_point(|s| s.end() <= at)
+    }
+
+    /// One past the last element of the segment holding `at` (the buffer
+    /// length when `at` is past the end): the farthest a piece starting
+    /// at `at` can reach while staying on one path.
+    pub fn segment_end(&self, at: usize) -> usize {
+        self.segments.get(self.segment_index(at)).map_or(self.numel, Segment::end)
+    }
+
+    /// Device offset of elements `[start, ..)` spanning `nbytes`, when
+    /// that range lies inside one NVMe-resident segment.
+    fn device_offset(&self, start: usize, nbytes: usize) -> Option<u64> {
+        let seg = self.segments.get(self.segment_index(start))?;
+        let lo = self.dtype.bytes_for(start - seg.start);
+        (seg.ram.is_none() && lo + nbytes <= self.dtype.bytes_for(seg.len))
+            .then_some(seg.block.offset + lo as u64)
+    }
+
+    /// The RAM-resident F32 elements `[start, start+len)` as a mutable
+    /// slice of the resident buffer itself — Adam updates a cp-path
+    /// piece in place here, with no slice → decode → encode → write-back.
+    /// The range must lie inside one resident segment.
+    pub fn resident_f32_mut(&mut self, start: usize, len: usize) -> Result<&mut [f32]> {
+        let i = self.segment_index(start);
+        self.segments
+            .get_mut(i)
+            .and_then(|seg| {
+                let lo = start - seg.start;
+                seg.ram.as_mut()?.as_f32_mut()?.get_mut(lo..lo + len)
+            })
+            .ok_or_else(|| {
+                Error::Internal(format!("[{start}, +{len}) is not one resident f32 range"))
+            })
     }
 }
 
-/// An NVMe load in flight; resolves to the bytes when waited.
-///
-/// The pinned staging buffer is held only while the request is being
-/// submitted, never across the life of the pending load — holding it
-/// longer can deadlock ranks that block inside collectives while a
-/// sibling rank waits for staging (the pinned pool is a node-shared
-/// resource).
-pub struct PendingLoad(Loading);
-
-enum Loading {
-    /// Outstanding NVMe read and its device extent (for verification).
-    Read { dtype: DType, ticket: Ticket, offset: u64, len: usize },
-    /// Immediate result for GPU/CPU sources.
-    Ready(FlatBuffer),
+/// One load in flight — a range inside a single segment of a
+/// [`PlacedBuf`]. A RAM-resident piece has nothing to wait for (the
+/// caller reads or updates it in place); an NVMe piece is a device read
+/// in flight *into* a staging buffer. Nothing but the request is held
+/// while it is pending: a rank may block inside a collective with loads
+/// outstanding without starving a sibling of a node-shared resource.
+pub struct PlacedPending {
+    /// Outstanding NVMe read and the device offset it reads from.
+    read: Option<(Ticket, u64)>,
 }
 
-impl PendingLoad {
-    /// Block until the data is available. NVMe loads are verified
-    /// against the checksum recorded at store time; a mismatch triggers
-    /// synchronous re-reads before surfacing [`Error::Corruption`], so a
-    /// prefetched buffer is never silently poisoned.
-    pub fn wait(self, mgr: &OffloadManager) -> Result<FlatBuffer> {
-        match self.0 {
-            Loading::Read { dtype, ticket, offset, len } => {
-                let buf = mgr.verify_or_reread(offset, len, mgr.nvme.wait_buf(ticket)?)?;
-                FlatBuffer::from_bytes(dtype, buf.into_bytes().ok_or_else(wrong_buf_kind)?)
-            }
-            Loading::Ready(buf) => Ok(buf),
-        }
+impl PlacedPending {
+    /// Block until the piece is available. An NVMe piece yields the
+    /// staging buffer the device filled, checksum-verified (see
+    /// [`OffloadManager::verify_or_reread`]), so a prefetched buffer is
+    /// never silently poisoned; a resident piece yields `None`.
+    pub fn wait(self, mgr: &OffloadManager) -> Result<Option<ScratchVec>> {
+        let Some((ticket, offset)) = self.read else { return Ok(None) };
+        let buf = mgr.nvme.wait_buf(ticket)?.into_staging().ok_or_else(wrong_buf_kind)?;
+        mgr.verify_or_reread(offset, buf).map(Some)
     }
 
-    /// True if this load still has an outstanding NVMe request.
-    pub fn is_async(&self) -> bool {
-        matches!(self.0, Loading::Read { .. })
-    }
-
-    /// True once the data is available without blocking: the NVMe read
-    /// completed (successfully or not), or the load was immediate. The
-    /// prefetcher uses this to tell a timely hit from a late one.
+    /// True once [`Self::wait`] will not block: the NVMe read completed
+    /// (successfully or not), or the piece is resident. The prefetcher
+    /// uses this to tell a timely hit from a late one.
     pub fn ready(&self, mgr: &OffloadManager) -> bool {
-        match &self.0 {
-            Loading::Read { ticket, .. } => mgr.nvme.is_ready(*ticket),
-            Loading::Ready(_) => true,
+        self.read.is_none_or(|(ticket, _)| mgr.nvme.is_ready(ticket))
+    }
+
+    /// Reap the piece without looking at it (a failed stream abandoning
+    /// its read-ahead, an unconsumed prefetch): the staging buffer goes
+    /// back to its pool.
+    pub fn discard(self, mgr: &OffloadManager) {
+        if let Some((ticket, _)) = self.read {
+            let _ = mgr.nvme.wait_buf(ticket);
         }
     }
+}
+
+/// A whole buffer's bytes, contiguous, for a read-only consumer: the
+/// resident buffer itself, or the staging buffer the device filled
+/// (back in its pool when this drops).
+pub enum LoadedBytes<'a> {
+    /// The one RAM-resident segment, borrowed — no copy.
+    Resident(&'a [u8]),
+    /// Verified bytes read from the device (or assembled from several
+    /// segments).
+    Staged(ScratchVec),
+}
+
+impl LoadedBytes<'_> {
+    /// The bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        match self {
+            LoadedBytes::Resident(bytes) => bytes,
+            LoadedBytes::Staged(staging) => staging.as_bytes(),
+        }
+    }
+}
+
+/// The typed error for a read that came back from the engine as heap
+/// bytes where a staging buffer was submitted — an engine bug, never a
+/// device fault.
+fn wrong_buf_kind() -> Error {
+    Error::Internal("engine returned a different buffer kind than was submitted".into())
+}
+
+/// The typed error for load pieces that do not line up with the buffer
+/// they are resolved against.
+fn piece_mismatch() -> Error {
+    Error::Internal("load pieces do not match the buffer's segments".into())
 }
 
 /// Handle for storing/loading tensors on any tier.
@@ -396,6 +474,7 @@ pub struct OffloadManager {
     nvme: Arc<NvmeEngine>,
     pinned: PinnedBufferPool,
     staging: ScratchPool,
+    load_staging: ScratchPool,
     resilience: Arc<ResilienceState>,
     placement: Arc<PlanCell>,
     tracer: Tracer,
@@ -422,7 +501,9 @@ impl OffloadManager {
         &self.tracer
     }
 
-    /// The node's placement-policy cell (shared with [`NodeResources`]).
+    /// The node's placement-policy cell (see [`PlanCell`]): degradation
+    /// publishes the all-CPU collapse here, and engines poll it at step
+    /// boundaries to re-tier split shards.
     pub fn placement_cell(&self) -> &Arc<PlanCell> {
         &self.placement
     }
@@ -458,209 +539,428 @@ impl OffloadManager {
         }
     }
 
-    /// Redirect an NVMe store to CPU, counting the failover.
-    fn store_failover(&self, data: FlatBuffer) -> Result<DeviceBuf> {
+    /// Latch degradation and count one store redirected NVMe→CPU.
+    fn count_failover(&self) {
         self.latch_degraded();
         self.resilience.failovers.fetch_add(1, Ordering::Relaxed);
-        self.store(Device::cpu(), data)
     }
 
-    /// Allocate on `device` and store `data` there.
-    ///
-    /// NVMe stores degrade gracefully: once the device is declared dead
-    /// (or the node was degraded explicitly), the shard is placed in CPU
-    /// memory instead and the failover is counted in [`Self::health`].
-    /// Training slows down (the paper's NVMe capacity win is lost) but
-    /// does not abort.
-    pub fn store(&self, device: Device, data: FlatBuffer) -> Result<DeviceBuf> {
-        if device.kind == DeviceKind::Nvme && self.is_degraded() {
-            return self.store_failover(data);
+    // ----- per-segment operations -------------------------------------
+
+    /// Allocate on `device` and store `data` there as the segment
+    /// starting at buffer element `start`. An NVMe store is durable on
+    /// return; if the device dies under it the data is still in hand and
+    /// the segment fails over to CPU *alone* — other segments of the
+    /// buffer keep their placement.
+    fn store_segment(&self, device: Device, start: usize, data: FlatBuffer) -> Result<Segment> {
+        let block = self.hierarchy.alloc(device, data.size_in_bytes() as u64)?;
+        let len = data.numel();
+        if device.kind != DeviceKind::Nvme {
+            return Ok(Segment { start, len, device, block, ram: Some(data) });
         }
-        let bytes = data.size_in_bytes() as u64;
-        let block = self.hierarchy.alloc(device, bytes)?;
-        let numel = data.numel();
-        let dtype = data.dtype();
-        let ram = match device.kind {
-            DeviceKind::Gpu | DeviceKind::Cpu => Some(data),
-            DeviceKind::Nvme => {
-                // Stage through a pinned buffer for the duration of the
-                // write, then hand the bytes to the async engine and wait:
-                // stores must be durable before the shard is dropped.
-                let _staging = self.pinned.acquire();
-                let ticket = self.nvme.submit_write(block.offset, data.as_bytes().to_vec());
-                match self.nvme.wait(ticket) {
-                    Ok(_) => {
-                        self.resilience.record(block.offset, data.as_bytes());
-                        None
-                    }
-                    Err(e) if e.is_device_failure() => {
-                        // The device died under this store; the data is
-                        // still in hand — fail over to CPU.
-                        self.hierarchy.free(device, block);
-                        return self.store_failover(data);
-                    }
-                    Err(e) => {
-                        self.hierarchy.free(device, block);
-                        return Err(e);
-                    }
+        // Hold a pinned buffer for the duration of the write, then hand
+        // the bytes to the async engine and wait.
+        let _pinned = self.pinned.acquire();
+        let ticket = self.nvme.submit_write(block.offset, data.as_bytes().to_vec());
+        match self.nvme.wait(ticket) {
+            Ok(_) => {
+                self.resilience.record(block.offset, data.as_bytes());
+                Ok(Segment { start, len, device, block, ram: None })
+            }
+            Err(e) => {
+                self.hierarchy.free(device, block);
+                if !e.is_device_failure() {
+                    return Err(e);
                 }
+                self.count_failover();
+                self.store_segment(Device::cpu(), start, data)
             }
-        };
-        Ok(DeviceBuf { device, dtype, numel, block, ram })
-    }
-
-    /// One synchronous device read of `[offset, offset+len)`, reusing
-    /// `into` when it is a staging buffer (already `len` bytes long).
-    fn read_once(&self, offset: u64, len: usize, into: IoBuf) -> Result<IoBuf> {
-        let _staging = self.pinned.acquire();
-        let ticket = match into {
-            IoBuf::Staging(buf) => self.nvme.submit_read_into(offset, buf),
-            IoBuf::Bytes(_) => self.nvme.submit_read(offset, len),
-        };
-        self.nvme.wait_buf(ticket)
-    }
-
-    /// Verify `buf` against the checksum recorded for the extent, if
-    /// any. On mismatch, re-read the device up to [`CORRUPTION_REREADS`]
-    /// times (silent transfer corruption is transient — the device still
-    /// holds clean data); persistent mismatch surfaces as
-    /// [`Error::Corruption`].
-    fn verify_or_reread(&self, offset: u64, len: usize, mut buf: IoBuf) -> Result<IoBuf> {
-        let Some(expected) = self.resilience.lookup(offset, len as u64) else { return Ok(buf) };
-        let mut actual = crc32(buf.as_bytes());
-        let mut rereads = 0;
-        while actual != expected {
-            if rereads == CORRUPTION_REREADS {
-                self.resilience.corruptions_unrecovered.fetch_add(1, Ordering::Relaxed);
-                return Err(Error::Corruption {
-                    context: format!("NVMe extent [{offset:#x}, +{len} B) after {rereads} re-reads"),
-                    expected,
-                    actual,
-                });
-            }
-            buf = self.read_once(offset, len, buf)?;
-            actual = crc32(buf.as_bytes());
-            rereads += 1;
         }
-        if rereads > 0 {
-            self.resilience.corruptions_recovered.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Issue the device read behind elements `[lo, lo+len)` of `seg`
+    /// (segment-relative) into a buffer from `pool`; a resident segment
+    /// has nothing to read.
+    fn begin_segment_read(
+        &self,
+        pool: &ScratchPool,
+        dtype: DType,
+        seg: &Segment,
+        lo: usize,
+        len: usize,
+    ) -> PlacedPending {
+        let read = seg.ram.is_none().then(|| {
+            let offset = seg.block.offset + dtype.bytes_for(lo) as u64;
+            let staging = pool.acquire(dtype.bytes_for(len));
+            (self.nvme.submit_read_into(offset, staging), offset)
+        });
+        PlacedPending { read }
+    }
+
+    /// One synchronous device read at `offset`, filling `into`.
+    fn read_once(&self, offset: u64, into: ScratchVec) -> Result<ScratchVec> {
+        let _pinned = self.pinned.acquire();
+        let ticket = self.nvme.submit_read_into(offset, into);
+        self.nvme.wait_buf(ticket)?.into_staging().ok_or_else(wrong_buf_kind)
+    }
+
+    /// Verify `buf`, just read from `offset`, against the recorded
+    /// extents that exactly tile it: one checksum when the range was
+    /// written whole, one per chunk when it was written by a chunked
+    /// stream. A mismatching tile alone is re-read, up to
+    /// [`CORRUPTION_REREADS`] times (silent transfer corruption is
+    /// transient — the device still holds clean data); a persistent
+    /// mismatch surfaces as [`Error::Corruption`]. A range the registry
+    /// does not tile is returned unverified.
+    fn verify_or_reread(&self, offset: u64, mut buf: ScratchVec) -> Result<ScratchVec> {
+        let len = buf.as_bytes().len();
+        let Some(tiles) = self.resilience.tiles(offset, len as u64) else { return Ok(buf) };
+        let mut lo = 0;
+        for (tile_len, expected) in tiles {
+            let (tile, hi) = (offset + lo as u64, lo + tile_len as usize);
+            let mut actual = crc32(&buf.as_bytes()[lo..hi]);
+            let mut rereads = 0;
+            while actual != expected {
+                if rereads == CORRUPTION_REREADS {
+                    self.resilience.corruptions_unrecovered.fetch_add(1, Ordering::Relaxed);
+                    return Err(Error::Corruption {
+                        context: format!(
+                            "NVMe extent [{tile:#x}, +{tile_len} B) after {rereads} re-reads"
+                        ),
+                        expected,
+                        actual,
+                    });
+                }
+                if hi - lo == len {
+                    buf = self.read_once(offset, buf)?;
+                } else {
+                    let fresh = self.read_once(tile, self.staging.acquire(hi - lo))?;
+                    buf.as_bytes_mut()[lo..hi].copy_from_slice(fresh.as_bytes());
+                }
+                actual = crc32(&buf.as_bytes()[lo..hi]);
+                rereads += 1;
+            }
+            if rereads > 0 {
+                self.resilience.corruptions_recovered.fetch_add(1, Ordering::Relaxed);
+            }
+            lo = hi;
         }
         Ok(buf)
     }
 
-    /// Checksum-verified synchronous read.
-    fn read_verified(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
-        let buf = self.read_once(offset, len, IoBuf::Bytes(Vec::new()))?;
-        self.verify_or_reread(offset, len, buf)?.into_bytes().ok_or_else(wrong_buf_kind)
+    /// Replace `seg`'s contents with `bytes`. A detached NVMe write
+    /// completes at [`Self::flush`].
+    fn overwrite_segment(&self, seg: &mut Segment, bytes: &[u8], detached: bool) -> Result<()> {
+        let Some(ram) = &mut seg.ram else {
+            // Record the CRC at submission: the write either lands these
+            // exact bytes or reports failure (here, or at `flush` when
+            // detached). The one copy hands the engine bytes it owns.
+            self.resilience.record(seg.block.offset, bytes);
+            if detached {
+                self.nvme.submit_write_detached(seg.block.offset, bytes.to_vec());
+                return Ok(());
+            }
+            let _pinned = self.pinned.acquire();
+            let ticket = self.nvme.submit_write(seg.block.offset, bytes.to_vec());
+            return self.nvme.wait(ticket).map(drop);
+        };
+        ram.as_bytes_mut().copy_from_slice(bytes);
+        Ok(())
     }
 
-    /// Load the entire buffer.
-    pub fn load(&self, buf: &DeviceBuf) -> Result<FlatBuffer> {
-        match &buf.ram {
-            Some(data) => Ok(data.clone()),
-            None => {
-                let bytes = self.read_verified(buf.block.offset, buf.size_in_bytes())?;
-                FlatBuffer::from_bytes(buf.dtype, bytes)
+    /// Add `delta` into the F32 segment in place; true when any sum is
+    /// non-finite.
+    fn accumulate_segment(&self, seg: &mut Segment, delta: &[f32]) -> Result<bool> {
+        if let Some(ram) = &mut seg.ram {
+            return ram.accumulate_f32(delta);
+        }
+        // One recycled staging buffer carries every chunk of the
+        // read-modify-write pass — device read, in-place add, device
+        // write — bounding its transfer memory (Sec. 6.3); the pinned
+        // buffer size sets the chunk granularity.
+        let chunk = (self.pinned.buffer_size() / DType::F32.size_in_bytes()).max(1);
+        let mut nonfinite = false;
+        for (i, delta) in delta.chunks(chunk).enumerate() {
+            let (lo, off) = (i * chunk, seg.block.offset + DType::F32.bytes_for(i * chunk) as u64);
+            let read = self.begin_segment_read(&self.staging, DType::F32, seg, lo, delta.len());
+            let mut sums = read.wait(self)?.ok_or_else(piece_mismatch)?;
+            for (sum, d) in sums.as_f32_mut().iter_mut().zip(delta) {
+                *sum += d;
+                nonfinite |= !sum.is_finite();
+            }
+            self.resilience.record(off, sums.as_bytes());
+            self.nvme.wait_buf(self.nvme.submit_write_from(off, sums))?;
+        }
+        Ok(nonfinite)
+    }
+
+    /// Release the segment's device memory.
+    fn free_segment(&self, seg: Segment) {
+        if seg.device.kind == DeviceKind::Nvme {
+            // Drop stale checksums so a future tenant of this extent is
+            // not verified against our data.
+            self.resilience.invalidate(seg.block.offset, seg.block.len);
+        }
+        self.hierarchy.free(seg.device, seg.block);
+    }
+
+    // ----- whole-buffer operations ------------------------------------
+
+    /// Store `data` on `device` under `policy`.
+    ///
+    /// Only NVMe-tier stores split: `policy` decides what fraction of
+    /// the buffer stays in CPU DRAM (interleaved at the policy's stripe)
+    /// and the rest goes to the device. A GPU/CPU-tier store is the
+    /// one-segment plan on that device. NVMe stores degrade gracefully:
+    /// on a degraded node the plan collapses to one CPU segment up
+    /// front, and an NVMe segment whose write dies mid-store fails over
+    /// alone — either way counted in [`Self::health`]. Training slows
+    /// down (the paper's NVMe capacity win is lost) but does not abort.
+    pub fn store_placed(
+        &self,
+        device: Device,
+        policy: &PlacementPolicy,
+        data: FlatBuffer,
+    ) -> Result<PlacedBuf> {
+        let (dtype, numel) = (data.dtype(), data.numel());
+        let targets: Vec<(usize, usize, Device)> = if device.kind != DeviceKind::Nvme {
+            vec![(0, numel, device)]
+        } else {
+            let policy = if self.is_degraded() {
+                self.count_failover();
+                PlacementPolicy::all_cpu()
+            } else {
+                *policy
+            };
+            let device_of = |path| if path == PathKind::Cpu { Device::cpu() } else { device };
+            let plan = policy.plan(numel);
+            plan.segments().iter().map(|s| (s.start, s.len, device_of(s.path))).collect()
+        };
+        let mut buf = PlacedBuf { dtype, numel, segments: Vec::with_capacity(targets.len()) };
+        let mut whole = Some(data);
+        for (start, len, target) in targets {
+            // A one-segment plan stores the caller's buffer itself.
+            let part = match &whole {
+                Some(data) if len < numel => data.slice(start, len),
+                _ => whole.take().ok_or_else(|| Error::Internal("plan repeats a segment".into())),
+            };
+            if device.kind == DeviceKind::Nvme && target.kind == DeviceKind::Cpu {
+                // The DRAM stripe of an NVMe-tier buffer travels the cp hop.
+                let bytes = dtype.bytes_for(len) as u64;
+                self.tracer.span(Category::CpTransfer, "cp.store").set_bytes(bytes);
+                self.tracer.count(Counter::CpWriteBytes, bytes);
+            }
+            match part.and_then(|part| self.store_segment(target, start, part)) {
+                Ok(seg) => buf.segments.push(seg),
+                Err(e) => {
+                    self.free_placed(buf);
+                    return Err(e);
+                }
             }
         }
+        Ok(buf)
     }
 
-    /// Consume the buffer: hand back its contents (RAM-resident data is
-    /// moved out, not copied) and release its device memory.
-    pub fn take(&self, mut buf: DeviceBuf) -> Result<FlatBuffer> {
-        let data = match buf.ram.take() {
-            Some(data) => Ok(data),
-            None => self.load(&buf),
+    /// Begin an asynchronous load of the whole buffer: one piece per
+    /// segment, every NVMe-resident segment's read issued immediately.
+    /// This is the `nc-transfer` stage the prefetcher overlaps with
+    /// compute (Sec. 6.2).
+    pub fn begin_load_placed(&self, buf: &PlacedBuf) -> Vec<PlacedPending> {
+        buf.segments
+            .iter()
+            .map(|seg| self.begin_segment_read(&self.load_staging, buf.dtype, seg, 0, seg.len))
+            .collect()
+    }
+
+    /// Resolve the pieces of [`Self::begin_load_placed`] into the
+    /// buffer's contiguous bytes. A one-segment buffer costs no copy: a
+    /// resident segment is borrowed, an NVMe one is the verified staging
+    /// buffer itself. Several segments are assembled into one staging
+    /// buffer.
+    pub fn finish_load_placed<'a>(
+        &self,
+        buf: &'a PlacedBuf,
+        pieces: Vec<PlacedPending>,
+    ) -> Result<LoadedBytes<'a>> {
+        // Every read is reaped before any failure surfaces.
+        let staged: Vec<_> = pieces.into_iter().map(|piece| piece.wait(self)).collect();
+        let mut staged = staged.into_iter().collect::<Result<Vec<_>>>()?;
+        if staged.len() != buf.segments.len() {
+            return Err(piece_mismatch());
+        }
+        if let [seg] = &buf.segments[..] {
+            return match (staged.pop().flatten(), &seg.ram) {
+                (Some(staging), _) => Ok(LoadedBytes::Staged(staging)),
+                (None, Some(ram)) => Ok(LoadedBytes::Resident(ram.as_bytes())),
+                (None, None) => Err(piece_mismatch()),
+            };
+        }
+        let mut whole = self.load_staging.acquire(buf.size_in_bytes());
+        for (seg, piece) in buf.segments.iter().zip(&staged) {
+            let src = match (piece, &seg.ram) {
+                (Some(staging), _) => staging.as_bytes(),
+                (None, Some(ram)) => ram.as_bytes(),
+                (None, None) => return Err(piece_mismatch()),
+            };
+            let lo = buf.dtype.bytes_for(seg.start);
+            whole.as_bytes_mut()[lo..lo + src.len()].copy_from_slice(src);
+        }
+        Ok(LoadedBytes::Staged(whole))
+    }
+
+    /// The whole buffer's bytes, read now: every NVMe segment's read is
+    /// in flight before the first is waited on.
+    pub fn fetch_placed<'a>(&self, buf: &'a PlacedBuf) -> Result<LoadedBytes<'a>> {
+        self.finish_load_placed(buf, self.begin_load_placed(buf))
+    }
+
+    /// Load the entire buffer into a fresh [`FlatBuffer`].
+    pub fn load_placed(&self, buf: &PlacedBuf) -> Result<FlatBuffer> {
+        FlatBuffer::from_bytes(buf.dtype, self.fetch_placed(buf)?.as_bytes().to_vec())
+    }
+
+    /// Consume the buffer: hand back its contents (a resident
+    /// one-segment buffer is moved out, not copied) and release its
+    /// device memory.
+    pub fn take_placed(&self, mut buf: PlacedBuf) -> Result<FlatBuffer> {
+        let resident = match &mut buf.segments[..] {
+            [seg] => seg.ram.take(),
+            _ => None,
         };
-        self.free(buf);
+        let data = match resident {
+            Some(data) => Ok(data),
+            None => self.load_placed(&buf),
+        };
+        self.free_placed(buf);
         data
     }
 
-    /// Begin an asynchronous load of the whole buffer. NVMe sources issue
-    /// the read immediately and return; GPU/CPU sources resolve instantly.
-    /// This is the `nc-transfer` stage the prefetcher overlaps with
-    /// compute (Sec. 6.2).
-    pub fn begin_load(&self, buf: &DeviceBuf) -> Result<PendingLoad> {
-        let Some(data) = &buf.ram else {
-            // Staging is charged transiently for the submission only.
-            let _staging = self.pinned.acquire();
-            let (offset, len) = (buf.block.offset, buf.size_in_bytes());
-            let ticket = self.nvme.submit_read(offset, len);
-            return Ok(PendingLoad(Loading::Read { dtype: buf.dtype, ticket, offset, len }));
-        };
-        Ok(PendingLoad(Loading::Ready(data.clone())))
+    /// Begin streaming elements `[start, start+len)` of a buffer — a
+    /// piece inside one segment (see [`PlacedBuf::segment_end`]). An
+    /// NVMe piece is issued to the device immediately, reading into a
+    /// recycled staging buffer; a CPU-DRAM piece needs no transfer at
+    /// all — so a pipelined caller streams both paths concurrently.
+    pub fn begin_load_elems_placed(
+        &self,
+        buf: &PlacedBuf,
+        start: usize,
+        len: usize,
+    ) -> Result<PlacedPending> {
+        if start + len > buf.segment_end(start) {
+            return Err(Error::shape(format!(
+                "begin_load_elems_placed [{start}, {}) crosses a segment of a {}-element shard",
+                start + len,
+                buf.numel
+            )));
+        }
+        Ok(match buf.segments.get(buf.segment_index(start)) {
+            Some(seg) => {
+                self.begin_segment_read(&self.staging, buf.dtype, seg, start - seg.start, len)
+            }
+            None => PlacedPending { read: None },
+        })
     }
 
-    /// Accumulate `delta` into the buffer in place, returning whether any
-    /// accumulated element is non-finite.
+    /// Accumulate `delta` into the F32 buffer in place, returning
+    /// whether any accumulated element is non-finite.
     ///
     /// This fuses the overflow scan into gradient accumulation: a
     /// non-finite term makes every later running sum non-finite (inf/NaN
     /// propagate through addition), so OR-ing the per-call flags is
     /// exactly equivalent to scanning the fully accumulated gradient
     /// once at step time — without the extra full-gradient pass.
-    pub fn accumulate_f32(&self, buf: &mut DeviceBuf, delta: &[f32]) -> Result<bool> {
+    pub fn accumulate_f32_placed(&self, buf: &mut PlacedBuf, delta: &[f32]) -> Result<bool> {
         if buf.dtype != DType::F32 || delta.len() != buf.numel {
             return Err(Error::shape("accumulate_f32 size/dtype mismatch"));
         }
-        match &mut buf.ram {
-            Some(ram) => ram.accumulate_f32(delta),
-            None => {
-                // One recycled staging buffer carries every chunk of the
-                // read-modify-write pass — device read, in-place add,
-                // device write — bounding its transfer memory (Sec. 6.3);
-                // the pinned buffer size sets the chunk granularity.
-                let chunk = (self.pinned.buffer_size() / DType::F32.size_in_bytes()).max(1);
-                let mut nonfinite = false;
-                for start in (0..buf.numel).step_by(chunk) {
-                    let len = chunk.min(buf.numel - start);
-                    let off = buf.block.offset + DType::F32.bytes_for(start) as u64;
-                    let nbytes = DType::F32.bytes_for(len);
-                    let read = self.nvme.submit_read_into(off, self.staging.acquire(nbytes));
-                    let sums = self.verify_or_reread(off, nbytes, self.nvme.wait_buf(read)?)?;
-                    let mut sums = sums.into_staging().ok_or_else(wrong_buf_kind)?;
-                    for (sum, d) in sums.as_f32_mut().iter_mut().zip(&delta[start..start + len]) {
-                        *sum += d;
-                        nonfinite |= !sum.is_finite();
-                    }
-                    self.resilience.record(off, sums.as_bytes());
-                    self.nvme.wait_buf(self.nvme.submit_write_from(off, sums))?;
-                }
-                Ok(nonfinite)
-            }
+        let mut nonfinite = false;
+        for seg in &mut buf.segments {
+            nonfinite |= self.accumulate_segment(seg, &delta[seg.start..seg.start + seg.len])?;
         }
+        Ok(nonfinite)
     }
 
-    /// Replace the buffer's entire contents.
-    pub fn overwrite(&self, buf: &mut DeviceBuf, data: &FlatBuffer) -> Result<()> {
-        self.overwrite_whole(buf, data, false)
+    /// Replace the buffer's entire contents, each segment over its own
+    /// path.
+    pub fn overwrite_placed(&self, buf: &mut PlacedBuf, data: &FlatBuffer) -> Result<()> {
+        self.overwrite_segments(buf, data, false)
     }
 
     /// Asynchronously overwrite the buffer (gradient offload overlap,
-    /// Sec. 6.2); completion is guaranteed only after [`Self::flush`].
-    pub fn overwrite_async(&self, buf: &mut DeviceBuf, data: &FlatBuffer) -> Result<()> {
-        self.overwrite_whole(buf, data, true)
+    /// Sec. 6.2): NVMe segments go out as detached writes (completion
+    /// only after [`Self::flush`]), RAM segments land synchronously
+    /// under a cp-hop span.
+    pub fn overwrite_async_placed(&self, buf: &mut PlacedBuf, data: &FlatBuffer) -> Result<()> {
+        self.overwrite_segments(buf, data, true)
     }
 
-    fn overwrite_whole(&self, buf: &mut DeviceBuf, data: &FlatBuffer, detached: bool) -> Result<()> {
+    fn overwrite_segments(
+        &self,
+        buf: &mut PlacedBuf,
+        data: &FlatBuffer,
+        detached: bool,
+    ) -> Result<()> {
         if data.numel() != buf.numel || data.dtype() != buf.dtype {
             return Err(Error::shape("overwrite size/dtype mismatch"));
         }
-        let Some(ram) = &mut buf.ram else {
-            // Record the CRC at submission: the write either lands these
-            // exact bytes or reports failure (here, or at `flush` when
-            // detached). The one copy hands the engine bytes it owns.
-            self.resilience.record(buf.block.offset, data.as_bytes());
-            let bytes = data.as_bytes().to_vec();
-            if detached {
-                self.nvme.submit_write_detached(buf.block.offset, bytes);
-                return Ok(());
+        for seg in &mut buf.segments {
+            let (lo, hi) = (buf.dtype.bytes_for(seg.start), buf.dtype.bytes_for(seg.end()));
+            if seg.ram.is_some() {
+                let mut span = self.tracer.span(Category::CpTransfer, "cp.write");
+                span.set_bytes((hi - lo) as u64);
+                self.tracer.count(Counter::CpWriteBytes, (hi - lo) as u64);
             }
-            let _staging = self.pinned.acquire();
-            return self.nvme.wait(self.nvme.submit_write(buf.block.offset, bytes)).map(drop);
-        };
-        ram.as_bytes_mut().copy_from_slice(data.as_bytes());
+            self.overwrite_segment(seg, &data.as_bytes()[lo..hi], detached)?;
+        }
         Ok(())
+    }
+
+    /// Begin overwriting `buf` chunk by chunk (see [`PublishStream`]).
+    pub fn begin_publish<'a>(&self, buf: &'a mut PlacedBuf) -> PublishStream<'a> {
+        PublishStream { buf, next: 0 }
+    }
+
+    /// Re-publish every NVMe-resident segment to CPU DRAM, leaving
+    /// DRAM-resident segments untouched, then release the NVMe extents.
+    /// This is the graceful degradation path: when the node degrades
+    /// while the device still answers reads (explicit degrade,
+    /// health-driven collapse), the NVMe-resident *half* of a split
+    /// buffer is preserved rather than dropped with the store. Reads are
+    /// checksum-verified; a dead device surfaces its typed error so the
+    /// caller falls back to checkpoint recovery.
+    pub fn collapse_placed(&self, buf: &mut PlacedBuf) -> Result<()> {
+        for seg in &mut buf.segments {
+            let read = self.begin_segment_read(&self.load_staging, buf.dtype, seg, 0, seg.len);
+            let Some(bytes) = read.wait(self)? else { continue };
+            let data = FlatBuffer::from_bytes(buf.dtype, bytes.as_bytes().to_vec())?;
+            let cpu = self.store_segment(Device::cpu(), seg.start, data)?;
+            self.resilience.failovers.fetch_add(1, Ordering::Relaxed);
+            self.free_segment(std::mem::replace(seg, cpu));
+        }
+        Ok(())
+    }
+
+    /// Move a buffer to a new placement: load it whole, store it under
+    /// `policy`, free the old segments. The re-tier knob's mechanism —
+    /// bit-preserving by construction (load/store round trip), so
+    /// placement moves are numerically invisible.
+    pub fn retier_placed(
+        &self,
+        buf: &mut PlacedBuf,
+        device: Device,
+        policy: &PlacementPolicy,
+    ) -> Result<()> {
+        let data = self.load_placed(buf)?;
+        let fresh = self.store_placed(device, policy, data)?;
+        self.free_placed(std::mem::replace(buf, fresh));
+        Ok(())
+    }
+
+    /// Release every segment of a buffer.
+    pub fn free_placed(&self, buf: PlacedBuf) {
+        for seg in buf.segments {
+            self.free_segment(seg);
+        }
     }
 
     /// Drain all outstanding NVMe requests: a completion barrier —
@@ -682,16 +982,6 @@ impl OffloadManager {
             r => r,
         }
     }
-
-    /// Release the buffer's device memory.
-    pub fn free(&self, buf: DeviceBuf) {
-        if buf.device.kind == DeviceKind::Nvme {
-            // Drop stale checksums so a future tenant of this extent is
-            // not verified against our data.
-            self.resilience.invalidate(buf.block.offset, buf.block.len);
-        }
-        self.hierarchy.free(buf.device, buf.block);
-    }
 }
 
 /// Bounded asynchronous write-behind for chunk-streamed updates.
@@ -704,8 +994,8 @@ impl OffloadManager {
 /// into its write request by value and goes home to the staging pool
 /// when the ticket is reaped — on success and on every error path.
 ///
-/// Unlike [`OffloadManager::overwrite_async`]'s detached writes — whose
-/// failures are deferred to the `flush` barrier — every write-behind
+/// Unlike [`OffloadManager::overwrite_async_placed`]'s detached writes —
+/// whose failures are deferred to the `flush` barrier — every write-behind
 /// ticket is waited in [`WriteBehind::drain`] (or during back-pressure),
 /// so write failures surface as typed errors on the step path itself:
 /// transient faults are retried inside the engine exactly as before, and
@@ -728,9 +1018,23 @@ impl WriteBehind {
         self.inflight.len()
     }
 
-    /// Queue `staging` for device offset `offset`, first making room in
-    /// the window. A failure here drops `staging` back into its pool.
-    fn push(&mut self, mgr: &OffloadManager, offset: u64, staging: ScratchVec) -> Result<()> {
+    /// Queue `staging` as the new contents of `buf[start ..]` — a range
+    /// inside one NVMe segment, normally the extent the buffer was read
+    /// from — first making room in the window. The CRC is recorded at
+    /// submission over these exact bytes: the ticketed write either
+    /// lands them or a wait surfaces the failure. A failure here drops
+    /// `staging` back into its pool.
+    pub fn submit_staged(
+        &mut self,
+        mgr: &OffloadManager,
+        buf: &PlacedBuf,
+        start: usize,
+        staging: ScratchVec,
+    ) -> Result<()> {
+        let offset = buf
+            .device_offset(start, staging.as_bytes().len())
+            .ok_or_else(|| Error::Internal("write-behind range is not one NVMe extent".into()))?;
+        mgr.resilience.record(offset, staging.as_bytes());
         // Harvest writes that already completed before deciding to
         // block: FIFO service completes the oldest tickets first, so
         // reaping from the front retires everything the device has
@@ -751,25 +1055,6 @@ impl WriteBehind {
         }
         self.inflight.push_back(mgr.nvme.submit_write_from(offset, staging));
         Ok(())
-    }
-
-    /// Queue `staging` as the new contents of `buf[start ..]` — a range
-    /// inside one NVMe segment, normally the extent the buffer was read
-    /// from. The CRC is recorded at submission over these exact bytes:
-    /// the ticketed write either lands them or a wait surfaces the
-    /// failure.
-    pub fn submit_staged(
-        &mut self,
-        mgr: &OffloadManager,
-        buf: &PlacedBuf,
-        start: usize,
-        staging: ScratchVec,
-    ) -> Result<()> {
-        let offset = buf
-            .device_offset(start, staging.as_bytes().len())
-            .ok_or_else(|| Error::Internal("write-behind range is not one NVMe extent".into()))?;
-        mgr.resilience.record(offset, staging.as_bytes());
-        self.push(mgr, offset, staging)
     }
 
     /// Wait out every queued write, surfacing the first failure as a
@@ -797,185 +1082,21 @@ impl Drop for WriteBehind {
     }
 }
 
-/// One contiguous piece of a placed shard: a [`DeviceBuf`] plus its
-/// element offset within the logical shard.
-#[derive(Debug)]
-pub struct PlacedSegment {
-    start: usize,
-    buf: DeviceBuf,
-}
-
-impl PlacedSegment {
-    /// First shard element this segment covers.
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// Elements in this segment.
-    pub fn len(&self) -> usize {
-        self.buf.numel()
-    }
-
-    /// True when the segment holds no elements (never constructed).
-    pub fn is_empty(&self) -> bool {
-        self.buf.numel() == 0
-    }
-
-    /// One past the last shard element this segment covers.
-    pub fn end(&self) -> usize {
-        self.start + self.buf.numel()
-    }
-
-    /// The path the segment currently resolves through. A segment
-    /// *planned* for NVMe reports [`PathKind::Cpu`] after a failover
-    /// moved its bytes to DRAM — readers care where the bytes are, not
-    /// where the plan wanted them.
-    pub fn path(&self) -> PathKind {
-        self.buf.path()
-    }
-
-    /// The backing buffer.
-    pub fn buf(&self) -> &DeviceBuf {
-        &self.buf
-    }
-}
-
-/// One logical shard stored under a placement plan: an ordered,
-/// disjoint, exhaustive list of per-path [`DeviceBuf`] segments.
+/// An in-order, chunk-at-a-time overwrite of one whole buffer in its
+/// storage dtype: the chunk-streamed step's fourth stream.
 ///
-/// This is the "placement plan per shard" generalization of the old
-/// one-backing-store model: a [`PlacementPolicy`] split places part of
-/// the shard in CPU DRAM (the cp path) and the rest on NVMe (the nc
-/// path), and a streamed pass walks the segments piece by piece — so it
-/// drives both paths concurrently.
-#[derive(Debug)]
-pub struct PlacedBuf {
-    dtype: DType,
-    numel: usize,
-    segments: Vec<PlacedSegment>,
-}
-
-impl PlacedBuf {
-    /// Element type.
-    pub fn dtype(&self) -> DType {
-        self.dtype
-    }
-
-    /// Number of elements across all segments.
-    pub fn numel(&self) -> usize {
-        self.numel
-    }
-
-    /// Size in bytes across all segments.
-    pub fn size_in_bytes(&self) -> usize {
-        self.dtype.bytes_for(self.numel)
-    }
-
-    /// The segments, ordered by `start`, disjoint and exhaustive.
-    pub fn segments(&self) -> &[PlacedSegment] {
-        &self.segments
-    }
-
-    /// Elements currently resolving through `path`.
-    pub fn elems_on(&self, path: PathKind) -> usize {
-        self.segments.iter().filter(|s| s.path() == path).map(|s| s.len()).sum()
-    }
-
-    /// True when the shard is split across both paths.
-    pub fn is_split(&self) -> bool {
-        self.elems_on(PathKind::Nvme) > 0 && self.elems_on(PathKind::Cpu) > 0
-    }
-
-    /// True when any part of the shard still lives on the NVMe device.
-    pub fn is_offloaded(&self) -> bool {
-        self.segments.iter().any(|s| s.buf.is_offloaded())
-    }
-
-    /// Index of the segment holding element `at`.
-    fn segment_index(&self, at: usize) -> usize {
-        self.segments.partition_point(|s| s.end() <= at)
-    }
-
-    /// One past the last element of the segment holding `at` (the shard
-    /// length when `at` is past the end): the farthest a piece starting
-    /// at `at` can reach while staying on one path.
-    pub fn segment_end(&self, at: usize) -> usize {
-        self.segments.get(self.segment_index(at)).map_or(self.numel, PlacedSegment::end)
-    }
-
-    /// Device offset of elements `[start, ..)` spanning `nbytes`, when
-    /// that range lies inside one NVMe-resident segment.
-    fn device_offset(&self, start: usize, nbytes: usize) -> Option<u64> {
-        let seg = self.segments.get(self.segment_index(start))?;
-        let lo = self.dtype.bytes_for(start - seg.start);
-        (seg.buf.is_offloaded() && lo + nbytes <= seg.buf.size_in_bytes())
-            .then_some(seg.buf.block.offset + lo as u64)
-    }
-
-    /// The RAM-resident F32 elements `[start, start+len)` as a mutable
-    /// slice of the resident buffer itself — Adam updates a cp-path
-    /// piece in place here, with no slice → decode → encode → write-back.
-    /// The range must lie inside one resident segment.
-    pub fn resident_f32_mut(&mut self, start: usize, len: usize) -> Result<&mut [f32]> {
-        let i = self.segment_index(start);
-        self.segments
-            .get_mut(i)
-            .and_then(|seg| {
-                let lo = start - seg.start;
-                seg.buf.ram.as_mut()?.as_f32_mut()?.get_mut(lo..lo + len)
-            })
-            .ok_or_else(|| {
-                Error::Internal(format!("[{start}, +{len}) is not one resident f32 range"))
-            })
-    }
-}
-
-/// One piece of a streamed chunk — a range inside a single segment of
-/// a placed shard. A RAM-resident piece has nothing to wait for (the
-/// caller updates it in place through [`PlacedBuf::resident_f32_mut`]);
-/// an NVMe piece is a device read in flight *into* a staging buffer.
-pub struct PlacedPending {
-    /// Outstanding NVMe read and its device extent (for verification).
-    read: Option<(Ticket, u64, usize)>,
-}
-
-impl PlacedPending {
-    /// Block until the piece is available. An NVMe piece yields the
-    /// staging buffer the device filled, verified against the checksum
-    /// recorded for its extent (a mismatch re-reads into the same
-    /// buffer before surfacing [`Error::Corruption`]); a resident piece
-    /// yields `None`.
-    pub fn wait(self, mgr: &OffloadManager) -> Result<Option<ScratchVec>> {
-        let Some((ticket, offset, len)) = self.read else { return Ok(None) };
-        let buf = mgr.verify_or_reread(offset, len, mgr.nvme.wait_buf(ticket)?)?;
-        buf.into_staging().map(Some).ok_or_else(wrong_buf_kind)
-    }
-
-    /// Reap the piece without looking at it (a failed stream abandoning
-    /// its read-ahead): the staging buffer goes back to its pool.
-    pub fn discard(self, mgr: &OffloadManager) {
-        if let Some((ticket, ..)) = self.read {
-            let _ = mgr.nvme.wait_buf(ticket);
-        }
-    }
-}
-
-/// An in-order, chunk-at-a-time overwrite of one whole parameter buffer
-/// in its storage dtype: the chunk-streamed step's fourth stream.
-///
-/// Each pushed chunk is converted into a staging buffer and queued on
-/// the caller's [`WriteBehind`], so the publish overlaps the next
-/// chunk's update instead of costing a whole-shard vector plus a
-/// blocking write per parameter. Parameter fetches verify the *whole*
-/// extent, so the checksum is accumulated incrementally over the
-/// in-order chunks and recorded once by [`PublishStream::finish`] —
-/// at submission, like every write-behind CRC: each ticketed write
-/// either lands those exact bytes or a wait surfaces the failure. A
+/// Each pushed chunk is cut at the buffer's segment boundaries; a piece
+/// on a resident segment is encoded in place, a piece on an NVMe segment
+/// is converted into a staging buffer and queued on the caller's
+/// [`WriteBehind`], so the publish overlaps the next chunk's update
+/// instead of costing a whole-shard vector plus a blocking write per
+/// parameter. Every queued piece records its own checksum at
+/// submission, like all write-behind traffic; a later whole-segment
+/// fetch is verified against the chunk checksums that tile it. A
 /// whole-buffer overwrite is the one-chunk case.
 pub struct PublishStream<'a> {
-    buf: &'a mut DeviceBuf,
+    buf: &'a mut PlacedBuf,
     next: usize,
-    crc: u32,
 }
 
 impl PublishStream<'_> {
@@ -984,241 +1105,44 @@ impl PublishStream<'_> {
         &mut self,
         mgr: &OffloadManager,
         wb: &mut WriteBehind,
-        values: &[f32],
+        mut values: &[f32],
     ) -> Result<()> {
         let dtype = self.buf.dtype;
         if self.next + values.len() > self.buf.numel {
             return Err(Error::shape("publish past the end of the parameter buffer"));
         }
-        let (lo, nbytes) = (dtype.bytes_for(self.next), dtype.bytes_for(values.len()));
-        self.next += values.len();
-        match &mut self.buf.ram {
-            Some(ram) => encode_f32(dtype, values, &mut ram.as_bytes_mut()[lo..lo + nbytes]),
-            None => {
-                let mut staging = mgr.staging.acquire(nbytes);
-                encode_f32(dtype, values, staging.as_bytes_mut())?;
-                self.crc = crc32_update(self.crc, staging.as_bytes());
-                wb.push(mgr, self.buf.block.offset + lo as u64, staging)
+        while !values.is_empty() {
+            let in_segment = self.buf.segment_end(self.next) - self.next;
+            let (piece, rest) = values.split_at(values.len().min(in_segment));
+            let nbytes = dtype.bytes_for(piece.len());
+            let i = self.buf.segment_index(self.next);
+            let seg = &mut self.buf.segments[i];
+            match &mut seg.ram {
+                Some(ram) => {
+                    let lo = dtype.bytes_for(self.next - seg.start);
+                    encode_f32(dtype, piece, &mut ram.as_bytes_mut()[lo..lo + nbytes])?;
+                }
+                None => {
+                    let mut staging = mgr.staging.acquire(nbytes);
+                    encode_f32(dtype, piece, staging.as_bytes_mut())?;
+                    wb.submit_staged(mgr, self.buf, self.next, staging)?;
+                }
             }
+            self.next += piece.len();
+            values = rest;
         }
+        Ok(())
     }
 
-    /// Seal the overwrite: every element was pushed, and the
-    /// whole-extent checksum that parameter fetches verify is recorded.
-    pub fn finish(self, mgr: &OffloadManager) -> Result<()> {
+    /// Seal the overwrite: every element was pushed.
+    pub fn finish(self) -> Result<()> {
         if self.next != self.buf.numel {
             return Err(Error::Internal(format!(
                 "publish covered {} of {} elements",
                 self.next, self.buf.numel
             )));
         }
-        if self.buf.is_offloaded() {
-            let len = self.buf.size_in_bytes() as u64;
-            mgr.resilience.record_crc(self.buf.block.offset, len, self.crc);
-        }
         Ok(())
-    }
-}
-
-impl OffloadManager {
-    /// The device a placement path maps to.
-    fn path_device(path: PathKind) -> Device {
-        match path {
-            PathKind::Cpu => Device::cpu(),
-            PathKind::Nvme => Device::nvme(),
-        }
-    }
-
-    /// Store `data` on `device` under `policy`.
-    ///
-    /// Only NVMe-tier stores split: `policy` decides what fraction of
-    /// the shard stays in CPU DRAM (interleaved at the policy's stripe),
-    /// and the rest goes to the device. GPU/CPU-tier stores ignore the
-    /// policy (one RAM segment). A degraded node collapses the plan to
-    /// all-CPU up front, and an NVMe segment whose write dies mid-store
-    /// fails over *alone* — the other segments keep their placement
-    /// (this is the placement-aware fix for the old whole-shard
-    /// failover assumption).
-    pub fn store_placed(
-        &self,
-        device: Device,
-        policy: &PlacementPolicy,
-        data: FlatBuffer,
-    ) -> Result<PlacedBuf> {
-        let dtype = data.dtype();
-        let numel = data.numel();
-        if device.kind != DeviceKind::Nvme {
-            let buf = self.store(device, data)?;
-            return Ok(PlacedBuf { dtype, numel, segments: vec![PlacedSegment { start: 0, buf }] });
-        }
-        let policy = if self.is_degraded() { PlacementPolicy::all_cpu() } else { *policy };
-        let plan = policy.plan(numel);
-        let mut segments: Vec<PlacedSegment> = Vec::with_capacity(plan.segments().len());
-        let mut whole = Some(data);
-        for seg in plan.segments() {
-            // A single-path plan stores the caller's buffer itself.
-            let part = match &whole {
-                Some(data) if seg.len < numel => data.slice(seg.start, seg.len)?,
-                _ => whole.take().ok_or_else(|| Error::Internal("plan repeats a segment".into()))?,
-            };
-            let target = Self::path_device(seg.path);
-            if seg.path == PathKind::Cpu {
-                let mut span = self.tracer.span(Category::CpTransfer, "cp.store");
-                span.set_bytes(part.size_in_bytes() as u64);
-                self.tracer.count(Counter::CpWriteBytes, part.size_in_bytes() as u64);
-            }
-            // `store` handles the per-segment failover: a device death
-            // mid-write moves only this segment's bytes to CPU.
-            match self.store(target, part) {
-                Ok(buf) => segments.push(PlacedSegment { start: seg.start, buf }),
-                Err(e) => {
-                    for stored in segments {
-                        self.free(stored.buf);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(PlacedBuf { dtype, numel, segments })
-    }
-
-    /// Load the entire placed shard, reassembling split segments.
-    pub fn load_placed(&self, buf: &PlacedBuf) -> Result<FlatBuffer> {
-        if buf.segments.len() == 1 {
-            return self.load(&buf.segments[0].buf);
-        }
-        let mut bytes = vec![0u8; buf.size_in_bytes()];
-        for seg in &buf.segments {
-            let fb = self.load(&seg.buf)?;
-            let lo = buf.dtype.bytes_for(seg.start);
-            bytes[lo..lo + fb.size_in_bytes()].copy_from_slice(fb.as_bytes());
-        }
-        FlatBuffer::from_bytes(buf.dtype, bytes)
-    }
-
-    /// Begin streaming elements `[start, start+len)` of a placed shard —
-    /// a piece inside one segment (see [`PlacedBuf::segment_end`]). An
-    /// NVMe piece is issued to the device immediately, reading into a
-    /// recycled staging buffer; a CPU-DRAM piece needs no transfer at
-    /// all — so a pipelined caller streams both paths concurrently.
-    pub fn begin_load_elems_placed(
-        &self,
-        buf: &PlacedBuf,
-        start: usize,
-        len: usize,
-    ) -> Result<PlacedPending> {
-        if start + len > buf.segment_end(start) {
-            return Err(Error::shape(format!(
-                "begin_load_elems_placed [{start}, {}) crosses a segment of a {}-element shard",
-                start + len,
-                buf.numel
-            )));
-        }
-        let nbytes = buf.dtype.bytes_for(len);
-        let read = buf.device_offset(start, nbytes).map(|offset| {
-            let staging = self.staging.acquire(nbytes);
-            (self.nvme.submit_read_into(offset, staging), offset, nbytes)
-        });
-        Ok(PlacedPending { read })
-    }
-
-    /// Replace the placed shard's entire contents, each segment over its
-    /// own path.
-    pub fn overwrite_placed(&self, buf: &mut PlacedBuf, data: &FlatBuffer) -> Result<()> {
-        self.overwrite_segments(buf, data, Self::overwrite)
-    }
-
-    /// Asynchronously overwrite the placed shard: NVMe segments go out
-    /// as detached writes (completion at [`Self::flush`]), CPU segments
-    /// land synchronously under a cp-hop span.
-    pub fn overwrite_async_placed(&self, buf: &mut PlacedBuf, data: &FlatBuffer) -> Result<()> {
-        self.overwrite_segments(buf, data, Self::overwrite_async)
-    }
-
-    /// Apply `write` to every segment with its share of `data` — the
-    /// caller's buffer itself when the shard is one segment.
-    fn overwrite_segments(
-        &self,
-        buf: &mut PlacedBuf,
-        data: &FlatBuffer,
-        write: fn(&Self, &mut DeviceBuf, &FlatBuffer) -> Result<()>,
-    ) -> Result<()> {
-        if data.numel() != buf.numel || data.dtype() != buf.dtype {
-            return Err(Error::shape("placed overwrite size/dtype mismatch"));
-        }
-        let single = buf.segments.len() == 1;
-        for seg in &mut buf.segments {
-            let sliced;
-            let part = if single {
-                data
-            } else {
-                sliced = data.slice(seg.start, seg.buf.numel())?;
-                &sliced
-            };
-            if seg.path() == PathKind::Cpu {
-                let mut span = self.tracer.span(Category::CpTransfer, "cp.write");
-                span.set_bytes(part.size_in_bytes() as u64);
-                self.tracer.count(Counter::CpWriteBytes, part.size_in_bytes() as u64);
-            }
-            write(self, &mut seg.buf, part)?;
-        }
-        Ok(())
-    }
-
-    /// Re-publish every NVMe-resident segment of a split shard to CPU
-    /// DRAM, leaving DRAM-resident segments untouched, then release the
-    /// NVMe extents. This is the graceful degradation path: when the
-    /// node degrades while the device still answers reads (explicit
-    /// degrade, health-driven collapse), the NVMe-resident *half* of a
-    /// split shard is preserved rather than dropped with the store.
-    /// Reads are checksum-verified; a dead device surfaces its typed
-    /// error so the caller falls back to checkpoint recovery.
-    pub fn collapse_placed(&self, buf: &mut PlacedBuf) -> Result<()> {
-        for seg in &mut buf.segments {
-            if !seg.buf.is_offloaded() {
-                continue;
-            }
-            let data = self.load(&seg.buf)?;
-            let cpu = self.store(Device::cpu(), data)?;
-            self.resilience.failovers.fetch_add(1, Ordering::Relaxed);
-            let old = std::mem::replace(&mut seg.buf, cpu);
-            self.free(old);
-        }
-        Ok(())
-    }
-
-    /// Move a placed shard to a new placement: load it whole, store it
-    /// under `policy`, free the old segments. The re-tier knob's
-    /// mechanism — bit-preserving by construction (load/store round
-    /// trip), so placement moves are numerically invisible.
-    pub fn retier_placed(
-        &self,
-        buf: &mut PlacedBuf,
-        device: Device,
-        policy: &PlacementPolicy,
-    ) -> Result<()> {
-        let data = self.load_placed(buf)?;
-        let fresh = self.store_placed(device, policy, data)?;
-        let old = std::mem::replace(buf, fresh);
-        self.free_placed(old);
-        Ok(())
-    }
-
-    /// Release every segment of a placed shard.
-    pub fn free_placed(&self, buf: PlacedBuf) {
-        for seg in buf.segments {
-            self.free(seg.buf);
-        }
-    }
-
-    /// Begin overwriting `buf` chunk by chunk (see [`PublishStream`]).
-    /// The whole-extent checksum is dropped until the stream finishes:
-    /// the device holds a mix of old and new chunks in between.
-    pub fn begin_publish<'a>(&self, buf: &'a mut DeviceBuf) -> PublishStream<'a> {
-        if buf.is_offloaded() {
-            self.resilience.invalidate(buf.block.offset, buf.size_in_bytes() as u64);
-        }
-        PublishStream { buf, next: 0, crc: 0 }
     }
 }
 
@@ -1235,18 +1159,38 @@ mod tests {
         FlatBuffer::from_f32(DType::F32, vals)
     }
 
+    /// Store `data` whole on `device`: the one-segment plan.
+    fn store_on(mgr: &OffloadManager, device: Device, data: FlatBuffer) -> Result<PlacedBuf> {
+        mgr.store_placed(device, &PlacementPolicy::all_nvme(), data)
+    }
+
+    fn store_nvme(mgr: &OffloadManager, policy: PlacementPolicy, vals: &[f32]) -> PlacedBuf {
+        mgr.store_placed(Device::nvme(), &policy, buf_f32(vals)).unwrap()
+    }
+
+    /// The device holding the one segment of `buf`.
+    fn device_of(buf: &PlacedBuf) -> Device {
+        assert_eq!(buf.segments.len(), 1);
+        buf.segments[0].device
+    }
+
+    fn in_use(mgr: &OffloadManager) -> (u64, u64) {
+        let h = mgr.hierarchy();
+        (h.stats(Device::cpu()).in_use, h.stats(Device::nvme()).in_use)
+    }
+
     #[test]
     fn store_load_round_trip_every_tier() {
         let node = node();
         let mgr = node.offload_manager();
         for device in [Device::gpu(0), Device::cpu(), Device::nvme()] {
             let data = buf_f32(&[1.0, -2.0, 3.5]);
-            let buf = mgr.store(device, data.clone()).unwrap();
-            assert_eq!(buf.device(), device);
+            let buf = store_on(&mgr, device, data.clone()).unwrap();
+            assert_eq!(device_of(&buf), device);
             assert_eq!(buf.numel(), 3);
-            let back = mgr.load(&buf).unwrap();
+            let back = mgr.load_placed(&buf).unwrap();
             assert_eq!(back.to_f32_vec(), data.to_f32_vec(), "tier {device}");
-            mgr.free(buf);
+            mgr.free_placed(buf);
             assert_eq!(mgr.hierarchy().stats(device).in_use, 0);
         }
     }
@@ -1257,46 +1201,40 @@ mod tests {
         let node = NodeResources::in_memory(&spec, 1);
         let mgr = node.offload_manager();
         // 5 f32 = 20 bytes > 16-byte GPU pool.
-        let err = mgr.store(Device::gpu(0), buf_f32(&[0.0; 5])).unwrap_err();
+        let err = store_on(&mgr, Device::gpu(0), buf_f32(&[0.0; 5])).unwrap_err();
         assert!(err.is_oom());
         // Same data fits on CPU.
-        let buf = mgr.store(Device::cpu(), buf_f32(&[0.0; 5])).unwrap();
-        mgr.free(buf);
+        let buf = store_on(&mgr, Device::cpu(), buf_f32(&[0.0; 5])).unwrap();
+        mgr.free_placed(buf);
     }
 
     #[test]
     fn async_load_overlaps() {
         let node = node();
         let mgr = node.offload_manager();
-        let buf = mgr.store(Device::nvme(), buf_f32(&[7.0; 64])).unwrap();
-        let pending = mgr.begin_load(&buf).unwrap();
-        assert!(pending.is_async());
+        let buf = store_on(&mgr, Device::nvme(), buf_f32(&[7.0; 64])).unwrap();
+        let pending = mgr.begin_load_placed(&buf);
+        assert!(buf.is_offloaded() && pending.len() == 1);
         // ... compute would happen here ...
-        let data = pending.wait(&mgr).unwrap();
-        assert_eq!(data.to_f32_vec(), vec![7.0; 64]);
-        mgr.free(buf);
+        let data = mgr.finish_load_placed(&buf, pending).unwrap();
+        assert_eq!(data.as_bytes(), buf_f32(&[7.0; 64]).as_bytes());
+        drop(data);
+        mgr.free_placed(buf);
     }
 
     #[test]
     fn cpu_loads_resolve_immediately() {
         let node = node();
         let mgr = node.offload_manager();
-        let buf = mgr.store(Device::cpu(), buf_f32(&[1.0, 2.0])).unwrap();
-        let pending = mgr.begin_load(&buf).unwrap();
-        assert!(!pending.is_async());
-        assert_eq!(pending.wait(&mgr).unwrap().to_f32_vec(), vec![1.0, 2.0]);
-        mgr.free(buf);
-    }
-
-    #[test]
-    fn async_overwrite_visible_after_flush() {
-        let node = node();
-        let mgr = node.offload_manager();
-        let mut buf = mgr.store(Device::nvme(), buf_f32(&[0.0; 8])).unwrap();
-        mgr.overwrite_async(&mut buf, &buf_f32(&[5.0; 8])).unwrap();
-        mgr.flush().unwrap();
-        assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), vec![5.0; 8]);
-        mgr.free(buf);
+        let buf = store_on(&mgr, Device::cpu(), buf_f32(&[1.0, 2.0])).unwrap();
+        let pending = mgr.begin_load_placed(&buf);
+        assert!(!buf.is_offloaded() && pending.iter().all(|p| p.ready(&mgr)));
+        // The resident buffer itself is handed out: no copy, no staging.
+        let data = mgr.finish_load_placed(&buf, pending).unwrap();
+        assert!(matches!(data, LoadedBytes::Resident(_)));
+        assert_eq!(data.as_bytes(), buf_f32(&[1.0, 2.0]).as_bytes());
+        assert_eq!(mgr.staging().stats().allocated, 0);
+        mgr.free_placed(buf);
     }
 
     fn faulty_node() -> (zi_nvme::FaultPlan, NodeResources) {
@@ -1311,48 +1249,99 @@ mod tests {
             deadline: Duration::from_secs(5),
             jitter_seed: 5,
         };
-        (plan, NodeResources::with_backend_policy(&spec, 1, backend, policy))
+        (plan, NodeResources::new(&spec, 1, NodeEnv { policy, ..NodeEnv::new(backend) }))
     }
 
     #[test]
     fn silent_corruption_is_detected_and_repaired_by_reread() {
         let (plan, node) = faulty_node();
         let mgr = node.offload_manager();
-        let buf = mgr.store(Device::nvme(), buf_f32(&[3.25; 128])).unwrap();
+        let buf = store_on(&mgr, Device::nvme(), buf_f32(&[3.25; 128])).unwrap();
         plan.bitflip_next_reads(1); // first read returns a poisoned buffer
-        let data = mgr.load(&buf).unwrap();
+        let data = mgr.load_placed(&buf).unwrap();
         assert_eq!(data.to_f32_vec(), vec![3.25; 128]);
         let health = mgr.health();
         assert_eq!(health.corruptions_recovered, 1);
         assert_eq!(health.corruptions_unrecovered, 0);
         assert!(!health.degraded);
-        mgr.free(buf);
+        mgr.free_placed(buf);
     }
 
     #[test]
     fn persistent_corruption_surfaces_typed_error() {
         let (plan, node) = faulty_node();
         let mgr = node.offload_manager();
-        let buf = mgr.store(Device::nvme(), buf_f32(&[1.0; 64])).unwrap();
+        let buf = store_on(&mgr, Device::nvme(), buf_f32(&[1.0; 64])).unwrap();
         // Poison the initial read and every re-read.
         plan.bitflip_next_reads(1 + super::CORRUPTION_REREADS);
-        let err = mgr.load(&buf).unwrap_err();
+        let err = mgr.load_placed(&buf).unwrap_err();
         assert!(matches!(err, Error::Corruption { .. }), "got {err}");
         assert_eq!(mgr.health().corruptions_unrecovered, 1);
-        mgr.free(buf);
+        mgr.free_placed(buf);
     }
 
     #[test]
     fn prefetched_load_verifies_too() {
         let (plan, node) = faulty_node();
         let mgr = node.offload_manager();
-        let buf = mgr.store(Device::nvme(), buf_f32(&[9.0; 32])).unwrap();
+        let buf = store_on(&mgr, Device::nvme(), buf_f32(&[9.0; 32])).unwrap();
         plan.bitflip_next_reads(1);
-        let pending = mgr.begin_load(&buf).unwrap();
-        let data = pending.wait(&mgr).unwrap();
-        assert_eq!(data.to_f32_vec(), vec![9.0; 32]);
+        let pending = mgr.begin_load_placed(&buf);
+        let data = mgr.finish_load_placed(&buf, pending).unwrap();
+        assert_eq!(data.as_bytes(), buf_f32(&[9.0; 32]).as_bytes());
         assert_eq!(mgr.health().corruptions_recovered, 1);
-        mgr.free(buf);
+        drop(data);
+        mgr.free_placed(buf);
+    }
+
+    /// Stream `passes` negating update passes over `buf` in chunks of
+    /// `chunk` elements through the write-behind window, as the
+    /// optimizer step does.
+    fn stream_negate(mgr: &OffloadManager, buf: &mut PlacedBuf, chunk: usize, passes: usize) {
+        let mut wb = WriteBehind::new(2);
+        for _ in 0..passes {
+            let mut at = 0;
+            while at < buf.numel() {
+                let len = (buf.segment_end(at) - at).min(chunk);
+                match mgr.begin_load_elems_placed(buf, at, len).unwrap().wait(mgr).unwrap() {
+                    Some(mut staging) => {
+                        staging.as_f32_mut().iter_mut().for_each(|x| *x = -*x);
+                        wb.submit_staged(mgr, buf, at, staging).unwrap();
+                    }
+                    None => {
+                        buf.resident_f32_mut(at, len).unwrap().iter_mut().for_each(|x| *x = -*x)
+                    }
+                }
+                at += len;
+            }
+            wb.drain(mgr).unwrap();
+        }
+    }
+
+    #[test]
+    fn whole_read_of_a_chunk_written_extent_is_verified() {
+        // The streamed step records one checksum per chunk it writes
+        // back; a later whole-segment read (checkpoint export, re-tier,
+        // collapse) is verified against the chunk checksums tiling it.
+        let (plan, node) = faulty_node();
+        let mgr = node.offload_manager();
+        let vals: Vec<f32> = (0..96).map(|i| i as f32 - 40.0).collect();
+        let mut buf = store_nvme(&mgr, PlacementPolicy::all_nvme(), &vals);
+        stream_negate(&mgr, &mut buf, 32, 2); // 3 chunks, two passes: back to `vals`
+        plan.bitflip_next_reads(1);
+        assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vals);
+        assert_eq!(mgr.health().corruptions_recovered, 1);
+        // Only the mismatching chunk was re-read, not the whole extent.
+        let reads = mgr.nvme().stats();
+        plan.bitflip_next_reads(1);
+        mgr.load_placed(&buf).unwrap();
+        let after = mgr.nvme().stats();
+        let (reads, bytes) = (after.reads - reads.reads, after.bytes_read - reads.bytes_read);
+        assert_eq!((reads, bytes), (2, 96 * 4 + 32 * 4));
+        plan.bitflip_next_reads(u32::MAX);
+        assert!(matches!(mgr.load_placed(&buf), Err(Error::Corruption { .. })));
+        plan.bitflip_next_reads(0);
+        mgr.free_placed(buf);
     }
 
     #[test]
@@ -1361,20 +1350,20 @@ mod tests {
         let mgr = node.offload_manager();
         // A store that dies mid-write falls back to CPU with the data.
         plan.kill();
-        let buf = mgr.store(Device::nvme(), buf_f32(&[2.5; 16])).unwrap();
-        assert_eq!(buf.device(), Device::cpu());
-        assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), vec![2.5; 16]);
+        let buf = store_on(&mgr, Device::nvme(), buf_f32(&[2.5; 16])).unwrap();
+        assert_eq!(device_of(&buf), Device::cpu());
+        assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vec![2.5; 16]);
         let health = mgr.health();
         assert!(health.degraded);
         assert_eq!(health.failovers, 1);
         // Later stores skip the dead device entirely.
-        let buf2 = mgr.store(Device::nvme(), buf_f32(&[4.0; 8])).unwrap();
-        assert_eq!(buf2.device(), Device::cpu());
+        let buf2 = store_on(&mgr, Device::nvme(), buf_f32(&[4.0; 8])).unwrap();
+        assert_eq!(device_of(&buf2), Device::cpu());
         assert_eq!(mgr.health().failovers, 2);
         // NVMe capacity was returned when the first store failed over.
         assert_eq!(mgr.hierarchy().stats(Device::nvme()).in_use, 0);
-        mgr.free(buf);
-        mgr.free(buf2);
+        mgr.free_placed(buf);
+        mgr.free_placed(buf2);
     }
 
     #[test]
@@ -1382,10 +1371,10 @@ mod tests {
         let (_plan, node) = faulty_node();
         node.degrade();
         let mgr = node.offload_manager();
-        let buf = mgr.store(Device::nvme(), buf_f32(&[1.5; 4])).unwrap();
-        assert_eq!(buf.device(), Device::cpu());
+        let buf = store_on(&mgr, Device::nvme(), buf_f32(&[1.5; 4])).unwrap();
+        assert_eq!(device_of(&buf), Device::cpu());
         assert!(mgr.health().degraded);
-        mgr.free(buf);
+        mgr.free_placed(buf);
     }
 
     #[test]
@@ -1393,14 +1382,14 @@ mod tests {
         let (plan, node) = faulty_node();
         let mgr = node.offload_manager();
         plan.fail_next_writes(2); // < max_attempts
-        let buf = mgr.store(Device::nvme(), buf_f32(&[8.0; 8])).unwrap();
-        assert_eq!(buf.device(), Device::nvme());
-        assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), vec![8.0; 8]);
+        let buf = store_on(&mgr, Device::nvme(), buf_f32(&[8.0; 8])).unwrap();
+        assert_eq!(device_of(&buf), Device::nvme());
+        assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vec![8.0; 8]);
         let health = mgr.health();
         assert!(!health.degraded);
         assert_eq!(health.failovers, 0);
         assert!(mgr.nvme().stats().retries >= 2);
-        mgr.free(buf);
+        mgr.free_placed(buf);
     }
 
     /// A staging buffer holding `vals`.
@@ -1410,24 +1399,20 @@ mod tests {
         buf
     }
 
-    fn store_nvme(mgr: &OffloadManager, policy: PlacementPolicy, vals: &[f32]) -> PlacedBuf {
-        mgr.store_placed(Device::nvme(), &policy, buf_f32(vals)).unwrap()
-    }
-
     #[test]
     fn bounds_checked() {
         let node = node();
         let mgr = node.offload_manager();
-        let mut buf = mgr.store(Device::cpu(), buf_f32(&[0.0; 4])).unwrap();
-        assert!(mgr.overwrite(&mut buf, &buf_f32(&[0.0; 5])).is_err());
-        mgr.free(buf);
+        let mut buf = store_on(&mgr, Device::cpu(), buf_f32(&[0.0; 4])).unwrap();
+        assert!(mgr.overwrite_placed(&mut buf, &buf_f32(&[0.0; 5])).is_err());
+        mgr.free_placed(buf);
         let mut split = store_nvme(&mgr, PlacementPolicy::split(500, 8), &[0.0; 32]);
         let seg_end = split.segment_end(0);
         assert!(mgr.begin_load_elems_placed(&split, 0, seg_end + 1).is_err(), "crosses a segment");
         assert!(mgr.begin_load_elems_placed(&split, 30, 4).is_err(), "past the end");
         assert!(split.resident_f32_mut(0, seg_end + 1).is_err());
         // Write-behind only takes ranges inside one NVMe extent.
-        let cpu_start = split.segments().iter().find(|s| s.path() == PathKind::Cpu).unwrap().start();
+        let cpu_start = split.segments.iter().find(|s| s.path() == PathKind::Cpu).unwrap().start;
         let mut wb = WriteBehind::new(2);
         assert!(wb.submit_staged(&mgr, &split, cpu_start, staged(&mgr, &[0.0; 2])).is_err());
         assert_eq!(mgr.staging().outstanding(), 0, "a refused buffer still goes home");
@@ -1462,11 +1447,11 @@ mod tests {
         }
         wb.drain(&mgr).unwrap();
         assert_eq!(wb.in_flight(), 0);
-        let want: Vec<f32> = vals.iter().map(|x| -x).collect();
-        assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), want);
         let pool = mgr.staging();
         assert_eq!((pool.outstanding(), pool.idle() as u64), (0, pool.stats().allocated));
         assert!(pool.stats().reused > 0, "staging buffers are recycled across pieces");
+        let want: Vec<f32> = vals.iter().map(|x| -x).collect();
+        assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), want);
         mgr.free_placed(buf);
     }
 
@@ -1531,40 +1516,53 @@ mod tests {
         mgr.free_placed(buf);
     }
 
+    /// `vals` published into `buf` in chunks of 5 through a write-behind.
+    fn publish_chunked(mgr: &OffloadManager, buf: &mut PlacedBuf, vals: &[f32]) -> Result<()> {
+        let mut wb = WriteBehind::new(2);
+        let mut publish = mgr.begin_publish(buf);
+        let pushed = vals.chunks(5).try_for_each(|chunk| publish.push(mgr, &mut wb, chunk));
+        wb.drain(mgr).unwrap();
+        pushed.and_then(|()| publish.finish())
+    }
+
     #[test]
     fn chunked_publish_equals_whole_overwrite_and_keeps_fetches_verified() {
         let (plan, node) = faulty_node();
         let mgr = node.offload_manager();
         let vals: Vec<f32> = (0..37).map(|i| (i as f32) * 0.5 - 9.0).collect();
-        for device in [Device::cpu(), Device::nvme()] {
-            let mut whole = mgr.store(device, FlatBuffer::zeros(DType::F16, 37)).unwrap();
-            mgr.overwrite(&mut whole, &FlatBuffer::from_f32(DType::F16, &vals)).unwrap();
-            let mut chunked = mgr.store(device, FlatBuffer::zeros(DType::F16, 37)).unwrap();
-            let mut wb = WriteBehind::new(2);
-            let mut publish = mgr.begin_publish(&mut chunked);
-            for chunk in vals.chunks(5) {
-                publish.push(&mgr, &mut wb, chunk).unwrap();
-            }
-            wb.drain(&mgr).unwrap();
-            publish.finish(&mgr).unwrap();
-            assert_eq!(mgr.load(&chunked).unwrap(), mgr.load(&whole).unwrap(), "tier {device}");
-            if device == Device::nvme() {
-                // The incrementally accumulated checksum covers the whole
-                // extent a parameter fetch reads: corruption is caught.
+        let whole_overwrite = FlatBuffer::from_f32(DType::F16, &vals);
+        // Each tier as a one-segment plan, then a buffer striped over
+        // both paths: chunks are cut at its segment boundaries.
+        let zeros = || FlatBuffer::zeros(DType::F16, 37);
+        let split = PlacementPolicy::split(500, 8);
+        for (tier, mut chunked) in [
+            ("cpu", store_on(&mgr, Device::cpu(), zeros()).unwrap()),
+            ("nvme", store_on(&mgr, Device::nvme(), zeros()).unwrap()),
+            ("split", mgr.store_placed(Device::nvme(), &split, zeros()).unwrap()),
+        ] {
+            publish_chunked(&mgr, &mut chunked, &vals).unwrap();
+            assert_eq!(mgr.load_placed(&chunked).unwrap(), whole_overwrite, "tier {tier}");
+            // The chunk checksums tile every NVMe segment a parameter
+            // fetch reads: corruption of each is caught.
+            for seg in chunked.segments.iter().filter(|s| s.ram.is_none()) {
+                let tiles = mgr.resilience.tiles(seg.block.offset, 2 * seg.len as u64);
+                assert!(tiles.is_some(), "tier {tier}: segment at {} unverified", seg.start);
                 let recovered = mgr.health().corruptions_recovered;
                 plan.bitflip_next_reads(1);
-                assert_eq!(mgr.load(&chunked).unwrap(), mgr.load(&whole).unwrap());
+                assert_eq!(mgr.load_placed(&chunked).unwrap(), whole_overwrite);
                 assert_eq!(mgr.health().corruptions_recovered, recovered + 1);
-                plan.bitflip_next_reads(1 + super::CORRUPTION_REREADS);
-                assert!(matches!(mgr.load(&chunked), Err(Error::Corruption { .. })));
+            }
+            if chunked.is_offloaded() {
+                plan.bitflip_next_reads(u32::MAX);
+                assert!(matches!(mgr.load_placed(&chunked), Err(Error::Corruption { .. })));
+                plan.bitflip_next_reads(0);
             }
             // An unfinished stream is a typed error, not a short shard.
-            let mut short = mgr.begin_publish(&mut chunked);
-            short.push(&mgr, &mut wb, &vals[..5]).unwrap();
-            wb.drain(&mgr).unwrap();
-            assert!(matches!(short.finish(&mgr), Err(Error::Internal(_))));
-            mgr.free(whole);
-            mgr.free(chunked);
+            assert!(matches!(
+                publish_chunked(&mgr, &mut chunked, &vals[..5]),
+                Err(Error::Internal(_))
+            ));
+            mgr.free_placed(chunked);
         }
     }
 
@@ -1572,19 +1570,27 @@ mod tests {
     fn accumulate_in_place_fuses_overflow_scan() {
         let node = node();
         let mgr = node.offload_manager();
-        for device in [Device::cpu(), Device::nvme()] {
-            let mut buf = mgr.store(device, buf_f32(&[1.0; 40])).unwrap();
-            assert!(!mgr.accumulate_f32(&mut buf, &[0.5; 40]).unwrap(), "tier {device}");
-            assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), vec![1.5; 40]);
-            let mut delta = vec![0.0f32; 40];
-            delta[17] = f32::INFINITY;
-            assert!(mgr.accumulate_f32(&mut buf, &delta).unwrap(), "tier {device}");
-            mgr.free(buf);
+        let split = PlacementPolicy::split(500, 8);
+        // The flag is set exactly when a dense accumulate would set it,
+        // whichever segment the non-finite element lands in.
+        for at in [0, 17, 39] {
+            for (tier, mut buf) in [
+                ("cpu", store_on(&mgr, Device::cpu(), buf_f32(&[1.0; 40])).unwrap()),
+                ("nvme", store_on(&mgr, Device::nvme(), buf_f32(&[1.0; 40])).unwrap()),
+                ("split", store_nvme(&mgr, split, &[1.0; 40])),
+            ] {
+                assert!(!mgr.accumulate_f32_placed(&mut buf, &[0.5; 40]).unwrap(), "tier {tier}");
+                assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vec![1.5; 40]);
+                let mut delta = vec![0.0f32; 40];
+                delta[at] = f32::INFINITY;
+                assert!(mgr.accumulate_f32_placed(&mut buf, &delta).unwrap(), "tier {tier}");
+                mgr.free_placed(buf);
+            }
         }
         // Shape/dtype errors are typed, not silent.
-        let mut small = mgr.store(Device::cpu(), buf_f32(&[0.0; 4])).unwrap();
-        assert!(mgr.accumulate_f32(&mut small, &[0.0; 5]).is_err());
-        mgr.free(small);
+        let mut small = store_on(&mgr, Device::cpu(), buf_f32(&[0.0; 4])).unwrap();
+        assert!(mgr.accumulate_f32_placed(&mut small, &[0.0; 5]).is_err());
+        mgr.free_placed(small);
     }
 
     #[test]
@@ -1592,28 +1598,15 @@ mod tests {
         // A tiny pinned pool forces the NVMe accumulate path to stream
         // in multiple chunks through a single held staging buffer.
         let spec = NodeMemorySpec::test_spec(2, 1 << 20, 1 << 20, 1 << 20);
-        let node = NodeResources {
-            hierarchy: Arc::new(MemoryHierarchy::new(&spec)),
-            nvme: Arc::new(NvmeEngine::with_policy(
-                Arc::new(MemBackend::new()) as Arc<dyn StorageBackend>,
-                2,
-                RetryPolicy::default(),
-            )),
-            pinned: PinnedBufferPool::new(2, 64), // 16 f32 per chunk
-            group: CommGroup::new(1),
-            staging: ScratchPool::new(),
-            resilience: Arc::new(ResilienceState::default()),
-            placement: Arc::new(PlanCell::new(PlacementPolicy::all_nvme())),
-            tracer: Tracer::new(),
-        };
+        let env = NodeEnv { pinned: (2, 64), nvme_workers: 2, ..NodeEnv::in_memory() };
+        let node = NodeResources::new(&spec, 1, env); // 16 f32 per chunk
         let mgr = node.offload_manager();
         let vals: Vec<f32> = (0..100).map(|i| i as f32).collect();
         let delta: Vec<f32> = (0..100).map(|i| 0.25 * i as f32).collect();
-        let mut buf = mgr.store(Device::nvme(), buf_f32(&vals)).unwrap();
-        assert!(!mgr.accumulate_f32(&mut buf, &delta).unwrap());
+        let mut buf = store_on(&mgr, Device::nvme(), buf_f32(&vals)).unwrap();
+        assert!(!mgr.accumulate_f32_placed(&mut buf, &delta).unwrap());
         let want: Vec<f32> = vals.iter().zip(&delta).map(|(a, b)| a + b).collect();
-        assert_eq!(mgr.load(&buf).unwrap().to_f32_vec(), want);
-        mgr.free(buf);
+        assert_eq!(mgr.take_placed(buf).unwrap().to_f32_vec(), want);
     }
 
     #[test]
@@ -1624,47 +1617,83 @@ mod tests {
         let policy = PlacementPolicy::split(500, 16);
         let buf = mgr.store_placed(Device::nvme(), &policy, buf_f32(&vals)).unwrap();
         assert!(buf.is_split());
-        assert!(buf.segments().len() >= 4, "stripes should interleave, not partition");
+        assert!(buf.segments.len() >= 4, "stripes should interleave, not partition");
         let cpu = buf.elems_on(PathKind::Cpu);
         assert!((112..=144).contains(&cpu), "cpu share {cpu} far from 50%");
         assert_eq!(buf.elems_on(PathKind::Cpu) + buf.elems_on(PathKind::Nvme), 256);
         assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vals);
         mgr.free_placed(buf);
-        assert_eq!(mgr.hierarchy().stats(Device::cpu()).in_use, 0);
-        assert_eq!(mgr.hierarchy().stats(Device::nvme()).in_use, 0);
+        assert_eq!(in_use(&mgr), (0, 0));
     }
 
     #[test]
-    fn placed_single_path_policies_behave_like_plain_stores() {
+    fn whole_buffer_prefetch_of_a_split_buffer_reads_each_nvme_segment_once() {
         let node = node();
         let mgr = node.offload_manager();
-        let vals = vec![1.5f32; 32];
-        let nv = mgr
-            .store_placed(Device::nvme(), &PlacementPolicy::all_nvme(), buf_f32(&vals))
-            .unwrap();
-        assert_eq!(nv.segments().len(), 1);
-        assert!(nv.is_offloaded());
-        let cp =
-            mgr.store_placed(Device::nvme(), &PlacementPolicy::all_cpu(), buf_f32(&vals)).unwrap();
-        assert_eq!(cp.segments().len(), 1);
-        assert!(!cp.is_offloaded());
+        let vals: Vec<f32> = (0..256).map(|i| i as f32).collect();
+        let buf = store_nvme(&mgr, PlacementPolicy::split(500, 16), &vals);
+        let nvme_segments = buf.segments.iter().filter(|s| s.ram.is_none()).count() as u64;
+        let before = mgr.nvme().stats();
+        let pending = mgr.begin_load_placed(&buf);
+        let data = mgr.finish_load_placed(&buf, pending).unwrap();
+        assert_eq!(data.as_bytes(), buf_f32(&vals).as_bytes());
+        let after = mgr.nvme().stats();
+        assert_eq!(after.reads - before.reads, nvme_segments);
+        assert_eq!(after.bytes_read - before.bytes_read, 4 * buf.elems_on(PathKind::Nvme) as u64);
+        drop(data);
+        assert_eq!(mgr.staging().outstanding(), 0);
+        // Taking the buffer returns the same bytes and frees both tiers.
+        assert_eq!(mgr.take_placed(buf).unwrap().to_f32_vec(), vals);
+        assert_eq!(in_use(&mgr), (0, 0));
+    }
+
+    #[test]
+    fn every_op_on_a_one_segment_plan_equals_the_op_on_a_split_buffer() {
+        let node = node();
+        let mgr = node.offload_manager();
+        let vals: Vec<f32> = (0..32).map(|i| 1.5 * i as f32).collect();
+        let delta: Vec<f32> = (0..32).map(|i| 0.125 * i as f32).collect();
+        let fresh: Vec<f32> = (0..32).map(|i| -(i as f32)).collect();
+        let store = |device: Device, policy: PlacementPolicy| {
+            mgr.store_placed(device, &policy, buf_f32(&vals)).unwrap()
+        };
+        let reference = store(Device::nvme(), PlacementPolicy::split(500, 8));
+        assert!(reference.is_split());
+        let nv = store(Device::nvme(), PlacementPolicy::all_nvme());
+        assert!(nv.is_offloaded() && device_of(&nv) == Device::nvme());
+        let cp = store(Device::nvme(), PlacementPolicy::all_cpu());
+        assert!(!cp.is_offloaded() && device_of(&cp) == Device::cpu());
         // A non-NVMe target ignores the policy entirely.
-        let gpu =
-            mgr.store_placed(Device::gpu(0), &PlacementPolicy::split(500, 4), buf_f32(&vals)).unwrap();
-        assert_eq!(gpu.segments().len(), 1);
-        assert_eq!(gpu.segments()[0].buf().device(), Device::gpu(0));
-        for b in [nv, cp, gpu] {
-            mgr.free_placed(b);
+        let gpu = store(Device::gpu(0), PlacementPolicy::split(500, 4));
+        assert_eq!(device_of(&gpu), Device::gpu(0));
+        // The same op sequence on each buffer: every observation equal.
+        let run = |mut buf: PlacedBuf| {
+            let mut seen = vec![mgr.load_placed(&buf).unwrap()];
+            let nonfinite = mgr.accumulate_f32_placed(&mut buf, &delta).unwrap();
+            let fetched = mgr.fetch_placed(&buf).unwrap().as_bytes().to_vec();
+            seen.push(FlatBuffer::from_bytes(DType::F32, fetched).unwrap());
+            mgr.overwrite_placed(&mut buf, &buf_f32(&fresh)).unwrap();
+            seen.push(mgr.load_placed(&buf).unwrap());
+            mgr.overwrite_async_placed(&mut buf, &buf_f32(&delta)).unwrap();
+            mgr.flush().unwrap();
+            seen.push(mgr.load_placed(&buf).unwrap());
+            publish_chunked(&mgr, &mut buf, &vals).unwrap();
+            seen.push(mgr.take_placed(buf).unwrap());
+            (nonfinite, seen)
+        };
+        let want = run(reference);
+        for buf in [nv, cp, gpu] {
+            assert_eq!(run(buf), want);
         }
+        assert_eq!(in_use(&mgr), (0, 0));
+        assert_eq!(mgr.hierarchy().stats(Device::gpu(0)).in_use, 0);
     }
 
     #[test]
     fn placed_async_overwrite_visible_after_flush() {
         let node = node();
         let mgr = node.offload_manager();
-        let mut buf = mgr
-            .store_placed(Device::nvme(), &PlacementPolicy::split(250, 4), buf_f32(&[0.0; 64]))
-            .unwrap();
+        let mut buf = store_nvme(&mgr, PlacementPolicy::split(250, 4), &[0.0; 64]);
         mgr.overwrite_async_placed(&mut buf, &buf_f32(&[4.5; 64])).unwrap();
         mgr.flush().unwrap();
         assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vec![4.5; 64]);
@@ -1676,9 +1705,7 @@ mod tests {
         let node = node();
         let mgr = node.offload_manager();
         let vals: Vec<f32> = (0..200).map(|i| (i as f32).sin()).collect();
-        let mut buf = mgr
-            .store_placed(Device::nvme(), &PlacementPolicy::split(250, 8), buf_f32(&vals))
-            .unwrap();
+        let mut buf = store_nvme(&mgr, PlacementPolicy::split(250, 8), &vals);
         assert!(buf.elems_on(PathKind::Nvme) > 0);
         node.degrade();
         // Degradation publishes the collapse policy through the plan cell
@@ -1704,19 +1731,15 @@ mod tests {
         let vals: Vec<f32> = (0..64).map(|i| i as f32).collect();
         // Each planned-NVMe segment fails over alone, bytes in hand; the
         // DRAM segments never saw the device at all.
-        let buf = mgr
-            .store_placed(Device::nvme(), &PlacementPolicy::split(500, 8), buf_f32(&vals))
-            .unwrap();
+        let buf = store_nvme(&mgr, PlacementPolicy::split(500, 8), &vals);
         assert_eq!(buf.elems_on(PathKind::Nvme), 0);
         assert!(mgr.is_degraded());
         assert_eq!(mgr.placement_cell().read().1, PlacementPolicy::all_cpu());
         assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vals);
         mgr.free_placed(buf);
         // Once degraded, later placed stores collapse their plan up front.
-        let after = mgr
-            .store_placed(Device::nvme(), &PlacementPolicy::split(500, 8), buf_f32(&vals))
-            .unwrap();
-        assert_eq!(after.segments().len(), 1);
+        let after = store_nvme(&mgr, PlacementPolicy::split(500, 8), &vals);
+        assert_eq!(after.segments.len(), 1);
         assert!(!after.is_offloaded());
         mgr.free_placed(after);
     }
@@ -1726,9 +1749,7 @@ mod tests {
         let node = node();
         let mgr = node.offload_manager();
         let vals: Vec<f32> = (0..300).map(|i| 1.0 / (i as f32 + 1.0)).collect();
-        let mut buf = mgr
-            .store_placed(Device::nvme(), &PlacementPolicy::all_nvme(), buf_f32(&vals))
-            .unwrap();
+        let mut buf = store_nvme(&mgr, PlacementPolicy::all_nvme(), &vals);
         assert_eq!(buf.elems_on(PathKind::Cpu), 0);
         mgr.retier_placed(&mut buf, Device::nvme(), &PlacementPolicy::split(500, 16)).unwrap();
         assert!(buf.is_split());
@@ -1737,7 +1758,6 @@ mod tests {
         assert_eq!(buf.elems_on(PathKind::Nvme), 0);
         assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vals);
         mgr.free_placed(buf);
-        assert_eq!(mgr.hierarchy().stats(Device::cpu()).in_use, 0);
-        assert_eq!(mgr.hierarchy().stats(Device::nvme()).in_use, 0);
+        assert_eq!(in_use(&mgr), (0, 0));
     }
 }

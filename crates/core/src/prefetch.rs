@@ -16,11 +16,10 @@ use std::collections::HashMap;
 
 use zi_memory::PathKind;
 use zi_model::ParamId;
-use zi_tensor::FlatBuffer;
 use zi_trace::Counter;
 use zi_types::Result;
 
-use crate::offload::{DeviceBuf, OffloadManager, PendingLoad};
+use crate::offload::{LoadedBytes, OffloadManager, PlacedBuf, PlacedPending};
 
 /// Operator-sequence map with on-the-fly re-synchronization.
 #[derive(Debug, Default)]
@@ -117,8 +116,18 @@ const MAX_PENDING: usize = 16;
 /// loads independent.
 #[derive(Default)]
 pub struct Prefetcher {
-    pending: HashMap<(ParamId, PathKind), PendingLoad>,
+    pending: HashMap<(ParamId, PathKind), Vec<PlacedPending>>,
     stats: PrefetchStats,
+}
+
+/// The path a whole-shard load travels: nc when any segment is on the
+/// device, cp when the shard is entirely RAM-resident.
+fn load_path(shard: &PlacedBuf) -> PathKind {
+    if shard.is_offloaded() {
+        PathKind::Nvme
+    } else {
+        PathKind::Cpu
+    }
 }
 
 impl Prefetcher {
@@ -130,65 +139,56 @@ impl Prefetcher {
     /// Begin an asynchronous load for `id`'s shard unless one is already
     /// in flight. Only asynchronous sources (NVMe) are tracked; loads that
     /// resolve immediately are left for the demand path.
-    pub fn prefetch(&mut self, mgr: &OffloadManager, id: ParamId, shard: &DeviceBuf) -> Result<()> {
-        let key = (id, shard.path());
+    pub fn prefetch(&mut self, mgr: &OffloadManager, id: ParamId, shard: &PlacedBuf) {
+        let key = (id, load_path(shard));
         if self.pending.contains_key(&key) {
             // Coalesce onto the in-flight nc-transfer: a second device
             // read for the same shard would waste bandwidth and staging,
             // and would double-count the eventual hit.
             self.stats.coalesced += 1;
             mgr.tracer().count(Counter::PrefetchCoalesced, 1);
-            return Ok(());
+            return;
         }
-        if self.pending.len() >= MAX_PENDING {
-            return Ok(());
+        // RAM-resident shards resolve instantly (and copy-free) on the
+        // demand path: there is nothing to start.
+        if self.pending.len() >= MAX_PENDING || !shard.is_offloaded() {
+            return;
         }
-        // RAM-resident shards resolve instantly on the demand path;
-        // starting a load here would copy the buffer once per hint just
-        // to discard it (untracked, so every repeated hint paid again).
-        if !shard.is_offloaded() {
-            return Ok(());
-        }
-        let pending = mgr.begin_load(shard)?;
-        if pending.is_async() {
-            self.pending.insert(key, pending);
-            self.stats.issued += 1;
-            mgr.tracer().count(Counter::PrefetchIssued, 1);
-        }
-        Ok(())
+        self.pending.insert(key, mgr.begin_load_placed(shard));
+        self.stats.issued += 1;
+        mgr.tracer().count(Counter::PrefetchIssued, 1);
     }
 
-    /// Resolve `id`'s shard: consume the in-flight load if present
-    /// (prefetch hit) or perform a synchronous load (miss).
+    /// Resolve `id`'s shard to its bytes: consume the in-flight load if
+    /// present (prefetch hit) or load now (miss). A RAM-resident shard is
+    /// borrowed, never cloned.
     ///
     /// A failed in-flight load never hands out a poisoned buffer: the
     /// typed error is surfaced, and if it is transient (e.g. a checksum
     /// mismatch the re-read loop could not clear in time) one synchronous
     /// demand load is attempted before giving up.
-    pub fn fetch(
+    pub fn fetch<'a>(
         &mut self,
         mgr: &OffloadManager,
         id: ParamId,
-        shard: &DeviceBuf,
-    ) -> Result<FlatBuffer> {
-        if let Some(pending) = self.pending.remove(&(id, shard.path())) {
-            self.stats.hits += 1;
-            mgr.tracer().count(Counter::PrefetchHits, 1);
-            if !pending.ready(mgr) {
-                // Still in flight: issued too late to fully hide the
-                // transfer, so the wait below is exposed to compute.
-                self.stats.late += 1;
-                mgr.tracer().count(Counter::PrefetchLate, 1);
-            }
-            match pending.wait(mgr) {
-                Ok(buf) => Ok(buf),
-                Err(e) if e.is_transient() => mgr.load(shard),
-                Err(e) => Err(e),
-            }
-        } else {
+        shard: &'a PlacedBuf,
+    ) -> Result<LoadedBytes<'a>> {
+        let Some(pieces) = self.pending.remove(&(id, load_path(shard))) else {
             self.stats.misses += 1;
             mgr.tracer().count(Counter::PrefetchMisses, 1);
-            mgr.load(shard)
+            return mgr.fetch_placed(shard);
+        };
+        self.stats.hits += 1;
+        mgr.tracer().count(Counter::PrefetchHits, 1);
+        if !pieces.iter().all(|piece| piece.ready(mgr)) {
+            // Still in flight: issued too late to fully hide the
+            // transfer, so the wait below is exposed to compute.
+            self.stats.late += 1;
+            mgr.tracer().count(Counter::PrefetchLate, 1);
+        }
+        match mgr.finish_load_placed(shard, pieces) {
+            Err(e) if e.is_transient() => mgr.fetch_placed(shard),
+            loaded => loaded,
         }
     }
 
@@ -204,26 +204,36 @@ impl Prefetcher {
         self.stats
     }
 
-    /// Drop all in-flight loads (end of iteration housekeeping). The
-    /// underlying NVMe reads complete harmlessly; their staging buffers
-    /// return to the pinned pool. Individual load failures are tolerated —
-    /// the data was never handed out, and the demand path will retry (or
-    /// surface the error) when the shard is actually needed.
-    pub fn clear(&mut self, mgr: &OffloadManager) -> Result<()> {
-        for (_, pending) in self.pending.drain() {
-            // Wait rather than leak the pinned staging buffer mid-flight;
-            // discard both the data and any error.
-            let _ = pending.wait(mgr);
+    /// Drop all in-flight loads (end of iteration housekeeping). Each
+    /// read is reaped — its staging buffer goes back to the scratch pool
+    /// rather than leaking mid-flight — and both its data and any error
+    /// are discarded: the data was never handed out, and the demand path
+    /// will retry (or surface the error) when the shard is actually
+    /// needed.
+    pub fn clear(&mut self, mgr: &OffloadManager) {
+        for piece in self.pending.drain().flat_map(|(_, pieces)| pieces) {
+            piece.discard(mgr);
         }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zi_memory::NodeMemorySpec;
+    use crate::offload::{NodeEnv, NodeResources};
+    use zi_memory::{NodeMemorySpec, PlacementPolicy};
+    use zi_tensor::FlatBuffer;
     use zi_types::{DType, Device};
+
+    /// `vals` stored whole on `device`: the one-segment plan.
+    fn shard_on(mgr: &OffloadManager, device: Device, vals: &[f32]) -> PlacedBuf {
+        let data = FlatBuffer::from_f32(DType::F32, vals);
+        mgr.store_placed(device, &PlacementPolicy::all_nvme(), data).unwrap()
+    }
+
+    fn f32s(loaded: &LoadedBytes<'_>) -> Vec<f32> {
+        FlatBuffer::from_bytes(DType::F32, loaded.as_bytes().to_vec()).unwrap().to_f32_vec()
+    }
 
     fn ids(v: &[usize]) -> Vec<ParamId> {
         v.iter().map(|&i| ParamId(i)).collect()
@@ -305,29 +315,25 @@ mod tests {
     #[test]
     fn prefetch_hit_and_miss_accounting() {
         let spec = NodeMemorySpec::test_spec(1, 1 << 20, 1 << 20, 1 << 20);
-        let node = crate::offload::NodeResources::in_memory(&spec, 1);
+        let node = NodeResources::in_memory(&spec, 1);
         let mgr = node.offload_manager();
-        let shard_a = mgr
-            .store(Device::nvme(), FlatBuffer::from_f32(DType::F32, &[1.0; 16]))
-            .unwrap();
-        let shard_b = mgr
-            .store(Device::nvme(), FlatBuffer::from_f32(DType::F32, &[2.0; 16]))
-            .unwrap();
+        let shard_a = shard_on(&mgr, Device::nvme(), &[1.0; 16]);
+        let shard_b = shard_on(&mgr, Device::nvme(), &[2.0; 16]);
         let mut pf = Prefetcher::new();
-        pf.prefetch(&mgr, ParamId(0), &shard_a).unwrap();
+        pf.prefetch(&mgr, ParamId(0), &shard_a);
         assert!(pf.is_pending(ParamId(0)));
         // Duplicate prefetch is a no-op.
-        pf.prefetch(&mgr, ParamId(0), &shard_a).unwrap();
+        pf.prefetch(&mgr, ParamId(0), &shard_a);
         assert_eq!(pf.stats().issued, 1);
 
         let a = pf.fetch(&mgr, ParamId(0), &shard_a).unwrap();
-        assert_eq!(a.to_f32_vec(), vec![1.0; 16]);
+        assert_eq!(f32s(&a), vec![1.0; 16]);
         let b = pf.fetch(&mgr, ParamId(1), &shard_b).unwrap();
-        assert_eq!(b.to_f32_vec(), vec![2.0; 16]);
+        assert_eq!(f32s(&b), vec![2.0; 16]);
         let st = pf.stats();
         assert_eq!((st.issued, st.hits, st.misses), (1, 1, 1));
-        mgr.free(shard_a);
-        mgr.free(shard_b);
+        mgr.free_placed(shard_a);
+        mgr.free_placed(shard_b);
     }
 
     #[test]
@@ -337,30 +343,28 @@ mod tests {
         let spec = NodeMemorySpec::test_spec(1, 1 << 20, 1 << 20, 1 << 20);
         let plan = zi_nvme::FaultPlan::new();
         let backend = Arc::new(zi_nvme::FaultyBackend::new(zi_nvme::MemBackend::new(), plan.clone()));
-        let node = crate::offload::NodeResources::with_backend(&spec, 1, backend);
+        let node = NodeResources::new(&spec, 1, NodeEnv::new(backend));
         let mgr = node.offload_manager();
-        let shard = mgr
-            .store(Device::nvme(), FlatBuffer::from_f32(DType::F32, &[6.0; 32]))
-            .unwrap();
+        let shard = shard_on(&mgr, Device::nvme(), &[6.0; 32]);
         let reads_before = mgr.nvme().stats().reads;
 
         // Keep the first nc-transfer in flight while the second hint and
         // the demand fetch arrive.
         plan.delay_next_ops(1, Duration::from_millis(100));
         let mut pf = Prefetcher::new();
-        pf.prefetch(&mgr, ParamId(0), &shard).unwrap();
-        pf.prefetch(&mgr, ParamId(0), &shard).unwrap();
+        pf.prefetch(&mgr, ParamId(0), &shard);
+        pf.prefetch(&mgr, ParamId(0), &shard);
         let st = pf.stats();
         assert_eq!((st.issued, st.coalesced), (1, 1));
 
         let data = pf.fetch(&mgr, ParamId(0), &shard).unwrap();
-        assert_eq!(data.to_f32_vec(), vec![6.0; 32]);
+        assert_eq!(f32s(&data), vec![6.0; 32]);
         let st = pf.stats();
         // Two hints, one fetch: exactly one hit (late, since the read
         // was still in flight) and exactly one device read.
         assert_eq!((st.hits, st.misses, st.late), (1, 0, 1));
         assert_eq!(mgr.nvme().stats().reads - reads_before, 1);
-        mgr.free(shard);
+        mgr.free_placed(shard);
     }
 
     #[test]
@@ -371,24 +375,20 @@ mod tests {
         let plan = zi_nvme::FaultPlan::new();
         let backend =
             Arc::new(zi_nvme::FaultyBackend::new(zi_nvme::MemBackend::new(), plan.clone()));
-        let node = crate::offload::NodeResources::with_backend(&spec, 1, backend);
+        let node = NodeResources::new(&spec, 1, NodeEnv::new(backend));
         let mgr = node.offload_manager();
-        let nvme_shard = mgr
-            .store(Device::nvme(), FlatBuffer::from_f32(DType::F32, &[6.0; 32]))
-            .unwrap();
+        let nvme_shard = shard_on(&mgr, Device::nvme(), &[6.0; 32]);
         // The same parameter after a re-tier: its shard now lives in
         // CPU DRAM, with different (fresher) contents.
-        let cpu_shard = mgr
-            .store(Device::cpu(), FlatBuffer::from_f32(DType::F32, &[9.0; 32]))
-            .unwrap();
+        let cpu_shard = shard_on(&mgr, Device::cpu(), &[9.0; 32]);
 
         plan.delay_next_ops(1, Duration::from_millis(100));
         let mut pf = Prefetcher::new();
-        pf.prefetch(&mgr, ParamId(0), &nvme_shard).unwrap();
+        pf.prefetch(&mgr, ParamId(0), &nvme_shard);
         assert!(pf.is_pending(ParamId(0)));
         // A hint for the CPU-path buffer must not fold onto the
         // in-flight NVMe read — the paths carry different bytes.
-        pf.prefetch(&mgr, ParamId(0), &cpu_shard).unwrap();
+        pf.prefetch(&mgr, ParamId(0), &cpu_shard);
         let st = pf.stats();
         assert_eq!((st.issued, st.coalesced), (1, 0));
 
@@ -396,60 +396,54 @@ mod tests {
         // load and returned 6.0s; keyed by (id, path) it misses and
         // reads the CPU-resident shard.
         let data = pf.fetch(&mgr, ParamId(0), &cpu_shard).unwrap();
-        assert_eq!(data.to_f32_vec(), vec![9.0; 32]);
+        assert_eq!(f32s(&data), vec![9.0; 32]);
         assert_eq!((pf.stats().hits, pf.stats().misses), (0, 1));
         // The NVMe-path load is still intact for its own consumer.
         let data = pf.fetch(&mgr, ParamId(0), &nvme_shard).unwrap();
-        assert_eq!(data.to_f32_vec(), vec![6.0; 32]);
+        assert_eq!(f32s(&data), vec![6.0; 32]);
         assert_eq!((pf.stats().hits, pf.stats().misses), (1, 1));
-        mgr.free(nvme_shard);
-        mgr.free(cpu_shard);
+        mgr.free_placed(nvme_shard);
+        mgr.free_placed(cpu_shard);
     }
 
     #[test]
     fn repeated_hints_for_ram_shards_do_not_reissue_loads() {
         let spec = NodeMemorySpec::test_spec(1, 1 << 20, 1 << 20, 1 << 20);
-        let node = crate::offload::NodeResources::in_memory(&spec, 1);
+        let node = NodeResources::in_memory(&spec, 1);
         let mgr = node.offload_manager();
-        let shard = mgr
-            .store(Device::cpu(), FlatBuffer::from_f32(DType::F32, &[4.0; 8]))
-            .unwrap();
+        let shard = shard_on(&mgr, Device::cpu(), &[4.0; 8]);
         let mut pf = Prefetcher::new();
         for _ in 0..3 {
-            pf.prefetch(&mgr, ParamId(0), &shard).unwrap();
+            pf.prefetch(&mgr, ParamId(0), &shard);
         }
         let st = pf.stats();
         assert_eq!((st.issued, st.coalesced), (0, 0));
-        mgr.free(shard);
+        mgr.free_placed(shard);
     }
 
     #[test]
     fn cpu_shards_are_not_tracked() {
         let spec = NodeMemorySpec::test_spec(1, 1 << 20, 1 << 20, 1 << 20);
-        let node = crate::offload::NodeResources::in_memory(&spec, 1);
+        let node = NodeResources::in_memory(&spec, 1);
         let mgr = node.offload_manager();
-        let shard = mgr
-            .store(Device::cpu(), FlatBuffer::from_f32(DType::F32, &[3.0; 4]))
-            .unwrap();
+        let shard = shard_on(&mgr, Device::cpu(), &[3.0; 4]);
         let mut pf = Prefetcher::new();
-        pf.prefetch(&mgr, ParamId(0), &shard).unwrap();
+        pf.prefetch(&mgr, ParamId(0), &shard);
         assert!(!pf.is_pending(ParamId(0)));
         assert_eq!(pf.stats().issued, 0);
-        mgr.free(shard);
+        mgr.free_placed(shard);
     }
 
     #[test]
     fn clear_drains_pending() {
         let spec = NodeMemorySpec::test_spec(1, 1 << 20, 1 << 20, 1 << 20);
-        let node = crate::offload::NodeResources::in_memory(&spec, 1);
+        let node = NodeResources::in_memory(&spec, 1);
         let mgr = node.offload_manager();
-        let shard = mgr
-            .store(Device::nvme(), FlatBuffer::from_f32(DType::F32, &[0.0; 8]))
-            .unwrap();
+        let shard = shard_on(&mgr, Device::nvme(), &[0.0; 8]);
         let mut pf = Prefetcher::new();
-        pf.prefetch(&mgr, ParamId(0), &shard).unwrap();
-        pf.clear(&mgr).unwrap();
+        pf.prefetch(&mgr, ParamId(0), &shard);
+        pf.clear(&mgr);
         assert!(!pf.is_pending(ParamId(0)));
-        mgr.free(shard);
+        mgr.free_placed(shard);
     }
 }

@@ -28,7 +28,7 @@ use crate::adaptive::TelemetryCursor;
 use crate::checkpoint::{checkpoint_world, reshard_checkpoint_blobs};
 use crate::config::Strategy;
 use crate::engine::{EngineStats, ZeroEngine};
-use crate::offload::{NodeResources, OffloadHealth};
+use crate::offload::{NodeEnv, NodeResources, OffloadHealth};
 
 /// Everything needed to run a training session.
 #[derive(Debug, Clone, Copy)]
@@ -288,13 +288,7 @@ pub fn synthetic_batch(
 /// Train a GPT with the given strategy across `spec.world` rank threads
 /// over an in-memory NVMe device.
 pub fn train_gpt(spec: &TrainSpec) -> Result<TrainOutcome> {
-    train_gpt_on(spec, Arc::new(MemBackend::new()))
-}
-
-/// [`train_gpt`] over an explicit storage backend (chaos tests inject a
-/// faulty device here) with the default NVMe retry policy.
-pub fn train_gpt_on(spec: &TrainSpec, backend: Arc<dyn StorageBackend>) -> Result<TrainOutcome> {
-    train_gpt_with_policy(spec, backend, RetryPolicy::default())
+    train_gpt_env(spec, TrainEnv::new(Arc::new(MemBackend::new())))
 }
 
 /// True if `e` is a storage-layer failure the trainer can recover from
@@ -317,16 +311,6 @@ fn error_severity(e: &Error) -> u8 {
     } else {
         2
     }
-}
-
-/// [`train_gpt_on`] with an explicit NVMe retry policy; see
-/// [`train_gpt_env`] for the full recovery semantics.
-pub fn train_gpt_with_policy(
-    spec: &TrainSpec,
-    backend: Arc<dyn StorageBackend>,
-    policy: RetryPolicy,
-) -> Result<TrainOutcome> {
-    train_gpt_env(spec, TrainEnv { policy, ..TrainEnv::new(backend) })
 }
 
 /// One training session's adaptive-control state: the rank-0 controller
@@ -439,7 +423,7 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
         // Start from the knobs the spec would have run statically (the
         // spec-level prefetch window overrides the strategy's, exactly
         // as run_rank builds its engine).
-        let initial = spec.strategy.with_prefetch_window(spec.prefetch_window).knobs();
+        let initial = spec.strategy.with_prefetch_window(spec.prefetch_window).live_knobs();
         Arc::new(AdaptiveSession::new(initial))
     });
     // Session-scoped membership: outlives every per-attempt comm group,
@@ -456,18 +440,17 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
         // spec to whatever this attempt actually runs.
         let mut node_spec = spec.node;
         node_spec.gpus = node_spec.gpus.max(world);
-        let node = Arc::new(NodeResources::with_membership(
-            &node_spec,
-            world,
-            Arc::clone(&env.backend),
-            env.policy,
-            CommConfig {
+        let node_env = NodeEnv {
+            policy: env.policy,
+            comm: CommConfig {
                 deadline: spec.collective_deadline,
                 faults: env.comm_faults.clone(),
             },
-            tracer.clone(),
-            &membership,
-        ));
+            tracer: tracer.clone(),
+            membership: Some(&membership),
+            ..NodeEnv::new(Arc::clone(&env.backend))
+        };
+        let node = Arc::new(NodeResources::new(&node_spec, world, node_env));
         if degraded_start {
             node.degrade();
         }
@@ -1251,14 +1234,16 @@ mod recovery_tests {
     use super::*;
     use zi_nvme::{FaultPlan, FaultyBackend};
 
-    fn fast_policy() -> RetryPolicy {
-        RetryPolicy {
+    /// An environment over `backend` whose retries back off fast.
+    fn fast_env(backend: Arc<dyn StorageBackend>) -> TrainEnv {
+        let policy = RetryPolicy {
             max_attempts: 3,
             base_backoff: std::time::Duration::from_micros(100),
             max_backoff: std::time::Duration::from_millis(1),
             deadline: std::time::Duration::from_secs(5),
             jitter_seed: 7,
-        }
+        };
+        TrainEnv { policy, ..TrainEnv::new(backend) }
     }
 
     /// Storage-recovery tests run single-rank to isolate the
@@ -1292,7 +1277,7 @@ mod recovery_tests {
         let plan = FaultPlan::new();
         plan.kill();
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan));
-        let out = train_gpt_with_policy(&spec, backend, fast_policy()).unwrap();
+        let out = train_gpt_env(&spec, fast_env(backend)).unwrap();
 
         // Every NVMe store failed over to CPU; nothing ever errored, so
         // no restart was needed and the numerics are untouched.
@@ -1311,7 +1296,7 @@ mod recovery_tests {
         // the total data operations the workload performs.
         let quiet = FaultPlan::new();
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), quiet.clone()));
-        train_gpt_with_policy(&spec, backend, fast_policy()).unwrap();
+        train_gpt_env(&spec, fast_env(backend)).unwrap();
         let total_ops = quiet.ops_seen();
         assert!(total_ops > 0);
 
@@ -1320,7 +1305,7 @@ mod recovery_tests {
         let plan = FaultPlan::new();
         plan.kill_after_ops(total_ops * 6 / 10);
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan.clone()));
-        let out = train_gpt_with_policy(&spec, backend, fast_policy()).unwrap();
+        let out = train_gpt_env(&spec, fast_env(backend)).unwrap();
 
         assert!(out.recoveries >= 1, "death mid-run must force a restart");
         assert!(out.degraded, "the replacement run must distrust the device");
@@ -1351,14 +1336,14 @@ mod recovery_tests {
 
         let quiet = FaultPlan::new();
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), quiet.clone()));
-        train_gpt_with_policy(&spec, backend, fast_policy()).unwrap();
+        train_gpt_env(&spec, fast_env(backend)).unwrap();
         let total_ops = quiet.ops_seen();
         assert!(total_ops > 0);
 
         let plan = FaultPlan::new();
         plan.kill_after_ops(total_ops * 6 / 10);
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan.clone()));
-        let out = train_gpt_with_policy(&spec, backend, fast_policy()).unwrap();
+        let out = train_gpt_env(&spec, fast_env(backend)).unwrap();
 
         assert!(out.recoveries >= 1, "death mid-run must force a restart");
         assert!(out.degraded, "the replacement run must distrust the device");
@@ -1377,12 +1362,12 @@ mod recovery_tests {
 
         let quiet = FaultPlan::new();
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), quiet.clone()));
-        train_gpt_with_policy(&spec, backend, fast_policy()).unwrap();
+        train_gpt_env(&spec, fast_env(backend)).unwrap();
 
         let plan = FaultPlan::new();
         plan.kill_after_ops(quiet.ops_seen() * 6 / 10);
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan));
-        let err = match train_gpt_with_policy(&spec, backend, fast_policy()) {
+        let err = match train_gpt_env(&spec, fast_env(backend)) {
             Err(e) => e,
             Ok(_) => panic!("run over a dying device with no recovery budget must fail"),
         };

@@ -10,7 +10,8 @@
 
 use zero_infinity_suite::model::{GptConfig, GptModel, RunOptions};
 use zero_infinity_suite::optim::AdamConfig;
-use zero_infinity_suite::zero::{NodeResources, Strategy, ZeroEngine};
+use zero_infinity_suite::nvme::FileBackend;
+use zero_infinity_suite::zero::{NodeEnv, NodeResources, Strategy, ZeroEngine};
 use zi_memory::NodeMemorySpec;
 use zi_types::Device;
 
@@ -35,8 +36,8 @@ fn main() {
 
     let dir = std::env::temp_dir().join(format!("zi_finetune_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let node = NodeResources::with_file_nvme(&spec, world, &dir.join("nvme.dev"))
-        .expect("file-backed NVMe");
+    let device = FileBackend::create(&dir.join("nvme.dev")).expect("file-backed NVMe");
+    let node = NodeResources::new(&spec, world, NodeEnv::new(zi_sync::Arc::new(device)));
 
     // Train on rank threads manually (the long-hand version of
     // `train_gpt`, to show the per-rank API).

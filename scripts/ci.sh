@@ -7,6 +7,10 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test --workspace -q
 cargo clippy --workspace -- -D warnings
+# Tracked size numbers (ROADMAP north-star point 2): per-crate lines and
+# public-API surface live in the committed SURFACE.md, so every PR shows
+# its delta in review; a stale file fails here.
+scripts/surface.sh --check
 # Ledger harness: its unit tests build benchmark/src/bind.rs against the
 # crates, so a drift in any load-bearing signature (benchmark/README.md)
 # fails here rather than in the next ledger run.

@@ -27,7 +27,7 @@ use zi_sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use zero_infinity::{train_gpt, train_gpt_with_policy, Strategy, TrainSpec};
+use zero_infinity::{train_gpt, train_gpt_env, Strategy, TrainEnv, TrainSpec};
 use zi_model::GptConfig;
 use zi_nvme::{FaultPlan, FaultProfile, FaultyBackend, MemBackend, RetryPolicy};
 
@@ -75,7 +75,8 @@ fn chaos_soak_transient_faults_are_invisible() {
     };
     let plan = FaultPlan::probabilistic(profile);
     let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan.clone()));
-    let out = train_gpt_with_policy(&spec, backend, chaos_policy()).expect("chaos run");
+    let env = TrainEnv { policy: chaos_policy(), ..TrainEnv::new(backend) };
+    let out = train_gpt_env(&spec, env).expect("chaos run");
 
     let injected = plan.injected();
     assert!(
@@ -104,7 +105,8 @@ fn chaos_soak_bitflips_are_repaired_by_checksums() {
     // every flip is repairable by a verified re-read.
     plan.bitflip_next_reads(5);
     let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan.clone()));
-    let out = train_gpt_with_policy(&spec, backend, chaos_policy()).expect("bitflip run");
+    let env = TrainEnv { policy: chaos_policy(), ..TrainEnv::new(backend) };
+    let out = train_gpt_env(&spec, env).expect("bitflip run");
 
     assert_eq!(plan.injected().bitflips, 5, "all scripted flips must fire");
     assert!(
@@ -143,7 +145,8 @@ fn chaos_pipelined_step_survives_transient_faults() {
     };
     let plan = FaultPlan::probabilistic(profile);
     let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan.clone()));
-    let out = train_gpt_with_policy(&spec, backend, chaos_policy()).expect("chaos run");
+    let env = TrainEnv { policy: chaos_policy(), ..TrainEnv::new(backend) };
+    let out = train_gpt_env(&spec, env).expect("chaos run");
 
     assert!(plan.injected().total_faults() > 0, "soak must inject faults");
     assert!(out.health.io.retries > 0, "faults must be absorbed by retries");
@@ -202,7 +205,8 @@ mod adaptive {
         let plan = FaultPlan::new();
         plan.kill();
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan));
-        let out = train_gpt_with_policy(&spec, backend, fast_policy()).unwrap();
+        let env = TrainEnv { policy: fast_policy(), ..TrainEnv::new(backend) };
+        let out = train_gpt_env(&spec, env).unwrap();
 
         assert!(out.degraded, "run must report the failover");
         assert!(out.health.failovers > 0, "stores must have failed over to CPU");
@@ -236,14 +240,16 @@ mod adaptive {
         // stores, with most of the run still ahead.
         let quiet = FaultPlan::new();
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), quiet.clone()));
-        train_gpt_with_policy(&spec, backend, fast_policy()).unwrap();
+        let env = TrainEnv { policy: fast_policy(), ..TrainEnv::new(backend) };
+        train_gpt_env(&spec, env).unwrap();
         let total_ops = quiet.ops_seen();
         assert!(total_ops > 0);
 
         let plan = FaultPlan::new();
         plan.kill_after_ops(total_ops * 3 / 10);
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan.clone()));
-        let out = train_gpt_with_policy(&spec, backend, fast_policy()).unwrap();
+        let env = TrainEnv { policy: fast_policy(), ..TrainEnv::new(backend) };
+        let out = train_gpt_env(&spec, env).unwrap();
 
         assert!(plan.injected().dead_rejections > 0, "the device really died");
         assert!(out.recoveries >= 1, "mid-run death must force a restart");

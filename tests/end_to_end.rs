@@ -6,7 +6,7 @@ use zi_sync::Arc;
 use zero_infinity_suite::model::{GptConfig, GptModel, RunOptions};
 use zero_infinity_suite::optim::AdamConfig;
 use zero_infinity_suite::zero::trainer::synthetic_batch;
-use zero_infinity_suite::zero::{NodeResources, Strategy, ZeroEngine};
+use zero_infinity_suite::zero::{NodeEnv, NodeResources, Strategy, ZeroEngine};
 use zi_memory::NodeMemorySpec;
 use zi_types::Device;
 
@@ -25,9 +25,8 @@ fn full_stack_training_on_file_backed_nvme() {
     let world = 4;
     let spec = NodeMemorySpec::test_spec(world, 1 << 24, 1 << 26, 1 << 27);
     let dir = temp_dir("full");
-    let node = Arc::new(
-        NodeResources::with_file_nvme(&spec, world, &dir.join("nvme.dev")).expect("nvme file"),
-    );
+    let device = zi_nvme::FileBackend::create(&dir.join("nvme.dev")).expect("nvme file");
+    let node = Arc::new(NodeResources::new(&spec, world, NodeEnv::new(Arc::new(device))));
 
     let mut handles = Vec::new();
     for rank in 0..world {
@@ -161,12 +160,8 @@ fn nvme_failures_propagate_cleanly() {
         max_backoff: std::time::Duration::from_millis(1),
         ..RetryPolicy::default()
     };
-    let node = NodeResources::with_backend_policy(
-        &spec,
-        1,
-        backend as Arc<dyn StorageBackend>,
-        policy,
-    );
+    let backend = backend as Arc<dyn StorageBackend>;
+    let node = NodeResources::new(&spec, 1, NodeEnv { policy, ..NodeEnv::new(backend) });
     let model = GptModel::new(cfg);
 
     // Engine construction writes initial shards to NVMe; inject failure
