@@ -1,7 +1,7 @@
 //! Model-check harnesses for the workspace's real concurrency
-//! protocols: the generation barrier under scripted rank death and the
-//! membership join handshake racing that death
-//! (`zi-comm`), the write-behind engine's completion barrier and
+//! protocols: the generation barrier under scripted rank death, the
+//! membership join handshake racing that death and the collectives'
+//! slot table (`zi-comm`), the write-behind engine's completion barrier and
 //! staging-buffer hand-back and the checkpoint store's
 //! `save_async`/crash/`open` recovery (`zi-nvme`), and the buffer pools
 //! (`zi-memory`).
@@ -660,6 +660,102 @@ fn join_handshake_vs_rank_death_body() {
 #[test]
 fn join_handshake_survives_racing_rank_death() {
     run("join-handshake-vs-rank-death", join_handshake_vs_rank_death_body);
+}
+
+// ---------------------------------------------------------------------------
+// Protocol 9: the collectives' slot table — deposit, barrier, consume,
+// barrier — over back-to-back collectives on two ranks.
+//
+// Every collective deposits into the rank's own slot, crosses a barrier,
+// hands the slots to the caller's consumer as borrowed slices, and
+// crosses a second barrier before any slot may be rewritten. Invariants,
+// in every interleaving:
+//
+//   * a consumer of collective k sees exactly collective k's
+//     contributions — no rank reads before every deposit landed (first
+//     barrier), and no owner rewrites its slot for k+1 while a peer is
+//     still reading k (second barrier); the rounds differ in every byte
+//     and in length, so a misordered read cannot go unnoticed;
+//   * the consume phases of one collective overlap: in some schedule
+//     both ranks are reading the *same* slot at once (between the
+//     barriers the slots are only read, under shared locks — an
+//     exclusive lock, around the table or per slot, would serialize the
+//     decode/reduce work);
+//   * a rank that fails inside its consumer, i.e. between the barriers,
+//     latches the group failed, so its peer unwinds with
+//     `RankFailed` instead of sitting at the second barrier until the
+//     deadline (`CollectiveTimeout`).
+
+fn slot_table_body(overlapped: &zi_sync::OnceLock<()>) {
+    use zi_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    let round_shard = |round: u8, rank: usize| vec![0x10 * (round + 1) + rank as u8; 2 + round as usize];
+    let group = CommGroup::with_config(
+        2,
+        CommConfig { deadline: Duration::from_secs(30), faults: CommFaultPlan::new() },
+    );
+    let consuming = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+    let both = Arc::new(AtomicBool::new(false));
+    let handles: Vec<_> = group
+        .communicators()
+        .into_iter()
+        .map(|comm| {
+            let (consuming, both) = (Arc::clone(&consuming), Arc::clone(&both));
+            thread::spawn(move || {
+                let rank = comm.rank();
+                for round in 0..2u8 {
+                    let mut seen = Vec::new();
+                    comm.allgather_with(&round_shard(round, rank), |from, bytes| {
+                        if consuming[from].fetch_add(1, Ordering::SeqCst) == 1 {
+                            both.store(true, Ordering::SeqCst);
+                        }
+                        seen.push((from, bytes.to_vec()));
+                        // A scheduling point inside the consumer: the
+                        // peer may enter its own while this one is open.
+                        thread::yield_now();
+                        consuming[from].fetch_sub(1, Ordering::SeqCst);
+                        Ok(())
+                    })
+                    .expect("a healthy round");
+                    let expect: Vec<_> = (0..2).map(|from| (from, round_shard(round, from))).collect();
+                    assert_eq!(seen, expect, "rank {rank} round {round} read another collective's slot");
+                }
+                // Rank 1 dies mid-consume; rank 0 consumes cleanly.
+                comm.reduce_scatter_with(&[1.0, 2.0], 2, |_, sums| {
+                    assert_eq!(sums, [2.0 + rank as f32 * 2.0], "rank {rank}");
+                    if rank == 1 {
+                        return Err(Error::Internal("dies mid-consume".into()));
+                    }
+                    Ok(())
+                })
+                .expect_err("no rank can complete a collective whose peer never reaches the second barrier")
+            })
+        })
+        .collect();
+    let errors: Vec<Error> = handles.into_iter().map(|h| h.join().expect("rank thread")).collect();
+    assert!(
+        matches!(errors[0], Error::RankFailed { rank: 1, .. }),
+        "the survivor got {} instead of RankFailed{{1}}",
+        errors[0]
+    );
+    assert!(matches!(errors[1], Error::Internal(_)), "the victim reports its own error: {}", errors[1]);
+    assert_eq!(group.failed_rank(), Some(1));
+    if both.load(Ordering::SeqCst) {
+        let _ = overlapped.set(());
+    }
+}
+
+#[test]
+fn collective_slot_table_orders_writers_and_overlaps_readers() {
+    let overlapped = Arc::new(zi_sync::OnceLock::new());
+    let seen = Arc::clone(&overlapped);
+    run("collective-slot-table", move || slot_table_body(&seen));
+    if zi_check::enabled() {
+        assert!(
+            overlapped.get().is_some(),
+            "no schedule had both ranks reading one slot at once: the consume phase serializes"
+        );
+    }
 }
 
 fn kernel_pool_panic_release_body() {

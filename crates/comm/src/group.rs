@@ -6,6 +6,16 @@
 //! can be reused. As in MPI/NCCL, all ranks must issue the same collectives
 //! in the same order.
 //!
+//! The data plane delivers into the consumer's buffer: the `_with` forms
+//! hand every rank's contribution (allgather) or the rank-order sum
+//! (reduce-scatter, allreduce) to a caller closure as borrowed slices, so
+//! a parameter is decoded straight into its compute tensor and a gradient
+//! summed straight into its shard. A deposit reuses its slot's capacity;
+//! between the two barriers no slot is written, so ranks read under
+//! shared locks, concurrently; a world of one borrows the caller's own
+//! slice and deposits nothing. The `Vec`-returning forms are thin
+//! wrappers over the same bodies.
+//!
 //! Unlike the first iteration of this module, a rank that *stops* issuing
 //! collectives no longer deadlocks the group. Every synchronization point
 //! carries a deadline, and the group keeps a shared failed-rank latch:
@@ -34,13 +44,13 @@ use zi_sync::Arc;
 use std::time::Duration;
 
 use zi_sync::time::Instant;
-use zi_sync::{Condvar, Mutex};
+use zi_sync::{Condvar, Mutex, RwLock};
 use zi_trace::{Category, Counter, Tracer};
 use zi_types::{Error, Rank, Result, WorldSize};
 
 use crate::fault::{CommFaultPlan, CommVerdict};
 use crate::membership::Membership;
-use crate::partition::partition_range;
+use crate::partition::{partition_len, partition_range};
 use crate::traffic::TrafficStats;
 
 /// Default per-synchronization deadline. Generous: fault-free training
@@ -87,11 +97,25 @@ struct BarrierState {
     resize: Option<usize>,
 }
 
+/// One rank's deposit for the collective in flight. Written only by its
+/// owner before the first barrier, read by anyone between the barriers.
+#[derive(Default)]
+struct Slot {
+    bytes: Vec<u8>,
+    f32s: Vec<f32>,
+    /// Logical length of the f32 contribution: `f32s` may be shorter, in
+    /// which case it ends in implicit zeros.
+    padded_len: usize,
+}
+
+/// Elements reduced per consume call: the running sums of one block stay
+/// in L1 while every contribution streams through once.
+const REDUCE_BLOCK: usize = 1024;
+
 struct Shared {
     world: WorldSize,
     sync: SyncState,
-    byte_slots: Mutex<Vec<Vec<u8>>>,
-    f32_slots: Mutex<Vec<Vec<f32>>>,
+    slots: Vec<RwLock<Slot>>,
     traffic: TrafficStats,
     deadline: Duration,
     faults: CommFaultPlan,
@@ -191,8 +215,7 @@ impl CommGroup {
                     }),
                     cv: Condvar::new(),
                 },
-                byte_slots: Mutex::new(vec![Vec::new(); world]),
-                f32_slots: Mutex::new(vec![Vec::new(); world]),
+                slots: (0..world).map(|_| RwLock::new(Slot::default())).collect(),
                 traffic: TrafficStats::default(),
                 deadline: config.deadline,
                 faults: config.faults,
@@ -383,6 +406,36 @@ impl Communicator {
         self.sync("barrier")
     }
 
+    /// The two-barrier exchange under every collective: `deposit` this
+    /// rank's contribution into its slot (when some rank will read it
+    /// from there), synchronize, `consume` the slots, and synchronize
+    /// again before any slot can be rewritten. A failing `consume`
+    /// latches the group failed: this rank will never reach the second
+    /// barrier, and its peers must not wait out the deadline to learn it.
+    fn exchange<T>(
+        &self,
+        context: &'static str,
+        deposit: Option<impl FnOnce(&mut Slot)>,
+        consume: impl FnOnce(&[RwLock<Slot>]) -> Result<T>,
+    ) -> Result<T> {
+        let sh = &self.shared;
+        if let Some(deposit) = deposit {
+            deposit(&mut sh.slots[self.rank].write());
+        }
+        self.sync(context)?;
+        let out = consume(&sh.slots).inspect_err(|_| sh.mark_failed(self.rank))?;
+        self.sync(context)?;
+        Ok(out)
+    }
+
+    /// True when this rank's contribution must go through its slot: a
+    /// peer will read it, or the fault plan wants it corrupted in place.
+    /// Otherwise (a world of one) the caller's own slice is the only
+    /// contribution and is borrowed as is.
+    fn deposits(&self, corrupt: Option<u64>) -> bool {
+        self.shared.world > 1 || corrupt.is_some()
+    }
+
     /// Broadcast `data` from `root` to every rank. Non-root callers pass
     /// any slice (ignored) and receive the root's bytes.
     pub fn broadcast_bytes(&self, root: Rank, data: &[u8]) -> Result<Vec<u8>> {
@@ -390,16 +443,8 @@ impl Communicator {
         let mut span = self.shared.tracer.span(Category::Allgather, "gg.broadcast");
         span.set_id(self.rank as u64);
         let corrupt = self.admit("broadcast")?;
-        if self.rank == root {
-            let mut payload = data.to_vec();
-            if let Some(salt) = corrupt {
-                corrupt_bytes(&mut payload, salt);
-            }
-            self.shared.byte_slots.lock()[root] = payload;
-        }
-        self.sync("broadcast")?;
-        let out = self.shared.byte_slots.lock()[root].clone();
-        self.sync("broadcast")?;
+        let deposit = (self.rank == root).then(|| deposit_bytes(data, corrupt));
+        let out = self.exchange("broadcast", deposit, |slots| Ok(slots[root].read().bytes.clone()))?;
         if self.rank == root {
             // Logical ring broadcast: root's payload traverses w-1 links.
             let bytes = out.len() as u64 * (self.shared.world as u64 - 1);
@@ -410,125 +455,204 @@ impl Communicator {
         Ok(out)
     }
 
-    /// Gather every rank's `shard` and concatenate in rank order.
-    pub fn allgather_bytes(&self, shard: &[u8]) -> Result<Vec<u8>> {
+    /// Gather every rank's `shard`: `consume(rank, bytes)` is called once
+    /// per rank, in rank order, with that rank's contribution borrowed —
+    /// the caller decodes or copies it straight into its own buffer. An
+    /// error from `consume` (say, a contribution of the wrong length)
+    /// fails the collective on every rank.
+    pub fn allgather_with(
+        &self,
+        shard: &[u8],
+        mut consume: impl FnMut(Rank, &[u8]) -> Result<()>,
+    ) -> Result<()> {
         let mut span = self.shared.tracer.span(Category::Allgather, "gg.allgather");
         span.set_id(self.rank as u64);
         let corrupt = self.admit("allgather")?;
-        {
-            let mut mine = shard.to_vec();
-            if let Some(salt) = corrupt {
-                corrupt_bytes(&mut mine, salt);
-            }
-            self.shared.byte_slots.lock()[self.rank] = mine;
-        }
-        self.sync("allgather")?;
-        let out = {
-            let slots = self.shared.byte_slots.lock();
-            let total: usize = slots.iter().map(|s| s.len()).sum();
-            let mut out = Vec::with_capacity(total);
-            for s in slots.iter() {
-                out.extend_from_slice(s);
-            }
-            out
-        };
-        self.sync("allgather")?;
+        let deposit = self.deposits(corrupt).then(|| deposit_bytes(shard, corrupt));
+        let deposited = deposit.is_some();
         // Each rank receives (w-1) shards; count this rank's received bytes.
-        let bytes = (out.len() - shard.len()) as u64;
+        let mut bytes = 0u64;
+        self.exchange("allgather", deposit, |slots| {
+            if !deposited {
+                return consume(self.rank, shard);
+            }
+            for (rank, slot) in slots.iter().enumerate() {
+                let slot = slot.read();
+                if rank != self.rank {
+                    bytes += slot.bytes.len() as u64;
+                }
+                consume(rank, &slot.bytes)?;
+            }
+            Ok(())
+        })?;
         self.shared.traffic.record(&self.shared.traffic.allgather_bytes, bytes);
         span.set_bytes(bytes);
         self.shared.tracer.count(Counter::GgBytes, bytes);
+        Ok(())
+    }
+
+    /// Gather every rank's `shard` and concatenate in rank order.
+    pub fn allgather_bytes(&self, shard: &[u8]) -> Result<Vec<u8>> {
+        let mut out = Vec::with_capacity(shard.len() * self.shared.world);
+        self.allgather_with(shard, |_, bytes| {
+            out.extend_from_slice(bytes);
+            Ok(())
+        })?;
         Ok(out)
+    }
+
+    /// The body of reduce-scatter (`scatter`) and allreduce: element `i`
+    /// of the result is `((0.0 + s₀[i]) + s₁[i]) + …` over the ranks'
+    /// contributions in rank order. `consume(at, sums)` receives the
+    /// reduced elements `[at, at + sums.len())` of this rank's range —
+    /// its partition of `padded_len` when scattering, everything
+    /// otherwise — one block at a time, in order. Every rank must pass
+    /// the same `padded_len`; a contribution shorter than that ends in
+    /// implicit zeros.
+    fn reduce_with(
+        &self,
+        scatter: bool,
+        data: &[f32],
+        padded_len: usize,
+        mut consume: impl FnMut(usize, &[f32]) -> Result<()>,
+    ) -> Result<()> {
+        let sh = &self.shared;
+        let (name, context) =
+            if scatter { ("gg.reduce_scatter", "reduce_scatter") } else { ("gg.allreduce", "allreduce") };
+        let mut span = sh.tracer.span(Category::ReduceScatter, name);
+        span.set_id(self.rank as u64);
+        let corrupt = self.admit(context)?;
+        let deposit = self.deposits(corrupt).then_some(|slot: &mut Slot| {
+            slot.f32s.clear();
+            slot.f32s.extend_from_slice(data);
+            slot.padded_len = padded_len;
+            if let Some(salt) = corrupt {
+                // The flipped bit is chosen over the padded contribution.
+                slot.f32s.resize(padded_len, 0.0);
+                corrupt_f32s(&mut slot.f32s, salt);
+            }
+        });
+        let deposited = deposit.is_some();
+        let range = if scatter { partition_range(padded_len, sh.world, self.rank) } else { 0..padded_len };
+        self.exchange(context, deposit, |slots| {
+            if data.len() > padded_len {
+                return Err(Error::shape(format!(
+                    "{context}: contribution of {} elements exceeds its padded length {padded_len}",
+                    data.len()
+                )));
+            }
+            let guards: Vec<_> =
+                if deposited { slots.iter().map(|slot| slot.read()).collect() } else { Vec::new() };
+            if let Some(peer) = guards.iter().position(|slot| slot.padded_len != padded_len) {
+                return Err(Error::shape(format!(
+                    "{context}: rank {peer} contributes {} elements, rank {} expects {padded_len}",
+                    guards[peer].padded_len, self.rank
+                )));
+            }
+            let contribs: Vec<&[f32]> =
+                if deposited { guards.iter().map(|slot| &slot.f32s[..]).collect() } else { vec![data] };
+            let mut sums = [0f32; REDUCE_BLOCK];
+            for at in range.clone().step_by(REDUCE_BLOCK) {
+                let end = range.end.min(at + REDUCE_BLOCK);
+                let sums = &mut sums[..end - at];
+                sums.fill(0.0);
+                for contrib in &contribs {
+                    let present = &contrib[at.min(contrib.len())..end.min(contrib.len())];
+                    for (sum, v) in sums.iter_mut().zip(present) {
+                        *sum += v;
+                    }
+                }
+                consume(at - range.start, sums)?;
+            }
+            Ok(())
+        })?;
+        let moved = (padded_len * 4) as u64 * (sh.world as u64 - 1) / sh.world as u64;
+        let (counter, bytes) = if scatter {
+            (&sh.traffic.reduce_scatter_bytes, moved)
+        } else {
+            (&sh.traffic.allreduce_bytes, 2 * moved)
+        };
+        sh.traffic.record(counter, bytes);
+        span.set_bytes(bytes);
+        sh.tracer.count(Counter::RsBytes, bytes);
+        Ok(())
+    }
+
+    /// Element-wise sum of every rank's `data` (at most `padded_len`
+    /// elements, implicitly zero-padded to it; every rank passes the same
+    /// `padded_len`), delivering this rank's partition of the reduced
+    /// vector (per [`partition_range`]) to `consume(at, sums)` block by
+    /// block, in order — the caller accumulates it straight into its own
+    /// buffer. A length disagreement, or an error from `consume`, fails
+    /// the collective on every rank.
+    pub fn reduce_scatter_with(
+        &self,
+        data: &[f32],
+        padded_len: usize,
+        consume: impl FnMut(usize, &[f32]) -> Result<()>,
+    ) -> Result<()> {
+        self.reduce_with(true, data, padded_len, consume)
+    }
+
+    /// Element-wise sum of every rank's equal-length `data`, delivering
+    /// the whole reduced vector to `consume(at, sums)` block by block,
+    /// in order, on every rank.
+    pub fn allreduce_with(
+        &self,
+        data: &[f32],
+        consume: impl FnMut(usize, &[f32]) -> Result<()>,
+    ) -> Result<()> {
+        self.reduce_with(false, data, data.len(), consume)
     }
 
     /// Element-wise sum of every rank's equal-length `data`, returning this
     /// rank's partition of the reduced vector (per [`partition_range`]).
     pub fn reduce_scatter_sum(&self, data: &[f32]) -> Result<Vec<f32>> {
-        let mut span = self.shared.tracer.span(Category::ReduceScatter, "gg.reduce_scatter");
-        span.set_id(self.rank as u64);
-        let corrupt = self.admit("reduce_scatter")?;
-        {
-            let mut mine = data.to_vec();
-            if let Some(salt) = corrupt {
-                corrupt_f32s(&mut mine, salt);
-            }
-            self.shared.f32_slots.lock()[self.rank] = mine;
-        }
-        self.sync("reduce_scatter")?;
-        let out = {
-            let slots = self.shared.f32_slots.lock();
-            let len = slots[0].len();
-            assert!(
-                slots.iter().all(|s| s.len() == len),
-                "reduce_scatter_sum requires equal contribution lengths"
-            );
-            let range = partition_range(len, self.shared.world, self.rank);
-            let mut out = vec![0f32; range.len()];
-            for s in slots.iter() {
-                for (o, v) in out.iter_mut().zip(&s[range.clone()]) {
-                    *o += v;
-                }
-            }
-            out
-        };
-        self.sync("reduce_scatter")?;
-        let bytes = (data.len() * 4) as u64 * (self.shared.world as u64 - 1)
-            / self.shared.world as u64;
-        self.shared.traffic.record(&self.shared.traffic.reduce_scatter_bytes, bytes);
-        span.set_bytes(bytes);
-        self.shared.tracer.count(Counter::RsBytes, bytes);
+        let mut out = Vec::with_capacity(partition_len(data.len(), self.shared.world, self.rank));
+        self.reduce_scatter_with(data, data.len(), |_, sums| {
+            out.extend_from_slice(sums);
+            Ok(())
+        })?;
         Ok(out)
     }
 
     /// Element-wise sum across ranks, leaving the full reduced vector in
     /// `data` on every rank. On error `data` is left unchanged.
     pub fn allreduce_sum(&self, data: &mut [f32]) -> Result<()> {
-        let mut span = self.shared.tracer.span(Category::ReduceScatter, "gg.allreduce");
-        span.set_id(self.rank as u64);
-        let corrupt = self.admit("allreduce")?;
-        {
-            let mut mine = data.to_vec();
-            if let Some(salt) = corrupt {
-                corrupt_f32s(&mut mine, salt);
-            }
-            self.shared.f32_slots.lock()[self.rank] = mine;
-        }
-        self.sync("allreduce")?;
-        let reduced = {
-            let slots = self.shared.f32_slots.lock();
-            let len = slots[0].len();
-            assert!(
-                slots.iter().all(|s| s.len() == len),
-                "allreduce_sum requires equal contribution lengths"
-            );
-            let mut out = vec![0f32; len];
-            for s in slots.iter() {
-                for (o, v) in out.iter_mut().zip(s.iter()) {
-                    *o += v;
-                }
-            }
-            out
-        };
-        self.sync("allreduce")?;
-        data.copy_from_slice(&reduced);
-        let bytes =
-            2 * (data.len() * 4) as u64 * (self.shared.world as u64 - 1) / self.shared.world as u64;
-        self.shared.traffic.record(&self.shared.traffic.allreduce_bytes, bytes);
-        span.set_bytes(bytes);
-        self.shared.tracer.count(Counter::RsBytes, bytes);
+        let mut out = Vec::with_capacity(data.len());
+        self.allreduce_with(data, |_, sums| {
+            out.extend_from_slice(sums);
+            Ok(())
+        })?;
+        data.copy_from_slice(&out);
         Ok(())
     }
 
     /// Sum a scalar across ranks (e.g. for loss averaging).
     pub fn sum_scalar(&self, v: f32) -> Result<f32> {
-        let mut buf = [v];
-        self.allreduce_sum(&mut buf)?;
-        Ok(buf[0])
+        let mut out = 0.0;
+        self.allreduce_with(&[v], |_, sums| {
+            out = sums[0];
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     /// Shared traffic counters.
     pub fn traffic_total_bytes(&self) -> u64 {
         self.shared.traffic.total_bytes()
+    }
+}
+
+/// The deposit of a byte contribution: into the slot's reused capacity,
+/// with the fault plan's bit flip applied to the deposited copy.
+fn deposit_bytes(data: &[u8], corrupt: Option<u64>) -> impl FnOnce(&mut Slot) + '_ {
+    move |slot| {
+        slot.bytes.clear();
+        slot.bytes.extend_from_slice(data);
+        if let Some(salt) = corrupt {
+            corrupt_bytes(&mut slot.bytes, salt);
+        }
     }
 }
 
@@ -549,12 +673,6 @@ fn corrupt_f32s(data: &mut [f32], salt: u64) {
     let i = (salt as usize / 32) % data.len();
     data[i] = f32::from_bits(data[i].to_bits() ^ (1 << (salt % 32)));
 }
-
-// SAFETY: a `Communicator` is only ever *moved* to its rank thread and
-// used from there; the shared state it points at (`GroupShared`) is all
-// `Mutex`/`Condvar`/atomic-protected, so no unsynchronized access crosses
-// threads.
-unsafe impl Send for Communicator {}
 
 #[cfg(test)]
 mod tests {

@@ -10,13 +10,15 @@
 //! 2. **Fetch** (`get`) — the shard is read from its tier (prefetched
 //!    NVMe reads are consumed here), all shards are allgathered
 //!    (bandwidth-centric partitioning, Sec. 6.1: every rank's PCIe/NVMe
-//!    link carries 1/dp of the parameter), the padding is stripped and
-//!    the f32 compute tensor is charged against GPU working memory.
-//! 3. **Release** — the gathered tensor is dropped and its GPU working
-//!    memory freed; only the shard remains.
+//!    link carries 1/dp of the parameter) and each rank's bytes are
+//!    decoded once, straight into the f32 compute tensor, which is
+//!    charged against GPU working memory.
+//! 3. **Release** — the gathered tensor's GPU working memory is freed
+//!    and its storage recycled for the next fetch of that size; only the
+//!    shard remains.
 //! 4. **Gradient** (`add_grad`) — the full local gradient is
-//!    reduce-scattered; each rank accumulates its own shard on the
-//!    gradient tier.
+//!    reduce-scattered and the reduced values are accumulated, in the
+//!    same pass, into this rank's shard on the gradient tier.
 //! 5. **Step** — each rank streams its optimizer-state shard through
 //!    bounded chunks (NVMe→CPU→update→NVMe, Sec. 5.2.2), updates the fp32
 //!    master, and writes the fresh fp16 shard back to the parameter tier
@@ -30,6 +32,7 @@ use zi_comm::{Communicator, Partitioner};
 use zi_memory::{Block, PlacementPolicy, ScratchVec};
 use zi_model::{ParamId, ParamRegistry, ParamStore};
 use zi_optim::{adam_update_chunk, adam_update_chunk_publish, AdamConfig, LossScaler};
+use zi_tensor::storage::{accumulate_f32, decode_f32, encode_f32};
 use zi_tensor::{FlatBuffer, Tensor};
 use zi_trace::{Category, Counter};
 use zi_types::{DType, Device, DeviceKind, Error, Result};
@@ -80,6 +83,44 @@ struct Resident {
     gpu_block: Block,
 }
 
+/// Buffers below this many elements are not worth recycling.
+const MIN_RECYCLED_ELEMS: usize = 1024;
+
+/// Recycled buffers keyed by element count: what a released parameter
+/// or an applied gradient leaves behind for the next fetch or deposit of
+/// the same size, so neither path allocates in steady state (the fixed,
+/// reused buffer set of Sec. 6.3). Contents are unspecified: every taker
+/// overwrites the whole buffer. A list holds only what it once handed
+/// out, so it never outgrows what was simultaneously in use.
+struct FreeList<T> {
+    by_len: HashMap<usize, Vec<T>>,
+}
+
+impl<T> FreeList<T> {
+    fn new() -> Self {
+        FreeList { by_len: HashMap::new() }
+    }
+
+    fn take(&mut self, len: usize) -> Option<T> {
+        self.by_len.get_mut(&len)?.pop()
+    }
+
+    fn put(&mut self, len: usize, buf: T) {
+        if len >= MIN_RECYCLED_ELEMS {
+            self.by_len.entry(len).or_default().push(buf);
+        }
+    }
+}
+
+impl FreeList<Vec<f32>> {
+    /// A vector of exactly `len` elements.
+    fn take_f32(&mut self, len: usize) -> Vec<f32> {
+        let mut buf = self.take(len).unwrap_or_default();
+        buf.resize(len, 0.0);
+        buf
+    }
+}
+
 /// Counters describing the engine's activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
@@ -118,6 +159,10 @@ pub struct ZeroEngine {
     /// Extra gradient divisor for multi-micro-batch accumulation.
     grad_accum_steps: f32,
     resident: HashMap<ParamId, Resident>,
+    /// Storage of released compute tensors (and published masters).
+    f32_bufs: FreeList<Vec<f32>>,
+    /// Gradient buffers the optimizer step has consumed.
+    grad_bufs: FreeList<FlatBuffer>,
     prefetcher: Prefetcher,
     trace: TraceMap,
     /// Last placement-cell version consumed; newer publishes (a
@@ -242,6 +287,8 @@ impl ZeroEngine {
             shards,
             grad_accum_steps: 1.0,
             resident: HashMap::new(),
+            f32_bufs: FreeList::new(),
+            grad_bufs: FreeList::new(),
             prefetcher: Prefetcher::new(),
             trace: TraceMap::new(),
             placement_seen,
@@ -278,11 +325,22 @@ impl ZeroEngine {
         Device::gpu(self.gpu_index)
     }
 
-    /// Fetch the full f32 values of a parameter from wherever they live.
-    fn gather_values(&mut self, id: ParamId) -> Result<Vec<f32>> {
+    /// Elements of the buffer `id` is gathered into: every rank's padded
+    /// shard, or the replica itself.
+    fn gathered_len(&self, id: ParamId) -> usize {
         let st = &self.shards[id.0];
+        if self.strategy.partition_params { st.shard_len * self.part.world } else { st.numel }
+    }
+
+    /// Fetch the full f32 values of a parameter from wherever they live,
+    /// decoding the stored bytes once, into a recycled buffer.
+    fn gather_values(&mut self, id: ParamId) -> Result<Vec<f32>> {
+        let mut vals = self.f32_bufs.take_f32(self.gathered_len(id));
+        let st = &self.shards[id.0];
+        let dtype = self.strategy.param_dtype;
         if !self.strategy.partition_params {
-            return Ok(self.mgr.load_placed(&st.param)?.to_f32_vec());
+            decode_f32(dtype, self.mgr.fetch_placed(&st.param)?.as_bytes(), &mut vals)?;
+            return Ok(vals);
         }
         // A resident shard is borrowed for the collective, an NVMe one is
         // the staging buffer its (pre)fetch filled.
@@ -291,12 +349,10 @@ impl ZeroEngine {
         } else {
             self.mgr.fetch_placed(&st.param)?
         };
-        let gathered = self.comm.allgather_bytes(shard.as_bytes())?;
+        gather_decode(&self.comm, dtype, shard.as_bytes(), st.shard_len, &mut vals)?;
         drop(shard);
         self.stats.allgathers += 1;
-        self.stats.gathered_elems += (st.shard_len * self.part.world) as u64;
-        let fb = FlatBuffer::from_bytes(self.strategy.param_dtype, gathered)?;
-        let mut vals = fb.to_f32_vec();
+        self.stats.gathered_elems += vals.len() as u64;
         vals.truncate(st.numel);
         Ok(vals)
     }
@@ -320,29 +376,6 @@ impl ZeroEngine {
         for nid in self.trace.predict_next(self.strategy.knobs.prefetch_window) {
             self.prefetch_shard(nid);
         }
-    }
-
-    /// Accumulate `delta` into the gradient storage for `id`.
-    fn accumulate_grad(&mut self, id: ParamId, delta: &[f32]) -> Result<()> {
-        let grad_device = device_for(self.strategy.placement.grads, self.gpu_index);
-        let st = &mut self.shards[id.0];
-        match &mut st.grad {
-            Some(buf) => {
-                if buf.numel() != delta.len() {
-                    return Err(Error::Internal("gradient accumulation length drift".into()));
-                }
-                // In place on the gradient tier: no load→add→overwrite
-                // round trip, and the overflow scan rides the same pass.
-                st.grad_nonfinite |= self.mgr.accumulate_f32_placed(buf, delta)?;
-            }
-            slot @ None => {
-                let data = FlatBuffer::from_f32(DType::F32, delta);
-                let whole = PlacementPolicy::all_nvme();
-                *slot = Some(self.mgr.store_placed(grad_device, &whole, data)?);
-                st.grad_nonfinite = LossScaler::has_overflow(delta);
-            }
-        }
-        Ok(())
     }
 
     /// Drop all accumulated gradients (used when a step is skipped).
@@ -378,6 +411,7 @@ impl ZeroEngine {
         }
         self.scaler.update(false);
 
+        self.reserve_step_staging();
         // One write-behind window spans every parameter, so one
         // parameter's writes overlap the next one's reads. All of it is
         // reaped here, inside the step — on the success path and on every
@@ -392,6 +426,21 @@ impl ZeroEngine {
         Ok(true)
     }
 
+    /// Put the streamed step's staging set in place before its first
+    /// chunk: `depth` chunks of read-ahead plus the chunk in hand, three
+    /// state streams and a publish each, and the write-behind window,
+    /// every buffer one chunk long. How many of them are out at once
+    /// depends on when the device completes writes, so a pool that only
+    /// allocates on a miss keeps allocating, rarely, for many steps.
+    fn reserve_step_staging(&self) {
+        let offloaded = self.shards.iter().filter(|st| st.optim.master.is_offloaded());
+        let Some(longest) = offloaded.map(|st| st.optim.master.numel()).max() else { return };
+        let chunk = self.strategy.optimizer_chunk.min(longest);
+        let depth = self.strategy.knobs.step_pipeline_depth.max(1);
+        let count = depth * 4 + self.strategy.write_behind_bound();
+        self.mgr.staging().reserve(count, DType::F32.bytes_for(chunk));
+    }
+
     /// Apply parameter `idx`'s accumulated gradient (if any) to its
     /// optimizer shard and publish the fresh parameter values.
     fn update_shard(&mut self, idx: usize, wb: &mut WriteBehind) -> Result<()> {
@@ -402,10 +451,8 @@ impl ZeroEngine {
         // The gradient slice covering this rank's update range, averaged
         // over ranks in place in the buffer taken out of gradient storage
         // (no load → clone → decode round trip).
-        let mut grad = self.mgr.take_placed(buf)?;
-        let full = grad.as_f32_mut().ok_or_else(|| {
-            Error::Internal("gradient storage is not an aligned f32 buffer".into())
-        })?;
+        let mut taken = self.mgr.take_placed(buf)?;
+        let full = f32_view(&mut taken)?;
         let mut slice;
         let grad = if !self.strategy.partition_grads && self.strategy.partition_optimizer {
             let range = self.part.shard_range(numel, self.comm.rank());
@@ -433,18 +480,20 @@ impl ZeroEngine {
         let depth = self.strategy.knobs.step_pipeline_depth.max(1);
         let ShardState { optim, param, .. } = &mut self.shards[idx];
         optim.step += 1;
-        let mut new_master = Vec::new();
-        let partitioned = self.strategy.partition_params;
-        let publish = if partitioned {
+        let mut new_master = None;
+        let publish = if self.strategy.partition_params {
             Publish::Stream(self.mgr.begin_publish(param))
         } else {
-            new_master.resize(total, 0f32);
-            Publish::Whole(&mut new_master)
+            Publish::Whole(new_master.insert(self.f32_bufs.take_f32(total)))
         };
         let stats = &mut self.stats;
         stream_shard_update(&self.mgr, &self.adam, optim, grad, chunk, depth, wb, publish, stats)?;
-        if !partitioned {
+        // The buffers outlive the step: the next deposit and the next
+        // publish of this size reuse them.
+        self.grad_bufs.put(taken.numel(), taken);
+        if let Some(new_master) = new_master {
             self.publish_master(idx, &new_master)?;
+            self.f32_bufs.put(total, new_master);
         }
         Ok(())
     }
@@ -457,16 +506,18 @@ impl ZeroEngine {
     fn publish_master(&mut self, idx: usize, new_master: &[f32]) -> Result<()> {
         let dtype = self.strategy.param_dtype;
         let numel = self.shards[idx].numel;
-        let gathered;
+        let mut gathered = None;
         // Otherwise new_master covers exactly what this rank stores: its
         // padded shard, or the full replica.
         let values = if !self.strategy.partition_params && self.strategy.partition_optimizer {
             // ZeRO-1/2: gather every rank's updated slice back into the
             // full replica.
-            let mine = FlatBuffer::from_f32(dtype, new_master);
-            let bytes = self.comm.allgather_bytes(mine.as_bytes())?;
-            gathered = FlatBuffer::from_bytes(dtype, bytes)?.to_f32_vec();
-            &gathered[..numel]
+            let shard_len = new_master.len();
+            let mut mine = self.mgr.staging().acquire(dtype.bytes_for(shard_len));
+            encode_f32(dtype, new_master, mine.as_bytes_mut())?;
+            let full = gathered.insert(self.f32_bufs.take_f32(shard_len * self.part.world));
+            gather_decode(&self.comm, dtype, mine.as_bytes(), shard_len, full)?;
+            &full[..numel]
         } else {
             new_master
         };
@@ -475,7 +526,11 @@ impl ZeroEngine {
         let pushed = publish.push(&self.mgr, &mut wb, values);
         let drained = wb.drain(&self.mgr);
         pushed.and(drained)?;
-        publish.finish()
+        publish.finish()?;
+        if let Some(full) = gathered {
+            self.f32_bufs.put(full.len(), full);
+        }
+        Ok(())
     }
 
     /// Bring every optimizer shard's placement in line with the current
@@ -700,6 +755,11 @@ impl ParamStore for ZeroEngine {
         if r.refcount == 0 {
             if let Some(r) = self.resident.remove(&id) {
                 self.mgr.hierarchy().free(self.gpu_device(), r.gpu_block);
+                // Recycle the storage if every user dropped its handle
+                // before releasing (the runner does).
+                if let Ok(vals) = r.tensor.try_into_vec() {
+                    self.f32_bufs.put(self.gathered_len(id), vals);
+                }
             }
         }
         Ok(())
@@ -715,16 +775,12 @@ impl ParamStore for ZeroEngine {
             )));
         }
         self.stats.grad_reductions += 1;
-        if self.strategy.partition_grads {
-            let mut padded = grad.data().to_vec();
-            padded.resize(self.part.padded_len(st.numel), 0.0);
-            let shard = self.comm.reduce_scatter_sum(&padded)?;
-            self.accumulate_grad(id, &shard)
-        } else {
-            let mut full = grad.data().to_vec();
-            self.comm.allreduce_sum(&mut full)?;
-            self.accumulate_grad(id, &full)
-        }
+        // This rank keeps its reduce-scattered shard of the (implicitly
+        // padded) gradient, or the whole allreduced gradient.
+        let scatter = self.strategy.partition_grads.then(|| self.part.padded_len(st.numel));
+        let grad_device = device_for(self.strategy.placement.grads, self.gpu_index);
+        let st = &mut self.shards[id.0];
+        deposit_grad(&self.mgr, &self.comm, &mut self.grad_bufs, st, grad_device, grad.data(), scatter)
     }
 
     fn tracer(&self) -> Option<&zi_trace::Tracer> {
@@ -739,6 +795,100 @@ impl ParamStore for ZeroEngine {
             self.prefetch_shard(id);
         }
     }
+}
+
+/// The elements of a gradient buffer as f32.
+fn f32_view(buf: &mut FlatBuffer) -> Result<&mut [f32]> {
+    buf.as_f32_mut()
+        .ok_or_else(|| Error::Internal("gradient storage is not an aligned f32 buffer".into()))
+}
+
+/// Allgather `shard` — this rank's `shard_len` elements stored as `dtype`
+/// — decoding every rank's contribution once, straight into
+/// `dest[rank * shard_len ..]`. A contribution of any other length is a
+/// typed error on every rank.
+fn gather_decode(
+    comm: &Communicator,
+    dtype: DType,
+    shard: &[u8],
+    shard_len: usize,
+    dest: &mut [f32],
+) -> Result<()> {
+    comm.allgather_with(shard, |rank, bytes| {
+        let out = dest
+            .get_mut(rank * shard_len..(rank + 1) * shard_len)
+            .ok_or_else(|| Error::Internal("gather destination shorter than the world".into()))?;
+        decode_f32(dtype, bytes, out)
+    })
+}
+
+/// `dst += sums` when `add`, else `dst = sums`; true when any resulting
+/// element is non-finite. Plain functions over two slices, so the loops
+/// vectorize wherever this is called from.
+fn land_block(dst: &mut [f32], sums: &[f32], add: bool) -> bool {
+    if add {
+        return accumulate_f32(dst, sums);
+    }
+    dst.copy_from_slice(sums);
+    sums.iter().fold(false, |nonfinite, sum| nonfinite | !sum.is_finite())
+}
+
+/// Reduce `grad` across ranks and accumulate this rank's part of the sum
+/// — its shard of the gradient padded to `scatter`, or all of it — into
+/// `st`'s gradient storage, the overflow scan riding the same pass.
+fn deposit_grad(
+    mgr: &OffloadManager,
+    comm: &Communicator,
+    free: &mut FreeList<FlatBuffer>,
+    st: &mut ShardState,
+    grad_device: Device,
+    grad: &[f32],
+    scatter: Option<usize>,
+) -> Result<()> {
+    let len = if scatter.is_some() { st.shard_len } else { st.numel };
+    // One pass: each reduced block lands in `dst` (added to what is
+    // there, or replacing it) while it is still in cache. True when any
+    // resulting element is non-finite.
+    let reduce_into = |dst: &mut [f32], add: bool| -> Result<bool> {
+        let mut nonfinite = false;
+        let consume = |at: usize, sums: &[f32]| {
+            let dst = dst
+                .get_mut(at..at + sums.len())
+                .ok_or_else(|| Error::Internal("reduced range exceeds the gradient shard".into()))?;
+            nonfinite |= land_block(dst, sums, add);
+            Ok(())
+        };
+        match scatter {
+            Some(padded_len) => comm.reduce_scatter_with(grad, padded_len, consume)?,
+            None => comm.allreduce_with(grad, consume)?,
+        }
+        Ok(nonfinite)
+    };
+    if st.grad.as_ref().is_some_and(|buf| buf.numel() != len) {
+        return Err(Error::Internal("gradient accumulation length drift".into()));
+    }
+    if let Some(Ok(resident)) = st.grad.as_mut().map(|buf| buf.resident_f32_mut(0, len)) {
+        st.grad_nonfinite |= reduce_into(resident, true)?;
+        return Ok(());
+    }
+    // Anything but a RAM-resident, one-segment gradient to add into
+    // takes the reduced values whole, in a recycled buffer.
+    let mut reduced = free.take(len).unwrap_or_else(|| FlatBuffer::zeros(DType::F32, len));
+    let nonfinite = reduce_into(f32_view(&mut reduced)?, false)?;
+    match &mut st.grad {
+        // NVMe-tier or split gradient storage (no Table-2 strategy):
+        // accumulated segment by segment on the gradient tier.
+        Some(buf) => {
+            st.grad_nonfinite |= mgr.accumulate_f32_placed(buf, f32_view(&mut reduced)?)?;
+            free.put(len, reduced);
+        }
+        // First deposit: the buffer becomes the gradient storage.
+        slot @ None => {
+            *slot = Some(mgr.store_placed(grad_device, &PlacementPolicy::all_nvme(), reduced)?);
+            st.grad_nonfinite = nonfinite;
+        }
+    }
+    Ok(())
 }
 
 fn device_for(kind: DeviceKind, rank: usize) -> Device {
@@ -1339,6 +1489,136 @@ mod tests {
             let pool = eng.mgr.staging();
             assert_eq!(pool.outstanding(), 0, "a staging buffer is still checked out");
             assert_eq!(pool.idle() as u64, pool.stats().allocated, "a staging buffer was lost");
+        }
+    }
+
+    /// The gradient path as it was before the collectives delivered into
+    /// the consumer's buffer — pad, reduce into a fresh vector, then store
+    /// it (first deposit, with a separate overflow scan) or accumulate it
+    /// in place — kept as the reference the fused path must match byte
+    /// for byte.
+    struct ReferenceGrad {
+        comm: Communicator,
+        buf: Option<PlacedBuf>,
+        nonfinite: bool,
+    }
+
+    impl ReferenceGrad {
+        fn deposit(&mut self, eng: &ZeroEngine, numel: usize, grad: &[f32]) {
+            let delta = if eng.strategy.partition_grads {
+                let mut padded = grad.to_vec();
+                padded.resize(eng.part.padded_len(numel), 0.0);
+                self.comm.reduce_scatter_sum(&padded).unwrap()
+            } else {
+                let mut full = grad.to_vec();
+                self.comm.allreduce_sum(&mut full).unwrap();
+                full
+            };
+            match &mut self.buf {
+                Some(buf) => {
+                    self.nonfinite |= eng.mgr.accumulate_f32_placed(buf, &delta).unwrap();
+                }
+                slot @ None => {
+                    let device = device_for(eng.strategy.placement.grads, eng.gpu_index);
+                    let data = FlatBuffer::from_f32(DType::F32, &delta);
+                    *slot =
+                        Some(eng.mgr.store_placed(device, &PlacementPolicy::all_nvme(), data).unwrap());
+                    self.nonfinite = LossScaler::has_overflow(&delta);
+                }
+            }
+        }
+
+        fn clear(&mut self, eng: &ZeroEngine) {
+            self.nonfinite = false;
+            if let Some(buf) = self.buf.take() {
+                eng.mgr.free_placed(buf);
+            }
+        }
+    }
+
+    #[test]
+    fn fused_deposit_matches_reduce_then_accumulate_byte_for_byte() {
+        // A shard above the recycling threshold whose length no world
+        // here divides (implicit padding), gradients carrying the floats
+        // a fused loop could mishandle, and an overflow arriving by
+        // accumulation.
+        const NUMEL: usize = 7 * 613;
+        let grad = |rank: usize, round: usize| -> Vec<f32> {
+            (0..NUMEL)
+                .map(|i| match (i + rank + round) % 97 {
+                    0 => -0.0,
+                    1 => 1.0e-40,
+                    2 if round == 2 => f32::MAX,
+                    k => (k as f32 - 48.0) * 0.01 * (rank + 1) as f32,
+                })
+                .collect()
+        };
+        let nvme_grads = Strategy {
+            placement: crate::config::Placement {
+                grads: DeviceKind::Nvme,
+                ..Strategy::infinity_nvme().placement
+            },
+            ..Strategy::infinity_nvme()
+        };
+        for strategy in [Strategy::infinity_nvme(), Strategy::data_parallel(), nvme_grads] {
+            for world in 1..=3 {
+                let spec = NodeMemorySpec::test_spec(world, 1 << 22, 1 << 24, 1 << 24);
+                let node = zi_sync::Arc::new(NodeResources::in_memory(&spec, world));
+                let reference = zi_comm::CommGroup::new(world);
+                let handles: Vec<_> = (0..world)
+                    .map(|rank| {
+                        let node = zi_sync::Arc::clone(&node);
+                        let comm = reference.communicator(rank);
+                        zi_sync::thread::spawn(move || {
+                            let mut reg = ParamRegistry::new();
+                            let id = reg.register("w", &[7, 613], 5, 0.2, 0.0);
+                            let mut eng = ZeroEngine::new(
+                                &reg,
+                                strategy,
+                                node.offload_manager(),
+                                node.group.communicator(rank),
+                                AdamConfig::default(),
+                            )
+                            .unwrap();
+                            let mut expect = ReferenceGrad { comm, buf: None, nonfinite: false };
+                            let deposit = |eng: &mut ZeroEngine,
+                                           expect: &mut ReferenceGrad,
+                                           round: usize,
+                                           what: &str| {
+                                let g = grad(rank, round);
+                                eng.add_grad(id, &Tensor::from_vec(&[7, 613], g.clone()).unwrap())
+                                    .unwrap();
+                                expect.deposit(eng, NUMEL, &g);
+                                let st = &eng.shards[id.0];
+                                let got = eng.mgr.load_placed(st.grad.as_ref().unwrap()).unwrap();
+                                let want = eng.mgr.load_placed(expect.buf.as_ref().unwrap()).unwrap();
+                                let tag = format!("{} world {world} rank {rank}: {what}", strategy.name);
+                                assert_eq!(got.as_bytes(), want.as_bytes(), "{tag}");
+                                assert_eq!(st.grad_nonfinite, expect.nonfinite, "{tag}: flag");
+                                expect.nonfinite
+                            };
+                            assert!(!deposit(&mut eng, &mut expect, 0, "first deposit"));
+                            assert!(!deposit(&mut eng, &mut expect, 1, "second deposit"));
+                            assert!(!deposit(&mut eng, &mut expect, 2, "third deposit, f32::MAX once"));
+                            assert!(deposit(&mut eng, &mut expect, 2, "fourth deposit overflows by accumulation"));
+                            assert!(!eng.step().unwrap(), "overflow skips the step");
+                            expect.clear(&eng);
+                            assert!(!deposit(&mut eng, &mut expect, 1, "first deposit after a skipped step"));
+                            assert!(eng.step().unwrap());
+                            expect.clear(&eng);
+                            // The buffer the step consumed comes back with
+                            // stale, averaged contents: all overwritten.
+                            assert!(!deposit(&mut eng, &mut expect, 0, "first deposit into a recycled buffer"));
+                            assert!(!deposit(&mut eng, &mut expect, 1, "second deposit into a recycled buffer"));
+                            expect.clear(&eng);
+                            eng.dispose().unwrap();
+                        })
+                    })
+                    .collect();
+                for h in handles {
+                    h.join().expect("rank thread");
+                }
+            }
         }
     }
 

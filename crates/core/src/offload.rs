@@ -33,7 +33,7 @@ use zi_memory::{
 };
 use zi_nvme::checksum::crc32;
 use zi_nvme::{MemBackend, NvmeEngine, RetryPolicy, StorageBackend, Ticket};
-use zi_tensor::storage::encode_f32;
+use zi_tensor::storage::{accumulate_f32, encode_f32};
 use zi_tensor::FlatBuffer;
 use zi_trace::{Category, Counter, Tracer};
 use zi_types::{DType, Device, DeviceKind, Error, Result, WorldSize};
@@ -684,10 +684,7 @@ impl OffloadManager {
             let (lo, off) = (i * chunk, seg.block.offset + DType::F32.bytes_for(i * chunk) as u64);
             let read = self.begin_segment_read(&self.staging, DType::F32, seg, lo, delta.len());
             let mut sums = read.wait(self)?.ok_or_else(piece_mismatch)?;
-            for (sum, d) in sums.as_f32_mut().iter_mut().zip(delta) {
-                *sum += d;
-                nonfinite |= !sum.is_finite();
-            }
+            nonfinite |= accumulate_f32(sums.as_f32_mut(), delta);
             self.resilience.record(off, sums.as_bytes());
             self.nvme.wait_buf(self.nvme.submit_write_from(off, sums))?;
         }

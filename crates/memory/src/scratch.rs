@@ -73,13 +73,15 @@ impl ScratchPool {
     pub fn acquire(&self, bytes: usize) -> ScratchVec {
         let words = bytes.div_ceil(4);
         let mut st = self.shared.lock();
-        // Prefer the most recently returned buffer that already fits;
-        // otherwise grow any returned one before allocating from nothing.
-        let pick = st.free.iter().rposition(|v| v.capacity() >= words);
-        let recycled = match pick {
-            Some(i) => Some(st.free.swap_remove(i)),
-            None => st.free.pop(),
-        };
+        // Prefer the smallest returned buffer that already fits, so a
+        // small request never takes the buffer a large one is about to
+        // need and the pool settles on the sizes actually in use;
+        // otherwise grow the largest returned one before allocating from
+        // nothing.
+        let capacity = |i: &usize| st.free[*i].capacity();
+        let pick = (0..st.free.len()).filter(|i| capacity(i) >= words).min_by_key(capacity);
+        let index = pick.or_else(|| (0..st.free.len()).max_by_key(capacity));
+        let recycled = index.map(|i| st.free.swap_remove(i));
         if pick.is_some() {
             st.stats.reused += 1;
         } else {
@@ -93,6 +95,22 @@ impl ScratchPool {
             data.resize(words, 0.0);
         }
         ScratchVec { data, bytes, pool: Arc::clone(&self.shared) }
+    }
+
+    /// Top the pool up to `count` idle buffers of at least `bytes` each:
+    /// the fixed, up-front staging set of Sec. 6.3 for a caller that
+    /// knows its bound (read depth × streams + the write-behind window).
+    /// With the set in place no acquisition within that bound allocates,
+    /// whatever order the device completes requests in; without it the
+    /// pool only approaches its working set, one timing-dependent miss at
+    /// a time. A no-op once the buffers exist.
+    pub fn reserve(&self, count: usize, bytes: usize) {
+        let words = bytes.div_ceil(4);
+        let idle = self.shared.lock().free.iter().filter(|v| v.capacity() >= words).count();
+        let fresh: Vec<Vec<f32>> = (idle..count).map(|_| vec![0.0; words]).collect();
+        let mut st = self.shared.lock();
+        st.stats.allocated += fresh.len() as u64;
+        st.free.extend(fresh);
     }
 
     /// Reuse counters.
@@ -182,6 +200,21 @@ mod tests {
         let st = pool.stats();
         assert_eq!((st.allocated, st.reused, st.peak_outstanding), (2, 10, 2));
         assert_eq!((pool.outstanding(), pool.idle()), (0, 2));
+    }
+
+    #[test]
+    fn a_reserved_set_serves_its_bound_without_allocating() {
+        let pool = ScratchPool::new();
+        drop(pool.acquire(16)); // a small buffer that must not be grown
+        pool.reserve(3, 64);
+        assert_eq!((pool.idle(), pool.stats().allocated), (4, 4));
+        pool.reserve(3, 64); // already in place
+        assert_eq!(pool.stats().allocated, 4);
+        let held: Vec<_> = (0..3).map(|_| pool.acquire(64)).collect();
+        let small = pool.acquire(16);
+        assert_eq!(pool.stats().allocated, 4, "the whole bound came from the reserved set");
+        drop((held, small));
+        assert_eq!((pool.outstanding(), pool.idle()), (0, 4));
     }
 
     #[test]

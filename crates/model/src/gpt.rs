@@ -297,13 +297,16 @@ impl GptModel {
             let p = BlockParams::from_vec(self.fetch_all(store, &plan.own_params)?);
             let (y, _) = block_forward(&bc, &p, &x)?;
             x = y;
+            drop(p);
             self.release_all(store, &plan.own_params)?;
         }
         let lnf = self.fetch_all(store, &[self.lnf_g, self.lnf_b])?;
         let (h, _) = ops::layernorm(&x, lnf[0].data(), lnf[1].data(), 1e-5)?;
+        drop(lnf);
         self.release_all(store, &[self.lnf_g, self.lnf_b])?;
         let wte = store.get(self.wte)?;
         let logits = lm_head_forward(&wte, &h)?;
+        drop(wte);
         store.release(self.wte)?;
         Ok(logits)
     }
@@ -458,6 +461,9 @@ impl GptModel {
                 BlockState::Full(Box::new(saved))
             }));
             x = y;
+            // Handles go before the release, so the store holds the
+            // only one and can recycle the gathered storage.
+            drop(p);
             self.release_all(store, &plan.own_params)?;
             obs.module_event(Phase::PostForward, &plan.name);
         }
@@ -469,14 +475,17 @@ impl GptModel {
         let lnf_input = x;
         let (hstates, lnf_stats) =
             ops::layernorm(&lnf_input, lnf_params[0].data(), lnf_params[1].data(), 1e-5)?;
+        drop(lnf_params);
         self.release_all(store, &[self.lnf_g, self.lnf_b])?;
         obs.module_event(Phase::PostForward, "ln_f");
 
-        // Tied LM head (external parameter: wte).
+        // Tied LM head (external parameter, Sec. 7.1.1: wte). The head's
+        // backward is the very next user of the model's largest
+        // parameter, so it stays gathered from here to there instead of
+        // being released and fetched again.
         obs.module_event(Phase::PreForward, "head");
         let wte = store.get(self.wte)?;
         let logits = lm_head_forward(&wte, &hstates)?;
-        store.release(self.wte)?;
         obs.module_event(Phase::PostForward, "head");
 
         let (loss, dlogits) = ops::cross_entropy(&logits, targets)?;
@@ -485,8 +494,8 @@ impl GptModel {
         // Head backward (gradient for the external/tied weight).
         obs.module_event(Phase::PreBackward, "head");
         self.hint(store, head_idx, opts.prefetch_window, false);
-        let wte = store.get(self.wte)?;
         let (dh, dwte_head) = lm_head_backward(&wte, &hstates, &dlogits)?;
+        drop(wte);
         store.add_grad(self.wte, &dwte_head)?;
         store.release(self.wte)?;
         obs.module_event(Phase::PostBackward, "head");
@@ -499,6 +508,7 @@ impl GptModel {
             ops::layernorm_backward(&lnf_input, &dh, lnf_params[0].data(), &lnf_stats)?;
         store.add_grad(self.lnf_g, &Tensor::from_vec(&[self.cfg.hidden], dg)?)?;
         store.add_grad(self.lnf_b, &Tensor::from_vec(&[self.cfg.hidden], db)?)?;
+        drop(lnf_params);
         self.release_all(store, &[self.lnf_g, self.lnf_b])?;
         obs.module_event(Phase::PostBackward, "ln_f");
 
@@ -524,6 +534,7 @@ impl GptModel {
                 }
             };
             let (dxi, grads) = block_backward(&bc, &p, &saved, &dx)?;
+            drop(p);
             for (id, g) in plan.own_params.iter().zip(&grads) {
                 store.add_grad(*id, g)?;
             }
@@ -716,6 +727,56 @@ mod tests {
             GradCounter { inner: DenseStore::new(model.registry()), wte, wte_deposits: 0 };
         model.train_step(&mut store, &tokens, &targets, &RunOptions::default()).unwrap();
         assert_eq!(store.wte_deposits, 2, "head + embedding must both contribute");
+    }
+
+    #[test]
+    fn tied_weight_is_fetched_twice_and_held_across_the_loss() {
+        // The embedding fetches `wte` once; the head fetches it once more
+        // and keeps it gathered from its forward through the loss to its
+        // backward — not released and fetched a third time.
+        struct FetchCounter {
+            inner: DenseStore,
+            wte: ParamId,
+            gets: usize,
+            held: usize,
+            max_held: usize,
+        }
+        impl ParamStore for FetchCounter {
+            fn get(&mut self, id: ParamId) -> Result<Tensor> {
+                if id == self.wte {
+                    self.gets += 1;
+                    self.held += 1;
+                    self.max_held = self.max_held.max(self.held);
+                }
+                self.inner.get(id)
+            }
+            fn release(&mut self, id: ParamId) -> Result<()> {
+                if id == self.wte {
+                    self.held -= 1;
+                }
+                self.inner.release(id)
+            }
+            fn add_grad(&mut self, id: ParamId, grad: &Tensor) -> Result<()> {
+                self.inner.add_grad(id, grad)
+            }
+        }
+        let cfg = GptConfig::tiny();
+        let model = GptModel::new(cfg);
+        let wte = model.registry().find("wte").unwrap();
+        let (tokens, targets) = data_for(&cfg, 2, 0);
+        let opts = RunOptions { batch: 2, ..Default::default() };
+        let mut store = FetchCounter {
+            inner: DenseStore::new(model.registry()),
+            wte,
+            gets: 0,
+            held: 0,
+            max_held: 0,
+        };
+        let loss = model.train_step(&mut store, &tokens, &targets, &opts).unwrap();
+        assert_eq!(store.gets, 2, "wte: one fetch for the embedding, one for the head");
+        assert_eq!((store.held, store.max_held), (0, 1), "every fetch released, never nested");
+        // The loss of this step before the head held on to `wte`.
+        assert_eq!(loss.to_bits(), 0x4030_73b3, "holding a parameter must not change the math");
     }
 
     #[test]

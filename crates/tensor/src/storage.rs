@@ -99,6 +99,54 @@ pub fn encode_f32(dtype: DType, values: &[f32], out: &mut [u8]) -> Result<()> {
     Ok(())
 }
 
+/// Decode little-endian `dtype` elements in `bytes` to f32 into `out`
+/// (exactly `bytes.len() / dtype.size_in_bytes()` elements) — the
+/// inverse of [`encode_f32`] and the conversion behind
+/// [`FlatBuffer::to_f32_vec`], usable on any byte source (a staging
+/// buffer, a peer's collective contribution) and any destination (a
+/// sub-range of a gathered compute tensor).
+pub fn decode_f32(dtype: DType, bytes: &[u8], out: &mut [f32]) -> Result<()> {
+    if bytes.len() != dtype.bytes_for(out.len()) {
+        return Err(Error::shape(format!(
+            "decode_f32: {} bytes into {} {dtype} values",
+            bytes.len(),
+            out.len()
+        )));
+    }
+    match dtype {
+        DType::F32 => match bytes_as_f32(bytes) {
+            Some(vals) => out.copy_from_slice(vals),
+            None => {
+                for (o, chunk) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+                    *o = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+                }
+            }
+        },
+        DType::F16 => match bytes_as_f16(bytes) {
+            Some(halves) => crate::simd::f16_to_f32_slice(halves, out),
+            None => {
+                for (o, chunk) in out.iter_mut().zip(bytes.chunks_exact(2)) {
+                    *o = F16::from_bits(u16::from_le_bytes([chunk[0], chunk[1]])).to_f32();
+                }
+            }
+        },
+    }
+    Ok(())
+}
+
+/// `sums[i] += delta[i]` over the common length; true when any resulting
+/// element is non-finite — gradient accumulation with the overflow scan
+/// fused in, on any f32 destination (a resident shard, a staging buffer
+/// read from the device, a block of a collective's result).
+pub fn accumulate_f32(sums: &mut [f32], delta: &[f32]) -> bool {
+    let mut nonfinite = false;
+    for (sum, d) in sums.iter_mut().zip(delta) {
+        *sum += d;
+        nonfinite |= !sum.is_finite();
+    }
+    nonfinite
+}
+
 /// A flat, dtype-tagged byte buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatBuffer {
@@ -163,59 +211,9 @@ impl FlatBuffer {
 
     /// Decode the whole buffer to f32.
     pub fn to_f32_vec(&self) -> Vec<f32> {
-        let n = self.numel();
-        let mut out = vec![0f32; n];
-        match self.dtype {
-            DType::F32 => {
-                if let Some(vals) = bytes_as_f32(&self.bytes) {
-                    out.copy_from_slice(vals);
-                } else {
-                    for (i, chunk) in self.bytes.chunks_exact(4).enumerate() {
-                        out[i] = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-                    }
-                }
-            }
-            DType::F16 => {
-                if let Some(halves) = bytes_as_f16(&self.bytes) {
-                    crate::simd::f16_to_f32_slice(halves, &mut out);
-                } else {
-                    for (i, chunk) in self.bytes.chunks_exact(2).enumerate() {
-                        out[i] = F16::from_bits(u16::from_le_bytes([chunk[0], chunk[1]])).to_f32();
-                    }
-                }
-            }
-        }
+        let mut out = vec![0f32; self.numel()];
+        decode_f32(self.dtype, &self.bytes, &mut out).expect("out was sized to the buffer");
         out
-    }
-
-    /// Decode the whole buffer to f32 into `out`, reusing its capacity.
-    ///
-    /// The streaming optimizer step decodes three chunks per pipeline
-    /// stage; recycling the destination vector keeps the hot path free of
-    /// per-chunk allocations.
-    pub fn decode_f32_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        match self.dtype {
-            DType::F32 => {
-                if let Some(vals) = bytes_as_f32(&self.bytes) {
-                    out.extend_from_slice(vals);
-                } else {
-                    out.extend(self.bytes.chunks_exact(4).map(|chunk| {
-                        f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]])
-                    }));
-                }
-            }
-            DType::F16 => {
-                if let Some(halves) = bytes_as_f16(&self.bytes) {
-                    out.resize(halves.len(), 0.0);
-                    crate::simd::f16_to_f32_slice(halves, out);
-                } else {
-                    out.extend(self.bytes.chunks_exact(2).map(|chunk| {
-                        F16::from_bits(u16::from_le_bytes([chunk[0], chunk[1]])).to_f32()
-                    }));
-                }
-            }
-        }
     }
 
     /// Add `delta` elementwise into this buffer in place (f32 only).
@@ -236,6 +234,9 @@ impl FlatBuffer {
                 delta.len(),
                 self.numel()
             )));
+        }
+        if let Some(sums) = bytes_as_f32_mut(&mut self.bytes) {
+            return Ok(accumulate_f32(sums, delta));
         }
         let mut nonfinite = false;
         for (chunk, d) in self.bytes.chunks_exact_mut(4).zip(delta) {
@@ -339,17 +340,36 @@ mod tests {
     }
 
     #[test]
-    fn decode_into_reuses_capacity() {
-        let b = FlatBuffer::from_f32(DType::F32, &[1.0, 2.0, 3.0]);
-        let mut out = Vec::with_capacity(16);
-        let cap_before = out.capacity();
-        b.decode_f32_into(&mut out);
-        assert_eq!(out, vec![1.0, 2.0, 3.0]);
-        assert_eq!(out.capacity(), cap_before, "no reallocation for a fitting decode");
-        // Second decode overwrites, not appends.
-        let c = FlatBuffer::from_f32(DType::F16, &[4.0, 5.0]);
-        c.decode_f32_into(&mut out);
-        assert_eq!(out, vec![4.0, 5.0]);
+    fn decode_f32_matches_to_f32_vec_on_any_source_and_destination() {
+        // Values that exercise the f16 SIMD path's special cases.
+        let vals: Vec<f32> = (0..67)
+            .map(|i| match i % 7 {
+                0 => f32::INFINITY,
+                1 => -0.0,
+                2 => 6.0e-8, // f16 subnormal
+                3 => f32::NAN,
+                _ => (i as f32 - 30.0) * 0.37,
+            })
+            .collect();
+        for dtype in [DType::F32, DType::F16] {
+            let buf = FlatBuffer::from_f32(dtype, &vals);
+            let expect: Vec<u32> = buf.to_f32_vec().iter().map(|v| v.to_bits()).collect();
+            // Aligned source, into the middle of a larger destination.
+            let mut dest = vec![7.0f32; vals.len() + 2];
+            decode_f32(dtype, buf.as_bytes(), &mut dest[1..=vals.len()]).unwrap();
+            let got: Vec<u32> = dest[1..=vals.len()].iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, expect, "{dtype} aligned");
+            assert_eq!((dest[0], dest[vals.len() + 1]), (7.0, 7.0), "neighbours untouched");
+            // Misaligned source: the portable per-element path.
+            let mut shifted = vec![0u8; buf.size_in_bytes() + 1];
+            shifted[1..].copy_from_slice(buf.as_bytes());
+            let mut out = vec![0f32; vals.len()];
+            decode_f32(dtype, &shifted[1..], &mut out).unwrap();
+            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, expect, "{dtype} misaligned");
+            // Length mismatches are typed errors, not panics.
+            assert!(decode_f32(dtype, buf.as_bytes(), &mut out[1..]).is_err());
+        }
     }
 
     #[test]

@@ -2,21 +2,27 @@
 //!
 //! Compute always happens in f32 — the software analogue of fp16 matmuls
 //! accumulating in fp32 on tensor cores. Shapes are dynamic (row-major).
+//!
+//! A [`Tensor`] is a handle: `clone` shares the storage and the first
+//! mutation through a shared handle copies it, so value semantics hold
+//! while a gathered parameter or a saved activation is passed around by
+//! reference count instead of by `memcpy`.
 
+use zi_sync::Arc;
 use zi_types::{Error, Result};
 
 /// Dense row-major f32 tensor with a dynamic shape.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
 }
 
 impl Tensor {
     /// Zero tensor of the given shape.
     pub fn zeros(shape: &[usize]) -> Self {
         let numel = shape.iter().product();
-        Tensor { shape: shape.to_vec(), data: vec![0.0; numel] }
+        Tensor { shape: shape.to_vec(), data: Arc::new(vec![0.0; numel]) }
     }
 
     /// Tensor from existing data; data length must equal the shape product.
@@ -30,7 +36,7 @@ impl Tensor {
                 data.len()
             )));
         }
-        Ok(Tensor { shape: shape.to_vec(), data })
+        Ok(Tensor { shape: shape.to_vec(), data: Arc::new(data) })
     }
 
     /// Fill with values from a deterministic xorshift stream scaled to
@@ -51,7 +57,7 @@ impl Tensor {
             let u = ((r >> 11) as f64 / (1u64 << 53) as f64) as f32;
             data.push((2.0 * u - 1.0) * scale);
         }
-        Tensor { shape: shape.to_vec(), data }
+        Tensor { shape: shape.to_vec(), data: Arc::new(data) }
     }
 
     /// Shape slice.
@@ -78,15 +84,24 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable data view.
+    /// Mutable data view (copies the storage first if it is shared).
     #[inline]
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consume into the underlying vector.
+    /// Consume into the underlying vector (a copy if the storage is
+    /// shared).
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        self.try_into_vec().unwrap_or_else(|shared| shared.data().to_vec())
+    }
+
+    /// Consume into the underlying vector if this is the only handle to
+    /// it; a shared tensor comes back unchanged. This is how a store
+    /// recycles the storage of a parameter every user has dropped.
+    pub fn try_into_vec(self) -> std::result::Result<Vec<f32>, Tensor> {
+        let Tensor { shape, data } = self;
+        Arc::try_unwrap(data).map_err(|data| Tensor { shape, data })
     }
 
     /// Reinterpret with a new shape of identical element count.
@@ -101,7 +116,7 @@ impl Tensor {
                 numel
             )));
         }
-        Ok(Tensor { shape: shape.to_vec(), data: self.data.clone() })
+        Ok(Tensor { shape: shape.to_vec(), data: Arc::clone(&self.data) })
     }
 
     /// Interpret as a matrix by flattening all leading dims into rows.
@@ -120,7 +135,7 @@ impl Tensor {
                 self.shape, other.shape
             )));
         }
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
+        for (a, b) in self.data_mut().iter_mut().zip(other.data()) {
             *a += b;
         }
         Ok(())
@@ -128,7 +143,7 @@ impl Tensor {
 
     /// In-place multiplication by a scalar.
     pub fn scale(&mut self, s: f32) {
-        for v in &mut self.data {
+        for v in self.data_mut() {
             *v *= s;
         }
     }
@@ -181,6 +196,40 @@ mod tests {
         assert_eq!(a.data(), &[5.5, 11.0, 16.5]);
         let bad = Tensor::zeros(&[4]);
         assert!(a.add_assign(&bad).is_err());
+    }
+
+    #[test]
+    fn clone_shares_storage_until_written() {
+        let a = Tensor::from_vec(&[3], vec![1.0, 2.0, 3.0]).unwrap();
+        let mut b = a.clone();
+        assert_eq!(a.data().as_ptr(), b.data().as_ptr(), "clone is a reference bump");
+        b.data_mut()[0] = 9.0;
+        assert_ne!(a.data().as_ptr(), b.data().as_ptr(), "a write through a shared handle copies");
+        assert_eq!((a.data(), b.data()), (&[1.0, 2.0, 3.0][..], &[9.0, 2.0, 3.0][..]));
+        let mut c = a.clone();
+        c.scale(2.0);
+        let mut d = a.clone();
+        d.add_assign(&c).unwrap();
+        assert_eq!(a.data(), &[1.0, 2.0, 3.0], "scale/add_assign on a clone leave the source alone");
+        assert_eq!((c.data(), d.data()), (&[2.0, 4.0, 6.0][..], &[3.0, 6.0, 9.0][..]));
+        // A reshape is a view of the same storage with the same rule.
+        let mut r = a.reshape(&[1, 3]).unwrap();
+        r.data_mut()[2] = 0.0;
+        assert_eq!(a.data()[2], 3.0);
+    }
+
+    #[test]
+    fn into_vec_moves_unique_storage_and_copies_shared() {
+        let a = Tensor::from_vec(&[2], vec![4.0, 5.0]).unwrap();
+        let ptr = a.data().as_ptr();
+        let b = a.clone();
+        let a = a.try_into_vec().expect_err("a shared handle keeps its storage");
+        let copied = a.into_vec();
+        assert_eq!(copied, vec![4.0, 5.0]);
+        assert_ne!(copied.as_ptr(), ptr, "into_vec on a shared handle copies");
+        // `b` is now the only handle: the storage itself moves out.
+        let moved = b.try_into_vec().expect("unique handle");
+        assert_eq!((moved.as_ptr(), &moved[..]), (ptr, &[4.0, 5.0][..]));
     }
 
     #[test]

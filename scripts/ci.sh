@@ -6,6 +6,13 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test --workspace -q
+# The allocation budget is a count, and debug builds allocate in other
+# places than the code that ships: the workspace run above covers the
+# debug profile, this one the optimized one the contract is about — in
+# steady state no parameter fetch, gradient deposit or optimizer step
+# asks the allocator for a block of 64 KiB or more.
+cargo test --release -q --test alloc_budget \
+    || { echo "allocation budget exceeded: a fetch, deposit or step path allocates a large block per call"; exit 1; }
 cargo clippy --workspace -- -D warnings
 # Tracked size numbers (ROADMAP north-star point 2): per-crate lines and
 # public-API surface live in the committed SURFACE.md, so every PR shows
@@ -29,8 +36,8 @@ cargo run -q --release -p zi-audit -- --root . --json "$AUDIT_JSON" \
 # zi-sync lock/condvar/channel/atomic routes through the zi-check
 # scheduler, then run the detector's seeded-bug fixtures and the
 # protocol harnesses (barrier rank-death, membership join handshake
-# racing rank death, engine completion barrier + staging-buffer
-# hand-back, checkpoint crash recovery,
+# racing rank death, the collectives' slot table, engine completion
+# barrier + staging-buffer hand-back, checkpoint crash recovery,
 # pool checkout/return, trace ring drain, knob hand-off, kernel
 # worker-pool tiling).
 # Each harness must

@@ -1,0 +1,159 @@
+//! A counted contract instead of a timing: in steady state the parameter
+//! fetch path (`get` + `release`), the gradient path (`add_grad`) and the
+//! optimizer step move every byte through buffers they already own — the
+//! paper's fixed, reused buffer set (Sec. 6.3) — so none of them asks the
+//! allocator for a large block. A large block costs an `mmap`, a page
+//! fault per 4 KiB and a `munmap` before a byte is moved, which is what
+//! the efficiency model (Sec. 4) assumes the software does not pay.
+//!
+//! This binary installs a counting global allocator, so it holds exactly
+//! one test: the counter is process-wide.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+
+use zero_infinity::trainer::synthetic_batch;
+use zero_infinity::{NodeResources, Strategy, ZeroEngine};
+use zi_memory::NodeMemorySpec;
+use zi_model::{GptConfig, GptModel, ParamId, ParamStore, RunOptions};
+use zi_optim::AdamConfig;
+use zi_sync::atomic::{AtomicUsize, Ordering};
+use zi_tensor::Tensor;
+use zi_types::Result;
+
+/// Allocations at least this large are counted.
+const LARGE: usize = 64 << 10;
+
+/// Steps that size every pool and free list before anything is counted.
+const WARM_UP: usize = 2;
+
+/// Large blocks requested so far, by any thread.
+static LARGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+/// The system allocator, counting requests for large blocks.
+struct Counting;
+
+fn count(size: usize) {
+    if size >= LARGE {
+        LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a relaxed
+// atomic and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: the caller's `GlobalAlloc::alloc` obligations pass through.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: `layout` is the caller's, unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: the caller's `GlobalAlloc::alloc_zeroed` obligations pass through.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: `layout` is the caller's, unchanged.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    // SAFETY: the caller's `GlobalAlloc::realloc` obligations pass through.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: `ptr` came from this allocator, which is `System`
+        // underneath, with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    // SAFETY: the caller's `GlobalAlloc::dealloc` obligations pass through.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as in `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn large_allocs() -> usize {
+    LARGE_ALLOCS.load(Ordering::Relaxed)
+}
+
+/// The engine behind a store that counts the large blocks requested
+/// while a store call is on the stack — the model's own activations and
+/// gradient tensors, allocated between the calls, are not the engine's.
+struct Metered {
+    engine: ZeroEngine,
+    in_fetch: usize,
+    in_add_grad: usize,
+    fetches: usize,
+    deposits: usize,
+}
+
+impl Metered {
+    fn metered<T>(counter: &mut usize, call: impl FnOnce() -> T) -> T {
+        let before = large_allocs();
+        let out = call();
+        *counter += large_allocs() - before;
+        out
+    }
+}
+
+impl ParamStore for Metered {
+    fn get(&mut self, id: ParamId) -> Result<Tensor> {
+        self.fetches += 1;
+        Self::metered(&mut self.in_fetch, || self.engine.get(id))
+    }
+
+    fn release(&mut self, id: ParamId) -> Result<()> {
+        Self::metered(&mut self.in_fetch, || self.engine.release(id))
+    }
+
+    fn add_grad(&mut self, id: ParamId, grad: &Tensor) -> Result<()> {
+        self.deposits += 1;
+        Self::metered(&mut self.in_add_grad, || self.engine.add_grad(id, grad))
+    }
+
+    fn hint_upcoming(&mut self, ids: &[ParamId]) {
+        Self::metered(&mut self.in_fetch, || self.engine.hint_upcoming(ids))
+    }
+}
+
+#[test]
+fn steady_state_fetch_deposit_and_step_allocate_no_large_block() {
+    // Matrices of 48 K to 64 K elements: every one is a large block as
+    // f32, and the embedding's fp16 shard and every optimizer chunk are
+    // large blocks too.
+    let cfg = GptConfig { vocab: 512, hidden: 128, layers: 2, heads: 4, seq: 16, seed: 3 };
+    let opts = RunOptions { batch: 1, ..Default::default() };
+    for strategy in [Strategy::infinity_nvme(), Strategy::data_parallel()] {
+        let spec = NodeMemorySpec::test_spec(1, 1 << 26, 1 << 28, 1 << 28);
+        let node = NodeResources::in_memory(&spec, 1);
+        let model = GptModel::new(cfg);
+        let engine = ZeroEngine::new(
+            model.registry(),
+            strategy,
+            node.offload_manager(),
+            node.group.communicator(0),
+            AdamConfig::default(),
+        )
+        .unwrap();
+        let mut store = Metered { engine, in_fetch: 0, in_add_grad: 0, fetches: 0, deposits: 0 };
+        let mut in_step = 0;
+        for step in 0..WARM_UP + 3 {
+            if step == WARM_UP {
+                (store.in_fetch, store.in_add_grad, in_step) = (0, 0, 0);
+                (store.fetches, store.deposits) = (0, 0);
+            }
+            let (tokens, targets) = synthetic_batch(&cfg, 1, step);
+            let loss = model.train_step(&mut store, &tokens, &targets, &opts).unwrap();
+            assert!(loss.is_finite());
+            let updated = Metered::metered(&mut in_step, || store.engine.step()).unwrap();
+            assert!(updated, "{}: step {step} was skipped", strategy.name);
+        }
+        assert!(store.fetches >= 3 * 50 && store.deposits >= 3 * 28, "the model ran");
+        assert_eq!(store.in_fetch, 0, "{}: large blocks allocated in get/release", strategy.name);
+        assert_eq!(store.in_add_grad, 0, "{}: large blocks allocated in add_grad", strategy.name);
+        assert_eq!(in_step, 0, "{}: large blocks allocated in engine.step()", strategy.name);
+        store.engine.dispose().unwrap();
+    }
+}
