@@ -79,44 +79,5 @@ fn bench_fetch_styles(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_collectives(c: &mut Criterion) {
-    let mut group = c.benchmark_group("collectives_world4");
-    group.sample_size(10);
-    let n = 1 << 16;
-    group.throughput(Throughput::Bytes((n * 4) as u64));
-    group.bench_function("reduce_scatter", |b| {
-        b.iter(|| {
-            let g = CommGroup::new(4);
-            let mut handles = Vec::new();
-            for comm in g.communicators() {
-                handles.push(zi_sync::thread::spawn(move || {
-                    let data = vec![1.0f32; n];
-                    criterion::black_box(comm.reduce_scatter_sum(&data).unwrap().len());
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-        });
-    });
-    group.bench_function("allreduce", |b| {
-        b.iter(|| {
-            let g = CommGroup::new(4);
-            let mut handles = Vec::new();
-            for comm in g.communicators() {
-                handles.push(zi_sync::thread::spawn(move || {
-                    let mut data = vec![1.0f32; n];
-                    comm.allreduce_sum(&mut data).unwrap();
-                    criterion::black_box(data[0]);
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_fetch_styles, bench_collectives);
+criterion_group!(benches, bench_fetch_styles);
 criterion_main!(benches);

@@ -1,9 +1,9 @@
 #![warn(missing_docs)]
 
-//! Benchmark harness support: shared workload builders and the
-//! real-engine Fig. 6b experiment (memory-centric tiling under
-//! fragmentation), used by both the `repro` binary and the Criterion
-//! benches.
+//! Support for the `repro` binary: table formatting and the real-engine
+//! Fig. 6b experiment (memory-centric tiling under fragmentation). The
+//! perf ledger (`benchmark/`) is the repo's bench harness; the Criterion
+//! groups under `benches/` are the paper ablations it does not time yet.
 
 pub mod fig6b;
 pub mod report;

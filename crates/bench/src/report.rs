@@ -1,7 +1,4 @@
-//! Formatting helpers for the `repro` binary's tables, plus a minimal
-//! hand-rolled JSON writer for machine-readable `BENCH_*.json` reports
-//! (the workspace has no serde; the subset here is all the reports
-//! need).
+//! Formatting helpers for the `repro` binary's tables.
 
 /// Format a parameter count as "1.4B" / "32.0T".
 pub fn fmt_params(p: u64) -> String {
@@ -39,89 +36,6 @@ pub fn hrow(cells: &[&str]) {
     row(&cells.iter().map(|s| s.to_string()).collect::<Vec<_>>());
 }
 
-/// A JSON value for bench reports.
-#[derive(Debug, Clone)]
-pub enum Json {
-    /// A finite number (rendered without trailing `.0` when integral).
-    Num(f64),
-    /// A string (escaped on render).
-    Str(String),
-    /// A boolean.
-    Bool(bool),
-    /// An ordered array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Convenience constructor for object fields.
-    pub fn field(key: &str, value: Json) -> (String, Json) {
-        (key.to_string(), value)
-    }
-
-    /// Render to compact JSON text.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    fn render_into(&self, out: &mut String) {
-        match self {
-            Json::Num(n) => {
-                debug_assert!(n.is_finite(), "JSON numbers must be finite");
-                out.push_str(&format!("{n}"));
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for ch in s.chars() {
-                    match ch {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            out.push_str(&format!("\\u{:04x}", c as u32));
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Json::Str(key.clone()).render_into(out);
-                    out.push(':');
-                    value.render_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Write a JSON report document to `path` (with a trailing newline).
-pub fn write_json_report(path: &std::path::Path, doc: &Json) -> std::io::Result<()> {
-    std::fs::write(path, doc.render() + "\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,35 +51,5 @@ mod tests {
     #[test]
     fn tb_formatting() {
         assert_eq!(fmt_tb(1.83e12), "1.83");
-    }
-
-    #[test]
-    fn json_rendering_is_valid_and_ordered() {
-        let doc = Json::Obj(vec![
-            Json::field("name", Json::Str("step \"pipeline\"".into())),
-            Json::field("speedup", Json::Num(1.5)),
-            Json::field("chunks", Json::Num(16.0)),
-            Json::field("ok", Json::Bool(true)),
-            Json::field("depths", Json::Arr(vec![Json::Num(1.0), Json::Num(2.0)])),
-        ]);
-        assert_eq!(
-            doc.render(),
-            r#"{"name":"step \"pipeline\"","speedup":1.5,"chunks":16,"ok":true,"depths":[1,2]}"#
-        );
-    }
-
-    #[test]
-    fn json_escapes_control_characters() {
-        assert_eq!(Json::Str("a\nb\u{1}".into()).render(), "\"a\\nb\\u0001\"");
-    }
-
-    #[test]
-    fn json_report_round_trips_to_disk() {
-        let path = std::env::temp_dir()
-            .join(format!("zi_bench_json_test_{}.json", std::process::id()));
-        let doc = Json::Obj(vec![Json::field("v", Json::Num(2.0))]);
-        write_json_report(&path, &doc).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"v\":2}\n");
-        let _ = std::fs::remove_file(&path);
     }
 }

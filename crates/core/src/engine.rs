@@ -1319,6 +1319,68 @@ mod tests {
         eng.dispose().unwrap();
     }
 
+    /// Multi-path placement in the regime it exists for: a CPU pool too
+    /// small for the optimizer state contributes its path anyway. With a
+    /// quarter of the state striped onto CPU DRAM the step drives both
+    /// paths at once (a cp span and an nc span open at the same time);
+    /// asking the same pool for all of it is a typed OOM, not a slowdown.
+    #[test]
+    fn split_placement_drives_both_paths_where_all_cpu_cannot_fit() {
+        use std::time::Duration;
+        use zi_nvme::{MemBackend, ThrottledBackend};
+        const NUMEL: usize = 1 << 14;
+        let mut reg = ParamRegistry::new();
+        let id = reg.register("big", &[NUMEL], 3, 0.1, 0.0);
+        // The CPU pool holds ~2.9 f32 images of the parameter: the
+        // gradient and half the three-image optimizer state, not all.
+        let spec = NodeMemorySpec::test_spec(1, 1 << 22, NUMEL as u64 * 4 * 29 / 10, 1 << 22);
+        let node_and_engine = |cpu_permille: usize| {
+            let backend = zi_sync::Arc::new(ThrottledBackend::new(
+                MemBackend::new(),
+                2e9,
+                Duration::from_millis(2),
+            ));
+            let node = NodeResources::new(&spec, 1, NodeEnv::new(backend));
+            let engine = ZeroEngine::new(
+                &reg,
+                Strategy::infinity_nvme()
+                    .with_optimizer_chunk(NUMEL / 8)
+                    .with_step_pipeline_depth(2)
+                    .with_optimizer_cpu_permille(cpu_permille),
+                node.offload_manager(),
+                node.group.communicator(0),
+                AdamConfig::default(),
+            );
+            (node, engine)
+        };
+
+        let (_node, all_cpu) = node_and_engine(1000);
+        match all_cpu {
+            Err(Error::OutOfMemory { device, .. }) => assert_eq!(device, Device::cpu()),
+            Err(e) => panic!("all-CPU on the small pool must be a typed OOM, got {e}"),
+            Ok(_) => panic!("all-CPU optimizer state fit a pool sized to refuse it"),
+        }
+
+        let (node, split) = node_and_engine(250);
+        let mut eng = split.expect("a quarter of the state fits the CPU pool");
+        let grad = Tensor::randn_seeded(&[NUMEL], 5, 0.1);
+        eng.add_grad(id, &grad).unwrap();
+        let _ = node.tracer().take_events();
+        assert!(eng.step().unwrap());
+        let events = node.tracer().take_events();
+        let spans = |cat: Category| {
+            events
+                .iter()
+                .filter(move |e| e.cat == cat && e.dur_ns > 0)
+                .map(|e| (e.start_ns, e.start_ns + e.dur_ns))
+        };
+        assert!(spans(Category::CpTransfer).count() > 0, "a 250‰ split moved nothing over cp");
+        let concurrent = spans(Category::CpTransfer)
+            .any(|(c0, c1)| spans(Category::NcTransfer).any(|(n0, n1)| c0.max(n0) < c1.min(n1)));
+        assert!(concurrent, "no cp span was open while an nc span was: the paths took turns");
+        eng.dispose().unwrap();
+    }
+
     #[test]
     fn zero_pipeline_depth_rejected() {
         let spec = NodeMemorySpec::test_spec(1, 1 << 20, 1 << 20, 1 << 20);

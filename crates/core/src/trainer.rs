@@ -1039,6 +1039,41 @@ mod tests {
         // The log is the controller's full history; replaying its final
         // entry's knobs must agree with the reported tuned config.
         assert_eq!(out.decisions.last().unwrap().knobs, tuned);
+
+        // Replaying the log proves where the run may end without timing
+        // anything again: `settled` is the last configuration whose cost
+        // the controller measured and kept, a probe departs from it, an
+        // accept must have measured lower than the cost it replaces, a
+        // rollback must put back exactly what the probe left. So the
+        // settled cost only ever falls from the first baseline, and the
+        // run ends on a settled configuration or one unfinished probe
+        // away from it.
+        use zi_adapt::Decision;
+        let mut settled: Option<(Knobs, u64)> = None;
+        let mut probing: Option<Knobs> = None;
+        for e in &out.decisions {
+            match e.decision {
+                Decision::Baseline { cost_ns } => settled = Some((e.knobs, cost_ns)),
+                Decision::Probe { from, .. } => {
+                    assert_eq!(Some(from), settled.map(|s| s.0), "probe from unsettled knobs: {e}");
+                    assert_ne!(e.knobs, from, "a probe must move a knob: {e}");
+                    probing = Some(e.knobs);
+                }
+                Decision::Accept { cost_ns, baseline_ns } => {
+                    assert_eq!(Some(e.knobs), probing.take(), "accepted what was not probed: {e}");
+                    assert_eq!(Some(baseline_ns), settled.map(|s| s.1), "stale baseline: {e}");
+                    assert!(cost_ns < baseline_ns, "accepted a move it measured no faster: {e}");
+                    settled = Some((e.knobs, cost_ns));
+                }
+                Decision::Rollback { baseline_ns, .. } => {
+                    assert!(probing.take().is_some(), "rollback without a probe: {e}");
+                    assert_eq!(Some((e.knobs, baseline_ns)), settled, "rollback restored other: {e}");
+                }
+                Decision::Hold { .. } => assert_eq!(Some(e.knobs), settled.map(|s| s.0), "{e}"),
+                Decision::RegimeReset { .. } => (settled, probing) = (None, None),
+            }
+        }
+        assert_eq!(Some(tuned), probing.or(settled.map(|s| s.0)), "run ended on unmeasured knobs");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! states).
 //!
 //! Kernel inner loops run through the runtime-dispatched [`simd`] layer
-//! (AVX2/NEON with a bit-identical scalar fallback) and are tiled across
+//! (AVX2 with a bit-identical scalar fallback) and are tiled across
 //! the bounded [`pool`] worker pool built on `zi-sync` primitives.
 
 pub mod f16;

@@ -169,8 +169,8 @@ fn f16_from_f32_agrees_on_every_f32_bit_pattern() {
     let mut batch = vec![0f32; 1 << 16];
     let mut simd_out = vec![F16::ZERO; batch.len()];
     for hi in 0..=u16::MAX {
-        for lo in 0..batch.len() {
-            batch[lo] = f32::from_bits(((hi as u32) << 16) | lo as u32);
+        for (lo, x) in batch.iter_mut().enumerate() {
+            *x = f32::from_bits(((hi as u32) << 16) | lo as u32);
         }
         with_backend(None, None, || simd::f32_to_f16_slice(&batch, &mut simd_out));
         for (x, got) in batch.iter().zip(&simd_out) {

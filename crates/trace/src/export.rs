@@ -138,9 +138,15 @@ impl JsonValue {
     }
 }
 
-/// Parse a JSON document. Errors carry a byte offset and a reason.
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so without a bound a file of `[`s overflows
+/// the stack; Chrome traces and ledger lines nest four or five deep.
+const MAX_NESTING: usize = 128;
+
+/// Parse a JSON document. Errors carry a byte offset and a reason;
+/// nesting deeper than `MAX_NESTING` (128) is an error, not a stack overflow.
 pub fn parse_json(input: &str) -> Result<JsonValue, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -153,6 +159,7 @@ pub fn parse_json(input: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -181,8 +188,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -190,6 +197,19 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(&format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
@@ -453,6 +473,29 @@ mod tests {
         assert!(parse_json("[1,2").is_err());
         assert!(parse_json("{} trailing").is_err());
         assert!(parse_chrome_trace("{\"notTraceEvents\":[]}").is_err());
+
+        // Nesting is bounded: the limit itself parses, one level more is
+        // an error, and a megabyte of `[` (or of `{"a":`) is an error
+        // rather than a stack overflow.
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse_json(&nest(MAX_NESTING)).is_ok());
+        assert!(parse_json(&nest(MAX_NESTING + 1)).unwrap_err().contains("nesting"));
+        assert!(parse_json(&"[".repeat(1 << 20)).is_err());
+        assert!(parse_json(&"{\"a\":".repeat(1 << 18)).is_err());
+        // The bound is on depth, not on how many containers a document holds.
+        assert!(parse_json(&format!("[{}[]]", "[[]],".repeat(1000))).is_ok());
+
+        // Every proper prefix of a document is an error, never a panic.
+        let doc = r#"{"k":[1,{"s":"a\u00e9\n"},-2.5e3,true,null],"e":{}}"#;
+        assert!(parse_json(doc).is_ok());
+        for end in 0..doc.len() {
+            assert!(parse_json(&doc[..end]).is_err(), "prefix {:?}", &doc[..end]);
+        }
+
+        // A lone surrogate is not a scalar value: it decodes to U+FFFD.
+        assert_eq!(parse_json(r#""\ud800x""#), Ok(JsonValue::Str("\u{fffd}x".to_string())));
+        assert!(parse_json(r#""\ud80""#).is_err());
+        assert!(parse_json(r#""\u"#).is_err());
     }
 
     #[test]

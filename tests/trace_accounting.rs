@@ -14,6 +14,7 @@ use zi_model::{GptConfig, ParamRegistry, ParamStore};
 use zi_nvme::{MemBackend, RetryPolicy, StorageBackend};
 use zi_optim::AdamConfig;
 use zi_tensor::Tensor;
+use zi_trace::export::{chrome_trace_json, parse_chrome_trace};
 use zi_trace::report::OverlapReport;
 use zi_trace::{Category, CounterSnapshot, Event, Tracer};
 
@@ -79,6 +80,30 @@ fn counters_agree_with_the_event_stream() {
     // subset of hits, and every hit was a previously issued load.
     assert!(snap.prefetch_late <= snap.prefetch_hits);
     assert!(snap.prefetch_hits <= snap.prefetch_issued);
+}
+
+/// The timeline a user opens is the run that happened: the Chrome export
+/// of a real two-rank offloaded session re-parses, no event falls out on
+/// the way, and each hop the report is about (nc, cg, gg) is on it with
+/// exactly the spans the tracer recorded.
+#[test]
+fn chrome_export_of_a_training_run_reparses_with_every_hop() {
+    let (events, snap) = traced_train();
+    let trace = parse_chrome_trace(&chrome_trace_json(&events, &snap))
+        .expect("the exported Chrome trace must re-parse");
+    assert_eq!(trace.spans.len(), events.len(), "events lost or invented by the export");
+    for cat in [
+        Category::NcTransfer,
+        Category::CgTransfer,
+        Category::Allgather,
+        Category::ReduceScatter,
+    ] {
+        let recorded = events.iter().filter(|e| e.cat == cat && e.dur_ns > 0).count();
+        assert!(recorded > 0, "no {} span in a full NVMe-offloaded run", cat.label());
+        assert_eq!(trace.span_count(cat), recorded, "{} spans changed in the export", cat.label());
+    }
+    assert_eq!(trace.counter("nc_read_bytes"), Some(snap.nc_read_bytes as f64));
+    assert_eq!(trace.counter("gg_bytes"), Some(snap.gg_bytes as f64));
 }
 
 #[test]
