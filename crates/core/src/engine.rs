@@ -1136,6 +1136,44 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_forward_leaves_nothing_resident() {
+        use zi_model::{GptConfig, GptModel};
+        let cfg = GptConfig::tiny();
+        let model = GptModel::new(cfg);
+        let spec = NodeMemorySpec::test_spec(1, 1 << 22, 1 << 22, 1 << 22);
+        let engine_on = |node: &NodeResources| {
+            ZeroEngine::new(
+                model.registry(),
+                Strategy::infinity_cpu(),
+                node.offload_manager(),
+                node.group.communicator(0),
+                AdamConfig::default(),
+            )
+            .unwrap()
+        };
+        let good = vec![1usize; cfg.seq];
+        let fresh_node = NodeResources::in_memory(&spec, 1);
+        let mut fresh = engine_on(&fresh_node);
+        let expect = model.forward_logits(&mut fresh, &good, 1).unwrap();
+
+        let node = NodeResources::in_memory(&spec, 1);
+        let mut eng = engine_on(&node);
+        // One out-of-vocabulary token: the embedding fails after `wte`
+        // and `wpe` were gathered.
+        let mut bad = good.clone();
+        bad[1] = cfg.vocab;
+        assert!(model.forward_logits(&mut eng, &bad, 1).is_err());
+        assert_eq!(node.hierarchy.stats(Device::gpu(0)).in_use, 0, "gathered blocks leaked");
+        let hits = eng.stats().cache_hits;
+        let after = model.forward_logits(&mut eng, &good, 1).unwrap();
+        assert_eq!(after.data(), expect.data());
+        assert_eq!(eng.stats().cache_hits, hits, "a parameter was still resident");
+        assert_eq!(node.hierarchy.stats(Device::gpu(0)).in_use, 0);
+        eng.dispose().unwrap();
+        fresh.dispose().unwrap();
+    }
+
+    #[test]
     fn release_without_get_errors() {
         let (_node, mut eng, reg) = single_rank(Strategy::zero_3());
         assert!(eng.release(reg.find("w").unwrap()).is_err());

@@ -21,9 +21,9 @@ use zi_sync::channel::{bounded, Receiver, Sender};
 use zi_comm::partition_range;
 use zi_model::layers::{
     block_backward, block_forward, embedding_backward, embedding_forward, lm_head_backward,
-    lm_head_forward, BlockConfig, BlockParams, BlockSaved,
+    lm_head_forward, BlockConfig, BlockSaved,
 };
-use zi_model::{DenseStore, GptConfig, GptModel, ParamId, ParamStore};
+use zi_model::{Bracket, DenseStore, GptConfig, GptModel, NoopObserver, ParamId, ParamStore};
 use zi_optim::{AdamConfig, AdamShard};
 use zi_tensor::{ops, Tensor};
 use zi_types::{Error, Result};
@@ -45,19 +45,11 @@ pub struct PipelineSpec {
     pub adam: AdamConfig,
 }
 
-/// Per-stage slice of the model.
-struct StagePlan {
-    /// Block indices owned by this stage.
-    blocks: std::ops::Range<usize>,
-    first: bool,
-    last: bool,
-}
-
-/// Gradient accumulator + Adam over a stage's own parameters.
+/// Adam over a stage's own parameters; the gradients accumulate in the
+/// stage's [`DenseStore`].
 struct StageOptimizer {
     adam: AdamConfig,
     states: Vec<Option<AdamShard>>,
-    grads: Vec<Option<Tensor>>,
 }
 
 impl StageOptimizer {
@@ -68,29 +60,24 @@ impl StageOptimizer {
             let init = model.registry().meta(id).init_tensor();
             states[id.0] = Some(AdamShard::new(init.data()));
         }
-        StageOptimizer { adam, states, grads: (0..n).map(|_| None).collect() }
+        StageOptimizer { adam, states }
     }
 
-    fn add_grad(&mut self, id: ParamId, g: &Tensor) -> Result<()> {
-        match &mut self.grads[id.0] {
-            Some(acc) => acc.add_assign(g)?,
-            slot @ None => *slot = Some(g.clone()),
-        }
-        Ok(())
-    }
-
-    /// Average accumulated grads over `micro_batches` and update both the
-    /// Adam state and the live parameter values in `store`.
+    /// Average the gradients accumulated in `store` over `micro_batches`,
+    /// update both the Adam state and the live parameter values, and
+    /// clear the gradients.
     fn step(&mut self, store: &mut DenseStore, micro_batches: usize) {
-        for (idx, grad) in self.grads.iter_mut().enumerate() {
-            let (Some(g), Some(state)) = (grad.take(), self.states[idx].as_mut()) else {
+        for (idx, state) in self.states.iter_mut().enumerate() {
+            let id = ParamId(idx);
+            let (Some(state), Some(g)) = (state, store.grad(id)) else {
                 continue;
             };
             let scaled: Vec<f32> =
                 g.data().iter().map(|v| v / micro_batches as f32).collect();
             state.step_full(&self.adam, &scaled);
-            store.param_mut(ParamId(idx)).data_mut().copy_from_slice(&state.master);
+            store.param_mut(id).data_mut().copy_from_slice(&state.master);
         }
+        store.zero_grads();
     }
 }
 
@@ -162,6 +149,11 @@ pub fn train_gpt_pipeline(spec: &PipelineSpec) -> Result<Vec<f32>> {
     }
 }
 
+/// A channel disconnects only when the stage at its other end has failed.
+fn closed<E>(channel: &str) -> impl Fn(E) -> Error + '_ {
+    move |_| Error::Internal(format!("{channel} channel closed"))
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_stage(
     stage: usize,
@@ -179,29 +171,24 @@ fn run_stage(
     let pp = spec.stages;
     let model = GptModel::new(cfg);
     let mut store = DenseStore::new(model.registry());
-    let plan = StagePlan {
-        blocks: partition_range(cfg.layers, pp, stage),
-        first: stage == 0,
-        last: stage == pp - 1,
-    };
-    let reg = model.registry();
-    let wte = reg.find("wte").expect("wte");
-    let wpe = reg.find("wpe").expect("wpe");
-    let lnf_g = reg.find("ln_f.gamma").expect("lnf");
-    let lnf_b = reg.find("ln_f.beta").expect("lnf");
+    // This stage's slice of the model.
+    let blocks = partition_range(cfg.layers, pp, stage);
+    let (first, last) = (stage == 0, stage == pp - 1);
+    let plans = model.plans();
+    let (embed, lnf, head) = (0, cfg.layers + 1, cfg.layers + 2);
+    // The weight that spans the pipeline is the head's external parameter.
+    let wte = plans[head].external_params[0];
 
     // Parameters this stage owns (updates with its optimizer).
     let mut owned: Vec<ParamId> = Vec::new();
-    if plan.first {
-        owned.push(wte);
-        owned.push(wpe);
+    if first {
+        owned.extend(&plans[embed].own_params);
     }
-    for l in plan.blocks.clone() {
-        owned.extend(model.plans()[1 + l].own_params.iter().copied());
+    for l in blocks.clone() {
+        owned.extend(&plans[1 + l].own_params);
     }
-    if plan.last {
-        owned.push(lnf_g);
-        owned.push(lnf_b);
+    if last {
+        owned.extend(&plans[lnf].own_params);
     }
     let mut optimizer = StageOptimizer::new(&model, &owned, spec.adam);
     let bc = BlockConfig { hidden: cfg.hidden, heads: cfg.heads, batch: spec.micro_batch, seq: cfg.seq };
@@ -212,16 +199,15 @@ fn run_stage(
         // ---------------------------------------------------- forward
         struct MicroState {
             tokens: Vec<usize>,
-            targets: Vec<usize>,
             blocks: Vec<BlockSaved>,
-            // Last stage extras.
-            lnf_input: Option<Tensor>,
-            lnf_stats: Option<ops::LayerNormStats>,
-            hstates: Option<Tensor>,
-            dlogits: Option<Tensor>,
+            /// Last stage only: `ln_f`'s input and statistics, the hidden
+            /// states and `d(logits)`.
+            head: Option<(Tensor, ops::LayerNormStats, Tensor, Tensor)>,
         }
         let mut micros: Vec<MicroState> = Vec::with_capacity(spec.micro_batches);
         let mut loss_sum = 0.0f32;
+        let mut obs = NoopObserver;
+        let mut ctx = Bracket::new(&mut store, &mut obs, plans, 0);
         for m in 0..spec.micro_batches {
             let data_step = step * spec.micro_batches + m;
             let (all_tokens, all_targets) = crate::trainer::synthetic_batch(
@@ -230,133 +216,88 @@ fn run_stage(
                 data_step,
             );
             let tokens = all_tokens[..rows].to_vec();
-            let targets = all_targets[..rows].to_vec();
 
-            let mut x = if plan.first {
-                let wte_t = store.get(wte)?;
-                let wpe_t = store.get(wpe)?;
-                embedding_forward(&bc, &wte_t, &wpe_t, &tokens)?
+            let mut x = if first {
+                ctx.forward(embed, |p| embedding_forward(&bc, &p[0], &p[1], &tokens))?
             } else {
-                up_rx.as_ref().expect("upstream").recv().map_err(|_| {
-                    Error::Internal("pipeline forward channel closed".into())
-                })?
+                up_rx.as_ref().expect("upstream").recv().map_err(closed("pipeline forward"))?
             };
             let mut saved_blocks = Vec::new();
-            for l in plan.blocks.clone() {
-                let ids = &model.plans()[1 + l].own_params;
-                let fetched: Vec<Tensor> =
-                    ids.iter().map(|&id| store.get(id)).collect::<Result<_>>()?;
-                let p = BlockParams::from_vec(fetched);
-                let (y, saved) = block_forward(&bc, &p, &x)?;
+            for l in blocks.clone() {
+                let (y, saved) = ctx.forward(1 + l, |p| block_forward(&bc, p, &x))?;
                 saved_blocks.push(saved);
                 x = y;
             }
-            let mut micro = MicroState {
-                tokens,
-                targets,
-                blocks: saved_blocks,
-                lnf_input: None,
-                lnf_stats: None,
-                hstates: None,
-                dlogits: None,
-            };
-            if plan.last {
-                let g = store.get(lnf_g)?;
-                let b = store.get(lnf_b)?;
-                let (hs, stats) = ops::layernorm(&x, g.data(), b.data(), 1e-5)?;
-                let wte_t = store.get(wte)?;
-                let logits = lm_head_forward(&wte_t, &hs)?;
-                let (loss, dlogits) = ops::cross_entropy(&logits, &micro.targets)?;
+            let head_state = if last {
+                let (hs, stats) = ctx
+                    .forward(lnf, |p| ops::layernorm(&x, p[0].data(), p[1].data(), 1e-5))?;
+                let logits = ctx.forward(head, |p| lm_head_forward(&p[0], &hs))?;
+                let (loss, dlogits) = ops::cross_entropy(&logits, &all_targets[..rows])?;
                 loss_sum += loss;
-                micro.lnf_input = Some(x);
-                micro.lnf_stats = Some(stats);
-                micro.hstates = Some(hs);
-                micro.dlogits = Some(dlogits);
+                Some((x, stats, hs, dlogits))
             } else {
-                down_tx.as_ref().expect("downstream").send(x).map_err(|_| {
-                    Error::Internal("pipeline forward channel closed".into())
-                })?;
-            }
-            micros.push(micro);
+                down_tx.as_ref().expect("downstream").send(x).map_err(closed("pipeline forward"))?;
+                None
+            };
+            micros.push(MicroState { tokens, blocks: saved_blocks, head: head_state });
         }
 
         // --------------------------------------------------- backward
-        for micro in micros.iter_mut().rev() {
-            let mut dx = if plan.last {
-                let hstates = micro.hstates.take().expect("saved hstates");
-                let dlogits = micro.dlogits.take().expect("saved dlogits");
-                let wte_t = store.get(wte)?;
-                let (dh, dwte_head) = lm_head_backward(&wte_t, &hstates, &dlogits)?;
-                optimizer.add_grad(wte, &dwte_head)?;
-                let lnf_input = micro.lnf_input.take().expect("saved lnf input");
-                let stats = micro.lnf_stats.take().expect("saved lnf stats");
-                let g = store.get(lnf_g)?;
-                let (dxi, dg, db) =
-                    ops::layernorm_backward(&lnf_input, &dh, g.data(), &stats)?;
-                optimizer.add_grad(lnf_g, &Tensor::from_vec(&[cfg.hidden], dg)?)?;
-                optimizer.add_grad(lnf_b, &Tensor::from_vec(&[cfg.hidden], db)?)?;
-                dxi
-            } else {
-                down_rx.as_ref().expect("downstream grad").recv().map_err(|_| {
-                    Error::Internal("pipeline backward channel closed".into())
-                })?
-            };
-            for (l, saved) in plan.blocks.clone().zip(micro.blocks.iter()).rev() {
-                let ids = &model.plans()[1 + l].own_params;
-                let fetched: Vec<Tensor> =
-                    ids.iter().map(|&id| store.get(id)).collect::<Result<_>>()?;
-                let p = BlockParams::from_vec(fetched);
-                let (dxi, grads) = block_backward(&bc, &p, saved, &dx)?;
-                for (&id, g) in ids.iter().zip(&grads) {
-                    optimizer.add_grad(id, g)?;
-                }
-                dx = dxi;
-            }
-            if plan.first {
-                let (dwte, dwpe) =
-                    embedding_backward(&bc, cfg.vocab, &micro.tokens, &dx)?;
-                optimizer.add_grad(wte, &dwte)?;
-                optimizer.add_grad(wpe, &dwpe)?;
-            } else {
-                up_tx.as_ref().expect("upstream grad").send(dx).map_err(|_| {
-                    Error::Internal("pipeline backward channel closed".into())
+        for micro in micros.into_iter().rev() {
+            let mut dx = if let Some((lnf_input, stats, hstates, dlogits)) = micro.head {
+                let dh = ctx.backward(head, |p| {
+                    let (dh, dwte) = lm_head_backward(&p[0], &hstates, &dlogits)?;
+                    Ok((dh, vec![dwte]))
                 })?;
+                ctx.backward(lnf, |p| {
+                    let (dxi, dg, db) =
+                        ops::layernorm_backward(&lnf_input, &dh, p[0].data(), &stats)?;
+                    let h = [cfg.hidden];
+                    Ok((dxi, vec![Tensor::from_vec(&h, dg)?, Tensor::from_vec(&h, db)?]))
+                })?
+            } else {
+                down_rx.as_ref().expect("downstream grad").recv().map_err(closed("pipeline backward"))?
+            };
+            for (l, saved) in blocks.clone().zip(micro.blocks.iter()).rev() {
+                dx = ctx.backward(1 + l, |p| block_backward(&bc, p, saved, &dx))?;
+            }
+            if first {
+                ctx.backward_unfetched(embed, || {
+                    let (dwte, dwpe) = embedding_backward(&bc, cfg.vocab, &micro.tokens, &dx)?;
+                    Ok(vec![dwte, dwpe])
+                })?;
+            } else {
+                up_tx.as_ref().expect("upstream grad").send(dx).map_err(closed("pipeline backward"))?;
             }
         }
 
         // ----------------------------------- tied embedding + optimizer
         if pp > 1 {
-            if plan.last {
+            if last {
                 // Ship the head's accumulated wte gradient upstream.
-                let g = optimizer.grads[wte.0].take().expect("head wte grad");
-                wte_grad_tx
-                    .send(g)
-                    .map_err(|_| Error::Internal("wte grad channel closed".into()))?;
-            } else if plan.first {
-                let g = wte_grad_rx
-                    .recv()
-                    .map_err(|_| Error::Internal("wte grad channel closed".into()))?;
-                optimizer.add_grad(wte, &g)?;
+                let g = store.grad(wte).cloned().ok_or_else(|| {
+                    Error::Internal("the head deposited no gradient for the tied weight".into())
+                })?;
+                wte_grad_tx.send(g).map_err(closed("wte grad"))?;
+            } else if first {
+                let g = wte_grad_rx.recv().map_err(closed("wte grad"))?;
+                store.add_grad(wte, &g)?;
             }
         }
         optimizer.step(&mut store, spec.micro_batches);
         if pp > 1 {
-            if plan.first {
-                wte_new_tx
-                    .send(store.param(wte).clone())
-                    .map_err(|_| Error::Internal("wte sync channel closed".into()))?;
-            } else if plan.last {
-                let fresh = wte_new_rx
-                    .recv()
-                    .map_err(|_| Error::Internal("wte sync channel closed".into()))?;
+            if first {
+                wte_new_tx.send(store.param(wte).clone()).map_err(closed("wte sync"))?;
+            } else if last {
+                let fresh = wte_new_rx.recv().map_err(closed("wte sync"))?;
                 store.param_mut(wte).data_mut().copy_from_slice(fresh.data());
             }
         }
-        if plan.last {
+        if last {
             step_losses.push(loss_sum / spec.micro_batches as f32);
         }
     }
-    Ok(if plan.last { Some(step_losses) } else { None })
+    Ok(if last { Some(step_losses) } else { None })
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! parallelism.
 
 use zi_comm::partition_range;
-use zi_model::{ParamId, ParamRegistry, ParamStore};
+use zi_model::{Bracket, ModulePlan, NoopObserver, ParamId, ParamRegistry, ParamStore};
 use zi_tensor::{ops, Tensor};
 use zi_trace::Category;
 use zi_types::{Error, Result};
@@ -20,8 +20,8 @@ use zi_types::{Error, Result};
 /// parameter.
 #[derive(Debug, Clone)]
 pub struct TiledLinear {
-    tile_ids: Vec<ParamId>,
-    bias_id: ParamId,
+    /// One module per tile, then the bias: the fetch units.
+    plans: Vec<ModulePlan>,
     in_dim: usize,
     out_dim: usize,
 }
@@ -66,31 +66,32 @@ impl TiledLinear {
                 "tiling factor {tiles} invalid for {out_dim} output rows"
             )));
         }
-        let mut tile_ids = Vec::with_capacity(tiles);
+        let module = |name: String, id: ParamId| ModulePlan {
+            name,
+            own_params: vec![id],
+            external_params: vec![],
+        };
+        let mut plans = Vec::with_capacity(tiles + 1);
         for t in 0..tiles {
             let rows = partition_range(out_dim, tiles, t).len();
-            tile_ids.push(registry.register(
-                format!("{name}.tile{t}.weight"),
-                &[rows, in_dim],
-                seed + t as u64,
-                scale,
-                0.0,
-            ));
+            let tile = format!("{name}.tile{t}");
+            let id =
+                registry.register(format!("{tile}.weight"), &[rows, in_dim], seed + t as u64, scale, 0.0);
+            plans.push(module(tile, id));
         }
-        let bias_id = registry.register(format!("{name}.bias"), &[out_dim], 0, 0.0, 0.0);
-        Ok(TiledLinear { tile_ids, bias_id, in_dim, out_dim })
+        let bias = registry.register(format!("{name}.bias"), &[out_dim], 0, 0.0, 0.0);
+        plans.push(module(format!("{name}.bias"), bias));
+        Ok(TiledLinear { plans, in_dim, out_dim })
     }
 
     /// Number of tiles.
     pub fn tiles(&self) -> usize {
-        self.tile_ids.len()
+        self.plans.len() - 1
     }
 
     /// All parameter ids (tiles then bias), for module plans.
     pub fn param_ids(&self) -> Vec<ParamId> {
-        let mut v = self.tile_ids.clone();
-        v.push(self.bias_id);
-        v
+        self.plans.iter().flat_map(|plan| plan.own_params.iter().copied()).collect()
     }
 
     /// Forward pass: tiles are fetched, used and released strictly one at
@@ -104,29 +105,27 @@ impl TiledLinear {
             )));
         }
         let tracer = store.tracer().cloned();
+        let mut obs = NoopObserver;
+        let mut ctx = Bracket::new(store, &mut obs, &self.plans, 0);
         let mut y = Tensor::zeros(&[m, self.out_dim]);
-        for (t, &tid) in self.tile_ids.iter().enumerate() {
-            let w = store.get(tid)?;
-            let yt = {
+        for t in 0..self.tiles() {
+            let yt = ctx.forward(t, |p| {
                 // Per-tile compute, spanned so the trace shows each
                 // tile's matmul hiding the next tile's fetch.
+                let w = &p[0];
                 let mut span =
                     tracer.as_ref().map(|tr| tr.span(Category::Compute, "tile_matmul"));
                 if let Some(s) = &mut span {
                     s.set_bytes((w.numel() * 4) as u64);
                     // 2 flops (mul + add) per weight element per input row.
                     s.set_flops(2 * (w.numel() * m) as u64);
-                    s.set_id(tid.0 as u64);
+                    s.set_id(self.plans[t].own_params[0].0 as u64);
                 }
-                ops::matmul_nt(x, &w)?
-            };
-            let range = partition_range(self.out_dim, self.tiles(), t);
-            write_cols(&mut y, &yt, range.start);
-            store.release(tid)?;
+                ops::matmul_nt(x, w)
+            })?;
+            write_cols(&mut y, &yt, partition_range(self.out_dim, self.tiles(), t).start);
         }
-        let b = store.get(self.bias_id)?;
-        ops::add_bias(&mut y, b.data())?;
-        store.release(self.bias_id)?;
+        ctx.forward(self.tiles(), |p| ops::add_bias(&mut y, p[0].data()))?;
         Ok(y)
     }
 
@@ -144,28 +143,29 @@ impl TiledLinear {
             return Err(Error::shape("tiled linear backward shape mismatch"));
         }
         let tracer = store.tracer().cloned();
+        let mut obs = NoopObserver;
+        let mut ctx = Bracket::new(store, &mut obs, &self.plans, 0);
         let mut dx = Tensor::zeros(&[m, self.in_dim]);
-        for (t, &tid) in self.tile_ids.iter().enumerate() {
+        for t in 0..self.tiles() {
             let range = partition_range(self.out_dim, self.tiles(), t);
             let dyt = slice_cols(dy, range.start, range.end);
-            let w = store.get(tid)?;
-            let dw = {
+            ctx.backward(t, |p| {
+                let w = &p[0];
                 let mut span =
                     tracer.as_ref().map(|tr| tr.span(Category::Compute, "tile_matmul_bwd"));
                 if let Some(s) = &mut span {
                     s.set_bytes((w.numel() * 4) as u64);
                     // dx and dw matmuls: 2 * 2 flops per weight element per row.
                     s.set_flops(4 * (w.numel() * m) as u64);
-                    s.set_id(tid.0 as u64);
+                    s.set_id(self.plans[t].own_params[0].0 as u64);
                 }
-                dx.add_assign(&ops::matmul(&dyt, &w)?)?;
-                ops::matmul_tn(&dyt, x)?
-            };
-            store.add_grad(tid, &dw)?;
-            store.release(tid)?;
+                dx.add_assign(&ops::matmul(&dyt, w)?)?;
+                Ok(((), vec![ops::matmul_tn(&dyt, x)?]))
+            })?;
         }
-        let db = Tensor::from_vec(&[self.out_dim], ops::column_sums(dy))?;
-        store.add_grad(self.bias_id, &db)?;
+        ctx.backward_unfetched(self.tiles(), || {
+            Ok(vec![Tensor::from_vec(&[self.out_dim], ops::column_sums(dy))?])
+        })?;
         Ok(dx)
     }
 }
@@ -180,20 +180,28 @@ mod tests {
     use zi_model::DenseStore;
     use zi_optim::AdamConfig;
 
+    fn tile_ids(tl: &TiledLinear) -> Vec<ParamId> {
+        tl.param_ids()[..tl.tiles()].to_vec()
+    }
+
+    fn bias_id(tl: &TiledLinear) -> ParamId {
+        tl.param_ids()[tl.tiles()]
+    }
+
     /// Reference: dense untiled linear built from the same tile values.
     fn assemble_dense_weight(
         store: &mut dyn ParamStore,
         tl: &TiledLinear,
     ) -> (Tensor, Tensor) {
         let mut rows: Vec<f32> = Vec::new();
-        for &tid in &tl.tile_ids {
+        for tid in tile_ids(tl) {
             let w = store.get(tid).unwrap();
             rows.extend_from_slice(w.data());
             store.release(tid).unwrap();
         }
         let w = Tensor::from_vec(&[tl.out_dim, tl.in_dim], rows).unwrap();
-        let b = store.get(tl.bias_id).unwrap();
-        store.release(tl.bias_id).unwrap();
+        let b = store.get(bias_id(tl)).unwrap();
+        store.release(bias_id(tl)).unwrap();
         (w, b)
     }
 
@@ -231,14 +239,14 @@ mod tests {
         let expect_dw = ops::matmul_tn(&dy, &x).unwrap();
         // Stitch tile grads back together and compare.
         let mut got_rows: Vec<f32> = Vec::new();
-        for &tid in &tl.tile_ids {
+        for tid in tile_ids(&tl) {
             got_rows.extend_from_slice(store.grad(tid).unwrap().data());
         }
         for (a, e) in got_rows.iter().zip(expect_dw.data()) {
             assert!((a - e).abs() < 1e-5);
         }
         let expect_db = ops::column_sums(&dy);
-        for (a, e) in store.grad(tl.bias_id).unwrap().data().iter().zip(&expect_db) {
+        for (a, e) in store.grad(bias_id(&tl)).unwrap().data().iter().zip(&expect_db) {
             assert!((a - e).abs() < 1e-5);
         }
     }

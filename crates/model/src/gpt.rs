@@ -1,13 +1,9 @@
 //! GPT-like model: registry construction, module plan, and the training
-//! runner that brackets every module with `ParamStore` calls.
+//! runner.
 //!
-//! The runner is the reproduction of the paper's hook injection (Sec. 7.1):
-//! before a module executes, its parameters are requested from the store
-//! (pre-forward hook → allgather in ZeRO-3); after it executes they are
-//! released (post-forward hook → re-partition/offload); gradients are
-//! deposited as they are produced in the backward pass (→ reduce-scatter +
-//! offload). `hint_upcoming` announces the future module sequence, which is
-//! what the dynamic prefetcher of Sec. 6.2 consumes.
+//! The runner names modules and supplies their arithmetic; gathering,
+//! releasing, gradient hand-off and prefetch hints — the paper's hook
+//! injection (Sec. 7.1) — are [`crate::param::Bracket`]'s.
 
 use zi_tensor::ops;
 use zi_tensor::Tensor;
@@ -15,9 +11,9 @@ use zi_types::{Error, Result};
 
 use crate::layers::{
     block_backward, block_forward, embedding_backward, embedding_forward, lm_head_backward,
-    lm_head_forward, BlockConfig, BlockParams, BlockSaved,
+    lm_head_forward, BlockConfig, BlockSaved,
 };
-use crate::param::{ModulePlan, ParamId, ParamRegistry, ParamStore};
+use crate::param::{Bracket, ModulePlan, ParamId, ParamRegistry, ParamStore};
 
 /// Model architecture hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,16 +131,74 @@ impl ActivationStore for InMemoryActStore {
     }
 }
 
+/// The registry and module plan every GPT runner brackets, in forward
+/// order: `embed`, one module per block over the parameters `block`
+/// registers for it, `ln_f`, `head`.
+pub(crate) fn register_gpt(
+    cfg: &GptConfig,
+    mut block: impl FnMut(&mut ParamRegistry, usize) -> Vec<ParamId>,
+) -> (ParamRegistry, Vec<ModulePlan>) {
+    let module = |name: String, own_params: Vec<ParamId>| ModulePlan {
+        name,
+        own_params,
+        external_params: vec![],
+    };
+    let mut reg = ParamRegistry::new();
+    let (h, w_scale) = (cfg.hidden, weight_scale(cfg));
+    let wte = reg.register("wte", &[cfg.vocab, h], cfg.seed, w_scale, 0.0);
+    let wpe = reg.register("wpe", &[cfg.seq, h], cfg.seed + 1, w_scale, 0.0);
+    let mut plans = vec![module("embed".into(), vec![wte, wpe])];
+    for l in 0..cfg.layers {
+        let ids = block(&mut reg, l);
+        plans.push(module(format!("block{l}"), ids));
+    }
+    let lnf_g = reg.register("ln_f.gamma", &[h], 0, 0.0, 1.0);
+    let lnf_b = reg.register("ln_f.beta", &[h], 0, 0.0, 0.0);
+    plans.push(module("ln_f".into(), vec![lnf_g, lnf_b]));
+    // The LM head owns no parameters: it reuses the embedding weight
+    // across module boundaries — the canonical external parameter.
+    plans.push(ModulePlan { name: "head".into(), own_params: vec![], external_params: vec![wte] });
+    (reg, plans)
+}
+
+/// Uniform amplitude of every weight matrix's initial value.
+pub(crate) fn weight_scale(cfg: &GptConfig) -> f32 {
+    0.3 / (cfg.hidden as f32).sqrt()
+}
+
 /// The model: parameter registry plus module plan.
 pub struct GptModel {
     cfg: GptConfig,
     registry: ParamRegistry,
-    wte: ParamId,
-    wpe: ParamId,
-    blocks: Vec<Vec<ParamId>>,
-    lnf_g: ParamId,
-    lnf_b: ParamId,
     plans: Vec<ModulePlan>,
+}
+
+/// What a forward pass leaves behind for the backward pass.
+enum Save<'a> {
+    /// Inference: nothing.
+    Nothing,
+    /// Every block's intermediate activations.
+    Activations,
+    /// Block inputs only, checkpointed into the activation store.
+    Checkpoints(&'a mut dyn ActivationStore),
+}
+
+enum BlockState {
+    Full(Box<BlockSaved>),
+    /// Input checkpointed into the activation store under the block's
+    /// index.
+    Checkpointed,
+}
+
+/// Embedding through final layer norm, as the head and the backward pass
+/// need it.
+struct ForwardState {
+    /// One slot per block; `None` for a skipped block or when nothing is
+    /// saved.
+    blocks: Vec<Option<BlockState>>,
+    lnf_input: Tensor,
+    lnf_stats: ops::LayerNormStats,
+    hstates: Tensor,
 }
 
 impl GptModel {
@@ -156,19 +210,11 @@ impl GptModel {
     /// possible: the ZeRO engine initializes each rank's shard directly.
     pub fn new(cfg: GptConfig) -> Self {
         assert!(cfg.hidden.is_multiple_of(cfg.heads), "hidden must divide by heads");
-        let mut reg = ParamRegistry::new();
-        let h = cfg.hidden;
-        let base = cfg.seed;
-        let w_scale = 0.3 / (h as f32).sqrt();
-
-        let wte = reg.register("wte", &[cfg.vocab, h], base, w_scale, 0.0);
-        let wpe = reg.register("wpe", &[cfg.seq, h], base + 1, w_scale, 0.0);
-
-        let mut blocks = Vec::with_capacity(cfg.layers);
-        for l in 0..cfg.layers {
-            let s = base + 100 * (l as u64 + 1);
+        let (h, w_scale) = (cfg.hidden, weight_scale(&cfg));
+        let (registry, plans) = register_gpt(&cfg, |reg, l| {
+            let s = cfg.seed + 100 * (l as u64 + 1);
             let pre = format!("block{l}");
-            let ids = vec![
+            vec![
                 reg.register(format!("{pre}.ln1.gamma"), &[h], 0, 0.0, 1.0),
                 reg.register(format!("{pre}.ln1.beta"), &[h], 0, 0.0, 0.0),
                 reg.register(format!("{pre}.attn.qkv.weight"), &[3 * h, h], s, w_scale, 0.0),
@@ -181,39 +227,9 @@ impl GptModel {
                 reg.register(format!("{pre}.mlp.fc1.bias"), &[4 * h], 0, 0.0, 0.0),
                 reg.register(format!("{pre}.mlp.fc2.weight"), &[h, 4 * h], s + 3, w_scale, 0.0),
                 reg.register(format!("{pre}.mlp.fc2.bias"), &[h], 0, 0.0, 0.0),
-            ];
-            blocks.push(ids);
-        }
-        let lnf_g = reg.register("ln_f.gamma", &[h], 0, 0.0, 1.0);
-        let lnf_b = reg.register("ln_f.beta", &[h], 0, 0.0, 0.0);
-
-        let mut plans = Vec::new();
-        plans.push(ModulePlan {
-            name: "embed".into(),
-            own_params: vec![wte, wpe],
-            external_params: vec![],
+            ]
         });
-        for (l, ids) in blocks.iter().enumerate() {
-            plans.push(ModulePlan {
-                name: format!("block{l}"),
-                own_params: ids.clone(),
-                external_params: vec![],
-            });
-        }
-        plans.push(ModulePlan {
-            name: "ln_f".into(),
-            own_params: vec![lnf_g, lnf_b],
-            external_params: vec![],
-        });
-        // The LM head owns no parameters: it reuses the embedding weight
-        // across module boundaries — the canonical external parameter.
-        plans.push(ModulePlan {
-            name: "head".into(),
-            own_params: vec![],
-            external_params: vec![wte],
-        });
-
-        GptModel { cfg, registry: reg, wte, wpe, blocks, lnf_g, lnf_b, plans }
+        GptModel { cfg, registry, plans }
     }
 
     /// Architecture config.
@@ -231,48 +247,9 @@ impl GptModel {
         &self.plans
     }
 
-    fn block_cfg(&self, batch: usize) -> BlockConfig {
-        BlockConfig { hidden: self.cfg.hidden, heads: self.cfg.heads, batch, seq: self.cfg.seq }
-    }
-
-    fn hint(&self, store: &mut dyn ParamStore, from_module: usize, window: usize, forward: bool) {
-        if window == 0 {
-            return;
-        }
-        let mut ids = Vec::new();
-        if forward {
-            for plan in self.plans.iter().skip(from_module + 1).take(window) {
-                ids.extend(plan.all_params());
-            }
-        } else {
-            let mut m = from_module;
-            for _ in 0..window {
-                if m == 0 {
-                    break;
-                }
-                m -= 1;
-                ids.extend(self.plans[m].all_params());
-            }
-        }
-        if !ids.is_empty() {
-            store.hint_upcoming(&ids);
-        }
-    }
-
-    fn fetch_all(&self, store: &mut dyn ParamStore, ids: &[ParamId]) -> Result<Vec<Tensor>> {
-        ids.iter().map(|&id| store.get(id)).collect()
-    }
-
-    fn release_all(&self, store: &mut dyn ParamStore, ids: &[ParamId]) -> Result<()> {
-        for &id in ids {
-            store.release(id)?;
-        }
-        Ok(())
-    }
-
     /// Forward-only pass returning the logits for every position
-    /// (`[batch*seq, vocab]`). Uses the same fetch/release bracketing as
-    /// training, so a ZeRO engine serves inference from partitioned and
+    /// (`[batch*seq, vocab]`). Runs the training forward with nothing
+    /// saved, so a ZeRO engine serves inference from partitioned and
     /// offloaded parameters without modification.
     pub fn forward_logits(
         &self,
@@ -280,7 +257,7 @@ impl GptModel {
         tokens: &[usize],
         batch: usize,
     ) -> Result<Tensor> {
-        let bc = self.block_cfg(batch);
+        let bc = block_cfg(&self.cfg, batch);
         if tokens.len() != bc.rows() {
             return Err(Error::shape(format!(
                 "forward_logits: {} tokens for batch {batch} x seq {}",
@@ -288,27 +265,11 @@ impl GptModel {
                 self.cfg.seq
             )));
         }
-        let embed_params = self.fetch_all(store, &[self.wte, self.wpe])?;
-        let mut x = embedding_forward(&bc, &embed_params[0], &embed_params[1], tokens)?;
-        drop(embed_params);
-        self.release_all(store, &[self.wte, self.wpe])?;
-        for l in 0..self.blocks.len() {
-            let plan = &self.plans[1 + l];
-            let p = BlockParams::from_vec(self.fetch_all(store, &plan.own_params)?);
-            let (y, _) = block_forward(&bc, &p, &x)?;
-            x = y;
-            drop(p);
-            self.release_all(store, &plan.own_params)?;
-        }
-        let lnf = self.fetch_all(store, &[self.lnf_g, self.lnf_b])?;
-        let (h, _) = ops::layernorm(&x, lnf[0].data(), lnf[1].data(), 1e-5)?;
-        drop(lnf);
-        self.release_all(store, &[self.lnf_g, self.lnf_b])?;
-        let wte = store.get(self.wte)?;
-        let logits = lm_head_forward(&wte, &h)?;
-        drop(wte);
-        store.release(self.wte)?;
-        Ok(logits)
+        let nl = self.cfg.layers;
+        let (mut obs, window) = (NoopObserver, RunOptions::default().prefetch_window);
+        let mut ctx = Bracket::new(store, &mut obs, &self.plans, window);
+        let fwd = forward_pass(&mut ctx, &bc, tokens, &vec![true; nl], Save::Nothing, &bc)?;
+        ctx.forward(nl + 2, |p| lm_head_forward(&p[0], &fwd.hstates))
     }
 
     /// Greedy next-token prediction for each position of a single
@@ -319,17 +280,18 @@ impl GptModel {
         tokens: &[usize],
     ) -> Result<Vec<usize>> {
         let logits = self.forward_logits(store, tokens, 1)?;
-        let (rows, vocab) = logits.as_2d();
-        Ok((0..rows)
-            .map(|r| {
-                let row = &logits.data()[r * vocab..(r + 1) * vocab];
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                    .map(|(i, _)| i)
-                    .expect("non-empty vocab")
-            })
-            .collect())
+        let (_, vocab) = logits.as_2d();
+        let mut next = Vec::with_capacity(tokens.len());
+        for (r, row) in logits.data().chunks(vocab).enumerate() {
+            if let Some(bad) = row.iter().find(|v| !v.is_finite()) {
+                return Err(Error::InvalidArgument(format!(
+                    "predict_next: logit {bad} at position {r}; the parameters are not finite"
+                )));
+            }
+            // The last of equal maxima, as `Iterator::max_by` picks.
+            next.push((0..vocab).fold(0, |best, i| if row[i] >= row[best] { i } else { best }));
+        }
+        Ok(next)
     }
 
     /// Run one forward+backward pass, depositing gradients into `store`,
@@ -341,20 +303,8 @@ impl GptModel {
         targets: &[usize],
         opts: &RunOptions,
     ) -> Result<f32> {
-        self.train_step_observed(store, tokens, targets, opts, &mut NoopObserver)
-    }
-
-    /// [`GptModel::train_step`] with a lifecycle observer.
-    pub fn train_step_observed(
-        &self,
-        store: &mut dyn ParamStore,
-        tokens: &[usize],
-        targets: &[usize],
-        opts: &RunOptions,
-        obs: &mut dyn RunObserver,
-    ) -> Result<f32> {
         let mut acts = InMemoryActStore::new();
-        self.train_step_full(store, &mut acts, tokens, targets, opts, obs)
+        self.train_step_full(store, &mut acts, tokens, targets, opts, &mut NoopObserver)
     }
 
     /// Full-control variant: caller supplies the activation store (e.g.
@@ -369,8 +319,9 @@ impl GptModel {
         opts: &RunOptions,
         obs: &mut dyn RunObserver,
     ) -> Result<f32> {
-        let active = vec![true; self.blocks.len()];
-        self.run_step(store, acts, tokens, targets, opts, obs, &active)
+        let mut ctx = Bracket::new(store, obs, &self.plans, opts.prefetch_window);
+        let (active, bc) = (vec![true; self.cfg.layers], block_cfg(&self.cfg, opts.batch));
+        run_step(&self.cfg, &mut ctx, acts, tokens, targets, opts, &active, &bc)
     }
 
     /// Dynamic-workflow variant: `active[l]` selects which blocks execute
@@ -387,171 +338,165 @@ impl GptModel {
         opts: &RunOptions,
         active: &[bool],
     ) -> Result<f32> {
-        if active.len() != self.blocks.len() {
+        if active.len() != self.cfg.layers {
             return Err(Error::shape(format!(
                 "active mask of {} entries for {} blocks",
                 active.len(),
-                self.blocks.len()
+                self.cfg.layers
             )));
         }
-        let mut acts = InMemoryActStore::new();
-        self.run_step(store, &mut acts, tokens, targets, opts, &mut NoopObserver, active)
+        let (mut acts, mut obs) = (InMemoryActStore::new(), NoopObserver);
+        let mut ctx = Bracket::new(store, &mut obs, &self.plans, opts.prefetch_window);
+        let bc = block_cfg(&self.cfg, opts.batch);
+        run_step(&self.cfg, &mut ctx, &mut acts, tokens, targets, opts, active, &bc)
+    }
+}
+
+/// One block's arithmetic over its gathered parameters: all that differs
+/// between the dense runner and the tensor-sliced one of [`crate::mp`].
+pub(crate) trait BlockMath {
+    /// `(params, x) -> (y, saved)`.
+    fn forward(&self, params: &[Tensor], x: &Tensor) -> Result<(Tensor, BlockSaved)>;
+    /// `(params, saved, dy) -> (dx, grads)`, one gradient per parameter.
+    fn backward(
+        &self,
+        params: &[Tensor],
+        saved: &BlockSaved,
+        dy: &Tensor,
+    ) -> Result<(Tensor, Vec<Tensor>)>;
+}
+
+/// The unsliced block of [`crate::layers`].
+impl BlockMath for BlockConfig {
+    fn forward(&self, params: &[Tensor], x: &Tensor) -> Result<(Tensor, BlockSaved)> {
+        block_forward(self, params, x)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_step(
+    fn backward(
         &self,
-        store: &mut dyn ParamStore,
-        acts: &mut dyn ActivationStore,
-        tokens: &[usize],
-        targets: &[usize],
-        opts: &RunOptions,
-        obs: &mut dyn RunObserver,
-        active: &[bool],
-    ) -> Result<f32> {
-        let bc = self.block_cfg(opts.batch);
-        if tokens.len() != bc.rows() || targets.len() != bc.rows() {
-            return Err(Error::shape(format!(
-                "train_step: {} tokens / {} targets for batch {} x seq {}",
-                tokens.len(),
-                targets.len(),
-                opts.batch,
-                self.cfg.seq
-            )));
+        params: &[Tensor],
+        saved: &BlockSaved,
+        dy: &Tensor,
+    ) -> Result<(Tensor, Vec<Tensor>)> {
+        block_backward(self, params, saved, dy)
+    }
+}
+
+/// The full-width block shape of `cfg` at micro-batch `batch`.
+fn block_cfg(cfg: &GptConfig, batch: usize) -> BlockConfig {
+    BlockConfig { hidden: cfg.hidden, heads: cfg.heads, batch, seq: cfg.seq }
+}
+
+/// Embedding, the `active` blocks and the final layer norm; `save`
+/// decides what each block leaves for its backward.
+fn forward_pass(
+    ctx: &mut Bracket<'_>,
+    bc: &BlockConfig,
+    tokens: &[usize],
+    active: &[bool],
+    mut save: Save<'_>,
+    math: &dyn BlockMath,
+) -> Result<ForwardState> {
+    let mut x = ctx.forward(0, |p| embedding_forward(bc, &p[0], &p[1], tokens))?;
+    let mut blocks = Vec::with_capacity(active.len());
+    for (l, &runs) in active.iter().enumerate() {
+        if !runs {
+            // Skipped block: identity, no fetch, nothing saved.
+            blocks.push(None);
+            continue;
         }
-        let nl = self.blocks.len();
-        let embed_idx = 0usize;
-        let lnf_idx = nl + 1;
-        let head_idx = nl + 2;
+        x = ctx.forward(1 + l, |p| {
+            let (y, saved) = math.forward(p, &x)?;
+            blocks.push(match &mut save {
+                Save::Nothing => None,
+                Save::Activations => Some(BlockState::Full(Box::new(saved))),
+                Save::Checkpoints(acts) => {
+                    acts.save(l, x)?;
+                    Some(BlockState::Checkpointed)
+                }
+            });
+            Ok(y)
+        })?;
+    }
+    let (hstates, lnf_stats) =
+        ctx.forward(active.len() + 1, |p| ops::layernorm(&x, p[0].data(), p[1].data(), 1e-5))?;
+    Ok(ForwardState { blocks, lnf_input: x, lnf_stats, hstates })
+}
 
-        // ------------------------------------------------------- forward
-        // Embedding.
-        obs.module_event(Phase::PreForward, "embed");
-        self.hint(store, embed_idx, opts.prefetch_window, true);
-        let embed_params = self.fetch_all(store, &[self.wte, self.wpe])?;
-        let mut x = embedding_forward(&bc, &embed_params[0], &embed_params[1], tokens)?;
-        drop(embed_params);
-        self.release_all(store, &[self.wte, self.wpe])?;
-        obs.module_event(Phase::PostForward, "embed");
+/// One forward+backward pass of a GPT whose plan is [`register_gpt`]'s
+/// over the modules `ctx` brackets; returns the mean cross-entropy loss.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_step(
+    cfg: &GptConfig,
+    ctx: &mut Bracket<'_>,
+    acts: &mut dyn ActivationStore,
+    tokens: &[usize],
+    targets: &[usize],
+    opts: &RunOptions,
+    active: &[bool],
+    math: &dyn BlockMath,
+) -> Result<f32> {
+    let bc = block_cfg(cfg, opts.batch);
+    if tokens.len() != bc.rows() || targets.len() != bc.rows() {
+        return Err(Error::shape(format!(
+            "train_step: {} tokens / {} targets for batch {} x seq {}",
+            tokens.len(),
+            targets.len(),
+            opts.batch,
+            cfg.seq
+        )));
+    }
+    let (h, lnf, head) = (cfg.hidden, active.len() + 1, active.len() + 2);
 
-        // Blocks.
-        enum BlockState {
-            Full(Box<BlockSaved>),
-            /// Input checkpointed into the activation store under the
-            /// block's index.
-            CkptKey(usize),
-        }
-        let mut states: Vec<Option<BlockState>> = Vec::with_capacity(nl);
-        #[allow(clippy::needless_range_loop)] // l is the block index, not a mere position
-        for l in 0..nl {
-            if !active[l] {
-                // Skipped block: identity, no fetch, nothing saved.
-                states.push(None);
-                continue;
-            }
-            let plan = &self.plans[1 + l];
-            obs.module_event(Phase::PreForward, &plan.name);
-            self.hint(store, 1 + l, opts.prefetch_window, true);
-            let p = BlockParams::from_vec(self.fetch_all(store, &plan.own_params)?);
-            let (y, saved) = block_forward(&bc, &p, &x)?;
-            states.push(Some(if opts.activation_checkpointing {
-                acts.save(l, x)?;
-                BlockState::CkptKey(l)
-            } else {
-                BlockState::Full(Box::new(saved))
-            }));
-            x = y;
-            // Handles go before the release, so the store holds the
-            // only one and can recycle the gathered storage.
-            drop(p);
-            self.release_all(store, &plan.own_params)?;
-            obs.module_event(Phase::PostForward, &plan.name);
-        }
+    let save = if opts.activation_checkpointing {
+        Save::Checkpoints(&mut *acts)
+    } else {
+        Save::Activations
+    };
+    let fwd = forward_pass(ctx, &bc, tokens, active, save, math)?;
 
-        // Final layer norm.
-        obs.module_event(Phase::PreForward, "ln_f");
-        self.hint(store, lnf_idx, opts.prefetch_window, true);
-        let lnf_params = self.fetch_all(store, &[self.lnf_g, self.lnf_b])?;
-        let lnf_input = x;
-        let (hstates, lnf_stats) =
-            ops::layernorm(&lnf_input, lnf_params[0].data(), lnf_params[1].data(), 1e-5)?;
-        drop(lnf_params);
-        self.release_all(store, &[self.lnf_g, self.lnf_b])?;
-        obs.module_event(Phase::PostForward, "ln_f");
-
-        // Tied LM head (external parameter, Sec. 7.1.1: wte). The head's
-        // backward is the very next user of the model's largest
-        // parameter, so it stays gathered from here to there instead of
-        // being released and fetched again.
-        obs.module_event(Phase::PreForward, "head");
-        let wte = store.get(self.wte)?;
-        let logits = lm_head_forward(&wte, &hstates)?;
-        obs.module_event(Phase::PostForward, "head");
-
+    // Tied LM head (external parameter, Sec. 7.1.1: wte). The head's
+    // backward is the very next user of the model's largest parameter, so
+    // it stays gathered from the head's forward through the loss to its
+    // backward.
+    let (loss, dh) = ctx.held(head, |ctx| {
+        let logits = ctx.forward(head, |p| lm_head_forward(&p[0], &fwd.hstates))?;
         let (loss, dlogits) = ops::cross_entropy(&logits, targets)?;
+        let dh = ctx.backward(head, |p| {
+            let (dh, dwte) = lm_head_backward(&p[0], &fwd.hstates, &dlogits)?;
+            Ok((dh, vec![dwte]))
+        })?;
+        Ok((loss, dh))
+    })?;
 
-        // ------------------------------------------------------ backward
-        // Head backward (gradient for the external/tied weight).
-        obs.module_event(Phase::PreBackward, "head");
-        self.hint(store, head_idx, opts.prefetch_window, false);
-        let (dh, dwte_head) = lm_head_backward(&wte, &hstates, &dlogits)?;
-        drop(wte);
-        store.add_grad(self.wte, &dwte_head)?;
-        store.release(self.wte)?;
-        obs.module_event(Phase::PostBackward, "head");
+    let mut dx = ctx.backward(lnf, |p| {
+        let (dx, dg, db) =
+            ops::layernorm_backward(&fwd.lnf_input, &dh, p[0].data(), &fwd.lnf_stats)?;
+        Ok((dx, vec![Tensor::from_vec(&[h], dg)?, Tensor::from_vec(&[h], db)?]))
+    })?;
 
-        // Final layer norm backward.
-        obs.module_event(Phase::PreBackward, "ln_f");
-        self.hint(store, lnf_idx, opts.prefetch_window, false);
-        let lnf_params = self.fetch_all(store, &[self.lnf_g, self.lnf_b])?;
-        let (mut dx, dg, db) =
-            ops::layernorm_backward(&lnf_input, &dh, lnf_params[0].data(), &lnf_stats)?;
-        store.add_grad(self.lnf_g, &Tensor::from_vec(&[self.cfg.hidden], dg)?)?;
-        store.add_grad(self.lnf_b, &Tensor::from_vec(&[self.cfg.hidden], db)?)?;
-        drop(lnf_params);
-        self.release_all(store, &[self.lnf_g, self.lnf_b])?;
-        obs.module_event(Phase::PostBackward, "ln_f");
-
-        // Blocks in reverse.
-        for l in (0..nl).rev() {
-            let Some(state) = states.pop().expect("one state slot per block") else {
-                // Skipped block: gradient passes through unchanged.
-                continue;
-            };
-            let plan = &self.plans[1 + l];
-            obs.module_event(Phase::PreBackward, &plan.name);
-            self.hint(store, 1 + l, opts.prefetch_window, false);
-            let p = BlockParams::from_vec(self.fetch_all(store, &plan.own_params)?);
+    for (l, state) in fwd.blocks.into_iter().enumerate().rev() {
+        // A skipped block passes the gradient through unchanged.
+        let Some(state) = state else { continue };
+        dx = ctx.backward(1 + l, |p| {
             let saved = match state {
                 BlockState::Full(s) => *s,
                 // Activation checkpointing: fetch the checkpointed input
                 // back from the store (possibly CPU memory) and recompute
                 // the block's forward to rebuild intermediate activations
                 // (the 1/3 extra compute of Sec. 3).
-                BlockState::CkptKey(key) => {
-                    let xin = acts.load(key)?;
-                    block_forward(&bc, &p, &xin)?.1
-                }
+                BlockState::Checkpointed => math.forward(p, &acts.load(l)?)?.1,
             };
-            let (dxi, grads) = block_backward(&bc, &p, &saved, &dx)?;
-            drop(p);
-            for (id, g) in plan.own_params.iter().zip(&grads) {
-                store.add_grad(*id, g)?;
-            }
-            dx = dxi;
-            self.release_all(store, &plan.own_params)?;
-            obs.module_event(Phase::PostBackward, &plan.name);
-        }
-
-        // Embedding backward (second gradient deposit for the tied weight).
-        obs.module_event(Phase::PreBackward, "embed");
-        let (dwte, dwpe) = embedding_backward(&bc, self.cfg.vocab, tokens, &dx)?;
-        store.add_grad(self.wte, &dwte)?;
-        store.add_grad(self.wpe, &dwpe)?;
-        obs.module_event(Phase::PostBackward, "embed");
-
-        Ok(loss)
+            math.backward(p, &saved, &dx)
+        })?;
     }
+
+    // Second gradient deposit for the tied weight.
+    ctx.backward_unfetched(0, || {
+        let (dwte, dwpe) = embedding_backward(&bc, cfg.vocab, tokens, &dx)?;
+        Ok(vec![dwte, dwpe])
+    })?;
+    Ok(loss)
 }
 
 #[cfg(test)]
@@ -637,8 +582,9 @@ mod tests {
         let (tokens, targets) = data_for(&cfg, 1, 0);
         let mut rec = Recorder(Vec::new());
         model
-            .train_step_observed(
+            .train_step_full(
                 &mut store,
+                &mut InMemoryActStore::new(),
                 &tokens,
                 &targets,
                 &RunOptions::default(),
@@ -917,6 +863,71 @@ mod inference_tests {
     }
 
     #[test]
+    fn a_failed_module_releases_what_it_gathered() {
+        /// Counts outstanding fetches and can fail the `fail_at`-th one.
+        struct Residency {
+            inner: DenseStore,
+            gets: usize,
+            held: usize,
+            fail_at: Option<usize>,
+        }
+        impl ParamStore for Residency {
+            fn get(&mut self, id: ParamId) -> Result<Tensor> {
+                self.gets += 1;
+                if self.fail_at == Some(self.gets) {
+                    return Err(Error::Internal("injected gather failure".into()));
+                }
+                self.held += 1;
+                self.inner.get(id)
+            }
+            fn release(&mut self, id: ParamId) -> Result<()> {
+                self.held -= 1;
+                self.inner.release(id)
+            }
+            fn add_grad(&mut self, id: ParamId, grad: &Tensor) -> Result<()> {
+                self.inner.add_grad(id, grad)
+            }
+        }
+        let cfg = GptConfig::tiny();
+        let model = GptModel::new(cfg);
+        let good = vec![1usize; cfg.seq];
+        let fresh = model.forward_logits(&mut DenseStore::new(model.registry()), &good, 1).unwrap();
+        let mut store =
+            Residency { inner: DenseStore::new(model.registry()), gets: 0, held: 0, fail_at: None };
+
+        // The arithmetic fails after `wte` and `wpe` were gathered.
+        let mut bad = good.clone();
+        bad[2] = cfg.vocab;
+        assert!(model.forward_logits(&mut store, &bad, 1).is_err());
+        assert_eq!((store.gets, store.held), (2, 0), "embed's parameters stayed resident");
+
+        // The third gather of block0 fails after two succeeded.
+        (store.gets, store.fail_at) = (0, Some(2 + 3));
+        assert!(model.forward_logits(&mut store, &good, 1).is_err());
+        assert_eq!(store.held, 0, "block0's gathered parameters stayed resident");
+
+        store.fail_at = None;
+        let after = model.forward_logits(&mut store, &good, 1).unwrap();
+        assert_eq!(after.data(), fresh.data());
+        assert_eq!(store.held, 0);
+    }
+
+    #[test]
+    fn a_nan_logit_is_an_error_not_a_panic() {
+        let cfg = GptConfig::tiny();
+        let model = GptModel::new(cfg);
+        let mut store = DenseStore::new(model.registry());
+        let tokens = vec![1usize; cfg.seq];
+        let finite = model.predict_next(&mut store, &tokens).unwrap();
+        assert_eq!(finite.len(), cfg.seq);
+        // One non-finite weight, as an fp16 overflow would leave behind.
+        let wte = model.registry().find("wte").unwrap();
+        store.param_mut(wte).data_mut()[cfg.hidden + 1] = f32::NAN;
+        let err = model.predict_next(&mut store, &tokens).unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
+    }
+
+    #[test]
     fn inference_leaves_no_gradients() {
         let cfg = GptConfig::tiny();
         let model = GptModel::new(cfg);
@@ -926,5 +937,113 @@ mod inference_tests {
         for meta in model.registry().iter() {
             assert!(store.grad(meta.id).is_none(), "{}", meta.name);
         }
+    }
+}
+
+#[cfg(test)]
+mod protocol_pin {
+    use super::*;
+    use crate::param::DenseStore;
+
+    /// Ascending runs of `ids`, `.`-joined: `[2, 3, 4, 9]` is `2-4.9`.
+    fn runs(ids: &[usize]) -> String {
+        let mut out = String::new();
+        let mut i = 0;
+        while i < ids.len() {
+            let start = i;
+            while i + 1 < ids.len() && ids[i + 1] == ids[i] + 1 {
+                i += 1;
+            }
+            if !out.is_empty() {
+                out.push('.');
+            }
+            out += &ids[start].to_string();
+            if i > start {
+                out += &format!("-{}", ids[i]);
+            }
+            i += 1;
+        }
+        out
+    }
+
+    /// Records every `ParamStore` call, in order.
+    struct CallLog {
+        inner: DenseStore,
+        calls: Vec<(char, Vec<usize>)>,
+    }
+
+    impl CallLog {
+        fn push(&mut self, op: char, id: ParamId) {
+            match self.calls.last_mut() {
+                Some((last, ids)) if *last == op && op != 'h' => ids.push(id.0),
+                _ => self.calls.push((op, vec![id.0])),
+            }
+        }
+
+        /// `g` get, `r` release, `a` add_grad, `h` one hint; consecutive
+        /// calls of one kind share a token.
+        fn render(&self) -> String {
+            let tokens: Vec<String> =
+                self.calls.iter().map(|(op, ids)| format!("{op}{}", runs(ids))).collect();
+            tokens.join(" ")
+        }
+    }
+
+    impl ParamStore for CallLog {
+        fn get(&mut self, id: ParamId) -> Result<Tensor> {
+            self.push('g', id);
+            self.inner.get(id)
+        }
+        fn release(&mut self, id: ParamId) -> Result<()> {
+            self.push('r', id);
+            self.inner.release(id)
+        }
+        fn add_grad(&mut self, id: ParamId, grad: &Tensor) -> Result<()> {
+            self.push('a', id);
+            self.inner.add_grad(id, grad)
+        }
+        fn hint_upcoming(&mut self, ids: &[ParamId]) {
+            self.calls.push(('h', ids.iter().map(|id| id.0).collect()));
+        }
+    }
+
+    #[test]
+    fn store_call_sequence_is_pinned() {
+        let cfg = GptConfig::tiny();
+        let model = GptModel::new(cfg);
+        let tokens: Vec<usize> = (0..cfg.seq).map(|i| (i * 5 + 1) % cfg.vocab).collect();
+        let targets: Vec<usize> = tokens.iter().map(|&t| (t + 1) % cfg.vocab).collect();
+        let log = |run: &dyn Fn(&mut CallLog) -> Result<f32>| {
+            let mut store = CallLog { inner: DenseStore::new(model.registry()), calls: Vec::new() };
+            run(&mut store).unwrap();
+            store.render()
+        };
+        let full = |opts: RunOptions| {
+            log(&|store| {
+                let mut acts = InMemoryActStore::new();
+                model.train_step_full(store, &mut acts, &tokens, &targets, &opts, &mut NoopObserver)
+            })
+        };
+        // Recorded on the commit before the bracket existed. The same
+        // sequence means the same fetch, collective and prefetch counts
+        // and the same GPU peak on every store, by construction.
+        const FORWARD: &str = "h2-25 g0-1 r0-1 h14-27 g2-13 r2-13 h26-27.0 g14-25 r14-25 \
+                               h0 g26-27 r26-27 g0";
+        const BACKWARD: &str = "h26-27.14-25 a0 r0 h14-25.2-13 g26-27 a26-27 r26-27 \
+                                h2-13.0-1 g14-25 a14-25 r14-25 h0-1 g2-13 a2-13 r2-13 a0-1";
+        let plain = format!("{FORWARD} {BACKWARD}");
+        assert_eq!(full(RunOptions::default()), plain);
+        let ckpt = RunOptions { activation_checkpointing: true, ..Default::default() };
+        assert_eq!(full(ckpt), plain, "checkpointing recomputes inside the same bracket");
+        let skipped_block0 = log(&|store| {
+            let opts = RunOptions::default();
+            model.train_step_dynamic(store, &tokens, &targets, &opts, &[false, true])
+        });
+        assert_eq!(
+            skipped_block0,
+            "h2-25 g0-1 r0-1 h26-27.0 g14-25 r14-25 h0 g26-27 r26-27 g0 \
+             h26-27.14-25 a0 r0 h14-25.2-13 g26-27 a26-27 r26-27 \
+             h2-13.0-1 g14-25 a14-25 r14-25 a0-1"
+        );
     }
 }

@@ -1,9 +1,9 @@
 //! Transformer layers with hand-derived backward passes.
 //!
-//! Layers are pure functions over explicitly passed parameter tensors; the
-//! runner in [`crate::gpt`] fetches those tensors through the
-//! [`crate::param::ParamStore`] seam. Parameter/gradient vectors use a
-//! fixed documented order so the runner can zip them with `ParamId`s.
+//! Layers are pure functions over explicitly passed parameter tensors;
+//! [`crate::param::Bracket`] gathers those tensors for the runner in
+//! [`crate::gpt`]. Parameter/gradient vectors use a fixed documented
+//! order so the bracket can zip them with a module's `ParamId`s.
 
 use zi_tensor::{ops, simd, Tensor};
 use zi_types::{Error, Result};
@@ -299,99 +299,45 @@ pub fn mlp_backward(
 // Transformer block (pre-LN)
 // ---------------------------------------------------------------------------
 
-/// Number of parameter tensors per transformer block.
-pub const BLOCK_PARAM_COUNT: usize = 12;
-
-/// Fetched parameter tensors of one block, in canonical order.
-///
-/// Order: `ln1_g, ln1_b, qkv_w, qkv_b, proj_w, proj_b, ln2_g, ln2_b,
-/// fc1_w, fc1_b, fc2_w, fc2_b`.
-pub struct BlockParams {
-    /// First layer-norm gain.
-    pub ln1_g: Tensor,
-    /// First layer-norm bias.
-    pub ln1_b: Tensor,
-    /// Fused QKV weight `[3h, h]`.
-    pub qkv_w: Tensor,
-    /// Fused QKV bias.
-    pub qkv_b: Tensor,
-    /// Attention out-projection weight `[h, h]`.
-    pub proj_w: Tensor,
-    /// Attention out-projection bias.
-    pub proj_b: Tensor,
-    /// Second layer-norm gain.
-    pub ln2_g: Tensor,
-    /// Second layer-norm bias.
-    pub ln2_b: Tensor,
-    /// MLP expansion weight `[4h, h]`.
-    pub fc1_w: Tensor,
-    /// MLP expansion bias.
-    pub fc1_b: Tensor,
-    /// MLP contraction weight `[h, 4h]`.
-    pub fc2_w: Tensor,
-    /// MLP contraction bias.
-    pub fc2_b: Tensor,
+/// One block's gathered parameter tensors in canonical order — the order
+/// its module plan lists them and [`block_backward`] returns their
+/// gradients: `ln1_g, ln1_b, qkv_w [3h, h], qkv_b, proj_w [h, h], proj_b,
+/// ln2_g, ln2_b, fc1_w [4h, h], fc1_b, fc2_w [h, 4h], fc2_b`.
+fn block_params(params: &[Tensor]) -> Result<&[Tensor; 12]> {
+    params.try_into().map_err(|_| {
+        Error::shape(format!("a block takes 12 parameter tensors, got {}", params.len()))
+    })
 }
 
-impl BlockParams {
-    /// Build from tensors fetched in canonical order.
-    pub fn from_vec(mut v: Vec<Tensor>) -> Self {
-        assert_eq!(v.len(), BLOCK_PARAM_COUNT, "block expects 12 parameter tensors");
-        let fc2_b = v.pop().unwrap();
-        let fc2_w = v.pop().unwrap();
-        let fc1_b = v.pop().unwrap();
-        let fc1_w = v.pop().unwrap();
-        let ln2_b = v.pop().unwrap();
-        let ln2_g = v.pop().unwrap();
-        let proj_b = v.pop().unwrap();
-        let proj_w = v.pop().unwrap();
-        let qkv_b = v.pop().unwrap();
-        let qkv_w = v.pop().unwrap();
-        let ln1_b = v.pop().unwrap();
-        let ln1_g = v.pop().unwrap();
-        BlockParams {
-            ln1_g,
-            ln1_b,
-            qkv_w,
-            qkv_b,
-            proj_w,
-            proj_b,
-            ln2_g,
-            ln2_b,
-            fc1_w,
-            fc1_b,
-            fc2_w,
-            fc2_b,
-        }
-    }
-}
-
-/// Activations saved by a block forward pass.
+/// Activations saved by a block forward pass (the tensor-sliced block of
+/// [`crate::mp`] saves the same six).
 pub struct BlockSaved {
-    x: Tensor,
-    ln1_stats: ops::LayerNormStats,
-    attn: AttnSaved,
-    res1: Tensor,
-    ln2_stats: ops::LayerNormStats,
-    mlp: MlpSaved,
+    pub(crate) x: Tensor,
+    pub(crate) ln1_stats: ops::LayerNormStats,
+    pub(crate) attn: AttnSaved,
+    pub(crate) res1: Tensor,
+    pub(crate) ln2_stats: ops::LayerNormStats,
+    pub(crate) mlp: MlpSaved,
 }
 
 const LN_EPS: f32 = 1e-5;
 
 /// Pre-LN transformer block forward:
-/// `x + Attn(LN1(x))` then `+ MLP(LN2(·))`.
+/// `x + Attn(LN1(x))` then `+ MLP(LN2(·))`, over the block's twelve
+/// parameter tensors in canonical order.
 pub fn block_forward(
     cfg: &BlockConfig,
-    p: &BlockParams,
+    params: &[Tensor],
     x: &Tensor,
 ) -> Result<(Tensor, BlockSaved)> {
-    let (ln1_out, ln1_stats) = ops::layernorm(x, p.ln1_g.data(), p.ln1_b.data(), LN_EPS)?;
-    let (attn_out, attn_saved) =
-        attention_forward(cfg, &p.qkv_w, &p.qkv_b, &p.proj_w, &p.proj_b, &ln1_out)?;
+    let [ln1_g, ln1_b, qkv_w, qkv_b, proj_w, proj_b, ln2_g, ln2_b, fc1_w, fc1_b, fc2_w, fc2_b] =
+        block_params(params)?;
+    let (ln1_out, ln1_stats) = ops::layernorm(x, ln1_g.data(), ln1_b.data(), LN_EPS)?;
+    let (attn_out, attn_saved) = attention_forward(cfg, qkv_w, qkv_b, proj_w, proj_b, &ln1_out)?;
     let mut res1 = x.clone();
     res1.add_assign(&attn_out)?;
-    let (ln2_out, ln2_stats) = ops::layernorm(&res1, p.ln2_g.data(), p.ln2_b.data(), LN_EPS)?;
-    let (mlp_out, mlp_saved) = mlp_forward(&p.fc1_w, &p.fc1_b, &p.fc2_w, &p.fc2_b, &ln2_out)?;
+    let (ln2_out, ln2_stats) = ops::layernorm(&res1, ln2_g.data(), ln2_b.data(), LN_EPS)?;
+    let (mlp_out, mlp_saved) = mlp_forward(fc1_w, fc1_b, fc2_w, fc2_b, &ln2_out)?;
     let mut y = res1.clone();
     y.add_assign(&mlp_out)?;
     Ok((
@@ -403,22 +349,22 @@ pub fn block_forward(
 /// Block backward; returns `(dx, grads)` with grads in canonical order.
 pub fn block_backward(
     cfg: &BlockConfig,
-    p: &BlockParams,
+    params: &[Tensor],
     saved: &BlockSaved,
     dy: &Tensor,
 ) -> Result<(Tensor, Vec<Tensor>)> {
+    let [ln1_g, _, qkv_w, _, proj_w, _, ln2_g, _, fc1_w, _, fc2_w, _] = block_params(params)?;
     // y = res1 + mlp(ln2(res1))
-    let (dln2_out, mlp_grads) = mlp_backward(&p.fc1_w, &p.fc2_w, &saved.mlp, dy)?;
+    let (dln2_out, mlp_grads) = mlp_backward(fc1_w, fc2_w, &saved.mlp, dy)?;
     let (dres1_from_ln2, dln2_g, dln2_b) =
-        ops::layernorm_backward(&saved.res1, &dln2_out, p.ln2_g.data(), &saved.ln2_stats)?;
+        ops::layernorm_backward(&saved.res1, &dln2_out, ln2_g.data(), &saved.ln2_stats)?;
     let mut dres1 = dy.clone();
     dres1.add_assign(&dres1_from_ln2)?;
 
     // res1 = x + attn(ln1(x))
-    let (dln1_out, attn_grads) =
-        attention_backward(cfg, &p.qkv_w, &p.proj_w, &saved.attn, &dres1)?;
+    let (dln1_out, attn_grads) = attention_backward(cfg, qkv_w, proj_w, &saved.attn, &dres1)?;
     let (dx_from_ln1, dln1_g, dln1_b) =
-        ops::layernorm_backward(&saved.x, &dln1_out, p.ln1_g.data(), &saved.ln1_stats)?;
+        ops::layernorm_backward(&saved.x, &dln1_out, ln1_g.data(), &saved.ln1_stats)?;
     let mut dx = dres1.clone();
     dx.add_assign(&dx_from_ln1)?;
 
@@ -522,9 +468,9 @@ mod tests {
         Tensor::randn_seeded(shape, seed, 0.4)
     }
 
-    fn block_params(c: &BlockConfig, seed: u64) -> BlockParams {
+    fn seeded_block(c: &BlockConfig, seed: u64) -> Vec<Tensor> {
         let h = c.hidden;
-        BlockParams::from_vec(vec![
+        vec![
             Tensor::from_vec(&[h], vec![1.0; h]).unwrap(),
             Tensor::zeros(&[h]),
             seeded(&[3 * h, h], seed),
@@ -537,7 +483,7 @@ mod tests {
             seeded(&[4 * h], seed + 5),
             seeded(&[h, 4 * h], seed + 6),
             seeded(&[h], seed + 7),
-        ])
+        ]
     }
 
     #[test]
@@ -790,16 +736,19 @@ mod tests {
             model.plans()[module].own_params.iter().map(|&id| store.get(id).unwrap()).collect()
         };
         let embed = fetch(0);
-        let p = BlockParams::from_vec(fetch(1));
+        let block = fetch(1);
+        let [ln1_g, ln1_b, qkv_w, qkv_b, proj_w, proj_b, ..] = &block[..] else {
+            panic!("a block has twelve parameters");
+        };
         let c = BlockConfig { hidden: cfg.hidden, heads: cfg.heads, batch: 2, seq: cfg.seq };
         let tokens: Vec<usize> = (0..c.rows()).map(|i| (i * 7 + 1) % cfg.vocab).collect();
         let x = embedding_forward(&c, &embed[0], &embed[1], &tokens).unwrap();
-        let (ln1, _) = ops::layernorm(&x, p.ln1_g.data(), p.ln1_b.data(), LN_EPS).unwrap();
+        let (ln1, _) = ops::layernorm(&x, ln1_g.data(), ln1_b.data(), LN_EPS).unwrap();
 
         let (_, saved) =
-            attention_forward(&c, &p.qkv_w, &p.qkv_b, &p.proj_w, &p.proj_b, &ln1).unwrap();
+            attention_forward(&c, qkv_w, qkv_b, proj_w, proj_b, &ln1).unwrap();
         let dy = seeded(&[c.rows(), c.hidden], 90);
-        let (dcontext, _, _) = linear_backward(&p.proj_w, &saved.context, &dy).unwrap();
+        let (dcontext, _, _) = linear_backward(proj_w, &saved.context, &dy).unwrap();
         let dqkv = attention_heads_backward(&c, &saved.qkv, &saved.probs, &dcontext);
 
         let subnormals = |t: &Tensor| t.data().iter().filter(|v| v.is_subnormal()).count();
@@ -851,12 +800,13 @@ mod tests {
     #[test]
     fn block_backward_matches_finite_difference() {
         let c = cfg();
-        let p = block_params(&c, 40);
+        let p = seeded_block(&c, 40);
         let x = seeded(&[c.rows(), c.hidden], 50);
+        assert!(block_forward(&c, &p[1..], &x).is_err(), "11 tensors are not a block");
         let dy = seeded(&[c.rows(), c.hidden], 51);
         let (_, saved) = block_forward(&c, &p, &x).unwrap();
         let (dx, grads) = block_backward(&c, &p, &saved, &dy).unwrap();
-        assert_eq!(grads.len(), BLOCK_PARAM_COUNT);
+        assert_eq!(grads.len(), p.len());
 
         let loss = |x: &Tensor| -> f32 {
             let (y, _) = block_forward(&c, &p, x).unwrap();

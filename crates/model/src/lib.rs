@@ -8,18 +8,21 @@
 //! which a training engine interposes on every parameter access.
 //!
 //! The paper automates data movement by injecting pre/post forward and
-//! backward hooks into PyTorch submodules (Sec. 7.1). Here the runner
-//! brackets every module execution with `ParamStore::get` / `release`
-//! calls and announces upcoming modules via `ParamStore::hint_upcoming`,
-//! which is the same interposition point expressed Rust-natively: a naive
-//! dense store gives classic data-parallel behaviour, while the
+//! backward hooks into PyTorch submodules (Sec. 7.1). Here those hooks
+//! are one function, [`param::Bracket`]: a runner names a module of its
+//! plan and hands in the arithmetic, and the bracket announces upcoming
+//! modules (`ParamStore::hint_upcoming`), gathers the module's parameters
+//! (`get`), deposits its gradients (`add_grad`) and releases what it
+//! gathered (`release`) on every path. Model code never calls the store:
+//! a naive dense store gives classic data-parallel behaviour, while the
 //! ZeRO-Infinity engine in `zero-infinity` implements the same trait with
 //! partitioning, offload and prefetch.
 //!
 //! External parameters (Sec. 7.1.1) appear as the tied embedding/LM-head
 //! weight: the head module declares the embedding's parameter as
-//! *external*, and the runner gathers it for the head exactly as the
-//! paper's registration mechanism does.
+//! *external*, the bracket gathers it for the head exactly as the paper's
+//! registration mechanism does, and `Bracket::held` keeps it gathered
+//! from the head's forward through the loss to its backward.
 //!
 //! # Example
 //!
@@ -46,4 +49,4 @@ pub mod param;
 
 pub use gpt::{ActivationStore, GptConfig, GptModel, InMemoryActStore, NoopObserver, Phase, RunObserver, RunOptions};
 pub use mp::{MpGptModel, NoReduce, TensorReduce};
-pub use param::{DenseStore, InitKind, ModulePlan, ParamId, ParamMeta, ParamRegistry, ParamStore};
+pub use param::{Bracket, DenseStore, InitKind, ModulePlan, ParamId, ParamMeta, ParamRegistry, ParamStore};

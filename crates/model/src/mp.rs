@@ -25,12 +25,13 @@ use zi_tensor::ops;
 use zi_tensor::Tensor;
 use zi_types::{Error, Result};
 
-use crate::gpt::{GptConfig, RunOptions};
-use crate::layers::{
-    attention_backward, attention_forward, embedding_backward, embedding_forward,
-    lm_head_backward, lm_head_forward, mlp_backward, mlp_forward, BlockConfig,
+use crate::gpt::{
+    register_gpt, run_step, weight_scale, BlockMath, GptConfig, InMemoryActStore, NoopObserver, RunOptions,
 };
-use crate::param::{ModulePlan, ParamId, ParamRegistry, ParamStore};
+use crate::layers::{
+    attention_backward, attention_forward, mlp_backward, mlp_forward, BlockConfig, BlockSaved,
+};
+use crate::param::{Bracket, ModulePlan, ParamRegistry, ParamStore};
 
 /// Elementwise sum across the tensor-parallel group.
 ///
@@ -50,21 +51,12 @@ impl TensorReduce for NoReduce {
     }
 }
 
-/// Parameters per tensor-sliced block, in canonical order.
-const MP_BLOCK_PARAMS: usize = 16;
-
 /// A GPT whose blocks are tensor-sliced `mp` ways; this instance holds
 /// slice `mp_rank`.
 pub struct MpGptModel {
     cfg: GptConfig,
     mp: usize,
-    mp_rank: usize,
     registry: ParamRegistry,
-    wte: ParamId,
-    wpe: ParamId,
-    blocks: Vec<Vec<ParamId>>,
-    lnf_g: ParamId,
-    lnf_b: ParamId,
     plans: Vec<ModulePlan>,
 }
 
@@ -87,22 +79,13 @@ impl MpGptModel {
         if !cfg.hidden.is_multiple_of(cfg.heads) {
             return Err(Error::InvalidArgument("hidden must divide by heads".into()));
         }
-        let h = cfg.hidden;
-        let hl = h / mp;
-        let base = cfg.seed;
-        let w_scale = 0.3 / (h as f32).sqrt();
-        let mut reg = ParamRegistry::new();
-
-        let wte = reg.register("wte", &[cfg.vocab, h], base, w_scale, 0.0);
-        let wpe = reg.register("wpe", &[cfg.seq, h], base + 1, w_scale, 0.0);
-
-        let mut blocks = Vec::with_capacity(cfg.layers);
-        for l in 0..cfg.layers {
-            let s = base + 100 * (l as u64 + 1);
+        let (h, hl, w_scale) = (cfg.hidden, cfg.hidden / mp, weight_scale(&cfg));
+        let (registry, plans) = register_gpt(&cfg, |reg, l| {
+            let s = cfg.seed + 100 * (l as u64 + 1);
             let pre = format!("block{l}");
             let r0 = mp_rank * hl;
             let f0 = mp_rank * 4 * hl;
-            let ids = vec![
+            vec![
                 reg.register(format!("{pre}.ln1.gamma"), &[h], 0, 0.0, 1.0),
                 reg.register(format!("{pre}.ln1.beta"), &[h], 0, 0.0, 0.0),
                 // Column-parallel fused QKV, registered as q/k/v row
@@ -159,33 +142,9 @@ impl MpGptModel {
                     w_scale,
                 ),
                 reg.register(format!("{pre}.mlp.fc2.bias"), &[h], 0, 0.0, 0.0),
-            ];
-            blocks.push(ids);
-        }
-        let lnf_g = reg.register("ln_f.gamma", &[h], 0, 0.0, 1.0);
-        let lnf_b = reg.register("ln_f.beta", &[h], 0, 0.0, 0.0);
-
-        let mut plans = Vec::new();
-        plans.push(ModulePlan {
-            name: "embed".into(),
-            own_params: vec![wte, wpe],
-            external_params: vec![],
+            ]
         });
-        for (l, ids) in blocks.iter().enumerate() {
-            plans.push(ModulePlan {
-                name: format!("block{l}"),
-                own_params: ids.clone(),
-                external_params: vec![],
-            });
-        }
-        plans.push(ModulePlan {
-            name: "ln_f".into(),
-            own_params: vec![lnf_g, lnf_b],
-            external_params: vec![],
-        });
-        plans.push(ModulePlan { name: "head".into(), own_params: vec![], external_params: vec![wte] });
-
-        Ok(MpGptModel { cfg, mp, mp_rank, registry: reg, wte, wpe, blocks, lnf_g, lnf_b, plans })
+        Ok(MpGptModel { cfg, mp, registry, plans })
     }
 
     /// Parameter registry of this slice.
@@ -196,36 +155,6 @@ impl MpGptModel {
     /// Module plans (fetch units) of this slice.
     pub fn plans(&self) -> &[ModulePlan] {
         &self.plans
-    }
-
-    /// Tensor-parallel degree.
-    pub fn mp(&self) -> usize {
-        self.mp
-    }
-
-    /// This instance's tensor-parallel rank.
-    pub fn mp_rank(&self) -> usize {
-        self.mp_rank
-    }
-
-    fn local_cfg(&self, batch: usize) -> BlockConfig {
-        BlockConfig {
-            hidden: self.cfg.hidden / self.mp,
-            heads: self.cfg.heads / self.mp,
-            batch,
-            seq: self.cfg.seq,
-        }
-    }
-
-    fn fetch_all(&self, store: &mut dyn ParamStore, ids: &[ParamId]) -> Result<Vec<Tensor>> {
-        ids.iter().map(|&id| store.get(id)).collect()
-    }
-
-    fn release_all(&self, store: &mut dyn ParamStore, ids: &[ParamId]) -> Result<()> {
-        for &id in ids {
-            store.release(id)?;
-        }
-        Ok(())
     }
 
     /// One forward+backward pass with tensor-parallel reductions through
@@ -244,207 +173,142 @@ impl MpGptModel {
                 "activation checkpointing is not supported by the mp runner".into(),
             ));
         }
-        let bc_full = BlockConfig {
-            hidden: self.cfg.hidden,
-            heads: self.cfg.heads,
-            batch: opts.batch,
-            seq: self.cfg.seq,
+        let (h, heads) = (self.cfg.hidden, self.cfg.heads);
+        let block = SlicedBlock {
+            lc: BlockConfig {
+                hidden: h / self.mp,
+                heads: heads / self.mp,
+                batch: opts.batch,
+                seq: self.cfg.seq,
+            },
+            hidden: h,
+            reduce,
+            zero_bias: Tensor::zeros(&[h]),
         };
-        if tokens.len() != bc_full.rows() || targets.len() != bc_full.rows() {
-            return Err(Error::shape("mp train_step: token/target count mismatch"));
-        }
-        let lc = self.local_cfg(opts.batch);
-        let h = self.cfg.hidden;
-        let hl = h / self.mp;
-        let nl = self.blocks.len();
-
-        // ------------------------------------------------------- forward
-        let embed = self.fetch_all(store, &[self.wte, self.wpe])?;
-        let mut x = embedding_forward(&bc_full, &embed[0], &embed[1], tokens)?;
-        drop(embed);
-        self.release_all(store, &[self.wte, self.wpe])?;
-
-        struct MpBlockSaved {
-            x: Tensor,
-            ln1_stats: ops::LayerNormStats,
-            attn: crate::layers::AttnSaved,
-            res1: Tensor,
-            ln2_stats: ops::LayerNormStats,
-            mlp: crate::layers::MlpSaved,
-        }
-        let mut saved_blocks = Vec::with_capacity(nl);
-        let zero_bias_h = Tensor::zeros(&[h]);
-        for ids in &self.blocks {
-            let p = self.fetch_all(store, ids)?;
-            // Canonical order: see `MpGptModel::new`.
-            let (ln1_g, ln1_b) = (&p[0], &p[1]);
-            let qkv_w = stack_rows(&[&p[2], &p[4], &p[6]])?;
-            let qkv_b = stack_vecs(&[&p[3], &p[5], &p[7]])?;
-            let (proj_w, proj_b) = (&p[8], &p[9]);
-            let (ln2_g, ln2_b) = (&p[10], &p[11]);
-            let (fc1_w, fc1_b) = (&p[12], &p[13]);
-            let (fc2_w, fc2_b) = (&p[14], &p[15]);
-
-            let (ln1_out, ln1_stats) = ops::layernorm(&x, ln1_g.data(), ln1_b.data(), 1e-5)?;
-            // Column-parallel attention over local heads; the out-proj
-            // bias is added *after* the group sum, so pass zeros inside.
-            let (mut attn_part, attn_saved) =
-                attention_forward(&lc, &qkv_w, &qkv_b, proj_w, &zero_bias_h, &ln1_out)?;
-            reduce.allreduce_tensor(&mut attn_part)?;
-            ops::add_bias(&mut attn_part, proj_b.data())?;
-            let mut res1 = x.clone();
-            res1.add_assign(&attn_part)?;
-
-            let (ln2_out, ln2_stats) = ops::layernorm(&res1, ln2_g.data(), ln2_b.data(), 1e-5)?;
-            let (mut mlp_part, mlp_saved) =
-                mlp_forward(fc1_w, fc1_b, fc2_w, &zero_bias_h, &ln2_out)?;
-            reduce.allreduce_tensor(&mut mlp_part)?;
-            ops::add_bias(&mut mlp_part, fc2_b.data())?;
-            let mut y = res1.clone();
-            y.add_assign(&mlp_part)?;
-
-            saved_blocks.push(MpBlockSaved {
-                x,
-                ln1_stats,
-                attn: attn_saved,
-                res1,
-                ln2_stats,
-                mlp: mlp_saved,
-            });
-            x = y;
-            self.release_all(store, ids)?;
-        }
-
-        let lnf = self.fetch_all(store, &[self.lnf_g, self.lnf_b])?;
-        let lnf_input = x;
-        let (hstates, lnf_stats) =
-            ops::layernorm(&lnf_input, lnf[0].data(), lnf[1].data(), 1e-5)?;
-        self.release_all(store, &[self.lnf_g, self.lnf_b])?;
-
-        let wte = store.get(self.wte)?;
-        let logits = lm_head_forward(&wte, &hstates)?;
-        store.release(self.wte)?;
-        let (loss, dlogits) = ops::cross_entropy(&logits, targets)?;
-
-        // ------------------------------------------------------ backward
-        let wte = store.get(self.wte)?;
-        let (dh_states, dwte_head) = lm_head_backward(&wte, &hstates, &dlogits)?;
-        store.add_grad(self.wte, &dwte_head)?;
-        store.release(self.wte)?;
-
-        let lnf = self.fetch_all(store, &[self.lnf_g, self.lnf_b])?;
-        let (mut dx, dg, db) =
-            ops::layernorm_backward(&lnf_input, &dh_states, lnf[0].data(), &lnf_stats)?;
-        store.add_grad(self.lnf_g, &Tensor::from_vec(&[h], dg)?)?;
-        store.add_grad(self.lnf_b, &Tensor::from_vec(&[h], db)?)?;
-        self.release_all(store, &[self.lnf_g, self.lnf_b])?;
-
-        for (ids, sv) in self.blocks.iter().zip(saved_blocks.iter()).rev() {
-            let p = self.fetch_all(store, ids)?;
-            let qkv_w = stack_rows(&[&p[2], &p[4], &p[6]])?;
-            let proj_w = &p[8];
-            let (fc1_w, fc2_w) = (&p[12], &p[14]);
-            let (ln1_g, ln2_g) = (&p[0], &p[10]);
-
-            // y = res1 + reduce(mlp_part) + fc2_b
-            let (dln2_part, mlp_grads) = mlp_backward(fc1_w, fc2_w, &sv.mlp, &dx)?;
-            let mut dln2_out = dln2_part;
-            reduce.allreduce_tensor(&mut dln2_out)?;
-            let (dres1_from_ln2, dln2_g, dln2_b) =
-                ops::layernorm_backward(&sv.res1, &dln2_out, ln2_g.data(), &sv.ln2_stats)?;
-            let mut dres1 = dx.clone();
-            dres1.add_assign(&dres1_from_ln2)?;
-
-            let (dln1_part, attn_grads) =
-                attention_backward(&lc, &qkv_w, proj_w, &sv.attn, &dres1)?;
-            let mut dln1_out = dln1_part;
-            reduce.allreduce_tensor(&mut dln1_out)?;
-            let (dx_from_ln1, dln1_g, dln1_b) =
-                ops::layernorm_backward(&sv.x, &dln1_out, ln1_g.data(), &sv.ln1_stats)?;
-            let mut dxi = dres1.clone();
-            dxi.add_assign(&dx_from_ln1)?;
-            dx = dxi;
-
-            // Split the fused local QKV gradients back into q/k/v slices.
-            let (dq_w, dk_w, dv_w) = split_rows3(&attn_grads.qkv_w, hl)?;
-            let (dq_b, dk_b, dv_b) = split_vec3(&attn_grads.qkv_b, hl)?;
-            let grads: Vec<Tensor> = vec![
-                Tensor::from_vec(&[h], dln1_g)?,
-                Tensor::from_vec(&[h], dln1_b)?,
-                dq_w,
-                dq_b,
-                dk_w,
-                dk_b,
-                dv_w,
-                dv_b,
-                attn_grads.proj_w,
-                attn_grads.proj_b,
-                Tensor::from_vec(&[h], dln2_g)?,
-                Tensor::from_vec(&[h], dln2_b)?,
-                mlp_grads.fc1_w,
-                mlp_grads.fc1_b,
-                mlp_grads.fc2_w,
-                mlp_grads.fc2_b,
-            ];
-            debug_assert_eq!(grads.len(), MP_BLOCK_PARAMS);
-            for (id, g) in ids.iter().zip(&grads) {
-                store.add_grad(*id, g)?;
-            }
-            self.release_all(store, ids)?;
-        }
-
-        let (dwte, dwpe) = embedding_backward(&bc_full, self.cfg.vocab, tokens, &dx)?;
-        store.add_grad(self.wte, &dwte)?;
-        store.add_grad(self.wpe, &dwpe)?;
-        Ok(loss)
+        let (mut obs, mut acts) = (NoopObserver, InMemoryActStore::new());
+        let mut ctx = Bracket::new(store, &mut obs, &self.plans, opts.prefetch_window);
+        let active = vec![true; self.cfg.layers];
+        run_step(&self.cfg, &mut ctx, &mut acts, tokens, targets, opts, &active, &block)
     }
 }
 
-/// Vertically stack `[rows_i, cols]` matrices sharing a column count.
-fn stack_rows(parts: &[&Tensor]) -> Result<Tensor> {
-    let cols = parts[0].shape()[1];
-    let mut data = Vec::new();
-    let mut rows = 0;
-    for p in parts {
-        if p.shape()[1] != cols {
-            return Err(Error::shape("stack_rows: column mismatch"));
-        }
-        rows += p.shape()[0];
-        data.extend_from_slice(p.data());
+/// One rank's slice of a block. Parameter order: see `MpGptModel::new`.
+struct SlicedBlock<'a> {
+    /// Local heads and local hidden width.
+    lc: BlockConfig,
+    /// Full hidden width.
+    hidden: usize,
+    reduce: &'a dyn TensorReduce,
+    /// The bias of a row-parallel layer is added *after* the group sum,
+    /// so the layer itself runs with zeros.
+    zero_bias: Tensor,
+}
+
+impl BlockMath for SlicedBlock<'_> {
+    fn forward(&self, p: &[Tensor], x: &Tensor) -> Result<(Tensor, BlockSaved)> {
+        let (ln1_g, ln1_b) = (&p[0], &p[1]);
+        let qkv_w = stack(&[&p[2], &p[4], &p[6]])?;
+        let qkv_b = stack(&[&p[3], &p[5], &p[7]])?;
+        let (proj_w, proj_b) = (&p[8], &p[9]);
+        let (ln2_g, ln2_b) = (&p[10], &p[11]);
+        let (fc1_w, fc1_b) = (&p[12], &p[13]);
+        let (fc2_w, fc2_b) = (&p[14], &p[15]);
+
+        let (ln1_out, ln1_stats) = ops::layernorm(x, ln1_g.data(), ln1_b.data(), 1e-5)?;
+        // Column-parallel attention over local heads.
+        let (mut attn_part, attn) =
+            attention_forward(&self.lc, &qkv_w, &qkv_b, proj_w, &self.zero_bias, &ln1_out)?;
+        self.reduce.allreduce_tensor(&mut attn_part)?;
+        ops::add_bias(&mut attn_part, proj_b.data())?;
+        let mut res1 = x.clone();
+        res1.add_assign(&attn_part)?;
+
+        let (ln2_out, ln2_stats) = ops::layernorm(&res1, ln2_g.data(), ln2_b.data(), 1e-5)?;
+        let (mut mlp_part, mlp) = mlp_forward(fc1_w, fc1_b, fc2_w, &self.zero_bias, &ln2_out)?;
+        self.reduce.allreduce_tensor(&mut mlp_part)?;
+        ops::add_bias(&mut mlp_part, fc2_b.data())?;
+        let mut y = res1.clone();
+        y.add_assign(&mlp_part)?;
+        Ok((y, BlockSaved { x: x.clone(), ln1_stats, attn, res1, ln2_stats, mlp }))
     }
-    Tensor::from_vec(&[rows, cols], data)
-}
 
-/// Concatenate vectors.
-fn stack_vecs(parts: &[&Tensor]) -> Result<Tensor> {
-    let mut data = Vec::new();
-    for p in parts {
-        data.extend_from_slice(p.data());
+    fn backward(
+        &self,
+        p: &[Tensor],
+        sv: &BlockSaved,
+        dy: &Tensor,
+    ) -> Result<(Tensor, Vec<Tensor>)> {
+        let qkv_w = stack(&[&p[2], &p[4], &p[6]])?;
+        let proj_w = &p[8];
+        let (fc1_w, fc2_w) = (&p[12], &p[14]);
+        let (ln1_g, ln2_g) = (&p[0], &p[10]);
+
+        // y = res1 + reduce(mlp_part) + fc2_b
+        let (mut dln2_out, mlp_grads) = mlp_backward(fc1_w, fc2_w, &sv.mlp, dy)?;
+        self.reduce.allreduce_tensor(&mut dln2_out)?;
+        let (dres1_from_ln2, dln2_g, dln2_b) =
+            ops::layernorm_backward(&sv.res1, &dln2_out, ln2_g.data(), &sv.ln2_stats)?;
+        let mut dres1 = dy.clone();
+        dres1.add_assign(&dres1_from_ln2)?;
+
+        let (mut dln1_out, attn_grads) =
+            attention_backward(&self.lc, &qkv_w, proj_w, &sv.attn, &dres1)?;
+        self.reduce.allreduce_tensor(&mut dln1_out)?;
+        let (dx_from_ln1, dln1_g, dln1_b) =
+            ops::layernorm_backward(&sv.x, &dln1_out, ln1_g.data(), &sv.ln1_stats)?;
+        let mut dx = dres1.clone();
+        dx.add_assign(&dx_from_ln1)?;
+
+        // Split the fused local QKV gradients back into q/k/v slices.
+        let [dq_w, dk_w, dv_w] = split3(&attn_grads.qkv_w, self.lc.hidden)?;
+        let [dq_b, dk_b, dv_b] = split3(&attn_grads.qkv_b, self.lc.hidden)?;
+        let grads = vec![
+            Tensor::from_vec(&[self.hidden], dln1_g)?,
+            Tensor::from_vec(&[self.hidden], dln1_b)?,
+            dq_w,
+            dq_b,
+            dk_w,
+            dk_b,
+            dv_w,
+            dv_b,
+            attn_grads.proj_w,
+            attn_grads.proj_b,
+            Tensor::from_vec(&[self.hidden], dln2_g)?,
+            Tensor::from_vec(&[self.hidden], dln2_b)?,
+            mlp_grads.fc1_w,
+            mlp_grads.fc1_b,
+            mlp_grads.fc2_w,
+            mlp_grads.fc2_b,
+        ];
+        Ok((dx, grads))
     }
-    let n = data.len();
-    Tensor::from_vec(&[n], data)
 }
 
-/// Split a `[3*hl, cols]` matrix into three `[hl, cols]` parts.
-fn split_rows3(t: &Tensor, hl: usize) -> Result<(Tensor, Tensor, Tensor)> {
-    let cols = t.shape()[1];
-    let take = |i: usize| {
-        Tensor::from_vec(&[hl, cols], t.data()[i * hl * cols..(i + 1) * hl * cols].to_vec())
-    };
-    Ok((take(0)?, take(1)?, take(2)?))
+/// Concatenate along the first dimension: `[rows_i, cols]` matrices
+/// sharing a column count, or vectors.
+fn stack(parts: &[&Tensor]) -> Result<Tensor> {
+    let mut shape = parts[0].shape().to_vec();
+    if parts.iter().any(|p| p.shape()[1..] != shape[1..]) {
+        return Err(Error::shape("stack: trailing dimensions differ"));
+    }
+    shape[0] = parts.iter().map(|p| p.shape()[0]).sum();
+    Tensor::from_vec(&shape, parts.iter().flat_map(|p| p.data()).copied().collect())
 }
 
-/// Split a `[3*hl]` vector into three `[hl]` parts.
-fn split_vec3(t: &Tensor, hl: usize) -> Result<(Tensor, Tensor, Tensor)> {
-    let take = |i: usize| Tensor::from_vec(&[hl], t.data()[i * hl..(i + 1) * hl].to_vec());
-    Ok((take(0)?, take(1)?, take(2)?))
+/// Split a `[3*hl, ..]` matrix or vector into its three `[hl, ..]` parts.
+fn split3(t: &Tensor, hl: usize) -> Result<[Tensor; 3]> {
+    let mut shape = t.shape().to_vec();
+    shape[0] = hl;
+    let len: usize = shape.iter().product();
+    let take = |i: usize| Tensor::from_vec(&shape, t.data()[i * len..(i + 1) * len].to_vec());
+    Ok([take(0)?, take(1)?, take(2)?])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gpt::GptModel;
-    use crate::param::DenseStore;
+    use crate::param::{DenseStore, ParamId};
     use std::cell::RefCell;
 
     /// In-process reduction across a slice set executed sequentially:
@@ -463,6 +327,10 @@ mod tests {
             Ok(())
         }
     }
+
+    /// `MpGptModel` at `mp = 1`, seed 9, batch 2 of [`data`]: the loss of
+    /// its first step.
+    const MP1_LOSS_BITS: u32 = 0x4038_15e6;
 
     fn data(cfg: &GptConfig, batch: usize) -> (Vec<usize>, Vec<usize>) {
         let rows = batch * cfg.seq;
@@ -484,6 +352,8 @@ mod tests {
         let mut s2 = DenseStore::new(sliced.registry());
         let l2 = sliced.train_step(&mut s2, &NoReduce, &tokens, &targets, &opts).unwrap();
         assert!((l1 - l2).abs() < 1e-6, "{l1} vs {l2}");
+        // The loss of this step before the runner went through the bracket.
+        assert_eq!(l2.to_bits(), MP1_LOSS_BITS, "the bracket must not change the math");
 
         // Parameter-level gradient check: the fused qkv grad of the dense
         // model must equal the stacked q/k/v grads of the mp=1 model.
@@ -491,10 +361,65 @@ mod tests {
         let q = s2.grad(sliced.registry().find("block0.attn.q.weight").unwrap()).unwrap();
         let k = s2.grad(sliced.registry().find("block0.attn.k.weight").unwrap()).unwrap();
         let v = s2.grad(sliced.registry().find("block0.attn.v.weight").unwrap()).unwrap();
-        let stacked = stack_rows(&[q, k, v]).unwrap();
+        let stacked = stack(&[q, k, v]).unwrap();
         for (a, b) in dense_qkv.data().iter().zip(stacked.data()) {
             assert!((a - b).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn tied_weight_is_fetched_twice_held_across_the_loss_and_hinted() {
+        // As `GptModel`: one `wte` fetch for the embedding, one for the
+        // head, kept from its forward through the loss to its backward;
+        // and the same hints, so a prefetching store sees this runner too.
+        struct FetchCounter {
+            inner: DenseStore,
+            wte: ParamId,
+            gets: usize,
+            held: usize,
+            max_held: usize,
+            hints: Vec<Vec<ParamId>>,
+        }
+        impl ParamStore for FetchCounter {
+            fn get(&mut self, id: ParamId) -> Result<Tensor> {
+                if id == self.wte {
+                    self.gets += 1;
+                    self.held += 1;
+                    self.max_held = self.max_held.max(self.held);
+                }
+                self.inner.get(id)
+            }
+            fn release(&mut self, id: ParamId) -> Result<()> {
+                if id == self.wte {
+                    self.held -= 1;
+                }
+                self.inner.release(id)
+            }
+            fn add_grad(&mut self, id: ParamId, grad: &Tensor) -> Result<()> {
+                self.inner.add_grad(id, grad)
+            }
+            fn hint_upcoming(&mut self, ids: &[ParamId]) {
+                self.hints.push(ids.to_vec());
+            }
+        }
+        let cfg = GptConfig { vocab: 16, hidden: 8, layers: 2, heads: 2, seq: 4, seed: 9 };
+        let sliced = MpGptModel::new(cfg, 0, 1).unwrap();
+        let (tokens, targets) = data(&cfg, 2);
+        let opts = RunOptions { batch: 2, prefetch_window: 1, ..Default::default() };
+        let mut store = FetchCounter {
+            inner: DenseStore::new(sliced.registry()),
+            wte: sliced.registry().find("wte").unwrap(),
+            gets: 0,
+            held: 0,
+            max_held: 0,
+            hints: Vec::new(),
+        };
+        let loss = sliced.train_step(&mut store, &NoReduce, &tokens, &targets, &opts).unwrap();
+        assert_eq!(store.gets, 2, "wte: one fetch for the embedding, one for the head");
+        assert_eq!((store.held, store.max_held), (0, 1), "every fetch released, never nested");
+        assert_eq!(loss.to_bits(), MP1_LOSS_BITS, "neither holding nor hinting changes the math");
+        assert_eq!(store.hints[0], sliced.plans()[1].all_params(), "embed announces block0");
+        assert!(store.hints.len() > sliced.plans().len(), "hints in the backward pass too");
     }
 
     #[test]

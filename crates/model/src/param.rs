@@ -1,7 +1,9 @@
 //! Parameter metadata, registry, and the store seam the engine plugs into.
 
 use zi_tensor::Tensor;
-use zi_types::Result;
+use zi_types::{Error, Result};
+
+use crate::gpt::{Phase, RunObserver};
 
 /// Index of a parameter within a [`ParamRegistry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -248,9 +250,11 @@ pub struct ModulePlan {
 impl ModulePlan {
     /// All parameters this module needs resident, own + external.
     pub fn all_params(&self) -> Vec<ParamId> {
-        let mut v = self.own_params.clone();
-        v.extend_from_slice(&self.external_params);
-        v
+        self.ids().collect()
+    }
+
+    fn ids(&self) -> impl Iterator<Item = ParamId> + '_ {
+        self.own_params.iter().chain(&self.external_params).copied()
     }
 }
 
@@ -262,6 +266,10 @@ impl ModulePlan {
 /// keeps everything resident; the ZeRO-Infinity engine gathers from
 /// partitions/offload on `get`, re-partitions on `release`, and
 /// reduce-scatters + offloads on `add_grad`.
+///
+/// Stores implement this trait; model code does not call it. Every
+/// runner reaches a store through a [`Bracket`], which is the one place
+/// that pairs each `get` with its `release` on every path.
 pub trait ParamStore {
     /// Gather and return the full parameter tensor.
     fn get(&mut self, id: ParamId) -> Result<Tensor>;
@@ -282,6 +290,152 @@ pub trait ParamStore {
     /// depending on a concrete store type.
     fn tracer(&self) -> Option<&zi_trace::Tracer> {
         None
+    }
+}
+
+/// The paper's four hooks (Sec. 7.1), written once. A runner names a
+/// module of its plan and hands in the arithmetic; the bracket does the
+/// rest: *observe → hint → gather own + external parameters → compute →
+/// deposit gradients → drop the handles → release → observe*. Three
+/// things every runner used to keep by convention hold here by
+/// construction:
+///
+/// * the handles are dropped before the release, so the store holds the
+///   only one and can recycle the gathered storage;
+/// * what was gathered is released on the error path too, whether a
+///   later `get` or the arithmetic failed;
+/// * a parameter stays gathered across modules only inside
+///   [`Bracket::held`], which is how an external parameter (Sec. 7.1.1)
+///   is kept from its user's forward to its backward.
+pub struct Bracket<'a> {
+    store: &'a mut dyn ParamStore,
+    obs: &'a mut dyn RunObserver,
+    plans: &'a [ModulePlan],
+    window: usize,
+    /// Gathered parameters by module index, innermost last.
+    resident: Vec<(usize, Vec<Tensor>)>,
+}
+
+impl<'a> Bracket<'a> {
+    /// Bracket the modules of `plans` (in forward order) over `store`,
+    /// announcing `window` future modules before each one.
+    pub fn new(
+        store: &'a mut dyn ParamStore,
+        obs: &'a mut dyn RunObserver,
+        plans: &'a [ModulePlan],
+        window: usize,
+    ) -> Self {
+        Bracket { store, obs, plans, window, resident: Vec::new() }
+    }
+
+    /// One module's forward: `compute` sees its parameters, own then
+    /// external, in plan order.
+    pub fn forward<T>(
+        &mut self,
+        module: usize,
+        compute: impl FnOnce(&[Tensor]) -> Result<T>,
+    ) -> Result<T> {
+        self.run(module, Phase::PreForward, true, |p| Ok((compute(p)?, Vec::new())))
+    }
+
+    /// One module's backward: `compute` returns its result (the input
+    /// gradient) and one parameter gradient per parameter, in plan order;
+    /// they are deposited before the parameters are released.
+    pub fn backward<T>(
+        &mut self,
+        module: usize,
+        compute: impl FnOnce(&[Tensor]) -> Result<(T, Vec<Tensor>)>,
+    ) -> Result<T> {
+        self.run(module, Phase::PreBackward, true, compute)
+    }
+
+    /// Backward of a module whose gradients need no parameter value (an
+    /// embedding's scatter-add, a bias's column sums): hooks and deposit,
+    /// nothing gathered.
+    pub fn backward_unfetched(
+        &mut self,
+        module: usize,
+        compute: impl FnOnce() -> Result<Vec<Tensor>>,
+    ) -> Result<()> {
+        self.run(module, Phase::PreBackward, false, |_| Ok(((), compute()?)))
+    }
+
+    /// Keep `module`'s parameters gathered for the whole of `body`: its
+    /// own [`Bracket::forward`] / [`Bracket::backward`] inside find them
+    /// resident and gather nothing.
+    pub fn held<T>(
+        &mut self,
+        module: usize,
+        body: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Result<T> {
+        let plan = self.plan(module)?;
+        let mut params = Vec::with_capacity(plan.ids().count());
+        let gathered =
+            plan.ids().try_for_each(|id| self.store.get(id).map(|t| params.push(t)));
+        let fetched = params.len();
+        self.resident.push((module, params));
+        let mut out = gathered.and_then(|()| body(self));
+        self.resident.pop();
+        for id in plan.ids().take(fetched) {
+            let released = self.store.release(id);
+            if out.is_ok() {
+                out = released.and(out);
+            }
+        }
+        out
+    }
+
+    fn plan(&self, module: usize) -> Result<&'a ModulePlan> {
+        self.plans.get(module).ok_or_else(|| {
+            Error::InvalidArgument(format!("module {module} of a {}-module plan", self.plans.len()))
+        })
+    }
+
+    fn run<T>(
+        &mut self,
+        module: usize,
+        pre: Phase,
+        gather: bool,
+        compute: impl FnOnce(&[Tensor]) -> Result<(T, Vec<Tensor>)>,
+    ) -> Result<T> {
+        let plan = self.plan(module)?;
+        let forward = pre == Phase::PreForward;
+        self.obs.module_event(pre, &plan.name);
+        self.hint(module, forward);
+        let body = |ctx: &mut Self| {
+            let held = ctx.resident.iter().rfind(|(m, _)| *m == module);
+            let (out, grads) = compute(held.map_or(&[][..], |(_, params)| &params[..]))?;
+            let want = if forward { 0 } else { plan.ids().count() };
+            if grads.len() != want {
+                let got = grads.len();
+                return Err(Error::shape(format!("{}: {got} gradients, {want} due", plan.name)));
+            }
+            for (id, grad) in plan.ids().zip(&grads) {
+                ctx.store.add_grad(id, grad)?;
+            }
+            Ok(out)
+        };
+        let out = if gather && !self.resident.iter().any(|(m, _)| *m == module) {
+            self.held(module, body)
+        } else {
+            body(self)
+        }?;
+        let post = if forward { Phase::PostForward } else { Phase::PostBackward };
+        self.obs.module_event(post, &plan.name);
+        Ok(out)
+    }
+
+    /// Announce the next `window` modules in the direction of travel.
+    fn hint(&mut self, module: usize, forward: bool) {
+        let (before, after) = self.plans.split_at(module);
+        let upcoming: Vec<ParamId> = if forward {
+            after.iter().skip(1).take(self.window).flat_map(ModulePlan::ids).collect()
+        } else {
+            before.iter().rev().take(self.window).flat_map(ModulePlan::ids).collect()
+        };
+        if !upcoming.is_empty() {
+            self.store.hint_upcoming(&upcoming);
+        }
     }
 }
 
@@ -332,16 +486,6 @@ impl DenseStore {
                 }
             }
         }
-    }
-
-    /// Number of parameters.
-    pub fn len(&self) -> usize {
-        self.params.len()
-    }
-
-    /// True when the store holds no parameters.
-    pub fn is_empty(&self) -> bool {
-        self.params.is_empty()
     }
 }
 

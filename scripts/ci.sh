@@ -94,7 +94,11 @@ timeout --kill-after=10s 120s \
 # built on them keep full coverage on AVX2 machines), then with two pool
 # workers (under test the pool defaults to one thread, so the GEMM
 # row-range split and the claim/completion path run only when forced).
+# The mp / pp / tiling runners of zi-core go through the same module
+# bracket as zi-model's, so their unit suites ride along.
 ZI_SIMD=scalar cargo test -q -p zi-tensor -p zi-optim -p zi-model \
+    && ZI_SIMD=scalar cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: \
     || { echo "scalar-forced unit suites failed"; exit 1; }
 ZI_KERNEL_THREADS=2 cargo test -q -p zi-tensor -p zi-optim -p zi-model \
+    && ZI_KERNEL_THREADS=2 cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: \
     || { echo "parallel-pool unit suites failed"; exit 1; }

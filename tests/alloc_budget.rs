@@ -12,9 +12,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 
 use zero_infinity::trainer::synthetic_batch;
-use zero_infinity::{NodeResources, Strategy, ZeroEngine};
+use zero_infinity::{NodeResources, Strategy, TiledLinear, ZeroEngine};
 use zi_memory::NodeMemorySpec;
-use zi_model::{GptConfig, GptModel, ParamId, ParamStore, RunOptions};
+use zi_model::{GptConfig, GptModel, ParamId, ParamRegistry, ParamStore, RunOptions};
 use zi_optim::AdamConfig;
 use zi_sync::atomic::{AtomicUsize, Ordering};
 use zi_tensor::Tensor;
@@ -154,6 +154,37 @@ fn steady_state_fetch_deposit_and_step_allocate_no_large_block() {
         assert_eq!(store.in_fetch, 0, "{}: large blocks allocated in get/release", strategy.name);
         assert_eq!(store.in_add_grad, 0, "{}: large blocks allocated in add_grad", strategy.name);
         assert_eq!(in_step, 0, "{}: large blocks allocated in engine.step()", strategy.name);
+        store.engine.dispose().unwrap();
+
+        // The same contract outside `GptModel`: a tiled linear whose four
+        // weight tiles are 128 KiB each as f32. Every runner hands its
+        // gathered tensors back with no live handle, so the tiles cycle
+        // through the buffers the warm-up sized.
+        let node = NodeResources::in_memory(&spec, 1);
+        let mut reg = ParamRegistry::new();
+        let tiled = TiledLinear::register(&mut reg, "wide", 256, 512, 4, 7, 0.1).unwrap();
+        let engine = ZeroEngine::new(
+            &reg,
+            strategy,
+            node.offload_manager(),
+            node.group.communicator(0),
+            AdamConfig::default(),
+        )
+        .unwrap();
+        let mut store = Metered { engine, in_fetch: 0, in_add_grad: 0, fetches: 0, deposits: 0 };
+        let x = Tensor::randn_seeded(&[4, 256], 11, 0.5);
+        let dy = Tensor::randn_seeded(&[4, 512], 12, 0.5);
+        for step in 0..WARM_UP + 3 {
+            if step == WARM_UP {
+                (store.in_fetch, store.in_add_grad, store.fetches) = (0, 0, 0);
+            }
+            tiled.forward(&mut store, &x).unwrap();
+            tiled.backward(&mut store, &x, &dy).unwrap();
+            assert!(store.engine.step().unwrap(), "{}: tiled step {step} skipped", strategy.name);
+        }
+        assert_eq!(store.fetches, 3 * 9, "four tiles forward and backward, one bias");
+        assert_eq!(store.in_fetch, 0, "{}: tiled get/release allocated", strategy.name);
+        assert_eq!(store.in_add_grad, 0, "{}: tiled add_grad allocated", strategy.name);
         store.engine.dispose().unwrap();
     }
 }
