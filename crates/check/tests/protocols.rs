@@ -3,8 +3,8 @@
 //! membership join handshake racing that death and the collectives'
 //! slot table (`zi-comm`), the write-behind engine's completion barrier and
 //! staging-buffer hand-back and the checkpoint store's
-//! `save_async`/crash/`open` recovery (`zi-nvme`), and the buffer pools
-//! (`zi-memory`).
+//! `save_async`/crash/`open` recovery (`zi-nvme`), the buffer pools
+//! (`zi-memory`), and the node-shared shard cache (`zero-infinity`).
 //!
 //! Under `RUSTFLAGS="--cfg zi_check"` each body is explored across
 //! thousands of distinct interleavings with deadlock, lost-wakeup, and
@@ -755,6 +755,113 @@ fn collective_slot_table_orders_writers_and_overlaps_readers() {
             overlapped.get().is_some(),
             "no schedule had both ranks reading one slot at once: the consume phase serializes"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Protocol 10: the node-shared shard cache — admit, invalidate, evict.
+//
+// Rank A owns a parameter shard on the NVMe tier: it fetches it (a miss
+// fills the cache by moving the verified staging buffer in), fetches it
+// again, and publishes new values over it (the old entry is invalidated
+// where the checksum is replaced; the new image is written through).
+// Rank B meanwhile stores a CPU tenant the pool has no room for while
+// the cache holds A's shard, so in some schedules its store must evict.
+// Invariants, in every interleaving:
+//
+//   * a fetch returns the shard's current image, whole — never a torn
+//     entry, never the image a publish has superseded;
+//   * bytes a reader holds stay intact across an eviction or an
+//     invalidation of their entry (no use-after-evict);
+//   * B's store succeeds — by eviction when the cache is in its way —
+//     and is never `Error::OutOfMemory`;
+//   * when both are done every pool is back at zero: no charge is lost
+//     between the cache's lock, the checksum registry's and the pool's.
+
+fn shard_cache_body(seen: &[zi_sync::OnceLock<()>; 2]) {
+    use zero_infinity::{NodeEnv, NodeResources, WriteBehind};
+    use zi_memory::NodeMemorySpec;
+    use zi_tensor::FlatBuffer;
+    use zi_types::{DType, Device};
+
+    const ELEMS: usize = 8;
+    let image = |round: usize| -> Vec<f32> { (0..ELEMS).map(|i| (round * 100 + i) as f32).collect() };
+    let stored = |vals: &[f32]| FlatBuffer::from_f32(DType::F32, vals);
+    // Room for the shard's cache entry or for B's tenant, not for both.
+    let shard_bytes = (ELEMS * 4) as u64;
+    let spec = NodeMemorySpec::test_spec(2, 1 << 10, shard_bytes + 8, 1 << 12);
+    let env = NodeEnv { pinned: (2, 64), nvme_workers: 1, ..NodeEnv::in_memory() };
+    let node = Arc::new(NodeResources::new(&spec, 2, env));
+    // B's tenant arrives once the cache holds A's shard: from then on its
+    // store races everything A does.
+    let (filled, wait_filled) = zi_sync::channel::unbounded::<()>();
+
+    let rank_a = {
+        let node = Arc::clone(&node);
+        thread::spawn(move || {
+            let mgr = node.offload_manager();
+            let policy = PlacementPolicy::all_nvme();
+            let mut shard = mgr.store_placed(Device::nvme(), &policy, stored(&image(0))).expect("store");
+            for round in 0..2 {
+                let want = stored(&image(round));
+                for _ in 0..2 {
+                    let got = mgr.fetch_placed(&shard).expect("fetch");
+                    assert_eq!(got.as_bytes(), want.as_bytes(), "round {round}: torn or stale fetch");
+                    // B may evict the entry while these bytes are held.
+                    let _ = filled.send(());
+                    thread::yield_now();
+                    assert_eq!(got.as_bytes(), want.as_bytes(), "round {round}: use after evict");
+                }
+                let mut wb = WriteBehind::new(1);
+                let mut publish = mgr.begin_publish(&mut shard);
+                let pushed = image(round + 1).chunks(ELEMS / 2).try_for_each(|c| publish.push(&mut wb, c));
+                wb.drain(&mgr).expect("drain");
+                pushed.and_then(|()| publish.finish()).expect("publish");
+            }
+            let last = mgr.fetch_placed(&shard).expect("fetch");
+            assert_eq!(last.as_bytes(), stored(&image(2)).as_bytes(), "the last publish is current");
+            drop(last);
+            mgr.free_placed(shard);
+        })
+    };
+    let rank_b = {
+        let node = Arc::clone(&node);
+        thread::spawn(move || {
+            let mgr = node.offload_manager();
+            wait_filled.recv().expect("rank A fills first");
+            let tenant = mgr
+                .store_placed(Device::cpu(), &PlacementPolicy::all_nvme(), stored(&[0.0; ELEMS]))
+                .expect("a store that fits without the cache fits with it");
+            thread::yield_now();
+            mgr.free_placed(tenant);
+        })
+    };
+    rank_a.join().expect("rank A");
+    rank_b.join().expect("rank B");
+    for device in [Device::cpu(), Device::nvme()] {
+        assert_eq!(node.hierarchy.stats(device).in_use, 0, "{device}: a charge was lost");
+    }
+    let health = node.offload_manager().health();
+    assert!(health.shard_cache_evictions <= 1, "one tenant evicts at most the one entry");
+    assert_eq!(health.corruptions_recovered + health.corruptions_unrecovered, 0);
+    for (seen, happened) in seen.iter().zip([health.shard_cache_evictions, health.shard_cache_hits]) {
+        if happened > 0 {
+            let _ = seen.set(());
+        }
+    }
+}
+
+#[test]
+fn shard_cache_admit_invalidate_evict_is_race_free() {
+    let seen = Arc::new([zi_sync::OnceLock::new(), zi_sync::OnceLock::new()]);
+    let body_seen = Arc::clone(&seen);
+    // ~450 scheduling points per run: half the usual sample still clears
+    // the distinct-schedule floor.
+    let checker = Checker { schedules: 1250, ..Checker::default() };
+    drive("shard-cache", checker, move || shard_cache_body(&body_seen));
+    if zi_check::enabled() {
+        assert!(seen[0].get().is_some(), "no schedule made rank B's store evict rank A's entry");
+        assert!(seen[1].get().is_some(), "no schedule let rank A hit its entry before B evicted it");
     }
 }
 

@@ -7,8 +7,10 @@
 //!    one parameter at a time, keeps only its own padded shard (cast to
 //!    the storage dtype) and places it on the configured device. The full
 //!    model is never resident on any rank (Sec. 7.2).
-//! 2. **Fetch** (`get`) — the shard is read from its tier (prefetched
-//!    NVMe reads are consumed here), all shards are allgathered
+//! 2. **Fetch** (`get`) — the shard is read from its tier (an NVMe
+//!    shard from the node's CPU shard cache when it is there — it is
+//!    after the step that published it — else from the device, where
+//!    prefetched reads are consumed), all shards are allgathered
 //!    (bandwidth-centric partitioning, Sec. 6.1: every rank's PCIe/NVMe
 //!    link carries 1/dp of the parameter) and each rank's bytes are
 //!    decoded once, straight into the f32 compute tensor, which is
@@ -523,7 +525,7 @@ impl ZeroEngine {
         };
         let mut wb = WriteBehind::new(1);
         let mut publish = self.mgr.begin_publish(&mut self.shards[idx].param);
-        let pushed = publish.push(&self.mgr, &mut wb, values);
+        let pushed = publish.push(&mut wb, values);
         let drained = wb.drain(&self.mgr);
         pushed.and(drained)?;
         publish.finish()?;
@@ -1026,7 +1028,7 @@ fn stream_shard_update(
                     }
                 }
                 if let Publish::Stream(stream) = &mut publish {
-                    stream.push(mgr, wb, master)?;
+                    stream.push(wb, master)?;
                 }
             }
             for (staged, buf) in [(sm, &optim.master), (s1, &optim.m), (s2, &optim.v)] {
@@ -1503,10 +1505,14 @@ mod tests {
         eng.dispose().unwrap();
     }
 
-    /// One rank over a scriptable faulty device, prefetch off so every
-    /// device read belongs to the call that issued it.
-    fn faulty_rank(chunk: usize) -> (zi_nvme::FaultPlan, NodeResources, ZeroEngine, ParamId) {
-        let spec = NodeMemorySpec::test_spec(1, 1 << 22, 1 << 22, 1 << 22);
+    /// One rank over a scriptable faulty device and a CPU pool of `cpu`
+    /// bytes, prefetch off so every device read belongs to the call that
+    /// issued it.
+    fn faulty_rank(
+        chunk: usize,
+        cpu: u64,
+    ) -> (zi_nvme::FaultPlan, NodeResources, ZeroEngine, ParamId) {
+        let spec = NodeMemorySpec::test_spec(1, 1 << 22, cpu, 1 << 22);
         let plan = zi_nvme::FaultPlan::new();
         let backend =
             zi_sync::Arc::new(zi_nvme::FaultyBackend::new(zi_nvme::MemBackend::new(), plan.clone()));
@@ -1532,7 +1538,9 @@ mod tests {
 
     #[test]
     fn chunk_streamed_publish_keeps_parameter_fetches_checksum_verified() {
-        let (plan, _node, mut eng, id) = faulty_rank(5);
+        // A CPU pool the gradient of `w` fills exactly: the shard cache is
+        // never granted room, so every fetch below is a device read.
+        let (plan, _node, mut eng, id) = faulty_rank(5, 12 * 4);
         eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         eng.step().unwrap(); // publishes w in three chunks
         let clean = eng.export_param(id).unwrap();
@@ -1546,7 +1554,36 @@ mod tests {
         let err = eng.export_param(id).unwrap_err();
         assert!(matches!(err, Error::Corruption { .. }), "got {err}");
         plan.bitflip_next_reads(0);
+        assert_eq!(eng.mgr.health().shard_cache_hits, 0);
         eng.dispose().unwrap();
+    }
+
+    #[test]
+    fn a_published_shard_is_fetched_from_the_cache_not_the_device() {
+        // The counterpart with room: the publish wrote `w` through, so
+        // the fetch after the step finds no device read to corrupt.
+        let (plan, node, mut eng, id) = faulty_rank(5, 1024);
+        eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
+        eng.step().unwrap();
+        let reads = node.nvme.stats().reads;
+        plan.bitflip_next_reads(u32::MAX);
+        let cached = eng.export_param(id).unwrap();
+        assert_eq!(node.nvme.stats().reads, reads, "a cached shard was read from the device");
+        plan.bitflip_next_reads(0);
+        let health = eng.mgr.health();
+        assert_eq!((health.shard_cache_hits, health.shard_cache_bytes), (1, 12 * 4));
+        assert_eq!(health.corruptions_recovered + health.corruptions_unrecovered, 0);
+        // The cached bytes are the device's: a CPU tenant that needs
+        // the room evicts them, and the next fetch reads the device.
+        let tenant = FlatBuffer::zeros(DType::F32, 250);
+        let tenant =
+            eng.mgr.store_placed(Device::cpu(), &PlacementPolicy::all_nvme(), tenant).unwrap();
+        eng.mgr.free_placed(tenant);
+        assert_eq!(eng.export_param(id).unwrap().data(), cached.data());
+        assert_eq!(node.nvme.stats().reads, reads + 1);
+        assert_eq!(eng.mgr.health().shard_cache_evictions, 1);
+        eng.dispose().unwrap();
+        assert_eq!(node.hierarchy.stats(Device::cpu()).in_use, 0);
     }
 
     #[test]
@@ -1570,7 +1607,7 @@ mod tests {
     #[test]
     fn device_death_mid_stream_is_typed_and_returns_every_staging_buffer() {
         // Calibrate: how many device ops does one healthy step issue?
-        let (plan, _node, mut eng, id) = faulty_rank(2);
+        let (plan, _node, mut eng, id) = faulty_rank(2, 1 << 22);
         let grad = Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap();
         let before = plan.ops_seen();
         eng.add_grad(id, &grad).unwrap();
@@ -1581,7 +1618,7 @@ mod tests {
         // Kill the device at several points inside the stream: reads of
         // later chunks and writes of earlier ones are in flight.
         for frac in [4, 2] {
-            let (plan, _node, mut eng, id) = faulty_rank(2);
+            let (plan, _node, mut eng, id) = faulty_rank(2, 1 << 22);
             eng.add_grad(id, &grad).unwrap();
             plan.kill_after_ops(per_step / frac);
             let err = eng.step().unwrap_err();

@@ -20,6 +20,12 @@
 //! [`OffloadManager::verify_or_reread`]); synchronous whole-segment
 //! writes hold a pinned buffer for their duration, bounding concurrent
 //! staging the way the paper's pinned-memory layer does (Sec. 6.3).
+//!
+//! A parameter shard on the NVMe tier changes once per optimizer step,
+//! so the verified bytes of one fetch answer every later fetch until the
+//! next publish. The node keeps them in a shard cache in whatever CPU
+//! memory the other tenants leave free (see [`ShardCache`]): the device
+//! holds the authoritative copy, the CPU copy is reclaimable.
 
 use std::collections::{BTreeMap, VecDeque};
 use zi_sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -42,15 +48,134 @@ use zi_types::{DType, Device, DeviceKind, Error, Result, WorldSize};
 /// corruption is surfaced as [`Error::Corruption`].
 const CORRUPTION_REREADS: u32 = 3;
 
-/// Node-shared resilience state: the shard-checksum registry and the
-/// NVMe→CPU degradation latch. Shared by every [`OffloadManager`] clone
-/// on the node (they share the device, so they must share its health).
+/// The recorded extents tiling a device range, in order, as `(len, crc)`.
+type Tiles = Vec<(u64, u32)>;
+
+/// The keys of the extents in `map` that overlap `[offset, offset + len)`.
+/// Extents are disjoint, so at most one starts before `offset` and
+/// reaches into the range.
+fn overlapping<V>(
+    map: &BTreeMap<u64, V>,
+    len_of: impl Fn(&V) -> u64,
+    offset: u64,
+    len: u64,
+) -> Vec<u64> {
+    let before = map.range(..offset).next_back().filter(|(start, v)| *start + len_of(v) > offset);
+    before.into_iter().chain(map.range(offset..offset + len)).map(|(start, _)| *start).collect()
+}
+
+/// One cached parameter shard: the verified bytes of one NVMe extent,
+/// shared with whoever is reading them. Storage an evicted or invalidated
+/// entry leaves behind lives until its last reader drops it, and is then
+/// freed. An entry charges its length to the CPU pool until the moment
+/// it leaves the cache.
+type CachedShard = Arc<ScratchVec>;
+
+fn shard_len(shard: &CachedShard) -> u64 {
+    shard.as_bytes().len() as u64
+}
+
+/// What the shard cache's lock guards.
 #[derive(Default)]
+struct CacheState {
+    /// Entries by the device offset of the extent they mirror.
+    entries: BTreeMap<u64, CachedShard>,
+    /// CPU-pool bytes charged to the cache: the sum over its entries.
+    charged: u64,
+    /// High-water mark of what the CPU pool's *other* tenants had in use
+    /// at once. The cache stays out of that much room, so a tenant coming
+    /// back to its own earlier peak (gradients, every backward pass)
+    /// evicts nothing.
+    firm_peak: u64,
+}
+
+impl CacheState {
+    /// Drop the entry at `start`, returning its charge to the CPU pool.
+    fn remove(&mut self, hierarchy: &MemoryHierarchy, start: u64) -> Option<CachedShard> {
+        let shard = self.entries.remove(&start)?;
+        self.release(hierarchy, shard_len(&shard));
+        Some(shard)
+    }
+
+    /// True when `len` more bytes fit beside the other tenants' peak.
+    fn has_room(&self, hierarchy: &MemoryHierarchy, len: u64) -> bool {
+        self.charged + len + self.firm_peak <= hierarchy.stats(Device::cpu()).capacity
+    }
+
+    /// Charge `len` bytes to the CPU pool if there is room for them: its
+    /// capacity, not its address space, so the cache never moves where
+    /// first-fit places anyone else.
+    fn charge(&mut self, hierarchy: &MemoryHierarchy, len: u64) -> bool {
+        let granted = self.has_room(hierarchy, len) && hierarchy.reserve(Device::cpu(), len).is_ok();
+        if granted {
+            self.charged += len;
+        }
+        granted
+    }
+
+    fn release(&mut self, hierarchy: &MemoryHierarchy, len: u64) {
+        self.charged -= len;
+        hierarchy.unreserve(Device::cpu(), len);
+    }
+}
+
+/// The node's cache of **verified parameter-shard bytes**, in free CPU
+/// memory, keyed by the shard's NVMe extent.
+///
+/// * **Filled by move.** A fetch that misses hands over the verified
+///   staging buffer it already owns; [`PublishStream::finish`] hands over
+///   the fp16 image it assembled while writing it (write-through), so the
+///   first fetch after an update is a hit.
+/// * **Admission only.** Parameter access is a fixed cycle; on a cycle
+///   any recency policy evicts the shard about to be re-read, while
+///   keeping what was admitted hits on every use of every cached shard.
+///   An entry leaves by invalidation or under CPU pressure, never to make
+///   room for another entry.
+/// * **Never stale.** An entry is installed only while the checksum
+///   registry still holds exactly the checksums its bytes were verified
+///   against (or written under), and every later write to — or free of —
+///   an overlapping extent drops it inside the registry's own
+///   `record`/`invalidate`. A hit is therefore never checked again.
+/// * **Reclaimable.** Entries are charged to the CPU pool's capacity
+///   like every tenant, but take no place in its address space; a CPU
+///   store the pool refuses evicts the whole cache and retries, in one
+///   critical section, against a pool that is then exactly what it would
+///   be without a cache — so nothing that fits without one fails with
+///   one. The budget is the pool itself: there is no option.
+#[derive(Default)]
+struct ShardCache {
+    shards: Mutex<CacheState>,
+    /// Fetches answered from the cache.
+    hits: AtomicU64,
+    /// Bytes those fetches did not read from the device.
+    hit_bytes: AtomicU64,
+    /// Entries dropped because another CPU tenant needed the room.
+    evictions: AtomicU64,
+}
+
+/// The fp16 image of a shard being published, on its way into the cache.
+struct Deposit {
+    /// Device offset of the extent being overwritten.
+    offset: u64,
+    image: ScratchVec,
+    /// Checksums of the pieces written so far, as the registry recorded
+    /// them.
+    tiles: Tiles,
+}
+
+/// Node-shared resilience state: the shard-checksum registry, the shard
+/// cache it keeps coherent, and the NVMe→CPU degradation latch. Shared by
+/// every [`OffloadManager`] clone on the node (they share the device, so
+/// they must share its health). Lock order: `checksums`, then the cache's
+/// `shards`, then the CPU capacity pool.
 struct ResilienceState {
     /// CRC32 per written NVMe extent, keyed by device offset. Extents
     /// never overlap (each records the latest write covering exactly
     /// that range; overlapping older extents are invalidated).
     checksums: Mutex<BTreeMap<u64, (u64, u32)>>,
+    cache: ShardCache,
+    /// Where cache entries are charged.
+    hierarchy: Arc<MemoryHierarchy>,
     /// Once set, new NVMe stores are transparently placed on CPU.
     degraded: AtomicBool,
     /// Stores redirected NVMe→CPU.
@@ -62,47 +187,59 @@ struct ResilienceState {
 }
 
 impl ResilienceState {
+    fn new(hierarchy: Arc<MemoryHierarchy>) -> Self {
+        ResilienceState {
+            checksums: Mutex::default(),
+            cache: ShardCache::default(),
+            hierarchy,
+            degraded: AtomicBool::new(false),
+            failovers: AtomicU64::new(0),
+            corruptions_recovered: AtomicU64::new(0),
+            corruptions_unrecovered: AtomicU64::new(0),
+        }
+    }
+
     /// Record the checksum of a just-written extent, invalidating any
-    /// previously recorded extent it overlaps.
-    fn record(&self, offset: u64, data: &[u8]) {
+    /// previously recorded extent — and dropping any cached shard — it
+    /// overlaps. Returns the checksum.
+    fn record(&self, offset: u64, data: &[u8]) -> u32 {
+        let crc = crc32(data);
         let mut map = self.checksums.lock();
-        Self::invalidate_locked(&mut map, offset, data.len() as u64);
-        map.insert(offset, (data.len() as u64, crc32(data)));
+        self.invalidate_locked(&mut map, offset, data.len() as u64);
+        map.insert(offset, (data.len() as u64, crc));
+        crc
     }
 
-    /// Forget checksums overlapping `[offset, offset + len)`.
+    /// Forget checksums, and cached shards, overlapping
+    /// `[offset, offset + len)`.
     fn invalidate(&self, offset: u64, len: u64) {
-        Self::invalidate_locked(&mut self.checksums.lock(), offset, len);
+        self.invalidate_locked(&mut self.checksums.lock(), offset, len);
     }
 
-    fn invalidate_locked(map: &mut BTreeMap<u64, (u64, u32)>, offset: u64, len: u64) {
-        let end = offset + len;
-        // One extent may start before `offset` and reach into the range;
-        // stored extents are disjoint, so it is the only such candidate.
-        let before = map
-            .range(..offset)
-            .next_back()
-            .filter(|(start, (elen, _))| *start + elen > offset)
-            .map(|(start, _)| *start);
-        if let Some(start) = before {
+    fn invalidate_locked(&self, map: &mut BTreeMap<u64, (u64, u32)>, offset: u64, len: u64) {
+        for start in overlapping(map, |&(elen, _)| elen, offset, len) {
             map.remove(&start);
         }
-        let inside: Vec<u64> = map.range(offset..end).map(|(start, _)| *start).collect();
-        for start in inside {
-            map.remove(&start);
+        let mut cache = self.cache.shards.lock();
+        for start in overlapping(&cache.entries, shard_len, offset, len) {
+            cache.remove(&self.hierarchy, start);
         }
     }
 
     /// The recorded extents that exactly tile `[offset, offset + len)`,
-    /// in order, as `(len, crc)`. A whole-extent write is one tile; a
-    /// chunk-written extent is one tile per chunk. `None` when the
-    /// registry does not tile the range (nothing recorded, a gap, or an
-    /// extent straddling either end): such a read is not verified.
-    fn tiles(&self, offset: u64, len: u64) -> Option<Vec<(u64, u32)>> {
+    /// in order. A whole-extent write is one tile; a chunk-written extent
+    /// is one tile per chunk. `None` when the registry does not tile the
+    /// range (nothing recorded, a gap, or an extent straddling either
+    /// end): such a read is not verified.
+    fn tiles(&self, offset: u64, len: u64) -> Option<Tiles> {
+        Self::tiles_locked(&self.checksums.lock(), offset, len)
+    }
+
+    fn tiles_locked(map: &BTreeMap<u64, (u64, u32)>, offset: u64, len: u64) -> Option<Tiles> {
         let end = offset + len;
         let mut at = offset;
         let mut tiles = Vec::new();
-        for (&start, &(elen, crc)) in self.checksums.lock().range(offset..end) {
+        for (&start, &(elen, crc)) in map.range(offset..end) {
             if start != at || start + elen > end {
                 return None;
             }
@@ -110,6 +247,100 @@ impl ResilienceState {
             at += elen;
         }
         (at == end && !tiles.is_empty()).then_some(tiles)
+    }
+
+    /// True when the cache holds the extent `[offset, offset + len)`.
+    fn is_cached(&self, offset: u64, len: u64) -> bool {
+        self.cache.shards.lock().entries.get(&offset).is_some_and(|shard| shard_len(shard) == len)
+    }
+
+    /// The cached bytes of the extent `[offset, offset + len)`: a hit.
+    fn cached(&self, offset: u64, len: u64) -> Option<CachedShard> {
+        let cache = self.cache.shards.lock();
+        let shard = cache.entries.get(&offset).filter(|shard| shard_len(shard) == len)?;
+        self.cache.hits.fetch_add(1, Ordering::Relaxed);
+        self.cache.hit_bytes.fetch_add(len, Ordering::Relaxed);
+        Some(Arc::clone(shard))
+    }
+
+    /// Install `image` — bytes checked against, or written under, `tiles`
+    /// — as the cache entry of the extent at `offset`, charging the CPU
+    /// pool for it. Refused (the image handed back) when the registry no
+    /// longer holds exactly `tiles` for the extent, or the pool has no
+    /// room beside its other tenants.
+    fn admit(
+        &self,
+        offset: u64,
+        tiles: &[(u64, u32)],
+        image: ScratchVec,
+    ) -> std::result::Result<CachedShard, ScratchVec> {
+        let len = image.as_bytes().len() as u64;
+        let registry = self.checksums.lock();
+        let mut cache = self.cache.shards.lock();
+        if Self::tiles_locked(&registry, offset, len).is_none_or(|now| now != tiles) {
+            return Err(image);
+        }
+        if let Some(shard) = cache.entries.get(&offset) {
+            // Two fills of one extent: the first one's entry stands.
+            return Ok(Arc::clone(shard));
+        }
+        if !cache.charge(&self.hierarchy, len) {
+            return Err(image);
+        }
+        let shard = Arc::new(image.detach());
+        cache.entries.insert(offset, Arc::clone(&shard));
+        Ok(shard)
+    }
+
+    /// Begin the write-through of a publish over the extent
+    /// `[offset, offset + len)`: the entry it supersedes goes now, so the
+    /// pool is never charged for the old and the new image at once, and —
+    /// when no reader still holds it — its storage carries the new image.
+    /// `None` when the pool has no room for the image.
+    fn begin_deposit(&self, offset: u64, len: u64, fresh: &ScratchPool) -> Option<Deposit> {
+        let old = {
+            let mut cache = self.cache.shards.lock();
+            let old = cache.remove(&self.hierarchy, offset);
+            if !cache.has_room(&self.hierarchy, len) {
+                return None;
+            }
+            old
+        };
+        let reused = old.and_then(|shard| Arc::try_unwrap(shard).ok());
+        let image = match reused.filter(|image| image.as_bytes().len() as u64 == len) {
+            Some(image) => image,
+            None => fresh.acquire(len as usize).detach(),
+        };
+        Some(Deposit { offset, image, tiles: Vec::new() })
+    }
+
+    /// Evict every entry, so the CPU pool is exactly what it would be
+    /// without a cache. Returns the number of entries evicted.
+    fn evict_all(&self, cache: &mut CacheState, tracer: &Tracer) -> usize {
+        let evicted = std::mem::take(&mut cache.entries);
+        for (offset, shard) in &evicted {
+            tracer.instant(Category::Retry, "cache.evict", shard_len(shard), *offset);
+            cache.release(&self.hierarchy, shard_len(shard));
+        }
+        self.cache.evictions.fetch_add(evicted.len() as u64, Ordering::Relaxed);
+        evicted.len()
+    }
+
+    /// CPU-pool room for a tenant other than the cache. The cache holds
+    /// CPU memory only while nobody else wants it: a request the pool
+    /// refuses evicts every entry and asks again, with admissions locked
+    /// out in between.
+    fn alloc_cpu_tenant(&self, bytes: u64, tracer: &Tracer) -> Result<Block> {
+        let mut cache = self.cache.shards.lock();
+        let block = match self.hierarchy.alloc(Device::cpu(), bytes) {
+            Err(e) if e.is_oom() && self.evict_all(&mut cache, tracer) > 0 => {
+                self.hierarchy.alloc(Device::cpu(), bytes)?
+            }
+            granted => granted?,
+        };
+        let firm = self.hierarchy.stats(Device::cpu()).in_use.saturating_sub(cache.charged);
+        cache.firm_peak = cache.firm_peak.max(firm);
+        Ok(block)
     }
 }
 
@@ -124,6 +355,14 @@ pub struct OffloadHealth {
     pub corruptions_recovered: u64,
     /// Checksum mismatches that survived every re-read.
     pub corruptions_unrecovered: u64,
+    /// Parameter fetches answered from the CPU shard cache — no device
+    /// read. (Not [`crate::EngineStats::cache_hits`], which counts `get`s
+    /// of a tensor still resident on the GPU.)
+    pub shard_cache_hits: u64,
+    /// Bytes those fetches did not read from the device.
+    pub shard_cache_bytes: u64,
+    /// Cached shards dropped because another CPU tenant needed the room.
+    pub shard_cache_evictions: u64,
     /// NVMe engine counters, including per-request `retries` and
     /// `gave_up` from the retry layer.
     pub io: zi_nvme::IoStats,
@@ -196,7 +435,7 @@ pub struct NodeResources {
     /// chunk reads, and every chunk buffer ends up as large as the
     /// largest shard.
     load_staging: ScratchPool,
-    /// Shared checksum registry and degradation latch.
+    /// Shared checksum registry, shard cache and degradation latch.
     resilience: Arc<ResilienceState>,
     /// Node-wide placement-policy cell: degradation (and re-tiering)
     /// publish whole policies here so readers never see a torn one.
@@ -214,8 +453,10 @@ impl NodeResources {
             Some(m) => CommGroup::with_membership_tracer(world, comm, tracer.clone(), m),
             None => CommGroup::with_config_tracer(world, comm, tracer.clone()),
         };
+        let hierarchy = Arc::new(MemoryHierarchy::new(spec));
         NodeResources {
-            hierarchy: Arc::new(MemoryHierarchy::new(spec)),
+            resilience: Arc::new(ResilienceState::new(Arc::clone(&hierarchy))),
+            hierarchy,
             nvme: Arc::new(NvmeEngine::with_policy_tracer(
                 backend,
                 nvme_workers,
@@ -226,7 +467,6 @@ impl NodeResources {
             group,
             staging: ScratchPool::new(),
             load_staging: ScratchPool::new(),
-            resilience: Arc::new(ResilienceState::default()),
             placement: Arc::new(PlanCell::new(PlacementPolicy::all_nvme())),
             tracer,
         }
@@ -355,6 +595,15 @@ impl PlacedBuf {
         self.segments.iter().any(|s| s.ram.is_none())
     }
 
+    /// The device extent `(offset, bytes)` the shard cache knows this
+    /// buffer by: a buffer that is exactly one NVMe segment.
+    fn extent(&self) -> Option<(u64, u64)> {
+        match &self.segments[..] {
+            [seg] if seg.ram.is_none() => Some((seg.block.offset, seg.block.len)),
+            _ => None,
+        }
+    }
+
     /// Index of the segment holding element `at`.
     fn segment_index(&self, at: usize) -> usize {
         self.segments.partition_point(|s| s.end() <= at)
@@ -411,6 +660,12 @@ impl PlacedPending {
     /// [`OffloadManager::verify_or_reread`]), so a prefetched buffer is
     /// never silently poisoned; a resident piece yields `None`.
     pub fn wait(self, mgr: &OffloadManager) -> Result<Option<ScratchVec>> {
+        Ok(self.wait_verified(mgr)?.map(|(buf, _)| buf))
+    }
+
+    /// [`Self::wait`], also handing back the checksums the buffer was
+    /// verified against (`None` for a range the registry does not tile).
+    fn wait_verified(self, mgr: &OffloadManager) -> Result<Option<(ScratchVec, Option<Tiles>)>> {
         let Some((ticket, offset)) = self.read else { return Ok(None) };
         let buf = mgr.nvme.wait_buf(ticket)?.into_staging().ok_or_else(wrong_buf_kind)?;
         mgr.verify_or_reread(offset, buf).map(Some)
@@ -442,6 +697,10 @@ pub enum LoadedBytes<'a> {
     /// Verified bytes read from the device (or assembled from several
     /// segments).
     Staged(ScratchVec),
+    /// The shard cache's copy of an NVMe-resident parameter shard,
+    /// shared — no copy, no device read. It stays valid for this holder
+    /// even if the entry is evicted or invalidated meanwhile.
+    Cached(Arc<ScratchVec>),
 }
 
 impl LoadedBytes<'_> {
@@ -450,6 +709,7 @@ impl LoadedBytes<'_> {
         match self {
             LoadedBytes::Resident(bytes) => bytes,
             LoadedBytes::Staged(staging) => staging.as_bytes(),
+            LoadedBytes::Cached(shard) => shard.as_bytes(),
         }
     }
 }
@@ -535,6 +795,9 @@ impl OffloadManager {
                 .resilience
                 .corruptions_unrecovered
                 .load(Ordering::Relaxed),
+            shard_cache_hits: self.resilience.cache.hits.load(Ordering::Relaxed),
+            shard_cache_bytes: self.resilience.cache.hit_bytes.load(Ordering::Relaxed),
+            shard_cache_evictions: self.resilience.cache.evictions.load(Ordering::Relaxed),
             io: self.nvme.stats(),
         }
     }
@@ -553,7 +816,12 @@ impl OffloadManager {
     /// the segment fails over to CPU *alone* — other segments of the
     /// buffer keep their placement.
     fn store_segment(&self, device: Device, start: usize, data: FlatBuffer) -> Result<Segment> {
-        let block = self.hierarchy.alloc(device, data.size_in_bytes() as u64)?;
+        let bytes = data.size_in_bytes() as u64;
+        let block = if device == Device::cpu() {
+            self.resilience.alloc_cpu_tenant(bytes, &self.tracer)?
+        } else {
+            self.hierarchy.alloc(device, bytes)?
+        };
         let len = data.numel();
         if device.kind != DeviceKind::Nvme {
             return Ok(Segment { start, len, device, block, ram: Some(data) });
@@ -611,12 +879,17 @@ impl OffloadManager {
     /// [`CORRUPTION_REREADS`] times (silent transfer corruption is
     /// transient — the device still holds clean data); a persistent
     /// mismatch surfaces as [`Error::Corruption`]. A range the registry
-    /// does not tile is returned unverified.
-    fn verify_or_reread(&self, offset: u64, mut buf: ScratchVec) -> Result<ScratchVec> {
+    /// does not tile is returned unverified. The checksums the buffer
+    /// passed come back with it.
+    fn verify_or_reread(
+        &self,
+        offset: u64,
+        mut buf: ScratchVec,
+    ) -> Result<(ScratchVec, Option<Tiles>)> {
         let len = buf.as_bytes().len();
-        let Some(tiles) = self.resilience.tiles(offset, len as u64) else { return Ok(buf) };
+        let Some(tiles) = self.resilience.tiles(offset, len as u64) else { return Ok((buf, None)) };
         let mut lo = 0;
-        for (tile_len, expected) in tiles {
+        for &(tile_len, expected) in &tiles {
             let (tile, hi) = (offset + lo as u64, lo + tile_len as usize);
             let mut actual = crc32(&buf.as_bytes()[lo..hi]);
             let mut rereads = 0;
@@ -645,7 +918,7 @@ impl OffloadManager {
             }
             lo = hi;
         }
-        Ok(buf)
+        Ok((buf, Some(tiles)))
     }
 
     /// Replace `seg`'s contents with `bytes`. A detached NVMe write
@@ -761,7 +1034,10 @@ impl OffloadManager {
     /// Begin an asynchronous load of the whole buffer: one piece per
     /// segment, every NVMe-resident segment's read issued immediately.
     /// This is the `nc-transfer` stage the prefetcher overlaps with
-    /// compute (Sec. 6.2).
+    /// compute (Sec. 6.2). The reads are issued whether or not the shard
+    /// cache holds the buffer: a caller that wants no read for a cached
+    /// shard asks [`Self::cached_placed`] first, as [`Self::fetch_placed`]
+    /// and the prefetcher do.
     pub fn begin_load_placed(&self, buf: &PlacedBuf) -> Vec<PlacedPending> {
         buf.segments
             .iter()
@@ -770,24 +1046,40 @@ impl OffloadManager {
     }
 
     /// Resolve the pieces of [`Self::begin_load_placed`] into the
-    /// buffer's contiguous bytes. A one-segment buffer costs no copy: a
-    /// resident segment is borrowed, an NVMe one is the verified staging
-    /// buffer itself. Several segments are assembled into one staging
-    /// buffer.
+    /// buffer's contiguous bytes — the parameter-fetch path. A
+    /// one-segment buffer costs no copy: a resident segment is borrowed,
+    /// an NVMe one is the verified staging buffer itself, which moves
+    /// into the shard cache when the CPU pool has room for it. Several
+    /// segments are assembled into one staging buffer.
     pub fn finish_load_placed<'a>(
         &self,
         buf: &'a PlacedBuf,
         pieces: Vec<PlacedPending>,
     ) -> Result<LoadedBytes<'a>> {
+        self.finish_load(buf, pieces, true)
+    }
+
+    fn finish_load<'a>(
+        &self,
+        buf: &'a PlacedBuf,
+        pieces: Vec<PlacedPending>,
+        fill_cache: bool,
+    ) -> Result<LoadedBytes<'a>> {
         // Every read is reaped before any failure surfaces.
-        let staged: Vec<_> = pieces.into_iter().map(|piece| piece.wait(self)).collect();
+        let staged: Vec<_> = pieces.into_iter().map(|piece| piece.wait_verified(self)).collect();
         let mut staged = staged.into_iter().collect::<Result<Vec<_>>>()?;
         if staged.len() != buf.segments.len() {
             return Err(piece_mismatch());
         }
         if let [seg] = &buf.segments[..] {
             return match (staged.pop().flatten(), &seg.ram) {
-                (Some(staging), _) => Ok(LoadedBytes::Staged(staging)),
+                (Some((staging, Some(tiles))), _) if fill_cache => {
+                    Ok(match self.resilience.admit(seg.block.offset, &tiles, staging) {
+                        Ok(shard) => LoadedBytes::Cached(shard),
+                        Err(staging) => LoadedBytes::Staged(staging),
+                    })
+                }
+                (Some((staging, _)), _) => Ok(LoadedBytes::Staged(staging)),
                 (None, Some(ram)) => Ok(LoadedBytes::Resident(ram.as_bytes())),
                 (None, None) => Err(piece_mismatch()),
             };
@@ -795,7 +1087,7 @@ impl OffloadManager {
         let mut whole = self.load_staging.acquire(buf.size_in_bytes());
         for (seg, piece) in buf.segments.iter().zip(&staged) {
             let src = match (piece, &seg.ram) {
-                (Some(staging), _) => staging.as_bytes(),
+                (Some((staging, _)), _) => staging.as_bytes(),
                 (None, Some(ram)) => ram.as_bytes(),
                 (None, None) => return Err(piece_mismatch()),
             };
@@ -805,15 +1097,37 @@ impl OffloadManager {
         Ok(LoadedBytes::Staged(whole))
     }
 
-    /// The whole buffer's bytes, read now: every NVMe segment's read is
-    /// in flight before the first is waited on.
-    pub fn fetch_placed<'a>(&self, buf: &'a PlacedBuf) -> Result<LoadedBytes<'a>> {
-        self.finish_load_placed(buf, self.begin_load_placed(buf))
+    /// The buffer's bytes from the shard cache, when it holds them: no
+    /// device read, no copy.
+    pub fn cached_placed<'a>(&self, buf: &PlacedBuf) -> Option<LoadedBytes<'a>> {
+        let (offset, len) = buf.extent()?;
+        let shard = self.resilience.cached(offset, len)?;
+        self.tracer.count(Counter::ShardCacheBytes, len);
+        Some(LoadedBytes::Cached(shard))
     }
 
-    /// Load the entire buffer into a fresh [`FlatBuffer`].
+    /// True when [`Self::cached_placed`] would answer; counts no hit.
+    pub fn is_cached_placed(&self, buf: &PlacedBuf) -> bool {
+        buf.extent().is_some_and(|(offset, len)| self.resilience.is_cached(offset, len))
+    }
+
+    /// A parameter shard's bytes: the shard cache's copy, else read now —
+    /// every NVMe segment's read in flight before the first is waited on
+    /// — and kept for the next fetch when the CPU pool has room.
+    pub fn fetch_placed<'a>(&self, buf: &'a PlacedBuf) -> Result<LoadedBytes<'a>> {
+        match self.cached_placed(buf) {
+            Some(hit) => Ok(hit),
+            None => self.finish_load_placed(buf, self.begin_load_placed(buf)),
+        }
+    }
+
+    /// Load the entire buffer into a fresh [`FlatBuffer`]. Always a
+    /// device read for NVMe segments: optimizer state, gradients and
+    /// activation checkpoints are read once per write, so they neither
+    /// consult nor fill the shard cache.
     pub fn load_placed(&self, buf: &PlacedBuf) -> Result<FlatBuffer> {
-        FlatBuffer::from_bytes(buf.dtype, self.fetch_placed(buf)?.as_bytes().to_vec())
+        let loaded = self.finish_load(buf, self.begin_load_placed(buf), false)?;
+        FlatBuffer::from_bytes(buf.dtype, loaded.as_bytes().to_vec())
     }
 
     /// Consume the buffer: hand back its contents (a resident
@@ -913,8 +1227,11 @@ impl OffloadManager {
     }
 
     /// Begin overwriting `buf` chunk by chunk (see [`PublishStream`]).
-    pub fn begin_publish<'a>(&self, buf: &'a mut PlacedBuf) -> PublishStream<'a> {
-        PublishStream { buf, next: 0 }
+    pub fn begin_publish<'a>(&'a self, buf: &'a mut PlacedBuf) -> PublishStream<'a> {
+        let deposit = buf.extent().and_then(|(offset, len)| {
+            self.resilience.begin_deposit(offset, len, &self.load_staging)
+        });
+        PublishStream { mgr: self, buf, next: 0, deposit }
     }
 
     /// Re-publish every NVMe-resident segment to CPU DRAM, leaving
@@ -1031,7 +1348,13 @@ impl WriteBehind {
         let offset = buf
             .device_offset(start, staging.as_bytes().len())
             .ok_or_else(|| Error::Internal("write-behind range is not one NVMe extent".into()))?;
-        mgr.resilience.record(offset, staging.as_bytes());
+        self.submit_at(mgr, offset, staging).map(drop)
+    }
+
+    /// [`Self::submit_staged`] by device offset; returns the checksum
+    /// recorded for the bytes.
+    fn submit_at(&mut self, mgr: &OffloadManager, offset: u64, staging: ScratchVec) -> Result<u32> {
+        let crc = mgr.resilience.record(offset, staging.as_bytes());
         // Harvest writes that already completed before deciding to
         // block: FIFO service completes the oldest tickets first, so
         // reaping from the front retires everything the device has
@@ -1051,7 +1374,7 @@ impl WriteBehind {
             mgr.nvme.wait_buf(oldest)?;
         }
         self.inflight.push_back(mgr.nvme.submit_write_from(offset, staging));
-        Ok(())
+        Ok(crc)
     }
 
     /// Wait out every queued write, surfacing the first failure as a
@@ -1091,20 +1414,24 @@ impl Drop for WriteBehind {
 /// submission, like all write-behind traffic; a later whole-segment
 /// fetch is verified against the chunk checksums that tile it. A
 /// whole-buffer overwrite is the one-chunk case.
+///
+/// Write-through: when the buffer is one NVMe extent and the CPU pool
+/// has room, the stream also assembles the bytes it writes into the
+/// image that [`Self::finish`] installs in the shard cache, so the next
+/// fetch of the shard is a hit. The entry the publish supersedes leaves
+/// the cache when the stream begins and the new one is charged at
+/// `finish`; a stream dropped before that installs nothing.
 pub struct PublishStream<'a> {
+    mgr: &'a OffloadManager,
     buf: &'a mut PlacedBuf,
     next: usize,
+    deposit: Option<Deposit>,
 }
 
 impl PublishStream<'_> {
     /// Overwrite the next `values.len()` elements with `values`.
-    pub fn push(
-        &mut self,
-        mgr: &OffloadManager,
-        wb: &mut WriteBehind,
-        mut values: &[f32],
-    ) -> Result<()> {
-        let dtype = self.buf.dtype;
+    pub fn push(&mut self, wb: &mut WriteBehind, mut values: &[f32]) -> Result<()> {
+        let (mgr, dtype) = (self.mgr, self.buf.dtype);
         if self.next + values.len() > self.buf.numel {
             return Err(Error::shape("publish past the end of the parameter buffer"));
         }
@@ -1114,15 +1441,20 @@ impl PublishStream<'_> {
             let nbytes = dtype.bytes_for(piece.len());
             let i = self.buf.segment_index(self.next);
             let seg = &mut self.buf.segments[i];
+            let lo = dtype.bytes_for(self.next - seg.start);
             match &mut seg.ram {
-                Some(ram) => {
-                    let lo = dtype.bytes_for(self.next - seg.start);
-                    encode_f32(dtype, piece, &mut ram.as_bytes_mut()[lo..lo + nbytes])?;
-                }
+                Some(ram) => encode_f32(dtype, piece, &mut ram.as_bytes_mut()[lo..lo + nbytes])?,
                 None => {
                     let mut staging = mgr.staging.acquire(nbytes);
                     encode_f32(dtype, piece, staging.as_bytes_mut())?;
-                    wb.submit_staged(mgr, self.buf, self.next, staging)?;
+                    if let Some(deposit) = &mut self.deposit {
+                        deposit.image.as_bytes_mut()[lo..lo + nbytes]
+                            .copy_from_slice(staging.as_bytes());
+                    }
+                    let crc = wb.submit_at(mgr, seg.block.offset + lo as u64, staging)?;
+                    if let Some(deposit) = &mut self.deposit {
+                        deposit.tiles.push((nbytes as u64, crc));
+                    }
                 }
             }
             self.next += piece.len();
@@ -1131,13 +1463,18 @@ impl PublishStream<'_> {
         Ok(())
     }
 
-    /// Seal the overwrite: every element was pushed.
+    /// Seal the overwrite: every element was pushed. The assembled image
+    /// becomes the shard's cache entry.
     pub fn finish(self) -> Result<()> {
         if self.next != self.buf.numel {
             return Err(Error::Internal(format!(
                 "publish covered {} of {} elements",
                 self.next, self.buf.numel
             )));
+        }
+        if let Some(Deposit { offset, image, tiles }) = self.deposit {
+            // A refusal only means the next fetch reads the device.
+            let _ = self.mgr.resilience.admit(offset, &tiles, image);
         }
         Ok(())
     }
@@ -1169,6 +1506,12 @@ mod tests {
     fn device_of(buf: &PlacedBuf) -> Device {
         assert_eq!(buf.segments.len(), 1);
         buf.segments[0].device
+    }
+
+    /// Evict every cached shard, as a CPU tenant short of room would.
+    fn evict_shard_cache(mgr: &OffloadManager) -> usize {
+        let mut cache = mgr.resilience.cache.shards.lock();
+        mgr.resilience.evict_all(&mut cache, mgr.tracer())
     }
 
     fn in_use(mgr: &OffloadManager) -> (u64, u64) {
@@ -1517,7 +1860,7 @@ mod tests {
     fn publish_chunked(mgr: &OffloadManager, buf: &mut PlacedBuf, vals: &[f32]) -> Result<()> {
         let mut wb = WriteBehind::new(2);
         let mut publish = mgr.begin_publish(buf);
-        let pushed = vals.chunks(5).try_for_each(|chunk| publish.push(mgr, &mut wb, chunk));
+        let pushed = vals.chunks(5).try_for_each(|chunk| publish.push(&mut wb, chunk));
         wb.drain(mgr).unwrap();
         pushed.and_then(|()| publish.finish())
     }
@@ -1561,6 +1904,209 @@ mod tests {
             ));
             mgr.free_placed(chunked);
         }
+    }
+
+    /// Every way an NVMe extent's bytes change or its tenant leaves, and
+    /// what a parameter fetch must see afterwards.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Writer {
+        ChunkedPublish,
+        OneChunkPublish,
+        Overwrite,
+        OverwriteAsyncThenFlush,
+        Retier,
+        Collapse,
+        FreeThenNewTenant,
+        PublishDroppedHalfWay,
+    }
+
+    /// The stale-bytes matrix, cached-read column: every writer × {the
+    /// shard was cached before the write, it was not} → the next parameter
+    /// fetch returns what the device now holds, never the old image.
+    #[test]
+    fn no_writer_leaves_a_stale_shard_in_the_cache() {
+        use Writer::*;
+        let old: Vec<f32> = (0..40).map(|i| i as f32 * 0.25).collect();
+        let new: Vec<f32> = (0..40).map(|i| -1.0 - i as f32).collect();
+        let f16 = |vals: &[f32]| FlatBuffer::from_f32(DType::F16, vals);
+        let writers = [
+            ChunkedPublish,
+            OneChunkPublish,
+            Overwrite,
+            OverwriteAsyncThenFlush,
+            Retier,
+            Collapse,
+            FreeThenNewTenant,
+            PublishDroppedHalfWay,
+        ];
+        for writer in writers {
+            for cached_before in [true, false] {
+                let tag = format!("{writer:?}, cached before: {cached_before}");
+                let node = node();
+                let mgr = node.offload_manager();
+                let cpu_in_use = || mgr.hierarchy().stats(Device::cpu()).in_use;
+                let mut buf = store_on(&mgr, Device::nvme(), f16(&[0.0; 40])).unwrap();
+                // Chunk-written, like every shard after its first step.
+                publish_chunked(&mgr, &mut buf, &old).unwrap();
+                if !cached_before {
+                    evict_shard_cache(&mgr);
+                }
+                assert_eq!(mgr.is_cached_placed(&buf), cached_before, "{tag}");
+                assert_eq!(cpu_in_use(), if cached_before { 80 } else { 0 }, "{tag}");
+
+                let mut want = f16(&new);
+                match writer {
+                    ChunkedPublish => publish_chunked(&mgr, &mut buf, &new).unwrap(),
+                    OneChunkPublish => {
+                        let mut wb = WriteBehind::new(1);
+                        let mut publish = mgr.begin_publish(&mut buf);
+                        publish.push(&mut wb, &new).unwrap();
+                        wb.drain(&mgr).unwrap();
+                        publish.finish().unwrap();
+                    }
+                    Overwrite => mgr.overwrite_placed(&mut buf, &want).unwrap(),
+                    OverwriteAsyncThenFlush => {
+                        mgr.overwrite_async_placed(&mut buf, &want).unwrap();
+                        mgr.flush().unwrap();
+                    }
+                    Retier => {
+                        want = f16(&old);
+                        mgr.retier_placed(&mut buf, Device::nvme(), &PlacementPolicy::all_nvme())
+                            .unwrap();
+                    }
+                    Collapse => {
+                        want = f16(&old);
+                        mgr.collapse_placed(&mut buf).unwrap();
+                        assert_eq!(cpu_in_use(), 80, "{tag}: only the collapsed shard is charged");
+                    }
+                    FreeThenNewTenant => {
+                        let extent = buf.extent();
+                        mgr.free_placed(buf);
+                        buf = store_on(&mgr, Device::nvme(), want.clone()).unwrap();
+                        assert_eq!(buf.extent(), extent, "{tag}: the new tenant reuses the extent");
+                    }
+                    PublishDroppedHalfWay => {
+                        let mut wb = WriteBehind::new(2);
+                        let mut publish = mgr.begin_publish(&mut buf);
+                        new[..20].chunks(5).for_each(|c| publish.push(&mut wb, c).unwrap());
+                        wb.drain(&mgr).unwrap();
+                        drop(publish);
+                        want = f16(&[&new[..20], &old[20..]].concat());
+                        assert_eq!(cpu_in_use(), 0, "{tag}: a dropped stream holds no charge");
+                    }
+                }
+                let written_through = matches!(writer, ChunkedPublish | OneChunkPublish);
+                assert_eq!(mgr.is_cached_placed(&buf), written_through, "{tag}");
+
+                let before = mgr.health();
+                let fetched = mgr.fetch_placed(&buf).unwrap();
+                assert_eq!(fetched.as_bytes(), want.as_bytes(), "{tag}: fetch after the write");
+                drop(fetched);
+                let after = mgr.health();
+                let device_reads = after.io.reads - before.io.reads;
+                let hits = after.shard_cache_hits - before.shard_cache_hits;
+                let expect = match writer {
+                    _ if written_through => (0, 1),
+                    Collapse => (0, 0), // resident now: neither device nor cache
+                    _ => (1, 0),
+                };
+                assert_eq!((device_reads, hits), expect, "{tag}: (device reads, cache hits)");
+                // The cache agrees with the device, and keeps doing so.
+                assert_eq!(mgr.load_placed(&buf).unwrap(), want, "{tag}: device contents");
+                assert_eq!(mgr.fetch_placed(&buf).unwrap().as_bytes(), want.as_bytes(), "{tag}");
+                assert_eq!(after.corruptions_recovered + after.corruptions_unrecovered, 0, "{tag}");
+                mgr.free_placed(buf);
+                assert_eq!(in_use(&mgr), (0, 0), "{tag}: charges returned");
+            }
+        }
+    }
+
+    #[test]
+    fn a_corrupt_fill_is_reread_once_and_the_entry_holds_clean_bytes() {
+        let (plan, node) = faulty_node();
+        let mgr = node.offload_manager();
+        let vals: Vec<f32> = (0..64).map(|i| i as f32 - 7.5).collect();
+        let buf = store_on(&mgr, Device::nvme(), buf_f32(&vals)).unwrap();
+        let reads = mgr.nvme().stats().reads;
+        plan.bitflip_next_reads(1);
+        let filled = mgr.fetch_placed(&buf).unwrap();
+        assert!(matches!(filled, LoadedBytes::Cached(_)), "a verified read fills the cache");
+        assert_eq!(filled.as_bytes(), buf_f32(&vals).as_bytes());
+        drop(filled);
+        assert_eq!(mgr.nvme().stats().reads - reads, 2, "the poisoned read and one re-read");
+        assert_eq!(mgr.health().corruptions_recovered, 1);
+        // The entry holds the clean bytes, and is not checked again: a
+        // device that now corrupts every read is never asked.
+        plan.bitflip_next_reads(u32::MAX);
+        assert_eq!(mgr.fetch_placed(&buf).unwrap().as_bytes(), buf_f32(&vals).as_bytes());
+        plan.bitflip_next_reads(0);
+        let health = mgr.health();
+        assert_eq!((health.shard_cache_hits, health.corruptions_recovered), (1, 1));
+        assert_eq!(mgr.nvme().stats().reads - reads, 2);
+        // Unrecoverable corruption fills nothing.
+        evict_shard_cache(&mgr);
+        plan.bitflip_next_reads(u32::MAX);
+        assert!(matches!(mgr.fetch_placed(&buf), Err(Error::Corruption { .. })));
+        plan.bitflip_next_reads(0);
+        assert!(!mgr.is_cached_placed(&buf));
+        mgr.free_placed(buf);
+        assert_eq!(in_use(&mgr), (0, 0));
+    }
+
+    #[test]
+    fn cache_pressure_partial_admission_and_device_death() {
+        // A CPU pool of 1000 B; shards of 400 B.
+        let spec = NodeMemorySpec::test_spec(1, 1 << 20, 1000, 1 << 20);
+        let (plan, _) = faulty_node();
+        let backend = Arc::new(zi_nvme::FaultyBackend::new(MemBackend::new(), plan.clone()));
+        let env = NodeEnv { policy: RetryPolicy::none(), ..NodeEnv::new(backend) };
+        let node = NodeResources::new(&spec, 1, env);
+        let mgr = node.offload_manager();
+        let cpu = || mgr.hierarchy().stats(Device::cpu());
+        let shard = |v: f32| store_on(&mgr, Device::nvme(), buf_f32(&[v; 100])).unwrap();
+        let (a, b, c) = (shard(1.0), shard(2.0), shard(3.0));
+        // Initial stores fill nothing; fetches admit while there is room:
+        // two of the three shards.
+        assert_eq!(cpu().in_use, 0);
+        for buf in [&a, &b, &c] {
+            mgr.fetch_placed(buf).unwrap();
+        }
+        let cached = |buf: &PlacedBuf| mgr.is_cached_placed(buf);
+        assert_eq!((cached(&a), cached(&b), cached(&c)), (true, true, false));
+        assert_eq!((cpu().in_use, cpu().largest_free), (800, 200));
+        // Admission only: the uncached shard never displaces an entry.
+        for _ in 0..3 {
+            assert!(matches!(mgr.fetch_placed(&c).unwrap(), LoadedBytes::Staged(_)));
+        }
+        assert_eq!(mgr.health().shard_cache_evictions, 0);
+        // A tenant that needs the cache's room gets it, not an OOM ...
+        let tenant = store_on(&mgr, Device::cpu(), buf_f32(&[0.0; 150])).unwrap();
+        assert_eq!(mgr.health().shard_cache_evictions, 2);
+        assert_eq!((cpu().in_use, device_of(&tenant)), (600, Device::cpu()));
+        // ... and the cache then stays out of the room that tenant took,
+        // even while it is away: its return evicts nothing.
+        mgr.free_placed(tenant);
+        for buf in [&a, &b, &c] {
+            mgr.fetch_placed(buf).unwrap();
+        }
+        assert_eq!((cached(&a), cached(&b), cached(&c)), (true, false, false));
+        let tenant = store_on(&mgr, Device::cpu(), buf_f32(&[0.0; 150])).unwrap();
+        assert_eq!(mgr.health().shard_cache_evictions, 2, "a returning tenant evicted an entry");
+        // A reader keeps an evicted entry's bytes.
+        let held = mgr.fetch_placed(&a).unwrap();
+        assert_eq!(evict_shard_cache(&mgr), 1);
+        assert_eq!(held.as_bytes(), buf_f32(&[1.0; 100]).as_bytes());
+        drop(held);
+        // Device death leaves hits working; only a miss needs the device.
+        mgr.fetch_placed(&a).unwrap();
+        plan.kill();
+        assert_eq!(mgr.fetch_placed(&a).unwrap().as_bytes(), buf_f32(&[1.0; 100]).as_bytes());
+        assert!(mgr.fetch_placed(&b).is_err_and(|e| e.is_device_failure()));
+        for buf in [a, b, c, tenant] {
+            mgr.free_placed(buf);
+        }
+        assert_eq!(in_use(&mgr), (0, 0));
+        assert_eq!(mgr.staging().outstanding() + mgr.load_staging.outstanding(), 0);
     }
 
     #[test]

@@ -138,8 +138,12 @@ impl Prefetcher {
 
     /// Begin an asynchronous load for `id`'s shard unless one is already
     /// in flight. Only asynchronous sources (NVMe) are tracked; loads that
-    /// resolve immediately are left for the demand path.
+    /// resolve immediately — RAM-resident shards, and NVMe shards the
+    /// shard cache holds — are left for the demand path.
     pub fn prefetch(&mut self, mgr: &OffloadManager, id: ParamId, shard: &PlacedBuf) {
+        if mgr.is_cached_placed(shard) {
+            return;
+        }
         let key = (id, load_path(shard));
         if self.pending.contains_key(&key) {
             // Coalesce onto the in-flight nc-transfer: a second device
@@ -160,8 +164,9 @@ impl Prefetcher {
     }
 
     /// Resolve `id`'s shard to its bytes: consume the in-flight load if
-    /// present (prefetch hit) or load now (miss). A RAM-resident shard is
-    /// borrowed, never cloned.
+    /// present (prefetch hit), else take the shard cache's copy (neither
+    /// a hit nor a miss: hits and misses count device-served fetches), or
+    /// load now (miss). A RAM-resident shard is borrowed, never cloned.
     ///
     /// A failed in-flight load never hands out a poisoned buffer: the
     /// typed error is surfaced, and if it is transient (e.g. a checksum
@@ -174,9 +179,12 @@ impl Prefetcher {
         shard: &'a PlacedBuf,
     ) -> Result<LoadedBytes<'a>> {
         let Some(pieces) = self.pending.remove(&(id, load_path(shard))) else {
+            if let Some(cached) = mgr.cached_placed(shard) {
+                return Ok(cached);
+            }
             self.stats.misses += 1;
             mgr.tracer().count(Counter::PrefetchMisses, 1);
-            return mgr.fetch_placed(shard);
+            return mgr.finish_load_placed(shard, mgr.begin_load_placed(shard));
         };
         self.stats.hits += 1;
         mgr.tracer().count(Counter::PrefetchHits, 1);
@@ -334,6 +342,34 @@ mod tests {
         assert_eq!((st.issued, st.hits, st.misses), (1, 1, 1));
         mgr.free_placed(shard_a);
         mgr.free_placed(shard_b);
+    }
+
+    #[test]
+    fn a_cached_shard_is_neither_prefetched_nor_counted() {
+        let spec = NodeMemorySpec::test_spec(1, 1 << 20, 1 << 20, 1 << 20);
+        let node = NodeResources::in_memory(&spec, 1);
+        let mgr = node.offload_manager();
+        let shard = shard_on(&mgr, Device::nvme(), &[5.0; 16]);
+        let mut pf = Prefetcher::new();
+        // The first demand fetch is a miss; its verified buffer becomes
+        // the cache entry.
+        assert_eq!(f32s(&pf.fetch(&mgr, ParamId(0), &shard).unwrap()), vec![5.0; 16]);
+        let (stats, reads) = (pf.stats(), mgr.nvme().stats().reads);
+        assert_eq!((stats.hits, stats.misses), (0, 1));
+        // From here on the shard costs no device read, no pending entry
+        // and no prefetch count: hits ÷ (hits + misses) keeps describing
+        // device-served fetches only.
+        for _ in 0..2 {
+            pf.prefetch(&mgr, ParamId(0), &shard);
+            assert!(!pf.is_pending(ParamId(0)));
+            let data = pf.fetch(&mgr, ParamId(0), &shard).unwrap();
+            assert!(matches!(data, LoadedBytes::Cached(_)));
+            assert_eq!(f32s(&data), vec![5.0; 16]);
+        }
+        assert_eq!(pf.stats(), stats);
+        assert_eq!(mgr.nvme().stats().reads, reads);
+        assert_eq!(mgr.health().shard_cache_hits, 2);
+        mgr.free_placed(shard);
     }
 
     #[test]

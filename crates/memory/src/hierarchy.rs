@@ -86,6 +86,17 @@ impl MemoryHierarchy {
         self.with_pool(device, |p| p.alloc(len))
     }
 
+    /// Charge capacity on the given device without placing it (see
+    /// [`MemoryPool::reserve`]).
+    pub fn reserve(&self, device: Device, len: u64) -> Result<()> {
+        self.with_pool(device, |p| p.reserve(len))
+    }
+
+    /// Hand back capacity charged with [`Self::reserve`].
+    pub fn unreserve(&self, device: Device, len: u64) {
+        self.with_pool(device, |p| p.unreserve(len))
+    }
+
     /// Free on the given device.
     pub fn free(&self, device: Device, block: Block) {
         self.with_pool(device, |p| p.free(block))

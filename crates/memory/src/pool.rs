@@ -42,6 +42,9 @@ pub struct MemoryPool {
     /// Sorted, non-overlapping, coalesced free extents `(offset, len)`.
     free: Vec<(u64, u64)>,
     in_use: u64,
+    /// The part of `in_use` charged by [`MemoryPool::reserve`]: capacity
+    /// without an address.
+    reserved: u64,
     peak_in_use: u64,
     alloc_count: u64,
 }
@@ -50,7 +53,7 @@ impl MemoryPool {
     /// Pool with `capacity` bytes on `device`.
     pub fn new(device: Device, capacity: u64) -> Self {
         let free = if capacity > 0 { vec![(0, capacity)] } else { Vec::new() };
-        MemoryPool { device, capacity, free, in_use: 0, peak_in_use: 0, alloc_count: 0 }
+        MemoryPool { device, capacity, free, in_use: 0, reserved: 0, peak_in_use: 0, alloc_count: 0 }
     }
 
     /// Device this pool belongs to.
@@ -63,8 +66,9 @@ impl MemoryPool {
         if len == 0 {
             return Ok(Block { offset: 0, len: 0 });
         }
+        // Reserved bytes occupy no extent, so capacity is checked apart.
         let slot = self.free.iter().position(|&(_, flen)| flen >= len);
-        match slot {
+        match slot.filter(|_| len <= self.capacity - self.in_use) {
             Some(i) => {
                 let (off, flen) = self.free[i];
                 if flen == len {
@@ -77,15 +81,40 @@ impl MemoryPool {
                 self.alloc_count += 1;
                 Ok(Block { offset: off, len })
             }
-            None => {
-                let stats = self.stats();
-                Err(Error::OutOfMemory {
-                    device: self.device,
-                    requested: len as usize,
-                    largest_free: stats.largest_free as usize,
-                    total_free: stats.total_free as usize,
-                })
-            }
+            None => Err(self.oom(len)),
+        }
+    }
+
+    /// Charge `len` bytes of capacity without placing them in the address
+    /// space: room for a reclaimable tenant (the shard cache) that must
+    /// not disturb where first-fit places everyone else. The bytes count
+    /// as in use — an [`Self::alloc`] they leave no capacity for fails,
+    /// and succeeds, at the offset it would always have had, once they
+    /// are handed back with [`Self::unreserve`].
+    pub fn reserve(&mut self, len: u64) -> Result<()> {
+        if len > self.capacity - self.in_use {
+            return Err(self.oom(len));
+        }
+        self.reserved += len;
+        self.in_use += len;
+        self.peak_in_use = self.peak_in_use.max(self.in_use);
+        Ok(())
+    }
+
+    /// Hand back `len` bytes charged with [`Self::reserve`].
+    pub fn unreserve(&mut self, len: u64) {
+        assert!(len <= self.reserved, "unreserve of more than was reserved");
+        self.reserved -= len;
+        self.in_use -= len;
+    }
+
+    fn oom(&self, len: u64) -> Error {
+        let stats = self.stats();
+        Error::OutOfMemory {
+            device: self.device,
+            requested: len as usize,
+            largest_free: stats.largest_free as usize,
+            total_free: stats.total_free as usize,
         }
     }
 
@@ -138,8 +167,9 @@ impl MemoryPool {
 
     /// Current statistics.
     pub fn stats(&self) -> PoolStats {
-        let total_free: u64 = self.free.iter().map(|&(_, l)| l).sum();
-        let largest_free = self.free.iter().map(|&(_, l)| l).max().unwrap_or(0);
+        let extents: u64 = self.free.iter().map(|&(_, l)| l).sum();
+        let total_free = extents - self.reserved;
+        let largest_free = self.free.iter().map(|&(_, l)| l).max().unwrap_or(0).min(total_free);
         PoolStats {
             capacity: self.capacity,
             in_use: self.in_use,
@@ -237,6 +267,34 @@ mod tests {
             }
             other => panic!("expected OOM, got {other}"),
         }
+    }
+
+    #[test]
+    fn reserved_bytes_never_move_a_first_fit_block() {
+        // The same first-fit requests with and without a reclaimable
+        // tenant: every one lands at the same offset or fails, and a
+        // failure succeeds at that offset once the reservation is gone.
+        let requests = [30u64, 20, 25, 10];
+        let mut plain = pool(100);
+        let want: Vec<u64> = requests.iter().map(|&len| plain.alloc(len).unwrap().offset).collect();
+        let mut shared = pool(100);
+        shared.reserve(25).unwrap();
+        let mut reserved = 25;
+        assert_eq!((shared.stats().in_use, shared.stats().total_free), (25, 75));
+        for (&len, &offset) in requests.iter().zip(&want) {
+            let block = shared.alloc(len).or_else(|_| {
+                shared.unreserve(std::mem::take(&mut reserved));
+                shared.alloc(len)
+            });
+            assert_eq!(block.unwrap().offset, offset, "request of {len}");
+        }
+        assert_eq!(reserved, 0, "the last request needed the reserved room");
+        let stats = shared.stats();
+        assert_eq!((stats.in_use, stats.peak_in_use), (85, 100));
+        assert!(shared.reserve(16).is_err());
+        shared.reserve(15).unwrap();
+        assert_eq!((shared.stats().total_free, shared.stats().largest_free), (0, 0));
+        assert!(shared.alloc(1).is_err(), "reserved capacity is in use");
     }
 
     #[test]

@@ -57,7 +57,8 @@ pub struct ScratchPool {
 pub struct ScratchVec {
     data: Vec<f32>,
     bytes: usize,
-    pool: Arc<Mutex<State>>,
+    /// `None` once [`ScratchVec::detach`]ed: the buffer is freed on drop.
+    pool: Option<Arc<Mutex<State>>>,
 }
 
 impl ScratchPool {
@@ -94,7 +95,7 @@ impl ScratchPool {
         if data.len() < words {
             data.resize(words, 0.0);
         }
-        ScratchVec { data, bytes, pool: Arc::clone(&self.shared) }
+        ScratchVec { data, bytes, pool: Some(Arc::clone(&self.shared)) }
     }
 
     /// Top the pool up to `count` idle buffers of at least `bytes` each:
@@ -130,6 +131,20 @@ impl ScratchPool {
 }
 
 impl ScratchVec {
+    /// Leave the pool for good, keeping the contents: the buffer no
+    /// longer counts as checked out, is cut down to the bytes it holds,
+    /// and is freed — not parked — when dropped. For a consumer that
+    /// keeps what a read delivered (the shard cache) without a copy, and
+    /// without pinning a pool-sized buffer behind a small shard.
+    pub fn detach(mut self) -> ScratchVec {
+        if let Some(pool) = self.pool.take() {
+            pool.lock().outstanding -= 1;
+            self.data.truncate(self.bytes.div_ceil(4));
+            self.data.shrink_to_fit();
+        }
+        self
+    }
+
     /// The buffer as bytes — what the device reads and writes.
     pub fn as_bytes(&self) -> &[u8] {
         // SAFETY: the backing `Vec<f32>` holds at least `bytes.div_ceil(4)`
@@ -158,7 +173,8 @@ impl ScratchVec {
 
 impl Drop for ScratchVec {
     fn drop(&mut self) {
-        let mut st = self.pool.lock();
+        let Some(pool) = &self.pool else { return };
+        let mut st = pool.lock();
         st.outstanding -= 1;
         st.free.push(std::mem::take(&mut self.data));
     }
@@ -215,6 +231,20 @@ mod tests {
         assert_eq!(pool.stats().allocated, 4, "the whole bound came from the reserved set");
         drop((held, small));
         assert_eq!((pool.outstanding(), pool.idle()), (0, 4));
+    }
+
+    #[test]
+    fn a_detached_buffer_keeps_its_bytes_and_never_comes_back() {
+        let pool = ScratchPool::new();
+        drop(pool.acquire(4096)); // the buffer the small request below reuses
+        let mut a = pool.acquire(6);
+        a.as_bytes_mut().copy_from_slice(&[1, 2, 3, 4, 5, 6]);
+        let kept = a.detach();
+        assert_eq!(kept.as_bytes(), &[1, 2, 3, 4, 5, 6]);
+        assert_eq!(kept.data.capacity(), 2, "cut down to the words it holds");
+        assert_eq!((pool.outstanding(), pool.idle()), (0, 0));
+        drop(kept.detach()); // idempotent, and freed rather than parked
+        assert_eq!((pool.outstanding(), pool.idle()), (0, 0));
     }
 
     #[test]

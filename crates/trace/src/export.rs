@@ -40,7 +40,7 @@ pub fn chrome_trace_json(events: &[Event], counters: &CounterSnapshot) -> String
     }
     out.push_str("],\"counters\":{");
     let c = counters;
-    let fields: [(&str, u64); 19] = [
+    let fields: [(&str, u64); 20] = [
         ("nc_read_bytes", c.nc_read_bytes),
         ("nc_write_bytes", c.nc_write_bytes),
         ("cg_bytes", c.cg_bytes),
@@ -57,6 +57,7 @@ pub fn chrome_trace_json(events: &[Event], counters: &CounterSnapshot) -> String
         ("wb_stalls", c.wb_stalls),
         ("pinned_waits", c.pinned_waits),
         ("pinned_acquires", c.pinned_acquires),
+        ("shard_cache_bytes", c.shard_cache_bytes),
         ("io_in_flight", c.io_in_flight),
         ("io_in_flight_peak", c.io_in_flight_peak),
         ("events_dropped", c.events_dropped),

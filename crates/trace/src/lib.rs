@@ -252,6 +252,7 @@ pub enum Counter {
     WbStalls,
     PinnedWaits,
     PinnedAcquires,
+    ShardCacheBytes,
 }
 
 /// Monotonic counters and gauges shared by every subsystem a tracer is
@@ -276,6 +277,7 @@ struct Counters {
     wb_stalls: AtomicU64,
     pinned_waits: AtomicU64,
     pinned_acquires: AtomicU64,
+    shard_cache_bytes: AtomicU64,
     io_in_flight: AtomicU64,
     io_in_flight_peak: AtomicU64,
 }
@@ -301,6 +303,7 @@ impl Counters {
             Counter::WbStalls => &self.wb_stalls,
             Counter::PinnedWaits => &self.pinned_waits,
             Counter::PinnedAcquires => &self.pinned_acquires,
+            Counter::ShardCacheBytes => &self.shard_cache_bytes,
         }
     }
 }
@@ -345,6 +348,9 @@ pub struct CounterSnapshot {
     pub pinned_waits: u64,
     /// Total pinned-buffer acquisitions through traced pools.
     pub pinned_acquires: u64,
+    /// Parameter-shard bytes served from the CPU shard cache instead of
+    /// a device read (the nc reads that no longer exist).
+    pub shard_cache_bytes: u64,
     /// Offload I/O requests in flight right now (gauge).
     pub io_in_flight: u64,
     /// High-water mark of `io_in_flight`.
@@ -507,6 +513,7 @@ impl Tracer {
             wb_stalls: ld(&c.wb_stalls),
             pinned_waits: ld(&c.pinned_waits),
             pinned_acquires: ld(&c.pinned_acquires),
+            shard_cache_bytes: ld(&c.shard_cache_bytes),
             io_in_flight: ld(&c.io_in_flight),
             io_in_flight_peak: ld(&c.io_in_flight_peak),
             events_dropped,

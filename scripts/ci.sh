@@ -10,7 +10,9 @@ cargo test --workspace -q
 # places than the code that ships: the workspace run above covers the
 # debug profile, this one the optimized one the contract is about — in
 # steady state no parameter fetch, gradient deposit or optimizer step
-# asks the allocator for a block of 64 KiB or more.
+# asks the allocator for a block of 64 KiB or more, with the shard cache
+# serving every fetch (and then no fetch reads the device either) and
+# with a CPU pool too small to admit anything into it.
 cargo test --release -q --test alloc_budget \
     || { echo "allocation budget exceeded: a fetch, deposit or step path allocates a large block per call"; exit 1; }
 cargo clippy --workspace --all-targets -- -D warnings
@@ -39,7 +41,8 @@ cargo run -q --release -p zi-audit -- --root . --json "$AUDIT_JSON" \
 # racing rank death, the collectives' slot table, engine completion
 # barrier + staging-buffer hand-back, checkpoint crash recovery,
 # pool checkout/return, trace ring drain, knob hand-off, kernel
-# worker-pool tiling).
+# worker-pool tiling, the shard cache's admit / invalidate / evict
+# across two ranks).
 # Each harness must
 # cover >= 1000 distinct schedules or exhaust its space; failures print
 # a ZI_CHECK_SEED/ZI_CHECK_TRACE replay line. Bounded by a hard

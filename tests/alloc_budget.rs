@@ -6,6 +6,11 @@
 //! fault per 4 KiB and a `munmap` before a byte is moved, which is what
 //! the efficiency model (Sec. 4) assumes the software does not pay.
 //!
+//! The shard cache rides the same contract: a `get` it answers costs no
+//! large block *and no device read*, the optimizer step's write-through
+//! reuses the storage of the entry it supersedes, and an engine whose CPU
+//! pool has no room for the cache allocates exactly as it always did.
+//!
 //! This binary installs a counting global allocator, so it holds exactly
 //! one test: the counter is process-wide.
 
@@ -18,7 +23,7 @@ use zi_model::{GptConfig, GptModel, ParamId, ParamRegistry, ParamStore, RunOptio
 use zi_optim::AdamConfig;
 use zi_sync::atomic::{AtomicUsize, Ordering};
 use zi_tensor::Tensor;
-use zi_types::Result;
+use zi_types::{Device, DeviceKind, Result};
 
 /// Allocations at least this large are counted.
 const LARGE: usize = 64 << 10;
@@ -87,21 +92,35 @@ struct Metered {
     in_add_grad: usize,
     fetches: usize,
     deposits: usize,
+    /// Device reads issued while a `get` or a prefetch hint was on the
+    /// stack.
+    fetch_reads: u64,
 }
 
 impl Metered {
+    fn new(engine: ZeroEngine) -> Self {
+        Metered { engine, in_fetch: 0, in_add_grad: 0, fetches: 0, deposits: 0, fetch_reads: 0 }
+    }
+
     fn metered<T>(counter: &mut usize, call: impl FnOnce() -> T) -> T {
         let before = large_allocs();
         let out = call();
         *counter += large_allocs() - before;
         out
     }
+
+    fn reads(&self) -> u64 {
+        self.engine.offload_manager().nvme().stats().reads
+    }
 }
 
 impl ParamStore for Metered {
     fn get(&mut self, id: ParamId) -> Result<Tensor> {
         self.fetches += 1;
-        Self::metered(&mut self.in_fetch, || self.engine.get(id))
+        let reads = self.reads();
+        let out = Self::metered(&mut self.in_fetch, || self.engine.get(id));
+        self.fetch_reads += self.reads() - reads;
+        out
     }
 
     fn release(&mut self, id: ParamId) -> Result<()> {
@@ -114,7 +133,9 @@ impl ParamStore for Metered {
     }
 
     fn hint_upcoming(&mut self, ids: &[ParamId]) {
-        Self::metered(&mut self.in_fetch, || self.engine.hint_upcoming(ids))
+        let reads = self.reads();
+        Self::metered(&mut self.in_fetch, || self.engine.hint_upcoming(ids));
+        self.fetch_reads += self.reads() - reads;
     }
 }
 
@@ -125,8 +146,20 @@ fn steady_state_fetch_deposit_and_step_allocate_no_large_block() {
     // large blocks too.
     let cfg = GptConfig { vocab: 512, hidden: 128, layers: 2, heads: 4, seq: 16, seed: 3 };
     let opts = RunOptions { batch: 1, ..Default::default() };
-    for strategy in [Strategy::infinity_nvme(), Strategy::data_parallel()] {
-        let spec = NodeMemorySpec::test_spec(1, 1 << 26, 1 << 28, 1 << 28);
+    // The NVMe strategy twice: with room for the shard cache, then with a
+    // CPU pool cut to what the gradients need (measured on the first
+    // run), where nothing is ever admitted.
+    const ROOMY: u64 = 1 << 28;
+    let mut gradients_only = 0;
+    for (strategy, cached) in [
+        (Strategy::infinity_nvme(), true),
+        (Strategy::infinity_nvme(), false),
+        (Strategy::data_parallel(), false),
+    ] {
+        let offloaded = strategy.placement.params == DeviceKind::Nvme;
+        let cpu = if offloaded && !cached { gradients_only } else { ROOMY };
+        let tag = format!("{}, CPU pool {cpu} B", strategy.name);
+        let spec = NodeMemorySpec::test_spec(1, 1 << 26, cpu, 1 << 28);
         let node = NodeResources::in_memory(&spec, 1);
         let model = GptModel::new(cfg);
         let engine = ZeroEngine::new(
@@ -137,30 +170,45 @@ fn steady_state_fetch_deposit_and_step_allocate_no_large_block() {
             AdamConfig::default(),
         )
         .unwrap();
-        let mut store = Metered { engine, in_fetch: 0, in_add_grad: 0, fetches: 0, deposits: 0 };
+        let mut store = Metered::new(engine);
         let mut in_step = 0;
+        let mut warm = node.offload_manager().health();
         for step in 0..WARM_UP + 3 {
             if step == WARM_UP {
                 (store.in_fetch, store.in_add_grad, in_step) = (0, 0, 0);
-                (store.fetches, store.deposits) = (0, 0);
+                (store.fetches, store.deposits, store.fetch_reads) = (0, 0, 0);
+                warm = node.offload_manager().health();
             }
             let (tokens, targets) = synthetic_batch(&cfg, 1, step);
             let loss = model.train_step(&mut store, &tokens, &targets, &opts).unwrap();
             assert!(loss.is_finite());
             let updated = Metered::metered(&mut in_step, || store.engine.step()).unwrap();
-            assert!(updated, "{}: step {step} was skipped", strategy.name);
+            assert!(updated, "{tag}: step {step} was skipped");
         }
         assert!(store.fetches >= 3 * 50 && store.deposits >= 3 * 28, "the model ran");
-        assert_eq!(store.in_fetch, 0, "{}: large blocks allocated in get/release", strategy.name);
-        assert_eq!(store.in_add_grad, 0, "{}: large blocks allocated in add_grad", strategy.name);
-        assert_eq!(in_step, 0, "{}: large blocks allocated in engine.step()", strategy.name);
+        assert_eq!(store.in_fetch, 0, "{tag}: large blocks allocated in get/release");
+        assert_eq!(store.in_add_grad, 0, "{tag}: large blocks allocated in add_grad");
+        assert_eq!(in_step, 0, "{tag}: large blocks allocated in engine.step()");
+        let health = node.offload_manager().health();
+        let hits = health.shard_cache_hits - warm.shard_cache_hits;
+        assert_eq!(health.shard_cache_evictions, warm.shard_cache_evictions, "{tag}");
+        if cached {
+            // Every steady-state fetch was answered from the cache: the
+            // step's write-through put the fresh shard there.
+            assert_eq!(store.fetch_reads, 0, "{tag}: a cached get read the device");
+            assert!(hits >= 3 * 50, "{tag}: {hits} hits");
+            let cpu = node.hierarchy.stats(Device::cpu());
+            gradients_only = cpu.peak_in_use - cpu.in_use; // at rest only the cache is charged
+        } else if offloaded {
+            assert_eq!(hits, 0, "{tag}: no room, yet fetches were answered from the cache");
+        }
         store.engine.dispose().unwrap();
 
         // The same contract outside `GptModel`: a tiled linear whose four
         // weight tiles are 128 KiB each as f32. Every runner hands its
         // gathered tensors back with no live handle, so the tiles cycle
         // through the buffers the warm-up sized.
-        let node = NodeResources::in_memory(&spec, 1);
+        let node = NodeResources::in_memory(&NodeMemorySpec::test_spec(1, 1 << 26, ROOMY, 1 << 28), 1);
         let mut reg = ParamRegistry::new();
         let tiled = TiledLinear::register(&mut reg, "wide", 256, 512, 4, 7, 0.1).unwrap();
         let engine = ZeroEngine::new(
@@ -171,7 +219,7 @@ fn steady_state_fetch_deposit_and_step_allocate_no_large_block() {
             AdamConfig::default(),
         )
         .unwrap();
-        let mut store = Metered { engine, in_fetch: 0, in_add_grad: 0, fetches: 0, deposits: 0 };
+        let mut store = Metered::new(engine);
         let x = Tensor::randn_seeded(&[4, 256], 11, 0.5);
         let dy = Tensor::randn_seeded(&[4, 512], 12, 0.5);
         for step in 0..WARM_UP + 3 {
