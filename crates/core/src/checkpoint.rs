@@ -560,6 +560,117 @@ mod tests {
         assert!(eng2.load_state(&blob).is_err());
     }
 
+    /// Train `steps` at `world` ranks with `chunk`-element optimizer
+    /// records, first restoring `resume` (one blob per rank) when given:
+    /// rank 0's losses as bits, and every rank's saved state.
+    fn run_world(
+        world: usize,
+        chunk: usize,
+        resume: Option<&[Vec<u8>]>,
+        steps: std::ops::Range<usize>,
+    ) -> (Vec<u32>, Vec<Vec<u8>>) {
+        let cfg = GptConfig::tiny();
+        let spec = NodeMemorySpec::test_spec(world, 1 << 24, 1 << 26, 1 << 26);
+        let node = zi_sync::Arc::new(NodeResources::in_memory(&spec, world));
+        let handles: Vec<_> = (0..world)
+            .map(|rank| {
+                let node = zi_sync::Arc::clone(&node);
+                let blob = resume.map(|blobs| blobs[rank].clone());
+                let steps = steps.clone();
+                zi_sync::thread::spawn(move || {
+                    let model = GptModel::new(cfg);
+                    let mut engine = ZeroEngine::new(
+                        model.registry(),
+                        Strategy::infinity_nvme().with_optimizer_chunk(chunk),
+                        node.offload_manager(),
+                        node.group.communicator(rank),
+                        AdamConfig { lr: 0.02, ..Default::default() },
+                    )
+                    .expect("engine");
+                    if let Some(blob) = blob {
+                        engine.load_state(&blob).expect("load");
+                    }
+                    let rows = cfg.seq;
+                    let losses: Vec<u32> = steps
+                        .map(|step| {
+                            let (tokens, targets) = synthetic_batch(&cfg, world, step);
+                            let mine = rank * rows..(rank + 1) * rows;
+                            let loss = model
+                                .train_step(
+                                    &mut engine,
+                                    &tokens[mine.clone()],
+                                    &targets[mine],
+                                    &RunOptions::default(),
+                                )
+                                .expect("train step");
+                            assert!(engine.step().expect("step"));
+                            loss.to_bits()
+                        })
+                        .collect();
+                    let blob = engine.save_state().expect("save");
+                    engine.dispose().expect("dispose");
+                    (losses, blob)
+                })
+            })
+            .collect();
+        let mut ranks: Vec<_> = handles.into_iter().map(|h| h.join().expect("rank thread")).collect();
+        let losses = std::mem::take(&mut ranks[0].0);
+        (losses, ranks.into_iter().map(|(_, blob)| blob).collect())
+    }
+
+    /// How an engine interleaves master, momentum and variance on its
+    /// tier is its own business: a checkpoint carries none of it.
+    #[test]
+    fn the_record_layout_never_reaches_a_checkpoint() {
+        // The same training under 7-element records and under one record
+        // per shard saves the same bytes.
+        let (losses, saved) = run_world(2, 7, None, 0..3);
+        assert_eq!(run_world(2, usize::MAX, None, 0..3), (losses, saved.clone()));
+        // Saved under 7-element records, restored under 64-element ones,
+        // training goes on as if never interrupted.
+        let (uninterrupted, end) = run_world(2, 7, None, 0..5);
+        assert_eq!(run_world(2, 64, Some(&saved), 3..5), (uninterrupted[3..].to_vec(), end));
+        // Through a reshard to three ranks as well: whatever record size
+        // the new engines stream at, they continue alike.
+        let three = reshard_checkpoint_blobs(&saved, 3).expect("reshard");
+        let same = run_world(3, 7, Some(&three), 3..5);
+        assert_eq!(run_world(3, 64, Some(&three), 3..5), same);
+        assert_eq!(run_world(3, 1, Some(&three), 3..5), same);
+    }
+
+    /// A record whose momentum or variance is not the shard's length is
+    /// refused before any parameter's state is overwritten.
+    #[test]
+    fn a_short_or_long_moment_is_typed_and_overwrites_nothing() {
+        let cfg = GptConfig::tiny();
+        let model = GptModel::new(cfg);
+        let n = node();
+        let mut eng = engine_for(&n, &model, Strategy::infinity_nvme());
+        run_steps(&model, &mut eng, &cfg, 0, 2);
+        let saved = eng.save_state().expect("save");
+        let last = eng.param_count() - 1;
+        let damage: [fn(&mut ParamRecord); 4] = [
+            |r| r.m.truncate(r.m.len() - 1),
+            |r| r.m.push(0.0),
+            |r| r.v.truncate(r.v.len() - 1),
+            |r| r.v.push(0.0),
+        ];
+        for hurt in damage {
+            // Every record differs from the engine's state, the last one
+            // is malformed: a record-at-a-time import would have
+            // overwritten all the others by the time it got there.
+            let mut blob = parse_blob(&saved).expect("parse");
+            for rec in &mut blob.records {
+                rec.master.iter_mut().for_each(|x| *x += 1.0);
+            }
+            hurt(&mut blob.records[last]);
+            let err = eng.load_state(&write_blob(&blob)).expect_err("malformed record");
+            assert!(matches!(err, Error::InvalidArgument(_)), "got {err}");
+            assert_eq!(eng.save_state().expect("save"), saved, "a refused import changed state");
+        }
+        eng.dispose().expect("dispose");
+    }
+
     /// Resharding synthetic partitioned blobs reproduces the padded
     /// concat/split math exactly.
     #[test]

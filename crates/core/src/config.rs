@@ -3,9 +3,10 @@
 use zi_adapt::Knobs;
 use zi_types::{DType, DeviceKind};
 
-/// Streams the chunked optimizer step moves per chunk: fp32 master,
-/// momentum, variance, and the parameter published in storage dtype.
-const STREAMS_PER_CHUNK: usize = 4;
+/// Writes the chunked optimizer step queues per chunk: the record (fp32
+/// master, momentum and variance, interleaved) and the parameter
+/// published in storage dtype.
+const STREAMS_PER_CHUNK: usize = 2;
 
 /// Where each class of model state lives when not in active use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,7 +153,7 @@ impl Strategy {
         }
         // NVMe-resident optimizer state is where the three-hop pipeline
         // pays off; overlap by default (Sec. 6.2).
-        .with_step_pipeline_depth(2)
+        .with_step_pipeline_depth(4)
     }
 
     /// The Fig. 6a sweep, in the paper's order.
@@ -193,7 +194,7 @@ impl Strategy {
         Strategy { knobs: Knobs { prefetch_window: window, ..self.knobs }, ..self }
     }
 
-    /// Override the write-behind window (0 = auto: 4 × pipeline depth).
+    /// Override the write-behind window (0 = auto: 2 × pipeline depth).
     pub fn with_write_behind(self, window: usize) -> Strategy {
         Strategy { knobs: Knobs { write_behind: window, ..self.knobs }, ..self }
     }
@@ -207,8 +208,9 @@ impl Strategy {
 
     /// The placement policy for optimizer shards. Single-path unless
     /// the optimizer tier is NVMe and a CPU share is configured; the
-    /// stripe is tied to the streaming chunk so every in-flight chunk
-    /// straddles both paths (capped so tiny test chunks stay legal).
+    /// stripe is one whole record of the streamed step, so records —
+    /// never parts of one — alternate between the two paths and the
+    /// read-ahead keeps both busy.
     pub fn optimizer_policy(&self) -> zi_memory::PlacementPolicy {
         let permille = self.knobs.optimizer_cpu_permille;
         if self.placement.optimizer != DeviceKind::Nvme || permille == 0 {
@@ -217,12 +219,12 @@ impl Strategy {
         if permille >= 1000 {
             return zi_memory::PlacementPolicy::all_cpu();
         }
-        let stripe = (self.optimizer_chunk.min(1 << 20) / 2).max(1);
+        let stripe = crate::engine::RecordLayout::stripe(self.optimizer_chunk);
         zi_memory::PlacementPolicy::split(permille as u32, stripe)
     }
 
-    /// The write-behind bound in force: the explicit window, or one
-    /// write per stream of every in-flight chunk when on auto.
+    /// The write-behind bound in force: the explicit window, or both
+    /// writes of every in-flight chunk when on auto.
     pub fn write_behind_bound(&self) -> usize {
         if self.knobs.write_behind > 0 {
             self.knobs.write_behind
@@ -281,7 +283,7 @@ mod tests {
 
     #[test]
     fn nvme_strategy_pipelines_by_default() {
-        assert_eq!(Strategy::infinity_nvme().knobs.step_pipeline_depth, 2);
+        assert_eq!(Strategy::infinity_nvme().knobs.step_pipeline_depth, 4);
         // RAM-tier strategies resolve loads instantly; sequential default.
         assert_eq!(Strategy::infinity_cpu().knobs.step_pipeline_depth, 1);
         assert_eq!(Strategy::data_parallel().knobs.step_pipeline_depth, 1);

@@ -22,16 +22,21 @@
 //!    reduce-scattered and the reduced values are accumulated, in the
 //!    same pass, into this rank's shard on the gradient tier.
 //! 5. **Step** — each rank streams its optimizer-state shard through
-//!    bounded chunks (NVMe→CPU→update→NVMe, Sec. 5.2.2), updates the fp32
-//!    master, and writes the fresh fp16 shard back to the parameter tier
-//!    chunk by chunk, as the fourth stream of the same pipeline.
+//!    bounded chunks (NVMe→CPU→update→NVMe, Sec. 5.2.2). Master, momentum
+//!    and variance of a shard live in one buffer, interleaved by record
+//!    ([`RecordLayout`]), so a chunk is one device read into one staging
+//!    buffer, one Adam pass over its three slices and one write; the
+//!    fresh fp16 shard goes back to the parameter tier record by record
+//!    as the second write of the same pipeline. One read-ahead queue
+//!    ([`ReadAhead`]) spans the whole step: while one parameter updates,
+//!    the first records of the next are already on their way.
 //!    Replicated-parameter strategies (ZeRO-1/2/Offload) instead allgather
 //!    the updated slices back into every replica.
 
 use std::collections::{HashMap, VecDeque};
 
 use zi_comm::{Communicator, Partitioner};
-use zi_memory::{Block, PlacementPolicy, ScratchVec};
+use zi_memory::{Block, PlacementPolicy};
 use zi_model::{ParamId, ParamRegistry, ParamStore};
 use zi_optim::{adam_update_chunk, adam_update_chunk_publish, AdamConfig, LossScaler};
 use zi_tensor::storage::{accumulate_f32, decode_f32, encode_f32};
@@ -43,16 +48,95 @@ use crate::config::Strategy;
 use crate::offload::{OffloadManager, PlacedBuf, PlacedPending, PublishStream, WriteBehind};
 use crate::prefetch::{PrefetchStats, Prefetcher, TraceMap};
 
-/// Optimizer state (fp32 master/momentum/variance) for this rank's
-/// update range. For NVMe-tier optimizer state each of the three may be
-/// split between CPU DRAM and the device, and the streamed step drives
+/// State streams interleaved in one optimizer record: fp32 master,
+/// momentum, variance.
+const STATE_STREAMS: usize = 3;
+
+/// How the optimizer state of a `len`-element update range is laid out
+/// in its one buffer of `3 × len` f32: in records of `per` elements,
+/// record k holding `master ‖ m ‖ v` of elements `k·per ..
+/// min((k+1)·per, len)` back to back. A record is what the streamed step
+/// moves: one contiguous range of the buffer, so one device request each
+/// way where three separate buffers cost three. Everything that needs to
+/// know where a value sits — the stream, the split policy's stripe,
+/// checkpoint export and import — asks here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RecordLayout {
+    len: usize,
+    per: usize,
+}
+
+impl RecordLayout {
+    /// The layout of `len` elements streamed `chunk` elements at a time.
+    fn new(len: usize, chunk: usize) -> Self {
+        RecordLayout { len, per: chunk.clamp(1, len.max(1)) }
+    }
+
+    /// Buffer elements a whole record of `chunk` elements spans: the
+    /// stripe at which a split policy deals records to its two paths, so
+    /// no record straddles them.
+    pub(crate) fn stripe(chunk: usize) -> usize {
+        chunk.max(1).saturating_mul(STATE_STREAMS)
+    }
+
+    /// The first element of every record, in order.
+    fn starts(&self) -> impl Iterator<Item = usize> {
+        (0..self.len).step_by(self.per)
+    }
+
+    /// Elements in the record starting at element `at`.
+    fn elems(&self, at: usize) -> usize {
+        self.per.min(self.len - at)
+    }
+
+    /// The buffer range `(first, count)` of the record starting at
+    /// element `at`.
+    fn span(&self, at: usize) -> (usize, usize) {
+        (STATE_STREAMS * at, STATE_STREAMS * self.elems(at))
+    }
+
+    /// One record's elements as its master, momentum and variance.
+    fn split(record: &mut [f32]) -> [&mut [f32]; STATE_STREAMS] {
+        let (master, rest) = record.split_at_mut(record.len() / STATE_STREAMS);
+        let (m, v) = rest.split_at_mut(rest.len() / 2);
+        [master, m, v]
+    }
+
+    /// Where stream `stream` (0 master, 1 momentum, 2 variance) of the
+    /// record starting at `at` sits in the buffer.
+    fn stream_range(&self, at: usize, stream: usize) -> std::ops::Range<usize> {
+        let lo = STATE_STREAMS * at + stream * self.elems(at);
+        lo..lo + self.elems(at)
+    }
+
+    /// Write one stream's `values` (all `len` of them) into the
+    /// interleaved `state`.
+    fn scatter(&self, state: &mut [f32], stream: usize, values: &[f32]) {
+        for at in self.starts() {
+            state[self.stream_range(at, stream)].copy_from_slice(&values[at..at + self.elems(at)]);
+        }
+    }
+
+    /// One stream's values, contiguous, out of the interleaved `state`.
+    fn gather(&self, state: &[f32], stream: usize) -> Vec<f32> {
+        let mut values = Vec::with_capacity(self.len);
+        for at in self.starts() {
+            values.extend_from_slice(&state[self.stream_range(at, stream)]);
+        }
+        values
+    }
+}
+
+/// Optimizer state (fp32 master/momentum/variance) for one parameter's
+/// update range on this rank. NVMe-tier state may be split between CPU
+/// DRAM and the device record by record, and the streamed step drives
 /// both paths at once.
 struct OptimStorage {
-    master: PlacedBuf,
-    m: PlacedBuf,
-    v: PlacedBuf,
-    /// The policy the three buffers were last (re)stored under; compared
-    /// against the strategy's current policy to detect re-tier drift.
+    /// Master, momentum and variance, interleaved as `layout` says.
+    state: PlacedBuf,
+    layout: RecordLayout,
+    /// The policy the buffer was last (re)stored under; compared against
+    /// the strategy's current policy to detect re-tier drift.
     policy: PlacementPolicy,
     step: u64,
 }
@@ -75,7 +159,6 @@ struct ShardState {
     /// equals scanning the final gradient) — `step` reads the flags
     /// instead of re-loading every gradient buffer.
     grad_nonfinite: bool,
-    optim: OptimStorage,
 }
 
 /// A gathered parameter currently resident in GPU working memory.
@@ -158,6 +241,10 @@ pub struct ZeroEngine {
     adam: AdamConfig,
     scaler: LossScaler,
     shards: Vec<ShardState>,
+    /// Optimizer state, by parameter like `shards`. A list of its own:
+    /// the step holds one parameter's publish open while it reads ahead
+    /// in the optimizer state of the next.
+    optims: Vec<OptimStorage>,
     /// Extra gradient divisor for multi-micro-batch accumulation.
     grad_accum_steps: f32,
     resident: HashMap<ParamId, Resident>,
@@ -220,6 +307,7 @@ impl ZeroEngine {
         let world = comm.world_size();
         let part = Partitioner::new(world);
         let mut shards = Vec::with_capacity(registry.len());
+        let mut optims = Vec::with_capacity(registry.len());
         for meta in registry.iter() {
             // One parameter at a time: peak init memory is a single
             // parameter, never the whole model (Sec. 7.2).
@@ -251,19 +339,12 @@ impl ZeroEngine {
             } else {
                 full.data().to_vec()
             };
-            let opt_len = master_vals.len();
+            let layout = RecordLayout::new(master_vals.len(), strategy.optimizer_chunk);
+            let mut state = FlatBuffer::zeros(DType::F32, STATE_STREAMS * master_vals.len());
+            layout.scatter(f32_view(&mut state)?, 0, &master_vals);
             let policy = strategy.optimizer_policy();
-            let optim = OptimStorage {
-                master: mgr.store_placed(
-                    optim_device,
-                    &policy,
-                    FlatBuffer::from_f32(DType::F32, &master_vals),
-                )?,
-                m: mgr.store_placed(optim_device, &policy, FlatBuffer::zeros(DType::F32, opt_len))?,
-                v: mgr.store_placed(optim_device, &policy, FlatBuffer::zeros(DType::F32, opt_len))?,
-                policy,
-                step: 0,
-            };
+            let state = mgr.store_placed(optim_device, &policy, state)?;
+            optims.push(OptimStorage { state, layout, policy, step: 0 });
 
             shards.push(ShardState {
                 shape: meta.shape.clone(),
@@ -272,7 +353,6 @@ impl ZeroEngine {
                 param,
                 grad: None,
                 grad_nonfinite: false,
-                optim,
             });
         }
         // Anything published before construction is already reflected in
@@ -287,6 +367,7 @@ impl ZeroEngine {
             adam,
             scaler: LossScaler::default(),
             shards,
+            optims,
             grad_accum_steps: 1.0,
             resident: HashMap::new(),
             f32_bufs: FreeList::new(),
@@ -414,13 +495,23 @@ impl ZeroEngine {
         self.scaler.update(false);
 
         self.reserve_step_staging();
-        // One write-behind window spans every parameter, so one
-        // parameter's writes overlap the next one's reads. All of it is
-        // reaped here, inside the step — on the success path and on every
-        // error path — so write failures surface as the step's own typed
-        // error and nothing leaks into the end-of-iteration barrier.
+        // One write-behind window and one read-ahead queue span every
+        // parameter, so one parameter's writes overlap the next one's
+        // reads and the pipeline never drains between two of them. Both
+        // open here, once the overflow check has decided the step runs —
+        // a skipped step touches no optimizer state — and both are reaped
+        // here, on the success path and on every error path, so failures
+        // surface as the step's own typed error, every staging buffer is
+        // back in its pool and nothing leaks into the end-of-iteration
+        // barrier.
         let mut wb = WriteBehind::new(self.strategy.write_behind_bound());
-        let updated = (0..self.shards.len()).try_for_each(|idx| self.update_shard(idx, &mut wb));
+        let mut ahead = ReadAhead::open(
+            self.strategy.knobs.step_pipeline_depth,
+            self.shards.iter().map(|st| st.grad.is_some()),
+        );
+        let updated =
+            (0..self.shards.len()).try_for_each(|idx| self.update_shard(idx, &mut ahead, &mut wb));
+        ahead.close(&self.mgr);
         let drained = wb.drain(&self.mgr);
         updated.and(drained)?;
         self.stats.steps += 1;
@@ -429,23 +520,35 @@ impl ZeroEngine {
     }
 
     /// Put the streamed step's staging set in place before its first
-    /// chunk: `depth` chunks of read-ahead plus the chunk in hand, three
-    /// state streams and a publish each, and the write-behind window,
-    /// every buffer one chunk long. How many of them are out at once
+    /// record. Record-sized buffers: `depth` for the read-ahead and the
+    /// record in hand, and the record half of the write-behind window,
+    /// whose requests alternate between a record and its publish. On top
+    /// of those (a larger buffer counts towards a smaller size, and an
+    /// acquisition takes the smallest that fits), publish-sized ones for
+    /// the other half and the piece in hand. How many are out at once
     /// depends on when the device completes writes, so a pool that only
     /// allocates on a miss keeps allocating, rarely, for many steps.
     fn reserve_step_staging(&self) {
-        let offloaded = self.shards.iter().filter(|st| st.optim.master.is_offloaded());
-        let Some(longest) = offloaded.map(|st| st.optim.master.numel()).max() else { return };
-        let chunk = self.strategy.optimizer_chunk.min(longest);
+        let offloaded = self.optims.iter().filter(|opt| opt.state.is_offloaded());
+        let Some(longest) = offloaded.map(|opt| opt.layout.per).max() else { return };
         let depth = self.strategy.knobs.step_pipeline_depth.max(1);
-        let count = depth * 4 + self.strategy.write_behind_bound();
-        self.mgr.staging().reserve(count, DType::F32.bytes_for(chunk));
+        let behind = self.strategy.write_behind_bound().div_ceil(2);
+        let staging = self.mgr.staging();
+        staging.reserve(depth + behind, DType::F32.bytes_for(STATE_STREAMS * longest));
+        if self.strategy.partition_params {
+            let piece = self.strategy.param_dtype.bytes_for(longest);
+            staging.reserve(depth + 2 * behind + 1, piece);
+        }
     }
 
     /// Apply parameter `idx`'s accumulated gradient (if any) to its
     /// optimizer shard and publish the fresh parameter values.
-    fn update_shard(&mut self, idx: usize, wb: &mut WriteBehind) -> Result<()> {
+    fn update_shard(
+        &mut self,
+        idx: usize,
+        ahead: &mut ReadAhead,
+        wb: &mut WriteBehind,
+    ) -> Result<()> {
         let Some(buf) = self.shards[idx].grad.take() else { return Ok(()) };
         self.shards[idx].grad_nonfinite = false;
         let (numel, shard_len) = (self.shards[idx].numel, self.shards[idx].shard_len);
@@ -472,24 +575,21 @@ impl ZeroEngine {
             *g /= world;
         }
 
-        // Stream the optimizer state through bounded chunks with a
-        // depth-deep read pipeline and bounded write-behind. A
+        // Stream the optimizer state through its records, the reads
+        // coming off the step's queue and the writes going behind. A
         // partitioned parameter's fresh shard rides the same
-        // write-behind, chunk by chunk; a replicated one collects the
+        // write-behind, record by record; a replicated one collects the
         // whole master for the allgather publish below.
         let total = grad.len();
-        let chunk = self.strategy.optimizer_chunk.min(total.max(1));
-        let depth = self.strategy.knobs.step_pipeline_depth.max(1);
-        let ShardState { optim, param, .. } = &mut self.shards[idx];
-        optim.step += 1;
+        self.optims[idx].step += 1;
         let mut new_master = None;
         let publish = if self.strategy.partition_params {
-            Publish::Stream(self.mgr.begin_publish(param))
+            Publish::Stream(self.mgr.begin_publish(&mut self.shards[idx].param))
         } else {
             Publish::Whole(new_master.insert(self.f32_bufs.take_f32(total)))
         };
-        let stats = &mut self.stats;
-        stream_shard_update(&self.mgr, &self.adam, optim, grad, chunk, depth, wb, publish, stats)?;
+        let (optims, stats) = (&mut self.optims, &mut self.stats);
+        stream_shard_update(&self.mgr, &self.adam, optims, idx, grad, ahead, wb, publish, stats)?;
         // The buffers outlive the step: the next deposit and the next
         // publish of this size reuse them.
         self.grad_bufs.put(taken.numel(), taken);
@@ -549,11 +649,9 @@ impl ZeroEngine {
         if let Some((version, policy)) = mgr.placement_cell().read_if_newer(self.placement_seen) {
             self.placement_seen = version;
             if policy == PlacementPolicy::all_cpu() {
-                for st in &mut self.shards {
-                    mgr.collapse_placed(&mut st.optim.master)?;
-                    mgr.collapse_placed(&mut st.optim.m)?;
-                    mgr.collapse_placed(&mut st.optim.v)?;
-                    st.optim.policy = policy;
+                for opt in &mut self.optims {
+                    mgr.collapse_placed(&mut opt.state)?;
+                    opt.policy = policy;
                 }
                 return Ok(());
             }
@@ -565,14 +663,9 @@ impl ZeroEngine {
         }
         let target = self.strategy.optimizer_policy();
         let optim_device = device_for(self.strategy.placement.optimizer, self.gpu_index);
-        for st in &mut self.shards {
-            if st.optim.policy == target {
-                continue;
-            }
-            mgr.retier_placed(&mut st.optim.master, optim_device, &target)?;
-            mgr.retier_placed(&mut st.optim.m, optim_device, &target)?;
-            mgr.retier_placed(&mut st.optim.v, optim_device, &target)?;
-            st.optim.policy = target;
+        for opt in self.optims.iter_mut().filter(|opt| opt.policy != target) {
+            mgr.retier_placed(&mut opt.state, optim_device, &target)?;
+            opt.policy = target;
         }
         Ok(())
     }
@@ -642,18 +735,22 @@ impl ZeroEngine {
     }
 
     /// Read every parameter's optimizer shard out of its tier
-    /// (checkpoint save path).
+    /// (checkpoint save path). Records carry the three streams
+    /// contiguous: how this engine interleaves them never reaches a
+    /// checkpoint.
     pub(crate) fn export_optimizer_records(
         &self,
     ) -> Result<Vec<crate::checkpoint::ParamRecord>> {
         let mut out = Vec::with_capacity(self.shards.len());
-        for st in &self.shards {
+        for (st, opt) in self.shards.iter().zip(&self.optims) {
+            let mut state = self.mgr.load_placed(&opt.state)?;
+            let state = f32_view(&mut state)?;
             out.push(crate::checkpoint::ParamRecord {
-                step: st.optim.step,
+                step: opt.step,
                 numel: st.numel as u64,
-                master: self.mgr.load_placed(&st.optim.master)?.to_f32_vec(),
-                m: self.mgr.load_placed(&st.optim.m)?.to_f32_vec(),
-                v: self.mgr.load_placed(&st.optim.v)?.to_f32_vec(),
+                master: opt.layout.gather(state, 0),
+                m: opt.layout.gather(state, 1),
+                v: opt.layout.gather(state, 2),
             });
         }
         Ok(out)
@@ -661,7 +758,8 @@ impl ZeroEngine {
 
     /// Overwrite optimizer state from checkpoint records and republish
     /// the parameter tensors from the restored masters (checkpoint load
-    /// path; collective for replicated-parameter strategies).
+    /// path; collective for replicated-parameter strategies). Every
+    /// record is checked before anything is overwritten.
     pub(crate) fn import_optimizer_records(
         &mut self,
         records: Vec<crate::checkpoint::ParamRecord>,
@@ -670,13 +768,14 @@ impl ZeroEngine {
             return Err(Error::InvalidArgument("record count mismatch".into()));
         }
         for (idx, rec) in records.iter().enumerate() {
-            let st = &self.shards[idx];
-            if rec.master.len() != st.optim.master.numel() {
-                return Err(Error::InvalidArgument(format!(
-                    "param {idx}: checkpoint shard of {} elements, engine expects {}",
-                    rec.master.len(),
-                    st.optim.master.numel()
-                )));
+            let (st, expect) = (&self.shards[idx], self.optims[idx].layout.len);
+            for (name, got) in [("master", &rec.master), ("m", &rec.m), ("v", &rec.v)] {
+                if got.len() != expect {
+                    return Err(Error::InvalidArgument(format!(
+                        "param {idx}: checkpoint {name} of {} elements, engine expects {expect}",
+                        got.len()
+                    )));
+                }
             }
             if rec.numel != st.numel as u64 {
                 return Err(Error::InvalidArgument(format!(
@@ -686,18 +785,13 @@ impl ZeroEngine {
             }
         }
         for (idx, rec) in records.into_iter().enumerate() {
-            {
-                let st = &mut self.shards[idx];
-                st.optim.step = rec.step;
-                self.mgr.overwrite_placed(
-                    &mut st.optim.master,
-                    &FlatBuffer::from_f32(DType::F32, &rec.master),
-                )?;
-                self.mgr
-                    .overwrite_placed(&mut st.optim.m, &FlatBuffer::from_f32(DType::F32, &rec.m))?;
-                self.mgr
-                    .overwrite_placed(&mut st.optim.v, &FlatBuffer::from_f32(DType::F32, &rec.v))?;
+            let opt = &mut self.optims[idx];
+            opt.step = rec.step;
+            let mut state = FlatBuffer::zeros(DType::F32, opt.state.numel());
+            for (stream, values) in [&rec.master, &rec.m, &rec.v].into_iter().enumerate() {
+                opt.layout.scatter(f32_view(&mut state)?, stream, values);
             }
+            self.mgr.overwrite_placed(&mut opt.state, &state)?;
             self.publish_master(idx, &rec.master)?;
         }
         Ok(())
@@ -710,9 +804,9 @@ impl ZeroEngine {
         self.clear_grads();
         for st in self.shards.drain(..) {
             self.mgr.free_placed(st.param);
-            self.mgr.free_placed(st.optim.master);
-            self.mgr.free_placed(st.optim.m);
-            self.mgr.free_placed(st.optim.v);
+        }
+        for opt in self.optims.drain(..) {
+            self.mgr.free_placed(opt.state);
         }
         let gpu = self.gpu_device();
         for (_, r) in self.resident.drain() {
@@ -799,10 +893,9 @@ impl ParamStore for ZeroEngine {
     }
 }
 
-/// The elements of a gradient buffer as f32.
+/// The elements of a gradient or optimizer-state buffer as f32.
 fn f32_view(buf: &mut FlatBuffer) -> Result<&mut [f32]> {
-    buf.as_f32_mut()
-        .ok_or_else(|| Error::Internal("gradient storage is not an aligned f32 buffer".into()))
+    buf.as_f32_mut().ok_or_else(|| Error::Internal("not an aligned f32 buffer".into()))
 }
 
 /// Allgather `shard` — this rank's `shard_len` elements stored as `dtype`
@@ -905,155 +998,182 @@ fn device_for(kind: DeviceKind, rank: usize) -> Device {
 enum Publish<'a> {
     /// Collect them (replicated parameters: published by allgather).
     Whole(&'a mut [f32]),
-    /// Convert each chunk to the storage dtype and write it behind, as
-    /// the chunk's fourth stream (partitioned parameters).
+    /// Convert each record's masters to the storage dtype and write
+    /// them behind, as the record's second write (partitioned
+    /// parameters).
     Stream(PublishStream<'a>),
 }
 
-/// The f32 elements of one streamed chunk: the staging buffer the
-/// device filled, or the resident shard itself.
-fn chunk_f32<'a>(
-    staged: &'a mut Option<ScratchVec>,
-    buf: &'a mut PlacedBuf,
-    start: usize,
-    len: usize,
-) -> Result<&'a mut [f32]> {
-    match staged {
-        Some(staging) => Ok(staging.as_f32_mut()),
-        None => buf.resident_f32_mut(start, len),
+/// The optimizer step's read-ahead: one queue over every record of every
+/// parameter that has a gradient, in update order.
+///
+/// It keeps `depth` records issued ahead of the update — the one about
+/// to be taken counts — across parameter boundaries, so the device queue
+/// is as full while a parameter's last record updates as in the middle
+/// of a large one, and a one-record parameter is read while its
+/// predecessor updates. `depth == 1` issues a record only when the one
+/// before it is done. Depth counts records because a record is one
+/// request: what keeps the device's workers busy is requests in flight,
+/// whatever their size.
+struct ReadAhead {
+    depth: usize,
+    /// The parameters to update, ascending.
+    due: Vec<usize>,
+    /// The next record to issue: a position in `due` and an element.
+    next: (usize, usize),
+    /// Records issued and not yet taken: parameter, element, load.
+    pending: VecDeque<(usize, usize, PlacedPending)>,
+}
+
+impl ReadAhead {
+    /// A queue over the parameters whose `has_grad` is set; nothing is
+    /// issued yet.
+    fn open(depth: usize, has_grad: impl Iterator<Item = bool>) -> Self {
+        let due = has_grad.enumerate().filter_map(|(idx, due)| due.then_some(idx)).collect();
+        ReadAhead { depth: depth.max(1), due, next: (0, 0), pending: VecDeque::new() }
+    }
+
+    /// Top the queue up to `depth` records, then hand over the load of
+    /// the record of `idx` starting at `at`, which the update has
+    /// reached: the head of the queue. An NVMe record queues on the
+    /// device; a CPU-DRAM one needs no transfer — concurrent nc + cp
+    /// traffic within one step.
+    fn take(
+        &mut self,
+        mgr: &OffloadManager,
+        optims: &[OptimStorage],
+        idx: usize,
+        at: usize,
+    ) -> Result<PlacedPending> {
+        while self.pending.len() < self.depth {
+            let (pos, next_at) = self.next;
+            let Some(&due) = self.due.get(pos) else { break };
+            let OptimStorage { state, layout, .. } = &optims[due];
+            if next_at >= layout.len {
+                self.next = (pos + 1, 0);
+                continue;
+            }
+            let (first, count) = layout.span(next_at);
+            let load = mgr.begin_load_elems_placed(state, first, count)?;
+            self.pending.push_back((due, next_at, load));
+            self.next = (pos, next_at + layout.per);
+        }
+        match self.pending.pop_front() {
+            Some((head, head_at, load)) if (head, head_at) == (idx, at) => Ok(load),
+            other => {
+                self.pending.extend(other);
+                Err(Error::Internal(format!("read-ahead is not at record {at} of parameter {idx}")))
+            }
+        }
+    }
+
+    /// Reap every read still out (a failed step abandoning its
+    /// read-ahead): the staging buffers go back to their pool.
+    fn close(self, mgr: &OffloadManager) {
+        for (_, _, load) in self.pending {
+            load.discard(mgr);
+        }
     }
 }
 
-/// Stream one shard's optimizer state (master, m, v) through bounded
-/// chunks with a `depth`-deep read pipeline and bounded write-behind
-/// (Sec. 5.2.2 + overlap-centric design, Sec. 6.2).
+/// Stream parameter `idx`'s optimizer state through its records with
+/// the step's read-ahead and bounded write-behind (Sec. 5.2.2 +
+/// overlap-centric design, Sec. 6.2).
 ///
-/// While chunk k runs Adam, the three reads of chunks k+1..k+depth are
-/// already in flight and the writes of chunks < k drain asynchronously
-/// under back-pressure. One staging buffer carries each NVMe stream of a
-/// chunk the whole way: the device reads into it, the CRC is verified
-/// over it, Adam updates it in place, and it moves into the write
-/// request; RAM-resident chunks are updated in the resident buffer
-/// itself. `depth == 1` degenerates to the fully sequential
-/// read→update→write loop (each chunk's writes are drained before the
-/// next chunk starts).
+/// While record k runs Adam, the reads of the next `depth − 1` records —
+/// this parameter's or the next one's — are already in flight and the
+/// writes of earlier records drain asynchronously under back-pressure.
+/// One staging buffer carries an NVMe record the whole way: the device
+/// reads into it, the CRC is verified over it, Adam updates its three
+/// slices in place, and it moves into the write request; a RAM-resident
+/// record is updated in the resident buffer itself. `depth == 1`
+/// degenerates to the fully sequential read→update→write loop (each
+/// record's writes are drained before the next record's read is issued).
 ///
-/// Every read is reaped before returning — on the success path and on
-/// every error path — and every write is queued on the caller's `wb`,
-/// which the step drains before it returns: failures surface as typed
-/// errors inside the step (preserving the retry/checksum/failover
-/// semantics) and every staging buffer goes back to its pool.
+/// Every write is queued on the caller's `wb` and every read stays on
+/// the caller's `ahead` until it is taken; the step reaps both before it
+/// returns, so failures surface as typed errors inside the step
+/// (preserving the retry/checksum/failover semantics) and every staging
+/// buffer goes back to its pool.
 #[allow(clippy::too_many_arguments)]
 fn stream_shard_update(
     mgr: &OffloadManager,
     adam: &AdamConfig,
-    optim: &mut OptimStorage,
+    optims: &mut [OptimStorage],
+    idx: usize,
     grad: &[f32],
-    chunk: usize,
-    depth: usize,
+    ahead: &mut ReadAhead,
     wb: &mut WriteBehind,
     mut publish: Publish<'_>,
     stats: &mut EngineStats,
 ) -> Result<()> {
-    let total = grad.len();
-    let step_no = optim.step;
-    let mut pending: VecDeque<(usize, usize, [PlacedPending; 3])> = VecDeque::new();
-    let (mut issued, mut updated) = (0usize, 0usize);
-
-    let mut run = || -> Result<()> {
-        while updated < total {
-            // Keep `depth` chunks' worth of reads in flight ahead of the
-            // update. A chunk ends early at a segment boundary of a split
-            // shard, so each one lies on a single path: the NVMe ones
-            // queue on the device while the CPU-DRAM ones need no
-            // transfer — concurrent nc + cp traffic within one step.
-            while issued < total && issued - updated < depth.saturating_mul(chunk) {
-                let end = [&optim.master, &optim.m, &optim.v]
-                    .iter()
-                    .fold(issued.saturating_add(chunk).min(total), |end, buf| {
-                        end.min(buf.segment_end(issued))
-                    });
-                let loads = [
-                    mgr.begin_load_elems_placed(&optim.master, issued, end - issued)?,
-                    mgr.begin_load_elems_placed(&optim.m, issued, end - issued)?,
-                    mgr.begin_load_elems_placed(&optim.v, issued, end - issued)?,
-                ];
-                pending.push_back((issued, end - issued, loads));
-                issued = end;
-            }
-            let (start, len, loads) = pending
-                .pop_front()
-                .filter(|&(_, len, _)| len > 0)
-                .ok_or_else(|| Error::Internal("optimizer stream has no chunk to update".into()))?;
-            // All three are reaped before any failure surfaces.
-            let [sm, s1, s2] = loads.map(|load| load.wait(mgr));
-            let (mut sm, mut s1, mut s2) = (sm?, s1?, s2?);
-            // Measured after the waits: anything still in flight now is
-            // genuine overlap (later chunks' reads, earlier writes).
-            if mgr.nvme().in_flight() > 0 {
-                stats.step_io_overlap += 1;
-            }
-            {
-                let resident = [&sm, &s1, &s2].iter().filter(|s| s.is_none()).count();
-                let resident = (resident * len * 4) as u64;
-                let master = chunk_f32(&mut sm, &mut optim.master, start, len)?;
-                let m = chunk_f32(&mut s1, &mut optim.m, start, len)?;
-                let v = chunk_f32(&mut s2, &mut optim.v, start, len)?;
-                // The cp hop of a resident chunk is the kernel's own
-                // traffic over the DRAM-resident state: read and written
-                // once each, in place.
-                let _cp = (resident > 0).then(|| {
-                    mgr.tracer().count(Counter::CpReadBytes, resident);
-                    mgr.tracer().count(Counter::CpWriteBytes, resident);
-                    let mut span = mgr.tracer().span(Category::CpTransfer, "cp.update");
-                    span.set_bytes(2 * resident);
-                    span.set_id(start as u64);
-                    span
-                });
-                {
-                    // The compute half of the streamed step: I/O hidden
-                    // behind these spans is the pipeline's overlap win.
-                    let mut span = mgr.tracer().span(Category::Compute, "adam_chunk");
-                    span.set_bytes((len * 4) as u64);
-                    // ~15 scalar flops per element in the Adam recurrence
-                    // (moment updates, bias correction, sqrt, update).
-                    span.set_flops(15 * len as u64);
-                    span.set_id(start as u64);
-                    let grad = &grad[start..start + len];
-                    match &mut publish {
-                        Publish::Whole(out) => adam_update_chunk_publish(
-                            adam, step_no, master, m, v, grad, &mut out[start..start + len],
-                        ),
-                        Publish::Stream(_) => adam_update_chunk(adam, step_no, master, m, v, grad),
-                    }
-                }
-                if let Publish::Stream(stream) = &mut publish {
-                    stream.push(wb, master)?;
-                }
-            }
-            for (staged, buf) in [(sm, &optim.master), (s1, &optim.m), (s2, &optim.v)] {
-                if let Some(staging) = staged {
-                    wb.submit_staged(mgr, buf, start, staging)?;
-                }
-            }
-            if depth == 1 {
-                // Sequential semantics: this chunk's writes completed
-                // before the next chunk's reads are even issued.
-                wb.drain(mgr)?;
-            }
-            updated += len;
-            stats.optimizer_chunks += 1;
-        }
-        Ok(())
-    };
-    let result = run();
-    // Reap the reads a failure abandoned.
-    for (_, _, loads) in pending.drain(..) {
-        for load in loads {
-            load.discard(mgr);
-        }
+    let OptimStorage { layout, step: step_no, .. } = optims[idx];
+    if grad.len() != layout.len {
+        return Err(Error::Internal(format!(
+            "parameter {idx}: gradient of {} elements for optimizer state of {}",
+            grad.len(),
+            layout.len
+        )));
     }
-    result?;
+    for at in layout.starts() {
+        let mut staged = ahead.take(mgr, optims, idx, at)?.wait(mgr)?;
+        // Measured after the wait: anything still in flight now is
+        // genuine overlap (later records' reads, earlier writes).
+        if mgr.nvme().in_flight() > 0 {
+            stats.step_io_overlap += 1;
+        }
+        let (first, count) = layout.span(at);
+        let len = layout.elems(at);
+        let state = &mut optims[idx].state;
+        {
+            // The cp hop of a resident record is the kernel's own traffic
+            // over the DRAM-resident state: read and written once each,
+            // in place.
+            let _cp = staged.is_none().then(|| {
+                let resident = (count * 4) as u64;
+                mgr.tracer().count(Counter::CpReadBytes, resident);
+                mgr.tracer().count(Counter::CpWriteBytes, resident);
+                let mut span = mgr.tracer().span(Category::CpTransfer, "cp.update");
+                span.set_bytes(2 * resident);
+                span.set_id(at as u64);
+                span
+            });
+            let record = match &mut staged {
+                Some(staging) => staging.as_f32_mut(),
+                None => state.resident_f32_mut(first, count)?,
+            };
+            let [master, m, v] = RecordLayout::split(record);
+            {
+                // The compute half of the streamed step: I/O hidden
+                // behind these spans is the pipeline's overlap win.
+                let mut span = mgr.tracer().span(Category::Compute, "adam_chunk");
+                span.set_bytes((len * 4) as u64);
+                // ~15 scalar flops per element in the Adam recurrence
+                // (moment updates, bias correction, sqrt, update).
+                span.set_flops(15 * len as u64);
+                span.set_id(at as u64);
+                let grad = &grad[at..at + len];
+                match &mut publish {
+                    Publish::Whole(out) => adam_update_chunk_publish(
+                        adam, step_no, master, m, v, grad, &mut out[at..at + len],
+                    ),
+                    Publish::Stream(_) => adam_update_chunk(adam, step_no, master, m, v, grad),
+                }
+            }
+            if let Publish::Stream(stream) = &mut publish {
+                stream.push(wb, master)?;
+            }
+        }
+        if let Some(staging) = staged {
+            wb.submit_staged(mgr, state, first, staging)?;
+        }
+        if ahead.depth == 1 {
+            // Sequential semantics: this record's writes completed
+            // before the next record's read is even issued.
+            wb.drain(mgr)?;
+        }
+        stats.optimizer_chunks += 1;
+    }
     match publish {
         Publish::Stream(stream) => stream.finish(),
         Publish::Whole(_) => Ok(()),
@@ -1333,21 +1453,25 @@ mod tests {
         ));
         let node = NodeResources::new(&spec, 1, NodeEnv::new(backend));
         let reg = tiny_registry();
+        // Records of four elements: `w` is three 48-byte records, `b` one
+        // of 48 bytes and one of 12 — the only 12-byte read of the step.
         let mut eng = ZeroEngine::new(
             &reg,
             Strategy::infinity_nvme()
                 .with_f32_params()
                 .with_prefetch(false)
-                .with_optimizer_chunk(3)
+                .with_optimizer_chunk(4)
                 .with_step_pipeline_depth(3),
             node.offload_manager(),
             node.group.communicator(0),
             AdamConfig::default(),
         )
         .unwrap();
-        let id = reg.find("w").unwrap();
-        eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
+        let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
+        eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
+        eng.add_grad(b, &Tensor::from_vec(&[5], vec![1.0; 5]).unwrap()).unwrap();
         let peak_before = node.nvme.stats().in_flight_peak;
+        let _ = node.tracer().take_events();
         assert!(eng.step().unwrap());
         let stats = eng.stats();
         assert!(
@@ -1356,6 +1480,27 @@ mod tests {
         );
         let peak = node.nvme.stats().in_flight_peak;
         assert!(peak >= 2, "expected ≥ 2 concurrent requests, peak was {peak} (before: {peak_before})");
+        // The queue spans parameters: `b`'s reads are on the device while
+        // `w` still updates. Tickets number requests in submission order
+        // and a record is written right after its update, so the read of
+        // `b`'s last record was submitted before `w`'s last record was
+        // even updated exactly when its ticket is the smaller.
+        let events = node.tracer().take_events();
+        let tickets = |name: &str, bytes: u64| {
+            let mut ids: Vec<u64> = events
+                .iter()
+                .filter(|e| e.cat == Category::NcTransfer && e.name == name && e.bytes == bytes)
+                .map(|e| e.id)
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        let (b_last_read, record_writes) = (tickets("nc.read", 12), tickets("nc.write", 48));
+        assert_eq!((b_last_read.len(), record_writes.len()), (1, 4), "three records of w, one of b");
+        assert!(
+            b_last_read[0] < record_writes[2],
+            "b's reads waited for w to finish: read {b_last_read:?}, writes {record_writes:?}"
+        );
         eng.dispose().unwrap();
     }
 
@@ -1497,9 +1642,9 @@ mod tests {
         let st = pool.stats();
         assert_eq!(st.allocated, warm.allocated, "a steady-state step allocated staging: {st:?}");
         assert!(st.reused > warm.reused, "steady-state steps must recycle chunk buffers: {st:?}");
-        // Read-ahead (3 streams) plus the chunk in hand (3 + its publish)
-        // fit in depth × 4; the rest is the write-behind window.
-        let bound = (depth * 4 + eng.strategy.write_behind_bound()) as u64;
+        // Read-ahead plus the record in hand are `depth` buffers, its
+        // publish one more; the rest is the write-behind window.
+        let bound = (depth + 1 + eng.strategy.write_behind_bound()) as u64;
         assert!(st.peak_outstanding <= bound, "peak {} over bound {bound}", st.peak_outstanding);
         assert_eq!((pool.outstanding(), pool.idle() as u64), (0, st.allocated));
         eng.dispose().unwrap();
@@ -1606,27 +1751,98 @@ mod tests {
 
     #[test]
     fn device_death_mid_stream_is_typed_and_returns_every_staging_buffer() {
-        // Calibrate: how many device ops does one healthy step issue?
-        let (plan, _node, mut eng, id) = faulty_rank(2, 1 << 22);
-        let grad = Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap();
+        // Both parameters have a gradient, so with two-element records
+        // the first read of `b` is on the device while `w`'s last record
+        // updates. Calibrate: how many device ops does one healthy step
+        // issue?
+        let grads = |eng: &mut ZeroEngine, reg: &ParamRegistry| {
+            let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
+            eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
+            eng.add_grad(b, &Tensor::from_vec(&[5], vec![1.0; 5]).unwrap()).unwrap();
+        };
+        let reg = tiny_registry();
+        let (plan, _node, mut eng, _) = faulty_rank(2, 1 << 22);
         let before = plan.ops_seen();
-        eng.add_grad(id, &grad).unwrap();
+        grads(&mut eng, &reg);
         eng.step().unwrap();
         let per_step = plan.ops_seen() - before;
-        assert!(per_step >= 12, "six chunks of reads and writes: {per_step}");
+        assert_eq!(per_step, 3 * (6 + 3), "a read, a write and a publish per record");
         eng.dispose().unwrap();
-        // Kill the device at several points inside the stream: reads of
-        // later chunks and writes of earlier ones are in flight.
-        for frac in [4, 2] {
-            let (plan, _node, mut eng, id) = faulty_rank(2, 1 << 22);
-            eng.add_grad(id, &grad).unwrap();
-            plan.kill_after_ops(per_step / frac);
+        // Kill the device after every possible number of ops: reads of
+        // later records — of `b` too, while `w` is still being written —
+        // and writes of earlier ones are in flight.
+        for alive in 0..per_step {
+            let (plan, _node, mut eng, _) = faulty_rank(2, 1 << 22);
+            grads(&mut eng, &reg);
+            plan.kill_after_ops(alive);
             let err = eng.step().unwrap_err();
-            assert!(err.is_device_failure(), "death at 1/{frac} of the step: got {err}");
+            assert!(err.is_device_failure(), "death after {alive} ops of the step: got {err}");
             let pool = eng.mgr.staging();
-            assert_eq!(pool.outstanding(), 0, "a staging buffer is still checked out");
-            assert_eq!(pool.idle() as u64, pool.stats().allocated, "a staging buffer was lost");
+            assert_eq!(pool.outstanding(), 0, "{alive} ops: a staging buffer is still checked out");
+            assert_eq!(pool.idle() as u64, pool.stats().allocated, "{alive} ops: a buffer was lost");
         }
+    }
+
+    #[test]
+    fn a_skipped_step_and_a_parameter_without_a_gradient_issue_no_device_request() {
+        let (_plan, node, mut eng, w) = faulty_rank(5, 1 << 22);
+        let requests = || {
+            let io = node.nvme.stats();
+            (io.reads, io.writes)
+        };
+        // The loss scaler skips the step: no optimizer state is read.
+        let at_rest = requests();
+        eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![f32::INFINITY; 12]).unwrap()).unwrap();
+        assert!(!eng.step().unwrap());
+        assert_eq!(requests(), at_rest, "a skipped step touched the device");
+        // `w` alone has a gradient: its three records are read, written
+        // and published, and nothing of `b` moves.
+        eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
+        assert!(eng.step().unwrap());
+        assert_eq!(requests(), (at_rest.0 + 3, at_rest.1 + 6));
+        eng.dispose().unwrap();
+    }
+
+    #[test]
+    fn a_corrupted_record_is_reread_alone_and_adam_sees_clean_bytes() {
+        let grad = |round: usize| {
+            Tensor::from_vec(&[3, 4], (0..12).map(|i| (i + round) as f32 * 0.1).collect()).unwrap()
+        };
+        // Two steps on a healthy device: the reference.
+        let (_plan, _clean_node, mut clean, w) = faulty_rank(5, 1 << 22);
+        for round in 0..2 {
+            clean.add_grad(w, &grad(round)).unwrap();
+            clean.step().unwrap();
+        }
+        let expect = clean.export_optimizer_records().unwrap();
+        // The first step writes `w`'s state record by record (60, 60 and
+        // 24 bytes); in the second one read comes back with a flipped bit.
+        let (plan, node, mut eng, w) = faulty_rank(5, 1 << 22);
+        eng.add_grad(w, &grad(0)).unwrap();
+        eng.step().unwrap();
+        let before = node.nvme.stats();
+        plan.bitflip_next_reads(1);
+        eng.add_grad(w, &grad(1)).unwrap();
+        eng.step().unwrap();
+        let after = node.nvme.stats();
+        assert_eq!(after.reads - before.reads, 3 + 1, "one re-read");
+        let reread = after.bytes_read - before.bytes_read - (60 + 60 + 24);
+        assert!(reread == 60 || reread == 24, "re-read {reread} B: more than the bad record");
+        assert_eq!(eng.mgr.health().corruptions_recovered, 1);
+        // A whole-shard read of the record-written extent is verified
+        // against the records' checksums, tile by tile.
+        plan.bitflip_next_reads(1);
+        let got = eng.export_optimizer_records().unwrap();
+        assert_eq!(eng.mgr.health().corruptions_recovered, 2);
+        for (got, expect) in got.iter().zip(&expect) {
+            assert_eq!((&got.master, &got.m, &got.v), (&expect.master, &expect.m, &expect.v));
+        }
+        plan.bitflip_next_reads(u32::MAX);
+        let err = eng.export_optimizer_records().err().expect("corruption that survives re-reads");
+        assert!(matches!(err, Error::Corruption { .. }), "got {err}");
+        plan.bitflip_next_reads(0);
+        eng.dispose().unwrap();
+        clean.dispose().unwrap();
     }
 
     /// The gradient path as it was before the collectives delivered into

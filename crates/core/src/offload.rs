@@ -1403,7 +1403,7 @@ impl Drop for WriteBehind {
 }
 
 /// An in-order, chunk-at-a-time overwrite of one whole buffer in its
-/// storage dtype: the chunk-streamed step's fourth stream.
+/// storage dtype: the chunk-streamed step's second write per record.
 ///
 /// Each pushed chunk is cut at the buffer's segment boundaries; a piece
 /// on a resident segment is encoded in place, a piece on an NVMe segment

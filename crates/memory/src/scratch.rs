@@ -1,20 +1,20 @@
 //! Recycled, f32-aligned staging buffers for chunk-streaming hot paths.
 //!
-//! The pipelined optimizer step moves four streams per chunk (master,
-//! momentum, variance, and the published parameter) between the device
-//! and the Adam kernel. One [`ScratchVec`] carries a chunk the whole
-//! round trip: the NVMe worker reads the device *into* it, the CRC is
-//! checked over it, Adam updates it in place through its f32 view, and
-//! ownership moves to the write request, which hands it back here when
-//! the write is reaped. This is the f32-typed sibling of
-//! [`crate::PinnedBufferPool`]'s "reuse a small amount for the entire
-//! model states" discipline (paper Sec. 6.3).
+//! The pipelined optimizer step moves one record per chunk (master,
+//! momentum and variance, interleaved) between the device and the Adam
+//! kernel, and the published parameter out. One [`ScratchVec`] carries
+//! a record the whole round trip: the NVMe worker reads the device
+//! *into* it, the CRC is checked over it, Adam updates it in place
+//! through its f32 view, and ownership moves to the write request, which
+//! hands it back here when the write is reaped. This is the f32-typed
+//! sibling of [`crate::PinnedBufferPool`]'s "reuse a small amount for
+//! the entire model states" discipline (paper Sec. 6.3).
 //!
 //! Unlike the pinned pool, acquisition never blocks: a miss allocates a
 //! fresh buffer that joins the pool when dropped, so the pool converges
-//! to the working set of the pipeline (read depth × streams + the
-//! write-behind window) and then never allocates again. Reuse is
-//! observable via [`ScratchPool::stats`].
+//! to the working set of the pipeline (read depth + the write-behind
+//! window) and then never allocates again. Reuse is observable via
+//! [`ScratchPool::stats`].
 //!
 //! Buffers are `Vec<f32>`-backed, so the byte view handed to the device
 //! is always 4-byte aligned and the f32 view needs no fallback path.
@@ -100,7 +100,7 @@ impl ScratchPool {
 
     /// Top the pool up to `count` idle buffers of at least `bytes` each:
     /// the fixed, up-front staging set of Sec. 6.3 for a caller that
-    /// knows its bound (read depth × streams + the write-behind window).
+    /// knows its bound (read depth + the write-behind window).
     /// With the set in place no acquisition within that bound allocates,
     /// whatever order the device completes requests in; without it the
     /// pool only approaches its working set, one timing-dependent miss at

@@ -98,10 +98,13 @@ timeout --kill-after=10s 120s \
 # workers (under test the pool defaults to one thread, so the GEMM
 # row-range split and the claim/completion path run only when forced).
 # The mp / pp / tiling runners of zi-core go through the same module
-# bracket as zi-model's, so their unit suites ride along.
+# bracket as zi-model's, so their unit suites ride along; so do the
+# engine and offload suites, whose streamed step hands the Adam kernel
+# the three slices of one record at whatever alignment the record size
+# leaves them.
 ZI_SIMD=scalar cargo test -q -p zi-tensor -p zi-optim -p zi-model \
-    && ZI_SIMD=scalar cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: \
+    && ZI_SIMD=scalar cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: \
     || { echo "scalar-forced unit suites failed"; exit 1; }
 ZI_KERNEL_THREADS=2 cargo test -q -p zi-tensor -p zi-optim -p zi-model \
-    && ZI_KERNEL_THREADS=2 cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: \
+    && ZI_KERNEL_THREADS=2 cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: \
     || { echo "parallel-pool unit suites failed"; exit 1; }

@@ -183,12 +183,13 @@ fn the_cache_is_a_layer_by_exact_count() {
         let nvme = Strategy::infinity_nvme().with_prefetch(prefetch);
         let dense = run(Strategy::data_parallel(), world, ROOMY);
         // (iii) Room for everything: in steady state no parameter is read
-        // from the device — the three optimizer streams are all that is
-        // left — every fetch is a hit, nothing is prefetched or evicted.
+        // from the device — the optimizer stream, one read per record, is
+        // all that is left — every fetch is a hit, nothing is prefetched
+        // or evicted.
         let all = run(nvme, world, ROOMY);
         assert_eq!(all.losses, dense.losses, "{tag}: losses with the whole image cached");
         let hit = steady(&all);
-        assert_eq!((hit.reads, hit.read_bytes), (3 * hit.chunks, 6 * all.image), "{tag}");
+        assert_eq!((hit.reads, hit.read_bytes), (hit.chunks, 6 * all.image), "{tag}");
         assert_eq!((hit.cache_hits, hit.cache_bytes), (hit.allgathers, hit.fetched_bytes), "{tag}");
         assert_eq!((hit.evictions, hit.prefetch_issued, hit.prefetch_misses), (0, 0, 0), "{tag}");
         assert_eq!(all.cpu_at_rest, all.image, "{tag}: the cache is the image, once");
@@ -197,14 +198,14 @@ fn the_cache_is_a_layer_by_exact_count() {
 
         // (i) No room beyond the gradients: the uncached engine. Every
         // fetch is a device read of the rank's shard (as is every hinted
-        // shard nobody then fetches), on top of the optimizer streams;
+        // shard nobody then fetches), on top of the optimizer stream;
         // writes, chunks and collectives are what they are with a cache.
         let none = run(nvme, world, firm);
         assert_eq!(none.losses, dense.losses, "{tag}: losses with nothing cached");
         let miss = steady(&none);
         let fetch_reads =
             if prefetch { miss.prefetch_issued + miss.prefetch_misses } else { miss.allgathers };
-        assert_eq!(miss.reads, fetch_reads + 3 * miss.chunks, "{tag}");
+        assert_eq!(miss.reads, fetch_reads + miss.chunks, "{tag}");
         assert!(fetch_reads >= miss.allgathers, "{tag}");
         if fetch_reads == miss.allgathers {
             assert_eq!(miss.read_bytes, miss.fetched_bytes + 6 * none.image, "{tag}");
