@@ -39,8 +39,12 @@ pub use controller::{
 /// publish/read through [`KnobCell`] is a single consistent snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Knobs {
-    /// Optimizer-step pipeline depth (Sec. 5.2.2): chunks with NVMe→CPU
-    /// reads in flight while earlier chunks update and write back.
+    /// Optimizer-step pipeline depth (Sec. 5.2.2): optimizer records —
+    /// one chunk's master, momentum and variance, a single device request
+    /// — read ahead of the update, the one being updated included, across
+    /// parameter boundaries, while earlier records write back. It counts
+    /// requests, not bytes: a depth below the device's worker count
+    /// leaves workers idle.
     pub step_pipeline_depth: usize,
     /// Dynamic-prefetcher look-ahead (Sec. 6.2); 0 silences it.
     pub prefetch_window: usize,
@@ -71,7 +75,8 @@ impl std::fmt::Display for Knobs {
 /// or publishes outside them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KnobBounds {
-    /// Pipeline depth range (min is clamped to at least 1).
+    /// Pipeline depth range, in records read ahead (min is clamped to at
+    /// least 1).
     pub depth: (usize, usize),
     /// Prefetch look-ahead range (0 = prefetch off is a legal point).
     pub prefetch: (usize, usize),

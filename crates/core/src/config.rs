@@ -3,10 +3,10 @@
 use zi_adapt::Knobs;
 use zi_types::{DType, DeviceKind};
 
-/// Writes the chunked optimizer step queues per chunk: the record (fp32
-/// master, momentum and variance, interleaved) and the parameter
-/// published in storage dtype.
-const STREAMS_PER_CHUNK: usize = 2;
+/// Writes the chunked optimizer step queues per record: the record
+/// itself (fp32 master, momentum and variance, interleaved) and the
+/// parameter published in storage dtype.
+const WRITES_PER_RECORD: usize = 2;
 
 /// Where each class of model state lives when not in active use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,7 +152,10 @@ impl Strategy {
             ..Strategy::zero_3()
         }
         // NVMe-resident optimizer state is where the three-hop pipeline
-        // pays off; overlap by default (Sec. 6.2).
+        // pays off; overlap by default (Sec. 6.2). Depth counts records,
+        // one device request each, so the default must be at least the
+        // device's worker count (`NodeEnv::nvme_workers`, 4): below it the
+        // read-ahead starves the workers whatever the record size.
         .with_step_pipeline_depth(4)
     }
 
@@ -229,7 +232,7 @@ impl Strategy {
         if self.knobs.write_behind > 0 {
             self.knobs.write_behind
         } else {
-            STREAMS_PER_CHUNK * self.knobs.step_pipeline_depth.max(1)
+            WRITES_PER_RECORD * self.knobs.step_pipeline_depth.max(1)
         }
     }
 
@@ -283,7 +286,11 @@ mod tests {
 
     #[test]
     fn nvme_strategy_pipelines_by_default() {
-        assert_eq!(Strategy::infinity_nvme().knobs.step_pipeline_depth, 4);
+        let depth = Strategy::infinity_nvme().knobs.step_pipeline_depth;
+        assert_eq!(depth, 4);
+        // One request per record: fewer records ahead than device
+        // workers leaves workers idle.
+        assert!(depth >= crate::offload::NodeEnv::in_memory().nvme_workers);
         // RAM-tier strategies resolve loads instantly; sequential default.
         assert_eq!(Strategy::infinity_cpu().knobs.step_pipeline_depth, 1);
         assert_eq!(Strategy::data_parallel().knobs.step_pipeline_depth, 1);

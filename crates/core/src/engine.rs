@@ -340,9 +340,10 @@ impl ZeroEngine {
                 full.data().to_vec()
             };
             let layout = RecordLayout::new(master_vals.len(), strategy.optimizer_chunk);
-            let mut state = FlatBuffer::zeros(DType::F32, STATE_STREAMS * master_vals.len());
-            layout.scatter(f32_view(&mut state)?, 0, &master_vals);
+            let mut state = vec![0f32; STATE_STREAMS * master_vals.len()];
+            layout.scatter(&mut state, 0, &master_vals);
             let policy = strategy.optimizer_policy();
+            let state = FlatBuffer::from_f32(DType::F32, &state);
             let state = mgr.store_placed(optim_device, &policy, state)?;
             optims.push(OptimStorage { state, layout, policy, step: 0 });
 
@@ -534,10 +535,13 @@ impl ZeroEngine {
         let depth = self.strategy.knobs.step_pipeline_depth.max(1);
         let behind = self.strategy.write_behind_bound().div_ceil(2);
         let staging = self.mgr.staging();
-        staging.reserve(depth + behind, DType::F32.bytes_for(STATE_STREAMS * longest));
+        let records = depth + behind;
+        staging.reserve(records, DType::F32.bytes_for(STATE_STREAMS * longest));
         if self.strategy.partition_params {
             let piece = self.strategy.param_dtype.bytes_for(longest);
-            staging.reserve(depth + 2 * behind + 1, piece);
+            // `reserve` counts the record buffers above towards this
+            // smaller size; the publish-sized ones are `behind + 1` more.
+            staging.reserve(records + (behind + 1), piece);
         }
     }
 
@@ -743,14 +747,13 @@ impl ZeroEngine {
     ) -> Result<Vec<crate::checkpoint::ParamRecord>> {
         let mut out = Vec::with_capacity(self.shards.len());
         for (st, opt) in self.shards.iter().zip(&self.optims) {
-            let mut state = self.mgr.load_placed(&opt.state)?;
-            let state = f32_view(&mut state)?;
+            let state = self.mgr.load_placed(&opt.state)?.to_f32_vec();
             out.push(crate::checkpoint::ParamRecord {
                 step: opt.step,
                 numel: st.numel as u64,
-                master: opt.layout.gather(state, 0),
-                m: opt.layout.gather(state, 1),
-                v: opt.layout.gather(state, 2),
+                master: opt.layout.gather(&state, 0),
+                m: opt.layout.gather(&state, 1),
+                v: opt.layout.gather(&state, 2),
             });
         }
         Ok(out)
@@ -787,11 +790,11 @@ impl ZeroEngine {
         for (idx, rec) in records.into_iter().enumerate() {
             let opt = &mut self.optims[idx];
             opt.step = rec.step;
-            let mut state = FlatBuffer::zeros(DType::F32, opt.state.numel());
+            let mut state = vec![0f32; opt.state.numel()];
             for (stream, values) in [&rec.master, &rec.m, &rec.v].into_iter().enumerate() {
-                opt.layout.scatter(f32_view(&mut state)?, stream, values);
+                opt.layout.scatter(&mut state, stream, values);
             }
-            self.mgr.overwrite_placed(&mut opt.state, &state)?;
+            self.mgr.overwrite_placed(&mut opt.state, &FlatBuffer::from_f32(DType::F32, &state))?;
             self.publish_master(idx, &rec.master)?;
         }
         Ok(())
