@@ -813,10 +813,12 @@ fn shard_cache_body(seen: &[zi_sync::OnceLock<()>; 2]) {
                     assert_eq!(got.as_bytes(), want.as_bytes(), "round {round}: use after evict");
                 }
                 let mut wb = WriteBehind::new(1);
-                let mut publish = mgr.begin_publish(&mut shard);
-                let pushed = image(round + 1).chunks(ELEMS / 2).try_for_each(|c| publish.push(&mut wb, c));
+                let mut publish = mgr.begin_publish(&shard);
+                let pushed = image(round + 1)
+                    .chunks(ELEMS / 2)
+                    .try_for_each(|c| publish.push(&mut wb, &mut shard, c));
                 wb.drain(&mgr).expect("drain");
-                pushed.and_then(|()| publish.finish()).expect("publish");
+                pushed.and_then(|()| publish.finish(&shard)).expect("publish");
             }
             let last = mgr.fetch_placed(&shard).expect("fetch");
             assert_eq!(last.as_bytes(), stored(&image(2)).as_bytes(), "the last publish is current");

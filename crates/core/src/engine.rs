@@ -28,8 +28,8 @@
 //!    buffer, one Adam pass over its three slices and one write; the
 //!    fresh fp16 shard goes back to the parameter tier record by record
 //!    as the second write of the same pipeline. One read-ahead queue
-//!    ([`ReadAhead`]) spans the whole step: while one parameter updates,
-//!    the first records of the next are already on their way.
+//!    ([`ReadAhead`]) drives the step and outlives it: the next step's
+//!    first records cross the device under the next forward and backward.
 //!    Replicated-parameter strategies (ZeRO-1/2/Offload) instead allgather
 //!    the updated slices back into every replica.
 
@@ -257,6 +257,8 @@ pub struct ZeroEngine {
     /// Last placement-cell version consumed; newer publishes (a
     /// degradation collapse) are folded in at the next step.
     placement_seen: u64,
+    /// The read-ahead queue the last step carried over ([`Self::carry`]).
+    ahead: Option<ReadAhead>,
     stats: EngineStats,
 }
 
@@ -376,6 +378,7 @@ impl ZeroEngine {
             prefetcher: Prefetcher::new(),
             trace: TraceMap::new(),
             placement_seen,
+            ahead: None,
             stats: EngineStats::default(),
         })
     }
@@ -487,6 +490,7 @@ impl ZeroEngine {
             if self.shards.iter().any(|st| st.grad_nonfinite) { 1.0f32 } else { 0.0 };
         let any_overflow = self.comm.sum_scalar(local_overflow)? > 0.0;
         if any_overflow {
+            // No optimizer state is written: a carried queue stays valid.
             self.clear_grads();
             self.scaler.update(true);
             self.stats.skipped_steps += 1;
@@ -495,113 +499,215 @@ impl ZeroEngine {
         }
         self.scaler.update(false);
 
-        self.reserve_step_staging();
-        // One write-behind window and one read-ahead queue span every
-        // parameter, so one parameter's writes overlap the next one's
-        // reads and the pipeline never drains between two of them. Both
-        // open here, once the overflow check has decided the step runs —
-        // a skipped step touches no optimizer state — and both are reaped
-        // here, on the success path and on every error path, so failures
-        // surface as the step's own typed error, every staging buffer is
-        // back in its pool and nothing leaks into the end-of-iteration
-        // barrier.
+        // One write-behind window and one read-ahead queue — the one the
+        // last step carried if it covers the same parameters — span every
+        // parameter, so the pipeline never drains between two of them.
+        // Both are reaped here on every path, so failures surface as the
+        // step's own typed error with every staging buffer back in its
+        // pool and nothing leaking into the end-of-iteration barrier.
+        let due: Vec<usize> =
+            (0..self.shards.len()).filter(|&idx| self.shards[idx].grad.is_some()).collect();
+        if self.ahead.as_ref().is_some_and(|carried| carried.due != due) {
+            self.drop_carry("readahead.drop.due_set");
+        }
+        let mut ahead = self.ahead.take().unwrap_or(ReadAhead { due, ..Default::default() });
+        let records = self.reserve_step_staging(ahead.held(&self.optims).0);
         let mut wb = WriteBehind::new(self.strategy.write_behind_bound());
-        let mut ahead = ReadAhead::open(
-            self.strategy.knobs.step_pipeline_depth,
-            self.shards.iter().map(|st| st.grad.is_some()),
-        );
-        let updated =
-            (0..self.shards.len()).try_for_each(|idx| self.update_shard(idx, &mut ahead, &mut wb));
-        ahead.close(&self.mgr);
+        let updated = self.stream_update(&mut ahead, &mut wb);
+        ahead.rewind(&self.mgr);
         let drained = wb.drain(&self.mgr);
         updated.and(drained)?;
         self.stats.steps += 1;
         self.end_iteration()?;
+        self.carry(ahead, records);
         Ok(true)
     }
 
     /// Put the streamed step's staging set in place before its first
-    /// record. Record-sized buffers: `depth` for the read-ahead and the
-    /// record in hand, and the record half of the write-behind window,
-    /// whose requests alternate between a record and its publish. On top
-    /// of those (a larger buffer counts towards a smaller size, and an
-    /// acquisition takes the smallest that fits), publish-sized ones for
-    /// the other half and the piece in hand. How many are out at once
-    /// depends on when the device completes writes, so a pool that only
-    /// allocates on a miss keeps allocating, rarely, for many steps.
-    fn reserve_step_staging(&self) {
+    /// record — a pool that only allocates on a miss keeps allocating,
+    /// rarely, for many steps — and return its record-sized count: `depth`
+    /// for the read-ahead and the record in hand, plus the record half of
+    /// the write-behind window (0 without offloaded optimizer state).
+    /// Publish-sized ones come on top (a larger buffer counts towards a
+    /// smaller size); the `carried` reads hold their part of the set.
+    fn reserve_step_staging(&self, carried: usize) -> usize {
         let offloaded = self.optims.iter().filter(|opt| opt.state.is_offloaded());
-        let Some(longest) = offloaded.map(|opt| opt.layout.per).max() else { return };
+        let Some(longest) = offloaded.map(|opt| opt.layout.per).max() else { return 0 };
         let depth = self.strategy.knobs.step_pipeline_depth.max(1);
         let behind = self.strategy.write_behind_bound().div_ceil(2);
         let staging = self.mgr.staging();
-        let records = depth + behind;
-        staging.reserve(records, DType::F32.bytes_for(STATE_STREAMS * longest));
+        let (records, record) = (depth + behind, DType::F32.bytes_for(STATE_STREAMS * longest));
+        staging.reserve(records.saturating_sub(carried), record);
         if self.strategy.partition_params {
             let piece = self.strategy.param_dtype.bytes_for(longest);
             // `reserve` counts the record buffers above towards this
             // smaller size; the publish-sized ones are `behind + 1` more.
-            staging.reserve(records + (behind + 1), piece);
+            staging.reserve((records + behind + 1).saturating_sub(carried), piece);
+        }
+        records
+    }
+
+    /// Stream every due record through Adam in the queue's order (Sec.
+    /// 5.2.2, 6.2), opening a parameter's update at its first record. One
+    /// staging buffer carries an NVMe record from device read through Adam
+    /// to write-behind; depth 1 drains its writes before the next read.
+    fn stream_update(&mut self, ahead: &mut ReadAhead, wb: &mut WriteBehind) -> Result<()> {
+        let depth = self.strategy.knobs.step_pipeline_depth.max(1);
+        let mut open: Option<Update> = None;
+        while let Some(record) = ahead.next_record(&self.mgr, &self.optims, depth) {
+            let (idx, at, load) = record?;
+            let mut staged = load.wait(&self.mgr)?;
+            // Measured after the wait: anything still in flight now is
+            // genuine overlap (later records' reads, earlier writes).
+            if self.mgr.nvme().in_flight() > 0 {
+                self.stats.step_io_overlap += 1;
+            }
+            let update = match open.take() {
+                Some(update) if update.idx == idx => update,
+                done => {
+                    if let Some(done) = done {
+                        self.finish_update(done)?;
+                    }
+                    self.begin_update(idx)?
+                }
+            };
+            let Update { grad, publish, .. } = open.insert(update);
+            let OptimStorage { state, layout, step, .. } = &mut self.optims[idx];
+            let (first, count) = layout.span(at);
+            let len = layout.elems(at);
+            {
+                // The cp hop of a resident record is the kernel's own traffic
+                // over the DRAM-resident state: read and written once each,
+                // in place.
+                let _cp = staged.is_none().then(|| {
+                    let resident = (count * 4) as u64;
+                    self.mgr.tracer().count(Counter::CpReadBytes, resident);
+                    self.mgr.tracer().count(Counter::CpWriteBytes, resident);
+                    let mut span = self.mgr.tracer().span(Category::CpTransfer, "cp.update");
+                    span.set_bytes(2 * resident);
+                    span.set_id(at as u64);
+                    span
+                });
+                let record = match &mut staged {
+                    Some(staging) => staging.as_f32_mut(),
+                    None => state.resident_f32_mut(first, count)?,
+                };
+                let [master, m, v] = RecordLayout::split(record);
+                {
+                    // The compute half of the streamed step: I/O hidden
+                    // behind these spans is the pipeline's overlap win.
+                    let mut span = self.mgr.tracer().span(Category::Compute, "adam_chunk");
+                    span.set_bytes((len * 4) as u64);
+                    // ~15 scalar flops per element in the Adam recurrence
+                    // (moment updates, bias correction, sqrt, update).
+                    span.set_flops(15 * len as u64);
+                    span.set_id(at as u64);
+                    let (adam, grad) = (&self.adam, &f32_view(grad)?[at..at + len]);
+                    match publish {
+                        Publish::Whole(out) => adam_update_chunk_publish(
+                            adam, *step, master, m, v, grad, &mut out[at..at + len],
+                        ),
+                        Publish::Stream(_) => adam_update_chunk(adam, *step, master, m, v, grad),
+                    }
+                }
+                if let Publish::Stream(stream) = publish {
+                    stream.push(wb, &mut self.shards[idx].param, master)?;
+                }
+            }
+            if let Some(staging) = staged {
+                wb.submit_staged(&self.mgr, state, first, staging)?;
+            }
+            if depth == 1 {
+                // Sequential semantics: this record's writes completed
+                // before the next record's read is even issued.
+                wb.drain(&self.mgr)?;
+            }
+            self.stats.optimizer_chunks += 1;
+        }
+        open.map_or(Ok(()), |done| self.finish_update(done))
+    }
+
+    /// Open parameter `idx`'s update: its gradient averaged in place in
+    /// the buffer taken out of storage, its step counter, its publish.
+    fn begin_update(&mut self, idx: usize) -> Result<Update> {
+        let st = &mut self.shards[idx];
+        let buf = st.grad.take().ok_or_else(|| Error::Internal(format!("{idx} has no gradient")))?;
+        st.grad_nonfinite = false;
+        let (numel, shard_len) = (st.numel, st.shard_len);
+        let mut grad = self.mgr.take_placed(buf)?;
+        if !self.strategy.partition_grads && self.strategy.partition_optimizer {
+            // ZeRO-1/2: the slice covering this rank's update range.
+            let range = self.part.shard_range(numel, self.comm.rank());
+            let end = range.end.min(numel);
+            let zeros = || FlatBuffer::zeros(DType::F32, shard_len);
+            let mut slice = self.grad_bufs.take(shard_len).unwrap_or_else(zeros);
+            let (values, full) = (f32_view(&mut slice)?, f32_view(&mut grad)?);
+            values.fill(0.0);
+            if range.start < end {
+                values[..end - range.start].copy_from_slice(&full[range.start..end]);
+            }
+            self.grad_bufs.put(grad.numel(), std::mem::replace(&mut grad, slice));
+        }
+        let (opt, values) = (&mut self.optims[idx], f32_view(&mut grad)?);
+        if values.len() != opt.layout.len {
+            return Err(Error::Internal(format!("{idx}: gradient/optimizer length mismatch")));
+        }
+        let world = self.comm.world_size() as f32 * self.grad_accum_steps;
+        for g in values.iter_mut() {
+            *g /= world;
+        }
+        opt.step += 1;
+        let publish = if self.strategy.partition_params {
+            Publish::Stream(self.mgr.begin_publish(&self.shards[idx].param))
+        } else {
+            Publish::Whole(self.f32_bufs.take_f32(opt.layout.len))
+        };
+        Ok(Update { idx, grad, publish })
+    }
+
+    /// Finish a parameter's update: seal its publish and keep its buffers
+    /// for the next deposit and publish of their size.
+    fn finish_update(&mut self, Update { idx, grad, publish }: Update) -> Result<()> {
+        self.grad_bufs.put(grad.numel(), grad);
+        match publish {
+            Publish::Stream(stream) => stream.finish(&self.shards[idx].param),
+            Publish::Whole(master) => {
+                let published = self.publish_master(idx, &master);
+                self.f32_bufs.put(master.len(), master);
+                published
+            }
         }
     }
 
-    /// Apply parameter `idx`'s accumulated gradient (if any) to its
-    /// optimizer shard and publish the fresh parameter values.
-    fn update_shard(
-        &mut self,
-        idx: usize,
-        ahead: &mut ReadAhead,
-        wb: &mut WriteBehind,
-    ) -> Result<()> {
-        let Some(buf) = self.shards[idx].grad.take() else { return Ok(()) };
-        self.shards[idx].grad_nonfinite = false;
-        let (numel, shard_len) = (self.shards[idx].numel, self.shards[idx].shard_len);
-
-        // The gradient slice covering this rank's update range, averaged
-        // over ranks in place in the buffer taken out of gradient storage
-        // (no load → clone → decode round trip).
-        let mut taken = self.mgr.take_placed(buf)?;
-        let full = f32_view(&mut taken)?;
-        let mut slice;
-        let grad = if !self.strategy.partition_grads && self.strategy.partition_optimizer {
-            let range = self.part.shard_range(numel, self.comm.rank());
-            slice = vec![0f32; shard_len];
-            let end = range.end.min(numel);
-            if range.start < end {
-                slice[..end - range.start].copy_from_slice(&full[range.start..end]);
+    /// Carry the drained queue into the next step, its first records read
+    /// (up to `budget` staging buffers) under the next forward and
+    /// backward; after the barrier, so no read overtakes a write.
+    fn carry(&mut self, mut ahead: ReadAhead, budget: usize) {
+        if budget > 0 {
+            let filled = ahead.top_up(&self.mgr, &self.optims, |a| a.held(&self.optims).0 < budget);
+            let (reads, bytes) = ahead.held(&self.optims);
+            self.mgr.tracer().instant(Category::OptimStep, "readahead.carry", bytes, reads as u64);
+            self.ahead = Some(ahead);
+            if filled.is_err() {
+                self.drop_carry("readahead.drop.issue");
             }
-            &mut slice[..]
-        } else {
-            full
-        };
-        let world = self.comm.world_size() as f32 * self.grad_accum_steps;
-        for g in grad.iter_mut() {
-            *g /= world;
         }
+    }
 
-        // Stream the optimizer state through its records, the reads
-        // coming off the step's queue and the writes going behind. A
-        // partitioned parameter's fresh shard rides the same
-        // write-behind, record by record; a replicated one collects the
-        // whole master for the allgather publish below.
-        let total = grad.len();
-        self.optims[idx].step += 1;
-        let mut new_master = None;
-        let publish = if self.strategy.partition_params {
-            Publish::Stream(self.mgr.begin_publish(&mut self.shards[idx].param))
-        } else {
-            Publish::Whole(new_master.insert(self.f32_bufs.take_f32(total)))
-        };
-        let (optims, stats) = (&mut self.optims, &mut self.stats);
-        stream_shard_update(&self.mgr, &self.adam, optims, idx, grad, ahead, wb, publish, stats)?;
-        // The buffers outlive the step: the next deposit and the next
-        // publish of this size reuse them.
-        self.grad_bufs.put(taken.numel(), taken);
-        if let Some(new_master) = new_master {
-            self.publish_master(idx, &new_master)?;
-            self.f32_bufs.put(total, new_master);
+    /// Close the carried queue unused, reaping its reads; instant `why`.
+    fn drop_carry(&mut self, why: &'static str) {
+        if let Some(mut ahead) = self.ahead.take() {
+            let (reads, bytes) = ahead.held(&self.optims);
+            self.mgr.tracer().instant(Category::OptimStep, why, bytes, reads as u64);
+            ahead.rewind(&self.mgr);
         }
-        Ok(())
+    }
+
+    /// Reap the reads kept between calls: the carried queue's and the
+    /// prefetcher's. [`Self::dispose`] and `Drop` both come here.
+    fn reap(&mut self) {
+        self.drop_carry("readahead.drop.dispose");
+        self.prefetcher.clear(&self.mgr);
     }
 
     /// Write the fp32 master values covering this rank's update range back
@@ -628,11 +734,12 @@ impl ZeroEngine {
             new_master
         };
         let mut wb = WriteBehind::new(1);
-        let mut publish = self.mgr.begin_publish(&mut self.shards[idx].param);
-        let pushed = publish.push(&mut wb, values);
+        let param = &mut self.shards[idx].param;
+        let mut publish = self.mgr.begin_publish(param);
+        let pushed = publish.push(&mut wb, param, values);
         let drained = wb.drain(&self.mgr);
         pushed.and(drained)?;
-        publish.finish()?;
+        publish.finish(param)?;
         if let Some(full) = gathered {
             self.f32_bufs.put(full.len(), full);
         }
@@ -647,14 +754,15 @@ impl ZeroEngine {
     /// split shards re-publish their NVMe-resident half to CPU instead
     /// of dropping it with the store), then drift between the strategy's
     /// policy and the one each shard was stored under (the re-tier knob;
-    /// a load/store round trip, numerically invisible).
+    /// a load/store round trip, numerically invisible); either closes the carry.
     fn sync_optimizer_placement(&mut self) -> Result<()> {
-        let mgr = &self.mgr;
-        if let Some((version, policy)) = mgr.placement_cell().read_if_newer(self.placement_seen) {
+        let cell = self.mgr.placement_cell();
+        if let Some((version, policy)) = cell.read_if_newer(self.placement_seen) {
             self.placement_seen = version;
             if policy == PlacementPolicy::all_cpu() {
+                self.drop_carry("readahead.drop.placement");
                 for opt in &mut self.optims {
-                    mgr.collapse_placed(&mut opt.state)?;
+                    self.mgr.collapse_placed(&mut opt.state)?;
                     opt.policy = policy;
                 }
                 return Ok(());
@@ -666,9 +774,12 @@ impl ZeroEngine {
             return Ok(());
         }
         let target = self.strategy.optimizer_policy();
+        if self.optims.iter().any(|opt| opt.policy != target) {
+            self.drop_carry("readahead.drop.placement");
+        }
         let optim_device = device_for(self.strategy.placement.optimizer, self.gpu_index);
         for opt in self.optims.iter_mut().filter(|opt| opt.policy != target) {
-            mgr.retier_placed(&mut opt.state, optim_device, &target)?;
+            self.mgr.retier_placed(&mut opt.state, optim_device, &target)?;
             opt.policy = target;
         }
         Ok(())
@@ -787,6 +898,7 @@ impl ZeroEngine {
                 )));
             }
         }
+        self.drop_carry("readahead.drop.import");
         for (idx, rec) in records.into_iter().enumerate() {
             let opt = &mut self.optims[idx];
             opt.step = rec.step;
@@ -803,7 +915,7 @@ impl ZeroEngine {
     /// Free every device allocation held by this engine. The engine is
     /// consumed; pools return to their empty state.
     pub fn dispose(mut self) -> Result<()> {
-        self.prefetcher.clear(&self.mgr);
+        self.reap();
         self.clear_grads();
         for st in self.shards.drain(..) {
             self.mgr.free_placed(st.param);
@@ -816,6 +928,13 @@ impl ZeroEngine {
             self.mgr.hierarchy().free(gpu, r.gpu_block);
         }
         Ok(())
+    }
+}
+
+/// An engine abandoned without [`ZeroEngine::dispose`] still reaps its reads.
+impl Drop for ZeroEngine {
+    fn drop(&mut self) {
+        self.reap();
     }
 }
 
@@ -997,29 +1116,31 @@ fn device_for(kind: DeviceKind, rank: usize) -> Device {
     }
 }
 
+/// The parameter the streamed step is updating.
+struct Update {
+    idx: usize,
+    grad: FlatBuffer,
+    publish: Publish,
+}
+
 /// Where a streamed update publishes the fresh master values.
-enum Publish<'a> {
+enum Publish {
     /// Collect them (replicated parameters: published by allgather).
-    Whole(&'a mut [f32]),
+    Whole(Vec<f32>),
     /// Convert each record's masters to the storage dtype and write
     /// them behind, as the record's second write (partitioned
     /// parameters).
-    Stream(PublishStream<'a>),
+    Stream(PublishStream),
 }
 
 /// The optimizer step's read-ahead: one queue over every record of every
-/// parameter that has a gradient, in update order.
-///
-/// It keeps `depth` records issued ahead of the update — the one about
-/// to be taken counts — across parameter boundaries, so the device queue
-/// is as full while a parameter's last record updates as in the middle
-/// of a large one, and a one-record parameter is read while its
-/// predecessor updates. `depth == 1` issues a record only when the one
-/// before it is done. Depth counts records because a record is one
-/// request: what keeps the device's workers busy is requests in flight,
-/// whatever their size.
+/// parameter that has a gradient, in update order, feeding the update. It
+/// keeps `depth` records issued ahead — the one about to be taken counts —
+/// across parameter boundaries; depth counts records because what keeps
+/// the device's workers busy is requests in flight, whatever their size.
+/// A drained queue is carried into the next step ([`ZeroEngine::carry`]).
+#[derive(Default)]
 struct ReadAhead {
-    depth: usize,
     /// The parameters to update, ascending.
     due: Vec<usize>,
     /// The next record to issue: a position in `due` and an element.
@@ -1029,157 +1150,55 @@ struct ReadAhead {
 }
 
 impl ReadAhead {
-    /// A queue over the parameters whose `has_grad` is set; nothing is
-    /// issued yet.
-    fn open(depth: usize, has_grad: impl Iterator<Item = bool>) -> Self {
-        let due = has_grad.enumerate().filter_map(|(idx, due)| due.then_some(idx)).collect();
-        ReadAhead { depth: depth.max(1), due, next: (0, 0), pending: VecDeque::new() }
-    }
-
-    /// Top the queue up to `depth` records, then hand over the load of
-    /// the record of `idx` starting at `at`, which the update has
-    /// reached: the head of the queue. An NVMe record queues on the
-    /// device; a CPU-DRAM one needs no transfer — concurrent nc + cp
-    /// traffic within one step.
-    fn take(
+    /// Issue records while the queue is `short` and any is left. An NVMe
+    /// record queues on the device; a CPU-DRAM one needs no transfer.
+    fn top_up(
         &mut self,
         mgr: &OffloadManager,
         optims: &[OptimStorage],
-        idx: usize,
-        at: usize,
-    ) -> Result<PlacedPending> {
-        while self.pending.len() < self.depth {
-            let (pos, next_at) = self.next;
-            let Some(&due) = self.due.get(pos) else { break };
-            let OptimStorage { state, layout, .. } = &optims[due];
-            if next_at >= layout.len {
+        short: impl Fn(&Self) -> bool,
+    ) -> Result<()> {
+        while short(self) {
+            let (pos, at) = self.next;
+            let Some(&idx) = self.due.get(pos) else { break };
+            let OptimStorage { state, layout, .. } = &optims[idx];
+            if at >= layout.len {
                 self.next = (pos + 1, 0);
                 continue;
             }
-            let (first, count) = layout.span(next_at);
-            let load = mgr.begin_load_elems_placed(state, first, count)?;
-            self.pending.push_back((due, next_at, load));
-            self.next = (pos, next_at + layout.per);
+            let (first, count) = layout.span(at);
+            self.pending.push_back((idx, at, mgr.begin_load_elems_placed(state, first, count)?));
+            self.next = (pos, at + layout.per);
         }
-        match self.pending.pop_front() {
-            Some((head, head_at, load)) if (head, head_at) == (idx, at) => Ok(load),
-            other => {
-                self.pending.extend(other);
-                Err(Error::Internal(format!("read-ahead is not at record {at} of parameter {idx}")))
-            }
-        }
+        Ok(())
     }
 
-    /// Reap every read still out (a failed step abandoning its
-    /// read-ahead): the staging buffers go back to their pool.
-    fn close(self, mgr: &OffloadManager) {
-        for (_, _, load) in self.pending {
-            load.discard(mgr);
-        }
+    /// Top the queue up to `depth` records, then hand over its head — the
+    /// record the update reaches next — as parameter, element and load.
+    fn next_record(
+        &mut self,
+        mgr: &OffloadManager,
+        optims: &[OptimStorage],
+        depth: usize,
+    ) -> Option<Result<(usize, usize, PlacedPending)>> {
+        self.top_up(mgr, optims, |ahead| ahead.pending.len() < depth)
+            .map(|()| self.pending.pop_front())
+            .transpose()
     }
-}
 
-/// Stream parameter `idx`'s optimizer state through its records with
-/// the step's read-ahead and bounded write-behind (Sec. 5.2.2 +
-/// overlap-centric design, Sec. 6.2).
-///
-/// While record k runs Adam, the reads of the next `depth − 1` records —
-/// this parameter's or the next one's — are already in flight and the
-/// writes of earlier records drain asynchronously under back-pressure.
-/// One staging buffer carries an NVMe record the whole way: the device
-/// reads into it, the CRC is verified over it, Adam updates its three
-/// slices in place, and it moves into the write request; a RAM-resident
-/// record is updated in the resident buffer itself. `depth == 1`
-/// degenerates to the fully sequential read→update→write loop (each
-/// record's writes are drained before the next record's read is issued).
-///
-/// Every write is queued on the caller's `wb` and every read stays on
-/// the caller's `ahead` until it is taken; the step reaps both before it
-/// returns, so failures surface as typed errors inside the step
-/// (preserving the retry/checksum/failover semantics) and every staging
-/// buffer goes back to its pool.
-#[allow(clippy::too_many_arguments)]
-fn stream_shard_update(
-    mgr: &OffloadManager,
-    adam: &AdamConfig,
-    optims: &mut [OptimStorage],
-    idx: usize,
-    grad: &[f32],
-    ahead: &mut ReadAhead,
-    wb: &mut WriteBehind,
-    mut publish: Publish<'_>,
-    stats: &mut EngineStats,
-) -> Result<()> {
-    let OptimStorage { layout, step: step_no, .. } = optims[idx];
-    if grad.len() != layout.len {
-        return Err(Error::Internal(format!(
-            "parameter {idx}: gradient of {} elements for optimizer state of {}",
-            grad.len(),
-            layout.len
-        )));
+    /// The device reads issued and not yet taken, and their bytes.
+    fn held(&self, optims: &[OptimStorage]) -> (usize, u64) {
+        let reads = self.pending.iter().filter(|(_, _, load)| load.is_read());
+        reads.fold((0, 0), |(count, bytes), &(idx, at, _)| {
+            (count + 1, bytes + DType::F32.bytes_for(optims[idx].layout.span(at).1) as u64)
+        })
     }
-    for at in layout.starts() {
-        let mut staged = ahead.take(mgr, optims, idx, at)?.wait(mgr)?;
-        // Measured after the wait: anything still in flight now is
-        // genuine overlap (later records' reads, earlier writes).
-        if mgr.nvme().in_flight() > 0 {
-            stats.step_io_overlap += 1;
-        }
-        let (first, count) = layout.span(at);
-        let len = layout.elems(at);
-        let state = &mut optims[idx].state;
-        {
-            // The cp hop of a resident record is the kernel's own traffic
-            // over the DRAM-resident state: read and written once each,
-            // in place.
-            let _cp = staged.is_none().then(|| {
-                let resident = (count * 4) as u64;
-                mgr.tracer().count(Counter::CpReadBytes, resident);
-                mgr.tracer().count(Counter::CpWriteBytes, resident);
-                let mut span = mgr.tracer().span(Category::CpTransfer, "cp.update");
-                span.set_bytes(2 * resident);
-                span.set_id(at as u64);
-                span
-            });
-            let record = match &mut staged {
-                Some(staging) => staging.as_f32_mut(),
-                None => state.resident_f32_mut(first, count)?,
-            };
-            let [master, m, v] = RecordLayout::split(record);
-            {
-                // The compute half of the streamed step: I/O hidden
-                // behind these spans is the pipeline's overlap win.
-                let mut span = mgr.tracer().span(Category::Compute, "adam_chunk");
-                span.set_bytes((len * 4) as u64);
-                // ~15 scalar flops per element in the Adam recurrence
-                // (moment updates, bias correction, sqrt, update).
-                span.set_flops(15 * len as u64);
-                span.set_id(at as u64);
-                let grad = &grad[at..at + len];
-                match &mut publish {
-                    Publish::Whole(out) => adam_update_chunk_publish(
-                        adam, step_no, master, m, v, grad, &mut out[at..at + len],
-                    ),
-                    Publish::Stream(_) => adam_update_chunk(adam, step_no, master, m, v, grad),
-                }
-            }
-            if let Publish::Stream(stream) = &mut publish {
-                stream.push(wb, master)?;
-            }
-        }
-        if let Some(staging) = staged {
-            wb.submit_staged(mgr, state, first, staging)?;
-        }
-        if ahead.depth == 1 {
-            // Sequential semantics: this record's writes completed
-            // before the next record's read is even issued.
-            wb.drain(mgr)?;
-        }
-        stats.optimizer_chunks += 1;
-    }
-    match publish {
-        Publish::Stream(stream) => stream.finish(),
-        Publish::Whole(_) => Ok(()),
+
+    /// Reap every read still out — the staging buffers go back to their
+    /// pool — and put the cursor back at the first record.
+    fn rewind(&mut self, mgr: &OffloadManager) {
+        self.pending.drain(..).for_each(|(_, _, load)| load.discard(mgr));
+        self.next = (0, 0);
     }
 }
 
@@ -1443,33 +1462,17 @@ mod tests {
 
     #[test]
     fn pipelined_step_keeps_multiple_requests_in_flight() {
-        use std::time::Duration;
-        use zi_nvme::{MemBackend, ThrottledBackend};
         // Slow the device enough that reads genuinely linger in the
         // queue; prefetch off so every in-flight request belongs to the
-        // optimizer-step pipeline.
-        let spec = NodeMemorySpec::test_spec(1, 1 << 22, 1 << 22, 1 << 22);
-        let backend = zi_sync::Arc::new(ThrottledBackend::new(
-            MemBackend::new(),
-            2e9,
-            Duration::from_millis(2),
-        ));
-        let node = NodeResources::new(&spec, 1, NodeEnv::new(backend));
-        let reg = tiny_registry();
-        // Records of four elements: `w` is three 48-byte records, `b` one
-        // of 48 bytes and one of 12 — the only 12-byte read of the step.
-        let mut eng = ZeroEngine::new(
-            &reg,
-            Strategy::infinity_nvme()
-                .with_f32_params()
-                .with_prefetch(false)
-                .with_optimizer_chunk(4)
-                .with_step_pipeline_depth(3),
-            node.offload_manager(),
-            node.group.communicator(0),
-            AdamConfig::default(),
-        )
-        .unwrap();
+        // optimizer-step pipeline. Records of four elements: `w` is three
+        // 48-byte records, `b` one of 48 bytes and one of 12 — the only
+        // 12-byte read of the step.
+        let strategy = Strategy::infinity_nvme()
+            .with_f32_params()
+            .with_prefetch(false)
+            .with_optimizer_chunk(4)
+            .with_step_pipeline_depth(3);
+        let (node, mut eng, reg) = throttled_rank(strategy, std::time::Duration::from_millis(2));
         let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         eng.add_grad(b, &Tensor::from_vec(&[5], vec![1.0; 5]).unwrap()).unwrap();
@@ -1603,33 +1606,17 @@ mod tests {
 
     #[test]
     fn step_scratch_buffers_are_recycled() {
-        use std::time::Duration;
-        use zi_nvme::{MemBackend, ThrottledBackend};
         // A device far slower than the step loop pins the regime: no
         // write completes before the next is queued, so every step
         // drives the staging pool through the same sequence and reaches
         // the same peak (prefetch off: only the step touches the device).
         let depth = 3;
-        let spec = NodeMemorySpec::test_spec(1, 1 << 22, 1 << 22, 1 << 22);
-        let backend = zi_sync::Arc::new(ThrottledBackend::new(
-            MemBackend::new(),
-            2e9,
-            Duration::from_millis(1),
-        ));
-        let node = NodeResources::new(&spec, 1, NodeEnv::new(backend));
-        let reg = tiny_registry();
-        let mut eng = ZeroEngine::new(
-            &reg,
-            Strategy::infinity_nvme()
-                .with_f32_params()
-                .with_prefetch(false)
-                .with_optimizer_chunk(4)
-                .with_step_pipeline_depth(depth),
-            node.offload_manager(),
-            node.group.communicator(0),
-            AdamConfig::default(),
-        )
-        .unwrap();
+        let strategy = Strategy::infinity_nvme()
+            .with_f32_params()
+            .with_prefetch(false)
+            .with_optimizer_chunk(4)
+            .with_step_pipeline_depth(depth);
+        let (node, mut eng, reg) = throttled_rank(strategy, std::time::Duration::from_millis(1));
         let id = reg.find("w").unwrap();
         let step = |eng: &mut ZeroEngine| {
             eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![0.5; 12]).unwrap()).unwrap();
@@ -1645,12 +1632,22 @@ mod tests {
         let st = pool.stats();
         assert_eq!(st.allocated, warm.allocated, "a steady-state step allocated staging: {st:?}");
         assert!(st.reused > warm.reused, "steady-state steps must recycle chunk buffers: {st:?}");
+        // The pool holds the step's reserved set and nothing more: the
+        // carried reads took their buffers out of it.
+        let behind = eng.strategy.write_behind_bound().div_ceil(2);
+        assert_eq!(st.allocated, (depth + behind + behind + 1) as u64, "{st:?}");
         // Read-ahead plus the record in hand are `depth` buffers, its
         // publish one more; the rest is the write-behind window.
         let bound = (depth + 1 + eng.strategy.write_behind_bound()) as u64;
         assert!(st.peak_outstanding <= bound, "peak {} over bound {bound}", st.peak_outstanding);
-        assert_eq!((pool.outstanding(), pool.idle() as u64), (0, st.allocated));
+        // Between steps only the carried reads hold a buffer: all three
+        // records of `w`.
+        let carried = eng.ahead.as_ref().map_or(0, |ahead| ahead.held(&eng.optims).0) as u64;
+        assert_eq!(carried, 3);
+        assert_eq!((pool.outstanding(), pool.idle() as u64), (carried, st.allocated - carried));
         eng.dispose().unwrap();
+        let pool = node.offload_manager();
+        assert_eq!((pool.staging().outstanding(), pool.staging().idle() as u64), (0, st.allocated));
     }
 
     /// One rank over a scriptable faulty device and a CPU pool of `cpu`
@@ -1688,9 +1685,11 @@ mod tests {
     fn chunk_streamed_publish_keeps_parameter_fetches_checksum_verified() {
         // A CPU pool the gradient of `w` fills exactly: the shard cache is
         // never granted room, so every fetch below is a device read.
-        let (plan, _node, mut eng, id) = faulty_rank(5, 12 * 4);
+        let (plan, node, mut eng, id) = faulty_rank(5, 12 * 4);
         eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         eng.step().unwrap(); // publishes w in three chunks
+        // The reads the step carried are done before any flip is armed.
+        node.nvme.barrier().unwrap();
         let clean = eng.export_param(id).unwrap();
         // A silently corrupted fetch is caught by the whole-extent CRC the
         // stream accumulated chunk by chunk, and repaired by a re-read.
@@ -1713,6 +1712,8 @@ mod tests {
         let (plan, node, mut eng, id) = faulty_rank(5, 1024);
         eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         eng.step().unwrap();
+        // Counted once the reads the step carried into the next are done.
+        node.nvme.barrier().unwrap();
         let reads = node.nvme.stats().reads;
         plan.bitflip_next_reads(u32::MAX);
         let cached = eng.export_param(id).unwrap();
@@ -1748,8 +1749,13 @@ mod tests {
         eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         eng.step().unwrap();
         assert_eq!(eng.mgr.health().corruptions_recovered, 0);
-        assert_eq!(node.offload_manager().staging().outstanding(), 0);
+        // Between steps only the carried read of `w`'s record is out.
+        let carried = eng.ahead.as_ref().map_or(0, |ahead| ahead.held(&eng.optims).0);
+        assert_eq!(carried, 1);
+        assert_eq!(node.offload_manager().staging().outstanding(), carried as u64);
         eng.dispose().unwrap();
+        assert_eq!(node.offload_manager().staging().outstanding(), 0);
+        assert_eq!(node.offload_manager().load_staging().outstanding(), 0);
     }
 
     #[test]
@@ -1757,32 +1763,75 @@ mod tests {
         // Both parameters have a gradient, so with two-element records
         // the first read of `b` is on the device while `w`'s last record
         // updates. Calibrate: how many device ops does one healthy step
-        // issue?
+        // issue, and how many of the next step's reads does it carry?
         let grads = |eng: &mut ZeroEngine, reg: &ParamRegistry| {
             let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
             eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
             eng.add_grad(b, &Tensor::from_vec(&[5], vec![1.0; 5]).unwrap()).unwrap();
         };
         let reg = tiny_registry();
-        let (plan, _node, mut eng, _) = faulty_rank(2, 1 << 22);
-        let before = plan.ops_seen();
+        let (plan, node, mut eng, _) = faulty_rank(2, 1 << 22);
+        let ops = || {
+            node.nvme.barrier().unwrap();
+            plan.ops_seen()
+        };
+        // The states a checkpoint would hold before the first, second and
+        // third step.
+        let mut saved = vec![eng.save_state().unwrap()];
+        let before = ops();
         grads(&mut eng, &reg);
         eng.step().unwrap();
-        let per_step = plan.ops_seen() - before;
-        assert_eq!(per_step, 3 * (6 + 3), "a read, a write and a publish per record");
+        let first = ops() - before;
+        let carried = eng.ahead.as_ref().map_or(0, |ahead| ahead.held(&eng.optims).0) as u64;
+        assert_eq!(carried, 4, "depth 2 plus the record half of a 4-request write-behind");
+        assert_eq!(first, 3 * (6 + 3) + carried, "a read, a write and a publish per record");
+        saved.push(eng.save_state().unwrap());
+        let before = ops();
+        grads(&mut eng, &reg);
+        eng.step().unwrap();
+        assert_eq!(ops() - before, 3 * (6 + 3), "the carry stands in for the step's first reads");
+        saved.push(eng.save_state().unwrap());
+        let strategy = eng.strategy;
         eng.dispose().unwrap();
         // Kill the device after every possible number of ops: reads of
         // later records — of `b` too, while `w` is still being written —
-        // and writes of earlier ones are in flight.
-        for alive in 0..per_step {
-            let (plan, _node, mut eng, _) = faulty_rank(2, 1 << 22);
+        // and writes of earlier ones are in flight; past the step's own
+        // ops, the reads it carried are.
+        for alive in 0..first {
+            let (plan, node, mut eng, _) = faulty_rank(2, 1 << 22);
             grads(&mut eng, &reg);
             plan.kill_after_ops(alive);
-            let err = eng.step().unwrap_err();
-            assert!(err.is_device_failure(), "death after {alive} ops of the step: got {err}");
+            // The step that meets the death fails typed: this one, or —
+            // when only the carried reads die — the next.
+            let failed = match eng.step() {
+                Err(err) => {
+                    assert!(err.is_device_failure(), "death after {alive} ops of the step: {err}");
+                    0
+                }
+                Ok(_) => {
+                    assert!(alive >= first - carried, "{alive} ops: the step outlived its device");
+                    grads(&mut eng, &reg);
+                    let err = eng.step().unwrap_err();
+                    assert!(err.is_device_failure(), "{alive} ops, death in the carry: {err}");
+                    1
+                }
+            };
             let pool = eng.mgr.staging();
             assert_eq!(pool.outstanding(), 0, "{alive} ops: a staging buffer is still checked out");
             assert_eq!(pool.idle() as u64, pool.stats().allocated, "{alive} ops: a buffer was lost");
+            eng.dispose().unwrap();
+            // The node has degraded: an engine rebuilt on it, all in DRAM,
+            // resumes from the last checkpoint as if nothing had happened.
+            let comm = node.group.communicator(0);
+            let mut resumed =
+                ZeroEngine::new(&reg, strategy, node.offload_manager(), comm, AdamConfig::default())
+                    .unwrap();
+            resumed.load_state(&saved[failed]).unwrap();
+            grads(&mut resumed, &reg);
+            assert!(resumed.step().unwrap());
+            assert_eq!(resumed.save_state().unwrap(), saved[failed + 1], "{alive} ops: resume");
+            assert!(resumed.ahead.is_none() && node.offload_manager().is_degraded());
+            resumed.dispose().unwrap();
         }
     }
 
@@ -1790,6 +1839,7 @@ mod tests {
     fn a_skipped_step_and_a_parameter_without_a_gradient_issue_no_device_request() {
         let (_plan, node, mut eng, w) = faulty_rank(5, 1 << 22);
         let requests = || {
+            node.nvme.barrier().unwrap();
             let io = node.nvme.stats();
             (io.reads, io.writes)
         };
@@ -1799,10 +1849,11 @@ mod tests {
         assert!(!eng.step().unwrap());
         assert_eq!(requests(), at_rest, "a skipped step touched the device");
         // `w` alone has a gradient: its three records are read, written
-        // and published, and nothing of `b` moves.
+        // and published, and nothing of `b` moves; then the step carries
+        // `w`'s three records into the next one.
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
-        assert_eq!(requests(), (at_rest.0 + 3, at_rest.1 + 6));
+        assert_eq!(requests(), (at_rest.0 + 3 + 3, at_rest.1 + 6));
         eng.dispose().unwrap();
     }
 
@@ -1811,24 +1862,31 @@ mod tests {
         let grad = |round: usize| {
             Tensor::from_vec(&[3, 4], (0..12).map(|i| (i + round) as f32 * 0.1).collect()).unwrap()
         };
-        // Two steps on a healthy device: the reference.
+        // Three steps on a healthy device: the reference.
         let (_plan, _clean_node, mut clean, w) = faulty_rank(5, 1 << 22);
-        for round in 0..2 {
+        for round in 0..3 {
             clean.add_grad(w, &grad(round)).unwrap();
             clean.step().unwrap();
         }
         let expect = clean.export_optimizer_records().unwrap();
         // The first step writes `w`'s state record by record (60, 60 and
-        // 24 bytes); in the second one read comes back with a flipped bit.
+        // 24 bytes). Each step carries all three records into the next:
+        // one read of the second step's carry comes back with a flipped
+        // bit, and the third step takes it.
         let (plan, node, mut eng, w) = faulty_rank(5, 1 << 22);
         eng.add_grad(w, &grad(0)).unwrap();
         eng.step().unwrap();
-        let before = node.nvme.stats();
+        node.nvme.barrier().unwrap();
         plan.bitflip_next_reads(1);
         eng.add_grad(w, &grad(1)).unwrap();
         eng.step().unwrap();
+        node.nvme.barrier().unwrap();
+        let before = node.nvme.stats();
+        eng.add_grad(w, &grad(2)).unwrap();
+        eng.step().unwrap();
+        node.nvme.barrier().unwrap();
         let after = node.nvme.stats();
-        assert_eq!(after.reads - before.reads, 3 + 1, "one re-read");
+        assert_eq!(after.reads - before.reads, 1 + 3, "one re-read, then the next carry");
         let reread = after.bytes_read - before.bytes_read - (60 + 60 + 24);
         assert!(reread == 60 || reread == 24, "re-read {reread} B: more than the bad record");
         assert_eq!(eng.mgr.health().corruptions_recovered, 1);
@@ -1846,6 +1904,183 @@ mod tests {
         plan.bitflip_next_reads(0);
         eng.dispose().unwrap();
         clean.dispose().unwrap();
+    }
+
+    /// One rank of `strategy` over an in-memory device that answers each
+    /// request after `latency`.
+    fn throttled_rank(
+        strategy: Strategy,
+        latency: std::time::Duration,
+    ) -> (NodeResources, ZeroEngine, ParamRegistry) {
+        use zi_nvme::{MemBackend, ThrottledBackend};
+        let spec = NodeMemorySpec::test_spec(1, 1 << 22, 1 << 22, 1 << 22);
+        let backend = zi_sync::Arc::new(ThrottledBackend::new(MemBackend::new(), 2e9, latency));
+        let node = NodeResources::new(&spec, 1, NodeEnv::new(backend));
+        let reg = tiny_registry();
+        let comm = node.group.communicator(0);
+        let engine =
+            ZeroEngine::new(&reg, strategy, node.offload_manager(), comm, AdamConfig::default())
+                .unwrap();
+        (node, engine, reg)
+    }
+
+    /// Instants named `name` in `events`.
+    fn instants(events: &[zi_trace::Event], name: &str) -> usize {
+        events.iter().filter(|e| e.cat == Category::OptimStep && e.name == name).count()
+    }
+
+    #[test]
+    fn a_checkpoint_restored_between_steps_is_what_the_next_step_reads() {
+        let grad = |round: usize| {
+            Tensor::from_vec(&[3, 4], (0..12).map(|i| (i * round) as f32 * 0.05).collect()).unwrap()
+        };
+        // The checkpoint: one step of another trajectory.
+        let (_plan, _other_node, mut other, w) = faulty_rank(5, 1 << 22);
+        other.add_grad(w, &grad(7)).unwrap();
+        other.step().unwrap();
+        let blob = other.save_state().unwrap();
+        // The reference: an engine built from it, one step on.
+        let (_plan, _fresh_node, mut fresh, _) = faulty_rank(5, 1 << 22);
+        fresh.load_state(&blob).unwrap();
+        fresh.add_grad(w, &grad(1)).unwrap();
+        fresh.step().unwrap();
+        // An engine two steps into its own trajectory restores it between
+        // steps, its queue carried: what the next step reads is the
+        // checkpoint, not the carried bytes — nor are those "repaired".
+        let (_plan, node, mut eng, _) = faulty_rank(5, 1 << 22);
+        for round in 2..4 {
+            eng.add_grad(w, &grad(round)).unwrap();
+            eng.step().unwrap();
+        }
+        assert!(eng.ahead.is_some(), "the step carried its queue");
+        let _ = node.tracer().take_events();
+        eng.load_state(&blob).unwrap();
+        assert_eq!(instants(&node.tracer().take_events(), "readahead.drop.import"), 1);
+        eng.add_grad(w, &grad(1)).unwrap();
+        eng.step().unwrap();
+        assert_eq!(eng.save_state().unwrap(), fresh.save_state().unwrap());
+        assert_eq!(eng.export_param(w).unwrap().data(), fresh.export_param(w).unwrap().data());
+        assert_eq!(eng.mgr.health().corruptions_recovered, 0);
+        for engine in [eng, fresh, other] {
+            engine.dispose().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_parameter_without_a_gradient_closes_the_carry_and_the_update_is_bit_identical() {
+        // `w` and `b`, then `w` alone, then `b` alone: the due set changes
+        // at every step after the first.
+        let run = |strategy: Strategy| {
+            let strategy = strategy.with_f32_params().with_optimizer_chunk(2);
+            let (node, mut eng, reg) = single_rank(strategy);
+            let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
+            let gw = |s: usize| -> Vec<f32> { (0..12).map(|i| (i + s) as f32 * 0.1).collect() };
+            let gb = |s: usize| -> Vec<f32> { (0..5).map(|i| (i * s) as f32 * 0.3).collect() };
+            let _ = node.tracer().take_events();
+            eng.add_grad(w, &Tensor::from_vec(&[3, 4], gw(0)).unwrap()).unwrap();
+            eng.add_grad(b, &Tensor::from_vec(&[5], gb(1)).unwrap()).unwrap();
+            assert!(eng.step().unwrap());
+            eng.add_grad(w, &Tensor::from_vec(&[3, 4], gw(1)).unwrap()).unwrap();
+            assert!(eng.step().unwrap());
+            eng.add_grad(b, &Tensor::from_vec(&[5], gb(2)).unwrap()).unwrap();
+            assert!(eng.step().unwrap());
+            let events = node.tracer().take_events();
+            let carried = instants(&events, "readahead.carry");
+            let traced = (carried, instants(&events, "readahead.drop.due_set"));
+            let state = eng.save_state().unwrap();
+            eng.dispose().unwrap();
+            (state, traced)
+        };
+        // CPU-resident optimizer state carries nothing: the reference.
+        let (reference, untraced) = run(Strategy::infinity_cpu());
+        assert_eq!(untraced, (0, 0));
+        let (state, traced) = run(Strategy::infinity_nvme());
+        assert_eq!(traced, (3, 2), "every step carries; both changes close the carry");
+        assert_eq!(state, reference);
+    }
+
+    #[test]
+    fn a_skipped_step_keeps_the_carried_queue_and_touches_no_device() {
+        let (_plan, node, mut eng, w) = faulty_rank(5, 1 << 22);
+        let requests = || {
+            node.nvme.barrier().unwrap();
+            let io = node.nvme.stats();
+            (io.reads, io.writes)
+        };
+        let ones = Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap();
+        eng.add_grad(w, &ones).unwrap();
+        assert!(eng.step().unwrap());
+        let carried = requests();
+        eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![f32::INFINITY; 12]).unwrap()).unwrap();
+        assert!(!eng.step().unwrap());
+        assert_eq!(requests(), carried, "a skipped step touched the device");
+        assert_eq!(eng.ahead.as_ref().map(|ahead| ahead.pending.len()), Some(3), "the carry went");
+        // The next step takes it: `w`'s records are already read, so the
+        // step writes and publishes them and reads only the next carry.
+        eng.add_grad(w, &ones).unwrap();
+        assert!(eng.step().unwrap());
+        assert_eq!(requests(), (carried.0 + 3, carried.1 + 6));
+        eng.dispose().unwrap();
+    }
+
+    #[test]
+    fn depth_one_stays_sequential_inside_the_step() {
+        // Records of four elements: `w` is three records, `b` two. Depth 1
+        // carries two records (depth plus half a write-behind window of 2).
+        let strategy = Strategy::infinity_nvme()
+            .with_f32_params()
+            .with_prefetch(false)
+            .with_optimizer_chunk(4)
+            .with_step_pipeline_depth(1);
+        let (node, mut eng, reg) = throttled_rank(strategy, std::time::Duration::from_millis(2));
+        let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
+        let step = |eng: &mut ZeroEngine| {
+            eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
+            eng.add_grad(b, &Tensor::from_vec(&[5], vec![1.0; 5]).unwrap()).unwrap();
+            assert!(eng.step().unwrap());
+        };
+        step(&mut eng);
+        assert_eq!(eng.ahead.as_ref().map(|ahead| ahead.held(&eng.optims).0), Some(2));
+        // The carried reads land under the next forward and backward.
+        node.nvme.barrier().unwrap();
+        let _ = node.tracer().take_events();
+        step(&mut eng);
+        let events = node.tracer().take_events();
+        // The step's own requests end at its end-of-iteration barrier; the
+        // next carry follows it.
+        let barrier = events.iter().find(|e| e.name == "nc.flush").unwrap().start_ns;
+        let io: Vec<_> = events
+            .iter()
+            .filter(|e| e.cat == Category::NcTransfer && e.dur_ns > 0 && e.start_ns < barrier)
+            .map(|e| (e.name, e.start_ns, e.start_ns + e.dur_ns))
+            .collect();
+        let reads: Vec<_> = io.iter().filter(|(name, ..)| *name == "nc.read").collect();
+        assert_eq!(reads.len(), 5 - 2, "the step reads what was not carried");
+        for &&(_, r0, r1) in &reads {
+            let overlapping = io.iter().filter(|&&(_, s0, s1)| r0.max(s0) < r1.min(s1)).count();
+            assert_eq!(overlapping, 1, "a read shared the device at depth 1: {io:?}");
+        }
+        eng.dispose().unwrap();
+    }
+
+    #[test]
+    fn an_engine_dropped_mid_iteration_reaps_its_reads() {
+        let strategy = Strategy::infinity_nvme().with_f32_params().with_optimizer_chunk(4);
+        let (node, mut eng, reg) = throttled_rank(strategy, std::time::Duration::from_millis(5));
+        let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
+        eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
+        assert!(eng.step().unwrap());
+        // Mid-iteration: the step's carried reads of `w`, and a prefetch of
+        // `b` (never published, so not in the shard cache).
+        eng.hint_upcoming(&[b]);
+        assert_eq!(eng.stats().prefetch.issued, 1);
+        let mgr = node.offload_manager();
+        assert_eq!(mgr.staging().outstanding(), 3);
+        assert_eq!(mgr.load_staging().outstanding(), 1);
+        drop(eng);
+        mgr.nvme().barrier().unwrap();
+        assert_eq!((mgr.staging().outstanding(), mgr.load_staging().outstanding()), (0, 0));
+        assert_eq!(mgr.nvme().in_flight(), 0);
     }
 
     /// The gradient path as it was before the collectives delivered into

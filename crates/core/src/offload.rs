@@ -678,6 +678,11 @@ impl PlacedPending {
         self.read.is_none_or(|(ticket, _)| mgr.nvme.is_ready(ticket))
     }
 
+    /// True for an NVMe piece: a device read, holding a staging buffer.
+    pub(crate) fn is_read(&self) -> bool {
+        self.read.is_some()
+    }
+
     /// Reap the piece without looking at it (a failed stream abandoning
     /// its read-ahead, an unconsumed prefetch): the staging buffer goes
     /// back to its pool.
@@ -1227,11 +1232,11 @@ impl OffloadManager {
     }
 
     /// Begin overwriting `buf` chunk by chunk (see [`PublishStream`]).
-    pub fn begin_publish<'a>(&'a self, buf: &'a mut PlacedBuf) -> PublishStream<'a> {
+    pub fn begin_publish(&self, buf: &PlacedBuf) -> PublishStream {
         let deposit = buf.extent().and_then(|(offset, len)| {
             self.resilience.begin_deposit(offset, len, &self.load_staging)
         });
-        PublishStream { mgr: self, buf, next: 0, deposit }
+        PublishStream { mgr: self.clone(), next: 0, deposit }
     }
 
     /// Re-publish every NVMe-resident segment to CPU DRAM, leaving
@@ -1421,26 +1426,31 @@ impl Drop for WriteBehind {
 /// fetch of the shard is a hit. The entry the publish supersedes leaves
 /// the cache when the stream begins and the new one is charged at
 /// `finish`; a stream dropped before that installs nothing.
-pub struct PublishStream<'a> {
-    mgr: &'a OffloadManager,
-    buf: &'a mut PlacedBuf,
+pub struct PublishStream {
+    mgr: OffloadManager,
     next: usize,
     deposit: Option<Deposit>,
 }
 
-impl PublishStream<'_> {
-    /// Overwrite the next `values.len()` elements with `values`.
-    pub fn push(&mut self, wb: &mut WriteBehind, mut values: &[f32]) -> Result<()> {
-        let (mgr, dtype) = (self.mgr, self.buf.dtype);
-        if self.next + values.len() > self.buf.numel {
+impl PublishStream {
+    /// Overwrite the next `values.len()` elements of `buf`, the buffer the
+    /// stream was begun on (it borrows none), with `values`.
+    pub fn push(
+        &mut self,
+        wb: &mut WriteBehind,
+        buf: &mut PlacedBuf,
+        mut values: &[f32],
+    ) -> Result<()> {
+        let (mgr, dtype) = (&self.mgr, buf.dtype);
+        if self.next + values.len() > buf.numel {
             return Err(Error::shape("publish past the end of the parameter buffer"));
         }
         while !values.is_empty() {
-            let in_segment = self.buf.segment_end(self.next) - self.next;
+            let in_segment = buf.segment_end(self.next) - self.next;
             let (piece, rest) = values.split_at(values.len().min(in_segment));
             let nbytes = dtype.bytes_for(piece.len());
-            let i = self.buf.segment_index(self.next);
-            let seg = &mut self.buf.segments[i];
+            let i = buf.segment_index(self.next);
+            let seg = &mut buf.segments[i];
             let lo = dtype.bytes_for(self.next - seg.start);
             match &mut seg.ram {
                 Some(ram) => encode_f32(dtype, piece, &mut ram.as_bytes_mut()[lo..lo + nbytes])?,
@@ -1463,13 +1473,13 @@ impl PublishStream<'_> {
         Ok(())
     }
 
-    /// Seal the overwrite: every element was pushed. The assembled image
-    /// becomes the shard's cache entry.
-    pub fn finish(self) -> Result<()> {
-        if self.next != self.buf.numel {
+    /// Seal the overwrite of `buf`: every element was pushed. The
+    /// assembled image becomes the shard's cache entry.
+    pub fn finish(self, buf: &PlacedBuf) -> Result<()> {
+        if self.next != buf.numel {
             return Err(Error::Internal(format!(
                 "publish covered {} of {} elements",
-                self.next, self.buf.numel
+                self.next, buf.numel
             )));
         }
         if let Some(Deposit { offset, image, tiles }) = self.deposit {
@@ -1517,6 +1527,13 @@ mod tests {
     fn in_use(mgr: &OffloadManager) -> (u64, u64) {
         let h = mgr.hierarchy();
         (h.stats(Device::cpu()).in_use, h.stats(Device::nvme()).in_use)
+    }
+
+    impl OffloadManager {
+        /// The pool whole-buffer loads (fetches, prefetches) read into.
+        pub(crate) fn load_staging(&self) -> &ScratchPool {
+            &self.load_staging
+        }
     }
 
     #[test]
@@ -1860,9 +1877,9 @@ mod tests {
     fn publish_chunked(mgr: &OffloadManager, buf: &mut PlacedBuf, vals: &[f32]) -> Result<()> {
         let mut wb = WriteBehind::new(2);
         let mut publish = mgr.begin_publish(buf);
-        let pushed = vals.chunks(5).try_for_each(|chunk| publish.push(&mut wb, chunk));
+        let pushed = vals.chunks(5).try_for_each(|chunk| publish.push(&mut wb, buf, chunk));
         wb.drain(mgr).unwrap();
-        pushed.and_then(|()| publish.finish())
+        pushed.and_then(|()| publish.finish(buf))
     }
 
     #[test]
@@ -1959,10 +1976,10 @@ mod tests {
                     ChunkedPublish => publish_chunked(&mgr, &mut buf, &new).unwrap(),
                     OneChunkPublish => {
                         let mut wb = WriteBehind::new(1);
-                        let mut publish = mgr.begin_publish(&mut buf);
-                        publish.push(&mut wb, &new).unwrap();
+                        let mut publish = mgr.begin_publish(&buf);
+                        publish.push(&mut wb, &mut buf, &new).unwrap();
                         wb.drain(&mgr).unwrap();
-                        publish.finish().unwrap();
+                        publish.finish(&buf).unwrap();
                     }
                     Overwrite => mgr.overwrite_placed(&mut buf, &want).unwrap(),
                     OverwriteAsyncThenFlush => {
@@ -1987,8 +2004,10 @@ mod tests {
                     }
                     PublishDroppedHalfWay => {
                         let mut wb = WriteBehind::new(2);
-                        let mut publish = mgr.begin_publish(&mut buf);
-                        new[..20].chunks(5).for_each(|c| publish.push(&mut wb, c).unwrap());
+                        let mut publish = mgr.begin_publish(&buf);
+                        for c in new[..20].chunks(5) {
+                            publish.push(&mut wb, &mut buf, c).unwrap();
+                        }
                         wb.drain(&mgr).unwrap();
                         drop(publish);
                         want = f16(&[&new[..20], &old[20..]].concat());

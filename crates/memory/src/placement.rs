@@ -141,22 +141,6 @@ impl PlanSegment {
     }
 }
 
-/// A slice of one plan segment, produced by
-/// [`PlacementPlan::parts_for_range`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RangePart {
-    /// Index of the segment in [`PlacementPlan::segments`].
-    pub segment: usize,
-    /// Backing path of that segment.
-    pub path: PathKind,
-    /// First covered element, relative to the shard.
-    pub start: usize,
-    /// First covered element, relative to the segment's own start.
-    pub start_in_segment: usize,
-    /// Covered length in elements.
-    pub len: usize,
-}
-
 /// A policy resolved against a concrete shard: sorted, disjoint
 /// segments covering exactly `0..total`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -184,39 +168,6 @@ impl PlacementPlan {
     /// True when every element lives on one path.
     pub fn is_single_path(&self) -> bool {
         self.segments.len() <= 1
-    }
-
-    /// Split `[start, start+len)` into per-segment parts, in shard
-    /// order. Panics if the range exceeds the plan (caller bug: ranges
-    /// come from the same shard length the plan was built for).
-    pub fn parts_for_range(&self, start: usize, len: usize) -> Vec<RangePart> {
-        assert!(
-            start + len <= self.total,
-            "range {}..{} exceeds plan of {} elements",
-            start,
-            start + len,
-            self.total
-        );
-        let end = start + len;
-        let mut out = Vec::new();
-        for (i, seg) in self.segments.iter().enumerate() {
-            if seg.end() <= start {
-                continue;
-            }
-            if seg.start >= end {
-                break;
-            }
-            let lo = seg.start.max(start);
-            let hi = seg.end().min(end);
-            out.push(RangePart {
-                segment: i,
-                path: seg.path,
-                start: lo,
-                start_in_segment: lo - seg.start,
-                len: hi - lo,
-            });
-        }
-        out
     }
 }
 
@@ -330,33 +281,6 @@ mod tests {
         assert!(plan.segments().len() >= 8, "expected interleave: {:?}", plan.segments());
         assert_eq!(plan.elems_on(PathKind::Cpu), 32);
         assert_eq!(plan.elems_on(PathKind::Nvme), 32);
-    }
-
-    #[test]
-    fn parts_for_range_split_along_segment_boundaries() {
-        let plan = PlacementPolicy::split(500, 4).plan(16);
-        // Whole-shard parts reassemble the plan.
-        let all = plan.parts_for_range(0, 16);
-        assert_eq!(all.iter().map(|p| p.len).sum::<usize>(), 16);
-        let mut cursor = 0;
-        for part in &all {
-            assert_eq!(part.start, cursor);
-            cursor += part.len;
-        }
-        // A range straddling a boundary yields one part per side.
-        let parts = plan.parts_for_range(2, 4);
-        assert_eq!(parts.len(), 2);
-        assert_eq!((parts[0].start, parts[0].len), (2, 2));
-        assert_eq!((parts[1].start, parts[1].len), (4, 2));
-        assert_ne!(parts[0].path, parts[1].path);
-        assert_eq!(parts[0].start_in_segment, 2);
-        assert_eq!(parts[1].start_in_segment, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds plan")]
-    fn out_of_range_parts_panic() {
-        PlacementPolicy::all_nvme().plan(8).parts_for_range(4, 8);
     }
 
     #[test]

@@ -101,10 +101,15 @@ timeout --kill-after=10s 120s \
 # bracket as zi-model's, so their unit suites ride along; so do the
 # engine and offload suites, whose streamed step hands the Adam kernel
 # the three slices of one record at whatever alignment the record size
-# leaves them.
+# leaves them. The equivalence and shard-cache integration suites ride
+# along too: the step schedule they pin bit for bit, the read-ahead
+# carried from one step into the next included, then meets the scalar
+# kernels and the two-worker pool.
 ZI_SIMD=scalar cargo test -q -p zi-tensor -p zi-optim -p zi-model \
     && ZI_SIMD=scalar cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: \
+    && ZI_SIMD=scalar cargo test -q --test equivalence --test shard_cache \
     || { echo "scalar-forced unit suites failed"; exit 1; }
 ZI_KERNEL_THREADS=2 cargo test -q -p zi-tensor -p zi-optim -p zi-model \
     && ZI_KERNEL_THREADS=2 cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: \
+    && ZI_KERNEL_THREADS=2 cargo test -q --test equivalence --test shard_cache \
     || { echo "parallel-pool unit suites failed"; exit 1; }

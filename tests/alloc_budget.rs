@@ -109,8 +109,13 @@ impl Metered {
         out
     }
 
+    /// Device reads completed so far, counted after a barrier: the reads
+    /// the optimizer step carried into this iteration land under forward
+    /// and backward, and are not a fetch's.
     fn reads(&self) -> u64 {
-        self.engine.offload_manager().nvme().stats().reads
+        let nvme = self.engine.offload_manager().nvme();
+        nvme.barrier().unwrap();
+        nvme.stats().reads
     }
 }
 

@@ -114,9 +114,12 @@ fn run(strategy: Strategy, world: usize, cpu: u64) -> Run {
                         .expect("train step");
                     assert!(engine.step().expect("optimizer step"), "step {step} skipped");
                     let mean = comm.sum_scalar(loss).expect("loss") / world as f32;
-                    // Between the barriers every rank is between steps:
-                    // the node's counters stand still while they are read.
+                    // Between the barriers every rank is between steps,
+                    // and once the reads each step carried into the next
+                    // are done the node's counters stand still while they
+                    // are read.
                     comm.barrier().expect("barrier");
+                    node.nvme.barrier().expect("device barrier");
                     let health = node.offload_manager().health();
                     let cpu_at_rest = node.hierarchy.stats(Device::cpu()).in_use;
                     comm.barrier().expect("barrier");
