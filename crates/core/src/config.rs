@@ -213,10 +213,11 @@ impl Strategy {
     /// the optimizer tier is NVMe and a CPU share is configured; the
     /// stripe is one whole record of the streamed step, so records —
     /// never parts of one — alternate between the two paths and the
-    /// read-ahead keeps both busy.
+    /// read-ahead keeps both busy, and a re-tier writes each record as
+    /// one request under its own checksum, as the step reads it.
     pub fn optimizer_policy(&self) -> zi_memory::PlacementPolicy {
         let permille = self.knobs.optimizer_cpu_permille;
-        if self.placement.optimizer != DeviceKind::Nvme || permille == 0 {
+        if self.placement.optimizer != DeviceKind::Nvme {
             return zi_memory::PlacementPolicy::all_nvme();
         }
         if permille >= 1000 {

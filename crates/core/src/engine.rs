@@ -4,9 +4,13 @@
 //! ## Lifecycle of a parameter (ZeRO-3 / ZeRO-Infinity path)
 //!
 //! 1. **Init** — each rank materializes the deterministic initial values
-//!    one parameter at a time, keeps only its own padded shard (cast to
-//!    the storage dtype) and places it on the configured device. The full
-//!    model is never resident on any rank (Sec. 7.2).
+//!    one parameter at a time, keeps only its own padded shard and writes
+//!    it the way a step leaves it: optimizer records one request each,
+//!    the shard (cast to the storage dtype) published record by record and
+//!    written through to the shard cache, all behind one write-behind
+//!    window while the next parameter is initialised. The full model is
+//!    never resident on any rank (Sec. 7.2); a device that dies meanwhile
+//!    degrades the node, and the state is built again in DRAM.
 //! 2. **Fetch** (`get`) — the shard is read from its tier (an NVMe
 //!    shard from the node's CPU shard cache when it is there — it is
 //!    after the step that published it — else from the device, where
@@ -107,14 +111,6 @@ impl RecordLayout {
     fn stream_range(&self, at: usize, stream: usize) -> std::ops::Range<usize> {
         let lo = STATE_STREAMS * at + stream * self.elems(at);
         lo..lo + self.elems(at)
-    }
-
-    /// Write one stream's `values` (all `len` of them) into the
-    /// interleaved `state`.
-    fn scatter(&self, state: &mut [f32], stream: usize, values: &[f32]) {
-        for at in self.starts() {
-            state[self.stream_range(at, stream)].copy_from_slice(&values[at..at + self.elems(at)]);
-        }
     }
 
     /// One stream's values, contiguous, out of the interleaved `state`.
@@ -305,82 +301,130 @@ impl ZeroEngine {
                 "step_pipeline_depth must be at least 1 (1 = sequential)".into(),
             ));
         }
-        let rank = comm.rank();
-        let world = comm.world_size();
-        let part = Partitioner::new(world);
-        let mut shards = Vec::with_capacity(registry.len());
-        let mut optims = Vec::with_capacity(registry.len());
-        for meta in registry.iter() {
-            // One parameter at a time: peak init memory is a single
-            // parameter, never the whole model (Sec. 7.2).
-            let full = meta.init_tensor();
-            let numel = full.numel();
-            let shard_len = part.shard_len(numel);
-
-            let param_device = device_for(strategy.placement.params, gpu_index);
-            let stored = if strategy.partition_params {
-                let mut padded = full.data().to_vec();
-                padded.resize(part.padded_len(numel), 0.0);
-                let range = part.shard_range(numel, rank);
-                FlatBuffer::from_f32(strategy.param_dtype, &padded[range])
-            } else {
-                FlatBuffer::from_f32(strategy.param_dtype, full.data())
-            };
-            // Parameters and gradients are stored whole on their tier —
-            // the one-segment plan; only optimizer state follows a
-            // configurable policy.
-            let param = mgr.store_placed(param_device, &PlacementPolicy::all_nvme(), stored)?;
-
-            // Optimizer master state initialized from the same values so
-            // fp32 masters agree with (or refine) the stored params.
-            let optim_device = device_for(strategy.placement.optimizer, gpu_index);
-            let master_vals: Vec<f32> = if strategy.partition_optimizer {
-                let mut padded = full.data().to_vec();
-                padded.resize(part.padded_len(numel), 0.0);
-                padded[part.shard_range(numel, rank)].to_vec()
-            } else {
-                full.data().to_vec()
-            };
-            let layout = RecordLayout::new(master_vals.len(), strategy.optimizer_chunk);
-            let mut state = vec![0f32; STATE_STREAMS * master_vals.len()];
-            layout.scatter(&mut state, 0, &master_vals);
-            let policy = strategy.optimizer_policy();
-            let state = FlatBuffer::from_f32(DType::F32, &state);
-            let state = mgr.store_placed(optim_device, &policy, state)?;
-            optims.push(OptimStorage { state, layout, policy, step: 0 });
-
-            shards.push(ShardState {
-                shape: meta.shape.clone(),
-                numel,
-                shard_len,
-                param,
-                grad: None,
-                grad_nonfinite: false,
-            });
-        }
-        // Anything published before construction is already reflected in
-        // the stores above (a degraded node collapses plans up front).
-        let placement_seen = mgr.placement_cell().read().0;
-        Ok(ZeroEngine {
+        let mut engine = ZeroEngine {
+            part: Partitioner::new(comm.world_size()),
             strategy,
+            // Read before the layout: a collapse published meanwhile (a
+            // failover here or on another rank) re-tiers at the first step.
+            placement_seen: mgr.placement_cell().read().0,
             mgr,
             comm,
             gpu_index,
-            part,
             adam,
             scaler: LossScaler::default(),
-            shards,
-            optims,
+            shards: Vec::with_capacity(registry.len()),
+            optims: Vec::with_capacity(registry.len()),
             grad_accum_steps: 1.0,
             resident: HashMap::new(),
             f32_bufs: FreeList::new(),
             grad_bufs: FreeList::new(),
             prefetcher: Prefetcher::new(),
             trace: TraceMap::new(),
-            placement_seen,
             ahead: None,
             stats: EngineStats::default(),
-        })
+        };
+        let tracer = engine.mgr.tracer().clone();
+        let mut span = tracer.span(Category::OptimStep, "engine.init");
+        let mut built = engine.lay_out(registry);
+        if built.as_ref().is_err_and(Error::is_device_failure) {
+            // Init is a pure function of the registry: what the dead
+            // device lost is built again, on a node now degraded to DRAM.
+            engine.release_state();
+            engine.mgr.latch_degraded();
+            built = engine.lay_out(registry);
+        }
+        span.set_bytes(built.inspect_err(|_| engine.release_state())?);
+        Ok(engine)
+    }
+
+    /// Lifecycle step 1 on the step's write path: every parameter's
+    /// buffers placed — first, so the shard cache the writes fill gets
+    /// only the CPU room the state leaves — then each parameter
+    /// initialised and written as a step leaves it while the previous
+    /// one's writes are still on the device, within the step's staging
+    /// set. Returns the bytes written.
+    fn lay_out(&mut self, registry: &ParamRegistry) -> Result<u64> {
+        let s = self.strategy;
+        // Parameters and gradients are stored whole on their tier — the
+        // one-segment plan; only optimizer state follows a configurable
+        // policy.
+        let (single, policy) = (PlacementPolicy::all_nvme(), s.optimizer_policy());
+        let param_device = device_for(s.placement.params, self.gpu_index);
+        let optim_device = device_for(s.placement.optimizer, self.gpu_index);
+        for meta in registry.iter() {
+            let (numel, shard_len) = (meta.numel(), self.part.shard_len(meta.numel()));
+            let stored = if s.partition_params { shard_len } else { numel };
+            let param = self.mgr.place(param_device, &single, s.param_dtype, stored, None)?;
+            let (shape, grad, grad_nonfinite) = (meta.shape.clone(), None, false);
+            self.shards.push(ShardState { shape, numel, shard_len, param, grad, grad_nonfinite });
+            let len = if s.partition_optimizer { shard_len } else { numel };
+            let elems = STATE_STREAMS * len;
+            let state = self.mgr.place(optim_device, &policy, DType::F32, elems, None)?;
+            let layout = RecordLayout::new(len, s.optimizer_chunk);
+            self.optims.push(OptimStorage { state, layout, policy, step: 0 });
+        }
+        let mut wb = WriteBehind::new(s.write_behind_bound());
+        let zeros = vec![0f32; self.optims.iter().map(|opt| opt.layout.len).max().unwrap_or(0)];
+        let written = registry.iter().enumerate().try_for_each(|(idx, meta)| {
+            // The writes in flight hold their part of the set; topped up
+            // per parameter, so ranks sharing the pool each get theirs.
+            self.reserve_step_staging(wb.in_flight());
+            // One parameter at a time: peak init memory is a single
+            // parameter, never the whole model (Sec. 7.2). Masters start
+            // from the stored values; moments from zero.
+            let mut values = meta.init_tensor().into_vec();
+            let numel = values.len();
+            values.resize(self.part.padded_len(numel), 0.0);
+            let (shard, whole) = (self.part.shard_range(numel, self.rank()), &values[..numel]);
+            let master = if s.partition_optimizer { &values[shard] } else { whole };
+            self.write_state(idx, [master, &zeros, &zeros], &mut wb)?;
+            if s.partition_params { Ok(()) } else { self.publish(idx, whole, &mut wb) }
+        });
+        let drained = wb.drain(&self.mgr);
+        written.and(drained)?;
+        self.mgr.flush()?;
+        Ok(wb.bytes)
+    }
+
+    /// Write parameter `idx`'s state as a step leaves it, behind `wb`, a
+    /// record at a time: the `src` streams (master, momentum, variance;
+    /// each at least the update range long) interleaved straight into the
+    /// record — in place when DRAM-resident, else into a staging buffer
+    /// written as one request under its own checksum, exactly the extent
+    /// the step reads — and, for a partitioned parameter, the record's
+    /// masters published as its second write, the shard written through
+    /// to the shard cache.
+    fn write_state(&mut self, idx: usize, src: [&[f32]; 3], wb: &mut WriteBehind) -> Result<()> {
+        let (OptimStorage { state, layout, .. }, param) =
+            (&mut self.optims[idx], &mut self.shards[idx].param);
+        let mut publish = self.strategy.partition_params.then(|| self.mgr.begin_publish(param));
+        for at in layout.starts() {
+            let ((first, count), values) = (layout.span(at), at..at + layout.elems(at));
+            let mut staged = None;
+            let record = match state.resident_f32_mut(first, count) {
+                Ok(resident) => resident,
+                Err(_) => staged.insert(self.mgr.staging().acquire(4 * count)).as_f32_mut(),
+            };
+            for (to, from) in RecordLayout::split(record).into_iter().zip(src) {
+                to.copy_from_slice(&from[values.clone()]);
+            }
+            if let Some(staging) = staged {
+                wb.submit_staged(&self.mgr, state, first, staging)?;
+            }
+            if let Some(publish) = &mut publish {
+                publish.push(wb, param, &src[0][values])?;
+            }
+        }
+        publish.map_or(Ok(()), |publish| publish.finish(param))
+    }
+
+    /// Publish `stored`, all this rank stores of replicated parameter
+    /// `idx`, in one piece behind `wb`.
+    fn publish(&mut self, idx: usize, stored: &[f32], wb: &mut WriteBehind) -> Result<()> {
+        let param = &mut self.shards[idx].param;
+        let mut publish = self.mgr.begin_publish(param);
+        publish.push(wb, param, stored)?;
+        publish.finish(param)
     }
 
     /// This rank.
@@ -566,7 +610,7 @@ impl ZeroEngine {
                 Some(update) if update.idx == idx => update,
                 done => {
                     if let Some(done) = done {
-                        self.finish_update(done)?;
+                        self.finish_update(done, wb)?;
                     }
                     self.begin_update(idx)?
                 }
@@ -624,7 +668,7 @@ impl ZeroEngine {
             }
             self.stats.optimizer_chunks += 1;
         }
-        open.map_or(Ok(()), |done| self.finish_update(done))
+        open.map_or(Ok(()), |done| self.finish_update(done, wb))
     }
 
     /// Open parameter `idx`'s update: its gradient averaged in place in
@@ -667,12 +711,13 @@ impl ZeroEngine {
 
     /// Finish a parameter's update: seal its publish and keep its buffers
     /// for the next deposit and publish of their size.
-    fn finish_update(&mut self, Update { idx, grad, publish }: Update) -> Result<()> {
+    fn finish_update(&mut self, done: Update, wb: &mut WriteBehind) -> Result<()> {
+        let Update { idx, grad, publish } = done;
         self.grad_bufs.put(grad.numel(), grad);
         match publish {
             Publish::Stream(stream) => stream.finish(&self.shards[idx].param),
             Publish::Whole(master) => {
-                let published = self.publish_master(idx, &master);
+                let published = self.publish_master(idx, &master, wb);
                 self.f32_bufs.put(master.len(), master);
                 published
             }
@@ -710,40 +755,22 @@ impl ZeroEngine {
         self.prefetcher.clear(&self.mgr);
     }
 
-    /// Write the fp32 master values covering this rank's update range back
-    /// into parameter storage (casting to the storage dtype) — the
-    /// one-chunk case of the step's chunk-streamed publish. For
-    /// replicated parameters with a partitioned optimizer (ZeRO-1/2) this
-    /// performs an allgather and is therefore a collective.
-    fn publish_master(&mut self, idx: usize, new_master: &[f32]) -> Result<()> {
-        let dtype = self.strategy.param_dtype;
-        let numel = self.shards[idx].numel;
-        let mut gathered = None;
-        // Otherwise new_master covers exactly what this rank stores: its
-        // padded shard, or the full replica.
-        let values = if !self.strategy.partition_params && self.strategy.partition_optimizer {
-            // ZeRO-1/2: gather every rank's updated slice back into the
-            // full replica.
-            let shard_len = new_master.len();
-            let mut mine = self.mgr.staging().acquire(dtype.bytes_for(shard_len));
-            encode_f32(dtype, new_master, mine.as_bytes_mut())?;
-            let full = gathered.insert(self.f32_bufs.take_f32(shard_len * self.part.world));
-            gather_decode(&self.comm, dtype, mine.as_bytes(), shard_len, full)?;
-            &full[..numel]
-        } else {
-            new_master
-        };
-        let mut wb = WriteBehind::new(1);
-        let param = &mut self.shards[idx].param;
-        let mut publish = self.mgr.begin_publish(param);
-        let pushed = publish.push(&mut wb, param, values);
-        let drained = wb.drain(&self.mgr);
-        pushed.and(drained)?;
-        publish.finish(param)?;
-        if let Some(full) = gathered {
-            self.f32_bufs.put(full.len(), full);
+    /// [`Self::publish`] a replicated parameter from the fp32 master values
+    /// covering this rank's update range. With a partitioned optimizer
+    /// (ZeRO-1/2) every rank's slice is first gathered back into the full
+    /// replica: a collective.
+    fn publish_master(&mut self, idx: usize, master: &[f32], wb: &mut WriteBehind) -> Result<()> {
+        if !self.strategy.partition_optimizer {
+            return self.publish(idx, master, wb);
         }
-        Ok(())
+        let (dtype, shard_len) = (self.strategy.param_dtype, master.len());
+        let mut mine = self.mgr.staging().acquire(dtype.bytes_for(shard_len));
+        encode_f32(dtype, master, mine.as_bytes_mut())?;
+        let mut full = self.f32_bufs.take_f32(shard_len * self.part.world);
+        gather_decode(&self.comm, dtype, mine.as_bytes(), shard_len, &mut full)?;
+        let published = self.publish(idx, &full[..self.shards[idx].numel], wb);
+        self.f32_bufs.put(full.len(), full);
+        published
     }
 
     /// Bring every optimizer shard's placement in line with the current
@@ -872,44 +899,36 @@ impl ZeroEngine {
 
     /// Overwrite optimizer state from checkpoint records and republish
     /// the parameter tensors from the restored masters (checkpoint load
-    /// path; collective for replicated-parameter strategies). Every
-    /// record is checked before anything is overwritten.
+    /// path; collective for replicated-parameter strategies) the way
+    /// construction writes them. Every record (one per parameter, as the
+    /// caller checked) is checked first; a device death is a typed error.
     pub(crate) fn import_optimizer_records(
         &mut self,
         records: Vec<crate::checkpoint::ParamRecord>,
     ) -> Result<()> {
-        if records.len() != self.shards.len() {
-            return Err(Error::InvalidArgument("record count mismatch".into()));
-        }
         for (idx, rec) in records.iter().enumerate() {
-            let (st, expect) = (&self.shards[idx], self.optims[idx].layout.len);
-            for (name, got) in [("master", &rec.master), ("m", &rec.m), ("v", &rec.v)] {
-                if got.len() != expect {
-                    return Err(Error::InvalidArgument(format!(
-                        "param {idx}: checkpoint {name} of {} elements, engine expects {expect}",
-                        got.len()
-                    )));
-                }
-            }
-            if rec.numel != st.numel as u64 {
+            let (numel, len) = (self.shards[idx].numel, self.optims[idx].layout.len);
+            let got = [rec.master.len(), rec.m.len(), rec.v.len()];
+            if rec.numel != numel as u64 || got != [len; STATE_STREAMS] {
                 return Err(Error::InvalidArgument(format!(
-                    "param {idx}: checkpoint numel {}, engine expects {}",
-                    rec.numel, st.numel
+                    "param {idx}: checkpoint numel {} and streams {got:?}, engine expects \
+                     {numel} and {len} each",
+                    rec.numel
                 )));
             }
         }
         self.drop_carry("readahead.drop.import");
-        for (idx, rec) in records.into_iter().enumerate() {
-            let opt = &mut self.optims[idx];
-            opt.step = rec.step;
-            let mut state = vec![0f32; opt.state.numel()];
-            for (stream, values) in [&rec.master, &rec.m, &rec.v].into_iter().enumerate() {
-                opt.layout.scatter(&mut state, stream, values);
-            }
-            self.mgr.overwrite_placed(&mut opt.state, &FlatBuffer::from_f32(DType::F32, &state))?;
-            self.publish_master(idx, &rec.master)?;
-        }
-        Ok(())
+        let tracer = self.mgr.tracer().clone();
+        let mut span = tracer.span(Category::OptimStep, "engine.import");
+        let (mut wb, s) = (WriteBehind::new(self.strategy.write_behind_bound()), self.strategy);
+        let written = records.iter().enumerate().try_for_each(|(idx, rec)| {
+            self.optims[idx].step = rec.step;
+            self.write_state(idx, [&rec.master, &rec.m, &rec.v], &mut wb)?;
+            if s.partition_params { Ok(()) } else { self.publish_master(idx, &rec.master, &mut wb) }
+        });
+        let drained = wb.drain(&self.mgr);
+        span.set_bytes(wb.bytes);
+        written.and(drained)
     }
 
     /// Free every device allocation held by this engine. The engine is
@@ -917,17 +936,22 @@ impl ZeroEngine {
     pub fn dispose(mut self) -> Result<()> {
         self.reap();
         self.clear_grads();
+        self.release_state();
+        let gpu = self.gpu_device();
+        for (_, r) in self.resident.drain() {
+            self.mgr.hierarchy().free(gpu, r.gpu_block);
+        }
+        Ok(())
+    }
+
+    /// Free every parameter's and optimizer shard's storage.
+    fn release_state(&mut self) {
         for st in self.shards.drain(..) {
             self.mgr.free_placed(st.param);
         }
         for opt in self.optims.drain(..) {
             self.mgr.free_placed(opt.state);
         }
-        let gpu = self.gpu_device();
-        for (_, r) in self.resident.drain() {
-            self.mgr.hierarchy().free(gpu, r.gpu_block);
-        }
-        Ok(())
     }
 }
 
@@ -1657,28 +1681,30 @@ mod tests {
         chunk: usize,
         cpu: u64,
     ) -> (zi_nvme::FaultPlan, NodeResources, ZeroEngine, ParamId) {
+        let (plan, node) = faulty_node(cpu);
+        let engine = faulty_engine(&node, chunk).unwrap();
+        (plan, node, engine, tiny_registry().find("w").unwrap())
+    }
+
+    /// [`faulty_rank`]'s node, before any engine is built on it.
+    fn faulty_node(cpu: u64) -> (zi_nvme::FaultPlan, NodeResources) {
         let spec = NodeMemorySpec::test_spec(1, 1 << 22, cpu, 1 << 22);
         let plan = zi_nvme::FaultPlan::new();
         let backend =
             zi_sync::Arc::new(zi_nvme::FaultyBackend::new(zi_nvme::MemBackend::new(), plan.clone()));
         let env = NodeEnv { policy: zi_nvme::RetryPolicy::none(), ..NodeEnv::new(backend) };
-        let node = NodeResources::new(&spec, 1, env);
-        let reg = tiny_registry();
+        (plan, NodeResources::new(&spec, 1, env))
+    }
+
+    /// [`faulty_rank`]'s engine over the tiny registry, built on `node`.
+    fn faulty_engine(node: &NodeResources, chunk: usize) -> Result<ZeroEngine> {
         let strategy = Strategy::infinity_nvme()
             .with_f32_params()
             .with_prefetch(false)
             .with_optimizer_chunk(chunk)
             .with_step_pipeline_depth(2);
-        let engine = ZeroEngine::new(
-            &reg,
-            strategy,
-            node.offload_manager(),
-            node.group.communicator(0),
-            AdamConfig::default(),
-        )
-        .unwrap();
-        let id = reg.find("w").unwrap();
-        (plan, node, engine, id)
+        let comm = node.group.communicator(0);
+        ZeroEngine::new(&tiny_registry(), strategy, node.offload_manager(), comm, AdamConfig::default())
     }
 
     #[test]
@@ -1723,14 +1749,15 @@ mod tests {
         assert_eq!((health.shard_cache_hits, health.shard_cache_bytes), (1, 12 * 4));
         assert_eq!(health.corruptions_recovered + health.corruptions_unrecovered, 0);
         // The cached bytes are the device's: a CPU tenant that needs
-        // the room evicts them, and the next fetch reads the device.
+        // the room evicts them — `w`'s and `b`'s, written through at
+        // construction — and the next fetch reads the device.
         let tenant = FlatBuffer::zeros(DType::F32, 250);
         let tenant =
             eng.mgr.store_placed(Device::cpu(), &PlacementPolicy::all_nvme(), tenant).unwrap();
         eng.mgr.free_placed(tenant);
         assert_eq!(eng.export_param(id).unwrap().data(), cached.data());
         assert_eq!(node.nvme.stats().reads, reads + 1);
-        assert_eq!(eng.mgr.health().shard_cache_evictions, 1);
+        assert_eq!(eng.mgr.health().shard_cache_evictions, 2);
         eng.dispose().unwrap();
         assert_eq!(node.hierarchy.stats(Device::cpu()).in_use, 0);
     }
@@ -1741,8 +1768,9 @@ mod tests {
         // still in the prefetcher when the step overwrites it. Checking
         // those old bytes against the new checksums used to count a
         // "recovered corruption" and re-read the shard — on a healthy
-        // device, every step.
+        // device, every step. (A cached shard is never read at all.)
         let (node, mut eng, reg) = single_rank(Strategy::infinity_nvme().with_f32_params());
+        node.crowd_out_shard_cache();
         let id = reg.find("w").unwrap();
         eng.hint_upcoming(&[id]);
         assert_eq!(eng.stats().prefetch.issued, 1);
@@ -1913,15 +1941,68 @@ mod tests {
         latency: std::time::Duration,
     ) -> (NodeResources, ZeroEngine, ParamRegistry) {
         use zi_nvme::{MemBackend, ThrottledBackend};
+        rank_over(strategy, zi_sync::Arc::new(ThrottledBackend::new(MemBackend::new(), 2e9, latency)))
+    }
+
+    /// One rank of `strategy` over a [`Door`] as wide as the device's
+    /// worker pool.
+    fn door_rank(strategy: Strategy) -> (NodeResources, ZeroEngine, ParamRegistry) {
+        let door = Door {
+            arrived: zi_sync::Mutex::new(0),
+            full: zi_sync::Condvar::new(),
+            n: NodeEnv::in_memory().nvme_workers,
+            dev: zi_nvme::MemBackend::new(),
+        };
+        rank_over(strategy, zi_sync::Arc::new(door))
+    }
+
+    /// One rank of `strategy` over `device`.
+    fn rank_over(
+        strategy: Strategy,
+        device: zi_sync::Arc<dyn zi_nvme::StorageBackend>,
+    ) -> (NodeResources, ZeroEngine, ParamRegistry) {
         let spec = NodeMemorySpec::test_spec(1, 1 << 22, 1 << 22, 1 << 22);
-        let backend = zi_sync::Arc::new(ThrottledBackend::new(MemBackend::new(), 2e9, latency));
-        let node = NodeResources::new(&spec, 1, NodeEnv::new(backend));
+        let node = NodeResources::new(&spec, 1, NodeEnv::new(device));
         let reg = tiny_registry();
         let comm = node.group.communicator(0);
         let engine =
             ZeroEngine::new(&reg, strategy, node.offload_manager(), comm, AdamConfig::default())
                 .unwrap();
         (node, engine, reg)
+    }
+
+    /// An in-memory device that holds each of its first `n - 1` writes
+    /// until the `n`-th arrives (or a second passes). `n` requests are on
+    /// it at once exactly when their submitter did not wait for one to
+    /// finish first: submission order decides, not a clock.
+    struct Door {
+        arrived: zi_sync::Mutex<usize>,
+        full: zi_sync::Condvar,
+        n: usize,
+        dev: zi_nvme::MemBackend,
+    }
+
+    impl zi_nvme::StorageBackend for Door {
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            self.dev.read_at(offset, buf)
+        }
+        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+            let mut arrived = self.arrived.lock();
+            *arrived += 1;
+            self.full.notify_all();
+            let until = zi_sync::time::Instant::now() + std::time::Duration::from_secs(1);
+            while *arrived < self.n && zi_sync::time::Instant::now() < until {
+                let _ = self.full.wait_for(&mut arrived, std::time::Duration::from_millis(10));
+            }
+            drop(arrived);
+            self.dev.write_at(offset, data)
+        }
+        fn sync(&self) -> Result<()> {
+            self.dev.sync()
+        }
+        fn len(&self) -> Result<u64> {
+            self.dev.len()
+        }
     }
 
     /// Instants named `name` in `events`.
@@ -2067,11 +2148,12 @@ mod tests {
     fn an_engine_dropped_mid_iteration_reaps_its_reads() {
         let strategy = Strategy::infinity_nvme().with_f32_params().with_optimizer_chunk(4);
         let (node, mut eng, reg) = throttled_rank(strategy, std::time::Duration::from_millis(5));
+        node.crowd_out_shard_cache();
         let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
         // Mid-iteration: the step's carried reads of `w`, and a prefetch of
-        // `b` (never published, so not in the shard cache).
+        // `b` (the shard cache has no room for it).
         eng.hint_upcoming(&[b]);
         assert_eq!(eng.stats().prefetch.issued, 1);
         let mgr = node.offload_manager();
@@ -2081,6 +2163,151 @@ mod tests {
         mgr.nvme().barrier().unwrap();
         assert_eq!((mgr.staging().outstanding(), mgr.load_staging().outstanding()), (0, 0));
         assert_eq!(mgr.nvme().in_flight(), 0);
+    }
+
+    #[test]
+    fn construction_writes_one_steps_requests_four_queues_wide_within_the_step_set() {
+        // Records of four elements: `w` is three, `b` two (the second of
+        // one element). Each is one write of 48 (12) B and its publish one
+        // of 16 (4) B: ten writes, 272 B.
+        let strategy =
+            Strategy::infinity_nvme().with_f32_params().with_prefetch(false).with_optimizer_chunk(4);
+        let (node, mut eng, reg) = door_rank(strategy);
+        let built = node.nvme.stats();
+        assert_eq!((built.writes, built.bytes_written, built.reads), (10, 272, 0));
+        let init = node.tracer().take_events().into_iter().find(|e| e.name == "engine.init");
+        assert_eq!(init.map(|e| e.bytes), Some(272));
+        assert!(built.in_flight_peak >= node.nvme.worker_count() as u64, "{built:?}");
+        // Within the staging set the step reserves, and nothing beyond it.
+        let behind = strategy.write_behind_bound().div_ceil(2);
+        let set = (strategy.knobs.step_pipeline_depth + 2 * behind + 1) as u64;
+        let pool = eng.mgr.staging().stats();
+        assert!(pool.peak_outstanding < set && pool.allocated == set, "{pool:?}");
+        // Every shard was written through: the first forward reads nothing.
+        let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
+        for id in [w, b] {
+            eng.get(id).unwrap();
+            eng.release(id).unwrap();
+        }
+        assert_eq!((node.nvme.stats().reads, eng.mgr.health().shard_cache_hits), (0, 2));
+        // A healthy step writes exactly what construction did.
+        eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
+        eng.add_grad(b, &Tensor::from_vec(&[5], vec![1.0; 5]).unwrap()).unwrap();
+        assert!(eng.step().unwrap());
+        let stepped = node.nvme.stats();
+        assert_eq!((stepped.writes - 10, stepped.bytes_written - 272), (10, 272));
+        assert_eq!(eng.mgr.staging().stats().allocated, set);
+        eng.dispose().unwrap();
+        // One record per parameter, two writes each: the device holds four
+        // at once only while a parameter is initialised and written under
+        // the writes of the one before.
+        let (node, eng, _) = door_rank(strategy.with_optimizer_chunk(16));
+        let built = node.nvme.stats();
+        assert_eq!((built.writes, built.bytes_written), (4, 272));
+        assert!(built.in_flight_peak >= node.nvme.worker_count() as u64, "{built:?}");
+        eng.dispose().unwrap();
+    }
+
+    fn w_grad() -> Tensor {
+        Tensor::from_vec(&[3, 4], (0..12).map(|i| i as f32 * 0.1).collect()).unwrap()
+    }
+
+    /// Whole-buffer writes used to record one checksum per buffer, so the
+    /// step's record reads found no exact tiling and went unverified until
+    /// the step had written each record itself. The first step after
+    /// `prepare`, run clean and then with one of its reads flipped: the
+    /// flip is caught and re-read, and the state is the clean run's.
+    fn first_step_reads_verified_records(prepare: impl Fn(&mut ZeroEngine, ParamId)) {
+        let first_step = |flip: bool| {
+            let (plan, node, mut eng, w) = faulty_rank(5, 1 << 22);
+            prepare(&mut eng, w);
+            node.nvme.barrier().unwrap();
+            plan.bitflip_next_reads(u32::from(flip));
+            eng.add_grad(w, &w_grad()).unwrap();
+            assert!(eng.step().unwrap());
+            node.nvme.barrier().unwrap();
+            plan.bitflip_next_reads(0);
+            let seen = (eng.save_state().unwrap(), eng.mgr.health().corruptions_recovered);
+            eng.dispose().unwrap();
+            seen
+        };
+        let (clean, recovered) = first_step(false);
+        assert_eq!(recovered, 0);
+        assert_eq!(first_step(true), (clean, 1));
+    }
+
+    #[test]
+    fn the_first_step_after_construction_reads_verified_records() {
+        first_step_reads_verified_records(|_, _| {});
+    }
+
+    #[test]
+    fn the_first_step_after_a_restore_reads_verified_records() {
+        let (_plan, _node, mut saved, w) = faulty_rank(5, 1 << 22);
+        saved.add_grad(w, &w_grad()).unwrap();
+        saved.step().unwrap();
+        let blob = saved.save_state().unwrap();
+        saved.dispose().unwrap();
+        first_step_reads_verified_records(|eng, _| eng.load_state(&blob).unwrap());
+    }
+
+    #[test]
+    fn the_first_step_after_a_retier_onto_the_device_reads_verified_records() {
+        // One step with the state in DRAM, then the policy moves it back
+        // onto the device: the next step re-tiers before it reads.
+        first_step_reads_verified_records(|eng, w| {
+            let knobs = eng.knobs();
+            eng.apply_knobs(zi_adapt::Knobs { optimizer_cpu_permille: 1000, ..knobs });
+            eng.add_grad(w, &w_grad()).unwrap();
+            eng.step().unwrap();
+            eng.apply_knobs(zi_adapt::Knobs { optimizer_cpu_permille: 0, ..knobs });
+        });
+    }
+
+    #[test]
+    fn device_death_in_construction_fails_over_and_in_import_is_typed() {
+        let (plan, node, mut healthy, _) = faulty_rank(5, 1 << 22);
+        let built = plan.ops_seen();
+        assert_eq!(built, 8, "four records and four publishes");
+        let reg = tiny_registry();
+        let state = |eng: &mut ZeroEngine| {
+            let params: Vec<_> = reg.iter().map(|m| eng.export_param(m.id).unwrap()).collect();
+            (params.iter().map(|p| p.data().to_vec()).collect::<Vec<_>>(), eng.save_state().unwrap())
+        };
+        let expect = state(&mut healthy);
+        let drained = |node: &NodeResources| {
+            // A reaped request leaves the in-flight gauge once its worker
+            // is done with it: the barrier waits for that, and a ticket
+            // nobody waited would still hold its staging buffer.
+            let mgr = node.offload_manager();
+            mgr.flush().unwrap();
+            assert_eq!((mgr.staging().outstanding(), mgr.nvme().in_flight()), (0, 0));
+        };
+        for alive in 0..built {
+            let (plan, node) = faulty_node(1 << 22);
+            plan.kill_after_ops(alive);
+            let mut eng = faulty_engine(&node, 5).expect("construction fails over");
+            assert!(node.offload_manager().is_degraded(), "{alive} ops");
+            assert_eq!(state(&mut eng), expect, "{alive} ops");
+            drained(&node);
+            eng.dispose().unwrap();
+        }
+        // A restore writes what construction does, and a death under it
+        // is the caller's typed error.
+        let blob = expect.1;
+        let before = plan.ops_seen();
+        healthy.load_state(&blob).unwrap();
+        assert_eq!(plan.ops_seen() - before, built);
+        for alive in 0..built {
+            let (plan, node, mut eng, _) = faulty_rank(5, 1 << 22);
+            plan.kill_after_ops(alive);
+            let err = eng.load_state(&blob).unwrap_err();
+            assert!(err.is_device_failure(), "{alive} ops: {err}");
+            drained(&node);
+            eng.dispose().unwrap();
+        }
+        healthy.dispose().unwrap();
+        drained(&node);
     }
 
     /// The gradient path as it was before the collectives delivered into

@@ -775,7 +775,7 @@ impl OffloadManager {
 
     /// Latch the degradation flag, counting the first transition and
     /// publishing the all-CPU collapse policy so plan readers re-tier.
-    fn latch_degraded(&self) {
+    pub(crate) fn latch_degraded(&self) {
         if !self.resilience.degraded.swap(true, Ordering::Release) {
             self.tracer.count(Counter::DegradedTransitions, 1);
             self.placement.publish(PlacementPolicy::all_cpu());
@@ -816,11 +816,18 @@ impl OffloadManager {
     // ----- per-segment operations -------------------------------------
 
     /// Allocate on `device` and store `data` there as the segment
-    /// starting at buffer element `start`. An NVMe store is durable on
-    /// return; if the device dies under it the data is still in hand and
-    /// the segment fails over to CPU *alone* — other segments of the
-    /// buffer keep their placement.
-    fn store_segment(&self, device: Device, start: usize, data: FlatBuffer) -> Result<Segment> {
+    /// starting at buffer element `start`. An NVMe store goes out as one
+    /// request per `stripe` elements, all in flight at once, each under
+    /// its own checksum, and is durable on return; if the device dies
+    /// under it the data is still in hand and the segment fails over to
+    /// CPU *alone* — other segments of the buffer keep their placement.
+    fn store_segment(
+        &self,
+        device: Device,
+        start: usize,
+        data: FlatBuffer,
+        stripe: usize,
+    ) -> Result<Segment> {
         let bytes = data.size_in_bytes() as u64;
         let block = if device == Device::cpu() {
             self.resilience.alloc_cpu_tenant(bytes, &self.tracer)?
@@ -831,24 +838,27 @@ impl OffloadManager {
         if device.kind != DeviceKind::Nvme {
             return Ok(Segment { start, len, device, block, ram: Some(data) });
         }
-        // Hold a pinned buffer for the duration of the write, then hand
-        // the bytes to the async engine and wait.
+        // Hold a pinned buffer while the pieces are on the device.
         let _pinned = self.pinned.acquire();
-        let ticket = self.nvme.submit_write(block.offset, data.as_bytes().to_vec());
-        match self.nvme.wait(ticket) {
-            Ok(_) => {
-                self.resilience.record(block.offset, data.as_bytes());
-                Ok(Segment { start, len, device, block, ram: None })
+        let piece = stripe.max(1).saturating_mul(data.dtype().size_in_bytes());
+        let at = |i: usize| block.offset + (i * piece) as u64;
+        let pieces = data.as_bytes().chunks(piece).enumerate();
+        let tickets: Vec<Ticket> =
+            pieces.clone().map(|(i, p)| self.nvme.submit_write(at(i), p.to_vec())).collect();
+        // Every request is reaped before a failure surfaces.
+        let waited = tickets.into_iter().map(|ticket| self.nvme.wait(ticket).map(drop));
+        let Err(e) = waited.fold(Ok(()), Result::and) else {
+            for (i, p) in pieces {
+                self.resilience.record(at(i), p);
             }
-            Err(e) => {
-                self.hierarchy.free(device, block);
-                if !e.is_device_failure() {
-                    return Err(e);
-                }
-                self.count_failover();
-                self.store_segment(Device::cpu(), start, data)
-            }
+            return Ok(Segment { start, len, device, block, ram: None });
+        };
+        self.hierarchy.free(device, block);
+        if !e.is_device_failure() {
+            return Err(e);
         }
+        self.count_failover();
+        self.store_segment(Device::cpu(), start, data, stripe)
     }
 
     /// Issue the device read behind elements `[lo, lo+len)` of `seg`
@@ -997,7 +1007,20 @@ impl OffloadManager {
         policy: &PlacementPolicy,
         data: FlatBuffer,
     ) -> Result<PlacedBuf> {
-        let (dtype, numel) = (data.dtype(), data.numel());
+        self.place(device, policy, data.dtype(), data.numel(), Some(data))
+    }
+
+    /// [`Self::store_placed`], or without `data` its layout alone, for a
+    /// caller that writes the buffer itself: DRAM segments start out
+    /// zeroed and NVMe extents unwritten, no checksum recorded over them.
+    pub(crate) fn place(
+        &self,
+        device: Device,
+        policy: &PlacementPolicy,
+        dtype: DType,
+        numel: usize,
+        data: Option<FlatBuffer>,
+    ) -> Result<PlacedBuf> {
         let targets: Vec<(usize, usize, Device)> = if device.kind != DeviceKind::Nvme {
             vec![(0, numel, device)]
         } else {
@@ -1012,12 +1035,15 @@ impl OffloadManager {
             plan.segments().iter().map(|s| (s.start, s.len, device_of(s.path))).collect()
         };
         let mut buf = PlacedBuf { dtype, numel, segments: Vec::with_capacity(targets.len()) };
-        let mut whole = Some(data);
+        let mut whole = data;
         for (start, len, target) in targets {
-            // A one-segment plan stores the caller's buffer itself.
+            // A one-segment plan stores the caller's buffer itself; without
+            // one a DRAM segment starts out zeroed, an NVMe one unwritten.
             let part = match &whole {
-                Some(data) if len < numel => data.slice(start, len),
-                _ => whole.take().ok_or_else(|| Error::Internal("plan repeats a segment".into())),
+                Some(data) if len < numel => data.slice(start, len).map(Some),
+                Some(_) => Ok(whole.take()),
+                None if target.kind == DeviceKind::Nvme => Ok(None),
+                None => Ok(Some(FlatBuffer::zeros(dtype, len))),
             };
             if device.kind == DeviceKind::Nvme && target.kind == DeviceKind::Cpu {
                 // The DRAM stripe of an NVMe-tier buffer travels the cp hop.
@@ -1025,7 +1051,13 @@ impl OffloadManager {
                 self.tracer.span(Category::CpTransfer, "cp.store").set_bytes(bytes);
                 self.tracer.count(Counter::CpWriteBytes, bytes);
             }
-            match part.and_then(|part| self.store_segment(target, start, part)) {
+            let seg = part.and_then(|part| match part {
+                Some(part) => self.store_segment(target, start, part, policy.stripe),
+                None => self.hierarchy.alloc(target, dtype.bytes_for(len) as u64).map(|block| {
+                    Segment { start, len, device: target, block, ram: None }
+                }),
+            });
+            match seg {
                 Ok(seg) => buf.segments.push(seg),
                 Err(e) => {
                     self.free_placed(buf);
@@ -1252,7 +1284,7 @@ impl OffloadManager {
             let read = self.begin_segment_read(&self.load_staging, buf.dtype, seg, 0, seg.len);
             let Some(bytes) = read.wait(self)? else { continue };
             let data = FlatBuffer::from_bytes(buf.dtype, bytes.as_bytes().to_vec())?;
-            let cpu = self.store_segment(Device::cpu(), seg.start, data)?;
+            let cpu = self.store_segment(Device::cpu(), seg.start, data, seg.len)?;
             self.resilience.failovers.fetch_add(1, Ordering::Relaxed);
             self.free_segment(std::mem::replace(seg, cpu));
         }
@@ -1323,13 +1355,15 @@ impl OffloadManager {
 pub struct WriteBehind {
     window: usize,
     inflight: VecDeque<Ticket>,
+    /// Bytes handed to the device so far.
+    pub(crate) bytes: u64,
 }
 
 impl WriteBehind {
     /// Write-behind with at most `window` NVMe writes in flight
     /// (clamped to ≥ 1).
     pub fn new(window: usize) -> WriteBehind {
-        WriteBehind { window: window.max(1), inflight: VecDeque::new() }
+        WriteBehind { window: window.max(1), inflight: VecDeque::new(), bytes: 0 }
     }
 
     /// NVMe writes currently in flight.
@@ -1378,6 +1412,7 @@ impl WriteBehind {
             self.inflight.pop_front();
             mgr.nvme.wait_buf(oldest)?;
         }
+        self.bytes += staging.as_bytes().len() as u64;
         self.inflight.push_back(mgr.nvme.submit_write_from(offset, staging));
         Ok(crc)
     }
@@ -1533,6 +1568,19 @@ mod tests {
         /// The pool whole-buffer loads (fetches, prefetches) read into.
         pub(crate) fn load_staging(&self) -> &ScratchPool {
             &self.load_staging
+        }
+    }
+
+    impl NodeResources {
+        /// Take the shard cache's room away for good, as a CPU tenant that
+        /// once needed the whole (otherwise empty) CPU pool does: every
+        /// later fetch of an NVMe shard is a device read.
+        pub(crate) fn crowd_out_shard_cache(&self) {
+            let mgr = self.offload_manager();
+            evict_shard_cache(&mgr);
+            let free = self.hierarchy.stats(Device::cpu()).largest_free;
+            let tenant = FlatBuffer::zeros(DType::F32, free as usize / 4);
+            mgr.free_placed(store_on(&mgr, Device::cpu(), tenant).unwrap());
         }
     }
 

@@ -890,6 +890,15 @@ mod tests {
         GptConfig { vocab: 16, hidden: 8, layers: 2, heads: 2, seq: 4, seed: 99 }
     }
 
+    /// Memory for `world` ranks of `model_cfg()` whose CPU pool the
+    /// gradients fill: from the first backward on the shard cache has no
+    /// room, so fetches read the device and the prefetcher has work.
+    fn no_cache_room(world: usize) -> NodeMemorySpec {
+        let model = GptModel::new(model_cfg());
+        let grads = model.registry().iter().map(|p| 4 * (p.numel().div_ceil(world) * world) as u64);
+        NodeMemorySpec::test_spec(world, 1 << 24, grads.sum(), 1 << 26)
+    }
+
     fn max_param_diff(a: &[Tensor], b: &[Tensor]) -> f32 {
         a.iter()
             .zip(b)
@@ -966,7 +975,11 @@ mod tests {
     fn prefetch_toggle_is_numerically_neutral_and_effective() {
         let cfg = model_cfg();
         let strategy = Strategy::infinity_nvme().with_f32_params();
-        let spec_on = TrainSpec { steps: 3, ..TrainSpec::test_default(cfg, strategy, 2) };
+        let spec_on = TrainSpec {
+            steps: 3,
+            node: no_cache_room(2),
+            ..TrainSpec::test_default(cfg, strategy, 2)
+        };
         let spec_off = TrainSpec {
             strategy: strategy.with_prefetch(false),
             ..spec_on
@@ -989,6 +1002,7 @@ mod tests {
         let spec = TrainSpec {
             steps: 3,
             prefetch_window: 0,
+            node: no_cache_room(2),
             ..TrainSpec::test_default(cfg, strategy, 2)
         };
         let out = train_gpt(&spec).unwrap();
@@ -1436,6 +1450,8 @@ mod dynamic_workflow_tests {
                 &NodeMemorySpec::test_spec(1, 1 << 24, 1 << 26, 1 << 26),
                 1,
             );
+            // Every fetch a device read: the prefetcher's to hide.
+            node.crowd_out_shard_cache();
             let model = GptModel::new(cfg);
             let mut engine = ZeroEngine::new(
                 model.registry(),

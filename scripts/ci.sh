@@ -104,12 +104,14 @@ timeout --kill-after=10s 120s \
 # leaves them. The equivalence and shard-cache integration suites ride
 # along too: the step schedule they pin bit for bit, the read-ahead
 # carried from one step into the next included, then meets the scalar
-# kernels and the two-worker pool.
+# kernels and the two-worker pool; so do checkpoint restore and the
+# file-backed full stack, construction included, which write model state
+# the way a step does.
 ZI_SIMD=scalar cargo test -q -p zi-tensor -p zi-optim -p zi-model \
-    && ZI_SIMD=scalar cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: \
-    && ZI_SIMD=scalar cargo test -q --test equivalence --test shard_cache \
+    && ZI_SIMD=scalar cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: checkpoint:: \
+    && ZI_SIMD=scalar cargo test -q --test equivalence --test shard_cache --test end_to_end \
     || { echo "scalar-forced unit suites failed"; exit 1; }
 ZI_KERNEL_THREADS=2 cargo test -q -p zi-tensor -p zi-optim -p zi-model \
-    && ZI_KERNEL_THREADS=2 cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: \
-    && ZI_KERNEL_THREADS=2 cargo test -q --test equivalence --test shard_cache \
+    && ZI_KERNEL_THREADS=2 cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: checkpoint:: \
+    && ZI_KERNEL_THREADS=2 cargo test -q --test equivalence --test shard_cache --test end_to_end \
     || { echo "parallel-pool unit suites failed"; exit 1; }

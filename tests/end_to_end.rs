@@ -18,12 +18,15 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 /// The kitchen-sink run: 4 ranks, NVMe on a real file, fp16 parameter
 /// storage, activation checkpointing, prefetching — loss must fall and
-/// no pool may leak.
+/// no pool may leak. The gradients fill the CPU pool, so the shard cache
+/// gives its room up and parameter fetches read the file.
 #[test]
 fn full_stack_training_on_file_backed_nvme() {
     let cfg = GptConfig { vocab: 32, hidden: 16, layers: 3, heads: 4, seq: 8, seed: 5 };
     let world = 4;
-    let spec = NodeMemorySpec::test_spec(world, 1 << 24, 1 << 26, 1 << 27);
+    let grads: usize =
+        GptModel::new(cfg).registry().iter().map(|p| 4 * p.numel().div_ceil(world) * world).sum();
+    let spec = NodeMemorySpec::test_spec(world, 1 << 24, grads as u64, 1 << 27);
     let dir = temp_dir("full");
     let device = zi_nvme::FileBackend::create(&dir.join("nvme.dev")).expect("nvme file");
     let node = Arc::new(NodeResources::new(&spec, world, NodeEnv::new(Arc::new(device))));
@@ -151,7 +154,11 @@ fn nvme_failures_propagate_cleanly() {
     use zi_nvme::{FaultPlan, FaultyBackend, MemBackend, RetryPolicy, StorageBackend};
 
     let cfg = GptConfig::tiny();
-    let spec = NodeMemorySpec::test_spec(1, 1 << 24, 1 << 26, 1 << 26);
+    let model = GptModel::new(cfg);
+    // The gradients fill the CPU pool, so the shard cache gives its room
+    // up at the first backward and parameter fetches read the device.
+    let grads: usize = model.registry().iter().map(|p| 4 * p.numel()).sum();
+    let spec = NodeMemorySpec::test_spec(1, 1 << 24, grads as u64, 1 << 26);
     let plan = FaultPlan::new();
     let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan.clone()));
     let policy = RetryPolicy {
@@ -162,7 +169,6 @@ fn nvme_failures_propagate_cleanly() {
     };
     let backend = backend as Arc<dyn StorageBackend>;
     let node = NodeResources::new(&spec, 1, NodeEnv { policy, ..NodeEnv::new(backend) });
-    let model = GptModel::new(cfg);
 
     // Engine construction writes initial shards to NVMe; inject failure
     // after construction, during gradient/optimizer traffic.
@@ -182,4 +188,6 @@ fn nvme_failures_propagate_cleanly() {
     let result = model.train_step(&mut engine, &tokens, &targets, &opts);
     assert!(result.is_err(), "read failures must surface");
     assert!(plan.injected().read_faults > 0, "faults really were injected");
+    // The optimizer step's record reads surface the failed device too.
+    assert!(engine.step().is_err(), "optimizer read failures must surface");
 }

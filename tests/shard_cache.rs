@@ -80,6 +80,9 @@ struct Run {
     /// run's peak.
     cpu_at_rest: u64,
     cpu_peak: u64,
+    /// The node's I/O after construction and after the first forward
+    /// and backward.
+    first: Vec<zi_nvme::IoStats>,
 }
 
 /// `STEPS` steps of `strategy` at `world` ranks over a CPU pool of `cpu`
@@ -105,6 +108,18 @@ fn run(strategy: Strategy, world: usize, cpu: u64) -> Run {
                 let prefetch_window = if strategy.prefetch { 2 } else { 0 };
                 let opts = RunOptions { batch: 1, prefetch_window, ..Default::default() };
                 let rows = cfg.seq;
+                // Between the barriers every rank is between phases, and
+                // once the reads each step carried into the next are done
+                // the node's counters stand still while they are read.
+                let settled = || {
+                    comm.barrier().expect("barrier");
+                    node.nvme.barrier().expect("device barrier");
+                    let at_rest = (node.offload_manager().health(), node.hierarchy.stats(Device::cpu()).in_use);
+                    comm.barrier().expect("barrier");
+                    at_rest
+                };
+                // What construction and the first forward and backward did.
+                let mut first = vec![settled().0.io];
                 let mut per_step = Vec::new();
                 for step in 0..STEPS {
                     let (tokens, targets) = synthetic_batch(&cfg, world, step);
@@ -112,25 +127,21 @@ fn run(strategy: Strategy, world: usize, cpu: u64) -> Run {
                     let loss = model
                         .train_step(&mut engine, &tokens[lo..lo + rows], &targets[lo..lo + rows], &opts)
                         .expect("train step");
+                    if step == 0 {
+                        first.push(settled().0.io);
+                    }
                     assert!(engine.step().expect("optimizer step"), "step {step} skipped");
                     let mean = comm.sum_scalar(loss).expect("loss") / world as f32;
-                    // Between the barriers every rank is between steps,
-                    // and once the reads each step carried into the next
-                    // are done the node's counters stand still while they
-                    // are read.
-                    comm.barrier().expect("barrier");
-                    node.nvme.barrier().expect("device barrier");
-                    let health = node.offload_manager().health();
-                    let cpu_at_rest = node.hierarchy.stats(Device::cpu()).in_use;
-                    comm.barrier().expect("barrier");
+                    let (health, cpu_at_rest) = settled();
                     per_step.push((mean.to_bits(), engine.stats(), health, cpu_at_rest));
                 }
                 engine.dispose().expect("dispose");
-                per_step
+                (per_step, first)
             })
         })
         .collect();
-    let per_rank: Vec<_> = handles.into_iter().map(|h| h.join().expect("rank thread")).collect();
+    let (per_rank, first): (Vec<_>, Vec<_>) =
+        handles.into_iter().map(|h| h.join().expect("rank thread")).unzip();
 
     let cumulative: Vec<Counts> = (0..STEPS)
         .map(|step| {
@@ -164,6 +175,7 @@ fn run(strategy: Strategy, world: usize, cpu: u64) -> Run {
         image: 2 * GptModel::new(cfg).registry().iter().map(|p| padded(p.numel(), world)).sum::<u64>(),
         cpu_at_rest: per_rank[0][STEPS - 1].3,
         cpu_peak: node.hierarchy.stats(Device::cpu()).peak_in_use,
+        first: first[0].clone(),
     }
 }
 
@@ -196,6 +208,11 @@ fn the_cache_is_a_layer_by_exact_count() {
         assert_eq!((hit.cache_hits, hit.cache_bytes), (hit.allgathers, hit.fetched_bytes), "{tag}");
         assert_eq!((hit.evictions, hit.prefetch_issued, hit.prefetch_misses), (0, 0, 0), "{tag}");
         assert_eq!(all.cpu_at_rest, all.image, "{tag}: the cache is the image, once");
+        // Construction writes what a step writes, through to the cache:
+        // the first forward and backward read nothing.
+        let (built, first_pass) = (all.first[0], all.first[1]);
+        assert_eq!((built.writes, built.bytes_written), (hit.writes, hit.write_bytes), "{tag}");
+        assert_eq!((built.reads, first_pass.reads), (0, 0), "{tag}");
         // What the other CPU tenants need at their peak.
         let firm = all.cpu_peak - all.image;
 

@@ -129,11 +129,23 @@ fn trace_counters_match_nvme_io_stats() {
         AdamConfig::default(),
     )
     .expect("engine");
+    // Construction and restore carry what they wrote on their spans: the
+    // span, the nc.write spans and the counter agree.
+    let wrote = |name: &str, before: u64| {
+        let (events, counted) = (tracer.take_events(), tracer.snapshot().nc_write_bytes - before);
+        let spans = |want: &str| span_bytes(&events, |e| e.name == want);
+        assert_eq!((spans(name), spans("nc.write")), (counted, counted), "{name}");
+    };
+    wrote("engine.init", 0);
     let grad = Tensor::randn_seeded(&[NUMEL], 5, 0.1);
     for _ in 0..3 {
         engine.add_grad(id, &grad).expect("grad");
         engine.step().expect("step");
     }
+    let (blob, _) = (engine.save_state().expect("save"), tracer.take_events());
+    let before = tracer.snapshot().nc_write_bytes;
+    engine.load_state(&blob).expect("restore");
+    wrote("engine.import", before);
     drop(engine);
     // Quiesce detached write-behind traffic before comparing books.
     node.offload_manager().flush().expect("flush");
