@@ -121,9 +121,9 @@ fn barrier_survives_scripted_rank_death() {
 // staging-buffer hand-back.
 //
 // Invariants, in every interleaving of submitter, worker, and reaper:
-// after `barrier`/`flush` returns, every previously submitted write
-// (ticketed and detached) has reached the backend and nothing is in
-// flight; and every staging buffer that rode a request — served,
+// after `barrier`/`flush` returns, every previously submitted write has
+// reached the backend, nothing is in flight, and each outcome waits for
+// its ticket; and every staging buffer that rode a request — served,
 // failed on the device, or refused because the worker pool is gone —
 // is handed back exactly once (the pool ends with nothing outstanding
 // and every buffer it ever allocated parked).
@@ -131,12 +131,14 @@ fn barrier_survives_scripted_rank_death() {
 fn engine_flush_body() {
     let backend = Arc::new(MemBackend::new());
     let eng = NvmeEngine::new(Arc::clone(&backend) as Arc<dyn StorageBackend>, 1);
-    eng.submit_write_detached(0, vec![1u8; 8]);
-    let ticket = eng.submit_write(64, vec![2u8; 8]);
+    let tickets = [eng.submit_write(0, vec![1u8; 8]), eng.submit_write(64, vec![2u8; 8])];
     eng.flush().expect("flush cannot fail on a healthy backend");
     assert_eq!(eng.in_flight(), 0, "flush left requests in flight");
     assert_eq!(backend.bytes_written(), 16, "flush returned before the writes completed");
-    assert!(eng.wait(ticket).expect("ticketed write").is_none());
+    for ticket in tickets {
+        assert!(eng.is_ready(ticket), "flush returned before a completion was posted");
+        assert!(eng.wait(ticket).expect("ticketed write").is_none());
+    }
     drop(eng); // must join the worker without hanging in any schedule
 }
 
@@ -177,7 +179,7 @@ fn engine_handback_body() {
         tx.send(ticket).expect("reaper is alive");
     }
     drop(tx);
-    eng.barrier().expect("no detached writes, so no deferred errors");
+    eng.barrier().expect("a barrier leaves errors to the tickets");
     assert_eq!(eng.in_flight(), 0, "barrier returned with requests in flight");
     assert_eq!(reaper.join().expect("reaper thread"), 3, "scripted failure, then fail-fast");
     // With the worker pool gone a submission cannot be delivered: it

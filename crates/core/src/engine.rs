@@ -380,6 +380,7 @@ impl ZeroEngine {
             self.write_state(idx, [master, &zeros, &zeros], &mut wb)?;
             if s.partition_params { Ok(()) } else { self.publish(idx, whole, &mut wb) }
         });
+        // Construction reaps its own writes; the flush waits on no peer's.
         let drained = wb.drain(&self.mgr);
         written.and(drained)?;
         self.mgr.flush()?;
@@ -548,7 +549,7 @@ impl ZeroEngine {
         // parameter, so the pipeline never drains between two of them.
         // Both are reaped here on every path, so failures surface as the
         // step's own typed error with every staging buffer back in its
-        // pool and nothing leaking into the end-of-iteration barrier.
+        // pool and nothing of this rank's step still on the device.
         let due: Vec<usize> =
             (0..self.shards.len()).filter(|&idx| self.shards[idx].grad.is_some()).collect();
         if self.ahead.as_ref().is_some_and(|carried| carried.due != due) {
@@ -726,7 +727,8 @@ impl ZeroEngine {
 
     /// Carry the drained queue into the next step, its first records read
     /// (up to `budget` staging buffers) under the next forward and
-    /// backward; after the barrier, so no read overtakes a write.
+    /// backward; after every write of this step was reaped, so no read
+    /// overtakes one.
     fn carry(&mut self, mut ahead: ReadAhead, budget: usize) {
         if budget > 0 {
             let filled = ahead.top_up(&self.mgr, &self.optims, |a| a.held(&self.optims).0 < budget);
@@ -812,6 +814,10 @@ impl ZeroEngine {
         Ok(())
     }
 
+    /// Close the iteration: the prefetches reaped, then this rank's flush.
+    /// The step has already reaped its own reads and writes, and the flush
+    /// never waits out a peer's I/O — at world > 1 another rank's carried
+    /// read-ahead may still be on the shared device.
     fn end_iteration(&mut self) -> Result<()> {
         self.trace.end_iteration();
         self.prefetcher.clear(&self.mgr);
@@ -2277,10 +2283,10 @@ mod tests {
         let expect = state(&mut healthy);
         let drained = |node: &NodeResources| {
             // A reaped request leaves the in-flight gauge once its worker
-            // is done with it: the barrier waits for that, and a ticket
-            // nobody waited would still hold its staging buffer.
+            // is done with it: the node-wide barrier waits for that, and a
+            // ticket nobody waited would still hold its staging buffer.
+            node.nvme.barrier().unwrap();
             let mgr = node.offload_manager();
-            mgr.flush().unwrap();
             assert_eq!((mgr.staging().outstanding(), mgr.nvme().in_flight()), (0, 0));
         };
         for alive in 0..built {

@@ -502,7 +502,8 @@ impl NodeResources {
         self.offload_manager().latch_degraded();
     }
 
-    /// A per-rank offload manager handle.
+    /// A per-rank offload manager handle. It and its clones flush only
+    /// their own writes (see [`OffloadManager::flush`]).
     pub fn offload_manager(&self) -> OffloadManager {
         OffloadManager {
             hierarchy: Arc::clone(&self.hierarchy),
@@ -513,6 +514,7 @@ impl NodeResources {
             resilience: Arc::clone(&self.resilience),
             placement: Arc::clone(&self.placement),
             tracer: self.tracer.clone(),
+            unwaited: Arc::default(),
         }
     }
 }
@@ -743,6 +745,9 @@ pub struct OffloadManager {
     resilience: Arc<ResilienceState>,
     placement: Arc<PlanCell>,
     tracer: Tracer,
+    /// The writes [`Self::overwrite_async_placed`] left unwaited, shared
+    /// by clones; [`Self::flush`] reaps them.
+    unwaited: Arc<Mutex<Vec<Ticket>>>,
 }
 
 impl OffloadManager {
@@ -936,21 +941,21 @@ impl OffloadManager {
         Ok((buf, Some(tiles)))
     }
 
-    /// Replace `seg`'s contents with `bytes`. A detached NVMe write
-    /// completes at [`Self::flush`].
-    fn overwrite_segment(&self, seg: &mut Segment, bytes: &[u8], detached: bool) -> Result<()> {
+    /// Replace `seg`'s contents with `bytes`. An NVMe write left
+    /// unwaited (`wait` false) completes at [`Self::flush`].
+    fn overwrite_segment(&self, seg: &mut Segment, bytes: &[u8], wait: bool) -> Result<()> {
         let Some(ram) = &mut seg.ram else {
             // Record the CRC at submission: the write either lands these
             // exact bytes or reports failure (here, or at `flush` when
-            // detached). The one copy hands the engine bytes it owns.
+            // unwaited). The one copy hands the engine bytes it owns.
             self.resilience.record(seg.block.offset, bytes);
-            if detached {
-                self.nvme.submit_write_detached(seg.block.offset, bytes.to_vec());
-                return Ok(());
-            }
-            let _pinned = self.pinned.acquire();
+            let _pinned = wait.then(|| self.pinned.acquire());
             let ticket = self.nvme.submit_write(seg.block.offset, bytes.to_vec());
-            return self.nvme.wait(ticket).map(drop);
+            if wait {
+                return self.nvme.wait(ticket).map(drop);
+            }
+            self.unwaited.lock().push(ticket);
+            return Ok(());
         };
         ram.as_bytes_mut().copy_from_slice(bytes);
         Ok(())
@@ -1231,23 +1236,18 @@ impl OffloadManager {
     /// Replace the buffer's entire contents, each segment over its own
     /// path.
     pub fn overwrite_placed(&self, buf: &mut PlacedBuf, data: &FlatBuffer) -> Result<()> {
-        self.overwrite_segments(buf, data, false)
-    }
-
-    /// Asynchronously overwrite the buffer (gradient offload overlap,
-    /// Sec. 6.2): NVMe segments go out as detached writes (completion
-    /// only after [`Self::flush`]), RAM segments land synchronously
-    /// under a cp-hop span.
-    pub fn overwrite_async_placed(&self, buf: &mut PlacedBuf, data: &FlatBuffer) -> Result<()> {
         self.overwrite_segments(buf, data, true)
     }
 
-    fn overwrite_segments(
-        &self,
-        buf: &mut PlacedBuf,
-        data: &FlatBuffer,
-        detached: bool,
-    ) -> Result<()> {
+    /// Asynchronously overwrite the buffer (gradient offload overlap,
+    /// Sec. 6.2): NVMe segments go out as writes this manager's
+    /// [`Self::flush`] completes and reports, RAM segments land
+    /// synchronously under a cp-hop span.
+    pub fn overwrite_async_placed(&self, buf: &mut PlacedBuf, data: &FlatBuffer) -> Result<()> {
+        self.overwrite_segments(buf, data, false)
+    }
+
+    fn overwrite_segments(&self, buf: &mut PlacedBuf, data: &FlatBuffer, wait: bool) -> Result<()> {
         if data.numel() != buf.numel || data.dtype() != buf.dtype {
             return Err(Error::shape("overwrite size/dtype mismatch"));
         }
@@ -1258,7 +1258,7 @@ impl OffloadManager {
                 span.set_bytes((hi - lo) as u64);
                 self.tracer.count(Counter::CpWriteBytes, (hi - lo) as u64);
             }
-            self.overwrite_segment(seg, &data.as_bytes()[lo..hi], detached)?;
+            self.overwrite_segment(seg, &data.as_bytes()[lo..hi], wait)?;
         }
         Ok(())
     }
@@ -1314,18 +1314,27 @@ impl OffloadManager {
         }
     }
 
-    /// Drain all outstanding NVMe requests: a completion barrier —
-    /// nothing in flight, detached-write errors surfaced — not a
-    /// durability sync. The offload region has no on-device index (its
-    /// extents live in the in-process allocator), so nothing could re-read
-    /// it after a crash; durability belongs to the `CheckpointStore`,
-    /// which syncs the backend itself at each of its publish points.
+    /// Complete the writes this manager and its clones left unwaited
+    /// ([`Self::overwrite_async_placed`]'s) and surface the first one's
+    /// error. A completion barrier over this rank's own requests — every
+    /// other request is waited by whoever issued it — so it never waits
+    /// out another rank's I/O ([`NvmeEngine::barrier`] is the node-wide
+    /// quiesce). Not a durability sync: the offload region has no
+    /// on-device index (its extents live in the in-process allocator), so
+    /// nothing could re-read it after a crash; durability belongs to the
+    /// `CheckpointStore`, which syncs the backend itself at each of its
+    /// publish points.
     ///
     /// A device failure here degrades the node instead of erroring: new
-    /// stores already avoid the device, and lost detached writes are
-    /// caught by the checksum registry when (if ever) the extent is read.
+    /// stores already avoid the device, and lost writes are caught by the
+    /// checksum registry when (if ever) the extent is read.
     pub fn flush(&self) -> Result<()> {
-        match self.nvme.barrier() {
+        // An instant, like the engine's barrier: its wait is idle time.
+        self.tracer.instant(Category::NcTransfer, "nc.flush", 0, 0);
+        let tickets = std::mem::take(&mut *self.unwaited.lock());
+        // Every write is reaped before a failure surfaces.
+        let waited = tickets.into_iter().map(|ticket| self.nvme.wait(ticket).map(drop));
+        match waited.fold(Ok(()), Result::and) {
             Err(e) if e.is_device_failure() => {
                 self.latch_degraded();
                 Ok(())
@@ -1345,8 +1354,8 @@ impl OffloadManager {
 /// into its write request by value and goes home to the staging pool
 /// when the ticket is reaped — on success and on every error path.
 ///
-/// Unlike [`OffloadManager::overwrite_async_placed`]'s detached writes —
-/// whose failures are deferred to the `flush` barrier — every write-behind
+/// Unlike [`OffloadManager::overwrite_async_placed`]'s writes — whose
+/// failures are deferred to the manager's `flush` — every write-behind
 /// ticket is waited in [`WriteBehind::drain`] (or during back-pressure),
 /// so write failures surface as typed errors on the step path itself:
 /// transient faults are retried inside the engine exactly as before, and
@@ -1419,8 +1428,8 @@ impl WriteBehind {
 
     /// Wait out every queued write, surfacing the first failure as a
     /// typed error. All tickets are waited regardless of earlier
-    /// failures, so no request leaks into the engine's flush barrier
-    /// and every staging buffer is back in its pool.
+    /// failures, so no request outlives the step that issued it and
+    /// every staging buffer is back in its pool.
     pub fn drain(&mut self, mgr: &OffloadManager) -> Result<()> {
         let mut first_err = None;
         while let Some(ticket) = self.inflight.pop_front() {
@@ -2308,6 +2317,114 @@ mod tests {
         mgr.flush().unwrap();
         assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vec![4.5; 64]);
         mgr.free_placed(buf);
+    }
+
+    /// A device whose reads wait until the gate opens, and whose writes
+    /// at the refused offset fail with a permanent error that is not a
+    /// device failure: no retry, no degradation.
+    struct Gate {
+        dev: MemBackend,
+        open: Mutex<bool>,
+        opened: zi_sync::Condvar,
+        refused: AtomicU64,
+    }
+
+    impl Gate {
+        fn open(&self) {
+            *self.open.lock() = true;
+            self.opened.notify_all();
+        }
+    }
+
+    impl StorageBackend for Gate {
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            let mut open = self.open.lock();
+            while !*open {
+                self.opened.wait(&mut open);
+            }
+            drop(open);
+            self.dev.read_at(offset, buf)
+        }
+        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+            if offset == self.refused.load(Ordering::Relaxed) {
+                return Err(Error::InvalidArgument(format!("write at {offset:#x} refused")));
+            }
+            self.dev.write_at(offset, data)
+        }
+        fn sync(&self) -> Result<()> {
+            self.dev.sync()
+        }
+        fn len(&self) -> Result<u64> {
+            self.dev.len()
+        }
+    }
+
+    /// A two-rank node over a [`Gate`], open or closed.
+    fn gated_node(open: bool) -> (Arc<Gate>, NodeResources) {
+        let gate = Arc::new(Gate {
+            dev: MemBackend::new(),
+            open: Mutex::new(open),
+            opened: zi_sync::Condvar::new(),
+            refused: AtomicU64::new(u64::MAX),
+        });
+        let spec = NodeMemorySpec::test_spec(2, 1 << 20, 1 << 20, 1 << 20);
+        let env = NodeEnv { policy: RetryPolicy::none(), ..NodeEnv::new(gate.clone()) };
+        (gate, NodeResources::new(&spec, 2, env))
+    }
+
+    #[test]
+    fn a_flush_waits_for_its_own_io_only() {
+        let (gate, node) = gated_node(false);
+        let (a, b) = (node.offload_manager(), node.offload_manager());
+        let vals: Vec<f32> = (0..64).map(|i| i as f32 - 9.5).collect();
+        let record = store_on(&b, Device::nvme(), buf_f32(&vals)).unwrap();
+        let mut mine = store_on(&a, Device::nvme(), buf_f32(&[0.0; 8])).unwrap();
+        // B's record read waits at the closed gate; A's own write lands
+        // and A's flush returns around it.
+        let read = b.begin_load_elems_placed(&record, 0, 64).unwrap();
+        a.overwrite_async_placed(&mut mine, &buf_f32(&[5.0; 8])).unwrap();
+        a.flush().unwrap();
+        assert!(a.nvme().in_flight() >= 1, "B's read is still on the device");
+        gate.open();
+        let (staged, tiles) = read.wait_verified(&b).unwrap().expect("a device read");
+        assert_eq!((staged.as_f32(), tiles.map(|t| t.len())), (&vals[..], Some(1)));
+        drop(staged);
+        assert_eq!(a.load_placed(&mine).unwrap().to_f32_vec(), vec![5.0; 8]);
+        b.flush().unwrap();
+        a.free_placed(mine);
+        b.free_placed(record);
+        assert_eq!(in_use(&a), (0, 0));
+    }
+
+    #[test]
+    fn a_failed_async_write_is_reported_to_the_manager_that_issued_it() {
+        let (gate, node) = gated_node(true);
+        let (a, b) = (node.offload_manager(), node.offload_manager());
+        let mut mine = store_on(&a, Device::nvme(), buf_f32(&[1.0; 16])).unwrap();
+        let mut theirs = store_on(&b, Device::nvme(), buf_f32(&[2.0; 16])).unwrap();
+        gate.refused.store(theirs.extent().unwrap().0, Ordering::Relaxed);
+        a.overwrite_async_placed(&mut mine, &buf_f32(&[3.0; 16])).unwrap();
+        b.overwrite_async_placed(&mut theirs, &buf_f32(&[4.0; 16])).unwrap();
+        a.flush().unwrap();
+        let err = b.flush().unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
+        b.flush().unwrap();
+        assert!(!a.is_degraded());
+        assert_eq!(a.load_placed(&mine).unwrap().to_f32_vec(), vec![3.0; 16]);
+        a.free_placed(mine);
+        b.free_placed(theirs);
+        // A device failure under B's write is still no error: B's flush
+        // degrades the node instead.
+        let (plan, node) = faulty_node();
+        let (a, b) = (node.offload_manager(), node.offload_manager());
+        let mut theirs = store_on(&b, Device::nvme(), buf_f32(&[2.0; 16])).unwrap();
+        plan.kill();
+        b.overwrite_async_placed(&mut theirs, &buf_f32(&[4.0; 16])).unwrap();
+        a.flush().unwrap();
+        assert!(!a.is_degraded(), "A's flush saw B's write");
+        b.flush().unwrap();
+        assert!(b.is_degraded());
+        b.free_placed(theirs);
     }
 
     #[test]

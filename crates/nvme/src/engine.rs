@@ -113,9 +113,7 @@ impl std::fmt::Debug for IoBuf {
 }
 
 struct Request {
-    /// `None` for a detached write: no completion entry is stored and
-    /// errors are collected for the next barrier.
-    ticket: Option<Ticket>,
+    ticket: Ticket,
     /// Reads carry the length to fill; writes send the whole buffer.
     read_len: Option<usize>,
     offset: u64,
@@ -135,7 +133,6 @@ struct Shared {
     in_flight: AtomicU64,
     in_flight_peak: AtomicU64,
     stats: Mutex<IoStats>,
-    detached_errors: Mutex<Vec<Error>>,
     /// Latched when any request gives up; later requests fail fast.
     device_failed: AtomicBool,
     /// Structured tracing: nc-transfer spans for every served request,
@@ -197,20 +194,10 @@ impl Shared {
         report.result
     }
 
-    /// Hand a finished request to whoever owns it: ticketed outcomes
-    /// (with their buffer) wait in the completion map; a detached write
-    /// drops its buffer here and leaves only its error, if any.
-    fn complete(&self, ticket: Option<Ticket>, outcome: Outcome) {
-        match ticket {
-            Some(t) => {
-                self.completions.lock().insert(t.0, outcome);
-            }
-            None => {
-                if let Err(e) = outcome.result {
-                    self.detached_errors.lock().push(e);
-                }
-            }
-        }
+    /// Hand a finished request to whoever owns it: the outcome, with its
+    /// buffer, waits in the completion map for the ticket's wait.
+    fn complete(&self, ticket: Ticket, outcome: Outcome) {
+        self.completions.lock().insert(ticket.0, outcome);
     }
 }
 
@@ -258,7 +245,6 @@ impl NvmeEngine {
             in_flight: AtomicU64::new(0),
             in_flight_peak: AtomicU64::new(0),
             stats: Mutex::new(IoStats::default()),
-            detached_errors: Mutex::new(Vec::new()),
             device_failed: AtomicBool::new(false),
             tracer,
         });
@@ -293,20 +279,14 @@ impl NvmeEngine {
     /// Execute one request on a worker thread and record its outcome.
     fn serve(req: Request, backend: &Arc<dyn StorageBackend>, shared: &Shared, policy: &RetryPolicy) {
         let Request { ticket, read_len, offset, mut buf } = req;
-        let name = match (read_len, ticket) {
-            (Some(_), _) => "nc.read",
-            (None, Some(_)) => "nc.write",
-            (None, None) => "nc.write_detached",
-        };
+        let name = if read_len.is_some() { "nc.read" } else { "nc.write" };
         if let (Some(len), IoBuf::Bytes(v)) = (read_len, &mut buf) {
             v.resize(len, 0);
         }
         let len = buf.as_bytes().len() as u64;
         let mut span = shared.tracer.span(Category::NcTransfer, name);
         span.set_bytes(len);
-        if let Some(t) = ticket {
-            span.set_id(t.0);
-        }
+        span.set_id(ticket.0);
         let result = match read_len {
             Some(_) => shared.execute(policy, format_args!("read {len} B at {offset:#x}"), || {
                 backend.read_at(offset, buf.as_bytes_mut())
@@ -354,7 +334,7 @@ impl NvmeEngine {
 
     fn submit_ticketed(&self, read_len: Option<usize>, offset: u64, buf: IoBuf) -> Ticket {
         let ticket = Ticket(self.next_ticket.fetch_add(1, Ordering::Relaxed));
-        self.submit(Request { ticket: Some(ticket), read_len, offset, buf });
+        self.submit(Request { ticket, read_len, offset, buf });
         ticket
     }
 
@@ -379,13 +359,6 @@ impl NvmeEngine {
     /// Submit an asynchronous write of `data` at `offset`.
     pub fn submit_write(&self, offset: u64, data: Vec<u8>) -> Ticket {
         self.submit_ticketed(None, offset, IoBuf::Bytes(data))
-    }
-
-    /// Submit a fire-and-forget write. No ticket: the write completes in
-    /// the background and any error surfaces at the next
-    /// [`Self::barrier`].
-    pub fn submit_write_detached(&self, offset: u64, data: Vec<u8>) {
-        self.submit(Request { ticket: None, read_len: None, offset, buf: IoBuf::Bytes(data) });
     }
 
     /// Submit a bulk batch of reads: `(offset, len)` pairs.
@@ -427,12 +400,14 @@ impl NvmeEngine {
         Ok(buf.into_bytes().filter(|_| is_read))
     }
 
-    /// Wait until every outstanding request has completed — the paper's
-    /// "explicit synchronization requests to flush ongoing read/writes"
-    /// — and report errors from detached writes. A completion barrier,
-    /// not a durability one: nothing is synced. Completions awaiting
-    /// their owner's `wait` are left untouched, so concurrent users of a
-    /// shared engine are unaffected.
+    /// Wait until every outstanding request has completed, whoever
+    /// submitted it — the paper's "explicit synchronization requests to
+    /// flush ongoing read/writes", node-wide: the quiesce tests and tools
+    /// take before reading the device's books. A completion barrier, not
+    /// a durability one: nothing is synced. Completions awaiting their
+    /// owner's `wait` are left untouched, so concurrent users of a shared
+    /// engine are unaffected: a failed request's error belongs to its
+    /// ticket, and the barrier reports none.
     pub fn barrier(&self) -> Result<()> {
         // An instant, not a span: the barrier's wait is idle time, and a
         // duration here would pollute the nc hop's busy union.
@@ -441,13 +416,7 @@ impl NvmeEngine {
         while self.shared.in_flight.load(Ordering::Acquire) > 0 {
             self.shared.done.wait(&mut comps);
         }
-        drop(comps);
-        let mut errs = self.shared.detached_errors.lock();
-        if errs.is_empty() {
-            Ok(())
-        } else {
-            Err(errs.remove(0))
-        }
+        Ok(())
     }
 
     /// [`Self::barrier`], then a durability sync on the backend — for
@@ -672,13 +641,15 @@ mod tests {
     }
 
     #[test]
-    fn flush_reports_detached_errors() {
+    fn a_write_error_waits_for_its_ticket_not_the_flush() {
         let (plan, eng) = faulty_engine(2, RetryPolicy::none());
         plan.fail_next_writes(1);
-        eng.submit_write_detached(0, vec![1, 2, 3]);
-        let err = eng.flush().unwrap_err();
+        let t = eng.submit_write(0, vec![1, 2, 3]);
+        // The flush completes the write; its error is the ticket's.
+        eng.flush().unwrap();
+        assert_eq!(eng.in_flight(), 0);
+        let err = eng.wait(t).unwrap_err();
         assert!(err.to_string().contains("injected write failure"));
-        // A subsequent flush succeeds (error consumed).
         eng.flush().unwrap();
     }
 
@@ -747,15 +718,17 @@ mod tests {
         }
         let backend = Arc::new(CountSync(MemBackend::new(), AtomicU64::new(0)));
         let eng = NvmeEngine::new(Arc::clone(&backend) as Arc<dyn StorageBackend>, 2);
-        for i in 0..16u64 {
-            eng.submit_write_detached(i * 8, vec![i as u8; 8]);
-        }
+        let tickets: Vec<Ticket> =
+            (0..16u64).map(|i| eng.submit_write(i * 8, vec![i as u8; 8])).collect();
         eng.barrier().unwrap();
         assert_eq!(eng.in_flight(), 0);
         assert_eq!(backend.0.bytes_written(), 128, "barrier returned with writes outstanding");
         assert_eq!(backend.1.load(Ordering::Relaxed), 0, "the barrier is not a durability sync");
         eng.flush().unwrap();
         assert_eq!(backend.1.load(Ordering::Relaxed), 1);
+        for t in tickets {
+            assert!(eng.is_ready(t) && eng.wait(t).unwrap().is_none());
+        }
     }
 
     #[test]

@@ -106,12 +106,13 @@ timeout --kill-after=10s 120s \
 # carried from one step into the next included, then meets the scalar
 # kernels and the two-worker pool; so do checkpoint restore and the
 # file-backed full stack, construction included, which write model state
-# the way a step does.
+# the way a step does, and the dp × mp × pp cross-check, whose multi-rank
+# steps each flush only their own I/O.
 ZI_SIMD=scalar cargo test -q -p zi-tensor -p zi-optim -p zi-model \
     && ZI_SIMD=scalar cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: checkpoint:: \
-    && ZI_SIMD=scalar cargo test -q --test equivalence --test shard_cache --test end_to_end \
+    && ZI_SIMD=scalar cargo test -q --test equivalence --test shard_cache --test end_to_end --test parallelism \
     || { echo "scalar-forced unit suites failed"; exit 1; }
 ZI_KERNEL_THREADS=2 cargo test -q -p zi-tensor -p zi-optim -p zi-model \
     && ZI_KERNEL_THREADS=2 cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: checkpoint:: \
-    && ZI_KERNEL_THREADS=2 cargo test -q --test equivalence --test shard_cache --test end_to_end \
+    && ZI_KERNEL_THREADS=2 cargo test -q --test equivalence --test shard_cache --test end_to_end --test parallelism \
     || { echo "parallel-pool unit suites failed"; exit 1; }

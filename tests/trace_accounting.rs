@@ -63,9 +63,7 @@ fn counters_agree_with_the_event_stream() {
     // Counter bytes and span bytes are recorded at the same call sites;
     // with zero drops they must agree exactly, hop by hop.
     let nc_read = span_bytes(&events, |e| e.cat == Category::NcTransfer && e.name == "nc.read");
-    let nc_write = span_bytes(&events, |e| {
-        e.cat == Category::NcTransfer && (e.name == "nc.write" || e.name == "nc.write_detached")
-    });
+    let nc_write = span_bytes(&events, |e| e.cat == Category::NcTransfer && e.name == "nc.write");
     let cg = span_bytes(&events, |e| e.cat == Category::CgTransfer);
     let gg = span_bytes(&events, |e| e.cat == Category::Allgather);
     let rs = span_bytes(&events, |e| e.cat == Category::ReduceScatter);
@@ -147,8 +145,8 @@ fn trace_counters_match_nvme_io_stats() {
     engine.load_state(&blob).expect("restore");
     wrote("engine.import", before);
     drop(engine);
-    // Quiesce detached write-behind traffic before comparing books.
-    node.offload_manager().flush().expect("flush");
+    // Quiesce the whole device before comparing books.
+    node.nvme.barrier().expect("barrier");
 
     let io = node.nvme.stats();
     let snap = tracer.snapshot();
