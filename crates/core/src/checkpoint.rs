@@ -618,24 +618,33 @@ mod tests {
         (losses, ranks.into_iter().map(|(_, blob)| blob).collect())
     }
 
-    /// How an engine interleaves master, momentum and variance on its
-    /// tier is its own business: a checkpoint carries none of it.
+    /// How an engine packs short parameters into shared records and
+    /// interleaves master, momentum and variance on its tier is its own
+    /// business: a checkpoint carries none of it.
     #[test]
     fn the_record_layout_never_reaches_a_checkpoint() {
-        // The same training under 7-element records and under one record
-        // per shard saves the same bytes.
-        let (losses, saved) = run_world(2, 7, None, 0..3);
-        assert_eq!(run_world(2, usize::MAX, None, 0..3), (losses, saved.clone()));
+        // At world 2 the tiny model's shards are 4 to 64 elements. Records
+        // of one element pack nothing; of 7, the fourteen 4-element layer
+        // norms and biases share records, six straddling two; of 64, every
+        // shard but `wte`'s packs; one record holds everything. The same
+        // training saves the unpacked run's bytes under each.
+        let (losses, saved) = run_world(2, 1, None, 0..3);
+        for chunk in [7, 64, usize::MAX] {
+            assert_eq!(run_world(2, chunk, None, 0..3), (losses.clone(), saved.clone()), "{chunk}");
+        }
         // Saved under 7-element records, restored under 64-element ones,
-        // training goes on as if never interrupted.
-        let (uninterrupted, end) = run_world(2, 7, None, 0..5);
-        assert_eq!(run_world(2, 64, Some(&saved), 3..5), (uninterrupted[3..].to_vec(), end));
+        // which pack other members, training goes on as if never
+        // interrupted.
+        let (uninterrupted, end) = run_world(2, 1, None, 0..5);
+        let packed = run_world(2, 7, None, 0..3).1;
+        assert_eq!(run_world(2, 64, Some(&packed), 3..5), (uninterrupted[3..].to_vec(), end));
         // Through a reshard to three ranks as well: whatever record size
-        // the new engines stream at, they continue alike.
-        let three = reshard_checkpoint_blobs(&saved, 3).expect("reshard");
-        let same = run_world(3, 7, Some(&three), 3..5);
+        // the new engines stream at, and whatever it packs, they continue
+        // alike.
+        let three = reshard_checkpoint_blobs(&packed, 3).expect("reshard");
+        let same = run_world(3, 1, Some(&three), 3..5);
+        assert_eq!(run_world(3, 7, Some(&three), 3..5), same);
         assert_eq!(run_world(3, 64, Some(&three), 3..5), same);
-        assert_eq!(run_world(3, 1, Some(&three), 3..5), same);
     }
 
     /// A record whose momentum or variance is not the shard's length is

@@ -28,7 +28,8 @@
 //! 5. **Step** — each rank streams its optimizer-state shard through
 //!    bounded chunks (NVMe→CPU→update→NVMe, Sec. 5.2.2). Master, momentum
 //!    and variance of a shard live in one buffer, interleaved by record
-//!    ([`RecordLayout`]), so a chunk is one device read into one staging
+//!    ([`RecordLayout`]) — every shard shorter than a record shares one
+//!    packed buffer — so a chunk is one device read into one staging
 //!    buffer, one Adam pass over its three slices and one write; the
 //!    fresh fp16 shard goes back to the parameter tier record by record
 //!    as the second write of the same pipeline. One read-ahead queue
@@ -40,7 +41,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use zi_comm::{Communicator, Partitioner};
-use zi_memory::{Block, PlacementPolicy};
+use zi_memory::{Block, PlacementPolicy, ScratchVec};
 use zi_model::{ParamId, ParamRegistry, ParamStore};
 use zi_optim::{adam_update_chunk, adam_update_chunk_publish, AdamConfig, LossScaler};
 use zi_tensor::storage::{accumulate_f32, decode_f32, encode_f32};
@@ -56,24 +57,60 @@ use crate::prefetch::{PrefetchStats, Prefetcher, TraceMap};
 /// momentum, variance.
 const STATE_STREAMS: usize = 3;
 
-/// How the optimizer state of a `len`-element update range is laid out
-/// in its one buffer of `3 × len` f32: in records of `per` elements,
-/// record k holding `master ‖ m ‖ v` of elements `k·per ..
-/// min((k+1)·per, len)` back to back. A record is what the streamed step
-/// moves: one contiguous range of the buffer, so one device request each
-/// way where three separate buffers cost three. Everything that needs to
-/// know where a value sits — the stream, the split policy's stripe,
-/// checkpoint export and import — asks here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How the optimizer state of one buffer is laid out: the update ranges
+/// of its members back to back, `len` elements in one buffer of `3 × len`
+/// f32, in records of `per` elements, record k holding `master ‖ m ‖ v` of
+/// elements `k·per .. min((k+1)·per, len)` back to back. A record is what
+/// the streamed step moves: one contiguous range of the buffer, so one
+/// device request each way where three separate buffers cost three. A
+/// parameter of at least one record is its buffer's only member, so its
+/// records stay its own; every parameter shorter than a record shares one
+/// packed buffer, in parameter order, so a record may hold several members
+/// and a member may straddle two records. Everything that needs to know
+/// where a value sits — the stream, the split policy's stripe, checkpoint
+/// export and import — asks here.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct RecordLayout {
     len: usize,
     per: usize,
+    /// Each member's parameter and update range in the buffer, in order.
+    members: Vec<(usize, std::ops::Range<usize>)>,
 }
 
 impl RecordLayout {
-    /// The layout of `len` elements streamed `chunk` elements at a time.
-    fn new(len: usize, chunk: usize) -> Self {
-        RecordLayout { len, per: chunk.clamp(1, len.max(1)) }
+    /// The layout of the update ranges of `members` — parameter and
+    /// length — back to back, streamed `chunk` elements at a time.
+    fn new(members: &[(usize, usize)], chunk: usize) -> Self {
+        let mut len = 0;
+        let members = members
+            .iter()
+            .map(|&(idx, n)| {
+                len += n;
+                (idx, len - n..len)
+            })
+            .collect();
+        RecordLayout { len, per: chunk.clamp(1, len.max(1)), members }
+    }
+
+    /// The members the record starting at `at` holds a part of, as a
+    /// range of `members`: they lie in buffer order, so two binary
+    /// searches find them.
+    fn meeting(&self, at: usize) -> std::ops::Range<usize> {
+        let end = at + self.elems(at);
+        let lo = self.members.partition_point(|(_, range)| range.end <= at);
+        lo..self.members.partition_point(|(_, range)| range.start < end)
+    }
+
+    /// Where the update range `member` meets the record starting at `at`:
+    /// the shared part's first element within the member and its range
+    /// within the record; `None` when they do not meet.
+    fn meet(
+        &self,
+        at: usize,
+        member: &std::ops::Range<usize>,
+    ) -> Option<(usize, std::ops::Range<usize>)> {
+        let (lo, hi) = (member.start.max(at), member.end.min(at + self.elems(at)));
+        (lo < hi).then(|| (lo - member.start, lo - at..hi - at))
     }
 
     /// Buffer elements a whole record of `chunk` elements spans: the
@@ -83,9 +120,9 @@ impl RecordLayout {
         chunk.max(1).saturating_mul(STATE_STREAMS)
     }
 
-    /// The first element of every record, in order.
-    fn starts(&self) -> impl Iterator<Item = usize> {
-        (0..self.len).step_by(self.per)
+    /// The first element of every record `range` meets, in order.
+    fn starts(&self, range: &std::ops::Range<usize>) -> impl Iterator<Item = usize> {
+        (range.start - range.start % self.per..range.end).step_by(self.per)
     }
 
     /// Elements in the record starting at element `at`.
@@ -106,27 +143,24 @@ impl RecordLayout {
         [master, m, v]
     }
 
-    /// Where stream `stream` (0 master, 1 momentum, 2 variance) of the
-    /// record starting at `at` sits in the buffer.
-    fn stream_range(&self, at: usize, stream: usize) -> std::ops::Range<usize> {
-        let lo = STATE_STREAMS * at + stream * self.elems(at);
-        lo..lo + self.elems(at)
-    }
-
-    /// One stream's values, contiguous, out of the interleaved `state`.
-    fn gather(&self, state: &[f32], stream: usize) -> Vec<f32> {
-        let mut values = Vec::with_capacity(self.len);
-        for at in self.starts() {
-            values.extend_from_slice(&state[self.stream_range(at, stream)]);
+    /// One stream's values (0 master, 1 momentum, 2 variance) of the
+    /// update range `member`, contiguous, out of the interleaved `state`.
+    fn gather(&self, state: &[f32], stream: usize, member: &std::ops::Range<usize>) -> Vec<f32> {
+        let mut values = Vec::with_capacity(member.len());
+        for at in self.starts(member) {
+            if let Some((_, part)) = self.meet(at, member) {
+                let lo = STATE_STREAMS * at + stream * self.elems(at);
+                values.extend_from_slice(&state[lo + part.start..lo + part.end]);
+            }
         }
         values
     }
 }
 
-/// Optimizer state (fp32 master/momentum/variance) for one parameter's
-/// update range on this rank. NVMe-tier state may be split between CPU
-/// DRAM and the device record by record, and the streamed step drives
-/// both paths at once.
+/// Optimizer state (fp32 master/momentum/variance) for the update ranges
+/// of one buffer's members on this rank. NVMe-tier state may be split
+/// between CPU DRAM and the device record by record, and the streamed step
+/// drives both paths at once.
 struct OptimStorage {
     /// Master, momentum and variance, interleaved as `layout` says.
     state: PlacedBuf,
@@ -134,7 +168,6 @@ struct OptimStorage {
     /// The policy the buffer was last (re)stored under; compared against
     /// the strategy's current policy to detect re-tier drift.
     policy: PlacementPolicy,
-    step: u64,
 }
 
 /// Everything the engine tracks for one parameter.
@@ -155,6 +188,11 @@ struct ShardState {
     /// equals scanning the final gradient) — `step` reads the flags
     /// instead of re-loading every gradient buffer.
     grad_nonfinite: bool,
+    /// The optimizer buffer holding this parameter's update range, and
+    /// the range in it.
+    optim: (usize, std::ops::Range<usize>),
+    /// Optimizer steps applied to this parameter.
+    step: u64,
 }
 
 /// A gathered parameter currently resident in GPU working memory.
@@ -237,9 +275,10 @@ pub struct ZeroEngine {
     adam: AdamConfig,
     scaler: LossScaler,
     shards: Vec<ShardState>,
-    /// Optimizer state, by parameter like `shards`. A list of its own:
-    /// the step holds one parameter's publish open while it reads ahead
-    /// in the optimizer state of the next.
+    /// Optimizer state by buffer, in update order: each parameter of at
+    /// least a record, and the pack of every shorter one at its first
+    /// member's place. A list of its own: the step holds one parameter's
+    /// publish open while it reads ahead in the next buffer.
     optims: Vec<OptimStorage>,
     /// Extra gradient divisor for multi-micro-batch accumulation.
     grad_accum_steps: f32,
@@ -351,24 +390,59 @@ impl ZeroEngine {
         let (single, policy) = (PlacementPolicy::all_nvme(), s.optimizer_policy());
         let param_device = device_for(s.placement.params, self.gpu_index);
         let optim_device = device_for(s.placement.optimizer, self.gpu_index);
-        for meta in registry.iter() {
-            let (numel, shard_len) = (meta.numel(), self.part.shard_len(meta.numel()));
+        let update_len = |n| if s.partition_optimizer { self.part.shard_len(n) } else { n };
+        let lens: Vec<usize> = registry.iter().map(|meta| update_len(meta.numel())).collect();
+        // Every update range shorter than a record joins the pack, placed
+        // where its first member comes; members lie back to back.
+        let short = |len: usize| len < s.optimizer_chunk;
+        let mut pack: Vec<(usize, usize)> =
+            lens.iter().copied().enumerate().filter(|&(_, len)| short(len)).collect();
+        // The pack's buffer and where its next member starts.
+        let mut packed: Option<(usize, usize)> = None;
+        for (idx, meta) in registry.iter().enumerate() {
+            let (numel, len) = (meta.numel(), lens[idx]);
+            let shard_len = self.part.shard_len(numel);
             let stored = if s.partition_params { shard_len } else { numel };
             let param = self.mgr.place(param_device, &single, s.param_dtype, stored, None)?;
-            let (shape, grad, grad_nonfinite) = (meta.shape.clone(), None, false);
-            self.shards.push(ShardState { shape, numel, shard_len, param, grad, grad_nonfinite });
-            let len = if s.partition_optimizer { shard_len } else { numel };
-            let elems = STATE_STREAMS * len;
-            let state = self.mgr.place(optim_device, &policy, DType::F32, elems, None)?;
-            let layout = RecordLayout::new(len, s.optimizer_chunk);
-            self.optims.push(OptimStorage { state, layout, policy, step: 0 });
+            let optim = match &mut packed {
+                Some((b, next)) if short(len) => {
+                    *next += len;
+                    (*b, *next - len..*next)
+                }
+                _ => {
+                    let members =
+                        if short(len) { std::mem::take(&mut pack) } else { vec![(idx, len)] };
+                    let layout = RecordLayout::new(&members, s.optimizer_chunk);
+                    let elems = STATE_STREAMS * layout.len;
+                    let state = self.mgr.place(optim_device, &policy, DType::F32, elems, None)?;
+                    self.optims.push(OptimStorage { state, layout, policy });
+                    let b = self.optims.len() - 1;
+                    if short(len) {
+                        packed = Some((b, len));
+                    }
+                    (b, 0..len)
+                }
+            };
+            self.shards.push(ShardState {
+                shape: meta.shape.clone(),
+                numel,
+                shard_len,
+                param,
+                grad: None,
+                grad_nonfinite: false,
+                optim,
+                step: 0,
+            });
         }
         let mut wb = WriteBehind::new(s.write_behind_bound());
-        let zeros = vec![0f32; self.optims.iter().map(|opt| opt.layout.len).max().unwrap_or(0)];
+        let zeros = vec![0f32; lens.iter().copied().max().unwrap_or(0)];
+        // The pack record being filled, which no write holds yet.
+        let mut filling = None;
         let written = registry.iter().enumerate().try_for_each(|(idx, meta)| {
-            // The writes in flight hold their part of the set; topped up
-            // per parameter, so ranks sharing the pool each get theirs.
-            self.reserve_step_staging(wb.in_flight());
+            // The writes in flight and the record being filled hold their
+            // part of the set; topped up per parameter, so ranks sharing
+            // the pool each get theirs.
+            self.reserve_step_staging(wb.in_flight() + usize::from(filling.is_some()));
             // One parameter at a time: peak init memory is a single
             // parameter, never the whole model (Sec. 7.2). Masters start
             // from the stored values; moments from zero.
@@ -377,7 +451,7 @@ impl ZeroEngine {
             values.resize(self.part.padded_len(numel), 0.0);
             let (shard, whole) = (self.part.shard_range(numel, self.rank()), &values[..numel]);
             let master = if s.partition_optimizer { &values[shard] } else { whole };
-            self.write_state(idx, [master, &zeros, &zeros], &mut wb)?;
+            self.write_state(idx, [master, &zeros, &zeros], &mut wb, &mut filling)?;
             if s.partition_params { Ok(()) } else { self.publish(idx, whole, &mut wb) }
         });
         // Construction reaps its own writes; the flush waits on no peer's.
@@ -389,28 +463,42 @@ impl ZeroEngine {
 
     /// Write parameter `idx`'s state as a step leaves it, behind `wb`, a
     /// record at a time: the `src` streams (master, momentum, variance;
-    /// each at least the update range long) interleaved straight into the
-    /// record — in place when DRAM-resident, else into a staging buffer
-    /// written as one request under its own checksum, exactly the extent
-    /// the step reads — and, for a partitioned parameter, the record's
+    /// each at least the update range long) interleaved straight into each
+    /// record the range meets — in place when DRAM-resident, else into the
+    /// staging buffer `filling`, written as one request under its own
+    /// checksum, exactly the extent the step reads, once the record's last
+    /// member is in it — and, for a partitioned parameter, each part's
     /// masters published as its second write, the shard written through
     /// to the shard cache.
-    fn write_state(&mut self, idx: usize, src: [&[f32]; 3], wb: &mut WriteBehind) -> Result<()> {
-        let (OptimStorage { state, layout, .. }, param) =
-            (&mut self.optims[idx], &mut self.shards[idx].param);
+    fn write_state(
+        &mut self,
+        idx: usize,
+        src: [&[f32]; 3],
+        wb: &mut WriteBehind,
+        filling: &mut Option<ScratchVec>,
+    ) -> Result<()> {
+        let st = &mut self.shards[idx];
+        let (b, member) = st.optim.clone();
+        let (OptimStorage { state, layout, .. }, param) = (&mut self.optims[b], &mut st.param);
         let mut publish = self.strategy.partition_params.then(|| self.mgr.begin_publish(param));
-        for at in layout.starts() {
-            let ((first, count), values) = (layout.span(at), at..at + layout.elems(at));
-            let mut staged = None;
+        for at in layout.starts(&member) {
+            let Some((from, part)) = layout.meet(at, &member) else { continue };
+            let ((first, count), values) = (layout.span(at), from..from + part.len());
+            // A record of this member alone is staged here; one it shares
+            // stays in `filling` until its last member is in.
+            let (mut alone, stage) = (None, || self.mgr.staging().acquire(4 * count));
+            let staged = if part.len() == layout.elems(at) { &mut alone } else { &mut *filling };
             let record = match state.resident_f32_mut(first, count) {
                 Ok(resident) => resident,
-                Err(_) => staged.insert(self.mgr.staging().acquire(4 * count)).as_f32_mut(),
+                Err(_) => staged.get_or_insert_with(stage).as_f32_mut(),
             };
             for (to, from) in RecordLayout::split(record).into_iter().zip(src) {
-                to.copy_from_slice(&from[values.clone()]);
+                to[part.clone()].copy_from_slice(&from[values.clone()]);
             }
-            if let Some(staging) = staged {
-                wb.submit_staged(&self.mgr, state, first, staging)?;
+            if part.end == layout.elems(at) {
+                if let Some(staging) = staged.take() {
+                    wb.submit_staged(&self.mgr, state, first, staging)?;
+                }
             }
             if let Some(publish) = &mut publish {
                 publish.push(wb, param, &src[0][values])?;
@@ -545,13 +633,18 @@ impl ZeroEngine {
         self.scaler.update(false);
 
         // One write-behind window and one read-ahead queue — the one the
-        // last step carried if it covers the same parameters — span every
-        // parameter, so the pipeline never drains between two of them.
-        // Both are reaped here on every path, so failures surface as the
-        // step's own typed error with every staging buffer back in its
-        // pool and nothing of this rank's step still on the device.
-        let due: Vec<usize> =
-            (0..self.shards.len()).filter(|&idx| self.shards[idx].grad.is_some()).collect();
+        // last step carried if it covers the same buffers — span every
+        // buffer with a member to update, so the pipeline never drains
+        // between two of them. Both are reaped here on every path, so
+        // failures surface as the step's own typed error with every
+        // staging buffer back in its pool and nothing of this rank's step
+        // still on the device.
+        let due: Vec<usize> = (0..self.optims.len())
+            .filter(|&b| {
+                let members = &self.optims[b].layout.members;
+                members.iter().any(|(idx, _)| self.shards[*idx].grad.is_some())
+            })
+            .collect();
         if self.ahead.as_ref().is_some_and(|carried| carried.due != due) {
             self.drop_carry("readahead.drop.due_set");
         }
@@ -586,73 +679,82 @@ impl ZeroEngine {
         if self.strategy.partition_params {
             let piece = self.strategy.param_dtype.bytes_for(longest);
             // `reserve` counts the record buffers above towards this
-            // smaller size; the publish-sized ones are `behind + 1` more.
-            staging.reserve((records + behind + 1).saturating_sub(carried), piece);
+            // smaller size; the publish-sized ones are one more than the
+            // write-behind window, which a packed record may fill with
+            // one piece per member.
+            let window = self.strategy.write_behind_bound();
+            staging.reserve((records + window + 1).saturating_sub(carried), piece);
         }
         records
     }
 
     /// Stream every due record through Adam in the queue's order (Sec.
-    /// 5.2.2, 6.2), opening a parameter's update at its first record. One
-    /// staging buffer carries an NVMe record from device read through Adam
-    /// to write-behind; depth 1 drains its writes before the next read.
+    /// 5.2.2, 6.2), one member's part at a time, opening a parameter's
+    /// update at its first part; a member without a gradient is left as it
+    /// was read. One staging buffer carries an NVMe record from device read
+    /// through Adam to write-behind; depth 1 drains its writes before the
+    /// next read.
     fn stream_update(&mut self, ahead: &mut ReadAhead, wb: &mut WriteBehind) -> Result<()> {
         let depth = self.strategy.knobs.step_pipeline_depth.max(1);
+        let tracer = self.mgr.tracer().clone();
         let mut open: Option<Update> = None;
         while let Some(record) = ahead.next_record(&self.mgr, &self.optims, depth) {
-            let (idx, at, load) = record?;
+            let (b, at, load) = record?;
             let mut staged = load.wait(&self.mgr)?;
-            // Measured after the wait: anything still in flight now is
-            // genuine overlap (later records' reads, earlier writes).
-            if self.mgr.nvme().in_flight() > 0 {
+            // Measured after the wait: this rank's requests still out now
+            // are genuine overlap (later records' reads, earlier writes).
+            // A peer's on the shared device are not.
+            if ahead.reading(&self.mgr) || wb.writing(&self.mgr) {
                 self.stats.step_io_overlap += 1;
             }
-            let update = match open.take() {
-                Some(update) if update.idx == idx => update,
-                done => {
-                    if let Some(done) = done {
+            let ((first, count), resident) = (self.optims[b].layout.span(at), staged.is_none());
+            for k in self.optims[b].layout.meeting(at) {
+                let (idx, member) = self.optims[b].layout.members[k].clone();
+                let Some((from, part)) = self.optims[b].layout.meet(at, &member) else { continue };
+                if open.as_ref().is_none_or(|update| update.idx != idx) {
+                    if let Some(done) = open.take() {
                         self.finish_update(done, wb)?;
                     }
-                    self.begin_update(idx)?
+                    if self.shards[idx].grad.is_none() {
+                        continue;
+                    }
+                    open = Some(self.begin_update(idx)?);
                 }
-            };
-            let Update { grad, publish, .. } = open.insert(update);
-            let OptimStorage { state, layout, step, .. } = &mut self.optims[idx];
-            let (first, count) = layout.span(at);
-            let len = layout.elems(at);
-            {
-                // The cp hop of a resident record is the kernel's own traffic
-                // over the DRAM-resident state: read and written once each,
-                // in place.
-                let _cp = staged.is_none().then(|| {
-                    let resident = (count * 4) as u64;
-                    self.mgr.tracer().count(Counter::CpReadBytes, resident);
-                    self.mgr.tracer().count(Counter::CpWriteBytes, resident);
-                    let mut span = self.mgr.tracer().span(Category::CpTransfer, "cp.update");
-                    span.set_bytes(2 * resident);
-                    span.set_id(at as u64);
-                    span
-                });
+                let Some(Update { grad, publish, .. }) = &mut open else { continue };
                 let record = match &mut staged {
                     Some(staging) => staging.as_f32_mut(),
-                    None => state.resident_f32_mut(first, count)?,
+                    None => self.optims[b].state.resident_f32_mut(first, count)?,
                 };
-                let [master, m, v] = RecordLayout::split(record);
+                let [master, m, v] = RecordLayout::split(record).map(|s| &mut s[part.clone()]);
+                let (len, step) = (part.len(), self.shards[idx].step);
                 {
+                    // The cp hop of a resident record is the kernel's own
+                    // traffic over the DRAM-resident state: read and
+                    // written once each, in place — not the publish, whose
+                    // write-behind may wait on the device.
+                    let _cp = resident.then(|| {
+                        let bytes = (STATE_STREAMS * len * 4) as u64;
+                        tracer.count(Counter::CpReadBytes, bytes);
+                        tracer.count(Counter::CpWriteBytes, bytes);
+                        let mut span = tracer.span(Category::CpTransfer, "cp.update");
+                        span.set_bytes(2 * bytes);
+                        span.set_id(at as u64);
+                        span
+                    });
                     // The compute half of the streamed step: I/O hidden
                     // behind these spans is the pipeline's overlap win.
-                    let mut span = self.mgr.tracer().span(Category::Compute, "adam_chunk");
+                    let mut span = tracer.span(Category::Compute, "adam_chunk");
                     span.set_bytes((len * 4) as u64);
                     // ~15 scalar flops per element in the Adam recurrence
                     // (moment updates, bias correction, sqrt, update).
                     span.set_flops(15 * len as u64);
                     span.set_id(at as u64);
-                    let (adam, grad) = (&self.adam, &f32_view(grad)?[at..at + len]);
+                    let (adam, grad) = (&self.adam, &f32_view(grad)?[from..from + len]);
                     match publish {
                         Publish::Whole(out) => adam_update_chunk_publish(
-                            adam, *step, master, m, v, grad, &mut out[at..at + len],
+                            adam, step, master, m, v, grad, &mut out[from..from + len],
                         ),
-                        Publish::Stream(_) => adam_update_chunk(adam, *step, master, m, v, grad),
+                        Publish::Stream(_) => adam_update_chunk(adam, step, master, m, v, grad),
                     }
                 }
                 if let Publish::Stream(stream) = publish {
@@ -660,7 +762,7 @@ impl ZeroEngine {
                 }
             }
             if let Some(staging) = staged {
-                wb.submit_staged(&self.mgr, state, first, staging)?;
+                wb.submit_staged(&self.mgr, &self.optims[b].state, first, staging)?;
             }
             if depth == 1 {
                 // Sequential semantics: this record's writes completed
@@ -693,19 +795,20 @@ impl ZeroEngine {
             }
             self.grad_bufs.put(grad.numel(), std::mem::replace(&mut grad, slice));
         }
-        let (opt, values) = (&mut self.optims[idx], f32_view(&mut grad)?);
-        if values.len() != opt.layout.len {
+        let (st, values) = (&mut self.shards[idx], f32_view(&mut grad)?);
+        let len = st.optim.1.len();
+        if values.len() != len {
             return Err(Error::Internal(format!("{idx}: gradient/optimizer length mismatch")));
         }
         let world = self.comm.world_size() as f32 * self.grad_accum_steps;
         for g in values.iter_mut() {
             *g /= world;
         }
-        opt.step += 1;
+        st.step += 1;
         let publish = if self.strategy.partition_params {
-            Publish::Stream(self.mgr.begin_publish(&self.shards[idx].param))
+            Publish::Stream(self.mgr.begin_publish(&st.param))
         } else {
-            Publish::Whole(self.f32_bufs.take_f32(opt.layout.len))
+            Publish::Whole(self.f32_bufs.take_f32(len))
         };
         Ok(Update { idx, grad, publish })
     }
@@ -882,25 +985,29 @@ impl ZeroEngine {
         self.strategy.live_knobs()
     }
 
-    /// Read every parameter's optimizer shard out of its tier
-    /// (checkpoint save path). Records carry the three streams
-    /// contiguous: how this engine interleaves them never reaches a
-    /// checkpoint.
+    /// Read every parameter's optimizer shard out of its tier, one buffer
+    /// at a time (checkpoint save path). Records carry the three streams
+    /// contiguous, one record per parameter: how this engine packs and
+    /// interleaves them never reaches a checkpoint.
     pub(crate) fn export_optimizer_records(
         &self,
     ) -> Result<Vec<crate::checkpoint::ParamRecord>> {
-        let mut out = Vec::with_capacity(self.shards.len());
-        for (st, opt) in self.shards.iter().zip(&self.optims) {
-            let state = self.mgr.load_placed(&opt.state)?.to_f32_vec();
-            out.push(crate::checkpoint::ParamRecord {
-                step: opt.step,
-                numel: st.numel as u64,
-                master: opt.layout.gather(&state, 0),
-                m: opt.layout.gather(&state, 1),
-                v: opt.layout.gather(&state, 2),
-            });
+        let mut out: Vec<_> = self.shards.iter().map(|_| None).collect();
+        for OptimStorage { state, layout, .. } in &self.optims {
+            let state = self.mgr.load_placed(state)?.to_f32_vec();
+            for (idx, member) in &layout.members {
+                let st = &self.shards[*idx];
+                out[*idx] = Some(crate::checkpoint::ParamRecord {
+                    step: st.step,
+                    numel: st.numel as u64,
+                    master: layout.gather(&state, 0, member),
+                    m: layout.gather(&state, 1, member),
+                    v: layout.gather(&state, 2, member),
+                });
+            }
         }
-        Ok(out)
+        let missing = || Error::Internal("a parameter without optimizer state".into());
+        out.into_iter().map(|record| record.ok_or_else(missing)).collect()
     }
 
     /// Overwrite optimizer state from checkpoint records and republish
@@ -913,7 +1020,8 @@ impl ZeroEngine {
         records: Vec<crate::checkpoint::ParamRecord>,
     ) -> Result<()> {
         for (idx, rec) in records.iter().enumerate() {
-            let (numel, len) = (self.shards[idx].numel, self.optims[idx].layout.len);
+            let st = &self.shards[idx];
+            let (numel, len) = (st.numel, st.optim.1.len());
             let got = [rec.master.len(), rec.m.len(), rec.v.len()];
             if rec.numel != numel as u64 || got != [len; STATE_STREAMS] {
                 return Err(Error::InvalidArgument(format!(
@@ -927,9 +1035,10 @@ impl ZeroEngine {
         let tracer = self.mgr.tracer().clone();
         let mut span = tracer.span(Category::OptimStep, "engine.import");
         let (mut wb, s) = (WriteBehind::new(self.strategy.write_behind_bound()), self.strategy);
+        let mut filling = None;
         let written = records.iter().enumerate().try_for_each(|(idx, rec)| {
-            self.optims[idx].step = rec.step;
-            self.write_state(idx, [&rec.master, &rec.m, &rec.v], &mut wb)?;
+            self.shards[idx].step = rec.step;
+            self.write_state(idx, [&rec.master, &rec.m, &rec.v], &mut wb, &mut filling)?;
             if s.partition_params { Ok(()) } else { self.publish_master(idx, &rec.master, &mut wb) }
         });
         let drained = wb.drain(&self.mgr);
@@ -1164,18 +1273,19 @@ enum Publish {
 }
 
 /// The optimizer step's read-ahead: one queue over every record of every
-/// parameter that has a gradient, in update order, feeding the update. It
-/// keeps `depth` records issued ahead — the one about to be taken counts —
-/// across parameter boundaries; depth counts records because what keeps
-/// the device's workers busy is requests in flight, whatever their size.
-/// A drained queue is carried into the next step ([`ZeroEngine::carry`]).
+/// buffer with a member that has a gradient, in update order, feeding the
+/// update. It keeps `depth` records issued ahead — the one about to be
+/// taken counts — across buffer boundaries; depth counts records because
+/// what keeps the device's workers busy is requests in flight, whatever
+/// their size. A drained queue is carried into the next step
+/// ([`ZeroEngine::carry`]).
 #[derive(Default)]
 struct ReadAhead {
-    /// The parameters to update, ascending.
+    /// The buffers to update, ascending.
     due: Vec<usize>,
     /// The next record to issue: a position in `due` and an element.
     next: (usize, usize),
-    /// Records issued and not yet taken: parameter, element, load.
+    /// Records issued and not yet taken: buffer, element, load.
     pending: VecDeque<(usize, usize, PlacedPending)>,
 }
 
@@ -1190,21 +1300,21 @@ impl ReadAhead {
     ) -> Result<()> {
         while short(self) {
             let (pos, at) = self.next;
-            let Some(&idx) = self.due.get(pos) else { break };
-            let OptimStorage { state, layout, .. } = &optims[idx];
+            let Some(&b) = self.due.get(pos) else { break };
+            let OptimStorage { state, layout, .. } = &optims[b];
             if at >= layout.len {
                 self.next = (pos + 1, 0);
                 continue;
             }
             let (first, count) = layout.span(at);
-            self.pending.push_back((idx, at, mgr.begin_load_elems_placed(state, first, count)?));
+            self.pending.push_back((b, at, mgr.begin_load_elems_placed(state, first, count)?));
             self.next = (pos, at + layout.per);
         }
         Ok(())
     }
 
     /// Top the queue up to `depth` records, then hand over its head — the
-    /// record the update reaches next — as parameter, element and load.
+    /// record the update reaches next — as buffer, element and load.
     fn next_record(
         &mut self,
         mgr: &OffloadManager,
@@ -1219,9 +1329,14 @@ impl ReadAhead {
     /// The device reads issued and not yet taken, and their bytes.
     fn held(&self, optims: &[OptimStorage]) -> (usize, u64) {
         let reads = self.pending.iter().filter(|(_, _, load)| load.is_read());
-        reads.fold((0, 0), |(count, bytes), &(idx, at, _)| {
-            (count + 1, bytes + DType::F32.bytes_for(optims[idx].layout.span(at).1) as u64)
+        reads.fold((0, 0), |(count, bytes), &(b, at, _)| {
+            (count + 1, bytes + DType::F32.bytes_for(optims[b].layout.span(at).1) as u64)
         })
+    }
+
+    /// True while a read this queue issued is still on the device.
+    fn reading(&self, mgr: &OffloadManager) -> bool {
+        self.pending.iter().any(|(_, _, load)| !load.ready(mgr))
     }
 
     /// Reap every read still out — the staging buffers go back to their
@@ -1664,8 +1779,8 @@ mod tests {
         assert!(st.reused > warm.reused, "steady-state steps must recycle chunk buffers: {st:?}");
         // The pool holds the step's reserved set and nothing more: the
         // carried reads took their buffers out of it.
-        let behind = eng.strategy.write_behind_bound().div_ceil(2);
-        assert_eq!(st.allocated, (depth + behind + behind + 1) as u64, "{st:?}");
+        let window = eng.strategy.write_behind_bound();
+        assert_eq!(st.allocated, (depth + window.div_ceil(2) + window + 1) as u64, "{st:?}");
         // Read-ahead plus the record in hand are `depth` buffers, its
         // publish one more; the rest is the write-behind window.
         let bound = (depth + 1 + eng.strategy.write_behind_bound()) as u64;
@@ -2185,8 +2300,8 @@ mod tests {
         assert_eq!(init.map(|e| e.bytes), Some(272));
         assert!(built.in_flight_peak >= node.nvme.worker_count() as u64, "{built:?}");
         // Within the staging set the step reserves, and nothing beyond it.
-        let behind = strategy.write_behind_bound().div_ceil(2);
-        let set = (strategy.knobs.step_pipeline_depth + 2 * behind + 1) as u64;
+        let window = strategy.write_behind_bound();
+        let set = (strategy.knobs.step_pipeline_depth + window.div_ceil(2) + window + 1) as u64;
         let pool = eng.mgr.staging().stats();
         assert!(pool.peak_outstanding < set && pool.allocated == set, "{pool:?}");
         // Every shard was written through: the first forward reads nothing.
@@ -2204,13 +2319,250 @@ mod tests {
         assert_eq!((stepped.writes - 10, stepped.bytes_written - 272), (10, 272));
         assert_eq!(eng.mgr.staging().stats().allocated, set);
         eng.dispose().unwrap();
-        // One record per parameter, two writes each: the device holds four
-        // at once only while a parameter is initialised and written under
-        // the writes of the one before.
+        // Both parameters shorter than a record: one packed buffer of 17
+        // elements, records of 16 and 1. `w` (elements 0..12) publishes in
+        // one piece, `b` (12..17) in one per record; the first record goes
+        // out once `b` completes it. Five writes of the same 272 B: the
+        // device holds four at once only while a parameter is initialised
+        // and written under the writes of the one before.
         let (node, eng, _) = door_rank(strategy.with_optimizer_chunk(16));
         let built = node.nvme.stats();
-        assert_eq!((built.writes, built.bytes_written), (4, 272));
+        assert_eq!((built.writes, built.bytes_written), (2 + 3, 272));
         assert!(built.in_flight_peak >= node.nvme.worker_count() as u64, "{built:?}");
+        eng.dispose().unwrap();
+    }
+
+    /// Two parameters of several 8-element records around three shorter
+    /// ones, which share one buffer: `g` (5) fills most of its first
+    /// record, `b` (6) straddles the first two, `c` (7) the last two.
+    fn mixed_registry() -> ParamRegistry {
+        let mut reg = ParamRegistry::new();
+        reg.register("a", &[4, 4], 11, 0.2, 0.0);
+        reg.register("g", &[5], 0, 0.0, 1.0);
+        reg.register("w", &[3, 8], 12, 0.2, 0.0);
+        reg.register("b", &[6], 13, 0.1, 0.0);
+        reg.register("c", &[7], 14, 0.1, 0.0);
+        reg
+    }
+
+    /// One rank of `strategy` over the mixed registry, prefetch off.
+    fn mixed_rank(strategy: Strategy) -> (NodeResources, ZeroEngine, ParamRegistry) {
+        let spec = NodeMemorySpec::test_spec(1, 1 << 22, 1 << 22, 1 << 22);
+        let node = NodeResources::in_memory(&spec, 1);
+        let reg = mixed_registry();
+        let comm = node.group.communicator(0);
+        let strategy = strategy.with_prefetch(false);
+        let engine =
+            ZeroEngine::new(&reg, strategy, node.offload_manager(), comm, AdamConfig::default())
+                .unwrap();
+        (node, engine, reg)
+    }
+
+    /// Round `round`'s gradient of the parameters named in `names`.
+    fn mixed_grads(eng: &mut ZeroEngine, reg: &ParamRegistry, names: &[&str], round: usize) {
+        for meta in reg.iter().filter(|meta| names.contains(&meta.name.as_str())) {
+            let g = (0..meta.numel()).map(|i| ((i * 7 + round) % 11) as f32 * 0.05 - 0.25);
+            eng.add_grad(meta.id, &Tensor::from_vec(&meta.shape, g.collect()).unwrap()).unwrap();
+        }
+    }
+
+    const MIXED: [&str; 5] = ["a", "g", "w", "b", "c"];
+
+    #[test]
+    fn packed_parameters_share_records_and_train_as_if_unpacked() {
+        // Per step, 8-element records: `a` two, the pack three (8, 8, 2
+        // elements), `w` three — eight reads and eight record writes — and
+        // one publish per part: two of `a`, one of `g`, two each of `b` and
+        // `c`, three of `w`. Records of one element pack nothing.
+        let run = |chunk: usize| {
+            let strategy = Strategy::infinity_nvme().with_f32_params().with_optimizer_chunk(chunk);
+            let (node, mut eng, reg) = mixed_rank(strategy);
+            let requests = || {
+                node.nvme.barrier().unwrap();
+                let io = node.nvme.stats();
+                (io.reads, io.writes)
+            };
+            let built = requests();
+            let mut per_step = Vec::new();
+            for round in 0..4 {
+                let before = requests();
+                mixed_grads(&mut eng, &reg, &MIXED, round);
+                assert!(eng.step().unwrap());
+                let after = requests();
+                per_step.push((after.0 - before.0, after.1 - before.1));
+            }
+            let params: Vec<_> = reg.iter().map(|m| eng.export_param(m.id).unwrap()).collect();
+            let params: Vec<Vec<f32>> = params.iter().map(|p| p.data().to_vec()).collect();
+            let state = (eng.save_state().unwrap(), params);
+            eng.dispose().unwrap();
+            (built, per_step, state)
+        };
+        let (built, per_step, packed) = run(8);
+        assert_eq!(built, (0, 8 + 10), "construction writes one step's requests");
+        // The first step reads its records and carries all eight into the
+        // next (depth 4 plus half a write-behind window of 8).
+        assert_eq!(per_step, vec![(8 + 8, 8 + 10), (8, 18), (8, 18), (8, 18)]);
+        let (_, unpacked_steps, unpacked) = run(1);
+        assert_eq!(unpacked_steps[3], (58, 2 * 58), "one record per element");
+        assert_eq!(packed, unpacked, "packing changed the state");
+    }
+
+    #[test]
+    fn a_packed_member_without_a_gradient_keeps_its_state_and_an_idle_pack_moves_nothing() {
+        let strategy = Strategy::infinity_nvme().with_f32_params().with_optimizer_chunk(8);
+        let (node, mut eng, reg) = mixed_rank(strategy);
+        let requests = || {
+            node.nvme.barrier().unwrap();
+            let io = node.nvme.stats();
+            (io.reads, io.writes)
+        };
+        let state = |eng: &ZeroEngine| {
+            let records = eng.export_optimizer_records().unwrap();
+            let rec = |name: &str| {
+                let r = &records[reg.find(name).unwrap().0];
+                (r.step, r.master.clone(), r.m.clone(), r.v.clone())
+            };
+            MIXED.map(rec)
+        };
+        // No member of the pack has a gradient: `a` and `w` move, two and
+        // three records, each read, written and published (and carried
+        // into the next step); the pack issues no request at all.
+        let built = state(&eng);
+        let at_rest = requests();
+        mixed_grads(&mut eng, &reg, &["a", "w"], 0);
+        assert!(eng.step().unwrap());
+        assert_eq!(requests(), (at_rest.0 + 5 + 5, at_rest.1 + 5 + 5));
+        // `g`, `b` and `c` are as built; `a` and `w` are one step on.
+        let after = state(&eng);
+        assert_eq!([&after[1], &after[3], &after[4]], [&built[1], &built[3], &built[4]]);
+        assert!(after[0].0 == 1 && after[2].0 == 1 && after[0].1 != built[0].1);
+        // `g` and `c` update around `b`, which shares a record with each:
+        // its master, moments and step count stay those it had.
+        for round in 1..3 {
+            mixed_grads(&mut eng, &reg, &["g", "c"], round);
+            assert!(eng.step().unwrap());
+        }
+        let [_, g, _, b, c] = state(&eng);
+        assert_eq!(b, after[3], "a member without a gradient changed");
+        assert!(g.0 == 2 && c.0 == 2 && g.1 != after[1].1 && c.1 != after[4].1);
+        eng.dispose().unwrap();
+    }
+
+    /// Four steps of the mixed registry at world 2, `permille` of each
+    /// optimizer buffer in DRAM, the node degraded before step
+    /// `degrade_before`: every rank's saved state. Per rank the pack is
+    /// `g`, `b`, `c` of 3, 3 and 4 elements: a record of 8 on the device
+    /// and one of 2 in DRAM under a 500‰ split, which `c` straddles.
+    fn packed_at_world_two(permille: usize, degrade_before: Option<usize>) -> Vec<Vec<u8>> {
+        use zi_memory::PathKind;
+        let spec = NodeMemorySpec::test_spec(2, 1 << 22, 1 << 22, 1 << 22);
+        let node = zi_sync::Arc::new(NodeResources::in_memory(&spec, 2));
+        let handles: Vec<_> = (0..2)
+            .map(|rank| {
+                let node = zi_sync::Arc::clone(&node);
+                zi_sync::thread::spawn(move || {
+                    let reg = mixed_registry();
+                    let strategy = Strategy::infinity_nvme()
+                        .with_optimizer_chunk(8)
+                        .with_optimizer_cpu_permille(permille);
+                    let comm = node.group.communicator(rank);
+                    let (mgr, adam) = (node.offload_manager(), AdamConfig::default());
+                    let mut eng = ZeroEngine::new(&reg, strategy, mgr, comm, adam).unwrap();
+                    let paths = |eng: &ZeroEngine| {
+                        let pack = &eng.optims[eng.shards[reg.find("g").unwrap().0].optim.0].state;
+                        (pack.elems_on(PathKind::Nvme), pack.elems_on(PathKind::Cpu))
+                    };
+                    assert_eq!(paths(&eng), if permille == 500 { (24, 6) } else { (30, 0) });
+                    for round in 0..4 {
+                        if degrade_before == Some(round) {
+                            eng.comm.barrier().unwrap();
+                            if rank == 0 {
+                                node.degrade();
+                            }
+                            eng.comm.barrier().unwrap();
+                        }
+                        mixed_grads(&mut eng, &reg, &MIXED, round + rank);
+                        assert!(eng.step().unwrap());
+                    }
+                    if degrade_before.is_some() {
+                        assert_eq!(paths(&eng), (0, 30), "the pack is still on the device");
+                    }
+                    let saved = eng.save_state().unwrap();
+                    eng.dispose().unwrap();
+                    saved
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("rank thread")).collect()
+    }
+
+    #[test]
+    fn a_pack_split_across_both_paths_trains_as_on_the_device_alone() {
+        let on_the_device = packed_at_world_two(0, None);
+        assert_eq!(packed_at_world_two(500, None), on_the_device);
+        assert_eq!(packed_at_world_two(500, Some(2)), on_the_device, "through a collapse");
+    }
+
+    /// An in-memory device whose reads of `held` bytes wait until it opens.
+    struct Gate {
+        dev: zi_nvme::MemBackend,
+        held: usize,
+        open: zi_sync::Mutex<bool>,
+        opened: zi_sync::Condvar,
+    }
+
+    impl zi_nvme::StorageBackend for Gate {
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            let mut open = self.open.lock();
+            while buf.len() == self.held && !*open {
+                self.opened.wait(&mut open);
+            }
+            drop(open);
+            self.dev.read_at(offset, buf)
+        }
+        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+            self.dev.write_at(offset, data)
+        }
+        fn sync(&self) -> Result<()> {
+            self.dev.sync()
+        }
+        fn len(&self) -> Result<u64> {
+            self.dev.len()
+        }
+    }
+
+    #[test]
+    fn io_overlap_counts_this_ranks_requests_not_a_peers() {
+        // A peer's read waits at the gate for the whole step; at depth 1
+        // nothing of this rank's is on the device while a record updates.
+        const HELD: usize = 4096;
+        let gate = zi_sync::Arc::new(Gate {
+            dev: zi_nvme::MemBackend::new(),
+            held: HELD,
+            open: zi_sync::Mutex::new(false),
+            opened: zi_sync::Condvar::new(),
+        });
+        let strategy = Strategy::infinity_nvme()
+            .with_f32_params()
+            .with_prefetch(false)
+            .with_optimizer_chunk(4)
+            .with_step_pipeline_depth(1);
+        let (node, mut eng, reg) = rank_over(strategy, gate.clone());
+        let peer = node.offload_manager();
+        let zeros = FlatBuffer::zeros(DType::F32, HELD / 4);
+        let parked = peer.store_placed(Device::nvme(), &PlacementPolicy::all_nvme(), zeros).unwrap();
+        let read = peer.begin_load_elems_placed(&parked, 0, HELD / 4).unwrap();
+        let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
+        eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
+        eng.add_grad(b, &Tensor::from_vec(&[5], vec![1.0; 5]).unwrap()).unwrap();
+        assert!(eng.step().unwrap());
+        let (peer_in_flight, stats) = (node.nvme.in_flight(), eng.stats());
+        *gate.open.lock() = true;
+        gate.opened.notify_all();
+        assert!(read.wait(&peer).unwrap().is_some());
+        peer.free_placed(parked);
+        assert!(peer_in_flight >= 1, "the peer's read left the device during the step");
+        assert_eq!((stats.optimizer_chunks, stats.step_io_overlap), (5, 0), "{stats:?}");
         eng.dispose().unwrap();
     }
 

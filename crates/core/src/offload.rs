@@ -1380,6 +1380,11 @@ impl WriteBehind {
         self.inflight.len()
     }
 
+    /// True while a write of this window is still on the device.
+    pub(crate) fn writing(&self, mgr: &OffloadManager) -> bool {
+        self.inflight.iter().any(|&ticket| !mgr.nvme.is_ready(ticket))
+    }
+
     /// Queue `staging` as the new contents of `buf[start ..]` — a range
     /// inside one NVMe segment, normally the extent the buffer was read
     /// from — first making room in the window. The CRC is recorded at

@@ -76,7 +76,10 @@ impl PlacementPolicy {
     }
 
     /// A two-path split placing `cpu_permille`/1000 of each shard in
-    /// DRAM, interleaved at `stripe` elements.
+    /// DRAM, interleaved at `stripe` elements. The share is rounded down
+    /// per shard: the deal starts on the device below 1000‰, so a shard
+    /// of one stripe lies wholly on NVMe, and one of two at 500‰ puts its
+    /// second stripe in DRAM.
     pub fn split(cpu_permille: u32, stripe: usize) -> Self {
         PlacementPolicy { cpu_permille: cpu_permille.min(PERMILLE), stripe: stripe.max(1) }
     }

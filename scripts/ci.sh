@@ -107,12 +107,17 @@ timeout --kill-after=10s 120s \
 # kernels and the two-worker pool; so do checkpoint restore and the
 # file-backed full stack, construction included, which write model state
 # the way a step does, and the dp × mp × pp cross-check, whose multi-rank
-# steps each flush only their own I/O.
+# steps each flush only their own I/O. So do the per-strategy footprint
+# and the step's allocation budget: which parameters share a packed
+# optimizer buffer decides where each byte sits and what the staging set
+# holds.
 ZI_SIMD=scalar cargo test -q -p zi-tensor -p zi-optim -p zi-model \
     && ZI_SIMD=scalar cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: checkpoint:: \
     && ZI_SIMD=scalar cargo test -q --test equivalence --test shard_cache --test end_to_end --test parallelism \
+        --test memory_footprint --test alloc_budget \
     || { echo "scalar-forced unit suites failed"; exit 1; }
 ZI_KERNEL_THREADS=2 cargo test -q -p zi-tensor -p zi-optim -p zi-model \
     && ZI_KERNEL_THREADS=2 cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: checkpoint:: \
     && ZI_KERNEL_THREADS=2 cargo test -q --test equivalence --test shard_cache --test end_to_end --test parallelism \
+        --test memory_footprint --test alloc_budget \
     || { echo "parallel-pool unit suites failed"; exit 1; }

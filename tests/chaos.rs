@@ -97,7 +97,12 @@ fn chaos_soak_transient_faults_are_invisible() {
 /// by the checksum layer without changing training numerics.
 #[test]
 fn chaos_soak_bitflips_are_repaired_by_checksums() {
-    let spec = soak_spec();
+    // Records of 64 elements: each rank streams many records per step, so
+    // a burst of flips spreads over reads. (At the default chunk the tiny
+    // model's whole per-rank state is one packed record, and a burst
+    // longer than a read's re-reads is, by design, unrecoverable.)
+    let mut spec = soak_spec();
+    spec.strategy = spec.strategy.with_optimizer_chunk(64);
     let reference = train_gpt(&spec).expect("fault-free run");
 
     let plan = FaultPlan::new();
