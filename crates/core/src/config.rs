@@ -1,6 +1,5 @@
 //! Strategy and placement configuration (paper Table 2).
 
-use zi_adapt::Knobs;
 use zi_types::{DType, DeviceKind};
 
 /// Writes the chunked optimizer step queues per record: the record
@@ -53,16 +52,26 @@ pub struct Strategy {
     /// Elements per chunk when streaming optimizer state through CPU
     /// memory during the step (Sec. 5.2.2); `usize::MAX` = monolithic.
     pub optimizer_chunk: usize,
-    /// The overlap knobs (pipeline depth, prefetch look-ahead,
-    /// write-behind window, CPU share of NVMe-tier optimizer shards): the
-    /// part of a strategy the adaptive controller retunes at runtime,
-    /// never changing numerics. Three readings are particular to a
-    /// strategy: `write_behind == 0` means *auto* (resolved by
-    /// [`Strategy::write_behind_bound`]; nonzero pins the window
-    /// independently of depth), `prefetch_window` is ignored when
-    /// `prefetch` is off, and `optimizer_cpu_permille` unless the
-    /// optimizer placement is NVMe.
-    pub knobs: Knobs,
+    /// Optimizer-step pipeline depth (Sec. 5.2.2): optimizer records —
+    /// one chunk's master, momentum and variance, a single device request
+    /// — read ahead of the update, the one being updated included, across
+    /// parameter boundaries, while earlier records write back. It counts
+    /// requests, not bytes: a depth below the device's worker count
+    /// leaves workers idle. Like every overlap setting below, it changes
+    /// no numerics and is fixed for an engine's lifetime.
+    pub step_pipeline_depth: usize,
+    /// Dynamic-prefetcher look-ahead (Sec. 6.2); 0 silences it, and it
+    /// is ignored when `prefetch` is off.
+    pub prefetch_window: usize,
+    /// Bound on in-flight write-behind requests during the streamed
+    /// optimizer step; 0 means *auto* (resolved by
+    /// [`Strategy::write_behind_bound`]), nonzero pins the window
+    /// independently of depth.
+    pub write_behind: usize,
+    /// Fraction of each optimizer shard placed in CPU DRAM instead of
+    /// NVMe, in permille (0 = all-NVMe, 1000 = all-CPU); ignored unless
+    /// the optimizer placement is NVMe.
+    pub optimizer_cpu_permille: usize,
 }
 
 impl Strategy {
@@ -77,12 +86,10 @@ impl Strategy {
             param_dtype: DType::F16,
             prefetch: false,
             optimizer_chunk: usize::MAX,
-            knobs: Knobs {
-                step_pipeline_depth: 1,
-                prefetch_window: 3,
-                write_behind: 0,
-                optimizer_cpu_permille: 0,
-            },
+            step_pipeline_depth: 1,
+            prefetch_window: 3,
+            write_behind: 0,
+            optimizer_cpu_permille: 0,
         }
     }
 
@@ -189,34 +196,32 @@ impl Strategy {
 
     /// Override the optimizer-step pipeline depth (1 = sequential).
     pub fn with_step_pipeline_depth(self, depth: usize) -> Strategy {
-        Strategy { knobs: Knobs { step_pipeline_depth: depth, ..self.knobs }, ..self }
+        Strategy { step_pipeline_depth: depth, ..self }
     }
 
     /// Override the dynamic-prefetch look-ahead window.
     pub fn with_prefetch_window(self, window: usize) -> Strategy {
-        Strategy { knobs: Knobs { prefetch_window: window, ..self.knobs }, ..self }
+        Strategy { prefetch_window: window, ..self }
     }
 
     /// Override the write-behind window (0 = auto: 2 × pipeline depth).
     pub fn with_write_behind(self, window: usize) -> Strategy {
-        Strategy { knobs: Knobs { write_behind: window, ..self.knobs }, ..self }
+        Strategy { write_behind: window, ..self }
     }
 
     /// Override the CPU-DRAM share of NVMe-tier optimizer shards,
     /// permille (clamped to 1000).
     pub fn with_optimizer_cpu_permille(self, permille: usize) -> Strategy {
-        let optimizer_cpu_permille = permille.min(1000);
-        Strategy { knobs: Knobs { optimizer_cpu_permille, ..self.knobs }, ..self }
+        Strategy { optimizer_cpu_permille: permille.min(1000), ..self }
     }
 
     /// The placement policy for optimizer shards. Single-path unless
     /// the optimizer tier is NVMe and a CPU share is configured; the
     /// stripe is one whole record of the streamed step, so records —
     /// never parts of one — alternate between the two paths and the
-    /// read-ahead keeps both busy, and a re-tier writes each record as
-    /// one request under its own checksum, as the step reads it.
+    /// read-ahead keeps both busy.
     pub fn optimizer_policy(&self) -> zi_memory::PlacementPolicy {
-        let permille = self.knobs.optimizer_cpu_permille;
+        let permille = self.optimizer_cpu_permille;
         if self.placement.optimizer != DeviceKind::Nvme {
             return zi_memory::PlacementPolicy::all_nvme();
         }
@@ -230,21 +235,10 @@ impl Strategy {
     /// The write-behind bound in force: the explicit window, or both
     /// writes of every in-flight chunk when on auto.
     pub fn write_behind_bound(&self) -> usize {
-        if self.knobs.write_behind > 0 {
-            self.knobs.write_behind
+        if self.write_behind > 0 {
+            self.write_behind
         } else {
-            WRITES_PER_RECORD * self.knobs.step_pipeline_depth.max(1)
-        }
-    }
-
-    /// The overlap knobs as the adaptive controller sees them: the
-    /// write-behind auto rule resolved to its concrete bound.
-    pub fn live_knobs(&self) -> Knobs {
-        Knobs {
-            step_pipeline_depth: self.knobs.step_pipeline_depth.max(1),
-            write_behind: self.write_behind_bound(),
-            optimizer_cpu_permille: self.knobs.optimizer_cpu_permille.min(1000),
-            ..self.knobs
+            WRITES_PER_RECORD * self.step_pipeline_depth.max(1)
         }
     }
 }
@@ -281,19 +275,19 @@ mod tests {
         assert!(!s.prefetch);
         assert_eq!(s.name, "ZeRO-Inf-NVMe");
         let s = s.with_step_pipeline_depth(4).with_prefetch_window(5);
-        assert_eq!(s.knobs.step_pipeline_depth, 4);
-        assert_eq!(s.knobs.prefetch_window, 5);
+        assert_eq!(s.step_pipeline_depth, 4);
+        assert_eq!(s.prefetch_window, 5);
     }
 
     #[test]
     fn nvme_strategy_pipelines_by_default() {
-        let depth = Strategy::infinity_nvme().knobs.step_pipeline_depth;
+        let depth = Strategy::infinity_nvme().step_pipeline_depth;
         assert_eq!(depth, 4);
         // One request per record: fewer records ahead than device
         // workers leaves workers idle.
         assert!(depth >= crate::offload::NodeEnv::in_memory().nvme_workers);
         // RAM-tier strategies resolve loads instantly; sequential default.
-        assert_eq!(Strategy::infinity_cpu().knobs.step_pipeline_depth, 1);
-        assert_eq!(Strategy::data_parallel().knobs.step_pipeline_depth, 1);
+        assert_eq!(Strategy::infinity_cpu().step_pipeline_depth, 1);
+        assert_eq!(Strategy::data_parallel().step_pipeline_depth, 1);
     }
 }

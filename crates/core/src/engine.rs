@@ -165,9 +165,6 @@ struct OptimStorage {
     /// Master, momentum and variance, interleaved as `layout` says.
     state: PlacedBuf,
     layout: RecordLayout,
-    /// The policy the buffer was last (re)stored under; compared against
-    /// the strategy's current policy to detect re-tier drift.
-    policy: PlacementPolicy,
 }
 
 /// Everything the engine tracks for one parameter.
@@ -289,9 +286,9 @@ pub struct ZeroEngine {
     grad_bufs: FreeList<FlatBuffer>,
     prefetcher: Prefetcher,
     trace: TraceMap,
-    /// Last placement-cell version consumed; newer publishes (a
-    /// degradation collapse) are folded in at the next step.
-    placement_seen: u64,
+    /// Whether the optimizer buffers already answer to the node's
+    /// degradation latch; a latch set later collapses them at the next step.
+    collapsed: bool,
     /// The read-ahead queue the last step carried over ([`Self::carry`]).
     ahead: Option<ReadAhead>,
     stats: EngineStats,
@@ -335,7 +332,7 @@ impl ZeroEngine {
         if strategy.optimizer_chunk == 0 {
             return Err(Error::InvalidArgument("optimizer_chunk must be nonzero".into()));
         }
-        if strategy.knobs.step_pipeline_depth == 0 {
+        if strategy.step_pipeline_depth == 0 {
             return Err(Error::InvalidArgument(
                 "step_pipeline_depth must be at least 1 (1 = sequential)".into(),
             ));
@@ -343,9 +340,9 @@ impl ZeroEngine {
         let mut engine = ZeroEngine {
             part: Partitioner::new(comm.world_size()),
             strategy,
-            // Read before the layout: a collapse published meanwhile (a
-            // failover here or on another rank) re-tiers at the first step.
-            placement_seen: mgr.placement_cell().read().0,
+            // Read before the layout: a latch set meanwhile (a failover
+            // here or on another rank) collapses at the first step.
+            collapsed: mgr.degradation_latched(),
             mgr,
             comm,
             gpu_index,
@@ -415,7 +412,7 @@ impl ZeroEngine {
                     let layout = RecordLayout::new(&members, s.optimizer_chunk);
                     let elems = STATE_STREAMS * layout.len;
                     let state = self.mgr.place(optim_device, &policy, DType::F32, elems, None)?;
-                    self.optims.push(OptimStorage { state, layout, policy });
+                    self.optims.push(OptimStorage { state, layout });
                     let b = self.optims.len() - 1;
                     if short(len) {
                         packed = Some((b, len));
@@ -593,7 +590,7 @@ impl ZeroEngine {
         if !self.strategy.prefetch || !self.trace.has_history() {
             return;
         }
-        for nid in self.trace.predict_next(self.strategy.knobs.prefetch_window) {
+        for nid in self.trace.predict_next(self.strategy.prefetch_window) {
             self.prefetch_shard(nid);
         }
     }
@@ -614,7 +611,7 @@ impl ZeroEngine {
     pub fn step(&mut self) -> Result<bool> {
         let step_tracer = self.mgr.tracer().clone();
         let _span = step_tracer.span(Category::OptimStep, "optim.step");
-        self.sync_optimizer_placement()?;
+        self.collapse_on_degradation()?;
         // Global overflow check: any non-finite gradient anywhere skips
         // the step on every rank. The scan itself happened during
         // accumulation (see `ShardState::grad_nonfinite`), so this costs
@@ -671,7 +668,7 @@ impl ZeroEngine {
     fn reserve_step_staging(&self, carried: usize) -> usize {
         let offloaded = self.optims.iter().filter(|opt| opt.state.is_offloaded());
         let Some(longest) = offloaded.map(|opt| opt.layout.per).max() else { return 0 };
-        let depth = self.strategy.knobs.step_pipeline_depth.max(1);
+        let depth = self.strategy.step_pipeline_depth;
         let behind = self.strategy.write_behind_bound().div_ceil(2);
         let staging = self.mgr.staging();
         let (records, record) = (depth + behind, DType::F32.bytes_for(STATE_STREAMS * longest));
@@ -695,7 +692,7 @@ impl ZeroEngine {
     /// through Adam to write-behind; depth 1 drains its writes before the
     /// next read.
     fn stream_update(&mut self, ahead: &mut ReadAhead, wb: &mut WriteBehind) -> Result<()> {
-        let depth = self.strategy.knobs.step_pipeline_depth.max(1);
+        let depth = self.strategy.step_pipeline_depth;
         let tracer = self.mgr.tracer().clone();
         let mut open: Option<Update> = None;
         while let Some(record) = ahead.next_record(&self.mgr, &self.optims, depth) {
@@ -878,42 +875,19 @@ impl ZeroEngine {
         published
     }
 
-    /// Bring every optimizer shard's placement in line with the current
-    /// policy before the step touches it.
-    ///
-    /// Two inputs, in priority order: a newer publish on the node-wide
-    /// plan cell (an NVMe degradation collapsing every plan to all-CPU —
-    /// split shards re-publish their NVMe-resident half to CPU instead
-    /// of dropping it with the store), then drift between the strategy's
-    /// policy and the one each shard was stored under (the re-tier knob;
-    /// a load/store round trip, numerically invisible); either closes the carry.
-    fn sync_optimizer_placement(&mut self) -> Result<()> {
-        let cell = self.mgr.placement_cell();
-        if let Some((version, policy)) = cell.read_if_newer(self.placement_seen) {
-            self.placement_seen = version;
-            if policy == PlacementPolicy::all_cpu() {
-                self.drop_carry("readahead.drop.placement");
-                for opt in &mut self.optims {
-                    self.mgr.collapse_placed(&mut opt.state)?;
-                    opt.policy = policy;
-                }
-                return Ok(());
-            }
-        }
-        if self.mgr.is_degraded() {
-            // No device to re-tier onto; the collapse above (or the
-            // degraded store path) already owns placement.
+    /// Collapse every optimizer buffer onto CPU once the node's
+    /// degradation latch is set: split buffers re-publish their
+    /// NVMe-resident half to CPU instead of dropping it with the store.
+    /// Closes the carry, whose reads target the old placement.
+    fn collapse_on_degradation(&mut self) -> Result<()> {
+        if self.collapsed || !self.mgr.degradation_latched() {
             return Ok(());
         }
-        let target = self.strategy.optimizer_policy();
-        if self.optims.iter().any(|opt| opt.policy != target) {
-            self.drop_carry("readahead.drop.placement");
+        self.drop_carry("readahead.drop.placement");
+        for opt in &mut self.optims {
+            self.mgr.collapse_placed(&mut opt.state)?;
         }
-        let optim_device = device_for(self.strategy.placement.optimizer, self.gpu_index);
-        for opt in self.optims.iter_mut().filter(|opt| opt.policy != target) {
-            self.mgr.retier_placed(&mut opt.state, optim_device, &target)?;
-            opt.policy = target;
-        }
+        self.collapsed = true;
         Ok(())
     }
 
@@ -956,33 +930,6 @@ impl ZeroEngine {
     pub fn set_grad_accumulation(&mut self, steps: usize) {
         assert!(steps > 0, "accumulation steps must be positive");
         self.grad_accum_steps = steps as f32;
-    }
-
-    /// Apply live overlap knobs from the adaptive controller. Takes
-    /// effect at the next step/forward — the engine reads its strategy
-    /// afresh each optimizer step (pipeline depth, write-behind bound)
-    /// and each prefetch decision (look-ahead window), and `&mut self`
-    /// guarantees no step is in flight while the fields change. Knob
-    /// changes are numerically invisible by construction: the pipelined
-    /// step is bit-identical to the sequential one at every depth, and
-    /// the prefetcher only warms caches.
-    pub fn apply_knobs(&mut self, knobs: zi_adapt::Knobs) {
-        self.strategy.knobs = zi_adapt::Knobs {
-            step_pipeline_depth: knobs.step_pipeline_depth.max(1),
-            write_behind: knobs.write_behind.max(1),
-            // The re-tier knob: shards whose stored placement drifts
-            // from the new policy are moved at the start of the next
-            // step (load/store round trip — bit-preserving, like the
-            // others).
-            optimizer_cpu_permille: knobs.optimizer_cpu_permille.min(1000),
-            ..knobs
-        };
-    }
-
-    /// The overlap knobs currently in force (inverse of
-    /// [`ZeroEngine::apply_knobs`]).
-    pub fn knobs(&self) -> zi_adapt::Knobs {
-        self.strategy.live_knobs()
     }
 
     /// Read every parameter's optimizer shard out of its tier, one buffer
@@ -2301,7 +2248,7 @@ mod tests {
         assert!(built.in_flight_peak >= node.nvme.worker_count() as u64, "{built:?}");
         // Within the staging set the step reserves, and nothing beyond it.
         let window = strategy.write_behind_bound();
-        let set = (strategy.knobs.step_pipeline_depth + window.div_ceil(2) + window + 1) as u64;
+        let set = (strategy.step_pipeline_depth + window.div_ceil(2) + window + 1) as u64;
         let pool = eng.mgr.staging().stats();
         assert!(pool.peak_outstanding < set && pool.allocated == set, "{pool:?}");
         // Every shard was written through: the first forward reads nothing.
@@ -2575,10 +2522,10 @@ mod tests {
     /// the step had written each record itself. The first step after
     /// `prepare`, run clean and then with one of its reads flipped: the
     /// flip is caught and re-read, and the state is the clean run's.
-    fn first_step_reads_verified_records(prepare: impl Fn(&mut ZeroEngine, ParamId)) {
+    fn first_step_reads_verified_records(prepare: impl Fn(&mut ZeroEngine)) {
         let first_step = |flip: bool| {
             let (plan, node, mut eng, w) = faulty_rank(5, 1 << 22);
-            prepare(&mut eng, w);
+            prepare(&mut eng);
             node.nvme.barrier().unwrap();
             plan.bitflip_next_reads(u32::from(flip));
             eng.add_grad(w, &w_grad()).unwrap();
@@ -2596,7 +2543,7 @@ mod tests {
 
     #[test]
     fn the_first_step_after_construction_reads_verified_records() {
-        first_step_reads_verified_records(|_, _| {});
+        first_step_reads_verified_records(|_| {});
     }
 
     #[test]
@@ -2606,20 +2553,7 @@ mod tests {
         saved.step().unwrap();
         let blob = saved.save_state().unwrap();
         saved.dispose().unwrap();
-        first_step_reads_verified_records(|eng, _| eng.load_state(&blob).unwrap());
-    }
-
-    #[test]
-    fn the_first_step_after_a_retier_onto_the_device_reads_verified_records() {
-        // One step with the state in DRAM, then the policy moves it back
-        // onto the device: the next step re-tiers before it reads.
-        first_step_reads_verified_records(|eng, w| {
-            let knobs = eng.knobs();
-            eng.apply_knobs(zi_adapt::Knobs { optimizer_cpu_permille: 1000, ..knobs });
-            eng.add_grad(w, &w_grad()).unwrap();
-            eng.step().unwrap();
-            eng.apply_knobs(zi_adapt::Knobs { optimizer_cpu_permille: 0, ..knobs });
-        });
+        first_step_reads_verified_records(|eng| eng.load_state(&blob).unwrap());
     }
 
     #[test]

@@ -49,7 +49,6 @@
 //! ```
 
 pub mod activations;
-pub mod adaptive;
 pub mod checkpoint;
 pub mod config;
 pub mod engine;
@@ -61,7 +60,6 @@ pub mod tiling;
 pub mod trainer;
 
 pub use activations::OffloadActStore;
-pub use adaptive::TelemetryCursor;
 pub use config::{Placement, Strategy};
 pub use engine::{EngineStats, ZeroEngine};
 pub use mp::{train_gpt_2d, MpAllReduce, Spec2D};

@@ -11,7 +11,7 @@
 //! are the one-segment plans; a [`PlacementPolicy`] split stripes an
 //! NVMe-tier buffer over CPU DRAM (the cp path) and the device (the nc
 //! path). Every operation — store, load, take, accumulate, overwrite,
-//! chunked publish, collapse, re-tier, free — is defined once per segment
+//! chunked publish, collapse, free — is defined once per segment
 //! and applied to each segment of the buffer, so a multi-segment buffer
 //! is legal input to all of them.
 //!
@@ -34,7 +34,7 @@ use zi_sync::Arc;
 use zi_sync::Mutex;
 use zi_comm::{CommConfig, CommGroup, Membership};
 use zi_memory::{
-    Block, MemoryHierarchy, NodeMemorySpec, PathKind, PinnedBufferPool, PlacementPolicy, PlanCell,
+    Block, MemoryHierarchy, NodeMemorySpec, PathKind, PinnedBufferPool, PlacementPolicy,
     ScratchPool, ScratchVec,
 };
 use zi_nvme::checksum::crc32;
@@ -437,9 +437,6 @@ pub struct NodeResources {
     load_staging: ScratchPool,
     /// Shared checksum registry, shard cache and degradation latch.
     resilience: Arc<ResilienceState>,
-    /// Node-wide placement-policy cell: degradation (and re-tiering)
-    /// publish whole policies here so readers never see a torn one.
-    placement: Arc<PlanCell>,
     /// Node-wide tracer; the NVMe engine, pinned pool, comm group and
     /// every [`OffloadManager`] clone record into the same stream.
     tracer: Tracer,
@@ -467,7 +464,6 @@ impl NodeResources {
             group,
             staging: ScratchPool::new(),
             load_staging: ScratchPool::new(),
-            placement: Arc::new(PlanCell::new(PlacementPolicy::all_nvme())),
             tracer,
         }
     }
@@ -497,7 +493,7 @@ impl NodeResources {
     /// Start (or force) this node into degraded mode: every NVMe store
     /// is placed on CPU instead. Used when restarting after a device
     /// death — the replacement run must not trust the dead device.
-    /// Publishes the all-CPU policy so split shards collapse too.
+    /// Engines collapse their split optimizer buffers at their next step.
     pub fn degrade(&self) {
         self.offload_manager().latch_degraded();
     }
@@ -512,7 +508,6 @@ impl NodeResources {
             staging: self.staging.clone(),
             load_staging: self.load_staging.clone(),
             resilience: Arc::clone(&self.resilience),
-            placement: Arc::clone(&self.placement),
             tracer: self.tracer.clone(),
             unwaited: Arc::default(),
         }
@@ -743,7 +738,6 @@ pub struct OffloadManager {
     staging: ScratchPool,
     load_staging: ScratchPool,
     resilience: Arc<ResilienceState>,
-    placement: Arc<PlanCell>,
     tracer: Tracer,
     /// The writes [`Self::overwrite_async_placed`] left unwaited, shared
     /// by clones; [`Self::flush`] reaps them.
@@ -771,20 +765,18 @@ impl OffloadManager {
         &self.tracer
     }
 
-    /// The node's placement-policy cell (see [`PlanCell`]): degradation
-    /// publishes the all-CPU collapse here, and engines poll it at step
-    /// boundaries to re-tier split shards.
-    pub fn placement_cell(&self) -> &Arc<PlanCell> {
-        &self.placement
-    }
-
-    /// Latch the degradation flag, counting the first transition and
-    /// publishing the all-CPU collapse policy so plan readers re-tier.
+    /// Latch the degradation flag, counting the first transition.
     pub(crate) fn latch_degraded(&self) {
         if !self.resilience.degraded.swap(true, Ordering::Release) {
             self.tracer.count(Counter::DegradedTransitions, 1);
-            self.placement.publish(PlacementPolicy::all_cpu());
         }
+    }
+
+    /// True once [`Self::latch_degraded`] ran on this node. Unlike
+    /// [`Self::is_degraded`] it ignores a device failure no store or flush
+    /// has yet acted on.
+    pub(crate) fn degradation_latched(&self) -> bool {
+        self.resilience.degraded.load(Ordering::Acquire)
     }
 
     /// True once NVMe stores are redirected to CPU — either because a
@@ -1291,22 +1283,6 @@ impl OffloadManager {
         Ok(())
     }
 
-    /// Move a buffer to a new placement: load it whole, store it under
-    /// `policy`, free the old segments. The re-tier knob's mechanism —
-    /// bit-preserving by construction (load/store round trip), so
-    /// placement moves are numerically invisible.
-    pub fn retier_placed(
-        &self,
-        buf: &mut PlacedBuf,
-        device: Device,
-        policy: &PlacementPolicy,
-    ) -> Result<()> {
-        let data = self.load_placed(buf)?;
-        let fresh = self.store_placed(device, policy, data)?;
-        self.free_placed(std::mem::replace(buf, fresh));
-        Ok(())
-    }
-
     /// Release every segment of a buffer.
     pub fn free_placed(&self, buf: PlacedBuf) {
         for seg in buf.segments {
@@ -1740,8 +1716,8 @@ mod tests {
     #[test]
     fn whole_read_of_a_chunk_written_extent_is_verified() {
         // The streamed step records one checksum per chunk it writes
-        // back; a later whole-segment read (checkpoint export, re-tier,
-        // collapse) is verified against the chunk checksums tiling it.
+        // back; a later whole-segment read (checkpoint export, collapse)
+        // is verified against the chunk checksums tiling it.
         let (plan, node) = faulty_node();
         let mgr = node.offload_manager();
         let vals: Vec<f32> = (0..96).map(|i| i as f32 - 40.0).collect();
@@ -1993,7 +1969,6 @@ mod tests {
         OneChunkPublish,
         Overwrite,
         OverwriteAsyncThenFlush,
-        Retier,
         Collapse,
         FreeThenNewTenant,
         PublishDroppedHalfWay,
@@ -2013,7 +1988,6 @@ mod tests {
             OneChunkPublish,
             Overwrite,
             OverwriteAsyncThenFlush,
-            Retier,
             Collapse,
             FreeThenNewTenant,
             PublishDroppedHalfWay,
@@ -2047,11 +2021,6 @@ mod tests {
                     OverwriteAsyncThenFlush => {
                         mgr.overwrite_async_placed(&mut buf, &want).unwrap();
                         mgr.flush().unwrap();
-                    }
-                    Retier => {
-                        want = f16(&old);
-                        mgr.retier_placed(&mut buf, Device::nvme(), &PlacementPolicy::all_nvme())
-                            .unwrap();
                     }
                     Collapse => {
                         want = f16(&old);
@@ -2440,11 +2409,7 @@ mod tests {
         let mut buf = store_nvme(&mgr, PlacementPolicy::split(250, 8), &vals);
         assert!(buf.elems_on(PathKind::Nvme) > 0);
         node.degrade();
-        // Degradation publishes the collapse policy through the plan cell
-        // so every reader sees a whole (never torn) all-CPU policy.
-        let (version, policy) = mgr.placement_cell().read();
-        assert!(version >= 1);
-        assert_eq!(policy, PlacementPolicy::all_cpu());
+        assert!(mgr.is_degraded());
         mgr.collapse_placed(&mut buf).unwrap();
         assert_eq!(buf.elems_on(PathKind::Nvme), 0);
         assert!(!buf.is_offloaded());
@@ -2466,7 +2431,6 @@ mod tests {
         let buf = store_nvme(&mgr, PlacementPolicy::split(500, 8), &vals);
         assert_eq!(buf.elems_on(PathKind::Nvme), 0);
         assert!(mgr.is_degraded());
-        assert_eq!(mgr.placement_cell().read().1, PlacementPolicy::all_cpu());
         assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vals);
         mgr.free_placed(buf);
         // Once degraded, later placed stores collapse their plan up front.
@@ -2474,22 +2438,5 @@ mod tests {
         assert_eq!(after.segments.len(), 1);
         assert!(!after.is_offloaded());
         mgr.free_placed(after);
-    }
-
-    #[test]
-    fn retier_moves_placement_without_changing_bits() {
-        let node = node();
-        let mgr = node.offload_manager();
-        let vals: Vec<f32> = (0..300).map(|i| 1.0 / (i as f32 + 1.0)).collect();
-        let mut buf = store_nvme(&mgr, PlacementPolicy::all_nvme(), &vals);
-        assert_eq!(buf.elems_on(PathKind::Cpu), 0);
-        mgr.retier_placed(&mut buf, Device::nvme(), &PlacementPolicy::split(500, 16)).unwrap();
-        assert!(buf.is_split());
-        assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vals);
-        mgr.retier_placed(&mut buf, Device::nvme(), &PlacementPolicy::all_cpu()).unwrap();
-        assert_eq!(buf.elems_on(PathKind::Nvme), 0);
-        assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vals);
-        mgr.free_placed(buf);
-        assert_eq!(in_use(&mgr), (0, 0));
     }
 }

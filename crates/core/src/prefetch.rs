@@ -109,10 +109,9 @@ const MAX_PENDING: usize = 16;
 /// In-flight asynchronous shard loads keyed by parameter *and* path.
 ///
 /// Keying by `ParamId` alone conflated loads for the same parameter
-/// travelling different placement paths: after a failover or re-tier
-/// moved a shard NVMe→CPU, a demand fetch for the new CPU-resident
-/// buffer would consume the stale in-flight NVMe read — and hand back
-/// the old bytes. The `(ParamId, PathKind)` key keeps the two paths'
+/// travelling different placement paths: after a failover moved a
+/// shard NVMe→CPU, a demand fetch for the new CPU-resident buffer would
+/// consume the stale in-flight NVMe read — and hand back the old bytes. The `(ParamId, PathKind)` key keeps the two paths'
 /// loads independent.
 #[derive(Default)]
 pub struct Prefetcher {
@@ -414,7 +413,7 @@ mod tests {
         let node = NodeResources::new(&spec, 1, NodeEnv::new(backend));
         let mgr = node.offload_manager();
         let nvme_shard = shard_on(&mgr, Device::nvme(), &[6.0; 32]);
-        // The same parameter after a re-tier: its shard now lives in
+        // The same parameter after a failover: its shard now lives in
         // CPU DRAM, with different (fresher) contents.
         let cpu_shard = shard_on(&mgr, Device::cpu(), &[9.0; 32]);
 

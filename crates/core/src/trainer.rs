@@ -10,13 +10,9 @@ use zi_sync::Arc;
 use zi_sync::thread;
 use std::time::Duration;
 
-use zi_adapt::{
-    AdaptiveController, ControllerConfig, DecisionEvent, KnobBounds, KnobCell, Knobs, ResetReason,
-};
 use zi_chaos::ChaosPlan;
 use zi_comm::{CommConfig, CommFaultPlan, Membership};
 use zi_memory::NodeMemorySpec;
-use zi_sync::Mutex;
 use zi_model::{DenseStore, GptConfig, GptModel, InMemoryActStore, NoopObserver, RunOptions};
 use zi_nvme::{CheckpointStore, MemBackend, RetryPolicy, StorageBackend};
 use zi_optim::{AdamConfig, AdamShard, LrSchedule};
@@ -24,7 +20,6 @@ use zi_tensor::Tensor;
 use zi_trace::{Category, Tracer, STEP_SPAN};
 use zi_types::{Error, Result};
 
-use crate::adaptive::TelemetryCursor;
 use crate::checkpoint::{checkpoint_world, reshard_checkpoint_blobs};
 use crate::config::Strategy;
 use crate::engine::{EngineStats, ZeroEngine};
@@ -71,13 +66,6 @@ pub struct TrainSpec {
     /// it surfaces as [`Error::CollectiveTimeout`] on the waiting ranks
     /// instead of a hang.
     pub collective_deadline: Duration,
-    /// Close the loop from zi-trace telemetry to the overlap knobs: an
-    /// [`AdaptiveController`] on rank 0 retunes `step_pipeline_depth`,
-    /// `prefetch_window`, and the write-behind bound between optimizer
-    /// steps, starting from the strategy's static values. Knob changes
-    /// are numerically invisible (only overlap scheduling moves), so
-    /// this composes with every strategy and recovery path.
-    pub adaptive: bool,
 }
 
 impl TrainSpec {
@@ -99,7 +87,6 @@ impl TrainSpec {
             checkpoint_every: 0,
             max_recoveries: 0,
             collective_deadline: Duration::from_secs(30),
-            adaptive: false,
         }
     }
 }
@@ -127,13 +114,6 @@ pub struct TrainOutcome {
     /// Data-parallel degree the run finished with (differs from
     /// `spec.world` after elastic shrinks/grows).
     pub final_world: usize,
-    /// Overlap knobs the adaptive controller finished with; `None` when
-    /// the run was not adaptive.
-    pub tuned: Option<Knobs>,
-    /// The controller's full decision log across the session — every
-    /// baseline, probe, accept, rollback, hold, and regime reset, in
-    /// order, spanning recovery attempts. Empty for non-adaptive runs.
-    pub decisions: Vec<DecisionEvent>,
 }
 
 /// One elastic world-resize: mid-run, a rank died (shrink), joiners
@@ -313,36 +293,6 @@ fn error_severity(e: &Error) -> u8 {
     }
 }
 
-/// One training session's adaptive-control state: the rank-0 controller
-/// and the versioned cell its decisions travel through. Created once
-/// per session (not per recovery attempt), so tuned knobs and the
-/// decision log survive checkpoint-restarts and elastic shrinks; the
-/// recovery loop resets the controller's *search* at each regime change
-/// and the next attempt re-baselines from the knobs already earned.
-struct AdaptiveSession {
-    controller: Mutex<AdaptiveController>,
-    cell: KnobCell,
-}
-
-impl AdaptiveSession {
-    fn new(initial: Knobs) -> Self {
-        AdaptiveSession {
-            controller: Mutex::new(AdaptiveController::new(
-                initial,
-                KnobBounds::default(),
-                ControllerConfig::default(),
-            )),
-            cell: KnobCell::new(initial),
-        }
-    }
-
-    /// Regime change observed by the recovery loop: reset the search
-    /// (keeping the knobs) before the next attempt's threads spawn.
-    fn regime_reset(&self, reason: ResetReason) {
-        self.controller.lock().regime_reset(reason);
-    }
-}
-
 /// Armed for the lifetime of a rank thread: any exit that is not a
 /// clean success — an error return or a panic unwinding the stack —
 /// marks the rank failed in its communication group, so sibling ranks
@@ -399,6 +349,9 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
     if spec.world == 0 {
         return Err(Error::InvalidArgument("world must be at least 1".into()));
     }
+    if spec.grad_accumulation == 0 {
+        return Err(Error::InvalidArgument("grad_accumulation must be at least 1".into()));
+    }
     let tracer = env.tracer.clone().unwrap_or_default();
     let store = match env.store {
         Some(s) => {
@@ -419,13 +372,6 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
         }
     };
     let vault = Arc::new(DurableVault { store });
-    let adapt: Option<Arc<AdaptiveSession>> = spec.adaptive.then(|| {
-        // Start from the knobs the spec would have run statically (the
-        // spec-level prefetch window overrides the strategy's, exactly
-        // as run_rank builds its engine).
-        let initial = spec.strategy.with_prefetch_window(spec.prefetch_window).live_knobs();
-        Arc::new(AdaptiveSession::new(initial))
-    });
     // Session-scoped membership: outlives every per-attempt comm group,
     // carrying the join queue and generation counter across rebuilds.
     let membership = Membership::new(spec.world);
@@ -470,7 +416,6 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
         for rank in 0..world {
             let node = Arc::clone(&node);
             let vault = Arc::clone(&vault);
-            let adapt = adapt.clone();
             let membership = membership.clone();
             let chaos = chaos.clone();
             handles.push(
@@ -486,7 +431,6 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
                             &node,
                             &vault,
                             resume,
-                            adapt.as_deref(),
                             &membership,
                             chaos.as_ref(),
                         );
@@ -551,11 +495,6 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
                 out.health = health;
                 out.elastic = std::mem::take(&mut elastic);
                 out.final_world = world;
-                if let Some(a) = &adapt {
-                    let ctl = a.controller.lock();
-                    out.tuned = Some(ctl.knobs());
-                    out.decisions = ctl.log().to_vec();
-                }
                 return Ok(out);
             }
             Some(e) => {
@@ -572,13 +511,6 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
                     // If the device died, the replacement run must not
                     // trust it: start degraded (all NVMe stores on CPU).
                     degraded_start = degraded_start || health.degraded;
-                    // The restart lands on a re-provisioned node (and
-                    // possibly a CPU-degraded tier): whatever the
-                    // controller had measured no longer describes the
-                    // environment.
-                    if let Some(a) = &adapt {
-                        a.regime_reset(ResetReason::CheckpointRestart);
-                    }
                     world
                 } else if e.is_rank_failure() && world > 1 {
                     if recoveries >= spec.max_recoveries {
@@ -647,11 +579,6 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
                         resumed_from_step: resumed,
                     });
                     world = new_world;
-                    // Different rank count → different shard sizes and
-                    // collective pressure: a fresh search regime.
-                    if let Some(a) = &adapt {
-                        a.regime_reset(ResetReason::ElasticResize);
-                    }
                 }
             }
         }
@@ -666,7 +593,6 @@ fn run_rank(
     node: &NodeResources,
     vault: &DurableVault,
     resume: Option<usize>,
-    adapt: Option<&AdaptiveSession>,
     membership: &Membership,
     chaos: Option<&ChaosPlan>,
 ) -> Result<TrainOutcome> {
@@ -710,22 +636,6 @@ fn run_rank(
         None => 0,
     };
     let tracer = node.tracer();
-    // Adaptive control: every rank applies published knobs between
-    // steps; rank 0 additionally drives the controller from its own
-    // step telemetry. Knobs are pure overlap-scheduling settings — they
-    // change no numerics and no collective counts — so ranks may apply
-    // a publish one step apart without breaking lockstep.
-    let mut knob_seen = 0u64;
-    if let Some(a) = adapt {
-        let (version, knobs) = a.cell.read();
-        knob_seen = version;
-        engine.apply_knobs(knobs);
-    }
-    let mut telemetry = if adapt.is_some() && rank == 0 {
-        Some(TelemetryCursor::new(tracer))
-    } else {
-        None
-    };
     for step in start_step..spec.steps {
         // Arm this step's chaos events (rank 0 only, so each fires
         // exactly once) before any collective of the step: a kill or
@@ -745,11 +655,6 @@ fn run_rank(
         if let Some(sched) = &spec.schedule {
             engine.set_lr(sched.lr_at(step as u64));
         }
-        // Controller objective: the step's compute + optimizer wall
-        // time. Measured up to the end of engine.step() so the loss
-        // collective (which waits on *other* ranks) cannot pollute
-        // rank 0's view of its own knobs.
-        let work_start_ns = tracer.now_ns();
         // Each optimizer step consumes `grad_accumulation` micro-batches;
         // data is drawn from consecutive virtual steps so accumulated and
         // non-accumulated runs see the same token stream.
@@ -779,7 +684,6 @@ fn run_rank(
         }
         let loss = loss / spec.grad_accumulation as f32;
         engine.step()?;
-        let work_ns = tracer.now_ns().saturating_sub(work_start_ns);
         // Mean loss across ranks (collective; every rank participates).
         let nranks = node.group.world_size() as f32;
         let mean = {
@@ -788,24 +692,6 @@ fn run_rank(
             node.group.communicator(rank).sum_scalar(loss)? / nranks
         };
         losses.push(mean);
-        if let Some(a) = adapt {
-            // Rank 0 folds this step's telemetry into the controller;
-            // a mid-run NVMe→CPU failover surfaces here as a degraded
-            // flip and resets the search without any restart.
-            if let Some(cursor) = telemetry.as_mut() {
-                let degraded = node.offload_manager().is_degraded();
-                let sample = cursor.sample(tracer, step as u64, work_ns, degraded);
-                if let Some(next) = a.controller.lock().observe(sample) {
-                    a.cell.publish(next);
-                }
-            }
-            // Every rank picks up whatever is newest; missed versions
-            // collapse into the latest tuple.
-            if let Some((version, knobs)) = a.cell.read_if_newer(knob_seen) {
-                knob_seen = version;
-                engine.apply_knobs(knobs);
-            }
-        }
         // Periodic checkpoint into the durable vault via the store's
         // background writer. State export is collective (it gathers
         // replicated parameters), and the cadence is spec-driven, so
@@ -833,8 +719,6 @@ fn run_rank(
         health: OffloadHealth::default(),
         elastic: Vec::new(),
         final_world: world,
-        tuned: None,
-        decisions: Vec::new(),
     })
 }
 
@@ -1017,80 +901,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_control_is_numerically_invisible() {
-        // The controller retunes depth / prefetch / write-behind live,
-        // and none of those knobs may touch the numerics: an adaptive
-        // run must reproduce the static run loss-for-loss while actually
-        // exercising the control loop.
-        let cfg = model_cfg();
-        let strategy = Strategy::infinity_nvme()
-            .with_f32_params()
-            .with_step_pipeline_depth(1)
-            .with_write_behind(1);
-        let spec = TrainSpec {
-            steps: 12,
-            prefetch_window: 0,
-            ..TrainSpec::test_default(cfg, strategy, 2)
-        };
-        let stat = train_gpt(&spec).unwrap();
-        assert!(stat.tuned.is_none(), "static runs carry no tuned knobs");
-        assert!(stat.decisions.is_empty());
-
-        let out = train_gpt(&TrainSpec { adaptive: true, ..spec }).unwrap();
-        assert_eq!(out.losses, stat.losses, "knob moves must not change numerics");
-        let tuned = out.tuned.expect("adaptive run reports final knobs");
-        assert!(tuned.step_pipeline_depth >= 1);
-        assert!(
-            !out.decisions.is_empty(),
-            "12 steps is enough for a baseline and at least one probe"
-        );
-        assert!(
-            out.decisions
-                .iter()
-                .any(|e| matches!(e.decision, zi_adapt::Decision::Baseline { .. })),
-            "the log must open with a measured baseline"
-        );
-        // The log is the controller's full history; replaying its final
-        // entry's knobs must agree with the reported tuned config.
-        assert_eq!(out.decisions.last().unwrap().knobs, tuned);
-
-        // Replaying the log proves where the run may end without timing
-        // anything again: `settled` is the last configuration whose cost
-        // the controller measured and kept, a probe departs from it, an
-        // accept must have measured lower than the cost it replaces, a
-        // rollback must put back exactly what the probe left. So the
-        // settled cost only ever falls from the first baseline, and the
-        // run ends on a settled configuration or one unfinished probe
-        // away from it.
-        use zi_adapt::Decision;
-        let mut settled: Option<(Knobs, u64)> = None;
-        let mut probing: Option<Knobs> = None;
-        for e in &out.decisions {
-            match e.decision {
-                Decision::Baseline { cost_ns } => settled = Some((e.knobs, cost_ns)),
-                Decision::Probe { from, .. } => {
-                    assert_eq!(Some(from), settled.map(|s| s.0), "probe from unsettled knobs: {e}");
-                    assert_ne!(e.knobs, from, "a probe must move a knob: {e}");
-                    probing = Some(e.knobs);
-                }
-                Decision::Accept { cost_ns, baseline_ns } => {
-                    assert_eq!(Some(e.knobs), probing.take(), "accepted what was not probed: {e}");
-                    assert_eq!(Some(baseline_ns), settled.map(|s| s.1), "stale baseline: {e}");
-                    assert!(cost_ns < baseline_ns, "accepted a move it measured no faster: {e}");
-                    settled = Some((e.knobs, cost_ns));
-                }
-                Decision::Rollback { baseline_ns, .. } => {
-                    assert!(probing.take().is_some(), "rollback without a probe: {e}");
-                    assert_eq!(Some((e.knobs, baseline_ns)), settled, "rollback restored other: {e}");
-                }
-                Decision::Hold { .. } => assert_eq!(Some(e.knobs), settled.map(|s| s.0), "{e}"),
-                Decision::RegimeReset { .. } => (settled, probing) = (None, None),
-            }
-        }
-        assert_eq!(Some(tuned), probing.or(settled.map(|s| s.0)), "run ended on unmeasured knobs");
-    }
-
-    #[test]
     fn world_scaling_is_consistent() {
         // Same global batch across world sizes 1, 2 and 4 must give the
         // same training trajectory (f32 storage).
@@ -1247,6 +1057,15 @@ mod accumulation_tests {
         let p2 = twice.export_param(wte).unwrap();
 
         assert_eq!(p1.data(), p2.data(), "2x deposit / 2 must equal 1x deposit");
+    }
+
+    #[test]
+    fn zero_grad_accumulation_is_rejected() {
+        // Zero micro-batches per step would divide the loss by zero; the
+        // spec is refused before any node or rank thread is built.
+        let mut spec = TrainSpec::test_default(GptConfig::tiny(), Strategy::zero_3(), 1);
+        spec.grad_accumulation = 0;
+        assert!(matches!(train_gpt(&spec), Err(Error::InvalidArgument(_))));
     }
 
     #[test]

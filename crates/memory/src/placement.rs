@@ -10,18 +10,14 @@
 //!
 //! * [`PathKind`] — the backing path of one plan segment (CPU DRAM or
 //!   NVMe).
-//! * [`PlacementPolicy`] — the knob-level description: what fraction of
+//! * [`PlacementPolicy`] — the strategy-level description: what fraction of
 //!   each shard is DRAM-resident (integer permille, so policies stay
 //!   `Eq`/hashable) and the stripe width the two paths interleave at.
 //! * [`PlacementPlan`] — a policy resolved against a concrete shard
 //!   length: a sorted, disjoint, exhaustive list of [`PlanSegment`]s.
-//! * [`PlanCell`] — a versioned publish/read cell for the node's
-//!   current policy, so re-tiering (the `zi-adapt` placement knob) and
-//!   degraded-mode collapse hand a *whole* policy to readers, never a
-//!   torn one (model-checked by the `plan-cell-handoff` harness in
-//!   `crates/check`).
-
-use zi_sync::{Condvar, Mutex};
+//!
+//! A shard's policy is fixed when it is stored; the only later move is
+//! degraded-mode collapse, which brings every segment to CPU DRAM.
 
 /// Permille denominator: a [`PlacementPolicy`] expresses the
 /// DRAM-resident fraction in thousandths.
@@ -174,71 +170,6 @@ impl PlacementPlan {
     }
 }
 
-/// A versioned publish cell carrying the node's current
-/// [`PlacementPolicy`] from whoever re-tiers (the adaptive controller's
-/// placement knob, or degraded-mode collapse on an NVMe death) to every
-/// reader that builds plans from it.
-///
-/// The hazard this removes is the *torn policy read*: a policy is two
-/// fields, and a reader that combined `cpu_permille` from one publish
-/// with `stripe` from another would build plans no publisher ever chose
-/// — two ranks could then disagree about a shard's layout. Every
-/// publish replaces the whole policy under one lock and bumps a
-/// version; every read snapshots `(version, policy)` under the same
-/// lock. Mirrors `zi-adapt`'s `KnobCell`; the `plan-cell-handoff`
-/// zi-check harness model-checks the protocol.
-pub struct PlanCell {
-    slot: Mutex<(u64, PlacementPolicy)>,
-    published: Condvar,
-}
-
-impl PlanCell {
-    /// A cell holding `initial` at version 1.
-    pub fn new(initial: PlacementPolicy) -> Self {
-        PlanCell { slot: Mutex::new((1, initial)), published: Condvar::new() }
-    }
-
-    /// Atomically replace the policy, bump the version, and wake every
-    /// waiter. Returns the new version.
-    pub fn publish(&self, policy: PlacementPolicy) -> u64 {
-        let mut slot = self.slot.lock();
-        slot.0 += 1;
-        slot.1 = policy;
-        let version = slot.0;
-        drop(slot);
-        self.published.notify_all();
-        version
-    }
-
-    /// Snapshot the current `(version, policy)` tuple.
-    pub fn read(&self) -> (u64, PlacementPolicy) {
-        *self.slot.lock()
-    }
-
-    /// Snapshot only if something newer than `seen` has been published.
-    pub fn read_if_newer(&self, seen: u64) -> Option<(u64, PlacementPolicy)> {
-        let slot = self.slot.lock();
-        (slot.0 > seen).then_some(*slot)
-    }
-
-    /// Block until a version newer than `seen` is published, then
-    /// snapshot it.
-    pub fn wait_past(&self, seen: u64) -> (u64, PlacementPolicy) {
-        let mut slot = self.slot.lock();
-        while slot.0 <= seen {
-            self.published.wait(&mut slot);
-        }
-        *slot
-    }
-}
-
-impl std::fmt::Debug for PlanCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (v, p) = self.read();
-        write!(f, "PlanCell(v{v}: cpu={}‰ stripe={})", p.cpu_permille, p.stripe)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,34 +215,5 @@ mod tests {
         assert!(plan.segments().len() >= 8, "expected interleave: {:?}", plan.segments());
         assert_eq!(plan.elems_on(PathKind::Cpu), 32);
         assert_eq!(plan.elems_on(PathKind::Nvme), 32);
-    }
-
-    #[test]
-    fn plan_cell_publishes_whole_policies_with_versions() {
-        let cell = PlanCell::new(PlacementPolicy::all_nvme());
-        let (v0, p0) = cell.read();
-        assert_eq!((v0, p0), (1, PlacementPolicy::all_nvme()));
-        assert!(cell.read_if_newer(v0).is_none());
-        let v1 = cell.publish(PlacementPolicy::split(250, 64));
-        assert!(v1 > v0);
-        let (v, p) = cell.read_if_newer(v0).expect("publish visible");
-        assert_eq!((v, p), (v1, PlacementPolicy::split(250, 64)));
-        // Lagging readers land on the newest policy.
-        cell.publish(PlacementPolicy::all_cpu());
-        let (_, p) = cell.read_if_newer(v0).unwrap();
-        assert_eq!(p, PlacementPolicy::all_cpu());
-    }
-
-    #[test]
-    fn plan_cell_wait_past_wakes_on_publish() {
-        let cell = zi_sync::Arc::new(PlanCell::new(PlacementPolicy::all_nvme()));
-        let waiter = {
-            let cell = zi_sync::Arc::clone(&cell);
-            zi_sync::thread::spawn(move || cell.wait_past(1))
-        };
-        cell.publish(PlacementPolicy::split(500, 8));
-        let (v, p) = waiter.join().expect("waiter");
-        assert!(v > 1);
-        assert_eq!(p, PlacementPolicy::split(500, 8));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! These are the "CUDA kernels" of the reproduction. The inner loops
 //! are vectorized through the runtime-dispatched [`crate::simd`] layer
-//! (AVX2 with a canonical scalar fallback — see DESIGN.md §11),
+//! (AVX2 with a canonical scalar fallback — see DESIGN.md §10),
 //! and large kernels are tiled across the bounded [`crate::pool`]
 //! worker pool built on `zi-sync` primitives, so the scheduling is
 //! model-checkable under `zi-check`. Each forward kernel has a matching

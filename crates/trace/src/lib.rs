@@ -534,35 +534,12 @@ impl Tracer {
     }
 
     /// Flush, then take every event recorded so far, sorted by start
-    /// time. The sink is left empty (and any [`Tracer::events_from`]
-    /// cursor is invalidated — clamped, not UB).
+    /// time. The sink is left empty.
     pub fn take_events(&self) -> Vec<Event> {
         self.flush();
         let mut events = std::mem::take(&mut *self.inner.sink.events.lock());
         events.sort_by_key(|e| (e.start_ns, e.dur_ns, e.tid));
         events
-    }
-
-    /// Flush, then copy the events recorded since `cursor` (a value
-    /// previously returned by this method; 0 for "everything") without
-    /// disturbing the sink. Returns `(next_cursor, new_events)`.
-    ///
-    /// This is the cheap per-step extraction path for the adaptive
-    /// controller: each call copies only the step's own events, and the
-    /// full trace stays intact for end-of-run reports and Chrome-trace
-    /// export. Events come back in ring-drain order, not time order —
-    /// fine for [`report::OverlapReport::from_events`], which sorts
-    /// internally. Pass `usize::MAX` to skip to the present (an empty
-    /// slice positioned at "now"). Interleaving [`Tracer::take_events`]
-    /// empties the sink and resets outstanding cursors to its start.
-    pub fn events_from(&self, cursor: usize) -> (usize, Vec<Event>) {
-        if !self.inner.enabled {
-            return (0, Vec::new());
-        }
-        self.flush();
-        let sink = self.inner.sink.events.lock();
-        let cursor = cursor.min(sink.len());
-        (sink.len(), sink[cursor..].to_vec())
     }
 
     fn record(&self, ev: Event) {
@@ -728,30 +705,6 @@ mod tests {
         assert_eq!(s.nc_read_bytes, 128);
         assert_eq!(s.io_in_flight, 1);
         assert_eq!(s.io_in_flight_peak, 2);
-    }
-
-    #[test]
-    fn events_from_cursor_is_incremental_and_non_destructive() {
-        let t = Tracer::new();
-        t.instant(Category::Compute, "a", 0, 1);
-        let (c1, batch1) = t.events_from(0);
-        assert_eq!(batch1.len(), 1);
-        // Nothing new: empty slice, cursor unchanged.
-        let (c2, batch2) = t.events_from(c1);
-        assert_eq!((c2, batch2.len()), (c1, 0));
-        t.instant(Category::Compute, "b", 0, 2);
-        let (c3, batch3) = t.events_from(c2);
-        assert_eq!(batch3.len(), 1);
-        assert_eq!(batch3[0].id, 2, "only the new event is returned");
-        // The sink was never drained: a full take still sees both.
-        assert_eq!(t.take_events().len(), 2);
-        // Cursors from before the take clamp instead of panicking, and
-        // usize::MAX skips to the present.
-        let (c4, batch4) = t.events_from(c3);
-        assert_eq!((c4, batch4.len()), (0, 0));
-        t.instant(Category::Compute, "c", 0, 3);
-        let (c5, skipped) = t.events_from(usize::MAX);
-        assert_eq!((c5, skipped.len()), (1, 0));
     }
 
     #[test]

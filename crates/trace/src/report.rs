@@ -309,8 +309,8 @@ impl KernelStat {
 /// Groups [`Category::Compute`] duration spans (skipping the
 /// [`STEP_SPAN`] envelopes) by name and sums their time, bytes and
 /// flops. Returns stats sorted by descending total time, so the
-/// dominant kernel leads — this is what `zi-adapt` and the kernel
-/// bench read to judge the compute/I/O balance.
+/// dominant kernel leads — this is what the kernel bench reads to
+/// judge the compute/I/O balance.
 pub fn compute_kernel_stats(events: &[Event]) -> Vec<KernelStat> {
     let mut by_name: BTreeMap<&'static str, KernelStat> = BTreeMap::new();
     for e in events {

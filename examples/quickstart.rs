@@ -37,7 +37,6 @@ fn main() {
         checkpoint_every: 0,
         max_recoveries: 0,
         collective_deadline: std::time::Duration::from_secs(30),
-        adaptive: false,
     };
 
     println!("training a {}-parameter GPT with {}", param_count(&model), spec.strategy.name);

@@ -47,7 +47,6 @@ fn main() {
             checkpoint_every: 0,
             max_recoveries: 0,
             collective_deadline: std::time::Duration::from_secs(30),
-            adaptive: false,
         };
         let out = train_gpt(&spec).expect("strategy run");
         let max_d = out

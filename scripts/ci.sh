@@ -25,7 +25,7 @@ scripts/surface.sh --check
 # fails here rather than in the next ledger run.
 bash benchmark/run.sh test \
     || { echo "benchmark harness tests failed: signature drift against benchmark/src/bind.rs? (exit $?)"; exit 1; }
-# Audit stage: the zi-audit static pass (DESIGN.md §13) — sync-hygiene
+# Audit stage: the zi-audit static pass (DESIGN.md §12) — sync-hygiene
 # wall, static lock-order cycles, unsafe/SAFETY inventory, panic-path
 # audit. Exits nonzero on any finding not covered by a justified
 # audit.allow entry AND on any stale allow entry that suppresses
@@ -40,8 +40,7 @@ cargo run -q --release -p zi-audit -- --root . --json "$AUDIT_JSON" \
 # protocol harnesses (barrier rank-death, membership join handshake
 # racing rank death, the collectives' slot table, engine completion
 # barrier + staging-buffer hand-back, checkpoint crash recovery,
-# pool checkout/return, trace ring drain, knob hand-off, kernel
-# worker-pool tiling, the shard cache's admit / invalidate / evict
+# pool checkout/return, trace ring drain, kernel worker-pool tiling, the shard cache's admit / invalidate / evict
 # across two ranks).
 # Each harness must
 # cover >= 1000 distinct schedules or exhaust its space; failures print
@@ -110,14 +109,16 @@ timeout --kill-after=10s 120s \
 # steps each flush only their own I/O. So do the per-strategy footprint
 # and the step's allocation budget: which parameters share a packed
 # optimizer buffer decides where each byte sits and what the staging set
-# holds.
+# holds. So do the trainer's unit suite and the trace accounting: the
+# trainer and the tracer are where overlap settings stopped changing
+# while an engine runs.
 ZI_SIMD=scalar cargo test -q -p zi-tensor -p zi-optim -p zi-model \
-    && ZI_SIMD=scalar cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: checkpoint:: \
+    && ZI_SIMD=scalar cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: checkpoint:: trainer:: \
     && ZI_SIMD=scalar cargo test -q --test equivalence --test shard_cache --test end_to_end --test parallelism \
-        --test memory_footprint --test alloc_budget \
+        --test memory_footprint --test alloc_budget --test trace_accounting \
     || { echo "scalar-forced unit suites failed"; exit 1; }
 ZI_KERNEL_THREADS=2 cargo test -q -p zi-tensor -p zi-optim -p zi-model \
-    && ZI_KERNEL_THREADS=2 cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: checkpoint:: \
+    && ZI_KERNEL_THREADS=2 cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: checkpoint:: trainer:: \
     && ZI_KERNEL_THREADS=2 cargo test -q --test equivalence --test shard_cache --test end_to_end --test parallelism \
-        --test memory_footprint --test alloc_budget \
+        --test memory_footprint --test alloc_budget --test trace_accounting \
     || { echo "parallel-pool unit suites failed"; exit 1; }

@@ -163,132 +163,6 @@ fn chaos_pipelined_step_survives_transient_faults() {
     );
 }
 
-mod adaptive {
-    use super::*;
-    use zi_adapt::{Decision, ResetReason};
-
-    /// Dead-device retries resolve instantly (the engine fail-fast latch
-    /// sets after the first give-up); keep the budget small so the
-    /// give-up itself is quick too.
-    fn fast_policy() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 2,
-            base_backoff: Duration::from_micros(10),
-            max_backoff: Duration::from_micros(50),
-            deadline: Duration::from_secs(5),
-            jitter_seed: 7,
-        }
-    }
-
-    /// Deliberately bad starting knobs (sequential step, no prefetch,
-    /// single write-behind slot) so the controller has somewhere to go.
-    fn adaptive_spec() -> TrainSpec {
-        let cfg = GptConfig { vocab: 16, hidden: 8, layers: 2, heads: 2, seq: 4, seed: 61 };
-        let strategy = Strategy::infinity_nvme()
-            .with_f32_params()
-            .with_step_pipeline_depth(1)
-            .with_write_behind(1);
-        let mut spec = TrainSpec::test_default(cfg, strategy, 1);
-        spec.steps = 12;
-        spec.prefetch_window = 0;
-        spec.checkpoint_every = 2;
-        spec.max_recoveries = 2;
-        spec.adaptive = true;
-        spec
-    }
-
-    /// NVMe→CPU failover without a restart: the device is dead before
-    /// the first store, so every shard gracefully lands on CPU and the
-    /// controller simply tunes the degraded regime it finds itself in.
-    /// The restart budget stays untouched and the knob moves remain
-    /// numerically invisible.
-    #[test]
-    fn adaptive_run_retunes_through_graceful_failover() {
-        let spec = adaptive_spec();
-        let reference = train_gpt(&TrainSpec { adaptive: false, ..spec }).unwrap();
-
-        let plan = FaultPlan::new();
-        plan.kill();
-        let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan));
-        let env = TrainEnv { policy: fast_policy(), ..TrainEnv::new(backend) };
-        let out = train_gpt_env(&spec, env).unwrap();
-
-        assert!(out.degraded, "run must report the failover");
-        assert!(out.health.failovers > 0, "stores must have failed over to CPU");
-        assert_eq!(out.recoveries, 0, "graceful failover must not spend the restart budget");
-        assert_eq!(out.losses, reference.losses, "retuning must not change numerics");
-
-        let tuned = out.tuned.expect("adaptive run reports final knobs");
-        assert!(tuned.step_pipeline_depth >= 1);
-        assert!(
-            out.decisions
-                .iter()
-                .any(|e| matches!(e.decision, Decision::Probe { .. })),
-            "the controller must actually search the degraded regime: {:?}",
-            out.decisions
-        );
-    }
-
-    /// NVMe death mid-run: one checkpoint restart (well inside the
-    /// budget) brings the session back on a CPU-degraded node, the
-    /// controller logs the regime reset and rebuilds its search from a
-    /// fresh baseline, and the recovered trajectory is bit-for-bit the
-    /// fault-free one.
-    #[test]
-    fn adaptive_controller_reconverges_after_midrun_failover() {
-        let spec = adaptive_spec();
-        let reference = train_gpt(&TrainSpec { adaptive: false, ..spec }).unwrap();
-
-        // Calibrate the kill point on a fault-free instrumented device.
-        // Adaptive op counts drift a little run to run (prefetch issue
-        // depends on measured timings), so kill early — past the first
-        // stores, with most of the run still ahead.
-        let quiet = FaultPlan::new();
-        let backend = Arc::new(FaultyBackend::new(MemBackend::new(), quiet.clone()));
-        let env = TrainEnv { policy: fast_policy(), ..TrainEnv::new(backend) };
-        train_gpt_env(&spec, env).unwrap();
-        let total_ops = quiet.ops_seen();
-        assert!(total_ops > 0);
-
-        let plan = FaultPlan::new();
-        plan.kill_after_ops(total_ops * 3 / 10);
-        let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan.clone()));
-        let env = TrainEnv { policy: fast_policy(), ..TrainEnv::new(backend) };
-        let out = train_gpt_env(&spec, env).unwrap();
-
-        assert!(plan.injected().dead_rejections > 0, "the device really died");
-        assert!(out.recoveries >= 1, "mid-run death must force a restart");
-        assert!(
-            out.recoveries <= spec.max_recoveries,
-            "the restart budget must hold"
-        );
-        assert!(out.degraded, "the replacement run must distrust the device");
-        assert_eq!(out.losses, reference.losses, "recovery + retuning must be invisible");
-
-        // The decision log spans both attempts: the reset marks the
-        // regime change, and a fresh baseline after it proves the
-        // search actually restarted instead of trusting stale measures.
-        let reset = out
-            .decisions
-            .iter()
-            .position(|e| {
-                matches!(
-                    e.decision,
-                    Decision::RegimeReset { reason: ResetReason::CheckpointRestart }
-                )
-            })
-            .expect("the restart must be logged as a regime reset");
-        assert!(
-            out.decisions[reset + 1..]
-                .iter()
-                .any(|e| matches!(e.decision, Decision::Baseline { .. })),
-            "the controller must re-measure a baseline after the reset: {:?}",
-            out.decisions
-        );
-        assert!(out.tuned.is_some(), "the session still reports final knobs");
-    }
-}
-
 mod elasticity {
     use super::*;
     use zi_sync::time::Instant;

@@ -28,7 +28,6 @@ fn spec(strategy: Strategy, world: usize, micro: usize) -> TrainSpec {
         checkpoint_every: 0,
         max_recoveries: 0,
         collective_deadline: std::time::Duration::from_secs(30),
-        adaptive: false,
     }
 }
 
@@ -89,15 +88,17 @@ fn pipelined_step_matches_sequential_across_strategies() {
     // in flight while chunk k updates and chunk k−1 writes back) must be
     // bit-identical to the fully sequential depth-1 loop on every
     // Table 2 strategy — pipelining is a scheduling change, never a
-    // numeric one.
+    // numeric one. So is the write-behind window: auto (0) or pinned to
+    // a single write in flight.
     for strategy in Strategy::table2() {
         let s = strategy.with_f32_params().with_optimizer_chunk(64);
         let reference = train_gpt(&spec(s.with_step_pipeline_depth(1), 2, 2)).unwrap();
-        for depth in [2usize, 4] {
-            let out = train_gpt(&spec(s.with_step_pipeline_depth(depth), 2, 2)).unwrap();
+        for (depth, wb) in [(2usize, 0usize), (4, 0), (1, 1), (4, 1)] {
+            let s = s.with_step_pipeline_depth(depth).with_write_behind(wb);
+            let out = train_gpt(&spec(s, 2, 2)).unwrap();
             assert_eq!(
                 out.losses, reference.losses,
-                "{}: depth {depth} changed the loss trajectory",
+                "{}: depth {depth}, write-behind {wb} changed the loss trajectory",
                 strategy.name
             );
             for (i, (a, b)) in
@@ -106,7 +107,7 @@ fn pipelined_step_matches_sequential_across_strategies() {
                 assert_eq!(
                     a.data(),
                     b.data(),
-                    "{}: depth {depth} changed param {i}",
+                    "{}: depth {depth}, write-behind {wb} changed param {i}",
                     strategy.name
                 );
             }
