@@ -68,8 +68,8 @@ pub struct Strategy {
     /// [`Strategy::write_behind_bound`]), nonzero pins the window
     /// independently of depth.
     pub write_behind: usize,
-    /// Fraction of each optimizer shard placed in CPU DRAM instead of
-    /// NVMe, in permille (0 = all-NVMe, 1000 = all-CPU); ignored unless
+    /// Share of each optimizer shard's records placed in CPU DRAM instead
+    /// of NVMe, in permille (0 = all-NVMe, 1000 = all-CPU); ignored unless
     /// the optimizer placement is NVMe.
     pub optimizer_cpu_permille: usize,
 }
@@ -213,23 +213,6 @@ impl Strategy {
     /// permille (clamped to 1000).
     pub fn with_optimizer_cpu_permille(self, permille: usize) -> Strategy {
         Strategy { optimizer_cpu_permille: permille.min(1000), ..self }
-    }
-
-    /// The placement policy for optimizer shards. Single-path unless
-    /// the optimizer tier is NVMe and a CPU share is configured; the
-    /// stripe is one whole record of the streamed step, so records —
-    /// never parts of one — alternate between the two paths and the
-    /// read-ahead keeps both busy.
-    pub fn optimizer_policy(&self) -> zi_memory::PlacementPolicy {
-        let permille = self.optimizer_cpu_permille;
-        if self.placement.optimizer != DeviceKind::Nvme {
-            return zi_memory::PlacementPolicy::all_nvme();
-        }
-        if permille >= 1000 {
-            return zi_memory::PlacementPolicy::all_cpu();
-        }
-        let stripe = crate::engine::RecordLayout::stripe(self.optimizer_chunk);
-        zi_memory::PlacementPolicy::split(permille as u32, stripe)
     }
 
     /// The write-behind bound in force: the explicit window, or both

@@ -67,7 +67,7 @@ const STATE_STREAMS: usize = 3;
 /// records stay its own; every parameter shorter than a record shares one
 /// packed buffer, in parameter order, so a record may hold several members
 /// and a member may straddle two records. Everything that needs to know
-/// where a value sits — the stream, the split policy's stripe, checkpoint
+/// where a value sits — the stream, the split policy's record, checkpoint
 /// export and import — asks here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct RecordLayout {
@@ -114,9 +114,9 @@ impl RecordLayout {
     }
 
     /// Buffer elements a whole record of `chunk` elements spans: the
-    /// stripe at which a split policy deals records to its two paths, so
-    /// no record straddles them.
-    pub(crate) fn stripe(chunk: usize) -> usize {
+    /// record a split policy deals to one of its two paths, so no record
+    /// straddles them.
+    fn stripe(chunk: usize) -> usize {
         chunk.max(1).saturating_mul(STATE_STREAMS)
     }
 
@@ -381,10 +381,12 @@ impl ZeroEngine {
     /// set. Returns the bytes written.
     fn lay_out(&mut self, registry: &ParamRegistry) -> Result<u64> {
         let s = self.strategy;
-        // Parameters and gradients are stored whole on their tier — the
-        // one-segment plan; only optimizer state follows a configurable
-        // policy.
-        let (single, policy) = (PlacementPolicy::all_nvme(), s.optimizer_policy());
+        // Parameters and gradients are stored whole on their tier, one
+        // segment; an NVMe-tier optimizer buffer's records are dealt to
+        // DRAM at the configured share, record by record.
+        let single = PlacementPolicy::all_nvme();
+        let stripe = RecordLayout::stripe(s.optimizer_chunk);
+        let policy = PlacementPolicy::split(s.optimizer_cpu_permille.min(1000) as u32, stripe);
         let param_device = device_for(s.placement.params, self.gpu_index);
         let optim_device = device_for(s.placement.optimizer, self.gpu_index);
         let update_len = |n| if s.partition_optimizer { self.part.shard_len(n) } else { n };
@@ -486,8 +488,8 @@ impl ZeroEngine {
             let (mut alone, stage) = (None, || self.mgr.staging().acquire(4 * count));
             let staged = if part.len() == layout.elems(at) { &mut alone } else { &mut *filling };
             let record = match state.resident_f32_mut(first, count) {
-                Ok(resident) => resident,
-                Err(_) => staged.get_or_insert_with(stage).as_f32_mut(),
+                Some(resident) => resident,
+                None => staged.get_or_insert_with(stage).as_f32_mut(),
             };
             for (to, from) in RecordLayout::split(record).into_iter().zip(src) {
                 to[part.clone()].copy_from_slice(&from[values.clone()]);
@@ -719,9 +721,12 @@ impl ZeroEngine {
                 }
                 let Some(Update { grad, publish, .. }) = &mut open else { continue };
                 let record = match &mut staged {
-                    Some(staging) => staging.as_f32_mut(),
-                    None => self.optims[b].state.resident_f32_mut(first, count)?,
+                    Some(staging) => Some(staging.as_f32_mut()),
+                    None => self.optims[b].state.resident_f32_mut(first, count),
                 };
+                let record = record.ok_or_else(|| {
+                    Error::Internal(format!("[{first}, +{count}) is not one resident f32 range"))
+                })?;
                 let [master, m, v] = RecordLayout::split(record).map(|s| &mut s[part.clone()]);
                 let (len, step) = (part.len(), self.shards[idx].step);
                 {
@@ -1170,7 +1175,7 @@ fn deposit_grad(
     if st.grad.as_ref().is_some_and(|buf| buf.numel() != len) {
         return Err(Error::Internal("gradient accumulation length drift".into()));
     }
-    if let Some(Ok(resident)) = st.grad.as_mut().map(|buf| buf.resident_f32_mut(0, len)) {
+    if let Some(resident) = st.grad.as_mut().and_then(|buf| buf.resident_f32_mut(0, len)) {
         st.grad_nonfinite |= reduce_into(resident, true)?;
         return Ok(());
     }
@@ -1750,7 +1755,7 @@ mod tests {
         cpu: u64,
     ) -> (zi_nvme::FaultPlan, NodeResources, ZeroEngine, ParamId) {
         let (plan, node) = faulty_node(cpu);
-        let engine = faulty_engine(&node, chunk).unwrap();
+        let engine = faulty_engine(&node, chunk, 0).unwrap();
         (plan, node, engine, tiny_registry().find("w").unwrap())
     }
 
@@ -1764,12 +1769,14 @@ mod tests {
         (plan, NodeResources::new(&spec, 1, env))
     }
 
-    /// [`faulty_rank`]'s engine over the tiny registry, built on `node`.
-    fn faulty_engine(node: &NodeResources, chunk: usize) -> Result<ZeroEngine> {
+    /// [`faulty_rank`]'s engine over the tiny registry, built on `node`,
+    /// `permille` of each optimizer buffer in DRAM.
+    fn faulty_engine(node: &NodeResources, chunk: usize, permille: usize) -> Result<ZeroEngine> {
         let strategy = Strategy::infinity_nvme()
             .with_f32_params()
             .with_prefetch(false)
             .with_optimizer_chunk(chunk)
+            .with_optimizer_cpu_permille(permille)
             .with_step_pipeline_depth(2);
         let comm = node.group.communicator(0);
         ZeroEngine::new(&tiny_registry(), strategy, node.offload_manager(), comm, AdamConfig::default())
@@ -1958,48 +1965,58 @@ mod tests {
         let grad = |round: usize| {
             Tensor::from_vec(&[3, 4], (0..12).map(|i| (i + round) as f32 * 0.1).collect()).unwrap()
         };
-        // Three steps on a healthy device: the reference.
-        let (_plan, _clean_node, mut clean, w) = faulty_rank(5, 1 << 22);
-        for round in 0..3 {
-            clean.add_grad(w, &grad(round)).unwrap();
-            clean.step().unwrap();
-        }
-        let expect = clean.export_optimizer_records().unwrap();
+        let w = tiny_registry().find("w").unwrap();
         // The first step writes `w`'s state record by record (60, 60 and
-        // 24 bytes). Each step carries all three records into the next:
-        // one read of the second step's carry comes back with a flipped
-        // bit, and the third step takes it.
-        let (plan, node, mut eng, w) = faulty_rank(5, 1 << 22);
-        eng.add_grad(w, &grad(0)).unwrap();
-        eng.step().unwrap();
-        node.nvme.barrier().unwrap();
-        plan.bitflip_next_reads(1);
-        eng.add_grad(w, &grad(1)).unwrap();
-        eng.step().unwrap();
-        node.nvme.barrier().unwrap();
-        let before = node.nvme.stats();
-        eng.add_grad(w, &grad(2)).unwrap();
-        eng.step().unwrap();
-        node.nvme.barrier().unwrap();
-        let after = node.nvme.stats();
-        assert_eq!(after.reads - before.reads, 1 + 3, "one re-read, then the next carry");
-        let reread = after.bytes_read - before.bytes_read - (60 + 60 + 24);
-        assert!(reread == 60 || reread == 24, "re-read {reread} B: more than the bad record");
-        assert_eq!(eng.mgr.health().corruptions_recovered, 1);
-        // A whole-shard read of the record-written extent is verified
-        // against the records' checksums, tile by tile.
-        plan.bitflip_next_reads(1);
-        let got = eng.export_optimizer_records().unwrap();
-        assert_eq!(eng.mgr.health().corruptions_recovered, 2);
-        for (got, expect) in got.iter().zip(&expect) {
-            assert_eq!((&got.master, &got.m, &got.v), (&expect.master, &expect.m, &expect.v));
+        // 24 bytes); at 500‰ the middle one lives in DRAM. Each step
+        // carries the records on the device into the next: one read of the
+        // second step's carry comes back with a flipped bit, and the third
+        // step takes it.
+        for (permille, carried, carried_bytes) in [(0, 3, 60 + 60 + 24), (500, 2, 60 + 24)] {
+            let rank = || {
+                let (plan, node) = faulty_node(1 << 22);
+                let eng = faulty_engine(&node, 5, permille).unwrap();
+                (plan, node, eng)
+            };
+            // Three steps on a healthy device: the reference.
+            let (_plan, _clean_node, mut clean) = rank();
+            for round in 0..3 {
+                clean.add_grad(w, &grad(round)).unwrap();
+                clean.step().unwrap();
+            }
+            let expect = clean.export_optimizer_records().unwrap();
+            let (plan, node, mut eng) = rank();
+            eng.add_grad(w, &grad(0)).unwrap();
+            eng.step().unwrap();
+            node.nvme.barrier().unwrap();
+            plan.bitflip_next_reads(1);
+            eng.add_grad(w, &grad(1)).unwrap();
+            eng.step().unwrap();
+            node.nvme.barrier().unwrap();
+            let before = node.nvme.stats();
+            eng.add_grad(w, &grad(2)).unwrap();
+            eng.step().unwrap();
+            node.nvme.barrier().unwrap();
+            let after = node.nvme.stats();
+            let reads = after.reads - before.reads;
+            assert_eq!(reads, 1 + carried, "{permille}‰: one re-read, then the carry");
+            let reread = after.bytes_read - before.bytes_read - carried_bytes;
+            assert!(reread == 60 || reread == 24, "{permille}‰: re-read {reread} B: not one record");
+            assert_eq!(eng.mgr.health().corruptions_recovered, 1);
+            // A whole-shard read of the record-written extent is verified
+            // against the records' checksums, tile by tile.
+            plan.bitflip_next_reads(1);
+            let got = eng.export_optimizer_records().unwrap();
+            assert_eq!(eng.mgr.health().corruptions_recovered, 2);
+            for (got, expect) in got.iter().zip(&expect) {
+                assert_eq!((&got.master, &got.m, &got.v), (&expect.master, &expect.m, &expect.v));
+            }
+            plan.bitflip_next_reads(u32::MAX);
+            let err = eng.export_optimizer_records().err().expect("corruption that survives re-reads");
+            assert!(matches!(err, Error::Corruption { .. }), "got {err}");
+            plan.bitflip_next_reads(0);
+            eng.dispose().unwrap();
+            clean.dispose().unwrap();
         }
-        plan.bitflip_next_reads(u32::MAX);
-        let err = eng.export_optimizer_records().err().expect("corruption that survives re-reads");
-        assert!(matches!(err, Error::Corruption { .. }), "got {err}");
-        plan.bitflip_next_reads(0);
-        eng.dispose().unwrap();
-        clean.dispose().unwrap();
     }
 
     /// One rank of `strategy` over an in-memory device that answers each
@@ -2401,7 +2418,6 @@ mod tests {
     /// `g`, `b`, `c` of 3, 3 and 4 elements: a record of 8 on the device
     /// and one of 2 in DRAM under a 500‰ split, which `c` straddles.
     fn packed_at_world_two(permille: usize, degrade_before: Option<usize>) -> Vec<Vec<u8>> {
-        use zi_memory::PathKind;
         let spec = NodeMemorySpec::test_spec(2, 1 << 22, 1 << 22, 1 << 22);
         let node = zi_sync::Arc::new(NodeResources::in_memory(&spec, 2));
         let handles: Vec<_> = (0..2)
@@ -2415,11 +2431,20 @@ mod tests {
                     let comm = node.group.communicator(rank);
                     let (mgr, adam) = (node.offload_manager(), AdamConfig::default());
                     let mut eng = ZeroEngine::new(&reg, strategy, mgr, comm, adam).unwrap();
-                    let paths = |eng: &ZeroEngine| {
-                        let pack = &eng.optims[eng.shards[reg.find("g").unwrap().0].optim.0].state;
-                        (pack.elems_on(PathKind::Nvme), pack.elems_on(PathKind::Cpu))
+                    // The pack's elements (on the device, in DRAM), asked
+                    // record by record.
+                    let paths = |eng: &mut ZeroEngine| {
+                        let b = eng.shards[reg.find("g").unwrap().0].optim.0;
+                        let OptimStorage { state, layout, .. } = &mut eng.optims[b];
+                        let records = layout.starts(&(0..layout.len)).map(|at| layout.span(at));
+                        records.fold((0, 0), |(nvme, cpu), (first, count)| {
+                            match state.resident_f32_mut(first, count) {
+                                Some(_) => (nvme, cpu + count),
+                                None => (nvme + count, cpu),
+                            }
+                        })
                     };
-                    assert_eq!(paths(&eng), if permille == 500 { (24, 6) } else { (30, 0) });
+                    assert_eq!(paths(&mut eng), if permille == 500 { (24, 6) } else { (30, 0) });
                     for round in 0..4 {
                         if degrade_before == Some(round) {
                             eng.comm.barrier().unwrap();
@@ -2432,7 +2457,7 @@ mod tests {
                         assert!(eng.step().unwrap());
                     }
                     if degrade_before.is_some() {
-                        assert_eq!(paths(&eng), (0, 30), "the pack is still on the device");
+                        assert_eq!(paths(&mut eng), (0, 30), "the pack is still on the device");
                     }
                     let saved = eng.save_state().unwrap();
                     eng.dispose().unwrap();
@@ -2578,7 +2603,7 @@ mod tests {
         for alive in 0..built {
             let (plan, node) = faulty_node(1 << 22);
             plan.kill_after_ops(alive);
-            let mut eng = faulty_engine(&node, 5).expect("construction fails over");
+            let mut eng = faulty_engine(&node, 5, 0).expect("construction fails over");
             assert!(node.offload_manager().is_degraded(), "{alive} ops");
             assert_eq!(state(&mut eng), expect, "{alive} ops");
             drained(&node);

@@ -7,10 +7,10 @@
 //! resident on one memory tier. GPU and CPU segments keep their bytes in
 //! process memory and charge the tier's capacity pool; NVMe segments own
 //! an extent of the backing device and move bytes through the
-//! asynchronous [`zi_nvme::NvmeEngine`]. All-GPU, all-CPU and all-NVMe
-//! are the one-segment plans; a [`PlacementPolicy`] split stripes an
-//! NVMe-tier buffer over CPU DRAM (the cp path) and the device (the nc
-//! path). Every operation — store, load, take, accumulate, overwrite,
+//! asynchronous [`zi_nvme::NvmeEngine`]. An all-GPU, all-CPU or all-NVMe
+//! buffer is one segment; a [`PlacementPolicy`] split deals each record
+//! of an NVMe-tier buffer to CPU DRAM (the cp path) or the device (the nc
+//! path), and neighbouring records on one device share a segment. Every operation — store, load, take, accumulate, overwrite,
 //! chunked publish, collapse, free — is defined once per segment
 //! and applied to each segment of the buffer, so a multi-segment buffer
 //! is legal input to all of them.
@@ -34,8 +34,8 @@ use zi_sync::Arc;
 use zi_sync::Mutex;
 use zi_comm::{CommConfig, CommGroup, Membership};
 use zi_memory::{
-    Block, MemoryHierarchy, NodeMemorySpec, PathKind, PinnedBufferPool, PlacementPolicy,
-    ScratchPool, ScratchVec,
+    Block, MemoryHierarchy, NodeMemorySpec, PinnedBufferPool, PlacementPolicy, ScratchPool,
+    ScratchVec,
 };
 use zi_nvme::checksum::crc32;
 use zi_nvme::{MemBackend, NvmeEngine, RetryPolicy, StorageBackend, Ticket};
@@ -521,8 +521,8 @@ struct Segment {
     start: usize,
     /// Elements in the segment.
     len: usize,
-    /// Where the bytes are now. A segment *planned* for NVMe sits on the
-    /// CPU device after a failover moved its bytes to DRAM.
+    /// Where the bytes are now. A segment placed on NVMe sits on the CPU
+    /// device after a failover moved its bytes to DRAM.
     device: Device,
     block: Block,
     /// Present for GPU/CPU residency; NVMe bytes live on the device.
@@ -534,24 +534,14 @@ impl Segment {
     fn end(&self) -> usize {
         self.start + self.len
     }
-
-    /// The path the segment resolves through: NVMe extents go over the
-    /// nc path, everything RAM-resident over the cp path.
-    fn path(&self) -> PathKind {
-        if self.ram.is_some() {
-            PathKind::Cpu
-        } else {
-            PathKind::Nvme
-        }
-    }
 }
 
-/// One tensor's bytes under a placement plan: an ordered, disjoint,
-/// exhaustive list of per-device segments. The only residency handle —
-/// a GPU-, CPU- or NVMe-resident buffer is the one-segment plan; a
-/// [`PlacementPolicy`] split places part of an NVMe-tier buffer in CPU
-/// DRAM (the cp path) and the rest on the device (the nc path), and a
-/// streamed pass walks the segments piece by piece, driving both paths
+/// One tensor's bytes: an ordered, disjoint, exhaustive list of
+/// per-device segments. The only residency handle — a GPU-, CPU- or
+/// NVMe-resident buffer is one segment; under a [`PlacementPolicy`] split
+/// each record of an NVMe-tier buffer lives in CPU DRAM (the cp path) or
+/// on the device (the nc path), neighbours on one device merged into one
+/// segment, and a streamed pass walks the records, driving both paths
 /// concurrently.
 #[derive(Debug)]
 pub struct PlacedBuf {
@@ -574,16 +564,6 @@ impl PlacedBuf {
     /// Size in bytes across all segments.
     pub fn size_in_bytes(&self) -> usize {
         self.dtype.bytes_for(self.numel)
-    }
-
-    /// Elements currently resolving through `path`.
-    pub fn elems_on(&self, path: PathKind) -> usize {
-        self.segments.iter().filter(|s| s.path() == path).map(|s| s.len).sum()
-    }
-
-    /// True when the buffer is split across both paths.
-    pub fn is_split(&self) -> bool {
-        self.elems_on(PathKind::Nvme) > 0 && self.elems_on(PathKind::Cpu) > 0
     }
 
     /// True when any part of the buffer lives on the NVMe device
@@ -609,7 +589,7 @@ impl PlacedBuf {
     /// One past the last element of the segment holding `at` (the buffer
     /// length when `at` is past the end): the farthest a piece starting
     /// at `at` can reach while staying on one path.
-    pub fn segment_end(&self, at: usize) -> usize {
+    fn segment_end(&self, at: usize) -> usize {
         self.segments.get(self.segment_index(at)).map_or(self.numel, Segment::end)
     }
 
@@ -625,18 +605,12 @@ impl PlacedBuf {
     /// The RAM-resident F32 elements `[start, start+len)` as a mutable
     /// slice of the resident buffer itself — Adam updates a cp-path
     /// piece in place here, with no slice → decode → encode → write-back.
-    /// The range must lie inside one resident segment.
-    pub fn resident_f32_mut(&mut self, start: usize, len: usize) -> Result<&mut [f32]> {
+    /// `None` unless the range lies inside one resident segment.
+    pub fn resident_f32_mut(&mut self, start: usize, len: usize) -> Option<&mut [f32]> {
         let i = self.segment_index(start);
-        self.segments
-            .get_mut(i)
-            .and_then(|seg| {
-                let lo = start - seg.start;
-                seg.ram.as_mut()?.as_f32_mut()?.get_mut(lo..lo + len)
-            })
-            .ok_or_else(|| {
-                Error::Internal(format!("[{start}, +{len}) is not one resident f32 range"))
-            })
+        let seg = self.segments.get_mut(i)?;
+        let lo = start - seg.start;
+        seg.ram.as_mut()?.as_f32_mut()?.get_mut(lo..lo + len)
     }
 }
 
@@ -990,11 +964,10 @@ impl OffloadManager {
 
     /// Store `data` on `device` under `policy`.
     ///
-    /// Only NVMe-tier stores split: `policy` decides what fraction of
-    /// the buffer stays in CPU DRAM (interleaved at the policy's stripe)
-    /// and the rest goes to the device. A GPU/CPU-tier store is the
-    /// one-segment plan on that device. NVMe stores degrade gracefully:
-    /// on a degraded node the plan collapses to one CPU segment up
+    /// Only NVMe-tier stores split: `policy` deals each record of the
+    /// buffer to CPU DRAM or to the device. A GPU/CPU-tier store is one
+    /// segment on that device. NVMe stores degrade gracefully: on a
+    /// degraded node every record goes to DRAM, one CPU segment, up
     /// front, and an NVMe segment whose write dies mid-store fails over
     /// alone — either way counted in [`Self::health`]. Training slows
     /// down (the paper's NVMe capacity win is lost) but does not abort.
@@ -1018,23 +991,31 @@ impl OffloadManager {
         numel: usize,
         data: Option<FlatBuffer>,
     ) -> Result<PlacedBuf> {
-        let targets: Vec<(usize, usize, Device)> = if device.kind != DeviceKind::Nvme {
-            vec![(0, numel, device)]
+        let nvme = device.kind == DeviceKind::Nvme;
+        let policy = if nvme && self.is_degraded() {
+            self.count_failover();
+            PlacementPolicy::all_cpu()
         } else {
-            let policy = if self.is_degraded() {
-                self.count_failover();
-                PlacementPolicy::all_cpu()
-            } else {
-                *policy
-            };
-            let device_of = |path| if path == PathKind::Cpu { Device::cpu() } else { device };
-            let plan = policy.plan(numel);
-            plan.segments().iter().map(|s| (s.start, s.len, device_of(s.path))).collect()
+            *policy
         };
+        // Record k of an NVMe-tier buffer goes to DRAM when the policy
+        // deals it there, every other record to `device`; a record on its
+        // predecessor's device extends that segment. A GPU/CPU-tier buffer
+        // is one segment, even when empty.
+        let mut targets = if nvme { Vec::new() } else { vec![(0, 0, device)] };
+        let stripe = policy.stripe.max(1);
+        for (k, start) in (0..numel).step_by(stripe).enumerate() {
+            let len = stripe.min(numel - start);
+            let target = if nvme && policy.in_dram(k as u64) { Device::cpu() } else { device };
+            match targets.last_mut() {
+                Some((_, run, on)) if *on == target => *run += len,
+                _ => targets.push((start, len, target)),
+            }
+        }
         let mut buf = PlacedBuf { dtype, numel, segments: Vec::with_capacity(targets.len()) };
         let mut whole = data;
         for (start, len, target) in targets {
-            // A one-segment plan stores the caller's buffer itself; without
+            // A one-segment buffer stores the caller's buffer itself; without
             // one a DRAM segment starts out zeroed, an NVMe one unwritten.
             let part = match &whole {
                 Some(data) if len < numel => data.slice(start, len).map(Some),
@@ -1042,14 +1023,14 @@ impl OffloadManager {
                 None if target.kind == DeviceKind::Nvme => Ok(None),
                 None => Ok(Some(FlatBuffer::zeros(dtype, len))),
             };
-            if device.kind == DeviceKind::Nvme && target.kind == DeviceKind::Cpu {
-                // The DRAM stripe of an NVMe-tier buffer travels the cp hop.
+            if nvme && target.kind == DeviceKind::Cpu {
+                // The DRAM records of an NVMe-tier buffer travel the cp hop.
                 let bytes = dtype.bytes_for(len) as u64;
                 self.tracer.span(Category::CpTransfer, "cp.store").set_bytes(bytes);
                 self.tracer.count(Counter::CpWriteBytes, bytes);
             }
             let seg = part.and_then(|part| match part {
-                Some(part) => self.store_segment(target, start, part, policy.stripe),
+                Some(part) => self.store_segment(target, start, part, stripe),
                 None => self.hierarchy.alloc(target, dtype.bytes_for(len) as u64).map(|block| {
                     Segment { start, len, device: target, block, ram: None }
                 }),
@@ -1181,7 +1162,7 @@ impl OffloadManager {
     }
 
     /// Begin streaming elements `[start, start+len)` of a buffer — a
-    /// piece inside one segment (see [`PlacedBuf::segment_end`]). An
+    /// piece inside one segment, such as one record. An
     /// NVMe piece is issued to the device immediately, reading into a
     /// recycled staging buffer; a CPU-DRAM piece needs no transfer at
     /// all — so a pipelined caller streams both paths concurrently.
@@ -1805,9 +1786,9 @@ mod tests {
         let seg_end = split.segment_end(0);
         assert!(mgr.begin_load_elems_placed(&split, 0, seg_end + 1).is_err(), "crosses a segment");
         assert!(mgr.begin_load_elems_placed(&split, 30, 4).is_err(), "past the end");
-        assert!(split.resident_f32_mut(0, seg_end + 1).is_err());
+        assert!(split.resident_f32_mut(0, seg_end + 1).is_none());
         // Write-behind only takes ranges inside one NVMe extent.
-        let cpu_start = split.segments.iter().find(|s| s.path() == PathKind::Cpu).unwrap().start;
+        let cpu_start = split.segments.iter().find(|s| s.ram.is_some()).unwrap().start;
         let mut wb = WriteBehind::new(2);
         assert!(wb.submit_staged(&mgr, &split, cpu_start, staged(&mgr, &[0.0; 2])).is_err());
         assert_eq!(mgr.staging().outstanding(), 0, "a refused buffer still goes home");
@@ -2209,11 +2190,11 @@ mod tests {
         let vals: Vec<f32> = (0..256).map(|i| i as f32).collect();
         let policy = PlacementPolicy::split(500, 16);
         let buf = mgr.store_placed(Device::nvme(), &policy, buf_f32(&vals)).unwrap();
-        assert!(buf.is_split());
-        assert!(buf.segments.len() >= 4, "stripes should interleave, not partition");
-        let cpu = buf.elems_on(PathKind::Cpu);
-        assert!((112..=144).contains(&cpu), "cpu share {cpu} far from 50%");
-        assert_eq!(buf.elems_on(PathKind::Cpu) + buf.elems_on(PathKind::Nvme), 256);
+        let (cpu, nvme) = in_use(&mgr);
+        assert!(cpu > 0 && nvme > 0, "split across both paths");
+        assert!(buf.segments.len() >= 4, "records should interleave, not partition");
+        assert!((4 * 112..=4 * 144).contains(&cpu), "cpu share {cpu} B far from 50%");
+        assert_eq!(cpu + nvme, 4 * 256);
         assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vals);
         mgr.free_placed(buf);
         assert_eq!(in_use(&mgr), (0, 0));
@@ -2232,7 +2213,7 @@ mod tests {
         assert_eq!(data.as_bytes(), buf_f32(&vals).as_bytes());
         let after = mgr.nvme().stats();
         assert_eq!(after.reads - before.reads, nvme_segments);
-        assert_eq!(after.bytes_read - before.bytes_read, 4 * buf.elems_on(PathKind::Nvme) as u64);
+        assert_eq!(after.bytes_read - before.bytes_read, in_use(&mgr).1);
         drop(data);
         assert_eq!(mgr.staging().outstanding(), 0);
         // Taking the buffer returns the same bytes and frees both tiers.
@@ -2251,7 +2232,8 @@ mod tests {
             mgr.store_placed(device, &policy, buf_f32(&vals)).unwrap()
         };
         let reference = store(Device::nvme(), PlacementPolicy::split(500, 8));
-        assert!(reference.is_split());
+        let (cpu, nvme) = in_use(&mgr);
+        assert!(cpu > 0 && nvme > 0, "split across both paths");
         let nv = store(Device::nvme(), PlacementPolicy::all_nvme());
         assert!(nv.is_offloaded() && device_of(&nv) == Device::nvme());
         let cp = store(Device::nvme(), PlacementPolicy::all_cpu());
@@ -2407,11 +2389,11 @@ mod tests {
         let mgr = node.offload_manager();
         let vals: Vec<f32> = (0..200).map(|i| (i as f32).sin()).collect();
         let mut buf = store_nvme(&mgr, PlacementPolicy::split(250, 8), &vals);
-        assert!(buf.elems_on(PathKind::Nvme) > 0);
+        assert!(buf.is_offloaded());
         node.degrade();
         assert!(mgr.is_degraded());
         mgr.collapse_placed(&mut buf).unwrap();
-        assert_eq!(buf.elems_on(PathKind::Nvme), 0);
+        assert_eq!(in_use(&mgr).1, 0);
         assert!(!buf.is_offloaded());
         // The NVMe-resident half came across bit-identical; the CPU half
         // was never touched.
@@ -2429,7 +2411,7 @@ mod tests {
         // Each planned-NVMe segment fails over alone, bytes in hand; the
         // DRAM segments never saw the device at all.
         let buf = store_nvme(&mgr, PlacementPolicy::split(500, 8), &vals);
-        assert_eq!(buf.elems_on(PathKind::Nvme), 0);
+        assert!(!buf.is_offloaded());
         assert!(mgr.is_degraded());
         assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vals);
         mgr.free_placed(buf);

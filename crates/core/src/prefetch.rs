@@ -14,7 +14,6 @@
 
 use std::collections::HashMap;
 
-use zi_memory::PathKind;
 use zi_model::ParamId;
 use zi_trace::Counter;
 use zi_types::Result;
@@ -106,27 +105,14 @@ pub struct PrefetchStats {
 /// reads.
 const MAX_PENDING: usize = 16;
 
-/// In-flight asynchronous shard loads keyed by parameter *and* path.
-///
-/// Keying by `ParamId` alone conflated loads for the same parameter
-/// travelling different placement paths: after a failover moved a
-/// shard NVMe→CPU, a demand fetch for the new CPU-resident buffer would
-/// consume the stale in-flight NVMe read — and hand back the old bytes. The `(ParamId, PathKind)` key keeps the two paths'
-/// loads independent.
+/// In-flight asynchronous shard loads, keyed by parameter. One engine
+/// owns the prefetcher and clears it every iteration, and a parameter's
+/// shard is placed once, when that engine lays the model out: a pending
+/// load always reads the buffer its demand fetch resolves.
 #[derive(Default)]
 pub struct Prefetcher {
-    pending: HashMap<(ParamId, PathKind), Vec<PlacedPending>>,
+    pending: HashMap<ParamId, Vec<PlacedPending>>,
     stats: PrefetchStats,
-}
-
-/// The path a whole-shard load travels: nc when any segment is on the
-/// device, cp when the shard is entirely RAM-resident.
-fn load_path(shard: &PlacedBuf) -> PathKind {
-    if shard.is_offloaded() {
-        PathKind::Nvme
-    } else {
-        PathKind::Cpu
-    }
 }
 
 impl Prefetcher {
@@ -143,8 +129,7 @@ impl Prefetcher {
         if mgr.is_cached_placed(shard) {
             return;
         }
-        let key = (id, load_path(shard));
-        if self.pending.contains_key(&key) {
+        if self.pending.contains_key(&id) {
             // Coalesce onto the in-flight nc-transfer: a second device
             // read for the same shard would waste bandwidth and staging,
             // and would double-count the eventual hit.
@@ -157,7 +142,7 @@ impl Prefetcher {
         if self.pending.len() >= MAX_PENDING || !shard.is_offloaded() {
             return;
         }
-        self.pending.insert(key, mgr.begin_load_placed(shard));
+        self.pending.insert(id, mgr.begin_load_placed(shard));
         self.stats.issued += 1;
         mgr.tracer().count(Counter::PrefetchIssued, 1);
     }
@@ -165,7 +150,8 @@ impl Prefetcher {
     /// Resolve `id`'s shard to its bytes: consume the in-flight load if
     /// present (prefetch hit), else take the shard cache's copy (neither
     /// a hit nor a miss: hits and misses count device-served fetches), or
-    /// load now (miss). A RAM-resident shard is borrowed, never cloned.
+    /// load now (miss). A RAM-resident shard is borrowed, never cloned,
+    /// and starts no load: no miss either.
     ///
     /// A failed in-flight load never hands out a poisoned buffer: the
     /// typed error is surfaced, and if it is transient (e.g. a checksum
@@ -177,7 +163,10 @@ impl Prefetcher {
         id: ParamId,
         shard: &'a PlacedBuf,
     ) -> Result<LoadedBytes<'a>> {
-        let Some(pieces) = self.pending.remove(&(id, load_path(shard))) else {
+        let Some(pieces) = self.pending.remove(&id) else {
+            if !shard.is_offloaded() {
+                return mgr.fetch_placed(shard);
+            }
             if let Some(cached) = mgr.cached_placed(shard) {
                 return Ok(cached);
             }
@@ -199,11 +188,9 @@ impl Prefetcher {
         }
     }
 
-    /// True if a load for `id` is in flight on *any* path. Hint-side
-    /// callers only know the id; the path-precise check happens inside
-    /// [`Self::prefetch`] against the shard's current buffer.
+    /// True if a load for `id` is in flight.
     pub fn is_pending(&self, id: ParamId) -> bool {
-        self.pending.keys().any(|&(pid, _)| pid == id)
+        self.pending.contains_key(&id)
     }
 
     /// Effectiveness counters.
@@ -403,45 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn same_id_on_a_different_path_does_not_coalesce() {
-        use std::time::Duration;
-        use zi_sync::Arc;
-        let spec = NodeMemorySpec::test_spec(1, 1 << 20, 1 << 20, 1 << 20);
-        let plan = zi_nvme::FaultPlan::new();
-        let backend =
-            Arc::new(zi_nvme::FaultyBackend::new(zi_nvme::MemBackend::new(), plan.clone()));
-        let node = NodeResources::new(&spec, 1, NodeEnv::new(backend));
-        let mgr = node.offload_manager();
-        let nvme_shard = shard_on(&mgr, Device::nvme(), &[6.0; 32]);
-        // The same parameter after a failover: its shard now lives in
-        // CPU DRAM, with different (fresher) contents.
-        let cpu_shard = shard_on(&mgr, Device::cpu(), &[9.0; 32]);
-
-        plan.delay_next_ops(1, Duration::from_millis(100));
-        let mut pf = Prefetcher::new();
-        pf.prefetch(&mgr, ParamId(0), &nvme_shard);
-        assert!(pf.is_pending(ParamId(0)));
-        // A hint for the CPU-path buffer must not fold onto the
-        // in-flight NVMe read — the paths carry different bytes.
-        pf.prefetch(&mgr, ParamId(0), &cpu_shard);
-        let st = pf.stats();
-        assert_eq!((st.issued, st.coalesced), (1, 0));
-
-        // Keyed by id alone, this demand fetch consumed the stale NVMe
-        // load and returned 6.0s; keyed by (id, path) it misses and
-        // reads the CPU-resident shard.
-        let data = pf.fetch(&mgr, ParamId(0), &cpu_shard).unwrap();
-        assert_eq!(f32s(&data), vec![9.0; 32]);
-        assert_eq!((pf.stats().hits, pf.stats().misses), (0, 1));
-        // The NVMe-path load is still intact for its own consumer.
-        let data = pf.fetch(&mgr, ParamId(0), &nvme_shard).unwrap();
-        assert_eq!(f32s(&data), vec![6.0; 32]);
-        assert_eq!((pf.stats().hits, pf.stats().misses), (1, 1));
-        mgr.free_placed(nvme_shard);
-        mgr.free_placed(cpu_shard);
-    }
-
-    #[test]
     fn repeated_hints_for_ram_shards_do_not_reissue_loads() {
         let spec = NodeMemorySpec::test_spec(1, 1 << 20, 1 << 20, 1 << 20);
         let node = NodeResources::in_memory(&spec, 1);
@@ -466,6 +414,9 @@ mod tests {
         pf.prefetch(&mgr, ParamId(0), &shard);
         assert!(!pf.is_pending(ParamId(0)));
         assert_eq!(pf.stats().issued, 0);
+        // A resident shard starts no load on demand either: no miss.
+        assert_eq!(f32s(&pf.fetch(&mgr, ParamId(0), &shard).unwrap()), vec![3.0; 4]);
+        assert_eq!((pf.stats().hits, pf.stats().misses), (0, 0));
         mgr.free_placed(shard);
     }
 

@@ -19,6 +19,6 @@ pub mod scratch;
 
 pub use hierarchy::{MemoryHierarchy, NodeMemorySpec};
 pub use pinned::{PinnedBuffer, PinnedBufferPool};
-pub use placement::{PathKind, PlacementPlan, PlacementPolicy, PlanSegment};
+pub use placement::PlacementPolicy;
 pub use pool::{Block, MemoryPool, PoolStats};
 pub use scratch::{ScratchPool, ScratchStats, ScratchVec};

@@ -111,14 +111,15 @@ timeout --kill-after=10s 120s \
 # optimizer buffer decides where each byte sits and what the staging set
 # holds. So do the trainer's unit suite and the trace accounting: the
 # trainer and the tracer are where overlap settings stopped changing
-# while an engine runs.
+# while an engine runs; so do chaos and the paper claims, whose 250‰ split
+# device death runs through the record-by-record placement deal.
 ZI_SIMD=scalar cargo test -q -p zi-tensor -p zi-optim -p zi-model \
     && ZI_SIMD=scalar cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: checkpoint:: trainer:: \
     && ZI_SIMD=scalar cargo test -q --test equivalence --test shard_cache --test end_to_end --test parallelism \
-        --test memory_footprint --test alloc_budget --test trace_accounting \
+        --test memory_footprint --test alloc_budget --test trace_accounting --test chaos --test paper_claims \
     || { echo "scalar-forced unit suites failed"; exit 1; }
 ZI_KERNEL_THREADS=2 cargo test -q -p zi-tensor -p zi-optim -p zi-model \
     && ZI_KERNEL_THREADS=2 cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: checkpoint:: trainer:: \
     && ZI_KERNEL_THREADS=2 cargo test -q --test equivalence --test shard_cache --test end_to_end --test parallelism \
-        --test memory_footprint --test alloc_budget --test trace_accounting \
+        --test memory_footprint --test alloc_budget --test trace_accounting --test chaos --test paper_claims \
     || { echo "parallel-pool unit suites failed"; exit 1; }

@@ -126,6 +126,26 @@ fn infinity_nvme_leaves_gpu_empty() {
     assert_close(nvme, 14.0 * p as f64, "Infinity-NVMe nvme bytes");
 }
 
+/// A split deals whole optimizer records to DRAM, sub-record packs
+/// included, and moves bytes between the pools without changing their sum.
+#[test]
+fn infinity_nvme_split_deals_whole_records() {
+    let split = |p| {
+        let s = Strategy::infinity_nvme().with_optimizer_chunk(64).with_optimizer_cpu_permille(p);
+        let (_, cpu, nvme, _) = measure(s, 2);
+        (cpu, nvme)
+    };
+    let [none, quarter, half] = [0, 250, 500].map(split);
+    assert_eq!(none, (14_464, 101_248));
+    // CPU: the cache's fp16 image (14 464) + 12 B × 1 472 DRAM elements.
+    assert_eq!(quarter, (32_128, 83_584));
+    // CPU: the cache's fp16 image (14 464) + 12 B × 3 520 DRAM elements.
+    assert_eq!(half, (56_704, 59_008));
+    for (cpu, nvme) in [quarter, half] {
+        assert_eq!(cpu + nvme, none.0 + none.1);
+    }
+}
+
 /// During a training step the GPU holds only gathered working tensors;
 /// at rest it returns to the strategy's baseline.
 #[test]
