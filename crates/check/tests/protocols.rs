@@ -637,7 +637,7 @@ fn shard_cache_body(seen: &[zi_sync::OnceLock<()>; 2]) {
                 let mut publish = mgr.begin_publish(&shard);
                 let pushed = image(round + 1)
                     .chunks(ELEMS / 2)
-                    .try_for_each(|c| publish.push(&mut wb, &mut shard, c));
+                    .try_for_each(|c| publish.push_values(&mut wb, &mut shard, c));
                 wb.drain(&mgr).expect("drain");
                 pushed.and_then(|()| publish.finish(&shard)).expect("publish");
             }

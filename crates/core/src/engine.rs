@@ -43,7 +43,9 @@ use std::collections::{HashMap, VecDeque};
 use zi_comm::{Communicator, Partitioner};
 use zi_memory::{Block, PlacementPolicy, ScratchVec};
 use zi_model::{ParamId, ParamRegistry, ParamStore};
-use zi_optim::{adam_update_chunk, adam_update_chunk_publish, AdamConfig, LossScaler};
+use zi_nvme::checksum::{crc32, crc32_update};
+use zi_optim::{adam_update, AdamConfig, LossScaler};
+use zi_tensor::simd::{GradScale, PublishTo};
 use zi_tensor::storage::{accumulate_f32, decode_f32, encode_f32};
 use zi_tensor::{FlatBuffer, Tensor};
 use zi_trace::{Category, Counter};
@@ -155,6 +157,15 @@ impl RecordLayout {
         }
         values
     }
+}
+
+/// The CRC32-C of a staged record's master, momentum and variance: the
+/// three tiles its write is recorded under, as the step's kernel
+/// computes them while it stores the record.
+fn stream_crcs(record: &ScratchVec) -> [u32; STATE_STREAMS] {
+    let bytes = record.as_bytes();
+    let stream = bytes.len() / STATE_STREAMS;
+    std::array::from_fn(|s| crc32(&bytes[s * stream..(s + 1) * stream]))
 }
 
 /// Optimizer state (fp32 master/momentum/variance) for the update ranges
@@ -496,11 +507,12 @@ impl ZeroEngine {
             }
             if part.end == layout.elems(at) {
                 if let Some(staging) = staged.take() {
-                    wb.submit_staged(&self.mgr, state, first, staging)?;
+                    let crcs = stream_crcs(&staging);
+                    wb.submit_staged(&self.mgr, state, first, staging, &crcs)?;
                 }
             }
             if let Some(publish) = &mut publish {
-                publish.push(wb, param, &src[0][values])?;
+                publish.push_values(wb, param, &src[0][values])?;
             }
         }
         publish.map_or(Ok(()), |publish| publish.finish(param))
@@ -511,7 +523,7 @@ impl ZeroEngine {
     fn publish(&mut self, idx: usize, stored: &[f32], wb: &mut WriteBehind) -> Result<()> {
         let param = &mut self.shards[idx].param;
         let mut publish = self.mgr.begin_publish(param);
-        publish.push(wb, param, stored)?;
+        publish.push_values(wb, param, stored)?;
         publish.finish(param)
     }
 
@@ -691,11 +703,15 @@ impl ZeroEngine {
     /// 5.2.2, 6.2), one member's part at a time, opening a parameter's
     /// update at its first part; a member without a gradient is left as it
     /// was read. One staging buffer carries an NVMe record from device read
-    /// through Adam to write-behind; depth 1 drains its writes before the
-    /// next read.
+    /// through Adam to write-behind, and one kernel pass over each part
+    /// averages the gradient, updates the record, encodes the publish piece
+    /// and checksums every byte it stores, so the record's write is
+    /// recorded under its three streams' checksums without a second read
+    /// of it; depth 1 drains its writes before the next read.
     fn stream_update(&mut self, ahead: &mut ReadAhead, wb: &mut WriteBehind) -> Result<()> {
         let depth = self.strategy.step_pipeline_depth;
         let tracer = self.mgr.tracer().clone();
+        let scale = GradScale::average_over(self.comm.world_size() as f32 * self.grad_accum_steps);
         let mut open: Option<Update> = None;
         while let Some(record) = ahead.next_record(&self.mgr, &self.optims, depth) {
             let (b, at, load) = record?;
@@ -707,6 +723,9 @@ impl ZeroEngine {
                 self.stats.step_io_overlap += 1;
             }
             let ((first, count), resident) = (self.optims[b].layout.span(at), staged.is_none());
+            // The CRC32-C of the staged record's master, momentum and
+            // variance so far, then of the part's publish piece.
+            let mut crcs = [0u32; 4];
             for k in self.optims[b].layout.meeting(at) {
                 let (idx, member) = self.optims[b].layout.members[k].clone();
                 let Some((from, part)) = self.optims[b].layout.meet(at, &member) else { continue };
@@ -714,12 +733,22 @@ impl ZeroEngine {
                     if let Some(done) = open.take() {
                         self.finish_update(done, wb)?;
                     }
-                    if self.shards[idx].grad.is_none() {
-                        continue;
+                    if self.shards[idx].grad.is_some() {
+                        open = Some(self.begin_update(idx)?);
                     }
-                    open = Some(self.begin_update(idx)?);
                 }
-                let Some(Update { grad, publish, .. }) = &mut open else { continue };
+                let Some(Update { grad, publish, .. }) = &mut open else {
+                    // Written back as it was read, under the checksums
+                    // the rest of the record is chained into.
+                    if let Some(staging) = &staged {
+                        let stream = staging.as_bytes().len() / STATE_STREAMS;
+                        for (s, crc) in crcs[..STATE_STREAMS].iter_mut().enumerate() {
+                            let lo = s * stream + 4 * part.start;
+                            *crc = crc32_update(*crc, &staging.as_bytes()[lo..lo + 4 * part.len()]);
+                        }
+                    }
+                    continue;
+                };
                 let record = match &mut staged {
                     Some(staging) => Some(staging.as_f32_mut()),
                     None => self.optims[b].state.resident_f32_mut(first, count),
@@ -729,6 +758,13 @@ impl ZeroEngine {
                 })?;
                 let [master, m, v] = RecordLayout::split(record).map(|s| &mut s[part.clone()]);
                 let (len, step) = (part.len(), self.shards[idx].step);
+                let param = &mut self.shards[idx].param;
+                // The part's publish piece, encoded by the kernel itself
+                // when it goes to the device.
+                let mut piece = match publish {
+                    Publish::Stream(stream) if !resident => stream.stage(param, len),
+                    _ => None,
+                };
                 {
                     // The cp hop of a resident record is the kernel's own
                     // traffic over the DRAM-resident state: read and
@@ -752,19 +788,29 @@ impl ZeroEngine {
                     span.set_flops(15 * len as u64);
                     span.set_id(at as u64);
                     let (adam, grad) = (&self.adam, &f32_view(grad)?[from..from + len]);
-                    match publish {
-                        Publish::Whole(out) => adam_update_chunk_publish(
-                            adam, step, master, m, v, grad, &mut out[from..from + len],
-                        ),
-                        Publish::Stream(_) => adam_update_chunk(adam, step, master, m, v, grad),
-                    }
+                    let to = match (&mut *publish, &mut piece) {
+                        (Publish::Whole(out), _) => PublishTo::F32(&mut out[from..from + len]),
+                        (Publish::Stream(_), Some(piece)) => {
+                            PublishTo::encoded(param.dtype(), piece.as_bytes_mut()).ok_or_else(|| {
+                                Error::Internal("publish piece is not viewable in place".into())
+                            })?
+                        }
+                        (Publish::Stream(_), None) => PublishTo::None,
+                    };
+                    crcs[3] = 0;
+                    let crcs = (!resident).then_some(&mut crcs);
+                    adam_update(adam, step, scale, master, m, v, grad, to, crcs);
                 }
                 if let Publish::Stream(stream) = publish {
-                    stream.push(wb, &mut self.shards[idx].param, master)?;
+                    match piece {
+                        Some(piece) => stream.push(wb, param, piece, crcs[3])?,
+                        None => stream.push_values(wb, param, master)?,
+                    }
                 }
             }
             if let Some(staging) = staged {
-                wb.submit_staged(&self.mgr, &self.optims[b].state, first, staging)?;
+                let state = &self.optims[b].state;
+                wb.submit_staged(&self.mgr, state, first, staging, &crcs[..STATE_STREAMS])?;
             }
             if depth == 1 {
                 // Sequential semantics: this record's writes completed
@@ -776,8 +822,9 @@ impl ZeroEngine {
         open.map_or(Ok(()), |done| self.finish_update(done, wb))
     }
 
-    /// Open parameter `idx`'s update: its gradient averaged in place in
-    /// the buffer taken out of storage, its step counter, its publish.
+    /// Open parameter `idx`'s update: its gradient sum taken out of
+    /// storage (the kernel averages it as it reads it), its step counter,
+    /// its publish.
     fn begin_update(&mut self, idx: usize) -> Result<Update> {
         let st = &mut self.shards[idx];
         let buf = st.grad.take().ok_or_else(|| Error::Internal(format!("{idx} has no gradient")))?;
@@ -801,10 +848,6 @@ impl ZeroEngine {
         let len = st.optim.1.len();
         if values.len() != len {
             return Err(Error::Internal(format!("{idx}: gradient/optimizer length mismatch")));
-        }
-        let world = self.comm.world_size() as f32 * self.grad_accum_steps;
-        for g in values.iter_mut() {
-            *g /= world;
         }
         st.step += 1;
         let publish = if self.strategy.partition_params {
@@ -1967,7 +2010,8 @@ mod tests {
         };
         let w = tiny_registry().find("w").unwrap();
         // The first step writes `w`'s state record by record (60, 60 and
-        // 24 bytes); at 500‰ the middle one lives in DRAM. Each step
+        // 24 bytes), each under one checksum per stream (20, 20 and 8
+        // bytes); at 500‰ the middle record lives in DRAM. Each step
         // carries the records on the device into the next: one read of the
         // second step's carry comes back with a flipped bit, and the third
         // step takes it.
@@ -2000,7 +2044,7 @@ mod tests {
             let reads = after.reads - before.reads;
             assert_eq!(reads, 1 + carried, "{permille}‰: one re-read, then the carry");
             let reread = after.bytes_read - before.bytes_read - carried_bytes;
-            assert!(reread == 60 || reread == 24, "{permille}‰: re-read {reread} B: not one record");
+            assert!(reread == 20 || reread == 8, "{permille}‰: re-read {reread} B: not one stream tile");
             assert_eq!(eng.mgr.health().corruptions_recovered, 1);
             // A whole-shard read of the record-written extent is verified
             // against the records' checksums, tile by tile.

@@ -201,13 +201,20 @@ impl ResilienceState {
 
     /// Record the checksum of a just-written extent, invalidating any
     /// previously recorded extent — and dropping any cached shard — it
-    /// overlaps. Returns the checksum.
-    fn record(&self, offset: u64, data: &[u8]) -> u32 {
-        let crc = crc32(data);
+    /// overlaps.
+    fn record(&self, offset: u64, data: &[u8]) {
+        self.record_tiles(offset, data.len() as u64, &[crc32(data)]);
+    }
+
+    /// [`Self::record`] for an extent written as back-to-back tiles of
+    /// `tile` bytes from `offset`, with checksums `crcs` in order: each
+    /// is verified on its own when a read meets it (see [`Self::tiles`]).
+    fn record_tiles(&self, offset: u64, tile: u64, crcs: &[u32]) {
         let mut map = self.checksums.lock();
-        self.invalidate_locked(&mut map, offset, data.len() as u64);
-        map.insert(offset, (data.len() as u64, crc));
-        crc
+        self.invalidate_locked(&mut map, offset, tile * crcs.len() as u64);
+        for (k, &crc) in crcs.iter().enumerate() {
+            map.insert(offset + k as u64 * tile, (tile, crc));
+        }
     }
 
     /// Forget checksums, and cached shards, overlapping
@@ -1344,27 +1351,44 @@ impl WriteBehind {
 
     /// Queue `staging` as the new contents of `buf[start ..]` — a range
     /// inside one NVMe segment, normally the extent the buffer was read
-    /// from — first making room in the window. The CRC is recorded at
-    /// submission over these exact bytes: the ticketed write either
-    /// lands them or a wait surfaces the failure. A failure here drops
-    /// `staging` back into its pool.
+    /// from — first making room in the window. `crcs` are the CRC32-C of
+    /// the buffer cut into that many equal tiles, in order — an optimizer
+    /// record's master, momentum and variance, as the kernel that stored
+    /// them computed them — and are recorded at submission: the ticketed
+    /// write either lands these exact bytes or a wait surfaces the
+    /// failure. A failure here drops `staging` back into its pool.
     pub fn submit_staged(
         &mut self,
         mgr: &OffloadManager,
         buf: &PlacedBuf,
         start: usize,
         staging: ScratchVec,
+        crcs: &[u32],
     ) -> Result<()> {
         let offset = buf
             .device_offset(start, staging.as_bytes().len())
             .ok_or_else(|| Error::Internal("write-behind range is not one NVMe extent".into()))?;
-        self.submit_at(mgr, offset, staging).map(drop)
+        self.submit_at(mgr, offset, staging, crcs)
     }
 
-    /// [`Self::submit_staged`] by device offset; returns the checksum
-    /// recorded for the bytes.
-    fn submit_at(&mut self, mgr: &OffloadManager, offset: u64, staging: ScratchVec) -> Result<u32> {
-        let crc = mgr.resilience.record(offset, staging.as_bytes());
+    /// [`Self::submit_staged`] by device offset.
+    fn submit_at(
+        &mut self,
+        mgr: &OffloadManager,
+        offset: u64,
+        staging: ScratchVec,
+        crcs: &[u32],
+    ) -> Result<()> {
+        let bytes = staging.as_bytes();
+        let tile = bytes.len().checked_div(crcs.len()).filter(|t| t * crcs.len() == bytes.len());
+        let tile = tile.ok_or_else(|| {
+            Error::Internal(format!("{} B do not cut into {} checksum tiles", bytes.len(), crcs.len()))
+        })?;
+        debug_assert!(
+            bytes.chunks(tile.max(1)).zip(crcs).all(|(bytes, &crc)| crc32(bytes) == crc),
+            "write-behind checksums are not those of the bytes"
+        );
+        mgr.resilience.record_tiles(offset, tile as u64, crcs);
         // Harvest writes that already completed before deciding to
         // block: FIFO service completes the oldest tickets first, so
         // reaping from the front retires everything the device has
@@ -1385,7 +1409,7 @@ impl WriteBehind {
         }
         self.bytes += staging.as_bytes().len() as u64;
         self.inflight.push_back(mgr.nvme.submit_write_from(offset, staging));
-        Ok(crc)
+        Ok(())
     }
 
     /// Wait out every queued write, surfacing the first failure as a
@@ -1416,15 +1440,17 @@ impl Drop for WriteBehind {
 /// An in-order, chunk-at-a-time overwrite of one whole buffer in its
 /// storage dtype: the chunk-streamed step's second write per record.
 ///
-/// Each pushed chunk is cut at the buffer's segment boundaries; a piece
-/// on a resident segment is encoded in place, a piece on an NVMe segment
-/// is converted into a staging buffer and queued on the caller's
-/// [`WriteBehind`], so the publish overlaps the next chunk's update
-/// instead of costing a whole-shard vector plus a blocking write per
-/// parameter. Every queued piece records its own checksum at
-/// submission, like all write-behind traffic; a later whole-segment
-/// fetch is verified against the chunk checksums that tile it. A
-/// whole-buffer overwrite is the one-chunk case.
+/// A piece bound for an NVMe segment is encoded into a staging buffer —
+/// by the streamed step's fused Adam kernel itself, which also
+/// checksums it ([`Self::stage`], [`Self::push`]) — and queued on the
+/// caller's [`WriteBehind`], so the publish overlaps the next chunk's
+/// update instead of costing a whole-shard vector plus a blocking write
+/// per parameter. [`Self::push_values`] encodes f32 values here, cut at
+/// the buffer's segment boundaries, a resident piece in place. Every
+/// queued piece records its own checksum at submission, like all
+/// write-behind traffic; a later whole-segment fetch is verified against
+/// the chunk checksums that tile it. A whole-buffer overwrite is the
+/// one-chunk case.
 ///
 /// Write-through: when the buffer is one NVMe extent and the CPU pool
 /// has room, the stream also assembles the bytes it writes into the
@@ -1439,41 +1465,75 @@ pub struct PublishStream {
 }
 
 impl PublishStream {
-    /// Overwrite the next `values.len()` elements of `buf`, the buffer the
-    /// stream was begun on (it borrows none), with `values`.
+    /// A staging buffer for the encoded bytes of the next `len` elements
+    /// of `buf`, the buffer the stream was begun on, when they lie in one
+    /// NVMe segment: the fused optimizer kernel writes a record's publish
+    /// piece straight into it. `None` where [`Self::push_values`] must
+    /// place them (DRAM, or across segments).
+    pub fn stage(&self, buf: &PlacedBuf, len: usize) -> Option<ScratchVec> {
+        let nbytes = buf.dtype.bytes_for(len);
+        (len > 0 && self.next + len <= buf.numel && buf.device_offset(self.next, nbytes).is_some())
+            .then(|| self.mgr.staging.acquire(nbytes))
+    }
+
+    /// Overwrite the next elements of `buf` with `piece`, their bytes in
+    /// `buf`'s dtype from [`Self::stage`], queued on `wb` under `crc`, the
+    /// CRC32-C of those bytes as the kernel that encoded them computed
+    /// it.
     pub fn push(
+        &mut self,
+        wb: &mut WriteBehind,
+        buf: &PlacedBuf,
+        piece: ScratchVec,
+        crc: u32,
+    ) -> Result<()> {
+        let nbytes = piece.as_bytes().len();
+        let len = nbytes / buf.dtype.size_in_bytes();
+        let offset = buf.device_offset(self.next, nbytes).filter(|_| self.next + len <= buf.numel);
+        let offset = offset
+            .ok_or_else(|| Error::Internal("publish piece is not the next NVMe extent".into()))?;
+        if let Some(deposit) = &mut self.deposit {
+            let lo = (offset - deposit.offset) as usize;
+            deposit.image.as_bytes_mut()[lo..lo + nbytes].copy_from_slice(piece.as_bytes());
+            deposit.tiles.push((nbytes as u64, crc));
+        }
+        wb.submit_at(&self.mgr, offset, piece, &[crc])?;
+        self.next += len;
+        Ok(())
+    }
+
+    /// Overwrite the next `values.len()` elements of `buf` with `values`,
+    /// encoded here: in place on a DRAM segment, else staged, checksummed
+    /// and [`Self::push`]ed.
+    pub fn push_values(
         &mut self,
         wb: &mut WriteBehind,
         buf: &mut PlacedBuf,
         mut values: &[f32],
     ) -> Result<()> {
-        let (mgr, dtype) = (&self.mgr, buf.dtype);
+        let dtype = buf.dtype;
         if self.next + values.len() > buf.numel {
             return Err(Error::shape("publish past the end of the parameter buffer"));
         }
         while !values.is_empty() {
             let in_segment = buf.segment_end(self.next) - self.next;
             let (piece, rest) = values.split_at(values.len().min(in_segment));
-            let nbytes = dtype.bytes_for(piece.len());
             let i = buf.segment_index(self.next);
             let seg = &mut buf.segments[i];
-            let lo = dtype.bytes_for(self.next - seg.start);
             match &mut seg.ram {
-                Some(ram) => encode_f32(dtype, piece, &mut ram.as_bytes_mut()[lo..lo + nbytes])?,
+                Some(ram) => {
+                    let lo = dtype.bytes_for(self.next - seg.start);
+                    let bytes = &mut ram.as_bytes_mut()[lo..lo + dtype.bytes_for(piece.len())];
+                    encode_f32(dtype, piece, bytes)?;
+                    self.next += piece.len();
+                }
                 None => {
-                    let mut staging = mgr.staging.acquire(nbytes);
+                    let mut staging = self.mgr.staging.acquire(dtype.bytes_for(piece.len()));
                     encode_f32(dtype, piece, staging.as_bytes_mut())?;
-                    if let Some(deposit) = &mut self.deposit {
-                        deposit.image.as_bytes_mut()[lo..lo + nbytes]
-                            .copy_from_slice(staging.as_bytes());
-                    }
-                    let crc = wb.submit_at(mgr, seg.block.offset + lo as u64, staging)?;
-                    if let Some(deposit) = &mut self.deposit {
-                        deposit.tiles.push((nbytes as u64, crc));
-                    }
+                    let crc = crc32(staging.as_bytes());
+                    self.push(wb, buf, staging, crc)?;
                 }
             }
-            self.next += piece.len();
             values = rest;
         }
         Ok(())
@@ -1682,7 +1742,7 @@ mod tests {
                 match mgr.begin_load_elems_placed(buf, at, len).unwrap().wait(mgr).unwrap() {
                     Some(mut staging) => {
                         staging.as_f32_mut().iter_mut().for_each(|x| *x = -*x);
-                        wb.submit_staged(mgr, buf, at, staging).unwrap();
+                        submit(&mut wb, mgr, buf, at, staging).unwrap();
                     }
                     None => {
                         buf.resident_f32_mut(at, len).unwrap().iter_mut().for_each(|x| *x = -*x)
@@ -1769,6 +1829,19 @@ mod tests {
     }
 
     /// A staging buffer holding `vals`.
+    /// Queue `staging` on `wb` as `buf[at ..]`, under one checksum of
+    /// its bytes.
+    fn submit(
+        wb: &mut WriteBehind,
+        mgr: &OffloadManager,
+        buf: &PlacedBuf,
+        at: usize,
+        staging: ScratchVec,
+    ) -> Result<()> {
+        let crc = crc32(staging.as_bytes());
+        wb.submit_staged(mgr, buf, at, staging, &[crc])
+    }
+
     fn staged(mgr: &OffloadManager, vals: &[f32]) -> ScratchVec {
         let mut buf = mgr.staging().acquire(vals.len() * 4);
         buf.as_f32_mut().copy_from_slice(vals);
@@ -1790,7 +1863,7 @@ mod tests {
         // Write-behind only takes ranges inside one NVMe extent.
         let cpu_start = split.segments.iter().find(|s| s.ram.is_some()).unwrap().start;
         let mut wb = WriteBehind::new(2);
-        assert!(wb.submit_staged(&mgr, &split, cpu_start, staged(&mgr, &[0.0; 2])).is_err());
+        assert!(submit(&mut wb, &mgr, &split, cpu_start, staged(&mgr, &[0.0; 2])).is_err());
         assert_eq!(mgr.staging().outstanding(), 0, "a refused buffer still goes home");
         mgr.free_placed(split);
     }
@@ -1810,7 +1883,7 @@ mod tests {
                 Some(mut staging) => {
                     assert_eq!(staging.as_f32(), &vals[at..at + len], "nc piece at {at}");
                     staging.as_f32_mut().iter_mut().for_each(|x| *x = -*x);
-                    wb.submit_staged(&mgr, &buf, at, staging).unwrap();
+                    submit(&mut wb, &mgr, &buf, at, staging).unwrap();
                     assert!(wb.in_flight() <= 2, "window respected");
                 }
                 None => {
@@ -1840,7 +1913,7 @@ mod tests {
         let mgr = node.offload_manager();
         let buf = store_nvme(&mgr, PlacementPolicy::all_nvme(), &[0.0; 32]);
         let mut wb = WriteBehind::new(1);
-        wb.submit_staged(&mgr, &buf, 8, staged(&mgr, &[4.0; 8])).unwrap();
+        submit(&mut wb, &mgr, &buf, 8, staged(&mgr, &[4.0; 8])).unwrap();
         wb.drain(&mgr).unwrap();
         plan.bitflip_next_reads(1);
         let data = mgr.begin_load_elems_placed(&buf, 8, 8).unwrap().wait(&mgr).unwrap().unwrap();
@@ -1862,9 +1935,8 @@ mod tests {
         // so the death can surface at the second submit (when the worker
         // retired the first failed write in between) or at drain — the
         // same typed error either way.
-        let early = wb
-            .submit_staged(&mgr, &buf, 0, staged(&mgr, &[1.0; 8]))
-            .and_then(|()| wb.submit_staged(&mgr, &buf, 8, staged(&mgr, &[2.0; 8])));
+        let early = submit(&mut wb, &mgr, &buf, 0, staged(&mgr, &[1.0; 8]))
+            .and_then(|()| submit(&mut wb, &mgr, &buf, 8, staged(&mgr, &[2.0; 8])));
         let err = match early {
             Ok(()) => wb.drain(&mgr).unwrap_err(),
             Err(e) => {
@@ -1885,7 +1957,7 @@ mod tests {
         let buf = store_nvme(&mgr, PlacementPolicy::all_nvme(), &[0.0; 16]);
         let mut wb = WriteBehind::new(2);
         plan.fail_next_writes(2); // < max_attempts
-        wb.submit_staged(&mgr, &buf, 0, staged(&mgr, &[3.0; 16])).unwrap();
+        submit(&mut wb, &mgr, &buf, 0, staged(&mgr, &[3.0; 16])).unwrap();
         wb.drain(&mgr).unwrap();
         assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vec![3.0; 16]);
         assert!(mgr.nvme().stats().retries >= 2);
@@ -1896,7 +1968,7 @@ mod tests {
     fn publish_chunked(mgr: &OffloadManager, buf: &mut PlacedBuf, vals: &[f32]) -> Result<()> {
         let mut wb = WriteBehind::new(2);
         let mut publish = mgr.begin_publish(buf);
-        let pushed = vals.chunks(5).try_for_each(|chunk| publish.push(&mut wb, buf, chunk));
+        let pushed = vals.chunks(5).try_for_each(|chunk| publish.push_values(&mut wb, buf, chunk));
         wb.drain(mgr).unwrap();
         pushed.and_then(|()| publish.finish(buf))
     }
@@ -1994,7 +2066,7 @@ mod tests {
                     OneChunkPublish => {
                         let mut wb = WriteBehind::new(1);
                         let mut publish = mgr.begin_publish(&buf);
-                        publish.push(&mut wb, &mut buf, &new).unwrap();
+                        publish.push_values(&mut wb, &mut buf, &new).unwrap();
                         wb.drain(&mgr).unwrap();
                         publish.finish(&buf).unwrap();
                     }
@@ -2018,7 +2090,7 @@ mod tests {
                         let mut wb = WriteBehind::new(2);
                         let mut publish = mgr.begin_publish(&buf);
                         for c in new[..20].chunks(5) {
-                            publish.push(&mut wb, &mut buf, c).unwrap();
+                            publish.push_values(&mut wb, &mut buf, c).unwrap();
                         }
                         wb.drain(&mgr).unwrap();
                         drop(publish);

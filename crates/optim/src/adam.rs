@@ -3,10 +3,12 @@
 //! The elementwise update runs through the runtime-dispatched SIMD
 //! layer in `zi-tensor` (`ZI_SIMD=scalar` forces the canonical scalar
 //! backend; all backends are bit-identical) and large chunks are split
-//! across the `zi-sync`-based kernel worker pool.
+//! across the `zi-sync`-based kernel worker pool. [`adam_update`] is the
+//! one-pass form a streamed optimizer record takes: gradient average,
+//! update, fp16 publish and the checksums of every byte it stores.
 
 use zi_tensor::pool::{self, SendPtr};
-use zi_tensor::simd::{self, AdamParams};
+use zi_tensor::simd::{self, AdamParams, GradScale, PublishTo};
 use zi_tensor::FlatBuffer;
 use zi_types::{DType, Error, Result};
 
@@ -34,9 +36,11 @@ impl Default for AdamConfig {
 /// Minimum elements per worker-pool task for the parallel update path.
 const PAR_CHUNK: usize = 16 * 1024;
 
-/// Fold a config + step into the per-chunk SIMD kernel parameters.
+/// Fold a config, step and gradient average into the per-chunk SIMD
+/// kernel parameters.
 #[inline]
-fn kernel_params(cfg: &AdamConfig, step: u64) -> AdamParams {
+fn kernel_params(cfg: &AdamConfig, step: u64, grad_scale: GradScale) -> AdamParams {
+    assert!(step >= 1, "Adam step is 1-based");
     let (bc1, bc2) = bias_corrections(cfg, step);
     AdamParams {
         beta1: cfg.beta1,
@@ -48,45 +52,8 @@ fn kernel_params(cfg: &AdamConfig, step: u64) -> AdamParams {
         lr: cfg.lr,
         eps: cfg.eps,
         weight_decay: cfg.weight_decay,
+        grad_scale,
     }
-}
-
-/// Shared body of the plain and publish-fused kernels: run the SIMD
-/// Adam chunk update, split across the kernel pool when large enough.
-/// Adam is elementwise, so any split is bit-identical to monolithic.
-fn run_adam(
-    p: AdamParams,
-    master: &mut [f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    grad: &[f32],
-    publish: Option<&mut [f32]>,
-) {
-    let n = master.len();
-    let tasks = n.div_ceil(PAR_CHUNK.max(1));
-    if tasks < 2 || pool::global().workers() == 0 {
-        simd::adam_chunk(&p, master, m, v, grad, publish);
-        return;
-    }
-    let mp = SendPtr::new(master.as_mut_ptr());
-    let mmp = SendPtr::new(m.as_mut_ptr());
-    let vp = SendPtr::new(v.as_mut_ptr());
-    let gp = SendPtr::new(grad.as_ptr() as *mut f32);
-    let pubp = publish.map(|s| SendPtr::new(s.as_mut_ptr()));
-    pool::global().run(tasks, &move |i| {
-        let start = i * PAR_CHUNK;
-        let len = PAR_CHUNK.min(n - start);
-        // SAFETY: task indices are distinct so the [start, start+len)
-        // ranges are disjoint; the exclusive borrows outlive run().
-        unsafe {
-            let master = std::slice::from_raw_parts_mut(mp.get().add(start), len);
-            let m = std::slice::from_raw_parts_mut(mmp.get().add(start), len);
-            let v = std::slice::from_raw_parts_mut(vp.get().add(start), len);
-            let grad = std::slice::from_raw_parts(gp.get().add(start), len);
-            let publish = pubp.map(|pp| std::slice::from_raw_parts_mut(pp.get().add(start), len));
-            simd::adam_chunk(&p, master, m, v, grad, publish);
-        }
-    });
 }
 
 /// Elementwise Adam update of one contiguous chunk of optimizer state.
@@ -103,12 +70,7 @@ pub fn adam_update_chunk(
     v: &mut [f32],
     grad: &[f32],
 ) {
-    assert!(step >= 1, "Adam step is 1-based");
-    assert!(
-        master.len() == m.len() && m.len() == v.len() && v.len() == grad.len(),
-        "adam_update_chunk length mismatch"
-    );
-    run_adam(kernel_params(cfg, step), master, m, v, grad, None);
+    adam_update(cfg, step, GradScale::One, master, m, v, grad, PublishTo::None, None);
 }
 
 /// [`adam_update_chunk`] fused with publication: the updated master value
@@ -123,15 +85,64 @@ pub fn adam_update_chunk_publish(
     grad: &[f32],
     publish: &mut [f32],
 ) {
-    assert!(step >= 1, "Adam step is 1-based");
-    assert!(
-        master.len() == m.len()
-            && m.len() == v.len()
-            && v.len() == grad.len()
-            && grad.len() == publish.len(),
-        "adam_update_chunk_publish length mismatch"
-    );
-    run_adam(kernel_params(cfg, step), master, m, v, grad, Some(publish));
+    let publish = PublishTo::F32(publish);
+    adam_update(cfg, step, GradScale::One, master, m, v, grad, publish, None);
+}
+
+/// The general update: `grad` (an accumulated sum) averaged by `scale`,
+/// the new masters also written to `publish`, and with `crcs` the
+/// running CRC32-C of master, momentum, variance and publish extended
+/// over the bytes stored ([`simd::adam_chunk`]). With checksums it is one
+/// pass on this thread — a streamed NVMe record checksums its write
+/// without reading it again; without them and with no fp16 publish,
+/// large chunks are split across the kernel worker pool (Adam is
+/// elementwise, so any split is bit-identical to monolithic).
+#[allow(clippy::too_many_arguments)]
+pub fn adam_update(
+    cfg: &AdamConfig,
+    step: u64,
+    scale: GradScale,
+    master: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    grad: &[f32],
+    publish: PublishTo<'_>,
+    crcs: Option<&mut [u32; 4]>,
+) {
+    let p = kernel_params(cfg, step, scale);
+    let n = master.len();
+    assert!(m.len() == n && v.len() == n && grad.len() == n, "adam_update length mismatch");
+    let tasks = n.div_ceil(PAR_CHUNK);
+    let split = crcs.is_none() && tasks >= 2 && pool::global().workers() > 0;
+    let pubp = match publish {
+        PublishTo::None if split => None,
+        PublishTo::F32(out) if split => {
+            assert_eq!(out.len(), n, "adam_update publish length mismatch");
+            Some(SendPtr::new(out.as_mut_ptr()))
+        }
+        publish => return simd::adam_chunk(&p, master, m, v, grad, publish, crcs),
+    };
+    let mp = SendPtr::new(master.as_mut_ptr());
+    let mmp = SendPtr::new(m.as_mut_ptr());
+    let vp = SendPtr::new(v.as_mut_ptr());
+    let gp = SendPtr::new(grad.as_ptr() as *mut f32);
+    pool::global().run(tasks, &move |i| {
+        let start = i * PAR_CHUNK;
+        let len = PAR_CHUNK.min(n - start);
+        // SAFETY: task indices are distinct so the [start, start+len)
+        // ranges are disjoint; the exclusive borrows outlive run().
+        unsafe {
+            let master = std::slice::from_raw_parts_mut(mp.get().add(start), len);
+            let m = std::slice::from_raw_parts_mut(mmp.get().add(start), len);
+            let v = std::slice::from_raw_parts_mut(vp.get().add(start), len);
+            let grad = std::slice::from_raw_parts(gp.get().add(start), len);
+            let publish = match pubp {
+                Some(pp) => PublishTo::F32(std::slice::from_raw_parts_mut(pp.get().add(start), len)),
+                None => PublishTo::None,
+            };
+            simd::adam_chunk(&p, master, m, v, grad, publish, None);
+        }
+    });
 }
 
 /// Bias-correction denominators shared by every chunk of one step.
@@ -304,6 +315,46 @@ mod tests {
             assert_eq!(plain.m, fused.m);
             assert_eq!(plain.v, fused.v);
             assert_eq!(published, fused.master, "publish must mirror the new master");
+        }
+    }
+
+    /// Bytes of `x` as stored.
+    fn bytes(x: &[f32]) -> Vec<u8> {
+        x.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
+    #[test]
+    fn one_pass_record_update_equals_average_update_encode_and_checksum() {
+        let cfg = AdamConfig { weight_decay: 0.01, ..Default::default() };
+        for (n, count) in [(37usize, 2.0f32), (PAR_CHUNK + 50, 6.0)] {
+            let init: Vec<f32> = (0..n).map(|i| (i % 11) as f32 * 0.25 - 1.0).collect();
+            let sums = grads(n, 3);
+            // Unfused: average, update, encode, checksum each stream.
+            let mut plain = AdamShard::new(&init);
+            plain.begin_step();
+            plain.step_chunk(&cfg, 0, &sums.iter().map(|g| g / count).collect::<Vec<_>>());
+            let mut half = vec![zi_tensor::F16::ZERO; n];
+            simd::f32_to_f16_slice(&plain.master, &mut half);
+            let half_bytes: Vec<u8> = half.iter().flat_map(|h| h.to_bits().to_le_bytes()).collect();
+            // One pass.
+            let mut fused = AdamShard::new(&init);
+            let (mut published, mut crcs) = (vec![zi_tensor::F16::ZERO; n], [0u32; 4]);
+            let scale = GradScale::average_over(count);
+            let to = PublishTo::F16(&mut published);
+            let (master, m, v) = (&mut fused.master, &mut fused.m, &mut fused.v);
+            adam_update(&cfg, 1, scale, master, m, v, &sums, to, Some(&mut crcs));
+            assert_eq!((&plain.master, &plain.m, &plain.v), (&fused.master, &fused.m, &fused.v));
+            assert_eq!(published, half, "n={n}: publish");
+            let want = [bytes(&plain.master), bytes(&plain.m), bytes(&plain.v), half_bytes]
+                .map(|b| simd::crc32(&b));
+            assert_eq!(crcs, want, "n={n}: checksums");
+            // Without checksums a large chunk takes the pool split: same bits.
+            let mut split = AdamShard::new(&init);
+            let mut copy = vec![0f32; n];
+            let (master, m, v) = (&mut split.master, &mut split.m, &mut split.v);
+            adam_update(&cfg, 1, scale, master, m, v, &sums, PublishTo::F32(&mut copy), None);
+            assert_eq!((&plain.master, &plain.m, &plain.v), (&split.master, &split.m, &split.v));
+            assert_eq!(copy, plain.master);
         }
     }
 

@@ -14,6 +14,6 @@ pub mod adam;
 pub mod scaler;
 pub mod schedule;
 
-pub use adam::{adam_update_chunk, adam_update_chunk_publish, AdamConfig, AdamShard};
+pub use adam::{adam_update, adam_update_chunk, adam_update_chunk_publish, AdamConfig, AdamShard};
 pub use scaler::LossScaler;
 pub use schedule::LrSchedule;

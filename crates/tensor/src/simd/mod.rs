@@ -1,12 +1,14 @@
 //! Runtime-dispatched SIMD kernel layer.
 //!
 //! Every bulk numeric kernel in the workspace (f16↔f32 conversion, the
-//! GEMM tile kernels, gelu/layernorm row kernels, the Adam update)
-//! funnels through this module, which selects an instruction-set backend
-//! once at startup and dispatches each call to it:
+//! GEMM tile kernels, gelu/layernorm row kernels, the fused Adam update,
+//! the CRC32-C checksum) funnels through this module, which selects an
+//! instruction-set backend once at startup and dispatches each call to
+//! it:
 //!
 //! * **`Backend::Avx2`** — 256-bit `std::arch` kernels on x86_64 when the
-//!   CPU reports AVX2 (FMA additionally gated, see below).
+//!   CPU reports AVX2, F16C and SSE 4.2 (FMA additionally gated, see
+//!   below).
 //! * **`Backend::Scalar`** — always available, and the *canonical
 //!   semantics*: every SIMD backend is written to be **bit-identical** to
 //!   the scalar backend, element for element.
@@ -44,6 +46,8 @@
 use zi_sync::atomic::{AtomicU8, Ordering};
 use zi_sync::OnceLock;
 
+use zi_types::DType;
+
 use crate::f16::F16;
 
 pub mod scalar;
@@ -77,11 +81,16 @@ static BACKEND_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 /// 0 = env-configured, 1 = forced off, 2 = forced on.
 static FMA_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
-/// True when this CPU can run the [`Backend::Avx2`] kernels.
+/// True when this CPU can run the [`Backend::Avx2`] kernels: AVX2 for
+/// the vector bodies, F16C for the half conversions and SSE 4.2 for the
+/// `crc32` instruction. A CPU that lacks any of them runs the scalar
+/// kernels.
 pub fn avx2_supported() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("f16c")
+            && std::arch::is_x86_feature_detected!("sse4.2")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -186,7 +195,8 @@ macro_rules! dispatch {
     ($avx2:expr, $scalar:expr) => {{
         match backend() {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `backend()` only returns Avx2 when CPUID reports it.
+            // SAFETY: `backend()` only returns Avx2 when CPUID reports
+            // AVX2, F16C and SSE 4.2.
             Backend::Avx2 => unsafe { $avx2 },
             _ => $scalar,
         }
@@ -366,8 +376,48 @@ pub fn layernorm_backward_row(
     )
 }
 
+/// How the Adam kernel turns an accumulated gradient into the average
+/// it applies: the sum over `count` contributions (ranks × accumulated
+/// micro-batches) divided by `count`, element by element.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum GradScale {
+    /// One contribution: the gradient as it is.
+    One,
+    /// Multiply by the exact reciprocal of a power-of-two count.
+    Mul(f32),
+    /// Divide by the count.
+    Div(f32),
+}
+
+impl GradScale {
+    /// The average over `count` contributions. `x·2⁻ᵏ` and `x / 2ᵏ` are
+    /// the same correctly rounded value, so a power-of-two count costs a
+    /// multiply instead of a divide; `x / 1` is `x`, so one contribution
+    /// costs nothing. Either way every bit equals `x / count`.
+    pub fn average_over(count: f32) -> GradScale {
+        let recip = 1.0 / count;
+        if count == 1.0 {
+            GradScale::One
+        } else if count.is_normal() && count.to_bits() & 0x007f_ffff == 0 && recip.is_normal() {
+            GradScale::Mul(recip)
+        } else {
+            GradScale::Div(count)
+        }
+    }
+
+    /// `g` scaled: the one scalar definition every backend mirrors.
+    #[inline(always)]
+    pub fn apply(self, g: f32) -> f32 {
+        match self {
+            GradScale::One => g,
+            GradScale::Mul(r) => g * r,
+            GradScale::Div(d) => g / d,
+        }
+    }
+}
+
 /// Hyperparameters for one Adam chunk update, with the per-step bias
-/// corrections folded in. Shared by every backend.
+/// corrections and gradient average folded in. Shared by every backend.
 #[derive(Debug, Clone, Copy)]
 pub struct AdamParams {
     /// First-moment decay β₁.
@@ -388,28 +438,83 @@ pub struct AdamParams {
     pub eps: f32,
     /// Decoupled weight decay.
     pub weight_decay: f32,
+    /// Applied to each gradient element before the update.
+    pub grad_scale: GradScale,
 }
 
-/// Elementwise Adam update of one chunk, optionally publishing the new
-/// master values in the same pass.
+/// Where [`adam_chunk`] also writes the updated master values.
+pub enum PublishTo<'a> {
+    /// Nowhere.
+    None,
+    /// A copy in fp32.
+    F32(&'a mut [f32]),
+    /// Converted to fp16, bit-identical to [`F16::from_f32`].
+    F16(&'a mut [F16]),
+}
+
+impl<'a> PublishTo<'a> {
+    /// The kernel's view of `bytes`, the storage of values in `dtype`;
+    /// `None` when they cannot be viewed in place (misaligned, or a
+    /// big-endian target).
+    pub fn encoded(dtype: DType, bytes: &'a mut [u8]) -> Option<PublishTo<'a>> {
+        match dtype {
+            DType::F32 => crate::storage::bytes_as_f32_mut(bytes).map(PublishTo::F32),
+            DType::F16 => crate::storage::bytes_as_f16_mut(bytes).map(PublishTo::F16),
+        }
+    }
+
+    fn len(&self) -> Option<usize> {
+        match self {
+            PublishTo::None => None,
+            PublishTo::F32(out) => Some(out.len()),
+            PublishTo::F16(out) => Some(out.len()),
+        }
+    }
+}
+
+/// Elementwise Adam update of one chunk in one pass over its bytes: each
+/// gradient scaled by `p.grad_scale`, master, momentum and variance
+/// updated in place, the new masters also written to `publish`, and —
+/// with `crcs` — the running CRC32-C of each stream (`[master, m, v,
+/// publish]`, each the [`crc32`] of the stream's bytes so far, 0 for
+/// none) extended over the bytes just stored, exactly as
+/// [`crc32_update`] over each slice afterwards would. A streamed
+/// optimizer record so checksums its write without reading it again.
 pub fn adam_chunk(
     p: &AdamParams,
     master: &mut [f32],
     m: &mut [f32],
     v: &mut [f32],
     grad: &[f32],
-    publish: Option<&mut [f32]>,
+    publish: PublishTo<'_>,
+    crcs: Option<&mut [u32; 4]>,
 ) {
     let n = master.len();
     assert!(m.len() == n && v.len() == n && grad.len() == n, "adam_chunk length mismatch");
-    if let Some(ref pb) = publish {
-        assert_eq!(pb.len(), n, "adam_chunk publish length mismatch");
-    }
+    assert!(publish.len().is_none_or(|len| len == n), "adam_chunk publish length mismatch");
     let fma = fma_enabled();
     dispatch!(
-        x86::adam_chunk(p, master, m, v, grad, publish, fma),
-        scalar::adam_chunk(p, master, m, v, grad, publish, fma)
+        x86::adam_chunk(p, master, m, v, grad, publish, crcs, fma),
+        scalar::adam_chunk(p, master, m, v, grad, publish, crcs, fma)
     )
+}
+
+/// CRC32-C of `data` (Castagnoli, reflected polynomial 0x82F63B78, as
+/// used by iSCSI, ext4 and btrfs) — chosen over the zip/png CRC32
+/// because x86-64 runs it in hardware (the SSE 4.2 `crc32` instruction),
+/// which keeps verifying a read a small fraction of the copy it already
+/// paid. Every backend computes the same function; the on-device format
+/// of `zi-nvme`'s checkpoint store depends on it.
+pub fn crc32(data: &[u8]) -> u32 {
+    crc32_update(0, data)
+}
+
+/// Extend a CRC32-C over more bytes: `crc` is the checksum of everything
+/// before `data` (0 for nothing), the result the checksum of both — so
+/// an extent written as in-order chunks gets the same whole-extent CRC
+/// as one written at once, without a second pass over it.
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    dispatch!(x86::crc32c(crc, data), scalar::crc32c(crc, data))
 }
 
 /// Canonical 8-lane sum of a slice (used by layernorm statistics).
@@ -428,14 +533,19 @@ mod tests {
     }
 
     /// The dispatch gate: with no override in force the process runs the
-    /// AVX2 kernels exactly when the CPU has them ([`avx2_supported`] is
-    /// `is_x86_feature_detected!("avx2")`) and `ZI_SIMD` does not say
+    /// AVX2 kernels exactly when the CPU has them ([`avx2_supported`]:
+    /// AVX2, F16C and SSE 4.2 all detected) and `ZI_SIMD` does not say
     /// otherwise — a dispatch layer stuck on scalar passes every
     /// bit-identity test, so this is the one place that would notice.
     /// One test owns the process-wide override; a second one reading
     /// `backend()` beside it would race.
     #[test]
     fn force_backend_overrides_and_clears() {
+        #[cfg(target_arch = "x86_64")]
+        if avx2_supported() {
+            assert!(std::arch::is_x86_feature_detected!("f16c"));
+            assert!(std::arch::is_x86_feature_detected!("sse4.2"));
+        }
         force_backend(Some(Backend::Scalar));
         assert_eq!(backend(), Backend::Scalar);
         // Forcing a backend the CPU lacks degrades to scalar.
@@ -459,5 +569,150 @@ mod tests {
             assert!(fma_enabled());
         }
         force_fma(None);
+    }
+
+    /// Reference byte-at-a-time CRC32-C.
+    fn crc32c_bytewise(data: &[u8]) -> u32 {
+        let t = &scalar::crc_tables()[0];
+        let mut c = 0xffff_ffffu32;
+        for &b in data {
+            c = t[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        }
+        c ^ 0xffff_ffff
+    }
+
+    /// A CRC32-C implementation: `crc_update(crc, data)`.
+    type CrcFn = fn(u32, &[u8]) -> u32;
+
+    /// Every CRC32-C this CPU can run, by name: the canonical software
+    /// path, the dispatched one, and the `crc32`-instruction path itself
+    /// when the CPU has it (whatever `ZI_SIMD` selects).
+    fn crc_paths() -> Vec<(&'static str, CrcFn)> {
+        let mut paths: Vec<(&'static str, CrcFn)> =
+            vec![("scalar", scalar::crc32c), ("dispatch", crc32_update)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            // SAFETY: feature presence checked immediately above.
+            paths.push(("sse4.2", |crc, data| unsafe { x86::crc32c(crc, data) }));
+        }
+        paths
+    }
+
+    /// Deterministic pseudo-random bytes.
+    fn noise(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_known_vectors() {
+        // Standard CRC32-C check values (RFC 3720 appendix B.4 et al.).
+        for (name, crc) in crc_paths() {
+            assert_eq!(crc(0, b"123456789"), 0xe306_9283, "{name}");
+            assert_eq!(crc(0, b""), 0, "{name}");
+            assert_eq!(crc(0, &[0u8; 32]), 0x8a91_36aa, "{name}");
+            assert_eq!(crc(0, &[0xffu8; 32]), 0x62a8_ab43, "{name}");
+        }
+        assert_eq!(crc32(b"123456789"), 0xe306_9283);
+    }
+
+    #[test]
+    fn crc32_interleaved_lanes_match_the_bytewise_reference() {
+        // Every length through several short-lane triples and tails ...
+        let data = noise(4096, 1);
+        for len in 0..=4096 {
+            let want = crc32c_bytewise(&data[..len]);
+            for (name, crc) in crc_paths() {
+                assert_eq!(crc(0, &data[..len]), want, "{name} len {len}");
+            }
+        }
+        // ... and a spread of long ones: long-lane triples, then short
+        // ones, then the single-stream tail, at odd alignments.
+        let big = noise((4 << 20) + 5, 2);
+        let mut state = 3u64;
+        let mut lens = vec![3 * 8192 - 1, 3 * 8192, 3 * 8192 + 1, 6 * 8192 + 3 * 256 + 7, 4 << 20];
+        for _ in 0..8 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            lens.push((state >> 33) as usize % (4 << 20));
+        }
+        for len in lens {
+            let at = len % 5;
+            let slice = &big[at..at + len];
+            let want = crc32c_bytewise(slice);
+            for (name, crc) in crc_paths() {
+                assert_eq!(crc(0, slice), want, "{name} len {len} at offset {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_update_split_at_every_offset_equals_the_one_shot_checksum() {
+        let data = noise(1024, 4);
+        let whole = crc32c_bytewise(&data);
+        for cut in 0..=data.len() {
+            let (a, b) = data.split_at(cut);
+            for (name, crc) in crc_paths() {
+                assert_eq!(crc(crc(0, a), b), whole, "{name} cut at {cut}");
+            }
+        }
+        // A long buffer cut inside and between its lanes.
+        let data = noise(3 * 8192 + 3 * 256 + 11, 5);
+        let whole = crc32c_bytewise(&data);
+        for cut in [1, 255, 256, 8191, 8192, 8193, 2 * 8192, 3 * 8192, 3 * 8192 + 300, data.len() - 1] {
+            let (a, b) = data.split_at(cut);
+            for (name, crc) in crc_paths() {
+                assert_eq!(crc(crc(0, a), b), whole, "{name} cut at {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_chunked_updates_equal_the_one_shot_checksum() {
+        let data: Vec<u8> = (0..4099u32).map(|i| (i.wrapping_mul(131) >> 2) as u8).collect();
+        let whole = crc32(&data);
+        for chunk in [1usize, 7, 8, 64, 1000, 4099] {
+            for (name, crc) in crc_paths() {
+                assert_eq!(data.chunks(chunk).fold(0, crc), whole, "{name} chunk size {chunk}");
+            }
+        }
+        assert_eq!(crc32_update(whole, &[]), whole, "empty update is the identity");
+    }
+
+    #[test]
+    fn crc32_is_sensitive_to_single_bit_flips() {
+        let clean = vec![0x5au8; 4096];
+        let base = crc32(&clean);
+        for byte in [0usize, 1, 2047, 4095] {
+            for bit in 0..8 {
+                let mut dirty = clean.clone();
+                dirty[byte] ^= 1 << bit;
+                assert_ne!(crc32(&dirty), base, "flip at byte {byte} bit {bit} undetected");
+            }
+        }
+    }
+
+    #[test]
+    fn grad_scale_average_equals_division_bit_for_bit() {
+        assert_eq!(GradScale::average_over(1.0), GradScale::One);
+        assert_eq!(GradScale::average_over(8.0), GradScale::Mul(0.125));
+        assert_eq!(GradScale::average_over(3.0), GradScale::Div(3.0));
+        let mut xs: Vec<f32> = noise(4 * 4096, 6)
+            .as_chunks::<4>()
+            .0
+            .iter()
+            .map(|b| f32::from_le_bytes(*b))
+            .filter(|x| x.is_finite())
+            .collect();
+        xs.extend([0.0, -0.0, f32::MAX, f32::MIN_POSITIVE, f32::from_bits(1), -f32::from_bits(3)]);
+        for count in [1.0f32, 2.0, 3.0, 4.0, 6.0, 8.0, 64.0, 1024.0] {
+            let scale = GradScale::average_over(count);
+            for &x in &xs {
+                assert_eq!(scale.apply(x).to_bits(), (x / count).to_bits(), "{x:e} / {count}");
+            }
+        }
     }
 }

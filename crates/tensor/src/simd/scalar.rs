@@ -7,8 +7,10 @@
 //! [`sum8`] reduction tree rather than a natural sequential loop —
 //! "scalar" names the instruction set, not the algorithm shape.
 
+use zi_sync::OnceLock;
+
 use crate::f16::F16;
-use super::{AdamParams, LANES};
+use super::{AdamParams, PublishTo, LANES};
 
 /// log2(e), for range reduction in [`exp_approx`].
 const LOG2_E: f32 = std::f32::consts::LOG2_E;
@@ -412,20 +414,103 @@ pub fn adam_one(
     *master -= p.lr * update;
 }
 
-/// Elementwise Adam over a chunk, optionally publishing new masters.
+/// Elementwise Adam over a chunk: the gradient scaled by
+/// [`AdamParams::grad_scale`], the new masters also written to
+/// `publish`, and — with `crcs` — the CRC32-C of every stream extended
+/// over the bytes stored (master, momentum, variance, publish).
+#[allow(clippy::too_many_arguments)]
 pub fn adam_chunk(
     p: &AdamParams,
     master: &mut [f32],
     m: &mut [f32],
     v: &mut [f32],
     grad: &[f32],
-    publish: Option<&mut [f32]>,
+    mut publish: PublishTo<'_>,
+    crcs: Option<&mut [u32; 4]>,
     fma: bool,
 ) {
     for i in 0..master.len() {
-        adam_one(p, &mut master[i], &mut m[i], &mut v[i], grad[i], fma);
+        adam_one(p, &mut master[i], &mut m[i], &mut v[i], p.grad_scale.apply(grad[i]), fma);
     }
-    if let Some(out) = publish {
-        out.copy_from_slice(master);
+    match &mut publish {
+        PublishTo::None => {}
+        PublishTo::F32(out) => out.copy_from_slice(master),
+        PublishTo::F16(out) => f32_to_f16(master, out),
     }
+    if let Some(crcs) = crcs {
+        for (crc, stream) in crcs.iter_mut().zip([&*master, &*m, &*v]) {
+            *crc = crc32c(*crc, f32_bytes(stream));
+        }
+        crcs[3] = match &publish {
+            PublishTo::None => crcs[3],
+            PublishTo::F32(out) => crc32c(crcs[3], f32_bytes(out)),
+            PublishTo::F16(out) => crc32c(crcs[3], f16_bytes(out)),
+        };
+    }
+}
+
+/// The bytes of `x` as stored (little-endian on every supported target).
+fn f32_bytes(x: &[f32]) -> &[u8] {
+    // SAFETY: `u8` has no alignment requirement and every byte of an
+    // initialized `f32` slice is initialized; the view borrows `x`.
+    unsafe { std::slice::from_raw_parts(x.as_ptr().cast::<u8>(), std::mem::size_of_val(x)) }
+}
+
+/// The bytes of `x` as stored; see [`f32_bytes`].
+fn f16_bytes(x: &[F16]) -> &[u8] {
+    // SAFETY: `F16` is a `repr(transparent)` `u16`; as for `f32_bytes`.
+    unsafe { std::slice::from_raw_parts(x.as_ptr().cast::<u8>(), std::mem::size_of_val(x)) }
+}
+
+// ---------------------------------------------------------------------------
+// CRC32-C
+
+/// Table 0 is the classic byte-at-a-time table of CRC32-C (Castagnoli,
+/// reflected polynomial 0x82F63B78); table `k` maps a byte to its CRC
+/// contribution from `k` positions deeper in the input.
+pub(crate) fn crc_tables() -> &'static [[u32; 256]; 8] {
+    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, entry) in t[0].iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 { 0x82f6_3b78 ^ (c >> 1) } else { c >> 1 };
+            }
+            *entry = c;
+        }
+        for i in 0..256usize {
+            let mut c = t[0][i];
+            for k in 1..8 {
+                c = t[0][(c & 0xff) as usize] ^ (c >> 8);
+                t[k][i] = c;
+            }
+        }
+        t
+    })
+}
+
+/// Canonical CRC32-C, software slicing-by-8: folds 8 input bytes per
+/// iteration through eight independent table lookups. `crc` is the CRC
+/// of the bytes that precede `data` (0 for none).
+pub fn crc32c(crc: u32, data: &[u8]) -> u32 {
+    let t = crc_tables();
+    let mut c = !crc;
+    let (words, tail) = data.as_chunks::<8>();
+    for w in words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in tail {
+        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    }
+    !c
 }

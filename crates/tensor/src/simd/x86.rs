@@ -1,4 +1,4 @@
-//! AVX2 (+ optional FMA) backend for x86_64.
+//! AVX2 (+ F16C, SSE 4.2, optional FMA) backend for x86_64.
 //!
 //! Every kernel here mirrors the canonical algorithm in
 //! [`super::scalar`] lane for lane: the 8-lane accumulators are real
@@ -6,15 +6,20 @@
 //! [`scalar::sum8`]/[`scalar::dot_tail`] so remainders and reduction
 //! trees are literally the same code, and fused multiply-add is only
 //! emitted in the `fma = true` variants (the `ZI_SIMD_FMA=1` knob).
-//! The f16 conversions use integer bit manipulation rather than
-//! hardware `F16C` because the scalar [`crate::f16::F16`] conversion
-//! canonicalizes NaN payloads on `from_f32`, and hardware `vcvtps2ph`
-//! does not.
+//! The f16 conversions are the F16C instructions plus a NaN fix-up:
+//! the scalar [`crate::f16::F16`] conversion canonicalizes NaN payloads
+//! on `from_f32` and keeps a signaling NaN's payload on `to_f32`, where
+//! the hardware keeps the one and quiets the other, so the NaN lanes are
+//! patched to the scalar bits (every other lane already agrees: the
+//! conformance suite checks all 2¹⁶ and all 2³² inputs). CRC32-C is the
+//! SSE 4.2 `crc32` instruction, and the fused Adam kernel runs it on the
+//! bytes it stores while the divider works.
 //!
 //! # Safety
 //!
-//! All `pub` functions require AVX2 (and, when `fma = true`, FMA) to be
-//! supported; `super::backend()` guarantees this before dispatching.
+//! All `pub` functions require AVX2, F16C and SSE 4.2 (and, when
+//! `fma = true`, FMA) to be supported; `super::backend()` guarantees this
+//! before dispatching.
 
 #![allow(unsafe_op_in_unsafe_fn)]
 // Register tiles are const-sized arrays whose index is also the pointer
@@ -23,109 +28,155 @@
 
 use core::arch::x86_64::*;
 
-use super::{scalar, AdamParams, LANES};
+use zi_sync::OnceLock;
+
+use super::{scalar, AdamParams, GradScale, PublishTo, LANES};
 use crate::f16::F16;
 
 // ---------------------------------------------------------------------------
 // f16 conversion
 
-/// Bulk f16 → f32, bit-identical to [`F16::to_f32`] for all 65,536
-/// input patterns (exact conversion, NaN payloads shifted into place).
-#[target_feature(enable = "avx2")]
+/// Bulk f16 → f32 with F16C `vcvtph2ps`, bit-identical to
+/// [`F16::to_f32`] for all 65,536 input patterns: the conversion is
+/// exact, and the one difference — the hardware quiets a signaling NaN,
+/// the scalar path shifts its payload into place unchanged — is undone
+/// by clearing the quiet bit on the NaN lanes whose input lacked it.
+#[target_feature(enable = "avx2,f16c")]
 // SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
+// CPU supports it; `super::backend()` verifies AVX2/F16C before dispatch.
 pub unsafe fn f16_to_f32(src: &[F16], dst: &mut [f32]) {
     let n = src.len();
     let sp = src.as_ptr() as *const __m128i;
     let dp = dst.as_mut_ptr();
-    let two_neg24 = _mm256_set1_ps(f32::from_bits(0x3380_0000)); // 2^-24
+    let quiet = _mm256_set1_epi32(0x0040_0000);
     let mut i = 0;
     while i + LANES <= n {
-        let h = _mm256_cvtepu16_epi32(_mm_loadu_si128(sp.byte_add(i * 2)));
-        let sign = _mm256_slli_epi32::<16>(_mm256_and_si256(h, _mm256_set1_epi32(0x8000)));
-        let hab = _mm256_and_si256(h, _mm256_set1_epi32(0x7fff));
-        let mant = _mm256_and_si256(h, _mm256_set1_epi32(0x3ff));
-        // Normal: shift exponent+mantissa into f32 position, rebias 15→127.
-        let normal = _mm256_add_epi32(_mm256_slli_epi32::<13>(hab), _mm256_set1_epi32(0x3800_0000));
-        // Inf/NaN: f32 exponent all-ones, payload shifted (matches scalar).
-        let ext = _mm256_or_si256(_mm256_set1_epi32(0x7f80_0000), _mm256_slli_epi32::<13>(mant));
-        // Subnormal (and zero): exact value mant * 2^-24.
-        let subf = _mm256_mul_ps(_mm256_cvtepi32_ps(mant), two_neg24);
-        let m_ext = _mm256_cmpgt_epi32(hab, _mm256_set1_epi32(0x7bff));
-        let m_sub = _mm256_cmpgt_epi32(_mm256_set1_epi32(0x400), hab);
-        let mut res = _mm256_blendv_epi8(normal, ext, m_ext);
-        res = _mm256_blendv_epi8(res, _mm256_castps_si256(subf), m_sub);
-        res = _mm256_or_si256(res, sign);
-        _mm256_storeu_ps(dp.add(i), _mm256_castsi256_ps(res));
+        let h = _mm_loadu_si128(sp.byte_add(i * 2));
+        let f = _mm256_castps_si256(_mm256_cvtph_ps(h));
+        let h = _mm256_cvtepu16_epi32(h);
+        let nan = _mm256_cmpgt_epi32(_mm256_and_si256(h, _mm256_set1_epi32(0x7fff)), _mm256_set1_epi32(0x7c00));
+        // Quiet bit the hardware set but the input's payload did not have.
+        let added = _mm256_and_si256(_mm256_andnot_si256(_mm256_slli_epi32::<13>(h), quiet), nan);
+        _mm256_storeu_ps(dp.add(i), _mm256_castsi256_ps(_mm256_xor_si256(f, added)));
         i += LANES;
     }
     scalar::f16_to_f32(&src[i..], &mut dst[i..]);
 }
 
-/// Bulk f32 → f16, bit-identical to [`F16::from_f32`] for every input:
-/// round-to-nearest-even with natural carry into the exponent
-/// (MAX → inf), canonical quiet NaN, signed-zero underflow.
-#[target_feature(enable = "avx2")]
+/// Eight f32 lanes to f16 with F16C `vcvtps2ph` (round-to-nearest-even,
+/// natural carry into the exponent, signed-zero underflow), NaN payloads
+/// then dropped to the canonical quiet NaN `sign | 0x7e00` that
+/// [`F16::from_f32`] produces.
+#[inline(always)]
+// SAFETY: `inline(always)` helper with no feature gate of its own — must
+// only be inlined into a `target_feature(avx2,f16c)` caller.
+unsafe fn to_f16(x: __m256) -> __m128i {
+    let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(x);
+    let abs = _mm256_and_si256(_mm256_castps_si256(x), _mm256_set1_epi32(0x7fff_ffff));
+    let nan = _mm256_cmpgt_epi32(abs, _mm256_set1_epi32(0x7f80_0000));
+    let nan = _mm_packs_epi32(_mm256_castsi256_si128(nan), _mm256_extracti128_si256::<1>(nan));
+    _mm_andnot_si128(_mm_and_si128(nan, _mm_set1_epi16(0x01ff)), h)
+}
+
+/// Bulk f32 → f16, bit-identical to [`F16::from_f32`] for every input
+/// (see [`to_f16`]).
+#[target_feature(enable = "avx2,f16c")]
 // SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
+// CPU supports it; `super::backend()` verifies AVX2/F16C before dispatch.
 pub unsafe fn f32_to_f16(src: &[f32], dst: &mut [F16]) {
     let n = src.len();
     let sp = src.as_ptr();
     let dp = dst.as_mut_ptr() as *mut __m128i;
-    let one = _mm256_set1_epi32(1);
     let mut i = 0;
     while i + LANES <= n {
-        let bits = _mm256_castps_si256(_mm256_loadu_ps(sp.add(i)));
-        let sign = _mm256_and_si256(_mm256_srli_epi32::<16>(bits), _mm256_set1_epi32(0x8000));
-        let hab = _mm256_and_si256(bits, _mm256_set1_epi32(0x7fff_ffff));
-
-        // Normal candidate: out = (hab >> 13) - (112 << 10), then RN-even on
-        // the 13 dropped bits; the +1 carry ripples into the exponent, so
-        // rounding up from MAX yields infinity exactly like the scalar path.
-        let out_n = _mm256_sub_epi32(_mm256_srli_epi32::<13>(hab), _mm256_set1_epi32(112 << 10));
-        let rem_n = _mm256_and_si256(hab, _mm256_set1_epi32(0x1fff));
-        let odd_n = _mm256_cmpeq_epi32(_mm256_and_si256(out_n, one), one);
-        let inc_n = _mm256_or_si256(
-            _mm256_cmpgt_epi32(rem_n, _mm256_set1_epi32(0x1000)),
-            _mm256_and_si256(_mm256_cmpeq_epi32(rem_n, _mm256_set1_epi32(0x1000)), odd_n),
-        );
-        let out_n = _mm256_sub_epi32(out_n, inc_n); // mask is -1 ⇒ subtract to add 1
-
-        // Subnormal candidate: value = (mant | implicit) >> (126 - exp) with
-        // RN-even on the dropped bits. Shift counts are capped at 31 so very
-        // small inputs (including f32 subnormals) cleanly flush to zero.
-        let full = _mm256_or_si256(
-            _mm256_and_si256(bits, _mm256_set1_epi32(0x007f_ffff)),
-            _mm256_set1_epi32(0x0080_0000),
-        );
-        let ts = _mm256_sub_epi32(_mm256_set1_epi32(126), _mm256_srli_epi32::<23>(hab));
-        let ts = _mm256_min_epu32(ts, _mm256_set1_epi32(31));
-        let out_s = _mm256_srlv_epi32(full, ts);
-        let pow = _mm256_sllv_epi32(one, ts);
-        let rem_s = _mm256_and_si256(full, _mm256_sub_epi32(pow, one));
-        let half_s = _mm256_srli_epi32::<1>(pow);
-        let odd_s = _mm256_cmpeq_epi32(_mm256_and_si256(out_s, one), one);
-        let inc_s = _mm256_or_si256(
-            _mm256_cmpgt_epi32(rem_s, half_s),
-            _mm256_and_si256(_mm256_cmpeq_epi32(rem_s, half_s), odd_s),
-        );
-        let out_s = _mm256_sub_epi32(out_s, inc_s);
-
-        let m_sub = _mm256_cmpgt_epi32(_mm256_set1_epi32(0x3880_0000), hab);
-        let m_over = _mm256_cmpgt_epi32(hab, _mm256_set1_epi32(0x477f_ffff));
-        let m_nan = _mm256_cmpgt_epi32(hab, _mm256_set1_epi32(0x7f80_0000));
-        let mut out = _mm256_blendv_epi8(out_n, out_s, m_sub);
-        out = _mm256_blendv_epi8(out, _mm256_set1_epi32(0x7c00), m_over);
-        out = _mm256_blendv_epi8(out, _mm256_set1_epi32(0x7e00), m_nan);
-        out = _mm256_or_si256(out, sign);
-
-        // Pack 8×u32 (≤ 0xffff) → 8×u16 and fix the cross-lane order.
-        let packed = _mm256_packus_epi32(out, out);
-        let packed = _mm256_permute4x64_epi64::<0b00_00_10_00>(packed);
-        _mm_storeu_si128(dp.byte_add(i * 2), _mm256_castsi256_si128(packed));
+        _mm_storeu_si128(dp.byte_add(i * 2), to_f16(_mm256_loadu_ps(sp.add(i))));
         i += LANES;
     }
     scalar::f32_to_f16(&src[i..], &mut dst[i..]);
+}
+
+// ---------------------------------------------------------------------------
+// CRC32-C
+
+/// Lane lengths of the interleaved [`crc32c`], longest first: a buffer
+/// is consumed three lanes at a time at the first length that still
+/// fits, so everything but a tail shorter than `3 * 256` bytes runs three
+/// `crc32` chains at once.
+const CRC_LANES: [usize; 2] = [8192, 256];
+
+/// For each of [`CRC_LANES`]: `table[k][b]` is the CRC register
+/// `b << 8k` advanced over one lane of zero bytes. The register update
+/// is linear over GF(2), so a register advanced over `lane` bytes of
+/// *data* is [`advance`] of it XOR the register of those bytes started
+/// from zero — which is what lets three lanes be checksummed
+/// independently.
+fn lane_tables() -> &'static [[[u32; 256]; 4]; 2] {
+    static LANE_TABLES: OnceLock<[[[u32; 256]; 4]; 2]> = OnceLock::new();
+    LANE_TABLES.get_or_init(|| {
+        let t = &scalar::crc_tables()[0];
+        CRC_LANES.map(|lane| {
+            // The image of each register bit, by running the byte-wise
+            // recurrence over `lane` zero bytes.
+            let basis: [u32; 32] = std::array::from_fn(|bit| {
+                (0..lane).fold(1u32 << bit, |c, _| t[(c & 0xff) as usize] ^ (c >> 8))
+            });
+            let image = |reg: u32| {
+                (0..32).filter(|bit| reg >> bit & 1 != 0).fold(0, |acc, bit| acc ^ basis[bit])
+            };
+            std::array::from_fn(|k| std::array::from_fn(|b| image((b as u32) << (8 * k))))
+        })
+    })
+}
+
+/// Advance the CRC register `c` over the lane of zeros `table` encodes.
+fn advance(table: &[[u32; 256]; 4], c: u64) -> u64 {
+    let c = c as u32;
+    u64::from(
+        table[0][(c & 0xff) as usize]
+            ^ table[1][((c >> 8) & 0xff) as usize]
+            ^ table[2][((c >> 16) & 0xff) as usize]
+            ^ table[3][(c >> 24) as usize],
+    )
+}
+
+/// CRC32-C with the SSE 4.2 `crc32` instruction, bit-identical to
+/// [`scalar::crc32c`]. The instruction has a 3-cycle latency and a
+/// 1-cycle throughput, so one dependent chain runs at a third of what
+/// the unit can do: long inputs are cut into three lanes checksummed in
+/// one interleaved loop and recombined through precomputed "advance by
+/// one lane of zeros" tables (the zlib / iSCSI technique), 8 bytes at a
+/// time; the rest runs on one chain.
+#[target_feature(enable = "sse4.2")]
+// SAFETY: gated on the `target_feature` above — the caller must ensure the
+// CPU supports it; `super::backend()` verifies SSE 4.2 before dispatch.
+pub unsafe fn crc32c(crc: u32, mut data: &[u8]) -> u32 {
+    let mut c = u64::from(!crc);
+    for (lane, table) in CRC_LANES.into_iter().zip(lane_tables()) {
+        while data.len() >= 3 * lane {
+            let (head, rest) = data.split_at(3 * lane);
+            let (a, bc) = head.split_at(lane);
+            let (b, c_lane) = bc.split_at(lane);
+            let (mut c1, mut c2) = (0u64, 0u64);
+            let lanes = a.as_chunks::<8>().0.iter().zip(b.as_chunks::<8>().0).zip(c_lane.as_chunks::<8>().0);
+            for ((x, y), z) in lanes {
+                c = _mm_crc32_u64(c, u64::from_le_bytes(*x));
+                c1 = _mm_crc32_u64(c1, u64::from_le_bytes(*y));
+                c2 = _mm_crc32_u64(c2, u64::from_le_bytes(*z));
+            }
+            c = advance(table, c) ^ c1;
+            c = advance(table, c) ^ c2;
+            data = rest;
+        }
+    }
+    let (words, tail) = data.as_chunks::<8>();
+    for w in words {
+        c = _mm_crc32_u64(c, u64::from_le_bytes(*w));
+    }
+    let mut c = c as u32;
+    for &b in tail {
+        c = _mm_crc32_u8(c, b);
+    }
+    !c
 }
 
 // ---------------------------------------------------------------------------
@@ -828,17 +879,59 @@ pub unsafe fn layernorm_backward_row(
 // ---------------------------------------------------------------------------
 // adam
 
+/// Extend the CRC registers of master, m, v and the `OUT` publish over
+/// the block of [`LANES`] elements at `at` that the kernel has stored.
 #[inline(always)]
 // SAFETY: `inline(always)` helper with no feature gate of its own — must
-// only be inlined into a `target_feature(avx2[,fma])` caller, which every
-// call site in this module is.
-unsafe fn adam_body<const FMA: bool>(
+// only be inlined into a `target_feature(sse4.2)` caller; the four
+// streams must hold the block at `at`.
+unsafe fn crc_block<const OUT: u8>(
+    mut c: [u64; 4],
+    master: *const f32,
+    m: *const f32,
+    v: *const f32,
+    out: *const u8,
+    at: usize,
+) -> [u64; 4] {
+    let word = |base: *const u8, k: usize| (base as *const u64).add(k).read_unaligned();
+    for k in 0..LANES / 2 {
+        c[0] = _mm_crc32_u64(c[0], word(master.add(at) as *const u8, k));
+        c[1] = _mm_crc32_u64(c[1], word(m.add(at) as *const u8, k));
+        c[2] = _mm_crc32_u64(c[2], word(v.add(at) as *const u8, k));
+    }
+    let (width, words) = match OUT {
+        OUT_F16 => (2, LANES / 4),
+        OUT_F32 => (4, LANES / 2),
+        _ => (0, 0),
+    };
+    for k in 0..words {
+        c[3] = _mm_crc32_u64(c[3], word(out.add(at * width), k));
+    }
+    c
+}
+
+/// Publish kinds of [`adam_body`]'s `OUT`.
+const OUT_NONE: u8 = 0;
+const OUT_F32: u8 = 1;
+const OUT_F16: u8 = 2;
+
+/// The fused loop, one instance per FMA setting, checksum setting and
+/// publish kind (`OUT`: none, fp32 to `out`, fp16 to `out`), so no
+/// instance tests a setting per iteration.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+// SAFETY: `inline(always)` helper with no feature gate of its own — must
+// only be inlined into a `target_feature(avx2,f16c,sse4.2[,fma])` caller,
+// which every call site in this module is; `out` must be valid for
+// `master.len()` elements of the `OUT` kind.
+unsafe fn adam_body<const FMA: bool, const CRC: bool, const OUT: u8>(
     p: &AdamParams,
     master: &mut [f32],
     m: &mut [f32],
     v: &mut [f32],
     grad: &[f32],
-    publish: Option<&mut [f32]>,
+    out: *mut u8,
+    crcs: &mut [u32; 4],
 ) {
     let n = master.len();
     let b1 = _mm256_set1_ps(p.beta1);
@@ -850,14 +943,25 @@ unsafe fn adam_body<const FMA: bool>(
     let lr = _mm256_set1_ps(p.lr);
     let eps = _mm256_set1_ps(p.eps);
     let wd = _mm256_set1_ps(p.weight_decay);
+    let (mul, div) = match p.grad_scale {
+        GradScale::One => (None, None),
+        GradScale::Mul(r) => (Some(_mm256_set1_ps(r)), None),
+        GradScale::Div(d) => (None, Some(_mm256_set1_ps(d))),
+    };
     let mp = master.as_mut_ptr();
     let mmp = m.as_mut_ptr();
     let vp = v.as_mut_ptr();
     let gp = grad.as_ptr();
-    let pubp = publish.as_ref().map(|s| s.as_ptr() as *mut f32);
+    // The running registers (inverted CRCs) of master, m, v and publish.
+    let mut c = crcs.map(|crc| u64::from(!crc));
     let mut i = 0;
     while i + LANES <= n {
-        let g = _mm256_loadu_ps(gp.add(i));
+        let mut g = _mm256_loadu_ps(gp.add(i));
+        if let Some(r) = mul {
+            g = _mm256_mul_ps(g, r);
+        } else if let Some(d) = div {
+            g = _mm256_div_ps(g, d);
+        }
         let mo = _mm256_loadu_ps(mmp.add(i));
         let vo = _mm256_loadu_ps(vp.add(i));
         let po = _mm256_loadu_ps(mp.add(i));
@@ -881,62 +985,133 @@ unsafe fn adam_body<const FMA: bool>(
         let update = _mm256_add_ps(_mm256_div_ps(m_hat, den), _mm256_mul_ps(wd, po));
         let pn = _mm256_sub_ps(po, _mm256_mul_ps(lr, update));
         _mm256_storeu_ps(mp.add(i), pn);
-        if let Some(out) = pubp {
-            _mm256_storeu_ps(out.add(i), pn);
+        if OUT == OUT_F16 {
+            _mm_storeu_si128(out.add(i * 2) as *mut __m128i, to_f16(pn));
+        } else if OUT == OUT_F32 {
+            _mm256_storeu_ps(out.add(i * 4) as *mut f32, pn);
+        }
+        // The checksums ride the divider's latency: the `crc32` port is
+        // otherwise idle while the divides and the root retire. They run
+        // one block behind, over bytes stored an iteration ago, so they
+        // wait on nothing of this iteration's long dependency chain and
+        // retire at once instead of crowding it out of the reorder buffer.
+        if CRC && i > 0 {
+            c = crc_block::<OUT>(c, mp, mmp, vp, out, i - LANES);
         }
         i += LANES;
     }
+    if CRC && i > 0 {
+        c = crc_block::<OUT>(c, mp, mmp, vp, out, i - LANES);
+    }
     for j in i..n {
-        scalar::adam_one(p, &mut master[j], &mut m[j], &mut v[j], grad[j], FMA);
-        if let Some(out) = pubp {
-            *out.add(j) = master[j];
+        scalar::adam_one(p, &mut master[j], &mut m[j], &mut v[j], p.grad_scale.apply(grad[j]), FMA);
+        let (bits, h) = (master[j].to_bits(), F16::from_f32(master[j]).to_bits());
+        if OUT == OUT_F16 {
+            (out as *mut u16).add(j).write_unaligned(h);
+        } else if OUT == OUT_F32 {
+            (out as *mut u32).add(j).write_unaligned(bits);
         }
+        if CRC {
+            for (reg, word) in c.iter_mut().zip([bits, m[j].to_bits(), v[j].to_bits()]) {
+                *reg = u64::from(_mm_crc32_u32(*reg as u32, word));
+            }
+            if OUT == OUT_F16 {
+                c[3] = u64::from(_mm_crc32_u16(c[3] as u32, h));
+            } else if OUT == OUT_F32 {
+                c[3] = u64::from(_mm_crc32_u32(c[3] as u32, bits));
+            }
+        }
+    }
+    if CRC {
+        *crcs = c.map(|reg| !(reg as u32));
     }
 }
 
-#[target_feature(enable = "avx2")]
+/// [`adam_body`] for the settings of one call.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+// SAFETY: as for `adam_body`, into whose instances it dispatches.
+unsafe fn adam_any<const FMA: bool>(
+    p: &AdamParams,
+    master: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    grad: &[f32],
+    publish: PublishTo<'_>,
+    crcs: Option<&mut [u32; 4]>,
+) {
+    let (kind, out) = match publish {
+        PublishTo::None => (OUT_NONE, std::ptr::null_mut()),
+        PublishTo::F32(out) => (OUT_F32, out.as_mut_ptr() as *mut u8),
+        PublishTo::F16(out) => (OUT_F16, out.as_mut_ptr() as *mut u8),
+    };
+    let mut unused = [0; 4];
+    let (on, crcs) = match crcs {
+        Some(crcs) => (true, crcs),
+        None => (false, &mut unused),
+    };
+    match (on, kind) {
+        (false, OUT_NONE) => adam_body::<FMA, false, OUT_NONE>(p, master, m, v, grad, out, crcs),
+        (false, OUT_F32) => adam_body::<FMA, false, OUT_F32>(p, master, m, v, grad, out, crcs),
+        (false, _) => adam_body::<FMA, false, OUT_F16>(p, master, m, v, grad, out, crcs),
+        (true, OUT_NONE) => adam_body::<FMA, true, OUT_NONE>(p, master, m, v, grad, out, crcs),
+        (true, OUT_F32) => adam_body::<FMA, true, OUT_F32>(p, master, m, v, grad, out, crcs),
+        (true, _) => adam_body::<FMA, true, OUT_F16>(p, master, m, v, grad, out, crcs),
+    }
+}
+
+#[target_feature(enable = "avx2,f16c,sse4.2")]
+#[allow(clippy::too_many_arguments)]
 // SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
+// CPU supports it; `super::backend()` verifies AVX2/F16C/SSE4.2 before dispatch.
 unsafe fn adam_plain(
     p: &AdamParams,
     master: &mut [f32],
     m: &mut [f32],
     v: &mut [f32],
     grad: &[f32],
-    publish: Option<&mut [f32]>,
+    publish: PublishTo<'_>,
+    crcs: Option<&mut [u32; 4]>,
 ) {
-    adam_body::<false>(p, master, m, v, grad, publish)
+    adam_any::<false>(p, master, m, v, grad, publish, crcs)
 }
 
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2,f16c,sse4.2,fma")]
+#[allow(clippy::too_many_arguments)]
 // SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
+// CPU supports it; `super::backend()` verifies AVX2/F16C/SSE4.2/FMA before dispatch.
 unsafe fn adam_fma(
     p: &AdamParams,
     master: &mut [f32],
     m: &mut [f32],
     v: &mut [f32],
     grad: &[f32],
-    publish: Option<&mut [f32]>,
+    publish: PublishTo<'_>,
+    crcs: Option<&mut [u32; 4]>,
 ) {
-    adam_body::<true>(p, master, m, v, grad, publish)
+    adam_any::<true>(p, master, m, v, grad, publish, crcs)
 }
 
-/// Elementwise Adam chunk update with optional fused publish.
+/// The fused Adam kernel (see [`super::adam_chunk`]): one pass that
+/// scales the gradient, updates the three streams, publishes, and
+/// chains each stream's CRC32-C over the bytes just stored.
+#[allow(clippy::too_many_arguments)]
 // SAFETY: forwards to `target_feature` kernels — the caller must ensure
-// AVX2 (and FMA when `fma` is true) support, as `super::backend()` does.
+// AVX2, F16C and SSE 4.2 (and FMA when `fma` is true) support, as
+// `super::backend()` does.
 pub unsafe fn adam_chunk(
     p: &AdamParams,
     master: &mut [f32],
     m: &mut [f32],
     v: &mut [f32],
     grad: &[f32],
-    publish: Option<&mut [f32]>,
+    publish: PublishTo<'_>,
+    crcs: Option<&mut [u32; 4]>,
     fma: bool,
 ) {
     if fma {
-        adam_fma(p, master, m, v, grad, publish)
+        adam_fma(p, master, m, v, grad, publish, crcs)
     } else {
-        adam_plain(p, master, m, v, grad, publish)
+        adam_plain(p, master, m, v, grad, publish, crcs)
     }
 }

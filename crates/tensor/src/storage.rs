@@ -26,7 +26,7 @@ fn bytes_as_f16(bytes: &[u8]) -> Option<&[F16]> {
 
 /// Mutable variant of [`bytes_as_f16`].
 #[inline]
-fn bytes_as_f16_mut(bytes: &mut [u8]) -> Option<&mut [F16]> {
+pub(crate) fn bytes_as_f16_mut(bytes: &mut [u8]) -> Option<&mut [F16]> {
     if cfg!(target_endian = "big") {
         return None;
     }
@@ -52,7 +52,7 @@ fn bytes_as_f32(bytes: &[u8]) -> Option<&[f32]> {
 
 /// Mutable variant of [`bytes_as_f32`].
 #[inline]
-fn bytes_as_f32_mut(bytes: &mut [u8]) -> Option<&mut [f32]> {
+pub(crate) fn bytes_as_f32_mut(bytes: &mut [u8]) -> Option<&mut [f32]> {
     if cfg!(target_endian = "big") {
         return None;
     }

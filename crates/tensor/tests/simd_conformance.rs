@@ -26,7 +26,7 @@ use zi_sync::{Mutex, OnceLock};
 
 use zi_tensor::f16::F16;
 use zi_tensor::ops;
-use zi_tensor::simd::{self, AdamParams, Backend};
+use zi_tensor::simd::{self, AdamParams, Backend, GradScale, PublishTo};
 use zi_tensor::Tensor;
 
 /// Serialize tests that flip the global backend/FMA overrides.
@@ -161,6 +161,49 @@ fn f16_nan_payloads_canonicalize_identically() {
         let sign = (x.to_bits() >> 16) as u16 & 0x8000;
         assert_eq!(h.to_bits(), sign | 0x7e00, "NaN {:#010x}", x.to_bits());
     }
+}
+
+/// Assert the dispatched f32 → f16 conversion of `xs` equals
+/// [`F16::from_f32`] on every element.
+fn assert_f16_conversions(xs: &[f32]) {
+    let mut out = vec![F16::ZERO; xs.len()];
+    with_backend(None, None, || simd::f32_to_f16_slice(xs, &mut out));
+    for (x, got) in xs.iter().zip(&out) {
+        let want = F16::from_f32(*x);
+        assert_eq!(got.to_bits(), want.to_bits(), "input {:#010x}", x.to_bits());
+    }
+}
+
+#[test]
+fn f16_from_f32_agrees_on_a_2_pow_24_pattern_stride() {
+    // Every 256th bit pattern, offset so the low byte varies too: all
+    // signs and exponents, mantissas spread across their range.
+    let xs: Vec<f32> = (0..1u32 << 24).map(|k| f32::from_bits(k << 8 | (k * 37) & 0xff)).collect();
+    for chunk in xs.chunks(1 << 20) {
+        assert_f16_conversions(chunk);
+    }
+}
+
+#[test]
+fn f16_from_f32_agrees_on_every_exponents_rounding_boundaries() {
+    // For every sign and exponent, the mantissas around each bit
+    // position that a conversion may round at — the normal halfway bit
+    // and each subnormal shift's — just below, on and above the halfway
+    // point, under even and odd kept bits.
+    let mut xs = Vec::new();
+    for sign in [0u32, 1 << 31] {
+        for exp in 0..=255u32 {
+            for b in 0..23u32 {
+                let half = 1u32 << b;
+                for low in [half - 1, half, half + 1] {
+                    for high in [0, 2 << b, 0x007f_ffff & !((2 << b) - 1)] {
+                        xs.push(f32::from_bits(sign | exp << 23 | ((high | low) & 0x007f_ffff)));
+                    }
+                }
+            }
+        }
+    }
+    assert_f16_conversions(&xs);
 }
 
 #[test]
@@ -417,20 +460,25 @@ fn layernorm_and_backward_are_bit_identical_across_backends() {
     }
 }
 
+fn adam_params(grad_scale: GradScale) -> AdamParams {
+    AdamParams {
+        beta1: 0.9,
+        beta2: 0.999,
+        one_minus_beta1: 0.1,
+        one_minus_beta2: 0.001,
+        bc1: 1.0 - 0.9f32.powi(3),
+        bc2: 1.0 - 0.999f32.powi(3),
+        lr: 1e-3,
+        eps: 1e-8,
+        weight_decay: 0.01,
+        grad_scale,
+    }
+}
+
 #[test]
 fn adam_chunk_is_bit_identical_across_backends() {
     for n in [7usize, 64, 1000] {
-        let params = AdamParams {
-            beta1: 0.9,
-            beta2: 0.999,
-            one_minus_beta1: 0.1,
-            one_minus_beta2: 0.001,
-            bc1: 1.0 - 0.9f32.powi(3),
-            bc2: 1.0 - 0.999f32.powi(3),
-            lr: 1e-3,
-            eps: 1e-8,
-            weight_decay: 0.01,
-        };
+        let params = adam_params(GradScale::Div(3.0));
         let master0 = lcg_f32s(n, 123);
         let m0 = lcg_f32s(n, 234);
         let v0: Vec<f32> = lcg_f32s(n, 345).iter().map(|v| v.abs()).collect();
@@ -440,11 +488,192 @@ fn adam_chunk_is_bit_identical_across_backends() {
             let mut m = m0.clone();
             let mut v = v0.clone();
             let mut publish = vec![0f32; n];
-            simd::adam_chunk(&params, &mut master, &mut m, &mut v, &grad, Some(&mut publish));
-            [master, m, v, publish]
-                .map(|vs| vs.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            let mut crcs = [1, 2, 3, 4];
+            let publish_to = PublishTo::F32(&mut publish);
+            simd::adam_chunk(&params, &mut master, &mut m, &mut v, &grad, publish_to, Some(&mut crcs));
+            let [master, m, v, publish] =
+                [master, m, v, publish].map(|vs| vs.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+            (master, m, v, publish, crcs)
         });
     }
+}
+
+/// The bytes of `x` as stored.
+fn le_bytes(x: &[f32]) -> Vec<u8> {
+    x.iter().flat_map(|v| v.to_le_bytes()).collect()
+}
+
+/// A buffer of `n` values with `PAD` sentinel NaNs on either side, so a
+/// kernel that reads past its slice sees a NaN and one that writes past
+/// it breaks the sentinel.
+const PAD: usize = 9;
+const NAN_SENTINEL: u32 = 0x7fa5_5a5a;
+
+fn padded_f32s(vals: &[f32]) -> Vec<f32> {
+    let pad = [f32::from_bits(NAN_SENTINEL); PAD];
+    pad.iter().chain(vals).chain(&pad).copied().collect()
+}
+
+fn assert_pads_intact(buf: &[f32], what: &str) {
+    let (head, tail) = (&buf[..PAD], &buf[buf.len() - PAD..]);
+    assert!(
+        head.iter().chain(tail).all(|x| x.to_bits() == NAN_SENTINEL),
+        "{what}: the kernel wrote outside its slice"
+    );
+}
+
+/// Master values that stress the publish conversion and the update:
+/// NaNs with payloads, infinities, f32 and f16 subnormals, values that
+/// round to f16 MAX or overflow it, signed zeros.
+fn hostile_masters(n: usize, seed: u64) -> Vec<f32> {
+    let specials = [
+        f32::NAN,
+        f32::from_bits(0xffc0_1234),
+        f32::from_bits(0x7f80_0001),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::from_bits(1),
+        -f32::from_bits(0x0040_0000),
+        2.0f32.powi(-24),
+        3.0 * 2.0f32.powi(-25),
+        65519.0,
+        65520.0,
+        -0.0,
+        0.0,
+    ];
+    lcg_f32s(n, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(i, x)| if i % 3 == 1 { specials[(i / 3) % specials.len()] } else { x })
+        .collect()
+}
+
+/// One fused pass against the unfused composition it replaces: the
+/// gradient averaged, the plain update ([`simd::adam_chunk`] with no
+/// publish and no checksums, as `adam_update_chunk` runs it), then
+/// `f32_to_f16_slice` (or a copy) of the new masters, then `crc32_update`
+/// over each stream's bytes — byte for byte, checksums included, on
+/// sentinel-padded buffers, in the backend and FMA state in force.
+fn fused_matches_composition(n: usize, scale: GradScale, half: bool, seed: u64) {
+    let p = adam_params(scale);
+    let master0 = hostile_masters(n, seed);
+    let m0 = lcg_f32s(n, seed + 1);
+    let v0: Vec<f32> = lcg_f32s(n, seed + 2).iter().map(|v| v.abs()).collect();
+    let mut grad = lcg_f32s(n, seed + 3);
+    if let Some(g) = grad.get_mut(2) {
+        *g = f32::from_bits(0x0000_0007); // a subnormal gradient
+    }
+    let crcs0 = [0, 0xdead_beef, 7, 0x1234_5678];
+    let id = format!("n={n} {scale:?} half={half} backend={:?} fma={}", simd::backend(), simd::fma_enabled());
+
+    // Fused, on padded buffers.
+    let (mut master, mut m, mut v) = (padded_f32s(&master0), padded_f32s(&m0), padded_f32s(&v0));
+    let g = padded_f32s(&grad);
+    let mut out32 = padded_f32s(&vec![0.0; n]);
+    let mut out16 = vec![F16::from_bits(0x5a5a); n + 2 * PAD];
+    let mut crcs = crcs0;
+    let inner = PAD..PAD + n;
+    let publish = if half {
+        PublishTo::F16(&mut out16[inner.clone()])
+    } else {
+        PublishTo::F32(&mut out32[inner.clone()])
+    };
+    simd::adam_chunk(
+        &p,
+        &mut master[inner.clone()],
+        &mut m[inner.clone()],
+        &mut v[inner.clone()],
+        &g[inner.clone()],
+        publish,
+        Some(&mut crcs),
+    );
+    for (buf, what) in [(&master, "master"), (&m, "m"), (&v, "v"), (&out32, "publish")] {
+        assert_pads_intact(buf, &format!("{id} {what}"));
+    }
+    let pads16 = out16[..PAD].iter().chain(&out16[PAD + n..]);
+    assert!(pads16.into_iter().all(|h| h.to_bits() == 0x5a5a), "{id}: f16 publish overran");
+
+    // Unfused.
+    let plain = adam_params(GradScale::One);
+    let averaged: Vec<f32> = grad.iter().map(|&x| scale.apply(x)).collect();
+    let (mut um, mut umm, mut uv) = (master0.clone(), m0.clone(), v0.clone());
+    simd::adam_chunk(&plain, &mut um, &mut umm, &mut uv, &averaged, PublishTo::None, None);
+    let publish_bytes = if half {
+        let mut h = vec![F16::ZERO; n];
+        simd::f32_to_f16_slice(&um, &mut h);
+        h.iter().flat_map(|h| h.to_bits().to_le_bytes()).collect()
+    } else {
+        le_bytes(&um)
+    };
+    let streams = [le_bytes(&um), le_bytes(&umm), le_bytes(&uv), publish_bytes.clone()];
+    let want_crcs: Vec<u32> =
+        streams.iter().zip(crcs0).map(|(bytes, crc)| simd::crc32_update(crc, bytes)).collect();
+
+    assert_eq!(le_bytes(&master[inner.clone()]), streams[0], "{id}: master");
+    assert_eq!(le_bytes(&m[inner.clone()]), streams[1], "{id}: m");
+    assert_eq!(le_bytes(&v[inner.clone()]), streams[2], "{id}: v");
+    let got_publish: Vec<u8> = if half {
+        out16[inner.clone()].iter().flat_map(|h| h.to_bits().to_le_bytes()).collect()
+    } else {
+        le_bytes(&out32[inner])
+    };
+    assert_eq!(got_publish, publish_bytes, "{id}: publish");
+    assert_eq!(crcs.to_vec(), want_crcs, "{id}: checksums");
+}
+
+#[test]
+fn fused_adam_kernel_matches_the_unfused_composition_on_both_backends() {
+    let scales = [GradScale::One, GradScale::average_over(4.0), GradScale::average_over(3.0)];
+    for backend in [Some(Backend::Scalar), None] {
+        for fma in [false, true] {
+            with_backend(backend, Some(fma), || {
+                for n in (0..=33).chain([65_536]) {
+                    for (k, &scale) in scales.iter().enumerate() {
+                        for half in [true, false] {
+                            fused_matches_composition(n, scale, half, 31 * n as u64 + k as u64);
+                        }
+                    }
+                }
+            });
+        }
+    }
+}
+
+#[test]
+fn fused_adam_kernel_without_checksums_or_publish_is_the_plain_update() {
+    // The resident-record form: same stored state, checksums untouched.
+    for n in [0usize, 5, 8, 133] {
+        assert_backend_bit_identity(&format!("plain n={n}"), || {
+            let p = adam_params(GradScale::average_over(2.0));
+            let (mut master, mut m) = (hostile_masters(n, 1), lcg_f32s(n, 2));
+            let mut v: Vec<f32> = lcg_f32s(n, 3).iter().map(|v| v.abs()).collect();
+            let grad = lcg_f32s(n, 4);
+            simd::adam_chunk(&p, &mut master, &mut m, &mut v, &grad, PublishTo::None, None);
+            [master, m, v].map(|vs| le_bytes(&vs))
+        });
+    }
+}
+
+#[test]
+fn crc32_and_f16_conversions_are_bit_identical_across_backends() {
+    // The dispatch test: forcing the scalar backend changes no byte of a
+    // checksum or a conversion.
+    let bytes: Vec<u8> = lcg_f32s(30_000, 77).iter().flat_map(|v| v.to_le_bytes()).collect();
+    for len in [0usize, 1, 7, 8, 255, 768, 769, 3 * 8192 + 5, bytes.len()] {
+        assert_backend_bit_identity(&format!("crc32 len={len}"), || simd::crc32(&bytes[3..3 + len - len.min(3)]));
+    }
+    let xs = hostile_masters(1031, 9);
+    assert_backend_bit_identity("f32_to_f16", || {
+        let mut h = vec![F16::ZERO; xs.len()];
+        simd::f32_to_f16_slice(&xs, &mut h);
+        h.iter().map(|h| h.to_bits()).collect::<Vec<_>>()
+    });
+    let hs: Vec<F16> = (0..=u16::MAX).step_by(7).map(F16::from_bits).collect();
+    assert_backend_bit_identity("f16_to_f32", || {
+        let mut out = vec![0f32; hs.len()];
+        simd::f16_to_f32_slice(&hs, &mut out);
+        out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+    });
 }
 
 #[test]

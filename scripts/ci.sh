@@ -6,6 +6,12 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test --workspace -q
+# Every f32 → f16 input: the F16C conversion and its NaN fix-up against
+# F16::from_f32 on all 2^32 bit patterns (the #[ignore]d sweep of the
+# conformance suite; ~15 s optimized, far longer in the debug profile).
+cargo test --release -q -p zi-tensor --test simd_conformance -- --ignored \
+        f16_from_f32_agrees_on_every_f32_bit_pattern \
+    || { echo "f32 -> f16 conversion disagrees with F16::from_f32"; exit 1; }
 # Analytic figures, byte for byte: every repro section but `functional`
 # (which trains real kernels) must print exactly the committed
 # repro_output.txt up to its functional section, minus the blank line
