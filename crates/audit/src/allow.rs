@@ -162,7 +162,7 @@ pub struct AllowOutcome {
 
 /// `/`-separated glob match: `**` spans segments, `*` matches within
 /// one segment.
-pub fn glob_match(glob: &str, path: &str) -> bool {
+pub(crate) fn glob_match(glob: &str, path: &str) -> bool {
     let gsegs: Vec<&str> = glob.split('/').collect();
     let psegs: Vec<&str> = path.split('/').collect();
     seg_match(&gsegs, &psegs)

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 /// One lexed token.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
+pub(crate) enum Tok {
     /// Identifier or keyword (raw identifiers are stored without `r#`).
     Ident(String),
     /// Single punctuation character (`::` arrives as two adjacent `:`).
@@ -34,7 +34,7 @@ pub enum Tok {
 
 /// A token plus its 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub(crate) struct Token {
     /// What was lexed.
     pub tok: Tok,
     /// 1-based line number of the token's first character.
@@ -45,7 +45,7 @@ pub struct Token {
 /// the comment text found on each line (joined when several comments
 /// share a line).
 #[derive(Debug, Clone)]
-pub struct SourceFile {
+pub(crate) struct SourceFile {
     /// Workspace-relative path (forward slashes).
     pub path: String,
     /// Code tokens in source order (comments excluded).
@@ -62,7 +62,7 @@ impl SourceFile {
     /// The lexer never fails: unterminated literals or comments simply
     /// run to end-of-file (the compiler is the arbiter of validity; the
     /// auditor only needs to not misclassify what follows).
-    pub fn lex(path: &str, content: &str) -> SourceFile {
+    pub(crate) fn lex(path: &str, content: &str) -> SourceFile {
         let mut lx = Lexer {
             src: content.as_bytes(),
             pos: 0,
@@ -83,14 +83,14 @@ impl SourceFile {
     }
 
     /// True when tokens `i` and `i + 1` form a `::` path separator.
-    pub fn is_path_sep(&self, i: usize) -> bool {
+    pub(crate) fn is_path_sep(&self, i: usize) -> bool {
         matches!(self.tokens.get(i), Some(Token { tok: Tok::Punct(':'), .. }))
             && matches!(self.tokens.get(i + 1), Some(Token { tok: Tok::Punct(':'), .. }))
     }
 
     /// The `a::b::c` path chain starting at identifier `i`, as segment
     /// strings, together with the token index one past the chain.
-    pub fn path_from(&self, i: usize) -> (Vec<&str>, usize) {
+    pub(crate) fn path_from(&self, i: usize) -> (Vec<&str>, usize) {
         let mut segs = Vec::new();
         let mut at = i;
         while let Some(s) = self.ident(at) {

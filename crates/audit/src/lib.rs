@@ -56,7 +56,7 @@ pub struct Analysis {
 }
 
 /// The directories the auditor walks, relative to the workspace root.
-pub const WALK_DIRS: &[&str] = &["crates", "src", "tests", "examples"];
+pub(crate) const WALK_DIRS: &[&str] = &["crates", "src", "tests", "examples"];
 
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git"];

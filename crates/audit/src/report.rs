@@ -22,7 +22,7 @@ use crate::allow::{AllowEntry, AllowOutcome};
 use crate::Analysis;
 
 /// Escape a string for a JSON value position.
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

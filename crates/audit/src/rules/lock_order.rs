@@ -71,7 +71,7 @@ pub struct LockGraph {
 /// Run the pass over the whole source set (the rule is inherently
 /// cross-file: declarations, acquisitions, and calls live in different
 /// crates).
-pub fn check(files: &[SourceFile], out: &mut Vec<Finding>) -> LockGraph {
+pub(crate) fn check(files: &[SourceFile], out: &mut Vec<Finding>) -> LockGraph {
     let decls = collect_lock_decls(files);
     let mut fns: Vec<FnSummary> = Vec::new();
     for file in files {

@@ -75,7 +75,7 @@ pub struct Finding {
 /// Token-index ranges (half-open) that a rule should skip, e.g. items
 /// under `#[cfg(test)]`.
 #[derive(Debug, Default, Clone)]
-pub struct SkipRegions {
+pub(crate) struct SkipRegions {
     ranges: Vec<(usize, usize)>,
 }
 
@@ -94,7 +94,7 @@ impl SkipRegions {
 /// The "item" is everything up to the first `;` at bracket depth zero
 /// or the matching `}` of the first body brace — enough for `use`,
 /// `fn`, `mod`, `impl`, `static`, and struct declarations alike.
-pub fn attr_item_regions<F>(file: &SourceFile, pred: F) -> SkipRegions
+pub(crate) fn attr_item_regions<F>(file: &SourceFile, pred: F) -> SkipRegions
 where
     F: Fn(&[&str]) -> bool,
 {
@@ -171,7 +171,7 @@ fn item_end(file: &SourceFile, start: usize) -> usize {
 }
 
 /// Index one past the `}` matching the `{` at `open`.
-pub fn matching_brace(file: &SourceFile, open: usize) -> usize {
+pub(crate) fn matching_brace(file: &SourceFile, open: usize) -> usize {
     let toks = &file.tokens;
     let mut depth = 0i32;
     let mut i = open;
@@ -192,18 +192,18 @@ pub fn matching_brace(file: &SourceFile, open: usize) -> usize {
 }
 
 /// Is token `i` the given punctuation char?
-pub fn is_punct(file: &SourceFile, i: usize, c: char) -> bool {
+pub(crate) fn is_punct(file: &SourceFile, i: usize, c: char) -> bool {
     matches!(file.tokens.get(i), Some(t) if t.tok == Tok::Punct(c))
 }
 
 /// Is token `i` the given identifier?
-pub fn is_ident(file: &SourceFile, i: usize, s: &str) -> bool {
+pub(crate) fn is_ident(file: &SourceFile, i: usize, s: &str) -> bool {
     file.ident(i) == Some(s)
 }
 
 /// Regions under `#[cfg(test)]` / `#[test]` (plus `#[cfg(any(test,..))]`
 /// and similar — any cfg attribute that mentions `test`).
-pub fn test_regions(file: &SourceFile) -> SkipRegions {
+pub(crate) fn test_regions(file: &SourceFile) -> SkipRegions {
     attr_item_regions(file, |idents| {
         idents == ["test"]
             || (idents.first() == Some(&"cfg") && idents.contains(&"test"))
@@ -212,7 +212,7 @@ pub fn test_regions(file: &SourceFile) -> SkipRegions {
 
 /// Regions under `#[cfg(zi_check)]` / `#[cfg(not(zi_check))]` — the
 /// model-checking shims the sync-hygiene wall explicitly permits.
-pub fn zi_check_regions(file: &SourceFile) -> SkipRegions {
+pub(crate) fn zi_check_regions(file: &SourceFile) -> SkipRegions {
     attr_item_regions(file, |idents| {
         idents.first() == Some(&"cfg") && idents.contains(&"zi_check")
     })

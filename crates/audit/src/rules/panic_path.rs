@@ -15,14 +15,14 @@ use super::{is_punct, test_regions, Finding, RuleId};
 use crate::lexer::SourceFile;
 
 /// Does the panic-path rule apply to this file at all?
-pub fn in_scope(path: &str) -> bool {
+pub(crate) fn in_scope(path: &str) -> bool {
     let lib_src = (path.starts_with("crates/") && path.contains("/src/"))
         || path.starts_with("src/");
     lib_src && !path.contains("/bin/")
 }
 
 /// Run the panic-path pass over one file.
-pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
+pub(crate) fn check(file: &SourceFile, out: &mut Vec<Finding>) {
     if !in_scope(&file.path) {
         return;
     }

@@ -26,7 +26,7 @@ use crate::lexer::SourceFile;
 const EXEMPT_PREFIXES: &[&str] = &["crates/sync/"];
 
 /// Run the sync-hygiene pass over one file.
-pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
+pub(crate) fn check(file: &SourceFile, out: &mut Vec<Finding>) {
     if EXEMPT_PREFIXES.iter().any(|p| file.path.starts_with(p)) {
         return;
     }

@@ -16,7 +16,7 @@ use crate::lexer::{SourceFile, Tok};
 
 /// What kind of unsafe site a token introduced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnsafeKind {
+pub(crate) enum UnsafeKind {
     /// `unsafe { ... }` block.
     Block,
     /// `unsafe fn ...` (including `#[target_feature]` kernels).
@@ -52,7 +52,7 @@ pub struct CrateInventory {
 
 /// The crate key a path belongs to (`crates/<name>/...` → `<name>`,
 /// anything else → `(root)`).
-pub fn crate_of(path: &str) -> &str {
+pub(crate) fn crate_of(path: &str) -> &str {
     path.strip_prefix("crates/")
         .and_then(|rest| rest.split('/').next())
         .unwrap_or("(root)")
@@ -60,7 +60,7 @@ pub fn crate_of(path: &str) -> &str {
 
 /// Run the unsafe pass over one file, appending findings and updating
 /// the per-crate inventory.
-pub fn check(
+pub(crate) fn check(
     file: &SourceFile,
     out: &mut Vec<Finding>,
     inventory: &mut BTreeMap<String, CrateInventory>,

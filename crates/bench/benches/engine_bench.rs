@@ -45,8 +45,8 @@ fn bench_prefetch(c: &mut Criterion) {
     // nc-transfer hides behind compute of the preceding module.
     let mut group = c.benchmark_group("prefetch");
     group.sample_size(10);
-    for (label, on) in [("on", true), ("off", false)] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &on, |b, &on| {
+    for (label, window) in [("on", 3usize), ("off", 0)] {
+        group.bench_with_input(BenchmarkId::from_parameter(label), &window, |b, &window| {
             let spec = NodeMemorySpec::test_spec(1, 1 << 26, 1 << 27, 1 << 27);
             let backend = Arc::new(ThrottledBackend::new(
                 MemBackend::new(),
@@ -57,7 +57,7 @@ fn bench_prefetch(c: &mut Criterion) {
             let model = GptModel::new(model_cfg());
             let mut engine = ZeroEngine::new(
                 model.registry(),
-                Strategy::infinity_nvme().with_prefetch(on),
+                Strategy::infinity_nvme().with_prefetch_window(window),
                 node.offload_manager(),
                 node.group.communicator(0),
                 AdamConfig::default(),
@@ -145,7 +145,7 @@ fn bench_prefetch_depth(c: &mut Criterion) {
             let model = GptModel::new(model_cfg());
             let mut engine = ZeroEngine::new(
                 model.registry(),
-                Strategy::infinity_nvme().with_prefetch(window > 0),
+                Strategy::infinity_nvme().with_prefetch_window(window),
                 node.offload_manager(),
                 node.group.communicator(0),
                 AdamConfig::default(),

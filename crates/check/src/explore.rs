@@ -2,7 +2,7 @@
 //! and the bounded-DFS backtracking driver.
 
 /// SplitMix64 — tiny, seedable, deterministic.
-pub struct SplitMix64(pub u64);
+pub(crate) struct SplitMix64(pub u64);
 
 impl SplitMix64 {
     pub fn next(&mut self) -> u64 {
@@ -20,14 +20,14 @@ impl SplitMix64 {
 }
 
 /// Derive the per-iteration seed from a base seed.
-pub fn iter_seed(base: u64, iteration: u64) -> u64 {
+pub(crate) fn iter_seed(base: u64, iteration: u64) -> u64 {
     let mut rng = SplitMix64(base ^ iteration.wrapping_mul(0xa076_1d64_78bd_642f));
     rng.next()
 }
 
 /// One recorded scheduler decision: `chosen` out of `options`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Decision {
+pub(crate) struct Decision {
     pub options: u32,
     pub chosen: u32,
 }
@@ -35,7 +35,7 @@ pub struct Decision {
 /// Decision source for one schedule: an optional replay script followed
 /// by seeded randomness. Every decision (including condvar-waiter picks)
 /// flows through here, so a recorded trace replays an entire schedule.
-pub struct Chooser {
+pub(crate) struct Chooser {
     script: Vec<u32>,
     pos: usize,
     /// Beyond the script: random (sampling mode) or always-first
@@ -58,7 +58,7 @@ impl Chooser {
     /// Choose an index in `0..n`. `n == 1` is still recorded so DFS
     /// depth counting stays aligned across replays with different
     /// enabled sets (a trace is self-describing).
-    pub fn choose(&mut self, n: usize) -> usize {
+    pub(crate) fn choose(&mut self, n: usize) -> usize {
         debug_assert!(n >= 1);
         let c = if n == 1 {
             0
@@ -78,7 +78,7 @@ impl Chooser {
 }
 
 /// FNV-1a hash of a decision trace — the distinct-schedule fingerprint.
-pub fn fingerprint_record(record: &[Decision]) -> u64 {
+pub(crate) fn fingerprint_record(record: &[Decision]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for d in record {
         for v in [d.options, d.chosen] {
@@ -92,7 +92,7 @@ pub fn fingerprint_record(record: &[Decision]) -> u64 {
 }
 
 /// Encode a decision trace as the compact `ZI_CHECK_TRACE` string.
-pub fn encode_trace(record: &[Decision]) -> String {
+pub(crate) fn encode_trace(record: &[Decision]) -> String {
     let mut out = String::new();
     for (i, d) in record.iter().enumerate() {
         if i > 0 {
@@ -107,7 +107,7 @@ pub fn encode_trace(record: &[Decision]) -> String {
 }
 
 /// Decode a `ZI_CHECK_TRACE` string back into a replay script.
-pub fn decode_trace(s: &str) -> Vec<u32> {
+pub(crate) fn decode_trace(s: &str) -> Vec<u32> {
     if s == "-" {
         return Vec::new();
     }
@@ -118,7 +118,7 @@ pub fn decode_trace(s: &str) -> Vec<u32> {
 /// script for the next DFS schedule, or `None` when the bounded space is
 /// exhausted: backtrack to the deepest decision with an unexplored
 /// alternative and advance it.
-pub fn dfs_next(record: &[Decision]) -> Option<Vec<u32>> {
+pub(crate) fn dfs_next(record: &[Decision]) -> Option<Vec<u32>> {
     let mut depth = record.len();
     while depth > 0 {
         let d = record[depth - 1];

@@ -160,7 +160,7 @@ impl Default for Checker {
 
 impl Checker {
     /// A checker configured from the `ZI_CHECK_*` environment.
-    pub fn from_env() -> Self {
+    pub(crate) fn from_env() -> Self {
         let mut c = Checker::default();
         let get = |k: &str| std::env::var(k).ok();
         if let Some(v) = get("ZI_CHECK_MODE") {

@@ -29,7 +29,7 @@ use crate::explore::{self, Chooser};
 use crate::{Checker, Failure, FailureKind, Mode, Report};
 
 /// Model-thread identifier (index into the run's thread table).
-pub type ThreadId = usize;
+pub(crate) type ThreadId = usize;
 /// Modeled-object identifier (index into the run's object table).
 pub type ObjId = usize;
 
@@ -73,7 +73,7 @@ thread_local! {
 pub struct AbortToken;
 
 /// True when the calling thread is a model thread of the active run.
-pub fn in_model() -> bool {
+pub(crate) fn in_model() -> bool {
     let gen = CURRENT_GEN.load(Ordering::Acquire);
     gen != 0 && TLS.with(|t| t.get().map(|(g, _)| g) == Some(gen))
 }
@@ -151,7 +151,6 @@ enum Pend {
     /// First yield of a freshly spawned thread.
     Start,
     MutexLock { m: ObjId, from_cv: Option<bool> },
-    MutexTryLock { m: ObjId },
     MutexUnlock { m: ObjId },
     RwLock { l: ObjId, write: bool },
     RwUnlock { l: ObjId, write: bool },
@@ -169,7 +168,6 @@ enum Pend {
     CellAccess { c: ObjId, write: bool },
     Send { c: ObjId },
     Recv { c: ObjId },
-    TryRecv { c: ObjId },
     Join { t: ThreadId },
     Sleep { until: u64 },
     Yield,
@@ -180,9 +178,7 @@ impl Pend {
     /// means "conservatively dependent with everything".
     fn objects(&self) -> Option<(ObjId, Option<ObjId>)> {
         match self {
-            Pend::MutexLock { m, .. }
-            | Pend::MutexTryLock { m }
-            | Pend::MutexUnlock { m } => Some((*m, None)),
+            Pend::MutexLock { m, .. } | Pend::MutexUnlock { m } => Some((*m, None)),
             Pend::RwLock { l, .. } | Pend::RwUnlock { l, .. } => Some((*l, None)),
             Pend::CondEnter { cv, m, .. } | Pend::CondWaiting { cv, m, .. } => {
                 Some((*cv, Some(*m)))
@@ -190,7 +186,7 @@ impl Pend {
             Pend::Notify { cv, .. } => Some((*cv, None)),
             Pend::Atomic { a, .. } => Some((*a, None)),
             Pend::CellAccess { c, .. } => Some((*c, None)),
-            Pend::Send { c } | Pend::Recv { c } | Pend::TryRecv { c } => Some((*c, None)),
+            Pend::Send { c } | Pend::Recv { c } => Some((*c, None)),
             Pend::Start | Pend::Join { .. } | Pend::Sleep { .. } | Pend::Yield => None,
         }
     }
@@ -216,7 +212,6 @@ impl Pend {
             Pend::MutexLock { m, from_cv: Some(_) } => {
                 format!("re-lock mutex #{m} after condvar wake")
             }
-            Pend::MutexTryLock { m } => format!("try-lock mutex #{m}"),
             Pend::MutexUnlock { m } => format!("unlock mutex #{m}"),
             Pend::RwLock { l, write: true } => format!("write-lock rwlock #{l}"),
             Pend::RwLock { l, write: false } => format!("read-lock rwlock #{l}"),
@@ -237,7 +232,6 @@ impl Pend {
             Pend::CellAccess { c, write: false } => format!("read shared cell #{c}"),
             Pend::Send { c } => format!("send on channel #{c}"),
             Pend::Recv { c } => format!("receive on channel #{c}"),
-            Pend::TryRecv { c } => format!("try-receive on channel #{c}"),
             Pend::Join { t } => format!("join thread {t}"),
             Pend::Sleep { until } => format!("sleep until t={until}ns"),
             Pend::Yield => "yield".into(),
@@ -250,13 +244,9 @@ enum Resume {
     Go,
     /// Condvar wake: `true` = timed out, `false` = notified.
     CondResumed(bool),
-    TryLock(bool),
     SendOk { receivers_alive: bool },
     RecvData,
     RecvDisconnected,
-    TryRecvData,
-    TryRecvEmpty,
-    TryRecvDisconnected,
     Aborted,
 }
 
@@ -470,22 +460,6 @@ pub fn mutex_lock(cell: &ObjCell) -> Option<ObjId> {
     }
 }
 
-/// Model a non-blocking acquisition attempt: `Some((id, acquired))`.
-pub fn mutex_try_lock(cell: &ObjCell) -> Option<(ObjId, bool)> {
-    if !in_model() {
-        return None;
-    }
-    let m = with_run(|run, _| {
-        ensure_obj(run, cell, || Obj::Mutex { owner: None, vc: VClock::default() })
-    })?;
-    match step(Pend::MutexTryLock { m }) {
-        Resume::Aborted if !std::thread::panicking() => raise_abort(),
-        Resume::Aborted => None,
-        Resume::TryLock(ok) => Some((m, ok)),
-        _ => Some((m, false)),
-    }
-}
-
 /// Model releasing mutex `m`. Never raises: release must stay safe on
 /// abort-unwind paths.
 pub fn mutex_unlock(m: ObjId) {
@@ -632,32 +606,6 @@ pub fn chan_recv(cell: &ObjCell, senders: usize, receivers: usize, len: usize, c
         Resume::RecvData => Some(RecvOutcome::Data),
         Resume::RecvDisconnected => Some(RecvOutcome::Disconnected),
         _ => Some(RecvOutcome::Disconnected),
-    }
-}
-
-/// Outcome of a modeled non-blocking receive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryRecvOutcome {
-    /// A message is available.
-    Data,
-    /// Queue currently empty.
-    Empty,
-    /// Queue empty and every sender is gone.
-    Disconnected,
-}
-
-/// Model a non-blocking receive.
-pub fn chan_try_recv(cell: &ObjCell, senders: usize, receivers: usize, len: usize, cap: Option<usize>) -> Option<TryRecvOutcome> {
-    if !in_model() {
-        return None;
-    }
-    let c = with_run(|run, _| ensure_chan(run, cell, senders, receivers, len, cap))?;
-    match step(Pend::TryRecv { c }) {
-        Resume::Aborted if !std::thread::panicking() => raise_abort(),
-        Resume::TryRecvData => Some(TryRecvOutcome::Data),
-        Resume::TryRecvEmpty => Some(TryRecvOutcome::Empty),
-        Resume::TryRecvDisconnected => Some(TryRecvOutcome::Disconnected),
-        _ => Some(TryRecvOutcome::Disconnected),
     }
 }
 
@@ -890,23 +838,6 @@ fn apply_effect(run: &mut Run, tid: ThreadId) -> Option<Resume> {
                 None => Resume::Go,
             }
         }
-        Pend::MutexTryLock { m } => {
-            let (ok, ovc) = match &mut run.objects[m] {
-                Obj::Mutex { owner, vc } => {
-                    if owner.is_none() {
-                        *owner = Some(tid);
-                        (true, vc.clone())
-                    } else {
-                        (false, VClock::default())
-                    }
-                }
-                _ => (false, VClock::default()),
-            };
-            if ok {
-                run.threads[tid].vc.join(&ovc);
-            }
-            Resume::TryLock(ok)
-        }
         Pend::MutexUnlock { m } => {
             let tvc = run.threads[tid].vc.clone();
             if let Obj::Mutex { owner, vc } = &mut run.objects[m] {
@@ -1058,17 +989,6 @@ fn apply_effect(run: &mut Run, tid: ThreadId) -> Option<Resume> {
             }
             _ => Resume::RecvDisconnected,
         },
-        Pend::TryRecv { c } => match &mut run.objects[c] {
-            Obj::Chan { len, msg_vc, .. } if *len > 0 => {
-                *len -= 1;
-                if let Some(vc) = msg_vc.pop_front() {
-                    run.threads[tid].vc.join(&vc);
-                }
-                Resume::TryRecvData
-            }
-            Obj::Chan { senders: 0, .. } => Resume::TryRecvDisconnected,
-            _ => Resume::TryRecvEmpty,
-        },
         Pend::Join { t } => {
             let tvc = run.threads[t].vc.clone();
             run.threads[tid].vc.join(&tvc);
@@ -1091,7 +1011,7 @@ fn deadlock_report(run: &Run) -> String {
         }
         let Some(p) = &th.pending else { continue };
         let holder = match p {
-            Pend::MutexLock { m, .. } | Pend::MutexTryLock { m } => match &run.objects[*m] {
+            Pend::MutexLock { m, .. } => match &run.objects[*m] {
                 Obj::Mutex { owner, .. } => *owner,
                 _ => None,
             },

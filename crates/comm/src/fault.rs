@@ -4,13 +4,10 @@
 //! the communication layer: a shared, cloneable plan that a
 //! [`crate::CommGroup`] consults at every collective *entry*, combining
 //!
-//! * **Scripted** faults — "kill rank 2 now", "kill rank 2 after its
-//!   next N collectives", "delay rank 0's next op", "corrupt rank 1's
-//!   next contribution" — consumed in submission order, for tests that
-//!   need an exact failure at an exact point; and
-//! * **Probabilistic** faults — a seeded xorshift stream rolls each
-//!   (rank, collective) entry against a [`CommFaultProfile`], for chaos
-//!   soaks.
+//! scripted faults — "kill rank 2 now", "kill rank 2 after its next N
+//! collectives", "delay rank 0's next op", "corrupt rank 1's next
+//! contribution" — consumed in submission order, for tests and chaos
+//! schedules that need an exact failure at an exact point.
 //!
 //! Injected comm-fault taxonomy (see DESIGN.md, "Failure model &
 //! recovery"):
@@ -33,38 +30,6 @@ use std::time::Duration;
 
 use zi_sync::Mutex;
 use zi_types::Rank;
-
-/// Probabilities for the seeded chaos layer of a [`CommFaultPlan`].
-///
-/// All probabilities are per collective entry of one rank, rolled
-/// independently.
-#[derive(Debug, Clone, Copy)]
-pub struct CommFaultProfile {
-    /// Seed for the deterministic fault stream.
-    pub seed: u64,
-    /// Probability a rank dies at a collective entry.
-    pub rank_death: f64,
-    /// Probability a rank's entry is delayed by [`CommFaultProfile::spike`].
-    pub delay: f64,
-    /// Duration of an injected entry delay.
-    pub spike: Duration,
-    /// Probability one bit of the rank's contribution is flipped
-    /// (silent corruption in transit).
-    pub corrupt: f64,
-}
-
-impl CommFaultProfile {
-    /// Profile that injects nothing (all probabilities zero).
-    pub fn quiet(seed: u64) -> Self {
-        CommFaultProfile {
-            seed,
-            rank_death: 0.0,
-            delay: 0.0,
-            spike: Duration::ZERO,
-            corrupt: 0.0,
-        }
-    }
-}
 
 /// Counts of faults a plan has injected so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -120,7 +85,6 @@ struct RankScript {
 #[derive(Default)]
 struct PlanState {
     scripts: HashMap<Rank, RankScript>,
-    profile: Option<CommFaultProfile>,
     rng: u64,
     injected: CommInjectedStats,
 }
@@ -129,8 +93,7 @@ impl PlanState {
     /// xorshift64* — deterministic per draw sequence.
     fn next_u64(&mut self) -> u64 {
         if self.rng == 0 {
-            // 0 is xorshift's fixed point; a quiet plan (no profile, so no
-            // explicit seed) must still draw usable corruption salts.
+            // 0 is xorshift's fixed point: start from a fixed odd constant.
             self.rng = 0x9e37_79b9_7f4a_7c15;
         }
         let mut x = self.rng;
@@ -139,15 +102,6 @@ impl PlanState {
         x ^= x << 17;
         self.rng = x;
         x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn roll(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        // 53 bits of the product give a uniform draw in [0, 1).
-        let draw = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        draw < p
     }
 }
 
@@ -167,20 +121,6 @@ impl CommFaultPlan {
     /// Plan that injects nothing until scripted to.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Plan whose every collective entry is rolled against `profile`, on
-    /// top of any scripted faults (scripted faults take precedence).
-    pub fn probabilistic(profile: CommFaultProfile) -> Self {
-        let plan = Self::new();
-        {
-            let mut st = plan.inner.lock();
-            // xorshift must not start at 0; fold the seed into a fixed
-            // odd constant so seed 0 is usable.
-            st.rng = profile.seed ^ 0x9e37_79b9_7f4a_7c15;
-            st.profile = Some(profile);
-        }
-        plan
     }
 
     /// Kill `rank` at its next collective entry.
@@ -227,8 +167,8 @@ impl CommFaultPlan {
     /// *outside* the plan lock).
     pub fn judge(&self, rank: Rank) -> (CommVerdict, Option<Duration>) {
         let mut st = self.inner.lock();
-        // Scripted layer (counts every entry, even with no profile set).
-        let (die, mut delay, corrupt) = {
+        // Counts every entry, faulty or not.
+        let (die, delay, corrupt) = {
             let sc = st.scripts.entry(rank).or_default();
             sc.ops_seen += 1;
             if let Some(n) = sc.die_after_ops {
@@ -264,22 +204,6 @@ impl CommFaultPlan {
             st.injected.corruptions += 1;
             let salt = st.next_u64();
             return (CommVerdict::Corrupt { salt }, delay);
-        }
-        // Probabilistic layer.
-        if let Some(p) = st.profile {
-            if st.roll(p.rank_death) {
-                st.injected.rank_deaths += 1;
-                return (CommVerdict::Die, delay);
-            }
-            if delay.is_none() && st.roll(p.delay) {
-                st.injected.delays += 1;
-                delay = Some(p.spike);
-            }
-            if st.roll(p.corrupt) {
-                st.injected.corruptions += 1;
-                let salt = st.next_u64();
-                return (CommVerdict::Corrupt { salt }, delay);
-            }
         }
         (CommVerdict::Proceed, delay)
     }
@@ -334,31 +258,5 @@ mod tests {
         assert_eq!(stats.delays, 1);
         assert_eq!(stats.corruptions, 1);
         assert_eq!(stats.total_faults(), 1, "delays do not count as faults");
-    }
-
-    #[test]
-    fn probabilistic_stream_is_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let plan = CommFaultPlan::probabilistic(CommFaultProfile {
-                rank_death: 0.05,
-                corrupt: 0.2,
-                delay: 0.1,
-                spike: Duration::from_micros(1),
-                ..CommFaultProfile::quiet(seed)
-            });
-            let mut outcomes = Vec::new();
-            for i in 0..300u64 {
-                let (v, d) = plan.judge((i % 3) as usize);
-                outcomes.push((format!("{v:?}"), d.is_some()));
-            }
-            (outcomes, plan.injected())
-        };
-        let (o1, s1) = run(7);
-        let (o2, s2) = run(7);
-        assert_eq!(o1, o2);
-        assert_eq!(s1, s2);
-        assert!(s1.rank_deaths > 0 && s1.corruptions > 0 && s1.delays > 0);
-        let (o3, _) = run(8);
-        assert_ne!(o1, o3, "different seeds give different fault streams");
     }
 }

@@ -50,13 +50,13 @@ use zi_types::{Error, Rank, Result, WorldSize};
 
 use crate::fault::{CommFaultPlan, CommVerdict};
 use crate::membership::Membership;
-use crate::partition::{partition_len, partition_range};
+use crate::partition::partition_range;
 use crate::traffic::TrafficStats;
 
 /// Default per-synchronization deadline. Generous: fault-free training
 /// never waits anywhere near this long at a barrier, while a wedged peer
 /// still surfaces as a typed error instead of an infinite hang.
-pub const DEFAULT_COLLECTIVE_DEADLINE: Duration = Duration::from_secs(30);
+pub(crate) const DEFAULT_COLLECTIVE_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Configuration for a [`CommGroup`]: the per-synchronization deadline
 /// and the fault-injection plan consulted at every collective entry.
@@ -608,7 +608,7 @@ impl Communicator {
     /// Element-wise sum of every rank's equal-length `data`, returning this
     /// rank's partition of the reduced vector (per [`partition_range`]).
     pub fn reduce_scatter_sum(&self, data: &[f32]) -> Result<Vec<f32>> {
-        let mut out = Vec::with_capacity(partition_len(data.len(), self.shared.world, self.rank));
+        let mut out = Vec::with_capacity(partition_range(data.len(), self.shared.world, self.rank).len());
         self.reduce_scatter_with(data, data.len(), |_, sums| {
             out.extend_from_slice(sums);
             Ok(())
@@ -636,11 +636,6 @@ impl Communicator {
             Ok(())
         })?;
         Ok(out)
-    }
-
-    /// Shared traffic counters.
-    pub fn traffic_total_bytes(&self) -> u64 {
-        self.shared.traffic.total_bytes()
     }
 }
 

@@ -18,8 +18,8 @@ pub mod membership;
 pub mod partition;
 pub mod traffic;
 
-pub use fault::{CommFaultPlan, CommFaultProfile, CommInjectedStats, CommVerdict};
-pub use group::{CommConfig, CommGroup, Communicator, DEFAULT_COLLECTIVE_DEADLINE};
+pub use fault::{CommFaultPlan, CommInjectedStats, CommVerdict};
+pub use group::{CommConfig, CommGroup, Communicator};
 pub use membership::Membership;
-pub use partition::{partition_len, partition_range, Partitioner};
+pub use partition::{partition_range, Partitioner};
 pub use traffic::TrafficStats;

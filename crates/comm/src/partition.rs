@@ -22,12 +22,6 @@ pub fn partition_range(total: usize, world: WorldSize, rank: Rank) -> Range<usiz
     start..start + len
 }
 
-/// Length of the shard owned by `rank` under [`partition_range`].
-pub fn partition_len(total: usize, world: WorldSize, rank: Rank) -> usize {
-    let r = partition_range(total, world, rank);
-    r.end - r.start
-}
-
 /// Equal-shard partitioner with padding, as used for parameter shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Partitioner {
@@ -69,7 +63,7 @@ mod tests {
     fn even_split() {
         assert_eq!(partition_range(12, 4, 0), 0..3);
         assert_eq!(partition_range(12, 4, 3), 9..12);
-        assert_eq!(partition_len(12, 4, 2), 3);
+        assert_eq!(partition_range(12, 4, 2).len(), 3);
     }
 
     #[test]

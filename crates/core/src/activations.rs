@@ -16,14 +16,10 @@ use zi_types::{DType, Device, Error, Result};
 use crate::offload::{OffloadManager, PlacedBuf};
 
 /// Activation store backed by CPU (or any tier's) placed buffers.
-pub struct OffloadActStore {
+pub(crate) struct OffloadActStore {
     mgr: OffloadManager,
     device: Device,
     slots: HashMap<usize, (Vec<usize>, PlacedBuf)>,
-    /// Total bytes written over the store's lifetime.
-    bytes_saved: u64,
-    /// Total bytes read back.
-    bytes_loaded: u64,
 }
 
 impl OffloadActStore {
@@ -35,18 +31,8 @@ impl OffloadActStore {
     /// Store offloading to an arbitrary tier (NVMe offload of activation
     /// checkpoints is the "future implementation" the paper suggests for
     /// the 20T case).
-    pub fn on_device(mgr: OffloadManager, device: Device) -> Self {
-        OffloadActStore { mgr, device, slots: HashMap::new(), bytes_saved: 0, bytes_loaded: 0 }
-    }
-
-    /// Lifetime traffic counters `(bytes_saved, bytes_loaded)`.
-    pub fn traffic(&self) -> (u64, u64) {
-        (self.bytes_saved, self.bytes_loaded)
-    }
-
-    /// Checkpoints currently resident on the offload tier.
-    pub fn resident(&self) -> usize {
-        self.slots.len()
+    pub(crate) fn on_device(mgr: OffloadManager, device: Device) -> Self {
+        OffloadActStore { mgr, device, slots: HashMap::new() }
     }
 
     /// Free any checkpoints left over (e.g. after an aborted step).
@@ -70,7 +56,6 @@ impl ActivationStore for OffloadActStore {
         }
         let shape = t.shape().to_vec();
         let buf = FlatBuffer::from_f32(DType::F32, t.data());
-        self.bytes_saved += buf.size_in_bytes() as u64;
         let stored = self.mgr.store_placed(self.device, &PlacementPolicy::all_nvme(), buf)?;
         self.slots.insert(key, (shape, stored));
         Ok(())
@@ -81,8 +66,7 @@ impl ActivationStore for OffloadActStore {
             .slots
             .remove(&key)
             .ok_or_else(|| Error::Internal(format!("activation {key} not offloaded")))?;
-        let data = self.mgr.take_placed(buf)?;
-        self.bytes_loaded += data.size_in_bytes() as u64;
+        let data = self.mgr.take(buf)?;
         Tensor::from_vec(&shape, data.to_f32_vec())
     }
 }
@@ -105,14 +89,13 @@ mod tests {
         let (node, mut s) = store();
         let t = Tensor::randn_seeded(&[4, 8], 3, 1.0);
         s.save(0, t.clone()).unwrap();
-        assert_eq!(s.resident(), 1);
+        assert_eq!(s.slots.len(), 1);
         assert!(node.hierarchy.stats(Device::cpu()).in_use > 0);
         let back = s.load(0).unwrap();
         assert_eq!(back.shape(), t.shape());
         assert_eq!(back.data(), t.data());
-        assert_eq!(s.resident(), 0);
+        assert_eq!(s.slots.len(), 0);
         assert_eq!(node.hierarchy.stats(Device::cpu()).in_use, 0);
-        assert_eq!(s.traffic(), (4 * 8 * 4, 4 * 8 * 4));
     }
 
     #[test]

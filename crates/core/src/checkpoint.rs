@@ -47,7 +47,7 @@ use crate::engine::ZeroEngine;
 const MAGIC: &[u8; 8] = b"ZINFCKP1";
 
 /// Blob format version this build reads and writes.
-pub const CHECKPOINT_FORMAT: u8 = 2;
+pub(crate) const CHECKPOINT_FORMAT: u8 = 2;
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());

@@ -47,8 +47,6 @@ pub struct Strategy {
     /// used by exactness tests to isolate the partitioning machinery from
     /// quantization effects).
     pub param_dtype: DType,
-    /// Enable the dynamic prefetcher (Sec. 6.2).
-    pub prefetch: bool,
     /// Elements per chunk when streaming optimizer state through CPU
     /// memory during the step (Sec. 5.2.2); `usize::MAX` = monolithic.
     pub optimizer_chunk: usize,
@@ -60,8 +58,8 @@ pub struct Strategy {
     /// leaves workers idle. Like every overlap setting below, it changes
     /// no numerics and is fixed for an engine's lifetime.
     pub step_pipeline_depth: usize,
-    /// Dynamic-prefetcher look-ahead (Sec. 6.2); 0 silences it, and it
-    /// is ignored when `prefetch` is off.
+    /// Dynamic-prefetcher look-ahead (Sec. 6.2): the prefetcher runs
+    /// exactly when it is above 0, and only for partitioned parameters.
     pub prefetch_window: usize,
     /// Share of each optimizer shard's records placed in CPU DRAM instead
     /// of NVMe, in permille (0 = all-NVMe, 1000 = all-CPU); ignored unless
@@ -79,7 +77,6 @@ impl Strategy {
             partition_optimizer: false,
             placement: Placement::GPU,
             param_dtype: DType::F16,
-            prefetch: false,
             optimizer_chunk: usize::MAX,
             step_pipeline_depth: 1,
             prefetch_window: 3,
@@ -88,7 +85,7 @@ impl Strategy {
     }
 
     /// ZeRO-1: optimizer state partitioned.
-    pub fn zero_1() -> Strategy {
+    pub(crate) fn zero_1() -> Strategy {
         Strategy {
             name: "ZeRO-1",
             partition_optimizer: true,
@@ -120,7 +117,6 @@ impl Strategy {
         Strategy {
             name: "ZeRO-3",
             partition_params: true,
-            prefetch: true,
             ..Strategy::zero_2()
         }
     }
@@ -178,11 +174,6 @@ impl Strategy {
         Strategy { param_dtype: DType::F32, ..self }
     }
 
-    /// Toggle the prefetcher.
-    pub fn with_prefetch(self, on: bool) -> Strategy {
-        Strategy { prefetch: on, ..self }
-    }
-
     /// Override the optimizer streaming chunk size (elements).
     pub fn with_optimizer_chunk(self, elems: usize) -> Strategy {
         Strategy { optimizer_chunk: elems, ..self }
@@ -206,7 +197,7 @@ impl Strategy {
 
     /// Bound on in-flight write-behind requests during the streamed
     /// optimizer step: both writes of every in-flight chunk.
-    pub fn write_behind_bound(&self) -> usize {
+    pub(crate) fn write_behind_bound(&self) -> usize {
         WRITES_PER_RECORD * self.step_pipeline_depth.max(1)
     }
 }
@@ -238,9 +229,8 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let s = Strategy::infinity_nvme().with_f32_params().with_prefetch(false);
+        let s = Strategy::infinity_nvme().with_f32_params();
         assert_eq!(s.param_dtype, DType::F32);
-        assert!(!s.prefetch);
         assert_eq!(s.name, "ZeRO-Inf-NVMe");
         let s = s.with_step_pipeline_depth(4).with_prefetch_window(5);
         assert_eq!(s.step_pipeline_depth, 4);

@@ -322,7 +322,7 @@ impl ZeroEngine {
     /// Like [`ZeroEngine::new`] but with an explicit GPU pool index,
     /// needed when tensor parallelism gives several engines the same
     /// data-parallel rank on one node (gpu = dp_rank * mp + mp_rank).
-    pub fn new_with_gpu(
+    pub(crate) fn new_with_gpu(
         registry: &ParamRegistry,
         strategy: Strategy,
         mgr: OffloadManager,
@@ -575,11 +575,7 @@ impl ZeroEngine {
         }
         // A resident shard is borrowed for the collective, an NVMe one is
         // the staging buffer its (pre)fetch filled.
-        let shard = if self.strategy.prefetch {
-            self.prefetcher.fetch(&self.mgr, id, &st.param)?
-        } else {
-            self.mgr.fetch_placed(&st.param)?
-        };
+        let shard = self.prefetcher.fetch(&self.mgr, id, &st.param)?;
         gather_decode(&self.comm, dtype, shard.as_bytes(), st.shard_len, &mut vals)?;
         drop(shard);
         self.stats.allgathers += 1;
@@ -599,9 +595,10 @@ impl ZeroEngine {
         }
     }
 
-    /// Issue trace-predicted prefetches for the next parameters.
+    /// Issue trace-predicted prefetches for the next parameters (none
+    /// with a window of 0).
     fn prefetch_ahead(&mut self) {
-        if !self.strategy.prefetch || !self.trace.has_history() {
+        if !self.trace.has_history() {
             return;
         }
         for nid in self.trace.predict_next(self.strategy.prefetch_window) {
@@ -830,7 +827,7 @@ impl ZeroEngine {
         let buf = st.grad.take().ok_or_else(|| Error::Internal(format!("{idx} has no gradient")))?;
         st.grad_nonfinite = false;
         let (numel, shard_len) = (st.numel, st.shard_len);
-        let mut grad = self.mgr.take_placed(buf)?;
+        let mut grad = self.mgr.take(buf)?;
         if !self.strategy.partition_grads && self.strategy.partition_optimizer {
             // ZeRO-1/2: the slice covering this rank's update range.
             let range = self.part.shard_range(numel, self.comm.rank());
@@ -933,7 +930,7 @@ impl ZeroEngine {
         }
         self.drop_carry("readahead.drop.placement");
         for opt in &mut self.optims {
-            self.mgr.collapse_placed(&mut opt.state)?;
+            self.mgr.collapse(&mut opt.state)?;
         }
         self.collapsed = true;
         Ok(())
@@ -955,11 +952,6 @@ impl ZeroEngine {
         let vals = self.gather_values(id)?;
         let shape = self.shards[id.0].shape.clone();
         Tensor::from_vec(&shape, vals)
-    }
-
-    /// Current loss scale (for observability).
-    pub fn loss_scale(&self) -> f32 {
-        self.scaler.scale()
     }
 
     /// Number of parameters managed by this engine.
@@ -1140,7 +1132,7 @@ impl ParamStore for ZeroEngine {
     }
 
     fn hint_upcoming(&mut self, ids: &[ParamId]) {
-        if !self.strategy.prefetch {
+        if self.strategy.prefetch_window == 0 {
             return;
         }
         for &id in ids {
@@ -1230,7 +1222,7 @@ fn deposit_grad(
         // NVMe-tier or split gradient storage (no Table-2 strategy):
         // accumulated segment by segment on the gradient tier.
         Some(buf) => {
-            st.grad_nonfinite |= mgr.accumulate_f32_placed(buf, f32_view(&mut reduced)?)?;
+            st.grad_nonfinite |= mgr.accumulate_f32(buf, f32_view(&mut reduced)?)?;
             free.put(len, reduced);
         }
         // First deposit: the buffer becomes the gradient storage.
@@ -1302,7 +1294,7 @@ impl ReadAhead {
                 continue;
             }
             let (first, count) = layout.span(at);
-            self.pending.push_back((b, at, mgr.begin_load_elems_placed(state, first, count)?));
+            self.pending.push_back((b, at, mgr.begin_load_elems(state, first, count)?));
             self.next = (pos, at + layout.per);
         }
         Ok(())
@@ -1508,13 +1500,13 @@ mod tests {
         let (_node, mut eng, reg) = single_rank(Strategy::infinity_cpu().with_f32_params());
         let id = reg.find("w").unwrap();
         let before = eng.export_param(id).unwrap();
-        let scale_before = eng.loss_scale();
+        let scale_before = eng.scaler.scale();
         let grad = Tensor::from_vec(&[3, 4], vec![f32::INFINITY; 12]).unwrap();
         eng.add_grad(id, &grad).unwrap();
         assert!(!eng.step().unwrap(), "overflow must skip the step");
         let after = eng.export_param(id).unwrap();
         assert_eq!(before.data(), after.data());
-        assert!(eng.loss_scale() < scale_before);
+        assert!(eng.scaler.scale() < scale_before);
         assert_eq!(eng.stats().skipped_steps, 1);
         // A healthy step afterwards applies normally.
         let grad = Tensor::from_vec(&[3, 4], vec![0.5; 12]).unwrap();
@@ -1609,7 +1601,7 @@ mod tests {
         // 12-byte read of the step.
         let strategy = Strategy::infinity_nvme()
             .with_f32_params()
-            .with_prefetch(false)
+            .with_prefetch_window(0)
             .with_optimizer_chunk(4)
             .with_step_pipeline_depth(3);
         let (node, mut eng, reg) = throttled_rank(strategy, std::time::Duration::from_millis(2));
@@ -1753,7 +1745,7 @@ mod tests {
         let depth = 3;
         let strategy = Strategy::infinity_nvme()
             .with_f32_params()
-            .with_prefetch(false)
+            .with_prefetch_window(0)
             .with_optimizer_chunk(4)
             .with_step_pipeline_depth(depth);
         let (node, mut eng, reg) = throttled_rank(strategy, std::time::Duration::from_millis(1));
@@ -1817,7 +1809,7 @@ mod tests {
     fn faulty_engine(node: &NodeResources, chunk: usize, permille: usize) -> Result<ZeroEngine> {
         let strategy = Strategy::infinity_nvme()
             .with_f32_params()
-            .with_prefetch(false)
+            .with_prefetch_window(0)
             .with_optimizer_chunk(chunk)
             .with_optimizer_cpu_permille(permille)
             .with_step_pipeline_depth(2);
@@ -2239,7 +2231,7 @@ mod tests {
         // carries two records (depth plus half a write-behind window of 2).
         let strategy = Strategy::infinity_nvme()
             .with_f32_params()
-            .with_prefetch(false)
+            .with_prefetch_window(0)
             .with_optimizer_chunk(4)
             .with_step_pipeline_depth(1);
         let (node, mut eng, reg) = throttled_rank(strategy, std::time::Duration::from_millis(2));
@@ -2300,7 +2292,7 @@ mod tests {
         // one element). Each is one write of 48 (12) B and its publish one
         // of 16 (4) B: ten writes, 272 B.
         let strategy =
-            Strategy::infinity_nvme().with_f32_params().with_prefetch(false).with_optimizer_chunk(4);
+            Strategy::infinity_nvme().with_f32_params().with_prefetch_window(0).with_optimizer_chunk(4);
         let (node, mut eng, reg) = door_rank(strategy);
         let built = node.nvme.stats();
         assert_eq!((built.writes, built.bytes_written, built.reads), (10, 272, 0));
@@ -2359,7 +2351,7 @@ mod tests {
         let node = NodeResources::in_memory(&spec, 1);
         let reg = mixed_registry();
         let comm = node.group.communicator(0);
-        let strategy = strategy.with_prefetch(false);
+        let strategy = strategy.with_prefetch_window(0);
         let engine =
             ZeroEngine::new(&reg, strategy, node.offload_manager(), comm, AdamConfig::default())
                 .unwrap();
@@ -2560,14 +2552,14 @@ mod tests {
         });
         let strategy = Strategy::infinity_nvme()
             .with_f32_params()
-            .with_prefetch(false)
+            .with_prefetch_window(0)
             .with_optimizer_chunk(4)
             .with_step_pipeline_depth(1);
         let (node, mut eng, reg) = rank_over(strategy, gate.clone());
         let peer = node.offload_manager();
         let zeros = FlatBuffer::zeros(DType::F32, HELD / 4);
         let parked = peer.store_placed(Device::nvme(), &PlacementPolicy::all_nvme(), zeros).unwrap();
-        let read = peer.begin_load_elems_placed(&parked, 0, HELD / 4).unwrap();
+        let read = peer.begin_load_elems(&parked, 0, HELD / 4).unwrap();
         let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         eng.add_grad(b, &Tensor::from_vec(&[5], vec![1.0; 5]).unwrap()).unwrap();
@@ -2695,7 +2687,7 @@ mod tests {
             };
             match &mut self.buf {
                 Some(buf) => {
-                    self.nonfinite |= eng.mgr.accumulate_f32_placed(buf, &delta).unwrap();
+                    self.nonfinite |= eng.mgr.accumulate_f32(buf, &delta).unwrap();
                 }
                 slot @ None => {
                     let device = device_for(eng.strategy.placement.grads, eng.gpu_index);

@@ -59,17 +59,15 @@ pub mod prefetch;
 pub mod tiling;
 pub mod trainer;
 
-pub use activations::OffloadActStore;
 pub use config::{Placement, Strategy};
 pub use engine::{EngineStats, ZeroEngine};
-pub use mp::{train_gpt_2d, MpAllReduce, Spec2D};
+pub use mp::{train_gpt_2d, Spec2D};
 pub use offload::{
-    NodeEnv, NodeResources, OffloadHealth, OffloadManager, PlacedBuf, PlacedPending, PublishStream,
-    WriteBehind,
+    NodeEnv, NodeResources, OffloadHealth, OffloadManager, PlacedBuf, PublishStream, WriteBehind,
 };
 pub use pp::{train_gpt_pipeline, PipelineSpec};
 pub use tiling::TiledLinear;
-pub use checkpoint::{reshard_checkpoint_blobs, CHECKPOINT_FORMAT};
+pub use checkpoint::reshard_checkpoint_blobs;
 pub use trainer::{
     decode_checkpoint_payload, encode_checkpoint_payload, train_gpt, train_gpt_env, ElasticEvent,
     TrainEnv, TrainOutcome, TrainSpec,

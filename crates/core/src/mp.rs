@@ -26,7 +26,7 @@ use crate::trainer::synthetic_batch;
 
 /// [`TensorReduce`] over a `zi-comm` communicator (the tensor-parallel
 /// group's allreduce).
-pub struct MpAllReduce(pub Communicator);
+pub(crate) struct MpAllReduce(pub Communicator);
 
 impl TensorReduce for MpAllReduce {
     fn allreduce_tensor(&self, t: &mut Tensor) -> Result<()> {
@@ -76,14 +76,29 @@ pub fn train_gpt_2d(spec: &Spec2D) -> Result<Vec<f32>> {
             let node = Arc::clone(&node);
             let dp_comm = dp_groups[mp_rank].communicator(dp_rank);
             let mp_comm = mp_groups[dp_rank].communicator(mp_rank);
-            handles.push(
-                thread::Builder::new()
-                    .name(format!("zi-2d-{dp_rank}x{mp_rank}"))
-                    .spawn(move || {
-                        run_2d_rank(dp_rank, mp_rank, &spec, &node, dp_comm, mp_comm)
-                    })
-                    .expect("spawn 2d rank"),
-            );
+            let spawned = thread::Builder::new()
+                .name(format!("zi-2d-{dp_rank}x{mp_rank}"))
+                .spawn(move || run_2d_rank(dp_rank, mp_rank, &spec, &node, dp_comm, mp_comm));
+            match spawned {
+                Ok(handle) => handles.push(handle),
+                Err(e) => {
+                    // The ranks not launched never reach a collective:
+                    // abort them in both their groups, as a failed rank's
+                    // guard would, so every launched rank fails fast and
+                    // can be joined before the error is returned.
+                    let grid = (0..spec.dp).flat_map(|d| (0..spec.mp).map(move |m| (d, m)));
+                    for (d, m) in grid.skip(handles.len()) {
+                        dp_groups[m].abort_rank(d);
+                        mp_groups[d].abort_rank(m);
+                    }
+                    for handle in handles {
+                        let _ = handle.join();
+                    }
+                    return Err(Error::Internal(format!(
+                        "spawn 2d rank {dp_rank}x{mp_rank}: {e}"
+                    )));
+                }
+            }
         }
     }
     let mut out = None;

@@ -256,17 +256,15 @@ impl ResilienceState {
         (at == end && !tiles.is_empty()).then_some(tiles)
     }
 
-    /// True when the cache holds the extent `[offset, offset + len)`.
-    fn is_cached(&self, offset: u64, len: u64) -> bool {
-        self.cache.shards.lock().entries.get(&offset).is_some_and(|shard| shard_len(shard) == len)
-    }
-
-    /// The cached bytes of the extent `[offset, offset + len)`: a hit.
-    fn cached(&self, offset: u64, len: u64) -> Option<CachedShard> {
+    /// The cached bytes of the extent `[offset, offset + len)`, counted
+    /// as a hit when `hit` is set (a probe passes `false`).
+    fn cached(&self, offset: u64, len: u64, hit: bool) -> Option<CachedShard> {
         let cache = self.cache.shards.lock();
         let shard = cache.entries.get(&offset).filter(|shard| shard_len(shard) == len)?;
-        self.cache.hits.fetch_add(1, Ordering::Relaxed);
-        self.cache.hit_bytes.fetch_add(len, Ordering::Relaxed);
+        if hit {
+            self.cache.hits.fetch_add(1, Ordering::Relaxed);
+            self.cache.hit_bytes.fetch_add(len, Ordering::Relaxed);
+        }
         Some(Arc::clone(shard))
     }
 
@@ -575,7 +573,7 @@ impl PlacedBuf {
 
     /// True when any part of the buffer lives on the NVMe device
     /// (loading it costs an nc-transfer).
-    pub fn is_offloaded(&self) -> bool {
+    pub(crate) fn is_offloaded(&self) -> bool {
         self.segments.iter().any(|s| s.ram.is_none())
     }
 
@@ -613,7 +611,7 @@ impl PlacedBuf {
     /// slice of the resident buffer itself — Adam updates a cp-path
     /// piece in place here, with no slice → decode → encode → write-back.
     /// `None` unless the range lies inside one resident segment.
-    pub fn resident_f32_mut(&mut self, start: usize, len: usize) -> Option<&mut [f32]> {
+    pub(crate) fn resident_f32_mut(&mut self, start: usize, len: usize) -> Option<&mut [f32]> {
         let i = self.segment_index(start);
         let seg = self.segments.get_mut(i)?;
         let lo = start - seg.start;
@@ -627,7 +625,7 @@ impl PlacedBuf {
 /// in flight *into* a staging buffer. Nothing but the request is held
 /// while it is pending: a rank may block inside a collective with loads
 /// outstanding without starving a sibling of a node-shared resource.
-pub struct PlacedPending {
+pub(crate) struct PlacedPending {
     /// Outstanding NVMe read and the device offset it reads from.
     read: Option<(Ticket, u64)>,
 }
@@ -637,7 +635,7 @@ impl PlacedPending {
     /// staging buffer the device filled, checksum-verified (see
     /// [`OffloadManager::verify_or_reread`]), so a prefetched buffer is
     /// never silently poisoned; a resident piece yields `None`.
-    pub fn wait(self, mgr: &OffloadManager) -> Result<Option<ScratchVec>> {
+    pub(crate) fn wait(self, mgr: &OffloadManager) -> Result<Option<ScratchVec>> {
         Ok(self.wait_verified(mgr)?.map(|(buf, _)| buf))
     }
 
@@ -652,7 +650,7 @@ impl PlacedPending {
     /// True once [`Self::wait`] will not block: the NVMe read completed
     /// (successfully or not), or the piece is resident. The prefetcher
     /// uses this to tell a timely hit from a late one.
-    pub fn ready(&self, mgr: &OffloadManager) -> bool {
+    pub(crate) fn ready(&self, mgr: &OffloadManager) -> bool {
         self.read.is_none_or(|(ticket, _)| mgr.nvme.is_ready(ticket))
     }
 
@@ -664,7 +662,7 @@ impl PlacedPending {
     /// Reap the piece without looking at it (a failed stream abandoning
     /// its read-ahead, an unconsumed prefetch): the staging buffer goes
     /// back to its pool.
-    pub fn discard(self, mgr: &OffloadManager) {
+    pub(crate) fn discard(self, mgr: &OffloadManager) {
         if let Some((ticket, _)) = self.read {
             let _ = mgr.nvme.wait_buf(ticket);
         }
@@ -763,7 +761,7 @@ impl OffloadManager {
     /// True once NVMe stores are redirected to CPU — either because a
     /// request exhausted its retry budget (the engine latched device
     /// death) or because the node was explicitly degraded.
-    pub fn is_degraded(&self) -> bool {
+    pub(crate) fn is_degraded(&self) -> bool {
         self.resilience.degraded.load(Ordering::Acquire) || self.nvme.device_failed()
     }
 
@@ -1058,30 +1056,21 @@ impl OffloadManager {
     /// This is the `nc-transfer` stage the prefetcher overlaps with
     /// compute (Sec. 6.2). The reads are issued whether or not the shard
     /// cache holds the buffer: a caller that wants no read for a cached
-    /// shard asks [`Self::cached_placed`] first, as [`Self::fetch_placed`]
-    /// and the prefetcher do.
-    pub fn begin_load_placed(&self, buf: &PlacedBuf) -> Vec<PlacedPending> {
+    /// shard asks [`Self::cached`] first, as [`Self::fetch_placed`] does.
+    pub(crate) fn begin_load(&self, buf: &PlacedBuf) -> Vec<PlacedPending> {
         buf.segments
             .iter()
             .map(|seg| self.begin_segment_read(&self.load_staging, buf.dtype, seg, 0, seg.len))
             .collect()
     }
 
-    /// Resolve the pieces of [`Self::begin_load_placed`] into the
-    /// buffer's contiguous bytes — the parameter-fetch path. A
-    /// one-segment buffer costs no copy: a resident segment is borrowed,
-    /// an NVMe one is the verified staging buffer itself, which moves
-    /// into the shard cache when the CPU pool has room for it. Several
-    /// segments are assembled into one staging buffer.
-    pub fn finish_load_placed<'a>(
-        &self,
-        buf: &'a PlacedBuf,
-        pieces: Vec<PlacedPending>,
-    ) -> Result<LoadedBytes<'a>> {
-        self.finish_load(buf, pieces, true)
-    }
-
-    fn finish_load<'a>(
+    /// Resolve the pieces of [`Self::begin_load`] into the buffer's
+    /// contiguous bytes. A one-segment buffer costs no copy: a resident
+    /// segment is borrowed, an NVMe one is the verified staging buffer
+    /// itself, which — with `fill_cache`, on the parameter-fetch path —
+    /// moves into the shard cache when the CPU pool has room for it.
+    /// Several segments are assembled into one staging buffer.
+    pub(crate) fn finish_load<'a>(
         &self,
         buf: &'a PlacedBuf,
         pieces: Vec<PlacedPending>,
@@ -1120,26 +1109,24 @@ impl OffloadManager {
     }
 
     /// The buffer's bytes from the shard cache, when it holds them: no
-    /// device read, no copy.
-    pub fn cached_placed<'a>(&self, buf: &PlacedBuf) -> Option<LoadedBytes<'a>> {
+    /// device read, no copy. Counted as a cache hit when `hit` is set; a
+    /// probe passes `false`.
+    pub(crate) fn cached<'a>(&self, buf: &PlacedBuf, hit: bool) -> Option<LoadedBytes<'a>> {
         let (offset, len) = buf.extent()?;
-        let shard = self.resilience.cached(offset, len)?;
-        self.tracer.count(Counter::ShardCacheBytes, len);
+        let shard = self.resilience.cached(offset, len, hit)?;
+        if hit {
+            self.tracer.count(Counter::ShardCacheBytes, len);
+        }
         Some(LoadedBytes::Cached(shard))
-    }
-
-    /// True when [`Self::cached_placed`] would answer; counts no hit.
-    pub fn is_cached_placed(&self, buf: &PlacedBuf) -> bool {
-        buf.extent().is_some_and(|(offset, len)| self.resilience.is_cached(offset, len))
     }
 
     /// A parameter shard's bytes: the shard cache's copy, else read now —
     /// every NVMe segment's read in flight before the first is waited on
     /// — and kept for the next fetch when the CPU pool has room.
     pub fn fetch_placed<'a>(&self, buf: &'a PlacedBuf) -> Result<LoadedBytes<'a>> {
-        match self.cached_placed(buf) {
+        match self.cached(buf, true) {
             Some(hit) => Ok(hit),
-            None => self.finish_load_placed(buf, self.begin_load_placed(buf)),
+            None => self.finish_load(buf, self.begin_load(buf), true),
         }
     }
 
@@ -1148,14 +1135,14 @@ impl OffloadManager {
     /// activation checkpoints are read once per write, so they neither
     /// consult nor fill the shard cache.
     pub fn load_placed(&self, buf: &PlacedBuf) -> Result<FlatBuffer> {
-        let loaded = self.finish_load(buf, self.begin_load_placed(buf), false)?;
+        let loaded = self.finish_load(buf, self.begin_load(buf), false)?;
         FlatBuffer::from_bytes(buf.dtype, loaded.as_bytes().to_vec())
     }
 
     /// Consume the buffer: hand back its contents (a resident
     /// one-segment buffer is moved out, not copied) and release its
     /// device memory.
-    pub fn take_placed(&self, mut buf: PlacedBuf) -> Result<FlatBuffer> {
+    pub(crate) fn take(&self, mut buf: PlacedBuf) -> Result<FlatBuffer> {
         let resident = match &mut buf.segments[..] {
             [seg] => seg.ram.take(),
             _ => None,
@@ -1173,7 +1160,7 @@ impl OffloadManager {
     /// NVMe piece is issued to the device immediately, reading into a
     /// recycled staging buffer; a CPU-DRAM piece needs no transfer at
     /// all — so a pipelined caller streams both paths concurrently.
-    pub fn begin_load_elems_placed(
+    pub(crate) fn begin_load_elems(
         &self,
         buf: &PlacedBuf,
         start: usize,
@@ -1181,7 +1168,7 @@ impl OffloadManager {
     ) -> Result<PlacedPending> {
         if start + len > buf.segment_end(start) {
             return Err(Error::shape(format!(
-                "begin_load_elems_placed [{start}, {}) crosses a segment of a {}-element shard",
+                "begin_load_elems [{start}, {}) crosses a segment of a {}-element shard",
                 start + len,
                 buf.numel
             )));
@@ -1202,7 +1189,7 @@ impl OffloadManager {
     /// propagate through addition), so OR-ing the per-call flags is
     /// exactly equivalent to scanning the fully accumulated gradient
     /// once at step time — without the extra full-gradient pass.
-    pub fn accumulate_f32_placed(&self, buf: &mut PlacedBuf, delta: &[f32]) -> Result<bool> {
+    pub(crate) fn accumulate_f32(&self, buf: &mut PlacedBuf, delta: &[f32]) -> Result<bool> {
         if buf.dtype != DType::F32 || delta.len() != buf.numel {
             return Err(Error::shape("accumulate_f32 size/dtype mismatch"));
         }
@@ -1259,7 +1246,7 @@ impl OffloadManager {
     /// buffer is preserved rather than dropped with the store. Reads are
     /// checksum-verified; a dead device surfaces its typed error so the
     /// caller falls back to checkpoint recovery.
-    pub fn collapse_placed(&self, buf: &mut PlacedBuf) -> Result<()> {
+    pub(crate) fn collapse(&self, buf: &mut PlacedBuf) -> Result<()> {
         for seg in &mut buf.segments {
             let read = self.begin_segment_read(&self.load_staging, buf.dtype, seg, 0, seg.len);
             let Some(bytes) = read.wait(self)? else { continue };
@@ -1357,7 +1344,7 @@ impl WriteBehind {
     /// them computed them — and are recorded at submission: the ticketed
     /// write either lands these exact bytes or a wait surfaces the
     /// failure. A failure here drops `staging` back into its pool.
-    pub fn submit_staged(
+    pub(crate) fn submit_staged(
         &mut self,
         mgr: &OffloadManager,
         buf: &PlacedBuf,
@@ -1649,10 +1636,10 @@ mod tests {
         let node = node();
         let mgr = node.offload_manager();
         let buf = store_on(&mgr, Device::nvme(), buf_f32(&[7.0; 64])).unwrap();
-        let pending = mgr.begin_load_placed(&buf);
+        let pending = mgr.begin_load(&buf);
         assert!(buf.is_offloaded() && pending.len() == 1);
         // ... compute would happen here ...
-        let data = mgr.finish_load_placed(&buf, pending).unwrap();
+        let data = mgr.finish_load(&buf, pending, true).unwrap();
         assert_eq!(data.as_bytes(), buf_f32(&[7.0; 64]).as_bytes());
         drop(data);
         mgr.free_placed(buf);
@@ -1663,10 +1650,10 @@ mod tests {
         let node = node();
         let mgr = node.offload_manager();
         let buf = store_on(&mgr, Device::cpu(), buf_f32(&[1.0, 2.0])).unwrap();
-        let pending = mgr.begin_load_placed(&buf);
+        let pending = mgr.begin_load(&buf);
         assert!(!buf.is_offloaded() && pending.iter().all(|p| p.ready(&mgr)));
         // The resident buffer itself is handed out: no copy, no staging.
-        let data = mgr.finish_load_placed(&buf, pending).unwrap();
+        let data = mgr.finish_load(&buf, pending, true).unwrap();
         assert!(matches!(data, LoadedBytes::Resident(_)));
         assert_eq!(data.as_bytes(), buf_f32(&[1.0, 2.0]).as_bytes());
         assert_eq!(mgr.staging().stats().allocated, 0);
@@ -1722,8 +1709,8 @@ mod tests {
         let mgr = node.offload_manager();
         let buf = store_on(&mgr, Device::nvme(), buf_f32(&[9.0; 32])).unwrap();
         plan.bitflip_next_reads(1);
-        let pending = mgr.begin_load_placed(&buf);
-        let data = mgr.finish_load_placed(&buf, pending).unwrap();
+        let pending = mgr.begin_load(&buf);
+        let data = mgr.finish_load(&buf, pending, true).unwrap();
         assert_eq!(data.as_bytes(), buf_f32(&[9.0; 32]).as_bytes());
         assert_eq!(mgr.health().corruptions_recovered, 1);
         drop(data);
@@ -1739,7 +1726,7 @@ mod tests {
             let mut at = 0;
             while at < buf.numel() {
                 let len = (buf.segment_end(at) - at).min(chunk);
-                match mgr.begin_load_elems_placed(buf, at, len).unwrap().wait(mgr).unwrap() {
+                match mgr.begin_load_elems(buf, at, len).unwrap().wait(mgr).unwrap() {
                     Some(mut staging) => {
                         staging.as_f32_mut().iter_mut().for_each(|x| *x = -*x);
                         submit(&mut wb, mgr, buf, at, staging).unwrap();
@@ -1857,8 +1844,8 @@ mod tests {
         mgr.free_placed(buf);
         let mut split = store_nvme(&mgr, PlacementPolicy::split(500, 8), &[0.0; 32]);
         let seg_end = split.segment_end(0);
-        assert!(mgr.begin_load_elems_placed(&split, 0, seg_end + 1).is_err(), "crosses a segment");
-        assert!(mgr.begin_load_elems_placed(&split, 30, 4).is_err(), "past the end");
+        assert!(mgr.begin_load_elems(&split, 0, seg_end + 1).is_err(), "crosses a segment");
+        assert!(mgr.begin_load_elems(&split, 30, 4).is_err(), "past the end");
         assert!(split.resident_f32_mut(0, seg_end + 1).is_none());
         // Write-behind only takes ranges inside one NVMe extent.
         let cpu_start = split.segments.iter().find(|s| s.ram.is_some()).unwrap().start;
@@ -1879,7 +1866,7 @@ mod tests {
         while at < 256 {
             // Pieces of at most 10 elements, cut at segment boundaries.
             let len = (buf.segment_end(at) - at).min(10);
-            match mgr.begin_load_elems_placed(&buf, at, len).unwrap().wait(&mgr).unwrap() {
+            match mgr.begin_load_elems(&buf, at, len).unwrap().wait(&mgr).unwrap() {
                 Some(mut staging) => {
                     assert_eq!(staging.as_f32(), &vals[at..at + len], "nc piece at {at}");
                     staging.as_f32_mut().iter_mut().for_each(|x| *x = -*x);
@@ -1916,7 +1903,7 @@ mod tests {
         submit(&mut wb, &mgr, &buf, 8, staged(&mgr, &[4.0; 8])).unwrap();
         wb.drain(&mgr).unwrap();
         plan.bitflip_next_reads(1);
-        let data = mgr.begin_load_elems_placed(&buf, 8, 8).unwrap().wait(&mgr).unwrap().unwrap();
+        let data = mgr.begin_load_elems(&buf, 8, 8).unwrap().wait(&mgr).unwrap().unwrap();
         assert_eq!(data.as_f32(), [4.0; 8]);
         assert_eq!(mgr.health().corruptions_recovered, 1);
         drop(data);
@@ -2057,7 +2044,7 @@ mod tests {
                 if !cached_before {
                     evict_shard_cache(&mgr);
                 }
-                assert_eq!(mgr.is_cached_placed(&buf), cached_before, "{tag}");
+                assert_eq!(mgr.cached(&buf, false).is_some(), cached_before, "{tag}");
                 assert_eq!(cpu_in_use(), if cached_before { 80 } else { 0 }, "{tag}");
 
                 let mut want = f16(&new);
@@ -2077,7 +2064,7 @@ mod tests {
                     }
                     Collapse => {
                         want = f16(&old);
-                        mgr.collapse_placed(&mut buf).unwrap();
+                        mgr.collapse(&mut buf).unwrap();
                         assert_eq!(cpu_in_use(), 80, "{tag}: only the collapsed shard is charged");
                     }
                     FreeThenNewTenant => {
@@ -2099,7 +2086,7 @@ mod tests {
                     }
                 }
                 let written_through = matches!(writer, ChunkedPublish | OneChunkPublish);
-                assert_eq!(mgr.is_cached_placed(&buf), written_through, "{tag}");
+                assert_eq!(mgr.cached(&buf, false).is_some(), written_through, "{tag}");
 
                 let before = mgr.health();
                 let fetched = mgr.fetch_placed(&buf).unwrap();
@@ -2151,7 +2138,7 @@ mod tests {
         plan.bitflip_next_reads(u32::MAX);
         assert!(matches!(mgr.fetch_placed(&buf), Err(Error::Corruption { .. })));
         plan.bitflip_next_reads(0);
-        assert!(!mgr.is_cached_placed(&buf));
+        assert!(mgr.cached(&buf, false).is_none());
         mgr.free_placed(buf);
         assert_eq!(in_use(&mgr), (0, 0));
     }
@@ -2174,7 +2161,7 @@ mod tests {
         for buf in [&a, &b, &c] {
             mgr.fetch_placed(buf).unwrap();
         }
-        let cached = |buf: &PlacedBuf| mgr.is_cached_placed(buf);
+        let cached = |buf: &PlacedBuf| mgr.cached(buf, false).is_some();
         assert_eq!((cached(&a), cached(&b), cached(&c)), (true, true, false));
         assert_eq!((cpu().in_use, cpu().largest_free), (800, 200));
         // Admission only: the uncached shard never displaces an entry.
@@ -2225,17 +2212,17 @@ mod tests {
                 ("nvme", store_on(&mgr, Device::nvme(), buf_f32(&[1.0; 40])).unwrap()),
                 ("split", store_nvme(&mgr, split, &[1.0; 40])),
             ] {
-                assert!(!mgr.accumulate_f32_placed(&mut buf, &[0.5; 40]).unwrap(), "tier {tier}");
+                assert!(!mgr.accumulate_f32(&mut buf, &[0.5; 40]).unwrap(), "tier {tier}");
                 assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vec![1.5; 40]);
                 let mut delta = vec![0.0f32; 40];
                 delta[at] = f32::INFINITY;
-                assert!(mgr.accumulate_f32_placed(&mut buf, &delta).unwrap(), "tier {tier}");
+                assert!(mgr.accumulate_f32(&mut buf, &delta).unwrap(), "tier {tier}");
                 mgr.free_placed(buf);
             }
         }
         // Shape/dtype errors are typed, not silent.
         let mut small = store_on(&mgr, Device::cpu(), buf_f32(&[0.0; 4])).unwrap();
-        assert!(mgr.accumulate_f32_placed(&mut small, &[0.0; 5]).is_err());
+        assert!(mgr.accumulate_f32(&mut small, &[0.0; 5]).is_err());
         mgr.free_placed(small);
     }
 
@@ -2250,9 +2237,9 @@ mod tests {
         let vals: Vec<f32> = (0..100).map(|i| i as f32).collect();
         let delta: Vec<f32> = (0..100).map(|i| 0.25 * i as f32).collect();
         let mut buf = store_on(&mgr, Device::nvme(), buf_f32(&vals)).unwrap();
-        assert!(!mgr.accumulate_f32_placed(&mut buf, &delta).unwrap());
+        assert!(!mgr.accumulate_f32(&mut buf, &delta).unwrap());
         let want: Vec<f32> = vals.iter().zip(&delta).map(|(a, b)| a + b).collect();
-        assert_eq!(mgr.take_placed(buf).unwrap().to_f32_vec(), want);
+        assert_eq!(mgr.take(buf).unwrap().to_f32_vec(), want);
     }
 
     #[test]
@@ -2280,8 +2267,8 @@ mod tests {
         let buf = store_nvme(&mgr, PlacementPolicy::split(500, 16), &vals);
         let nvme_segments = buf.segments.iter().filter(|s| s.ram.is_none()).count() as u64;
         let before = mgr.nvme().stats();
-        let pending = mgr.begin_load_placed(&buf);
-        let data = mgr.finish_load_placed(&buf, pending).unwrap();
+        let pending = mgr.begin_load(&buf);
+        let data = mgr.finish_load(&buf, pending, true).unwrap();
         assert_eq!(data.as_bytes(), buf_f32(&vals).as_bytes());
         let after = mgr.nvme().stats();
         assert_eq!(after.reads - before.reads, nvme_segments);
@@ -2289,7 +2276,7 @@ mod tests {
         drop(data);
         assert_eq!(mgr.staging().outstanding(), 0);
         // Taking the buffer returns the same bytes and frees both tiers.
-        assert_eq!(mgr.take_placed(buf).unwrap().to_f32_vec(), vals);
+        assert_eq!(mgr.take(buf).unwrap().to_f32_vec(), vals);
         assert_eq!(in_use(&mgr), (0, 0));
     }
 
@@ -2316,7 +2303,7 @@ mod tests {
         // The same op sequence on each buffer: every observation equal.
         let run = |mut buf: PlacedBuf| {
             let mut seen = vec![mgr.load_placed(&buf).unwrap()];
-            let nonfinite = mgr.accumulate_f32_placed(&mut buf, &delta).unwrap();
+            let nonfinite = mgr.accumulate_f32(&mut buf, &delta).unwrap();
             let fetched = mgr.fetch_placed(&buf).unwrap().as_bytes().to_vec();
             seen.push(FlatBuffer::from_bytes(DType::F32, fetched).unwrap());
             mgr.overwrite_placed(&mut buf, &buf_f32(&fresh)).unwrap();
@@ -2325,7 +2312,7 @@ mod tests {
             mgr.flush().unwrap();
             seen.push(mgr.load_placed(&buf).unwrap());
             publish_chunked(&mgr, &mut buf, &vals).unwrap();
-            seen.push(mgr.take_placed(buf).unwrap());
+            seen.push(mgr.take(buf).unwrap());
             (nonfinite, seen)
         };
         let want = run(reference);
@@ -2409,7 +2396,7 @@ mod tests {
         let mut mine = store_on(&a, Device::nvme(), buf_f32(&[0.0; 8])).unwrap();
         // B's record read waits at the closed gate; A's own write lands
         // and A's flush returns around it.
-        let read = b.begin_load_elems_placed(&record, 0, 64).unwrap();
+        let read = b.begin_load_elems(&record, 0, 64).unwrap();
         a.overwrite_async_placed(&mut mine, &buf_f32(&[5.0; 8])).unwrap();
         a.flush().unwrap();
         assert!(a.nvme().in_flight() >= 1, "B's read is still on the device");
@@ -2464,7 +2451,7 @@ mod tests {
         assert!(buf.is_offloaded());
         node.degrade();
         assert!(mgr.is_degraded());
-        mgr.collapse_placed(&mut buf).unwrap();
+        mgr.collapse(&mut buf).unwrap();
         assert_eq!(in_use(&mgr).1, 0);
         assert!(!buf.is_offloaded());
         // The NVMe-resident half came across bit-identical; the CPU half

@@ -118,16 +118,24 @@ pub fn train_gpt_pipeline(spec: &PipelineSpec) -> Result<Vec<f32>> {
         let up_tx: Option<Sender<Tensor>> = if s > 0 { bwd_tx[s - 1].take() } else { None };
         let (wg_tx, wg_rx) = (wte_grad_tx.clone(), wte_grad_rx.clone());
         let (wn_tx, wn_rx) = (wte_new_tx.clone(), wte_new_rx.clone());
-        handles.push(
-            thread::Builder::new()
-                .name(format!("zi-pp-{s}"))
-                .spawn(move || {
-                    run_stage(
-                        s, &spec, up_rx, down_tx, down_rx, up_tx, wg_tx, wg_rx, wn_tx, wn_rx,
-                    )
-                })
-                .expect("spawn stage"),
-        );
+        let spawned = thread::Builder::new().name(format!("zi-pp-{s}")).spawn(move || {
+            run_stage(s, &spec, up_rx, down_tx, down_rx, up_tx, wg_tx, wg_rx, wn_tx, wn_rx)
+        });
+        match spawned {
+            Ok(handle) => handles.push(handle),
+            Err(e) => {
+                // Drop every endpoint of the stages not launched: each
+                // launched stage then fails on its next channel operation
+                // (every chain reaches a missing stage), so all of them
+                // can be joined before the error is returned.
+                drop((fwd_tx, fwd_rx, bwd_tx, bwd_rx));
+                drop((wte_grad_tx, wte_grad_rx, wte_new_tx, wte_new_rx));
+                for handle in handles {
+                    let _ = handle.join();
+                }
+                return Err(Error::Internal(format!("spawn pipeline stage {s}: {e}")));
+            }
+        }
     }
     let mut losses = None;
     let mut first_err = None;
@@ -152,6 +160,12 @@ pub fn train_gpt_pipeline(spec: &PipelineSpec) -> Result<Vec<f32>> {
 /// A channel disconnects only when the stage at its other end has failed.
 fn closed<E>(channel: &str) -> impl Fn(E) -> Error + '_ {
     move |_| Error::Internal(format!("{channel} channel closed"))
+}
+
+/// The channel endpoint a stage's position gives it; absent only if the
+/// launcher wired the pipeline wrong.
+fn endpoint<'a, T>(end: &'a Option<T>, name: &str) -> Result<&'a T> {
+    end.as_ref().ok_or_else(|| Error::Internal(format!("pipeline stage has no {name} endpoint")))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -220,7 +234,7 @@ fn run_stage(
             let mut x = if first {
                 ctx.forward(embed, |p| embedding_forward(&bc, &p[0], &p[1], &tokens))?
             } else {
-                up_rx.as_ref().expect("upstream").recv().map_err(closed("pipeline forward"))?
+                endpoint(&up_rx, "upstream")?.recv().map_err(closed("pipeline forward"))?
             };
             let mut saved_blocks = Vec::new();
             for l in blocks.clone() {
@@ -236,7 +250,7 @@ fn run_stage(
                 loss_sum += loss;
                 Some((x, stats, hs, dlogits))
             } else {
-                down_tx.as_ref().expect("downstream").send(x).map_err(closed("pipeline forward"))?;
+                endpoint(&down_tx, "downstream")?.send(x).map_err(closed("pipeline forward"))?;
                 None
             };
             micros.push(MicroState { tokens, blocks: saved_blocks, head: head_state });
@@ -256,7 +270,7 @@ fn run_stage(
                     Ok((dxi, vec![Tensor::from_vec(&h, dg)?, Tensor::from_vec(&h, db)?]))
                 })?
             } else {
-                down_rx.as_ref().expect("downstream grad").recv().map_err(closed("pipeline backward"))?
+                endpoint(&down_rx, "downstream grad")?.recv().map_err(closed("pipeline backward"))?
             };
             for (l, saved) in blocks.clone().zip(micro.blocks.iter()).rev() {
                 dx = ctx.backward(1 + l, |p| block_backward(&bc, p, saved, &dx))?;
@@ -267,7 +281,7 @@ fn run_stage(
                     Ok(vec![dwte, dwpe])
                 })?;
             } else {
-                up_tx.as_ref().expect("upstream grad").send(dx).map_err(closed("pipeline backward"))?;
+                endpoint(&up_tx, "upstream grad")?.send(dx).map_err(closed("pipeline backward"))?;
             }
         }
 

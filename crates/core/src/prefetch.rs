@@ -22,7 +22,7 @@ use crate::offload::{LoadedBytes, OffloadManager, PlacedBuf, PlacedPending};
 
 /// Operator-sequence map with on-the-fly re-synchronization.
 #[derive(Debug, Default)]
-pub struct TraceMap {
+pub(crate) struct TraceMap {
     prev: Vec<ParamId>,
     cur: Vec<ParamId>,
     cursor: usize,
@@ -70,13 +70,13 @@ impl TraceMap {
 
     /// Finish the iteration: the recorded sequence becomes the prediction
     /// source for the next one.
-    pub fn end_iteration(&mut self) {
+    pub(crate) fn end_iteration(&mut self) {
         self.prev = std::mem::take(&mut self.cur);
         self.cursor = 0;
     }
 
     /// True once at least one full iteration has been traced.
-    pub fn has_history(&self) -> bool {
+    pub(crate) fn has_history(&self) -> bool {
         !self.prev.is_empty()
     }
 }
@@ -110,7 +110,7 @@ const MAX_PENDING: usize = 16;
 /// shard is placed once, when that engine lays the model out: a pending
 /// load always reads the buffer its demand fetch resolves.
 #[derive(Default)]
-pub struct Prefetcher {
+pub(crate) struct Prefetcher {
     pending: HashMap<ParamId, Vec<PlacedPending>>,
     stats: PrefetchStats,
 }
@@ -126,7 +126,7 @@ impl Prefetcher {
     /// resolve immediately — RAM-resident shards, and NVMe shards the
     /// shard cache holds — are left for the demand path.
     pub fn prefetch(&mut self, mgr: &OffloadManager, id: ParamId, shard: &PlacedBuf) {
-        if mgr.is_cached_placed(shard) {
+        if mgr.cached(shard, false).is_some() {
             return;
         }
         if self.pending.contains_key(&id) {
@@ -142,16 +142,16 @@ impl Prefetcher {
         if self.pending.len() >= MAX_PENDING || !shard.is_offloaded() {
             return;
         }
-        self.pending.insert(id, mgr.begin_load_placed(shard));
+        self.pending.insert(id, mgr.begin_load(shard));
         self.stats.issued += 1;
         mgr.tracer().count(Counter::PrefetchIssued, 1);
     }
 
     /// Resolve `id`'s shard to its bytes: consume the in-flight load if
-    /// present (prefetch hit), else take the shard cache's copy (neither
-    /// a hit nor a miss: hits and misses count device-served fetches), or
-    /// load now (miss). A RAM-resident shard is borrowed, never cloned,
-    /// and starts no load: no miss either.
+    /// present (prefetch hit), else fetch it through the manager — the
+    /// shard cache's copy (neither a hit nor a miss: hits and misses count
+    /// device-served fetches), or a load now (miss). A RAM-resident shard
+    /// is borrowed, never cloned, and starts no load: no miss either.
     ///
     /// A failed in-flight load never hands out a poisoned buffer: the
     /// typed error is surfaced, and if it is transient (e.g. a checksum
@@ -164,15 +164,11 @@ impl Prefetcher {
         shard: &'a PlacedBuf,
     ) -> Result<LoadedBytes<'a>> {
         let Some(pieces) = self.pending.remove(&id) else {
-            if !shard.is_offloaded() {
-                return mgr.fetch_placed(shard);
+            if shard.is_offloaded() && mgr.cached(shard, false).is_none() {
+                self.stats.misses += 1;
+                mgr.tracer().count(Counter::PrefetchMisses, 1);
             }
-            if let Some(cached) = mgr.cached_placed(shard) {
-                return Ok(cached);
-            }
-            self.stats.misses += 1;
-            mgr.tracer().count(Counter::PrefetchMisses, 1);
-            return mgr.finish_load_placed(shard, mgr.begin_load_placed(shard));
+            return mgr.fetch_placed(shard);
         };
         self.stats.hits += 1;
         mgr.tracer().count(Counter::PrefetchHits, 1);
@@ -182,14 +178,14 @@ impl Prefetcher {
             self.stats.late += 1;
             mgr.tracer().count(Counter::PrefetchLate, 1);
         }
-        match mgr.finish_load_placed(shard, pieces) {
+        match mgr.finish_load(shard, pieces, true) {
             Err(e) if e.is_transient() => mgr.fetch_placed(shard),
             loaded => loaded,
         }
     }
 
     /// True if a load for `id` is in flight.
-    pub fn is_pending(&self, id: ParamId) -> bool {
+    pub(crate) fn is_pending(&self, id: ParamId) -> bool {
         self.pending.contains_key(&id)
     }
 

@@ -27,14 +27,14 @@ pub struct TiledLinear {
 }
 
 /// Copy columns `[c0, c1)` of a `[m, width]` tensor into a new tensor.
-fn slice_cols(x: &Tensor, c0: usize, c1: usize) -> Tensor {
+fn slice_cols(x: &Tensor, c0: usize, c1: usize) -> Result<Tensor> {
     let (m, width) = x.as_2d();
     let mut out = vec![0f32; m * (c1 - c0)];
     for r in 0..m {
         out[r * (c1 - c0)..(r + 1) * (c1 - c0)]
             .copy_from_slice(&x.data()[r * width + c0..r * width + c1]);
     }
-    Tensor::from_vec(&[m, c1 - c0], out).expect("column slice shape")
+    Tensor::from_vec(&[m, c1 - c0], out)
 }
 
 /// Write `src` into columns `[c0, ...)` of `dst`.
@@ -87,11 +87,6 @@ impl TiledLinear {
     /// Number of tiles.
     pub fn tiles(&self) -> usize {
         self.plans.len() - 1
-    }
-
-    /// All parameter ids (tiles then bias), for module plans.
-    pub fn param_ids(&self) -> Vec<ParamId> {
-        self.plans.iter().flat_map(|plan| plan.own_params.iter().copied()).collect()
     }
 
     /// Forward pass: tiles are fetched, used and released strictly one at
@@ -148,7 +143,7 @@ impl TiledLinear {
         let mut dx = Tensor::zeros(&[m, self.in_dim]);
         for t in 0..self.tiles() {
             let range = partition_range(self.out_dim, self.tiles(), t);
-            let dyt = slice_cols(dy, range.start, range.end);
+            let dyt = slice_cols(dy, range.start, range.end)?;
             ctx.backward(t, |p| {
                 let w = &p[0];
                 let mut span =
@@ -180,12 +175,17 @@ mod tests {
     use zi_model::DenseStore;
     use zi_optim::AdamConfig;
 
+    /// All parameter ids, tiles then bias.
+    fn param_ids(tl: &TiledLinear) -> Vec<ParamId> {
+        tl.plans.iter().flat_map(|plan| plan.own_params.iter().copied()).collect()
+    }
+
     fn tile_ids(tl: &TiledLinear) -> Vec<ParamId> {
-        tl.param_ids()[..tl.tiles()].to_vec()
+        param_ids(tl)[..tl.tiles()].to_vec()
     }
 
     fn bias_id(tl: &TiledLinear) -> ParamId {
-        tl.param_ids()[tl.tiles()]
+        param_ids(tl)[tl.tiles()]
     }
 
     /// Reference: dense untiled linear built from the same tile values.

@@ -858,10 +858,7 @@ mod tests {
             node: no_cache_room(2),
             ..TrainSpec::test_default(cfg, strategy, 2)
         };
-        let spec_off = TrainSpec {
-            strategy: strategy.with_prefetch(false),
-            ..spec_on
-        };
+        let spec_off = TrainSpec { prefetch_window: 0, ..spec_on };
         let on = train_gpt(&spec_on).unwrap();
         let off = train_gpt(&spec_off).unwrap();
         assert_eq!(on.losses, off.losses, "prefetch must not change numerics");
@@ -872,9 +869,8 @@ mod tests {
 
     #[test]
     fn spec_prefetch_window_reaches_engine() {
-        // A zero look-ahead must silence the prefetcher entirely even
-        // with the strategy's prefetch flag on (the engine used to
-        // hard-code a window of 3, ignoring the spec).
+        // A zero look-ahead must silence the prefetcher entirely (the
+        // engine used to hard-code a window of 3, ignoring the spec).
         let cfg = model_cfg();
         let strategy = Strategy::infinity_nvme().with_f32_params();
         let spec = TrainSpec {
@@ -1258,7 +1254,7 @@ mod dynamic_workflow_tests {
             vec![true, true, true, true],
         ];
 
-        let run = |prefetch: bool| {
+        let run = |window: usize| {
             let node = NodeResources::in_memory(
                 &NodeMemorySpec::test_spec(1, 1 << 24, 1 << 26, 1 << 26),
                 1,
@@ -1268,7 +1264,7 @@ mod dynamic_workflow_tests {
             let model = GptModel::new(cfg);
             let mut engine = ZeroEngine::new(
                 model.registry(),
-                Strategy::infinity_nvme().with_f32_params().with_prefetch(prefetch),
+                Strategy::infinity_nvme().with_f32_params().with_prefetch_window(window),
                 node.offload_manager(),
                 node.group.communicator(0),
                 AdamConfig { lr: 0.01, ..Default::default() },
@@ -1288,8 +1284,8 @@ mod dynamic_workflow_tests {
             (losses, engine.stats())
         };
 
-        let (with, stats_on) = run(true);
-        let (without, stats_off) = run(false);
+        let (with, stats_on) = run(3);
+        let (without, stats_off) = run(0);
         assert_eq!(with, without, "prefetching must not change dynamic numerics");
         assert!(stats_on.prefetch.issued > 0, "prefetcher should engage");
         assert!(

@@ -62,11 +62,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Number of GPU pools.
-    pub fn gpu_count(&self) -> usize {
-        self.gpu.len()
-    }
-
     fn with_pool<T>(&self, device: Device, f: impl FnOnce(&mut MemoryPool) -> T) -> T {
         match device.kind {
             DeviceKind::Gpu => {
@@ -130,7 +125,6 @@ mod tests {
     #[test]
     fn per_device_allocation_is_independent() {
         let h = MemoryHierarchy::new(&NodeMemorySpec::test_spec(2, 100, 200, 300));
-        assert_eq!(h.gpu_count(), 2);
         let g0 = h.alloc(Device::gpu(0), 100).unwrap();
         // Exhausting GPU 0 leaves GPU 1, CPU and NVMe untouched.
         assert!(h.alloc(Device::gpu(0), 1).is_err());

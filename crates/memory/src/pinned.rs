@@ -73,7 +73,6 @@ impl Shared {
 #[derive(Clone)]
 pub struct PinnedBufferPool {
     shared: Arc<Shared>,
-    count: usize,
 }
 
 impl PinnedBufferPool {
@@ -94,7 +93,6 @@ impl PinnedBufferPool {
                 buffer_size,
                 tracer,
             }),
-            count,
         }
     }
 
@@ -116,24 +114,9 @@ impl PinnedBufferPool {
         PinnedBuffer { data: Some(buf), pool: Arc::clone(&self.shared) }
     }
 
-    /// Check out a buffer only if one is free right now.
-    pub fn try_acquire(&self) -> Option<PinnedBuffer> {
-        let mut st = self.shared.state.lock();
-        let buf = st.free.pop()?;
-        st.total_acquires += 1;
-        st.outstanding += 1;
-        self.shared.tracer.count(Counter::PinnedAcquires, 1);
-        Some(PinnedBuffer { data: Some(buf), pool: Arc::clone(&self.shared) })
-    }
-
     /// Size of each buffer in bytes.
     pub fn buffer_size(&self) -> usize {
         self.shared.buffer_size
-    }
-
-    /// Total number of buffers in the pool.
-    pub fn buffer_count(&self) -> usize {
-        self.count
     }
 
     /// Buffers currently checked out.
@@ -141,8 +124,8 @@ impl PinnedBufferPool {
         self.shared.state.lock().outstanding
     }
 
-    /// Lifetime count of acquisitions; `total_acquires / buffer_count`
-    /// is the reuse factor the paper's design relies on.
+    /// Lifetime count of acquisitions; per buffer in the pool, it is
+    /// the reuse factor the paper's design relies on.
     pub fn total_acquires(&self) -> u64 {
         self.shared.state.lock().total_acquires
     }
@@ -158,16 +141,14 @@ mod tests {
     fn acquire_release_cycle() {
         let pool = PinnedBufferPool::new(2, 64);
         assert_eq!(pool.buffer_size(), 64);
-        assert_eq!(pool.buffer_count(), 2);
         {
             let mut a = pool.acquire();
             let _b = pool.acquire();
             a.as_mut_slice()[0] = 7;
             assert_eq!(pool.outstanding(), 2);
-            assert!(pool.try_acquire().is_none());
         }
         assert_eq!(pool.outstanding(), 0);
-        assert!(pool.try_acquire().is_some());
+        drop(pool.acquire());
         assert_eq!(pool.total_acquires(), 3);
     }
 

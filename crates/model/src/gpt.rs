@@ -37,13 +37,6 @@ impl GptConfig {
     pub fn tiny() -> Self {
         GptConfig { vocab: 16, hidden: 8, layers: 2, heads: 2, seq: 4, seed: 1234 }
     }
-
-    /// Approximate parameter count `12 * nl * hd^2` (paper Eq. 1) — for
-    /// checks against the analytic model; the exact count adds embeddings,
-    /// biases and layer norms.
-    pub fn paper_param_estimate(&self) -> usize {
-        12 * self.layers * self.hidden * self.hidden
-    }
 }
 
 /// Runtime options for one training step.
@@ -518,8 +511,9 @@ mod tests {
         let cfg = GptConfig { vocab: 50, hidden: 16, layers: 3, heads: 4, seq: 8, seed: 7 };
         let model = GptModel::new(cfg);
         let exact = model.registry().total_numel();
-        let estimate = cfg.paper_param_estimate();
-        // Eq. (1) undercounts (no embeddings/biases) but must be the bulk.
+        // Eq. (1), 12 * nl * hd^2, undercounts (no embeddings/biases) but
+        // must be the bulk.
+        let estimate = 12 * cfg.layers * cfg.hidden * cfg.hidden;
         assert!(exact > estimate);
         assert!((exact as f64) < estimate as f64 * 1.6);
     }

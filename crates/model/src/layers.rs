@@ -23,7 +23,7 @@ pub struct BlockConfig {
 
 impl BlockConfig {
     /// Per-head dimension.
-    pub fn head_dim(&self) -> usize {
+    pub(crate) fn head_dim(&self) -> usize {
         assert!(self.hidden.is_multiple_of(self.heads), "hidden must divide by heads");
         self.hidden / self.heads
     }
@@ -39,14 +39,14 @@ impl BlockConfig {
 // ---------------------------------------------------------------------------
 
 /// `y = x W^T + b` with `W: [out, in]` (PyTorch convention).
-pub fn linear_forward(w: &Tensor, b: &Tensor, x: &Tensor) -> Result<Tensor> {
+pub(crate) fn linear_forward(w: &Tensor, b: &Tensor, x: &Tensor) -> Result<Tensor> {
     let mut y = ops::matmul_nt(x, w)?;
     ops::add_bias(&mut y, b.data())?;
     Ok(y)
 }
 
 /// Backward of [`linear_forward`]; returns `(dx, dw, db)`.
-pub fn linear_backward(w: &Tensor, x: &Tensor, dy: &Tensor) -> Result<(Tensor, Tensor, Tensor)> {
+pub(crate) fn linear_backward(w: &Tensor, x: &Tensor, dy: &Tensor) -> Result<(Tensor, Tensor, Tensor)> {
     let dx = ops::matmul(dy, w)?;
     let dw = ops::matmul_tn(dy, x)?;
     let db = Tensor::from_vec(&[w.shape()[0]], ops::column_sums(dy))?;
@@ -59,7 +59,7 @@ pub fn linear_backward(w: &Tensor, x: &Tensor, dy: &Tensor) -> Result<(Tensor, T
 
 /// Activations saved by the attention forward pass for its backward.
 #[derive(Debug, Clone)]
-pub struct AttnSaved {
+pub(crate) struct AttnSaved {
     /// Input to the fused QKV projection.
     x: Tensor,
     /// Fused QKV output `[rows, 3*hidden]`.
@@ -190,7 +190,7 @@ fn attention_heads_backward(
 /// Causal self-attention forward.
 ///
 /// `qkv_w: [3*hidden, hidden]`, `proj_w: [hidden, hidden]`.
-pub fn attention_forward(
+pub(crate) fn attention_forward(
     cfg: &BlockConfig,
     qkv_w: &Tensor,
     qkv_b: &Tensor,
@@ -217,7 +217,7 @@ pub fn attention_forward(
 
 /// Gradients of the attention parameters, in fetch order
 /// `[qkv_w, qkv_b, proj_w, proj_b]`.
-pub struct AttnGrads {
+pub(crate) struct AttnGrads {
     /// d(qkv weight).
     pub qkv_w: Tensor,
     /// d(qkv bias).
@@ -229,7 +229,7 @@ pub struct AttnGrads {
 }
 
 /// Causal self-attention backward; returns `(dx, grads)`.
-pub fn attention_backward(
+pub(crate) fn attention_backward(
     cfg: &BlockConfig,
     qkv_w: &Tensor,
     proj_w: &Tensor,
@@ -248,7 +248,7 @@ pub fn attention_backward(
 
 /// Activations saved by the MLP forward pass.
 #[derive(Debug, Clone)]
-pub struct MlpSaved {
+pub(crate) struct MlpSaved {
     x: Tensor,
     /// Pre-GELU activations (`fc1` output).
     h1: Tensor,
@@ -257,7 +257,7 @@ pub struct MlpSaved {
 }
 
 /// MLP forward: `fc2(gelu(fc1(x)))`, `fc1_w: [4h, h]`, `fc2_w: [h, 4h]`.
-pub fn mlp_forward(
+pub(crate) fn mlp_forward(
     fc1_w: &Tensor,
     fc1_b: &Tensor,
     fc2_w: &Tensor,
@@ -271,7 +271,7 @@ pub fn mlp_forward(
 }
 
 /// MLP gradients in fetch order `[fc1_w, fc1_b, fc2_w, fc2_b]`.
-pub struct MlpGrads {
+pub(crate) struct MlpGrads {
     /// d(fc1 weight).
     pub fc1_w: Tensor,
     /// d(fc1 bias).
@@ -283,7 +283,7 @@ pub struct MlpGrads {
 }
 
 /// MLP backward; returns `(dx, grads)`.
-pub fn mlp_backward(
+pub(crate) fn mlp_backward(
     fc1_w: &Tensor,
     fc2_w: &Tensor,
     saved: &MlpSaved,

@@ -48,5 +48,5 @@ pub mod mp;
 pub mod param;
 
 pub use gpt::{ActivationStore, GptConfig, GptModel, InMemoryActStore, NoopObserver, Phase, RunObserver, RunOptions};
-pub use mp::{MpGptModel, NoReduce, TensorReduce};
+pub use mp::{MpGptModel, TensorReduce};
 pub use param::{Bracket, DenseStore, InitKind, ModulePlan, ParamId, ParamMeta, ParamRegistry, ParamStore};

@@ -35,20 +35,10 @@ use crate::param::{Bracket, ModulePlan, ParamRegistry, ParamStore};
 
 /// Elementwise sum across the tensor-parallel group.
 ///
-/// Implemented over `zi-comm` by the training engine; [`NoReduce`] is the
-/// `mp = 1` identity.
+/// Implemented over `zi-comm` by the training engine.
 pub trait TensorReduce {
     /// Sum `t` in place across the group.
     fn allreduce_tensor(&self, t: &mut Tensor) -> Result<()>;
-}
-
-/// Identity reduction for single-rank tensor parallelism.
-pub struct NoReduce;
-
-impl TensorReduce for NoReduce {
-    fn allreduce_tensor(&self, _t: &mut Tensor) -> Result<()> {
-        Ok(())
-    }
 }
 
 /// A GPT whose blocks are tensor-sliced `mp` ways; this instance holds
@@ -307,6 +297,15 @@ fn split3(t: &Tensor, hl: usize) -> Result<[Tensor; 3]> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Identity reduction for single-rank tensor parallelism.
+    struct NoReduce;
+
+    impl TensorReduce for NoReduce {
+        fn allreduce_tensor(&self, _t: &mut Tensor) -> Result<()> {
+            Ok(())
+        }
+    }
     use crate::gpt::GptModel;
     use crate::param::{DenseStore, ParamId};
     use std::cell::RefCell;

@@ -154,7 +154,7 @@ impl ParamRegistry {
     /// the tensor-slicing initialization used by model parallelism. The
     /// registered shape is `[rows.len(), cols]` (or `[rows.len()]` when
     /// `cols == 1`).
-    pub fn register_row_slice(
+    pub(crate) fn register_row_slice(
         &mut self,
         name: impl Into<String>,
         full_rows: usize,
@@ -174,7 +174,7 @@ impl ParamRegistry {
     }
 
     /// Register columns `[cols)` of a virtual `[rows, full_cols]` tensor.
-    pub fn register_col_slice(
+    pub(crate) fn register_col_slice(
         &mut self,
         name: impl Into<String>,
         rows: usize,
@@ -248,11 +248,6 @@ pub struct ModulePlan {
 }
 
 impl ModulePlan {
-    /// All parameters this module needs resident, own + external.
-    pub fn all_params(&self) -> Vec<ParamId> {
-        self.ids().collect()
-    }
-
     fn ids(&self) -> impl Iterator<Item = ParamId> + '_ {
         self.own_params.iter().chain(&self.external_params).copied()
     }
@@ -476,17 +471,6 @@ impl DenseStore {
             *g = None;
         }
     }
-
-    /// Apply a plain SGD update (tests only; real training uses `zi-optim`).
-    pub fn sgd_step(&mut self, lr: f32) {
-        for (p, g) in self.params.iter_mut().zip(&self.grads) {
-            if let Some(g) = g {
-                for (pv, gv) in p.data_mut().iter_mut().zip(g.data()) {
-                    *pv -= lr * gv;
-                }
-            }
-        }
-    }
 }
 
 impl ParamStore for DenseStore {
@@ -510,6 +494,26 @@ impl ParamStore for DenseStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ModulePlan {
+        /// All parameters this module needs resident, own + external.
+        pub(crate) fn all_params(&self) -> Vec<ParamId> {
+            self.ids().collect()
+        }
+    }
+
+    impl DenseStore {
+        /// Apply a plain SGD update (real training uses `zi-optim`).
+        pub(crate) fn sgd_step(&mut self, lr: f32) {
+            for (p, g) in self.params.iter_mut().zip(&self.grads) {
+                if let Some(g) = g {
+                    for (pv, gv) in p.data_mut().iter_mut().zip(g.data()) {
+                        *pv -= lr * gv;
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn registry_assigns_sequential_ids() {

@@ -89,7 +89,7 @@ impl IoBuf {
     }
 
     /// The heap bytes, if this is the [`IoBuf::Bytes`] kind.
-    pub fn into_bytes(self) -> Option<Vec<u8>> {
+    pub(crate) fn into_bytes(self) -> Option<Vec<u8>> {
         match self {
             IoBuf::Bytes(v) => Some(v),
             IoBuf::Staging(_) => None,

@@ -21,7 +21,7 @@
 //! | latency spike  | op delayed, then runs normally           | benign    |
 //! | torn write     | prefix persisted, op reports failure     | transient |
 //! | read bit-flip  | buffer corrupted, op reports success     | silent    |
-//! | device death   | every op fails until [`FaultPlan::revive`] | permanent |
+//! | device death   | every op fails from then on              | permanent |
 //!
 //! Torn writes are recoverable by retrying the write (a rewrite of the
 //! full extent restores consistency). Read bit-flips are recoverable by
@@ -229,8 +229,7 @@ impl FaultPlan {
     }
 
     /// Declare the device dead: every subsequent operation (including
-    /// `sync` and `len`) fails with [`Error::DeviceFailed`] until
-    /// [`Self::revive`].
+    /// `sync` and `len`) fails with [`Error::DeviceFailed`].
     pub fn kill(&self) {
         self.inner.lock().dead = true;
     }
@@ -249,11 +248,6 @@ impl FaultPlan {
     /// a chosen fraction of it.
     pub fn ops_seen(&self) -> u64 {
         self.inner.lock().ops_seen
-    }
-
-    /// Bring a killed device back (the next operations run normally).
-    pub fn revive(&self) {
-        self.inner.lock().dead = false;
     }
 
     /// True if the plan currently rejects everything.
@@ -439,6 +433,13 @@ impl<B: StorageBackend> StorageBackend for FaultyBackend<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultPlan {
+        /// Bring a killed device back (the next operations run normally).
+        pub(crate) fn revive(&self) {
+            self.inner.lock().dead = false;
+        }
+    }
     use crate::backend::MemBackend;
 
     fn faulty() -> (FaultPlan, FaultyBackend<MemBackend>) {

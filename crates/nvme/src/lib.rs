@@ -34,5 +34,5 @@ pub mod store;
 pub use backend::{FileBackend, MemBackend, StorageBackend, ThrottledBackend};
 pub use engine::{IoBuf, IoStats, NvmeEngine, Ticket};
 pub use fault::{FaultPlan, FaultProfile, FaultyBackend, InjectedStats};
-pub use retry::{RetryPolicy, RetryReport};
+pub use retry::RetryPolicy;
 pub use store::{CheckpointStore, StoreStats};

@@ -57,7 +57,7 @@ fn jitter_hash(seed: u64, attempt: u32) -> u64 {
 }
 
 /// Outcome of running an operation under a policy.
-pub struct RetryReport<T> {
+pub(crate) struct RetryReport<T> {
     /// Final result after all attempts.
     pub result: Result<T>,
     /// Number of retries performed (attempts − 1 on success; may be
@@ -101,7 +101,7 @@ impl RetryPolicy {
     /// `context` names the request in give-up errors (e.g. `"read 4096 B
     /// at 0x1000"`); it is rendered only when the policy gives up, so a
     /// lazy `format_args!` costs the success path nothing.
-    pub fn run<T>(
+    pub(crate) fn run<T>(
         &self,
         context: impl std::fmt::Display,
         mut op: impl FnMut() -> Result<T>,

@@ -42,7 +42,7 @@ const SUPER_MAGIC: &[u8; 8] = b"ZICKPST1";
 /// Per-slot manifest magic.
 const MANIFEST_MAGIC: &[u8; 8] = b"ZICKPMAN";
 /// On-disk format version of the store layout.
-pub const STORE_FORMAT: u8 = 1;
+pub(crate) const STORE_FORMAT: u8 = 1;
 /// Superblock and manifest both occupy one fixed-size header block.
 const HEADER_LEN: u64 = 64;
 /// Slot capacity = first payload size × this, so checkpoints can grow
@@ -375,11 +375,6 @@ impl CheckpointStore {
         self.inner.core.ranks as usize
     }
 
-    /// Rotating slots per rank.
-    pub fn slots_per_rank(&self) -> usize {
-        self.inner.core.slots_per_rank as usize
-    }
-
     /// Counters snapshot.
     pub fn stats(&self) -> StoreStats {
         self.inner.core.state.lock().stats
@@ -612,7 +607,7 @@ mod tests {
         }
         let store = CheckpointStore::open(backend.clone()).unwrap();
         assert_eq!(store.ranks(), 2);
-        assert_eq!(store.slots_per_rank(), 2);
+        assert_eq!(store.inner.core.slots_per_rank, 2);
         assert_eq!(store.latest_complete(2).unwrap(), Some(7));
         assert_eq!(store.load(1, 7).unwrap(), b"one");
 

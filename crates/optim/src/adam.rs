@@ -9,8 +9,6 @@
 
 use zi_tensor::pool::{self, SendPtr};
 use zi_tensor::simd::{self, AdamParams, GradScale, PublishTo};
-use zi_tensor::FlatBuffer;
-use zi_types::{DType, Error, Result};
 
 /// Adam hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -194,62 +192,27 @@ impl AdamShard {
         self.step += 1;
         self.step
     }
-
-    /// Update the `[start, start+len)` element range during a chunked step.
-    pub fn step_chunk(&mut self, cfg: &AdamConfig, start: usize, grad_chunk: &[f32]) {
-        let end = start + grad_chunk.len();
-        adam_update_chunk(
-            cfg,
-            self.step,
-            &mut self.master[start..end],
-            &mut self.m[start..end],
-            &mut self.v[start..end],
-            grad_chunk,
-        );
-    }
-
-    /// Serialize as `[master | m | v]` fp32 little-endian plus the step
-    /// count — the on-NVMe representation of optimizer state.
-    pub fn to_buffer(&self) -> FlatBuffer {
-        let n = self.numel();
-        let mut all = Vec::with_capacity(3 * n + 2);
-        all.extend_from_slice(&self.master);
-        all.extend_from_slice(&self.m);
-        all.extend_from_slice(&self.v);
-        // Step count packed as two f32 words (exact for < 2^24 steps each).
-        all.push((self.step >> 24) as f32);
-        all.push((self.step & 0xff_ffff) as f32);
-        FlatBuffer::from_f32(DType::F32, &all)
-    }
-
-    /// Deserialize from [`AdamShard::to_buffer`] bytes.
-    pub fn from_buffer(buf: &FlatBuffer) -> Result<Self> {
-        let all = buf.to_f32_vec();
-        if all.len() < 2 || !(all.len() - 2).is_multiple_of(3) {
-            return Err(Error::InvalidArgument(format!(
-                "adam state buffer of {} f32 words is not 3n+2",
-                all.len()
-            )));
-        }
-        let n = (all.len() - 2) / 3;
-        let step = ((all[3 * n] as u64) << 24) | (all[3 * n + 1] as u64);
-        Ok(AdamShard {
-            master: all[..n].to_vec(),
-            m: all[n..2 * n].to_vec(),
-            v: all[2 * n..3 * n].to_vec(),
-            step,
-        })
-    }
-
-    /// Bytes needed on the offload device for a shard of `numel` elements.
-    pub fn serialized_bytes(numel: usize) -> usize {
-        (3 * numel + 2) * 4
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AdamShard {
+        /// Update the `[start, start+len)` element range during a chunked
+        /// step.
+        fn step_chunk(&mut self, cfg: &AdamConfig, start: usize, grad_chunk: &[f32]) {
+            let end = start + grad_chunk.len();
+            adam_update_chunk(
+                cfg,
+                self.step,
+                &mut self.master[start..end],
+                &mut self.m[start..end],
+                &mut self.v[start..end],
+                grad_chunk,
+            );
+        }
+    }
 
     fn grads(n: usize, seed: u64) -> Vec<f32> {
         (0..n).map(|i| (((i as u64 * 31 + seed * 17 + 3) % 97) as f32 - 48.0) / 50.0).collect()
@@ -380,33 +343,6 @@ mod tests {
             s.step_full(&cfg, &[0.0]);
         }
         assert!(s.master[0].abs() < 1.0, "decay should pull toward 0: {}", s.master[0]);
-    }
-
-    #[test]
-    fn serialization_round_trip() {
-        let cfg = AdamConfig::default();
-        let mut s = AdamShard::new(&grads(17, 1));
-        for step in 0..3 {
-            s.step_full(&cfg, &grads(17, step + 10));
-        }
-        let buf = s.to_buffer();
-        assert_eq!(buf.size_in_bytes(), AdamShard::serialized_bytes(17));
-        let restored = AdamShard::from_buffer(&buf).unwrap();
-        assert_eq!(restored, s);
-    }
-
-    #[test]
-    fn serialization_rejects_bad_sizes() {
-        let buf = FlatBuffer::from_f32(DType::F32, &[0.0; 4]);
-        assert!(AdamShard::from_buffer(&buf).is_err());
-    }
-
-    #[test]
-    fn large_step_counts_survive_serialization() {
-        let mut s = AdamShard::new(&[1.0]);
-        s.step = (1 << 30) + 12345;
-        let restored = AdamShard::from_buffer(&s.to_buffer()).unwrap();
-        assert_eq!(restored.step, s.step);
     }
 
     #[test]

@@ -13,7 +13,6 @@ pub struct LossScaler {
     backoff_factor: f32,
     growth_interval: u32,
     good_steps: u32,
-    overflows: u64,
 }
 
 impl Default for LossScaler {
@@ -24,39 +23,19 @@ impl Default for LossScaler {
             backoff_factor: 0.5,
             growth_interval: 2000,
             good_steps: 0,
-            overflows: 0,
         }
     }
 }
 
 impl LossScaler {
-    /// Scaler with a custom initial scale.
-    pub fn with_scale(scale: f32) -> Self {
-        assert!(scale > 0.0, "loss scale must be positive");
-        LossScaler { scale, ..Default::default() }
-    }
-
     /// Current loss scale.
     pub fn scale(&self) -> f32 {
         self.scale
     }
 
-    /// Number of overflow events seen.
-    pub fn overflow_count(&self) -> u64 {
-        self.overflows
-    }
-
     /// True if any gradient value is non-finite.
     pub fn has_overflow(grads: &[f32]) -> bool {
         grads.iter().any(|v| !v.is_finite())
-    }
-
-    /// Divide gradients by the current scale in place.
-    pub fn unscale(&self, grads: &mut [f32]) {
-        let inv = 1.0 / self.scale;
-        for g in grads {
-            *g *= inv;
-        }
     }
 
     /// Record the outcome of a step. Returns `true` if the optimizer step
@@ -65,7 +44,6 @@ impl LossScaler {
         if overflow {
             self.scale = (self.scale * self.backoff_factor).max(1.0);
             self.good_steps = 0;
-            self.overflows += 1;
             false
         } else {
             self.good_steps += 1;
@@ -82,6 +60,10 @@ impl LossScaler {
 mod tests {
     use super::*;
 
+    fn with_scale(scale: f32) -> LossScaler {
+        LossScaler { scale, ..Default::default() }
+    }
+
     #[test]
     fn overflow_detection() {
         assert!(!LossScaler::has_overflow(&[1.0, -2.0, 0.0]));
@@ -91,24 +73,15 @@ mod tests {
     }
 
     #[test]
-    fn unscale_divides() {
-        let s = LossScaler::with_scale(4.0);
-        let mut g = [8.0f32, -2.0];
-        s.unscale(&mut g);
-        assert_eq!(g, [2.0, -0.5]);
-    }
-
-    #[test]
     fn backoff_halves_scale_and_skips_step() {
-        let mut s = LossScaler::with_scale(1024.0);
+        let mut s = with_scale(1024.0);
         assert!(!s.update(true));
         assert_eq!(s.scale(), 512.0);
-        assert_eq!(s.overflow_count(), 1);
     }
 
     #[test]
     fn growth_after_interval() {
-        let mut s = LossScaler::with_scale(2.0);
+        let mut s = with_scale(2.0);
         // Shrink interval by driving updates manually.
         for _ in 0..2000 {
             assert!(s.update(false));
@@ -118,7 +91,7 @@ mod tests {
 
     #[test]
     fn overflow_resets_growth_progress() {
-        let mut s = LossScaler::with_scale(2.0);
+        let mut s = with_scale(2.0);
         for _ in 0..1999 {
             s.update(false);
         }
@@ -135,7 +108,7 @@ mod tests {
 
     #[test]
     fn scale_never_drops_below_one() {
-        let mut s = LossScaler::with_scale(1.5);
+        let mut s = with_scale(1.5);
         for _ in 0..10 {
             s.update(true);
         }

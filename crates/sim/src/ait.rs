@@ -1,10 +1,8 @@
 //! Arithmetic intensity of DL training (paper Sec. 4.1, Eq. 9–11).
 //!
 //! AIT = total computation / data movement, per state class. The paper
-//! derives closed forms; we expose both the closed forms and the
-//! first-principles ratios so tests can check they agree.
-
-use crate::memory::{TrainingShape, GRAD_BYTES, OPTIM_BYTES, PARAM_BYTES};
+//! derives closed forms; the tests check them against first-principles
+//! ratios.
 
 /// AIT with respect to parameters and gradients, Eq. (9): `seq * bsz`.
 ///
@@ -26,30 +24,31 @@ pub fn ait_activation_checkpoints(hidden: u64, ckpt_interval: u64) -> f64 {
     (24 * hidden * ckpt_interval) as f64
 }
 
-/// First-principles AIT for parameters/gradients: flops over the bytes
-/// moved for parameters (3 loads with checkpointing) and gradients
-/// (1 store), all fp16.
-pub fn ait_params_grads_from_shape(t: &TrainingShape) -> f64 {
-    let bytes = ((3 * PARAM_BYTES + GRAD_BYTES) * t.model.params()) as f64;
-    t.flops_per_iter() / bytes
-}
-
-/// First-principles AIT for optimizer states: flops over one read + one
-/// write of ~16 bytes per parameter.
-pub fn ait_optimizer_from_shape(t: &TrainingShape) -> f64 {
-    let bytes = (2 * OPTIM_BYTES * t.model.params()) as f64;
-    t.flops_per_iter() / bytes
-}
-
-/// First-principles AIT for activation checkpoints: flops over one store +
-/// one load of the checkpoint bytes (Eq. 3).
-pub fn ait_activations_from_shape(t: &TrainingShape) -> f64 {
-    t.flops_per_iter() / (2.0 * t.activation_checkpoint_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::{TrainingShape, GRAD_BYTES, OPTIM_BYTES, PARAM_BYTES};
+
+    /// First-principles AIT for parameters/gradients: flops over the bytes
+    /// moved for parameters (3 loads with checkpointing) and gradients
+    /// (1 store), all fp16.
+    fn ait_params_grads_from_shape(t: &TrainingShape) -> f64 {
+        let bytes = ((3 * PARAM_BYTES + GRAD_BYTES) * t.model.params()) as f64;
+        t.flops_per_iter() / bytes
+    }
+
+    /// First-principles AIT for optimizer states: flops over one read + one
+    /// write of ~16 bytes per parameter.
+    fn ait_optimizer_from_shape(t: &TrainingShape) -> f64 {
+        let bytes = (2 * OPTIM_BYTES * t.model.params()) as f64;
+        t.flops_per_iter() / bytes
+    }
+
+    /// First-principles AIT for activation checkpoints: flops over one
+    /// store + one load of the checkpoint bytes (Eq. 3).
+    fn ait_activations_from_shape(t: &TrainingShape) -> f64 {
+        t.flops_per_iter() / (2.0 * t.activation_checkpoint_bytes())
+    }
     use crate::memory::ModelShape;
 
     fn shape(hidden: u64, batch: u64, seq: u64, ci: u64) -> TrainingShape {

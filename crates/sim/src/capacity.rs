@@ -7,7 +7,7 @@ use crate::model_cfg::{SimModel, SimStrategy};
 
 /// Bytes a training configuration needs on each tier.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MemoryRequirement {
+pub(crate) struct MemoryRequirement {
     /// Per-GPU HBM bytes.
     pub gpu_per_gpu: f64,
     /// Per-node CPU DRAM bytes.
@@ -22,7 +22,7 @@ pub(crate) const THREED_USABLE: f64 = 0.8;
 
 /// Compute where the 20 bytes/parameter of model states (Sec. 3) plus
 /// activations and working memory land for each strategy of Table 2.
-pub fn memory_requirement(
+pub(crate) fn memory_requirement(
     strategy: SimStrategy,
     cluster: &ClusterSpec,
     model: &SimModel,

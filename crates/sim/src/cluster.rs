@@ -52,12 +52,12 @@ impl ClusterSpec {
     }
 
     /// Aggregate GPU memory, bytes.
-    pub fn total_gpu_mem(&self) -> u64 {
+    pub(crate) fn total_gpu_mem(&self) -> u64 {
         self.total_gpus() * self.gpu_mem
     }
 
     /// Aggregate CPU memory, bytes.
-    pub fn total_cpu_mem(&self) -> u64 {
+    pub(crate) fn total_cpu_mem(&self) -> u64 {
         self.nodes * self.cpu_mem
     }
 

@@ -83,7 +83,7 @@ impl TrainingShape {
 
     /// Total compute per iteration in flops, Eq. (7)–(8):
     /// `2 * 4 * bsz * seq * params` (forward + 2x backward + recompute).
-    pub fn flops_per_iter(&self) -> f64 {
+    pub(crate) fn flops_per_iter(&self) -> f64 {
         8.0 * self.batch * self.seq as f64 * self.model.params() as f64
     }
 }

@@ -43,7 +43,7 @@ impl SimStrategy {
     }
 
     /// The Fig. 6a sweep (Table 2 order).
-    pub fn fig6a_order() -> Vec<SimStrategy> {
+    pub(crate) fn fig6a_order() -> Vec<SimStrategy> {
         vec![
             SimStrategy::DataParallel,
             SimStrategy::Zero1,
@@ -106,7 +106,7 @@ pub fn table1_512gpu() -> Vec<SimModel> {
 }
 
 /// Table 1 rows for the single-node experiments (Fig. 5c).
-pub fn table1_single_node() -> Vec<SimModel> {
+pub(crate) fn table1_single_node() -> Vec<SimModel> {
     vec![
         SimModel::from_shape("10B", 50, 4 * 1024, 16, 8.0, 1),
         SimModel::from_shape("50B", 62, 8 * 1024, 32, 26.0, 1),

@@ -18,7 +18,7 @@
 
 /// One module's resource demands (seconds on each channel).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ModuleCost {
+pub(crate) struct ModuleCost {
     /// NVMe→CPU transfer time for the module's parameter shards.
     pub nc: f64,
     /// CPU→GPU transfer time.
@@ -31,7 +31,7 @@ pub struct ModuleCost {
 
 /// Resulting schedule statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PipelineResult {
+pub(crate) struct PipelineResult {
     /// Wall-clock time for the whole module sequence.
     pub total: f64,
     /// Time the GPU spent idle waiting for parameters.
@@ -42,7 +42,7 @@ pub struct PipelineResult {
 ///
 /// `depth == 0` means fully synchronous: every transfer starts only when
 /// its own module is reached (the no-prefetch baseline of Fig. 6d).
-pub fn simulate(modules: &[ModuleCost], depth: usize) -> PipelineResult {
+pub(crate) fn simulate(modules: &[ModuleCost], depth: usize) -> PipelineResult {
     let n = modules.len();
     if n == 0 {
         return PipelineResult {
@@ -100,7 +100,7 @@ pub fn simulate(modules: &[ModuleCost], depth: usize) -> PipelineResult {
 }
 
 /// Speedup of prefetch depth `d` over the synchronous schedule.
-pub fn prefetch_speedup(modules: &[ModuleCost], depth: usize) -> f64 {
+pub(crate) fn prefetch_speedup(modules: &[ModuleCost], depth: usize) -> f64 {
     let sync = simulate(modules, 0).total;
     let over = simulate(modules, depth).total;
     sync / over

@@ -1,6 +1,6 @@
 //! Future-hardware bandwidth projection (paper Table 3, Sec. 9).
 
-use crate::ait::{ait_activation_checkpoints, ait_params_grads};
+use crate::ait::ait_params_grads;
 use crate::efficiency::bandwidth_for_efficiency;
 
 /// One accelerator generation in the Table 3 projection.
@@ -80,17 +80,10 @@ fn gpu_gpu_requirement(peak_tp: f64) -> f64 {
     bandwidth_for_efficiency(ait, peak_tp, 0.5) / 1e9
 }
 
-/// Per-device slow-memory bandwidth (GB/s) needed to stream activation
-/// checkpoints at 50% efficiency — an alternative derivation used to
-/// sanity-check the Table 3 anchor.
-pub fn activation_bandwidth_requirement(peak_tp: f64, hidden: u64) -> f64 {
-    let ait = ait_activation_checkpoints(hidden, 1);
-    bandwidth_for_efficiency(ait, peak_tp, 0.5) / 1e9
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ait::ait_activation_checkpoints;
 
     #[test]
     fn table3_rows_match_paper() {
@@ -112,7 +105,8 @@ mod tests {
     fn activation_anchor_is_consistent() {
         // On V100-class hardware, hd=32K activation streaming needs well
         // under 3 GB/s — the Table 3 slow-memory anchor is conservative.
-        let need = activation_bandwidth_requirement(0.07e15, 32 * 1024);
+        let ait = ait_activation_checkpoints(32 * 1024, 1);
+        let need = bandwidth_for_efficiency(ait, 0.07e15, 0.5) / 1e9;
         assert!(need < 3.0, "needs {need} GB/s");
     }
 }

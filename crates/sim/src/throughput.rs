@@ -27,7 +27,7 @@ const CPU_OPTIM_BW_PER_GPU: f64 = 6e9;
 
 /// Knobs for ablation studies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimOptions {
+pub(crate) struct SimOptions {
     /// Overlap communication with compute (prefetcher + overlap engine).
     pub overlap: bool,
     /// Offload activation checkpoints to CPU memory.
@@ -45,7 +45,7 @@ impl Default for SimOptions {
 
 /// Per-iteration time decomposition (seconds) and derived throughput.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimeBreakdown {
+pub(crate) struct TimeBreakdown {
     /// GPU compute time.
     pub compute: f64,
     /// GPU–GPU collective time (param gathers + grad reductions).
@@ -86,7 +86,7 @@ fn slow_bw_per_gpu(cluster: &ClusterSpec, tier: DeviceKind) -> f64 {
 }
 
 /// Model one training iteration.
-pub fn iteration_time(
+pub(crate) fn iteration_time(
     strategy: SimStrategy,
     cluster: &ClusterSpec,
     model: &SimModel,

@@ -52,20 +52,6 @@ impl<T: ?Sized> Mutex<T> {
         MutexGuard { lock: self, model, inner: Some(self.inner.lock()) }
     }
 
-    /// Try to acquire the mutex without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match rt::mutex_try_lock(&self.cell) {
-            None => self
-                .inner
-                .try_lock()
-                .map(|g| MutexGuard { lock: self, model: None, inner: Some(g) }),
-            Some((id, true)) => {
-                Some(MutexGuard { lock: self, model: Some(id), inner: Some(self.inner.lock()) })
-            }
-            Some((_, false)) => None,
-        }
-    }
-
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut()
@@ -345,19 +331,6 @@ pub mod atomic {
                     self.inner.swap(v, o)
                 }
 
-                /// Atomic compare-exchange. The model conservatively
-                /// treats both outcomes as an RMW at `success` strength.
-                pub fn compare_exchange(
-                    &self,
-                    cur: $ty,
-                    new: $ty,
-                    success: Ordering,
-                    failure: Ordering,
-                ) -> Result<$ty, $ty> {
-                    rt::atomic_access(&self.cell, rmw_acc(success));
-                    self.inner.compare_exchange(cur, new, success, failure)
-                }
-
                 /// Mutable access without atomics (exclusive borrow).
                 pub fn get_mut(&mut self) -> &mut $ty {
                     self.inner.get_mut()
@@ -415,14 +388,6 @@ pub mod atomic {
     atomic_int_ops!(AtomicU32, u32);
     atomic_int_ops!(AtomicU64, u64);
     atomic_int_ops!(AtomicUsize, usize);
-
-    impl AtomicBool {
-        /// Atomic or; returns the previous value.
-        pub fn fetch_or(&self, v: bool, o: Ordering) -> bool {
-            rt::atomic_access(&self.cell, rmw_acc(o));
-            self.inner.fetch_or(v, o)
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -436,7 +401,7 @@ pub mod channel {
 
     pub use crossbeam::channel::{RecvError, SendError, TryRecvError};
 
-    use zi_check::rt::{self, RecvOutcome, TryRecvOutcome};
+    use zi_check::rt::{self, RecvOutcome};
 
     struct Meta {
         cell: rt::ObjCell,
@@ -508,19 +473,6 @@ pub mod channel {
                     self.inner.try_recv().map_err(|_| RecvError)
                 }
                 Some(RecvOutcome::Disconnected) => Err(RecvError),
-            }
-        }
-
-        /// Receive without blocking.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let (s, r) = self.meta.counts();
-            match rt::chan_try_recv(&self.meta.cell, s, r, 0, None) {
-                None => self.inner.try_recv(),
-                Some(TryRecvOutcome::Data) => {
-                    self.inner.try_recv().map_err(|_| TryRecvError::Disconnected)
-                }
-                Some(TryRecvOutcome::Empty) => Err(TryRecvError::Empty),
-                Some(TryRecvOutcome::Disconnected) => Err(TryRecvError::Disconnected),
             }
         }
     }
@@ -637,11 +589,6 @@ pub mod thread {
             }
             self.inner.join()
         }
-
-        /// Whether the thread has finished (passthrough to `std`).
-        pub fn is_finished(&self) -> bool {
-            self.inner.is_finished()
-        }
     }
 
     /// Spawn an unnamed thread.
@@ -704,7 +651,7 @@ pub mod time {
         }
 
         /// Saturating difference between two instants.
-        pub fn saturating_duration_since(&self, earlier: Instant) -> Duration {
+        pub(crate) fn saturating_duration_since(&self, earlier: Instant) -> Duration {
             match (self, earlier) {
                 (Instant::Virtual(a), Instant::Virtual(b)) => {
                     Duration::from_nanos(a.saturating_sub(b))

@@ -13,8 +13,6 @@ pub struct F16(pub u16);
 impl F16 {
     /// Positive zero.
     pub const ZERO: F16 = F16(0);
-    /// One.
-    pub const ONE: F16 = F16(0x3c00);
     /// Positive infinity.
     pub const INFINITY: F16 = F16(0x7c00);
     /// Negative infinity.
@@ -23,8 +21,6 @@ impl F16 {
     pub const NAN: F16 = F16(0x7e00);
     /// Largest finite value (65504).
     pub const MAX: F16 = F16(0x7bff);
-    /// Smallest positive subnormal (2^-24).
-    pub const MIN_POSITIVE_SUBNORMAL: F16 = F16(0x0001);
 
     /// Convert from f32 with round-to-nearest-even.
     pub fn from_f32(x: f32) -> F16 {
@@ -104,16 +100,6 @@ impl F16 {
         F16(bits)
     }
 
-    /// True if this value is NaN.
-    pub fn is_nan(self) -> bool {
-        (self.0 & 0x7c00) == 0x7c00 && (self.0 & 0x3ff) != 0
-    }
-
-    /// True if this value is positive or negative infinity.
-    pub fn is_infinite(self) -> bool {
-        (self.0 & 0x7fff) == 0x7c00
-    }
-
     /// True if finite (neither infinite nor NaN).
     pub fn is_finite(self) -> bool {
         (self.0 & 0x7c00) != 0x7c00
@@ -132,29 +118,18 @@ impl From<F16> for f32 {
     }
 }
 
-/// Convert a slice of f32 into half-precision bit patterns.
-///
-/// Dispatches to the SIMD backend selected by [`crate::simd::backend`];
-/// every backend is bit-identical to [`F16::from_f32`].
-pub fn f32_slice_to_f16(src: &[f32], dst: &mut [F16]) {
-    crate::simd::f32_to_f16_slice(src, dst);
-}
-
-/// Convert a slice of half-precision values into f32 (exact).
-///
-/// Dispatches to the SIMD backend selected by [`crate::simd::backend`].
-pub fn f16_slice_to_f32(src: &[F16], dst: &mut [f32]) {
-    crate::simd::f16_to_f32_slice(src, dst);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const ONE: F16 = F16(0x3c00);
+    /// Smallest positive subnormal (2^-24).
+    const MIN_POSITIVE_SUBNORMAL: F16 = F16(0x0001);
+
     #[test]
     fn constants_round_trip() {
         assert_eq!(F16::ZERO.to_f32(), 0.0);
-        assert_eq!(F16::ONE.to_f32(), 1.0);
+        assert_eq!(ONE.to_f32(), 1.0);
         assert_eq!(F16::MAX.to_f32(), 65504.0);
         assert_eq!(F16::INFINITY.to_f32(), f32::INFINITY);
         assert_eq!(F16::NEG_INFINITY.to_f32(), f32::NEG_INFINITY);
@@ -180,8 +155,8 @@ mod tests {
     #[test]
     fn subnormals() {
         let tiny = 2.0f32.powi(-24);
-        assert_eq!(F16::from_f32(tiny), F16::MIN_POSITIVE_SUBNORMAL);
-        assert_eq!(F16::MIN_POSITIVE_SUBNORMAL.to_f32(), tiny);
+        assert_eq!(F16::from_f32(tiny), MIN_POSITIVE_SUBNORMAL);
+        assert_eq!(MIN_POSITIVE_SUBNORMAL.to_f32(), tiny);
         // Largest subnormal: 1023 * 2^-24.
         let big_sub = 1023.0 * 2.0f32.powi(-24);
         assert_eq!(F16(0x03ff).to_f32(), big_sub);
@@ -196,7 +171,7 @@ mod tests {
         // 1 + 2^-11 is exactly halfway between 1.0 and the next half value;
         // round-to-even keeps 1.0 (even mantissa).
         let halfway = 1.0 + 2.0f32.powi(-11);
-        assert_eq!(F16::from_f32(halfway), F16::ONE);
+        assert_eq!(F16::from_f32(halfway), ONE);
         // 1 + 3*2^-11 is halfway between odd and even; rounds up to even.
         let halfway_up = 1.0 + 3.0 * 2.0f32.powi(-11);
         assert_eq!(F16::from_f32(halfway_up).0, 0x3c02);
@@ -204,11 +179,11 @@ mod tests {
 
     #[test]
     fn nan_propagates() {
-        assert!(F16::from_f32(f32::NAN).is_nan());
-        assert!(!F16::ONE.is_nan());
-        assert!(F16::INFINITY.is_infinite());
+        assert!(F16::from_f32(f32::NAN).to_f32().is_nan());
+        assert!(!ONE.to_f32().is_nan());
+        assert!(F16::INFINITY.to_f32().is_infinite());
         assert!(!F16::INFINITY.is_finite());
-        assert!(F16::ONE.is_finite());
+        assert!(ONE.is_finite());
     }
 
     #[test]
@@ -228,9 +203,9 @@ mod tests {
     fn slice_helpers() {
         let src = [0.5f32, -1.5, 100.0];
         let mut half = [F16::ZERO; 3];
-        f32_slice_to_f16(&src, &mut half);
+        crate::simd::f32_to_f16_slice(&src, &mut half);
         let mut back = [0f32; 3];
-        f16_slice_to_f32(&half, &mut back);
+        crate::simd::f16_to_f32_slice(&half, &mut back);
         assert_eq!(src, back);
     }
 }

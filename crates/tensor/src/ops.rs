@@ -125,22 +125,6 @@ pub fn column_sums(x: &Tensor) -> Vec<f32> {
     out
 }
 
-/// tanh-approximation GELU, the activation used by GPT models.
-///
-/// Delegates to the canonical polynomial kernel, so one element through
-/// here is bit-identical to the same element through the vectorized
-/// [`gelu`] on any backend.
-#[inline]
-pub fn gelu_scalar(x: f32) -> f32 {
-    simd::scalar::gelu_one(x)
-}
-
-/// Derivative of [`gelu_scalar`].
-#[inline]
-pub fn gelu_grad_scalar(x: f32) -> f32 {
-    simd::scalar::gelu_grad_one(x)
-}
-
 /// Elementwise GELU forward.
 pub fn gelu(x: &Tensor) -> Tensor {
     let xd = x.data();
@@ -393,11 +377,11 @@ mod tests {
 
     #[test]
     fn gelu_known_values() {
-        assert!((gelu_scalar(0.0)).abs() < 1e-7);
-        assert!((gelu_scalar(100.0) - 100.0).abs() < 1e-3);
-        assert!(gelu_scalar(-100.0).abs() < 1e-3);
+        assert!((simd::scalar::gelu_one(0.0)).abs() < 1e-7);
+        assert!((simd::scalar::gelu_one(100.0) - 100.0).abs() < 1e-3);
+        assert!(simd::scalar::gelu_one(-100.0).abs() < 1e-3);
         // gelu(1) ≈ 0.8412
-        assert!((gelu_scalar(1.0) - 0.8412).abs() < 1e-3);
+        assert!((simd::scalar::gelu_one(1.0) - 0.8412).abs() < 1e-3);
     }
 
     #[test]
@@ -408,7 +392,7 @@ mod tests {
         let mut x = -8.0f32;
         while x <= 8.0 {
             let reference = 0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh());
-            let got = gelu_scalar(x);
+            let got = simd::scalar::gelu_one(x);
             assert!(
                 (got - reference).abs() <= 2e-6 * (1.0 + reference.abs()),
                 "x={x}: {got} vs {reference}"
@@ -421,8 +405,8 @@ mod tests {
     fn gelu_grad_matches_finite_difference() {
         for &x in &[-2.0f32, -0.5, 0.0, 0.3, 1.7] {
             let h = 1e-3;
-            let fd = (gelu_scalar(x + h) - gelu_scalar(x - h)) / (2.0 * h);
-            assert!((gelu_grad_scalar(x) - fd).abs() < 1e-3, "x={x}");
+            let fd = (simd::scalar::gelu_one(x + h) - simd::scalar::gelu_one(x - h)) / (2.0 * h);
+            assert!((simd::scalar::gelu_grad_one(x) - fd).abs() < 1e-3, "x={x}");
         }
     }
 

@@ -270,7 +270,7 @@ pub fn run_tasks<F: Fn(usize) + Sync>(total: usize, parallel: bool, f: F) {
 /// for each, in parallel when asked and profitable. The sequential and
 /// parallel paths visit identical (index, range) pairs, so kernels whose
 /// per-chunk work is independent produce identical bytes either way.
-pub fn for_chunks<T, F>(data: &mut [T], chunk: usize, parallel: bool, f: F)
+pub(crate) fn for_chunks<T, F>(data: &mut [T], chunk: usize, parallel: bool, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,

@@ -55,7 +55,7 @@ pub mod scalar;
 pub(crate) mod x86;
 
 /// Virtual lane count every backend's reductions are defined over.
-pub const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 
 /// Instruction-set backend for the kernel layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,7 +85,7 @@ static FMA_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 /// the vector bodies, F16C for the half conversions and SSE 4.2 for the
 /// `crc32` instruction. A CPU that lacks any of them runs the scalar
 /// kernels.
-pub fn avx2_supported() -> bool {
+pub(crate) fn avx2_supported() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
@@ -320,13 +320,13 @@ pub fn exp_slice(x: &mut [f32]) {
 }
 
 /// Elementwise tanh-approximation GELU.
-pub fn gelu_slice(x: &[f32], out: &mut [f32]) {
+pub(crate) fn gelu_slice(x: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), out.len(), "gelu length mismatch");
     dispatch!(x86::gelu(x, out), scalar::gelu(x, out))
 }
 
 /// Elementwise GELU backward: `out[i] = dy[i] * gelu'(x[i])`.
-pub fn gelu_grad_slice(x: &[f32], dy: &[f32], out: &mut [f32]) {
+pub(crate) fn gelu_grad_slice(x: &[f32], dy: &[f32], out: &mut [f32]) {
     assert!(x.len() == dy.len() && dy.len() == out.len(), "gelu_grad length mismatch");
     dispatch!(
         x86::gelu_grad(x, dy, out),
@@ -335,7 +335,7 @@ pub fn gelu_grad_slice(x: &[f32], dy: &[f32], out: &mut [f32]) {
 }
 
 /// One row of layer normalization; returns `(mean, rstd)`.
-pub fn layernorm_row(
+pub(crate) fn layernorm_row(
     x: &[f32],
     gamma: &[f32],
     beta: &[f32],
@@ -355,7 +355,7 @@ pub fn layernorm_row(
 /// One row of the layer-norm backward pass. Accumulates into
 /// `dgamma`/`dbeta` and writes `dx`.
 #[allow(clippy::too_many_arguments)]
-pub fn layernorm_backward_row(
+pub(crate) fn layernorm_backward_row(
     x: &[f32],
     dy: &[f32],
     gamma: &[f32],

@@ -21,9 +21,9 @@ const TANH_CLAMP: f32 = 18.0;
 
 /// GELU tanh-approximation constants (same values the pre-SIMD kernels
 /// used, kept so tolerance-based model tests keep passing).
-pub const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
+pub(crate) const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
 /// Cubic coefficient of the GELU tanh approximation.
-pub const GELU_A: f32 = 0.044_715;
+pub(crate) const GELU_A: f32 = 0.044_715;
 const GELU_3A: f32 = 3.0 * GELU_A;
 
 // Taylor coefficients 1/k! for e^w on |w| <= ln(2)/2.
@@ -37,13 +37,13 @@ const EXP_C6: f32 = 1.0 / 720.0;
 /// equal. Differs from `f32::min` on NaN handling, so backends must use
 /// this, never `f32::min`.
 #[inline(always)]
-pub fn mirror_min(a: f32, b: f32) -> f32 {
+pub(crate) fn mirror_min(a: f32, b: f32) -> f32 {
     if a < b { a } else { b }
 }
 
 /// Mirror of SIMD `max(a, b)` (`vmaxps`); see [`mirror_min`].
 #[inline(always)]
-pub fn mirror_max(a: f32, b: f32) -> f32 {
+pub(crate) fn mirror_max(a: f32, b: f32) -> f32 {
     if a > b { a } else { b }
 }
 
@@ -80,14 +80,14 @@ pub fn f16_to_f32(src: &[F16], dst: &mut [f32]) {
 // GEMM tile kernels
 
 /// Rows of `C` one register tile of the GEMM kernels covers.
-pub const GEMM_MR: usize = 4;
+pub(crate) const GEMM_MR: usize = 4;
 /// Columns of `C` one register tile covers (two 8-lane vectors).
-pub const GEMM_NR: usize = 2 * LANES;
+pub(crate) const GEMM_NR: usize = 2 * LANES;
 
 /// `acc + a·b` — the one update every GEMM output element goes
 /// through, once per `k` step in `k` order; fused under the FMA knob.
 #[inline(always)]
-pub fn madd(acc: f32, a: f32, b: f32, fma: bool) -> f32 {
+pub(crate) fn madd(acc: f32, a: f32, b: f32, fma: bool) -> f32 {
     if fma { a.mul_add(b, acc) } else { acc + a * b }
 }
 
@@ -140,7 +140,7 @@ pub fn gemm(
 /// into lanes `0..len`, one element per lane — shared by all backends
 /// so remainders agree.
 #[inline(always)]
-pub fn dot_tail(lanes: &mut [f32; LANES], x: &[f32], w: &[f32], fma: bool) {
+pub(crate) fn dot_tail(lanes: &mut [f32; LANES], x: &[f32], w: &[f32], fma: bool) {
     for (lane, (&xv, &wv)) in lanes.iter_mut().zip(x.iter().zip(w)) {
         *lane = madd(*lane, xv, wv, fma);
     }
@@ -200,7 +200,7 @@ pub fn vec_sum(x: &[f32]) -> f32 {
 }
 
 /// Canonical 8-lane sum of squared deviations from `mean`.
-pub fn vec_center_sumsq(x: &[f32], mean: f32) -> f32 {
+pub(crate) fn vec_center_sumsq(x: &[f32], mean: f32) -> f32 {
     let mut lanes = [0f32; LANES];
     let mut i = 0;
     while i + LANES <= x.len() {
@@ -224,7 +224,7 @@ pub fn vec_center_sumsq(x: &[f32], mean: f32) -> f32 {
 /// order: range-reduce with round-ties-even (the SIMD rounding mode),
 /// degree-6 Taylor Horner on the remainder, exponent-bits scale.
 #[inline(always)]
-pub fn exp_approx(z: f32) -> f32 {
+pub(crate) fn exp_approx(z: f32) -> f32 {
     let y = z * LOG2_E;
     let kf = y.round_ties_even();
     let r = y - kf;
@@ -245,7 +245,7 @@ pub fn exp_approx(z: f32) -> f32 {
 /// range-reduction exponent `k + 127` of [`exp_approx`] inside
 /// `(0, 255)` so the exponent-bits scale never wraps (`e^-87 ≈ 1.6e-38`
 /// is the last value above the normal-number floor).
-pub const EXP_CLAMP: f32 = 87.0;
+pub(crate) const EXP_CLAMP: f32 = 87.0;
 
 /// `e^z` over the full f32 range: [`exp_approx`] with the argument
 /// clamped to +[`EXP_CLAMP`], and exactly `+0.0` below −[`EXP_CLAMP`] —
@@ -254,7 +254,7 @@ pub const EXP_CLAMP: f32 = 87.0;
 /// on the CPU's microcode-assist path. The one scalar element every
 /// backend's exp kernel must reproduce bit for bit.
 #[inline(always)]
-pub fn exp_one(z: f32) -> f32 {
+pub(crate) fn exp_one(z: f32) -> f32 {
     if z < -EXP_CLAMP {
         return 0.0;
     }
@@ -272,7 +272,7 @@ pub fn exp(x: &mut [f32]) {
 /// `tanh(z/2)` via `(e^z - 1) / (e^z + 1)` with `z` clamped to ±[`TANH_CLAMP`].
 /// Division is correctly rounded on every backend, so this is exact-match.
 #[inline(always)]
-pub fn tanh_half_approx(z: f32) -> f32 {
+pub(crate) fn tanh_half_approx(z: f32) -> f32 {
     let z = mirror_max(mirror_min(z, TANH_CLAMP), -TANH_CLAMP);
     let e = exp_approx(z);
     (e - 1.0) / (e + 1.0)
@@ -280,7 +280,7 @@ pub fn tanh_half_approx(z: f32) -> f32 {
 
 /// One GELU element, tanh approximation.
 #[inline(always)]
-pub fn gelu_one(x: f32) -> f32 {
+pub(crate) fn gelu_one(x: f32) -> f32 {
     let x2 = x * x;
     let x3 = x2 * x;
     let inner = GELU_C * (x + GELU_A * x3);
@@ -290,7 +290,7 @@ pub fn gelu_one(x: f32) -> f32 {
 
 /// Derivative of [`gelu_one`] at `x`.
 #[inline(always)]
-pub fn gelu_grad_one(x: f32) -> f32 {
+pub(crate) fn gelu_grad_one(x: f32) -> f32 {
     let x2 = x * x;
     let x3 = x2 * x;
     let inner = GELU_C * (x + GELU_A * x3);
@@ -308,7 +308,7 @@ pub fn gelu(x: &[f32], out: &mut [f32]) {
 }
 
 /// Elementwise `out[i] = dy[i] * gelu'(x[i])`.
-pub fn gelu_grad(x: &[f32], dy: &[f32], out: &mut [f32]) {
+pub(crate) fn gelu_grad(x: &[f32], dy: &[f32], out: &mut [f32]) {
     for ((o, &v), &g) in out.iter_mut().zip(x).zip(dy) {
         *o = g * gelu_grad_one(v);
     }
@@ -318,7 +318,7 @@ pub fn gelu_grad(x: &[f32], dy: &[f32], out: &mut [f32]) {
 // layernorm
 
 /// One row of layer normalization; returns `(mean, rstd)`.
-pub fn layernorm_row(
+pub(crate) fn layernorm_row(
     x: &[f32],
     gamma: &[f32],
     beta: &[f32],
@@ -339,7 +339,7 @@ pub fn layernorm_row(
 /// `dy*gamma` and `dy*gamma*xhat`, dgamma/dbeta accumulation, then the
 /// dx formula `rstd * ((dyg - s1) - xhat * s2)`.
 #[allow(clippy::too_many_arguments)]
-pub fn layernorm_backward_row(
+pub(crate) fn layernorm_backward_row(
     x: &[f32],
     dy: &[f32],
     gamma: &[f32],
@@ -389,7 +389,7 @@ pub fn layernorm_backward_row(
 /// `update_one` exactly so checkpoint streams stay bit-compatible.
 /// With `fma`, only the two moment updates contract.
 #[inline(always)]
-pub fn adam_one(
+pub(crate) fn adam_one(
     p: &AdamParams,
     master: &mut f32,
     m: &mut f32,
@@ -493,7 +493,7 @@ pub(crate) fn crc_tables() -> &'static [[u32; 256]; 8] {
 /// Canonical CRC32-C, software slicing-by-8: folds 8 input bytes per
 /// iteration through eight independent table lookups. `crc` is the CRC
 /// of the bytes that precede `data` (0 for none).
-pub fn crc32c(crc: u32, data: &[u8]) -> u32 {
+pub(crate) fn crc32c(crc: u32, data: &[u8]) -> u32 {
     let t = crc_tables();
     let mut c = !crc;
     let (words, tail) = data.as_chunks::<8>();

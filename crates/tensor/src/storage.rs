@@ -248,7 +248,7 @@ impl FlatBuffer {
     }
 
     /// Encode f32 values into the buffer (length must match exactly).
-    pub fn write_f32(&mut self, values: &[f32]) -> Result<()> {
+    pub(crate) fn write_f32(&mut self, values: &[f32]) -> Result<()> {
         if values.len() != self.numel() {
             return Err(Error::shape(format!(
                 "write_f32: {} values into buffer of {} elements",
@@ -309,14 +309,6 @@ impl FlatBuffer {
         }
         self.bytes[offset * es..end * es].copy_from_slice(&src.bytes);
         Ok(())
-    }
-
-    /// Append zero elements until `numel() == target`, used for padding a
-    /// parameter so it divides evenly across data-parallel ranks.
-    pub fn pad_to(&mut self, target: usize) {
-        let cur = self.numel();
-        assert!(target >= cur, "pad_to shrank buffer: {cur} -> {target}");
-        self.bytes.resize(self.dtype.bytes_for(target), 0);
     }
 }
 
@@ -427,14 +419,6 @@ mod tests {
     fn from_bytes_validates_alignment() {
         assert!(FlatBuffer::from_bytes(DType::F32, vec![0u8; 6]).is_err());
         assert!(FlatBuffer::from_bytes(DType::F16, vec![0u8; 6]).is_ok());
-    }
-
-    #[test]
-    fn padding() {
-        let mut b = FlatBuffer::from_f32(DType::F16, &[1.0, 2.0]);
-        b.pad_to(5);
-        assert_eq!(b.numel(), 5);
-        assert_eq!(b.to_f32_vec(), vec![1.0, 2.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

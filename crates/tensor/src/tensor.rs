@@ -72,12 +72,6 @@ impl Tensor {
         self.data.len()
     }
 
-    /// Number of dimensions.
-    #[inline]
-    pub fn ndim(&self) -> usize {
-        self.shape.len()
-    }
-
     /// Immutable data view.
     #[inline]
     pub fn data(&self) -> &[f32] {
@@ -102,21 +96,6 @@ impl Tensor {
     pub fn try_into_vec(self) -> std::result::Result<Vec<f32>, Tensor> {
         let Tensor { shape, data } = self;
         Arc::try_unwrap(data).map_err(|data| Tensor { shape, data })
-    }
-
-    /// Reinterpret with a new shape of identical element count.
-    pub fn reshape(&self, shape: &[usize]) -> Result<Tensor> {
-        let numel: usize = shape.iter().product();
-        if numel != self.numel() {
-            return Err(Error::shape(format!(
-                "reshape {:?} ({}) -> {:?} ({})",
-                self.shape,
-                self.numel(),
-                shape,
-                numel
-            )));
-        }
-        Ok(Tensor { shape: shape.to_vec(), data: Arc::clone(&self.data) })
     }
 
     /// Interpret as a matrix by flattening all leading dims into rows.
@@ -163,21 +142,12 @@ mod tests {
         let t = Tensor::zeros(&[2, 3, 4]);
         assert_eq!(t.shape(), &[2, 3, 4]);
         assert_eq!(t.numel(), 24);
-        assert_eq!(t.ndim(), 3);
     }
 
     #[test]
     fn from_vec_validates() {
         assert!(Tensor::from_vec(&[2, 2], vec![1.0; 4]).is_ok());
         assert!(Tensor::from_vec(&[2, 2], vec![1.0; 3]).is_err());
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(&[2, 3], (0..6).map(|i| i as f32).collect()).unwrap();
-        let r = t.reshape(&[3, 2]).unwrap();
-        assert_eq!(r.data(), t.data());
-        assert!(t.reshape(&[4, 2]).is_err());
     }
 
     #[test]
@@ -212,10 +182,6 @@ mod tests {
         d.add_assign(&c).unwrap();
         assert_eq!(a.data(), &[1.0, 2.0, 3.0], "scale/add_assign on a clone leave the source alone");
         assert_eq!((c.data(), d.data()), (&[2.0, 4.0, 6.0][..], &[3.0, 6.0, 9.0][..]));
-        // A reshape is a view of the same storage with the same rule.
-        let mut r = a.reshape(&[1, 3]).unwrap();
-        r.data_mut()[2] = 0.0;
-        assert_eq!(a.data()[2], 3.0);
     }
 
     #[test]

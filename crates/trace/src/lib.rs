@@ -47,7 +47,7 @@ pub mod report;
 pub const STEP_SPAN: &str = "train_step";
 
 /// Default per-thread ring capacity, in events.
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 4096;
 
 /// Typed event categories, one per pipeline hop plus the phases that
 /// hide them.
@@ -103,11 +103,6 @@ impl Category {
             Category::Retry => "Retry",
             Category::CpTransfer => "CpTransfer",
         }
-    }
-
-    /// Inverse of [`Category::label`].
-    pub fn from_label(s: &str) -> Option<Category> {
-        Category::ALL.iter().copied().find(|c| c.label() == s)
     }
 }
 

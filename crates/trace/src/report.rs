@@ -48,7 +48,7 @@ impl HopReport {
     }
 
     /// Effective bandwidth in bytes/second (0 when idle).
-    pub fn bandwidth_bps(&self) -> f64 {
+    pub(crate) fn bandwidth_bps(&self) -> f64 {
         if self.busy_ns == 0 {
             0.0
         } else {

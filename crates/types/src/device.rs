@@ -25,12 +25,6 @@ pub enum DeviceKind {
 impl DeviceKind {
     /// All tiers from fastest to slowest.
     pub const ALL: [DeviceKind; 3] = [DeviceKind::Gpu, DeviceKind::Cpu, DeviceKind::Nvme];
-
-    /// True if this tier is slower than `other`.
-    #[inline]
-    pub fn slower_than(self, other: DeviceKind) -> bool {
-        self > other
-    }
 }
 
 impl fmt::Display for DeviceKind {
@@ -73,12 +67,6 @@ impl Device {
     pub const fn nvme() -> Self {
         Device { kind: DeviceKind::Nvme, index: 0 }
     }
-
-    /// True for any GPU device.
-    #[inline]
-    pub fn is_gpu(self) -> bool {
-        self.kind == DeviceKind::Gpu
-    }
 }
 
 impl fmt::Display for Device {
@@ -93,16 +81,14 @@ mod tests {
 
     #[test]
     fn tier_ordering_reflects_speed() {
-        assert!(DeviceKind::Cpu.slower_than(DeviceKind::Gpu));
-        assert!(DeviceKind::Nvme.slower_than(DeviceKind::Cpu));
-        assert!(!DeviceKind::Gpu.slower_than(DeviceKind::Nvme));
+        assert!(DeviceKind::Cpu > DeviceKind::Gpu);
+        assert!(DeviceKind::Nvme > DeviceKind::Cpu);
+        assert!(DeviceKind::Gpu < DeviceKind::Nvme);
     }
 
     #[test]
     fn constructors() {
         assert_eq!(Device::gpu(3), Device { kind: DeviceKind::Gpu, index: 3 });
-        assert!(Device::gpu(0).is_gpu());
-        assert!(!Device::cpu().is_gpu());
         assert_eq!(Device::nvme().kind, DeviceKind::Nvme);
     }
 

@@ -11,23 +11,13 @@ pub struct ByteSize(pub u64);
 
 impl ByteSize {
     /// Kibibyte (1024 bytes).
-    pub const KIB: u64 = 1024;
+    pub(crate) const KIB: u64 = 1024;
     /// Mebibyte.
-    pub const MIB: u64 = 1024 * 1024;
+    pub(crate) const MIB: u64 = 1024 * 1024;
     /// Gibibyte.
-    pub const GIB: u64 = 1024 * 1024 * 1024;
+    pub(crate) const GIB: u64 = 1024 * 1024 * 1024;
     /// Tebibyte.
-    pub const TIB: u64 = 1024 * 1024 * 1024 * 1024;
-
-    /// From kibibytes.
-    pub const fn kib(n: u64) -> Self {
-        ByteSize(n * Self::KIB)
-    }
-
-    /// From mebibytes.
-    pub const fn mib(n: u64) -> Self {
-        ByteSize(n * Self::MIB)
-    }
+    pub(crate) const TIB: u64 = 1024 * 1024 * 1024 * 1024;
 
     /// From gibibytes.
     pub const fn gib(n: u64) -> Self {
@@ -42,11 +32,6 @@ impl ByteSize {
     /// Raw byte count.
     pub const fn as_u64(self) -> u64 {
         self.0
-    }
-
-    /// Byte count as usize (panics on 32-bit overflow, which we don't target).
-    pub const fn as_usize(self) -> usize {
-        self.0 as usize
     }
 
     /// Fractional gibibytes, for reporting.
@@ -104,8 +89,6 @@ mod tests {
 
     #[test]
     fn unit_constructors() {
-        assert_eq!(ByteSize::kib(1).as_u64(), 1024);
-        assert_eq!(ByteSize::mib(2).as_u64(), 2 * 1024 * 1024);
         assert_eq!(ByteSize::gib(1).as_u64(), 1 << 30);
         assert_eq!(ByteSize::tib(1).as_u64(), 1 << 40);
     }
@@ -114,13 +97,13 @@ mod tests {
     fn arithmetic() {
         assert_eq!(ByteSize::gib(1) + ByteSize::gib(1), ByteSize::gib(2));
         assert_eq!(ByteSize::gib(3) - ByteSize::gib(1), ByteSize::gib(2));
-        assert_eq!(ByteSize::mib(4) * 3, ByteSize::mib(12));
+        assert_eq!(ByteSize(4) * 3, ByteSize(12));
     }
 
     #[test]
     fn pretty_printing() {
         assert_eq!(ByteSize(512).to_string(), "512 B");
-        assert_eq!(ByteSize::kib(1).to_string(), "1.00 KiB");
+        assert_eq!(ByteSize(1024).to_string(), "1.00 KiB");
         assert_eq!(ByteSize::gib(5).to_string(), "5.00 GiB");
         assert_eq!(ByteSize::tib(2).to_string(), "2.00 TiB");
     }

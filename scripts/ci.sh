@@ -71,25 +71,28 @@ if cargo miri --version >/dev/null 2>&1; then
 else
     echo "cargo miri unavailable in this toolchain; skipping UB pass"
 fi
-# Sanitizer passes over the concurrency-bearing leaf crates.
-# -Zsanitizer needs a nightly toolchain with the matching rust-std; the
-# pinned offline toolchain is stable, so — exactly like the Miri gate —
-# probe for support and skip loudly rather than failing the gate on
-# tooling. ThreadSanitizer cross-checks zi-check's happens-before model
-# against the real execution; AddressSanitizer covers the raw-pointer
-# paths in the kernel pool and flat buffers.
-sanitizer_pass() { # $1 = thread|address, the rest = the packages to test
-    local kind="$1"; shift
-    if command -v rustup >/dev/null 2>&1 && rustup toolchain list 2>/dev/null | grep -q nightly \
-        && RUSTFLAGS="-Zsanitizer=$kind" cargo +nightly build -q -p zi-types >/dev/null 2>&1; then
-        RUSTFLAGS="-Zsanitizer=$kind" cargo +nightly test -q "$@" \
-            || { echo "-Zsanitizer=$kind pass failed"; exit 1; }
-    else
-        echo "nightly -Zsanitizer=$kind unavailable in this toolchain; skipping that sanitizer pass"
-    fi
+# Sanitizer passes over the concurrency- and unsafe-bearing leaf crates.
+# -Zsanitizer needs a nightly toolchain with the matching rust-std.
+# ThreadSanitizer cross-checks zi-check's happens-before model against
+# the real execution; it also needs rust-src, which the offline
+# toolchain lacks, so — exactly like the Miri gate — its probe skips
+# loudly. AddressSanitizer covers the raw-pointer paths in the kernel
+# pool, the flat buffers and the scratch pool; it builds with the
+# nightly's own rust-std, so a failed probe fails the gate.
+sanitizer_probe() { # $1 = thread|address
+    command -v rustup >/dev/null 2>&1 && rustup toolchain list 2>/dev/null | grep -q nightly \
+        && RUSTFLAGS="-Zsanitizer=$1" cargo +nightly build -q -p zi-types >/dev/null 2>&1
 }
-sanitizer_pass thread -p zi-sync -p zi-tensor
-sanitizer_pass address -p zi-types -p zi-tensor
+if sanitizer_probe thread; then
+    RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -q -p zi-sync -p zi-tensor \
+        || { echo "-Zsanitizer=thread pass failed"; exit 1; }
+else
+    echo "nightly -Zsanitizer=thread unavailable in this toolchain; skipping that sanitizer pass"
+fi
+sanitizer_probe address \
+    || { echo "nightly -Zsanitizer=address unavailable: the ASan pass must run"; exit 1; }
+RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q -p zi-types -p zi-tensor -p zi-memory \
+    || { echo "-Zsanitizer=address pass failed"; exit 1; }
 # Bench smoke: run every remaining criterion body (the paper ablations
 # with no ledger row yet) exactly once, untimed — the vendored
 # criterion's --test mode — so bench-only regressions fail CI.

@@ -105,8 +105,11 @@ fn run(strategy: Strategy, world: usize, cpu: u64) -> Run {
                     AdamConfig { lr: 0.01, ..Default::default() },
                 )
                 .expect("engine");
-                let prefetch_window = if strategy.prefetch { 2 } else { 0 };
-                let opts = RunOptions { batch: 1, prefetch_window, ..Default::default() };
+                let opts = RunOptions {
+                    batch: 1,
+                    prefetch_window: strategy.prefetch_window,
+                    ..Default::default()
+                };
                 let rows = cfg.seq;
                 // Between the barriers every rank is between phases, and
                 // once the reads each step carried into the next are done
@@ -193,9 +196,9 @@ fn steady(run: &Run) -> Counts {
 
 #[test]
 fn the_cache_is_a_layer_by_exact_count() {
-    for (world, prefetch) in [(1, false), (1, true), (2, false), (2, true)] {
-        let tag = format!("world {world}, prefetch {prefetch}");
-        let nvme = Strategy::infinity_nvme().with_prefetch(prefetch);
+    for (world, window) in [(1, 0), (1, 2), (2, 0), (2, 2)] {
+        let tag = format!("world {world}, prefetch window {window}");
+        let nvme = Strategy::infinity_nvme().with_prefetch_window(window);
         let dense = run(Strategy::data_parallel(), world, ROOMY);
         // (iii) Room for everything: in steady state no parameter is read
         // from the device — the optimizer stream, one read per record, is
@@ -220,12 +223,16 @@ fn the_cache_is_a_layer_by_exact_count() {
         // fetch is a device read of the rank's shard (as is every hinted
         // shard nobody then fetches), on top of the optimizer stream;
         // writes, chunks and collectives are what they are with a cache.
+        // Every parameter read is one the prefetcher issued or one a
+        // demand fetch missed, whatever the window.
         let none = run(nvme, world, firm);
         assert_eq!(none.losses, dense.losses, "{tag}: losses with nothing cached");
         let miss = steady(&none);
-        let fetch_reads =
-            if prefetch { miss.prefetch_issued + miss.prefetch_misses } else { miss.allgathers };
-        assert_eq!(miss.reads, fetch_reads + miss.chunks, "{tag}");
+        let fetch_reads = miss.reads - miss.chunks;
+        assert_eq!(fetch_reads, miss.prefetch_issued + miss.prefetch_misses, "{tag}");
+        if window == 0 {
+            assert_eq!(miss.prefetch_issued, 0, "{tag}: window 0 prefetches nothing");
+        }
         assert!(fetch_reads >= miss.allgathers, "{tag}");
         if fetch_reads == miss.allgathers {
             assert_eq!(miss.read_bytes, miss.fetched_bytes + 6 * none.image, "{tag}");
@@ -249,7 +256,7 @@ fn the_cache_is_a_layer_by_exact_count() {
             assert!(step.cache_bytes > 0 && step.read_bytes > hit.read_bytes, "{tag}");
             assert!(step.read_bytes < miss.read_bytes, "{tag}");
             assert_eq!(rest(*step), rest(hit), "{tag}");
-            if !prefetch {
+            if window == 0 {
                 assert_eq!(step.read_bytes + step.cache_bytes, miss.read_bytes, "{tag}");
                 assert_eq!(step.reads + step.cache_hits, miss.reads, "{tag}");
             }
