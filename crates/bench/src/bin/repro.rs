@@ -81,11 +81,7 @@ fn fig1() {
     section("Figure 1: max model size, 32 DGX-2 nodes (512 GPUs)");
     hrow(&["system", "max params", "config"]);
     for r in figures::fig1() {
-        row(&[
-            r.strategy.name().into(),
-            fmt_params(r.max_params),
-            r.model_name.into(),
-        ]);
+        row(&[r.strategy.name().into(), fmt_params(r.max_params), r.model_name.into()]);
     }
     println!("(paper: 3D parallelism ~650B, ZeRO-Infinity 32T — a ~50x leap)");
 }
@@ -103,12 +99,7 @@ fn fig2a() {
         "AWM GB",
     ]);
     for m in fig2a_rows() {
-        let t = TrainingShape {
-            model: m,
-            batch: 32.0,
-            seq: 1024,
-            ckpt_interval: 1,
-        };
+        let t = TrainingShape { model: m, batch: 32.0, seq: 1024, ckpt_interval: 1 };
         row(&[
             fmt_params(m.params()),
             m.layers.to_string(),
@@ -125,15 +116,7 @@ fn fig2a() {
 
 fn fig2b() {
     section("Figure 2b: DGX-2 SuperPOD memory and bandwidth");
-    hrow(&[
-        "nodes",
-        "gpus",
-        "GPU TB",
-        "CPU TB",
-        "NVMe TB",
-        "cpu GB/s",
-        "nvme GB/s",
-    ]);
+    hrow(&["nodes", "gpus", "GPU TB", "CPU TB", "NVMe TB", "cpu GB/s", "nvme GB/s"]);
     for r in fig2b_rows() {
         row(&[
             r.nodes.to_string(),
@@ -149,9 +132,7 @@ fn fig2b() {
 
 fn fig3() {
     section("Figure 3: efficiency vs bandwidth (70 TFlops achievable peak)");
-    let bw = [
-        1.0, 3.0, 7.0, 10.0, 30.0, 70.0, 100.0, 300.0, 700.0, 1000.0, 1500.0,
-    ];
+    let bw = [1.0, 3.0, 7.0, 10.0, 30.0, 70.0, 100.0, 300.0, 700.0, 1000.0, 1500.0];
     println!("-- (a) parameters and gradients, seq=1024 --");
     hrow(&["GB/s", "bsz=1", "bsz=4", "bsz=16"]);
     let curves: Vec<Vec<f64>> = [1u64, 4, 16]
@@ -235,16 +216,8 @@ fn fig5a() {
         row(&[
             r.model.into(),
             r.strategy.name().into(),
-            if r.fits {
-                format!("{:.1}", r.tflops_per_gpu)
-            } else {
-                "OOM".into()
-            },
-            if r.fits {
-                format!("{:.1}", r.pflops_total)
-            } else {
-                "-".into()
-            },
+            if r.fits { format!("{:.1}", r.tflops_per_gpu) } else { "OOM".into() },
+            if r.fits { format!("{:.1}", r.pflops_total) } else { "-".into() },
             r.fits.to_string(),
         ]);
     }
@@ -268,11 +241,7 @@ fn fig5c() {
     section("Figure 5c: single DGX-2 node, no model parallelism");
     hrow(&["model", "strategy", "TFlops/GPU"]);
     for r in figures::fig5c() {
-        row(&[
-            r.model.into(),
-            r.strategy.name().into(),
-            format!("{:.1}", r.tflops_per_gpu),
-        ]);
+        row(&[r.model.into(), r.strategy.name().into(), format!("{:.1}", r.tflops_per_gpu)]);
     }
     println!("(paper: >40 TFlops/GPU through 100B; 1T trains with NVMe offload)");
 }
@@ -281,11 +250,7 @@ fn fig6a() {
     section("Figure 6a: max model size per strategy, one DGX-2 node");
     hrow(&["strategy", "max params", "config"]);
     for r in figures::fig6a() {
-        row(&[
-            r.strategy.name().into(),
-            fmt_params(r.max_params),
-            r.model_name.into(),
-        ]);
+        row(&[r.strategy.name().into(), fmt_params(r.max_params), r.model_name.into()]);
     }
     println!("(paper: 1.4B -> 13B -> 20B -> ~70B -> 1T; 700x DP-to-NVMe)");
 }
@@ -355,13 +320,7 @@ fn fig6e() {
 
 fn table3() {
     section("Table 3: bandwidth needs on future hardware (512 devices)");
-    hrow(&[
-        "gen",
-        "peak pf/dev",
-        "slow GB/s/dev",
-        "slow agg TB/s",
-        "gpu-gpu GB/s",
-    ]);
+    hrow(&["gen", "peak pf/dev", "slow GB/s/dev", "slow agg TB/s", "gpu-gpu GB/s"]);
     for r in bandwidth_requirements(512) {
         row(&[
             r.gen.name.into(),
@@ -407,10 +366,7 @@ fn tables4to8() {
     println!("-- Table 8 (Fig. 6e: 5 layers, hidden sweep, 32 GPUs, batch 4) --");
     hrow(&["hidden", "params"]);
     for h in [2048u64, 8192, 16384, 32768, 65536] {
-        row(&[
-            h.to_string(),
-            fmt_params(fig6e_model(h, 4.0).shape.model.params()),
-        ]);
+        row(&[h.to_string(), fmt_params(fig6e_model(h, 4.0).shape.model.params())]);
     }
 }
 
@@ -420,18 +376,8 @@ fn functional() {
     use zi_optim::AdamConfig;
 
     section("Functional check: every Table 2 strategy vs dense baseline (real training)");
-    let cfg = GptConfig {
-        vocab: 16,
-        hidden: 8,
-        layers: 2,
-        heads: 2,
-        seq: 4,
-        seed: 99,
-    };
-    let adam = AdamConfig {
-        lr: 0.01,
-        ..Default::default()
-    };
+    let cfg = GptConfig { vocab: 16, hidden: 8, layers: 2, heads: 2, seq: 4, seed: 99 };
+    let adam = AdamConfig { lr: 0.01, ..Default::default() };
     let (base, _) = train_dense_baseline(&cfg, 4, 3, adam, false).expect("baseline");
     hrow(&["strategy", "step1 loss", "step3 loss", "max |Δ| vs dense"]);
     for strategy in Strategy::table2() {
@@ -443,12 +389,8 @@ fn functional() {
         };
         match train_gpt(&spec) {
             Ok(out) => {
-                let max_d = out
-                    .losses
-                    .iter()
-                    .zip(&base)
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0f32, f32::max);
+                let max_d =
+                    out.losses.iter().zip(&base).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
                 row(&[
                     strategy.name.into(),
                     format!("{:.4}", out.losses[0]),
@@ -456,12 +398,7 @@ fn functional() {
                     format!("{max_d:.2e}"),
                 ]);
             }
-            Err(e) => row(&[
-                strategy.name.into(),
-                format!("error: {e}"),
-                "".into(),
-                "".into(),
-            ]),
+            Err(e) => row(&[strategy.name.into(), format!("error: {e}"), "".into(), "".into()]),
         }
     }
 }

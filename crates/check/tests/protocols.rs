@@ -580,18 +580,25 @@ fn collective_slot_table_orders_writers_and_overlaps_readers() {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol 10: the node-shared shard cache — admit, invalidate, evict.
+// Protocol 10: the node-shared shard cache — admit, publish, write back,
+// evict.
 //
 // Rank A owns a parameter shard on the NVMe tier: it fetches it (a miss
 // fills the cache by moving the verified staging buffer in), fetches it
-// again, and publishes new values over it (the old entry is invalidated
-// where the checksum is replaced; the new image is written through).
-// Rank B meanwhile stores a CPU tenant the pool has no room for while
-// the cache holds A's shard, so in some schedules its store must evict.
+// again, and publishes new values over it. While the pool has room the
+// publish is write-back: its image takes over the old entry's charge and
+// becomes a dirty entry, the only current copy, the device still holding
+// the bytes it superseded; without room it is written through. Rank B
+// meanwhile stores a CPU tenant the pool has no room for while the cache
+// holds A's shard, so in some schedules its store must evict — writing
+// A's dirty image back first, or taking the charge of A's publish in
+// flight, which then writes its image back as it finishes.
 // Invariants, in every interleaving:
 //
 //   * a fetch returns the shard's current image, whole — never a torn
-//     entry, never the image a publish has superseded;
+//     entry, never the image a publish has superseded — whether the cache
+//     serves it or the device after a write-back: the last publish is
+//     current, and every device read of it verifies;
 //   * bytes a reader holds stay intact across an eviction or an
 //     invalidation of their entry (no use-after-evict);
 //   * B's store succeeds — by eviction when the cache is in its way —
@@ -599,7 +606,7 @@ fn collective_slot_table_orders_writers_and_overlaps_readers() {
 //   * when both are done every pool is back at zero: no charge is lost
 //     between the cache's lock, the checksum registry's and the pool's.
 
-fn shard_cache_body(seen: &[zi_sync::OnceLock<()>; 2]) {
+fn shard_cache_body(seen: &[zi_sync::OnceLock<()>; 3]) {
     use zero_infinity::{NodeEnv, NodeResources, WriteBehind};
     use zi_memory::NodeMemorySpec;
     use zi_tensor::FlatBuffer;
@@ -667,7 +674,9 @@ fn shard_cache_body(seen: &[zi_sync::OnceLock<()>; 2]) {
     let health = node.offload_manager().health();
     assert!(health.shard_cache_evictions <= 1, "one tenant evicts at most the one entry");
     assert_eq!(health.corruptions_recovered + health.corruptions_unrecovered, 0);
-    for (seen, happened) in seen.iter().zip([health.shard_cache_evictions, health.shard_cache_hits]) {
+    let happened =
+        [health.shard_cache_evictions, health.shard_cache_hits, health.shard_cache_write_backs];
+    for (seen, happened) in seen.iter().zip(happened) {
         if happened > 0 {
             let _ = seen.set(());
         }
@@ -676,7 +685,7 @@ fn shard_cache_body(seen: &[zi_sync::OnceLock<()>; 2]) {
 
 #[test]
 fn shard_cache_admit_invalidate_evict_is_race_free() {
-    let seen = Arc::new([zi_sync::OnceLock::new(), zi_sync::OnceLock::new()]);
+    let seen = Arc::new([(); 3].map(|()| zi_sync::OnceLock::new()));
     let body_seen = Arc::clone(&seen);
     // ~450 scheduling points per run: half the usual sample still clears
     // the distinct-schedule floor.
@@ -685,6 +694,7 @@ fn shard_cache_admit_invalidate_evict_is_race_free() {
     if zi_check::enabled() {
         assert!(seen[0].get().is_some(), "no schedule made rank B's store evict rank A's entry");
         assert!(seen[1].get().is_some(), "no schedule let rank A hit its entry before B evicted it");
+        assert!(seen[2].get().is_some(), "no schedule made rank B write rank A's publish back");
     }
 }
 

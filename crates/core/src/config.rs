@@ -4,7 +4,8 @@ use zi_types::{DType, DeviceKind};
 
 /// Writes the chunked optimizer step queues per record: the record
 /// itself (fp32 master, momentum and variance, interleaved) and the
-/// parameter published in storage dtype.
+/// parameter published in storage dtype — when the publish is written
+/// through, not into the shard cache.
 const WRITES_PER_RECORD: usize = 2;
 
 /// Where each class of model state lives when not in active use.

@@ -6,9 +6,9 @@
 //! 1. **Init** — each rank materializes the deterministic initial values
 //!    one parameter at a time, keeps only its own padded shard and writes
 //!    it the way a step leaves it: optimizer records one request each,
-//!    the shard (cast to the storage dtype) published record by record and
-//!    written through to the shard cache, all behind one write-behind
-//!    window while the next parameter is initialised. The full model is
+//!    the shard (cast to the storage dtype) published record by record
+//!    into the shard cache, all behind one write-behind window while the
+//!    next parameter is initialised. The full model is
 //!    never resident on any rank (Sec. 7.2); a device that dies meanwhile
 //!    degrades the node, and the state is built again in DRAM.
 //! 2. **Fetch** (`get`) — the shard is read from its tier (an NVMe
@@ -31,8 +31,10 @@
 //!    ([`RecordLayout`]) — every shard shorter than a record shares one
 //!    packed buffer — so a chunk is one device read into one staging
 //!    buffer, one Adam pass over its three slices and one write; the
-//!    fresh fp16 shard goes back to the parameter tier record by record
-//!    as the second write of the same pipeline. One read-ahead queue
+//!    same pass encodes the fresh fp16 shard, record by record, into the
+//!    shard cache's image of it, which reaches the parameter tier when the
+//!    cache gives it up (or, without room for it, as the second write of
+//!    the same pipeline). One read-ahead queue
 //!    ([`ReadAhead`]) drives the step and outlives it: the next step's
 //!    first records cross the device under the next forward and backward.
 //!    Replicated-parameter strategies (ZeRO-1/2/Offload) instead allgather
@@ -478,8 +480,8 @@ impl ZeroEngine {
     /// staging buffer `filling`, written as one request under its own
     /// checksum, exactly the extent the step reads, once the record's last
     /// member is in it — and, for a partitioned parameter, each part's
-    /// masters published as its second write, the shard written through
-    /// to the shard cache.
+    /// masters published, into the shard cache while it has room for the
+    /// shard, else as the part's second write.
     fn write_state(
         &mut self,
         idx: usize,
@@ -671,26 +673,28 @@ impl ZeroEngine {
 
     /// Put the streamed step's staging set in place before its first
     /// record — a pool that only allocates on a miss keeps allocating,
-    /// rarely, for many steps — and return its record-sized count: `depth`
-    /// for the read-ahead and the record in hand, plus the record half of
-    /// the write-behind window (0 without offloaded optimizer state).
-    /// Publish-sized ones come on top (a larger buffer counts towards a
-    /// smaller size); the `carried` reads hold their part of the set.
+    /// rarely, for many steps — and return the count of record buffers the
+    /// step may carry into the next: `depth` for the read-ahead and the
+    /// record in hand, plus the record half of the write-behind window (0
+    /// without offloaded optimizer state). The set holds `depth` plus the
+    /// whole window record-sized — the window is all record writes when
+    /// the publishes go to the shard cache — and publish-sized ones on top
+    /// (a larger buffer counts towards a smaller size); the `carried`
+    /// reads hold their part of the set.
     fn reserve_step_staging(&self, carried: usize) -> usize {
         let offloaded = self.optims.iter().filter(|opt| opt.state.is_offloaded());
         let Some(longest) = offloaded.map(|opt| opt.layout.per).max() else { return 0 };
         let depth = self.strategy.step_pipeline_depth;
-        let behind = self.strategy.write_behind_bound().div_ceil(2);
+        let window = self.strategy.write_behind_bound();
         let staging = self.mgr.staging();
-        let (records, record) = (depth + behind, DType::F32.bytes_for(STATE_STREAMS * longest));
-        staging.reserve(records.saturating_sub(carried), record);
+        let record = DType::F32.bytes_for(STATE_STREAMS * longest);
+        let records = depth + window.div_ceil(2);
+        staging.reserve((depth + window).saturating_sub(carried), record);
         if self.strategy.partition_params {
             let piece = self.strategy.param_dtype.bytes_for(longest);
-            // `reserve` counts the record buffers above towards this
-            // smaller size; the publish-sized ones are one more than the
-            // write-behind window, which a packed record may fill with
-            // one piece per member.
-            let window = self.strategy.write_behind_bound();
+            // Written through, the publish-sized ones are one more than
+            // the write-behind window, which a packed record may fill
+            // with one piece per member.
             staging.reserve((records + window + 1).saturating_sub(carried), piece);
         }
         records
@@ -756,12 +760,11 @@ impl ZeroEngine {
                 let [master, m, v] = RecordLayout::split(record).map(|s| &mut s[part.clone()]);
                 let (len, step) = (part.len(), self.shards[idx].step);
                 let param = &mut self.shards[idx].param;
-                // The part's publish piece, encoded by the kernel itself
-                // when it goes to the device.
-                let mut piece = match publish {
-                    Publish::Stream(stream) if !resident => stream.stage(param, len),
-                    _ => None,
-                };
+                // Whether the kernel itself encodes the part's publish
+                // piece: when it goes to the device, into the image a
+                // write-back publish holds or the staging buffer it is
+                // written from.
+                let mut staged = false;
                 {
                     // The cp hop of a resident record is the kernel's own
                     // traffic over the DRAM-resident state: read and
@@ -785,23 +788,29 @@ impl ZeroEngine {
                     span.set_flops(15 * len as u64);
                     span.set_id(at as u64);
                     let (adam, grad) = (&self.adam, &f32_view(grad)?[from..from + len]);
-                    let to = match (&mut *publish, &mut piece) {
-                        (Publish::Whole(out), _) => PublishTo::F32(&mut out[from..from + len]),
-                        (Publish::Stream(_), Some(piece)) => {
-                            PublishTo::encoded(param.dtype(), piece.as_bytes_mut()).ok_or_else(|| {
-                                Error::Internal("publish piece is not viewable in place".into())
-                            })?
-                        }
-                        (Publish::Stream(_), None) => PublishTo::None,
+                    let dtype = param.dtype();
+                    let to = match &mut *publish {
+                        Publish::Whole(out) => PublishTo::F32(&mut out[from..from + len]),
+                        Publish::Stream(stream) if !resident => match stream.stage(param, len) {
+                            Some(bytes) => {
+                                staged = true;
+                                PublishTo::encoded(dtype, bytes).ok_or_else(|| {
+                                    Error::Internal("publish piece is not viewable in place".into())
+                                })?
+                            }
+                            None => PublishTo::None,
+                        },
+                        Publish::Stream(_) => PublishTo::None,
                     };
                     crcs[3] = 0;
                     let crcs = (!resident).then_some(&mut crcs);
                     adam_update(adam, step, scale, master, m, v, grad, to, crcs);
                 }
                 if let Publish::Stream(stream) = publish {
-                    match piece {
-                        Some(piece) => stream.push(wb, param, piece, crcs[3])?,
-                        None => stream.push_values(wb, param, master)?,
+                    if staged {
+                        stream.push(wb, param, len, crcs[3])?;
+                    } else {
+                        stream.push_values(wb, param, master)?;
                     }
                 }
             }
@@ -1253,9 +1262,8 @@ struct Update {
 enum Publish {
     /// Collect them (replicated parameters: published by allgather).
     Whole(Vec<f32>),
-    /// Convert each record's masters to the storage dtype and write
-    /// them behind, as the record's second write (partitioned
-    /// parameters).
+    /// Convert each record's masters to the storage dtype into the
+    /// shard's published image (partitioned parameters).
     Stream(PublishStream),
 }
 
@@ -1649,8 +1657,6 @@ mod tests {
     /// asking the same pool for all of it is a typed OOM, not a slowdown.
     #[test]
     fn split_placement_drives_both_paths_where_all_cpu_cannot_fit() {
-        use std::time::Duration;
-        use zi_nvme::{MemBackend, ThrottledBackend};
         const NUMEL: usize = 1 << 14;
         let mut reg = ParamRegistry::new();
         let id = reg.register("big", &[NUMEL], 3, 0.1, 0.0);
@@ -1658,12 +1664,21 @@ mod tests {
         // gradient and half the three-image optimizer state, not all.
         let spec = NodeMemorySpec::test_spec(1, 1 << 22, NUMEL as u64 * 4 * 29 / 10, 1 << 22);
         let node_and_engine = |cpu_permille: usize| {
-            let backend = zi_sync::Arc::new(ThrottledBackend::new(
-                MemBackend::new(),
-                2e9,
-                Duration::from_millis(2),
-            ));
-            let node = NodeResources::new(&spec, 1, NodeEnv::new(backend));
+            // Records 3 and 7 of eight are the DRAM ones. Counted from the
+            // step's start, the device holds its first three writes —
+            // records 0 to 2 — until the fourth arrives, after record 4
+            // updates: their nc spans are open across record 3's update
+            // unless the step waits on its writes before a DRAM record,
+            // that is, unless the paths take turns. (A clock-timed device
+            // made this a race once the publishes stopped queueing writes
+            // behind the records'.)
+            let door = zi_sync::Arc::new(Door {
+                arrived: zi_sync::Mutex::new(0),
+                full: zi_sync::Condvar::new(),
+                n: 4,
+                dev: zi_nvme::MemBackend::new(),
+            });
+            let node = NodeResources::new(&spec, 1, NodeEnv::new(door.clone()));
             let engine = ZeroEngine::new(
                 &reg,
                 Strategy::infinity_nvme()
@@ -1674,21 +1689,22 @@ mod tests {
                 node.group.communicator(0),
                 AdamConfig::default(),
             );
-            (node, engine)
+            (node, door, engine)
         };
 
-        let (_node, all_cpu) = node_and_engine(1000);
+        let (_node, _door, all_cpu) = node_and_engine(1000);
         match all_cpu {
             Err(Error::OutOfMemory { device, .. }) => assert_eq!(device, Device::cpu()),
             Err(e) => panic!("all-CPU on the small pool must be a typed OOM, got {e}"),
             Ok(_) => panic!("all-CPU optimizer state fit a pool sized to refuse it"),
         }
 
-        let (node, split) = node_and_engine(250);
+        let (node, door, split) = node_and_engine(250);
         let mut eng = split.expect("a quarter of the state fits the CPU pool");
         let grad = Tensor::randn_seeded(&[NUMEL], 5, 0.1);
         eng.add_grad(id, &grad).unwrap();
         let _ = node.tracer().take_events();
+        *door.arrived.lock() = 0;
         assert!(eng.step().unwrap());
         let events = node.tracer().take_events();
         let spans = |cat: Category| {
@@ -1843,8 +1859,8 @@ mod tests {
 
     #[test]
     fn a_published_shard_is_fetched_from_the_cache_not_the_device() {
-        // The counterpart with room: the publish wrote `w` through, so
-        // the fetch after the step finds no device read to corrupt.
+        // The counterpart with room: the publish went to the shard cache,
+        // so the fetch after the step finds no device read to corrupt.
         let (plan, node, mut eng, id) = faulty_rank(5, 1024);
         eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         eng.step().unwrap();
@@ -1858,18 +1874,52 @@ mod tests {
         let health = eng.mgr.health();
         assert_eq!((health.shard_cache_hits, health.shard_cache_bytes), (1, 12 * 4));
         assert_eq!(health.corruptions_recovered + health.corruptions_unrecovered, 0);
-        // The cached bytes are the device's: a CPU tenant that needs
-        // the room evicts them — `w`'s and `b`'s, written through at
-        // construction — and the next fetch reads the device.
+        // A CPU tenant that needs the room evicts the entries — `w`'s,
+        // and `b`'s from construction — writing each back first, and the
+        // next fetch reads the device.
         let tenant = FlatBuffer::zeros(DType::F32, 250);
         let tenant =
             eng.mgr.store_placed(Device::cpu(), &PlacementPolicy::all_nvme(), tenant).unwrap();
         eng.mgr.free_placed(tenant);
         assert_eq!(eng.export_param(id).unwrap().data(), cached.data());
         assert_eq!(node.nvme.stats().reads, reads + 1);
-        assert_eq!(eng.mgr.health().shard_cache_evictions, 2);
+        let health = eng.mgr.health();
+        assert_eq!((health.shard_cache_evictions, health.shard_cache_write_backs), (2, 2));
         eng.dispose().unwrap();
         assert_eq!(node.hierarchy.stats(Device::cpu()).in_use, 0);
+    }
+
+    #[test]
+    fn a_written_back_shard_is_verified_against_the_kernels_checksums() {
+        // `w`'s publish is a dirty cache entry; a CPU tenant that needs
+        // the room writes it back, under the checksums the kernel computed
+        // for its three pieces, and the cache has no room for it again.
+        let (plan, node, mut eng, id) = faulty_rank(5, 1024);
+        eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
+        eng.step().unwrap();
+        let published = eng.export_param(id).unwrap();
+        let tenant = FlatBuffer::zeros(DType::F32, 250);
+        let tenant =
+            eng.mgr.store_placed(Device::cpu(), &PlacementPolicy::all_nvme(), tenant).unwrap();
+        eng.mgr.free_placed(tenant);
+        assert_eq!(eng.mgr.health().shard_cache_write_backs, 2);
+        node.nvme.barrier().unwrap();
+        // A flipped bit in the fetch of the written-back extent: the piece
+        // it hit is re-read once, and the fetch is the published image.
+        let before = node.nvme.stats();
+        plan.bitflip_next_reads(1);
+        assert_eq!(eng.export_param(id).unwrap().data(), published.data());
+        let after = node.nvme.stats();
+        let reread = after.bytes_read - before.bytes_read - 12 * 4;
+        assert_eq!(after.reads - before.reads, 2, "the flipped read and one re-read");
+        assert!(reread == 5 * 4 || reread == 2 * 4, "re-read {reread} B: not one piece");
+        assert_eq!(eng.mgr.health().corruptions_recovered, 1);
+        // Corruption that survives every re-read is a typed error.
+        plan.bitflip_next_reads(u32::MAX);
+        let err = eng.export_param(id).unwrap_err();
+        assert!(matches!(err, Error::Corruption { .. }), "got {err}");
+        plan.bitflip_next_reads(0);
+        eng.dispose().unwrap();
     }
 
     #[test]
@@ -1898,6 +1948,26 @@ mod tests {
 
     #[test]
     fn device_death_mid_stream_is_typed_and_returns_every_staging_buffer() {
+        death_mid_stream(true);
+        death_mid_stream(false);
+    }
+
+    /// [`faulty_rank`] over a roomy CPU pool: its publishes written back
+    /// to the shard cache, or — with `write_back` false, the cache crowded
+    /// out before the engine is built — written through to the device.
+    fn publishing_rank(
+        chunk: usize,
+        write_back: bool,
+    ) -> (zi_nvme::FaultPlan, NodeResources, ZeroEngine, ParamId) {
+        let (plan, node) = faulty_node(1 << 22);
+        if !write_back {
+            node.crowd_out_shard_cache();
+        }
+        let engine = faulty_engine(&node, chunk, 0).unwrap();
+        (plan, node, engine, tiny_registry().find("w").unwrap())
+    }
+
+    fn death_mid_stream(write_back: bool) {
         // Both parameters have a gradient, so with two-element records
         // the first read of `b` is on the device while `w`'s last record
         // updates. Calibrate: how many device ops does one healthy step
@@ -1908,7 +1978,7 @@ mod tests {
             eng.add_grad(b, &Tensor::from_vec(&[5], vec![1.0; 5]).unwrap()).unwrap();
         };
         let reg = tiny_registry();
-        let (plan, node, mut eng, _) = faulty_rank(2, 1 << 22);
+        let (plan, node, mut eng, _) = publishing_rank(2, write_back);
         let ops = || {
             node.nvme.barrier().unwrap();
             plan.ops_seen()
@@ -1922,12 +1992,15 @@ mod tests {
         let first = ops() - before;
         let carried = eng.ahead.as_ref().map_or(0, |ahead| ahead.held(&eng.optims).0) as u64;
         assert_eq!(carried, 4, "depth 2 plus the record half of a 4-request write-behind");
-        assert_eq!(first, 3 * (6 + 3) + carried, "a read, a write and a publish per record");
+        // A read and a write per record, and a publish written through.
+        let publishes = if write_back { 0 } else { 3 * 3 };
+        assert_eq!(first, 3 * 6 + publishes + carried, "write-back {write_back}");
         saved.push(eng.save_state().unwrap());
         let before = ops();
         grads(&mut eng, &reg);
         eng.step().unwrap();
-        assert_eq!(ops() - before, 3 * (6 + 3), "the carry stands in for the step's first reads");
+        let steady = 3 * 6 + publishes;
+        assert_eq!(ops() - before, steady, "the carry stands in for the step's first reads");
         saved.push(eng.save_state().unwrap());
         let strategy = eng.strategy;
         eng.dispose().unwrap();
@@ -1936,7 +2009,7 @@ mod tests {
         // and writes of earlier ones are in flight; past the step's own
         // ops, the reads it carried are.
         for alive in 0..first {
-            let (plan, node, mut eng, _) = faulty_rank(2, 1 << 22);
+            let (plan, node, mut eng, _) = publishing_rank(2, write_back);
             grads(&mut eng, &reg);
             plan.kill_after_ops(alive);
             // The step that meets the death fails typed: this one, or —
@@ -1986,12 +2059,12 @@ mod tests {
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![f32::INFINITY; 12]).unwrap()).unwrap();
         assert!(!eng.step().unwrap());
         assert_eq!(requests(), at_rest, "a skipped step touched the device");
-        // `w` alone has a gradient: its three records are read, written
-        // and published, and nothing of `b` moves; then the step carries
-        // `w`'s three records into the next one.
+        // `w` alone has a gradient: its three records are read and written
+        // (and published, to the shard cache), and nothing of `b` moves;
+        // then the step carries `w`'s three records into the next one.
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
-        assert_eq!(requests(), (at_rest.0 + 3 + 3, at_rest.1 + 6));
+        assert_eq!(requests(), (at_rest.0 + 3 + 3, at_rest.1 + 3));
         eng.dispose().unwrap();
     }
 
@@ -2065,13 +2138,12 @@ mod tests {
         rank_over(strategy, zi_sync::Arc::new(ThrottledBackend::new(MemBackend::new(), 2e9, latency)))
     }
 
-    /// One rank of `strategy` over a [`Door`] as wide as the device's
-    /// worker pool.
-    fn door_rank(strategy: Strategy) -> (NodeResources, ZeroEngine, ParamRegistry) {
+    /// One rank of `strategy` over a [`Door`] `n` writes wide.
+    fn door_rank(strategy: Strategy, n: usize) -> (NodeResources, ZeroEngine, ParamRegistry) {
         let door = Door {
             arrived: zi_sync::Mutex::new(0),
             full: zi_sync::Condvar::new(),
-            n: NodeEnv::in_memory().nvme_workers,
+            n,
             dev: zi_nvme::MemBackend::new(),
         };
         rank_over(strategy, zi_sync::Arc::new(door))
@@ -2218,10 +2290,11 @@ mod tests {
         assert_eq!(requests(), carried, "a skipped step touched the device");
         assert_eq!(eng.ahead.as_ref().map(|ahead| ahead.pending.len()), Some(3), "the carry went");
         // The next step takes it: `w`'s records are already read, so the
-        // step writes and publishes them and reads only the next carry.
+        // step writes them (and publishes them to the shard cache) and
+        // reads only the next carry.
         eng.add_grad(w, &ones).unwrap();
         assert!(eng.step().unwrap());
-        assert_eq!(requests(), (carried.0 + 3, carried.1 + 6));
+        assert_eq!(requests(), (carried.0 + 3, carried.1 + 3));
         eng.dispose().unwrap();
     }
 
@@ -2289,22 +2362,24 @@ mod tests {
     #[test]
     fn construction_writes_one_steps_requests_four_queues_wide_within_the_step_set() {
         // Records of four elements: `w` is three, `b` two (the second of
-        // one element). Each is one write of 48 (12) B and its publish one
-        // of 16 (4) B: ten writes, 272 B.
+        // one element). Each is one write of 48 (12) B; its publish of 16
+        // (4) B goes to the shard cache, not the device: five writes,
+        // 204 B.
         let strategy =
             Strategy::infinity_nvme().with_f32_params().with_prefetch_window(0).with_optimizer_chunk(4);
-        let (node, mut eng, reg) = door_rank(strategy);
+        let (node, mut eng, reg) = door_rank(strategy, NodeEnv::in_memory().nvme_workers);
         let built = node.nvme.stats();
-        assert_eq!((built.writes, built.bytes_written, built.reads), (10, 272, 0));
+        assert_eq!((built.writes, built.bytes_written, built.reads), (5, 204, 0));
         let init = node.tracer().take_events().into_iter().find(|e| e.name == "engine.init");
-        assert_eq!(init.map(|e| e.bytes), Some(272));
+        assert_eq!(init.map(|e| e.bytes), Some(204));
         assert!(built.in_flight_peak >= node.nvme.worker_count() as u64, "{built:?}");
         // Within the staging set the step reserves, and nothing beyond it.
         let window = strategy.write_behind_bound();
         let set = (strategy.step_pipeline_depth + window.div_ceil(2) + window + 1) as u64;
         let pool = eng.mgr.staging().stats();
         assert!(pool.peak_outstanding < set && pool.allocated == set, "{pool:?}");
-        // Every shard was written through: the first forward reads nothing.
+        // Every shard was published to the cache: the first forward reads
+        // nothing.
         let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
         for id in [w, b] {
             eng.get(id).unwrap();
@@ -2316,19 +2391,20 @@ mod tests {
         eng.add_grad(b, &Tensor::from_vec(&[5], vec![1.0; 5]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
         let stepped = node.nvme.stats();
-        assert_eq!((stepped.writes - 10, stepped.bytes_written - 272), (10, 272));
+        assert_eq!((stepped.writes - 5, stepped.bytes_written - 204), (5, 204));
         assert_eq!(eng.mgr.staging().stats().allocated, set);
         eng.dispose().unwrap();
         // Both parameters shorter than a record: one packed buffer of 17
         // elements, records of 16 and 1. `w` (elements 0..12) publishes in
-        // one piece, `b` (12..17) in one per record; the first record goes
-        // out once `b` completes it. Five writes of the same 272 B: the
-        // device holds four at once only while a parameter is initialised
-        // and written under the writes of the one before.
-        let (node, eng, _) = door_rank(strategy.with_optimizer_chunk(16));
+        // one piece, `b` (12..17) in one per record, both into the cache;
+        // the first record goes out once `b` completes it. Two writes of
+        // the same 204 B, on the device at once only while a parameter is
+        // initialised and written under the write of the one before: a
+        // door two writes wide opens.
+        let (node, eng, _) = door_rank(strategy.with_optimizer_chunk(16), 2);
         let built = node.nvme.stats();
-        assert_eq!((built.writes, built.bytes_written), (2 + 3, 272));
-        assert!(built.in_flight_peak >= node.nvme.worker_count() as u64, "{built:?}");
+        assert_eq!((built.writes, built.bytes_written), (2, 204));
+        assert!(built.in_flight_peak >= 2, "{built:?}");
         eng.dispose().unwrap();
     }
 
@@ -2372,8 +2448,9 @@ mod tests {
     fn packed_parameters_share_records_and_train_as_if_unpacked() {
         // Per step, 8-element records: `a` two, the pack three (8, 8, 2
         // elements), `w` three — eight reads and eight record writes — and
-        // one publish per part: two of `a`, one of `g`, two each of `b` and
-        // `c`, three of `w`. Records of one element pack nothing.
+        // one publish per part, each into the shard cache: two of `a`, one
+        // of `g`, two each of `b` and `c`, three of `w`. Records of one
+        // element pack nothing.
         let run = |chunk: usize| {
             let strategy = Strategy::infinity_nvme().with_f32_params().with_optimizer_chunk(chunk);
             let (node, mut eng, reg) = mixed_rank(strategy);
@@ -2398,12 +2475,12 @@ mod tests {
             (built, per_step, state)
         };
         let (built, per_step, packed) = run(8);
-        assert_eq!(built, (0, 8 + 10), "construction writes one step's requests");
+        assert_eq!(built, (0, 8), "construction writes one step's requests");
         // The first step reads its records and carries all eight into the
         // next (depth 4 plus half a write-behind window of 8).
-        assert_eq!(per_step, vec![(8 + 8, 8 + 10), (8, 18), (8, 18), (8, 18)]);
+        assert_eq!(per_step, vec![(8 + 8, 8), (8, 8), (8, 8), (8, 8)]);
         let (_, unpacked_steps, unpacked) = run(1);
-        assert_eq!(unpacked_steps[3], (58, 2 * 58), "one record per element");
+        assert_eq!(unpacked_steps[3], (58, 58), "one record per element");
         assert_eq!(packed, unpacked, "packing changed the state");
     }
 
@@ -2425,13 +2502,14 @@ mod tests {
             MIXED.map(rec)
         };
         // No member of the pack has a gradient: `a` and `w` move, two and
-        // three records, each read, written and published (and carried
-        // into the next step); the pack issues no request at all.
+        // three records, each read and written (and carried into the next
+        // step), and published to the shard cache; the pack issues no
+        // request at all.
         let built = state(&eng);
         let at_rest = requests();
         mixed_grads(&mut eng, &reg, &["a", "w"], 0);
         assert!(eng.step().unwrap());
-        assert_eq!(requests(), (at_rest.0 + 5 + 5, at_rest.1 + 5 + 5));
+        assert_eq!(requests(), (at_rest.0 + 5 + 5, at_rest.1 + 5));
         // `g`, `b` and `c` are as built; `a` and `w` are one step on.
         let after = state(&eng);
         assert_eq!([&after[1], &after[3], &after[4]], [&built[1], &built[3], &built[4]]);
@@ -2619,9 +2697,16 @@ mod tests {
 
     #[test]
     fn device_death_in_construction_fails_over_and_in_import_is_typed() {
-        let (plan, node, mut healthy, _) = faulty_rank(5, 1 << 22);
+        death_in_construction(true);
+        death_in_construction(false);
+    }
+
+    fn death_in_construction(write_back: bool) {
+        let (plan, node, mut healthy, _) = publishing_rank(5, write_back);
         let built = plan.ops_seen();
-        assert_eq!(built, 8, "four records and four publishes");
+        // Four records, and four publishes unless the shard cache takes
+        // them.
+        assert_eq!(built, if write_back { 4 } else { 8 });
         let reg = tiny_registry();
         let state = |eng: &mut ZeroEngine| {
             let params: Vec<_> = reg.iter().map(|m| eng.export_param(m.id).unwrap()).collect();
@@ -2638,6 +2723,9 @@ mod tests {
         };
         for alive in 0..built {
             let (plan, node) = faulty_node(1 << 22);
+            if !write_back {
+                node.crowd_out_shard_cache();
+            }
             plan.kill_after_ops(alive);
             let mut eng = faulty_engine(&node, 5, 0).expect("construction fails over");
             assert!(node.offload_manager().is_degraded(), "{alive} ops");
@@ -2652,7 +2740,7 @@ mod tests {
         healthy.load_state(&blob).unwrap();
         assert_eq!(plan.ops_seen() - before, built);
         for alive in 0..built {
-            let (plan, node, mut eng, _) = faulty_rank(5, 1 << 22);
+            let (plan, node, mut eng, _) = publishing_rank(5, write_back);
             plan.kill_after_ops(alive);
             let err = eng.load_state(&blob).unwrap_err();
             assert!(err.is_device_failure(), "{alive} ops: {err}");

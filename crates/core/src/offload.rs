@@ -22,10 +22,12 @@
 //! staging the way the paper's pinned-memory layer does (Sec. 6.3).
 //!
 //! A parameter shard on the NVMe tier changes once per optimizer step,
-//! so the verified bytes of one fetch answer every later fetch until the
-//! next publish. The node keeps them in a shard cache in whatever CPU
-//! memory the other tenants leave free (see [`ShardCache`]): the device
-//! holds the authoritative copy, the CPU copy is reclaimable.
+//! so the bytes of one fetch — or of the publish itself — answer every
+//! later fetch until the next publish. The node keeps them in a shard
+//! cache in whatever CPU memory the other tenants leave free (see
+//! [`ShardCache`]), write-back: a published image reaches its NVMe extent
+//! only when the cache has to give it up, so the CPU copy is reclaimable
+//! at the price of a write.
 
 use std::collections::{BTreeMap, VecDeque};
 use zi_sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -64,23 +66,41 @@ fn overlapping<V>(
     before.into_iter().chain(map.range(offset..offset + len)).map(|(start, _)| *start).collect()
 }
 
-/// One cached parameter shard: the verified bytes of one NVMe extent,
-/// shared with whoever is reading them. Storage an evicted or invalidated
-/// entry leaves behind lives until its last reader drops it, and is then
-/// freed. An entry charges its length to the CPU pool until the moment
-/// it leaves the cache.
+/// The checksum registry: CRC32 per written NVMe extent, keyed by device
+/// offset, as `(len, crc)`.
+type Registry = BTreeMap<u64, (u64, u32)>;
+
+/// One cached parameter shard's bytes, shared with whoever is reading
+/// them. Storage an evicted or invalidated entry leaves behind lives until
+/// its last reader drops it, and is then freed.
 type CachedShard = Arc<ScratchVec>;
 
-fn shard_len(shard: &CachedShard) -> u64 {
-    shard.as_bytes().len() as u64
+/// One entry of the shard cache: the bytes of one NVMe extent. An entry
+/// charges its length to the CPU pool until the moment it leaves the
+/// cache.
+struct Entry {
+    shard: CachedShard,
+    /// Set while the entry is the extent's only current copy — a publish
+    /// wrote it here and not to the device: the checksums of its pieces,
+    /// in order, as the kernel that encoded them computed them. The
+    /// registry then holds nothing over the extent.
+    dirty: Option<Tiles>,
+}
+
+fn entry_len(entry: &Entry) -> u64 {
+    entry.shard.as_bytes().len() as u64
 }
 
 /// What the shard cache's lock guards.
 #[derive(Default)]
 struct CacheState {
     /// Entries by the device offset of the extent they mirror.
-    entries: BTreeMap<u64, CachedShard>,
-    /// CPU-pool bytes charged to the cache: the sum over its entries.
+    entries: BTreeMap<u64, Entry>,
+    /// The write-back publishes in flight, by device offset: the length
+    /// each has charged for its image.
+    publishing: BTreeMap<u64, u64>,
+    /// CPU-pool bytes charged to the cache: the sum over its entries and
+    /// the publishes in flight.
     charged: u64,
     /// High-water mark of what the CPU pool's *other* tenants had in use
     /// at once. The cache stays out of that much room, so a tenant coming
@@ -91,10 +111,10 @@ struct CacheState {
 
 impl CacheState {
     /// Drop the entry at `start`, returning its charge to the CPU pool.
-    fn remove(&mut self, hierarchy: &MemoryHierarchy, start: u64) -> Option<CachedShard> {
-        let shard = self.entries.remove(&start)?;
-        self.release(hierarchy, shard_len(&shard));
-        Some(shard)
+    fn remove(&mut self, hierarchy: &MemoryHierarchy, start: u64) -> Option<Entry> {
+        let entry = self.entries.remove(&start)?;
+        self.release(hierarchy, entry_len(&entry));
+        Some(entry)
     }
 
     /// True when `len` more bytes fit beside the other tenants' peak.
@@ -117,31 +137,49 @@ impl CacheState {
         self.charged -= len;
         hierarchy.unreserve(Device::cpu(), len);
     }
+
+    /// True when a dirty entry overlaps `[offset, offset + len)`.
+    fn dirty_over(&self, offset: u64, len: u64) -> bool {
+        let starts = overlapping(&self.entries, entry_len, offset, len);
+        starts.iter().any(|start| self.entries[start].dirty.is_some())
+    }
 }
 
-/// The node's cache of **verified parameter-shard bytes**, in free CPU
-/// memory, keyed by the shard's NVMe extent.
+/// The node's cache of **parameter-shard bytes**, in free CPU memory,
+/// keyed by the shard's NVMe extent.
 ///
 /// * **Filled by move.** A fetch that misses hands over the verified
-///   staging buffer it already owns; [`PublishStream::finish`] hands over
-///   the fp16 image it assembled while writing it (write-through), so the
-///   first fetch after an update is a hit.
+///   staging buffer it already owns (a clean entry); a publish encodes the
+///   new fp16 image straight into the entry it will become
+///   ([`PublishStream`]), so the first fetch after an update is a hit.
+/// * **Write-back.** A published entry is dirty: the device still holds
+///   the bytes it superseded, and the entry is the shard's authoritative
+///   copy. It reaches the device only when something other than a fetch
+///   needs it there — eviction, a read that bypasses the cache, a
+///   non-publish overwrite — as one request, waited, under the checksums
+///   of its pieces. A free drops it unwritten: the extent dies with it.
 /// * **Admission only.** Parameter access is a fixed cycle; on a cycle
 ///   any recency policy evicts the shard about to be re-read, while
 ///   keeping what was admitted hits on every use of every cached shard.
 ///   An entry leaves by invalidation or under CPU pressure, never to make
 ///   room for another entry.
-/// * **Never stale.** An entry is installed only while the checksum
-///   registry still holds exactly the checksums its bytes were verified
-///   against (or written under), and every later write to — or free of —
-///   an overlapping extent drops it inside the registry's own
-///   `record`/`invalidate`. A hit is therefore never checked again.
-/// * **Reclaimable.** Entries are charged to the CPU pool's capacity
-///   like every tenant, but take no place in its address space; a CPU
-///   store the pool refuses evicts the whole cache and retries, in one
-///   critical section, against a pool that is then exactly what it would
-///   be without a cache — so nothing that fits without one fails with
-///   one. The budget is the pool itself: there is no option.
+/// * **Never stale.** Each extent is clean or dirty, never both. A clean
+///   entry is installed only while the checksum registry still holds
+///   exactly the checksums its bytes were verified against, and every
+///   later write to — or free of — an overlapping extent drops it inside
+///   the registry's own `record`/`invalidate`. A dirty entry's extent has
+///   no checksum in the registry, so no read that bypasses the cache can
+///   verify the device's stale bytes and pass. A hit is never checked
+///   again.
+/// * **Reclaimable.** Entries and the images of publishes in flight are
+///   charged to the CPU pool's capacity like every tenant, but take no
+///   place in its address space; a CPU store the pool refuses writes the
+///   dirty entries back, evicts the whole cache, takes the publishes'
+///   charges (each writes its image back when it finishes) and retries,
+///   in one critical section, against a pool that is then exactly what it
+///   would be without a cache — so nothing that fits without one fails
+///   with one for lack of room. The budget is the pool itself: there is
+///   no option.
 #[derive(Default)]
 struct ShardCache {
     shards: Mutex<CacheState>,
@@ -151,16 +189,23 @@ struct ShardCache {
     hit_bytes: AtomicU64,
     /// Entries dropped because another CPU tenant needed the room.
     evictions: AtomicU64,
+    /// Dirty entries written back to the device.
+    write_backs: AtomicU64,
 }
 
-/// The fp16 image of a shard being published, on its way into the cache.
+/// The fp16 image of a shard being published, on its way into the cache
+/// as a dirty entry. Its length is charged from the moment the publish
+/// begins until it finishes, or until a CPU tenant needs the room.
 struct Deposit {
     /// Device offset of the extent being overwritten.
     offset: u64,
     image: ScratchVec,
-    /// Checksums of the pieces written so far, as the registry recorded
-    /// them.
+    /// Checksums of the pieces pushed so far, in order.
     tiles: Tiles,
+    /// True when the image started out as the extent's contents (the
+    /// entry it supersedes): past the pushed pieces it holds the current
+    /// bytes.
+    seeded: bool,
 }
 
 /// Node-shared resilience state: the shard-checksum registry, the shard
@@ -169,13 +214,15 @@ struct Deposit {
 /// they must share its health). Lock order: `checksums`, then the cache's
 /// `shards`, then the CPU capacity pool.
 struct ResilienceState {
-    /// CRC32 per written NVMe extent, keyed by device offset. Extents
-    /// never overlap (each records the latest write covering exactly
-    /// that range; overlapping older extents are invalidated).
-    checksums: Mutex<BTreeMap<u64, (u64, u32)>>,
+    /// Extents never overlap (each records the latest write covering
+    /// exactly that range; overlapping older extents are invalidated).
+    checksums: Mutex<Registry>,
     cache: ShardCache,
     /// Where cache entries are charged.
     hierarchy: Arc<MemoryHierarchy>,
+    /// Where dirty entries are written back, and what records it.
+    nvme: Arc<NvmeEngine>,
+    tracer: Tracer,
     /// Once set, new NVMe stores are transparently placed on CPU.
     degraded: AtomicBool,
     /// Stores redirected NVMe→CPU.
@@ -187,11 +234,13 @@ struct ResilienceState {
 }
 
 impl ResilienceState {
-    fn new(hierarchy: Arc<MemoryHierarchy>) -> Self {
+    fn new(hierarchy: Arc<MemoryHierarchy>, nvme: Arc<NvmeEngine>, tracer: Tracer) -> Self {
         ResilienceState {
             checksums: Mutex::default(),
             cache: ShardCache::default(),
             hierarchy,
+            nvme,
+            tracer,
             degraded: AtomicBool::new(false),
             failovers: AtomicU64::new(0),
             corruptions_recovered: AtomicU64::new(0),
@@ -199,38 +248,119 @@ impl ResilienceState {
         }
     }
 
-    /// Record the checksum of a just-written extent, invalidating any
-    /// previously recorded extent — and dropping any cached shard — it
-    /// overlaps.
-    fn record(&self, offset: u64, data: &[u8]) {
-        self.record_tiles(offset, data.len() as u64, &[crc32(data)]);
+    /// Record the checksum of an extent about to be (or just) written,
+    /// invalidating any previously recorded extent — and dropping any
+    /// cached shard — it overlaps.
+    fn record(&self, offset: u64, data: &[u8]) -> Result<()> {
+        self.record_tiles(offset, data.len() as u64, &[crc32(data)])
     }
 
     /// [`Self::record`] for an extent written as back-to-back tiles of
     /// `tile` bytes from `offset`, with checksums `crcs` in order: each
     /// is verified on its own when a read meets it (see [`Self::tiles`]).
-    fn record_tiles(&self, offset: u64, tile: u64, crcs: &[u32]) {
+    /// A dirty entry the write overlaps is written back first; failing
+    /// that, nothing is recorded and the write must not be issued.
+    fn record_tiles(&self, offset: u64, tile: u64, crcs: &[u32]) -> Result<()> {
+        let len = tile * crcs.len() as u64;
         let mut map = self.checksums.lock();
-        self.invalidate_locked(&mut map, offset, tile * crcs.len() as u64);
+        let mut cache = self.cache.shards.lock();
+        self.write_back_over(&mut map, &mut cache, offset, len)?;
+        self.invalidate_locked(&mut map, &mut cache, offset, len);
         for (k, &crc) in crcs.iter().enumerate() {
             map.insert(offset + k as u64 * tile, (tile, crc));
         }
+        Ok(())
     }
 
     /// Forget checksums, and cached shards, overlapping
-    /// `[offset, offset + len)`.
+    /// `[offset, offset + len)`: the extent is being freed, so a dirty
+    /// entry goes unwritten.
     fn invalidate(&self, offset: u64, len: u64) {
-        self.invalidate_locked(&mut self.checksums.lock(), offset, len);
+        let mut map = self.checksums.lock();
+        self.invalidate_locked(&mut map, &mut self.cache.shards.lock(), offset, len);
     }
 
-    fn invalidate_locked(&self, map: &mut BTreeMap<u64, (u64, u32)>, offset: u64, len: u64) {
+    fn invalidate_locked(&self, map: &mut Registry, cache: &mut CacheState, offset: u64, len: u64) {
         for start in overlapping(map, |&(elen, _)| elen, offset, len) {
             map.remove(&start);
         }
-        let mut cache = self.cache.shards.lock();
-        for start in overlapping(&cache.entries, shard_len, offset, len) {
+        for start in overlapping(&cache.entries, entry_len, offset, len) {
             cache.remove(&self.hierarchy, start);
         }
+    }
+
+    /// Write back every dirty entry overlapping `[offset, offset + len)`,
+    /// which stay cached, clean: a read that bypasses the cache must find
+    /// their bytes on the device.
+    fn settle(&self, offset: u64, len: u64) -> Result<()> {
+        let dirty = {
+            let cache = self.cache.shards.lock();
+            cache.dirty_over(offset, len)
+        };
+        if !dirty {
+            return Ok(());
+        }
+        let mut map = self.checksums.lock();
+        self.write_back_over(&mut map, &mut self.cache.shards.lock(), offset, len)
+    }
+
+    fn write_back_over(
+        &self,
+        map: &mut Registry,
+        cache: &mut CacheState,
+        offset: u64,
+        len: u64,
+    ) -> Result<()> {
+        for start in overlapping(&cache.entries, entry_len, offset, len) {
+            self.write_back(map, cache, start)?;
+        }
+        Ok(())
+    }
+
+    /// Make the entry at `start` clean if it is dirty: one request, its
+    /// tiles recorded at submission and the request waited, so no device
+    /// read can overtake it. A failed write is the caller's error, with
+    /// the entry still dirty and the registry as it was: the bytes are
+    /// never dropped.
+    fn write_back(&self, map: &mut Registry, cache: &mut CacheState, start: u64) -> Result<()> {
+        let Some(entry) = cache.entries.get_mut(&start) else { return Ok(()) };
+        let Some(tiles) = entry.dirty.take() else { return Ok(()) };
+        let bytes = entry.shard.as_bytes();
+        if let Err(e) = self.write_extent(map, start, bytes, &tiles) {
+            entry.dirty = Some(tiles);
+            return Err(e);
+        }
+        self.count_write_back(start, bytes.len() as u64);
+        Ok(())
+    }
+
+    fn count_write_back(&self, offset: u64, len: u64) {
+        self.tracer.instant(Category::Retry, "cache.write_back", len, offset);
+        self.cache.write_backs.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Write `bytes` to the extent at `offset`, over which the registry
+    /// holds nothing, as one request under `tiles`, recorded at
+    /// submission, and wait for it. A failed write takes them out again.
+    fn write_extent(
+        &self,
+        map: &mut Registry,
+        offset: u64,
+        bytes: &[u8],
+        tiles: &[(u64, u32)],
+    ) -> Result<()> {
+        let mut at = offset;
+        for &(len, crc) in tiles {
+            map.insert(at, (len, crc));
+            at += len;
+        }
+        let written = self.nvme.wait_buf(self.nvme.submit_write(offset, bytes.to_vec())).map(drop);
+        if written.is_err() {
+            for start in overlapping(map, |&(elen, _)| elen, offset, at - offset) {
+                map.remove(&start);
+            }
+        }
+        written
     }
 
     /// The recorded extents that exactly tile `[offset, offset + len)`,
@@ -242,7 +372,7 @@ impl ResilienceState {
         Self::tiles_locked(&self.checksums.lock(), offset, len)
     }
 
-    fn tiles_locked(map: &BTreeMap<u64, (u64, u32)>, offset: u64, len: u64) -> Option<Tiles> {
+    fn tiles_locked(map: &Registry, offset: u64, len: u64) -> Option<Tiles> {
         let end = offset + len;
         let mut at = offset;
         let mut tiles = Vec::new();
@@ -260,19 +390,19 @@ impl ResilienceState {
     /// as a hit when `hit` is set (a probe passes `false`).
     fn cached(&self, offset: u64, len: u64, hit: bool) -> Option<CachedShard> {
         let cache = self.cache.shards.lock();
-        let shard = cache.entries.get(&offset).filter(|shard| shard_len(shard) == len)?;
+        let entry = cache.entries.get(&offset).filter(|entry| entry_len(entry) == len)?;
         if hit {
             self.cache.hits.fetch_add(1, Ordering::Relaxed);
             self.cache.hit_bytes.fetch_add(len, Ordering::Relaxed);
         }
-        Some(Arc::clone(shard))
+        Some(Arc::clone(&entry.shard))
     }
 
-    /// Install `image` — bytes checked against, or written under, `tiles`
-    /// — as the cache entry of the extent at `offset`, charging the CPU
-    /// pool for it. Refused (the image handed back) when the registry no
-    /// longer holds exactly `tiles` for the extent, or the pool has no
-    /// room beside its other tenants.
+    /// Install `image` — bytes checked against `tiles` — as the clean
+    /// cache entry of the extent at `offset`, charging the CPU pool for
+    /// it. Refused (the image handed back) when the registry no longer
+    /// holds exactly `tiles` for the extent, or the pool has no room
+    /// beside its other tenants.
     fn admit(
         &self,
         offset: u64,
@@ -285,60 +415,131 @@ impl ResilienceState {
         if Self::tiles_locked(&registry, offset, len).is_none_or(|now| now != tiles) {
             return Err(image);
         }
-        if let Some(shard) = cache.entries.get(&offset) {
+        if let Some(entry) = cache.entries.get(&offset) {
             // Two fills of one extent: the first one's entry stands.
-            return Ok(Arc::clone(shard));
+            return Ok(Arc::clone(&entry.shard));
         }
         if !cache.charge(&self.hierarchy, len) {
             return Err(image);
         }
         let shard = Arc::new(image.detach());
-        cache.entries.insert(offset, Arc::clone(&shard));
+        cache.entries.insert(offset, Entry { shard: Arc::clone(&shard), dirty: None });
         Ok(shard)
     }
 
-    /// Begin the write-through of a publish over the extent
-    /// `[offset, offset + len)`: the entry it supersedes goes now, so the
-    /// pool is never charged for the old and the new image at once, and —
-    /// when no reader still holds it — its storage carries the new image.
-    /// `None` when the pool has no room for the image.
+    /// Begin a write-back publish over the extent `[offset, offset + len)`,
+    /// charging its image now: the entry it supersedes hands its charge
+    /// over, so the pool is never charged for two images of one shard, and
+    /// — when no reader still holds it — its storage, holding the current
+    /// bytes, becomes the new image. The extent's checksums go: it is
+    /// dirty from here on. `None` when the pool has no room for the image:
+    /// the publish is then written through, and the first piece's write
+    /// replaces the old entry (see [`Self::record_tiles`]).
     fn begin_deposit(&self, offset: u64, len: u64, fresh: &ScratchPool) -> Option<Deposit> {
-        let old = {
-            let mut cache = self.cache.shards.lock();
-            let old = cache.remove(&self.hierarchy, offset);
-            if !cache.has_room(&self.hierarchy, len) {
-                return None;
+        let mut map = self.checksums.lock();
+        let mut cache = self.cache.shards.lock();
+        let granted = if cache.entries.contains_key(&offset) {
+            cache.has_room(&self.hierarchy, 0)
+        } else {
+            cache.charge(&self.hierarchy, len)
+        };
+        if !granted {
+            return None;
+        }
+        let old = cache.entries.remove(&offset).map(|entry| entry.shard);
+        cache.publishing.insert(offset, len);
+        for start in overlapping(&map, |&(elen, _)| elen, offset, len) {
+            map.remove(&start);
+        }
+        drop(cache);
+        drop(map);
+        let fresh = || fresh.acquire(len as usize).detach();
+        let (image, seeded) = match old.map(Arc::try_unwrap) {
+            Some(Ok(image)) => (image, true),
+            Some(Err(shared)) => {
+                let mut image = fresh();
+                image.as_bytes_mut().copy_from_slice(shared.as_bytes());
+                (image, true)
             }
-            old
+            None => (fresh(), false),
         };
-        let reused = old.and_then(|shard| Arc::try_unwrap(shard).ok());
-        let image = match reused.filter(|image| image.as_bytes().len() as u64 == len) {
-            Some(image) => image,
-            None => fresh.acquire(len as usize).detach(),
-        };
-        Some(Deposit { offset, image, tiles: Vec::new() })
+        Some(Deposit { offset, image, tiles: Vec::new(), seeded })
     }
 
-    /// Evict every entry, so the CPU pool is exactly what it would be
-    /// without a cache. Returns the number of entries evicted.
-    fn evict_all(&self, cache: &mut CacheState, tracer: &Tracer) -> usize {
-        let evicted = std::mem::take(&mut cache.entries);
-        for (offset, shard) in &evicted {
-            tracer.instant(Category::Retry, "cache.evict", shard_len(shard), *offset);
-            cache.release(&self.hierarchy, shard_len(shard));
+    /// Install a finished publish's image as the extent's dirty entry, on
+    /// the charge it has held since the publish began — unless a CPU
+    /// tenant took that room meanwhile (see [`Self::evict_all`]): then the
+    /// image is written back now, one request.
+    fn install(&self, deposit: Deposit) -> Result<()> {
+        let Deposit { offset, image, tiles, .. } = deposit;
+        let mut map = self.checksums.lock();
+        let mut cache = self.cache.shards.lock();
+        if cache.publishing.remove(&offset).is_none() {
+            self.write_extent(&mut map, offset, image.as_bytes(), &tiles)?;
+            self.count_write_back(offset, image.as_bytes().len() as u64);
+            return Ok(());
         }
-        self.cache.evictions.fetch_add(evicted.len() as u64, Ordering::Relaxed);
-        evicted.len()
+        let entry = Entry { shard: Arc::new(image), dirty: Some(tiles) };
+        if let Some(displaced) = cache.entries.insert(offset, entry) {
+            cache.release(&self.hierarchy, entry_len(&displaced));
+        }
+        Ok(())
+    }
+
+    /// Close a write-back publish whose stream was dropped before its last
+    /// piece, as a write-through publish would have left the extent: the
+    /// device gets the pieces pushed so far — with the rest of the image
+    /// too when it was seeded with the extent's contents — and the charge
+    /// is returned. A failed write leaves the extent unverified; the step
+    /// that dropped the stream has already failed.
+    fn abandon(&self, deposit: Deposit) {
+        let Deposit { offset, image, mut tiles, seeded } = deposit;
+        let (bytes, pushed) = (image.as_bytes(), tiles.iter().map(|&(len, _)| len).sum::<u64>());
+        if seeded && pushed < bytes.len() as u64 {
+            tiles.push((bytes.len() as u64 - pushed, crc32(&bytes[pushed as usize..])));
+        }
+        let valid = if seeded { bytes.len() } else { pushed as usize };
+        let mut map = self.checksums.lock();
+        let mut cache = self.cache.shards.lock();
+        if valid > 0 {
+            let _ = self.write_extent(&mut map, offset, &bytes[..valid], &tiles);
+        }
+        if let Some(len) = cache.publishing.remove(&offset) {
+            cache.release(&self.hierarchy, len);
+        }
+    }
+
+    /// Evict every entry, each dirty one written back first, and take the
+    /// charge of every publish in flight (each writes its image back when
+    /// it finishes), so the CPU pool is exactly what it would be without a
+    /// cache. Returns how many entries and publishes gave up room; a
+    /// failed write-back is the error, its entry and those after it still
+    /// cached.
+    fn evict_all(&self, map: &mut Registry, cache: &mut CacheState) -> Result<usize> {
+        let starts: Vec<u64> = cache.entries.keys().copied().collect();
+        for &start in &starts {
+            self.write_back(map, cache, start)?;
+            if let Some(entry) = cache.remove(&self.hierarchy, start) {
+                self.tracer.instant(Category::Retry, "cache.evict", entry_len(&entry), start);
+                self.cache.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let publishing = std::mem::take(&mut cache.publishing);
+        for &len in publishing.values() {
+            cache.release(&self.hierarchy, len);
+        }
+        Ok(starts.len() + publishing.len())
     }
 
     /// CPU-pool room for a tenant other than the cache. The cache holds
     /// CPU memory only while nobody else wants it: a request the pool
     /// refuses evicts every entry and asks again, with admissions locked
     /// out in between.
-    fn alloc_cpu_tenant(&self, bytes: u64, tracer: &Tracer) -> Result<Block> {
+    fn alloc_cpu_tenant(&self, bytes: u64) -> Result<Block> {
+        let mut map = self.checksums.lock();
         let mut cache = self.cache.shards.lock();
         let block = match self.hierarchy.alloc(Device::cpu(), bytes) {
-            Err(e) if e.is_oom() && self.evict_all(&mut cache, tracer) > 0 => {
+            Err(e) if e.is_oom() && self.evict_all(&mut map, &mut cache)? > 0 => {
                 self.hierarchy.alloc(Device::cpu(), bytes)?
             }
             granted => granted?,
@@ -368,6 +569,9 @@ pub struct OffloadHealth {
     pub shard_cache_bytes: u64,
     /// Cached shards dropped because another CPU tenant needed the room.
     pub shard_cache_evictions: u64,
+    /// Dirty cached shards written back to the device, by an eviction or
+    /// by an access that bypasses the cache.
+    pub shard_cache_write_backs: u64,
     /// NVMe engine counters, including per-request `retries` and
     /// `gave_up` from the retry layer.
     pub io: zi_nvme::IoStats,
@@ -456,15 +660,16 @@ impl NodeResources {
             None => CommGroup::with_config_tracer(world, comm, tracer.clone()),
         };
         let hierarchy = Arc::new(MemoryHierarchy::new(spec));
+        let nvme =
+            Arc::new(NvmeEngine::with_policy_tracer(backend, nvme_workers, policy, tracer.clone()));
         NodeResources {
-            resilience: Arc::new(ResilienceState::new(Arc::clone(&hierarchy))),
-            hierarchy,
-            nvme: Arc::new(NvmeEngine::with_policy_tracer(
-                backend,
-                nvme_workers,
-                policy,
+            resilience: Arc::new(ResilienceState::new(
+                Arc::clone(&hierarchy),
+                Arc::clone(&nvme),
                 tracer.clone(),
             )),
+            hierarchy,
+            nvme,
             pinned: PinnedBufferPool::with_tracer(pinned.0, pinned.1, tracer.clone()),
             group,
             staging: ScratchPool::new(),
@@ -779,6 +984,7 @@ impl OffloadManager {
             shard_cache_hits: self.resilience.cache.hits.load(Ordering::Relaxed),
             shard_cache_bytes: self.resilience.cache.hit_bytes.load(Ordering::Relaxed),
             shard_cache_evictions: self.resilience.cache.evictions.load(Ordering::Relaxed),
+            shard_cache_write_backs: self.resilience.cache.write_backs.load(Ordering::Relaxed),
             io: self.nvme.stats(),
         }
     }
@@ -806,7 +1012,7 @@ impl OffloadManager {
     ) -> Result<Segment> {
         let bytes = data.size_in_bytes() as u64;
         let block = if device == Device::cpu() {
-            self.resilience.alloc_cpu_tenant(bytes, &self.tracer)?
+            self.resilience.alloc_cpu_tenant(bytes)?
         } else {
             self.hierarchy.alloc(device, bytes)?
         };
@@ -825,7 +1031,7 @@ impl OffloadManager {
         let waited = tickets.into_iter().map(|ticket| self.nvme.wait(ticket).map(drop));
         let Err(e) = waited.fold(Ok(()), Result::and) else {
             for (i, p) in pieces {
-                self.resilience.record(at(i), p);
+                self.resilience.record(at(i), p)?;
             }
             return Ok(Segment { start, len, device, block, ram: None });
         };
@@ -838,8 +1044,9 @@ impl OffloadManager {
     }
 
     /// Issue the device read behind elements `[lo, lo+len)` of `seg`
-    /// (segment-relative) into a buffer from `pool`; a resident segment
-    /// has nothing to read.
+    /// (segment-relative) into a buffer from `pool`, once any dirty cached
+    /// shard it meets is written back; a resident segment has nothing to
+    /// read.
     fn begin_segment_read(
         &self,
         pool: &ScratchPool,
@@ -847,13 +1054,15 @@ impl OffloadManager {
         seg: &Segment,
         lo: usize,
         len: usize,
-    ) -> PlacedPending {
-        let read = seg.ram.is_none().then(|| {
-            let offset = seg.block.offset + dtype.bytes_for(lo) as u64;
-            let staging = pool.acquire(dtype.bytes_for(len));
-            (self.nvme.submit_read_into(offset, staging), offset)
-        });
-        PlacedPending { read }
+    ) -> Result<PlacedPending> {
+        if seg.ram.is_some() {
+            return Ok(PlacedPending { read: None });
+        }
+        let offset = seg.block.offset + dtype.bytes_for(lo) as u64;
+        let nbytes = dtype.bytes_for(len);
+        self.resilience.settle(offset, nbytes as u64)?;
+        let staging = pool.acquire(nbytes);
+        Ok(PlacedPending { read: Some((self.nvme.submit_read_into(offset, staging), offset)) })
     }
 
     /// One synchronous device read at `offset`, filling `into`.
@@ -919,7 +1128,7 @@ impl OffloadManager {
             // Record the CRC at submission: the write either lands these
             // exact bytes or reports failure (here, or at `flush` when
             // unwaited). The one copy hands the engine bytes it owns.
-            self.resilience.record(seg.block.offset, bytes);
+            self.resilience.record(seg.block.offset, bytes)?;
             let _pinned = wait.then(|| self.pinned.acquire());
             let ticket = self.nvme.submit_write(seg.block.offset, bytes.to_vec());
             if wait {
@@ -946,10 +1155,10 @@ impl OffloadManager {
         let mut nonfinite = false;
         for (i, delta) in delta.chunks(chunk).enumerate() {
             let (lo, off) = (i * chunk, seg.block.offset + DType::F32.bytes_for(i * chunk) as u64);
-            let read = self.begin_segment_read(&self.staging, DType::F32, seg, lo, delta.len());
+            let read = self.begin_segment_read(&self.staging, DType::F32, seg, lo, delta.len())?;
             let mut sums = read.wait(self)?.ok_or_else(piece_mismatch)?;
             nonfinite |= accumulate_f32(sums.as_f32_mut(), delta);
-            self.resilience.record(off, sums.as_bytes());
+            self.resilience.record(off, sums.as_bytes())?;
             self.nvme.wait_buf(self.nvme.submit_write_from(off, sums))?;
         }
         Ok(nonfinite)
@@ -1057,11 +1266,19 @@ impl OffloadManager {
     /// compute (Sec. 6.2). The reads are issued whether or not the shard
     /// cache holds the buffer: a caller that wants no read for a cached
     /// shard asks [`Self::cached`] first, as [`Self::fetch_placed`] does.
-    pub(crate) fn begin_load(&self, buf: &PlacedBuf) -> Vec<PlacedPending> {
-        buf.segments
-            .iter()
-            .map(|seg| self.begin_segment_read(&self.load_staging, buf.dtype, seg, 0, seg.len))
-            .collect()
+    /// A failure leaves no read in flight.
+    pub(crate) fn begin_load(&self, buf: &PlacedBuf) -> Result<Vec<PlacedPending>> {
+        let mut pieces = Vec::with_capacity(buf.segments.len());
+        for seg in &buf.segments {
+            match self.begin_segment_read(&self.load_staging, buf.dtype, seg, 0, seg.len) {
+                Ok(piece) => pieces.push(piece),
+                Err(e) => {
+                    pieces.into_iter().for_each(|piece| piece.discard(self));
+                    return Err(e);
+                }
+            }
+        }
+        Ok(pieces)
     }
 
     /// Resolve the pieces of [`Self::begin_load`] into the buffer's
@@ -1126,7 +1343,7 @@ impl OffloadManager {
     pub fn fetch_placed<'a>(&self, buf: &'a PlacedBuf) -> Result<LoadedBytes<'a>> {
         match self.cached(buf, true) {
             Some(hit) => Ok(hit),
-            None => self.finish_load(buf, self.begin_load(buf), true),
+            None => self.finish_load(buf, self.begin_load(buf)?, true),
         }
     }
 
@@ -1135,7 +1352,7 @@ impl OffloadManager {
     /// activation checkpoints are read once per write, so they neither
     /// consult nor fill the shard cache.
     pub fn load_placed(&self, buf: &PlacedBuf) -> Result<FlatBuffer> {
-        let loaded = self.finish_load(buf, self.begin_load(buf), false)?;
+        let loaded = self.finish_load(buf, self.begin_load(buf)?, false)?;
         FlatBuffer::from_bytes(buf.dtype, loaded.as_bytes().to_vec())
     }
 
@@ -1175,7 +1392,7 @@ impl OffloadManager {
         }
         Ok(match buf.segments.get(buf.segment_index(start)) {
             Some(seg) => {
-                self.begin_segment_read(&self.staging, buf.dtype, seg, start - seg.start, len)
+                self.begin_segment_read(&self.staging, buf.dtype, seg, start - seg.start, len)?
             }
             None => PlacedPending { read: None },
         })
@@ -1230,12 +1447,13 @@ impl OffloadManager {
         Ok(())
     }
 
-    /// Begin overwriting `buf` chunk by chunk (see [`PublishStream`]).
+    /// Begin overwriting `buf` chunk by chunk (see [`PublishStream`]):
+    /// write-back when the CPU pool has room for its image.
     pub fn begin_publish(&self, buf: &PlacedBuf) -> PublishStream {
         let deposit = buf.extent().and_then(|(offset, len)| {
             self.resilience.begin_deposit(offset, len, &self.load_staging)
         });
-        PublishStream { mgr: self.clone(), next: 0, deposit }
+        PublishStream { mgr: self.clone(), next: 0, deposit, staged: None }
     }
 
     /// Re-publish every NVMe-resident segment to CPU DRAM, leaving
@@ -1248,7 +1466,7 @@ impl OffloadManager {
     /// caller falls back to checkpoint recovery.
     pub(crate) fn collapse(&self, buf: &mut PlacedBuf) -> Result<()> {
         for seg in &mut buf.segments {
-            let read = self.begin_segment_read(&self.load_staging, buf.dtype, seg, 0, seg.len);
+            let read = self.begin_segment_read(&self.load_staging, buf.dtype, seg, 0, seg.len)?;
             let Some(bytes) = read.wait(self)? else { continue };
             let data = FlatBuffer::from_bytes(buf.dtype, bytes.as_bytes().to_vec())?;
             let cpu = self.store_segment(Device::cpu(), seg.start, data, seg.len)?;
@@ -1375,7 +1593,7 @@ impl WriteBehind {
             bytes.chunks(tile.max(1)).zip(crcs).all(|(bytes, &crc)| crc32(bytes) == crc),
             "write-behind checksums are not those of the bytes"
         );
-        mgr.resilience.record_tiles(offset, tile as u64, crcs);
+        mgr.resilience.record_tiles(offset, tile as u64, crcs)?;
         // Harvest writes that already completed before deciding to
         // block: FIFO service completes the oldest tickets first, so
         // reaping from the front retires everything the device has
@@ -1425,66 +1643,90 @@ impl Drop for WriteBehind {
 }
 
 /// An in-order, chunk-at-a-time overwrite of one whole buffer in its
-/// storage dtype: the chunk-streamed step's second write per record.
+/// storage dtype: the chunk-streamed step's publish of each parameter.
 ///
-/// A piece bound for an NVMe segment is encoded into a staging buffer —
-/// by the streamed step's fused Adam kernel itself, which also
-/// checksums it ([`Self::stage`], [`Self::push`]) — and queued on the
-/// caller's [`WriteBehind`], so the publish overlaps the next chunk's
-/// update instead of costing a whole-shard vector plus a blocking write
-/// per parameter. [`Self::push_values`] encodes f32 values here, cut at
-/// the buffer's segment boundaries, a resident piece in place. Every
-/// queued piece records its own checksum at submission, like all
-/// write-behind traffic; a later whole-segment fetch is verified against
-/// the chunk checksums that tile it. A whole-buffer overwrite is the
-/// one-chunk case.
+/// **Write-back** when the buffer is one NVMe extent and the CPU pool has
+/// room for its image (charged when the stream begins): the stream owns
+/// the image that [`Self::finish`] installs as the shard's dirty cache
+/// entry, and the streamed step's fused Adam kernel encodes each piece
+/// straight into it, checksumming it as it goes ([`Self::stage`],
+/// [`Self::push`]) — no staging buffer, no copy, no device write. The
+/// image reaches the device only when the entry has to (see
+/// [`ShardCache`]), so the next fetch of the shard is a hit. A stream
+/// dropped before its last piece writes what it holds to the device
+/// instead, as a write-through publish would have left the extent.
 ///
-/// Write-through: when the buffer is one NVMe extent and the CPU pool
-/// has room, the stream also assembles the bytes it writes into the
-/// image that [`Self::finish`] installs in the shard cache, so the next
-/// fetch of the shard is a hit. The entry the publish supersedes leaves
-/// the cache when the stream begins and the new one is charged at
-/// `finish`; a stream dropped before that installs nothing.
+/// **Write-through** otherwise: a piece bound for an NVMe segment is
+/// encoded into a staging buffer and queued on the caller's
+/// [`WriteBehind`] under its own checksum, recorded at submission like
+/// all write-behind traffic, so the publish overlaps the next chunk's
+/// update; a later whole-segment fetch is verified against the chunk
+/// checksums that tile it. [`Self::push_values`] encodes f32 values here,
+/// cut at the buffer's segment boundaries, a resident piece in place. A
+/// whole-buffer overwrite is the one-chunk case.
 pub struct PublishStream {
     mgr: OffloadManager,
     next: usize,
+    /// The image a write-back publish encodes into.
     deposit: Option<Deposit>,
+    /// The staging buffer [`Self::stage`] handed out for a written-through
+    /// piece, until [`Self::push`] queues it.
+    staged: Option<ScratchVec>,
 }
 
 impl PublishStream {
-    /// A staging buffer for the encoded bytes of the next `len` elements
-    /// of `buf`, the buffer the stream was begun on, when they lie in one
-    /// NVMe segment: the fused optimizer kernel writes a record's publish
-    /// piece straight into it. `None` where [`Self::push_values`] must
-    /// place them (DRAM, or across segments).
-    pub fn stage(&self, buf: &PlacedBuf, len: usize) -> Option<ScratchVec> {
+    /// Where the encoded bytes of the next `len` elements of `buf`, the
+    /// buffer the stream was begun on, go when they lie in one NVMe
+    /// segment: their place in the image, or a staging buffer. The fused
+    /// optimizer kernel writes a record's publish piece straight into it,
+    /// and [`Self::push`] commits it. `None` where [`Self::push_values`]
+    /// must place them (DRAM, or across segments).
+    pub fn stage(&mut self, buf: &PlacedBuf, len: usize) -> Option<&mut [u8]> {
         let nbytes = buf.dtype.bytes_for(len);
-        (len > 0 && self.next + len <= buf.numel && buf.device_offset(self.next, nbytes).is_some())
-            .then(|| self.mgr.staging.acquire(nbytes))
+        let fits = len > 0 && self.next + len <= buf.numel;
+        if !fits || buf.device_offset(self.next, nbytes).is_none() {
+            return None;
+        }
+        Some(match &mut self.deposit {
+            Some(deposit) => {
+                let lo = buf.dtype.bytes_for(self.next);
+                &mut deposit.image.as_bytes_mut()[lo..lo + nbytes]
+            }
+            None => self.staged.insert(self.mgr.staging.acquire(nbytes)).as_bytes_mut(),
+        })
     }
 
-    /// Overwrite the next elements of `buf` with `piece`, their bytes in
-    /// `buf`'s dtype from [`Self::stage`], queued on `wb` under `crc`, the
-    /// CRC32-C of those bytes as the kernel that encoded them computed
-    /// it.
+    /// Overwrite the next `len` elements of `buf` with the piece
+    /// [`Self::stage`] handed out for them, under `crc`, the CRC32-C of its
+    /// bytes as the kernel that encoded them computed it: kept with the
+    /// image, or queued on `wb` with the staging buffer.
     pub fn push(
         &mut self,
         wb: &mut WriteBehind,
         buf: &PlacedBuf,
-        piece: ScratchVec,
+        len: usize,
         crc: u32,
     ) -> Result<()> {
-        let nbytes = piece.as_bytes().len();
-        let len = nbytes / buf.dtype.size_in_bytes();
+        let nbytes = buf.dtype.bytes_for(len);
         let offset = buf.device_offset(self.next, nbytes).filter(|_| self.next + len <= buf.numel);
         let offset = offset
             .ok_or_else(|| Error::Internal("publish piece is not the next NVMe extent".into()))?;
-        if let Some(deposit) = &mut self.deposit {
-            let lo = (offset - deposit.offset) as usize;
-            deposit.image.as_bytes_mut()[lo..lo + nbytes].copy_from_slice(piece.as_bytes());
-            deposit.tiles.push((nbytes as u64, crc));
+        match &mut self.deposit {
+            Some(deposit) => {
+                let lo = buf.dtype.bytes_for(self.next);
+                debug_assert_eq!(
+                    crc32(&deposit.image.as_bytes()[lo..lo + nbytes]),
+                    crc,
+                    "publish checksum is not that of the image's bytes"
+                );
+                deposit.tiles.push((nbytes as u64, crc));
+            }
+            None => {
+                let piece = self.staged.take().filter(|piece| piece.as_bytes().len() == nbytes);
+                let piece = piece.ok_or_else(|| Error::Internal("no staged publish piece".into()))?;
+                wb.submit_at(&self.mgr, offset, piece, &[crc])?;
+            }
         }
-        wb.submit_at(&self.mgr, offset, piece, &[crc])?;
         self.next += len;
         Ok(())
     }
@@ -1515,10 +1757,12 @@ impl PublishStream {
                     self.next += piece.len();
                 }
                 None => {
-                    let mut staging = self.mgr.staging.acquire(dtype.bytes_for(piece.len()));
-                    encode_f32(dtype, piece, staging.as_bytes_mut())?;
-                    let crc = crc32(staging.as_bytes());
-                    self.push(wb, buf, staging, crc)?;
+                    let bytes = self.stage(buf, piece.len()).ok_or_else(|| {
+                        Error::Internal("publish piece is not the next NVMe extent".into())
+                    })?;
+                    encode_f32(dtype, piece, bytes)?;
+                    let crc = crc32(bytes);
+                    self.push(wb, buf, piece.len(), crc)?;
                 }
             }
             values = rest;
@@ -1526,20 +1770,28 @@ impl PublishStream {
         Ok(())
     }
 
-    /// Seal the overwrite of `buf`: every element was pushed. The
-    /// assembled image becomes the shard's cache entry.
-    pub fn finish(self, buf: &PlacedBuf) -> Result<()> {
+    /// Seal the overwrite of `buf`: every element was pushed. A
+    /// write-back image becomes the shard's dirty cache entry.
+    pub fn finish(mut self, buf: &PlacedBuf) -> Result<()> {
         if self.next != buf.numel {
             return Err(Error::Internal(format!(
                 "publish covered {} of {} elements",
                 self.next, buf.numel
             )));
         }
-        if let Some(Deposit { offset, image, tiles }) = self.deposit {
-            // A refusal only means the next fetch reads the device.
-            let _ = self.mgr.resilience.admit(offset, &tiles, image);
+        match self.deposit.take() {
+            Some(deposit) => self.mgr.resilience.install(deposit),
+            None => Ok(()),
         }
-        Ok(())
+    }
+}
+
+/// A write-back publish dropped unfinished still lands what it holds.
+impl Drop for PublishStream {
+    fn drop(&mut self) {
+        if let Some(deposit) = self.deposit.take() {
+            self.mgr.resilience.abandon(deposit);
+        }
     }
 }
 
@@ -1573,8 +1825,9 @@ mod tests {
 
     /// Evict every cached shard, as a CPU tenant short of room would.
     fn evict_shard_cache(mgr: &OffloadManager) -> usize {
+        let mut map = mgr.resilience.checksums.lock();
         let mut cache = mgr.resilience.cache.shards.lock();
-        mgr.resilience.evict_all(&mut cache, mgr.tracer())
+        mgr.resilience.evict_all(&mut map, &mut cache).unwrap()
     }
 
     fn in_use(mgr: &OffloadManager) -> (u64, u64) {
@@ -1636,7 +1889,7 @@ mod tests {
         let node = node();
         let mgr = node.offload_manager();
         let buf = store_on(&mgr, Device::nvme(), buf_f32(&[7.0; 64])).unwrap();
-        let pending = mgr.begin_load(&buf);
+        let pending = mgr.begin_load(&buf).unwrap();
         assert!(buf.is_offloaded() && pending.len() == 1);
         // ... compute would happen here ...
         let data = mgr.finish_load(&buf, pending, true).unwrap();
@@ -1650,7 +1903,7 @@ mod tests {
         let node = node();
         let mgr = node.offload_manager();
         let buf = store_on(&mgr, Device::cpu(), buf_f32(&[1.0, 2.0])).unwrap();
-        let pending = mgr.begin_load(&buf);
+        let pending = mgr.begin_load(&buf).unwrap();
         assert!(!buf.is_offloaded() && pending.iter().all(|p| p.ready(&mgr)));
         // The resident buffer itself is handed out: no copy, no staging.
         let data = mgr.finish_load(&buf, pending, true).unwrap();
@@ -1709,7 +1962,7 @@ mod tests {
         let mgr = node.offload_manager();
         let buf = store_on(&mgr, Device::nvme(), buf_f32(&[9.0; 32])).unwrap();
         plan.bitflip_next_reads(1);
-        let pending = mgr.begin_load(&buf);
+        let pending = mgr.begin_load(&buf).unwrap();
         let data = mgr.finish_load(&buf, pending, true).unwrap();
         assert_eq!(data.as_bytes(), buf_f32(&[9.0; 32]).as_bytes());
         assert_eq!(mgr.health().corruptions_recovered, 1);
@@ -2199,6 +2452,75 @@ mod tests {
         assert_eq!(mgr.staging().outstanding() + mgr.load_staging.outstanding(), 0);
     }
 
+    /// A node with a CPU pool of `cpu` bytes over a scriptable device that
+    /// does not retry.
+    fn pool_node(cpu: u64) -> (zi_nvme::FaultPlan, NodeResources) {
+        let spec = NodeMemorySpec::test_spec(1, 1 << 20, cpu, 1 << 20);
+        let plan = zi_nvme::FaultPlan::new();
+        let backend = Arc::new(zi_nvme::FaultyBackend::new(MemBackend::new(), plan.clone()));
+        let env = NodeEnv { policy: RetryPolicy::none(), ..NodeEnv::new(backend) };
+        (plan, NodeResources::new(&spec, 1, env))
+    }
+
+    #[test]
+    fn a_publish_is_written_back_only_when_its_entry_has_to_leave() {
+        // A CPU pool of 1000 B; a shard of 400 B.
+        let (plan, node) = pool_node(1000);
+        let mgr = node.offload_manager();
+        let cpu = || mgr.hierarchy().stats(Device::cpu()).in_use;
+        let vals: Vec<f32> = (0..100).map(|i| i as f32 * 0.5 - 20.0).collect();
+        let mut buf = store_on(&mgr, Device::nvme(), buf_f32(&[0.0; 100])).unwrap();
+        let writes = || mgr.nvme().stats().writes;
+        let before = writes();
+        publish_chunked(&mgr, &mut buf, &vals).unwrap();
+        assert_eq!((writes() - before, cpu()), (0, 400), "the image went to the cache alone");
+        assert_eq!(mgr.fetch_placed(&buf).unwrap().as_bytes(), buf_f32(&vals).as_bytes());
+        // A read that bypasses the cache finds the image on the device:
+        // one request, verified under the publish's twenty pieces.
+        assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vals);
+        assert_eq!((writes() - before, mgr.health().shard_cache_write_backs), (1, 1));
+        let tiles = mgr.resilience.tiles(buf.extent().unwrap().0, 400).map(|t| t.len());
+        assert_eq!((tiles, cpu()), (Some(20), 400), "clean now, and still cached");
+
+        // A tenant that needs the room while a publish is in flight takes
+        // the publish's charge; the finished publish goes to the device.
+        let next: Vec<f32> = vals.iter().map(|v| -v).collect();
+        let mut wb = WriteBehind::new(2);
+        let mut publish = mgr.begin_publish(&buf);
+        publish.push_values(&mut wb, &mut buf, &next[..50]).unwrap();
+        let tenant = store_on(&mgr, Device::cpu(), buf_f32(&[0.0; 200])).unwrap();
+        assert_eq!(cpu(), 800, "the publish gave up its room");
+        publish.push_values(&mut wb, &mut buf, &next[50..]).unwrap();
+        wb.drain(&mgr).unwrap();
+        publish.finish(&buf).unwrap();
+        assert!(mgr.cached(&buf, false).is_none());
+        assert_eq!((writes() - before, mgr.health().shard_cache_write_backs), (2, 2));
+        plan.bitflip_next_reads(1);
+        assert_eq!(mgr.fetch_placed(&buf).unwrap().as_bytes(), buf_f32(&next).as_bytes());
+        assert_eq!(mgr.health().corruptions_recovered, 1, "verified under the piece checksums");
+        for buf in [tenant, buf] {
+            mgr.free_placed(buf);
+        }
+        assert_eq!(in_use(&mgr), (0, 0));
+
+        // On a fresh node, a dirty entry whose write-back meets a dead
+        // device stays: the tenant that needed its room gets the device
+        // error, and the published bytes are still served.
+        let (plan, node) = pool_node(1000);
+        let mgr = node.offload_manager();
+        let mut buf = store_on(&mgr, Device::nvme(), buf_f32(&[0.0; 100])).unwrap();
+        publish_chunked(&mgr, &mut buf, &vals).unwrap();
+        plan.kill();
+        let refused = store_on(&mgr, Device::cpu(), buf_f32(&[0.0; 200]));
+        assert!(refused.is_err_and(|e| e.is_device_failure()));
+        assert_eq!(mgr.fetch_placed(&buf).unwrap().as_bytes(), buf_f32(&vals).as_bytes());
+        assert_eq!(mgr.health().shard_cache_write_backs, 0);
+        // A free drops it unwritten.
+        mgr.free_placed(buf);
+        assert_eq!(in_use(&mgr), (0, 0));
+        assert_eq!(mgr.staging().outstanding() + mgr.load_staging.outstanding(), 0);
+    }
+
     #[test]
     fn accumulate_in_place_fuses_overflow_scan() {
         let node = node();
@@ -2267,7 +2589,7 @@ mod tests {
         let buf = store_nvme(&mgr, PlacementPolicy::split(500, 16), &vals);
         let nvme_segments = buf.segments.iter().filter(|s| s.ram.is_none()).count() as u64;
         let before = mgr.nvme().stats();
-        let pending = mgr.begin_load(&buf);
+        let pending = mgr.begin_load(&buf).unwrap();
         let data = mgr.finish_load(&buf, pending, true).unwrap();
         assert_eq!(data.as_bytes(), buf_f32(&vals).as_bytes());
         let after = mgr.nvme().stats();

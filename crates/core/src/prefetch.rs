@@ -142,7 +142,10 @@ impl Prefetcher {
         if self.pending.len() >= MAX_PENDING || !shard.is_offloaded() {
             return;
         }
-        self.pending.insert(id, mgr.begin_load(shard));
+        // A failure (a write-back the device refused) is the demand
+        // fetch's to surface.
+        let Ok(pieces) = mgr.begin_load(shard) else { return };
+        self.pending.insert(id, pieces);
         self.stats.issued += 1;
         mgr.tracer().count(Counter::PrefetchIssued, 1);
     }

@@ -53,11 +53,7 @@ mod tests {
 
     fn shape(hidden: u64, batch: u64, seq: u64, ci: u64) -> TrainingShape {
         TrainingShape {
-            model: ModelShape {
-                layers: 50,
-                hidden,
-                attn_heads: 16,
-            },
+            model: ModelShape { layers: 50, hidden, attn_heads: 16 },
             batch: batch as f64,
             seq,
             ckpt_interval: ci,
@@ -101,9 +97,6 @@ mod tests {
     #[test]
     fn ait_scales_linearly() {
         assert_eq!(ait_params_grads(1024, 4), 2.0 * ait_params_grads(1024, 2));
-        assert_eq!(
-            ait_activation_checkpoints(16384, 1),
-            2.0 * ait_activation_checkpoints(8192, 1)
-        );
+        assert_eq!(ait_activation_checkpoints(16384, 1), 2.0 * ait_activation_checkpoints(8192, 1));
     }
 }

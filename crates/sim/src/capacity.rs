@@ -117,9 +117,7 @@ mod tests {
     }
 
     fn max_params(strategy: SimStrategy, cluster: &ClusterSpec, fam: &[SimModel]) -> u64 {
-        max_model_size(strategy, cluster, fam)
-            .map(|m| m.shape.model.params())
-            .unwrap_or(0)
+        max_model_size(strategy, cluster, fam).map(|m| m.shape.model.params()).unwrap_or(0)
     }
 
     /// Fig. 6a: the strategy ladder on a single DGX-2.
@@ -138,29 +136,17 @@ mod tests {
         // ("almost 100B"); Inf-NVMe 1T.
         assert!((1.0e9..2.8e9).contains(&(dp as f64)), "DP ceiling {dp}");
         assert!((8e9..16e9).contains(&(z2 as f64)), "ZeRO-2 ceiling {z2}");
-        assert!(
-            (10e9..20e9).contains(&(off as f64)),
-            "Offload ceiling {off}"
-        );
+        assert!((10e9..20e9).contains(&(off as f64)), "Offload ceiling {off}");
         assert!((18e9..32e9).contains(&(z3 as f64)), "ZeRO-3 ceiling {z3}");
-        assert!(
-            (5e10..1.1e11).contains(&(icpu as f64)),
-            "Inf-CPU ceiling {icpu}"
-        );
-        assert!(
-            (7e11..1.5e12).contains(&(invme as f64)),
-            "Inf-NVMe ceiling {invme}"
-        );
+        assert!((5e10..1.1e11).contains(&(icpu as f64)), "Inf-CPU ceiling {icpu}");
+        assert!((7e11..1.5e12).contains(&(invme as f64)), "Inf-NVMe ceiling {invme}");
 
         // Ordering is strict: each rung beats the previous.
         assert!(dp < z2 && z2 <= off && off < z3 && z3 < icpu && icpu < invme);
 
         // Paper headline: 700x from data parallelism to Inf-NVMe.
         let factor = invme as f64 / dp as f64;
-        assert!(
-            (300.0..1500.0).contains(&factor),
-            "DP→Inf-NVMe factor {factor}"
-        );
+        assert!((300.0..1500.0).contains(&factor), "DP→Inf-NVMe factor {factor}");
     }
 
     /// Fig. 1: 32-node ceilings — 3D parallelism ~0.65T, ZeRO-Infinity
@@ -171,19 +157,10 @@ mod tests {
         let fam = fig1_family();
         let threed = max_params(SimStrategy::ThreeD, &c, &fam);
         let inf = max_params(SimStrategy::InfinityNvme, &c, &fam);
-        assert!(
-            (4e11..8e11).contains(&(threed as f64)),
-            "3D ceiling {threed} (paper ~650B)"
-        );
-        assert!(
-            (2e13..4.5e13).contains(&(inf as f64)),
-            "Infinity ceiling {inf} (paper 32T)"
-        );
+        assert!((4e11..8e11).contains(&(threed as f64)), "3D ceiling {threed} (paper ~650B)");
+        assert!((2e13..4.5e13).contains(&(inf as f64)), "Infinity ceiling {inf} (paper 32T)");
         let leap = inf as f64 / threed as f64;
-        assert!(
-            (20.0..100.0).contains(&leap),
-            "scale leap {leap}x (paper ~50x)"
-        );
+        assert!((20.0..100.0).contains(&leap), "scale leap {leap}x (paper ~50x)");
     }
 
     /// Per-node ZeRO-Infinity supports ~1T parameters (Sec. 5.1): the
@@ -195,10 +172,7 @@ mod tests {
             let c = ClusterSpec::dgx2(nodes);
             let inf = max_params(SimStrategy::InfinityNvme, &c, &fam) as f64;
             let per_node = inf / nodes as f64;
-            assert!(
-                (0.6e12..1.6e12).contains(&per_node),
-                "{nodes} nodes: {per_node} params/node"
-            );
+            assert!((0.6e12..1.6e12).contains(&per_node), "{nodes} nodes: {per_node} params/node");
         }
     }
 

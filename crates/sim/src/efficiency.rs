@@ -37,10 +37,7 @@ pub fn efficiency_curve(
 /// Bandwidth (bytes/s) needed to reach a target efficiency — the inverse
 /// of Eq. (6); used for the Sec. 5.2 thresholds and Table 3.
 pub fn bandwidth_for_efficiency(ait: f64, peak_tp_flops: f64, target: f64) -> f64 {
-    assert!(
-        (0.0..1.0).contains(&target),
-        "target efficiency must be in [0,1)"
-    );
+    assert!((0.0..1.0).contains(&target), "target efficiency must be in [0,1)");
     // eff = ait*bw / (ait*bw + peak) ⇒ bw = peak * eff / (ait * (1 - eff)).
     peak_tp_flops * target / (ait * (1.0 - target))
 }
@@ -83,10 +80,7 @@ mod tests {
         let ait = ait_optimizer_states(1024, 2);
         let bw = bandwidth_for_efficiency(ait, V100_PEAK_TP, 0.9);
         let tbps = bw / 1e12;
-        assert!(
-            (1.0..2.0).contains(&tbps),
-            "90% efficiency needs {tbps} TB/s, paper says ~1.5"
-        );
+        assert!((1.0..2.0).contains(&tbps), "90% efficiency needs {tbps} TB/s, paper says ~1.5");
     }
 
     /// Sec. 5.2.3 / Fig. 3c: ~2 GB/s sustains >=50% for hidden 2K, and

@@ -127,11 +127,7 @@ pub fn fig5c() -> Vec<ThroughputRow> {
 /// Fig. 6a: max model size per strategy on one DGX-2 node, in Table 2
 /// order.
 pub fn fig6a() -> Vec<CeilingRow> {
-    ceilings(
-        &ClusterSpec::dgx2(1),
-        &fig6a_family(),
-        SimStrategy::fig6a_order(),
-    )
+    ceilings(&ClusterSpec::dgx2(1), &fig6a_family(), SimStrategy::fig6a_order())
 }
 
 /// Fig. 6c row: backward time at a GPU count.
@@ -154,18 +150,12 @@ pub struct Fig6cRow {
 /// difference is ZeRO-Offload's single-PCIe gradient transfer versus
 /// ZeRO-Infinity's bandwidth-centric transfer across all links.
 pub fn fig6c() -> Vec<Fig6cRow> {
-    let opts = SimOptions {
-        overlap: false,
-        act_ckpt_offload: false,
-    };
+    let opts = SimOptions { overlap: false, act_ckpt_offload: false };
     [4u64, 16, 32, 64]
         .into_iter()
         .map(|gpus| {
             let cluster = if gpus < 16 {
-                ClusterSpec {
-                    gpus_per_node: gpus,
-                    ..ClusterSpec::dgx2(1)
-                }
+                ClusterSpec { gpus_per_node: gpus, ..ClusterSpec::dgx2(1) }
             } else {
                 ClusterSpec::dgx2(gpus / 16)
             };
@@ -176,12 +166,7 @@ pub fn fig6c() -> Vec<Fig6cRow> {
                 2.0 / 3.0 * iteration_time(SimStrategy::Zero3, &cluster, &m, &opts).compute;
             let off = compute + grad_bytes / cluster.pcie_single;
             let inf = compute + grad_bytes / (gpus as f64 * cluster.cpu_bw_per_gpu);
-            Fig6cRow {
-                gpus,
-                offload_bwd_s: off,
-                infinity_bwd_s: inf,
-                speedup: off / inf,
-            }
+            Fig6cRow { gpus, offload_bwd_s: off, infinity_bwd_s: inf, speedup: off / inf }
         })
         .collect()
 }
@@ -210,19 +195,13 @@ pub fn fig6d() -> Vec<Fig6dRow> {
                 SimStrategy::InfinityNvme,
                 &cluster,
                 &m,
-                &SimOptions {
-                    overlap: true,
-                    act_ckpt_offload: false,
-                },
+                &SimOptions { overlap: true, act_ckpt_offload: false },
             );
             let off = iteration_time(
                 SimStrategy::InfinityNvme,
                 &cluster,
                 &m,
-                &SimOptions {
-                    overlap: false,
-                    act_ckpt_offload: false,
-                },
+                &SimOptions { overlap: false, act_ckpt_offload: false },
             );
             Fig6dRow {
                 batch_per_gpu: bsz,
@@ -254,24 +233,15 @@ pub fn fig6e() -> Vec<Fig6eRow> {
                 SimStrategy::InfinityCpu,
                 &cluster,
                 &m,
-                &SimOptions {
-                    overlap: false,
-                    act_ckpt_offload: true,
-                },
+                &SimOptions { overlap: false, act_ckpt_offload: true },
             );
             let without = iteration_time(
                 SimStrategy::InfinityCpu,
                 &cluster,
                 &m,
-                &SimOptions {
-                    overlap: false,
-                    act_ckpt_offload: false,
-                },
+                &SimOptions { overlap: false, act_ckpt_offload: false },
             );
-            Fig6eRow {
-                hidden,
-                slowdown: with.total / without.total,
-            }
+            Fig6eRow { hidden, slowdown: with.total / without.total }
         })
         .collect()
 }
@@ -298,10 +268,7 @@ pub fn fig6d_pipeline_depths() -> Vec<(usize, f64)> {
         compute: per_layer_compute,
     };
     let modules = vec![cost; layers as usize];
-    [0usize, 1, 2, 3, 4]
-        .into_iter()
-        .map(|d| (d, prefetch_speedup(&modules, d)))
-        .collect()
+    [0usize, 1, 2, 3, 4].into_iter().map(|d| (d, prefetch_speedup(&modules, d))).collect()
 }
 
 #[cfg(test)]
@@ -357,10 +324,7 @@ mod tests {
     fn fig5c_all_single_node_configs_run() {
         let rows = fig5c();
         assert_eq!(rows.len(), 5);
-        assert!(
-            rows.iter().all(|r| r.fits),
-            "every Fig. 5c config must fit on one node"
-        );
+        assert!(rows.iter().all(|r| r.fits), "every Fig. 5c config must fit on one node");
         // 100B stays above 30 TFlops (paper: >40 up to 100B).
         assert!(rows[2].tflops_per_gpu > 30.0);
     }

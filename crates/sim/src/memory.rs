@@ -67,11 +67,7 @@ impl TrainingShape {
     /// Total activation bytes without checkpointing (the `16 * hd` term of
     /// Eq. (5) summed over all layers, i.e. AWM with `ci = nl`).
     pub fn full_activation_bytes(&self) -> f64 {
-        TrainingShape {
-            ckpt_interval: self.model.layers,
-            ..*self
-        }
-        .awm_bytes()
+        TrainingShape { ckpt_interval: self.model.layers, ..*self }.awm_bytes()
     }
 
     /// Activation Working Memory, Eq. (5): activations between two
@@ -91,31 +87,11 @@ impl TrainingShape {
 /// The five model configurations of Fig. 2a.
 pub fn fig2a_rows() -> Vec<ModelShape> {
     vec![
-        ModelShape {
-            layers: 80,
-            hidden: 10 * 1024,
-            attn_heads: 128,
-        },
-        ModelShape {
-            layers: 100,
-            hidden: 20 * 1024,
-            attn_heads: 160,
-        },
-        ModelShape {
-            layers: 128,
-            hidden: 25 * 1024,
-            attn_heads: 256,
-        },
-        ModelShape {
-            layers: 195,
-            hidden: 64 * 1024,
-            attn_heads: 512,
-        },
-        ModelShape {
-            layers: 315,
-            hidden: 160 * 1024,
-            attn_heads: 1024,
-        },
+        ModelShape { layers: 80, hidden: 10 * 1024, attn_heads: 128 },
+        ModelShape { layers: 100, hidden: 20 * 1024, attn_heads: 160 },
+        ModelShape { layers: 128, hidden: 25 * 1024, attn_heads: 256 },
+        ModelShape { layers: 195, hidden: 64 * 1024, attn_heads: 512 },
+        ModelShape { layers: 315, hidden: 160 * 1024, attn_heads: 1024 },
     ]
 }
 
@@ -133,10 +109,7 @@ mod tests {
         assert!((params / 1e12 - 1.01).abs() < 0.01, "params = {params}");
         // Column 5: 18.31 TB of model states.
         let states_tb = m.model_state_bytes() as f64 / TB;
-        assert!(
-            (states_tb - 20.13).abs() < 0.5,
-            "model states = {states_tb} TB"
-        );
+        assert!((states_tb - 20.13).abs() < 0.5, "model states = {states_tb} TB");
     }
 
     /// All five Fig. 2a parameter counts (0.10T .. 101.47T).
@@ -154,17 +127,9 @@ mod tests {
     fn fig2a_activation_checkpoint_column() {
         let expect_tb = [0.05, 0.12, 0.20, 0.76, 3.08];
         for (m, e) in fig2a_rows().iter().zip(expect_tb) {
-            let t = TrainingShape {
-                model: *m,
-                batch: 32.0,
-                seq: 1024,
-                ckpt_interval: 1,
-            };
+            let t = TrainingShape { model: *m, batch: 32.0, seq: 1024, ckpt_interval: 1 };
             let tb = t.activation_checkpoint_bytes() / TB;
-            assert!(
-                (tb - e).abs() / e < 0.15,
-                "act ckpt {tb} TB vs paper {e} TB"
-            );
+            assert!((tb - e).abs() / e < 0.15, "act ckpt {tb} TB vs paper {e} TB");
         }
     }
 
@@ -186,46 +151,19 @@ mod tests {
     /// Flops per iteration follows Eq. (8): `96 * bsz * seq * nl * hd^2`.
     #[test]
     fn flops_identity() {
-        let m = ModelShape {
-            layers: 10,
-            hidden: 512,
-            attn_heads: 8,
-        };
-        let t = TrainingShape {
-            model: m,
-            batch: 4.0,
-            seq: 128,
-            ckpt_interval: 1,
-        };
-        assert_eq!(
-            t.flops_per_iter(),
-            (96 * 4 * 128 * 10 * 512 * 512_u64) as f64
-        );
+        let m = ModelShape { layers: 10, hidden: 512, attn_heads: 8 };
+        let t = TrainingShape { model: m, batch: 4.0, seq: 128, ckpt_interval: 1 };
+        assert_eq!(t.flops_per_iter(), (96 * 4 * 128 * 10 * 512 * 512_u64) as f64);
     }
 
     /// Checkpointing divides stored activations by ci and full activations
     /// dominate checkpointed ones.
     #[test]
     fn checkpoint_interval_scaling() {
-        let m = ModelShape {
-            layers: 24,
-            hidden: 2048,
-            attn_heads: 16,
-        };
-        let t1 = TrainingShape {
-            model: m,
-            batch: 8.0,
-            seq: 1024,
-            ckpt_interval: 1,
-        };
-        let t2 = TrainingShape {
-            ckpt_interval: 2,
-            ..t1
-        };
-        assert_eq!(
-            t1.activation_checkpoint_bytes(),
-            2.0 * t2.activation_checkpoint_bytes()
-        );
+        let m = ModelShape { layers: 24, hidden: 2048, attn_heads: 16 };
+        let t1 = TrainingShape { model: m, batch: 8.0, seq: 1024, ckpt_interval: 1 };
+        let t2 = TrainingShape { ckpt_interval: 2, ..t1 };
+        assert_eq!(t1.activation_checkpoint_bytes(), 2.0 * t2.activation_checkpoint_bytes());
         assert!(t1.full_activation_bytes() > t1.activation_checkpoint_bytes());
         // AWM grows with ci (more layers to recompute and hold).
         assert!(t2.awm_bytes() > t1.awm_bytes());

@@ -79,17 +79,8 @@ impl SimModel {
         batch_per_gpu: f64,
         mp: u64,
     ) -> Self {
-        let model = ModelShape {
-            layers,
-            hidden,
-            attn_heads,
-        };
-        let shape = TrainingShape {
-            model,
-            batch: batch_per_gpu,
-            seq: 1024,
-            ckpt_interval: 1,
-        };
+        let model = ModelShape { layers, hidden, attn_heads };
+        let shape = TrainingShape { model, batch: batch_per_gpu, seq: 1024, ckpt_interval: 1 };
         SimModel { name, shape, mp }
     }
 }
@@ -197,10 +188,7 @@ mod tests {
             } else {
                 label.strip_suffix('B').unwrap().parse::<f64>().unwrap()
             };
-            assert!(
-                (billions - expect).abs() / expect < 0.12,
-                "{label}: {billions}B vs {expect}B"
-            );
+            assert!((billions - expect).abs() / expect < 0.12, "{label}: {billions}B vs {expect}B");
         }
     }
 }

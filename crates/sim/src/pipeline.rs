@@ -45,10 +45,7 @@ pub(crate) struct PipelineResult {
 pub(crate) fn simulate(modules: &[ModuleCost], depth: usize) -> PipelineResult {
     let n = modules.len();
     if n == 0 {
-        return PipelineResult {
-            total: 0.0,
-            compute_stall: 0.0,
-        };
+        return PipelineResult { total: 0.0, compute_stall: 0.0 };
     }
     // Per-channel next-free times.
     let mut nc_free = 0.0f64;
@@ -93,10 +90,7 @@ pub(crate) fn simulate(modules: &[ModuleCost], depth: usize) -> PipelineResult {
         compute_start[i] = start;
         gpu_free = start + m.compute;
     }
-    PipelineResult {
-        total: gpu_free,
-        compute_stall: stall,
-    }
+    PipelineResult { total: gpu_free, compute_stall: stall }
 }
 
 /// Speedup of prefetch depth `d` over the synchronous schedule.
@@ -111,15 +105,7 @@ mod tests {
     use super::*;
 
     fn uniform(n: usize, nc: f64, cg: f64, gg: f64, compute: f64) -> Vec<ModuleCost> {
-        vec![
-            ModuleCost {
-                nc,
-                cg,
-                gg,
-                compute
-            };
-            n
-        ]
+        vec![ModuleCost { nc, cg, gg, compute }; n]
     }
 
     #[test]
@@ -179,12 +165,7 @@ mod tests {
         // For long sequences the analytic `max(compute, comm)` model and
         // the pipeline simulation agree per module.
         let n = 200;
-        let m = ModuleCost {
-            nc: 0.4,
-            cg: 0.3,
-            gg: 0.2,
-            compute: 0.35,
-        };
+        let m = ModuleCost { nc: 0.4, cg: 0.3, gg: 0.2, compute: 0.35 };
         let mods = vec![m; n];
         let r = simulate(&mods, 3);
         let per_module = r.total / n as f64;
@@ -198,12 +179,7 @@ mod tests {
     #[test]
     fn empty_and_single_module() {
         assert_eq!(simulate(&[], 3).total, 0.0);
-        let one = [ModuleCost {
-            nc: 1.0,
-            cg: 1.0,
-            gg: 1.0,
-            compute: 1.0,
-        }];
+        let one = [ModuleCost { nc: 1.0, cg: 1.0, gg: 1.0, compute: 1.0 }];
         let r = simulate(&one, 3);
         assert!((r.total - 4.0).abs() < 1e-9);
     }

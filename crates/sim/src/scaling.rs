@@ -30,18 +30,9 @@ pub struct BandwidthRequirement {
 /// The three generations of Table 3.
 fn table3_generations() -> Vec<HardwareGen> {
     vec![
-        HardwareGen {
-            name: "V100",
-            peak_tp: 0.07e15,
-        },
-        HardwareGen {
-            name: "10x",
-            peak_tp: 0.70e15,
-        },
-        HardwareGen {
-            name: "100x",
-            peak_tp: 7.00e15,
-        },
+        HardwareGen { name: "V100", peak_tp: 0.07e15 },
+        HardwareGen { name: "10x", peak_tp: 0.70e15 },
+        HardwareGen { name: "100x", peak_tp: 7.00e15 },
     ]
 }
 

@@ -36,10 +36,7 @@ pub(crate) struct SimOptions {
 
 impl Default for SimOptions {
     fn default() -> Self {
-        SimOptions {
-            overlap: true,
-            act_ckpt_offload: false,
-        }
+        SimOptions { overlap: true, act_ckpt_offload: false }
     }
 }
 
@@ -113,11 +110,8 @@ pub(crate) fn iteration_time(
     // gathered 3x (fwd, recompute, bwd) and gradients reduce-scattered
     // once, each moving the fp16 bytes of the mp-local model. Replicated
     // parameters only pay the gradient allreduce (2 moves).
-    let gg_bytes = if params_partitioned {
-        (3.0 * param_b + grad_b) / mp
-    } else {
-        2.0 * grad_b / mp
-    };
+    let gg_bytes =
+        if params_partitioned { (3.0 * param_b + grad_b) / mp } else { 2.0 * grad_b / mp };
     let gg_comm = match strategy {
         // 3D parallelism exchanges activations for tensor slicing and
         // pipeline boundaries instead of gathering parameters; its
@@ -130,11 +124,7 @@ pub(crate) fn iteration_time(
     let slow_io = {
         // Bandwidth-centric partitioning: each GPU only moves its own
         // 1/dp shard through its own links (Sec. 6.1).
-        let param_bytes = if param_tier == DeviceKind::Gpu {
-            0.0
-        } else {
-            3.0 * param_b / mp / dp
-        };
+        let param_bytes = if param_tier == DeviceKind::Gpu { 0.0 } else { 3.0 * param_b / mp / dp };
         let param_t = param_bytes / slow_bw_per_gpu(cluster, param_tier);
         let grad_t = match strategy {
             // ZeRO-Offload moves gradients to CPU through a single PCIe
@@ -161,11 +151,7 @@ pub(crate) fn iteration_time(
     // (Sec. 5.2.2). Never overlapped with fwd/bwd.
     let optim_bytes = (OPTIM_BYTES * params) as f64
         / mp
-        / if strategy == SimStrategy::DataParallel {
-            1.0
-        } else {
-            dp
-        };
+        / if strategy == SimStrategy::DataParallel { 1.0 } else { dp };
     let optim_bw = match optim_tier {
         DeviceKind::Gpu => 900e9, // HBM
         DeviceKind::Cpu => CPU_OPTIM_BW_PER_GPU,
@@ -183,9 +169,7 @@ pub(crate) fn iteration_time(
     // `m / (m + pp - 1)` fill/drain model with one-sequence micro-batches.
     let compute = if strategy == SimStrategy::ThreeD {
         let usable = THREED_USABLE * cluster.gpu_mem as f64;
-        let dp3 = (usable * n / shape.model.model_state_bytes() as f64)
-            .floor()
-            .max(1.0);
+        let dp3 = (usable * n / shape.model.model_state_bytes() as f64).floor().max(1.0);
         let mp3 = 8.0f64.min(cluster.gpus_per_node as f64);
         let pp = (n / (mp3 * dp3)).max(1.0);
         // Sequences per pipeline per iteration (micro-batch size 1).
@@ -287,16 +271,10 @@ mod tests {
         // ZeRO-Infinity's aggregate-PCIe gradient offload vs
         // ZeRO-Offload's single-link path: speedup approaches ~2x at 64
         // GPUs and is smaller at 4 GPUs.
-        let opts = SimOptions {
-            overlap: false,
-            act_ckpt_offload: false,
-        };
+        let opts = SimOptions { overlap: false, act_ckpt_offload: false };
         let bwd_time = |strategy: SimStrategy, gpus: u64| {
             let c = if gpus < 16 {
-                ClusterSpec {
-                    gpus_per_node: gpus,
-                    ..ClusterSpec::dgx2(1)
-                }
+                ClusterSpec { gpus_per_node: gpus, ..ClusterSpec::dgx2(1) }
             } else {
                 ClusterSpec::dgx2(gpus / 16)
             };
@@ -309,14 +287,8 @@ mod tests {
             bwd_time(SimStrategy::ZeroOffload, 64) / bwd_time(SimStrategy::InfinityCpu, 64);
         let speedup_4 =
             bwd_time(SimStrategy::ZeroOffload, 4) / bwd_time(SimStrategy::InfinityCpu, 4);
-        assert!(
-            speedup_64 > speedup_4,
-            "speedup must grow: {speedup_4} -> {speedup_64}"
-        );
-        assert!(
-            (1.5..3.0).contains(&speedup_64),
-            "64-GPU speedup {speedup_64} (paper ~2x)"
-        );
+        assert!(speedup_64 > speedup_4, "speedup must grow: {speedup_4} -> {speedup_64}");
+        assert!((1.5..3.0).contains(&speedup_64), "64-GPU speedup {speedup_64} (paper ~2x)");
         assert!(speedup_4 < 1.6, "4-GPU speedup {speedup_4}");
     }
 
@@ -331,19 +303,13 @@ mod tests {
                 SimStrategy::InfinityNvme,
                 &c,
                 &m,
-                &SimOptions {
-                    overlap: true,
-                    act_ckpt_offload: false,
-                },
+                &SimOptions { overlap: true, act_ckpt_offload: false },
             );
             let off = iteration_time(
                 SimStrategy::InfinityNvme,
                 &c,
                 &m,
-                &SimOptions {
-                    overlap: false,
-                    act_ckpt_offload: false,
-                },
+                &SimOptions { overlap: false, act_ckpt_offload: false },
             );
             on.tflops_per_gpu / off.tflops_per_gpu
         };
@@ -365,19 +331,13 @@ mod tests {
                 SimStrategy::InfinityCpu,
                 &c,
                 &m,
-                &SimOptions {
-                    overlap: false,
-                    act_ckpt_offload: true,
-                },
+                &SimOptions { overlap: false, act_ckpt_offload: true },
             );
             let without = iteration_time(
                 SimStrategy::InfinityCpu,
                 &c,
                 &m,
-                &SimOptions {
-                    overlap: false,
-                    act_ckpt_offload: false,
-                },
+                &SimOptions { overlap: false, act_ckpt_offload: false },
             );
             with.total / without.total
         };
@@ -401,24 +361,11 @@ mod tests {
                 SimStrategy::InfinityNvme
             };
             let t = iteration_time(strategy, &c, m, &SimOptions::default());
-            assert!(
-                t.tflops_per_gpu > 30.0,
-                "{}: {:.1} TFlops",
-                m.name,
-                t.tflops_per_gpu
-            );
+            assert!(t.tflops_per_gpu > 30.0, "{}: {:.1} TFlops", m.name, t.tflops_per_gpu);
         }
-        let one_t = iteration_time(
-            SimStrategy::InfinityNvme,
-            &c,
-            &models[4],
-            &SimOptions::default(),
-        );
-        assert!(
-            one_t.tflops_per_gpu > 10.0,
-            "1T single node {:.1}",
-            one_t.tflops_per_gpu
-        );
+        let one_t =
+            iteration_time(SimStrategy::InfinityNvme, &c, &models[4], &SimOptions::default());
+        assert!(one_t.tflops_per_gpu > 10.0, "1T single node {:.1}", one_t.tflops_per_gpu);
         assert!(one_t.total.is_finite());
     }
 }

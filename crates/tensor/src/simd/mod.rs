@@ -715,4 +715,146 @@ mod tests {
             }
         }
     }
+
+    /// `PAD` sentinel NaNs on either side of every slice a kernel is
+    /// handed: a read past its end sees a NaN, a write past it breaks a
+    /// sentinel.
+    const PAD: usize = 9;
+    const NAN_SENTINEL: u32 = 0x7fa5_5a5a;
+
+    fn padded_f32s(vals: &[f32]) -> Vec<f32> {
+        let pad = [f32::from_bits(NAN_SENTINEL); PAD];
+        pad.iter().chain(vals).chain(&pad).copied().collect()
+    }
+
+    fn assert_pads_intact(buf: &[f32], what: &str) {
+        let (head, tail) = (&buf[..PAD], &buf[buf.len() - PAD..]);
+        assert!(
+            head.iter().chain(tail).all(|x| x.to_bits() == NAN_SENTINEL),
+            "{what}: the kernel wrote outside its slice"
+        );
+    }
+
+    /// The slice inside a padded buffer.
+    fn inner(buf: &[f32]) -> &[f32] {
+        &buf[PAD..buf.len() - PAD]
+    }
+
+    fn inner_mut(buf: &mut [f32]) -> &mut [f32] {
+        let end = buf.len() - PAD;
+        &mut buf[PAD..end]
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `n` values in [-4, 4), and with `hostile` every third one a NaN
+    /// (two payloads), an infinity, an f32 subnormal or a signed zero.
+    fn inputs(n: usize, seed: u64, hostile: bool) -> Vec<f32> {
+        let specials = [
+            f32::NAN,
+            f32::from_bits(0xffc0_1234),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::MIN_POSITIVE / 2.0,
+            0.0,
+            -0.0,
+        ];
+        let bytes = noise(4 * n, seed);
+        let value = |i: usize| {
+            let word = u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().unwrap());
+            (word >> 8) as f32 / (1u32 << 21) as f32 - 4.0
+        };
+        (0..n)
+            .map(|i| {
+                if hostile && i % 3 == 1 { specials[(i / 3) % specials.len()] } else { value(i) }
+            })
+            .collect()
+    }
+
+    /// Every length through the vector tails, and one hidden-size row.
+    fn lengths() -> impl Iterator<Item = usize> {
+        (0..=33).chain([256])
+    }
+
+    /// `run` on the scalar kernels and, when this CPU has them, on the
+    /// AVX2 ones (`run(true)`): the same bits.
+    fn on_both_backends<T: PartialEq + std::fmt::Debug>(what: &str, run: impl Fn(bool) -> T) {
+        let scalar = run(false);
+        #[cfg(target_arch = "x86_64")]
+        if avx2_supported() {
+            assert_eq!(run(true), scalar, "{what}: the backends differ");
+        }
+    }
+
+    #[test]
+    fn gelu_kernels_stay_in_their_slices_and_agree_bit_for_bit() {
+        for (n, hostile) in lengths().flat_map(|n| [(n, false), (n, true)]) {
+            let [x, dy] = [1, 2].map(|seed| padded_f32s(&inputs(n, seed, hostile)));
+            let tag = format!("n={n} hostile={hostile}");
+            on_both_backends(&format!("gelu {tag}"), |avx2| {
+                let mut out = padded_f32s(&vec![0.0; n]);
+                match avx2 {
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: `on_both_backends` passes `true` only when
+                    // `avx2_supported()`.
+                    true => unsafe { x86::gelu(inner(&x), inner_mut(&mut out)) },
+                    _ => scalar::gelu(inner(&x), inner_mut(&mut out)),
+                }
+                assert_pads_intact(&out, &format!("gelu {tag} avx2={avx2}"));
+                bits(inner(&out))
+            });
+            on_both_backends(&format!("gelu backward {tag}"), |avx2| {
+                let mut out = padded_f32s(&vec![0.0; n]);
+                match avx2 {
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: as above.
+                    true => unsafe { x86::gelu_grad(inner(&x), inner(&dy), inner_mut(&mut out)) },
+                    _ => scalar::gelu_grad(inner(&x), inner(&dy), inner_mut(&mut out)),
+                }
+                assert_pads_intact(&out, &format!("gelu backward {tag} avx2={avx2}"));
+                bits(inner(&out))
+            });
+        }
+    }
+
+    #[test]
+    fn layernorm_kernels_stay_in_their_slices_and_agree_bit_for_bit() {
+        for (n, hostile) in lengths().flat_map(|n| [(n, false), (n, true)]) {
+            let [x, gamma, beta, dy] =
+                [3, 4, 5, 6].map(|seed| padded_f32s(&inputs(n, seed, hostile)));
+            let tag = format!("n={n} hostile={hostile}");
+            on_both_backends(&format!("layernorm {tag}"), |avx2| {
+                let mut out = padded_f32s(&vec![0.0; n]);
+                let (xs, g, b, o) = (inner(&x), inner(&gamma), inner(&beta), inner_mut(&mut out));
+                let (mean, rstd) = match avx2 {
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: as in the GELU test.
+                    true => unsafe { x86::layernorm_row(xs, g, b, 1e-5, o) },
+                    _ => scalar::layernorm_row(xs, g, b, 1e-5, o),
+                };
+                assert_pads_intact(&out, &format!("layernorm {tag} avx2={avx2}"));
+                // The backward pass, from these statistics, into zeroed
+                // parameter gradients.
+                let [mut dx, mut dgamma, mut dbeta] = [0; 3].map(|_| padded_f32s(&vec![0.0; n]));
+                let (dys, dxs) = (inner(&dy), inner_mut(&mut dx));
+                let (dg, db) = (inner_mut(&mut dgamma), inner_mut(&mut dbeta));
+                match avx2 {
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: as above.
+                    true => unsafe {
+                        x86::layernorm_backward_row(xs, dys, g, mean, rstd, dxs, dg, db)
+                    },
+                    _ => scalar::layernorm_backward_row(xs, dys, g, mean, rstd, dxs, dg, db),
+                }
+                for (buf, name) in [(&dx, "dx"), (&dgamma, "dgamma"), (&dbeta, "dbeta")] {
+                    assert_pads_intact(buf, &format!("layernorm {name} {tag} avx2={avx2}"));
+                }
+                let grads = [&dx, &dgamma, &dbeta].map(|buf| bits(inner(buf)));
+                (bits(inner(&out)), mean.to_bits(), rstd.to_bits(), grads)
+            });
+        }
+    }
 }

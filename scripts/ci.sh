@@ -77,7 +77,9 @@ fi
 # the real execution; it also needs rust-src, which the offline
 # toolchain lacks, so — exactly like the Miri gate — its probe skips
 # loudly. AddressSanitizer covers the raw-pointer paths in the kernel
-# pool, the flat buffers and the scratch pool; it builds with the
+# pool, the flat buffers and the scratch pool, and — through zi-core's
+# offload and engine unit suites — the fused Adam kernel and the shard
+# cache over staging buffers and cached images; it builds with the
 # nightly's own rust-std, so a failed probe fails the gate.
 sanitizer_probe() { # $1 = thread|address
     command -v rustup >/dev/null 2>&1 && rustup toolchain list 2>/dev/null | grep -q nightly \
@@ -92,6 +94,7 @@ fi
 sanitizer_probe address \
     || { echo "nightly -Zsanitizer=address unavailable: the ASan pass must run"; exit 1; }
 RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q -p zi-types -p zi-tensor -p zi-memory \
+    && RUSTFLAGS="-Zsanitizer=address" cargo +nightly test -q -p zero-infinity --lib -- offload:: engine:: \
     || { echo "-Zsanitizer=address pass failed"; exit 1; }
 # Bench smoke: run every remaining criterion body (the paper ablations
 # with no ledger row yet) exactly once, untimed — the vendored

@@ -200,19 +200,20 @@ fn the_cache_is_a_layer_by_exact_count() {
         let tag = format!("world {world}, prefetch window {window}");
         let nvme = Strategy::infinity_nvme().with_prefetch_window(window);
         let dense = run(Strategy::data_parallel(), world, ROOMY);
-        // (iii) Room for everything: in steady state no parameter is read
-        // from the device — the optimizer stream, one read per record, is
-        // all that is left — every fetch is a hit, nothing is prefetched
-        // or evicted.
+        // (iii) Room for everything: in steady state no parameter crosses
+        // the device link — the optimizer stream, one read and one write
+        // per record, is all that is left — every fetch is a hit, nothing
+        // is prefetched or evicted.
         let all = run(nvme, world, ROOMY);
         assert_eq!(all.losses, dense.losses, "{tag}: losses with the whole image cached");
         let hit = steady(&all);
         assert_eq!((hit.reads, hit.read_bytes), (hit.chunks, 6 * all.image), "{tag}");
+        assert_eq!((hit.writes, hit.write_bytes), (hit.chunks, 6 * all.image), "{tag}");
         assert_eq!((hit.cache_hits, hit.cache_bytes), (hit.allgathers, hit.fetched_bytes), "{tag}");
         assert_eq!((hit.evictions, hit.prefetch_issued, hit.prefetch_misses), (0, 0, 0), "{tag}");
         assert_eq!(all.cpu_at_rest, all.image, "{tag}: the cache is the image, once");
-        // Construction writes what a step writes, through to the cache:
-        // the first forward and backward read nothing.
+        // Construction writes what a step writes, the image into the
+        // cache: the first forward and backward read nothing.
         let (built, first_pass) = (all.first[0], all.first[1]);
         assert_eq!((built.writes, built.bytes_written), (hit.writes, hit.write_bytes), "{tag}");
         assert_eq!((built.reads, first_pass.reads), (0, 0), "{tag}");
@@ -221,10 +222,11 @@ fn the_cache_is_a_layer_by_exact_count() {
 
         // (i) No room beyond the gradients: the uncached engine. Every
         // fetch is a device read of the rank's shard (as is every hinted
-        // shard nobody then fetches), on top of the optimizer stream;
-        // writes, chunks and collectives are what they are with a cache.
-        // Every parameter read is one the prefetcher issued or one a
-        // demand fetch missed, whatever the window.
+        // shard nobody then fetches), on top of the optimizer stream, and
+        // every publish is written through to the device; chunks and
+        // collectives are what they are with a cache. Every parameter
+        // read is one the prefetcher issued or one a demand fetch missed,
+        // whatever the window.
         let none = run(nvme, world, firm);
         assert_eq!(none.losses, dense.losses, "{tag}: losses with nothing cached");
         let miss = steady(&none);
@@ -239,13 +241,15 @@ fn the_cache_is_a_layer_by_exact_count() {
         }
         assert_eq!((miss.cache_hits, miss.cache_bytes, miss.evictions), (0, 0, 0), "{tag}");
         assert_eq!((none.cpu_at_rest, none.cpu_peak), (0, firm), "{tag}");
-        let rest = |c: Counts| (c.writes, c.write_bytes, c.chunks, c.allgathers, c.fetched_bytes);
-        assert_eq!(rest(miss), rest(hit), "{tag}: the cache changed more than reads");
+        assert_eq!(miss.write_bytes, 7 * none.image, "{tag}: records and the image");
+        let rest = |c: Counts| (c.chunks, c.allgathers, c.fetched_bytes);
+        assert_eq!(rest(miss), rest(hit), "{tag}: the cache changed more than device traffic");
         assert_eq!(none.comm_calls, all.comm_calls, "{tag}");
 
         // (ii) Room for about half the image: what is admitted stays (no
-        // eviction after the warm-up), and the device serves exactly the
-        // fetches the cache does not.
+        // eviction after the warm-up), the device serves exactly the
+        // fetches the cache does not, and takes exactly the publishes it
+        // has no room for.
         let half = run(nvme, world, firm + all.image / 2);
         assert_eq!(half.losses, dense.losses, "{tag}: losses with half the image cached");
         assert!(half.cpu_at_rest > 0 && half.cpu_at_rest <= all.image / 2, "{tag}");
@@ -256,6 +260,7 @@ fn the_cache_is_a_layer_by_exact_count() {
             assert!(step.cache_bytes > 0 && step.read_bytes > hit.read_bytes, "{tag}");
             assert!(step.read_bytes < miss.read_bytes, "{tag}");
             assert_eq!(rest(*step), rest(hit), "{tag}");
+            assert_eq!(step.write_bytes + half.cpu_at_rest, miss.write_bytes, "{tag}");
             if window == 0 {
                 assert_eq!(step.read_bytes + step.cache_bytes, miss.read_bytes, "{tag}");
                 assert_eq!(step.reads + step.cache_hits, miss.reads, "{tag}");
@@ -266,7 +271,9 @@ fn the_cache_is_a_layer_by_exact_count() {
 
 /// (iv) A CPU tenant that needs the cache's room gets it by eviction,
 /// never `Error::OutOfMemory` — here an optimizer-sized store arriving
-/// between steps, when the cache holds the whole image.
+/// between steps, when the cache holds the whole image, every entry dirty:
+/// the store writes each back first, and training goes on as if the
+/// tenant had never come.
 #[test]
 fn a_cpu_store_that_needs_the_caches_room_evicts_it() {
     let cfg = cfg();
@@ -275,41 +282,62 @@ fn a_cpu_store_that_needs_the_caches_room_evicts_it() {
     let grads = 2 * image;
     // Room for the gradients and the image, and nothing else.
     let spec = NodeMemorySpec::test_spec(1, 1 << 24, grads + image, 1 << 26);
-    let node = NodeResources::in_memory(&spec, 1);
-    let mgr = node.offload_manager();
-    let mut engine = ZeroEngine::new(
-        model.registry(),
-        Strategy::infinity_nvme(),
-        node.offload_manager(),
-        node.group.communicator(0),
-        AdamConfig::default(),
-    )
-    .expect("engine");
     let opts = RunOptions { batch: 1, ..Default::default() };
     let train = |engine: &mut ZeroEngine, step: usize| {
         let (tokens, targets) = synthetic_batch(&cfg, 1, step);
-        model.train_step(engine, &tokens, &targets, &opts).expect("train step");
+        let loss = model.train_step(engine, &tokens, &targets, &opts).expect("train step");
         assert!(engine.step().expect("optimizer step"));
+        loss.to_bits()
     };
-    train(&mut engine, 0);
-    train(&mut engine, 1);
-    let cpu = || node.hierarchy.stats(Device::cpu()).in_use;
-    assert_eq!((cpu(), mgr.health().shard_cache_evictions), (image, 0), "the image is cached");
-    // A tenant as large as the gradients plus half the image.
-    let tenant = FlatBuffer::zeros(DType::F32, ((grads + image / 2) / 4) as usize);
-    let tenant = mgr
-        .store_placed(Device::cpu(), &PlacementPolicy::all_nvme(), tenant)
-        .expect("a store that fits without the cache must fit with it");
-    let evicted = mgr.health().shard_cache_evictions;
-    assert!(evicted > 0 && cpu() == grads + image / 2, "evicted {evicted}, in use {}", cpu());
-    // Training goes on beside it — gradients no longer fit, so the
-    // tenant leaves first — and the cache refills with what now fits.
-    mgr.free_placed(tenant);
-    train(&mut engine, 2);
-    train(&mut engine, 3);
-    assert_eq!(mgr.health().shard_cache_evictions, evicted, "a returning tenant evicts nothing");
-    assert!(cpu() > 0 && cpu() <= image / 2, "cached at rest: {}", cpu());
-    engine.dispose().expect("dispose");
-    assert_eq!(cpu(), 0);
-    assert_eq!(mgr.staging().outstanding(), 0);
+    // Four steps, `between` run after the second: the losses, the node's
+    // health and what the cache held at the end.
+    let four_steps = |between: &dyn Fn(&NodeResources)| {
+        let node = NodeResources::in_memory(&spec, 1);
+        let mut engine = ZeroEngine::new(
+            model.registry(),
+            Strategy::infinity_nvme(),
+            node.offload_manager(),
+            node.group.communicator(0),
+            AdamConfig::default(),
+        )
+        .expect("engine");
+        let mut losses: Vec<u32> = (0..2).map(|step| train(&mut engine, step)).collect();
+        between(&node);
+        losses.extend((2..4).map(|step| train(&mut engine, step)));
+        let health = node.offload_manager().health();
+        let cached = node.hierarchy.stats(Device::cpu()).in_use;
+        assert_eq!(health.corruptions_recovered + health.corruptions_unrecovered, 0);
+        engine.dispose().expect("dispose");
+        assert_eq!(node.hierarchy.stats(Device::cpu()).in_use, 0);
+        assert_eq!(node.offload_manager().staging().outstanding(), 0);
+        (losses, health, cached)
+    };
+    let evicted = std::cell::Cell::new(0);
+    let tenant_arrives = |node: &NodeResources| {
+        let mgr = node.offload_manager();
+        let cpu = || node.hierarchy.stats(Device::cpu()).in_use;
+        assert_eq!((cpu(), mgr.health().shard_cache_evictions), (image, 0), "the image is cached");
+        node.nvme.barrier().expect("device barrier");
+        let before = node.nvme.stats();
+        // A tenant as large as the gradients plus half the image.
+        let tenant = FlatBuffer::zeros(DType::F32, ((grads + image / 2) / 4) as usize);
+        let tenant = mgr
+            .store_placed(Device::cpu(), &PlacementPolicy::all_nvme(), tenant)
+            .expect("a store that fits without the cache must fit with it");
+        let health = mgr.health();
+        evicted.set(health.shard_cache_evictions);
+        let evicted = evicted.get();
+        assert!(evicted > 0 && cpu() == grads + image / 2, "evicted {evicted}, in use {}", cpu());
+        // Each evicted entry was dirty: one write of its bytes apiece.
+        let after = node.nvme.stats();
+        let written = (after.writes - before.writes, after.bytes_written - before.bytes_written);
+        assert_eq!((health.shard_cache_write_backs, written), (evicted, (evicted, image)));
+        // Training goes on beside it — gradients no longer fit, so the
+        // tenant leaves first — and the cache refills with what now fits.
+        mgr.free_placed(tenant);
+    };
+    let (with_tenant, health, cached) = four_steps(&tenant_arrives);
+    assert_eq!(health.shard_cache_evictions, evicted.get(), "a returning tenant evicts nothing");
+    assert!(cached > 0 && cached <= image / 2, "cached at rest: {cached}");
+    assert_eq!(with_tenant, four_steps(&|_| {}).0, "the tenant changed the losses");
 }
