@@ -4,7 +4,8 @@
 //! slot table (`zi-comm`), the write-behind engine's completion barrier and
 //! staging-buffer hand-back and the checkpoint store's
 //! `save_async`/crash/`open` recovery (`zi-nvme`), the buffer pools
-//! (`zi-memory`), and the node-shared shard cache (`zero-infinity`).
+//! (`zi-memory`), and the node-shared shard cache and the optimizer
+//! step's carried write-behind window (`zero-infinity`).
 //!
 //! Under `RUSTFLAGS="--cfg zi_check"` each body is explored across
 //! thousands of distinct interleavings with deadlock, lost-wakeup, and
@@ -722,4 +723,123 @@ fn kernel_pool_panic_release_body() {
 #[test]
 fn kernel_pool_panic_releases_submitter() {
     run("kernel-pool-panic-release", kernel_pool_panic_release_body);
+}
+
+// ---------------------------------------------------------------------------
+// Protocol 11: the optimizer step's carried window — its last record
+// writes still on the device when `step` returns, reaped by the next
+// deposit, which reads the next step's first records into the staging
+// buffers they free.
+//
+// One parameter of two records on a three-worker device that serves a
+// read before a write already on it whenever the scheduler lets it, two
+// steps: every record's write from step 1 races the carried read of the
+// same extent that step 2 consumes, and each deposit's top-up takes a
+// buffer that a reaped tail write handed back. Invariants, in every
+// interleaving:
+//
+//   * every read sees only the written bytes: no read is verified against
+//     a checksum its bytes do not match (a read that overtook the write of
+//     its record would be), and every schedule ends in the same state;
+//   * each staging buffer is handed back exactly once: after dispose
+//     nothing is checked out and every buffer the pool allocated is
+//     parked;
+//   * no schedule deadlocks.
+
+/// An in-memory device on which a write yields to the scheduler before it
+/// lands — up to 64 times, until a read has been served since it arrived:
+/// a read issued while a write of its extent is on the device overtakes
+/// it in every schedule that lets a worker serve it.
+struct ReadsFirst {
+    dev: MemBackend,
+    reads: zi_sync::atomic::AtomicU64,
+}
+
+impl StorageBackend for ReadsFirst {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> zi_types::Result<()> {
+        let read = self.dev.read_at(offset, buf);
+        self.reads.fetch_add(1, zi_sync::atomic::Ordering::SeqCst);
+        read
+    }
+    fn write_at(&self, offset: u64, data: &[u8]) -> zi_types::Result<()> {
+        let arrived = self.reads.load(zi_sync::atomic::Ordering::SeqCst);
+        for _ in 0..64 {
+            if self.reads.load(zi_sync::atomic::Ordering::SeqCst) != arrived {
+                break;
+            }
+            thread::yield_now();
+        }
+        self.dev.write_at(offset, data)
+    }
+    fn sync(&self) -> zi_types::Result<()> {
+        self.dev.sync()
+    }
+    fn len(&self) -> zi_types::Result<u64> {
+        self.dev.len()
+    }
+}
+
+fn carried_window_body(seen: &[zi_sync::OnceLock<()>; 2], state: &zi_sync::OnceLock<Vec<u8>>) {
+    use zero_infinity::{NodeEnv, NodeResources, Strategy, ZeroEngine};
+    use zi_memory::NodeMemorySpec;
+    use zi_model::{ParamRegistry, ParamStore};
+    use zi_tensor::Tensor;
+
+    let mut reg = ParamRegistry::new();
+    reg.register("w", &[8], 5, 0.2, 0.0);
+    let w = reg.find("w").expect("w");
+    let spec = NodeMemorySpec::test_spec(1, 1 << 12, 1 << 12, 1 << 12);
+    let device = Arc::new(ReadsFirst { dev: MemBackend::new(), reads: Default::default() });
+    let env = NodeEnv { pinned: (2, 64), nvme_workers: 3, ..NodeEnv::new(device) };
+    let node = NodeResources::new(&spec, 1, env);
+    // Records of four elements, two reads ahead, a write-behind window
+    // of four: the carry's budget covers both records.
+    let strategy = Strategy::infinity_nvme()
+        .with_f32_params()
+        .with_prefetch_window(0)
+        .with_optimizer_chunk(4)
+        .with_step_pipeline_depth(2);
+    let (mgr, comm) = (node.offload_manager(), node.group.communicator(0));
+    let mut eng = ZeroEngine::new(&reg, strategy, mgr, comm, Default::default()).expect("engine");
+    let staging = node.offload_manager();
+    let staging = staging.staging();
+    for step in 0..2 {
+        let (writes, reused) = (node.nvme.stats().writes, staging.stats().reused);
+        let grad = Tensor::from_vec(&[8], (0..8).map(|i| (i + step) as f32 * 0.125).collect());
+        eng.add_grad(w, &grad.expect("grad")).expect("a deposit reaps a healthy window");
+        if step == 1 && staging.stats().reused > reused {
+            // The deposit's top-up read into a recycled buffer.
+            let _ = seen[0].set(());
+        }
+        if step == 1 && node.nvme.stats().writes < writes + 2 {
+            // A carried write was still on the device: the carry stopped
+            // short of its record, which the step reads once it lands.
+            let _ = seen[1].set(());
+        }
+        assert!(eng.step().expect("step"), "step {step} skipped");
+    }
+    let saved = eng.save_state().expect("save");
+    let health = eng.offload_manager().health();
+    assert_eq!(
+        (health.corruptions_recovered, health.corruptions_unrecovered),
+        (0, 0),
+        "a read saw bytes other than the written ones"
+    );
+    assert_eq!(state.get_or_init(|| saved.clone()), &saved, "schedules disagree on the state");
+    eng.dispose().expect("dispose");
+    assert_eq!(staging.outstanding(), 0, "a staging buffer was never handed back");
+    assert_eq!(staging.idle() as u64, staging.stats().allocated, "a staging buffer was lost");
+}
+
+#[test]
+fn carried_window_never_lets_a_read_overtake_its_write() {
+    let seen = Arc::new([(); 2].map(|()| zi_sync::OnceLock::new()));
+    let state = Arc::new(zi_sync::OnceLock::new());
+    let (body_seen, body_state) = (Arc::clone(&seen), Arc::clone(&state));
+    let checker = Checker { schedules: 1250, ..Checker::default() };
+    drive("carried-window", checker, move || carried_window_body(&body_seen, &body_state));
+    if zi_check::enabled() {
+        assert!(seen[0].get().is_some(), "no schedule let a deposit's top-up reuse a buffer");
+        assert!(seen[1].get().is_some(), "no schedule kept a carried write on the device");
+    }
 }

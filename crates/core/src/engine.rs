@@ -34,12 +34,15 @@
 //!    same pass encodes the fresh fp16 shard, record by record, into the
 //!    shard cache's image of it, which reaches the parameter tier when the
 //!    cache gives it up (or, without room for it, as the second write of
-//!    the same pipeline). One read-ahead queue
-//!    ([`ReadAhead`]) drives the step and outlives it: the next step's
-//!    first records cross the device under the next forward and backward.
+//!    the same pipeline). One read-ahead queue ([`ReadAhead`]) drives
+//!    the step, and it and the write-behind window outlive it: the step
+//!    returns once its last write is submitted, and under the next forward
+//!    and backward those writes land while the next step's first records
+//!    are read into the buffers they free.
 //!    Replicated-parameter strategies (ZeRO-1/2/Offload) instead allgather
 //!    the updated slices back into every replica.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 
 use zi_comm::{Communicator, Partitioner};
@@ -304,6 +307,10 @@ pub struct ZeroEngine {
     collapsed: bool,
     /// The read-ahead queue the last step carried over ([`Self::carry`]).
     ahead: Option<ReadAhead>,
+    /// The write-behind window the last step carried over, its last
+    /// writes still on the device ([`Self::carry`]). In a cell so that
+    /// [`Self::export_optimizer_records`] (`&self`) can wait them out.
+    tail: RefCell<WriteBehind>,
     stats: EngineStats,
 }
 
@@ -352,6 +359,7 @@ impl ZeroEngine {
         }
         let mut engine = ZeroEngine {
             part: Partitioner::new(comm.world_size()),
+            tail: RefCell::new(WriteBehind::new(strategy.write_behind_bound())),
             strategy,
             // Read before the layout: a latch set meanwhile (a failover
             // here or on another rank) collapses at the first step.
@@ -633,7 +641,7 @@ impl ZeroEngine {
             if self.shards.iter().any(|st| st.grad_nonfinite) { 1.0f32 } else { 0.0 };
         let any_overflow = self.comm.sum_scalar(local_overflow)? > 0.0;
         if any_overflow {
-            // No optimizer state is written: a carried queue stays valid.
+            // No optimizer state is written: what was carried stays valid.
             self.clear_grads();
             self.scaler.update(true);
             self.stats.skipped_steps += 1;
@@ -642,13 +650,18 @@ impl ZeroEngine {
         }
         self.scaler.update(false);
 
-        // One write-behind window and one read-ahead queue — the one the
-        // last step carried if it covers the same buffers — span every
-        // buffer with a member to update, so the pipeline never drains
-        // between two of them. Both are reaped here on every path, so
-        // failures surface as the step's own typed error with every
-        // staging buffer back in its pool and nothing of this rank's step
-        // still on the device.
+        // One write-behind window and one read-ahead queue — the ones the
+        // last step carried, the queue if it covers the same buffers —
+        // span every buffer with a member to update, so the pipeline never
+        // drains between two of them. A failure reaps both, so it surfaces
+        // as the step's own typed error with every staging buffer back in
+        // its pool and nothing of this rank's step still on the device.
+        // Past depth 1 a step that succeeds returns once its last write is
+        // submitted and carries the window — unless it wrote a publish
+        // through: a read of that shard, or its cache entry's write-back,
+        // could overtake a carried piece, so such a step drains.
+        let depth = self.strategy.step_pipeline_depth;
+        let window = self.strategy.write_behind_bound();
         let due: Vec<usize> = (0..self.optims.len())
             .filter(|&b| {
                 let members = &self.optims[b].layout.members;
@@ -659,28 +672,44 @@ impl ZeroEngine {
             self.drop_carry("readahead.drop.due_set");
         }
         let mut ahead = self.ahead.take().unwrap_or(ReadAhead { due, ..Default::default() });
-        let records = self.reserve_step_staging(ahead.held(&self.optims).0);
-        let mut wb = WriteBehind::new(self.strategy.write_behind_bound());
+        let mut wb = std::mem::replace(self.tail.get_mut(), WriteBehind::new(window));
+        let records = self.reserve_step_staging(ahead.held(&self.optims).0 + wb.in_flight());
+        let pieces = wb.pieces;
         let updated = self.stream_update(&mut ahead, &mut wb);
         ahead.rewind(&self.mgr);
-        let drained = wb.drain(&self.mgr);
-        updated.and(drained)?;
+        let carried = updated.is_ok() && depth > 1 && wb.pieces == pieces;
+        let settled = if carried { Ok(()) } else { wb.drain(&self.mgr) };
+        updated.and(settled)?;
         self.stats.steps += 1;
+        // Beside a window of record writes the carry may fill the whole
+        // set. Written through, the next step's window holds a publish
+        // piece per record part too: the carry keeps to the set's record
+        // half of the window, so that burst finds its publish-sized
+        // buffers, as it does at depth 1.
+        let budget = if carried { records } else { records.saturating_sub(window / 2) };
+        if wb.in_flight() > 0 {
+            let (writes, bytes) = (wb.in_flight() as u64, wb.in_flight_bytes());
+            self.mgr.tracer().instant(Category::OptimStep, "writebehind.carry", bytes, writes);
+        }
+        *self.tail.get_mut() = wb;
         self.end_iteration()?;
-        self.carry(ahead, records);
+        self.carry(ahead, budget);
         Ok(true)
     }
 
     /// Put the streamed step's staging set in place before its first
     /// record — a pool that only allocates on a miss keeps allocating,
-    /// rarely, for many steps — and return the count of record buffers the
-    /// step may carry into the next: `depth` for the read-ahead and the
-    /// record in hand, plus the record half of the write-behind window (0
-    /// without offloaded optimizer state). The set holds `depth` plus the
-    /// whole window record-sized — the window is all record writes when
-    /// the publishes go to the shard cache — and publish-sized ones on top
-    /// (a larger buffer counts towards a smaller size); the `carried`
-    /// reads hold their part of the set.
+    /// rarely, for many steps — and return its count of record-sized
+    /// buffers (0 without offloaded optimizer state): `depth` for the
+    /// read-ahead and the record in hand, plus the whole write-behind
+    /// window, all record writes when the publishes go to the shard cache.
+    /// It is what a step may carry into the next, reads and tail writes
+    /// together. Publish-sized buffers come on top, for a publish written
+    /// through: the carry it leaves (`depth + ⌈window/2⌉` reads, see
+    /// [`Self::step`]), a window of pieces — a packed record may fill it
+    /// with one piece per member — and the piece being staged; a larger
+    /// buffer counts towards a smaller size. The `carried` reads and
+    /// writes hold their part of the set.
     fn reserve_step_staging(&self, carried: usize) -> usize {
         let offloaded = self.optims.iter().filter(|opt| opt.state.is_offloaded());
         let Some(longest) = offloaded.map(|opt| opt.layout.per).max() else { return 0 };
@@ -688,16 +717,13 @@ impl ZeroEngine {
         let window = self.strategy.write_behind_bound();
         let staging = self.mgr.staging();
         let record = DType::F32.bytes_for(STATE_STREAMS * longest);
-        let records = depth + window.div_ceil(2);
         staging.reserve((depth + window).saturating_sub(carried), record);
         if self.strategy.partition_params {
             let piece = self.strategy.param_dtype.bytes_for(longest);
-            // Written through, the publish-sized ones are one more than
-            // the write-behind window, which a packed record may fill
-            // with one piece per member.
-            staging.reserve((records + window + 1).saturating_sub(carried), piece);
+            let written_through = depth + window.div_ceil(2) + window + 1;
+            staging.reserve(written_through.saturating_sub(carried), piece);
         }
-        records
+        depth + window
     }
 
     /// Stream every due record through Adam in the queue's order (Sec.
@@ -714,7 +740,7 @@ impl ZeroEngine {
         let tracer = self.mgr.tracer().clone();
         let scale = GradScale::average_over(self.comm.world_size() as f32 * self.grad_accum_steps);
         let mut open: Option<Update> = None;
-        while let Some(record) = ahead.next_record(&self.mgr, &self.optims, depth) {
+        while let Some(record) = ahead.next_record(&self.mgr, &self.optims, depth, wb) {
             let (b, at, load) = record?;
             let mut staged = load.wait(&self.mgr)?;
             // Measured after the wait: this rank's requests still out now
@@ -879,20 +905,75 @@ impl ZeroEngine {
         }
     }
 
-    /// Carry the drained queue into the next step, its first records read
-    /// (up to `budget` staging buffers) under the next forward and
-    /// backward; after every write of this step was reaped, so no read
-    /// overtakes one.
+    /// Carry the rewound queue into the next step beside the carried
+    /// window, its first records read under the next forward and backward
+    /// into what the window leaves of `budget` staging buffers: here, up
+    /// to the first record among the window's last submissions, and the
+    /// rest from the first deposit on, as the window's writes are reaped.
     fn carry(&mut self, mut ahead: ReadAhead, budget: usize) {
         if budget > 0 {
-            let filled = ahead.top_up(&self.mgr, &self.optims, |a| a.held(&self.optims).0 < budget);
-            let (reads, bytes) = ahead.held(&self.optims);
-            self.mgr.tracer().instant(Category::OptimStep, "readahead.carry", bytes, reads as u64);
+            ahead.budget = budget;
             self.ahead = Some(ahead);
-            if filled.is_err() {
-                self.drop_carry("readahead.drop.issue");
+            self.refill(true);
+            if let Some(ahead) = &self.ahead {
+                let (reads, bytes) = ahead.held(&self.optims);
+                let tracer = self.mgr.tracer();
+                tracer.instant(Category::OptimStep, "readahead.carry", bytes, reads as u64);
             }
         }
+    }
+
+    /// Top the carried queue up until its reads and the carried window's
+    /// writes hold its budget of staging buffers, stopping at a record
+    /// whose write is still in flight: no read overtakes a write, and
+    /// none takes a buffer the step set does not have idle. At the step's
+    /// end the window's last submissions stand in for its writes in
+    /// flight: which of them the device has finished is a race, their
+    /// count and extents are not, so the reads a step's end issues — and
+    /// the requests counted between two steps' ends — are too. A read
+    /// that cannot be issued closes the queue; the next step meets the
+    /// device itself.
+    fn refill(&mut self, step_end: bool) {
+        let (Some(ahead), tail) = (&mut self.ahead, self.tail.get_mut()) else { return };
+        let held = if step_end { tail.lately() } else { tail.in_flight() };
+        let room = ahead.budget.saturating_sub(held);
+        let optims = &self.optims;
+        let free = |state: &PlacedBuf, first, count| match step_end {
+            true => Ok(!tail.wrote_lately(state, first, count)),
+            false => Ok(!tail.writes_over(state, first, count)),
+        };
+        if ahead.top_up(&self.mgr, optims, free, |a| a.held(optims).0 < room).is_err() {
+            self.drop_carry("readahead.drop.issue");
+        }
+    }
+
+    /// Between steps: collect the carried writes the device has finished,
+    /// without blocking, and refill the carried queue into the staging
+    /// buffers they free. A failed write is this call's typed error.
+    fn reap_tail(&mut self) -> Result<()> {
+        let (writes, bytes) = self.tail.get_mut().reap(&self.mgr).map_err(|e| self.fail_tail(e))?;
+        if writes > 0 {
+            let tracer = self.mgr.tracer();
+            tracer.instant(Category::OptimStep, "writebehind.reap", bytes, writes as u64);
+        }
+        self.refill(false);
+        Ok(())
+    }
+
+    /// Wait out the carried window: every write the last step left on the
+    /// device. A failed write is the caller's typed error.
+    fn drain_tail(&mut self) -> Result<()> {
+        self.tail.get_mut().drain(&self.mgr).map_err(|e| self.fail_tail(e))
+    }
+
+    /// A carried write failed with `e`: the rest of the window is waited
+    /// out and the carried queue closed, so `e` leaves every staging
+    /// buffer in its pool. Never the degradation latch's to absorb: a lost
+    /// record update is not a degraded read.
+    fn fail_tail(&mut self, e: Error) -> Error {
+        let _ = self.tail.get_mut().drain(&self.mgr);
+        self.drop_carry("readahead.drop.write");
+        e
     }
 
     /// Close the carried queue unused, reaping its reads; instant `why`.
@@ -904,11 +985,14 @@ impl ZeroEngine {
         }
     }
 
-    /// Reap the reads kept between calls: the carried queue's and the
-    /// prefetcher's. [`Self::dispose`] and `Drop` both come here.
-    fn reap(&mut self) {
+    /// Reap the requests kept between calls: the carried window's writes,
+    /// whose first failure is returned, and the carried queue's and the
+    /// prefetcher's reads. [`Self::dispose`] and `Drop` both come here.
+    fn reap(&mut self) -> Result<()> {
+        let drained = self.tail.get_mut().drain(&self.mgr);
         self.drop_carry("readahead.drop.dispose");
         self.prefetcher.clear(&self.mgr);
+        drained
     }
 
     /// [`Self::publish`] a replicated parameter from the fp32 master values
@@ -932,11 +1016,13 @@ impl ZeroEngine {
     /// Collapse every optimizer buffer onto CPU once the node's
     /// degradation latch is set: split buffers re-publish their
     /// NVMe-resident half to CPU instead of dropping it with the store.
-    /// Closes the carry, whose reads target the old placement.
+    /// Waits out the carried window and closes the carry, whose reads
+    /// target the old placement.
     fn collapse_on_degradation(&mut self) -> Result<()> {
         if self.collapsed || !self.mgr.degradation_latched() {
             return Ok(());
         }
+        self.drain_tail()?;
         self.drop_carry("readahead.drop.placement");
         for opt in &mut self.optims {
             self.mgr.collapse(&mut opt.state)?;
@@ -946,9 +1032,9 @@ impl ZeroEngine {
     }
 
     /// Close the iteration: the prefetches reaped, then this rank's flush.
-    /// The step has already reaped its own reads and writes, and the flush
-    /// never waits out a peer's I/O — at world > 1 another rank's carried
-    /// read-ahead may still be on the shared device.
+    /// The step has already reaped its own reads, and its writes but for
+    /// the carried window's; the flush never waits out a peer's I/O — at
+    /// world > 1 another rank's carry may still be on the shared device.
     fn end_iteration(&mut self) -> Result<()> {
         self.trace.end_iteration();
         self.prefetcher.clear(&self.mgr);
@@ -984,10 +1070,12 @@ impl ZeroEngine {
     /// Read every parameter's optimizer shard out of its tier, one buffer
     /// at a time (checkpoint save path). Records carry the three streams
     /// contiguous, one record per parameter: how this engine packs and
-    /// interleaves them never reaches a checkpoint.
+    /// interleaves them never reaches a checkpoint. The carried window's
+    /// writes are waited out first; the carried reads stay.
     pub(crate) fn export_optimizer_records(
         &self,
     ) -> Result<Vec<crate::checkpoint::ParamRecord>> {
+        self.tail.borrow_mut().drain(&self.mgr)?;
         let mut out: Vec<_> = self.shards.iter().map(|_| None).collect();
         for OptimStorage { state, layout, .. } in &self.optims {
             let state = self.mgr.load_placed(state)?.to_f32_vec();
@@ -1027,6 +1115,7 @@ impl ZeroEngine {
                 )));
             }
         }
+        self.drain_tail()?;
         self.drop_carry("readahead.drop.import");
         let tracer = self.mgr.tracer().clone();
         let mut span = tracer.span(Category::OptimStep, "engine.import");
@@ -1043,16 +1132,17 @@ impl ZeroEngine {
     }
 
     /// Free every device allocation held by this engine. The engine is
-    /// consumed; pools return to their empty state.
+    /// consumed; pools return to their empty state. A carried write that
+    /// failed is the error, after everything is freed.
     pub fn dispose(mut self) -> Result<()> {
-        self.reap();
+        let reaped = self.reap();
         self.clear_grads();
         self.release_state();
         let gpu = self.gpu_device();
         for (_, r) in self.resident.drain() {
             self.mgr.hierarchy().free(gpu, r.gpu_block);
         }
-        Ok(())
+        reaped
     }
 
     /// Free every parameter's and optimizer shard's storage.
@@ -1066,10 +1156,11 @@ impl ZeroEngine {
     }
 }
 
-/// An engine abandoned without [`ZeroEngine::dispose`] still reaps its reads.
+/// An engine abandoned without [`ZeroEngine::dispose`] still reaps its
+/// requests, silently.
 impl Drop for ZeroEngine {
     fn drop(&mut self) {
-        self.reap();
+        let _ = self.reap();
     }
 }
 
@@ -1127,7 +1218,11 @@ impl ParamStore for ZeroEngine {
                 st.numel
             )));
         }
+        // The carry rides the backward: each deposit collects the carried
+        // writes that landed and reads the next records into their buffers.
+        self.reap_tail()?;
         self.stats.grad_reductions += 1;
+        let st = &self.shards[id.0];
         // This rank keeps its reduce-scattered shard of the (implicitly
         // padded) gradient, or the whole allreduced gradient.
         let scatter = self.strategy.partition_grads.then(|| self.part.padded_len(st.numel));
@@ -1272,12 +1367,15 @@ enum Publish {
 /// update. It keeps `depth` records issued ahead — the one about to be
 /// taken counts — across buffer boundaries; depth counts records because
 /// what keeps the device's workers busy is requests in flight, whatever
-/// their size. A drained queue is carried into the next step
+/// their size. The emptied queue is carried into the next step
 /// ([`ZeroEngine::carry`]).
 #[derive(Default)]
 struct ReadAhead {
     /// The buffers to update, ascending.
     due: Vec<usize>,
+    /// Staging buffers a carried queue's reads and the carried window's
+    /// writes may hold together.
+    budget: usize,
     /// The next record to issue: a position in `due` and an element.
     next: (usize, usize),
     /// Records issued and not yet taken: buffer, element, load.
@@ -1286,11 +1384,15 @@ struct ReadAhead {
 
 impl ReadAhead {
     /// Issue records while the queue is `short` and any is left. An NVMe
-    /// record queues on the device; a CPU-DRAM one needs no transfer.
+    /// record queues on the device; a CPU-DRAM one needs no transfer. No
+    /// read overtakes a write of its record: `free` answers whether the
+    /// record starting at an element may be read now — waiting its write
+    /// out, or saying no, and the queue stops short of it.
     fn top_up(
         &mut self,
         mgr: &OffloadManager,
         optims: &[OptimStorage],
+        mut free: impl FnMut(&PlacedBuf, usize, usize) -> Result<bool>,
         short: impl Fn(&Self) -> bool,
     ) -> Result<()> {
         while short(self) {
@@ -1302,6 +1404,9 @@ impl ReadAhead {
                 continue;
             }
             let (first, count) = layout.span(at);
+            if !free(state, first, count)? {
+                break;
+            }
             self.pending.push_back((b, at, mgr.begin_load_elems(state, first, count)?));
             self.next = (pos, at + layout.per);
         }
@@ -1315,8 +1420,12 @@ impl ReadAhead {
         mgr: &OffloadManager,
         optims: &[OptimStorage],
         depth: usize,
+        writes: &mut WriteBehind,
     ) -> Option<Result<(usize, usize, PlacedPending)>> {
-        self.top_up(mgr, optims, |ahead| ahead.pending.len() < depth)
+        let settled = |state: &PlacedBuf, first, count| {
+            writes.settle(mgr, state, first, count).map(|()| true)
+        };
+        self.top_up(mgr, optims, settled, |ahead| ahead.pending.len() < depth)
             .map(|()| self.pending.pop_front())
             .transpose()
     }
@@ -1630,7 +1739,9 @@ mod tests {
         // `w` still updates. Tickets number requests in submission order
         // and a record is written right after its update, so the read of
         // `b`'s last record was submitted before `w`'s last record was
-        // even updated exactly when its ticket is the smaller.
+        // even updated exactly when its ticket is the smaller. The step's
+        // last writes land after it returns.
+        node.nvme.barrier().unwrap();
         let events = node.tracer().take_events();
         let tickets = |name: &str, bytes: u64| {
             let mut ids: Vec<u64> = events
@@ -1641,7 +1752,10 @@ mod tests {
             ids.sort_unstable();
             ids
         };
-        let (b_last_read, record_writes) = (tickets("nc.read", 12), tickets("nc.write", 48));
+        let record_writes = tickets("nc.write", 48);
+        // The step's own reads: the carry's are issued after its last write.
+        let step_reads = |ids: Vec<u64>| ids.into_iter().filter(|&id| id < record_writes[3]);
+        let b_last_read: Vec<u64> = step_reads(tickets("nc.read", 12)).collect();
         assert_eq!((b_last_read.len(), record_writes.len()), (1, 4), "three records of w, one of b");
         assert!(
             b_last_read[0] < record_writes[2],
@@ -1776,6 +1890,7 @@ mod tests {
         // a further step allocates nothing.
         let warm = eng.mgr.staging().stats();
         step(&mut eng);
+        land_carry(&node, &mut eng);
         let pool = eng.mgr.staging();
         let st = pool.stats();
         assert_eq!(st.allocated, warm.allocated, "a steady-state step allocated staging: {st:?}");
@@ -1788,14 +1903,40 @@ mod tests {
         // publish one more; the rest is the write-behind window.
         let bound = (depth + 1 + eng.strategy.write_behind_bound()) as u64;
         assert!(st.peak_outstanding <= bound, "peak {} over bound {bound}", st.peak_outstanding);
-        // Between steps only the carried reads hold a buffer: all three
-        // records of `w`.
+        // Once the step's last writes are reaped, only the carried reads
+        // hold a buffer: all three records of `w`.
         let carried = eng.ahead.as_ref().map_or(0, |ahead| ahead.held(&eng.optims).0) as u64;
         assert_eq!(carried, 3);
         assert_eq!((pool.outstanding(), pool.idle() as u64), (carried, st.allocated - carried));
         eng.dispose().unwrap();
         let pool = node.offload_manager();
         assert_eq!((pool.staging().outstanding(), pool.staging().idle() as u64), (0, st.allocated));
+    }
+
+    #[test]
+    fn the_staging_gauges_report_the_step_set_at_world_one() {
+        // Records of four elements, the fp16 publishes written back to the
+        // shard cache: the set is depth 4 plus a window of 8 record buffers
+        // of 48 B, and five publish-sized ones of 8 B on top. Carried reads
+        // and writes take their buffers out of it, so three iterations
+        // leave it as it was reserved.
+        let strategy = Strategy::infinity_nvme().with_prefetch_window(0).with_optimizer_chunk(4);
+        let (node, mut eng, reg) = single_rank(strategy);
+        let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
+        for round in 0..3 {
+            let g = |n: usize| (0..n).map(|i| (i + round) as f32 * 0.1).collect::<Vec<f32>>();
+            eng.add_grad(w, &Tensor::from_vec(&[3, 4], g(12)).unwrap()).unwrap();
+            eng.add_grad(b, &Tensor::from_vec(&[5], g(5)).unwrap()).unwrap();
+            assert!(eng.step().unwrap());
+        }
+        land_carry(&node, &mut eng);
+        let health = eng.mgr.health();
+        let (held, peak) = (health.staging_held_bytes, health.staging_peak_buffers);
+        assert_eq!((eng.mgr.staging().stats().allocated, held), (17, 12 * 48 + 5 * 8));
+        // One buffer per record, a read or a write, never both at once.
+        assert_eq!(peak, 5);
+        eng.dispose().unwrap();
+        assert_eq!(node.offload_manager().health().staging_held_bytes, held, "the set stays");
     }
 
     /// One rank over a scriptable faulty device and a CPU pool of `cpu`
@@ -1937,7 +2078,9 @@ mod tests {
         eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         eng.step().unwrap();
         assert_eq!(eng.mgr.health().corruptions_recovered, 0);
-        // Between steps only the carried read of `w`'s record is out.
+        // Once the step's last write is reaped, only the carried read of
+        // `w`'s record is out.
+        land_carry(&node, &mut eng);
         let carried = eng.ahead.as_ref().map_or(0, |ahead| ahead.held(&eng.optims).0);
         assert_eq!(carried, 1);
         assert_eq!(node.offload_manager().staging().outstanding(), carried as u64);
@@ -1970,12 +2113,13 @@ mod tests {
     fn death_mid_stream(write_back: bool) {
         // Both parameters have a gradient, so with two-element records
         // the first read of `b` is on the device while `w`'s last record
-        // updates. Calibrate: how many device ops does one healthy step
-        // issue, and how many of the next step's reads does it carry?
-        let grads = |eng: &mut ZeroEngine, reg: &ParamRegistry| {
+        // updates. Calibrate: how many device ops does one healthy
+        // iteration issue, and how many of the next step's reads does it
+        // carry?
+        let grads = |eng: &mut ZeroEngine, reg: &ParamRegistry| -> Result<()> {
             let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
-            eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
-            eng.add_grad(b, &Tensor::from_vec(&[5], vec![1.0; 5]).unwrap()).unwrap();
+            eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap())?;
+            eng.add_grad(b, &Tensor::from_vec(&[5], vec![1.0; 5]).unwrap())
         };
         let reg = tiny_registry();
         let (plan, node, mut eng, _) = publishing_rank(2, write_back);
@@ -1987,18 +2131,23 @@ mod tests {
         // third step.
         let mut saved = vec![eng.save_state().unwrap()];
         let before = ops();
-        grads(&mut eng, &reg);
+        grads(&mut eng, &reg).unwrap();
         eng.step().unwrap();
+        land_carry(&node, &mut eng);
         let first = ops() - before;
         let carried = eng.ahead.as_ref().map_or(0, |ahead| ahead.held(&eng.optims).0) as u64;
-        assert_eq!(carried, 4, "depth 2 plus the record half of a 4-request write-behind");
+        // Depth 2 plus a 4-request write-behind; half of it when the
+        // publishes are written through.
+        let window = eng.strategy.write_behind_bound() as u64;
+        assert_eq!(carried, if write_back { 2 + window } else { 2 + window / 2 });
         // A read and a write per record, and a publish written through.
         let publishes = if write_back { 0 } else { 3 * 3 };
         assert_eq!(first, 3 * 6 + publishes + carried, "write-back {write_back}");
         saved.push(eng.save_state().unwrap());
         let before = ops();
-        grads(&mut eng, &reg);
+        grads(&mut eng, &reg).unwrap();
         eng.step().unwrap();
+        land_carry(&node, &mut eng);
         let steady = 3 * 6 + publishes;
         assert_eq!(ops() - before, steady, "the carry stands in for the step's first reads");
         saved.push(eng.save_state().unwrap());
@@ -2006,44 +2155,72 @@ mod tests {
         eng.dispose().unwrap();
         // Kill the device after every possible number of ops: reads of
         // later records — of `b` too, while `w` is still being written —
-        // and writes of earlier ones are in flight; past the step's own
-        // ops, the reads it carried are.
-        for alive in 0..first {
+        // and writes of earlier ones are in flight; past the ops the step
+        // waits for, its carried writes and the reads it carried are,
+        // landing between steps. One run killed after `alive` ops returns
+        // `None` when the step itself failed, else `Some(typed)`: `typed`
+        // when, `via_dispose`, dispose returned the device error — without
+        // it, the next deposit or step must.
+        let kill = |alive: u64, via_dispose: bool| -> Option<bool> {
             let (plan, node, mut eng, _) = publishing_rank(2, write_back);
-            grads(&mut eng, &reg);
+            grads(&mut eng, &reg).unwrap();
             plan.kill_after_ops(alive);
-            // The step that meets the death fails typed: this one, or —
-            // when only the carried reads die — the next.
-            let failed = match eng.step() {
+            // The call that meets the death fails typed: this step, or —
+            // when only its carried writes and reads die — the next
+            // deposit or step, or dispose, which reaps a carried write.
+            let outlived = match eng.step() {
                 Err(err) => {
                     assert!(err.is_device_failure(), "death after {alive} ops of the step: {err}");
-                    0
+                    false
                 }
                 Ok(_) => {
-                    assert!(alive >= first - carried, "{alive} ops: the step outlived its device");
-                    grads(&mut eng, &reg);
-                    let err = eng.step().unwrap_err();
-                    assert!(err.is_device_failure(), "{alive} ops, death in the carry: {err}");
-                    1
+                    let outlived = alive + window >= first - carried;
+                    assert!(outlived, "{alive} ops: the step outlived its device");
+                    if !via_dispose {
+                        let next = grads(&mut eng, &reg).and_then(|()| eng.step().map(drop));
+                        let err = next.unwrap_err();
+                        assert!(err.is_device_failure(), "{alive} ops, death between steps: {err}");
+                    }
+                    true
                 }
             };
-            let pool = eng.mgr.staging();
+            let pool = node.offload_manager();
+            let pool = pool.staging();
+            let mut typed = false;
+            if outlived && via_dispose {
+                if let Err(err) = eng.dispose() {
+                    assert!(err.is_device_failure(), "{alive} ops, death in the window: {err}");
+                    typed = true;
+                }
+            } else {
+                assert_eq!(pool.outstanding(), 0, "{alive} ops: a staging buffer is checked out");
+                eng.dispose().unwrap();
+            }
             assert_eq!(pool.outstanding(), 0, "{alive} ops: a staging buffer is still checked out");
             assert_eq!(pool.idle() as u64, pool.stats().allocated, "{alive} ops: a buffer was lost");
-            eng.dispose().unwrap();
             // The node has degraded: an engine rebuilt on it, all in DRAM,
             // resumes from the last checkpoint as if nothing had happened.
+            let failed = usize::from(outlived);
             let comm = node.group.communicator(0);
             let mut resumed =
                 ZeroEngine::new(&reg, strategy, node.offload_manager(), comm, AdamConfig::default())
                     .unwrap();
             resumed.load_state(&saved[failed]).unwrap();
-            grads(&mut resumed, &reg);
+            grads(&mut resumed, &reg).unwrap();
             assert!(resumed.step().unwrap());
             assert_eq!(resumed.save_state().unwrap(), saved[failed + 1], "{alive} ops: resume");
             assert!(resumed.ahead.is_none() && node.offload_manager().is_degraded());
             resumed.dispose().unwrap();
+            outlived.then_some(typed)
+        };
+        let mut disposed_typed = 0;
+        for alive in 0..first {
+            if kill(alive, false).is_some() && kill(alive, true) == Some(true) {
+                disposed_typed += 1;
+            }
         }
+        // Only a window of record writes is carried.
+        assert!(!write_back || disposed_typed > 0, "no death landed in a carried write");
     }
 
     #[test]
@@ -2061,9 +2238,11 @@ mod tests {
         assert_eq!(requests(), at_rest, "a skipped step touched the device");
         // `w` alone has a gradient: its three records are read and written
         // (and published, to the shard cache), and nothing of `b` moves;
-        // then the step carries `w`'s three records into the next one.
+        // then the step carries `w`'s three records into the next one,
+        // read once the next iteration has reaped the step's writes.
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
+        land_carry(&node, &mut eng);
         assert_eq!(requests(), (at_rest.0 + 3 + 3, at_rest.1 + 3));
         eng.dispose().unwrap();
     }
@@ -2077,9 +2256,10 @@ mod tests {
         // The first step writes `w`'s state record by record (60, 60 and
         // 24 bytes), each under one checksum per stream (20, 20 and 8
         // bytes); at 500‰ the middle record lives in DRAM. Each step
-        // carries the records on the device into the next: one read of the
-        // second step's carry comes back with a flipped bit, and the third
-        // step takes it.
+        // carries the records on the device into the next, read once the
+        // next iteration has reaped its writes: one read of the second
+        // step's carry comes back with a flipped bit, and the third step
+        // takes it.
         for (permille, carried, carried_bytes) in [(0, 3, 60 + 60 + 24), (500, 2, 60 + 24)] {
             let rank = || {
                 let (plan, node) = faulty_node(1 << 22);
@@ -2096,14 +2276,17 @@ mod tests {
             let (plan, node, mut eng) = rank();
             eng.add_grad(w, &grad(0)).unwrap();
             eng.step().unwrap();
+            land_carry(&node, &mut eng);
             node.nvme.barrier().unwrap();
             plan.bitflip_next_reads(1);
             eng.add_grad(w, &grad(1)).unwrap();
             eng.step().unwrap();
+            land_carry(&node, &mut eng);
             node.nvme.barrier().unwrap();
             let before = node.nvme.stats();
             eng.add_grad(w, &grad(2)).unwrap();
             eng.step().unwrap();
+            land_carry(&node, &mut eng);
             node.nvme.barrier().unwrap();
             let after = node.nvme.stats();
             let reads = after.reads - before.reads;
@@ -2140,13 +2323,17 @@ mod tests {
 
     /// One rank of `strategy` over a [`Door`] `n` writes wide.
     fn door_rank(strategy: Strategy, n: usize) -> (NodeResources, ZeroEngine, ParamRegistry) {
-        let door = Door {
-            arrived: zi_sync::Mutex::new(0),
-            full: zi_sync::Condvar::new(),
-            n,
-            dev: zi_nvme::MemBackend::new(),
-        };
-        rank_over(strategy, zi_sync::Arc::new(door))
+        rank_over(strategy, zi_sync::Arc::new(Door::new(n, 0)))
+    }
+
+    /// One rank of `strategy` over a [`Door`] wider than any step, built
+    /// open: once [`Door::close`]d, every write waits its second.
+    fn held_rank(
+        strategy: Strategy,
+    ) -> (zi_sync::Arc<Door>, NodeResources, ZeroEngine, ParamRegistry) {
+        let door = zi_sync::Arc::new(Door::new(1 << 10, 1 << 10));
+        let (node, engine, reg) = rank_over(strategy, door.clone());
+        (door, node, engine, reg)
     }
 
     /// One rank of `strategy` over `device`.
@@ -2175,6 +2362,25 @@ mod tests {
         dev: zi_nvme::MemBackend,
     }
 
+    impl Door {
+        /// A door `n` writes wide that `arrived` writes have reached.
+        fn new(n: usize, arrived: usize) -> Self {
+            let (full, dev) = (zi_sync::Condvar::new(), zi_nvme::MemBackend::new());
+            Door { arrived: zi_sync::Mutex::new(arrived), full, n, dev }
+        }
+
+        /// Hold the writes from here on, as if none had arrived.
+        fn close(&self) {
+            *self.arrived.lock() = 0;
+        }
+
+        /// Let every held write through.
+        fn open(&self) {
+            *self.arrived.lock() = self.n;
+            self.full.notify_all();
+        }
+    }
+
     impl zi_nvme::StorageBackend for Door {
         fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
             self.dev.read_at(offset, buf)
@@ -2198,9 +2404,48 @@ mod tests {
         }
     }
 
+    /// An in-memory device whose writes each take `delay` and whose reads
+    /// take none: a read issued under a write of its extent overtakes it.
+    struct SlowWrites {
+        dev: zi_nvme::MemBackend,
+        delay: std::time::Duration,
+    }
+
+    impl zi_nvme::StorageBackend for SlowWrites {
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            self.dev.read_at(offset, buf)
+        }
+        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+            zi_sync::thread::sleep(self.delay);
+            self.dev.write_at(offset, data)
+        }
+        fn sync(&self) -> Result<()> {
+            self.dev.sync()
+        }
+        fn len(&self) -> Result<u64> {
+            self.dev.len()
+        }
+    }
+
+    /// One rank of `strategy` over [`SlowWrites`] of two milliseconds.
+    fn slow_write_rank(strategy: Strategy) -> (NodeResources, ZeroEngine, ParamRegistry) {
+        let delay = std::time::Duration::from_millis(2);
+        let device = SlowWrites { dev: zi_nvme::MemBackend::new(), delay };
+        rank_over(strategy, zi_sync::Arc::new(device))
+    }
+
     /// Instants named `name` in `events`.
     fn instants(events: &[zi_trace::Event], name: &str) -> usize {
         events.iter().filter(|e| e.cat == Category::OptimStep && e.name == name).count()
+    }
+
+    /// What the next iteration's first deposit does to a step's carry once
+    /// the device has finished the step's writes: reaps them and reads the
+    /// carried records into the buffers they free. Counting up to here
+    /// counts a whole iteration.
+    fn land_carry(node: &NodeResources, eng: &mut ZeroEngine) {
+        node.nvme.barrier().unwrap();
+        eng.reap_tail().unwrap();
     }
 
     #[test]
@@ -2274,6 +2519,127 @@ mod tests {
     }
 
     #[test]
+    fn a_written_through_publish_is_on_the_device_when_the_next_fetch_reads_it() {
+        // The shard cache crowded out, `w`'s publish is written through,
+        // and the door holds the step's writes past the step's last
+        // submission. A window holding a publish is not carried: the step
+        // waits its writes out, so the next forward's fetch of `w` reads —
+        // and verifies — the new bytes.
+        let strategy = Strategy::infinity_nvme().with_f32_params().with_prefetch_window(0);
+        let strategy = strategy.with_optimizer_chunk(4);
+        let grad = Tensor::from_vec(&[3, 4], (0..12).map(|i| i as f32 * 0.1).collect()).unwrap();
+        let (_reference_node, mut reference, reg) = single_rank(strategy);
+        let w = reg.find("w").unwrap();
+        reference.add_grad(w, &grad).unwrap();
+        assert!(reference.step().unwrap());
+        let expect = reference.export_param(w).unwrap();
+        reference.dispose().unwrap();
+        let (door, node, mut eng, _) = held_rank(strategy);
+        node.crowd_out_shard_cache();
+        door.close();
+        eng.add_grad(w, &grad).unwrap();
+        assert!(eng.step().unwrap());
+        assert_eq!(eng.tail.get_mut().in_flight(), 0, "a written-through publish was carried");
+        assert_eq!(eng.get(w).unwrap().data(), expect.data());
+        eng.release(w).unwrap();
+        let health = eng.mgr.health();
+        assert_eq!((health.shard_cache_hits, health.corruptions_recovered), (0, 0));
+        eng.dispose().unwrap();
+    }
+
+    #[test]
+    fn a_model_shorter_than_the_carry_trains_as_if_every_step_drained() {
+        // The tiny registry in records of four elements is five records,
+        // fewer than depth 4 plus a write-behind window of 8: a carried
+        // queue, and the next step, meet records whose writes are still on
+        // a device that serves reads at once.
+        // A quadratic loss pulls every parameter towards a moving target;
+        // the reference leaves nothing on the device between steps, its
+        // engine disposed and restored from a checkpoint after each.
+        let strategy = Strategy::infinity_nvme().with_f32_params().with_prefetch_window(0);
+        let strategy = strategy.with_optimizer_chunk(4);
+        // True when a carried read is out while its record's write is.
+        let overtaking = |eng: &mut ZeroEngine| {
+            let (Some(ahead), tail) = (&eng.ahead, eng.tail.get_mut()) else { return false };
+            ahead.pending.iter().any(|(b, at, _)| {
+                let (first, count) = eng.optims[*b].layout.span(*at);
+                tail.writes_over(&eng.optims[*b].state, first, count)
+            })
+        };
+        let train = |drained: bool| {
+            let (node, mut eng, reg) = slow_write_rank(strategy);
+            let mut losses = Vec::new();
+            for step in 0..4 {
+                let mut loss = 0f32;
+                for meta in reg.iter() {
+                    let param = eng.get(meta.id).unwrap();
+                    let target = |i: usize| (i + step) as f32 * 0.01;
+                    let diff: Vec<f32> =
+                        param.data().iter().enumerate().map(|(i, x)| x - target(i)).collect();
+                    drop(param);
+                    eng.release(meta.id).unwrap();
+                    loss += diff.iter().map(|d| d * d).sum::<f32>();
+                    let grad = diff.iter().map(|d| 2.0 * d).collect();
+                    eng.add_grad(meta.id, &Tensor::from_vec(&meta.shape, grad).unwrap()).unwrap();
+                    assert!(!overtaking(&mut eng), "step {step}: a carried read overtook a write");
+                }
+                losses.push(loss.to_bits());
+                assert!(eng.step().unwrap());
+                assert!(!overtaking(&mut eng), "step {step}: a carried read overtook a write");
+                if drained {
+                    let blob = eng.save_state().unwrap();
+                    eng.dispose().unwrap();
+                    let comm = node.group.communicator(0);
+                    let mgr = node.offload_manager();
+                    let adam = AdamConfig::default();
+                    eng = ZeroEngine::new(&reg, strategy, mgr, comm, adam).unwrap();
+                    eng.load_state(&blob).unwrap();
+                }
+            }
+            let health = eng.mgr.health();
+            assert_eq!(health.corruptions_recovered + health.corruptions_unrecovered, 0);
+            let state = eng.save_state().unwrap();
+            eng.dispose().unwrap();
+            (losses, state)
+        };
+        assert_eq!(train(false), train(true));
+    }
+
+    #[test]
+    fn every_reader_of_optimizer_state_waits_the_carried_window_out() {
+        // Right after the step its last writes are still on a device that
+        // serves reads at once: a checkpoint export, and the collapse of a
+        // node degraded between steps, each read what those writes wrote.
+        let strategy = Strategy::infinity_nvme().with_f32_params().with_prefetch_window(0);
+        let strategy = strategy.with_optimizer_chunk(4);
+        let grad = Tensor::from_vec(&[3, 4], (0..12).map(|i| i as f32 * 0.1).collect()).unwrap();
+        let w = tiny_registry().find("w").unwrap();
+        let stepped = |eng: &mut ZeroEngine| {
+            eng.add_grad(w, &grad).unwrap();
+            assert!(eng.step().unwrap());
+        };
+        let (_reference_node, mut reference, _) = single_rank(strategy);
+        stepped(&mut reference);
+        let after_one = reference.save_state().unwrap();
+        stepped(&mut reference);
+        stepped(&mut reference);
+        let after_three = reference.save_state().unwrap();
+        reference.dispose().unwrap();
+        let (node, mut eng, _) = slow_write_rank(strategy);
+        stepped(&mut eng);
+        assert!(eng.tail.get_mut().in_flight() > 0, "the step's writes already landed");
+        assert_eq!(eng.save_state().unwrap(), after_one, "the export read before the writes");
+        stepped(&mut eng);
+        assert!(eng.tail.get_mut().in_flight() > 0, "the step's writes already landed");
+        node.degrade();
+        stepped(&mut eng);
+        assert_eq!(eng.save_state().unwrap(), after_three, "the collapse read before the writes");
+        let health = eng.mgr.health();
+        assert_eq!((health.corruptions_recovered, health.corruptions_unrecovered), (0, 0));
+        eng.dispose().unwrap();
+    }
+
+    #[test]
     fn a_skipped_step_keeps_the_carried_queue_and_touches_no_device() {
         let (_plan, node, mut eng, w) = faulty_rank(5, 1 << 22);
         let requests = || {
@@ -2284,6 +2650,7 @@ mod tests {
         let ones = Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap();
         eng.add_grad(w, &ones).unwrap();
         assert!(eng.step().unwrap());
+        land_carry(&node, &mut eng);
         let carried = requests();
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![f32::INFINITY; 12]).unwrap()).unwrap();
         assert!(!eng.step().unwrap());
@@ -2294,6 +2661,7 @@ mod tests {
         // reads only the next carry.
         eng.add_grad(w, &ones).unwrap();
         assert!(eng.step().unwrap());
+        land_carry(&node, &mut eng);
         assert_eq!(requests(), (carried.0 + 3, carried.1 + 3));
         eng.dispose().unwrap();
     }
@@ -2346,6 +2714,7 @@ mod tests {
         let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
+        land_carry(&node, &mut eng);
         // Mid-iteration: the step's carried reads of `w`, and a prefetch of
         // `b` (the shard cache has no room for it).
         eng.hint_upcoming(&[b]);
@@ -2357,6 +2726,19 @@ mod tests {
         mgr.nvme().barrier().unwrap();
         assert_eq!((mgr.staging().outstanding(), mgr.load_staging().outstanding()), (0, 0));
         assert_eq!(mgr.nvme().in_flight(), 0);
+        // Right after a step: the carried window, `w`'s three record
+        // writes held on the device (its publish went to the shard cache).
+        let (door, node, mut eng, _) = held_rank(strategy);
+        door.close();
+        eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
+        assert!(eng.step().unwrap());
+        let mgr = node.offload_manager();
+        assert_eq!((eng.tail.get_mut().in_flight(), mgr.staging().outstanding()), (3, 3));
+        door.open();
+        drop(eng);
+        mgr.nvme().barrier().unwrap();
+        assert_eq!((mgr.staging().outstanding(), mgr.nvme().in_flight()), (0, 0));
+        assert_eq!(mgr.nvme().unclaimed(), 0, "a carried write's completion was left unreaped");
     }
 
     #[test]
@@ -2386,10 +2768,12 @@ mod tests {
             eng.release(id).unwrap();
         }
         assert_eq!((node.nvme.stats().reads, eng.mgr.health().shard_cache_hits), (0, 2));
-        // A healthy step writes exactly what construction did.
+        // A healthy step writes exactly what construction did, its last
+        // writes landing after it returns.
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         eng.add_grad(b, &Tensor::from_vec(&[5], vec![1.0; 5]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
+        node.nvme.barrier().unwrap();
         let stepped = node.nvme.stats();
         assert_eq!((stepped.writes - 5, stepped.bytes_written - 204), (5, 204));
         assert_eq!(eng.mgr.staging().stats().allocated, set);
@@ -2465,6 +2849,7 @@ mod tests {
                 let before = requests();
                 mixed_grads(&mut eng, &reg, &MIXED, round);
                 assert!(eng.step().unwrap());
+                land_carry(&node, &mut eng);
                 let after = requests();
                 per_step.push((after.0 - before.0, after.1 - before.1));
             }
@@ -2477,7 +2862,7 @@ mod tests {
         let (built, per_step, packed) = run(8);
         assert_eq!(built, (0, 8), "construction writes one step's requests");
         // The first step reads its records and carries all eight into the
-        // next (depth 4 plus half a write-behind window of 8).
+        // next (up to depth 4 plus a write-behind window of 8).
         assert_eq!(per_step, vec![(8 + 8, 8), (8, 8), (8, 8), (8, 8)]);
         let (_, unpacked_steps, unpacked) = run(1);
         assert_eq!(unpacked_steps[3], (58, 58), "one record per element");
@@ -2509,6 +2894,7 @@ mod tests {
         let at_rest = requests();
         mixed_grads(&mut eng, &reg, &["a", "w"], 0);
         assert!(eng.step().unwrap());
+        land_carry(&node, &mut eng);
         assert_eq!(requests(), (at_rest.0 + 5 + 5, at_rest.1 + 5));
         // `g`, `b` and `c` are as built; `a` and `w` are one step on.
         let after = state(&eng);

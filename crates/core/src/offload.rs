@@ -572,6 +572,11 @@ pub struct OffloadHealth {
     /// Dirty cached shards written back to the device, by an eviction or
     /// by an access that bypasses the cache.
     pub shard_cache_write_backs: u64,
+    /// The most record staging buffers ever checked out at once on the
+    /// node: device reads in flight or in hand, and writes.
+    pub staging_peak_buffers: u64,
+    /// Bytes the node's record staging pool holds, idle or checked out.
+    pub staging_held_bytes: u64,
     /// NVMe engine counters, including per-request `retries` and
     /// `gave_up` from the retry layer.
     pub io: zi_nvme::IoStats,
@@ -812,6 +817,19 @@ impl PlacedBuf {
             .then_some(seg.block.offset + lo as u64)
     }
 
+    /// The device extents `(offset, bytes)` holding elements `[start,
+    /// start + len)`: one per NVMe segment the range meets.
+    fn nvme_extents(&self, start: usize, len: usize) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let end = start + len;
+        let segments = &self.segments[self.segment_index(start)..];
+        let meets = segments.iter().take_while(move |seg| seg.start < end);
+        meets.filter(|seg| seg.ram.is_none()).map(move |seg| {
+            let (lo, hi) = (start.max(seg.start) - seg.start, end.min(seg.end()) - seg.start);
+            let bytes = |elems: usize| self.dtype.bytes_for(elems) as u64;
+            (seg.block.offset + bytes(lo), bytes(hi - lo))
+        })
+    }
+
     /// The RAM-resident F32 elements `[start, start+len)` as a mutable
     /// slice of the resident buffer itself — Adam updates a cp-path
     /// piece in place here, with no slice → decode → encode → write-back.
@@ -985,6 +1003,8 @@ impl OffloadManager {
             shard_cache_bytes: self.resilience.cache.hit_bytes.load(Ordering::Relaxed),
             shard_cache_evictions: self.resilience.cache.evictions.load(Ordering::Relaxed),
             shard_cache_write_backs: self.resilience.cache.write_backs.load(Ordering::Relaxed),
+            staging_peak_buffers: self.staging.stats().peak_outstanding,
+            staging_held_bytes: self.staging.held_bytes(),
             io: self.nvme.stats(),
         }
     }
@@ -1513,6 +1533,11 @@ impl OffloadManager {
     }
 }
 
+/// True when the device extents `(offset, bytes)` `a` and `b` share a byte.
+fn overlap(a: (u64, u64), b: (u64, u64)) -> bool {
+    a.0 < b.0 + b.1 && b.0 < a.0 + a.1
+}
+
 /// Bounded asynchronous write-behind for chunk-streamed updates.
 ///
 /// The pipelined optimizer step hands each updated staging buffer to the
@@ -1523,25 +1548,43 @@ impl OffloadManager {
 /// into its write request by value and goes home to the staging pool
 /// when the ticket is reaped — on success and on every error path.
 ///
+/// The window knows the device extent of every write in it, so no read
+/// overtakes one: a caller about to read an extent waits the window's
+/// writes over it out first ([`Self::settle`]) or asks whether one is
+/// there ([`Self::writes_over`]; [`Self::wrote_lately`] asks the same of
+/// the window's last `window` submissions, which unlike the writes still
+/// in it do not depend on when the device finished any of them). That
+/// lets a window outlive the call that filled it: the optimizer step
+/// returns with its last writes still in flight and hands the window to
+/// the next step, and between the two [`Self::reap`] collects, without
+/// blocking, the writes the device has finished.
+///
 /// Unlike [`OffloadManager::overwrite_async_placed`]'s writes — whose
-/// failures are deferred to the manager's `flush` — every write-behind
-/// ticket is waited in [`WriteBehind::drain`] (or during back-pressure),
-/// so write failures surface as typed errors on the step path itself:
-/// transient faults are retried inside the engine exactly as before, and
-/// a device-death error reaches the trainer's recovery loop rather than
-/// being discovered at end-of-iteration.
+/// failures are deferred to the manager's `flush`, which degrades the
+/// node instead — every write-behind ticket is waited by whoever holds
+/// the window: back-pressure, [`Self::settle`], [`Self::reap`] or
+/// [`Self::drain`]. A write failure is therefore a typed error of the
+/// call that reaps it, never absorbed; transient faults are retried
+/// inside the engine exactly as before.
 pub struct WriteBehind {
     window: usize,
-    inflight: VecDeque<Ticket>,
+    /// The writes in flight, oldest first: ticket, device offset, bytes.
+    inflight: VecDeque<(Ticket, u64, u64)>,
+    /// The extents of the last `window` writes submitted since the last
+    /// drain, reaped or not, oldest first.
+    recent: VecDeque<(u64, u64)>,
     /// Bytes handed to the device so far.
     pub(crate) bytes: u64,
+    /// Publish pieces handed to the device so far.
+    pub(crate) pieces: u64,
 }
 
 impl WriteBehind {
     /// Write-behind with at most `window` NVMe writes in flight
     /// (clamped to ≥ 1).
     pub fn new(window: usize) -> WriteBehind {
-        WriteBehind { window: window.max(1), inflight: VecDeque::new(), bytes: 0 }
+        let (inflight, recent) = (VecDeque::new(), VecDeque::new());
+        WriteBehind { window: window.max(1), inflight, recent, bytes: 0, pieces: 0 }
     }
 
     /// NVMe writes currently in flight.
@@ -1549,9 +1592,90 @@ impl WriteBehind {
         self.inflight.len()
     }
 
+    /// Bytes of the NVMe writes currently in flight.
+    pub(crate) fn in_flight_bytes(&self) -> u64 {
+        self.inflight.iter().map(|&(_, _, len)| len).sum()
+    }
+
     /// True while a write of this window is still on the device.
     pub(crate) fn writing(&self, mgr: &OffloadManager) -> bool {
-        self.inflight.iter().any(|&ticket| !mgr.nvme.is_ready(ticket))
+        self.inflight.iter().any(|&(ticket, ..)| !mgr.nvme.is_ready(ticket))
+    }
+
+    /// The position of the last write in the window that overlaps
+    /// `[offset, offset + len)`.
+    fn last_over(&self, offset: u64, len: u64) -> Option<usize> {
+        self.inflight.iter().rposition(|&(_, at, n)| overlap((at, n), (offset, len)))
+    }
+
+    /// True when a write of this window covers any device byte of
+    /// elements `[start, start + len)` of `buf`.
+    pub(crate) fn writes_over(&self, buf: &PlacedBuf, start: usize, len: usize) -> bool {
+        !self.inflight.is_empty()
+            && buf.nvme_extents(start, len).any(|(at, n)| self.last_over(at, n).is_some())
+    }
+
+    /// How many of the window's last `window` submissions since its last
+    /// drain there are: at least the writes still in it.
+    pub(crate) fn lately(&self) -> usize {
+        self.recent.len()
+    }
+
+    /// [`Self::writes_over`] of the window's last `window` submissions
+    /// since its last drain, reaped or not: a superset of the writes still
+    /// in it that depends only on the order of submission.
+    pub(crate) fn wrote_lately(&self, buf: &PlacedBuf, start: usize, len: usize) -> bool {
+        let over = |extent| self.recent.iter().any(|&written| overlap(written, extent));
+        !self.recent.is_empty() && buf.nvme_extents(start, len).any(over)
+    }
+
+    /// Wait out every write of this window over elements `[start, start +
+    /// len)` of `buf` — and, first in, first out, the writes queued before
+    /// it — so a read of them that follows cannot overtake one. A failure
+    /// is the first failed write's error, every write up to the last one
+    /// over the range reaped.
+    pub(crate) fn settle(
+        &mut self,
+        mgr: &OffloadManager,
+        buf: &PlacedBuf,
+        start: usize,
+        len: usize,
+    ) -> Result<()> {
+        if self.inflight.is_empty() {
+            return Ok(());
+        }
+        buf.nvme_extents(start, len).try_for_each(|(at, n)| self.wait_over(mgr, at, n))
+    }
+
+    /// [`Self::settle`] by device extent.
+    fn wait_over(&mut self, mgr: &OffloadManager, offset: u64, len: u64) -> Result<()> {
+        let Some(last) = self.last_over(offset, len) else { return Ok(()) };
+        let waited = self.inflight.drain(..=last);
+        let waited = waited.map(|(ticket, ..)| mgr.nvme.wait_buf(ticket).map(drop));
+        // Every write up to the last one over the range is reaped before a
+        // failure surfaces.
+        waited.fold(Ok(()), Result::and)
+    }
+
+    /// Collect every write the device has finished, without blocking:
+    /// their staging buffers go home. Returns how many writes and bytes
+    /// were reaped, or the first failed write's error once every finished
+    /// one is collected.
+    pub(crate) fn reap(&mut self, mgr: &OffloadManager) -> Result<(usize, u64)> {
+        let (mut reaped, mut first_err) = ((0, 0), None);
+        let mut k = 0;
+        while let Some(&(ticket, _, len)) = self.inflight.get(k) {
+            if !mgr.nvme.is_ready(ticket) {
+                k += 1;
+                continue;
+            }
+            self.inflight.remove(k);
+            reaped = (reaped.0 + 1, reaped.1 + len);
+            if let Err(e) = mgr.nvme.wait_buf(ticket) {
+                first_err.get_or_insert(e);
+            }
+        }
+        first_err.map_or(Ok(reaped), Err)
     }
 
     /// Queue `staging` as the new contents of `buf[start ..]` — a range
@@ -1593,6 +1717,7 @@ impl WriteBehind {
             bytes.chunks(tile.max(1)).zip(crcs).all(|(bytes, &crc)| crc32(bytes) == crc),
             "write-behind checksums are not those of the bytes"
         );
+        let len = bytes.len() as u64;
         mgr.resilience.record_tiles(offset, tile as u64, crcs)?;
         // Harvest writes that already completed before deciding to
         // block: FIFO service completes the oldest tickets first, so
@@ -1601,7 +1726,7 @@ impl WriteBehind {
         // requests, not unclaimed completions) and makes the stall
         // counter a true back-pressure signal — it fires only when the
         // device is genuinely behind.
-        while let Some(&oldest) = self.inflight.front() {
+        while let Some(&(oldest, ..)) = self.inflight.front() {
             if !mgr.nvme.is_ready(oldest) {
                 if self.inflight.len() < self.window {
                     break;
@@ -1612,18 +1737,23 @@ impl WriteBehind {
             self.inflight.pop_front();
             mgr.nvme.wait_buf(oldest)?;
         }
-        self.bytes += staging.as_bytes().len() as u64;
-        self.inflight.push_back(mgr.nvme.submit_write_from(offset, staging));
+        self.bytes += len;
+        self.inflight.push_back((mgr.nvme.submit_write_from(offset, staging), offset, len));
+        if self.recent.len() == self.window {
+            self.recent.pop_front();
+        }
+        self.recent.push_back((offset, len));
         Ok(())
     }
 
     /// Wait out every queued write, surfacing the first failure as a
     /// typed error. All tickets are waited regardless of earlier
-    /// failures, so no request outlives the step that issued it and
+    /// failures, so nothing of the window is left on the device and
     /// every staging buffer is back in its pool.
     pub fn drain(&mut self, mgr: &OffloadManager) -> Result<()> {
+        self.recent.clear();
         let mut first_err = None;
-        while let Some(ticket) = self.inflight.pop_front() {
+        while let Some((ticket, ..)) = self.inflight.pop_front() {
             if let Err(e) = mgr.nvme.wait_buf(ticket) {
                 first_err.get_or_insert(e);
             }
@@ -1725,6 +1855,7 @@ impl PublishStream {
                 let piece = self.staged.take().filter(|piece| piece.as_bytes().len() == nbytes);
                 let piece = piece.ok_or_else(|| Error::Internal("no staged publish piece".into()))?;
                 wb.submit_at(&self.mgr, offset, piece, &[crc])?;
+                wb.pieces += 1;
             }
         }
         self.next += len;

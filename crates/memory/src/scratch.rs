@@ -42,7 +42,14 @@ pub struct ScratchStats {
 struct State {
     free: Vec<Vec<f32>>,
     outstanding: u64,
+    /// Capacity bytes of every buffer the pool owns, idle or checked out.
+    held: u64,
     stats: ScratchStats,
+}
+
+/// The bytes `words` f32 of capacity take.
+fn capacity_bytes(words: usize) -> u64 {
+    (words * std::mem::size_of::<f32>()) as u64
 }
 
 /// Pool of reusable staging buffers.
@@ -93,7 +100,9 @@ impl ScratchPool {
         drop(st);
         let mut data = recycled.unwrap_or_default();
         if data.len() < words {
+            let before = data.capacity();
             data.resize(words, 0.0);
+            self.shared.lock().held += capacity_bytes(data.capacity() - before);
         }
         ScratchVec { data, bytes, pool: Some(Arc::clone(&self.shared)) }
     }
@@ -111,6 +120,7 @@ impl ScratchPool {
         let fresh: Vec<Vec<f32>> = (idle..count).map(|_| vec![0.0; words]).collect();
         let mut st = self.shared.lock();
         st.stats.allocated += fresh.len() as u64;
+        st.held += fresh.iter().map(|v| capacity_bytes(v.capacity())).sum::<u64>();
         st.free.extend(fresh);
     }
 
@@ -128,6 +138,12 @@ impl ScratchPool {
     pub fn outstanding(&self) -> u64 {
         self.shared.lock().outstanding
     }
+
+    /// Bytes the pool holds: the capacity of every buffer it owns, idle
+    /// or checked out.
+    pub fn held_bytes(&self) -> u64 {
+        self.shared.lock().held
+    }
 }
 
 impl ScratchVec {
@@ -138,7 +154,10 @@ impl ScratchVec {
     /// without pinning a pool-sized buffer behind a small shard.
     pub fn detach(mut self) -> ScratchVec {
         if let Some(pool) = self.pool.take() {
-            pool.lock().outstanding -= 1;
+            let mut st = pool.lock();
+            st.outstanding -= 1;
+            st.held -= capacity_bytes(self.data.capacity());
+            drop(st);
             self.data.truncate(self.bytes.div_ceil(4));
             self.data.shrink_to_fit();
         }
@@ -231,6 +250,18 @@ mod tests {
         assert_eq!(pool.stats().allocated, 4, "the whole bound came from the reserved set");
         drop((held, small));
         assert_eq!((pool.outstanding(), pool.idle()), (0, 4));
+    }
+
+    #[test]
+    fn held_bytes_count_idle_and_checked_out_buffers_until_one_leaves() {
+        let pool = ScratchPool::new();
+        pool.reserve(2, 64);
+        let a = pool.acquire(64);
+        assert_eq!((pool.held_bytes(), pool.outstanding(), pool.idle()), (128, 1, 1));
+        drop(a.detach());
+        assert_eq!(pool.held_bytes(), 64, "a detached buffer left the pool");
+        let (_b, _c) = (pool.acquire(32), pool.acquire(32));
+        assert_eq!(pool.held_bytes(), 64 + 32, "a miss adds what it allocates");
     }
 
     #[test]

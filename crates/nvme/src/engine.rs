@@ -431,6 +431,12 @@ impl NvmeEngine {
         self.shared.in_flight.load(Ordering::Acquire)
     }
 
+    /// Number of completed requests whose outcome no wait has collected
+    /// yet: each holds its buffer until its submitter reaps it.
+    pub fn unclaimed(&self) -> usize {
+        self.shared.completions.lock().len()
+    }
+
     /// Statistics snapshot.
     pub fn stats(&self) -> IoStats {
         let in_flight_peak = self.shared.in_flight_peak.load(Ordering::Relaxed);

@@ -29,6 +29,13 @@ cargo run -q --release -p zi-bench --bin repro -- fig1 fig2a fig2b fig3 table1 f
 # with a CPU pool too small to admit anything into it.
 cargo test --release -q --test alloc_budget \
     || { echo "allocation budget exceeded: a fetch, deposit or step path allocates a large block per call"; exit 1; }
+# The configuration-matrix oracle in the profile that ships: 24 seeded
+# cells over strategy, CPU pool, pipeline depth, accumulation,
+# activation checkpointing, world size and a checkpoint round trip, each
+# bit for bit the dense reference's training (the workspace run above
+# covers the debug profile).
+cargo test --release -q --test config_matrix \
+    || { echo "a configuration-matrix cell diverged from the dense reference"; exit 1; }
 cargo clippy --workspace --all-targets -- -D warnings
 # Tracked size numbers (ROADMAP north-star point 2): per-crate lines and
 # public-API surface live in the committed SURFACE.md, so every PR shows
@@ -55,7 +62,8 @@ cargo run -q --release -p zi-audit -- --root . --json "$AUDIT_JSON" \
 # racing rank death, the collectives' slot table, engine completion
 # barrier + staging-buffer hand-back, checkpoint crash recovery,
 # pool checkout/return, trace ring drain, kernel worker-pool tiling, the shard cache's admit / invalidate / evict
-# across two ranks).
+# across two ranks, the optimizer step's carried write-behind window
+# against the next step's reads).
 # Each harness must
 # cover >= 1000 distinct schedules or exhaust its space; failures print
 # a ZI_CHECK_SEED/ZI_CHECK_TRACE replay line. Bounded by a hard
@@ -132,14 +140,18 @@ timeout --kill-after=10s 120s \
 # holds. So do the trainer's unit suite and the trace accounting: the
 # trainer and the tracer are where overlap settings stopped changing
 # while an engine runs; so do chaos and the paper claims, whose 250‰ split
-# device death runs through the record-by-record placement deal.
+# device death runs through the record-by-record placement deal; so does
+# the configuration matrix, every cell of which must stay the dense
+# reference's bits under either kernel set.
 ZI_SIMD=scalar cargo test -q -p zi-tensor -p zi-optim -p zi-model \
     && ZI_SIMD=scalar cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: checkpoint:: trainer:: \
     && ZI_SIMD=scalar cargo test -q --test equivalence --test shard_cache --test end_to_end --test parallelism \
         --test memory_footprint --test alloc_budget --test trace_accounting --test chaos --test paper_claims \
+        --test config_matrix \
     || { echo "scalar-forced unit suites failed"; exit 1; }
 ZI_KERNEL_THREADS=2 cargo test -q -p zi-tensor -p zi-optim -p zi-model \
     && ZI_KERNEL_THREADS=2 cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: checkpoint:: trainer:: \
     && ZI_KERNEL_THREADS=2 cargo test -q --test equivalence --test shard_cache --test end_to_end --test parallelism \
         --test memory_footprint --test alloc_budget --test trace_accounting --test chaos --test paper_claims \
+        --test config_matrix \
     || { echo "parallel-pool unit suites failed"; exit 1; }

@@ -1,0 +1,230 @@
+//! Configuration-matrix oracle: a seeded sample of cells over the
+//! engine's configuration axes — strategy, CPU pool, pipeline depth,
+//! gradient accumulation, activation checkpointing, world size and a
+//! checkpoint round trip between steps — each training the tiny GPT for
+//! three steps. The axes that only move bytes (strategy, pool, depth, the
+//! round trip) must not move a bit: every cell's losses and final
+//! parameters equal, bit for bit, the dense single-process baseline's
+//! numerics at its world, accumulation and checkpointing, and a healthy
+//! device reports no corruption and no shard-cache anomaly.
+
+use std::fmt;
+
+use zi_sync::Arc;
+
+use zero_infinity_suite::model::{GptConfig, GptModel, RunOptions};
+use zero_infinity_suite::optim::AdamConfig;
+use zero_infinity_suite::zero::trainer::{synthetic_batch, train_dense_baseline};
+use zero_infinity_suite::zero::{NodeResources, OffloadHealth, Strategy, ZeroEngine};
+use zi_memory::NodeMemorySpec;
+use zi_types::Device;
+
+/// The sample's seed: fixed here, so every run checks the same cells.
+const SEED: u64 = 0x0c0f_f1ce_5eed_0038;
+/// Cells checked per run.
+const CELLS: usize = 24;
+const STEPS: usize = 3;
+const MICRO_BATCH: usize = 2;
+
+fn cfg() -> GptConfig {
+    GptConfig { vocab: 16, hidden: 8, layers: 2, heads: 2, seq: 4, seed: 23 }
+}
+
+fn adam() -> AdamConfig {
+    AdamConfig { lr: 0.01, ..Default::default() }
+}
+
+/// One point of the matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Cell {
+    /// 0 `infinity_nvme`, 1 `infinity_cpu`, 2 `zero_3`.
+    strategy: usize,
+    /// A CPU pool with room for what the strategy keeps there and the
+    /// gradients, and nothing for the shard cache; else a roomy one.
+    tight: bool,
+    depth: usize,
+    accumulation: usize,
+    checkpointing: bool,
+    world: usize,
+    /// `save_state` → `load_state` on the same engine after step 1.
+    round_trip: bool,
+}
+
+impl Cell {
+    fn strategy(&self) -> Strategy {
+        let strategy = match self.strategy {
+            0 => Strategy::infinity_nvme(),
+            1 => Strategy::infinity_cpu(),
+            _ => Strategy::zero_3(),
+        };
+        strategy.with_f32_params().with_step_pipeline_depth(self.depth)
+    }
+}
+
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} pool={} depth={} accumulation={} checkpointing={} world={} round_trip={}",
+            self.strategy().name,
+            if self.tight { "gradients-only" } else { "roomy" },
+            self.depth,
+            self.accumulation,
+            self.checkpointing,
+            self.world,
+            self.round_trip,
+        )
+    }
+}
+
+/// `CELLS` distinct cells: every strategy × world × depth at least once,
+/// in that order, the pool, accumulation, checkpointing and round trip
+/// drawn with a xorshift generator from `seed`.
+fn sample(seed: u64) -> Vec<Cell> {
+    let mut state = seed;
+    let mut coin = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state & 1 == 1
+    };
+    let mut cells = Vec::with_capacity(CELLS);
+    while cells.len() < CELLS {
+        let i = cells.len();
+        let cell = Cell {
+            strategy: i % 3,
+            world: 1 + (i / 3) % 2,
+            depth: [1, 2, 4][(i / 6) % 3],
+            tight: coin(),
+            accumulation: 1 + usize::from(coin()),
+            checkpointing: coin(),
+            round_trip: coin(),
+        };
+        if !cells.contains(&cell) {
+            cells.push(cell);
+        }
+    }
+    cells
+}
+
+/// What a run leaves: losses and final parameters as bits, and the
+/// node's health.
+struct Trained {
+    losses: Vec<u32>,
+    params: Vec<Vec<u32>>,
+    health: OffloadHealth,
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Bytes of CPU pool the cell's strategy keeps there, which leave the
+/// shard cache no room: every rank's fp32 gradient shard, and for the
+/// CPU-offload strategy its fp32 parameter shards and optimizer state too.
+fn tight_pool(cell: &Cell) -> u64 {
+    let model = GptModel::new(cfg());
+    let padded = model.registry().iter().map(|p| p.numel().div_ceil(cell.world) * cell.world);
+    let padded = padded.sum::<usize>() as u64;
+    let per_elem = if cell.strategy == 1 { 4 + 4 + 12 } else { 4 };
+    per_elem * padded
+}
+
+/// Train `cell` under `strategy` as the trainer does — each rank on its
+/// slice of each micro-batch, one optimizer step per `accumulation`
+/// micro-batches — on one node over an in-memory device.
+fn train(cell: Cell, strategy: Strategy) -> Trained {
+    let cpu = if cell.tight { tight_pool(&cell) } else { 1 << 26 };
+    let spec = NodeMemorySpec::test_spec(cell.world, 1 << 24, cpu, 1 << 26);
+    let node = Arc::new(NodeResources::in_memory(&spec, cell.world));
+    let handles: Vec<_> = (0..cell.world)
+        .map(|rank| {
+            let node = Arc::clone(&node);
+            zi_sync::thread::spawn(move || -> (Vec<f32>, Vec<Vec<u32>>) {
+                let model = GptModel::new(cfg());
+                let (comm, mgr) = (node.group.communicator(rank), node.offload_manager());
+                let mut engine =
+                    ZeroEngine::new(model.registry(), strategy, mgr, comm, adam())
+                        .unwrap_or_else(|e| panic!("{cell}: engine: {e}"));
+                engine.set_grad_accumulation(cell.accumulation);
+                let opts = RunOptions {
+                    batch: MICRO_BATCH,
+                    activation_checkpointing: cell.checkpointing,
+                    prefetch_window: 2,
+                };
+                let rows = MICRO_BATCH * cfg().seq;
+                let mut losses = Vec::with_capacity(STEPS);
+                for step in 0..STEPS {
+                    let mut loss = 0.0f32;
+                    for micro in 0..cell.accumulation {
+                        let data_step = step * cell.accumulation + micro;
+                        let (tokens, targets) =
+                            synthetic_batch(&cfg(), cell.world * MICRO_BATCH, data_step);
+                        let (lo, hi) = (rank * rows, (rank + 1) * rows);
+                        loss += model
+                            .train_step(&mut engine, &tokens[lo..hi], &targets[lo..hi], &opts)
+                            .unwrap_or_else(|e| panic!("{cell}: step {step}: {e}"));
+                    }
+                    assert!(engine.step().unwrap_or_else(|e| panic!("{cell}: step {step}: {e}")));
+                    let loss = loss / cell.accumulation as f32;
+                    // The mean over ranks, as the trainer takes it.
+                    let sum = node.group.communicator(rank).sum_scalar(loss).expect("loss");
+                    losses.push(sum / cell.world as f32);
+                    if cell.round_trip && step == 0 {
+                        let blob =
+                            engine.save_state().unwrap_or_else(|e| panic!("{cell}: save: {e}"));
+                        engine.load_state(&blob).unwrap_or_else(|e| panic!("{cell}: load: {e}"));
+                    }
+                }
+                let ids: Vec<_> = model.registry().iter().map(|m| m.id).collect();
+                let params = ids
+                    .into_iter()
+                    .map(|id| bits(engine.export_param(id).expect("export").data()))
+                    .collect();
+                engine.dispose().unwrap_or_else(|e| panic!("{cell}: dispose: {e}"));
+                (losses, params)
+            })
+        })
+        .collect();
+    let mut ranks: Vec<_> = handles.into_iter().map(|h| h.join().expect("rank thread")).collect();
+    let (losses, params) = ranks.swap_remove(0);
+    for device in (0..cell.world).map(Device::gpu).chain([Device::cpu(), Device::nvme()]) {
+        assert_eq!(node.hierarchy.stats(device).in_use, 0, "{cell}: {device} leak after dispose");
+    }
+    Trained { losses: bits(&losses), params, health: node.offload_manager().health() }
+}
+
+/// The dense baseline's numerics at `cell`'s world, accumulation and
+/// checkpointing: at world 1 without accumulation the single-process
+/// baseline itself; elsewhere the replicated data-parallel strategy,
+/// which reduces and averages as every partitioned strategy does (the
+/// single process sums the whole batch in another order).
+fn reference(cell: &Cell) -> (Vec<u32>, Vec<Vec<u32>>) {
+    if cell.world == 1 && cell.accumulation == 1 {
+        let (losses, params) =
+            train_dense_baseline(&cfg(), MICRO_BATCH, STEPS, adam(), cell.checkpointing)
+                .expect("dense baseline");
+        return (bits(&losses), params.iter().map(|p| bits(p.data())).collect());
+    }
+    let dense = Cell { tight: false, round_trip: false, ..*cell };
+    let trained = train(dense, Strategy::data_parallel().with_f32_params());
+    (trained.losses, trained.params)
+}
+
+#[test]
+fn every_sampled_cell_trains_bit_for_bit_as_the_dense_baseline() {
+    let cells = sample(SEED);
+    for cell in cells {
+        let (losses, params) = reference(&cell);
+        let got = train(cell, cell.strategy());
+        assert_eq!(got.losses, losses, "{cell}: losses differ from the dense baseline");
+        assert_eq!(got.params, params, "{cell}: final parameters differ from the dense baseline");
+        // A roomy pool never evicts; a tight one evicts construction's
+        // images at the first backward, once each.
+        let h = got.health;
+        let corrupt = (h.corruptions_recovered, h.corruptions_unrecovered);
+        assert_eq!(corrupt, (0, 0), "{cell}: corruption on a healthy device: {h:?}");
+        assert!(!h.degraded && h.failovers == 0, "{cell}: a healthy device degraded: {h:?}");
+        assert!(cell.tight || h.shard_cache_evictions == 0, "{cell}: a roomy cache evicted: {h:?}");
+    }
+}
