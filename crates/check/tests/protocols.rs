@@ -790,15 +790,15 @@ fn carried_window_body(seen: &[zi_sync::OnceLock<()>; 2], state: &zi_sync::OnceL
     let w = reg.find("w").expect("w");
     let spec = NodeMemorySpec::test_spec(1, 1 << 12, 1 << 12, 1 << 12);
     let device = Arc::new(ReadsFirst { dev: MemBackend::new(), reads: Default::default() });
-    let env = NodeEnv { pinned: (2, 64), nvme_workers: 3, ..NodeEnv::new(device) };
+    let env = NodeEnv { pinned: (2, 64), nvme_workers: 2, ..NodeEnv::new(device) };
     let node = NodeResources::new(&spec, 1, env);
-    // Records of four elements, two reads ahead, a write-behind window
-    // of four: the carry's budget covers both records.
+    // Records of four elements; two device workers make the step two
+    // reads ahead with a write-behind window of four: the carry's budget
+    // covers both records.
     let strategy = Strategy::infinity_nvme()
         .with_f32_params()
         .with_prefetch_window(0)
-        .with_optimizer_chunk(4)
-        .with_step_pipeline_depth(2);
+        .with_optimizer_chunk(4);
     let (mgr, comm) = (node.offload_manager(), node.group.communicator(0));
     let mut eng = ZeroEngine::new(&reg, strategy, mgr, comm, Default::default()).expect("engine");
     let staging = node.offload_manager();

@@ -2,12 +2,6 @@
 
 use zi_types::{DType, DeviceKind};
 
-/// Writes the chunked optimizer step queues per record: the record
-/// itself (fp32 master, momentum and variance, interleaved) and the
-/// parameter published in storage dtype — when the publish is written
-/// through, not into the shard cache.
-const WRITES_PER_RECORD: usize = 2;
-
 /// Where each class of model state lives when not in active use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
@@ -51,16 +45,10 @@ pub struct Strategy {
     /// Elements per chunk when streaming optimizer state through CPU
     /// memory during the step (Sec. 5.2.2); `usize::MAX` = monolithic.
     pub optimizer_chunk: usize,
-    /// Optimizer-step pipeline depth (Sec. 5.2.2): optimizer records —
-    /// one chunk's master, momentum and variance, a single device request
-    /// — read ahead of the update, the one being updated included, across
-    /// parameter boundaries, while earlier records write back. It counts
-    /// requests, not bytes: a depth below the device's worker count
-    /// leaves workers idle. Like every overlap setting below, it changes
-    /// no numerics and is fixed for an engine's lifetime.
-    pub step_pipeline_depth: usize,
     /// Dynamic-prefetcher look-ahead (Sec. 6.2): the prefetcher runs
     /// exactly when it is above 0, and only for partitioned parameters.
+    /// Like the CPU share below, it changes no numerics and is fixed for
+    /// an engine's lifetime.
     pub prefetch_window: usize,
     /// Share of each optimizer shard's records placed in CPU DRAM instead
     /// of NVMe, in permille (0 = all-NVMe, 1000 = all-CPU); ignored unless
@@ -79,7 +67,6 @@ impl Strategy {
             placement: Placement::GPU,
             param_dtype: DType::F16,
             optimizer_chunk: usize::MAX,
-            step_pipeline_depth: 1,
             prefetch_window: 3,
             optimizer_cpu_permille: 0,
         }
@@ -149,12 +136,6 @@ impl Strategy {
             optimizer_chunk: 1 << 16,
             ..Strategy::zero_3()
         }
-        // NVMe-resident optimizer state is where the three-hop pipeline
-        // pays off; overlap by default (Sec. 6.2). Depth counts records,
-        // one device request each, so the default must be at least the
-        // device's worker count (`NodeEnv::nvme_workers`, 4): below it the
-        // read-ahead starves the workers whatever the record size.
-        .with_step_pipeline_depth(4)
     }
 
     /// The Fig. 6a sweep, in the paper's order.
@@ -180,11 +161,6 @@ impl Strategy {
         Strategy { optimizer_chunk: elems, ..self }
     }
 
-    /// Override the optimizer-step pipeline depth (1 = sequential).
-    pub fn with_step_pipeline_depth(self, depth: usize) -> Strategy {
-        Strategy { step_pipeline_depth: depth, ..self }
-    }
-
     /// Override the dynamic-prefetch look-ahead window.
     pub fn with_prefetch_window(self, window: usize) -> Strategy {
         Strategy { prefetch_window: window, ..self }
@@ -194,12 +170,6 @@ impl Strategy {
     /// permille (clamped to 1000).
     pub fn with_optimizer_cpu_permille(self, permille: usize) -> Strategy {
         Strategy { optimizer_cpu_permille: permille.min(1000), ..self }
-    }
-
-    /// Bound on in-flight write-behind requests during the streamed
-    /// optimizer step: both writes of every in-flight chunk.
-    pub(crate) fn write_behind_bound(&self) -> usize {
-        WRITES_PER_RECORD * self.step_pipeline_depth.max(1)
     }
 }
 
@@ -233,20 +203,9 @@ mod tests {
         let s = Strategy::infinity_nvme().with_f32_params();
         assert_eq!(s.param_dtype, DType::F32);
         assert_eq!(s.name, "ZeRO-Inf-NVMe");
-        let s = s.with_step_pipeline_depth(4).with_prefetch_window(5);
-        assert_eq!(s.step_pipeline_depth, 4);
-        assert_eq!(s.prefetch_window, 5);
-    }
-
-    #[test]
-    fn nvme_strategy_pipelines_by_default() {
-        let depth = Strategy::infinity_nvme().step_pipeline_depth;
-        assert_eq!(depth, 4);
-        // One request per record: fewer records ahead than device
-        // workers leaves workers idle.
-        assert!(depth >= crate::offload::NodeEnv::in_memory().nvme_workers);
-        // RAM-tier strategies resolve loads instantly; sequential default.
-        assert_eq!(Strategy::infinity_cpu().step_pipeline_depth, 1);
-        assert_eq!(Strategy::data_parallel().step_pipeline_depth, 1);
+        let s = s.with_prefetch_window(5).with_optimizer_chunk(16);
+        let s = s.with_optimizer_cpu_permille(1500);
+        assert_eq!((s.prefetch_window, s.optimizer_chunk), (5, 16));
+        assert_eq!(s.optimizer_cpu_permille, 1000);
     }
 }

@@ -64,6 +64,12 @@ use crate::prefetch::{PrefetchStats, Prefetcher, TraceMap};
 /// momentum, variance.
 const STATE_STREAMS: usize = 3;
 
+/// Writes the chunked optimizer step queues per record: the record
+/// itself (fp32 master, momentum and variance, interleaved) and the
+/// parameter published in storage dtype — when the publish is written
+/// through, not into the shard cache.
+const WRITES_PER_RECORD: usize = 2;
+
 /// How the optimizer state of one buffer is laid out: the update ranges
 /// of its members back to back, `len` elements in one buffer of `3 × len`
 /// f32, in records of `per` elements, record k holding `master ‖ m ‖ v` of
@@ -352,14 +358,9 @@ impl ZeroEngine {
         if strategy.optimizer_chunk == 0 {
             return Err(Error::InvalidArgument("optimizer_chunk must be nonzero".into()));
         }
-        if strategy.step_pipeline_depth == 0 {
-            return Err(Error::InvalidArgument(
-                "step_pipeline_depth must be at least 1 (1 = sequential)".into(),
-            ));
-        }
         let mut engine = ZeroEngine {
             part: Partitioner::new(comm.world_size()),
-            tail: RefCell::new(WriteBehind::new(strategy.write_behind_bound())),
+            tail: RefCell::new(WriteBehind::new(WRITES_PER_RECORD * mgr.nvme().worker_count())),
             strategy,
             // Read before the layout: a latch set meanwhile (a failover
             // here or on another rank) collapses at the first step.
@@ -454,7 +455,7 @@ impl ZeroEngine {
                 step: 0,
             });
         }
-        let mut wb = WriteBehind::new(s.write_behind_bound());
+        let mut wb = WriteBehind::new(self.window());
         let zeros = vec![0f32; lens.iter().copied().max().unwrap_or(0)];
         // The pack record being filled, which no write holds yet.
         let mut filling = None;
@@ -656,12 +657,11 @@ impl ZeroEngine {
         // drains between two of them. A failure reaps both, so it surfaces
         // as the step's own typed error with every staging buffer back in
         // its pool and nothing of this rank's step still on the device.
-        // Past depth 1 a step that succeeds returns once its last write is
-        // submitted and carries the window — unless it wrote a publish
-        // through: a read of that shard, or its cache entry's write-back,
-        // could overtake a carried piece, so such a step drains.
-        let depth = self.strategy.step_pipeline_depth;
-        let window = self.strategy.write_behind_bound();
+        // A step that succeeds returns once its last write is submitted
+        // and carries the window — unless it wrote a publish through: a
+        // read of that shard, or its cache entry's write-back, could
+        // overtake a carried piece, so such a step drains.
+        let window = self.window();
         let due: Vec<usize> = (0..self.optims.len())
             .filter(|&b| {
                 let members = &self.optims[b].layout.members;
@@ -677,7 +677,7 @@ impl ZeroEngine {
         let pieces = wb.pieces;
         let updated = self.stream_update(&mut ahead, &mut wb);
         ahead.rewind(&self.mgr);
-        let carried = updated.is_ok() && depth > 1 && wb.pieces == pieces;
+        let carried = updated.is_ok() && wb.pieces == pieces;
         let settled = if carried { Ok(()) } else { wb.drain(&self.mgr) };
         updated.and(settled)?;
         self.stats.steps += 1;
@@ -685,7 +685,7 @@ impl ZeroEngine {
         // set. Written through, the next step's window holds a publish
         // piece per record part too: the carry keeps to the set's record
         // half of the window, so that burst finds its publish-sized
-        // buffers, as it does at depth 1.
+        // buffers.
         let budget = if carried { records } else { records.saturating_sub(window / 2) };
         if wb.in_flight() > 0 {
             let (writes, bytes) = (wb.in_flight() as u64, wb.in_flight_bytes());
@@ -695,6 +695,22 @@ impl ZeroEngine {
         self.end_iteration()?;
         self.carry(ahead, budget);
         Ok(true)
+    }
+
+    /// The optimizer step's pipeline depth (Sec. 5.2.2): records — one
+    /// chunk's master, momentum and variance, a single device request —
+    /// read ahead of the update, the one being updated included, across
+    /// parameter boundaries, while earlier records write back. It counts
+    /// requests, not bytes, so it is the device's worker count: fewer
+    /// leave workers idle. It changes no numerics.
+    fn depth(&self) -> usize {
+        self.mgr.nvme().worker_count()
+    }
+
+    /// Bound on the streamed step's write-behind requests in flight: both
+    /// writes of every record in the pipeline.
+    fn window(&self) -> usize {
+        WRITES_PER_RECORD * self.depth()
     }
 
     /// Put the streamed step's staging set in place before its first
@@ -713,8 +729,7 @@ impl ZeroEngine {
     fn reserve_step_staging(&self, carried: usize) -> usize {
         let offloaded = self.optims.iter().filter(|opt| opt.state.is_offloaded());
         let Some(longest) = offloaded.map(|opt| opt.layout.per).max() else { return 0 };
-        let depth = self.strategy.step_pipeline_depth;
-        let window = self.strategy.write_behind_bound();
+        let (depth, window) = (self.depth(), self.window());
         let staging = self.mgr.staging();
         let record = DType::F32.bytes_for(STATE_STREAMS * longest);
         staging.reserve((depth + window).saturating_sub(carried), record);
@@ -734,9 +749,9 @@ impl ZeroEngine {
     /// averages the gradient, updates the record, encodes the publish piece
     /// and checksums every byte it stores, so the record's write is
     /// recorded under its three streams' checksums without a second read
-    /// of it; depth 1 drains its writes before the next read.
+    /// of it.
     fn stream_update(&mut self, ahead: &mut ReadAhead, wb: &mut WriteBehind) -> Result<()> {
-        let depth = self.strategy.step_pipeline_depth;
+        let depth = self.depth();
         let tracer = self.mgr.tracer().clone();
         let scale = GradScale::average_over(self.comm.world_size() as f32 * self.grad_accum_steps);
         let mut open: Option<Update> = None;
@@ -843,11 +858,6 @@ impl ZeroEngine {
             if let Some(staging) = staged {
                 let state = &self.optims[b].state;
                 wb.submit_staged(&self.mgr, state, first, staging, &crcs[..STATE_STREAMS])?;
-            }
-            if depth == 1 {
-                // Sequential semantics: this record's writes completed
-                // before the next record's read is even issued.
-                wb.drain(&self.mgr)?;
             }
             self.stats.optimizer_chunks += 1;
         }
@@ -1119,7 +1129,7 @@ impl ZeroEngine {
         self.drop_carry("readahead.drop.import");
         let tracer = self.mgr.tracer().clone();
         let mut span = tracer.span(Category::OptimStep, "engine.import");
-        let (mut wb, s) = (WriteBehind::new(self.strategy.write_behind_bound()), self.strategy);
+        let (mut wb, s) = (WriteBehind::new(self.window()), self.strategy);
         let mut filling = None;
         let written = records.iter().enumerate().try_for_each(|(idx, rec)| {
             self.shards[idx].step = rec.step;
@@ -1680,13 +1690,12 @@ mod tests {
 
     #[test]
     fn pipelined_step_is_bit_identical_to_sequential() {
-        let run = |depth: usize| {
-            let (_node, mut eng, reg) = single_rank(
-                Strategy::infinity_nvme()
-                    .with_f32_params()
-                    .with_optimizer_chunk(5)
-                    .with_step_pipeline_depth(depth),
-            );
+        // The pipeline is as deep as the device has workers; the CPU tier
+        // reads nothing, so its step updates one resident record at a time.
+        let run = |strategy: Strategy, workers: usize| {
+            let strategy = strategy.with_f32_params().with_optimizer_chunk(5);
+            let env = NodeEnv { nvme_workers: workers, ..NodeEnv::in_memory() };
+            let (_node, mut eng, reg) = rank_over(strategy, env);
             let id = reg.find("w").unwrap();
             for s in 0..3 {
                 let grad =
@@ -1699,12 +1708,12 @@ mod tests {
             eng.dispose().unwrap();
             out
         };
-        let sequential = run(1);
-        for depth in [2, 3, 4, 8] {
+        let sequential = run(Strategy::infinity_cpu(), 1);
+        for workers in [1, 2, 3, 4, 8] {
             assert_eq!(
                 sequential.data(),
-                run(depth).data(),
-                "pipeline depth {depth} must be invisible to the math"
+                run(Strategy::infinity_nvme(), workers).data(),
+                "a pipeline {workers} records deep must be invisible to the math"
             );
         }
     }
@@ -1719,9 +1728,8 @@ mod tests {
         let strategy = Strategy::infinity_nvme()
             .with_f32_params()
             .with_prefetch_window(0)
-            .with_optimizer_chunk(4)
-            .with_step_pipeline_depth(3);
-        let (node, mut eng, reg) = throttled_rank(strategy, std::time::Duration::from_millis(2));
+            .with_optimizer_chunk(4);
+        let (node, mut eng, reg) = throttled_rank(strategy, std::time::Duration::from_millis(2), 3);
         let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         eng.add_grad(b, &Tensor::from_vec(&[5], vec![1.0; 5]).unwrap()).unwrap();
@@ -1731,7 +1739,7 @@ mod tests {
         let stats = eng.stats();
         assert!(
             stats.step_io_overlap > 0,
-            "depth-3 pipeline over a slow device must overlap update with I/O: {stats:?}"
+            "a 3-worker pipeline over a slow device must overlap update with I/O: {stats:?}"
         );
         let peak = node.nvme.stats().in_flight_peak;
         assert!(peak >= 2, "expected ≥ 2 concurrent requests, peak was {peak} (before: {peak_before})");
@@ -1792,12 +1800,12 @@ mod tests {
                 n: 4,
                 dev: zi_nvme::MemBackend::new(),
             });
-            let node = NodeResources::new(&spec, 1, NodeEnv::new(door.clone()));
+            let env = NodeEnv { nvme_workers: 2, ..NodeEnv::new(door.clone()) };
+            let node = NodeResources::new(&spec, 1, env);
             let engine = ZeroEngine::new(
                 &reg,
                 Strategy::infinity_nvme()
                     .with_optimizer_chunk(NUMEL / 8)
-                    .with_step_pipeline_depth(2)
                     .with_optimizer_cpu_permille(cpu_permille),
                 node.offload_manager(),
                 node.group.communicator(0),
@@ -1835,21 +1843,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_pipeline_depth_rejected() {
-        let spec = NodeMemorySpec::test_spec(1, 1 << 20, 1 << 20, 1 << 20);
-        let node = NodeResources::in_memory(&spec, 1);
-        let reg = tiny_registry();
-        assert!(ZeroEngine::new(
-            &reg,
-            Strategy::infinity_nvme().with_step_pipeline_depth(0),
-            node.offload_manager(),
-            node.group.communicator(0),
-            AdamConfig::default(),
-        )
-        .is_err());
-    }
-
-    #[test]
     fn overflow_flag_clears_after_skipped_and_applied_steps() {
         let (_node, mut eng, reg) = single_rank(Strategy::infinity_nvme().with_f32_params());
         let id = reg.find("w").unwrap();
@@ -1872,13 +1865,11 @@ mod tests {
         // write completes before the next is queued, so every step
         // drives the staging pool through the same sequence and reaches
         // the same peak (prefetch off: only the step touches the device).
-        let depth = 3;
         let strategy = Strategy::infinity_nvme()
             .with_f32_params()
             .with_prefetch_window(0)
-            .with_optimizer_chunk(4)
-            .with_step_pipeline_depth(depth);
-        let (node, mut eng, reg) = throttled_rank(strategy, std::time::Duration::from_millis(1));
+            .with_optimizer_chunk(4);
+        let (node, mut eng, reg) = throttled_rank(strategy, std::time::Duration::from_millis(1), 3);
         let id = reg.find("w").unwrap();
         let step = |eng: &mut ZeroEngine| {
             eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![0.5; 12]).unwrap()).unwrap();
@@ -1897,11 +1888,12 @@ mod tests {
         assert!(st.reused > warm.reused, "steady-state steps must recycle chunk buffers: {st:?}");
         // The pool holds the step's reserved set and nothing more: the
         // carried reads took their buffers out of it.
-        let window = eng.strategy.write_behind_bound();
+        let (depth, window) = (eng.depth(), eng.window());
+        assert_eq!((depth, window), (3, 6));
         assert_eq!(st.allocated, (depth + window.div_ceil(2) + window + 1) as u64, "{st:?}");
         // Read-ahead plus the record in hand are `depth` buffers, its
         // publish one more; the rest is the write-behind window.
-        let bound = (depth + 1 + eng.strategy.write_behind_bound()) as u64;
+        let bound = (depth + 1 + window) as u64;
         assert!(st.peak_outstanding <= bound, "peak {} over bound {bound}", st.peak_outstanding);
         // Once the step's last writes are reaped, only the carried reads
         // hold a buffer: all three records of `w`.
@@ -1939,9 +1931,9 @@ mod tests {
         assert_eq!(node.offload_manager().health().staging_held_bytes, held, "the set stays");
     }
 
-    /// One rank over a scriptable faulty device and a CPU pool of `cpu`
-    /// bytes, prefetch off so every device read belongs to the call that
-    /// issued it.
+    /// One rank over a scriptable faulty device of two workers — a
+    /// pipeline two records deep — and a CPU pool of `cpu` bytes, prefetch
+    /// off so every device read belongs to the call that issued it.
     fn faulty_rank(
         chunk: usize,
         cpu: u64,
@@ -1957,7 +1949,11 @@ mod tests {
         let plan = zi_nvme::FaultPlan::new();
         let backend =
             zi_sync::Arc::new(zi_nvme::FaultyBackend::new(zi_nvme::MemBackend::new(), plan.clone()));
-        let env = NodeEnv { policy: zi_nvme::RetryPolicy::none(), ..NodeEnv::new(backend) };
+        let env = NodeEnv {
+            policy: zi_nvme::RetryPolicy::none(),
+            nvme_workers: 2,
+            ..NodeEnv::new(backend)
+        };
         (plan, NodeResources::new(&spec, 1, env))
     }
 
@@ -1968,8 +1964,7 @@ mod tests {
             .with_f32_params()
             .with_prefetch_window(0)
             .with_optimizer_chunk(chunk)
-            .with_optimizer_cpu_permille(permille)
-            .with_step_pipeline_depth(2);
+            .with_optimizer_cpu_permille(permille);
         let comm = node.group.communicator(0);
         ZeroEngine::new(&tiny_registry(), strategy, node.offload_manager(), comm, AdamConfig::default())
     }
@@ -2138,7 +2133,7 @@ mod tests {
         let carried = eng.ahead.as_ref().map_or(0, |ahead| ahead.held(&eng.optims).0) as u64;
         // Depth 2 plus a 4-request write-behind; half of it when the
         // publishes are written through.
-        let window = eng.strategy.write_behind_bound() as u64;
+        let window = eng.window() as u64;
         assert_eq!(carried, if write_back { 2 + window } else { 2 + window / 2 });
         // A read and a write per record, and a publish written through.
         let publishes = if write_back { 0 } else { 3 * 3 };
@@ -2311,19 +2306,21 @@ mod tests {
         }
     }
 
-    /// One rank of `strategy` over an in-memory device that answers each
-    /// request after `latency`.
+    /// One rank of `strategy` over an in-memory device of `workers`
+    /// workers that answers each request after `latency`.
     fn throttled_rank(
         strategy: Strategy,
         latency: std::time::Duration,
+        workers: usize,
     ) -> (NodeResources, ZeroEngine, ParamRegistry) {
         use zi_nvme::{MemBackend, ThrottledBackend};
-        rank_over(strategy, zi_sync::Arc::new(ThrottledBackend::new(MemBackend::new(), 2e9, latency)))
+        let device = zi_sync::Arc::new(ThrottledBackend::new(MemBackend::new(), 2e9, latency));
+        rank_over(strategy, NodeEnv { nvme_workers: workers, ..NodeEnv::new(device) })
     }
 
     /// One rank of `strategy` over a [`Door`] `n` writes wide.
     fn door_rank(strategy: Strategy, n: usize) -> (NodeResources, ZeroEngine, ParamRegistry) {
-        rank_over(strategy, zi_sync::Arc::new(Door::new(n, 0)))
+        rank_over(strategy, NodeEnv::new(zi_sync::Arc::new(Door::new(n, 0))))
     }
 
     /// One rank of `strategy` over a [`Door`] wider than any step, built
@@ -2332,17 +2329,14 @@ mod tests {
         strategy: Strategy,
     ) -> (zi_sync::Arc<Door>, NodeResources, ZeroEngine, ParamRegistry) {
         let door = zi_sync::Arc::new(Door::new(1 << 10, 1 << 10));
-        let (node, engine, reg) = rank_over(strategy, door.clone());
+        let (node, engine, reg) = rank_over(strategy, NodeEnv::new(door.clone()));
         (door, node, engine, reg)
     }
 
-    /// One rank of `strategy` over `device`.
-    fn rank_over(
-        strategy: Strategy,
-        device: zi_sync::Arc<dyn zi_nvme::StorageBackend>,
-    ) -> (NodeResources, ZeroEngine, ParamRegistry) {
+    /// One rank of `strategy` over the node `env` describes.
+    fn rank_over(strategy: Strategy, env: NodeEnv) -> (NodeResources, ZeroEngine, ParamRegistry) {
         let spec = NodeMemorySpec::test_spec(1, 1 << 22, 1 << 22, 1 << 22);
-        let node = NodeResources::new(&spec, 1, NodeEnv::new(device));
+        let node = NodeResources::new(&spec, 1, env);
         let reg = tiny_registry();
         let comm = node.group.communicator(0);
         let engine =
@@ -2431,7 +2425,7 @@ mod tests {
     fn slow_write_rank(strategy: Strategy) -> (NodeResources, ZeroEngine, ParamRegistry) {
         let delay = std::time::Duration::from_millis(2);
         let device = SlowWrites { dev: zi_nvme::MemBackend::new(), delay };
-        rank_over(strategy, zi_sync::Arc::new(device))
+        rank_over(strategy, NodeEnv::new(zi_sync::Arc::new(device)))
     }
 
     /// Instants named `name` in `events`.
@@ -2667,49 +2661,9 @@ mod tests {
     }
 
     #[test]
-    fn depth_one_stays_sequential_inside_the_step() {
-        // Records of four elements: `w` is three records, `b` two. Depth 1
-        // carries two records (depth plus half a write-behind window of 2).
-        let strategy = Strategy::infinity_nvme()
-            .with_f32_params()
-            .with_prefetch_window(0)
-            .with_optimizer_chunk(4)
-            .with_step_pipeline_depth(1);
-        let (node, mut eng, reg) = throttled_rank(strategy, std::time::Duration::from_millis(2));
-        let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
-        let step = |eng: &mut ZeroEngine| {
-            eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
-            eng.add_grad(b, &Tensor::from_vec(&[5], vec![1.0; 5]).unwrap()).unwrap();
-            assert!(eng.step().unwrap());
-        };
-        step(&mut eng);
-        assert_eq!(eng.ahead.as_ref().map(|ahead| ahead.held(&eng.optims).0), Some(2));
-        // The carried reads land under the next forward and backward.
-        node.nvme.barrier().unwrap();
-        let _ = node.tracer().take_events();
-        step(&mut eng);
-        let events = node.tracer().take_events();
-        // The step's own requests end at its end-of-iteration barrier; the
-        // next carry follows it.
-        let barrier = events.iter().find(|e| e.name == "nc.flush").unwrap().start_ns;
-        let io: Vec<_> = events
-            .iter()
-            .filter(|e| e.cat == Category::NcTransfer && e.dur_ns > 0 && e.start_ns < barrier)
-            .map(|e| (e.name, e.start_ns, e.start_ns + e.dur_ns))
-            .collect();
-        let reads: Vec<_> = io.iter().filter(|(name, ..)| *name == "nc.read").collect();
-        assert_eq!(reads.len(), 5 - 2, "the step reads what was not carried");
-        for &&(_, r0, r1) in &reads {
-            let overlapping = io.iter().filter(|&&(_, s0, s1)| r0.max(s0) < r1.min(s1)).count();
-            assert_eq!(overlapping, 1, "a read shared the device at depth 1: {io:?}");
-        }
-        eng.dispose().unwrap();
-    }
-
-    #[test]
     fn an_engine_dropped_mid_iteration_reaps_its_reads() {
         let strategy = Strategy::infinity_nvme().with_f32_params().with_optimizer_chunk(4);
-        let (node, mut eng, reg) = throttled_rank(strategy, std::time::Duration::from_millis(5));
+        let (node, mut eng, reg) = throttled_rank(strategy, std::time::Duration::from_millis(5), 4);
         node.crowd_out_shard_cache();
         let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
@@ -2756,8 +2710,8 @@ mod tests {
         assert_eq!(init.map(|e| e.bytes), Some(204));
         assert!(built.in_flight_peak >= node.nvme.worker_count() as u64, "{built:?}");
         // Within the staging set the step reserves, and nothing beyond it.
-        let window = strategy.write_behind_bound();
-        let set = (strategy.step_pipeline_depth + window.div_ceil(2) + window + 1) as u64;
+        let (depth, window) = (eng.depth(), eng.window());
+        let set = (depth + window.div_ceil(2) + window + 1) as u64;
         let pool = eng.mgr.staging().stats();
         assert!(pool.peak_outstanding < set && pool.allocated == set, "{pool:?}");
         // Every shard was published to the cache: the first forward reads
@@ -3005,8 +2959,10 @@ mod tests {
 
     #[test]
     fn io_overlap_counts_this_ranks_requests_not_a_peers() {
-        // A peer's read waits at the gate for the whole step; at depth 1
-        // nothing of this rank's is on the device while a record updates.
+        // A peer's read waits at the gate for the whole step, holding one
+        // of two workers. Both parameters fit one packed record, so the
+        // step reads it, updates it and writes it: nothing else of this
+        // rank's is on the device while it updates.
         const HELD: usize = 4096;
         let gate = zi_sync::Arc::new(Gate {
             dev: zi_nvme::MemBackend::new(),
@@ -3014,12 +2970,9 @@ mod tests {
             open: zi_sync::Mutex::new(false),
             opened: zi_sync::Condvar::new(),
         });
-        let strategy = Strategy::infinity_nvme()
-            .with_f32_params()
-            .with_prefetch_window(0)
-            .with_optimizer_chunk(4)
-            .with_step_pipeline_depth(1);
-        let (node, mut eng, reg) = rank_over(strategy, gate.clone());
+        let strategy = Strategy::infinity_nvme().with_f32_params().with_prefetch_window(0);
+        let env = NodeEnv { nvme_workers: 2, ..NodeEnv::new(gate.clone()) };
+        let (node, mut eng, reg) = rank_over(strategy, env);
         let peer = node.offload_manager();
         let zeros = FlatBuffer::zeros(DType::F32, HELD / 4);
         let parked = peer.store_placed(Device::nvme(), &PlacementPolicy::all_nvme(), zeros).unwrap();
@@ -3034,7 +2987,7 @@ mod tests {
         assert!(read.wait(&peer).unwrap().is_some());
         peer.free_placed(parked);
         assert!(peer_in_flight >= 1, "the peer's read left the device during the step");
-        assert_eq!((stats.optimizer_chunks, stats.step_io_overlap), (5, 0), "{stats:?}");
+        assert_eq!((stats.optimizer_chunks, stats.step_io_overlap), (1, 0), "{stats:?}");
         eng.dispose().unwrap();
     }
 

@@ -114,6 +114,9 @@ pub struct TrainOutcome {
     /// Data-parallel degree the run finished with (differs from
     /// `spec.world` after elastic shrinks/grows).
     pub final_world: usize,
+    /// Events the session tracer dropped because a thread's ring was
+    /// full: a trace of the run is complete exactly when this is 0.
+    pub trace_dropped_events: u64,
 }
 
 /// One elastic world-resize: mid-run, a rank died (shrink), joiners
@@ -489,6 +492,7 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
                 out.health = health;
                 out.elastic = std::mem::take(&mut elastic);
                 out.final_world = world;
+                out.trace_dropped_events = tracer.snapshot().events_dropped;
                 return Ok(out);
             }
             Some(e) => {
@@ -713,6 +717,7 @@ fn run_rank(
         health: OffloadHealth::default(),
         elastic: Vec::new(),
         final_world: world,
+        trace_dropped_events: 0,
     })
 }
 
@@ -928,6 +933,18 @@ mod tests {
         assert!(out.stats.grad_reductions > 0);
         assert!(out.stats.optimizer_chunks > 0);
         assert_eq!(out.stats.steps, 2);
+    }
+
+    #[test]
+    fn the_outcome_reports_the_events_the_tracer_dropped() {
+        let mut spec = TrainSpec::test_default(model_cfg(), Strategy::infinity_nvme(), 1);
+        spec.steps = 2;
+        let tracer = Tracer::with_capacity(8);
+        let backend = Arc::new(MemBackend::new());
+        let env = TrainEnv { tracer: Some(tracer.clone()), ..TrainEnv::new(backend) };
+        let out = train_gpt_env(&spec, env).unwrap();
+        assert!(out.trace_dropped_events > 0, "a ring of 8 held a whole run");
+        assert_eq!(out.trace_dropped_events, tracer.snapshot().events_dropped);
     }
 }
 

@@ -328,20 +328,36 @@ fn ref_gemm_nt(
 }
 
 /// A `rows`×`cols` matrix stored with leading dimension `ld`, the gap
-/// columns filled with NaN so a kernel that strays outside its view
-/// poisons its output.
+/// columns filled with NaN and `PAD` guard NaNs before its first row and
+/// after its last, so a kernel that strays outside its view — sideways,
+/// above or below — poisons its output. [`view`] is the matrix itself.
 fn padded(rows: usize, cols: usize, ld: usize, seed: u64) -> Vec<f32> {
     let vals = lcg_f32s(rows * cols, seed);
     let mut out = vec![f32::NAN; rows * ld];
     for r in 0..rows {
         out[r * ld..r * ld + cols].copy_from_slice(&vals[r * cols..(r + 1) * cols]);
     }
-    out
+    padded_f32s(&out)
 }
 
-/// The `m`×`n` block of a padded output as bits, after checking that the
-/// gap columns still hold the sentinel they were filled with.
+/// The matrix a guarded buffer holds, without its guards.
+fn view(buf: &[f32]) -> &[f32] {
+    &buf[PAD..buf.len() - PAD]
+}
+
+/// An `m`-row output of leading dimension `ldc`, every element and the
+/// `PAD` guards around it `SENTINEL`; the kernel writes [`view`] of it.
+fn guarded_c(m: usize, ldc: usize) -> Vec<f32> {
+    vec![SENTINEL; m * ldc + 2 * PAD]
+}
+
+/// The `m`×`n` block of a guarded output as bits, after checking that the
+/// guards and the gap columns still hold the sentinel they were filled
+/// with.
 fn unpad(c: &[f32], m: usize, n: usize, ldc: usize) -> Vec<u32> {
+    let mut guards = c[..PAD].iter().chain(&c[c.len() - PAD..]);
+    assert!(guards.all(|v| v.to_bits() == SENTINEL.to_bits()), "wrote past the C view's ends");
+    let c = view(c);
     for (i, v) in c.iter().enumerate() {
         let inside = i % ldc < n;
         assert!(inside || v.to_bits() == SENTINEL.to_bits(), "wrote outside the C view at {i}");
@@ -358,9 +374,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Every GEMM variant, on strided views with leading dimensions
-    /// larger than the width, equals the canonical row algorithm bit for
-    /// bit — under forced-scalar and auto dispatch, in both FMA states —
-    /// and the pool-split `ops` entry points equal the one-call kernel.
+    /// larger than the width and guard zones above and below every
+    /// operand, equals the canonical row algorithm bit for bit — under
+    /// forced-scalar and auto dispatch, in both FMA states — and the
+    /// pool-split `ops` entry points equal the one-call kernel.
     #[test]
     fn gemm_variants_match_the_canonical_row_algorithm(
         mi in 0usize..13,
@@ -371,24 +388,24 @@ proptest! {
     ) {
         let (m, n, k) = (DIMS[mi], DIMS[ni], DIMS[ki]);
         let (lda, ldb, ldbt, ldat, ldc) = (k + pad, n + 2 * pad, k + 3 * pad, m + pad, n + pad);
-        let a = padded(m, k, lda, seed);
-        let b = padded(k, n, ldb, seed + 1);
-        let bt = padded(n, k, ldbt, seed + 2);
-        let at = padded(k, m, ldat, seed + 3);
+        let (a, b) = (padded(m, k, lda, seed), padded(k, n, ldb, seed + 1));
+        let (bt, at) = (padded(n, k, ldbt, seed + 2), padded(k, m, ldat, seed + 3));
+        let (a, b, bt, at) = (view(&a), view(&b), view(&bt), view(&at));
         for fma in [false, true] {
-            let want_nn = ref_gemm(m, n, k, &a, lda, 1, &b, ldb, fma);
-            let want_tn = ref_gemm(m, n, k, &at, 1, ldat, &b, ldb, fma);
-            let want_nt = ref_gemm_nt(m, n, k, &a, lda, &bt, ldbt, fma);
+            let want_nn = ref_gemm(m, n, k, a, lda, 1, b, ldb, fma);
+            let want_tn = ref_gemm(m, n, k, at, 1, ldat, b, ldb, fma);
+            let want_nt = ref_gemm_nt(m, n, k, a, lda, bt, ldbt, fma);
             for backend in [Some(Backend::Scalar), None] {
                 let (nn, tn, nt) = with_backend(backend, Some(fma), || {
-                    let mut c = vec![SENTINEL; m * ldc];
-                    simd::gemm(m, n, k, &a, lda, 1, &b, ldb, &mut c, ldc);
+                    let mut c = guarded_c(m, ldc);
+                    let inner = PAD..PAD + m * ldc;
+                    simd::gemm(m, n, k, a, lda, 1, b, ldb, &mut c[inner.clone()], ldc);
                     let nn = unpad(&c, m, n, ldc);
                     c.fill(SENTINEL);
-                    simd::gemm(m, n, k, &at, 1, ldat, &b, ldb, &mut c, ldc);
+                    simd::gemm(m, n, k, at, 1, ldat, b, ldb, &mut c[inner.clone()], ldc);
                     let tn = unpad(&c, m, n, ldc);
                     c.fill(SENTINEL);
-                    simd::gemm_nt(m, n, k, &a, lda, &bt, ldbt, &mut c, ldc);
+                    simd::gemm_nt(m, n, k, a, lda, bt, ldbt, &mut c[inner], ldc);
                     (nn, tn, unpad(&c, m, n, ldc))
                 });
                 let tag = format!("{m}x{n}x{k} {backend:?} fma={fma}");
@@ -406,8 +423,8 @@ proptest! {
                 let data = (0..rows).flat_map(|r| src[r * ld..r * ld + cols].to_vec()).collect();
                 Tensor::from_vec(&[rows, cols], data).unwrap()
             };
-            let (ta, tb) = (dense(m, k, &a, lda), dense(k, n, &b, ldb));
-            let (tbt, tat) = (dense(n, k, &bt, ldbt), dense(k, m, &at, ldat));
+            let (ta, tb) = (dense(m, k, a, lda), dense(k, n, b, ldb));
+            let (tbt, tat) = (dense(n, k, bt, ldbt), dense(k, m, at, ldat));
             let (nn, nt, tn) = with_backend(None, Some(fma), || {
                 (
                     bits(&ops::matmul(&ta, &tb).unwrap()),

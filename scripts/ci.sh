@@ -29,11 +29,13 @@ cargo run -q --release -p zi-bench --bin repro -- fig1 fig2a fig2b fig3 table1 f
 # with a CPU pool too small to admit anything into it.
 cargo test --release -q --test alloc_budget \
     || { echo "allocation budget exceeded: a fetch, deposit or step path allocates a large block per call"; exit 1; }
-# The configuration-matrix oracle in the profile that ships: 24 seeded
-# cells over strategy, CPU pool, pipeline depth, accumulation,
-# activation checkpointing, world size and a checkpoint round trip, each
-# bit for bit the dense reference's training (the workspace run above
-# covers the debug profile).
+# The configuration-matrix oracle in the profile that ships: 42 seeded
+# cells over all seven Table-2 strategies, world size 1/2, device
+# workers 1/2/4 (the optimizer step's pipeline depth), CPU pool,
+# prefetch window 0/2, accumulation, activation checkpointing and a
+# checkpoint round trip, in records of 16 elements so each step streams
+# many of them; each is bit for bit the dense reference's training (the
+# workspace run above covers the debug profile).
 cargo test --release -q --test config_matrix \
     || { echo "a configuration-matrix cell diverged from the dense reference"; exit 1; }
 cargo clippy --workspace --all-targets -- -D warnings

@@ -136,8 +136,7 @@ fn chaos_pipelined_step_survives_transient_faults() {
     let mut spec = soak_spec();
     spec.strategy = spec
         .strategy
-        .with_optimizer_chunk(64)
-        .with_step_pipeline_depth(3);
+        .with_optimizer_chunk(64);
     let reference = train_gpt(&spec).expect("fault-free run");
 
     let profile = FaultProfile {

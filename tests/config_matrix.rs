@@ -1,12 +1,15 @@
 //! Configuration-matrix oracle: a seeded sample of cells over the
-//! engine's configuration axes — strategy, CPU pool, pipeline depth,
-//! gradient accumulation, activation checkpointing, world size and a
-//! checkpoint round trip between steps — each training the tiny GPT for
-//! three steps. The axes that only move bytes (strategy, pool, depth, the
-//! round trip) must not move a bit: every cell's losses and final
-//! parameters equal, bit for bit, the dense single-process baseline's
-//! numerics at its world, accumulation and checkpointing, and a healthy
-//! device reports no corruption and no shard-cache anomaly.
+//! engine's configuration axes — every Table-2 strategy, CPU pool, the
+//! device's worker count (which is the optimizer step's pipeline depth),
+//! prefetch window, gradient accumulation, activation checkpointing,
+//! world size and a checkpoint round trip between steps — each training
+//! the tiny GPT for three steps in records of 16 elements, so a step
+//! streams many records and reads run ahead of updates. The axes that
+//! only move bytes (strategy, pool, workers, window, the round trip) must
+//! not move a bit: every cell's losses and final parameters equal, bit
+//! for bit, the dense single-process baseline's numerics at its world,
+//! accumulation and checkpointing, and a healthy device reports no
+//! corruption and no shard-cache anomaly.
 
 use std::fmt;
 
@@ -15,14 +18,17 @@ use zi_sync::Arc;
 use zero_infinity_suite::model::{GptConfig, GptModel, RunOptions};
 use zero_infinity_suite::optim::AdamConfig;
 use zero_infinity_suite::zero::trainer::{synthetic_batch, train_dense_baseline};
-use zero_infinity_suite::zero::{NodeResources, OffloadHealth, Strategy, ZeroEngine};
+use zero_infinity_suite::zero::{NodeEnv, NodeResources, OffloadHealth, Strategy, ZeroEngine};
 use zi_memory::NodeMemorySpec;
-use zi_types::Device;
+use zi_types::{Device, DeviceKind};
 
 /// The sample's seed: fixed here, so every run checks the same cells.
 const SEED: u64 = 0x0c0f_f1ce_5eed_0038;
-/// Cells checked per run.
-const CELLS: usize = 24;
+/// Cells checked per run: every strategy × world × worker count once.
+const CELLS: usize = 42;
+/// Elements per optimizer record: the GPT's 1 920 parameters stream as
+/// about 120 records a step at world 1, across parameter boundaries.
+const RECORD: usize = 16;
 const STEPS: usize = 3;
 const MICRO_BATCH: usize = 2;
 
@@ -35,14 +41,18 @@ fn adam() -> AdamConfig {
 }
 
 /// One point of the matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct Cell {
-    /// 0 `infinity_nvme`, 1 `infinity_cpu`, 2 `zero_3`.
+    /// Position in `Strategy::table2()`.
     strategy: usize,
     /// A CPU pool with room for what the strategy keeps there and the
     /// gradients, and nothing for the shard cache; else a roomy one.
+    /// Strategies that keep nothing in CPU memory always get the roomy one.
     tight: bool,
-    depth: usize,
+    /// Device workers, and so the optimizer step's pipeline depth.
+    workers: usize,
+    /// Prefetch look-ahead, in the strategy and the run options alike.
+    window: usize,
     accumulation: usize,
     checkpointing: bool,
     world: usize,
@@ -52,23 +62,27 @@ struct Cell {
 
 impl Cell {
     fn strategy(&self) -> Strategy {
-        let strategy = match self.strategy {
-            0 => Strategy::infinity_nvme(),
-            1 => Strategy::infinity_cpu(),
-            _ => Strategy::zero_3(),
-        };
-        strategy.with_f32_params().with_step_pipeline_depth(self.depth)
+        Strategy::table2()[self.strategy].with_f32_params()
     }
+}
+
+/// Whether `strategy` keeps state in CPU memory, so that a tight pool
+/// means something to it.
+fn uses_cpu(strategy: &Strategy) -> bool {
+    let placement = strategy.placement;
+    [placement.params, placement.grads, placement.optimizer].contains(&DeviceKind::Cpu)
 }
 
 impl fmt::Display for Cell {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} pool={} depth={} accumulation={} checkpointing={} world={} round_trip={}",
+            "{} pool={} workers={} window={} accumulation={} checkpointing={} world={} \
+             round_trip={}",
             self.strategy().name,
             if self.tight { "gradients-only" } else { "roomy" },
-            self.depth,
+            self.workers,
+            self.window,
             self.accumulation,
             self.checkpointing,
             self.world,
@@ -77,8 +91,8 @@ impl fmt::Display for Cell {
     }
 }
 
-/// `CELLS` distinct cells: every strategy × world × depth at least once,
-/// in that order, the pool, accumulation, checkpointing and round trip
+/// `CELLS` cells: every strategy × world × worker count, in that order,
+/// the pool, prefetch window, accumulation, checkpointing and round trip
 /// drawn with a xorshift generator from `seed`.
 fn sample(seed: u64) -> Vec<Cell> {
     let mut state = seed;
@@ -88,23 +102,19 @@ fn sample(seed: u64) -> Vec<Cell> {
         state ^= state << 17;
         state & 1 == 1
     };
-    let mut cells = Vec::with_capacity(CELLS);
-    while cells.len() < CELLS {
-        let i = cells.len();
-        let cell = Cell {
-            strategy: i % 3,
-            world: 1 + (i / 3) % 2,
-            depth: [1, 2, 4][(i / 6) % 3],
-            tight: coin(),
+    let strategies = Strategy::table2();
+    (0..CELLS)
+        .map(|i| Cell {
+            strategy: i % strategies.len(),
+            world: 1 + (i / strategies.len()) % 2,
+            workers: [1, 2, 4][(i / (2 * strategies.len())) % 3],
+            tight: coin() && uses_cpu(&strategies[i % strategies.len()]),
+            window: if coin() { 2 } else { 0 },
             accumulation: 1 + usize::from(coin()),
             checkpointing: coin(),
             round_trip: coin(),
-        };
-        if !cells.contains(&cell) {
-            cells.push(cell);
-        }
-    }
-    cells
+        })
+        .collect()
 }
 
 /// What a run leaves: losses and final parameters as bits, and the
@@ -120,13 +130,16 @@ fn bits(values: &[f32]) -> Vec<u32> {
 }
 
 /// Bytes of CPU pool the cell's strategy keeps there, which leave the
-/// shard cache no room: every rank's fp32 gradient shard, and for the
-/// CPU-offload strategy its fp32 parameter shards and optimizer state too.
+/// shard cache no room: every rank's fp32 gradient shard, and each state
+/// the strategy places in CPU memory — fp32 parameter shards, optimizer
+/// state — too.
 fn tight_pool(cell: &Cell) -> u64 {
     let model = GptModel::new(cfg());
     let padded = model.registry().iter().map(|p| p.numel().div_ceil(cell.world) * cell.world);
     let padded = padded.sum::<usize>() as u64;
-    let per_elem = if cell.strategy == 1 { 4 + 4 + 12 } else { 4 };
+    let placement = cell.strategy().placement;
+    let on_cpu = |device: DeviceKind, bytes: u64| if device == DeviceKind::Cpu { bytes } else { 0 };
+    let per_elem = 4 + on_cpu(placement.params, 4) + on_cpu(placement.optimizer, 12);
     per_elem * padded
 }
 
@@ -136,7 +149,9 @@ fn tight_pool(cell: &Cell) -> u64 {
 fn train(cell: Cell, strategy: Strategy) -> Trained {
     let cpu = if cell.tight { tight_pool(&cell) } else { 1 << 26 };
     let spec = NodeMemorySpec::test_spec(cell.world, 1 << 24, cpu, 1 << 26);
-    let node = Arc::new(NodeResources::in_memory(&spec, cell.world));
+    let env = NodeEnv { nvme_workers: cell.workers, ..NodeEnv::in_memory() };
+    let node = Arc::new(NodeResources::new(&spec, cell.world, env));
+    let strategy = strategy.with_optimizer_chunk(RECORD).with_prefetch_window(cell.window);
     let handles: Vec<_> = (0..cell.world)
         .map(|rank| {
             let node = Arc::clone(&node);
@@ -150,7 +165,7 @@ fn train(cell: Cell, strategy: Strategy) -> Trained {
                 let opts = RunOptions {
                     batch: MICRO_BATCH,
                     activation_checkpointing: cell.checkpointing,
-                    prefetch_window: 2,
+                    prefetch_window: cell.window,
                 };
                 let rows = MICRO_BATCH * cfg().seq;
                 let mut losses = Vec::with_capacity(STEPS);
