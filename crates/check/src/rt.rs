@@ -262,7 +262,7 @@ enum Obj {
     Cond { waiters: Vec<ThreadId> },
     Rw { writer: Option<ThreadId>, readers: usize, vc: VClock },
     Atomic { vc: VClock },
-    Chan { len: usize, cap: Option<usize>, senders: usize, receivers: usize, msg_vc: VecDeque<VClock> },
+    Chan { len: usize, senders: usize, receivers: usize, msg_vc: VecDeque<VClock> },
     Cell { write: Option<Access>, reads: Vec<Access> },
 }
 
@@ -560,24 +560,23 @@ pub fn cell_access(cell: &ObjCell, write: bool) {
 }
 
 /// Register a channel's live endpoint counts on first model contact.
-fn ensure_chan(run: &mut Run, cell: &ObjCell, senders: usize, receivers: usize, len: usize, cap: Option<usize>) -> ObjId {
+fn ensure_chan(run: &mut Run, cell: &ObjCell, senders: usize, receivers: usize, len: usize) -> ObjId {
     ensure_obj(run, cell, || Obj::Chan {
         len,
-        cap,
         senders,
         receivers,
         msg_vc: VecDeque::new(),
     })
 }
 
-/// Model a (possibly bounded) send. `Some(receivers_alive)`; when
-/// `false` the caller must return its value as a send error without
+/// Model an unbounded send, which never blocks. `Some(receivers_alive)`;
+/// when `false` the caller must return its value as a send error without
 /// enqueuing.
-pub fn chan_send(cell: &ObjCell, senders: usize, receivers: usize, len: usize, cap: Option<usize>) -> Option<bool> {
+pub fn chan_send(cell: &ObjCell, senders: usize, receivers: usize, len: usize) -> Option<bool> {
     if !in_model() {
         return None;
     }
-    let c = with_run(|run, _| ensure_chan(run, cell, senders, receivers, len, cap))?;
+    let c = with_run(|run, _| ensure_chan(run, cell, senders, receivers, len))?;
     match step(Pend::Send { c }) {
         Resume::Aborted if !std::thread::panicking() => raise_abort(),
         Resume::Aborted => Some(false),
@@ -596,11 +595,11 @@ pub enum RecvOutcome {
 }
 
 /// Model a blocking receive.
-pub fn chan_recv(cell: &ObjCell, senders: usize, receivers: usize, len: usize, cap: Option<usize>) -> Option<RecvOutcome> {
+pub fn chan_recv(cell: &ObjCell, senders: usize, receivers: usize, len: usize) -> Option<RecvOutcome> {
     if !in_model() {
         return None;
     }
-    let c = with_run(|run, _| ensure_chan(run, cell, senders, receivers, len, cap))?;
+    let c = with_run(|run, _| ensure_chan(run, cell, senders, receivers, len))?;
     match step(Pend::Recv { c }) {
         Resume::Aborted if !std::thread::panicking() => raise_abort(),
         Resume::RecvData => Some(RecvOutcome::Data),
@@ -766,12 +765,6 @@ fn op_enabled(run: &Run, p: &Pend, tid: ThreadId) -> bool {
                 } else {
                     writer.is_none()
                 }
-            }
-            _ => true,
-        },
-        Pend::Send { c } => match &run.objects[*c] {
-            Obj::Chan { len, cap, receivers, .. } => {
-                *receivers == 0 || cap.map(|cp| *len < cp).unwrap_or(true)
             }
             _ => true,
         },

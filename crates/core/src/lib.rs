@@ -54,7 +54,6 @@ pub mod config;
 pub mod engine;
 pub mod mp;
 pub mod offload;
-pub mod pp;
 pub mod prefetch;
 pub mod tiling;
 pub mod trainer;
@@ -65,7 +64,6 @@ pub use mp::{train_gpt_2d, Spec2D};
 pub use offload::{
     NodeEnv, NodeResources, OffloadHealth, OffloadManager, PlacedBuf, PublishStream, WriteBehind,
 };
-pub use pp::{train_gpt_pipeline, PipelineSpec};
 pub use tiling::TiledLinear;
 pub use checkpoint::reshard_checkpoint_blobs;
 pub use trainer::{

@@ -41,9 +41,9 @@ pub struct Spec2D {
     pub model: GptConfig,
     /// ZeRO strategy applied within each data-parallel group.
     pub strategy: Strategy,
-    /// Tensor-parallel degree.
+    /// Tensor-parallel degree (at least 1).
     pub mp: usize,
-    /// Data-parallel degree.
+    /// Data-parallel degree (at least 1).
     pub dp: usize,
     /// Micro-batch per data-parallel rank.
     pub micro_batch: usize,
@@ -58,6 +58,12 @@ pub struct Spec2D {
 /// rank of dp position 0).
 pub fn train_gpt_2d(spec: &Spec2D) -> Result<Vec<f32>> {
     let spec = *spec;
+    if spec.mp == 0 || spec.dp == 0 {
+        return Err(Error::InvalidArgument(format!(
+            "mp {} x dp {}: both degrees must be at least 1",
+            spec.mp, spec.dp
+        )));
+    }
     let total = spec.mp * spec.dp;
     let node = Arc::new(NodeResources::in_memory(
         &NodeMemorySpec::test_spec(total, 1 << 24, 1 << 27, 1 << 27),

@@ -163,7 +163,8 @@ pub(crate) fn weight_scale(cfg: &GptConfig) -> f32 {
 pub struct GptModel {
     cfg: GptConfig,
     registry: ParamRegistry,
-    plans: Vec<ModulePlan>,
+    /// Module execution plan, in forward order.
+    pub(crate) plans: Vec<ModulePlan>,
 }
 
 /// What a forward pass leaves behind for the backward pass.
@@ -233,11 +234,6 @@ impl GptModel {
     /// Parameter registry.
     pub fn registry(&self) -> &ParamRegistry {
         &self.registry
-    }
-
-    /// Module execution plan, in forward order.
-    pub fn plans(&self) -> &[ModulePlan] {
-        &self.plans
     }
 
     /// Forward-only pass returning the logits for every position
@@ -630,10 +626,10 @@ mod tests {
         let opts = RunOptions { prefetch_window: 1, ..Default::default() };
         model.train_step(&mut store, &tokens, &targets, &opts).unwrap();
         // First hint (issued by embed) must be exactly block0's params.
-        let block0: Vec<ParamId> = model.plans()[1].all_params();
+        let block0: Vec<ParamId> = model.plans[1].all_params();
         assert_eq!(store.hints[0], block0);
         // Hints were issued during backward too (more hints than modules).
-        assert!(store.hints.len() > model.plans().len());
+        assert!(store.hints.len() > model.plans.len());
     }
 
     #[test]

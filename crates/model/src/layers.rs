@@ -10,7 +10,7 @@ use zi_types::{Error, Result};
 
 /// Shape configuration shared by all blocks of a model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockConfig {
+pub(crate) struct BlockConfig {
     /// Hidden dimension (`hd` in the paper).
     pub hidden: usize,
     /// Number of attention heads.
@@ -29,7 +29,7 @@ impl BlockConfig {
     }
 
     /// Rows of the token matrix (`batch * seq`).
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.batch * self.seq
     }
 }
@@ -311,7 +311,7 @@ fn block_params(params: &[Tensor]) -> Result<&[Tensor; 12]> {
 
 /// Activations saved by a block forward pass (the tensor-sliced block of
 /// [`crate::mp`] saves the same six).
-pub struct BlockSaved {
+pub(crate) struct BlockSaved {
     pub(crate) x: Tensor,
     pub(crate) ln1_stats: ops::LayerNormStats,
     pub(crate) attn: AttnSaved,
@@ -325,7 +325,7 @@ const LN_EPS: f32 = 1e-5;
 /// Pre-LN transformer block forward:
 /// `x + Attn(LN1(x))` then `+ MLP(LN2(·))`, over the block's twelve
 /// parameter tensors in canonical order.
-pub fn block_forward(
+pub(crate) fn block_forward(
     cfg: &BlockConfig,
     params: &[Tensor],
     x: &Tensor,
@@ -347,7 +347,7 @@ pub fn block_forward(
 }
 
 /// Block backward; returns `(dx, grads)` with grads in canonical order.
-pub fn block_backward(
+pub(crate) fn block_backward(
     cfg: &BlockConfig,
     params: &[Tensor],
     saved: &BlockSaved,
@@ -391,7 +391,7 @@ pub fn block_backward(
 // ---------------------------------------------------------------------------
 
 /// Token + position embedding forward. `wte: [vocab, h]`, `wpe: [seq, h]`.
-pub fn embedding_forward(
+pub(crate) fn embedding_forward(
     cfg: &BlockConfig,
     wte: &Tensor,
     wpe: &Tensor,
@@ -422,7 +422,7 @@ pub fn embedding_forward(
 }
 
 /// Embedding backward: scatter-add into `(dwte, dwpe)`.
-pub fn embedding_backward(
+pub(crate) fn embedding_backward(
     cfg: &BlockConfig,
     vocab: usize,
     tokens: &[usize],
@@ -445,12 +445,12 @@ pub fn embedding_backward(
 }
 
 /// Tied LM head forward: `logits = x wte^T`.
-pub fn lm_head_forward(wte: &Tensor, x: &Tensor) -> Result<Tensor> {
+pub(crate) fn lm_head_forward(wte: &Tensor, x: &Tensor) -> Result<Tensor> {
     ops::matmul_nt(x, wte)
 }
 
 /// Tied LM head backward; returns `(dx, dwte)`.
-pub fn lm_head_backward(wte: &Tensor, x: &Tensor, dlogits: &Tensor) -> Result<(Tensor, Tensor)> {
+pub(crate) fn lm_head_backward(wte: &Tensor, x: &Tensor, dlogits: &Tensor) -> Result<(Tensor, Tensor)> {
     let dx = ops::matmul(dlogits, wte)?;
     let dwte = ops::matmul_tn(dlogits, x)?;
     Ok((dx, dwte))
@@ -733,7 +733,7 @@ mod tests {
         let model = GptModel::new(cfg);
         let mut store = DenseStore::new(model.registry());
         let mut fetch = |module: usize| -> Vec<Tensor> {
-            model.plans()[module].own_params.iter().map(|&id| store.get(id).unwrap()).collect()
+            model.plans[module].own_params.iter().map(|&id| store.get(id).unwrap()).collect()
         };
         let embed = fetch(0);
         let block = fetch(1);

@@ -43,7 +43,7 @@
 //! ```
 
 pub mod gpt;
-pub mod layers;
+mod layers;
 pub mod mp;
 pub mod param;
 

@@ -47,6 +47,7 @@ pub struct MpGptModel {
     cfg: GptConfig,
     mp: usize,
     registry: ParamRegistry,
+    /// Module plans (fetch units) of this slice.
     plans: Vec<ModulePlan>,
 }
 
@@ -140,11 +141,6 @@ impl MpGptModel {
     /// Parameter registry of this slice.
     pub fn registry(&self) -> &ParamRegistry {
         &self.registry
-    }
-
-    /// Module plans (fetch units) of this slice.
-    pub fn plans(&self) -> &[ModulePlan] {
-        &self.plans
     }
 
     /// One forward+backward pass with tensor-parallel reductions through
@@ -417,8 +413,8 @@ mod tests {
         assert_eq!(store.gets, 2, "wte: one fetch for the embedding, one for the head");
         assert_eq!((store.held, store.max_held), (0, 1), "every fetch released, never nested");
         assert_eq!(loss.to_bits(), MP1_LOSS_BITS, "neither holding nor hinting changes the math");
-        assert_eq!(store.hints[0], sliced.plans()[1].all_params(), "embed announces block0");
-        assert!(store.hints.len() > sliced.plans().len(), "hints in the backward pass too");
+        assert_eq!(store.hints[0], sliced.plans[1].all_params(), "embed announces block0");
+        assert!(store.hints.len() > sliced.plans.len(), "hints in the backward pass too");
     }
 
     #[test]

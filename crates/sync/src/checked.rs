@@ -439,21 +439,11 @@ pub mod channel {
         (Sender { inner: tx, meta: Arc::clone(&meta) }, Receiver { inner: rx, meta })
     }
 
-    /// Channel with a capacity hint. Under the model the capacity is
-    /// *not* enforced: a real `crossbeam::bounded` send would block the
-    /// serialized scheduler thread for actual wall time when full, so
-    /// checked builds back `bounded` with an unbounded queue and let the
-    /// model explore send/recv interleavings only. Back-pressure paths
-    /// that must be explored should use condvar windows instead.
-    pub fn bounded<T>(_cap: usize) -> (Sender<T>, Receiver<T>) {
-        unbounded()
-    }
-
     impl<T> Sender<T> {
         /// Send `value`; errs when every receiver has disconnected.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             let (s, r) = self.meta.counts();
-            match rt::chan_send(&self.meta.cell, s, r, 0, None) {
+            match rt::chan_send(&self.meta.cell, s, r, 0) {
                 None | Some(true) => self.inner.send(value),
                 Some(false) => Err(SendError(value)),
             }
@@ -465,7 +455,7 @@ pub mod channel {
         /// arrives or every sender disconnects.
         pub fn recv(&self) -> Result<T, RecvError> {
             let (s, r) = self.meta.counts();
-            match rt::chan_recv(&self.meta.cell, s, r, 0, None) {
+            match rt::chan_recv(&self.meta.cell, s, r, 0) {
                 None => self.inner.recv(),
                 Some(RecvOutcome::Data) => {
                     // The model granted Data, so the real queue is

@@ -46,7 +46,7 @@ mod passthrough {
     /// MPMC channels (vendored `crossbeam` re-exports in passthrough builds).
     pub mod channel {
         pub use crossbeam::channel::{
-            bounded, unbounded, Receiver, RecvError, SendError, Sender, TryRecvError,
+            unbounded, Receiver, RecvError, SendError, Sender, TryRecvError,
         };
     }
 

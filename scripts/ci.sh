@@ -29,8 +29,8 @@ cargo run -q --release -p zi-bench --bin repro -- fig1 fig2a fig2b fig3 table1 f
 # with a CPU pool too small to admit anything into it.
 cargo test --release -q --test alloc_budget \
     || { echo "allocation budget exceeded: a fetch, deposit or step path allocates a large block per call"; exit 1; }
-# The configuration-matrix oracle in the profile that ships: 42 seeded
-# cells over all seven Table-2 strategies, world size 1/2, device
+# The configuration-matrix oracle in the profile that ships: 63 seeded
+# cells over all seven Table-2 strategies, world size 1/2/3, device
 # workers 1/2/4 (the optimizer step's pipeline depth), CPU pool,
 # prefetch window 0/2, accumulation, activation checkpointing and a
 # checkpoint round trip, in records of 16 elements so each step streams
@@ -126,7 +126,7 @@ timeout --kill-after=10s 120s \
 # built on them keep full coverage on AVX2 machines), then with two pool
 # workers (under test the pool defaults to one thread, so the GEMM
 # row-range split and the claim/completion path run only when forced).
-# The mp / pp / tiling runners of zi-core go through the same module
+# The mp / tiling runners of zi-core go through the same module
 # bracket as zi-model's, so their unit suites ride along; so do the
 # engine and offload suites, whose streamed step hands the Adam kernel
 # the three slices of one record at whatever alignment the record size
@@ -135,7 +135,7 @@ timeout --kill-after=10s 120s \
 # carried from one step into the next included, then meets the scalar
 # kernels and the two-worker pool; so do checkpoint restore and the
 # file-backed full stack, construction included, which write model state
-# the way a step does, and the dp × mp × pp cross-check, whose multi-rank
+# the way a step does, and the mp × dp grid cross-check, whose multi-rank
 # steps each flush only their own I/O. So do the per-strategy footprint
 # and the step's allocation budget: which parameters share a packed
 # optimizer buffer decides where each byte sits and what the staging set
@@ -146,13 +146,13 @@ timeout --kill-after=10s 120s \
 # the configuration matrix, every cell of which must stay the dense
 # reference's bits under either kernel set.
 ZI_SIMD=scalar cargo test -q -p zi-tensor -p zi-optim -p zi-model \
-    && ZI_SIMD=scalar cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: checkpoint:: trainer:: \
+    && ZI_SIMD=scalar cargo test -q -p zero-infinity --lib -- mp:: tiling:: engine:: offload:: checkpoint:: trainer:: \
     && ZI_SIMD=scalar cargo test -q --test equivalence --test shard_cache --test end_to_end --test parallelism \
         --test memory_footprint --test alloc_budget --test trace_accounting --test chaos --test paper_claims \
         --test config_matrix \
     || { echo "scalar-forced unit suites failed"; exit 1; }
 ZI_KERNEL_THREADS=2 cargo test -q -p zi-tensor -p zi-optim -p zi-model \
-    && ZI_KERNEL_THREADS=2 cargo test -q -p zero-infinity --lib -- mp:: pp:: tiling:: engine:: offload:: checkpoint:: trainer:: \
+    && ZI_KERNEL_THREADS=2 cargo test -q -p zero-infinity --lib -- mp:: tiling:: engine:: offload:: checkpoint:: trainer:: \
     && ZI_KERNEL_THREADS=2 cargo test -q --test equivalence --test shard_cache --test end_to_end --test parallelism \
         --test memory_footprint --test alloc_budget --test trace_accounting --test chaos --test paper_claims \
         --test config_matrix \

@@ -2,9 +2,12 @@
 //! engine's configuration axes — every Table-2 strategy, CPU pool, the
 //! device's worker count (which is the optimizer step's pipeline depth),
 //! prefetch window, gradient accumulation, activation checkpointing,
-//! world size and a checkpoint round trip between steps — each training
-//! the tiny GPT for three steps in records of 16 elements, so a step
-//! streams many records and reads run ahead of updates. The axes that
+//! world size 1, 2 or 3 and a checkpoint round trip between steps — each
+//! training the tiny GPT for three steps in records of 16 elements, so a
+//! step streams many records and reads run ahead of updates. World 3 is
+//! where the gradient average is a true divide (by 3, or 6 with
+//! accumulation: no power of two) and where parameter shards are padded
+//! unevenly. The axes that
 //! only move bytes (strategy, pool, workers, window, the round trip) must
 //! not move a bit: every cell's losses and final parameters equal, bit
 //! for bit, the dense single-process baseline's numerics at its world,
@@ -25,7 +28,7 @@ use zi_types::{Device, DeviceKind};
 /// The sample's seed: fixed here, so every run checks the same cells.
 const SEED: u64 = 0x0c0f_f1ce_5eed_0038;
 /// Cells checked per run: every strategy × world × worker count once.
-const CELLS: usize = 42;
+const CELLS: usize = 63;
 /// Elements per optimizer record: the GPT's 1 920 parameters stream as
 /// about 120 records a step at world 1, across parameter boundaries.
 const RECORD: usize = 16;
@@ -106,8 +109,8 @@ fn sample(seed: u64) -> Vec<Cell> {
     (0..CELLS)
         .map(|i| Cell {
             strategy: i % strategies.len(),
-            world: 1 + (i / strategies.len()) % 2,
-            workers: [1, 2, 4][(i / (2 * strategies.len())) % 3],
+            world: 1 + (i / strategies.len()) % 3,
+            workers: [1, 2, 4][(i / (3 * strategies.len())) % 3],
             tight: coin() && uses_cpu(&strategies[i % strategies.len()]),
             window: if coin() { 2 } else { 0 },
             accumulation: 1 + usize::from(coin()),
