@@ -643,9 +643,9 @@ fn shard_cache_body(seen: &[zi_sync::OnceLock<()>; 3]) {
                 }
                 let mut wb = WriteBehind::new(1);
                 let mut publish = mgr.begin_publish(&shard);
-                let pushed = image(round + 1)
-                    .chunks(ELEMS / 2)
-                    .try_for_each(|c| publish.push_values(&mut wb, &mut shard, c));
+                let pushed = image(round + 1).chunks(ELEMS / 2).enumerate().try_for_each(
+                    |(k, c)| publish.push_values(&mut wb, &mut shard, k * (ELEMS / 2), c),
+                );
                 wb.drain(&mgr).expect("drain");
                 pushed.and_then(|()| publish.finish(&shard)).expect("publish");
             }
@@ -726,21 +726,22 @@ fn kernel_pool_panic_releases_submitter() {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol 11: the optimizer step's carried window — its last record
-// writes still on the device when `step` returns, reaped by the next
-// deposit, which reads the next step's first records into the staging
-// buffers they free.
+// Protocol 11: the optimizer step's carried window — the writes of the
+// records a step keeps still on the device when `step` returns, their
+// staging buffers the next step's first records, updated in place once
+// those writes land.
 //
-// One parameter of two records on a three-worker device that serves a
-// read before a write already on it whenever the scheduler lets it, two
-// steps: every record's write from step 1 races the carried read of the
-// same extent that step 2 consumes, and each deposit's top-up takes a
-// buffer that a reaped tail write handed back. Invariants, in every
+// One parameter of two records on a two-worker device that serves a read
+// before a write already on it whenever the scheduler lets it, two steps
+// in opposite orders: step 1 keeps its last record, whose write races
+// step 2's update of the same buffer, and the record it does not keep,
+// whose write races step 2's read of it. Invariants, in every
 // interleaving:
 //
-//   * every read sees only the written bytes: no read is verified against
-//     a checksum its bytes do not match (a read that overtook the write of
-//     its record would be), and every schedule ends in the same state;
+//   * no buffer is updated before its write landed, and every read sees
+//     only the written bytes: no read is verified against a checksum its
+//     bytes do not match (a read that overtook the write of its record
+//     would be), and every schedule ends in the same state;
 //   * each staging buffer is handed back exactly once: after dispose
 //     nothing is checked out and every buffer the pool allocated is
 //     parked;
@@ -779,7 +780,7 @@ impl StorageBackend for ReadsFirst {
     }
 }
 
-fn carried_window_body(seen: &[zi_sync::OnceLock<()>; 2], state: &zi_sync::OnceLock<Vec<u8>>) {
+fn carried_window_body(seen: &zi_sync::OnceLock<()>, state: &zi_sync::OnceLock<Vec<u8>>) {
     use zero_infinity::{NodeEnv, NodeResources, Strategy, ZeroEngine};
     use zi_memory::NodeMemorySpec;
     use zi_model::{ParamRegistry, ParamStore};
@@ -793,8 +794,8 @@ fn carried_window_body(seen: &[zi_sync::OnceLock<()>; 2], state: &zi_sync::OnceL
     let env = NodeEnv { pinned: (2, 64), nvme_workers: 2, ..NodeEnv::new(device) };
     let node = NodeResources::new(&spec, 1, env);
     // Records of four elements; two device workers make the step two
-    // reads ahead with a write-behind window of four: the carry's budget
-    // covers both records.
+    // reads ahead with a write-behind window of four: the step keeps all
+    // but its first record.
     let strategy = Strategy::infinity_nvme()
         .with_f32_params()
         .with_prefetch_window(0)
@@ -803,19 +804,16 @@ fn carried_window_body(seen: &[zi_sync::OnceLock<()>; 2], state: &zi_sync::OnceL
     let mut eng = ZeroEngine::new(&reg, strategy, mgr, comm, Default::default()).expect("engine");
     let staging = node.offload_manager();
     let staging = staging.staging();
+    let mut writes = 0;
     for step in 0..2 {
-        let (writes, reused) = (node.nvme.stats().writes, staging.stats().reused);
         let grad = Tensor::from_vec(&[8], (0..8).map(|i| (i + step) as f32 * 0.125).collect());
-        eng.add_grad(w, &grad.expect("grad")).expect("a deposit reaps a healthy window");
-        if step == 1 && staging.stats().reused > reused {
-            // The deposit's top-up read into a recycled buffer.
-            let _ = seen[0].set(());
-        }
+        eng.add_grad(w, &grad.expect("grad")).expect("deposit");
         if step == 1 && node.nvme.stats().writes < writes + 2 {
-            // A carried write was still on the device: the carry stopped
-            // short of its record, which the step reads once it lands.
-            let _ = seen[1].set(());
+            // Step 0's kept record's write was still on the device: this
+            // step takes its buffer once it lands.
+            let _ = seen.set(());
         }
+        writes = node.nvme.stats().writes;
         assert!(eng.step().expect("step"), "step {step} skipped");
     }
     let saved = eng.save_state().expect("save");
@@ -833,13 +831,12 @@ fn carried_window_body(seen: &[zi_sync::OnceLock<()>; 2], state: &zi_sync::OnceL
 
 #[test]
 fn carried_window_never_lets_a_read_overtake_its_write() {
-    let seen = Arc::new([(); 2].map(|()| zi_sync::OnceLock::new()));
+    let seen = Arc::new(zi_sync::OnceLock::new());
     let state = Arc::new(zi_sync::OnceLock::new());
     let (body_seen, body_state) = (Arc::clone(&seen), Arc::clone(&state));
     let checker = Checker { schedules: 1250, ..Checker::default() };
     drive("carried-window", checker, move || carried_window_body(&body_seen, &body_state));
     if zi_check::enabled() {
-        assert!(seen[0].get().is_some(), "no schedule let a deposit's top-up reuse a buffer");
-        assert!(seen[1].get().is_some(), "no schedule kept a carried write on the device");
+        assert!(seen.get().is_some(), "no schedule kept a carried write on the device");
     }
 }

@@ -35,10 +35,10 @@
 //!    shard cache's image of it, which reaches the parameter tier when the
 //!    cache gives it up (or, without room for it, as the second write of
 //!    the same pipeline). One read-ahead queue ([`ReadAhead`]) drives
-//!    the step, and it and the write-behind window outlive it: the step
-//!    returns once its last write is submitted, and under the next forward
-//!    and backward those writes land while the next step's first records
-//!    are read into the buffers they free.
+//!    the step, in the order opposite to the last step's, and the step
+//!    keeps its last records: it returns once their writes are submitted,
+//!    those land under the next forward and backward, and the next step
+//!    starts with the same records, still in their staging buffers.
 //!    Replicated-parameter strategies (ZeRO-1/2/Offload) instead allgather
 //!    the updated slices back into every replica.
 
@@ -311,11 +311,14 @@ pub struct ZeroEngine {
     /// Whether the optimizer buffers already answer to the node's
     /// degradation latch; a latch set later collapses them at the next step.
     collapsed: bool,
-    /// The read-ahead queue the last step carried over ([`Self::carry`]).
-    ahead: Option<ReadAhead>,
-    /// The write-behind window the last step carried over, its last
-    /// writes still on the device ([`Self::carry`]). In a cell so that
-    /// [`Self::export_optimizer_records`] (`&self`) can wait them out.
+    /// Whether the next step runs its records in descending order.
+    descending: bool,
+    /// The due buffers of the last applied step, when it kept records.
+    carry: Option<Vec<usize>>,
+    /// The write-behind window the last step carried over: its kept
+    /// records' writes, still on the device or landed, and their buffers.
+    /// In a cell so that [`Self::export_optimizer_records`] (`&self`) can
+    /// wait them out.
     tail: RefCell<WriteBehind>,
     stats: EngineStats,
 }
@@ -378,7 +381,8 @@ impl ZeroEngine {
             grad_bufs: FreeList::new(),
             prefetcher: Prefetcher::new(),
             trace: TraceMap::new(),
-            ahead: None,
+            descending: false,
+            carry: None,
             stats: EngineStats::default(),
         };
         let tracer = engine.mgr.tracer().clone();
@@ -519,11 +523,11 @@ impl ZeroEngine {
             if part.end == layout.elems(at) {
                 if let Some(staging) = staged.take() {
                     let crcs = stream_crcs(&staging);
-                    wb.submit_staged(&self.mgr, state, first, staging, &crcs)?;
+                    wb.submit_staged(&self.mgr, state, first, staging, &crcs, false)?;
                 }
             }
             if let Some(publish) = &mut publish {
-                publish.push_values(wb, param, &src[0][values])?;
+                publish.push_values(wb, param, from, &src[0][values])?;
             }
         }
         publish.map_or(Ok(()), |publish| publish.finish(param))
@@ -534,7 +538,7 @@ impl ZeroEngine {
     fn publish(&mut self, idx: usize, stored: &[f32], wb: &mut WriteBehind) -> Result<()> {
         let param = &mut self.shards[idx].param;
         let mut publish = self.mgr.begin_publish(param);
-        publish.push_values(wb, param, stored)?;
+        publish.push_values(wb, param, 0, stored)?;
         publish.finish(param)
     }
 
@@ -651,49 +655,51 @@ impl ZeroEngine {
         }
         self.scaler.update(false);
 
-        // One write-behind window and one read-ahead queue — the ones the
-        // last step carried, the queue if it covers the same buffers —
-        // span every buffer with a member to update, so the pipeline never
-        // drains between two of them. A failure reaps both, so it surfaces
-        // as the step's own typed error with every staging buffer back in
-        // its pool and nothing of this rank's step still on the device.
-        // A step that succeeds returns once its last write is submitted
-        // and carries the window — unless it wrote a publish through: a
-        // read of that shard, or its cache entry's write-back, could
-        // overtake a carried piece, so such a step drains.
-        let window = self.window();
+        // One write-behind window and one read-ahead queue span every
+        // buffer with a member to update, so the pipeline never drains
+        // between two of them, in the order opposite to the last applied
+        // step's: it starts with the records that step kept — updated in
+        // their staging buffers once their writes land, never read — and
+        // keeps its own last ones (see [`ReadAhead`]). A failure reaps
+        // every request, so it surfaces as the step's own typed error with
+        // every staging buffer back in its pool. A step that succeeds
+        // returns once its kept records' writes are submitted — unless it
+        // wrote a publish through: a read of that shard, or its cache
+        // entry's write-back, could overtake a carried piece, so such a
+        // step drains, and keeps its records clean.
         let due: Vec<usize> = (0..self.optims.len())
             .filter(|&b| {
                 let members = &self.optims[b].layout.members;
                 members.iter().any(|(idx, _)| self.shards[*idx].grad.is_some())
             })
             .collect();
-        if self.ahead.as_ref().is_some_and(|carried| carried.due != due) {
-            self.drop_carry("readahead.drop.due_set");
+        if self.carry.as_ref().is_some_and(|carried| *carried != due) {
+            self.drop_carry("carry.drop.due_set");
         }
-        let mut ahead = self.ahead.take().unwrap_or(ReadAhead { due, ..Default::default() });
+        let window = self.window();
         let mut wb = std::mem::replace(self.tail.get_mut(), WriteBehind::new(window));
-        let records = self.reserve_step_staging(ahead.held(&self.optims).0 + wb.in_flight());
+        let budget = self.reserve_step_staging(wb.held());
+        let mut ahead = ReadAhead::new(&self.optims, &due, self.descending, budget);
         let pieces = wb.pieces;
         let updated = self.stream_update(&mut ahead, &mut wb);
         ahead.rewind(&self.mgr);
         let carried = updated.is_ok() && wb.pieces == pieces;
-        let settled = if carried { Ok(()) } else { wb.drain(&self.mgr) };
-        updated.and(settled)?;
-        self.stats.steps += 1;
-        // Beside a window of record writes the carry may fill the whole
-        // set. Written through, the next step's window holds a publish
-        // piece per record part too: the carry keeps to the set's record
-        // half of the window, so that burst finds its publish-sized
-        // buffers.
-        let budget = if carried { records } else { records.saturating_sub(window / 2) };
-        if wb.in_flight() > 0 {
-            let (writes, bytes) = (wb.in_flight() as u64, wb.in_flight_bytes());
-            self.mgr.tracer().instant(Category::OptimStep, "writebehind.carry", bytes, writes);
+        let drained = if carried { Ok(()) } else { wb.drain(&self.mgr) };
+        if let Err(e) = updated.and(drained) {
+            self.carry = None;
+            wb.forget_kept();
+            return Err(e);
         }
+        self.stats.steps += 1;
+        self.descending = !self.descending;
+        let kept = wb.held();
+        if kept > 0 {
+            let bytes = wb.in_flight_bytes();
+            self.mgr.tracer().instant(Category::OptimStep, "carry.keep", bytes, kept as u64);
+        }
+        self.carry = (kept > 0).then_some(due);
         *self.tail.get_mut() = wb;
         self.end_iteration()?;
-        self.carry(ahead, budget);
         Ok(true)
     }
 
@@ -719,13 +725,12 @@ impl ZeroEngine {
     /// buffers (0 without offloaded optimizer state): `depth` for the
     /// read-ahead and the record in hand, plus the whole write-behind
     /// window, all record writes when the publishes go to the shard cache.
-    /// It is what a step may carry into the next, reads and tail writes
-    /// together. Publish-sized buffers come on top, for a publish written
-    /// through: the carry it leaves (`depth + ⌈window/2⌉` reads, see
-    /// [`Self::step`]), a window of pieces — a packed record may fill it
-    /// with one piece per member — and the piece being staged; a larger
-    /// buffer counts towards a smaller size. The `carried` reads and
-    /// writes hold their part of the set.
+    /// It is also how many of its last records a step keeps for the next
+    /// ([`ReadAhead`]). Publish-sized buffers come on top, for a publish
+    /// written through: `depth + ⌈window/2⌉` beside a window of pieces — a
+    /// packed record may fill it with one piece per member — and the piece
+    /// being staged; a larger buffer counts towards a smaller size. The
+    /// `carried` kept records hold their part of the set.
     fn reserve_step_staging(&self, carried: usize) -> usize {
         let offloaded = self.optims.iter().filter(|opt| opt.state.is_offloaded());
         let Some(longest) = offloaded.map(|opt| opt.layout.per).max() else { return 0 };
@@ -744,20 +749,21 @@ impl ZeroEngine {
     /// Stream every due record through Adam in the queue's order (Sec.
     /// 5.2.2, 6.2), one member's part at a time, opening a parameter's
     /// update at its first part; a member without a gradient is left as it
-    /// was read. One staging buffer carries an NVMe record from device read
-    /// through Adam to write-behind, and one kernel pass over each part
-    /// averages the gradient, updates the record, encodes the publish piece
-    /// and checksums every byte it stores, so the record's write is
-    /// recorded under its three streams' checksums without a second read
-    /// of it.
+    /// was read; the queue's tail is kept, its writes submitted last. One
+    /// staging buffer carries an NVMe record from device read (or the
+    /// window that kept it) through Adam to write-behind, and one kernel
+    /// pass over each part averages the gradient, updates the record,
+    /// encodes the publish piece and checksums every byte it stores, so
+    /// the record's write is recorded under its three streams' checksums
+    /// without a second read of it.
     fn stream_update(&mut self, ahead: &mut ReadAhead, wb: &mut WriteBehind) -> Result<()> {
         let depth = self.depth();
         let tracer = self.mgr.tracer().clone();
         let scale = GradScale::average_over(self.comm.world_size() as f32 * self.grad_accum_steps);
         let mut open: Option<Update> = None;
         while let Some(record) = ahead.next_record(&self.mgr, &self.optims, depth, wb) {
-            let (b, at, load) = record?;
-            let mut staged = load.wait(&self.mgr)?;
+            let (pos, mut staged) = record?;
+            let (b, at) = ahead.order[pos];
             // Measured after the wait: this rank's requests still out now
             // are genuine overlap (later records' reads, earlier writes).
             // A peer's on the shared device are not.
@@ -768,7 +774,11 @@ impl ZeroEngine {
             // The CRC32-C of the staged record's master, momentum and
             // variance so far, then of the part's publish piece.
             let mut crcs = [0u32; 4];
-            for k in self.optims[b].layout.meeting(at) {
+            let meeting = self.optims[b].layout.meeting(at);
+            for i in 0..meeting.len() {
+                // Members in the step's order too, so each one's parts
+                // stay consecutive.
+                let k = if ahead.descending { meeting.end - 1 - i } else { meeting.start + i };
                 let (idx, member) = self.optims[b].layout.members[k].clone();
                 let Some((from, part)) = self.optims[b].layout.meet(at, &member) else { continue };
                 if open.as_ref().is_none_or(|update| update.idx != idx) {
@@ -832,7 +842,7 @@ impl ZeroEngine {
                     let dtype = param.dtype();
                     let to = match &mut *publish {
                         Publish::Whole(out) => PublishTo::F32(&mut out[from..from + len]),
-                        Publish::Stream(stream) if !resident => match stream.stage(param, len) {
+                        Publish::Stream(s) if !resident => match s.stage(param, from, len) {
                             Some(bytes) => {
                                 staged = true;
                                 PublishTo::encoded(dtype, bytes).ok_or_else(|| {
@@ -849,19 +859,37 @@ impl ZeroEngine {
                 }
                 if let Publish::Stream(stream) = publish {
                     if staged {
-                        stream.push(wb, param, len, crcs[3])?;
+                        stream.push(wb, param, from, len, crcs[3])?;
                     } else {
-                        stream.push_values(wb, param, master)?;
+                        stream.push_values(wb, param, from, master)?;
                     }
                 }
             }
             if let Some(staging) = staged {
-                let state = &self.optims[b].state;
-                wb.submit_staged(&self.mgr, state, first, staging, &crcs[..STATE_STREAMS])?;
+                // The kernel chains each stream's checksum over the parts
+                // in the order it met them: byte order only when ascending.
+                let crcs = match ahead.descending && meeting.len() > 1 {
+                    true => stream_crcs(&staging),
+                    false => std::array::from_fn(|s| crcs[s]),
+                };
+                if pos < ahead.tail {
+                    let state = &self.optims[b].state;
+                    wb.submit_staged(&self.mgr, state, first, staging, &crcs, false)?;
+                } else {
+                    ahead.deferred.push((b, first, staging, crcs));
+                }
             }
             self.stats.optimizer_chunks += 1;
         }
-        open.map_or(Ok(()), |done| self.finish_update(done, wb))
+        if let Some(done) = open {
+            self.finish_update(done, wb)?;
+        }
+        // The kept records' writes, behind the step's last read, in the
+        // next step's order.
+        for (b, first, staging, crcs) in ahead.deferred.drain(..).rev() {
+            wb.submit_staged(&self.mgr, &self.optims[b].state, first, staging, &crcs, true)?;
+        }
+        Ok(())
     }
 
     /// Open parameter `idx`'s update: its gradient sum taken out of
@@ -915,92 +943,35 @@ impl ZeroEngine {
         }
     }
 
-    /// Carry the rewound queue into the next step beside the carried
-    /// window, its first records read under the next forward and backward
-    /// into what the window leaves of `budget` staging buffers: here, up
-    /// to the first record among the window's last submissions, and the
-    /// rest from the first deposit on, as the window's writes are reaped.
-    fn carry(&mut self, mut ahead: ReadAhead, budget: usize) {
-        if budget > 0 {
-            ahead.budget = budget;
-            self.ahead = Some(ahead);
-            self.refill(true);
-            if let Some(ahead) = &self.ahead {
-                let (reads, bytes) = ahead.held(&self.optims);
-                let tracer = self.mgr.tracer();
-                tracer.instant(Category::OptimStep, "readahead.carry", bytes, reads as u64);
-            }
-        }
-    }
-
-    /// Top the carried queue up until its reads and the carried window's
-    /// writes hold its budget of staging buffers, stopping at a record
-    /// whose write is still in flight: no read overtakes a write, and
-    /// none takes a buffer the step set does not have idle. At the step's
-    /// end the window's last submissions stand in for its writes in
-    /// flight: which of them the device has finished is a race, their
-    /// count and extents are not, so the reads a step's end issues — and
-    /// the requests counted between two steps' ends — are too. A read
-    /// that cannot be issued closes the queue; the next step meets the
-    /// device itself.
-    fn refill(&mut self, step_end: bool) {
-        let (Some(ahead), tail) = (&mut self.ahead, self.tail.get_mut()) else { return };
-        let held = if step_end { tail.lately() } else { tail.in_flight() };
-        let room = ahead.budget.saturating_sub(held);
-        let optims = &self.optims;
-        let free = |state: &PlacedBuf, first, count| match step_end {
-            true => Ok(!tail.wrote_lately(state, first, count)),
-            false => Ok(!tail.writes_over(state, first, count)),
-        };
-        if ahead.top_up(&self.mgr, optims, free, |a| a.held(optims).0 < room).is_err() {
-            self.drop_carry("readahead.drop.issue");
-        }
-    }
-
-    /// Between steps: collect the carried writes the device has finished,
-    /// without blocking, and refill the carried queue into the staging
-    /// buffers they free. A failed write is this call's typed error.
-    fn reap_tail(&mut self) -> Result<()> {
-        let (writes, bytes) = self.tail.get_mut().reap(&self.mgr).map_err(|e| self.fail_tail(e))?;
-        if writes > 0 {
-            let tracer = self.mgr.tracer();
-            tracer.instant(Category::OptimStep, "writebehind.reap", bytes, writes as u64);
-        }
-        self.refill(false);
-        Ok(())
-    }
-
     /// Wait out the carried window: every write the last step left on the
-    /// device. A failed write is the caller's typed error.
+    /// device. A failed write is the caller's typed error, and drops the
+    /// kept records.
     fn drain_tail(&mut self) -> Result<()> {
-        self.tail.get_mut().drain(&self.mgr).map_err(|e| self.fail_tail(e))
-    }
-
-    /// A carried write failed with `e`: the rest of the window is waited
-    /// out and the carried queue closed, so `e` leaves every staging
-    /// buffer in its pool. Never the degradation latch's to absorb: a lost
-    /// record update is not a degraded read.
-    fn fail_tail(&mut self, e: Error) -> Error {
-        let _ = self.tail.get_mut().drain(&self.mgr);
-        self.drop_carry("readahead.drop.write");
-        e
-    }
-
-    /// Close the carried queue unused, reaping its reads; instant `why`.
-    fn drop_carry(&mut self, why: &'static str) {
-        if let Some(mut ahead) = self.ahead.take() {
-            let (reads, bytes) = ahead.held(&self.optims);
-            self.mgr.tracer().instant(Category::OptimStep, why, bytes, reads as u64);
-            ahead.rewind(&self.mgr);
+        let drained = self.tail.get_mut().drain(&self.mgr);
+        if drained.is_err() {
+            self.drop_carry("carry.drop.write");
         }
+        drained
+    }
+
+    /// Send the kept records' buffers home, those still on the device once
+    /// their writes land; instant `why`. Never the degradation latch's to
+    /// absorb: a lost record update is not a degraded read.
+    fn drop_carry(&mut self, why: &'static str) {
+        let tail = self.tail.get_mut();
+        if self.carry.take().is_some() {
+            let tracer = self.mgr.tracer();
+            tracer.instant(Category::OptimStep, why, tail.in_flight_bytes(), tail.held() as u64);
+        }
+        tail.forget_kept();
     }
 
     /// Reap the requests kept between calls: the carried window's writes,
-    /// whose first failure is returned, and the carried queue's and the
-    /// prefetcher's reads. [`Self::dispose`] and `Drop` both come here.
+    /// whose first failure is returned, and the prefetcher's reads; the
+    /// kept records go. [`Self::dispose`] and `Drop` both come here.
     fn reap(&mut self) -> Result<()> {
         let drained = self.tail.get_mut().drain(&self.mgr);
-        self.drop_carry("readahead.drop.dispose");
+        self.drop_carry("carry.drop.dispose");
         self.prefetcher.clear(&self.mgr);
         drained
     }
@@ -1026,14 +997,14 @@ impl ZeroEngine {
     /// Collapse every optimizer buffer onto CPU once the node's
     /// degradation latch is set: split buffers re-publish their
     /// NVMe-resident half to CPU instead of dropping it with the store.
-    /// Waits out the carried window and closes the carry, whose reads
-    /// target the old placement.
+    /// Waits out the carried window and drops the kept records, whose
+    /// buffers mirror the old placement.
     fn collapse_on_degradation(&mut self) -> Result<()> {
         if self.collapsed || !self.mgr.degradation_latched() {
             return Ok(());
         }
         self.drain_tail()?;
-        self.drop_carry("readahead.drop.placement");
+        self.drop_carry("carry.drop.placement");
         for opt in &mut self.optims {
             self.mgr.collapse(&mut opt.state)?;
         }
@@ -1043,7 +1014,7 @@ impl ZeroEngine {
 
     /// Close the iteration: the prefetches reaped, then this rank's flush.
     /// The step has already reaped its own reads, and its writes but for
-    /// the carried window's; the flush never waits out a peer's I/O — at
+    /// the kept records'; the flush never waits out a peer's I/O — at
     /// world > 1 another rank's carry may still be on the shared device.
     fn end_iteration(&mut self) -> Result<()> {
         self.trace.end_iteration();
@@ -1081,7 +1052,8 @@ impl ZeroEngine {
     /// at a time (checkpoint save path). Records carry the three streams
     /// contiguous, one record per parameter: how this engine packs and
     /// interleaves them never reaches a checkpoint. The carried window's
-    /// writes are waited out first; the carried reads stay.
+    /// writes are waited out first; the kept records stay, as clean as the
+    /// device.
     pub(crate) fn export_optimizer_records(
         &self,
     ) -> Result<Vec<crate::checkpoint::ParamRecord>> {
@@ -1126,7 +1098,7 @@ impl ZeroEngine {
             }
         }
         self.drain_tail()?;
-        self.drop_carry("readahead.drop.import");
+        self.drop_carry("carry.drop.import");
         let tracer = self.mgr.tracer().clone();
         let mut span = tracer.span(Category::OptimStep, "engine.import");
         let (mut wb, s) = (WriteBehind::new(self.window()), self.strategy);
@@ -1228,9 +1200,6 @@ impl ParamStore for ZeroEngine {
                 st.numel
             )));
         }
-        // The carry rides the backward: each deposit collects the carried
-        // writes that landed and reads the next records into their buffers.
-        self.reap_tail()?;
         self.stats.grad_reductions += 1;
         let st = &self.shards[id.0];
         // This rank keeps its reduce-scattered shard of the (implicitly
@@ -1373,91 +1342,136 @@ enum Publish {
 }
 
 /// The optimizer step's read-ahead: one queue over every record of every
-/// buffer with a member that has a gradient, in update order, feeding the
-/// update. It keeps `depth` records issued ahead — the one about to be
-/// taken counts — across buffer boundaries; depth counts records because
-/// what keeps the device's workers busy is requests in flight, whatever
-/// their size. The emptied queue is carried into the next step
-/// ([`ZeroEngine::carry`]).
-#[derive(Default)]
+/// buffer with a member that has a gradient, feeding the update. It keeps
+/// `depth` records issued ahead — the one about to be taken counts —
+/// across buffer boundaries; depth counts records because what keeps the
+/// device's workers busy is requests in flight, whatever their size.
+///
+/// The order alternates between steps (MLP-Offload's reuse-aware order):
+/// ascending over buffers and records, then descending. A step's last
+/// `budget` device records — the staging set's count of record buffers —
+/// are its *tail*: each is updated and kept, its write submitted only at
+/// the step's end, behind the step's last read, so it lands under the next
+/// forward and backward. The next step starts with those same records,
+/// taken from the carried window once their writes land, without a read.
+/// The first device record is never kept, so every step reads back, and
+/// verifies, at least one record the step before wrote. A read takes a
+/// buffer of the set: reads, the tail and the window's buffers together
+/// never hold more than `budget`.
 struct ReadAhead {
-    /// The buffers to update, ascending.
-    due: Vec<usize>,
-    /// Staging buffers a carried queue's reads and the carried window's
-    /// writes may hold together.
+    /// The records to update, in this step's order: buffer, element.
+    order: Vec<(usize, usize)>,
+    descending: bool,
+    /// Where the tail starts in `order`.
+    tail: usize,
     budget: usize,
-    /// The next record to issue: a position in `due` and an element.
-    next: (usize, usize),
-    /// Records issued and not yet taken: buffer, element, load.
-    pending: VecDeque<(usize, usize, PlacedPending)>,
+    /// The next record to issue, a position in `order`.
+    next: usize,
+    /// Records issued and not yet taken: position and load — `None` for a
+    /// record the carried window keeps.
+    pending: VecDeque<(usize, Option<PlacedPending>)>,
+    /// The tail records updated so far: buffer, first element, staging
+    /// buffer and its checksums.
+    deferred: Vec<(usize, usize, ScratchVec, [u32; STATE_STREAMS])>,
 }
 
 impl ReadAhead {
-    /// Issue records while the queue is `short` and any is left. An NVMe
-    /// record queues on the device; a CPU-DRAM one needs no transfer. No
-    /// read overtakes a write of its record: `free` answers whether the
-    /// record starting at an element may be read now — waiting its write
-    /// out, or saying no, and the queue stops short of it.
+    /// The queue over the records of the `due` buffers in this step's
+    /// order, its tail the last `min(budget, device records − 1)` device
+    /// records.
+    fn new(optims: &[OptimStorage], due: &[usize], descending: bool, budget: usize) -> Self {
+        let records = |b: usize| (0..optims[b].layout.len).step_by(optims[b].layout.per);
+        let mut order: Vec<_> =
+            due.iter().flat_map(|&b| records(b).map(move |at| (b, at))).collect();
+        if descending {
+            order.reverse();
+        }
+        let on_device = |&(b, at): &(usize, usize)| {
+            optims[b].state.device_offset(optims[b].layout.span(at).0, 0).is_some()
+        };
+        let keep = budget.min(order.iter().filter(|r| on_device(r)).count().saturating_sub(1));
+        let mut staged = 0;
+        let tail = order.iter().rposition(|record| {
+            staged += usize::from(on_device(record));
+            staged > keep
+        });
+        let (tail, pending, deferred) = (tail.map_or(0, |k| k + 1), VecDeque::new(), Vec::new());
+        ReadAhead { order, descending, tail, budget, next: 0, pending, deferred }
+    }
+
+    /// Issue records up to `depth`. A record the window keeps comes from
+    /// it, and a CPU-DRAM one needs no transfer; an NVMe one queues on the
+    /// device once no write of it is in flight (waiting those out) and a
+    /// buffer of the set is free: with the set out, the queue stops short
+    /// while another record is pending, else waits the oldest write out.
     fn top_up(
         &mut self,
         mgr: &OffloadManager,
         optims: &[OptimStorage],
-        mut free: impl FnMut(&PlacedBuf, usize, usize) -> Result<bool>,
-        short: impl Fn(&Self) -> bool,
+        depth: usize,
+        wb: &mut WriteBehind,
     ) -> Result<()> {
-        while short(self) {
-            let (pos, at) = self.next;
-            let Some(&b) = self.due.get(pos) else { break };
-            let OptimStorage { state, layout, .. } = &optims[b];
-            if at >= layout.len {
-                self.next = (pos + 1, 0);
-                continue;
-            }
+        while let (true, Some(&(b, at))) = (self.pending.len() < depth, self.order.get(self.next)) {
+            let OptimStorage { state, layout } = &optims[b];
             let (first, count) = layout.span(at);
-            if !free(state, first, count)? {
-                break;
-            }
-            self.pending.push_back((b, at, mgr.begin_load_elems(state, first, count)?));
-            self.next = (pos, at + layout.per);
+            let load = if wb.keeps(state, first) {
+                None
+            } else {
+                let full = |ahead: &Self, wb: &WriteBehind| {
+                    let loads = ahead.pending.iter().flat_map(|(_, load)| load);
+                    let reads = loads.filter(|load| load.is_read()).count();
+                    reads + ahead.deferred.len() + wb.held() >= ahead.budget
+                };
+                if state.device_offset(first, 0).is_some() && full(self, wb) {
+                    wb.reap(mgr)?;
+                    if full(self, wb) && !self.pending.is_empty() {
+                        break;
+                    }
+                    while full(self, wb) && wb.land_oldest(mgr)? {}
+                }
+                wb.settle(mgr, state, first, count)?;
+                Some(mgr.begin_load_elems(state, first, count)?)
+            };
+            self.pending.push_back((self.next, load));
+            self.next += 1;
         }
         Ok(())
     }
 
-    /// Top the queue up to `depth` records, then hand over its head — the
-    /// record the update reaches next — as buffer, element and load.
+    /// Top the queue up, then hand over its head — the record the update
+    /// reaches next — as its position and staging buffer (`None` when it
+    /// is resident in CPU DRAM).
     fn next_record(
         &mut self,
         mgr: &OffloadManager,
         optims: &[OptimStorage],
         depth: usize,
-        writes: &mut WriteBehind,
-    ) -> Option<Result<(usize, usize, PlacedPending)>> {
-        let settled = |state: &PlacedBuf, first, count| {
-            writes.settle(mgr, state, first, count).map(|()| true)
-        };
-        self.top_up(mgr, optims, settled, |ahead| ahead.pending.len() < depth)
-            .map(|()| self.pending.pop_front())
-            .transpose()
-    }
-
-    /// The device reads issued and not yet taken, and their bytes.
-    fn held(&self, optims: &[OptimStorage]) -> (usize, u64) {
-        let reads = self.pending.iter().filter(|(_, _, load)| load.is_read());
-        reads.fold((0, 0), |(count, bytes), &(b, at, _)| {
-            (count + 1, bytes + DType::F32.bytes_for(optims[b].layout.span(at).1) as u64)
+        wb: &mut WriteBehind,
+    ) -> Option<Result<(usize, Option<ScratchVec>)>> {
+        if let Err(e) = self.top_up(mgr, optims, depth, wb) {
+            return Some(Err(e));
+        }
+        let (pos, load) = self.pending.pop_front()?;
+        let (b, at) = self.order[pos];
+        Some(match load {
+            Some(load) => load.wait(mgr).map(|staged| (pos, staged)),
+            None => {
+                let (first, count) = optims[b].layout.span(at);
+                wb.take_kept(mgr, &optims[b].state, first, count).map(|kept| (pos, Some(kept)))
+            }
         })
     }
 
     /// True while a read this queue issued is still on the device.
     fn reading(&self, mgr: &OffloadManager) -> bool {
-        self.pending.iter().any(|(_, _, load)| !load.ready(mgr))
+        self.pending.iter().flat_map(|(_, load)| load).any(|load| !load.ready(mgr))
     }
 
-    /// Reap every read still out — the staging buffers go back to their
-    /// pool — and put the cursor back at the first record.
+    /// Reap every read still out: the staging buffers go back to their
+    /// pool, with the tail's.
     fn rewind(&mut self, mgr: &OffloadManager) {
-        self.pending.drain(..).for_each(|(_, _, load)| load.discard(mgr));
-        self.next = (0, 0);
+        self.pending.drain(..).flat_map(|(_, load)| load).for_each(|load| load.discard(mgr));
+        self.deferred.clear();
     }
 }
 
@@ -1744,11 +1758,10 @@ mod tests {
         let peak = node.nvme.stats().in_flight_peak;
         assert!(peak >= 2, "expected ≥ 2 concurrent requests, peak was {peak} (before: {peak_before})");
         // The queue spans parameters: `b`'s reads are on the device while
-        // `w` still updates. Tickets number requests in submission order
-        // and a record is written right after its update, so the read of
-        // `b`'s last record was submitted before `w`'s last record was
-        // even updated exactly when its ticket is the smaller. The step's
-        // last writes land after it returns.
+        // `w` still updates. Tickets number requests in submission order,
+        // and the step keeps all but its first record, whose writes go
+        // out when it returns, after its last read. The step's last
+        // writes land after it returns.
         node.nvme.barrier().unwrap();
         let events = node.tracer().take_events();
         let tickets = |name: &str, bytes: u64| {
@@ -1760,10 +1773,7 @@ mod tests {
             ids.sort_unstable();
             ids
         };
-        let record_writes = tickets("nc.write", 48);
-        // The step's own reads: the carry's are issued after its last write.
-        let step_reads = |ids: Vec<u64>| ids.into_iter().filter(|&id| id < record_writes[3]);
-        let b_last_read: Vec<u64> = step_reads(tickets("nc.read", 12)).collect();
+        let (record_writes, b_last_read) = (tickets("nc.write", 48), tickets("nc.read", 12));
         assert_eq!((b_last_read.len(), record_writes.len()), (1, 4), "three records of w, one of b");
         assert!(
             b_last_read[0] < record_writes[2],
@@ -1786,14 +1796,15 @@ mod tests {
         // gradient and half the three-image optimizer state, not all.
         let spec = NodeMemorySpec::test_spec(1, 1 << 22, NUMEL as u64 * 4 * 29 / 10, 1 << 22);
         let node_and_engine = |cpu_permille: usize| {
-            // Records 3 and 7 of eight are the DRAM ones. Counted from the
-            // step's start, the device holds its first three writes —
-            // records 0 to 2 — until the fourth arrives, after record 4
-            // updates: their nc spans are open across record 3's update
-            // unless the step waits on its writes before a DRAM record,
-            // that is, unless the paths take turns. (A clock-timed device
-            // made this a race once the publishes stopped queueing writes
-            // behind the records'.)
+            // Records 3, 7, 11 and 15 of sixteen are the DRAM ones, and
+            // the step keeps its last six device records, whose writes go
+            // out at its end. Counted from the step's start, the device
+            // holds its first three writes — records 0 to 2 — until the
+            // fourth arrives, after record 4 updates: their nc spans are
+            // open across record 3's update unless the step waits on its
+            // writes before a DRAM record, that is, unless the paths take
+            // turns. (A clock-timed device made this a race once the
+            // publishes stopped queueing writes behind the records'.)
             let door = zi_sync::Arc::new(Door {
                 arrived: zi_sync::Mutex::new(0),
                 full: zi_sync::Condvar::new(),
@@ -1805,7 +1816,7 @@ mod tests {
             let engine = ZeroEngine::new(
                 &reg,
                 Strategy::infinity_nvme()
-                    .with_optimizer_chunk(NUMEL / 8)
+                    .with_optimizer_chunk(NUMEL / 16)
                     .with_optimizer_cpu_permille(cpu_permille),
                 node.offload_manager(),
                 node.group.communicator(0),
@@ -1865,10 +1876,12 @@ mod tests {
         // write completes before the next is queued, so every step
         // drives the staging pool through the same sequence and reaches
         // the same peak (prefetch off: only the step touches the device).
+        // Records of one element: `w`'s twelve outnumber the nine a step
+        // keeps, so every step reads three.
         let strategy = Strategy::infinity_nvme()
             .with_f32_params()
             .with_prefetch_window(0)
-            .with_optimizer_chunk(4);
+            .with_optimizer_chunk(1);
         let (node, mut eng, reg) = throttled_rank(strategy, std::time::Duration::from_millis(1), 3);
         let id = reg.find("w").unwrap();
         let step = |eng: &mut ZeroEngine| {
@@ -1887,7 +1900,7 @@ mod tests {
         assert_eq!(st.allocated, warm.allocated, "a steady-state step allocated staging: {st:?}");
         assert!(st.reused > warm.reused, "steady-state steps must recycle chunk buffers: {st:?}");
         // The pool holds the step's reserved set and nothing more: the
-        // carried reads took their buffers out of it.
+        // kept records took their buffers out of it.
         let (depth, window) = (eng.depth(), eng.window());
         assert_eq!((depth, window), (3, 6));
         assert_eq!(st.allocated, (depth + window.div_ceil(2) + window + 1) as u64, "{st:?}");
@@ -1895,10 +1908,10 @@ mod tests {
         // publish one more; the rest is the write-behind window.
         let bound = (depth + 1 + window) as u64;
         assert!(st.peak_outstanding <= bound, "peak {} over bound {bound}", st.peak_outstanding);
-        // Once the step's last writes are reaped, only the carried reads
-        // hold a buffer: all three records of `w`.
-        let carried = eng.ahead.as_ref().map_or(0, |ahead| ahead.held(&eng.optims).0) as u64;
-        assert_eq!(carried, 3);
+        // Once the step's last writes are reaped, only the kept records
+        // hold a buffer: the last nine of `w`'s twelve.
+        let carried = eng.tail.get_mut().held() as u64;
+        assert_eq!(carried, (depth + window) as u64);
         assert_eq!((pool.outstanding(), pool.idle() as u64), (carried, st.allocated - carried));
         eng.dispose().unwrap();
         let pool = node.offload_manager();
@@ -2073,11 +2086,11 @@ mod tests {
         eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         eng.step().unwrap();
         assert_eq!(eng.mgr.health().corruptions_recovered, 0);
-        // Once the step's last write is reaped, only the carried read of
-        // `w`'s record is out.
+        // `w` is one record, the step's first: it is not kept, so once the
+        // step's last write is reaped no buffer is out.
         land_carry(&node, &mut eng);
-        let carried = eng.ahead.as_ref().map_or(0, |ahead| ahead.held(&eng.optims).0);
-        assert_eq!(carried, 1);
+        let carried = eng.tail.get_mut().held();
+        assert_eq!(carried, 0);
         assert_eq!(node.offload_manager().staging().outstanding(), carried as u64);
         eng.dispose().unwrap();
         assert_eq!(node.offload_manager().staging().outstanding(), 0);
@@ -2106,11 +2119,11 @@ mod tests {
     }
 
     fn death_mid_stream(write_back: bool) {
-        // Both parameters have a gradient, so with two-element records
-        // the first read of `b` is on the device while `w`'s last record
-        // updates. Calibrate: how many device ops does one healthy
-        // iteration issue, and how many of the next step's reads does it
-        // carry?
+        // Both parameters have a gradient, so with two-element records `w`
+        // is six records and `b` three, and two device workers make the
+        // kept set six: a step starts from the other order's last six and
+        // reads three, while the first read of the next parameter is on
+        // the device as the last record of one updates.
         let grads = |eng: &mut ZeroEngine, reg: &ParamRegistry| -> Result<()> {
             let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
             eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap())?;
@@ -2122,54 +2135,53 @@ mod tests {
             node.nvme.barrier().unwrap();
             plan.ops_seen()
         };
-        // The states a checkpoint would hold before the first, second and
-        // third step.
+        // The states a checkpoint would hold after the first, second and
+        // third step; calibrate how many device ops the second one issues.
+        grads(&mut eng, &reg).unwrap();
+        eng.step().unwrap();
         let mut saved = vec![eng.save_state().unwrap()];
+        let kept = eng.tail.get_mut().held() as u64;
+        assert_eq!(kept, (eng.depth() + eng.window()) as u64);
         let before = ops();
         grads(&mut eng, &reg).unwrap();
         eng.step().unwrap();
-        land_carry(&node, &mut eng);
-        let first = ops() - before;
-        let carried = eng.ahead.as_ref().map_or(0, |ahead| ahead.held(&eng.optims).0) as u64;
-        // Depth 2 plus a 4-request write-behind; half of it when the
-        // publishes are written through.
-        let window = eng.window() as u64;
-        assert_eq!(carried, if write_back { 2 + window } else { 2 + window / 2 });
-        // A read and a write per record, and a publish written through.
+        let second = ops() - before;
+        // A read per record not kept, a write per record, and a publish
+        // written through.
         let publishes = if write_back { 0 } else { 3 * 3 };
-        assert_eq!(first, 3 * 6 + publishes + carried, "write-back {write_back}");
+        assert_eq!(second, (9 - kept) + 9 + publishes, "write-back {write_back}");
         saved.push(eng.save_state().unwrap());
-        let before = ops();
         grads(&mut eng, &reg).unwrap();
         eng.step().unwrap();
-        land_carry(&node, &mut eng);
-        let steady = 3 * 6 + publishes;
-        assert_eq!(ops() - before, steady, "the carry stands in for the step's first reads");
         saved.push(eng.save_state().unwrap());
         let strategy = eng.strategy;
         eng.dispose().unwrap();
-        // Kill the device after every possible number of ops: reads of
-        // later records — of `b` too, while `w` is still being written —
-        // and writes of earlier ones are in flight; past the ops the step
-        // waits for, its carried writes and the reads it carried are,
-        // landing between steps. One run killed after `alive` ops returns
-        // `None` when the step itself failed, else `Some(typed)`: `typed`
-        // when, `via_dispose`, dispose returned the device error — without
-        // it, the next deposit or step must.
+        // Kill the device after every possible number of ops of a step
+        // that starts from a kept set: its kept records' writes landed,
+        // reads of later records — of `b` too, while `w` is still being
+        // written — and writes of earlier ones are in flight; past the ops
+        // the step waits for, its own kept records' writes are, landing
+        // between steps. One run killed after `alive` ops returns `None`
+        // when the step itself failed, else `Some(typed)`: `typed` when,
+        // `via_dispose`, dispose returned the device error — without it,
+        // the next step must.
         let kill = |alive: u64, via_dispose: bool| -> Option<bool> {
             let (plan, node, mut eng, _) = publishing_rank(2, write_back);
             grads(&mut eng, &reg).unwrap();
+            eng.step().unwrap();
+            grads(&mut eng, &reg).unwrap();
+            node.nvme.barrier().unwrap();
+            assert_eq!(eng.tail.get_mut().held() as u64, kept);
             plan.kill_after_ops(alive);
-            // The call that meets the death fails typed: this step, or —
-            // when only its carried writes and reads die — the next
-            // deposit or step, or dispose, which reaps a carried write.
             let outlived = match eng.step() {
                 Err(err) => {
                     assert!(err.is_device_failure(), "death after {alive} ops of the step: {err}");
                     false
                 }
                 Ok(_) => {
-                    let outlived = alive + window >= first - carried;
+                    // Only the kept records' writes outlive the step, and
+                    // only when it wrote no publish through.
+                    let outlived = alive + if write_back { kept } else { 0 } >= second;
                     assert!(outlived, "{alive} ops: the step outlived its device");
                     if !via_dispose {
                         let next = grads(&mut eng, &reg).and_then(|()| eng.step().map(drop));
@@ -2204,17 +2216,17 @@ mod tests {
             grads(&mut resumed, &reg).unwrap();
             assert!(resumed.step().unwrap());
             assert_eq!(resumed.save_state().unwrap(), saved[failed + 1], "{alive} ops: resume");
-            assert!(resumed.ahead.is_none() && node.offload_manager().is_degraded());
+            assert!(resumed.carry.is_none() && node.offload_manager().is_degraded());
             resumed.dispose().unwrap();
             outlived.then_some(typed)
         };
         let mut disposed_typed = 0;
-        for alive in 0..first {
+        for alive in 0..second {
             if kill(alive, false).is_some() && kill(alive, true) == Some(true) {
                 disposed_typed += 1;
             }
         }
-        // Only a window of record writes is carried.
+        // Only the kept records' writes are carried.
         assert!(!write_back || disposed_typed > 0, "no death landed in a carried write");
     }
 
@@ -2233,12 +2245,12 @@ mod tests {
         assert_eq!(requests(), at_rest, "a skipped step touched the device");
         // `w` alone has a gradient: its three records are read and written
         // (and published, to the shard cache), and nothing of `b` moves;
-        // then the step carries `w`'s three records into the next one,
-        // read once the next iteration has reaped the step's writes.
+        // the step keeps its last two for the next one.
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
         land_carry(&node, &mut eng);
-        assert_eq!(requests(), (at_rest.0 + 3 + 3, at_rest.1 + 3));
+        assert_eq!(requests(), (at_rest.0 + 3, at_rest.1 + 3));
+        assert_eq!(eng.tail.get_mut().held(), 2);
         eng.dispose().unwrap();
     }
 
@@ -2248,46 +2260,40 @@ mod tests {
             Tensor::from_vec(&[3, 4], (0..12).map(|i| (i + round) as f32 * 0.1).collect()).unwrap()
         };
         let w = tiny_registry().find("w").unwrap();
-        // The first step writes `w`'s state record by record (60, 60 and
-        // 24 bytes), each under one checksum per stream (20, 20 and 8
-        // bytes); at 500‰ the middle record lives in DRAM. Each step
-        // carries the records on the device into the next, read once the
-        // next iteration has reaped its writes: one read of the second
-        // step's carry comes back with a flipped bit, and the third step
-        // takes it.
-        for (permille, carried, carried_bytes) in [(0, 3, 60 + 60 + 24), (500, 2, 60 + 24)] {
+        // Records of one element: `w` is twelve records of 12 bytes, each
+        // written under one checksum per stream (4 bytes). Each step keeps
+        // its last six device records, so the second step reads the other
+        // device records: the first of those reads comes back with a
+        // flipped bit. At 250‰ a quarter of the records live in DRAM.
+        for permille in [0, 250] {
             let rank = || {
                 let (plan, node) = faulty_node(1 << 22);
-                let eng = faulty_engine(&node, 5, permille).unwrap();
+                let eng = faulty_engine(&node, 1, permille).unwrap();
                 (plan, node, eng)
             };
-            // Three steps on a healthy device: the reference.
-            let (_plan, _clean_node, mut clean) = rank();
-            for round in 0..3 {
-                clean.add_grad(w, &grad(round)).unwrap();
-                clean.step().unwrap();
-            }
+            // The device reads and bytes of the second step, `arm`ed first.
+            let second_step = |eng: &mut ZeroEngine, node: &NodeResources, arm: &dyn Fn()| {
+                eng.add_grad(w, &grad(0)).unwrap();
+                eng.step().unwrap();
+                land_carry(node, eng);
+                arm();
+                let before = node.nvme.stats();
+                eng.add_grad(w, &grad(1)).unwrap();
+                eng.step().unwrap();
+                land_carry(node, eng);
+                let after = node.nvme.stats();
+                (after.reads - before.reads, after.bytes_read - before.bytes_read)
+            };
+            // Two steps on a healthy device: the reference.
+            let (_plan, clean_node, mut clean) = rank();
+            let (reads, bytes) = second_step(&mut clean, &clean_node, &|| {});
+            assert!(reads > 0 && bytes == 12 * reads, "{permille}‰: the second step read {reads}");
             let expect = clean.export_optimizer_records().unwrap();
             let (plan, node, mut eng) = rank();
-            eng.add_grad(w, &grad(0)).unwrap();
-            eng.step().unwrap();
-            land_carry(&node, &mut eng);
-            node.nvme.barrier().unwrap();
-            plan.bitflip_next_reads(1);
-            eng.add_grad(w, &grad(1)).unwrap();
-            eng.step().unwrap();
-            land_carry(&node, &mut eng);
-            node.nvme.barrier().unwrap();
-            let before = node.nvme.stats();
-            eng.add_grad(w, &grad(2)).unwrap();
-            eng.step().unwrap();
-            land_carry(&node, &mut eng);
-            node.nvme.barrier().unwrap();
-            let after = node.nvme.stats();
-            let reads = after.reads - before.reads;
-            assert_eq!(reads, 1 + carried, "{permille}‰: one re-read, then the carry");
-            let reread = after.bytes_read - before.bytes_read - carried_bytes;
-            assert!(reread == 20 || reread == 8, "{permille}‰: re-read {reread} B: not one stream tile");
+            let flip = || plan.bitflip_next_reads(1);
+            let (got_reads, got_bytes) = second_step(&mut eng, &node, &flip);
+            assert_eq!(got_reads, reads + 1, "{permille}‰: one re-read");
+            assert_eq!(got_bytes - bytes, 4, "{permille}‰: the re-read is not one stream tile");
             assert_eq!(eng.mgr.health().corruptions_recovered, 1);
             // A whole-shard read of the record-written extent is verified
             // against the records' checksums, tile by tile.
@@ -2433,13 +2439,12 @@ mod tests {
         events.iter().filter(|e| e.cat == Category::OptimStep && e.name == name).count()
     }
 
-    /// What the next iteration's first deposit does to a step's carry once
-    /// the device has finished the step's writes: reaps them and reads the
-    /// carried records into the buffers they free. Counting up to here
-    /// counts a whole iteration.
+    /// What the next step first does to the carried window once the
+    /// device has finished the kept records' writes: collects them, their
+    /// buffers held. Counting up to here counts a whole iteration.
     fn land_carry(node: &NodeResources, eng: &mut ZeroEngine) {
         node.nvme.barrier().unwrap();
-        eng.reap_tail().unwrap();
+        eng.tail.get_mut().reap(&eng.mgr).unwrap();
     }
 
     #[test]
@@ -2465,10 +2470,11 @@ mod tests {
             eng.add_grad(w, &grad(round)).unwrap();
             eng.step().unwrap();
         }
-        assert!(eng.ahead.is_some(), "the step carried its queue");
+        assert!(eng.carry.is_some(), "the step kept its records");
         let _ = node.tracer().take_events();
         eng.load_state(&blob).unwrap();
-        assert_eq!(instants(&node.tracer().take_events(), "readahead.drop.import"), 1);
+        assert_eq!(instants(&node.tracer().take_events(), "carry.drop.import"), 1);
+        assert_eq!((eng.carry.as_ref(), eng.tail.get_mut().held()), (None, 0));
         eng.add_grad(w, &grad(1)).unwrap();
         eng.step().unwrap();
         assert_eq!(eng.save_state().unwrap(), fresh.save_state().unwrap());
@@ -2498,8 +2504,8 @@ mod tests {
             eng.add_grad(b, &Tensor::from_vec(&[5], gb(2)).unwrap()).unwrap();
             assert!(eng.step().unwrap());
             let events = node.tracer().take_events();
-            let carried = instants(&events, "readahead.carry");
-            let traced = (carried, instants(&events, "readahead.drop.due_set"));
+            let carried = instants(&events, "carry.keep");
+            let traced = (carried, instants(&events, "carry.drop.due_set"));
             let state = eng.save_state().unwrap();
             eng.dispose().unwrap();
             (state, traced)
@@ -2508,7 +2514,7 @@ mod tests {
         let (reference, untraced) = run(Strategy::infinity_cpu());
         assert_eq!(untraced, (0, 0));
         let (state, traced) = run(Strategy::infinity_nvme());
-        assert_eq!(traced, (3, 2), "every step carries; both changes close the carry");
+        assert_eq!(traced, (3, 2), "every step keeps records; both changes drop them");
         assert_eq!(state, reference);
     }
 
@@ -2544,26 +2550,20 @@ mod tests {
     #[test]
     fn a_model_shorter_than_the_carry_trains_as_if_every_step_drained() {
         // The tiny registry in records of four elements is five records,
-        // fewer than depth 4 plus a write-behind window of 8: a carried
-        // queue, and the next step, meet records whose writes are still on
-        // a device that serves reads at once.
+        // fewer than depth 4 plus a write-behind window of 8: every step
+        // keeps all but its first, and the next one meets their writes
+        // still on a device that serves reads at once, and reads only that
+        // one, once its write has landed.
         // A quadratic loss pulls every parameter towards a moving target;
         // the reference leaves nothing on the device between steps, its
         // engine disposed and restored from a checkpoint after each.
         let strategy = Strategy::infinity_nvme().with_f32_params().with_prefetch_window(0);
         let strategy = strategy.with_optimizer_chunk(4);
-        // True when a carried read is out while its record's write is.
-        let overtaking = |eng: &mut ZeroEngine| {
-            let (Some(ahead), tail) = (&eng.ahead, eng.tail.get_mut()) else { return false };
-            ahead.pending.iter().any(|(b, at, _)| {
-                let (first, count) = eng.optims[*b].layout.span(*at);
-                tail.writes_over(&eng.optims[*b].state, first, count)
-            })
-        };
         let train = |drained: bool| {
             let (node, mut eng, reg) = slow_write_rank(strategy);
             let mut losses = Vec::new();
             for step in 0..4 {
+                let reads = node.nvme.stats().reads;
                 let mut loss = 0f32;
                 for meta in reg.iter() {
                     let param = eng.get(meta.id).unwrap();
@@ -2575,11 +2575,13 @@ mod tests {
                     loss += diff.iter().map(|d| d * d).sum::<f32>();
                     let grad = diff.iter().map(|d| 2.0 * d).collect();
                     eng.add_grad(meta.id, &Tensor::from_vec(&meta.shape, grad).unwrap()).unwrap();
-                    assert!(!overtaking(&mut eng), "step {step}: a carried read overtook a write");
                 }
                 losses.push(loss.to_bits());
                 assert!(eng.step().unwrap());
-                assert!(!overtaking(&mut eng), "step {step}: a carried read overtook a write");
+                if !drained && step > 0 {
+                    let read = node.nvme.stats().reads - reads;
+                    assert_eq!(read, 1, "step {step} read a kept record");
+                }
                 if drained {
                     let blob = eng.save_state().unwrap();
                     eng.dispose().unwrap();
@@ -2597,6 +2599,104 @@ mod tests {
             (losses, state)
         };
         assert_eq!(train(false), train(true));
+    }
+
+    /// An in-memory device that silently flips one bit of the `n`-th write
+    /// after [`FlipWrite::arm`] (0: none): what lands is not what was sent.
+    struct FlipWrite {
+        dev: zi_nvme::MemBackend,
+        countdown: zi_sync::Mutex<u64>,
+    }
+
+    impl FlipWrite {
+        fn arm(&self, n: u64) {
+            *self.countdown.lock() = n;
+        }
+    }
+
+    impl zi_nvme::StorageBackend for FlipWrite {
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            self.dev.read_at(offset, buf)
+        }
+        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+            let mut countdown = self.countdown.lock();
+            if *countdown == 0 || data.is_empty() {
+                return self.dev.write_at(offset, data);
+            }
+            *countdown -= 1;
+            if *countdown > 0 {
+                return self.dev.write_at(offset, data);
+            }
+            let mut flipped = data.to_vec();
+            flipped[0] ^= 1;
+            self.dev.write_at(offset, &flipped)
+        }
+        fn sync(&self) -> Result<()> {
+            self.dev.sync()
+        }
+        fn len(&self) -> Result<u64> {
+            self.dev.len()
+        }
+    }
+
+    #[test]
+    fn a_kept_records_corrupted_write_is_never_read_by_the_next_step() {
+        // Records of one element, two workers: `w` is twelve records of
+        // 12 B and a step keeps its last six, whose writes go out last, in
+        // the next step's order. The tenth write of the first step — on a
+        // two-worker device one of the ninth to eleventh submitted, all
+        // kept — lands with a flipped bit.
+        let strategy = Strategy::infinity_nvme().with_f32_params().with_prefetch_window(0);
+        let strategy = strategy.with_optimizer_chunk(1);
+        let grad = |round: usize| {
+            Tensor::from_vec(&[3, 4], (0..12).map(|i| (i * round) as f32 * 0.1).collect()).unwrap()
+        };
+        let rank = || {
+            let dev = zi_sync::Arc::new(FlipWrite {
+                dev: zi_nvme::MemBackend::new(),
+                countdown: zi_sync::Mutex::new(0),
+            });
+            let env = NodeEnv { nvme_workers: 2, ..NodeEnv::new(dev.clone()) };
+            let (node, eng, reg) = rank_over(strategy, env);
+            (dev, node, eng, reg.find("w").unwrap())
+        };
+        let stepped = |eng: &mut ZeroEngine, w: ParamId, round: usize| {
+            eng.add_grad(w, &grad(round)).unwrap();
+            assert!(eng.step().unwrap());
+        };
+        let (_dev, _clean_node, mut clean, w) = rank();
+        stepped(&mut clean, w, 1);
+        stepped(&mut clean, w, 2);
+        let expect = clean.save_state().unwrap();
+        // The next step takes the record from its staging buffer: it reads
+        // only the six records it did not keep, sees no bad checksum, and
+        // writes the record afresh.
+        let (dev, node, mut eng, _) = rank();
+        dev.arm(10);
+        stepped(&mut eng, w, 1);
+        land_carry(&node, &mut eng);
+        assert_eq!(*dev.countdown.lock(), 0, "no write was corrupted");
+        let reads = node.nvme.stats().reads;
+        stepped(&mut eng, w, 2);
+        assert_eq!(node.nvme.stats().reads - reads, 6, "the step read a kept record");
+        let health = eng.mgr.health();
+        assert_eq!((health.corruptions_recovered, health.corruptions_unrecovered), (0, 0));
+        assert_eq!(eng.save_state().unwrap(), expect);
+        // A checkpoint export once the carry landed reads the device's
+        // copy instead: the flipped bit survives every re-read, a typed
+        // error — and the kept buffer still holds the good bytes.
+        let (dev, node, mut eng, _) = rank();
+        dev.arm(10);
+        stepped(&mut eng, w, 1);
+        land_carry(&node, &mut eng);
+        let err = eng.save_state().unwrap_err();
+        assert!(matches!(err, Error::Corruption { .. }), "got {err}");
+        assert_eq!(eng.mgr.health().corruptions_unrecovered, 1);
+        stepped(&mut eng, w, 2);
+        assert_eq!(eng.save_state().unwrap(), expect);
+        for engine in [eng, clean] {
+            engine.dispose().unwrap();
+        }
     }
 
     #[test]
@@ -2627,6 +2727,9 @@ mod tests {
         assert!(eng.tail.get_mut().in_flight() > 0, "the step's writes already landed");
         node.degrade();
         stepped(&mut eng);
+        // The collapse dropped the kept records; DRAM-resident state keeps
+        // none.
+        assert_eq!((eng.carry.as_ref(), eng.tail.get_mut().held()), (None, 0));
         assert_eq!(eng.save_state().unwrap(), after_three, "the collapse read before the writes");
         let health = eng.mgr.health();
         assert_eq!((health.corruptions_recovered, health.corruptions_unrecovered), (0, 0));
@@ -2649,14 +2752,18 @@ mod tests {
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![f32::INFINITY; 12]).unwrap()).unwrap();
         assert!(!eng.step().unwrap());
         assert_eq!(requests(), carried, "a skipped step touched the device");
-        assert_eq!(eng.ahead.as_ref().map(|ahead| ahead.pending.len()), Some(3), "the carry went");
-        // The next step takes it: `w`'s records are already read, so the
-        // step writes them (and publishes them to the shard cache) and
-        // reads only the next carry.
+        // The kept records stay, and so does the order: the next applied
+        // step is the descending one.
+        assert_eq!(eng.tail.get_mut().held(), 2, "the kept records went");
+        assert!(eng.carry.is_some() && eng.descending, "the skipped step flipped the order");
+        // The next step takes them: two of `w`'s records are already in
+        // their buffers, so the step reads only the first, writes all three
+        // (and publishes them to the shard cache) and keeps two again.
         eng.add_grad(w, &ones).unwrap();
         assert!(eng.step().unwrap());
         land_carry(&node, &mut eng);
-        assert_eq!(requests(), (carried.0 + 3, carried.1 + 3));
+        assert_eq!(requests(), (carried.0 + 1, carried.1 + 3));
+        assert!(!eng.descending);
         eng.dispose().unwrap();
     }
 
@@ -2669,12 +2776,12 @@ mod tests {
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
         land_carry(&node, &mut eng);
-        // Mid-iteration: the step's carried reads of `w`, and a prefetch of
-        // `b` (the shard cache has no room for it).
+        // Mid-iteration: the buffers of the two records of `w` the step
+        // kept, and a prefetch of `b` (the shard cache has no room for it).
         eng.hint_upcoming(&[b]);
         assert_eq!(eng.stats().prefetch.issued, 1);
         let mgr = node.offload_manager();
-        assert_eq!(mgr.staging().outstanding(), 3);
+        assert_eq!(mgr.staging().outstanding(), 2);
         assert_eq!(mgr.load_staging().outstanding(), 1);
         drop(eng);
         mgr.nvme().barrier().unwrap();
@@ -2815,11 +2922,12 @@ mod tests {
         };
         let (built, per_step, packed) = run(8);
         assert_eq!(built, (0, 8), "construction writes one step's requests");
-        // The first step reads its records and carries all eight into the
-        // next (up to depth 4 plus a write-behind window of 8).
-        assert_eq!(per_step, vec![(8 + 8, 8), (8, 8), (8, 8), (8, 8)]);
+        // The first step reads its records and keeps all but its first for
+        // the next (up to depth 4 plus a write-behind window of 8), which
+        // reads that one.
+        assert_eq!(per_step, vec![(8, 8), (1, 8), (1, 8), (1, 8)]);
         let (_, unpacked_steps, unpacked) = run(1);
-        assert_eq!(unpacked_steps[3], (58, 58), "one record per element");
+        assert_eq!(unpacked_steps[3], (58 - 12, 58), "one record per element, twelve kept");
         assert_eq!(packed, unpacked, "packing changed the state");
     }
 
@@ -2841,15 +2949,15 @@ mod tests {
             MIXED.map(rec)
         };
         // No member of the pack has a gradient: `a` and `w` move, two and
-        // three records, each read and written (and carried into the next
-        // step), and published to the shard cache; the pack issues no
-        // request at all.
+        // three records, each read and written (all but the first kept for
+        // the next step), and published to the shard cache; the pack
+        // issues no request at all.
         let built = state(&eng);
         let at_rest = requests();
         mixed_grads(&mut eng, &reg, &["a", "w"], 0);
         assert!(eng.step().unwrap());
         land_carry(&node, &mut eng);
-        assert_eq!(requests(), (at_rest.0 + 5 + 5, at_rest.1 + 5));
+        assert_eq!(requests(), (at_rest.0 + 5, at_rest.1 + 5));
         // `g`, `b` and `c` are as built; `a` and `w` are one step on.
         let after = state(&eng);
         assert_eq!([&after[1], &after[3], &after[4]], [&built[1], &built[3], &built[4]]);

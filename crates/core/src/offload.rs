@@ -200,8 +200,11 @@ struct Deposit {
     /// Device offset of the extent being overwritten.
     offset: u64,
     image: ScratchVec,
-    /// Checksums of the pieces pushed so far, in order.
+    /// Checksums of the pieces pushed so far, in device order, and the
+    /// bytes of the image they cover: a publish's pieces are adjacent, in
+    /// either order.
     tiles: Tiles,
+    covered: std::ops::Range<u64>,
     /// True when the image started out as the extent's contents (the
     /// entry it supersedes): past the pushed pieces it holds the current
     /// bytes.
@@ -463,7 +466,7 @@ impl ResilienceState {
             }
             None => (fresh(), false),
         };
-        Some(Deposit { offset, image, tiles: Vec::new(), seeded })
+        Some(Deposit { offset, image, tiles: Vec::new(), covered: 0..0, seeded })
     }
 
     /// Install a finished publish's image as the extent's dirty entry, on
@@ -493,16 +496,19 @@ impl ResilienceState {
     /// is returned. A failed write leaves the extent unverified; the step
     /// that dropped the stream has already failed.
     fn abandon(&self, deposit: Deposit) {
-        let Deposit { offset, image, mut tiles, seeded } = deposit;
-        let (bytes, pushed) = (image.as_bytes(), tiles.iter().map(|&(len, _)| len).sum::<u64>());
-        if seeded && pushed < bytes.len() as u64 {
-            tiles.push((bytes.len() as u64 - pushed, crc32(&bytes[pushed as usize..])));
+        let Deposit { offset, image, mut tiles, covered, seeded } = deposit;
+        let (bytes, (lo, hi)) = (image.as_bytes(), (covered.start as usize, covered.end as usize));
+        if seeded && lo > 0 {
+            tiles.insert(0, (lo as u64, crc32(&bytes[..lo])));
         }
-        let valid = if seeded { bytes.len() } else { pushed as usize };
+        if seeded && hi < bytes.len() {
+            tiles.push(((bytes.len() - hi) as u64, crc32(&bytes[hi..])));
+        }
+        let valid = if seeded { 0..bytes.len() } else { lo..hi };
         let mut map = self.checksums.lock();
         let mut cache = self.cache.shards.lock();
-        if valid > 0 {
-            let _ = self.write_extent(&mut map, offset, &bytes[..valid], &tiles);
+        if !valid.is_empty() {
+            let _ = self.write_extent(&mut map, offset + valid.start as u64, &bytes[valid], &tiles);
         }
         if let Some(len) = cache.publishing.remove(&offset) {
             cache.release(&self.hierarchy, len);
@@ -810,7 +816,7 @@ impl PlacedBuf {
 
     /// Device offset of elements `[start, ..)` spanning `nbytes`, when
     /// that range lies inside one NVMe-resident segment.
-    fn device_offset(&self, start: usize, nbytes: usize) -> Option<u64> {
+    pub(crate) fn device_offset(&self, start: usize, nbytes: usize) -> Option<u64> {
         let seg = self.segments.get(self.segment_index(start))?;
         let lo = self.dtype.bytes_for(start - seg.start);
         (seg.ram.is_none() && lo + nbytes <= self.dtype.bytes_for(seg.len))
@@ -1473,7 +1479,7 @@ impl OffloadManager {
         let deposit = buf.extent().and_then(|(offset, len)| {
             self.resilience.begin_deposit(offset, len, &self.load_staging)
         });
-        PublishStream { mgr: self.clone(), next: 0, deposit, staged: None }
+        PublishStream { mgr: self.clone(), pushed: 0, deposit, staged: None }
     }
 
     /// Re-publish every NVMe-resident segment to CPU DRAM, leaving
@@ -1546,18 +1552,17 @@ fn overlap(a: (u64, u64), b: (u64, u64)) -> bool {
 /// waits out the oldest one (back-pressure), so a slow device throttles
 /// the pipeline instead of ballooning queued memory. Each buffer moves
 /// into its write request by value and goes home to the staging pool
-/// when the ticket is reaped — on success and on every error path.
+/// when the ticket is reaped — on success and on every error path — unless
+/// the write is *kept*: then the window holds the buffer once the write
+/// lands, exactly what the device holds, until [`Self::take_kept`] hands
+/// it back or [`Self::forget_kept`] sends it home. Kept writes are outside
+/// the window's bound; whoever submits them bounds them.
 ///
 /// The window knows the device extent of every write in it, so no read
 /// overtakes one: a caller about to read an extent waits the window's
-/// writes over it out first ([`Self::settle`]) or asks whether one is
-/// there ([`Self::writes_over`]; [`Self::wrote_lately`] asks the same of
-/// the window's last `window` submissions, which unlike the writes still
-/// in it do not depend on when the device finished any of them). That
-/// lets a window outlive the call that filled it: the optimizer step
-/// returns with its last writes still in flight and hands the window to
-/// the next step, and between the two [`Self::reap`] collects, without
-/// blocking, the writes the device has finished.
+/// writes over it out first ([`Self::settle`]). That lets a window outlive
+/// the call that filled it: the optimizer step returns with its kept
+/// writes still in flight and hands the window to the next step.
 ///
 /// Unlike [`OffloadManager::overwrite_async_placed`]'s writes — whose
 /// failures are deferred to the manager's `flush`, which degrades the
@@ -1568,23 +1573,34 @@ fn overlap(a: (u64, u64), b: (u64, u64)) -> bool {
 /// inside the engine exactly as before.
 pub struct WriteBehind {
     window: usize,
-    /// The writes in flight, oldest first: ticket, device offset, bytes.
-    inflight: VecDeque<(Ticket, u64, u64)>,
-    /// The extents of the last `window` writes submitted since the last
-    /// drain, reaped or not, oldest first.
-    recent: VecDeque<(u64, u64)>,
+    /// The writes in flight, oldest first: ticket, device offset, bytes,
+    /// and whether the buffer is kept once the write lands.
+    inflight: VecDeque<(Ticket, u64, u64, bool)>,
+    /// The buffers of kept writes that landed, by device offset.
+    kept: Vec<(u64, ScratchVec)>,
     /// Bytes handed to the device so far.
     pub(crate) bytes: u64,
     /// Publish pieces handed to the device so far.
     pub(crate) pieces: u64,
 }
 
+/// Wait for `write`; a kept write's buffer joins `kept`.
+fn land(
+    mgr: &OffloadManager,
+    kept: &mut Vec<(u64, ScratchVec)>,
+    (ticket, offset, _, keep): (Ticket, u64, u64, bool),
+) -> Result<()> {
+    let buf = mgr.nvme.wait_buf(ticket)?.into_staging().filter(|_| keep);
+    kept.extend(buf.map(|buf| (offset, buf)));
+    Ok(())
+}
+
 impl WriteBehind {
     /// Write-behind with at most `window` NVMe writes in flight
     /// (clamped to ≥ 1).
     pub fn new(window: usize) -> WriteBehind {
-        let (inflight, recent) = (VecDeque::new(), VecDeque::new());
-        WriteBehind { window: window.max(1), inflight, recent, bytes: 0, pieces: 0 }
+        let (inflight, kept) = (VecDeque::new(), Vec::new());
+        WriteBehind { window: window.max(1), inflight, kept, bytes: 0, pieces: 0 }
     }
 
     /// NVMe writes currently in flight.
@@ -1594,39 +1610,18 @@ impl WriteBehind {
 
     /// Bytes of the NVMe writes currently in flight.
     pub(crate) fn in_flight_bytes(&self) -> u64 {
-        self.inflight.iter().map(|&(_, _, len)| len).sum()
+        self.inflight.iter().map(|&(_, _, len, _)| len).sum()
+    }
+
+    /// Staging buffers the window holds: its writes in flight and the
+    /// kept buffers that landed.
+    pub(crate) fn held(&self) -> usize {
+        self.inflight.len() + self.kept.len()
     }
 
     /// True while a write of this window is still on the device.
     pub(crate) fn writing(&self, mgr: &OffloadManager) -> bool {
         self.inflight.iter().any(|&(ticket, ..)| !mgr.nvme.is_ready(ticket))
-    }
-
-    /// The position of the last write in the window that overlaps
-    /// `[offset, offset + len)`.
-    fn last_over(&self, offset: u64, len: u64) -> Option<usize> {
-        self.inflight.iter().rposition(|&(_, at, n)| overlap((at, n), (offset, len)))
-    }
-
-    /// True when a write of this window covers any device byte of
-    /// elements `[start, start + len)` of `buf`.
-    pub(crate) fn writes_over(&self, buf: &PlacedBuf, start: usize, len: usize) -> bool {
-        !self.inflight.is_empty()
-            && buf.nvme_extents(start, len).any(|(at, n)| self.last_over(at, n).is_some())
-    }
-
-    /// How many of the window's last `window` submissions since its last
-    /// drain there are: at least the writes still in it.
-    pub(crate) fn lately(&self) -> usize {
-        self.recent.len()
-    }
-
-    /// [`Self::writes_over`] of the window's last `window` submissions
-    /// since its last drain, reaped or not: a superset of the writes still
-    /// in it that depends only on the order of submission.
-    pub(crate) fn wrote_lately(&self, buf: &PlacedBuf, start: usize, len: usize) -> bool {
-        let over = |extent| self.recent.iter().any(|&written| overlap(written, extent));
-        !self.recent.is_empty() && buf.nvme_extents(start, len).any(over)
     }
 
     /// Wait out every write of this window over elements `[start, start +
@@ -1649,43 +1644,79 @@ impl WriteBehind {
 
     /// [`Self::settle`] by device extent.
     fn wait_over(&mut self, mgr: &OffloadManager, offset: u64, len: u64) -> Result<()> {
-        let Some(last) = self.last_over(offset, len) else { return Ok(()) };
-        let waited = self.inflight.drain(..=last);
-        let waited = waited.map(|(ticket, ..)| mgr.nvme.wait_buf(ticket).map(drop));
+        let over = |&(_, at, n, _): &(Ticket, u64, u64, bool)| overlap((at, n), (offset, len));
+        let Some(last) = self.inflight.iter().rposition(over) else { return Ok(()) };
+        let Self { inflight, kept, .. } = self;
         // Every write up to the last one over the range is reaped before a
         // failure surfaces.
-        waited.fold(Ok(()), Result::and)
+        inflight.drain(..=last).map(|write| land(mgr, kept, write)).fold(Ok(()), Result::and)
     }
 
     /// Collect every write the device has finished, without blocking:
-    /// their staging buffers go home. Returns how many writes and bytes
-    /// were reaped, or the first failed write's error once every finished
-    /// one is collected.
-    pub(crate) fn reap(&mut self, mgr: &OffloadManager) -> Result<(usize, u64)> {
-        let (mut reaped, mut first_err) = ((0, 0), None);
-        let mut k = 0;
-        while let Some(&(ticket, _, len)) = self.inflight.get(k) {
-            if !mgr.nvme.is_ready(ticket) {
+    /// their staging buffers go home, or are kept. A failure is the first
+    /// failed write's error, once every finished one is collected.
+    pub(crate) fn reap(&mut self, mgr: &OffloadManager) -> Result<()> {
+        let (mut first_err, mut k) = (None, 0);
+        while let Some(&write) = self.inflight.get(k) {
+            if !mgr.nvme.is_ready(write.0) {
                 k += 1;
                 continue;
             }
             self.inflight.remove(k);
-            reaped = (reaped.0 + 1, reaped.1 + len);
-            if let Err(e) = mgr.nvme.wait_buf(ticket) {
+            if let Err(e) = land(mgr, &mut self.kept, write) {
                 first_err.get_or_insert(e);
             }
         }
-        first_err.map_or(Ok(reaped), Err)
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// The buffer of the kept write of elements `[start, start + len)` of
+    /// `buf`, handed back once that write — and every write queued before
+    /// it — has landed ([`Self::settle`]).
+    pub(crate) fn take_kept(
+        &mut self,
+        mgr: &OffloadManager,
+        buf: &PlacedBuf,
+        start: usize,
+        len: usize,
+    ) -> Result<ScratchVec> {
+        self.settle(mgr, buf, start, len)?;
+        let offset = buf.device_offset(start, buf.dtype.bytes_for(len));
+        let at = self.kept.iter().position(|&(at, _)| Some(at) == offset);
+        let missing = || Error::Internal(format!("no kept buffer holds [{start}, +{len})"));
+        Ok(self.kept.swap_remove(at.ok_or_else(missing)?).1)
+    }
+
+    /// True when a kept write of this window, on the device or landed,
+    /// holds the record starting at element `start` of `buf`.
+    pub(crate) fn keeps(&self, buf: &PlacedBuf, start: usize) -> bool {
+        let Some(offset) = buf.device_offset(start, 0) else { return false };
+        self.kept.iter().any(|&(at, _)| at == offset)
+            || self.inflight.iter().any(|&(_, at, _, keep)| keep && at == offset)
+    }
+
+    /// Wait out the oldest write in flight; false when there is none.
+    pub(crate) fn land_oldest(&mut self, mgr: &OffloadManager) -> Result<bool> {
+        let Some(write) = self.inflight.pop_front() else { return Ok(false) };
+        land(mgr, &mut self.kept, write).map(|()| true)
+    }
+
+    /// Send every kept buffer home, those still on the device once their
+    /// writes land.
+    pub(crate) fn forget_kept(&mut self) {
+        self.kept.clear();
+        self.inflight.iter_mut().for_each(|write| write.3 = false);
     }
 
     /// Queue `staging` as the new contents of `buf[start ..]` — a range
     /// inside one NVMe segment, normally the extent the buffer was read
-    /// from — first making room in the window. `crcs` are the CRC32-C of
-    /// the buffer cut into that many equal tiles, in order — an optimizer
-    /// record's master, momentum and variance, as the kernel that stored
-    /// them computed them — and are recorded at submission: the ticketed
-    /// write either lands these exact bytes or a wait surfaces the
-    /// failure. A failure here drops `staging` back into its pool.
+    /// from — first making room in the window unless the write is `keep`.
+    /// `crcs` are the CRC32-C of the buffer cut into that many equal tiles,
+    /// in order — an optimizer record's master, momentum and variance, as
+    /// the kernel that stored them computed them — and are recorded at
+    /// submission: the ticketed write either lands these exact bytes or a
+    /// wait surfaces the failure. A failure here drops `staging` back into
+    /// its pool.
     pub(crate) fn submit_staged(
         &mut self,
         mgr: &OffloadManager,
@@ -1693,11 +1724,12 @@ impl WriteBehind {
         start: usize,
         staging: ScratchVec,
         crcs: &[u32],
+        keep: bool,
     ) -> Result<()> {
         let offset = buf
             .device_offset(start, staging.as_bytes().len())
             .ok_or_else(|| Error::Internal("write-behind range is not one NVMe extent".into()))?;
-        self.submit_at(mgr, offset, staging, crcs)
+        self.submit_at(mgr, offset, staging, crcs, keep)
     }
 
     /// [`Self::submit_staged`] by device offset.
@@ -1707,6 +1739,7 @@ impl WriteBehind {
         offset: u64,
         staging: ScratchVec,
         crcs: &[u32],
+        keep: bool,
     ) -> Result<()> {
         let bytes = staging.as_bytes();
         let tile = bytes.len().checked_div(crcs.len()).filter(|t| t * crcs.len() == bytes.len());
@@ -1726,35 +1759,32 @@ impl WriteBehind {
         // requests, not unclaimed completions) and makes the stall
         // counter a true back-pressure signal — it fires only when the
         // device is genuinely behind.
-        while let Some(&(oldest, ..)) = self.inflight.front() {
-            if !mgr.nvme.is_ready(oldest) {
-                if self.inflight.len() < self.window {
+        while let Some(&oldest) = self.inflight.front() {
+            if !mgr.nvme.is_ready(oldest.0) {
+                let unkept = self.inflight.iter().filter(|write| !write.3).count();
+                if keep || unkept < self.window {
                     break;
                 }
                 // Back-pressure: the device is behind the pipeline.
                 mgr.tracer.count(Counter::WbStalls, 1);
             }
             self.inflight.pop_front();
-            mgr.nvme.wait_buf(oldest)?;
+            land(mgr, &mut self.kept, oldest)?;
         }
         self.bytes += len;
-        self.inflight.push_back((mgr.nvme.submit_write_from(offset, staging), offset, len));
-        if self.recent.len() == self.window {
-            self.recent.pop_front();
-        }
-        self.recent.push_back((offset, len));
+        let ticket = mgr.nvme.submit_write_from(offset, staging);
+        self.inflight.push_back((ticket, offset, len, keep));
         Ok(())
     }
 
     /// Wait out every queued write, surfacing the first failure as a
     /// typed error. All tickets are waited regardless of earlier
     /// failures, so nothing of the window is left on the device and
-    /// every staging buffer is back in its pool.
+    /// every staging buffer is back in its pool, or kept.
     pub fn drain(&mut self, mgr: &OffloadManager) -> Result<()> {
-        self.recent.clear();
         let mut first_err = None;
-        while let Some((ticket, ..)) = self.inflight.pop_front() {
-            if let Err(e) = mgr.nvme.wait_buf(ticket) {
+        while let Some(write) = self.inflight.pop_front() {
+            if let Err(e) = land(mgr, &mut self.kept, write) {
                 first_err.get_or_insert(e);
             }
         }
@@ -1772,8 +1802,9 @@ impl Drop for WriteBehind {
     }
 }
 
-/// An in-order, chunk-at-a-time overwrite of one whole buffer in its
-/// storage dtype: the chunk-streamed step's publish of each parameter.
+/// A chunk-at-a-time overwrite of one whole buffer in its storage dtype,
+/// each piece at its element offset, next to the ones before it in either
+/// direction: the chunk-streamed step's publish of each parameter.
 ///
 /// **Write-back** when the buffer is one NVMe extent and the CPU pool has
 /// room for its image (charged when the stream begins): the stream owns
@@ -1796,7 +1827,8 @@ impl Drop for WriteBehind {
 /// whole-buffer overwrite is the one-chunk case.
 pub struct PublishStream {
     mgr: OffloadManager,
-    next: usize,
+    /// Elements pushed so far.
+    pushed: usize,
     /// The image a write-back publish encodes into.
     deposit: Option<Deposit>,
     /// The staging buffer [`Self::stage`] handed out for a written-through
@@ -1805,28 +1837,29 @@ pub struct PublishStream {
 }
 
 impl PublishStream {
-    /// Where the encoded bytes of the next `len` elements of `buf`, the
-    /// buffer the stream was begun on, go when they lie in one NVMe
+    /// Where the encoded bytes of elements `[from, from + len)` of `buf`,
+    /// the buffer the stream was begun on, go when they lie in one NVMe
     /// segment: their place in the image, or a staging buffer. The fused
     /// optimizer kernel writes a record's publish piece straight into it,
     /// and [`Self::push`] commits it. `None` where [`Self::push_values`]
     /// must place them (DRAM, or across segments).
-    pub fn stage(&mut self, buf: &PlacedBuf, len: usize) -> Option<&mut [u8]> {
+    pub fn stage(&mut self, buf: &PlacedBuf, from: usize, len: usize) -> Option<&mut [u8]> {
         let nbytes = buf.dtype.bytes_for(len);
-        let fits = len > 0 && self.next + len <= buf.numel;
-        if !fits || buf.device_offset(self.next, nbytes).is_none() {
+        let fits = len > 0 && from + len <= buf.numel;
+        if !fits || buf.device_offset(from, nbytes).is_none() {
             return None;
         }
         Some(match &mut self.deposit {
             Some(deposit) => {
-                let lo = buf.dtype.bytes_for(self.next);
+                let lo = buf.dtype.bytes_for(from);
                 &mut deposit.image.as_bytes_mut()[lo..lo + nbytes]
             }
             None => self.staged.insert(self.mgr.staging.acquire(nbytes)).as_bytes_mut(),
         })
     }
 
-    /// Overwrite the next `len` elements of `buf` with the piece
+    /// Overwrite elements `[from, from + len)` of `buf` — next to the
+    /// pieces pushed so far, on either side — with the piece
     /// [`Self::stage`] handed out for them, under `crc`, the CRC32-C of its
     /// bytes as the kernel that encoded them computed it: kept with the
     /// image, or queued on `wb` with the staging buffer.
@@ -1834,69 +1867,84 @@ impl PublishStream {
         &mut self,
         wb: &mut WriteBehind,
         buf: &PlacedBuf,
+        from: usize,
         len: usize,
         crc: u32,
     ) -> Result<()> {
         let nbytes = buf.dtype.bytes_for(len);
-        let offset = buf.device_offset(self.next, nbytes).filter(|_| self.next + len <= buf.numel);
-        let offset = offset
-            .ok_or_else(|| Error::Internal("publish piece is not the next NVMe extent".into()))?;
+        let offset = buf.device_offset(from, nbytes).filter(|_| from + len <= buf.numel);
+        let offset =
+            offset.ok_or_else(|| Error::Internal("publish piece is not one NVMe extent".into()))?;
         match &mut self.deposit {
             Some(deposit) => {
-                let lo = buf.dtype.bytes_for(self.next);
+                let lo = buf.dtype.bytes_for(from);
                 debug_assert_eq!(
                     crc32(&deposit.image.as_bytes()[lo..lo + nbytes]),
                     crc,
                     "publish checksum is not that of the image's bytes"
                 );
-                deposit.tiles.push((nbytes as u64, crc));
+                let (lo, hi, covered) = (lo as u64, (lo + nbytes) as u64, &mut deposit.covered);
+                if covered.is_empty() {
+                    *covered = lo..lo;
+                }
+                if covered.end == lo {
+                    covered.end = hi;
+                    deposit.tiles.push((nbytes as u64, crc));
+                } else if hi == covered.start {
+                    covered.start = lo;
+                    deposit.tiles.insert(0, (nbytes as u64, crc));
+                } else {
+                    let apart = "publish piece is not next to the pushed ones";
+                    return Err(Error::Internal(apart.into()));
+                }
             }
             None => {
                 let piece = self.staged.take().filter(|piece| piece.as_bytes().len() == nbytes);
                 let piece = piece.ok_or_else(|| Error::Internal("no staged publish piece".into()))?;
-                wb.submit_at(&self.mgr, offset, piece, &[crc])?;
+                wb.submit_at(&self.mgr, offset, piece, &[crc], false)?;
                 wb.pieces += 1;
             }
         }
-        self.next += len;
+        self.pushed += len;
         Ok(())
     }
 
-    /// Overwrite the next `values.len()` elements of `buf` with `values`,
-    /// encoded here: in place on a DRAM segment, else staged, checksummed
-    /// and [`Self::push`]ed.
+    /// Overwrite elements `[from, from + values.len())` of `buf` with
+    /// `values`, encoded here: in place on a DRAM segment, else staged,
+    /// checksummed and [`Self::push`]ed.
     pub fn push_values(
         &mut self,
         wb: &mut WriteBehind,
         buf: &mut PlacedBuf,
+        mut from: usize,
         mut values: &[f32],
     ) -> Result<()> {
         let dtype = buf.dtype;
-        if self.next + values.len() > buf.numel {
+        if from + values.len() > buf.numel {
             return Err(Error::shape("publish past the end of the parameter buffer"));
         }
         while !values.is_empty() {
-            let in_segment = buf.segment_end(self.next) - self.next;
+            let in_segment = buf.segment_end(from) - from;
             let (piece, rest) = values.split_at(values.len().min(in_segment));
-            let i = buf.segment_index(self.next);
+            let i = buf.segment_index(from);
             let seg = &mut buf.segments[i];
             match &mut seg.ram {
                 Some(ram) => {
-                    let lo = dtype.bytes_for(self.next - seg.start);
+                    let lo = dtype.bytes_for(from - seg.start);
                     let bytes = &mut ram.as_bytes_mut()[lo..lo + dtype.bytes_for(piece.len())];
                     encode_f32(dtype, piece, bytes)?;
-                    self.next += piece.len();
+                    self.pushed += piece.len();
                 }
                 None => {
-                    let bytes = self.stage(buf, piece.len()).ok_or_else(|| {
-                        Error::Internal("publish piece is not the next NVMe extent".into())
+                    let bytes = self.stage(buf, from, piece.len()).ok_or_else(|| {
+                        Error::Internal("publish piece is not one NVMe extent".into())
                     })?;
                     encode_f32(dtype, piece, bytes)?;
                     let crc = crc32(bytes);
-                    self.push(wb, buf, piece.len(), crc)?;
+                    self.push(wb, buf, from, piece.len(), crc)?;
                 }
             }
-            values = rest;
+            (from, values) = (from + piece.len(), rest);
         }
         Ok(())
     }
@@ -1904,10 +1952,10 @@ impl PublishStream {
     /// Seal the overwrite of `buf`: every element was pushed. A
     /// write-back image becomes the shard's dirty cache entry.
     pub fn finish(mut self, buf: &PlacedBuf) -> Result<()> {
-        if self.next != buf.numel {
+        if self.pushed != buf.numel {
             return Err(Error::Internal(format!(
                 "publish covered {} of {} elements",
-                self.next, buf.numel
+                self.pushed, buf.numel
             )));
         }
         match self.deposit.take() {
@@ -2210,7 +2258,7 @@ mod tests {
         staging: ScratchVec,
     ) -> Result<()> {
         let crc = crc32(staging.as_bytes());
-        wb.submit_staged(mgr, buf, at, staging, &[crc])
+        wb.submit_staged(mgr, buf, at, staging, &[crc], false)
     }
 
     fn staged(mgr: &OffloadManager, vals: &[f32]) -> ScratchVec {
@@ -2339,7 +2387,9 @@ mod tests {
     fn publish_chunked(mgr: &OffloadManager, buf: &mut PlacedBuf, vals: &[f32]) -> Result<()> {
         let mut wb = WriteBehind::new(2);
         let mut publish = mgr.begin_publish(buf);
-        let pushed = vals.chunks(5).try_for_each(|chunk| publish.push_values(&mut wb, buf, chunk));
+        let mut chunks = vals.chunks(5).enumerate();
+        let pushed =
+            chunks.try_for_each(|(k, chunk)| publish.push_values(&mut wb, buf, 5 * k, chunk));
         wb.drain(mgr).unwrap();
         pushed.and_then(|()| publish.finish(buf))
     }
@@ -2396,6 +2446,7 @@ mod tests {
         Collapse,
         FreeThenNewTenant,
         PublishDroppedHalfWay,
+        DescendingPublishDroppedHalfWay,
     }
 
     /// The stale-bytes matrix, cached-read column: every writer × {the
@@ -2415,6 +2466,7 @@ mod tests {
             Collapse,
             FreeThenNewTenant,
             PublishDroppedHalfWay,
+            DescendingPublishDroppedHalfWay,
         ];
         for writer in writers {
             for cached_before in [true, false] {
@@ -2437,7 +2489,7 @@ mod tests {
                     OneChunkPublish => {
                         let mut wb = WriteBehind::new(1);
                         let mut publish = mgr.begin_publish(&buf);
-                        publish.push_values(&mut wb, &mut buf, &new).unwrap();
+                        publish.push_values(&mut wb, &mut buf, 0, &new).unwrap();
                         wb.drain(&mgr).unwrap();
                         publish.finish(&buf).unwrap();
                     }
@@ -2460,12 +2512,26 @@ mod tests {
                     PublishDroppedHalfWay => {
                         let mut wb = WriteBehind::new(2);
                         let mut publish = mgr.begin_publish(&buf);
-                        for c in new[..20].chunks(5) {
-                            publish.push_values(&mut wb, &mut buf, c).unwrap();
+                        for (k, c) in new[..20].chunks(5).enumerate() {
+                            publish.push_values(&mut wb, &mut buf, 5 * k, c).unwrap();
                         }
                         wb.drain(&mgr).unwrap();
                         drop(publish);
                         want = f16(&[&new[..20], &old[20..]].concat());
+                        assert_eq!(cpu_in_use(), 0, "{tag}: a dropped stream holds no charge");
+                    }
+                    DescendingPublishDroppedHalfWay => {
+                        // The last half, last piece first, as a descending
+                        // optimizer step publishes.
+                        let mut wb = WriteBehind::new(2);
+                        let mut publish = mgr.begin_publish(&buf);
+                        for k in (4..8).rev() {
+                            let piece = &new[5 * k..5 * k + 5];
+                            publish.push_values(&mut wb, &mut buf, 5 * k, piece).unwrap();
+                        }
+                        wb.drain(&mgr).unwrap();
+                        drop(publish);
+                        want = f16(&[&old[..20], &new[20..]].concat());
                         assert_eq!(cpu_in_use(), 0, "{tag}: a dropped stream holds no charge");
                     }
                 }
@@ -2493,6 +2559,33 @@ mod tests {
                 assert_eq!(in_use(&mgr), (0, 0), "{tag}: charges returned");
             }
         }
+    }
+
+    #[test]
+    fn a_descending_publish_is_written_back_under_its_pieces_checksums() {
+        // A descending optimizer step publishes a shard last piece first
+        // into its cache image; written back, the extent is verified piece
+        // by piece, in device order.
+        let (plan, node) = faulty_node();
+        let mgr = node.offload_manager();
+        let vals: Vec<f32> = (0..40).map(|i| i as f32 * 0.5 - 3.0).collect();
+        let want = FlatBuffer::from_f32(DType::F16, &vals);
+        let zeros = FlatBuffer::from_f32(DType::F16, &[0.0; 40]);
+        let mut buf = store_on(&mgr, Device::nvme(), zeros).unwrap();
+        let mut wb = WriteBehind::new(2);
+        let mut publish = mgr.begin_publish(&buf);
+        for k in (0..8).rev() {
+            publish.push_values(&mut wb, &mut buf, 5 * k, &vals[5 * k..5 * k + 5]).unwrap();
+        }
+        wb.drain(&mgr).unwrap();
+        publish.finish(&buf).unwrap();
+        assert_eq!(evict_shard_cache(&mgr), 1);
+        let tiles = mgr.resilience.tiles(buf.extent().unwrap().0, 80).map(|t| t.len());
+        assert_eq!(tiles, Some(8), "one checksum per piece");
+        plan.bitflip_next_reads(1);
+        assert_eq!(mgr.fetch_placed(&buf).unwrap().as_bytes(), want.as_bytes());
+        assert_eq!(mgr.health().corruptions_recovered, 1, "the flipped piece alone re-read");
+        mgr.free_placed(buf);
     }
 
     #[test]
@@ -2618,10 +2711,10 @@ mod tests {
         let next: Vec<f32> = vals.iter().map(|v| -v).collect();
         let mut wb = WriteBehind::new(2);
         let mut publish = mgr.begin_publish(&buf);
-        publish.push_values(&mut wb, &mut buf, &next[..50]).unwrap();
+        publish.push_values(&mut wb, &mut buf, 0, &next[..50]).unwrap();
         let tenant = store_on(&mgr, Device::cpu(), buf_f32(&[0.0; 200])).unwrap();
         assert_eq!(cpu(), 800, "the publish gave up its room");
-        publish.push_values(&mut wb, &mut buf, &next[50..]).unwrap();
+        publish.push_values(&mut wb, &mut buf, 50, &next[50..]).unwrap();
         wb.drain(&mgr).unwrap();
         publish.finish(&buf).unwrap();
         assert!(mgr.cached(&buf, false).is_none());

@@ -39,6 +39,12 @@ cargo test --release -q --test alloc_budget \
 cargo test --release -q --test config_matrix \
     || { echo "a configuration-matrix cell diverged from the dense reference"; exit 1; }
 cargo clippy --workspace --all-targets -- -D warnings
+# The ledger's pair runner (EXPERIMENTS.md's tables come from it): its
+# syntax, and its dry run, which prints two pairs' commands and builds
+# nothing.
+bash -n scripts/pairs.sh
+scripts/pairs.sh --dry-run . . inf_nvme_sim 1 2 >/dev/null \
+    || { echo "scripts/pairs.sh --dry-run failed"; exit 1; }
 # Tracked size numbers (ROADMAP north-star point 2): per-crate lines and
 # public-API surface live in the committed SURFACE.md, so every PR shows
 # its delta in review; a stale file fails here.

@@ -3,8 +3,10 @@
 //! device's worker count (which is the optimizer step's pipeline depth),
 //! prefetch window, gradient accumulation, activation checkpointing,
 //! world size 1, 2 or 3 and a checkpoint round trip between steps — each
-//! training the tiny GPT for three steps in records of 16 elements, so a
-//! step streams many records and reads run ahead of updates. World 3 is
+//! training the tiny GPT for four steps in records of 16 elements, so a
+//! step streams many records and reads run ahead of updates, and each of
+//! the two record orders runs twice, the second time from the records the
+//! step before kept (the round trip drops them). World 3 is
 //! where the gradient average is a true divide (by 3, or 6 with
 //! accumulation: no power of two) and where parameter shards are padded
 //! unevenly. The axes that
@@ -32,7 +34,7 @@ const CELLS: usize = 63;
 /// Elements per optimizer record: the GPT's 1 920 parameters stream as
 /// about 120 records a step at world 1, across parameter boundaries.
 const RECORD: usize = 16;
-const STEPS: usize = 3;
+const STEPS: usize = 4;
 const MICRO_BATCH: usize = 2;
 
 fn cfg() -> GptConfig {
@@ -59,7 +61,8 @@ struct Cell {
     accumulation: usize,
     checkpointing: bool,
     world: usize,
-    /// `save_state` → `load_state` on the same engine after step 1.
+    /// `save_state` → `load_state` on the same engine after step 1, which
+    /// drops the records that step kept.
     round_trip: bool,
 }
 
@@ -155,9 +158,11 @@ fn train(cell: Cell, strategy: Strategy) -> Trained {
     let env = NodeEnv { nvme_workers: cell.workers, ..NodeEnv::in_memory() };
     let node = Arc::new(NodeResources::new(&spec, cell.world, env));
     let strategy = strategy.with_optimizer_chunk(RECORD).with_prefetch_window(cell.window);
+    // The staging buffers the pool has allocated once warm.
+    let warm = Arc::new(zi_sync::OnceLock::new());
     let handles: Vec<_> = (0..cell.world)
         .map(|rank| {
-            let node = Arc::clone(&node);
+            let (node, warm) = (Arc::clone(&node), Arc::clone(&warm));
             zi_sync::thread::spawn(move || -> (Vec<f32>, Vec<Vec<u32>>) {
                 let model = GptModel::new(cfg());
                 let (comm, mgr) = (node.group.communicator(rank), node.offload_manager());
@@ -188,6 +193,10 @@ fn train(cell: Cell, strategy: Strategy) -> Trained {
                     // The mean over ranks, as the trainer takes it.
                     let sum = node.group.communicator(rank).sum_scalar(loss).expect("loss");
                     losses.push(sum / cell.world as f32);
+                    if rank == 0 && step == 1 {
+                        // Warm: both orders ran once.
+                        let _ = warm.set(node.offload_manager().staging().stats().allocated);
+                    }
                     if cell.round_trip && step == 0 {
                         let blob =
                             engine.save_state().unwrap_or_else(|e| panic!("{cell}: save: {e}"));
@@ -208,6 +217,12 @@ fn train(cell: Cell, strategy: Strategy) -> Trained {
     let (losses, params) = ranks.swap_remove(0);
     for device in (0..cell.world).map(Device::gpu).chain([Device::cpu(), Device::nvme()]) {
         assert_eq!(node.hierarchy.stats(device).in_use, 0, "{cell}: {device} leak after dispose");
+    }
+    // One rank is the staging pool's only user; ranks sharing it race
+    // for its buffers, and may still grow it.
+    let allocated = node.offload_manager().staging().stats().allocated;
+    if cell.world == 1 {
+        assert_eq!(Some(&allocated), warm.get(), "{cell}: staging allocated after the warm-up");
     }
     Trained { losses: bits(&losses), params, health: node.offload_manager().health() }
 }
