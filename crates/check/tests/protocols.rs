@@ -23,7 +23,7 @@ use zi_nvme::{
     CheckpointStore, FaultPlan, FaultyBackend, MemBackend, NvmeEngine, RetryPolicy, StorageBackend,
 };
 use zi_sync::thread;
-use zi_trace::{Category, Event, Ring};
+use zi_trace::{Category, Event, Ring, Tracer};
 use zi_types::Error;
 
 /// Distinct-schedule floor each harness must reach (or exhaust the
@@ -80,9 +80,10 @@ fn run_exhaustive(name: &str, body: impl Fn() + Send + Sync + 'static) -> Report
 fn barrier_rank_death_body() {
     let plan = CommFaultPlan::new();
     plan.kill_rank_after_ops(1, 1); // dies entering its 2nd collective
-    let group = CommGroup::with_config(
+    let group = CommGroup::with_config_tracer(
         2,
         CommConfig { deadline: Duration::from_secs(30), faults: plan },
+        Tracer::new(),
     );
     let handles: Vec<_> = group
         .communicators()
@@ -150,10 +151,11 @@ fn engine_flush_is_a_completion_barrier() {
 fn engine_handback_body() {
     let plan = FaultPlan::new();
     let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan.clone()));
-    let eng = Arc::new(NvmeEngine::with_policy(
+    let eng = Arc::new(NvmeEngine::with_policy_tracer(
         backend as Arc<dyn StorageBackend>,
         1,
         RetryPolicy::none(),
+        Tracer::new(),
     ));
     let pool = ScratchPool::new();
     // The single worker serves FIFO, so the scripted failure lands on
@@ -420,9 +422,10 @@ fn join_handshake_vs_rank_death_body() {
     let plan = CommFaultPlan::new();
     plan.kill_rank_after_ops(1, 2); // dies entering its 3rd collective
     let membership = Membership::new(2);
-    let group = CommGroup::with_membership(
+    let group = CommGroup::with_membership_tracer(
         2,
         CommConfig { deadline: Duration::from_secs(30), faults: plan },
+        Tracer::new(),
         &membership,
     );
     let joiner = {
@@ -512,9 +515,10 @@ fn slot_table_body(overlapped: &zi_sync::OnceLock<()>) {
     use zi_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     let round_shard = |round: u8, rank: usize| vec![0x10 * (round + 1) + rank as u8; 2 + round as usize];
-    let group = CommGroup::with_config(
+    let group = CommGroup::with_config_tracer(
         2,
         CommConfig { deadline: Duration::from_secs(30), faults: CommFaultPlan::new() },
+        Tracer::new(),
     );
     let consuming = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
     let both = Arc::new(AtomicBool::new(false));

@@ -191,16 +191,12 @@ impl CommGroup {
     /// Create a group for `world` ranks with the default configuration
     /// (30 s sync deadline, no fault injection).
     pub fn new(world: WorldSize) -> Self {
-        Self::with_config(world, CommConfig::default())
+        Self::with_config_tracer(world, CommConfig::default(), Tracer::new())
     }
 
-    /// Create a group with an explicit deadline and fault plan.
-    pub fn with_config(world: WorldSize, config: CommConfig) -> Self {
-        Self::with_config_tracer(world, config, Tracer::new())
-    }
-
-    /// [`CommGroup::with_config`] recording collective spans and traffic
-    /// counters into an externally owned tracer.
+    /// Create a group with an explicit deadline and fault plan, recording
+    /// collective spans and traffic counters into `tracer` (a node's
+    /// shared one, or `Tracer::new()` for a private one).
     pub fn with_config_tracer(world: WorldSize, config: CommConfig, tracer: Tracer) -> Self {
         assert!(world > 0, "world size must be positive");
         CommGroup {
@@ -229,12 +225,8 @@ impl CommGroup {
     /// with [`zi_types::Error::MembershipChange`] on every rank. If joins
     /// are already pending when the group is built (a join raced the
     /// teardown of the previous generation), the resize latches
-    /// immediately so the very first collective surfaces it.
-    pub fn with_membership(world: WorldSize, config: CommConfig, membership: &Membership) -> Self {
-        Self::with_membership_tracer(world, config, Tracer::new(), membership)
-    }
-
-    /// [`CommGroup::with_membership`] with an externally owned tracer.
+    /// immediately so the very first collective surfaces it. Spans and
+    /// counters go to `tracer`, as for [`CommGroup::with_config_tracer`].
     pub fn with_membership_tracer(
         world: WorldSize,
         config: CommConfig,
@@ -830,9 +822,10 @@ mod tests {
         // deadline far longer than the test is allowed to run.
         let plan = CommFaultPlan::new();
         plan.kill_rank_after_ops(1, 2);
-        let group = CommGroup::with_config(
+        let group = CommGroup::with_config_tracer(
             3,
             CommConfig { deadline: Duration::from_secs(30), faults: plan },
+            Tracer::new(),
         );
         assert_eq!(group.failed_rank(), None);
         let start = Instant::now();
@@ -883,9 +876,10 @@ mod tests {
         // Rank 1 never shows up: rank 0 must time out with a typed error
         // (not hang) and latch itself failed for coordinated abort.
         let deadline = Duration::from_millis(100);
-        let group = CommGroup::with_config(
+        let group = CommGroup::with_config_tracer(
             2,
             CommConfig { deadline, faults: CommFaultPlan::new() },
+            Tracer::new(),
         );
         let comm = group.communicator(0);
         let start = Instant::now();
@@ -906,9 +900,10 @@ mod tests {
         // Rank 0 blocks in a barrier; rank 1 aborts without ever entering
         // a collective. Rank 0 must wake with RankFailed{1} well before
         // its deadline.
-        let group = CommGroup::with_config(
+        let group = CommGroup::with_config_tracer(
             2,
             CommConfig { deadline: Duration::from_secs(30), faults: CommFaultPlan::new() },
+            Tracer::new(),
         );
         let c0 = group.communicator(0);
         let c1 = group.communicator(1);
@@ -924,9 +919,10 @@ mod tests {
         // A join queued mid-run surfaces as MembershipChange on every
         // rank — promptly, typed, and without marking anything failed.
         let membership = Membership::new(3);
-        let group = CommGroup::with_membership(
+        let group = CommGroup::with_membership_tracer(
             3,
             CommConfig { deadline: Duration::from_secs(30), faults: CommFaultPlan::new() },
+            Tracer::new(),
             &membership,
         );
         let m2 = membership.clone();
@@ -964,7 +960,8 @@ mod tests {
         // when the next group is built: its first collective retires it.
         let membership = Membership::new(2);
         membership.request_join();
-        let group = CommGroup::with_membership(2, CommConfig::default(), &membership);
+        let group =
+            CommGroup::with_membership_tracer(2, CommConfig::default(), Tracer::new(), &membership);
         assert_eq!(group.pending_resize(), Some(1));
         let err = group.communicator(0).barrier().unwrap_err();
         assert!(matches!(err, Error::MembershipChange { joining: 1, .. }), "got {err}");
@@ -975,9 +972,10 @@ mod tests {
         // Rank 0 blocks in a barrier; a join arrives from outside. Rank 0
         // must wake with MembershipChange well before its deadline.
         let membership = Membership::new(2);
-        let group = CommGroup::with_membership(
+        let group = CommGroup::with_membership_tracer(
             2,
             CommConfig { deadline: Duration::from_secs(30), faults: CommFaultPlan::new() },
+            Tracer::new(),
             &membership,
         );
         let c0 = group.communicator(0);
@@ -996,7 +994,8 @@ mod tests {
         // afterwards does not relabel the error, and the queue survives
         // for the generation after the shrink.
         let membership = Membership::new(2);
-        let group = CommGroup::with_membership(2, CommConfig::default(), &membership);
+        let group =
+            CommGroup::with_membership_tracer(2, CommConfig::default(), Tracer::new(), &membership);
         group.abort_rank(1);
         membership.request_join();
         let err = group.communicator(0).barrier().unwrap_err();
@@ -1011,9 +1010,10 @@ mod tests {
     fn scripted_delay_is_benign() {
         let plan = CommFaultPlan::new();
         plan.delay_next_ops(0, 1, Duration::from_millis(20));
-        let group = CommGroup::with_config(
+        let group = CommGroup::with_config_tracer(
             2,
             CommConfig { deadline: Duration::from_secs(30), faults: plan.clone() },
+            Tracer::new(),
         );
         let start = Instant::now();
         let results = run_group(&group, |rank, comm| comm.sum_scalar(rank as f32).unwrap());
@@ -1034,9 +1034,10 @@ mod tests {
             if corrupt {
                 plan.corrupt_next_ops(0, 1);
             }
-            let group = CommGroup::with_config(
+            let group = CommGroup::with_config_tracer(
                 2,
                 CommConfig { deadline: Duration::from_secs(30), faults: plan.clone() },
+                Tracer::new(),
             );
             let out = run_group(&group, |_, comm| comm.allgather_bytes(&[0u8; 16]).unwrap());
             (out, plan.injected().corruptions)

@@ -11,6 +11,7 @@ use zi_sync::thread;
 
 use proptest::prelude::*;
 use zi_comm::{partition_range, CommConfig, CommFaultPlan, CommGroup};
+use zi_trace::Tracer;
 use zi_types::Error;
 
 fn run_ranks<T: Send + 'static>(
@@ -27,7 +28,7 @@ fn run_planned<T: Send + 'static>(
     f: impl Fn(usize, zi_comm::Communicator) -> T + Send + Sync + 'static,
 ) -> Vec<T> {
     let config = CommConfig { faults: plan, ..CommConfig::default() };
-    let group = CommGroup::with_config(world, config);
+    let group = CommGroup::with_config_tracer(world, config, Tracer::new());
     let f = Arc::new(f);
     let handles: Vec<_> = group
         .communicators()
@@ -312,7 +313,8 @@ proptest! {
 #[test]
 fn one_rank_world_does_not_skip_the_fault_hook() {
     let plan = CommFaultPlan::new();
-    let group = CommGroup::with_config(1, CommConfig { faults: plan.clone(), ..CommConfig::default() });
+    let config = CommConfig { faults: plan.clone(), ..CommConfig::default() };
+    let group = CommGroup::with_config_tracer(1, config, Tracer::new());
     let comm = group.communicator(0);
     let gather = |shard: &[u8]| {
         let mut seen = Vec::new();

@@ -349,6 +349,9 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
     if spec.grad_accumulation == 0 {
         return Err(Error::InvalidArgument("grad_accumulation must be at least 1".into()));
     }
+    if spec.micro_batch == 0 {
+        return Err(Error::InvalidArgument("micro_batch must be at least 1".into()));
+    }
     let tracer = env.tracer.clone().unwrap_or_default();
     let store = match env.store {
         Some(s) => {
@@ -1072,6 +1075,15 @@ mod accumulation_tests {
         // spec is refused before any node or rank thread is built.
         let mut spec = TrainSpec::test_default(GptConfig::tiny(), Strategy::zero_3(), 1);
         spec.grad_accumulation = 0;
+        assert!(matches!(train_gpt(&spec), Err(Error::InvalidArgument(_))));
+    }
+
+    #[test]
+    fn zero_micro_batch_is_rejected() {
+        // An empty micro-batch has no loss to average: refused up front,
+        // never trained into NaN losses.
+        let mut spec = TrainSpec::test_default(GptConfig::tiny(), Strategy::zero_3(), 1);
+        spec.micro_batch = 0;
         assert!(matches!(train_gpt(&spec), Err(Error::InvalidArgument(_))));
     }
 

@@ -215,22 +215,13 @@ impl NvmeEngine {
     /// Spawn an engine with `num_workers` I/O threads over `backend`,
     /// using the default [`RetryPolicy`].
     pub fn new(backend: Arc<dyn StorageBackend>, num_workers: usize) -> Self {
-        Self::with_policy(backend, num_workers, RetryPolicy::default())
+        Self::with_policy_tracer(backend, num_workers, RetryPolicy::default(), Tracer::new())
     }
 
-    /// Spawn an engine with an explicit retry policy and a private
-    /// (always-on) tracer.
-    pub fn with_policy(
-        backend: Arc<dyn StorageBackend>,
-        num_workers: usize,
-        policy: RetryPolicy,
-    ) -> Self {
-        Self::with_policy_tracer(backend, num_workers, policy, Tracer::new())
-    }
-
-    /// Spawn an engine recording its nc-transfer spans and I/O counters
-    /// into an externally owned `tracer` (one tracer is typically shared
-    /// by every subsystem of a node).
+    /// Spawn an engine with an explicit retry policy, recording its
+    /// nc-transfer spans and I/O counters into `tracer` (one tracer is
+    /// typically shared by every subsystem of a node; `Tracer::new()`
+    /// gives a private one).
     pub fn with_policy_tracer(
         backend: Arc<dyn StorageBackend>,
         num_workers: usize,
@@ -498,7 +489,7 @@ mod tests {
     fn faulty_engine(workers: usize, policy: RetryPolicy) -> (FaultPlan, NvmeEngine) {
         let plan = FaultPlan::new();
         let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan.clone()));
-        let eng = NvmeEngine::with_policy(backend as Arc<dyn StorageBackend>, workers, policy);
+        let eng = NvmeEngine::with_policy_tracer(backend, workers, policy, Tracer::new());
         (plan, eng)
     }
 

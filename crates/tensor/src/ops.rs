@@ -279,7 +279,8 @@ pub fn softmax_rows(x: &mut Tensor) {
 /// Mean cross-entropy between row-wise logits and integer targets.
 ///
 /// Returns `(loss, dlogits)` where `dlogits` is the gradient of the mean
-/// loss with respect to the logits.
+/// loss with respect to the logits. Zero rows have no mean and are an
+/// error.
 pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> Result<(f32, Tensor)> {
     let (rows, n) = logits.as_2d();
     if targets.len() != rows {
@@ -287,6 +288,9 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> Result<(f32, Tensor)
             "cross_entropy: {rows} rows but {} targets",
             targets.len()
         )));
+    }
+    if rows == 0 {
+        return Err(Error::InvalidArgument("cross_entropy: no rows to average the loss over".into()));
     }
     let mut probs = logits.clone();
     softmax_rows(&mut probs);
@@ -500,6 +504,13 @@ mod tests {
         let logits = Tensor::zeros(&[2, 3]);
         assert!(cross_entropy(&logits, &[0]).is_err());
         assert!(cross_entropy(&logits, &[0, 9]).is_err());
+    }
+
+    #[test]
+    fn cross_entropy_of_zero_rows_is_an_error_not_a_nan() {
+        // The mean over no rows would be 0 · (1/0) = NaN.
+        let logits = Tensor::zeros(&[0, 3]);
+        assert!(matches!(cross_entropy(&logits, &[]), Err(Error::InvalidArgument(_))));
     }
 
     #[test]

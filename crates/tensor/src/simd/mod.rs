@@ -7,8 +7,7 @@
 //! it:
 //!
 //! * **`Backend::Avx2`** — 256-bit `std::arch` kernels on x86_64 when the
-//!   CPU reports AVX2, F16C and SSE 4.2 (FMA additionally gated, see
-//!   below).
+//!   CPU reports AVX2, F16C and SSE 4.2.
 //! * **`Backend::Scalar`** — always available, and the *canonical
 //!   semantics*: every SIMD backend is written to be **bit-identical** to
 //!   the scalar backend, element for element.
@@ -25,12 +24,10 @@
 //!    reduce with [`scalar::sum8`]'s fixed tree, in *every* backend —
 //!    the scalar backend emulates the lanes, the AVX2 backend *is* the
 //!    lanes.
-//! 2. **No FMA contraction by default.** Fused multiply-add changes
-//!    rounding, so fused kernels are gated behind the explicit
-//!    `ZI_SIMD_FMA=1` knob ([`fma_enabled`]). When the knob is on, the
-//!    scalar backend mirrors fusion with `f32::mul_add`, so SIMD/scalar
-//!    equivalence holds in both knob positions — only results *across*
-//!    knob settings differ.
+//! 2. **No FMA contraction.** A fused multiply-add rounds once where a
+//!    multiply then an add rounds twice, so the two give different bits.
+//!    Every kernel rounds the product before the add; there is one
+//!    numerics mode and no knob.
 //!
 //! Transcendentals (`gelu`'s tanh) use a shared polynomial
 //! ([`scalar::tanh_approx`]) built from exactly-rounded ops in a fixed
@@ -40,8 +37,7 @@
 //!
 //! `ZI_SIMD=scalar|avx2|auto` pins the selection at startup (an
 //! unsupported choice falls back to scalar); tests and benches can also
-//! call [`force_backend`] to switch at runtime. `ZI_SIMD_FMA=1` opts into
-//! fused kernels; [`force_fma`] overrides programmatically.
+//! call [`force_backend`] to switch at runtime.
 
 use zi_sync::atomic::{AtomicU8, Ordering};
 use zi_sync::OnceLock;
@@ -78,8 +74,6 @@ impl Backend {
 
 /// 0 = no override, 1 = scalar, 2 = avx2.
 static BACKEND_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-/// 0 = env-configured, 1 = forced off, 2 = forced on.
-static FMA_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 /// True when this CPU can run the [`Backend::Avx2`] kernels: AVX2 for
 /// the vector bodies, F16C for the half conversions and SSE 4.2 for the
@@ -95,24 +89,6 @@ pub(crate) fn avx2_supported() -> bool {
     #[cfg(not(target_arch = "x86_64"))]
     {
         false
-    }
-}
-
-/// True when fused kernels are runnable under the selected backend
-/// (scalar always can; AVX2 needs the `fma` feature bit).
-fn fma_supported(b: Backend) -> bool {
-    match b {
-        Backend::Scalar => true,
-        Backend::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                std::arch::is_x86_feature_detected!("fma")
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                false
-            }
-        }
     }
 }
 
@@ -165,27 +141,6 @@ pub fn force_backend(b: Option<Backend>) {
     BACKEND_OVERRIDE.store(v, Ordering::Relaxed);
 }
 
-/// True when kernels may contract multiply-add (the `ZI_SIMD_FMA=1`
-/// knob, or a [`force_fma`] override). Off by default: fusion changes
-/// rounding, and the default path must stay bit-identical across
-/// backends and machines.
-pub fn fma_enabled() -> bool {
-    let want = match FMA_OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            static ENV: OnceLock<bool> = OnceLock::new();
-            *ENV.get_or_init(|| std::env::var("ZI_SIMD_FMA").is_ok_and(|v| v == "1"))
-        }
-    };
-    want && fma_supported(backend())
-}
-
-/// Pin (or with `None`, un-pin) the FMA knob at runtime (tests/benches).
-pub fn force_fma(on: Option<bool>) {
-    FMA_OVERRIDE.store(match on { None => 0, Some(false) => 1, Some(true) => 2 }, Ordering::Relaxed);
-}
-
 // ---------------------------------------------------------------------------
 // Dispatching kernels. Each wrapper validates lengths once, then routes
 // to the selected backend; `_ =>` lands on scalar, which is always
@@ -229,9 +184,9 @@ pub fn f16_to_f32_slice(src: &[F16], dst: &mut [f32]) {
 /// dimension, so a head of a fused QKV matrix or a row range of an
 /// output needs no copy. `C` is overwritten; with `k == 0` it is zeroed.
 ///
-/// Backend and FMA knob are resolved once, here; the backend then runs
-/// its register-tile kernel over the whole problem (see
-/// [`scalar::gemm`] for the canonical per-element chain).
+/// The backend is resolved once, here; it then runs its register-tile
+/// kernel over the whole problem (see [`scalar::gemm`] for the canonical
+/// per-element chain).
 #[allow(clippy::too_many_arguments)]
 pub fn gemm(
     m: usize,
@@ -250,10 +205,9 @@ pub fn gemm(
     }
     assert!(view_fits(a.len(), m, a_rs, k, a_ks), "gemm: A view out of bounds");
     assert!(view_fits(b.len(), k, ldb, n, 1), "gemm: B view out of bounds");
-    let fma = fma_enabled();
     dispatch!(
-        x86::gemm(m, n, k, a, a_rs, a_ks, b, ldb, c, ldc, fma),
-        scalar::gemm(m, n, k, a, a_rs, a_ks, b, ldb, c, ldc, fma)
+        x86::gemm(m, n, k, a, a_rs, a_ks, b, ldb, c, ldc),
+        scalar::gemm(m, n, k, a, a_rs, a_ks, b, ldb, c, ldc)
     )
 }
 
@@ -278,10 +232,9 @@ pub fn gemm_nt(
     }
     assert!(view_fits(a.len(), m, lda, k, 1), "gemm_nt: A view out of bounds");
     assert!(view_fits(b.len(), n, ldb, k, 1), "gemm_nt: B view out of bounds");
-    let fma = fma_enabled();
     dispatch!(
-        x86::gemm_nt(m, n, k, a, lda, b, ldb, c, ldc, fma),
-        scalar::gemm_nt(m, n, k, a, lda, b, ldb, c, ldc, fma)
+        x86::gemm_nt(m, n, k, a, lda, b, ldb, c, ldc),
+        scalar::gemm_nt(m, n, k, a, lda, b, ldb, c, ldc)
     )
 }
 
@@ -492,10 +445,9 @@ pub fn adam_chunk(
     let n = master.len();
     assert!(m.len() == n && v.len() == n && grad.len() == n, "adam_chunk length mismatch");
     assert!(publish.len().is_none_or(|len| len == n), "adam_chunk publish length mismatch");
-    let fma = fma_enabled();
     dispatch!(
-        x86::adam_chunk(p, master, m, v, grad, publish, crcs, fma),
-        scalar::adam_chunk(p, master, m, v, grad, publish, crcs, fma)
+        x86::adam_chunk(p, master, m, v, grad, publish, crcs),
+        scalar::adam_chunk(p, master, m, v, grad, publish, crcs)
     )
 }
 
@@ -557,18 +509,6 @@ mod tests {
         let env = std::env::var("ZI_SIMD").unwrap_or_default();
         let pinned_scalar = matches!(env.as_str(), "scalar" | "neon");
         assert_eq!(backend() == Backend::Avx2, avx2_supported() && !pinned_scalar);
-    }
-
-    #[test]
-    fn fma_knob_defaults_off_and_forces_on() {
-        force_fma(Some(false));
-        assert!(!fma_enabled());
-        force_fma(Some(true));
-        // Honored unless the backend cannot fuse.
-        if fma_supported(backend()) {
-            assert!(fma_enabled());
-        }
-        force_fma(None);
     }
 
     /// Reference byte-at-a-time CRC32-C.

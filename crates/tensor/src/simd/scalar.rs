@@ -5,7 +5,9 @@
 //! [`super`]). To make that possible on 8-wide hardware, reductions here
 //! are written over [`LANES`] explicit virtual lanes with the fixed
 //! [`sum8`] reduction tree rather than a natural sequential loop —
-//! "scalar" names the instruction set, not the algorithm shape.
+//! "scalar" names the instruction set, not the algorithm shape. Every
+//! multiply-add rounds the product before the add, never fused: the one
+//! numerics mode the SIMD backends reproduce.
 
 use zi_sync::OnceLock;
 
@@ -84,11 +86,12 @@ pub(crate) const GEMM_MR: usize = 4;
 /// Columns of `C` one register tile covers (two 8-lane vectors).
 pub(crate) const GEMM_NR: usize = 2 * LANES;
 
-/// `acc + a·b` — the one update every GEMM output element goes
-/// through, once per `k` step in `k` order; fused under the FMA knob.
+/// `acc + a·b`, the product rounded before the add — the one update
+/// every GEMM output element goes through, once per `k` step in `k`
+/// order.
 #[inline(always)]
-pub(crate) fn madd(acc: f32, a: f32, b: f32, fma: bool) -> f32 {
-    if fma { a.mul_add(b, acc) } else { acc + a * b }
+pub(crate) fn madd(acc: f32, a: f32, b: f32) -> f32 {
+    acc + a * b
 }
 
 /// `C[m,n] = A·B` with `A(i,p) = a[i*a_rs + p*a_ks]` (row stride, k
@@ -112,7 +115,6 @@ pub fn gemm(
     ldb: usize,
     c: &mut [f32],
     ldc: usize,
-    fma: bool,
 ) {
     for i0 in (0..m).step_by(GEMM_MR) {
         let mr = GEMM_MR.min(m - i0);
@@ -124,7 +126,7 @@ pub fn gemm(
                 for (i, acc_row) in acc[..mr].iter_mut().enumerate() {
                     let av = a[(i0 + i) * a_rs + p * a_ks];
                     for (t, &bv) in acc_row.iter_mut().zip(b_row) {
-                        *t = madd(*t, av, bv, fma);
+                        *t = madd(*t, av, bv);
                     }
                 }
             }
@@ -140,22 +142,22 @@ pub fn gemm(
 /// into lanes `0..len`, one element per lane — shared by all backends
 /// so remainders agree.
 #[inline(always)]
-pub(crate) fn dot_tail(lanes: &mut [f32; LANES], x: &[f32], w: &[f32], fma: bool) {
+pub(crate) fn dot_tail(lanes: &mut [f32; LANES], x: &[f32], w: &[f32]) {
     for (lane, (&xv, &wv)) in lanes.iter_mut().zip(x.iter().zip(w)) {
-        *lane = madd(*lane, xv, wv, fma);
+        *lane = madd(*lane, xv, wv);
     }
 }
 
 /// Canonical 8-lane dot product: the element of [`gemm_nt`].
-pub fn dot(x: &[f32], w: &[f32], fma: bool) -> f32 {
+pub fn dot(x: &[f32], w: &[f32]) -> f32 {
     let mut lanes = [0f32; LANES];
     let body = x.len() - x.len() % LANES;
     for (xc, wc) in x[..body].chunks_exact(LANES).zip(w[..body].chunks_exact(LANES)) {
         for j in 0..LANES {
-            lanes[j] = madd(lanes[j], xc[j], wc[j], fma);
+            lanes[j] = madd(lanes[j], xc[j], wc[j]);
         }
     }
-    dot_tail(&mut lanes, &x[body..], &w[body..], fma);
+    dot_tail(&mut lanes, &x[body..], &w[body..]);
     sum8(lanes)
 }
 
@@ -173,12 +175,11 @@ pub fn gemm_nt(
     ldb: usize,
     c: &mut [f32],
     ldc: usize,
-    fma: bool,
 ) {
     for i in 0..m {
         let x = &a[i * lda..i * lda + k];
         for j in 0..n {
-            c[i * ldc + j] = dot(x, &b[j * ldb..j * ldb + k], fma);
+            c[i * ldc + j] = dot(x, &b[j * ldb..j * ldb + k]);
         }
     }
 }
@@ -387,25 +388,10 @@ pub(crate) fn layernorm_backward_row(
 
 /// One element of the Adam update; op order matches the pre-SIMD
 /// `update_one` exactly so checkpoint streams stay bit-compatible.
-/// With `fma`, only the two moment updates contract.
 #[inline(always)]
-pub(crate) fn adam_one(
-    p: &AdamParams,
-    master: &mut f32,
-    m: &mut f32,
-    v: &mut f32,
-    g: f32,
-    fma: bool,
-) {
-    let (m_new, v_new) = if fma {
-        let mn = (*m).mul_add(p.beta1, p.one_minus_beta1 * g);
-        let vn = (p.one_minus_beta2 * g).mul_add(g, p.beta2 * *v);
-        (mn, vn)
-    } else {
-        let mn = p.beta1 * *m + p.one_minus_beta1 * g;
-        let vn = p.beta2 * *v + (p.one_minus_beta2 * g) * g;
-        (mn, vn)
-    };
+pub(crate) fn adam_one(p: &AdamParams, master: &mut f32, m: &mut f32, v: &mut f32, g: f32) {
+    let m_new = p.beta1 * *m + p.one_minus_beta1 * g;
+    let v_new = p.beta2 * *v + (p.one_minus_beta2 * g) * g;
     *m = m_new;
     *v = v_new;
     let m_hat = m_new / p.bc1;
@@ -418,7 +404,6 @@ pub(crate) fn adam_one(
 /// [`AdamParams::grad_scale`], the new masters also written to
 /// `publish`, and — with `crcs` — the CRC32-C of every stream extended
 /// over the bytes stored (master, momentum, variance, publish).
-#[allow(clippy::too_many_arguments)]
 pub fn adam_chunk(
     p: &AdamParams,
     master: &mut [f32],
@@ -427,10 +412,9 @@ pub fn adam_chunk(
     grad: &[f32],
     mut publish: PublishTo<'_>,
     crcs: Option<&mut [u32; 4]>,
-    fma: bool,
 ) {
     for i in 0..master.len() {
-        adam_one(p, &mut master[i], &mut m[i], &mut v[i], p.grad_scale.apply(grad[i]), fma);
+        adam_one(p, &mut master[i], &mut m[i], &mut v[i], p.grad_scale.apply(grad[i]));
     }
     match &mut publish {
         PublishTo::None => {}

@@ -1,11 +1,12 @@
-//! AVX2 (+ F16C, SSE 4.2, optional FMA) backend for x86_64.
+//! AVX2 (+ F16C, SSE 4.2) backend for x86_64.
 //!
 //! Every kernel here mirrors the canonical algorithm in
 //! [`super::scalar`] lane for lane: the 8-lane accumulators are real
 //! 256-bit registers, reductions store the register and reuse
 //! [`scalar::sum8`]/[`scalar::dot_tail`] so remainders and reduction
-//! trees are literally the same code, and fused multiply-add is only
-//! emitted in the `fma = true` variants (the `ZI_SIMD_FMA=1` knob).
+//! trees are literally the same code, and every multiply-add is a
+//! `vmulps` then a `vaddps` — no kernel enables or emits fused
+//! multiply-add.
 //! The f16 conversions are the F16C instructions plus a NaN fix-up:
 //! the scalar [`crate::f16::F16`] conversion canonicalizes NaN payloads
 //! on `from_f32` and keeps a signaling NaN's payload on `to_f32`, where
@@ -17,9 +18,8 @@
 //!
 //! # Safety
 //!
-//! All `pub` functions require AVX2, F16C and SSE 4.2 (and, when
-//! `fma = true`, FMA) to be supported; `super::backend()` guarantees this
-//! before dispatching.
+//! All `pub` functions require AVX2, F16C and SSE 4.2 to be supported;
+//! `super::backend()` guarantees this before dispatching.
 
 #![allow(unsafe_op_in_unsafe_fn)]
 // Register tiles are const-sized arrays whose index is also the pointer
@@ -201,14 +201,10 @@ const NT_NC: usize = 2;
 /// Vector mirror of [`scalar::madd`].
 #[inline(always)]
 // SAFETY: `inline(always)` helper with no feature gate of its own — must
-// only be inlined into a `target_feature(avx2[,fma])` caller, which every
-// call site in this module is.
-unsafe fn madd<const FMA: bool>(acc: __m256, a: __m256, b: __m256) -> __m256 {
-    if FMA {
-        _mm256_fmadd_ps(a, b, acc)
-    } else {
-        _mm256_add_ps(acc, _mm256_mul_ps(a, b))
-    }
+// only be inlined into a `target_feature(avx2)` caller, which every call
+// site in this module is.
+unsafe fn madd(acc: __m256, a: __m256, b: __m256) -> __m256 {
+    _mm256_add_ps(acc, _mm256_mul_ps(a, b))
 }
 
 /// One `MR`×(`NV`·8) register tile of `C = A·B` over `k` steps: the
@@ -220,11 +216,11 @@ unsafe fn madd<const FMA: bool>(acc: __m256, a: __m256, b: __m256) -> __m256 {
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 // SAFETY: `inline(always)` helper with no feature gate of its own — must
-// only be inlined into a `target_feature(avx2[,fma])` caller, which every
+// only be inlined into a `target_feature(avx2)` caller, which every
 // call site in this module is. The caller guarantees `a`, `b`, `c`
 // address an `MR`×`k`, `k`×(`NV`·8), `MR`×(`NV`·8) block at the given
 // strides.
-unsafe fn tile<const FMA: bool, const MR: usize, const NV: usize>(
+unsafe fn tile<const MR: usize, const NV: usize>(
     k: usize,
     a: *const f32,
     a_rs: usize,
@@ -253,7 +249,7 @@ unsafe fn tile<const FMA: bool, const MR: usize, const NV: usize>(
         for i in 0..MR {
             let av = _mm256_set1_ps(*ap.add(i * a_rs));
             for v in 0..NV {
-                acc[i][v] = madd::<FMA>(acc[i][v], av, bv[v]);
+                acc[i][v] = madd(acc[i][v], av, bv[v]);
             }
         }
     }
@@ -276,7 +272,7 @@ struct PackedStrip([f32; GEMM_KC * scalar::GEMM_NR]);
 #[allow(clippy::too_many_arguments)]
 // SAFETY: as [`tile`], for an `m`-row strip; `packed` is writable
 // scratch of one [`PackedStrip`], `k` ≤ [`GEMM_KC`].
-unsafe fn strip<const FMA: bool, const NV: usize>(
+unsafe fn strip<const NV: usize>(
     m: usize,
     k: usize,
     a: *const f32,
@@ -300,24 +296,27 @@ unsafe fn strip<const FMA: bool, const NV: usize>(
     }
     let mut i = 0;
     while i + scalar::GEMM_MR <= m {
-        tile::<FMA, 4, NV>(k, a.add(i * a_rs), a_rs, a_ks, b, ldb, c.add(i * ldc), ldc, resume);
+        tile::<4, NV>(k, a.add(i * a_rs), a_rs, a_ks, b, ldb, c.add(i * ldc), ldc, resume);
         i += scalar::GEMM_MR;
     }
     let (a, c) = (a.add(i * a_rs), c.add(i * ldc));
     match m - i {
-        3 => tile::<FMA, 3, NV>(k, a, a_rs, a_ks, b, ldb, c, ldc, resume),
-        2 => tile::<FMA, 2, NV>(k, a, a_rs, a_ks, b, ldb, c, ldc, resume),
-        1 => tile::<FMA, 1, NV>(k, a, a_rs, a_ks, b, ldb, c, ldc, resume),
+        3 => tile::<3, NV>(k, a, a_rs, a_ks, b, ldb, c, ldc, resume),
+        2 => tile::<2, NV>(k, a, a_rs, a_ks, b, ldb, c, ldc, resume),
+        1 => tile::<1, NV>(k, a, a_rs, a_ks, b, ldb, c, ldc, resume),
         _ => {}
     }
 }
 
-#[inline(always)]
+/// `C = A·B` on the register tile kernel; numerics match
+/// [`scalar::gemm`], whose operand layout and bounds this shares
+/// (`m`, `n`, `k` ≥ 1, checked by `super::gemm`).
+#[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-// SAFETY: `inline(always)` helper with no feature gate of its own — must
-// only be inlined into a `target_feature(avx2[,fma])` caller. Operand
-// bounds are [`gemm`]'s.
-unsafe fn gemm_body<const FMA: bool>(
+// SAFETY: gated on the `target_feature` above — the caller must ensure the
+// CPU supports it, as `super::backend()` does, and that the slices cover
+// the strided operands, as `super::gemm` does.
+pub unsafe fn gemm(
     m: usize,
     n: usize,
     k: usize,
@@ -339,82 +338,17 @@ unsafe fn gemm_body<const FMA: bool>(
         let (ap, bp) = (ap.add(p0 * a_ks), bp.add(p0 * ldb));
         let mut j = 0;
         while j + scalar::GEMM_NR <= wide {
-            strip::<FMA, 2>(m, kc, ap, a_rs, a_ks, bp.add(j), ldb, cp.add(j), ldc, p0 > 0, pk);
+            strip::<2>(m, kc, ap, a_rs, a_ks, bp.add(j), ldb, cp.add(j), ldc, p0 > 0, pk);
             j += scalar::GEMM_NR;
         }
         if j < wide {
-            strip::<FMA, 1>(m, kc, ap, a_rs, a_ks, bp.add(j), ldb, cp.add(j), ldc, p0 > 0, pk);
+            strip::<1>(m, kc, ap, a_rs, a_ks, bp.add(j), ldb, cp.add(j), ldc, p0 > 0, pk);
         }
         p0 += kc;
     }
     // Columns past the last full vector: the scalar tile kernel.
     if wide < n {
-        scalar::gemm(m, n - wide, k, a, a_rs, a_ks, &b[wide..], ldb, &mut c[wide..], ldc, FMA);
-    }
-}
-
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-// SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
-unsafe fn gemm_plain(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    a_rs: usize,
-    a_ks: usize,
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-) {
-    gemm_body::<false>(m, n, k, a, a_rs, a_ks, b, ldb, c, ldc)
-}
-
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-// SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
-unsafe fn gemm_fma(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    a_rs: usize,
-    a_ks: usize,
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-) {
-    gemm_body::<true>(m, n, k, a, a_rs, a_ks, b, ldb, c, ldc)
-}
-
-/// `C = A·B` on the register tile kernel; numerics match
-/// [`scalar::gemm`], whose operand layout and bounds this shares
-/// (`m`, `n`, `k` ≥ 1, checked by `super::gemm`).
-#[allow(clippy::too_many_arguments)]
-// SAFETY: forwards to `target_feature` kernels — the caller must ensure
-// AVX2 (and FMA when `fma` is true) support, as `super::backend()` does,
-// and that the slices cover the strided operands, as `super::gemm` does.
-pub unsafe fn gemm(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    a_rs: usize,
-    a_ks: usize,
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    fma: bool,
-) {
-    if fma {
-        gemm_fma(m, n, k, a, a_rs, a_ks, b, ldb, c, ldc)
-    } else {
-        gemm_plain(m, n, k, a, a_rs, a_ks, b, ldb, c, ldc)
+        scalar::gemm(m, n - wide, k, a, a_rs, a_ks, &b[wide..], ldb, &mut c[wide..], ldc);
     }
 }
 
@@ -425,10 +359,10 @@ pub unsafe fn gemm(
 /// tail into the low lanes, [`scalar::sum8`] tree.
 #[inline(always)]
 // SAFETY: `inline(always)` helper with no feature gate of its own — must
-// only be inlined into a `target_feature(avx2[,fma])` caller. The caller
+// only be inlined into a `target_feature(avx2)` caller. The caller
 // guarantees `a`/`b` address `MR`/`NC` rows of `k` floats and `c` an
 // `MR`×`NC` block at the given strides.
-unsafe fn dot_tile<const FMA: bool, const MR: usize, const NC: usize>(
+unsafe fn dot_tile<const MR: usize, const NC: usize>(
     k: usize,
     a: *const f32,
     lda: usize,
@@ -448,7 +382,7 @@ unsafe fn dot_tile<const FMA: bool, const MR: usize, const NC: usize>(
         for j in 0..NC {
             let wv = _mm256_loadu_ps(b.add(j * ldb + p));
             for i in 0..MR {
-                acc[i][j] = madd::<FMA>(acc[i][j], xv[i], wv);
+                acc[i][j] = madd(acc[i][j], xv[i], wv);
             }
         }
         p += LANES;
@@ -459,7 +393,7 @@ unsafe fn dot_tile<const FMA: bool, const MR: usize, const NC: usize>(
             let w_tail = std::slice::from_raw_parts(b.add(j * ldb + body), k - body);
             let mut lanes = [0f32; LANES];
             _mm256_storeu_ps(lanes.as_mut_ptr(), acc[i][j]);
-            scalar::dot_tail(&mut lanes, x_tail, w_tail, FMA);
+            scalar::dot_tail(&mut lanes, x_tail, w_tail);
             *c.add(i * ldc + j) = scalar::sum8(lanes);
         }
     }
@@ -469,7 +403,7 @@ unsafe fn dot_tile<const FMA: bool, const MR: usize, const NC: usize>(
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 // SAFETY: as [`dot_tile`], for an `m`-row block.
-unsafe fn dot_rows<const FMA: bool, const NC: usize>(
+unsafe fn dot_rows<const NC: usize>(
     m: usize,
     k: usize,
     a: *const f32,
@@ -481,24 +415,27 @@ unsafe fn dot_rows<const FMA: bool, const NC: usize>(
 ) {
     let mut i = 0;
     while i + NT_MR <= m {
-        dot_tile::<FMA, 4, NC>(k, a.add(i * lda), lda, b, ldb, c.add(i * ldc), ldc);
+        dot_tile::<4, NC>(k, a.add(i * lda), lda, b, ldb, c.add(i * ldc), ldc);
         i += NT_MR;
     }
     let (a, c) = (a.add(i * lda), c.add(i * ldc));
     match m - i {
-        3 => dot_tile::<FMA, 3, NC>(k, a, lda, b, ldb, c, ldc),
-        2 => dot_tile::<FMA, 2, NC>(k, a, lda, b, ldb, c, ldc),
-        1 => dot_tile::<FMA, 1, NC>(k, a, lda, b, ldb, c, ldc),
+        3 => dot_tile::<3, NC>(k, a, lda, b, ldb, c, ldc),
+        2 => dot_tile::<2, NC>(k, a, lda, b, ldb, c, ldc),
+        1 => dot_tile::<1, NC>(k, a, lda, b, ldb, c, ldc),
         _ => {}
     }
 }
 
-#[inline(always)]
+/// `C = A·Bᵀ` on the dot tile kernel; numerics match
+/// [`scalar::gemm_nt`], whose operand layout and bounds this shares
+/// (`m`, `n`, `k` ≥ 1, checked by `super::gemm_nt`).
+#[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-// SAFETY: `inline(always)` helper with no feature gate of its own — must
-// only be inlined into a `target_feature(avx2[,fma])` caller. Operand
-// bounds are [`gemm_nt`]'s.
-unsafe fn gemm_nt_body<const FMA: bool>(
+// SAFETY: gated on the `target_feature` above — the caller must ensure the
+// CPU supports it, as `super::backend()` does, and that the slices cover
+// the strided operands, as `super::gemm_nt` does.
+pub unsafe fn gemm_nt(
     m: usize,
     n: usize,
     k: usize,
@@ -517,82 +454,20 @@ unsafe fn gemm_nt_body<const FMA: bool>(
         let (ap, cp) = (ap.add(i0 * lda), cp.add(i0 * ldc));
         let mut j = 0;
         while j + NT_NC <= n {
-            dot_rows::<FMA, 2>(rows, k, ap, lda, bp.add(j * ldb), ldb, cp.add(j), ldc);
+            dot_rows::<2>(rows, k, ap, lda, bp.add(j * ldb), ldb, cp.add(j), ldc);
             j += NT_NC;
         }
         if j < n {
-            dot_rows::<FMA, 1>(rows, k, ap, lda, bp.add(j * ldb), ldb, cp.add(j), ldc);
+            dot_rows::<1>(rows, k, ap, lda, bp.add(j * ldb), ldb, cp.add(j), ldc);
         }
         i0 += rows;
-    }
-}
-
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-// SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
-unsafe fn gemm_nt_plain(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-) {
-    gemm_nt_body::<false>(m, n, k, a, lda, b, ldb, c, ldc)
-}
-
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-// SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
-unsafe fn gemm_nt_fma(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-) {
-    gemm_nt_body::<true>(m, n, k, a, lda, b, ldb, c, ldc)
-}
-
-/// `C = A·Bᵀ` on the dot tile kernel; numerics match
-/// [`scalar::gemm_nt`], whose operand layout and bounds this shares
-/// (`m`, `n`, `k` ≥ 1, checked by `super::gemm_nt`).
-#[allow(clippy::too_many_arguments)]
-// SAFETY: forwards to `target_feature` kernels — the caller must ensure
-// AVX2 (and FMA when `fma` is true) support, as `super::backend()` does,
-// and that the slices cover the strided operands, as `super::gemm_nt` does.
-pub unsafe fn gemm_nt(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    fma: bool,
-) {
-    if fma {
-        gemm_nt_fma(m, n, k, a, lda, b, ldb, c, ldc)
-    } else {
-        gemm_nt_plain(m, n, k, a, lda, b, ldb, c, ldc)
     }
 }
 
 /// Canonical 8-lane sum.
 #[target_feature(enable = "avx2")]
 // SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
+// CPU supports it; `super::backend()` verifies AVX2 before dispatch.
 pub unsafe fn vec_sum(x: &[f32]) -> f32 {
     let n = x.len();
     let xp = x.as_ptr();
@@ -612,7 +487,7 @@ pub unsafe fn vec_sum(x: &[f32]) -> f32 {
 
 #[target_feature(enable = "avx2")]
 // SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
+// CPU supports it; `super::backend()` verifies AVX2 before dispatch.
 unsafe fn vec_center_sumsq(x: &[f32], mean: f32) -> f32 {
     let n = x.len();
     let xp = x.as_ptr();
@@ -639,7 +514,7 @@ unsafe fn vec_center_sumsq(x: &[f32], mean: f32) -> f32 {
 /// Vector mirror of [`scalar::exp_approx`] (plain mul/add, never FMA).
 #[inline(always)]
 // SAFETY: `inline(always)` helper with no feature gate of its own — must
-// only be inlined into a `target_feature(avx2[,fma])` caller, which every
+// only be inlined into a `target_feature(avx2)` caller, which every
 // call site in this module is.
 unsafe fn exp_approx_v(z: __m256) -> __m256 {
     let y = _mm256_mul_ps(z, _mm256_set1_ps(std::f32::consts::LOG2_E));
@@ -663,7 +538,7 @@ unsafe fn exp_approx_v(z: __m256) -> __m256 {
 /// `+0.0` below the lower clamp via compare + and-not).
 #[target_feature(enable = "avx2")]
 // SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
+// CPU supports it; `super::backend()` verifies AVX2 before dispatch.
 pub unsafe fn exp(x: &mut [f32]) {
     let n = x.len();
     let p = x.as_mut_ptr();
@@ -685,7 +560,7 @@ pub unsafe fn exp(x: &mut [f32]) {
 /// Vector mirror of [`scalar::tanh_half_approx`].
 #[inline(always)]
 // SAFETY: `inline(always)` helper with no feature gate of its own — must
-// only be inlined into a `target_feature(avx2[,fma])` caller, which every
+// only be inlined into a `target_feature(avx2)` caller, which every
 // call site in this module is.
 unsafe fn tanh_half_v(z: __m256) -> __m256 {
     let clamp = _mm256_set1_ps(18.0);
@@ -697,7 +572,7 @@ unsafe fn tanh_half_v(z: __m256) -> __m256 {
 
 #[inline(always)]
 // SAFETY: `inline(always)` helper with no feature gate of its own — must
-// only be inlined into a `target_feature(avx2[,fma])` caller, which every
+// only be inlined into a `target_feature(avx2)` caller, which every
 // call site in this module is.
 unsafe fn gelu_t_v(x: __m256) -> (__m256, __m256) {
     let x2 = _mm256_mul_ps(x, x);
@@ -713,7 +588,7 @@ unsafe fn gelu_t_v(x: __m256) -> (__m256, __m256) {
 /// Elementwise GELU (tanh approximation).
 #[target_feature(enable = "avx2")]
 // SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
+// CPU supports it; `super::backend()` verifies AVX2 before dispatch.
 pub unsafe fn gelu(x: &[f32], out: &mut [f32]) {
     let n = x.len();
     let xp = x.as_ptr();
@@ -734,7 +609,7 @@ pub unsafe fn gelu(x: &[f32], out: &mut [f32]) {
 /// Elementwise `out[i] = dy[i] * gelu'(x[i])`.
 #[target_feature(enable = "avx2")]
 // SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
+// CPU supports it; `super::backend()` verifies AVX2 before dispatch.
 pub unsafe fn gelu_grad(x: &[f32], dy: &[f32], out: &mut [f32]) {
     let n = x.len();
     let xp = x.as_ptr();
@@ -766,7 +641,7 @@ pub unsafe fn gelu_grad(x: &[f32], dy: &[f32], out: &mut [f32]) {
 /// One row of layer normalization; returns `(mean, rstd)`.
 #[target_feature(enable = "avx2")]
 // SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/FMA before dispatch.
+// CPU supports it; `super::backend()` verifies AVX2 before dispatch.
 pub unsafe fn layernorm_row(
     x: &[f32],
     gamma: &[f32],
@@ -805,8 +680,8 @@ pub unsafe fn layernorm_row(
 /// [`scalar::layernorm_backward_row`].
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-// SAFETY: forwards to `target_feature` kernels — the caller must ensure
-// AVX2 (and FMA when `fma` is true) support, as `super::backend()` does.
+// SAFETY: gated on the `target_feature` above — the caller must ensure the
+// CPU supports it; `super::backend()` verifies AVX2 before dispatch.
 pub unsafe fn layernorm_backward_row(
     x: &[f32],
     dy: &[f32],
@@ -915,16 +790,16 @@ const OUT_NONE: u8 = 0;
 const OUT_F32: u8 = 1;
 const OUT_F16: u8 = 2;
 
-/// The fused loop, one instance per FMA setting, checksum setting and
-/// publish kind (`OUT`: none, fp32 to `out`, fp16 to `out`), so no
-/// instance tests a setting per iteration.
+/// The fused loop, one instance per checksum setting and publish kind
+/// (`OUT`: none, fp32 to `out`, fp16 to `out`), so no instance tests a
+/// setting per iteration.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 // SAFETY: `inline(always)` helper with no feature gate of its own — must
-// only be inlined into a `target_feature(avx2,f16c,sse4.2[,fma])` caller,
+// only be inlined into a `target_feature(avx2,f16c,sse4.2)` caller,
 // which every call site in this module is; `out` must be valid for
 // `master.len()` elements of the `OUT` kind.
-unsafe fn adam_body<const FMA: bool, const CRC: bool, const OUT: u8>(
+unsafe fn adam_body<const CRC: bool, const OUT: u8>(
     p: &AdamParams,
     master: &mut [f32],
     m: &mut [f32],
@@ -965,18 +840,8 @@ unsafe fn adam_body<const FMA: bool, const CRC: bool, const OUT: u8>(
         let mo = _mm256_loadu_ps(mmp.add(i));
         let vo = _mm256_loadu_ps(vp.add(i));
         let po = _mm256_loadu_ps(mp.add(i));
-        let (mn, vn) = if FMA {
-            let mn = _mm256_fmadd_ps(mo, b1, _mm256_mul_ps(omb1, g));
-            let vn = _mm256_fmadd_ps(_mm256_mul_ps(omb2, g), g, _mm256_mul_ps(b2, vo));
-            (mn, vn)
-        } else {
-            let mn = _mm256_add_ps(_mm256_mul_ps(b1, mo), _mm256_mul_ps(omb1, g));
-            let vn = _mm256_add_ps(
-                _mm256_mul_ps(b2, vo),
-                _mm256_mul_ps(_mm256_mul_ps(omb2, g), g),
-            );
-            (mn, vn)
-        };
+        let mn = _mm256_add_ps(_mm256_mul_ps(b1, mo), _mm256_mul_ps(omb1, g));
+        let vn = _mm256_add_ps(_mm256_mul_ps(b2, vo), _mm256_mul_ps(_mm256_mul_ps(omb2, g), g));
         _mm256_storeu_ps(mmp.add(i), mn);
         _mm256_storeu_ps(vp.add(i), vn);
         let m_hat = _mm256_div_ps(mn, bc1);
@@ -1004,7 +869,7 @@ unsafe fn adam_body<const FMA: bool, const CRC: bool, const OUT: u8>(
         c = crc_block::<OUT>(c, mp, mmp, vp, out, i - LANES);
     }
     for j in i..n {
-        scalar::adam_one(p, &mut master[j], &mut m[j], &mut v[j], p.grad_scale.apply(grad[j]), FMA);
+        scalar::adam_one(p, &mut master[j], &mut m[j], &mut v[j], p.grad_scale.apply(grad[j]));
         let (bits, h) = (master[j].to_bits(), F16::from_f32(master[j]).to_bits());
         if OUT == OUT_F16 {
             (out as *mut u16).add(j).write_unaligned(h);
@@ -1027,11 +892,14 @@ unsafe fn adam_body<const FMA: bool, const CRC: bool, const OUT: u8>(
     }
 }
 
-/// [`adam_body`] for the settings of one call.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-// SAFETY: as for `adam_body`, into whose instances it dispatches.
-unsafe fn adam_any<const FMA: bool>(
+/// The fused Adam kernel (see [`super::adam_chunk`]): one pass that
+/// scales the gradient, updates the three streams, publishes, and
+/// chains each stream's CRC32-C over the bytes just stored, through the
+/// [`adam_body`] instance for this call's settings.
+#[target_feature(enable = "avx2,f16c,sse4.2")]
+// SAFETY: gated on the `target_feature` above — the caller must ensure the
+// CPU supports it; `super::backend()` verifies AVX2/F16C/SSE4.2 before dispatch.
+pub unsafe fn adam_chunk(
     p: &AdamParams,
     master: &mut [f32],
     m: &mut [f32],
@@ -1051,67 +919,11 @@ unsafe fn adam_any<const FMA: bool>(
         None => (false, &mut unused),
     };
     match (on, kind) {
-        (false, OUT_NONE) => adam_body::<FMA, false, OUT_NONE>(p, master, m, v, grad, out, crcs),
-        (false, OUT_F32) => adam_body::<FMA, false, OUT_F32>(p, master, m, v, grad, out, crcs),
-        (false, _) => adam_body::<FMA, false, OUT_F16>(p, master, m, v, grad, out, crcs),
-        (true, OUT_NONE) => adam_body::<FMA, true, OUT_NONE>(p, master, m, v, grad, out, crcs),
-        (true, OUT_F32) => adam_body::<FMA, true, OUT_F32>(p, master, m, v, grad, out, crcs),
-        (true, _) => adam_body::<FMA, true, OUT_F16>(p, master, m, v, grad, out, crcs),
-    }
-}
-
-#[target_feature(enable = "avx2,f16c,sse4.2")]
-#[allow(clippy::too_many_arguments)]
-// SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/F16C/SSE4.2 before dispatch.
-unsafe fn adam_plain(
-    p: &AdamParams,
-    master: &mut [f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    grad: &[f32],
-    publish: PublishTo<'_>,
-    crcs: Option<&mut [u32; 4]>,
-) {
-    adam_any::<false>(p, master, m, v, grad, publish, crcs)
-}
-
-#[target_feature(enable = "avx2,f16c,sse4.2,fma")]
-#[allow(clippy::too_many_arguments)]
-// SAFETY: gated on the `target_feature` above — the caller must ensure the
-// CPU supports it; `super::backend()` verifies AVX2/F16C/SSE4.2/FMA before dispatch.
-unsafe fn adam_fma(
-    p: &AdamParams,
-    master: &mut [f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    grad: &[f32],
-    publish: PublishTo<'_>,
-    crcs: Option<&mut [u32; 4]>,
-) {
-    adam_any::<true>(p, master, m, v, grad, publish, crcs)
-}
-
-/// The fused Adam kernel (see [`super::adam_chunk`]): one pass that
-/// scales the gradient, updates the three streams, publishes, and
-/// chains each stream's CRC32-C over the bytes just stored.
-#[allow(clippy::too_many_arguments)]
-// SAFETY: forwards to `target_feature` kernels — the caller must ensure
-// AVX2, F16C and SSE 4.2 (and FMA when `fma` is true) support, as
-// `super::backend()` does.
-pub unsafe fn adam_chunk(
-    p: &AdamParams,
-    master: &mut [f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    grad: &[f32],
-    publish: PublishTo<'_>,
-    crcs: Option<&mut [u32; 4]>,
-    fma: bool,
-) {
-    if fma {
-        adam_fma(p, master, m, v, grad, publish, crcs)
-    } else {
-        adam_plain(p, master, m, v, grad, publish, crcs)
+        (false, OUT_NONE) => adam_body::<false, OUT_NONE>(p, master, m, v, grad, out, crcs),
+        (false, OUT_F32) => adam_body::<false, OUT_F32>(p, master, m, v, grad, out, crcs),
+        (false, _) => adam_body::<false, OUT_F16>(p, master, m, v, grad, out, crcs),
+        (true, OUT_NONE) => adam_body::<true, OUT_NONE>(p, master, m, v, grad, out, crcs),
+        (true, OUT_F32) => adam_body::<true, OUT_F32>(p, master, m, v, grad, out, crcs),
+        (true, _) => adam_body::<true, OUT_F16>(p, master, m, v, grad, out, crcs),
     }
 }

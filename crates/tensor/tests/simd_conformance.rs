@@ -9,9 +9,11 @@
 //!    ±inf, NaN canonicalization, the MAX→inf rounding carry) for
 //!    `from_f32`.
 //! 2. **Bit-identity** — every kernel produces byte-identical results
-//!    under the scalar and the auto-detected SIMD backend, in both FMA
-//!    states. This is what keeps elastic resume and the strategy
-//!    equivalence tests exact across heterogeneous fleets.
+//!    under the scalar and the auto-detected SIMD backend, and the GEMM
+//!    and Adam kernels equal unfused references written out here (no
+//!    multiply-add is ever contracted). This is what keeps elastic resume
+//!    and the strategy equivalence tests exact across heterogeneous
+//!    fleets.
 //!
 //! Backend forcing mutates process-global state, so every test funnels
 //! through a mutex-guarded helper that restores auto dispatch on exit.
@@ -29,15 +31,13 @@ use zi_tensor::ops;
 use zi_tensor::simd::{self, AdamParams, Backend, GradScale, PublishTo};
 use zi_tensor::Tensor;
 
-/// Serialize tests that flip the global backend/FMA overrides.
-fn with_backend<T>(b: Option<Backend>, fma: Option<bool>, f: impl FnOnce() -> T) -> T {
+/// Serialize tests that flip the global backend override.
+fn with_backend<T>(b: Option<Backend>, f: impl FnOnce() -> T) -> T {
     static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
     let _g = GUARD.get_or_init(|| Mutex::new(())).lock();
     simd::force_backend(b);
-    simd::force_fma(fma);
     let out = f();
     simd::force_backend(None);
-    simd::force_fma(None);
     out
 }
 
@@ -68,7 +68,7 @@ fn f16_to_f32_agrees_on_all_65536_bit_patterns() {
     // slice so the vector body (not just the tail) sees all of them.
     let halves: Vec<F16> = (0..=u16::MAX).map(F16::from_bits).collect();
     let mut out = vec![0f32; halves.len()];
-    with_backend(None, None, || simd::f16_to_f32_slice(&halves, &mut out));
+    with_backend(None, || simd::f16_to_f32_slice(&halves, &mut out));
     for (h, got) in halves.iter().zip(&out) {
         let want = h.to_f32();
         assert_eq!(
@@ -129,7 +129,7 @@ fn f16_from_f32_round_to_nearest_even_edges() {
     cases.extend(lcg_f32s(4096, 0x5eed));
 
     let mut out = vec![F16::ZERO; cases.len()];
-    with_backend(None, None, || simd::f32_to_f16_slice(&cases, &mut out));
+    with_backend(None, || simd::f32_to_f16_slice(&cases, &mut out));
     for (x, got) in cases.iter().zip(&out) {
         let want = F16::from_f32(*x);
         assert_eq!(
@@ -156,7 +156,7 @@ fn f16_nan_payloads_canonicalize_identically() {
         })
         .collect();
     let mut out = vec![F16::ZERO; nans.len()];
-    with_backend(None, None, || simd::f32_to_f16_slice(&nans, &mut out));
+    with_backend(None, || simd::f32_to_f16_slice(&nans, &mut out));
     for (x, h) in nans.iter().zip(&out) {
         let sign = (x.to_bits() >> 16) as u16 & 0x8000;
         assert_eq!(h.to_bits(), sign | 0x7e00, "NaN {:#010x}", x.to_bits());
@@ -167,7 +167,7 @@ fn f16_nan_payloads_canonicalize_identically() {
 /// [`F16::from_f32`] on every element.
 fn assert_f16_conversions(xs: &[f32]) {
     let mut out = vec![F16::ZERO; xs.len()];
-    with_backend(None, None, || simd::f32_to_f16_slice(xs, &mut out));
+    with_backend(None, || simd::f32_to_f16_slice(xs, &mut out));
     for (x, got) in xs.iter().zip(&out) {
         let want = F16::from_f32(*x);
         assert_eq!(got.to_bits(), want.to_bits(), "input {:#010x}", x.to_bits());
@@ -215,7 +215,7 @@ fn f16_from_f32_agrees_on_every_f32_bit_pattern() {
         for (lo, x) in batch.iter_mut().enumerate() {
             *x = f32::from_bits(((hi as u32) << 16) | lo as u32);
         }
-        with_backend(None, None, || simd::f32_to_f16_slice(&batch, &mut simd_out));
+        with_backend(None, || simd::f32_to_f16_slice(&batch, &mut simd_out));
         for (x, got) in batch.iter().zip(&simd_out) {
             assert_eq!(got.to_bits(), F16::from_f32(*x).to_bits(), "input {:#010x}", x.to_bits());
         }
@@ -226,16 +226,14 @@ fn f16_from_f32_agrees_on_every_f32_bit_pattern() {
 // Satellite: SIMD ↔ scalar bit-identity for the compute kernels.
 
 /// Run `f` under forced-scalar and auto dispatch and assert the outputs
-/// are byte-identical, in both FMA states.
+/// are byte-identical.
 fn assert_backend_bit_identity<T: PartialEq + std::fmt::Debug>(
     name: &str,
     f: impl Fn() -> T,
 ) {
-    for fma in [false, true] {
-        let scalar = with_backend(Some(Backend::Scalar), Some(fma), &f);
-        let auto = with_backend(None, Some(fma), &f);
-        assert_eq!(scalar, auto, "{name}: scalar vs auto diverged (fma={fma})");
-    }
+    let scalar = with_backend(Some(Backend::Scalar), &f);
+    let auto = with_backend(None, &f);
+    assert_eq!(scalar, auto, "{name}: scalar vs auto diverged");
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -267,11 +265,11 @@ fn matmul_variants_are_bit_identical_across_backends() {
 // ---------------------------------------------------------------------------
 // Satellite: the GEMM tile kernels against the canonical row algorithm.
 
-/// `acc + a·b`, fused under the FMA knob: the update of every GEMM
-/// element, written out here so the reference shares no code with the
-/// kernels under test.
-fn ref_madd(acc: f32, a: f32, b: f32, fma: bool) -> f32 {
-    if fma { a.mul_add(b, acc) } else { acc + a * b }
+/// `acc + a·b`, the product rounded before the add: the update of every
+/// GEMM element, written out here so the reference shares no code with
+/// the kernels under test.
+fn ref_madd(acc: f32, a: f32, b: f32) -> f32 {
+    acc + a * b
 }
 
 /// The canonical row algorithm of `C = A·B`: each output row starts at
@@ -286,14 +284,13 @@ fn ref_gemm(
     a_ks: usize,
     b: &[f32],
     ldb: usize,
-    fma: bool,
 ) -> Vec<u32> {
     let mut out = vec![0f32; m * n];
     for i in 0..m {
         for p in 0..k {
             let av = a[i * a_rs + p * a_ks];
             for j in 0..n {
-                out[i * n + j] = ref_madd(out[i * n + j], av, b[p * ldb + j], fma);
+                out[i * n + j] = ref_madd(out[i * n + j], av, b[p * ldb + j]);
             }
         }
     }
@@ -302,7 +299,6 @@ fn ref_gemm(
 
 /// The canonical dot of `C = A·Bᵀ`: element `p` accumulates into lane
 /// `p % 8`, the lanes collapse with the fixed `sum8` tree.
-#[allow(clippy::too_many_arguments)]
 fn ref_gemm_nt(
     m: usize,
     n: usize,
@@ -311,14 +307,13 @@ fn ref_gemm_nt(
     lda: usize,
     b: &[f32],
     ldb: usize,
-    fma: bool,
 ) -> Vec<u32> {
     let mut out = Vec::with_capacity(m * n);
     for i in 0..m {
         for j in 0..n {
             let mut l = [0f32; 8];
             for p in 0..k {
-                l[p % 8] = ref_madd(l[p % 8], a[i * lda + p], b[j * ldb + p], fma);
+                l[p % 8] = ref_madd(l[p % 8], a[i * lda + p], b[j * ldb + p]);
             }
             let sum = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
             out.push(sum.to_bits());
@@ -376,8 +371,8 @@ proptest! {
     /// Every GEMM variant, on strided views with leading dimensions
     /// larger than the width and guard zones above and below every
     /// operand, equals the canonical row algorithm bit for bit — under
-    /// forced-scalar and auto dispatch, in both FMA states — and the
-    /// pool-split `ops` entry points equal the one-call kernel.
+    /// forced-scalar and auto dispatch — and the pool-split `ops` entry
+    /// points equal the one-call kernel.
     #[test]
     fn gemm_variants_match_the_canonical_row_algorithm(
         mi in 0usize..13,
@@ -391,51 +386,49 @@ proptest! {
         let (a, b) = (padded(m, k, lda, seed), padded(k, n, ldb, seed + 1));
         let (bt, at) = (padded(n, k, ldbt, seed + 2), padded(k, m, ldat, seed + 3));
         let (a, b, bt, at) = (view(&a), view(&b), view(&bt), view(&at));
-        for fma in [false, true] {
-            let want_nn = ref_gemm(m, n, k, a, lda, 1, b, ldb, fma);
-            let want_tn = ref_gemm(m, n, k, at, 1, ldat, b, ldb, fma);
-            let want_nt = ref_gemm_nt(m, n, k, a, lda, bt, ldbt, fma);
-            for backend in [Some(Backend::Scalar), None] {
-                let (nn, tn, nt) = with_backend(backend, Some(fma), || {
-                    let mut c = guarded_c(m, ldc);
-                    let inner = PAD..PAD + m * ldc;
-                    simd::gemm(m, n, k, a, lda, 1, b, ldb, &mut c[inner.clone()], ldc);
-                    let nn = unpad(&c, m, n, ldc);
-                    c.fill(SENTINEL);
-                    simd::gemm(m, n, k, at, 1, ldat, b, ldb, &mut c[inner.clone()], ldc);
-                    let tn = unpad(&c, m, n, ldc);
-                    c.fill(SENTINEL);
-                    simd::gemm_nt(m, n, k, a, lda, bt, ldbt, &mut c[inner], ldc);
-                    (nn, tn, unpad(&c, m, n, ldc))
-                });
-                let tag = format!("{m}x{n}x{k} {backend:?} fma={fma}");
-                prop_assert_eq!(&nn, &want_nn, "gemm {}", tag);
-                prop_assert_eq!(&tn, &want_tn, "gemm, transposed A {}", tag);
-                prop_assert_eq!(&nt, &want_nt, "gemm_nt {}", tag);
-            }
-            // The tensor entry points hand one row range to each pool
-            // thread; the bytes must not depend on the split. (`Tensor`
-            // has no zero-width matrices: `as_2d` divides by the width.)
-            if m * n * k == 0 {
-                continue;
-            }
-            let dense = |rows: usize, cols: usize, src: &[f32], ld: usize| {
-                let data = (0..rows).flat_map(|r| src[r * ld..r * ld + cols].to_vec()).collect();
-                Tensor::from_vec(&[rows, cols], data).unwrap()
-            };
-            let (ta, tb) = (dense(m, k, a, lda), dense(k, n, b, ldb));
-            let (tbt, tat) = (dense(n, k, bt, ldbt), dense(k, m, at, ldat));
-            let (nn, nt, tn) = with_backend(None, Some(fma), || {
-                (
-                    bits(&ops::matmul(&ta, &tb).unwrap()),
-                    bits(&ops::matmul_nt(&ta, &tbt).unwrap()),
-                    bits(&ops::matmul_tn(&tat, &tb).unwrap()),
-                )
+        let want_nn = ref_gemm(m, n, k, a, lda, 1, b, ldb);
+        let want_tn = ref_gemm(m, n, k, at, 1, ldat, b, ldb);
+        let want_nt = ref_gemm_nt(m, n, k, a, lda, bt, ldbt);
+        for backend in [Some(Backend::Scalar), None] {
+            let (nn, tn, nt) = with_backend(backend, || {
+                let mut c = guarded_c(m, ldc);
+                let inner = PAD..PAD + m * ldc;
+                simd::gemm(m, n, k, a, lda, 1, b, ldb, &mut c[inner.clone()], ldc);
+                let nn = unpad(&c, m, n, ldc);
+                c.fill(SENTINEL);
+                simd::gemm(m, n, k, at, 1, ldat, b, ldb, &mut c[inner.clone()], ldc);
+                let tn = unpad(&c, m, n, ldc);
+                c.fill(SENTINEL);
+                simd::gemm_nt(m, n, k, a, lda, bt, ldbt, &mut c[inner], ldc);
+                (nn, tn, unpad(&c, m, n, ldc))
             });
-            prop_assert_eq!(&nn, &want_nn, "matmul {}x{}x{} fma={}", m, n, k, fma);
-            prop_assert_eq!(&nt, &want_nt, "matmul_nt {}x{}x{} fma={}", m, n, k, fma);
-            prop_assert_eq!(&tn, &want_tn, "matmul_tn {}x{}x{} fma={}", m, n, k, fma);
+            let tag = format!("{m}x{n}x{k} {backend:?}");
+            prop_assert_eq!(&nn, &want_nn, "gemm {}", tag);
+            prop_assert_eq!(&tn, &want_tn, "gemm, transposed A {}", tag);
+            prop_assert_eq!(&nt, &want_nt, "gemm_nt {}", tag);
         }
+        // The tensor entry points hand one row range to each pool
+        // thread; the bytes must not depend on the split. (`Tensor`
+        // has no zero-width matrices: `as_2d` divides by the width.)
+        if m * n * k == 0 {
+            return;
+        }
+        let dense = |rows: usize, cols: usize, src: &[f32], ld: usize| {
+            let data = (0..rows).flat_map(|r| src[r * ld..r * ld + cols].to_vec()).collect();
+            Tensor::from_vec(&[rows, cols], data).unwrap()
+        };
+        let (ta, tb) = (dense(m, k, a, lda), dense(k, n, b, ldb));
+        let (tbt, tat) = (dense(n, k, bt, ldbt), dense(k, m, at, ldat));
+        let (nn, nt, tn) = with_backend(None, || {
+            (
+                bits(&ops::matmul(&ta, &tb).unwrap()),
+                bits(&ops::matmul_nt(&ta, &tbt).unwrap()),
+                bits(&ops::matmul_tn(&tat, &tb).unwrap()),
+            )
+        });
+        prop_assert_eq!(&nn, &want_nn, "matmul {}x{}x{}", m, n, k);
+        prop_assert_eq!(&nt, &want_nt, "matmul_nt {}x{}x{}", m, n, k);
+        prop_assert_eq!(&tn, &want_tn, "matmul_tn {}x{}x{}", m, n, k);
     }
 }
 
@@ -515,6 +508,71 @@ fn adam_chunk_is_bit_identical_across_backends() {
     }
 }
 
+/// One Adam element written out in the kernel's order, sharing no code
+/// with it: the gradient averaged, both moments, their bias corrections,
+/// the update with decoupled weight decay, the step. With `fused`, the
+/// two moment updates contract into one rounding each (`mul_add`) —
+/// the variant the kernels must *not* compute.
+fn ref_adam_one(p: &AdamParams, master: f32, m: f32, v: f32, g: f32, fused: bool) -> [f32; 3] {
+    let g = match p.grad_scale {
+        GradScale::One => g,
+        GradScale::Mul(r) => g * r,
+        GradScale::Div(d) => g / d,
+    };
+    let (m, v) = if fused {
+        (m.mul_add(p.beta1, p.one_minus_beta1 * g), (p.one_minus_beta2 * g).mul_add(g, p.beta2 * v))
+    } else {
+        (p.beta1 * m + p.one_minus_beta1 * g, p.beta2 * v + (p.one_minus_beta2 * g) * g)
+    };
+    let m_hat = m / p.bc1;
+    let v_hat = v / p.bc2;
+    let update = m_hat / (v_hat.sqrt() + p.eps) + p.weight_decay * master;
+    [master - p.lr * update, m, v]
+}
+
+#[test]
+fn adam_chunk_matches_an_unfused_per_element_reference() {
+    // Backend against backend cannot see both backends start to contract
+    // the moment updates; a reference written out here can, and the
+    // fused variant it also computes proves the inputs tell the two
+    // apart. Both kernel shapes are checked: the plain update and the
+    // publishing, checksumming one.
+    let scales = [GradScale::One, GradScale::average_over(4.0), GradScale::average_over(3.0)];
+    let mut fused_differs = false;
+    for n in (0..=33).chain([1000]) {
+        for (k, &scale) in scales.iter().enumerate() {
+            let p = adam_params(scale);
+            let seed = 7 * n as u64 + k as u64;
+            let master0 = lcg_f32s(n, seed);
+            let m0 = lcg_f32s(n, seed + 1);
+            let v0: Vec<f32> = lcg_f32s(n, seed + 2).iter().map(|v| v.abs()).collect();
+            let grad = lcg_f32s(n, seed + 3);
+            let reference = |fused: bool| -> Vec<[u32; 3]> {
+                let one = |i: usize| ref_adam_one(&p, master0[i], m0[i], v0[i], grad[i], fused);
+                (0..n).map(|i| one(i).map(f32::to_bits)).collect()
+            };
+            let want = reference(false);
+            fused_differs |= reference(true) != want;
+            for backend in [Some(Backend::Scalar), None] {
+                for publish in [false, true] {
+                    let got = with_backend(backend, || {
+                        let (mut master, mut m, mut v) = (master0.clone(), m0.clone(), v0.clone());
+                        let (mut out, mut crcs) = (vec![F16::ZERO; n], [0; 4]);
+                        let (to, crcs) = match publish {
+                            true => (PublishTo::F16(&mut out), Some(&mut crcs)),
+                            false => (PublishTo::None, None),
+                        };
+                        simd::adam_chunk(&p, &mut master, &mut m, &mut v, &grad, to, crcs);
+                        (0..n).map(|i| [master[i], m[i], v[i]].map(f32::to_bits)).collect::<Vec<_>>()
+                    });
+                    assert_eq!(got, want, "n={n} {scale:?} {backend:?} publish={publish}");
+                }
+            }
+        }
+    }
+    assert!(fused_differs, "no input tells the fused moment updates from the unfused ones");
+}
+
 /// The bytes of `x` as stored.
 fn le_bytes(x: &[f32]) -> Vec<u8> {
     x.iter().flat_map(|v| v.to_le_bytes()).collect()
@@ -570,7 +628,7 @@ fn hostile_masters(n: usize, seed: u64) -> Vec<f32> {
 /// publish and no checksums, as `adam_update_chunk` runs it), then
 /// `f32_to_f16_slice` (or a copy) of the new masters, then `crc32_update`
 /// over each stream's bytes — byte for byte, checksums included, on
-/// sentinel-padded buffers, in the backend and FMA state in force.
+/// sentinel-padded buffers, in the backend in force.
 fn fused_matches_composition(n: usize, scale: GradScale, half: bool, seed: u64) {
     let p = adam_params(scale);
     let master0 = hostile_masters(n, seed);
@@ -581,7 +639,7 @@ fn fused_matches_composition(n: usize, scale: GradScale, half: bool, seed: u64) 
         *g = f32::from_bits(0x0000_0007); // a subnormal gradient
     }
     let crcs0 = [0, 0xdead_beef, 7, 0x1234_5678];
-    let id = format!("n={n} {scale:?} half={half} backend={:?} fma={}", simd::backend(), simd::fma_enabled());
+    let id = format!("n={n} {scale:?} half={half} backend={:?}", simd::backend());
 
     // Fused, on padded buffers.
     let (mut master, mut m, mut v) = (padded_f32s(&master0), padded_f32s(&m0), padded_f32s(&v0));
@@ -642,17 +700,15 @@ fn fused_matches_composition(n: usize, scale: GradScale, half: bool, seed: u64) 
 fn fused_adam_kernel_matches_the_unfused_composition_on_both_backends() {
     let scales = [GradScale::One, GradScale::average_over(4.0), GradScale::average_over(3.0)];
     for backend in [Some(Backend::Scalar), None] {
-        for fma in [false, true] {
-            with_backend(backend, Some(fma), || {
-                for n in (0..=33).chain([65_536]) {
-                    for (k, &scale) in scales.iter().enumerate() {
-                        for half in [true, false] {
-                            fused_matches_composition(n, scale, half, 31 * n as u64 + k as u64);
-                        }
+        with_backend(backend, || {
+            for n in (0..=33).chain([65_536]) {
+                for (k, &scale) in scales.iter().enumerate() {
+                    for half in [true, false] {
+                        fused_matches_composition(n, scale, half, 31 * n as u64 + k as u64);
                     }
                 }
-            });
-        }
+            }
+        });
     }
 }
 
@@ -757,7 +813,7 @@ fn exp_slice_is_bit_identical_across_backends() {
     // Sanity anchors (identity is the contract, but e^x should still be
     // recognizably e^x).
     let mut probe = vec![0.0f32, 1.0, -1.0];
-    with_backend(Some(Backend::Scalar), None, || simd::exp_slice(&mut probe));
+    with_backend(Some(Backend::Scalar), || simd::exp_slice(&mut probe));
     assert_eq!(probe[0], 1.0);
     assert!((probe[1] - std::f32::consts::E).abs() < 1e-5);
     assert!((probe[2] - 1.0 / std::f32::consts::E).abs() < 1e-6);
@@ -777,7 +833,7 @@ fn masked_logits_become_exact_zeros_never_subnormals() {
     }
     let logits = Tensor::from_vec(&[1, n], row).unwrap();
     for backend in [Some(Backend::Scalar), None] {
-        let p = with_backend(backend, None, || {
+        let p = with_backend(backend, || {
             let mut p = logits.clone();
             ops::softmax_rows(&mut p);
             p
@@ -787,7 +843,7 @@ fn masked_logits_become_exact_zeros_never_subnormals() {
             assert_eq!(masked.contains(&j), v.to_bits() == 0, "{backend:?}: p[{j}] = {v:e}");
         }
         let (_, grad) =
-            with_backend(backend, None, || ops::cross_entropy(&logits, &[0]).unwrap());
+            with_backend(backend, || ops::cross_entropy(&logits, &[0]).unwrap());
         assert!(grad.data().iter().all(|g| !g.is_subnormal()), "{backend:?}: subnormal in dlogits");
     }
     assert_backend_bit_identity("masked softmax", || {
@@ -813,20 +869,4 @@ fn softmax_and_cross_entropy_are_bit_identical_across_backends() {
         let (loss, grad) = ops::cross_entropy(&logits, &targets).unwrap();
         (loss.to_bits(), bits(&grad))
     });
-}
-
-#[test]
-fn fma_knob_defaults_to_bit_identical_canonical_path() {
-    // With the knob untouched, forced-scalar and auto must agree AND
-    // match the explicit fma=false path: FMA contraction is opt-in.
-    let x = lcg_f32s(97, 8);
-    let w = lcg_f32s(97, 9);
-    let dot = || {
-        let mut c = [0f32; 1];
-        simd::gemm_nt(1, 1, 97, &x, 97, &w, 97, &mut c, 1);
-        c[0].to_bits()
-    };
-    let default_auto = with_backend(None, None, dot);
-    let plain_scalar = with_backend(Some(Backend::Scalar), Some(false), dot);
-    assert_eq!(default_auto, plain_scalar, "default dispatch must be the unfused canonical path");
 }

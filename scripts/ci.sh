@@ -127,7 +127,9 @@ cargo bench -p zi-bench --bench engine_bench --bench comm_bench -- --test
 timeout --kill-after=10s 120s \
     cargo test -q --test chaos -- --ignored \
     || { echo "chaos soak failed or timed out (exit $?)"; exit 1; }
-# Kernel-layer passes: the tensor/optim/model unit suites again with the
+# Kernel-layer passes: the kernels have one numerics mode (no multiply-add
+# is fused, and no knob fuses one), so the backend and the pool width are
+# the only switches. The tensor/optim/model unit suites run again with the
 # scalar fallback forced (the portable tile kernels and the attention
 # built on them keep full coverage on AVX2 machines), then with two pool
 # workers (under test the pool defaults to one thread, so the GEMM
@@ -137,12 +139,12 @@ timeout --kill-after=10s 120s \
 # engine and offload suites, whose streamed step hands the Adam kernel
 # the three slices of one record at whatever alignment the record size
 # leaves them. The equivalence and shard-cache integration suites ride
-# along too: the step schedule they pin bit for bit, the read-ahead
-# carried from one step into the next included, then meets the scalar
-# kernels and the two-worker pool; so do checkpoint restore and the
-# file-backed full stack, construction included, which write model state
-# the way a step does, and the mp × dp grid cross-check, whose multi-rank
-# steps each flush only their own I/O. So do the per-strategy footprint
+# along too: the step schedule they pin bit for bit, the last records a
+# step keeps in staging and the next step updates first without a read
+# included, then meets the scalar kernels and the two-worker pool; so do
+# checkpoint restore and the file-backed full stack, construction
+# included, which write model state the way a step does, and the mp × dp
+# grid cross-check, whose multi-rank steps each flush only their own I/O. So do the per-strategy footprint
 # and the step's allocation budget: which parameters share a packed
 # optimizer buffer decides where each byte sits and what the staging set
 # holds. So do the trainer's unit suite and the trace accounting: the
