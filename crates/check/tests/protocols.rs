@@ -4,8 +4,9 @@
 //! slot table (`zi-comm`), the write-behind engine's completion barrier and
 //! staging-buffer hand-back and the checkpoint store's
 //! `save_async`/crash/`open` recovery (`zi-nvme`), the buffer pools
-//! (`zi-memory`), and the node-shared shard cache and the optimizer
-//! step's carried write-behind window (`zero-infinity`).
+//! (`zi-memory`), and the node-shared shard cache, the optimizer step's
+//! carried write-behind window and two ranks' staging sets
+//! (`zero-infinity`).
 //!
 //! Under `RUSTFLAGS="--cfg zi_check"` each body is explored across
 //! thousands of distinct interleavings with deadlock, lost-wakeup, and
@@ -18,7 +19,7 @@ use std::time::Duration;
 
 use zi_check::{Checker, Report};
 use zi_comm::{CommConfig, CommFaultPlan, CommGroup, Membership};
-use zi_memory::{PinnedBufferPool, PlacementPolicy, ScratchPool};
+use zi_memory::{MemoryHierarchy, NodeMemorySpec, PlacementPolicy, ScratchPool};
 use zi_nvme::{
     CheckpointStore, FaultPlan, FaultyBackend, MemBackend, NvmeEngine, RetryPolicy, StorageBackend,
 };
@@ -126,8 +127,8 @@ fn barrier_survives_scripted_rank_death() {
 // reached the backend, nothing is in flight, and each outcome waits for
 // its ticket; and every staging buffer that rode a request — served,
 // failed on the device, or refused because the worker pool is gone —
-// is handed back exactly once (the pool ends with nothing outstanding
-// and every buffer it ever allocated parked).
+// is handed back exactly once (the set ends with nothing outstanding
+// and every buffer of it parked).
 
 fn engine_flush_body() {
     let backend = Arc::new(MemBackend::new());
@@ -157,7 +158,8 @@ fn engine_handback_body() {
         RetryPolicy::none(),
         Tracer::new(),
     ));
-    let pool = ScratchPool::new();
+    // Three writes in flight at once, each on a buffer of its own.
+    let pool = ScratchPool::new(&[(3, 8)], &cpu_pool(), Tracer::new()).expect("staging set");
     // The single worker serves FIFO, so the scripted failure lands on
     // the first write; giving up latches the device, so the rest fail
     // fast — every buffer must come home on each of those paths.
@@ -177,7 +179,7 @@ fn engine_handback_body() {
         })
     };
     for i in 0..3u64 {
-        let ticket = eng.submit_write_from(i * 8, pool.acquire(8));
+        let ticket = eng.submit_write_from(i * 8, pool.acquire(0, 8).expect("a buffer of the set"));
         tx.send(ticket).expect("reaper is alive");
     }
     drop(tx);
@@ -188,11 +190,17 @@ fn engine_handback_body() {
     // resolves as a typed failure and still returns its buffer.
     let mut eng = Arc::try_unwrap(eng).ok().expect("reaper dropped its handle");
     eng.shutdown();
-    let refused = eng.submit_read_into(0, pool.acquire(8));
+    let refused = eng.submit_read_into(0, pool.acquire(0, 8).expect("a buffer of the set"));
     assert!(matches!(eng.wait_buf(refused), Err(Error::Internal(_))));
     eng.barrier().expect("barrier on a stopped engine");
     assert_eq!(pool.outstanding(), 0, "a staging buffer was never handed back");
-    assert_eq!(pool.idle() as u64, pool.stats().allocated, "a staging buffer was lost");
+    assert_eq!(pool.idle(0) as u64, pool.stats().allocated, "a staging buffer was lost");
+    assert_eq!(pool.stats().waits, 0, "three buffers serve three writes without a wait");
+}
+
+/// A CPU pool for a staging set of a few buffers to be charged to.
+fn cpu_pool() -> Arc<MemoryHierarchy> {
+    Arc::new(MemoryHierarchy::new(&NodeMemorySpec::test_spec(1, 0, 1 << 10, 0)))
 }
 
 #[test]
@@ -247,41 +255,42 @@ fn store_recovery_never_sees_torn_manifests() {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol 4: buffer pools — checkout/return under contention.
+// Protocol 4: a staging set at its bound — checkout/return under
+// contention.
 //
-// Invariant: a single-buffer pinned pool hands its buffer to both
-// threads (one blocks on the condvar until the other returns it),
-// bookkeeping balances, and the scratch pool recycles without losing
-// vectors — no deadlock, no lost wakeup, no race on the counters.
+// Invariant: a set of one buffer for three threads that each hold one at
+// a time, twice, hands the buffer to all of them (an acquisition that
+// finds it out waits on the condvar, counted, until it comes home),
+// bookkeeping balances, and the set's charge to the CPU pool is handed
+// back with its last handle — no deadlock, no lost wakeup, no race on the
+// counters.
 
 fn pool_checkout_body() {
-    let pool = PinnedBufferPool::new(1, 4);
-    let scratch = ScratchPool::new();
-    let (p2, s2) = (pool.clone(), scratch.clone());
-    let t = thread::spawn(move || {
-        let mut b = p2.acquire();
-        b.as_mut_slice()[0] ^= 0xff;
-        let mut v = s2.acquire(4);
-        v.as_f32_mut()[0] = 1.0;
-    });
-    {
-        let mut b = pool.acquire();
-        b.as_mut_slice()[0] ^= 0xff;
-        let mut v = scratch.acquire(4);
-        v.as_f32_mut()[0] = 2.0;
-    }
-    t.join().expect("contending thread");
-    assert_eq!(pool.outstanding(), 0, "a checkout was never returned");
-    assert_eq!(pool.total_acquires(), 2);
-    assert_eq!(pool.acquire().as_slice()[0], 0, "both threads saw the same buffer");
+    let cpu = cpu_pool();
+    let scratch = ScratchPool::new(&[(1, 4)], &cpu, Tracer::new()).expect("staging set");
+    let threads: Vec<_> = (0..3)
+        .map(|k| {
+            let scratch = scratch.clone();
+            thread::spawn(move || {
+                for _ in 0..2 {
+                    let mut v = scratch.acquire(0, 4).expect("the set's buffer");
+                    v.as_f32_mut()[0] = k as f32;
+                }
+            })
+        })
+        .collect();
+    threads.into_iter().for_each(|t| t.join().expect("contending thread"));
     let st = scratch.stats();
-    assert_eq!(st.allocated + st.reused, 2);
-    assert_eq!(scratch.idle(), st.allocated as usize, "every scratch vector came home");
+    assert_eq!((st.allocated, st.reused, st.peak_outstanding), (1, 6, 1));
+    assert!(st.waits <= 5, "the first acquisition cannot wait");
+    assert_eq!(scratch.idle(0), 1, "the set's buffer came home");
+    drop(scratch);
+    assert_eq!(cpu.stats(zi_types::Device::cpu()).in_use, 0, "the set's charge was not handed back");
 }
 
 #[test]
 fn pools_checkout_return_race_free() {
-    run_exhaustive("pool-checkout-return", pool_checkout_body);
+    run("pool-checkout-return", pool_checkout_body);
 }
 
 // ---------------------------------------------------------------------------
@@ -620,10 +629,14 @@ fn shard_cache_body(seen: &[zi_sync::OnceLock<()>; 3]) {
     const ELEMS: usize = 8;
     let image = |round: usize| -> Vec<f32> { (0..ELEMS).map(|i| (round * 100 + i) as f32).collect() };
     let stored = |vals: &[f32]| FlatBuffer::from_f32(DType::F32, vals);
-    // Room for the shard's cache entry or for B's tenant, not for both.
+    // Beside rank A's staging set — two publish pieces (a window of one
+    // write-through piece and the one being staged) and one shard buffer
+    // for a fetch — room for the shard's cache entry or for B's tenant,
+    // not for both.
     let shard_bytes = (ELEMS * 4) as u64;
-    let spec = NodeMemorySpec::test_spec(2, 1 << 10, shard_bytes + 8, 1 << 12);
-    let env = NodeEnv { pinned: (2, 64), nvme_workers: 1, ..NodeEnv::in_memory() };
+    let set = [(0, 0), (2, ELEMS / 2 * 4), (1, ELEMS * 4)];
+    let spec = NodeMemorySpec::test_spec(2, 1 << 10, shard_bytes + 8 + 2 * 16 + 32, 1 << 12);
+    let env = NodeEnv { nvme_workers: 1, ..NodeEnv::in_memory() };
     let node = Arc::new(NodeResources::new(&spec, 2, env));
     // B's tenant arrives once the cache holds A's shard: from then on its
     // store races everything A does.
@@ -632,7 +645,8 @@ fn shard_cache_body(seen: &[zi_sync::OnceLock<()>; 3]) {
     let rank_a = {
         let node = Arc::clone(&node);
         thread::spawn(move || {
-            let mgr = node.offload_manager();
+            let mut mgr = node.offload_manager();
+            mgr.provision_staging(set).expect("rank A's staging set");
             let policy = PlacementPolicy::all_nvme();
             let mut shard = mgr.store_placed(Device::nvme(), &policy, stored(&image(0))).expect("store");
             for round in 0..2 {
@@ -657,6 +671,7 @@ fn shard_cache_body(seen: &[zi_sync::OnceLock<()>; 3]) {
             assert_eq!(last.as_bytes(), stored(&image(2)).as_bytes(), "the last publish is current");
             drop(last);
             mgr.free_placed(shard);
+            assert_eq!(mgr.health().staging_waits, 0, "rank A waited for a staging buffer");
         })
     };
     let rank_b = {
@@ -747,8 +762,9 @@ fn kernel_pool_panic_releases_submitter() {
 //     bytes do not match (a read that overtook the write of its record
 //     would be), and every schedule ends in the same state;
 //   * each staging buffer is handed back exactly once: after dispose
-//     nothing is checked out and every buffer the pool allocated is
-//     parked;
+//     nothing is checked out and every buffer of the rank's set — sized
+//     at its proven bound, DESIGN.md §7 — is parked, and no acquisition
+//     waited;
 //   * no schedule deadlocks.
 
 /// An in-memory device on which a write yields to the scheduler before it
@@ -795,7 +811,7 @@ fn carried_window_body(seen: &zi_sync::OnceLock<()>, state: &zi_sync::OnceLock<V
     let w = reg.find("w").expect("w");
     let spec = NodeMemorySpec::test_spec(1, 1 << 12, 1 << 12, 1 << 12);
     let device = Arc::new(ReadsFirst { dev: MemBackend::new(), reads: Default::default() });
-    let env = NodeEnv { pinned: (2, 64), nvme_workers: 2, ..NodeEnv::new(device) };
+    let env = NodeEnv { nvme_workers: 2, ..NodeEnv::new(device) };
     let node = NodeResources::new(&spec, 1, env);
     // Records of four elements; two device workers make the step two
     // reads ahead with a write-behind window of four: the step keeps all
@@ -806,8 +822,7 @@ fn carried_window_body(seen: &zi_sync::OnceLock<()>, state: &zi_sync::OnceLock<V
         .with_optimizer_chunk(4);
     let (mgr, comm) = (node.offload_manager(), node.group.communicator(0));
     let mut eng = ZeroEngine::new(&reg, strategy, mgr, comm, Default::default()).expect("engine");
-    let staging = node.offload_manager();
-    let staging = staging.staging();
+    let staging = eng.offload_manager().staging().clone();
     let mut writes = 0;
     for step in 0..2 {
         let grad = Tensor::from_vec(&[8], (0..8).map(|i| (i + step) as f32 * 0.125).collect());
@@ -830,7 +845,9 @@ fn carried_window_body(seen: &zi_sync::OnceLock<()>, state: &zi_sync::OnceLock<V
     assert_eq!(state.get_or_init(|| saved.clone()), &saved, "schedules disagree on the state");
     eng.dispose().expect("dispose");
     assert_eq!(staging.outstanding(), 0, "a staging buffer was never handed back");
-    assert_eq!(staging.idle() as u64, staging.stats().allocated, "a staging buffer was lost");
+    let idle = (0..3).map(|shelf| staging.idle(shelf) as u64).sum::<u64>();
+    assert_eq!(idle, staging.stats().allocated, "a staging buffer was lost");
+    assert_eq!(staging.stats().waits, 0, "an acquisition waited: the set is below its bound");
 }
 
 #[test]
@@ -842,5 +859,119 @@ fn carried_window_never_lets_a_read_overtake_its_write() {
     drive("carried-window", checker, move || carried_window_body(&body_seen, &body_state));
     if zi_check::enabled() {
         assert!(seen.get().is_some(), "no schedule kept a carried write on the device");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Protocol 12: two ranks' staging sets — each rank's fetches, prefetches
+// and optimizer step staged through a fixed set of its own, sized at its
+// proven bound (DESIGN.md §7), the two ranks racing on one device and
+// meeting in every collective.
+//
+// Two ranks of a model of three parameters, one iteration each: a
+// prefetch of `w` (the set's one shard buffer beyond the demand fetch's),
+// a fetch of each, gradients, a step. `b1` and `b2` share a packed record
+// that construction holds while it writes `w`'s three records, so
+// construction reaches the record bound (the window, the record being
+// filled and the one staged); the CPU pool holds both sets and the
+// gradients; once both engines are built, a CPU tenant as large as the
+// gradients comes and goes, evicting the images construction cached:
+// the shard cache has no room from then on, so the fetches and the
+// prefetch read the device and the step publishes through to it.
+// Invariants, in every interleaving:
+//
+//   * no schedule deadlocks, and no acquisition of either set waits;
+//   * every schedule ends in the same parameters, on both ranks;
+//   * after dispose every buffer of both sets is home and every pool is
+//     back at zero.
+
+fn rank_sets_body(seen: &zi_sync::OnceLock<()>, state: &zi_sync::OnceLock<Vec<Vec<u32>>>) {
+    use zero_infinity::{NodeEnv, NodeResources, Strategy, ZeroEngine};
+    use zi_model::{ParamRegistry, ParamStore};
+    use zi_tensor::Tensor;
+
+    // One worker: a pipeline one record deep and a window of two. Records
+    // of four elements; a rank's shard of `w` is twelve f32 (three
+    // records), of `b1` and `b2` two each (one packed record): four record
+    // buffers of 48 B, three pieces of 16 B and two shard buffers of 48 B.
+    const SET: u64 = 4 * 48 + 3 * 16 + 2 * 48;
+    const GRADS: u64 = 2 * (2 + 12 + 2) * 4;
+    let mut reg = ParamRegistry::new();
+    reg.register("b1", &[4], 6, 0.0, 1.0);
+    reg.register("w", &[24], 5, 0.2, 0.0);
+    reg.register("b2", &[4], 7, 0.1, 0.0);
+    let reg = Arc::new(reg);
+    let spec = NodeMemorySpec::test_spec(2, 1 << 12, GRADS + 2 * SET, 1 << 12);
+    let env = NodeEnv { nvme_workers: 1, ..NodeEnv::in_memory() };
+    let node = Arc::new(NodeResources::new(&spec, 2, env));
+    let strategy = Strategy::infinity_nvme()
+        .with_f32_params()
+        .with_prefetch_window(1)
+        .with_optimizer_chunk(4);
+    let ranks: Vec<_> = (0..2)
+        .map(|rank| {
+            let (node, reg) = (Arc::clone(&node), Arc::clone(&reg));
+            thread::spawn(move || {
+                let (mgr, comm) = (node.offload_manager(), node.group.communicator(rank));
+                let mut eng =
+                    ZeroEngine::new(&reg, strategy, mgr, comm, Default::default()).expect("engine");
+                let staging = eng.offload_manager().staging().clone();
+                assert_eq!(staging.held_bytes(), SET, "rank {rank}: the set is not at its bound");
+                let comm = node.group.communicator(rank);
+                comm.barrier().expect("barrier");
+                if rank == 0 {
+                    let tenant = zi_tensor::FlatBuffer::zeros(zi_types::DType::F32, GRADS as usize / 4);
+                    let policy = PlacementPolicy::all_nvme();
+                    let tenant = eng.offload_manager().store_placed(zi_types::Device::cpu(), &policy, tenant);
+                    eng.offload_manager().free_placed(tenant.expect("the gradients' room"));
+                }
+                comm.barrier().expect("barrier");
+                let ids: Vec<_> = reg.iter().map(|meta| (meta.id, meta.numel())).collect();
+                eng.hint_upcoming(&[ids[1].0]);
+                for &(id, _) in &ids {
+                    drop(eng.get(id).expect("fetch"));
+                    eng.release(id).expect("release");
+                }
+                for &(id, n) in &ids {
+                    let grad = Tensor::from_vec(&[n], vec![0.25; n]).expect("grad");
+                    eng.add_grad(id, &grad).expect("deposit");
+                }
+                let prefetched = eng.stats().prefetch.issued;
+                assert!(eng.step().expect("step"), "rank {rank}: the step was skipped");
+                let params: Vec<Vec<u32>> = ids
+                    .iter()
+                    .map(|&(id, _)| {
+                        let values = eng.export_param(id).expect("export");
+                        values.data().iter().map(|v| v.to_bits()).collect()
+                    })
+                    .collect();
+                assert_eq!(eng.offload_manager().health().staging_waits, 0, "rank {rank} waited");
+                eng.dispose().expect("dispose");
+                assert_eq!(staging.outstanding(), 0, "rank {rank}: a buffer was never handed back");
+                (params, prefetched)
+            })
+        })
+        .collect();
+    let ranks: Vec<_> = ranks.into_iter().map(|rank| rank.join().expect("rank thread")).collect();
+    assert_eq!(ranks[0].0, ranks[1].0, "the ranks disagree on the parameters");
+    assert_eq!(state.get_or_init(|| ranks[0].0.clone()), &ranks[0].0, "schedules disagree");
+    if ranks.iter().any(|(_, prefetched)| *prefetched > 0) {
+        let _ = seen.set(());
+    }
+    for device in [zi_types::Device::cpu(), zi_types::Device::nvme()] {
+        assert_eq!(node.hierarchy.stats(device).in_use, 0, "{device}: a charge was lost");
+    }
+}
+
+#[test]
+fn two_ranks_fetch_and_prefetch_through_their_own_staging_sets() {
+    let seen = Arc::new(zi_sync::OnceLock::new());
+    let state = Arc::new(zi_sync::OnceLock::new());
+    let (body_seen, body_state) = (Arc::clone(&seen), Arc::clone(&state));
+    // ~3 300 scheduling points per run: 1 100 samples clear the floor.
+    let checker = Checker { schedules: 1100, ..Checker::default() };
+    drive("rank-staging-sets", checker, move || rank_sets_body(&body_seen, &body_state));
+    if zi_check::enabled() {
+        assert!(seen.get().is_some(), "no schedule issued a prefetch");
     }
 }

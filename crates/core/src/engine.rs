@@ -57,8 +57,10 @@ use zi_trace::{Category, Counter};
 use zi_types::{DType, Device, DeviceKind, Error, Result};
 
 use crate::config::Strategy;
-use crate::offload::{OffloadManager, PlacedBuf, PlacedPending, PublishStream, WriteBehind};
-use crate::prefetch::{PrefetchStats, Prefetcher, TraceMap};
+use crate::offload::{
+    OffloadManager, PlacedBuf, PlacedPending, PublishStream, WriteBehind, RECORDS, SHARDS,
+};
+use crate::prefetch::{self, PrefetchStats, Prefetcher, TraceMap};
 
 /// State streams interleaved in one optimizer record: fp32 master,
 /// momentum, variance.
@@ -400,11 +402,11 @@ impl ZeroEngine {
     }
 
     /// Lifecycle step 1 on the step's write path: every parameter's
-    /// buffers placed — first, so the shard cache the writes fill gets
-    /// only the CPU room the state leaves — then each parameter
-    /// initialised and written as a step leaves it while the previous
-    /// one's writes are still on the device, within the step's staging
-    /// set. Returns the bytes written.
+    /// buffers placed, then the rank's staging set sized for them and
+    /// charged — both first, so the shard cache the writes fill gets only
+    /// the CPU room they leave — then each parameter initialised and
+    /// written as a step leaves it while the previous one's writes are
+    /// still on the device, through the set. Returns the bytes written.
     fn lay_out(&mut self, registry: &ParamRegistry) -> Result<u64> {
         let s = self.strategy;
         // Parameters and gradients are stored whole on their tier, one
@@ -459,15 +461,13 @@ impl ZeroEngine {
                 step: 0,
             });
         }
+        let set = self.staging_set();
+        self.mgr.provision_staging(set)?;
         let mut wb = WriteBehind::new(self.window());
         let zeros = vec![0f32; lens.iter().copied().max().unwrap_or(0)];
         // The pack record being filled, which no write holds yet.
         let mut filling = None;
         let written = registry.iter().enumerate().try_for_each(|(idx, meta)| {
-            // The writes in flight and the record being filled hold their
-            // part of the set; topped up per parameter, so ranks sharing
-            // the pool each get theirs.
-            self.reserve_step_staging(wb.in_flight() + usize::from(filling.is_some()));
             // One parameter at a time: peak init memory is a single
             // parameter, never the whole model (Sec. 7.2). Masters start
             // from the stored values; moments from zero.
@@ -511,11 +511,16 @@ impl ZeroEngine {
             let ((first, count), values) = (layout.span(at), from..from + part.len());
             // A record of this member alone is staged here; one it shares
             // stays in `filling` until its last member is in.
-            let (mut alone, stage) = (None, || self.mgr.staging().acquire(4 * count));
+            let (mut alone, staging) = (None, self.mgr.staging());
             let staged = if part.len() == layout.elems(at) { &mut alone } else { &mut *filling };
             let record = match state.resident_f32_mut(first, count) {
                 Some(resident) => resident,
-                None => staged.get_or_insert_with(stage).as_f32_mut(),
+                None => {
+                    if staged.is_none() {
+                        *staged = Some(staging.acquire(RECORDS, 4 * count)?);
+                    }
+                    staged.as_mut().map_or(&mut [][..], ScratchVec::as_f32_mut)
+                }
             };
             for (to, from) in RecordLayout::split(record).into_iter().zip(src) {
                 to[part.clone()].copy_from_slice(&from[values.clone()]);
@@ -678,7 +683,7 @@ impl ZeroEngine {
         }
         let window = self.window();
         let mut wb = std::mem::replace(self.tail.get_mut(), WriteBehind::new(window));
-        let budget = self.reserve_step_staging(wb.held());
+        let budget = self.depth() + window;
         let mut ahead = ReadAhead::new(&self.optims, &due, self.descending, budget);
         let pieces = wb.pieces;
         let updated = self.stream_update(&mut ahead, &mut wb);
@@ -719,31 +724,37 @@ impl ZeroEngine {
         WRITES_PER_RECORD * self.depth()
     }
 
-    /// Put the streamed step's staging set in place before its first
-    /// record — a pool that only allocates on a miss keeps allocating,
-    /// rarely, for many steps — and return its count of record-sized
-    /// buffers (0 without offloaded optimizer state): `depth` for the
-    /// read-ahead and the record in hand, plus the whole write-behind
-    /// window, all record writes when the publishes go to the shard cache.
-    /// It is also how many of its last records a step keeps for the next
-    /// ([`ReadAhead`]). Publish-sized buffers come on top, for a publish
-    /// written through: `depth + ⌈window/2⌉` beside a window of pieces — a
-    /// packed record may fill it with one piece per member — and the piece
-    /// being staged; a larger buffer counts towards a smaller size. The
-    /// `carried` kept records hold their part of the set.
-    fn reserve_step_staging(&self, carried: usize) -> usize {
-        let offloaded = self.optims.iter().filter(|opt| opt.state.is_offloaded());
-        let Some(longest) = offloaded.map(|opt| opt.layout.per).max() else { return 0 };
+    /// The rank's staging set, per shelf `(count, bytes)`, sized once from
+    /// the placed state; each count is the most its users hold at once
+    /// (DESIGN.md §7): records for the step's reads, kept tail and window
+    /// (`depth + window`, [`ReadAhead`]), construction's window plus two,
+    /// or an NVMe gradient's chunk beside the tail; publish pieces written
+    /// through, a window and the one being staged; shards for a fetch and
+    /// the prefetches its look-ahead keeps in flight.
+    fn staging_set(&self) -> [(usize, usize); 3] {
+        let s = &self.strategy;
         let (depth, window) = (self.depth(), self.window());
-        let staging = self.mgr.staging();
-        let record = DType::F32.bytes_for(STATE_STREAMS * longest);
-        staging.reserve((depth + window).saturating_sub(carried), record);
-        if self.strategy.partition_params {
-            let piece = self.strategy.param_dtype.bytes_for(longest);
-            let written_through = depth + window.div_ceil(2) + window + 1;
-            staging.reserve(written_through.saturating_sub(carried), piece);
-        }
-        depth + window
+        let nvme_grads = s.placement.grads == DeviceKind::Nvme;
+        let streamed = self.optims.iter().filter(|opt| nvme_grads || opt.state.is_offloaded());
+        let records = match streamed.map(|opt| opt.layout.per).max() {
+            Some(per) => (
+                (depth + window + usize::from(nvme_grads)).max(window + 2),
+                DType::F32.bytes_for(STATE_STREAMS * per),
+            ),
+            None => (0, 0),
+        };
+        let stored = self.shards.iter().map(|st| s.param_dtype.bytes_for(st.param.numel()));
+        let (stored, offloaded) =
+            (stored.max().unwrap_or(0), self.shards.iter().any(|st| st.param.is_offloaded()));
+        let per = self.optims.iter().map(|opt| opt.layout.per).max().unwrap_or(0);
+        let piece = if s.partition_params { s.param_dtype.bytes_for(per) } else { stored };
+        let pieces = if offloaded { (window + 1, piece) } else { (0, 0) };
+        let shards = match (offloaded, s.partition_params) {
+            (true, true) => s.prefetch_window.min(prefetch::MAX_PENDING) + 1,
+            (true, false) => 1,
+            (false, _) => usize::from(s.partition_optimizer && !s.partition_params),
+        };
+        [records, pieces, (shards, stored)]
     }
 
     /// Stream every due record through Adam in the queue's order (Sec.
@@ -842,7 +853,7 @@ impl ZeroEngine {
                     let dtype = param.dtype();
                     let to = match &mut *publish {
                         Publish::Whole(out) => PublishTo::F32(&mut out[from..from + len]),
-                        Publish::Stream(s) if !resident => match s.stage(param, from, len) {
+                        Publish::Stream(s) if !resident => match s.stage(param, from, len)? {
                             Some(bytes) => {
                                 staged = true;
                                 PublishTo::encoded(dtype, bytes).ok_or_else(|| {
@@ -985,7 +996,7 @@ impl ZeroEngine {
             return self.publish(idx, master, wb);
         }
         let (dtype, shard_len) = (self.strategy.param_dtype, master.len());
-        let mut mine = self.mgr.staging().acquire(dtype.bytes_for(shard_len));
+        let mut mine = self.mgr.staging().acquire(SHARDS, dtype.bytes_for(shard_len))?;
         encode_f32(dtype, master, mine.as_bytes_mut())?;
         let mut full = self.f32_bufs.take_f32(shard_len * self.part.world);
         gather_decode(&self.comm, dtype, mine.as_bytes(), shard_len, &mut full)?;
@@ -1349,8 +1360,9 @@ enum Publish {
 ///
 /// The order alternates between steps (MLP-Offload's reuse-aware order):
 /// ascending over buffers and records, then descending. A step's last
-/// `budget` device records — the staging set's count of record buffers —
-/// are its *tail*: each is updated and kept, its write submitted only at
+/// `budget` device records — `depth + window`, which the rank's staging
+/// set holds record buffers for — are its *tail*: each is updated and
+/// kept, its write submitted only at
 /// the step's end, behind the step's last read, so it lands under the next
 /// forward and backward. The next step starts with those same records,
 /// taken from the carried window once their writes land, without a read.
@@ -1792,10 +1804,15 @@ mod tests {
         const NUMEL: usize = 1 << 14;
         let mut reg = ParamRegistry::new();
         let id = reg.register("big", &[NUMEL], 3, 0.1, 0.0);
-        // The CPU pool holds ~2.9 f32 images of the parameter: the
-        // gradient and half the three-image optimizer state, not all.
-        let spec = NodeMemorySpec::test_spec(1, 1 << 22, NUMEL as u64 * 4 * 29 / 10, 1 << 22);
-        let node_and_engine = |cpu_permille: usize| {
+        // The CPU pool holds ~2.9 f32 images of the parameter beside the
+        // rank's staging set: the gradient and half the three-image
+        // optimizer state, not all.
+        let strategy = |cpu_permille| {
+            Strategy::infinity_nvme()
+                .with_optimizer_chunk(NUMEL / 16)
+                .with_optimizer_cpu_permille(cpu_permille)
+        };
+        let node_and_engine = |cpu: u64, cpu_permille: usize| {
             // Records 3, 7, 11 and 15 of sixteen are the DRAM ones, and
             // the step keeps its last six device records, whose writes go
             // out at its end. Counted from the step's start, the device
@@ -1812,27 +1829,30 @@ mod tests {
                 dev: zi_nvme::MemBackend::new(),
             });
             let env = NodeEnv { nvme_workers: 2, ..NodeEnv::new(door.clone()) };
+            let spec = NodeMemorySpec::test_spec(1, 1 << 22, cpu, 1 << 22);
             let node = NodeResources::new(&spec, 1, env);
             let engine = ZeroEngine::new(
                 &reg,
-                Strategy::infinity_nvme()
-                    .with_optimizer_chunk(NUMEL / 16)
-                    .with_optimizer_cpu_permille(cpu_permille),
+                strategy(cpu_permille),
                 node.offload_manager(),
                 node.group.communicator(0),
                 AdamConfig::default(),
             );
             (node, door, engine)
         };
+        let beside_set = |cpu_permille| {
+            let (_, _, roomy) = node_and_engine(1 << 22, cpu_permille);
+            NUMEL as u64 * 4 * 29 / 10 + roomy.unwrap().mgr.staging().held_bytes()
+        };
 
-        let (_node, _door, all_cpu) = node_and_engine(1000);
+        let (_node, _door, all_cpu) = node_and_engine(beside_set(1000), 1000);
         match all_cpu {
             Err(Error::OutOfMemory { device, .. }) => assert_eq!(device, Device::cpu()),
             Err(e) => panic!("all-CPU on the small pool must be a typed OOM, got {e}"),
             Ok(_) => panic!("all-CPU optimizer state fit a pool sized to refuse it"),
         }
 
-        let (node, door, split) = node_and_engine(250);
+        let (node, door, split) = node_and_engine(beside_set(250), 250);
         let mut eng = split.expect("a quarter of the state fits the CPU pool");
         let grad = Tensor::randn_seeded(&[NUMEL], 5, 0.1);
         eng.add_grad(id, &grad).unwrap();
@@ -1874,7 +1894,7 @@ mod tests {
     fn step_scratch_buffers_are_recycled() {
         // A device far slower than the step loop pins the regime: no
         // write completes before the next is queued, so every step
-        // drives the staging pool through the same sequence and reaches
+        // drives the staging set through the same sequence and reaches
         // the same peak (prefetch off: only the step touches the device).
         // Records of one element: `w`'s twelve outnumber the nine a step
         // keeps, so every step reads three.
@@ -1890,41 +1910,39 @@ mod tests {
         };
         step(&mut eng);
         step(&mut eng);
-        // Warm: the pool has converged to the pipeline's working set and
-        // a further step allocates nothing.
         let warm = eng.mgr.staging().stats();
         step(&mut eng);
         land_carry(&node, &mut eng);
-        let pool = eng.mgr.staging();
+        let pool = eng.mgr.staging().clone();
         let st = pool.stats();
-        assert_eq!(st.allocated, warm.allocated, "a steady-state step allocated staging: {st:?}");
         assert!(st.reused > warm.reused, "steady-state steps must recycle chunk buffers: {st:?}");
-        // The pool holds the step's reserved set and nothing more: the
-        // kept records took their buffers out of it.
+        // The set: `depth + window` record buffers, a window of publish
+        // pieces and the one being staged, one shard buffer for a fetch.
         let (depth, window) = (eng.depth(), eng.window());
         assert_eq!((depth, window), (3, 6));
-        assert_eq!(st.allocated, (depth + window.div_ceil(2) + window + 1) as u64, "{st:?}");
+        assert_eq!((st.allocated, st.waits), ((depth + window) as u64 + 7 + 1, 0), "{st:?}");
         // Read-ahead plus the record in hand are `depth` buffers, its
         // publish one more; the rest is the write-behind window.
         let bound = (depth + 1 + window) as u64;
         assert!(st.peak_outstanding <= bound, "peak {} over bound {bound}", st.peak_outstanding);
         // Once the step's last writes are reaped, only the kept records
-        // hold a buffer: the last nine of `w`'s twelve.
+        // hold a buffer: the last nine of `w`'s twelve, every record
+        // buffer of the set.
         let carried = eng.tail.get_mut().held() as u64;
         assert_eq!(carried, (depth + window) as u64);
-        assert_eq!((pool.outstanding(), pool.idle() as u64), (carried, st.allocated - carried));
+        assert_eq!((pool.outstanding(), pool.idle(RECORDS)), (carried, 0));
         eng.dispose().unwrap();
-        let pool = node.offload_manager();
-        assert_eq!((pool.staging().outstanding(), pool.staging().idle() as u64), (0, st.allocated));
+        assert_eq!((pool.outstanding(), pool.idle(RECORDS)), (0, depth + window));
     }
 
     #[test]
     fn the_staging_gauges_report_the_step_set_at_world_one() {
         // Records of four elements, the fp16 publishes written back to the
         // shard cache: the set is depth 4 plus a window of 8 record buffers
-        // of 48 B, and five publish-sized ones of 8 B on top. Carried reads
-        // and writes take their buffers out of it, so three iterations
-        // leave it as it was reserved.
+        // of 48 B, a window of publish pieces of 8 B and the one being
+        // staged, and one buffer for a fetch of `w`'s 24 B shard, charged
+        // to the CPU pool from construction to dispose. Nothing is
+        // allocated, and nothing waits, in three iterations.
         let strategy = Strategy::infinity_nvme().with_prefetch_window(0).with_optimizer_chunk(4);
         let (node, mut eng, reg) = single_rank(strategy);
         let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
@@ -1937,21 +1955,51 @@ mod tests {
         land_carry(&node, &mut eng);
         let health = eng.mgr.health();
         let (held, peak) = (health.staging_held_bytes, health.staging_peak_buffers);
-        assert_eq!((eng.mgr.staging().stats().allocated, held), (17, 12 * 48 + 5 * 8));
+        assert_eq!((eng.mgr.staging().stats().allocated, held), (22, 12 * 48 + 9 * 8 + 24));
+        assert_eq!(health.staging_waits, 0);
         // One buffer per record, a read or a write, never both at once.
         assert_eq!(peak, 5);
+        let cpu = || node.hierarchy.stats(Device::cpu());
+        assert!(cpu().peak_in_use >= held && cpu().in_use >= held, "the set is a CPU tenant");
         eng.dispose().unwrap();
-        assert_eq!(node.offload_manager().health().staging_held_bytes, held, "the set stays");
+        assert_eq!(cpu().in_use, 0, "the set's charge went with the engine");
+    }
+
+    #[test]
+    fn a_cpu_pool_without_room_for_the_staging_set_fails_construction_naming_it() {
+        // Inf-NVMe keeps no state in CPU memory: the set is the only
+        // tenant construction charges there.
+        let strategy = Strategy::infinity_nvme().with_prefetch_window(0);
+        let (_, eng, reg) = single_rank(strategy);
+        let set = eng.mgr.staging().held_bytes();
+        eng.dispose().unwrap();
+        let build = |cpu: u64| {
+            let node = NodeResources::in_memory(&NodeMemorySpec::test_spec(1, 1 << 22, cpu, 1 << 22), 1);
+            let comm = node.group.communicator(0);
+            ZeroEngine::new(&reg, strategy, node.offload_manager(), comm, AdamConfig::default())
+                .map(|eng| eng.dispose().unwrap())
+        };
+        match build(set - 4) {
+            Err(e @ Error::OutOfMemory { device, requested, tenant: "staging set", .. }) => {
+                assert_eq!((device, requested as u64), (Device::cpu(), set));
+                assert!(e.to_string().contains("for the staging set"), "{e}");
+            }
+            other => panic!("a pool 4 B short of the set built an engine: {other:?}"),
+        }
+        build(set).expect("a pool that holds the set");
     }
 
     /// One rank over a scriptable faulty device of two workers — a
-    /// pipeline two records deep — and a CPU pool of `cpu` bytes, prefetch
-    /// off so every device read belongs to the call that issued it.
+    /// pipeline two records deep — and a CPU pool of `cpu` bytes beside its
+    /// staging set, prefetch off so every device read belongs to the call
+    /// that issued it.
     fn faulty_rank(
         chunk: usize,
         cpu: u64,
     ) -> (zi_nvme::FaultPlan, NodeResources, ZeroEngine, ParamId) {
-        let (plan, node) = faulty_node(cpu);
+        let (_, roomy) = faulty_node(1 << 22);
+        let set = faulty_engine(&roomy, chunk, 0).unwrap().mgr.staging().held_bytes();
+        let (plan, node) = faulty_node(cpu + set);
         let engine = faulty_engine(&node, chunk, 0).unwrap();
         (plan, node, engine, tiny_registry().find("w").unwrap())
     }
@@ -2091,10 +2139,10 @@ mod tests {
         land_carry(&node, &mut eng);
         let carried = eng.tail.get_mut().held();
         assert_eq!(carried, 0);
-        assert_eq!(node.offload_manager().staging().outstanding(), carried as u64);
+        let pool = eng.mgr.staging().clone();
+        assert_eq!(pool.outstanding(), carried as u64);
         eng.dispose().unwrap();
-        assert_eq!(node.offload_manager().staging().outstanding(), 0);
-        assert_eq!(node.offload_manager().load_staging().outstanding(), 0);
+        assert_eq!(pool.outstanding(), 0);
     }
 
     #[test]
@@ -2191,8 +2239,7 @@ mod tests {
                     true
                 }
             };
-            let pool = node.offload_manager();
-            let pool = pool.staging();
+            let pool = eng.mgr.staging().clone();
             let mut typed = false;
             if outlived && via_dispose {
                 if let Err(err) = eng.dispose() {
@@ -2204,7 +2251,9 @@ mod tests {
                 eng.dispose().unwrap();
             }
             assert_eq!(pool.outstanding(), 0, "{alive} ops: a staging buffer is still checked out");
-            assert_eq!(pool.idle() as u64, pool.stats().allocated, "{alive} ops: a buffer was lost");
+            let idle = (RECORDS..=SHARDS).map(|shelf| pool.idle(shelf) as u64).sum::<u64>();
+            assert_eq!(idle, pool.stats().allocated, "{alive} ops: a buffer was lost");
+            drop(pool);
             // The node has degraded: an engine rebuilt on it, all in DRAM,
             // resumes from the last checkpoint as if nothing had happened.
             let failed = usize::from(outlived);
@@ -2780,12 +2829,11 @@ mod tests {
         // kept, and a prefetch of `b` (the shard cache has no room for it).
         eng.hint_upcoming(&[b]);
         assert_eq!(eng.stats().prefetch.issued, 1);
-        let mgr = node.offload_manager();
-        assert_eq!(mgr.staging().outstanding(), 2);
-        assert_eq!(mgr.load_staging().outstanding(), 1);
+        let (mgr, pool) = (node.offload_manager(), eng.mgr.staging().clone());
+        assert_eq!((pool.outstanding(), pool.idle(SHARDS)), (3, 3), "2 records and a shard");
         drop(eng);
         mgr.nvme().barrier().unwrap();
-        assert_eq!((mgr.staging().outstanding(), mgr.load_staging().outstanding()), (0, 0));
+        assert_eq!(pool.outstanding(), 0);
         assert_eq!(mgr.nvme().in_flight(), 0);
         // Right after a step: the carried window, `w`'s three record
         // writes held on the device (its publish went to the shard cache).
@@ -2793,12 +2841,12 @@ mod tests {
         door.close();
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
-        let mgr = node.offload_manager();
-        assert_eq!((eng.tail.get_mut().in_flight(), mgr.staging().outstanding()), (3, 3));
+        let (mgr, pool) = (node.offload_manager(), eng.mgr.staging().clone());
+        assert_eq!((eng.tail.get_mut().in_flight(), pool.outstanding()), (3, 3));
         door.open();
         drop(eng);
         mgr.nvme().barrier().unwrap();
-        assert_eq!((mgr.staging().outstanding(), mgr.nvme().in_flight()), (0, 0));
+        assert_eq!((pool.outstanding(), mgr.nvme().in_flight()), (0, 0));
         assert_eq!(mgr.nvme().unclaimed(), 0, "a carried write's completion was left unreaped");
     }
 
@@ -2816,11 +2864,15 @@ mod tests {
         let init = node.tracer().take_events().into_iter().find(|e| e.name == "engine.init");
         assert_eq!(init.map(|e| e.bytes), Some(204));
         assert!(built.in_flight_peak >= node.nvme.worker_count() as u64, "{built:?}");
-        // Within the staging set the step reserves, and nothing beyond it.
+        // Within the staging set sized before the first write: `depth +
+        // window` record buffers, a window of pieces and the one being
+        // staged, and no shard buffer (prefetch off) but the demand
+        // fetch's.
         let (depth, window) = (eng.depth(), eng.window());
-        let set = (depth + window.div_ceil(2) + window + 1) as u64;
+        let set = (depth + window + window + 1 + 1) as u64;
         let pool = eng.mgr.staging().stats();
         assert!(pool.peak_outstanding < set && pool.allocated == set, "{pool:?}");
+        assert_eq!(pool.waits, 0);
         // Every shard was published to the cache: the first forward reads
         // nothing.
         let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
@@ -2837,7 +2889,7 @@ mod tests {
         node.nvme.barrier().unwrap();
         let stepped = node.nvme.stats();
         assert_eq!((stepped.writes - 5, stepped.bytes_written - 204), (5, 204));
-        assert_eq!(eng.mgr.staging().stats().allocated, set);
+        assert_eq!(eng.mgr.staging().stats().waits, 0);
         eng.dispose().unwrap();
         // Both parameters shorter than a record: one packed buffer of 17
         // elements, records of 16 and 1. `w` (elements 0..12) publishes in
@@ -3081,7 +3133,8 @@ mod tests {
         let strategy = Strategy::infinity_nvme().with_f32_params().with_prefetch_window(0);
         let env = NodeEnv { nvme_workers: 2, ..NodeEnv::new(gate.clone()) };
         let (node, mut eng, reg) = rank_over(strategy, env);
-        let peer = node.offload_manager();
+        let mut peer = node.offload_manager();
+        peer.provision_staging([(1, HELD), (0, 0), (0, 0)]).unwrap();
         let zeros = FlatBuffer::zeros(DType::F32, HELD / 4);
         let parked = peer.store_placed(Device::nvme(), &PlacementPolicy::all_nvme(), zeros).unwrap();
         let read = peer.begin_load_elems(&parked, 0, HELD / 4).unwrap();

@@ -15,11 +15,14 @@
 //! and applied to each segment of the buffer, so a multi-segment buffer
 //! is legal input to all of them.
 //!
-//! Device reads land in recycled [`ScratchVec`] staging buffers and are
-//! verified against the checksum registry (see
-//! [`OffloadManager::verify_or_reread`]); synchronous whole-segment
-//! writes hold a pinned buffer for their duration, bounding concurrent
-//! staging the way the paper's pinned-memory layer does (Sec. 6.3).
+//! Streamed device traffic — optimizer records, publish pieces, parameter
+//! fetches — moves through the rank's staging set, a fixed number of
+//! recycled [`ScratchVec`]s sized once when its engine is built and
+//! charged to the CPU pool (the paper's pinned-memory layer, Sec. 6.3;
+//! DESIGN.md §7); reads that hand their bytes to the caller to keep
+//! (`load_placed`, `take`, `collapse`) read into those bytes directly.
+//! Every read is verified against the checksum registry (see
+//! [`OffloadManager::verify_or_reread`]).
 //!
 //! A parameter shard on the NVMe tier changes once per optimizer step,
 //! so the bytes of one fetch — or of the publish itself — answer every
@@ -39,6 +42,14 @@ use zi_memory::{
     Block, MemoryHierarchy, NodeMemorySpec, PinnedBufferPool, PlacementPolicy, ScratchPool,
     ScratchVec,
 };
+
+/// The shelves of a rank's staging set ([`OffloadManager::provision_staging`]):
+/// optimizer records — and chunks of an NVMe gradient — read, updated and
+/// written back; parameter pieces published through to the device; whole
+/// parameter shards fetched or prefetched.
+pub(crate) const RECORDS: usize = 0;
+pub(crate) const PIECES: usize = 1;
+pub(crate) const SHARDS: usize = 2;
 use zi_nvme::checksum::crc32;
 use zi_nvme::{MemBackend, NvmeEngine, RetryPolicy, StorageBackend, Ticket};
 use zi_tensor::storage::{accumulate_f32, encode_f32};
@@ -71,9 +82,10 @@ fn overlapping<V>(
 type Registry = BTreeMap<u64, (u64, u32)>;
 
 /// One cached parameter shard's bytes, shared with whoever is reading
-/// them. Storage an evicted or invalidated entry leaves behind lives until
-/// its last reader drops it, and is then freed.
-type CachedShard = Arc<ScratchVec>;
+/// them: an image the cache allocates itself, not a staging buffer.
+/// Storage an evicted or invalidated entry leaves behind lives until its
+/// last reader drops it, and is then freed.
+type CachedShard = Arc<Vec<u8>>;
 
 /// One entry of the shard cache: the bytes of one NVMe extent. An entry
 /// charges its length to the CPU pool until the moment it leaves the
@@ -88,7 +100,7 @@ struct Entry {
 }
 
 fn entry_len(entry: &Entry) -> u64 {
-    entry.shard.as_bytes().len() as u64
+    entry.shard.len() as u64
 }
 
 /// What the shard cache's lock guards.
@@ -148,10 +160,11 @@ impl CacheState {
 /// The node's cache of **parameter-shard bytes**, in free CPU memory,
 /// keyed by the shard's NVMe extent.
 ///
-/// * **Filled by move.** A fetch that misses hands over the verified
-///   staging buffer it already owns (a clean entry); a publish encodes the
-///   new fp16 image straight into the entry it will become
-///   ([`PublishStream`]), so the first fetch after an update is a hit.
+/// * **Filled by copy or in place.** A fetch that misses copies the
+///   verified staging buffer into an image the cache allocates and charges
+///   (a clean entry); a publish encodes the new fp16 image straight into
+///   the entry it will become ([`PublishStream`]), so the first fetch
+///   after an update is a hit.
 /// * **Write-back.** A published entry is dirty: the device still holds
 ///   the bytes it superseded, and the entry is the shard's authoritative
 ///   copy. It reaches the device only when something other than a fetch
@@ -199,7 +212,7 @@ struct ShardCache {
 struct Deposit {
     /// Device offset of the extent being overwritten.
     offset: u64,
-    image: ScratchVec,
+    image: Vec<u8>,
     /// Checksums of the pieces pushed so far, in device order, and the
     /// bytes of the image they cover: a publish's pieces are adjacent, in
     /// either order.
@@ -328,7 +341,7 @@ impl ResilienceState {
     fn write_back(&self, map: &mut Registry, cache: &mut CacheState, start: u64) -> Result<()> {
         let Some(entry) = cache.entries.get_mut(&start) else { return Ok(()) };
         let Some(tiles) = entry.dirty.take() else { return Ok(()) };
-        let bytes = entry.shard.as_bytes();
+        let bytes = &entry.shard[..];
         if let Err(e) = self.write_extent(map, start, bytes, &tiles) {
             entry.dirty = Some(tiles);
             return Err(e);
@@ -401,33 +414,27 @@ impl ResilienceState {
         Some(Arc::clone(&entry.shard))
     }
 
-    /// Install `image` — bytes checked against `tiles` — as the clean
+    /// Install a copy of `bytes` — checked against `tiles` — as the clean
     /// cache entry of the extent at `offset`, charging the CPU pool for
-    /// it. Refused (the image handed back) when the registry no longer
-    /// holds exactly `tiles` for the extent, or the pool has no room
-    /// beside its other tenants.
-    fn admit(
-        &self,
-        offset: u64,
-        tiles: &[(u64, u32)],
-        image: ScratchVec,
-    ) -> std::result::Result<CachedShard, ScratchVec> {
-        let len = image.as_bytes().len() as u64;
+    /// it. Refused when the registry no longer holds exactly `tiles` for
+    /// the extent, or the pool has no room beside its other tenants.
+    fn admit(&self, offset: u64, tiles: &[(u64, u32)], bytes: &[u8]) -> Option<CachedShard> {
+        let len = bytes.len() as u64;
         let registry = self.checksums.lock();
         let mut cache = self.cache.shards.lock();
         if Self::tiles_locked(&registry, offset, len).is_none_or(|now| now != tiles) {
-            return Err(image);
+            return None;
         }
         if let Some(entry) = cache.entries.get(&offset) {
             // Two fills of one extent: the first one's entry stands.
-            return Ok(Arc::clone(&entry.shard));
+            return Some(Arc::clone(&entry.shard));
         }
         if !cache.charge(&self.hierarchy, len) {
-            return Err(image);
+            return None;
         }
-        let shard = Arc::new(image.detach());
+        let shard = Arc::new(bytes.to_vec());
         cache.entries.insert(offset, Entry { shard: Arc::clone(&shard), dirty: None });
-        Ok(shard)
+        Some(shard)
     }
 
     /// Begin a write-back publish over the extent `[offset, offset + len)`,
@@ -438,7 +445,7 @@ impl ResilienceState {
     /// dirty from here on. `None` when the pool has no room for the image:
     /// the publish is then written through, and the first piece's write
     /// replaces the old entry (see [`Self::record_tiles`]).
-    fn begin_deposit(&self, offset: u64, len: u64, fresh: &ScratchPool) -> Option<Deposit> {
+    fn begin_deposit(&self, offset: u64, len: u64) -> Option<Deposit> {
         let mut map = self.checksums.lock();
         let mut cache = self.cache.shards.lock();
         let granted = if cache.entries.contains_key(&offset) {
@@ -456,15 +463,10 @@ impl ResilienceState {
         }
         drop(cache);
         drop(map);
-        let fresh = || fresh.acquire(len as usize).detach();
         let (image, seeded) = match old.map(Arc::try_unwrap) {
             Some(Ok(image)) => (image, true),
-            Some(Err(shared)) => {
-                let mut image = fresh();
-                image.as_bytes_mut().copy_from_slice(shared.as_bytes());
-                (image, true)
-            }
-            None => (fresh(), false),
+            Some(Err(shared)) => (shared.to_vec(), true),
+            None => (vec![0; len as usize], false),
         };
         Some(Deposit { offset, image, tiles: Vec::new(), covered: 0..0, seeded })
     }
@@ -478,8 +480,8 @@ impl ResilienceState {
         let mut map = self.checksums.lock();
         let mut cache = self.cache.shards.lock();
         if cache.publishing.remove(&offset).is_none() {
-            self.write_extent(&mut map, offset, image.as_bytes(), &tiles)?;
-            self.count_write_back(offset, image.as_bytes().len() as u64);
+            self.write_extent(&mut map, offset, &image, &tiles)?;
+            self.count_write_back(offset, image.len() as u64);
             return Ok(());
         }
         let entry = Entry { shard: Arc::new(image), dirty: Some(tiles) };
@@ -497,7 +499,7 @@ impl ResilienceState {
     /// that dropped the stream has already failed.
     fn abandon(&self, deposit: Deposit) {
         let Deposit { offset, image, mut tiles, covered, seeded } = deposit;
-        let (bytes, (lo, hi)) = (image.as_bytes(), (covered.start as usize, covered.end as usize));
+        let (bytes, (lo, hi)) = (&image[..], (covered.start as usize, covered.end as usize));
         if seeded && lo > 0 {
             tiles.insert(0, (lo as u64, crc32(&bytes[..lo])));
         }
@@ -537,22 +539,20 @@ impl ResilienceState {
         Ok(starts.len() + publishing.len())
     }
 
-    /// CPU-pool room for a tenant other than the cache. The cache holds
-    /// CPU memory only while nobody else wants it: a request the pool
-    /// refuses evicts every entry and asks again, with admissions locked
-    /// out in between.
-    fn alloc_cpu_tenant(&self, bytes: u64) -> Result<Block> {
+    /// CPU-pool room for a tenant other than the cache, as `take` charges
+    /// it. The cache holds CPU memory only while nobody else wants it: a
+    /// charge the pool refuses evicts every entry and asks again, with
+    /// admissions locked out in between.
+    fn cpu_tenant<T>(&self, take: impl Fn() -> Result<T>) -> Result<T> {
         let mut map = self.checksums.lock();
         let mut cache = self.cache.shards.lock();
-        let block = match self.hierarchy.alloc(Device::cpu(), bytes) {
-            Err(e) if e.is_oom() && self.evict_all(&mut map, &mut cache)? > 0 => {
-                self.hierarchy.alloc(Device::cpu(), bytes)?
-            }
+        let granted = match take() {
+            Err(e) if e.is_oom() && self.evict_all(&mut map, &mut cache)? > 0 => take()?,
             granted => granted?,
         };
         let firm = self.hierarchy.stats(Device::cpu()).in_use.saturating_sub(cache.charged);
         cache.firm_peak = cache.firm_peak.max(firm);
-        Ok(block)
+        Ok(granted)
     }
 }
 
@@ -578,11 +578,15 @@ pub struct OffloadHealth {
     /// Dirty cached shards written back to the device, by an eviction or
     /// by an access that bypasses the cache.
     pub shard_cache_write_backs: u64,
-    /// The most record staging buffers ever checked out at once on the
-    /// node: device reads in flight or in hand, and writes.
+    /// The most buffers of this rank's staging set ever checked out at
+    /// once: device reads in flight or in hand, writes, kept records.
     pub staging_peak_buffers: u64,
-    /// Bytes the node's record staging pool holds, idle or checked out.
+    /// Bytes this rank's staging set holds, idle or checked out: what it
+    /// charges the CPU pool (0 for a handle no engine staged).
     pub staging_held_bytes: u64,
+    /// Acquisitions that found their shelf of the set empty and waited:
+    /// 0 while the set is at least its users' bound (DESIGN.md §7).
+    pub staging_waits: u64,
     /// NVMe engine counters, including per-request `retries` and
     /// `gave_up` from the retry layer.
     pub io: zi_nvme::IoStats,
@@ -600,23 +604,20 @@ pub struct NodeEnv<'a> {
     /// Collective deadline and communication fault plan.
     pub comm: CommConfig,
     /// Tracer every subsystem of the node records into (engine workers,
-    /// pinned pool, collectives, all ranks): one event stream per node.
+    /// staging sets, collectives, all ranks): one event stream per node.
     pub tracer: Tracer,
     /// Register the comm group with this membership: ranks queued to
     /// join latch a resize on the group, retiring it with
     /// `Error::MembershipChange` so the elastic trainer can rebuild at
     /// the grown world.
     pub membership: Option<&'a Membership>,
-    /// Pinned staging pool as `(buffer count, bytes per buffer)`.
-    pub pinned: (usize, usize),
     /// NVMe engine worker threads.
     pub nvme_workers: usize,
 }
 
 impl NodeEnv<'_> {
     /// Defaults over `backend`: default retry policy and comm config, a
-    /// private tracer, no membership, 8 × 1 MiB pinned buffers, 4 NVMe
-    /// workers.
+    /// private tracer, no membership, 4 NVMe workers.
     pub fn new(backend: Arc<dyn StorageBackend>) -> Self {
         NodeEnv {
             backend,
@@ -624,7 +625,6 @@ impl NodeEnv<'_> {
             comm: CommConfig::default(),
             tracer: Tracer::new(),
             membership: None,
-            pinned: (8, 1 << 20),
             nvme_workers: 4,
         }
     }
@@ -635,29 +635,23 @@ impl NodeEnv<'_> {
     }
 }
 
-/// Shared per-node resources: memory pools, the NVMe engine, the pinned
-/// staging pool, and the communicator group.
+/// Shared per-node resources: memory pools, the NVMe engine and the
+/// communicator group. Staging is per rank: each engine sizes its own set
+/// ([`OffloadManager::provision_staging`]).
 pub struct NodeResources {
     /// Capacity pools for every device tier.
     pub hierarchy: Arc<MemoryHierarchy>,
     /// Asynchronous NVMe engine (shared by all ranks on the node).
     pub nvme: Arc<NvmeEngine>,
-    /// Pinned staging buffers for NVMe transfers.
+    /// A 1 MiB pinned buffer that no transfer uses: kept only because the
+    /// perf ledger's probes size their raw requests by it. Ranks stage
+    /// through their own sets.
     pub pinned: PinnedBufferPool,
     /// Data-parallel communicator group.
     pub group: CommGroup,
-    /// Recycled staging buffers device reads land in and chunk writes
-    /// leave from (node-wide, like the engine).
-    staging: ScratchPool,
-    /// Recycled staging for whole-segment loads (parameter fetches and
-    /// prefetches). A pool of its own because these buffers are
-    /// shard-sized: mixed into the chunk pool they are handed out for
-    /// chunk reads, and every chunk buffer ends up as large as the
-    /// largest shard.
-    load_staging: ScratchPool,
     /// Shared checksum registry, shard cache and degradation latch.
     resilience: Arc<ResilienceState>,
-    /// Node-wide tracer; the NVMe engine, pinned pool, comm group and
+    /// Node-wide tracer; the NVMe engine, staging sets, comm group and
     /// every [`OffloadManager`] clone record into the same stream.
     tracer: Tracer,
 }
@@ -665,7 +659,7 @@ pub struct NodeResources {
 impl NodeResources {
     /// Build a node of `world` ranks over `spec`'s memory pools.
     pub fn new(spec: &NodeMemorySpec, world: WorldSize, env: NodeEnv<'_>) -> Self {
-        let NodeEnv { backend, policy, comm, tracer, membership, pinned, nvme_workers } = env;
+        let NodeEnv { backend, policy, comm, tracer, membership, nvme_workers } = env;
         let group = match membership {
             Some(m) => CommGroup::with_membership_tracer(world, comm, tracer.clone(), m),
             None => CommGroup::with_config_tracer(world, comm, tracer.clone()),
@@ -681,10 +675,8 @@ impl NodeResources {
             )),
             hierarchy,
             nvme,
-            pinned: PinnedBufferPool::with_tracer(pinned.0, pinned.1, tracer.clone()),
+            pinned: PinnedBufferPool::with_tracer(1, 1 << 20, tracer.clone()),
             group,
-            staging: ScratchPool::new(),
-            load_staging: ScratchPool::new(),
             tracer,
         }
     }
@@ -720,14 +712,13 @@ impl NodeResources {
     }
 
     /// A per-rank offload manager handle. It and its clones flush only
-    /// their own writes (see [`OffloadManager::flush`]).
+    /// their own writes (see [`OffloadManager::flush`]). It stages nothing
+    /// until the engine it is given to provisions its set.
     pub fn offload_manager(&self) -> OffloadManager {
         OffloadManager {
             hierarchy: Arc::clone(&self.hierarchy),
             nvme: Arc::clone(&self.nvme),
-            pinned: self.pinned.clone(),
-            staging: self.staging.clone(),
-            load_staging: self.load_staging.clone(),
+            staging: ScratchPool::default(),
             resilience: Arc::clone(&self.resilience),
             tracer: self.tracer.clone(),
             unwaited: Arc::default(),
@@ -790,7 +781,12 @@ impl PlacedBuf {
     /// True when any part of the buffer lives on the NVMe device
     /// (loading it costs an nc-transfer).
     pub(crate) fn is_offloaded(&self) -> bool {
-        self.segments.iter().any(|s| s.ram.is_none())
+        self.device_segments() > 0
+    }
+
+    /// The segments on the NVMe device: a whole-buffer load's reads.
+    pub(crate) fn device_segments(&self) -> usize {
+        self.segments.iter().filter(|s| s.ram.is_none()).count()
     }
 
     /// The device extent `(offset, bytes)` the shard cache knows this
@@ -872,8 +868,9 @@ impl PlacedPending {
     /// verified against (`None` for a range the registry does not tile).
     fn wait_verified(self, mgr: &OffloadManager) -> Result<Option<(ScratchVec, Option<Tiles>)>> {
         let Some((ticket, offset)) = self.read else { return Ok(None) };
-        let buf = mgr.nvme.wait_buf(ticket)?.into_staging().ok_or_else(wrong_buf_kind)?;
-        mgr.verify_or_reread(offset, buf).map(Some)
+        let mut buf = mgr.nvme.wait_buf(ticket)?.into_staging().ok_or_else(wrong_buf_kind)?;
+        let tiles = mgr.verify_or_reread(offset, buf.as_bytes_mut())?;
+        Ok(Some((buf, tiles)))
     }
 
     /// True once [`Self::wait`] will not block: the NVMe read completed
@@ -910,7 +907,7 @@ pub enum LoadedBytes<'a> {
     /// The shard cache's copy of an NVMe-resident parameter shard,
     /// shared — no copy, no device read. It stays valid for this holder
     /// even if the entry is evicted or invalidated meanwhile.
-    Cached(Arc<ScratchVec>),
+    Cached(Arc<Vec<u8>>),
 }
 
 impl LoadedBytes<'_> {
@@ -919,7 +916,7 @@ impl LoadedBytes<'_> {
         match self {
             LoadedBytes::Resident(bytes) => bytes,
             LoadedBytes::Staged(staging) => staging.as_bytes(),
-            LoadedBytes::Cached(shard) => shard.as_bytes(),
+            LoadedBytes::Cached(shard) => shard,
         }
     }
 }
@@ -942,9 +939,9 @@ fn piece_mismatch() -> Error {
 pub struct OffloadManager {
     hierarchy: Arc<MemoryHierarchy>,
     nvme: Arc<NvmeEngine>,
-    pinned: PinnedBufferPool,
+    /// The rank's staging set, shared by clones of the handle that
+    /// provisioned it.
     staging: ScratchPool,
-    load_staging: ScratchPool,
     resilience: Arc<ResilienceState>,
     tracer: Tracer,
     /// The writes [`Self::overwrite_async_placed`] left unwaited, shared
@@ -963,9 +960,20 @@ impl OffloadManager {
         &self.nvme
     }
 
-    /// The node's staging-buffer pool (for reuse statistics).
+    /// This rank's staging set (for its statistics).
     pub fn staging(&self) -> &ScratchPool {
         &self.staging
+    }
+
+    /// Give this handle, and clones made from it later, the rank's staging
+    /// set: per shelf (records, publish pieces, shards) a count of buffers
+    /// of a size, charged to the CPU pool, the shard cache evicted if in
+    /// the way; [`Error::OutOfMemory`] when the pool cannot hold it.
+    pub fn provision_staging(&mut self, set: [(usize, usize); 3]) -> Result<()> {
+        let (hierarchy, tracer) = (&self.hierarchy, &self.tracer);
+        let staging = self.resilience.cpu_tenant(|| ScratchPool::new(&set, hierarchy, tracer.clone()));
+        self.staging = staging?;
+        Ok(())
     }
 
     /// The node-wide tracer this manager records into.
@@ -1011,6 +1019,7 @@ impl OffloadManager {
             shard_cache_write_backs: self.resilience.cache.write_backs.load(Ordering::Relaxed),
             staging_peak_buffers: self.staging.stats().peak_outstanding,
             staging_held_bytes: self.staging.held_bytes(),
+            staging_waits: self.staging.stats().waits,
             io: self.nvme.stats(),
         }
     }
@@ -1038,7 +1047,7 @@ impl OffloadManager {
     ) -> Result<Segment> {
         let bytes = data.size_in_bytes() as u64;
         let block = if device == Device::cpu() {
-            self.resilience.alloc_cpu_tenant(bytes)?
+            self.resilience.cpu_tenant(|| self.hierarchy.alloc(Device::cpu(), bytes))?
         } else {
             self.hierarchy.alloc(device, bytes)?
         };
@@ -1046,8 +1055,6 @@ impl OffloadManager {
         if device.kind != DeviceKind::Nvme {
             return Ok(Segment { start, len, device, block, ram: Some(data) });
         }
-        // Hold a pinned buffer while the pieces are on the device.
-        let _pinned = self.pinned.acquire();
         let piece = stripe.max(1).saturating_mul(data.dtype().size_in_bytes());
         let at = |i: usize| block.offset + (i * piece) as u64;
         let pieces = data.as_bytes().chunks(piece).enumerate();
@@ -1070,12 +1077,12 @@ impl OffloadManager {
     }
 
     /// Issue the device read behind elements `[lo, lo+len)` of `seg`
-    /// (segment-relative) into a buffer from `pool`, once any dirty cached
-    /// shard it meets is written back; a resident segment has nothing to
-    /// read.
+    /// (segment-relative) into a buffer of the staging set's `shelf`, once
+    /// any dirty cached shard it meets is written back; a resident segment
+    /// has nothing to read.
     fn begin_segment_read(
         &self,
-        pool: &ScratchPool,
+        shelf: usize,
         dtype: DType,
         seg: &Segment,
         lo: usize,
@@ -1087,37 +1094,39 @@ impl OffloadManager {
         let offset = seg.block.offset + dtype.bytes_for(lo) as u64;
         let nbytes = dtype.bytes_for(len);
         self.resilience.settle(offset, nbytes as u64)?;
-        let staging = pool.acquire(nbytes);
+        let staging = self.staging.acquire(shelf, nbytes)?;
         Ok(PlacedPending { read: Some((self.nvme.submit_read_into(offset, staging), offset)) })
     }
 
-    /// One synchronous device read at `offset`, filling `into`.
-    fn read_once(&self, offset: u64, into: ScratchVec) -> Result<ScratchVec> {
-        let _pinned = self.pinned.acquire();
-        let ticket = self.nvme.submit_read_into(offset, into);
-        self.nvme.wait_buf(ticket)?.into_staging().ok_or_else(wrong_buf_kind)
+    /// Issue a read of the extent `[offset, offset + len)` into bytes of
+    /// its own, once any dirty cached shard it meets is written back.
+    fn begin_bytes_read(&self, offset: u64, len: u64) -> Result<Ticket> {
+        self.resilience.settle(offset, len)?;
+        Ok(self.nvme.submit_read(offset, len as usize))
     }
 
-    /// Verify `buf`, just read from `offset`, against the recorded
-    /// extents that exactly tile it: one checksum when the range was
+    /// The verified bytes of [`Self::begin_bytes_read`]'s read of `offset`.
+    fn finish_bytes_read(&self, offset: u64, ticket: Ticket) -> Result<Vec<u8>> {
+        let mut bytes = self.nvme.wait(ticket)?.ok_or_else(wrong_buf_kind)?;
+        self.verify_or_reread(offset, &mut bytes)?;
+        Ok(bytes)
+    }
+
+    /// Verify `bytes`, just read from `offset`, against the recorded
+    /// extents that exactly tile them: one checksum when the range was
     /// written whole, one per chunk when it was written by a chunked
-    /// stream. A mismatching tile alone is re-read, up to
-    /// [`CORRUPTION_REREADS`] times (silent transfer corruption is
-    /// transient — the device still holds clean data); a persistent
-    /// mismatch surfaces as [`Error::Corruption`]. A range the registry
-    /// does not tile is returned unverified. The checksums the buffer
-    /// passed come back with it.
-    fn verify_or_reread(
-        &self,
-        offset: u64,
-        mut buf: ScratchVec,
-    ) -> Result<(ScratchVec, Option<Tiles>)> {
-        let len = buf.as_bytes().len();
-        let Some(tiles) = self.resilience.tiles(offset, len as u64) else { return Ok((buf, None)) };
+    /// stream. A mismatching tile alone is re-read, into bytes of its own
+    /// (a repair takes no staging buffer), up to [`CORRUPTION_REREADS`]
+    /// times (silent transfer corruption is transient — the device still
+    /// holds clean data); a persistent mismatch surfaces as
+    /// [`Error::Corruption`]. A range the registry does not tile is left
+    /// unverified. Returns the checksums the bytes passed.
+    fn verify_or_reread(&self, offset: u64, bytes: &mut [u8]) -> Result<Option<Tiles>> {
+        let Some(tiles) = self.resilience.tiles(offset, bytes.len() as u64) else { return Ok(None) };
         let mut lo = 0;
         for &(tile_len, expected) in &tiles {
             let (tile, hi) = (offset + lo as u64, lo + tile_len as usize);
-            let mut actual = crc32(&buf.as_bytes()[lo..hi]);
+            let mut actual = crc32(&bytes[lo..hi]);
             let mut rereads = 0;
             while actual != expected {
                 if rereads == CORRUPTION_REREADS {
@@ -1130,13 +1139,9 @@ impl OffloadManager {
                         actual,
                     });
                 }
-                if hi - lo == len {
-                    buf = self.read_once(offset, buf)?;
-                } else {
-                    let fresh = self.read_once(tile, self.staging.acquire(hi - lo))?;
-                    buf.as_bytes_mut()[lo..hi].copy_from_slice(fresh.as_bytes());
-                }
-                actual = crc32(&buf.as_bytes()[lo..hi]);
+                let fresh = self.nvme.wait(self.nvme.submit_read(tile, hi - lo))?;
+                bytes[lo..hi].copy_from_slice(&fresh.ok_or_else(wrong_buf_kind)?);
+                actual = crc32(&bytes[lo..hi]);
                 rereads += 1;
             }
             if rereads > 0 {
@@ -1144,7 +1149,7 @@ impl OffloadManager {
             }
             lo = hi;
         }
-        Ok((buf, Some(tiles)))
+        Ok(Some(tiles))
     }
 
     /// Replace `seg`'s contents with `bytes`. An NVMe write left
@@ -1155,7 +1160,6 @@ impl OffloadManager {
             // exact bytes or reports failure (here, or at `flush` when
             // unwaited). The one copy hands the engine bytes it owns.
             self.resilience.record(seg.block.offset, bytes)?;
-            let _pinned = wait.then(|| self.pinned.acquire());
             let ticket = self.nvme.submit_write(seg.block.offset, bytes.to_vec());
             if wait {
                 return self.nvme.wait(ticket).map(drop);
@@ -1173,15 +1177,14 @@ impl OffloadManager {
         if let Some(ram) = &mut seg.ram {
             return ram.accumulate_f32(delta);
         }
-        // One recycled staging buffer carries every chunk of the
+        // One record buffer of the staging set carries each chunk of the
         // read-modify-write pass — device read, in-place add, device
-        // write — bounding its transfer memory (Sec. 6.3); the pinned
-        // buffer size sets the chunk granularity.
-        let chunk = (self.pinned.buffer_size() / DType::F32.size_in_bytes()).max(1);
+        // write — so a chunk is a record's length (Sec. 6.3).
+        let chunk = (self.staging.buffer_bytes(RECORDS) / DType::F32.size_in_bytes()).max(1);
         let mut nonfinite = false;
         for (i, delta) in delta.chunks(chunk).enumerate() {
             let (lo, off) = (i * chunk, seg.block.offset + DType::F32.bytes_for(i * chunk) as u64);
-            let read = self.begin_segment_read(&self.staging, DType::F32, seg, lo, delta.len())?;
+            let read = self.begin_segment_read(RECORDS, DType::F32, seg, lo, delta.len())?;
             let mut sums = read.wait(self)?.ok_or_else(piece_mismatch)?;
             nonfinite |= accumulate_f32(sums.as_f32_mut(), delta);
             self.resilience.record(off, sums.as_bytes())?;
@@ -1287,16 +1290,16 @@ impl OffloadManager {
     }
 
     /// Begin an asynchronous load of the whole buffer: one piece per
-    /// segment, every NVMe-resident segment's read issued immediately.
-    /// This is the `nc-transfer` stage the prefetcher overlaps with
-    /// compute (Sec. 6.2). The reads are issued whether or not the shard
-    /// cache holds the buffer: a caller that wants no read for a cached
-    /// shard asks [`Self::cached`] first, as [`Self::fetch_placed`] does.
-    /// A failure leaves no read in flight.
+    /// segment, every NVMe-resident segment's read issued immediately into
+    /// a shard buffer of the staging set. This is the `nc-transfer` stage
+    /// the prefetcher overlaps with compute (Sec. 6.2). The reads are
+    /// issued whether or not the shard cache holds the buffer: a caller
+    /// that wants no read for a cached shard asks [`Self::cached`] first,
+    /// as [`Self::fetch_placed`] does. A failure leaves no read in flight.
     pub(crate) fn begin_load(&self, buf: &PlacedBuf) -> Result<Vec<PlacedPending>> {
         let mut pieces = Vec::with_capacity(buf.segments.len());
         for seg in &buf.segments {
-            match self.begin_segment_read(&self.load_staging, buf.dtype, seg, 0, seg.len) {
+            match self.begin_segment_read(SHARDS, buf.dtype, seg, 0, seg.len) {
                 Ok(piece) => pieces.push(piece),
                 Err(e) => {
                     pieces.into_iter().for_each(|piece| piece.discard(self));
@@ -1310,14 +1313,13 @@ impl OffloadManager {
     /// Resolve the pieces of [`Self::begin_load`] into the buffer's
     /// contiguous bytes. A one-segment buffer costs no copy: a resident
     /// segment is borrowed, an NVMe one is the verified staging buffer
-    /// itself, which — with `fill_cache`, on the parameter-fetch path —
-    /// moves into the shard cache when the CPU pool has room for it.
-    /// Several segments are assembled into one staging buffer.
+    /// itself, copied into the shard cache when the CPU pool has room for
+    /// it — then the cache's copy is handed out and the staging buffer goes
+    /// home. Several segments are assembled into one shard buffer.
     pub(crate) fn finish_load<'a>(
         &self,
         buf: &'a PlacedBuf,
         pieces: Vec<PlacedPending>,
-        fill_cache: bool,
     ) -> Result<LoadedBytes<'a>> {
         // Every read is reaped before any failure surfaces.
         let staged: Vec<_> = pieces.into_iter().map(|piece| piece.wait_verified(self)).collect();
@@ -1327,10 +1329,10 @@ impl OffloadManager {
         }
         if let [seg] = &buf.segments[..] {
             return match (staged.pop().flatten(), &seg.ram) {
-                (Some((staging, Some(tiles))), _) if fill_cache => {
-                    Ok(match self.resilience.admit(seg.block.offset, &tiles, staging) {
-                        Ok(shard) => LoadedBytes::Cached(shard),
-                        Err(staging) => LoadedBytes::Staged(staging),
+                (Some((staging, Some(tiles))), _) => {
+                    Ok(match self.resilience.admit(seg.block.offset, &tiles, staging.as_bytes()) {
+                        Some(shard) => LoadedBytes::Cached(shard),
+                        None => LoadedBytes::Staged(staging),
                     })
                 }
                 (Some((staging, _)), _) => Ok(LoadedBytes::Staged(staging)),
@@ -1338,7 +1340,7 @@ impl OffloadManager {
                 (None, None) => Err(piece_mismatch()),
             };
         }
-        let mut whole = self.load_staging.acquire(buf.size_in_bytes());
+        let mut whole = self.staging.acquire(SHARDS, buf.size_in_bytes())?;
         for (seg, piece) in buf.segments.iter().zip(&staged) {
             let src = match (piece, &seg.ram) {
                 (Some((staging, _)), _) => staging.as_bytes(),
@@ -1369,17 +1371,49 @@ impl OffloadManager {
     pub fn fetch_placed<'a>(&self, buf: &'a PlacedBuf) -> Result<LoadedBytes<'a>> {
         match self.cached(buf, true) {
             Some(hit) => Ok(hit),
-            None => self.finish_load(buf, self.begin_load(buf)?, true),
+            None => self.finish_load(buf, self.begin_load(buf)?),
         }
     }
 
     /// Load the entire buffer into a fresh [`FlatBuffer`]. Always a
-    /// device read for NVMe segments: optimizer state, gradients and
-    /// activation checkpoints are read once per write, so they neither
-    /// consult nor fill the shard cache.
+    /// device read for NVMe segments — every one in flight before the first
+    /// is waited on — straight into bytes the result keeps, no staging
+    /// buffer: optimizer state, gradients and activation checkpoints are
+    /// read once per write, so they neither consult nor fill the shard
+    /// cache. Every read is reaped before a failure surfaces.
     pub fn load_placed(&self, buf: &PlacedBuf) -> Result<FlatBuffer> {
-        let loaded = self.finish_load(buf, self.begin_load(buf)?, false)?;
-        FlatBuffer::from_bytes(buf.dtype, loaded.as_bytes().to_vec())
+        let mut issued = Vec::with_capacity(buf.segments.len());
+        for seg in &buf.segments {
+            let read = match seg.ram {
+                Some(_) => Ok(None),
+                None => self.begin_bytes_read(seg.block.offset, seg.block.len).map(Some),
+            };
+            match read {
+                Ok(read) => issued.push(read),
+                Err(e) => {
+                    issued.into_iter().flatten().for_each(|ticket| drop(self.nvme.wait(ticket)));
+                    return Err(e);
+                }
+            }
+        }
+        let read = buf.segments.iter().zip(issued).map(|(seg, read)| {
+            read.map(|ticket| self.finish_bytes_read(seg.block.offset, ticket)).transpose()
+        });
+        let mut read = read.collect::<Vec<_>>().into_iter().collect::<Result<Vec<_>>>()?;
+        if let [Some(bytes)] = &mut read[..] {
+            return FlatBuffer::from_bytes(buf.dtype, std::mem::take(bytes));
+        }
+        let mut whole = vec![0u8; buf.size_in_bytes()];
+        for (seg, bytes) in buf.segments.iter().zip(&read) {
+            let src = match (bytes, &seg.ram) {
+                (Some(bytes), _) => &bytes[..],
+                (None, Some(ram)) => ram.as_bytes(),
+                (None, None) => return Err(piece_mismatch()),
+            };
+            let lo = buf.dtype.bytes_for(seg.start);
+            whole[lo..lo + src.len()].copy_from_slice(src);
+        }
+        FlatBuffer::from_bytes(buf.dtype, whole)
     }
 
     /// Consume the buffer: hand back its contents (a resident
@@ -1401,8 +1435,8 @@ impl OffloadManager {
     /// Begin streaming elements `[start, start+len)` of a buffer — a
     /// piece inside one segment, such as one record. An
     /// NVMe piece is issued to the device immediately, reading into a
-    /// recycled staging buffer; a CPU-DRAM piece needs no transfer at
-    /// all — so a pipelined caller streams both paths concurrently.
+    /// record buffer of the staging set; a CPU-DRAM piece needs no transfer
+    /// at all — so a pipelined caller streams both paths concurrently.
     pub(crate) fn begin_load_elems(
         &self,
         buf: &PlacedBuf,
@@ -1418,7 +1452,7 @@ impl OffloadManager {
         }
         Ok(match buf.segments.get(buf.segment_index(start)) {
             Some(seg) => {
-                self.begin_segment_read(&self.staging, buf.dtype, seg, start - seg.start, len)?
+                self.begin_segment_read(RECORDS, buf.dtype, seg, start - seg.start, len)?
             }
             None => PlacedPending { read: None },
         })
@@ -1476,9 +1510,8 @@ impl OffloadManager {
     /// Begin overwriting `buf` chunk by chunk (see [`PublishStream`]):
     /// write-back when the CPU pool has room for its image.
     pub fn begin_publish(&self, buf: &PlacedBuf) -> PublishStream {
-        let deposit = buf.extent().and_then(|(offset, len)| {
-            self.resilience.begin_deposit(offset, len, &self.load_staging)
-        });
+        let deposit =
+            buf.extent().and_then(|(offset, len)| self.resilience.begin_deposit(offset, len));
         PublishStream { mgr: self.clone(), pushed: 0, deposit, staged: None }
     }
 
@@ -1487,14 +1520,18 @@ impl OffloadManager {
     /// This is the graceful degradation path: when the node degrades
     /// while the device still answers reads (explicit degrade,
     /// health-driven collapse), the NVMe-resident *half* of a split
-    /// buffer is preserved rather than dropped with the store. Reads are
+    /// buffer is preserved rather than dropped with the store. Each
+    /// segment is read straight into the bytes its DRAM copy keeps,
     /// checksum-verified; a dead device surfaces its typed error so the
     /// caller falls back to checkpoint recovery.
     pub(crate) fn collapse(&self, buf: &mut PlacedBuf) -> Result<()> {
         for seg in &mut buf.segments {
-            let read = self.begin_segment_read(&self.load_staging, buf.dtype, seg, 0, seg.len)?;
-            let Some(bytes) = read.wait(self)? else { continue };
-            let data = FlatBuffer::from_bytes(buf.dtype, bytes.as_bytes().to_vec())?;
+            if seg.ram.is_some() {
+                continue;
+            }
+            let (offset, len) = (seg.block.offset, seg.block.len);
+            let bytes = self.finish_bytes_read(offset, self.begin_bytes_read(offset, len)?)?;
+            let data = FlatBuffer::from_bytes(buf.dtype, bytes)?;
             let cpu = self.store_segment(Device::cpu(), seg.start, data, seg.len)?;
             self.resilience.failovers.fetch_add(1, Ordering::Relaxed);
             self.free_segment(std::mem::replace(seg, cpu));
@@ -1551,7 +1588,7 @@ fn overlap(a: (u64, u64), b: (u64, u64)) -> bool {
 /// writes are in flight at once, and submitting into a full window first
 /// waits out the oldest one (back-pressure), so a slow device throttles
 /// the pipeline instead of ballooning queued memory. Each buffer moves
-/// into its write request by value and goes home to the staging pool
+/// into its write request by value and goes home to the staging set
 /// when the ticket is reaped — on success and on every error path — unless
 /// the write is *kept*: then the window holds the buffer once the write
 /// lands, exactly what the device holds, until [`Self::take_kept`] hands
@@ -1794,8 +1831,9 @@ impl WriteBehind {
 
 impl Drop for WriteBehind {
     fn drop(&mut self) {
+        // Not while unwinding: a second panic would abort the process.
         debug_assert!(
-            self.inflight.is_empty(),
+            std::thread::panicking() || self.inflight.is_empty(),
             "WriteBehind dropped with {} writes un-drained",
             self.inflight.len()
         );
@@ -1839,23 +1877,23 @@ pub struct PublishStream {
 impl PublishStream {
     /// Where the encoded bytes of elements `[from, from + len)` of `buf`,
     /// the buffer the stream was begun on, go when they lie in one NVMe
-    /// segment: their place in the image, or a staging buffer. The fused
-    /// optimizer kernel writes a record's publish piece straight into it,
-    /// and [`Self::push`] commits it. `None` where [`Self::push_values`]
-    /// must place them (DRAM, or across segments).
-    pub fn stage(&mut self, buf: &PlacedBuf, from: usize, len: usize) -> Option<&mut [u8]> {
+    /// segment: their place in the image, or a piece buffer of the staging
+    /// set. The fused optimizer kernel writes a record's publish piece
+    /// straight into it, and [`Self::push`] commits it. `None` where
+    /// [`Self::push_values`] must place them (DRAM, or across segments).
+    pub fn stage(&mut self, buf: &PlacedBuf, from: usize, len: usize) -> Result<Option<&mut [u8]>> {
         let nbytes = buf.dtype.bytes_for(len);
         let fits = len > 0 && from + len <= buf.numel;
         if !fits || buf.device_offset(from, nbytes).is_none() {
-            return None;
+            return Ok(None);
         }
-        Some(match &mut self.deposit {
+        Ok(Some(match &mut self.deposit {
             Some(deposit) => {
                 let lo = buf.dtype.bytes_for(from);
-                &mut deposit.image.as_bytes_mut()[lo..lo + nbytes]
+                &mut deposit.image[lo..lo + nbytes]
             }
-            None => self.staged.insert(self.mgr.staging.acquire(nbytes)).as_bytes_mut(),
-        })
+            None => self.staged.insert(self.mgr.staging.acquire(PIECES, nbytes)?).as_bytes_mut(),
+        }))
     }
 
     /// Overwrite elements `[from, from + len)` of `buf` — next to the
@@ -1879,7 +1917,7 @@ impl PublishStream {
             Some(deposit) => {
                 let lo = buf.dtype.bytes_for(from);
                 debug_assert_eq!(
-                    crc32(&deposit.image.as_bytes()[lo..lo + nbytes]),
+                    crc32(&deposit.image[lo..lo + nbytes]),
                     crc,
                     "publish checksum is not that of the image's bytes"
                 );
@@ -1936,7 +1974,7 @@ impl PublishStream {
                     self.pushed += piece.len();
                 }
                 None => {
-                    let bytes = self.stage(buf, from, piece.len()).ok_or_else(|| {
+                    let bytes = self.stage(buf, from, piece.len())?.ok_or_else(|| {
                         Error::Internal("publish piece is not one NVMe extent".into())
                     })?;
                     encode_f32(dtype, piece, bytes)?;
@@ -2009,19 +2047,26 @@ mod tests {
         mgr.resilience.evict_all(&mut map, &mut cache).unwrap()
     }
 
-    fn in_use(mgr: &OffloadManager) -> (u64, u64) {
-        let h = mgr.hierarchy();
-        (h.stats(Device::cpu()).in_use, h.stats(Device::nvme()).in_use)
-    }
+    /// A staging set for the tests' buffers of up to 1 KiB: four records,
+    /// four pieces and twelve shards, [`TEST_SET_BYTES`] in all.
+    pub(crate) const TEST_SET: [(usize, usize); 3] = [(4, 1024), (4, 1024), (12, 1024)];
+    pub(crate) const TEST_SET_BYTES: u64 = 20 * 1024;
 
-    impl OffloadManager {
-        /// The pool whole-buffer loads (fetches, prefetches) read into.
-        pub(crate) fn load_staging(&self) -> &ScratchPool {
-            &self.load_staging
-        }
+    /// CPU and NVMe bytes in use besides the staging set.
+    fn in_use(mgr: &OffloadManager) -> (u64, u64) {
+        let (h, staging) = (mgr.hierarchy(), mgr.staging().held_bytes());
+        (h.stats(Device::cpu()).in_use - staging, h.stats(Device::nvme()).in_use)
     }
 
     impl NodeResources {
+        /// A manager with [`TEST_SET`] as its staging set: the tests below
+        /// stream through it.
+        pub(crate) fn staged_manager(&self) -> OffloadManager {
+            let mut mgr = self.offload_manager();
+            mgr.provision_staging(TEST_SET).unwrap();
+            mgr
+        }
+
         /// Take the shard cache's room away for good, as a CPU tenant that
         /// once needed the whole (otherwise empty) CPU pool does: every
         /// later fetch of an NVMe shard is a device read.
@@ -2054,7 +2099,7 @@ mod tests {
     fn capacity_is_enforced() {
         let spec = NodeMemorySpec::test_spec(1, 16, 1 << 20, 1 << 20);
         let node = NodeResources::in_memory(&spec, 1);
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         // 5 f32 = 20 bytes > 16-byte GPU pool.
         let err = store_on(&mgr, Device::gpu(0), buf_f32(&[0.0; 5])).unwrap_err();
         assert!(err.is_oom());
@@ -2066,12 +2111,12 @@ mod tests {
     #[test]
     fn async_load_overlaps() {
         let node = node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let buf = store_on(&mgr, Device::nvme(), buf_f32(&[7.0; 64])).unwrap();
         let pending = mgr.begin_load(&buf).unwrap();
         assert!(buf.is_offloaded() && pending.len() == 1);
         // ... compute would happen here ...
-        let data = mgr.finish_load(&buf, pending, true).unwrap();
+        let data = mgr.finish_load(&buf, pending).unwrap();
         assert_eq!(data.as_bytes(), buf_f32(&[7.0; 64]).as_bytes());
         drop(data);
         mgr.free_placed(buf);
@@ -2080,15 +2125,15 @@ mod tests {
     #[test]
     fn cpu_loads_resolve_immediately() {
         let node = node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let buf = store_on(&mgr, Device::cpu(), buf_f32(&[1.0, 2.0])).unwrap();
         let pending = mgr.begin_load(&buf).unwrap();
         assert!(!buf.is_offloaded() && pending.iter().all(|p| p.ready(&mgr)));
         // The resident buffer itself is handed out: no copy, no staging.
-        let data = mgr.finish_load(&buf, pending, true).unwrap();
+        let data = mgr.finish_load(&buf, pending).unwrap();
         assert!(matches!(data, LoadedBytes::Resident(_)));
         assert_eq!(data.as_bytes(), buf_f32(&[1.0, 2.0]).as_bytes());
-        assert_eq!(mgr.staging().stats().allocated, 0);
+        assert_eq!(mgr.staging().stats().reused, 0);
         mgr.free_placed(buf);
     }
 
@@ -2110,7 +2155,7 @@ mod tests {
     #[test]
     fn silent_corruption_is_detected_and_repaired_by_reread() {
         let (plan, node) = faulty_node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let buf = store_on(&mgr, Device::nvme(), buf_f32(&[3.25; 128])).unwrap();
         plan.bitflip_next_reads(1); // first read returns a poisoned buffer
         let data = mgr.load_placed(&buf).unwrap();
@@ -2125,7 +2170,7 @@ mod tests {
     #[test]
     fn persistent_corruption_surfaces_typed_error() {
         let (plan, node) = faulty_node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let buf = store_on(&mgr, Device::nvme(), buf_f32(&[1.0; 64])).unwrap();
         // Poison the initial read and every re-read.
         plan.bitflip_next_reads(1 + super::CORRUPTION_REREADS);
@@ -2138,11 +2183,11 @@ mod tests {
     #[test]
     fn prefetched_load_verifies_too() {
         let (plan, node) = faulty_node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let buf = store_on(&mgr, Device::nvme(), buf_f32(&[9.0; 32])).unwrap();
         plan.bitflip_next_reads(1);
         let pending = mgr.begin_load(&buf).unwrap();
-        let data = mgr.finish_load(&buf, pending, true).unwrap();
+        let data = mgr.finish_load(&buf, pending).unwrap();
         assert_eq!(data.as_bytes(), buf_f32(&[9.0; 32]).as_bytes());
         assert_eq!(mgr.health().corruptions_recovered, 1);
         drop(data);
@@ -2179,7 +2224,7 @@ mod tests {
         // back; a later whole-segment read (checkpoint export, collapse)
         // is verified against the chunk checksums tiling it.
         let (plan, node) = faulty_node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let vals: Vec<f32> = (0..96).map(|i| i as f32 - 40.0).collect();
         let mut buf = store_nvme(&mgr, PlacementPolicy::all_nvme(), &vals);
         stream_negate(&mgr, &mut buf, 32, 2); // 3 chunks, two passes: back to `vals`
@@ -2202,7 +2247,7 @@ mod tests {
     #[test]
     fn dead_device_fails_stores_over_to_cpu() {
         let (plan, node) = faulty_node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         // A store that dies mid-write falls back to CPU with the data.
         plan.kill();
         let buf = store_on(&mgr, Device::nvme(), buf_f32(&[2.5; 16])).unwrap();
@@ -2225,7 +2270,7 @@ mod tests {
     fn explicit_degrade_redirects_before_any_failure() {
         let (_plan, node) = faulty_node();
         node.degrade();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let buf = store_on(&mgr, Device::nvme(), buf_f32(&[1.5; 4])).unwrap();
         assert_eq!(device_of(&buf), Device::cpu());
         assert!(mgr.health().degraded);
@@ -2235,7 +2280,7 @@ mod tests {
     #[test]
     fn transient_store_faults_recover_without_failover() {
         let (plan, node) = faulty_node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         plan.fail_next_writes(2); // < max_attempts
         let buf = store_on(&mgr, Device::nvme(), buf_f32(&[8.0; 8])).unwrap();
         assert_eq!(device_of(&buf), Device::nvme());
@@ -2262,7 +2307,7 @@ mod tests {
     }
 
     fn staged(mgr: &OffloadManager, vals: &[f32]) -> ScratchVec {
-        let mut buf = mgr.staging().acquire(vals.len() * 4);
+        let mut buf = mgr.staging().acquire(RECORDS, vals.len() * 4).unwrap();
         buf.as_f32_mut().copy_from_slice(vals);
         buf
     }
@@ -2270,7 +2315,7 @@ mod tests {
     #[test]
     fn bounds_checked() {
         let node = node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let mut buf = store_on(&mgr, Device::cpu(), buf_f32(&[0.0; 4])).unwrap();
         assert!(mgr.overwrite_placed(&mut buf, &buf_f32(&[0.0; 5])).is_err());
         mgr.free_placed(buf);
@@ -2290,7 +2335,7 @@ mod tests {
     #[test]
     fn streamed_pieces_read_into_staging_and_update_ram_in_place() {
         let node = node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let vals: Vec<f32> = (0..256).map(|i| (i as f32) * 0.25).collect();
         let mut buf = store_nvme(&mgr, PlacementPolicy::split(500, 16), &vals);
         let mut wb = WriteBehind::new(2);
@@ -2316,8 +2361,8 @@ mod tests {
         wb.drain(&mgr).unwrap();
         assert_eq!(wb.in_flight(), 0);
         let pool = mgr.staging();
-        assert_eq!((pool.outstanding(), pool.idle() as u64), (0, pool.stats().allocated));
-        assert!(pool.stats().reused > 0, "staging buffers are recycled across pieces");
+        assert_eq!((pool.outstanding(), pool.idle(RECORDS)), (0, TEST_SET[RECORDS].0));
+        assert!(pool.stats().reused > 4, "staging buffers are recycled across pieces");
         let want: Vec<f32> = vals.iter().map(|x| -x).collect();
         assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), want);
         mgr.free_placed(buf);
@@ -2329,7 +2374,7 @@ mod tests {
         // CRC), a later chunk read of that exact extent is verified —
         // and repaired on a transient bitflip, into the same buffer.
         let (plan, node) = faulty_node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let buf = store_nvme(&mgr, PlacementPolicy::all_nvme(), &[0.0; 32]);
         let mut wb = WriteBehind::new(1);
         submit(&mut wb, &mgr, &buf, 8, staged(&mgr, &[4.0; 8])).unwrap();
@@ -2339,14 +2384,14 @@ mod tests {
         assert_eq!(data.as_f32(), [4.0; 8]);
         assert_eq!(mgr.health().corruptions_recovered, 1);
         drop(data);
-        assert_eq!(mgr.staging().stats().allocated, 1, "the re-read reused the staging buffer");
+        assert_eq!(mgr.staging().stats().reused, 2, "the re-read took no staging buffer");
         mgr.free_placed(buf);
     }
 
     #[test]
     fn write_behind_surfaces_device_death_as_typed_error() {
         let (plan, node) = faulty_node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let buf = store_nvme(&mgr, PlacementPolicy::all_nvme(), &[0.0; 16]);
         let mut wb = WriteBehind::new(4);
         plan.kill();
@@ -2372,7 +2417,7 @@ mod tests {
     #[test]
     fn write_behind_transient_faults_retry_invisibly() {
         let (plan, node) = faulty_node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let buf = store_nvme(&mgr, PlacementPolicy::all_nvme(), &[0.0; 16]);
         let mut wb = WriteBehind::new(2);
         plan.fail_next_writes(2); // < max_attempts
@@ -2397,7 +2442,7 @@ mod tests {
     #[test]
     fn chunked_publish_equals_whole_overwrite_and_keeps_fetches_verified() {
         let (plan, node) = faulty_node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let vals: Vec<f32> = (0..37).map(|i| (i as f32) * 0.5 - 9.0).collect();
         let whole_overwrite = FlatBuffer::from_f32(DType::F16, &vals);
         // Each tier as a one-segment plan, then a buffer striped over
@@ -2472,8 +2517,8 @@ mod tests {
             for cached_before in [true, false] {
                 let tag = format!("{writer:?}, cached before: {cached_before}");
                 let node = node();
-                let mgr = node.offload_manager();
-                let cpu_in_use = || mgr.hierarchy().stats(Device::cpu()).in_use;
+                let mgr = node.staged_manager();
+                let cpu_in_use = || in_use(&mgr).0;
                 let mut buf = store_on(&mgr, Device::nvme(), f16(&[0.0; 40])).unwrap();
                 // Chunk-written, like every shard after its first step.
                 publish_chunked(&mgr, &mut buf, &old).unwrap();
@@ -2567,7 +2612,7 @@ mod tests {
         // into its cache image; written back, the extent is verified piece
         // by piece, in device order.
         let (plan, node) = faulty_node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let vals: Vec<f32> = (0..40).map(|i| i as f32 * 0.5 - 3.0).collect();
         let want = FlatBuffer::from_f32(DType::F16, &vals);
         let zeros = FlatBuffer::from_f32(DType::F16, &[0.0; 40]);
@@ -2591,7 +2636,7 @@ mod tests {
     #[test]
     fn a_corrupt_fill_is_reread_once_and_the_entry_holds_clean_bytes() {
         let (plan, node) = faulty_node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let vals: Vec<f32> = (0..64).map(|i| i as f32 - 7.5).collect();
         let buf = store_on(&mgr, Device::nvme(), buf_f32(&vals)).unwrap();
         let reads = mgr.nvme().stats().reads;
@@ -2622,14 +2667,13 @@ mod tests {
 
     #[test]
     fn cache_pressure_partial_admission_and_device_death() {
-        // A CPU pool of 1000 B; shards of 400 B.
-        let spec = NodeMemorySpec::test_spec(1, 1 << 20, 1000, 1 << 20);
-        let (plan, _) = faulty_node();
-        let backend = Arc::new(zi_nvme::FaultyBackend::new(MemBackend::new(), plan.clone()));
-        let env = NodeEnv { policy: RetryPolicy::none(), ..NodeEnv::new(backend) };
-        let node = NodeResources::new(&spec, 1, env);
-        let mgr = node.offload_manager();
-        let cpu = || mgr.hierarchy().stats(Device::cpu());
+        // A CPU pool of 1000 B beside the staging set; shards of 400 B.
+        let (plan, node) = pool_node(1000);
+        let mgr = node.staged_manager();
+        let cpu = || {
+            let stats = mgr.hierarchy().stats(Device::cpu());
+            zi_memory::PoolStats { in_use: stats.in_use - TEST_SET_BYTES, ..stats }
+        };
         let shard = |v: f32| store_on(&mgr, Device::nvme(), buf_f32(&[v; 100])).unwrap();
         let (a, b, c) = (shard(1.0), shard(2.0), shard(3.0));
         // Initial stores fill nothing; fetches admit while there is room:
@@ -2673,13 +2717,13 @@ mod tests {
             mgr.free_placed(buf);
         }
         assert_eq!(in_use(&mgr), (0, 0));
-        assert_eq!(mgr.staging().outstanding() + mgr.load_staging.outstanding(), 0);
+        assert_eq!(mgr.staging().outstanding(), 0);
     }
 
-    /// A node with a CPU pool of `cpu` bytes over a scriptable device that
-    /// does not retry.
+    /// A node with a CPU pool of `cpu` bytes beside [`TEST_SET`] over a
+    /// scriptable device that does not retry.
     fn pool_node(cpu: u64) -> (zi_nvme::FaultPlan, NodeResources) {
-        let spec = NodeMemorySpec::test_spec(1, 1 << 20, cpu, 1 << 20);
+        let spec = NodeMemorySpec::test_spec(1, 1 << 20, cpu + TEST_SET_BYTES, 1 << 20);
         let plan = zi_nvme::FaultPlan::new();
         let backend = Arc::new(zi_nvme::FaultyBackend::new(MemBackend::new(), plan.clone()));
         let env = NodeEnv { policy: RetryPolicy::none(), ..NodeEnv::new(backend) };
@@ -2688,10 +2732,10 @@ mod tests {
 
     #[test]
     fn a_publish_is_written_back_only_when_its_entry_has_to_leave() {
-        // A CPU pool of 1000 B; a shard of 400 B.
+        // A CPU pool of 1000 B beside the staging set; a shard of 400 B.
         let (plan, node) = pool_node(1000);
-        let mgr = node.offload_manager();
-        let cpu = || mgr.hierarchy().stats(Device::cpu()).in_use;
+        let mgr = node.staged_manager();
+        let cpu = || in_use(&mgr).0;
         let vals: Vec<f32> = (0..100).map(|i| i as f32 * 0.5 - 20.0).collect();
         let mut buf = store_on(&mgr, Device::nvme(), buf_f32(&[0.0; 100])).unwrap();
         let writes = || mgr.nvme().stats().writes;
@@ -2731,7 +2775,7 @@ mod tests {
         // device stays: the tenant that needed its room gets the device
         // error, and the published bytes are still served.
         let (plan, node) = pool_node(1000);
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let mut buf = store_on(&mgr, Device::nvme(), buf_f32(&[0.0; 100])).unwrap();
         publish_chunked(&mgr, &mut buf, &vals).unwrap();
         plan.kill();
@@ -2742,13 +2786,13 @@ mod tests {
         // A free drops it unwritten.
         mgr.free_placed(buf);
         assert_eq!(in_use(&mgr), (0, 0));
-        assert_eq!(mgr.staging().outstanding() + mgr.load_staging.outstanding(), 0);
+        assert_eq!(mgr.staging().outstanding(), 0);
     }
 
     #[test]
     fn accumulate_in_place_fuses_overflow_scan() {
         let node = node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let split = PlacementPolicy::split(500, 8);
         // The flag is set exactly when a dense accumulate would set it,
         // whichever segment the non-finite element lands in.
@@ -2774,12 +2818,11 @@ mod tests {
 
     #[test]
     fn nvme_accumulate_chunks_through_small_staging() {
-        // A tiny pinned pool forces the NVMe accumulate path to stream
-        // in multiple chunks through a single held staging buffer.
-        let spec = NodeMemorySpec::test_spec(2, 1 << 20, 1 << 20, 1 << 20);
-        let env = NodeEnv { pinned: (2, 64), nvme_workers: 2, ..NodeEnv::in_memory() };
-        let node = NodeResources::new(&spec, 1, env); // 16 f32 per chunk
-        let mgr = node.offload_manager();
+        // A set of one 64-byte record buffer forces the NVMe accumulate
+        // path to stream in multiple chunks (16 f32 each) through it.
+        let node = node();
+        let mut mgr = node.offload_manager();
+        mgr.provision_staging([(1, 64), (0, 0), (0, 0)]).unwrap();
         let vals: Vec<f32> = (0..100).map(|i| i as f32).collect();
         let delta: Vec<f32> = (0..100).map(|i| 0.25 * i as f32).collect();
         let mut buf = store_on(&mgr, Device::nvme(), buf_f32(&vals)).unwrap();
@@ -2791,7 +2834,7 @@ mod tests {
     #[test]
     fn placed_split_round_trips_and_interleaves() {
         let node = node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let vals: Vec<f32> = (0..256).map(|i| i as f32).collect();
         let policy = PlacementPolicy::split(500, 16);
         let buf = mgr.store_placed(Device::nvme(), &policy, buf_f32(&vals)).unwrap();
@@ -2808,13 +2851,13 @@ mod tests {
     #[test]
     fn whole_buffer_prefetch_of_a_split_buffer_reads_each_nvme_segment_once() {
         let node = node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let vals: Vec<f32> = (0..256).map(|i| i as f32).collect();
         let buf = store_nvme(&mgr, PlacementPolicy::split(500, 16), &vals);
         let nvme_segments = buf.segments.iter().filter(|s| s.ram.is_none()).count() as u64;
         let before = mgr.nvme().stats();
         let pending = mgr.begin_load(&buf).unwrap();
-        let data = mgr.finish_load(&buf, pending, true).unwrap();
+        let data = mgr.finish_load(&buf, pending).unwrap();
         assert_eq!(data.as_bytes(), buf_f32(&vals).as_bytes());
         let after = mgr.nvme().stats();
         assert_eq!(after.reads - before.reads, nvme_segments);
@@ -2829,7 +2872,7 @@ mod tests {
     #[test]
     fn every_op_on_a_one_segment_plan_equals_the_op_on_a_split_buffer() {
         let node = node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let vals: Vec<f32> = (0..32).map(|i| 1.5 * i as f32).collect();
         let delta: Vec<f32> = (0..32).map(|i| 0.125 * i as f32).collect();
         let fresh: Vec<f32> = (0..32).map(|i| -(i as f32)).collect();
@@ -2872,7 +2915,7 @@ mod tests {
     #[test]
     fn placed_async_overwrite_visible_after_flush() {
         let node = node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let mut buf = store_nvme(&mgr, PlacementPolicy::split(250, 4), &[0.0; 64]);
         mgr.overwrite_async_placed(&mut buf, &buf_f32(&[4.5; 64])).unwrap();
         mgr.flush().unwrap();
@@ -2936,7 +2979,7 @@ mod tests {
     #[test]
     fn a_flush_waits_for_its_own_io_only() {
         let (gate, node) = gated_node(false);
-        let (a, b) = (node.offload_manager(), node.offload_manager());
+        let (a, b) = (node.offload_manager(), node.staged_manager());
         let vals: Vec<f32> = (0..64).map(|i| i as f32 - 9.5).collect();
         let record = store_on(&b, Device::nvme(), buf_f32(&vals)).unwrap();
         let mut mine = store_on(&a, Device::nvme(), buf_f32(&[0.0; 8])).unwrap();
@@ -2954,13 +2997,13 @@ mod tests {
         b.flush().unwrap();
         a.free_placed(mine);
         b.free_placed(record);
-        assert_eq!(in_use(&a), (0, 0));
+        assert_eq!(in_use(&b), (0, 0));
     }
 
     #[test]
     fn a_failed_async_write_is_reported_to_the_manager_that_issued_it() {
         let (gate, node) = gated_node(true);
-        let (a, b) = (node.offload_manager(), node.offload_manager());
+        let (a, b) = (node.offload_manager(), node.staged_manager());
         let mut mine = store_on(&a, Device::nvme(), buf_f32(&[1.0; 16])).unwrap();
         let mut theirs = store_on(&b, Device::nvme(), buf_f32(&[2.0; 16])).unwrap();
         gate.refused.store(theirs.extent().unwrap().0, Ordering::Relaxed);
@@ -2977,7 +3020,7 @@ mod tests {
         // A device failure under B's write is still no error: B's flush
         // degrades the node instead.
         let (plan, node) = faulty_node();
-        let (a, b) = (node.offload_manager(), node.offload_manager());
+        let (a, b) = (node.offload_manager(), node.staged_manager());
         let mut theirs = store_on(&b, Device::nvme(), buf_f32(&[2.0; 16])).unwrap();
         plan.kill();
         b.overwrite_async_placed(&mut theirs, &buf_f32(&[4.0; 16])).unwrap();
@@ -2991,7 +3034,7 @@ mod tests {
     #[test]
     fn explicit_degrade_collapses_split_shard_preserving_nvme_half() {
         let node = node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let vals: Vec<f32> = (0..200).map(|i| (i as f32).sin()).collect();
         let mut buf = store_nvme(&mgr, PlacementPolicy::split(250, 8), &vals);
         assert!(buf.is_offloaded());
@@ -3010,7 +3053,7 @@ mod tests {
     #[test]
     fn dead_device_fails_split_store_over_per_segment() {
         let (plan, node) = faulty_node();
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         plan.kill();
         let vals: Vec<f32> = (0..64).map(|i| i as f32).collect();
         // Each planned-NVMe segment fails over alone, bytes in hand; the

@@ -18,7 +18,7 @@ use zi_model::ParamId;
 use zi_trace::Counter;
 use zi_types::Result;
 
-use crate::offload::{LoadedBytes, OffloadManager, PlacedBuf, PlacedPending};
+use crate::offload::{LoadedBytes, OffloadManager, PlacedBuf, PlacedPending, SHARDS};
 
 /// Operator-sequence map with on-the-fly re-synchronization.
 #[derive(Debug, Default)]
@@ -102,8 +102,10 @@ pub struct PrefetchStats {
 
 /// Upper bound on simultaneously in-flight prefetch loads. Bounds both
 /// NVMe queue depth and the memory held by completed-but-unconsumed
-/// reads.
-const MAX_PENDING: usize = 16;
+/// reads: a rank's staging set holds a shard buffer per prefetch its
+/// look-ahead can have in flight, up to this many, and one for the demand
+/// fetch.
+pub(crate) const MAX_PENDING: usize = 16;
 
 /// In-flight asynchronous shard loads, keyed by parameter. One engine
 /// owns the prefetcher and clears it every iteration, and a parameter's
@@ -138,8 +140,12 @@ impl Prefetcher {
             return;
         }
         // RAM-resident shards resolve instantly (and copy-free) on the
-        // demand path: there is nothing to start.
-        if self.pending.len() >= MAX_PENDING || !shard.is_offloaded() {
+        // demand path: there is nothing to start. A prefetch takes a shard
+        // buffer of the staging set per device segment and leaves one for
+        // the demand fetch, so it never waits for one: past that, it is not
+        // issued.
+        let reads = shard.device_segments();
+        if self.pending.len() >= MAX_PENDING || reads == 0 || mgr.staging().idle(SHARDS) <= reads {
             return;
         }
         // A failure (a write-back the device refused) is the demand
@@ -181,7 +187,7 @@ impl Prefetcher {
             self.stats.late += 1;
             mgr.tracer().count(Counter::PrefetchLate, 1);
         }
-        match mgr.finish_load(shard, pieces, true) {
+        match mgr.finish_load(shard, pieces) {
             Err(e) if e.is_transient() => mgr.fetch_placed(shard),
             loaded => loaded,
         }
@@ -198,8 +204,8 @@ impl Prefetcher {
     }
 
     /// Drop all in-flight loads (end of iteration housekeeping). Each
-    /// read is reaped — its staging buffer goes back to the scratch pool
-    /// rather than leaking mid-flight — and both its data and any error
+    /// read is reaped — its staging buffer goes back to the set rather
+    /// than leaking mid-flight — and both its data and any error
     /// are discarded: the data was never handed out, and the demand path
     /// will retry (or surface the error) when the shard is actually
     /// needed.
@@ -309,7 +315,7 @@ mod tests {
     fn prefetch_hit_and_miss_accounting() {
         let spec = NodeMemorySpec::test_spec(1, 1 << 20, 1 << 20, 1 << 20);
         let node = NodeResources::in_memory(&spec, 1);
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let shard_a = shard_on(&mgr, Device::nvme(), &[1.0; 16]);
         let shard_b = shard_on(&mgr, Device::nvme(), &[2.0; 16]);
         let mut pf = Prefetcher::new();
@@ -333,7 +339,7 @@ mod tests {
     fn a_cached_shard_is_neither_prefetched_nor_counted() {
         let spec = NodeMemorySpec::test_spec(1, 1 << 20, 1 << 20, 1 << 20);
         let node = NodeResources::in_memory(&spec, 1);
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let shard = shard_on(&mgr, Device::nvme(), &[5.0; 16]);
         let mut pf = Prefetcher::new();
         // The first demand fetch is a miss; its verified buffer becomes
@@ -365,7 +371,7 @@ mod tests {
         let plan = zi_nvme::FaultPlan::new();
         let backend = Arc::new(zi_nvme::FaultyBackend::new(zi_nvme::MemBackend::new(), plan.clone()));
         let node = NodeResources::new(&spec, 1, NodeEnv::new(backend));
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let shard = shard_on(&mgr, Device::nvme(), &[6.0; 32]);
         let reads_before = mgr.nvme().stats().reads;
 
@@ -392,7 +398,7 @@ mod tests {
     fn repeated_hints_for_ram_shards_do_not_reissue_loads() {
         let spec = NodeMemorySpec::test_spec(1, 1 << 20, 1 << 20, 1 << 20);
         let node = NodeResources::in_memory(&spec, 1);
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let shard = shard_on(&mgr, Device::cpu(), &[4.0; 8]);
         let mut pf = Prefetcher::new();
         for _ in 0..3 {
@@ -407,7 +413,7 @@ mod tests {
     fn cpu_shards_are_not_tracked() {
         let spec = NodeMemorySpec::test_spec(1, 1 << 20, 1 << 20, 1 << 20);
         let node = NodeResources::in_memory(&spec, 1);
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let shard = shard_on(&mgr, Device::cpu(), &[3.0; 4]);
         let mut pf = Prefetcher::new();
         pf.prefetch(&mgr, ParamId(0), &shard);
@@ -423,7 +429,7 @@ mod tests {
     fn clear_drains_pending() {
         let spec = NodeMemorySpec::test_spec(1, 1 << 20, 1 << 20, 1 << 20);
         let node = NodeResources::in_memory(&spec, 1);
-        let mgr = node.offload_manager();
+        let mgr = node.staged_manager();
         let shard = shard_on(&mgr, Device::nvme(), &[0.0; 8]);
         let mut pf = Prefetcher::new();
         pf.prefetch(&mgr, ParamId(0), &shard);

@@ -776,13 +776,18 @@ mod tests {
         GptConfig { vocab: 16, hidden: 8, layers: 2, heads: 2, seq: 4, seed: 99 }
     }
 
-    /// Memory for `world` ranks of `model_cfg()` whose CPU pool the
-    /// gradients fill: from the first backward on the shard cache has no
-    /// room, so fetches read the device and the prefetcher has work.
-    fn no_cache_room(world: usize) -> NodeMemorySpec {
+    /// Memory for `world` ranks of `model_cfg()` under `strategy` whose
+    /// CPU pool the gradients fill beside each rank's staging set: from the
+    /// first backward on the shard cache has no room, so fetches read the
+    /// device and the prefetcher has work.
+    fn no_cache_room(world: usize, strategy: Strategy) -> NodeMemorySpec {
         let model = GptModel::new(model_cfg());
         let grads = model.registry().iter().map(|p| 4 * (p.numel().div_ceil(world) * world) as u64);
-        NodeMemorySpec::test_spec(world, 1 << 24, grads.sum(), 1 << 26)
+        let node = NodeResources::in_memory(&NodeMemorySpec::test_spec(world, 1 << 24, 1 << 26, 1 << 26), world);
+        let (mgr, comm) = (node.offload_manager(), node.group.communicator(0));
+        let probe = ZeroEngine::new(model.registry(), strategy, mgr, comm, AdamConfig::default());
+        let set = probe.unwrap().offload_manager().staging().held_bytes();
+        NodeMemorySpec::test_spec(world, 1 << 24, grads.sum::<u64>() + world as u64 * set, 1 << 26)
     }
 
     fn max_param_diff(a: &[Tensor], b: &[Tensor]) -> f32 {
@@ -863,7 +868,7 @@ mod tests {
         let strategy = Strategy::infinity_nvme().with_f32_params();
         let spec_on = TrainSpec {
             steps: 3,
-            node: no_cache_room(2),
+            node: no_cache_room(2, strategy.with_prefetch_window(2)),
             ..TrainSpec::test_default(cfg, strategy, 2)
         };
         let spec_off = TrainSpec { prefetch_window: 0, ..spec_on };
@@ -884,15 +889,19 @@ mod tests {
         let spec = TrainSpec {
             steps: 3,
             prefetch_window: 0,
-            node: no_cache_room(2),
+            node: no_cache_room(2, strategy.with_prefetch_window(0)),
             ..TrainSpec::test_default(cfg, strategy, 2)
         };
         let out = train_gpt(&spec).unwrap();
         assert_eq!(out.stats.prefetch.issued, 0, "window 0 must issue nothing");
         // Any nonzero window engages the prefetcher, and the width must
         // be invisible to the numerics.
-        let narrow = train_gpt(&TrainSpec { prefetch_window: 1, ..spec }).unwrap();
-        let wide = train_gpt(&TrainSpec { prefetch_window: 6, ..spec }).unwrap();
+        let window = |prefetch_window| TrainSpec {
+            prefetch_window,
+            node: no_cache_room(2, strategy.with_prefetch_window(prefetch_window)),
+            ..spec
+        };
+        let (narrow, wide) = (train_gpt(&window(1)).unwrap(), train_gpt(&window(6)).unwrap());
         assert!(narrow.stats.prefetch.issued > 0);
         assert!(wide.stats.prefetch.issued > 0);
         assert_eq!(narrow.losses, wide.losses, "look-ahead must not change numerics");

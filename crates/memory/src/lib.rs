@@ -7,9 +7,10 @@
 //! so that out-of-memory and fragmentation behave like the real systems the
 //! paper measures (Sec. 3 "Model State Working Memory", Fig. 6a/6b).
 //!
-//! Also provides the pinned-buffer management layer of the infinity offload
-//! engine (Sec. 6.3): a small, fixed set of reusable transfer buffers that
-//! bounds pinned-memory usage and prevents fragmentation.
+//! Also provides the staging layer of the infinity offload engine (Sec.
+//! 6.3): each rank's small, fixed set of reusable transfer buffers
+//! ([`ScratchPool`]), charged to the CPU pool, which bounds staging memory
+//! and prevents fragmentation.
 
 pub mod hierarchy;
 pub mod pinned;

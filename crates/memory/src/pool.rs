@@ -115,6 +115,7 @@ impl MemoryPool {
             requested: len as usize,
             largest_free: stats.largest_free as usize,
             total_free: stats.total_free as usize,
+            tenant: "",
         }
     }
 

@@ -1,50 +1,81 @@
-//! Recycled, f32-aligned staging buffers for chunk-streaming hot paths.
+//! A rank's staging set: a fixed number of recycled, f32-aligned buffers
+//! for every device transfer of the offload path, sized once and charged
+//! to the CPU pool (the pinned-memory layer of paper Sec. 6.3: "reusing a
+//! small amount" of host memory "for offloading the entire model states").
 //!
-//! The pipelined optimizer step moves one record per chunk (master,
-//! momentum and variance, interleaved) between the device and the Adam
-//! kernel, and the published parameter out. One [`ScratchVec`] carries
-//! a record the whole round trip: the NVMe worker reads the device
-//! *into* it, the CRC is checked over it, Adam updates it in place
-//! through its f32 view, and ownership moves to the write request, which
-//! hands it back here when the write is reaped. This is the f32-typed
-//! sibling of [`crate::PinnedBufferPool`]'s "reuse a small amount for
-//! the entire model states" discipline (paper Sec. 6.3).
+//! The set is a few *shelves*, each a count of buffers of one size: a
+//! caller names the shelf it stages through, so each use — optimizer
+//! records, publish pieces, parameter shards — is bounded on its own. One
+//! [`ScratchVec`] carries a record the whole round trip of the pipelined
+//! optimizer step: the NVMe worker reads the device *into* it, the CRC is
+//! checked over it, Adam updates it in place through its f32 view, and
+//! ownership moves to the write request, which hands it back here when the
+//! write is reaped.
 //!
-//! Unlike the pinned pool, acquisition never blocks: a miss allocates a
-//! fresh buffer that joins the pool when dropped, so the pool converges
-//! to the working set of the pipeline (read depth + the write-behind
-//! window) and then never allocates again. Reuse is observable via
-//! [`ScratchPool::stats`].
+//! Nothing is allocated after [`ScratchPool::new`]: an acquisition takes
+//! an idle buffer of its shelf, and when the shelf has none it waits for
+//! one to come home, counting the wait ([`ScratchStats::waits`], the
+//! tracer's `PinnedWaits`). Callers size the set so that no wait happens
+//! (DESIGN.md §7 proves it per acquisition site); a request no buffer of
+//! the shelf can hold is a typed error, never a wait.
 //!
 //! Buffers are `Vec<f32>`-backed, so the byte view handed to the device
 //! is always 4-byte aligned and the f32 view needs no fallback path.
 
 use zi_sync::Arc;
 
-use zi_sync::Mutex;
+use zi_sync::{Condvar, Mutex};
+use zi_trace::{Counter, Tracer};
+use zi_types::{Device, Error, Result};
+
+use crate::MemoryHierarchy;
 
 #[cfg(target_endian = "big")]
 compile_error!("staging buffers alias f32 state with the device's little-endian bytes");
 
-/// Reuse counters for a [`ScratchPool`].
+/// Counters of a [`ScratchPool`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScratchStats {
-    /// Acquisitions served by a returned buffer that was large enough.
+    /// Acquisitions, each served by a buffer of the set.
     pub reused: u64,
-    /// Acquisitions that had to allocate (a fresh buffer, or growing a
-    /// returned one that was too small).
+    /// Buffers the set was built with: nothing is allocated later.
     pub allocated: u64,
     /// High-water mark of simultaneously checked-out buffers.
     pub peak_outstanding: u64,
+    /// Acquisitions that found their shelf empty and waited.
+    pub waits: u64,
+}
+
+/// One size of buffer in the set.
+struct Shelf {
+    words: usize,
+    count: usize,
+    free: Vec<Vec<f32>>,
 }
 
 #[derive(Default)]
 struct State {
-    free: Vec<Vec<f32>>,
+    shelves: Vec<Shelf>,
     outstanding: u64,
-    /// Capacity bytes of every buffer the pool owns, idle or checked out.
-    held: u64,
     stats: ScratchStats,
+}
+
+#[derive(Default)]
+struct Shared {
+    state: Mutex<State>,
+    returned: Condvar,
+    /// The CPU pool the set is charged to, and the bytes: handed back when
+    /// the last handle and the last buffer are gone.
+    charge: Option<(Arc<MemoryHierarchy>, u64)>,
+    tracer: Tracer,
+}
+
+impl Drop for Shared {
+    fn drop(&mut self) {
+        if let Some((hierarchy, bytes)) = &self.charge {
+            hierarchy.unreserve(Device::cpu(), *bytes);
+        }
+    }
 }
 
 /// The bytes `words` f32 of capacity take.
@@ -52,123 +83,124 @@ fn capacity_bytes(words: usize) -> u64 {
     (words * std::mem::size_of::<f32>()) as u64
 }
 
-/// Pool of reusable staging buffers.
+/// A fixed set of staging buffers. The default set is empty: every
+/// acquisition from it is an error.
 #[derive(Clone, Default)]
 pub struct ScratchPool {
-    shared: Arc<Mutex<State>>,
+    shared: Arc<Shared>,
 }
 
-/// A staging buffer checked out of a [`ScratchPool`]; returned (with its
-/// capacity) to the pool on drop, wherever that happens — on the caller,
-/// on an NVMe worker, or inside a failed request's completion.
+/// A staging buffer checked out of a [`ScratchPool`]; returned to its
+/// shelf on drop, wherever that happens — on the caller, on an NVMe
+/// worker, or inside a failed request's completion.
 pub struct ScratchVec {
     data: Vec<f32>,
     bytes: usize,
-    /// `None` once [`ScratchVec::detach`]ed: the buffer is freed on drop.
-    pool: Option<Arc<Mutex<State>>>,
+    /// The pool and shelf the buffer goes home to.
+    home: (Arc<Shared>, usize),
 }
 
 impl ScratchPool {
-    /// New, empty pool.
-    pub fn new() -> Self {
-        Self::default()
+    /// The set: shelf `k` holds `shelves[k].0` buffers of `shelves[k].1`
+    /// bytes (rounded up to whole f32 words). Their bytes are charged to
+    /// `hierarchy`'s CPU pool, like any tenant's, until the pool and every
+    /// buffer of it are dropped: [`Error::OutOfMemory`] for the
+    /// `"staging set"` when the pool has no room for them.
+    pub fn new(
+        shelves: &[(usize, usize)],
+        hierarchy: &Arc<MemoryHierarchy>,
+        tracer: Tracer,
+    ) -> Result<ScratchPool> {
+        let words = |bytes: usize| bytes.div_ceil(4);
+        let held = shelves.iter().map(|&(count, bytes)| count as u64 * capacity_bytes(words(bytes)));
+        let held = held.sum::<u64>();
+        hierarchy.reserve(Device::cpu(), held).map_err(|e| match e {
+            Error::OutOfMemory { device, requested, largest_free, total_free, .. } => {
+                Error::OutOfMemory { device, requested, largest_free, total_free, tenant: "staging set" }
+            }
+            e => e,
+        })?;
+        let shelves: Vec<Shelf> = shelves
+            .iter()
+            .map(|&(count, bytes)| Shelf {
+                words: words(bytes),
+                count,
+                free: (0..count).map(|_| vec![0.0; words(bytes)]).collect(),
+            })
+            .collect();
+        let allocated = shelves.iter().map(|shelf| shelf.free.len() as u64).sum();
+        let stats = ScratchStats { allocated, ..ScratchStats::default() };
+        let state = Mutex::new(State { shelves, outstanding: 0, stats });
+        let charge = Some((Arc::clone(hierarchy), held));
+        Ok(ScratchPool { shared: Arc::new(Shared { state, returned: Condvar::new(), charge, tracer }) })
     }
 
-    /// Check out a staging buffer whose byte view is exactly `bytes`
-    /// long, recycling a returned one when possible. Contents are
-    /// unspecified (a recycled buffer keeps its previous bytes): callers
-    /// fill it — from the device or an encoder — before reading it.
-    pub fn acquire(&self, bytes: usize) -> ScratchVec {
-        let words = bytes.div_ceil(4);
-        let mut st = self.shared.lock();
-        // Prefer the smallest returned buffer that already fits, so a
-        // small request never takes the buffer a large one is about to
-        // need and the pool settles on the sizes actually in use;
-        // otherwise grow the largest returned one before allocating from
-        // nothing.
-        let capacity = |i: &usize| st.free[*i].capacity();
-        let pick = (0..st.free.len()).filter(|i| capacity(i) >= words).min_by_key(capacity);
-        let index = pick.or_else(|| (0..st.free.len()).max_by_key(capacity));
-        let recycled = index.map(|i| st.free.swap_remove(i));
-        if pick.is_some() {
-            st.stats.reused += 1;
-        } else {
-            st.stats.allocated += 1;
+    /// Check out a buffer of `shelf` whose byte view is exactly `bytes`
+    /// long, waiting for one to come home when the shelf has none idle.
+    /// Contents are unspecified (a buffer keeps its previous bytes):
+    /// callers fill it — from the device or an encoder — before reading
+    /// it. A request longer than the shelf's buffers, or of a shelf the
+    /// set does not have or holds none of, is [`Error::Internal`]: no wait
+    /// could serve it.
+    pub fn acquire(&self, shelf: usize, bytes: usize) -> Result<ScratchVec> {
+        let mut st = self.shared.state.lock();
+        let fits = st.shelves.get(shelf).filter(|s| s.count > 0 && s.words >= bytes.div_ceil(4));
+        let Some(&Shelf { words, .. }) = fits else {
+            return Err(Error::Internal(format!(
+                "no staging buffer of shelf {shelf} holds {bytes} B ({} in the set)",
+                st.stats.allocated
+            )));
+        };
+        if st.shelves[shelf].free.is_empty() {
+            st.stats.waits += 1;
+            self.shared.tracer.count(Counter::PinnedWaits, 1);
         }
+        let data = loop {
+            if let Some(data) = st.shelves[shelf].free.pop() {
+                break data;
+            }
+            self.shared.returned.wait(&mut st);
+        };
+        debug_assert_eq!(data.len(), words);
+        st.stats.reused += 1;
         st.outstanding += 1;
         st.stats.peak_outstanding = st.stats.peak_outstanding.max(st.outstanding);
-        drop(st);
-        let mut data = recycled.unwrap_or_default();
-        if data.len() < words {
-            let before = data.capacity();
-            data.resize(words, 0.0);
-            self.shared.lock().held += capacity_bytes(data.capacity() - before);
-        }
-        ScratchVec { data, bytes, pool: Some(Arc::clone(&self.shared)) }
+        Ok(ScratchVec { data, bytes, home: (Arc::clone(&self.shared), shelf) })
     }
 
-    /// Top the pool up to `count` idle buffers of at least `bytes` each:
-    /// the fixed, up-front staging set of Sec. 6.3 for a caller that
-    /// knows its bound (read depth + the write-behind window).
-    /// With the set in place no acquisition within that bound allocates,
-    /// whatever order the device completes requests in; without it the
-    /// pool only approaches its working set, one timing-dependent miss at
-    /// a time. A no-op once the buffers exist.
-    pub fn reserve(&self, count: usize, bytes: usize) {
-        let words = bytes.div_ceil(4);
-        let idle = self.shared.lock().free.iter().filter(|v| v.capacity() >= words).count();
-        let fresh: Vec<Vec<f32>> = (idle..count).map(|_| vec![0.0; words]).collect();
-        let mut st = self.shared.lock();
-        st.stats.allocated += fresh.len() as u64;
-        st.held += fresh.iter().map(|v| capacity_bytes(v.capacity())).sum::<u64>();
-        st.free.extend(fresh);
-    }
-
-    /// Reuse counters.
+    /// Counters.
     pub fn stats(&self) -> ScratchStats {
-        self.shared.lock().stats
+        self.shared.state.lock().stats
     }
 
-    /// Buffers currently parked in the pool.
-    pub fn idle(&self) -> usize {
-        self.shared.lock().free.len()
+    /// Buffers of `shelf` currently idle (0 for a shelf the set lacks).
+    pub fn idle(&self, shelf: usize) -> usize {
+        self.shared.state.lock().shelves.get(shelf).map_or(0, |s| s.free.len())
+    }
+
+    /// Bytes each buffer of `shelf` holds (0 for a shelf the set lacks).
+    pub fn buffer_bytes(&self, shelf: usize) -> usize {
+        self.shared.state.lock().shelves.get(shelf).map_or(0, |s| 4 * s.words)
     }
 
     /// Buffers currently checked out.
     pub fn outstanding(&self) -> u64 {
-        self.shared.lock().outstanding
+        self.shared.state.lock().outstanding
     }
 
-    /// Bytes the pool holds: the capacity of every buffer it owns, idle
-    /// or checked out.
+    /// Bytes the set holds, idle or checked out: what it charges the CPU
+    /// pool.
     pub fn held_bytes(&self) -> u64 {
-        self.shared.lock().held
+        self.shared.charge.as_ref().map_or(0, |&(_, bytes)| bytes)
     }
 }
 
 impl ScratchVec {
-    /// Leave the pool for good, keeping the contents: the buffer no
-    /// longer counts as checked out, is cut down to the bytes it holds,
-    /// and is freed — not parked — when dropped. For a consumer that
-    /// keeps what a read delivered (the shard cache) without a copy, and
-    /// without pinning a pool-sized buffer behind a small shard.
-    pub fn detach(mut self) -> ScratchVec {
-        if let Some(pool) = self.pool.take() {
-            let mut st = pool.lock();
-            st.outstanding -= 1;
-            st.held -= capacity_bytes(self.data.capacity());
-            drop(st);
-            self.data.truncate(self.bytes.div_ceil(4));
-            self.data.shrink_to_fit();
-        }
-        self
-    }
-
     /// The buffer as bytes — what the device reads and writes.
     pub fn as_bytes(&self) -> &[u8] {
         // SAFETY: the backing `Vec<f32>` holds at least `bytes.div_ceil(4)`
-        // initialized words (`acquire` sized it), u8 has alignment 1, and
-        // every f32 bit pattern is valid as four bytes.
+        // initialized words (its shelf's buffers are that long), u8 has
+        // alignment 1, and every f32 bit pattern is valid as four bytes.
         unsafe { std::slice::from_raw_parts(self.data.as_ptr().cast::<u8>(), self.bytes) }
     }
 
@@ -192,122 +224,101 @@ impl ScratchVec {
 
 impl Drop for ScratchVec {
     fn drop(&mut self) {
-        let Some(pool) = &self.pool else { return };
-        let mut st = pool.lock();
+        let (shared, shelf) = &self.home;
+        let mut st = shared.state.lock();
         st.outstanding -= 1;
-        st.free.push(std::mem::take(&mut self.data));
+        st.shelves[*shelf].free.push(std::mem::take(&mut self.data));
+        shared.returned.notify_one();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NodeMemorySpec;
+
+    fn cpu_pool(bytes: u64) -> Arc<MemoryHierarchy> {
+        Arc::new(MemoryHierarchy::new(&NodeMemorySpec::test_spec(1, 0, bytes, 0)))
+    }
+
+    fn in_use(hierarchy: &MemoryHierarchy) -> u64 {
+        hierarchy.stats(Device::cpu()).in_use
+    }
 
     #[test]
-    fn capacity_is_recycled_across_acquisitions() {
-        let pool = ScratchPool::new();
+    fn the_set_is_recycled_and_charged_until_its_last_buffer_goes() {
+        let cpu = cpu_pool(1 << 10);
+        let pool = ScratchPool::new(&[(2, 256), (1, 6)], &cpu, Tracer::new()).unwrap();
+        assert_eq!((pool.held_bytes(), in_use(&cpu)), (520, 520), "six bytes take two words");
         let ptr = {
-            let mut a = pool.acquire(256);
+            let mut a = pool.acquire(0, 256).unwrap();
             a.as_f32_mut().fill(1.0);
             a.as_bytes().as_ptr() as usize
         };
-        assert_eq!(pool.idle(), 1);
-        let b = pool.acquire(256);
+        assert_eq!(pool.idle(0), 2);
+        let b = pool.acquire(0, 100).unwrap();
         assert_eq!(b.as_bytes().as_ptr() as usize, ptr, "same backing allocation");
+        assert_eq!(b.as_bytes().len(), 100, "the view is the request, the buffer its shelf's");
         let st = pool.stats();
-        assert_eq!((st.allocated, st.reused), (1, 1));
+        assert_eq!((st.allocated, st.reused, st.peak_outstanding, st.waits), (3, 2, 1, 0));
+        drop(pool);
+        assert_eq!(in_use(&cpu), 520, "a buffer still out keeps the set charged");
+        drop(b);
+        assert_eq!(in_use(&cpu), 0);
     }
 
     #[test]
-    fn concurrent_misses_allocate_then_converge() {
-        let pool = ScratchPool::new();
-        {
-            let _a = pool.acquire(32);
-            let _b = pool.acquire(32);
-            assert_eq!(pool.stats().allocated, 2);
-            assert_eq!(pool.outstanding(), 2);
-        }
-        // Working set of 2 established; further pairs only reuse.
-        for _ in 0..5 {
-            let _a = pool.acquire(32);
-            let _b = pool.acquire(32);
-        }
-        let st = pool.stats();
-        assert_eq!((st.allocated, st.reused, st.peak_outstanding), (2, 10, 2));
-        assert_eq!((pool.outstanding(), pool.idle()), (0, 2));
+    fn a_set_the_cpu_pool_cannot_hold_is_out_of_memory() {
+        let cpu = cpu_pool(1 << 10);
+        let refused = ScratchPool::new(&[(5, 256)], &cpu, Tracer::new());
+        assert!(matches!(refused, Err(Error::OutOfMemory { requested: 1280, tenant: "staging set", .. })));
+        assert_eq!(in_use(&cpu), 0);
     }
 
     #[test]
-    fn a_reserved_set_serves_its_bound_without_allocating() {
-        let pool = ScratchPool::new();
-        drop(pool.acquire(16)); // a small buffer that must not be grown
-        pool.reserve(3, 64);
-        assert_eq!((pool.idle(), pool.stats().allocated), (4, 4));
-        pool.reserve(3, 64); // already in place
-        assert_eq!(pool.stats().allocated, 4);
-        let held: Vec<_> = (0..3).map(|_| pool.acquire(64)).collect();
-        let small = pool.acquire(16);
-        assert_eq!(pool.stats().allocated, 4, "the whole bound came from the reserved set");
-        drop((held, small));
-        assert_eq!((pool.outstanding(), pool.idle()), (0, 4));
+    fn a_request_no_buffer_of_its_shelf_holds_is_an_error_not_a_wait() {
+        let cpu = cpu_pool(1 << 10);
+        let pool = ScratchPool::new(&[(1, 64)], &cpu, Tracer::new()).unwrap();
+        assert!(pool.acquire(0, 65).is_err(), "longer than the shelf's buffers");
+        assert!(pool.acquire(1, 4).is_err(), "a shelf the set lacks");
+        let none = ScratchPool::new(&[(0, 64)], &cpu, Tracer::new()).unwrap();
+        assert!(none.acquire(0, 4).is_err(), "a shelf of no buffers");
+        assert!(ScratchPool::default().acquire(0, 0).is_err(), "the empty set");
+        assert_eq!((pool.outstanding(), pool.stats().waits), (0, 0));
     }
 
     #[test]
-    fn held_bytes_count_idle_and_checked_out_buffers_until_one_leaves() {
-        let pool = ScratchPool::new();
-        pool.reserve(2, 64);
-        let a = pool.acquire(64);
-        assert_eq!((pool.held_bytes(), pool.outstanding(), pool.idle()), (128, 1, 1));
-        drop(a.detach());
-        assert_eq!(pool.held_bytes(), 64, "a detached buffer left the pool");
-        let (_b, _c) = (pool.acquire(32), pool.acquire(32));
-        assert_eq!(pool.held_bytes(), 64 + 32, "a miss adds what it allocates");
-    }
-
-    #[test]
-    fn a_detached_buffer_keeps_its_bytes_and_never_comes_back() {
-        let pool = ScratchPool::new();
-        drop(pool.acquire(4096)); // the buffer the small request below reuses
-        let mut a = pool.acquire(6);
-        a.as_bytes_mut().copy_from_slice(&[1, 2, 3, 4, 5, 6]);
-        let kept = a.detach();
-        assert_eq!(kept.as_bytes(), &[1, 2, 3, 4, 5, 6]);
-        assert_eq!(kept.data.capacity(), 2, "cut down to the words it holds");
-        assert_eq!((pool.outstanding(), pool.idle()), (0, 0));
-        drop(kept.detach()); // idempotent, and freed rather than parked
-        assert_eq!((pool.outstanding(), pool.idle()), (0, 0));
+    fn an_empty_shelf_waits_for_a_buffer_to_come_home_and_counts_the_wait() {
+        use std::time::Duration;
+        let (cpu, tracer) = (cpu_pool(1 << 10), Tracer::new());
+        let pool = ScratchPool::new(&[(1, 16), (1, 16)], &cpu, tracer.clone()).unwrap();
+        let held = pool.acquire(0, 16).unwrap();
+        let other = pool.acquire(1, 16).unwrap();
+        let waiter = {
+            let pool = pool.clone();
+            zi_sync::thread::spawn(move || pool.acquire(0, 16).map(drop))
+        };
+        zi_sync::thread::sleep(Duration::from_millis(30));
+        drop(held);
+        waiter.join().expect("waiter").unwrap();
+        drop(other);
+        assert_eq!((pool.stats().waits, tracer.snapshot().pinned_waits), (1, 1));
+        assert_eq!((pool.outstanding(), pool.idle(0), pool.idle(1)), (0, 1, 1));
     }
 
     #[test]
     fn byte_and_f32_views_alias_and_odd_lengths_round_up() {
-        let pool = ScratchPool::new();
-        let mut a = pool.acquire(8);
+        let cpu = cpu_pool(1 << 10);
+        let pool = ScratchPool::new(&[(1, 8)], &cpu, Tracer::new()).unwrap();
+        let mut a = pool.acquire(0, 8).unwrap();
         a.as_f32_mut().copy_from_slice(&[1.5, -2.0]);
         assert_eq!(&a.as_bytes()[..4], &1.5f32.to_le_bytes());
         assert_eq!(a.as_bytes().as_ptr() as usize % 4, 0, "byte view is f32-aligned");
         drop(a);
         // Six bytes (three f16 values): two backing words, one whole f32.
-        let mut h = pool.acquire(6);
+        let mut h = pool.acquire(0, 6).unwrap();
         assert_eq!((h.as_bytes().len(), h.as_f32().len()), (6, 1));
         h.as_bytes_mut().copy_from_slice(&[1, 2, 3, 4, 5, 6]);
         assert_eq!(h.as_bytes(), &[1, 2, 3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn a_too_small_buffer_grows_once_and_fitting_ones_are_preferred() {
-        let pool = ScratchPool::new();
-        drop(pool.acquire(16));
-        drop(pool.acquire(64)); // grows the only buffer: counted as an allocation
-        assert_eq!(pool.stats().allocated, 2);
-        let big = pool.acquire(64);
-        let small = pool.acquire(16); // fresh: the only buffer is out
-        drop(big);
-        drop(small);
-        // Both parked; a large request must pick the large buffer, not
-        // grow the small one that was returned last.
-        let before = pool.stats();
-        let _again = pool.acquire(64);
-        let after = pool.stats();
-        assert_eq!((after.allocated, after.reused), (before.allocated, before.reused + 1));
     }
 }

@@ -650,9 +650,17 @@ mod tests {
         eng.flush().unwrap();
     }
 
+    /// A staging set of `count` buffers of `bytes`, charged to a CPU pool
+    /// of its own.
+    fn staging_set(count: usize, bytes: usize) -> zi_memory::ScratchPool {
+        let spec = zi_memory::NodeMemorySpec::test_spec(1, 0, 1 << 20, 0);
+        let cpu = Arc::new(zi_memory::MemoryHierarchy::new(&spec));
+        zi_memory::ScratchPool::new(&[(count, bytes)], &cpu, Tracer::new()).unwrap()
+    }
+
     /// A staging buffer holding `vals`.
     fn staged(pool: &zi_memory::ScratchPool, vals: &[f32]) -> ScratchVec {
-        let mut buf = pool.acquire(vals.len() * 4);
+        let mut buf = pool.acquire(0, vals.len() * 4).unwrap();
         buf.as_f32_mut().copy_from_slice(vals);
         buf
     }
@@ -660,7 +668,7 @@ mod tests {
     #[test]
     fn staging_buffers_ride_requests_both_ways_and_come_home() {
         let (_, eng) = engine(2);
-        let pool = zi_memory::ScratchPool::new();
+        let pool = staging_set(1, 16);
         let vals = [1.5f32, -2.0, 3.25, 8.0];
         let w = eng.submit_write_from(128, staged(&pool, &vals));
         // The write hands its buffer back; the read fills the same one.
@@ -671,14 +679,14 @@ mod tests {
         assert_eq!(buf.as_f32(), vals);
         drop(buf);
         let st = pool.stats();
-        assert_eq!((st.allocated, pool.idle(), pool.outstanding()), (1, 1, 0));
+        assert_eq!((st.allocated, pool.idle(0), pool.outstanding()), (1, 1, 0));
         assert_eq!((eng.stats().bytes_written, eng.stats().bytes_read), (16, 16));
     }
 
     #[test]
     fn failed_and_undeliverable_requests_return_their_buffers() {
         let (plan, mut eng) = faulty_engine(1, RetryPolicy::none());
-        let pool = zi_memory::ScratchPool::new();
+        let pool = staging_set(1, 32);
         let good = eng.submit_write_from(64, staged(&pool, &[2.0; 8]));
         drop(eng.wait_buf(good).unwrap());
         plan.fail_next_writes(1);
@@ -688,11 +696,11 @@ mod tests {
         // With the worker pool gone a submission resolves as a typed
         // failure at its wait — and still gives the buffer back.
         eng.shutdown();
-        let dead = eng.submit_read_into(0, pool.acquire(32));
+        let dead = eng.submit_read_into(0, pool.acquire(0, 32).unwrap());
         assert!(matches!(eng.wait_buf(dead).unwrap_err(), Error::Internal(_)));
         eng.barrier().unwrap();
         assert_eq!(eng.in_flight(), 0);
-        assert_eq!((pool.outstanding(), pool.idle() as u64), (0, pool.stats().allocated));
+        assert_eq!((pool.outstanding(), pool.idle(0) as u64), (0, pool.stats().allocated));
     }
 
     #[test]

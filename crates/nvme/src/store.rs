@@ -98,9 +98,21 @@ impl StoreCore {
         version % self.slots_per_rank as u64
     }
 
-    fn slot_offset(&self, capacity: u64, rank: u32, slot: u64) -> u64 {
-        HEADER_LEN
-            + (rank as u64 * self.slots_per_rank as u64 + slot) * (HEADER_LEN + capacity)
+    /// Device offset of the header block of (rank, slot) — with `rank`
+    /// the rank count and `slot` 0, the end of the layout. A layout past
+    /// `u64` (a superblock no store wrote) is a typed error.
+    fn slot_offset(&self, capacity: u64, rank: u32, slot: u64) -> Result<u64> {
+        let index = rank as u64 * self.slots_per_rank as u64 + slot;
+        let offset = HEADER_LEN
+            .checked_add(capacity)
+            .and_then(|stride| stride.checked_mul(index))
+            .and_then(|at| at.checked_add(HEADER_LEN));
+        offset.ok_or_else(|| {
+            Error::InvalidArgument(format!(
+                "checkpoint store layout of {} ranks × {} slots of {capacity} B overflows u64",
+                self.ranks, self.slots_per_rank
+            ))
+        })
     }
 
     fn write_superblock(&self, capacity: u64) -> Result<()> {
@@ -183,7 +195,7 @@ impl StoreCore {
         span.set_bytes(payload.len() as u64);
         span.set_id(version);
         self.tracer.count(zi_trace::Counter::CkptBytes, payload.len() as u64);
-        let off = self.slot_offset(cap, rank, self.slot_of(version));
+        let off = self.slot_offset(cap, rank, self.slot_of(version))?;
         // 1. Invalidate: whatever version lived here is now officially
         //    gone before one payload byte is overwritten.
         self.backend.write_at(off, &[0u8; HEADER_LEN as usize])?;
@@ -199,9 +211,11 @@ impl StoreCore {
     }
 
     /// Read the manifest of (rank, slot) and validate its payload CRC.
-    /// Returns the version and payload when both check out.
+    /// Returns the version and payload when both check out. A manifest
+    /// naming a payload longer than the device holds past it is invalid,
+    /// found so before anything is allocated for it.
     fn read_slot(&self, cap: u64, rank: u32, slot: u64) -> Option<(u64, Vec<u8>)> {
-        let off = self.slot_offset(cap, rank, slot);
+        let off = self.slot_offset(cap, rank, slot).ok()?;
         let mut m = [0u8; HEADER_LEN as usize];
         if self.backend.read_at(off, &mut m).is_err() {
             // Device shorter than the slot region: never written.
@@ -214,7 +228,8 @@ impl StoreCore {
                 return None;
             }
         };
-        if mrank != rank as u64 || len > cap {
+        let room = self.backend.len().ok().and_then(|dev| dev.checked_sub(off + HEADER_LEN));
+        if mrank != rank as u64 || len > cap || room.is_none_or(|room| len > room) {
             self.state.lock().stats.invalid_slots_skipped += 1;
             return None;
         }
@@ -366,6 +381,7 @@ impl CheckpointStore {
             return Err(Error::InvalidArgument("checkpoint store superblock is degenerate".into()));
         }
         let store = Self::new(backend, ranks as usize, slots as usize)?;
+        store.inner.core.slot_offset(capacity, ranks, 0)?;
         store.inner.core.state.lock().slot_capacity = Some(capacity);
         Ok(store)
     }
@@ -616,6 +632,42 @@ mod tests {
         junk.write_at(0, &[0xaa; 64]).unwrap();
         assert!(CheckpointStore::open(junk).is_err());
         assert!(CheckpointStore::open(Arc::new(MemBackend::new())).is_err());
+    }
+
+    /// A device holding a CRC-valid superblock of `ranks` × `slots` slots
+    /// of `capacity` B and, in rank 0's slot 0, a CRC-valid manifest of a
+    /// `len`-byte payload — and nothing past it.
+    fn crafted(ranks: u32, slots: u32, capacity: u64, len: u64) -> Arc<MemBackend> {
+        let dev = Arc::new(MemBackend::new());
+        let mut sb = [0u8; HEADER_LEN as usize];
+        sb[..8].copy_from_slice(SUPER_MAGIC);
+        sb[8] = STORE_FORMAT;
+        sb[9..13].copy_from_slice(&ranks.to_le_bytes());
+        sb[13..17].copy_from_slice(&slots.to_le_bytes());
+        sb[17..25].copy_from_slice(&capacity.to_le_bytes());
+        let crc = crc32(&sb[..25]);
+        sb[25..29].copy_from_slice(&crc.to_le_bytes());
+        let mut m = StoreCore::encode_manifest(1, 0, &[]);
+        m[24..32].copy_from_slice(&len.to_le_bytes());
+        let crc = crc32(&m[..36]);
+        m[36..40].copy_from_slice(&crc.to_le_bytes());
+        dev.write_at(0, &sb).unwrap();
+        dev.write_at(HEADER_LEN, &m).unwrap();
+        dev
+    }
+
+    #[test]
+    fn a_crafted_layout_is_bounded_by_the_device_before_any_allocation() {
+        // 128 bytes claiming a 64 TiB payload: a scan skips the slot
+        // instead of allocating for it.
+        let dev = crafted(1, 1, 1 << 46, 1 << 46);
+        let store = CheckpointStore::open(dev).unwrap();
+        assert_eq!(store.latest_complete(1).unwrap(), None);
+        assert!(store.load(0, 1).is_err());
+        assert_eq!(store.stats().invalid_slots_skipped, 2);
+        // A layout whose slots run past u64 is refused when opened.
+        let overflowing = crafted(2, 1, u64::MAX - 64, 0);
+        assert!(matches!(CheckpointStore::open(overflowing), Err(Error::InvalidArgument(_))));
     }
 
     #[test]

@@ -339,7 +339,9 @@ pub struct CounterSnapshot {
     pub degraded_transitions: u64,
     /// Write-behind submissions that stalled on a full window.
     pub wb_stalls: u64,
-    /// Pinned-buffer acquisitions that had to block (pool pressure).
+    /// Staging-buffer acquisitions that had to block: a rank's staging
+    /// set (or a pinned pool) out of buffers. 0 while every set is as
+    /// large as its users' bound.
     pub pinned_waits: u64,
     /// Total pinned-buffer acquisitions through traced pools.
     pub pinned_acquires: u64,

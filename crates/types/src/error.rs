@@ -24,6 +24,9 @@ pub enum Error {
         largest_free: usize,
         /// Total free bytes at failure time.
         total_free: usize,
+        /// What the bytes were for, when the caller named it (a rank's
+        /// `"staging set"`); empty for a plain allocation.
+        tenant: &'static str,
     },
     /// Shapes or lengths did not match.
     ShapeMismatch {
@@ -160,10 +163,11 @@ impl Error {
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::OutOfMemory { device, requested, largest_free, total_free } => write!(
+            Error::OutOfMemory { device, requested, largest_free, total_free, tenant } => write!(
                 f,
-                "out of memory on {device}: requested {requested} B, \
-                 largest contiguous free block {largest_free} B, total free {total_free} B"
+                "out of memory on {device}{}{tenant}: requested {requested} B, \
+                 largest contiguous free block {largest_free} B, total free {total_free} B",
+                if tenant.is_empty() { "" } else { " for the " }
             ),
             Error::ShapeMismatch { context } => write!(f, "shape mismatch: {context}"),
             Error::Io(e) => write!(f, "i/o error: {e}"),
@@ -224,10 +228,11 @@ mod tests {
             requested: 100,
             largest_free: 10,
             total_free: 50,
+            tenant: "staging set",
         };
         assert!(e.is_oom());
         let s = e.to_string();
-        assert!(s.contains("gpu:0"));
+        assert!(s.contains("gpu:0 for the staging set"));
         assert!(s.contains("100"));
     }
 

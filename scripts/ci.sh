@@ -26,18 +26,25 @@ cargo run -q --release -p zi-bench --bin repro -- fig1 fig2a fig2b fig3 table1 f
 # steady state no parameter fetch, gradient deposit or optimizer step
 # asks the allocator for a block of 64 KiB or more, with the shard cache
 # serving every fetch (and then no fetch reads the device either) and
-# with a CPU pool too small to admit anything into it.
-cargo test --release -q --test alloc_budget \
-    || { echo "allocation budget exceeded: a fetch, deposit or step path allocates a large block per call"; exit 1; }
+# with a CPU pool too small to admit anything into it. Every transfer
+# stages through the rank's fixed staging set, where an acquisition past
+# the set waits for a buffer to come home: a wait that never ends fails
+# this stage at its timeout (build included) instead of hanging it.
+timeout --kill-after=10s 900s \
+    cargo test --release -q --test alloc_budget \
+    || { echo "allocation budget exceeded, or a staging wait never ended (exit $?)"; exit 1; }
 # The configuration-matrix oracle in the profile that ships: 63 seeded
 # cells over all seven Table-2 strategies, world size 1/2/3, device
 # workers 1/2/4 (the optimizer step's pipeline depth), CPU pool,
 # prefetch window 0/2, accumulation, activation checkpointing and a
 # checkpoint round trip, in records of 16 elements so each step streams
 # many of them; each is bit for bit the dense reference's training (the
-# workspace run above covers the debug profile).
-cargo test --release -q --test config_matrix \
-    || { echo "a configuration-matrix cell diverged from the dense reference"; exit 1; }
+# workspace run above covers the debug profile), and each rank's staging
+# set allocates nothing after the warm-up. Timed out like the stage
+# above, so a staging wait that never ends fails CI.
+timeout --kill-after=10s 900s \
+    cargo test --release -q --test config_matrix \
+    || { echo "a configuration-matrix cell diverged from the dense reference, or timed out (exit $?)"; exit 1; }
 cargo clippy --workspace --all-targets -- -D warnings
 # The ledger's pair runner (EXPERIMENTS.md's tables come from it): its
 # syntax, and its dry run, which prints two pairs' commands and builds
@@ -68,10 +75,15 @@ cargo run -q --release -p zi-audit -- --root . --json "$AUDIT_JSON" \
 # scheduler, then run the detector's seeded-bug fixtures and the
 # protocol harnesses (barrier rank-death, membership join handshake
 # racing rank death, the collectives' slot table, engine completion
-# barrier + staging-buffer hand-back, checkpoint crash recovery,
-# pool checkout/return, trace ring drain, kernel worker-pool tiling, the shard cache's admit / invalidate / evict
+# barrier + the hand-back of every buffer of a fixed staging set,
+# checkpoint crash recovery, pool checkout/return with a staging set of
+# one buffer for three holders — a later one waits — trace ring drain,
+# kernel worker-pool tiling, the shard cache's admit / invalidate / evict
 # across two ranks, the optimizer step's carried write-behind window
-# against the next step's reads).
+# against the next step's reads with the rank's set at its proven bound,
+# and two ranks' fetches, prefetches and steps each through a set of its
+# own at that bound: with a set below it a rank waits forever, which
+# fails the harness).
 # Each harness must
 # cover >= 1000 distinct schedules or exhaust its space; failures print
 # a ZI_CHECK_SEED/ZI_CHECK_TRACE replay line. Bounded by a hard

@@ -152,17 +152,17 @@ fn steady_state_fetch_deposit_and_step_allocate_no_large_block() {
     let cfg = GptConfig { vocab: 512, hidden: 128, layers: 2, heads: 4, seq: 16, seed: 3 };
     let opts = RunOptions { batch: 1, ..Default::default() };
     // The NVMe strategy twice: with room for the shard cache, then with a
-    // CPU pool cut to what the gradients need (measured on the first
-    // run), where nothing is ever admitted.
+    // CPU pool cut to what the gradients and the rank's staging set need
+    // (measured on the first run), where nothing is ever admitted.
     const ROOMY: u64 = 1 << 28;
-    let mut gradients_only = 0;
+    let mut no_cache_room = 0;
     for (strategy, cached) in [
         (Strategy::infinity_nvme(), true),
         (Strategy::infinity_nvme(), false),
         (Strategy::data_parallel(), false),
     ] {
         let offloaded = strategy.placement.params == DeviceKind::Nvme;
-        let cpu = if offloaded && !cached { gradients_only } else { ROOMY };
+        let cpu = if offloaded && !cached { no_cache_room } else { ROOMY };
         let tag = format!("{}, CPU pool {cpu} B", strategy.name);
         let spec = NodeMemorySpec::test_spec(1, 1 << 26, cpu, 1 << 28);
         let node = NodeResources::in_memory(&spec, 1);
@@ -202,8 +202,11 @@ fn steady_state_fetch_deposit_and_step_allocate_no_large_block() {
             // step's write-through put the fresh shard there.
             assert_eq!(store.fetch_reads, 0, "{tag}: a cached get read the device");
             assert!(hits >= 3 * 50, "{tag}: {hits} hits");
+            // At rest the cache and the staging set are charged; the set is
+            // charged at the peak too.
             let cpu = node.hierarchy.stats(Device::cpu());
-            gradients_only = cpu.peak_in_use - cpu.in_use; // at rest only the cache is charged
+            let staging = store.engine.offload_manager().staging().held_bytes();
+            no_cache_room = cpu.peak_in_use - cpu.in_use + staging;
         } else if offloaded {
             assert_eq!(hits, 0, "{tag}: no room, yet fetches were answered from the cache");
         }

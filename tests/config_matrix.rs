@@ -14,7 +14,9 @@
 //! not move a bit: every cell's losses and final parameters equal, bit
 //! for bit, the dense single-process baseline's numerics at its world,
 //! accumulation and checkpointing, and a healthy device reports no
-//! corruption and no shard-cache anomaly.
+//! corruption and no shard-cache anomaly. Each rank stages through a
+//! fixed set of its own: from the first two steps on it allocates no
+//! staging buffer, and no acquisition of it waits.
 
 use std::fmt;
 
@@ -50,8 +52,9 @@ fn adam() -> AdamConfig {
 struct Cell {
     /// Position in `Strategy::table2()`.
     strategy: usize,
-    /// A CPU pool with room for what the strategy keeps there and the
-    /// gradients, and nothing for the shard cache; else a roomy one.
+    /// A CPU pool with room for what the strategy keeps there, the
+    /// gradients and the ranks' staging sets, and nothing for the shard
+    /// cache; else a roomy one.
     /// Strategies that keep nothing in CPU memory always get the roomy one.
     tight: bool,
     /// Device workers, and so the optimizer step's pipeline depth.
@@ -136,9 +139,9 @@ fn bits(values: &[f32]) -> Vec<u32> {
 }
 
 /// Bytes of CPU pool the cell's strategy keeps there, which leave the
-/// shard cache no room: every rank's fp32 gradient shard, and each state
-/// the strategy places in CPU memory — fp32 parameter shards, optimizer
-/// state — too.
+/// shard cache no room: every rank's fp32 gradient shard, each state the
+/// strategy places in CPU memory — fp32 parameter shards, optimizer
+/// state — and every rank's staging set too.
 fn tight_pool(cell: &Cell) -> u64 {
     let model = GptModel::new(cfg());
     let padded = model.registry().iter().map(|p| p.numel().div_ceil(cell.world) * cell.world);
@@ -146,7 +149,15 @@ fn tight_pool(cell: &Cell) -> u64 {
     let placement = cell.strategy().placement;
     let on_cpu = |device: DeviceKind, bytes: u64| if device == DeviceKind::Cpu { bytes } else { 0 };
     let per_elem = 4 + on_cpu(placement.params, 4) + on_cpu(placement.optimizer, 12);
-    per_elem * padded
+    // A rank's set, as a probe engine on a roomy node sizes it.
+    let roomy = NodeMemorySpec::test_spec(cell.world, 1 << 24, 1 << 26, 1 << 26);
+    let env = NodeEnv { nvme_workers: cell.workers, ..NodeEnv::in_memory() };
+    let node = NodeResources::new(&roomy, cell.world, env);
+    let strategy = cell.strategy().with_optimizer_chunk(RECORD).with_prefetch_window(cell.window);
+    let (mgr, comm) = (node.offload_manager(), node.group.communicator(0));
+    let probe = ZeroEngine::new(model.registry(), strategy, mgr, comm, adam()).expect("probe engine");
+    let set = probe.offload_manager().staging().held_bytes();
+    per_elem * padded + cell.world as u64 * set
 }
 
 /// Train `cell` under `strategy` as the trainer does — each rank on its
@@ -158,11 +169,9 @@ fn train(cell: Cell, strategy: Strategy) -> Trained {
     let env = NodeEnv { nvme_workers: cell.workers, ..NodeEnv::in_memory() };
     let node = Arc::new(NodeResources::new(&spec, cell.world, env));
     let strategy = strategy.with_optimizer_chunk(RECORD).with_prefetch_window(cell.window);
-    // The staging buffers the pool has allocated once warm.
-    let warm = Arc::new(zi_sync::OnceLock::new());
     let handles: Vec<_> = (0..cell.world)
         .map(|rank| {
-            let (node, warm) = (Arc::clone(&node), Arc::clone(&warm));
+            let node = Arc::clone(&node);
             zi_sync::thread::spawn(move || -> (Vec<f32>, Vec<Vec<u32>>) {
                 let model = GptModel::new(cfg());
                 let (comm, mgr) = (node.group.communicator(rank), node.offload_manager());
@@ -177,6 +186,9 @@ fn train(cell: Cell, strategy: Strategy) -> Trained {
                 };
                 let rows = MICRO_BATCH * cfg().seq;
                 let mut losses = Vec::with_capacity(STEPS);
+                // The staging buffers this rank's set has allocated once
+                // warm.
+                let mut warm = None;
                 for step in 0..STEPS {
                     let mut loss = 0.0f32;
                     for micro in 0..cell.accumulation {
@@ -193,9 +205,9 @@ fn train(cell: Cell, strategy: Strategy) -> Trained {
                     // The mean over ranks, as the trainer takes it.
                     let sum = node.group.communicator(rank).sum_scalar(loss).expect("loss");
                     losses.push(sum / cell.world as f32);
-                    if rank == 0 && step == 1 {
+                    if step == 1 {
                         // Warm: both orders ran once.
-                        let _ = warm.set(node.offload_manager().staging().stats().allocated);
+                        warm = Some(engine.offload_manager().staging().stats().allocated);
                     }
                     if cell.round_trip && step == 0 {
                         let blob =
@@ -208,6 +220,10 @@ fn train(cell: Cell, strategy: Strategy) -> Trained {
                     .into_iter()
                     .map(|id| bits(engine.export_param(id).expect("export").data()))
                     .collect();
+                let staging = engine.offload_manager().staging().stats();
+                let grew = format!("{cell}: rank {rank}: staging allocated after the warm-up");
+                assert_eq!(Some(staging.allocated), warm, "{grew}");
+                assert_eq!(staging.waits, 0, "{cell}: rank {rank}: a staging acquisition waited");
                 engine.dispose().unwrap_or_else(|e| panic!("{cell}: dispose: {e}"));
                 (losses, params)
             })
@@ -217,12 +233,6 @@ fn train(cell: Cell, strategy: Strategy) -> Trained {
     let (losses, params) = ranks.swap_remove(0);
     for device in (0..cell.world).map(Device::gpu).chain([Device::cpu(), Device::nvme()]) {
         assert_eq!(node.hierarchy.stats(device).in_use, 0, "{cell}: {device} leak after dispose");
-    }
-    // One rank is the staging pool's only user; ranks sharing it race
-    // for its buffers, and may still grow it.
-    let allocated = node.offload_manager().staging().stats().allocated;
-    if cell.world == 1 {
-        assert_eq!(Some(&allocated), warm.get(), "{cell}: staging allocated after the warm-up");
     }
     Trained { losses: bits(&losses), params, health: node.offload_manager().health() }
 }

@@ -10,6 +10,16 @@ use zero_infinity_suite::zero::{NodeEnv, NodeResources, Strategy, ZeroEngine};
 use zi_memory::NodeMemorySpec;
 use zi_types::Device;
 
+/// Bytes of the staging set a rank of `cfg` sizes under `strategy` on a
+/// node of `world` ranks: a CPU tenant beside the gradients.
+fn staging_set(cfg: GptConfig, strategy: Strategy, world: usize) -> u64 {
+    let node =
+        NodeResources::in_memory(&NodeMemorySpec::test_spec(world, 1 << 24, 1 << 28, 1 << 28), world);
+    let (mgr, comm) = (node.offload_manager(), node.group.communicator(0));
+    let probe = ZeroEngine::new(GptModel::new(cfg).registry(), strategy, mgr, comm, AdamConfig::default());
+    probe.expect("probe engine").offload_manager().staging().held_bytes()
+}
+
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("zi_e2e_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -18,15 +28,17 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 /// The kitchen-sink run: 4 ranks, NVMe on a real file, fp16 parameter
 /// storage, activation checkpointing, prefetching — loss must fall and
-/// no pool may leak. The gradients fill the CPU pool, so the shard cache
-/// gives its room up and parameter fetches read the file.
+/// no pool may leak. The gradients fill the CPU pool beside the ranks'
+/// staging sets, so the shard cache gives its room up and parameter
+/// fetches read the file.
 #[test]
 fn full_stack_training_on_file_backed_nvme() {
     let cfg = GptConfig { vocab: 32, hidden: 16, layers: 3, heads: 4, seq: 8, seed: 5 };
     let world = 4;
     let grads: usize =
         GptModel::new(cfg).registry().iter().map(|p| 4 * p.numel().div_ceil(world) * world).sum();
-    let spec = NodeMemorySpec::test_spec(world, 1 << 24, grads as u64, 1 << 27);
+    let sets = world as u64 * staging_set(cfg, Strategy::infinity_nvme(), world);
+    let spec = NodeMemorySpec::test_spec(world, 1 << 24, grads as u64 + sets, 1 << 27);
     let dir = temp_dir("full");
     let device = zi_nvme::FileBackend::create(&dir.join("nvme.dev")).expect("nvme file");
     let node = Arc::new(NodeResources::new(&spec, world, NodeEnv::new(Arc::new(device))));
@@ -155,10 +167,12 @@ fn nvme_failures_propagate_cleanly() {
 
     let cfg = GptConfig::tiny();
     let model = GptModel::new(cfg);
-    // The gradients fill the CPU pool, so the shard cache gives its room
-    // up at the first backward and parameter fetches read the device.
+    // The gradients fill the CPU pool beside the staging set, so the
+    // shard cache gives its room up at the first backward and parameter
+    // fetches read the device.
     let grads: usize = model.registry().iter().map(|p| 4 * p.numel()).sum();
-    let spec = NodeMemorySpec::test_spec(1, 1 << 24, grads as u64, 1 << 26);
+    let set = staging_set(cfg, Strategy::infinity_nvme(), 1);
+    let spec = NodeMemorySpec::test_spec(1, 1 << 24, grads as u64 + set, 1 << 26);
     let plan = FaultPlan::new();
     let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan.clone()));
     let policy = RetryPolicy {

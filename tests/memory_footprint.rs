@@ -23,8 +23,9 @@ fn cfg() -> GptConfig {
     GptConfig { vocab: 32, hidden: 16, layers: 2, heads: 4, seq: 8, seed: 44 }
 }
 
-/// Bytes on (aggregate GPU, CPU, NVMe) after engine init across `world`
-/// ranks, under `strategy`.
+/// Bytes of model state on (aggregate GPU, CPU, NVMe) after engine init
+/// across `world` ranks, under `strategy`: the CPU's beside the ranks'
+/// staging sets, which are charged there too.
 fn measure(strategy: Strategy, world: usize) -> (u64, u64, u64, usize) {
     let node = Arc::new(NodeResources::in_memory(
         &NodeMemorySpec::test_spec(world, 1 << 26, 1 << 27, 1 << 27),
@@ -50,7 +51,9 @@ fn measure(strategy: Strategy, world: usize) -> (u64, u64, u64, usize) {
             let measured = if rank == 0 {
                 let gpu: u64 =
                     (0..world).map(|r| node.hierarchy.stats(Device::gpu(r)).in_use).sum();
-                let cpu = node.hierarchy.stats(Device::cpu()).in_use;
+                // Every rank's set is the same size: the shards are.
+                let sets = world as u64 * engine.offload_manager().staging().held_bytes();
+                let cpu = node.hierarchy.stats(Device::cpu()).in_use - sets;
                 let nvme = node.hierarchy.stats(Device::nvme()).in_use;
                 Some((gpu, cpu, nvme))
             } else {
@@ -118,8 +121,8 @@ fn infinity_nvme_leaves_gpu_empty() {
     let world = 2;
     let (gpu, cpu, nvme, p) = measure(Strategy::infinity_nvme(), world);
     // Params (2B) + optimizer (12B) on NVMe, nothing resident on GPU; the
-    // CPU holds only the shard cache's reclaimable copy of the fp16 image,
-    // written through at construction.
+    // CPU holds, beside the staging sets, only the shard cache's
+    // reclaimable copy of the fp16 image, written through at construction.
     assert_eq!(gpu, 0, "Infinity-NVMe must keep GPUs empty at rest");
     let image: usize = GptModel::new(cfg()).registry().iter().map(|m| m.numel().div_ceil(world) * world).sum();
     assert_eq!(cpu, 2 * image as u64);

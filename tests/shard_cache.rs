@@ -6,8 +6,8 @@
 //!
 //! The budget is the node's CPU pool (there is no option), so each case
 //! is a pool size: a roomy run measures what the other CPU tenants (the
-//! gradients) need at their peak and how large the fp16 image is, and the
-//! cases are cut from those two numbers.
+//! gradients, and each rank's staging set) need at their peak and how
+//! large the fp16 image is, and the cases are cut from those two numbers.
 
 use zi_sync::Arc;
 
@@ -76,8 +76,8 @@ struct Run {
     comm_calls: u64,
     /// Bytes of the whole fp16 parameter image (every rank's shards).
     image: u64,
-    /// CPU pool: bytes still charged between steps (the cache), and the
-    /// run's peak.
+    /// CPU pool: bytes still charged between steps beside the ranks'
+    /// staging sets (the cache), and the run's peak.
     cpu_at_rest: u64,
     cpu_peak: u64,
     /// The node's I/O after construction and after the first forward
@@ -138,13 +138,17 @@ fn run(strategy: Strategy, world: usize, cpu: u64) -> Run {
                     let (health, cpu_at_rest) = settled();
                     per_step.push((mean.to_bits(), engine.stats(), health, cpu_at_rest));
                 }
+                let staging = engine.offload_manager().staging().clone();
                 engine.dispose().expect("dispose");
-                (per_step, first)
+                // (v) no staging buffer out.
+                assert_eq!(staging.outstanding(), 0);
+                (per_step, (first, staging.held_bytes()))
             })
         })
         .collect();
     let (per_rank, first): (Vec<_>, Vec<_>) =
         handles.into_iter().map(|h| h.join().expect("rank thread")).unzip();
+    let sets: u64 = first.iter().map(|(_, set)| set).sum();
 
     let cumulative: Vec<Counts> = (0..STEPS)
         .map(|step| {
@@ -166,19 +170,18 @@ fn run(strategy: Strategy, world: usize, cpu: u64) -> Run {
             }
         })
         .collect();
-    // (v) dispose leaves every pool at zero and no staging buffer out.
+    // (v) dispose leaves every pool at zero.
     for device in (0..world).map(Device::gpu).chain([Device::cpu(), Device::nvme()]) {
         assert_eq!(node.hierarchy.stats(device).in_use, 0, "{device} leak after dispose");
     }
-    assert_eq!(node.offload_manager().staging().outstanding(), 0);
     Run {
         losses: per_rank[0].iter().map(|step| step.0).collect(),
         steady: (WARM_UP..STEPS).map(|s| cumulative[s].since(cumulative[s - 1])).collect(),
         comm_calls: node.group.traffic().snapshot().4,
         image: 2 * GptModel::new(cfg).registry().iter().map(|p| padded(p.numel(), world)).sum::<u64>(),
-        cpu_at_rest: per_rank[0][STEPS - 1].3,
+        cpu_at_rest: per_rank[0][STEPS - 1].3 - sets,
         cpu_peak: node.hierarchy.stats(Device::cpu()).peak_in_use,
-        first: first[0].clone(),
+        first: first[0].0.clone(),
     }
 }
 
@@ -285,8 +288,15 @@ fn a_cpu_store_that_needs_the_caches_room_evicts_it() {
     let model = GptModel::new(cfg);
     let image: u64 = 2 * model.registry().iter().map(|p| p.numel() as u64).sum::<u64>();
     let grads = 2 * image;
-    // Room for the gradients and the image, and nothing else.
-    let spec = NodeMemorySpec::test_spec(1, 1 << 24, grads + image, 1 << 26);
+    // Room for the gradients, the image and the staging set, and nothing
+    // else.
+    let set = {
+        let roomy = NodeResources::in_memory(&NodeMemorySpec::test_spec(1, 1 << 24, 1 << 26, 1 << 26), 1);
+        let (mgr, comm) = (roomy.offload_manager(), roomy.group.communicator(0));
+        let probe = ZeroEngine::new(model.registry(), Strategy::infinity_nvme(), mgr, comm, AdamConfig::default());
+        probe.expect("probe engine").offload_manager().staging().held_bytes()
+    };
+    let spec = NodeMemorySpec::test_spec(1, 1 << 24, grads + image + set, 1 << 26);
     let opts = RunOptions { batch: 1, ..Default::default() };
     let train = |engine: &mut ZeroEngine, step: usize| {
         let (tokens, targets) = synthetic_batch(&cfg, 1, step);
@@ -310,17 +320,19 @@ fn a_cpu_store_that_needs_the_caches_room_evicts_it() {
         between(&node);
         losses.extend((2..4).map(|step| train(&mut engine, step)));
         let health = node.offload_manager().health();
-        let cached = node.hierarchy.stats(Device::cpu()).in_use;
+        let cached = node.hierarchy.stats(Device::cpu()).in_use - set;
         assert_eq!(health.corruptions_recovered + health.corruptions_unrecovered, 0);
+        let staging = engine.offload_manager().staging().clone();
         engine.dispose().expect("dispose");
+        assert_eq!(staging.outstanding(), 0);
+        drop(staging);
         assert_eq!(node.hierarchy.stats(Device::cpu()).in_use, 0);
-        assert_eq!(node.offload_manager().staging().outstanding(), 0);
         (losses, health, cached)
     };
     let evicted = std::cell::Cell::new(0);
     let tenant_arrives = |node: &NodeResources| {
         let mgr = node.offload_manager();
-        let cpu = || node.hierarchy.stats(Device::cpu()).in_use;
+        let cpu = || node.hierarchy.stats(Device::cpu()).in_use - set;
         assert_eq!((cpu(), mgr.health().shard_cache_evictions), (image, 0), "the image is cached");
         node.nvme.barrier().expect("device barrier");
         let before = node.nvme.stats();
