@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use zi_check::{Checker, Report};
 use zi_comm::{CommConfig, CommFaultPlan, CommGroup, Membership};
-use zi_memory::{MemoryHierarchy, NodeMemorySpec, PlacementPolicy, ScratchPool};
+use zi_memory::{MemoryHierarchy, NodeMemorySpec, PinnedBufferPool, PlacementPolicy, ScratchPool};
 use zi_nvme::{
     CheckpointStore, FaultPlan, FaultyBackend, MemBackend, NvmeEngine, RetryPolicy, StorageBackend,
 };
@@ -255,42 +255,72 @@ fn store_recovery_never_sees_torn_manifests() {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol 4: a staging set at its bound — checkout/return under
-// contention.
+// Protocol 4: buffer pools — checkout/return under contention.
 //
-// Invariant: a set of one buffer for three threads that each hold one at
-// a time, twice, hands the buffer to all of them (an acquisition that
-// finds it out waits on the condvar, counted, until it comes home),
-// bookkeeping balances, and the set's charge to the CPU pool is handed
-// back with its last handle — no deadlock, no lost wakeup, no race on the
-// counters.
+// Invariant: a single-buffer pinned pool and a staging set of one buffer
+// each hand their buffer to both threads (one blocks on the condvar until
+// the other returns it), bookkeeping balances, and every buffer comes
+// home — no deadlock, no lost wakeup, no race on the counters. The space
+// is small enough to enumerate whole.
+//
+// A staging set of two shelves, one buffer each, for four holders — two
+// per shelf, each holding one at a time, twice — hands each shelf's
+// buffer to its holders although both shelves' waiters share one
+// condvar (a waiter woken by the other shelf's buffer waits again), and
+// the set's charge to the CPU pool is handed back with its last handle.
+// Sampled.
 
 fn pool_checkout_body() {
+    let tracer = Tracer::new();
+    let pinned = PinnedBufferPool::with_tracer(1, 4, tracer.clone());
+    let scratch = ScratchPool::new(&[(1, 4)], &cpu_pool(), Tracer::new()).expect("staging set");
+    let (p2, s2) = (pinned.clone(), scratch.clone());
+    let t = thread::spawn(move || {
+        drop(p2.acquire());
+        s2.acquire(0, 4).expect("the set's buffer").as_f32_mut()[0] = 1.0;
+    });
+    drop(pinned.acquire());
+    scratch.acquire(0, 4).expect("the set's buffer").as_f32_mut()[0] = 2.0;
+    t.join().expect("contending thread");
+    // A buffer that never came home would block this forever.
+    drop(pinned.acquire());
+    assert_eq!(tracer.snapshot().pinned_acquires, 3);
+    let st = scratch.stats();
+    assert_eq!((st.allocated, st.reused, st.peak_outstanding), (1, 2, 1));
+    assert_eq!((scratch.outstanding(), scratch.idle(0)), (0, 1), "the set's buffer came home");
+}
+
+#[test]
+fn pools_checkout_return_race_free() {
+    run_exhaustive("pool-checkout-return", pool_checkout_body);
+}
+
+fn staging_shelves_body() {
     let cpu = cpu_pool();
-    let scratch = ScratchPool::new(&[(1, 4)], &cpu, Tracer::new()).expect("staging set");
-    let threads: Vec<_> = (0..3)
+    let scratch = ScratchPool::new(&[(1, 4), (1, 4)], &cpu, Tracer::new()).expect("staging set");
+    let threads: Vec<_> = (0..4)
         .map(|k| {
             let scratch = scratch.clone();
             thread::spawn(move || {
                 for _ in 0..2 {
-                    let mut v = scratch.acquire(0, 4).expect("the set's buffer");
+                    let mut v = scratch.acquire(k % 2, 4).expect("the shelf's buffer");
                     v.as_f32_mut()[0] = k as f32;
                 }
             })
         })
         .collect();
-    threads.into_iter().for_each(|t| t.join().expect("contending thread"));
+    threads.into_iter().for_each(|t| t.join().expect("holder thread"));
     let st = scratch.stats();
-    assert_eq!((st.allocated, st.reused, st.peak_outstanding), (1, 6, 1));
-    assert!(st.waits <= 5, "the first acquisition cannot wait");
-    assert_eq!(scratch.idle(0), 1, "the set's buffer came home");
+    assert_eq!((st.allocated, st.reused), (2, 8));
+    assert!(st.peak_outstanding <= 2 && st.waits <= 6, "{st:?}");
+    assert_eq!((scratch.idle(0), scratch.idle(1)), (1, 1), "a shelf's buffer was lost");
     drop(scratch);
     assert_eq!(cpu.stats(zi_types::Device::cpu()).in_use, 0, "the set's charge was not handed back");
 }
 
 #[test]
-fn pools_checkout_return_race_free() {
-    run("pool-checkout-return", pool_checkout_body);
+fn staging_shelves_wake_their_own_waiters() {
+    run("staging-shelves", staging_shelves_body);
 }
 
 // ---------------------------------------------------------------------------

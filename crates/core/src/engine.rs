@@ -1009,16 +1009,23 @@ impl ZeroEngine {
     /// degradation latch is set: split buffers re-publish their
     /// NVMe-resident half to CPU instead of dropping it with the store.
     /// Waits out the carried window and drops the kept records, whose
-    /// buffers mirror the old placement.
+    /// buffers mirror the old placement. The staging set is handed back
+    /// (the prefetches holding its shard buffers reaped) before the state
+    /// moves into DRAM, which reads no staging buffer, and sized again for
+    /// what the new placement streams.
     fn collapse_on_degradation(&mut self) -> Result<()> {
         if self.collapsed || !self.mgr.degradation_latched() {
             return Ok(());
         }
         self.drain_tail()?;
         self.drop_carry("carry.drop.placement");
+        self.prefetcher.clear(&self.mgr);
+        self.mgr.release_staging();
         for opt in &mut self.optims {
             self.mgr.collapse(&mut opt.state)?;
         }
+        let set = self.staging_set();
+        self.mgr.provision_staging(set)?;
         self.collapsed = true;
         Ok(())
     }
@@ -1138,7 +1145,8 @@ impl ZeroEngine {
         reaped
     }
 
-    /// Free every parameter's and optimizer shard's storage.
+    /// Free every parameter's and optimizer shard's storage, and the
+    /// staging set sized for it.
     fn release_state(&mut self) {
         for st in self.shards.drain(..) {
             self.mgr.free_placed(st.param);
@@ -1146,6 +1154,7 @@ impl ZeroEngine {
         for opt in self.optims.drain(..) {
             self.mgr.free_placed(opt.state);
         }
+        self.mgr.release_staging();
     }
 }
 
@@ -1987,6 +1996,67 @@ mod tests {
             other => panic!("a pool 4 B short of the set built an engine: {other:?}"),
         }
         build(set).expect("a pool that holds the set");
+    }
+
+    /// An engine over one 8 × 8 parameter in records of four, prefetch
+    /// off, on `node`: its state in DRAM outweighs the set that streams it
+    /// from NVMe.
+    fn square_engine(node: &NodeResources) -> Result<ZeroEngine> {
+        let mut reg = ParamRegistry::new();
+        reg.register("w", &[8, 8], 5, 0.2, 0.0);
+        let strategy =
+            Strategy::infinity_nvme().with_f32_params().with_prefetch_window(0).with_optimizer_chunk(4);
+        let comm = node.group.communicator(0);
+        ZeroEngine::new(&reg, strategy, node.offload_manager(), comm, AdamConfig::default())
+    }
+
+    #[test]
+    fn a_device_death_in_construction_rebuilds_in_a_pool_that_holds_just_the_dram_state() {
+        // The DRAM layout's footprint: an engine built on a dead device.
+        let (plan, roomy) = faulty_node(1 << 22);
+        plan.kill();
+        let eng = square_engine(&roomy).unwrap();
+        assert!(eng.mgr.health().degraded);
+        let dram = roomy.hierarchy.stats(Device::cpu()).in_use;
+        eng.dispose().unwrap();
+        // The device dies once the NVMe layout's set is charged and its
+        // writes have begun: the set goes with the failed layout, so the
+        // DRAM one is built in a pool of exactly its size.
+        let (plan, node) = faulty_node(dram);
+        plan.kill_after_ops(2);
+        let eng = square_engine(&node).expect("the DRAM layout in a pool of its size");
+        assert!(eng.mgr.health().degraded);
+        assert_eq!(node.hierarchy.stats(Device::cpu()).in_use, dram);
+        eng.dispose().unwrap();
+    }
+
+    #[test]
+    fn a_collapse_hands_its_record_buffers_back_before_the_state_moves_into_dram() {
+        // The gradient deposited, the node degrades and the step collapses
+        // the state into DRAM. Returns the CPU bytes in use before the step
+        // (the streamed set and the gradient) and after it (the state in
+        // DRAM and the set it streams with), and both sets.
+        let collapse = |cpu: u64| -> Result<[u64; 4]> {
+            let (_, node) = faulty_node(cpu);
+            let mut eng = square_engine(&node)?;
+            node.crowd_out_shard_cache();
+            eng.add_grad(ParamId(0), &Tensor::from_vec(&[8, 8], vec![0.5; 64])?)?;
+            let in_use = || node.hierarchy.stats(Device::cpu()).in_use;
+            let (before, streamed) = (in_use(), eng.mgr.staging().held_bytes());
+            node.degrade();
+            assert!(eng.step()?);
+            let out = [before, in_use(), streamed, eng.mgr.staging().held_bytes()];
+            eng.dispose()?;
+            Ok(out)
+        };
+        let [before, after, streamed, shrunk] = collapse(1 << 22).unwrap();
+        assert!(shrunk < streamed, "the record shelf stayed: {shrunk} of {streamed} B");
+        // A pool of exactly the collapse's need — the gradient beside the
+        // state in DRAM and the set that streams it — where the streamed
+        // set, still charged, would not fit.
+        let grad = before - streamed;
+        assert!(grad + after < after + before - shrunk, "the pool would hold both sets");
+        assert_eq!(collapse(grad + after).unwrap(), [before, after, streamed, shrunk]);
     }
 
     /// One rank over a scriptable faulty device of two workers — a

@@ -20,7 +20,8 @@
 //! recycled [`ScratchVec`]s sized once when its engine is built and
 //! charged to the CPU pool (the paper's pinned-memory layer, Sec. 6.3;
 //! DESIGN.md §7); reads that hand their bytes to the caller to keep
-//! (`load_placed`, `take`, `collapse`) read into those bytes directly.
+//! (`load_placed`, `take`, `collapse`, the fetch of a buffer of several
+//! segments) read into those bytes directly.
 //! Every read is verified against the checksum registry (see
 //! [`OffloadManager::verify_or_reread`]).
 //!
@@ -781,12 +782,7 @@ impl PlacedBuf {
     /// True when any part of the buffer lives on the NVMe device
     /// (loading it costs an nc-transfer).
     pub(crate) fn is_offloaded(&self) -> bool {
-        self.device_segments() > 0
-    }
-
-    /// The segments on the NVMe device: a whole-buffer load's reads.
-    pub(crate) fn device_segments(&self) -> usize {
-        self.segments.iter().filter(|s| s.ram.is_none()).count()
+        self.segments.iter().any(|s| s.ram.is_none())
     }
 
     /// The device extent `(offset, bytes)` the shard cache knows this
@@ -901,9 +897,10 @@ impl PlacedPending {
 pub enum LoadedBytes<'a> {
     /// The one RAM-resident segment, borrowed — no copy.
     Resident(&'a [u8]),
-    /// Verified bytes read from the device (or assembled from several
-    /// segments).
+    /// Verified bytes of a one-segment buffer, read from the device.
     Staged(ScratchVec),
+    /// A buffer of several segments, read whole into bytes of its own.
+    Owned(FlatBuffer),
     /// The shard cache's copy of an NVMe-resident parameter shard,
     /// shared — no copy, no device read. It stays valid for this holder
     /// even if the entry is evicted or invalidated meanwhile.
@@ -916,6 +913,7 @@ impl LoadedBytes<'_> {
         match self {
             LoadedBytes::Resident(bytes) => bytes,
             LoadedBytes::Staged(staging) => staging.as_bytes(),
+            LoadedBytes::Owned(whole) => whole.as_bytes(),
             LoadedBytes::Cached(shard) => shard,
         }
     }
@@ -969,11 +967,21 @@ impl OffloadManager {
     /// set: per shelf (records, publish pieces, shards) a count of buffers
     /// of a size, charged to the CPU pool, the shard cache evicted if in
     /// the way; [`Error::OutOfMemory`] when the pool cannot hold it.
+    /// The set this handle held is dropped first, so its charge is handed
+    /// back before the new one is asked for. Only the charge is made under
+    /// the cache's locks; the buffers are allocated after.
     pub fn provision_staging(&mut self, set: [(usize, usize); 3]) -> Result<()> {
-        let (hierarchy, tracer) = (&self.hierarchy, &self.tracer);
-        let staging = self.resilience.cpu_tenant(|| ScratchPool::new(&set, hierarchy, tracer.clone()));
-        self.staging = staging?;
+        self.release_staging();
+        let (hierarchy, tracer) = (&self.hierarchy, self.tracer.clone());
+        let reserve = |held| self.resilience.cpu_tenant(|| hierarchy.reserve(Device::cpu(), held));
+        self.staging = ScratchPool::with_reserve(&set, hierarchy, tracer, reserve)?;
         Ok(())
+    }
+
+    /// Drop this handle's staging set: its charge is handed back once its
+    /// last buffer is home.
+    pub(crate) fn release_staging(&mut self) {
+        self.staging = ScratchPool::default();
     }
 
     /// The node-wide tracer this manager records into.
@@ -1289,68 +1297,43 @@ impl OffloadManager {
         Ok(buf)
     }
 
-    /// Begin an asynchronous load of the whole buffer: one piece per
-    /// segment, every NVMe-resident segment's read issued immediately into
-    /// a shard buffer of the staging set. This is the `nc-transfer` stage
-    /// the prefetcher overlaps with compute (Sec. 6.2). The reads are
-    /// issued whether or not the shard cache holds the buffer: a caller
-    /// that wants no read for a cached shard asks [`Self::cached`] first,
-    /// as [`Self::fetch_placed`] does. A failure leaves no read in flight.
-    pub(crate) fn begin_load(&self, buf: &PlacedBuf) -> Result<Vec<PlacedPending>> {
-        let mut pieces = Vec::with_capacity(buf.segments.len());
-        for seg in &buf.segments {
-            match self.begin_segment_read(SHARDS, buf.dtype, seg, 0, seg.len) {
-                Ok(piece) => pieces.push(piece),
-                Err(e) => {
-                    pieces.into_iter().for_each(|piece| piece.discard(self));
-                    return Err(e);
-                }
-            }
-        }
-        Ok(pieces)
+    /// Begin an asynchronous load of a one-segment buffer, an NVMe
+    /// segment's read issued immediately into a shard buffer of the
+    /// staging set. This is the `nc-transfer` stage the prefetcher
+    /// overlaps with compute (Sec. 6.2). The read is issued whether or not
+    /// the shard cache holds the buffer: a caller that wants no read for a
+    /// cached shard asks [`Self::cached`] first, as [`Self::fetch_placed`]
+    /// does. A buffer of several segments is [`Error::Internal`]: it is
+    /// read whole, into bytes of its own ([`Self::load_placed`]).
+    pub(crate) fn begin_load(&self, buf: &PlacedBuf) -> Result<PlacedPending> {
+        let [seg] = &buf.segments[..] else {
+            return Err(Error::Internal("a staged load reads a one-segment buffer".into()));
+        };
+        self.begin_segment_read(SHARDS, buf.dtype, seg, 0, seg.len)
     }
 
-    /// Resolve the pieces of [`Self::begin_load`] into the buffer's
-    /// contiguous bytes. A one-segment buffer costs no copy: a resident
-    /// segment is borrowed, an NVMe one is the verified staging buffer
-    /// itself, copied into the shard cache when the CPU pool has room for
-    /// it — then the cache's copy is handed out and the staging buffer goes
-    /// home. Several segments are assembled into one shard buffer.
+    /// Resolve [`Self::begin_load`]'s piece into the buffer's bytes, with
+    /// no copy: a resident segment is borrowed, an NVMe one is the verified
+    /// staging buffer itself, copied into the shard cache when the CPU pool
+    /// has room for it — then the cache's copy is handed out and the
+    /// staging buffer goes home.
     pub(crate) fn finish_load<'a>(
         &self,
         buf: &'a PlacedBuf,
-        pieces: Vec<PlacedPending>,
+        piece: PlacedPending,
     ) -> Result<LoadedBytes<'a>> {
-        // Every read is reaped before any failure surfaces.
-        let staged: Vec<_> = pieces.into_iter().map(|piece| piece.wait_verified(self)).collect();
-        let mut staged = staged.into_iter().collect::<Result<Vec<_>>>()?;
-        if staged.len() != buf.segments.len() {
-            return Err(piece_mismatch());
+        // The read is reaped before any failure surfaces.
+        match (piece.wait_verified(self)?, &buf.segments[..]) {
+            (Some((staging, Some(tiles))), [seg]) => {
+                Ok(match self.resilience.admit(seg.block.offset, &tiles, staging.as_bytes()) {
+                    Some(shard) => LoadedBytes::Cached(shard),
+                    None => LoadedBytes::Staged(staging),
+                })
+            }
+            (Some((staging, _)), [_]) => Ok(LoadedBytes::Staged(staging)),
+            (None, [Segment { ram: Some(ram), .. }]) => Ok(LoadedBytes::Resident(ram.as_bytes())),
+            _ => Err(piece_mismatch()),
         }
-        if let [seg] = &buf.segments[..] {
-            return match (staged.pop().flatten(), &seg.ram) {
-                (Some((staging, Some(tiles))), _) => {
-                    Ok(match self.resilience.admit(seg.block.offset, &tiles, staging.as_bytes()) {
-                        Some(shard) => LoadedBytes::Cached(shard),
-                        None => LoadedBytes::Staged(staging),
-                    })
-                }
-                (Some((staging, _)), _) => Ok(LoadedBytes::Staged(staging)),
-                (None, Some(ram)) => Ok(LoadedBytes::Resident(ram.as_bytes())),
-                (None, None) => Err(piece_mismatch()),
-            };
-        }
-        let mut whole = self.staging.acquire(SHARDS, buf.size_in_bytes())?;
-        for (seg, piece) in buf.segments.iter().zip(&staged) {
-            let src = match (piece, &seg.ram) {
-                (Some((staging, _)), _) => staging.as_bytes(),
-                (None, Some(ram)) => ram.as_bytes(),
-                (None, None) => return Err(piece_mismatch()),
-            };
-            let lo = buf.dtype.bytes_for(seg.start);
-            whole.as_bytes_mut()[lo..lo + src.len()].copy_from_slice(src);
-        }
-        Ok(LoadedBytes::Staged(whole))
     }
 
     /// The buffer's bytes from the shard cache, when it holds them: no
@@ -1365,13 +1348,14 @@ impl OffloadManager {
         Some(LoadedBytes::Cached(shard))
     }
 
-    /// A parameter shard's bytes: the shard cache's copy, else read now —
-    /// every NVMe segment's read in flight before the first is waited on
-    /// — and kept for the next fetch when the CPU pool has room.
+    /// A parameter shard's bytes: the shard cache's copy, else read now
+    /// and kept for the next fetch when the CPU pool has room. A buffer of
+    /// several segments is read whole, as [`Self::load_placed`] reads it.
     pub fn fetch_placed<'a>(&self, buf: &'a PlacedBuf) -> Result<LoadedBytes<'a>> {
-        match self.cached(buf, true) {
-            Some(hit) => Ok(hit),
-            None => self.finish_load(buf, self.begin_load(buf)?),
+        match (self.cached(buf, true), &buf.segments[..]) {
+            (Some(hit), _) => Ok(hit),
+            (None, [_]) => self.finish_load(buf, self.begin_load(buf)?),
+            (None, _) => Ok(LoadedBytes::Owned(self.load_placed(buf)?)),
         }
     }
 
@@ -1831,9 +1815,8 @@ impl WriteBehind {
 
 impl Drop for WriteBehind {
     fn drop(&mut self) {
-        // Not while unwinding: a second panic would abort the process.
         debug_assert!(
-            std::thread::panicking() || self.inflight.is_empty(),
+            self.inflight.is_empty(),
             "WriteBehind dropped with {} writes un-drained",
             self.inflight.len()
         );
@@ -2114,7 +2097,7 @@ mod tests {
         let mgr = node.staged_manager();
         let buf = store_on(&mgr, Device::nvme(), buf_f32(&[7.0; 64])).unwrap();
         let pending = mgr.begin_load(&buf).unwrap();
-        assert!(buf.is_offloaded() && pending.len() == 1);
+        assert!(buf.is_offloaded() && pending.is_read());
         // ... compute would happen here ...
         let data = mgr.finish_load(&buf, pending).unwrap();
         assert_eq!(data.as_bytes(), buf_f32(&[7.0; 64]).as_bytes());
@@ -2128,7 +2111,7 @@ mod tests {
         let mgr = node.staged_manager();
         let buf = store_on(&mgr, Device::cpu(), buf_f32(&[1.0, 2.0])).unwrap();
         let pending = mgr.begin_load(&buf).unwrap();
-        assert!(!buf.is_offloaded() && pending.iter().all(|p| p.ready(&mgr)));
+        assert!(!buf.is_offloaded() && pending.ready(&mgr));
         // The resident buffer itself is handed out: no copy, no staging.
         let data = mgr.finish_load(&buf, pending).unwrap();
         assert!(matches!(data, LoadedBytes::Resident(_)));
@@ -2849,21 +2832,22 @@ mod tests {
     }
 
     #[test]
-    fn whole_buffer_prefetch_of_a_split_buffer_reads_each_nvme_segment_once() {
+    fn a_split_buffer_is_fetched_whole_reading_each_nvme_segment_once() {
         let node = node();
         let mgr = node.staged_manager();
         let vals: Vec<f32> = (0..256).map(|i| i as f32).collect();
         let buf = store_nvme(&mgr, PlacementPolicy::split(500, 16), &vals);
         let nvme_segments = buf.segments.iter().filter(|s| s.ram.is_none()).count() as u64;
+        assert!(mgr.begin_load(&buf).is_err(), "a staged load of several segments");
         let before = mgr.nvme().stats();
-        let pending = mgr.begin_load(&buf).unwrap();
-        let data = mgr.finish_load(&buf, pending).unwrap();
+        let data = mgr.fetch_placed(&buf).unwrap();
+        assert!(matches!(data, LoadedBytes::Owned(_)));
         assert_eq!(data.as_bytes(), buf_f32(&vals).as_bytes());
         let after = mgr.nvme().stats();
         assert_eq!(after.reads - before.reads, nvme_segments);
         assert_eq!(after.bytes_read - before.bytes_read, in_use(&mgr).1);
         drop(data);
-        assert_eq!(mgr.staging().outstanding(), 0);
+        assert_eq!(mgr.staging().stats().reused, 0, "a whole read takes no staging buffer");
         // Taking the buffer returns the same bytes and frees both tiers.
         assert_eq!(mgr.take(buf).unwrap().to_f32_vec(), vals);
         assert_eq!(in_use(&mgr), (0, 0));

@@ -113,7 +113,7 @@ pub(crate) const MAX_PENDING: usize = 16;
 /// load always reads the buffer its demand fetch resolves.
 #[derive(Default)]
 pub(crate) struct Prefetcher {
-    pending: HashMap<ParamId, Vec<PlacedPending>>,
+    pending: HashMap<ParamId, PlacedPending>,
     stats: PrefetchStats,
 }
 
@@ -141,17 +141,16 @@ impl Prefetcher {
         }
         // RAM-resident shards resolve instantly (and copy-free) on the
         // demand path: there is nothing to start. A prefetch takes a shard
-        // buffer of the staging set per device segment and leaves one for
-        // the demand fetch, so it never waits for one: past that, it is not
-        // issued.
-        let reads = shard.device_segments();
-        if self.pending.len() >= MAX_PENDING || reads == 0 || mgr.staging().idle(SHARDS) <= reads {
+        // buffer of the staging set and leaves one for the demand fetch, so
+        // it never waits for one: past that, it is not issued.
+        if self.pending.len() >= MAX_PENDING || !shard.is_offloaded() || mgr.staging().idle(SHARDS) <= 1
+        {
             return;
         }
-        // A failure (a write-back the device refused) is the demand
-        // fetch's to surface.
-        let Ok(pieces) = mgr.begin_load(shard) else { return };
-        self.pending.insert(id, pieces);
+        // A failure (a write-back the device refused, a buffer of several
+        // segments, which is read whole) is the demand fetch's to surface.
+        let Ok(piece) = mgr.begin_load(shard) else { return };
+        self.pending.insert(id, piece);
         self.stats.issued += 1;
         mgr.tracer().count(Counter::PrefetchIssued, 1);
     }
@@ -172,7 +171,7 @@ impl Prefetcher {
         id: ParamId,
         shard: &'a PlacedBuf,
     ) -> Result<LoadedBytes<'a>> {
-        let Some(pieces) = self.pending.remove(&id) else {
+        let Some(piece) = self.pending.remove(&id) else {
             if shard.is_offloaded() && mgr.cached(shard, false).is_none() {
                 self.stats.misses += 1;
                 mgr.tracer().count(Counter::PrefetchMisses, 1);
@@ -181,13 +180,13 @@ impl Prefetcher {
         };
         self.stats.hits += 1;
         mgr.tracer().count(Counter::PrefetchHits, 1);
-        if !pieces.iter().all(|piece| piece.ready(mgr)) {
+        if !piece.ready(mgr) {
             // Still in flight: issued too late to fully hide the
             // transfer, so the wait below is exposed to compute.
             self.stats.late += 1;
             mgr.tracer().count(Counter::PrefetchLate, 1);
         }
-        match mgr.finish_load(shard, pieces) {
+        match mgr.finish_load(shard, piece) {
             Err(e) if e.is_transient() => mgr.fetch_placed(shard),
             loaded => loaded,
         }
@@ -210,7 +209,7 @@ impl Prefetcher {
     /// will retry (or surface the error) when the shard is actually
     /// needed.
     pub fn clear(&mut self, mgr: &OffloadManager) {
-        for piece in self.pending.drain().flat_map(|(_, pieces)| pieces) {
+        for (_, piece) in self.pending.drain() {
             piece.discard(mgr);
         }
     }

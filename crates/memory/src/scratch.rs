@@ -111,10 +111,22 @@ impl ScratchPool {
         hierarchy: &Arc<MemoryHierarchy>,
         tracer: Tracer,
     ) -> Result<ScratchPool> {
+        Self::with_reserve(shelves, hierarchy, tracer, |held| hierarchy.reserve(Device::cpu(), held))
+    }
+
+    /// [`Self::new`], the set's bytes charged by `reserve` — a caller that
+    /// makes room under locks of its own takes them only for the charge:
+    /// the buffers are allocated once it has returned.
+    pub fn with_reserve(
+        shelves: &[(usize, usize)],
+        hierarchy: &Arc<MemoryHierarchy>,
+        tracer: Tracer,
+        reserve: impl FnOnce(u64) -> Result<()>,
+    ) -> Result<ScratchPool> {
         let words = |bytes: usize| bytes.div_ceil(4);
         let held = shelves.iter().map(|&(count, bytes)| count as u64 * capacity_bytes(words(bytes)));
         let held = held.sum::<u64>();
-        hierarchy.reserve(Device::cpu(), held).map_err(|e| match e {
+        reserve(held).map_err(|e| match e {
             Error::OutOfMemory { device, requested, largest_free, total_free, .. } => {
                 Error::OutOfMemory { device, requested, largest_free, total_free, tenant: "staging set" }
             }

@@ -76,8 +76,9 @@ cargo run -q --release -p zi-audit -- --root . --json "$AUDIT_JSON" \
 # protocol harnesses (barrier rank-death, membership join handshake
 # racing rank death, the collectives' slot table, engine completion
 # barrier + the hand-back of every buffer of a fixed staging set,
-# checkpoint crash recovery, pool checkout/return with a staging set of
-# one buffer for three holders — a later one waits — trace ring drain,
+# checkpoint crash recovery, pool checkout/return — a one-buffer pinned
+# pool and staging set for two threads, enumerated whole, and a staging
+# set of two one-buffer shelves for four holders — trace ring drain,
 # kernel worker-pool tiling, the shard cache's admit / invalidate / evict
 # across two ranks, the optimizer step's carried write-behind window
 # against the next step's reads with the rank's set at its proven bound,

@@ -155,14 +155,14 @@ fn steady_state_fetch_deposit_and_step_allocate_no_large_block() {
     // CPU pool cut to what the gradients and the rank's staging set need
     // (measured on the first run), where nothing is ever admitted.
     const ROOMY: u64 = 1 << 28;
-    let mut no_cache_room = 0;
+    let (mut gradients_only, mut staging_set) = (0, 0);
     for (strategy, cached) in [
         (Strategy::infinity_nvme(), true),
         (Strategy::infinity_nvme(), false),
         (Strategy::data_parallel(), false),
     ] {
         let offloaded = strategy.placement.params == DeviceKind::Nvme;
-        let cpu = if offloaded && !cached { no_cache_room } else { ROOMY };
+        let cpu = if offloaded && !cached { gradients_only + staging_set } else { ROOMY };
         let tag = format!("{}, CPU pool {cpu} B", strategy.name);
         let spec = NodeMemorySpec::test_spec(1, 1 << 26, cpu, 1 << 28);
         let node = NodeResources::in_memory(&spec, 1);
@@ -202,11 +202,9 @@ fn steady_state_fetch_deposit_and_step_allocate_no_large_block() {
             // step's write-through put the fresh shard there.
             assert_eq!(store.fetch_reads, 0, "{tag}: a cached get read the device");
             assert!(hits >= 3 * 50, "{tag}: {hits} hits");
-            // At rest the cache and the staging set are charged; the set is
-            // charged at the peak too.
             let cpu = node.hierarchy.stats(Device::cpu());
-            let staging = store.engine.offload_manager().staging().held_bytes();
-            no_cache_room = cpu.peak_in_use - cpu.in_use + staging;
+            gradients_only = cpu.peak_in_use - cpu.in_use; // at rest the cache and the set are charged
+            staging_set = store.engine.offload_manager().staging().held_bytes();
         } else if offloaded {
             assert_eq!(hits, 0, "{tag}: no room, yet fetches were answered from the cache");
         }
