@@ -1021,11 +1021,10 @@ impl ZeroEngine {
         self.drop_carry("carry.drop.placement");
         self.prefetcher.clear(&self.mgr);
         self.mgr.release_staging();
-        for opt in &mut self.optims {
-            self.mgr.collapse(&mut opt.state)?;
-        }
+        let moved = self.optims.iter_mut().try_for_each(|opt| self.mgr.collapse(&mut opt.state));
+        // A set for the state where it now lies, also when a read failed.
         let set = self.staging_set();
-        self.mgr.provision_staging(set)?;
+        moved.and(self.mgr.provision_staging(set))?;
         self.collapsed = true;
         Ok(())
     }
