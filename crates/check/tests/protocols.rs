@@ -782,10 +782,9 @@ fn kernel_pool_panic_releases_submitter() {
 //
 // One parameter of two records on a two-worker device that serves a read
 // before a write already on it whenever the scheduler lets it, two steps
-// in opposite orders: step 1 keeps its last record, whose write races
-// step 2's update of the same buffer, and the record it does not keep,
-// whose write races step 2's read of it. Invariants, in every
-// interleaving:
+// in opposite orders: step 1 keeps both records, whose writes race step
+// 2's updates of the same buffers, and the checkpoint export after step 2
+// reads both back. Invariants, in every interleaving:
 //
 //   * no buffer is updated before its write landed, and every read sees
 //     only the written bytes: no read is verified against a checksum its
@@ -844,8 +843,8 @@ fn carried_window_body(seen: &zi_sync::OnceLock<()>, state: &zi_sync::OnceLock<V
     let env = NodeEnv { nvme_workers: 2, ..NodeEnv::new(device) };
     let node = NodeResources::new(&spec, 1, env);
     // Records of four elements; two device workers make the step two
-    // reads ahead with a write-behind window of four: the step keeps all
-    // but its first record.
+    // reads ahead with a write-behind window of four: the step keeps both
+    // records.
     let strategy = Strategy::infinity_nvme()
         .with_f32_params()
         .with_prefetch_window(0)

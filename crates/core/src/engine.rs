@@ -42,7 +42,6 @@
 //!    Replicated-parameter strategies (ZeRO-1/2/Offload) instead allgather
 //!    the updated slices back into every replica.
 
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 
 use zi_comm::{Communicator, Partitioner};
@@ -319,9 +318,7 @@ pub struct ZeroEngine {
     carry: Option<Vec<usize>>,
     /// The write-behind window the last step carried over: its kept
     /// records' writes, still on the device or landed, and their buffers.
-    /// In a cell so that [`Self::export_optimizer_records`] (`&self`) can
-    /// wait them out.
-    tail: RefCell<WriteBehind>,
+    tail: WriteBehind,
     stats: EngineStats,
 }
 
@@ -365,7 +362,7 @@ impl ZeroEngine {
         }
         let mut engine = ZeroEngine {
             part: Partitioner::new(comm.world_size()),
-            tail: RefCell::new(WriteBehind::new(WRITES_PER_RECORD * mgr.nvme().worker_count())),
+            tail: WriteBehind::new(WRITES_PER_RECORD * mgr.nvme().worker_count()),
             strategy,
             // Read before the layout: a latch set meanwhile (a failover
             // here or on another rank) collapses at the first step.
@@ -479,10 +476,9 @@ impl ZeroEngine {
             self.write_state(idx, [master, &zeros, &zeros], &mut wb, &mut filling)?;
             if s.partition_params { Ok(()) } else { self.publish(idx, whole, &mut wb) }
         });
-        // Construction reaps its own writes; the flush waits on no peer's.
+        // Construction reaps its own writes.
         let drained = wb.drain(&self.mgr);
         written.and(drained)?;
-        self.mgr.flush()?;
         Ok(wb.bytes)
     }
 
@@ -607,10 +603,7 @@ impl ZeroEngine {
     /// Start an asynchronous load of `id`'s shard unless it is resident
     /// or already on its way.
     fn prefetch_shard(&mut self, id: ParamId) {
-        if self.strategy.partition_params
-            && !self.resident.contains_key(&id)
-            && !self.prefetcher.is_pending(id)
-        {
+        if self.strategy.partition_params && !self.resident.contains_key(&id) {
             self.prefetcher.prefetch(&self.mgr, id, &self.shards[id.0].param);
         }
     }
@@ -655,7 +648,7 @@ impl ZeroEngine {
             self.clear_grads();
             self.scaler.update(true);
             self.stats.skipped_steps += 1;
-            self.end_iteration()?;
+            self.end_iteration();
             return Ok(false);
         }
         self.scaler.update(false);
@@ -682,7 +675,7 @@ impl ZeroEngine {
             self.drop_carry("carry.drop.due_set");
         }
         let window = self.window();
-        let mut wb = std::mem::replace(self.tail.get_mut(), WriteBehind::new(window));
+        let mut wb = std::mem::replace(&mut self.tail, WriteBehind::new(window));
         let budget = self.depth() + window;
         let mut ahead = ReadAhead::new(&self.optims, &due, self.descending, budget);
         let pieces = wb.pieces;
@@ -703,8 +696,8 @@ impl ZeroEngine {
             self.mgr.tracer().instant(Category::OptimStep, "carry.keep", bytes, kept as u64);
         }
         self.carry = (kept > 0).then_some(due);
-        *self.tail.get_mut() = wb;
-        self.end_iteration()?;
+        self.tail = wb;
+        self.end_iteration();
         Ok(true)
     }
 
@@ -958,7 +951,7 @@ impl ZeroEngine {
     /// device. A failed write is the caller's typed error, and drops the
     /// kept records.
     fn drain_tail(&mut self) -> Result<()> {
-        let drained = self.tail.get_mut().drain(&self.mgr);
+        let drained = self.tail.drain(&self.mgr);
         if drained.is_err() {
             self.drop_carry("carry.drop.write");
         }
@@ -969,19 +962,18 @@ impl ZeroEngine {
     /// their writes land; instant `why`. Never the degradation latch's to
     /// absorb: a lost record update is not a degraded read.
     fn drop_carry(&mut self, why: &'static str) {
-        let tail = self.tail.get_mut();
         if self.carry.take().is_some() {
-            let tracer = self.mgr.tracer();
-            tracer.instant(Category::OptimStep, why, tail.in_flight_bytes(), tail.held() as u64);
+            let (bytes, held) = (self.tail.in_flight_bytes(), self.tail.held() as u64);
+            self.mgr.tracer().instant(Category::OptimStep, why, bytes, held);
         }
-        tail.forget_kept();
+        self.tail.forget_kept();
     }
 
     /// Reap the requests kept between calls: the carried window's writes,
     /// whose first failure is returned, and the prefetcher's reads; the
     /// kept records go. [`Self::dispose`] and `Drop` both come here.
     fn reap(&mut self) -> Result<()> {
-        let drained = self.tail.get_mut().drain(&self.mgr);
+        let drained = self.tail.drain(&self.mgr);
         self.drop_carry("carry.drop.dispose");
         self.prefetcher.clear(&self.mgr);
         drained
@@ -1029,14 +1021,11 @@ impl ZeroEngine {
         Ok(())
     }
 
-    /// Close the iteration: the prefetches reaped, then this rank's flush.
-    /// The step has already reaped its own reads, and its writes but for
-    /// the kept records'; the flush never waits out a peer's I/O — at
-    /// world > 1 another rank's carry may still be on the shared device.
-    fn end_iteration(&mut self) -> Result<()> {
+    /// Close the iteration: the prefetches reaped. The step has already
+    /// reaped its own reads, and its writes but for the kept records'.
+    fn end_iteration(&mut self) {
         self.trace.end_iteration();
         self.prefetcher.clear(&self.mgr);
-        self.mgr.flush()
     }
 
     /// Gather the full f32 value of a parameter (collective: every rank
@@ -1072,9 +1061,9 @@ impl ZeroEngine {
     /// writes are waited out first; the kept records stay, as clean as the
     /// device.
     pub(crate) fn export_optimizer_records(
-        &self,
+        &mut self,
     ) -> Result<Vec<crate::checkpoint::ParamRecord>> {
-        self.tail.borrow_mut().drain(&self.mgr)?;
+        self.tail.drain(&self.mgr)?;
         let mut out: Vec<_> = self.shards.iter().map(|_| None).collect();
         for OptimStorage { state, layout, .. } in &self.optims {
             let state = self.mgr.load_placed(state)?.to_f32_vec();
@@ -1373,11 +1362,10 @@ enum Publish {
 /// kept, its write submitted only at
 /// the step's end, behind the step's last read, so it lands under the next
 /// forward and backward. The next step starts with those same records,
-/// taken from the carried window once their writes land, without a read.
-/// The first device record is never kept, so every step reads back, and
-/// verifies, at least one record the step before wrote. A read takes a
-/// buffer of the set: reads, the tail and the window's buffers together
-/// never hold more than `budget`.
+/// taken from the carried window once their writes land, without a read:
+/// a rank whose device records fit the budget keeps them all and reads
+/// none in a steady step. A read takes a buffer of the set: reads, the
+/// tail and the window's buffers together never hold more than `budget`.
 struct ReadAhead {
     /// The records to update, in this step's order: buffer, element.
     order: Vec<(usize, usize)>,
@@ -1397,7 +1385,7 @@ struct ReadAhead {
 
 impl ReadAhead {
     /// The queue over the records of the `due` buffers in this step's
-    /// order, its tail the last `min(budget, device records − 1)` device
+    /// order, its tail the last `min(budget, device records)` device
     /// records.
     fn new(optims: &[OptimStorage], due: &[usize], descending: bool, budget: usize) -> Self {
         let records = |b: usize| (0..optims[b].layout.len).step_by(optims[b].layout.per);
@@ -1409,7 +1397,7 @@ impl ReadAhead {
         let on_device = |&(b, at): &(usize, usize)| {
             optims[b].state.device_offset(optims[b].layout.span(at).0, 0).is_some()
         };
-        let keep = budget.min(order.iter().filter(|r| on_device(r)).count().saturating_sub(1));
+        let keep = budget.min(order.iter().filter(|r| on_device(r)).count());
         let mut staged = 0;
         let tail = order.iter().rposition(|record| {
             staged += usize::from(on_device(record));
@@ -1779,9 +1767,9 @@ mod tests {
         assert!(peak >= 2, "expected ≥ 2 concurrent requests, peak was {peak} (before: {peak_before})");
         // The queue spans parameters: `b`'s reads are on the device while
         // `w` still updates. Tickets number requests in submission order,
-        // and the step keeps all but its first record, whose writes go
-        // out when it returns, after its last read. The step's last
-        // writes land after it returns.
+        // and the step keeps all four records, whose writes go out when it
+        // returns, after its last read. The step's last writes land after
+        // it returns.
         node.nvme.barrier().unwrap();
         let events = node.tracer().take_events();
         let tickets = |name: &str, bytes: u64| {
@@ -1805,14 +1793,16 @@ mod tests {
     /// Multi-path placement in the regime it exists for: a CPU pool too
     /// small for the optimizer state contributes its path anyway. With a
     /// quarter of the state striped onto CPU DRAM the step drives both
-    /// paths at once (a cp span and an nc span open at the same time);
-    /// asking the same pool for all of it is a typed OOM, not a slowdown.
+    /// paths at once (a DRAM record's cp update runs while the device
+    /// holds a write), whether the publishes go to the shard cache or
+    /// through to the device; asking the same pool for all of it is a
+    /// typed OOM, not a slowdown.
     #[test]
     fn split_placement_drives_both_paths_where_all_cpu_cannot_fit() {
         const NUMEL: usize = 1 << 14;
         let mut reg = ParamRegistry::new();
         let id = reg.register("big", &[NUMEL], 3, 0.1, 0.0);
-        // The CPU pool holds ~2.9 f32 images of the parameter beside the
+        // The CPU pool holds ~2.9 f32 images of the parameter beside a
         // rank's staging set: the gradient and half the three-image
         // optimizer state, not all.
         let strategy = |cpu_permille| {
@@ -1821,22 +1811,9 @@ mod tests {
                 .with_optimizer_cpu_permille(cpu_permille)
         };
         let node_and_engine = |cpu: u64, cpu_permille: usize| {
-            // Records 3, 7, 11 and 15 of sixteen are the DRAM ones, and
-            // the step keeps its last six device records, whose writes go
-            // out at its end. Counted from the step's start, the device
-            // holds its first three writes — records 0 to 2 — until the
-            // fourth arrives, after record 4 updates: their nc spans are
-            // open across record 3's update unless the step waits on its
-            // writes before a DRAM record, that is, unless the paths take
-            // turns. (A clock-timed device made this a race once the
-            // publishes stopped queueing writes behind the records'.)
-            let door = zi_sync::Arc::new(Door {
-                arrived: zi_sync::Mutex::new(0),
-                full: zi_sync::Condvar::new(),
-                n: 4,
-                dev: zi_nvme::MemBackend::new(),
-            });
-            let env = NodeEnv { nvme_workers: 2, ..NodeEnv::new(door.clone()) };
+            let relay = zi_sync::Arc::new(Relay::default());
+            let tracer = relay.tracer.clone();
+            let env = NodeEnv { nvme_workers: 2, tracer, ..NodeEnv::new(relay.clone()) };
             let spec = NodeMemorySpec::test_spec(1, 1 << 22, cpu, 1 << 22);
             let node = NodeResources::new(&spec, 1, env);
             let engine = ZeroEngine::new(
@@ -1846,39 +1823,47 @@ mod tests {
                 node.group.communicator(0),
                 AdamConfig::default(),
             );
-            (node, door, engine)
+            (node, relay, engine)
         };
         let beside_set = |cpu_permille| {
             let (_, _, roomy) = node_and_engine(1 << 22, cpu_permille);
             NUMEL as u64 * 4 * 29 / 10 + roomy.unwrap().mgr.staging().held_bytes()
         };
 
-        let (_node, _door, all_cpu) = node_and_engine(beside_set(1000), 1000);
+        let (_node, _relay, all_cpu) = node_and_engine(beside_set(1000), 1000);
         match all_cpu {
             Err(Error::OutOfMemory { device, .. }) => assert_eq!(device, Device::cpu()),
             Err(e) => panic!("all-CPU on the small pool must be a typed OOM, got {e}"),
             Ok(_) => panic!("all-CPU optimizer state fit a pool sized to refuse it"),
         }
 
-        let (node, door, split) = node_and_engine(beside_set(250), 250);
-        let mut eng = split.expect("a quarter of the state fits the CPU pool");
-        let grad = Tensor::randn_seeded(&[NUMEL], 5, 0.1);
-        eng.add_grad(id, &grad).unwrap();
-        let _ = node.tracer().take_events();
-        *door.arrived.lock() = 0;
-        assert!(eng.step().unwrap());
-        let events = node.tracer().take_events();
-        let spans = |cat: Category| {
-            events
+        // Beside the split's own set the shard cache has room for the
+        // image; beside the smaller all-DRAM one it has none, and every
+        // publish is written through.
+        for sized_from in [250, 1000] {
+            let (node, relay, split) = node_and_engine(beside_set(sized_from), 250);
+            let mut eng = split.expect("a quarter of the state fits the CPU pool");
+            let grad = Tensor::randn_seeded(&[NUMEL], 5, 0.1);
+            eng.add_grad(id, &grad).unwrap();
+            let _ = node.tracer().take_events();
+            // Records 3, 7, 11 and 15 of sixteen are the DRAM ones. The
+            // device holds each write until the next one arrives, so a
+            // DRAM record's update opens while it holds one unless the
+            // step waited its writes out first: unless the paths take turns.
+            relay.close();
+            assert!(eng.step().unwrap());
+            relay.open();
+            let events = node.tracer().take_events();
+            let updates: Vec<_> = events
                 .iter()
-                .filter(move |e| e.cat == cat && e.dur_ns > 0)
-                .map(|e| (e.start_ns, e.start_ns + e.dur_ns))
-        };
-        assert!(spans(Category::CpTransfer).count() > 0, "a 250‰ split moved nothing over cp");
-        let concurrent = spans(Category::CpTransfer)
-            .any(|(c0, c1)| spans(Category::NcTransfer).any(|(n0, n1)| c0.max(n0) < c1.min(n1)));
-        assert!(concurrent, "no cp span was open while an nc span was: the paths took turns");
-        eng.dispose().unwrap();
+                .filter(|e| e.cat == Category::CpTransfer && e.name == "cp.update")
+                .map(|e| e.start_ns)
+                .collect();
+            assert_eq!(updates.len(), 4, "from {sized_from}: the DRAM records' updates");
+            let held = updates.iter().filter(|&&at| relay.holds_at(at)).count();
+            assert!(held > 0, "from {sized_from}: every cp update waited the writes out");
+            eng.dispose().unwrap();
+        }
     }
 
     #[test]
@@ -1936,7 +1921,7 @@ mod tests {
         // Once the step's last writes are reaped, only the kept records
         // hold a buffer: the last nine of `w`'s twelve, every record
         // buffer of the set.
-        let carried = eng.tail.get_mut().held() as u64;
+        let carried = eng.tail.held() as u64;
         assert_eq!(carried, (depth + window) as u64);
         assert_eq!((pool.outstanding(), pool.idle(RECORDS)), (carried, 0));
         eng.dispose().unwrap();
@@ -2203,11 +2188,11 @@ mod tests {
         eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         eng.step().unwrap();
         assert_eq!(eng.mgr.health().corruptions_recovered, 0);
-        // `w` is one record, the step's first: it is not kept, so once the
-        // step's last write is reaped no buffer is out.
+        // `w` is one record: the step keeps it, so once the step's last
+        // write is reaped its buffer is the only one out.
         land_carry(&node, &mut eng);
-        let carried = eng.tail.get_mut().held();
-        assert_eq!(carried, 0);
+        let carried = eng.tail.held();
+        assert_eq!(carried, 1);
         let pool = eng.mgr.staging().clone();
         assert_eq!(pool.outstanding(), carried as u64);
         eng.dispose().unwrap();
@@ -2257,7 +2242,7 @@ mod tests {
         grads(&mut eng, &reg).unwrap();
         eng.step().unwrap();
         let mut saved = vec![eng.save_state().unwrap()];
-        let kept = eng.tail.get_mut().held() as u64;
+        let kept = eng.tail.held() as u64;
         assert_eq!(kept, (eng.depth() + eng.window()) as u64);
         let before = ops();
         grads(&mut eng, &reg).unwrap();
@@ -2288,7 +2273,7 @@ mod tests {
             eng.step().unwrap();
             grads(&mut eng, &reg).unwrap();
             node.nvme.barrier().unwrap();
-            assert_eq!(eng.tail.get_mut().held() as u64, kept);
+            assert_eq!(eng.tail.held() as u64, kept);
             plan.kill_after_ops(alive);
             let outlived = match eng.step() {
                 Err(err) => {
@@ -2363,12 +2348,12 @@ mod tests {
         assert_eq!(requests(), at_rest, "a skipped step touched the device");
         // `w` alone has a gradient: its three records are read and written
         // (and published, to the shard cache), and nothing of `b` moves;
-        // the step keeps its last two for the next one.
+        // the step keeps all three for the next one.
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
         land_carry(&node, &mut eng);
         assert_eq!(requests(), (at_rest.0 + 3, at_rest.1 + 3));
-        assert_eq!(eng.tail.get_mut().held(), 2);
+        assert_eq!(eng.tail.held(), 3);
         eng.dispose().unwrap();
     }
 
@@ -2469,6 +2454,73 @@ mod tests {
         (node, engine, reg)
     }
 
+    /// An in-memory device that, while closed, holds each write until the
+    /// next one arrives (or a second passes), and logs each write's stay
+    /// on its tracer's clock: while the writes keep coming it holds one,
+    /// and it holds none once its submitter waits them all out.
+    #[derive(Default)]
+    struct Relay {
+        tracer: zi_trace::Tracer,
+        state: zi_sync::Mutex<RelayState>,
+        next: zi_sync::Condvar,
+        dev: zi_nvme::MemBackend,
+    }
+
+    /// Whether a [`Relay`] holds writes, how many have arrived, and each
+    /// held write's arrival and departure.
+    #[derive(Default)]
+    struct RelayState {
+        closed: bool,
+        arrived: usize,
+        stays: Vec<(u64, u64)>,
+    }
+
+    impl Relay {
+        fn close(&self) {
+            self.state.lock().closed = true;
+        }
+
+        /// Let every held write through, and hold none from here on.
+        fn open(&self) {
+            self.state.lock().closed = false;
+            self.next.notify_all();
+        }
+
+        /// True when a write was held at `at`.
+        fn holds_at(&self, at: u64) -> bool {
+            self.state.lock().stays.iter().any(|&(arrived, left)| arrived <= at && at < left)
+        }
+    }
+
+    impl zi_nvme::StorageBackend for Relay {
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            self.dev.read_at(offset, buf)
+        }
+        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+            let mut state = self.state.lock();
+            if state.closed {
+                let arrived = self.tracer.now_ns();
+                state.arrived += 1;
+                let me = state.arrived;
+                self.next.notify_all();
+                let until = zi_sync::time::Instant::now() + std::time::Duration::from_secs(1);
+                while state.closed && state.arrived == me && zi_sync::time::Instant::now() < until {
+                    let _ = self.next.wait_for(&mut state, std::time::Duration::from_millis(10));
+                }
+                let left = self.tracer.now_ns();
+                state.stays.push((arrived, left));
+            }
+            drop(state);
+            self.dev.write_at(offset, data)
+        }
+        fn sync(&self) -> Result<()> {
+            self.dev.sync()
+        }
+        fn len(&self) -> Result<u64> {
+            self.dev.len()
+        }
+    }
+
     /// An in-memory device that holds each of its first `n - 1` writes
     /// until the `n`-th arrives (or a second passes). `n` requests are on
     /// it at once exactly when their submitter did not wait for one to
@@ -2562,7 +2614,7 @@ mod tests {
     /// buffers held. Counting up to here counts a whole iteration.
     fn land_carry(node: &NodeResources, eng: &mut ZeroEngine) {
         node.nvme.barrier().unwrap();
-        eng.tail.get_mut().reap(&eng.mgr).unwrap();
+        eng.tail.reap(&eng.mgr).unwrap();
     }
 
     #[test]
@@ -2592,7 +2644,7 @@ mod tests {
         let _ = node.tracer().take_events();
         eng.load_state(&blob).unwrap();
         assert_eq!(instants(&node.tracer().take_events(), "carry.drop.import"), 1);
-        assert_eq!((eng.carry.as_ref(), eng.tail.get_mut().held()), (None, 0));
+        assert_eq!((eng.carry.as_ref(), eng.tail.held()), (None, 0));
         eng.add_grad(w, &grad(1)).unwrap();
         eng.step().unwrap();
         assert_eq!(eng.save_state().unwrap(), fresh.save_state().unwrap());
@@ -2657,7 +2709,7 @@ mod tests {
         door.close();
         eng.add_grad(w, &grad).unwrap();
         assert!(eng.step().unwrap());
-        assert_eq!(eng.tail.get_mut().in_flight(), 0, "a written-through publish was carried");
+        assert_eq!(eng.tail.in_flight(), 0, "a written-through publish was carried");
         assert_eq!(eng.get(w).unwrap().data(), expect.data());
         eng.release(w).unwrap();
         let health = eng.mgr.health();
@@ -2666,12 +2718,46 @@ mod tests {
     }
 
     #[test]
+    fn a_rank_whose_records_fit_the_set_reads_nothing_in_a_steady_step() {
+        // In records of four elements `w` is three records and `b` two:
+        // five device records, fewer than depth 4 plus a write-behind
+        // window of 8. The first step reads them all; every later one
+        // takes them all from the window the step before kept, writes
+        // each once and reads none. The publishes go to the shard cache.
+        let strategy = Strategy::infinity_nvme()
+            .with_f32_params()
+            .with_prefetch_window(0)
+            .with_optimizer_chunk(4);
+        let (node, mut eng, reg) = single_rank(strategy);
+        let requests = || {
+            node.nvme.barrier().unwrap();
+            let io = node.nvme.stats();
+            (io.reads, io.writes)
+        };
+        let mut per_step = Vec::new();
+        for round in 0..4 {
+            let before = requests();
+            for meta in reg.iter() {
+                let grad = (0..meta.numel()).map(|i| (i + round) as f32 * 0.1).collect();
+                eng.add_grad(meta.id, &Tensor::from_vec(&meta.shape, grad).unwrap()).unwrap();
+            }
+            assert!(eng.step().unwrap());
+            land_carry(&node, &mut eng);
+            assert_eq!(eng.tail.held(), 5, "round {round}: the step kept fewer than all");
+            let after = requests();
+            per_step.push((after.0 - before.0, after.1 - before.1));
+        }
+        assert_eq!(per_step, vec![(5, 5), (0, 5), (0, 5), (0, 5)]);
+        eng.dispose().unwrap();
+    }
+
+    #[test]
     fn a_model_shorter_than_the_carry_trains_as_if_every_step_drained() {
         // The tiny registry in records of four elements is five records,
         // fewer than depth 4 plus a write-behind window of 8: every step
-        // keeps all but its first, and the next one meets their writes
-        // still on a device that serves reads at once, and reads only that
-        // one, once its write has landed.
+        // keeps them all, and the next one meets their writes still on a
+        // slow device, takes each buffer once its write has landed, and
+        // reads nothing.
         // A quadratic loss pulls every parameter towards a moving target;
         // the reference leaves nothing on the device between steps, its
         // engine disposed and restored from a checkpoint after each.
@@ -2698,7 +2784,7 @@ mod tests {
                 assert!(eng.step().unwrap());
                 if !drained && step > 0 {
                     let read = node.nvme.stats().reads - reads;
-                    assert_eq!(read, 1, "step {step} read a kept record");
+                    assert_eq!(read, 0, "step {step} read a kept record");
                 }
                 if drained {
                     let blob = eng.save_state().unwrap();
@@ -2839,15 +2925,15 @@ mod tests {
         reference.dispose().unwrap();
         let (node, mut eng, _) = slow_write_rank(strategy);
         stepped(&mut eng);
-        assert!(eng.tail.get_mut().in_flight() > 0, "the step's writes already landed");
+        assert!(eng.tail.in_flight() > 0, "the step's writes already landed");
         assert_eq!(eng.save_state().unwrap(), after_one, "the export read before the writes");
         stepped(&mut eng);
-        assert!(eng.tail.get_mut().in_flight() > 0, "the step's writes already landed");
+        assert!(eng.tail.in_flight() > 0, "the step's writes already landed");
         node.degrade();
         stepped(&mut eng);
         // The collapse dropped the kept records; DRAM-resident state keeps
         // none.
-        assert_eq!((eng.carry.as_ref(), eng.tail.get_mut().held()), (None, 0));
+        assert_eq!((eng.carry.as_ref(), eng.tail.held()), (None, 0));
         assert_eq!(eng.save_state().unwrap(), after_three, "the collapse read before the writes");
         let health = eng.mgr.health();
         assert_eq!((health.corruptions_recovered, health.corruptions_unrecovered), (0, 0));
@@ -2872,15 +2958,15 @@ mod tests {
         assert_eq!(requests(), carried, "a skipped step touched the device");
         // The kept records stay, and so does the order: the next applied
         // step is the descending one.
-        assert_eq!(eng.tail.get_mut().held(), 2, "the kept records went");
+        assert_eq!(eng.tail.held(), 3, "the kept records went");
         assert!(eng.carry.is_some() && eng.descending, "the skipped step flipped the order");
-        // The next step takes them: two of `w`'s records are already in
-        // their buffers, so the step reads only the first, writes all three
-        // (and publishes them to the shard cache) and keeps two again.
+        // The next step takes them: all three of `w`'s records are already
+        // in their buffers, so the step reads none, writes all three (and
+        // publishes them to the shard cache) and keeps all three again.
         eng.add_grad(w, &ones).unwrap();
         assert!(eng.step().unwrap());
         land_carry(&node, &mut eng);
-        assert_eq!(requests(), (carried.0 + 1, carried.1 + 3));
+        assert_eq!(requests(), (carried.0, carried.1 + 3));
         assert!(!eng.descending);
         eng.dispose().unwrap();
     }
@@ -2894,12 +2980,12 @@ mod tests {
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
         land_carry(&node, &mut eng);
-        // Mid-iteration: the buffers of the two records of `w` the step
+        // Mid-iteration: the buffers of the three records of `w` the step
         // kept, and a prefetch of `b` (the shard cache has no room for it).
         eng.hint_upcoming(&[b]);
         assert_eq!(eng.stats().prefetch.issued, 1);
         let (mgr, pool) = (node.offload_manager(), eng.mgr.staging().clone());
-        assert_eq!((pool.outstanding(), pool.idle(SHARDS)), (3, 3), "2 records and a shard");
+        assert_eq!((pool.outstanding(), pool.idle(SHARDS)), (4, 3), "3 records and a shard");
         drop(eng);
         mgr.nvme().barrier().unwrap();
         assert_eq!(pool.outstanding(), 0);
@@ -2911,7 +2997,7 @@ mod tests {
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
         let (mgr, pool) = (node.offload_manager(), eng.mgr.staging().clone());
-        assert_eq!((eng.tail.get_mut().in_flight(), pool.outstanding()), (3, 3));
+        assert_eq!((eng.tail.in_flight(), pool.outstanding()), (3, 3));
         door.open();
         drop(eng);
         mgr.nvme().barrier().unwrap();
@@ -3043,10 +3129,9 @@ mod tests {
         };
         let (built, per_step, packed) = run(8);
         assert_eq!(built, (0, 8), "construction writes one step's requests");
-        // The first step reads its records and keeps all but its first for
-        // the next (up to depth 4 plus a write-behind window of 8), which
-        // reads that one.
-        assert_eq!(per_step, vec![(8, 8), (1, 8), (1, 8), (1, 8)]);
+        // The first step reads its records and keeps them all for the next
+        // (up to depth 4 plus a write-behind window of 8), which reads none.
+        assert_eq!(per_step, vec![(8, 8), (0, 8), (0, 8), (0, 8)]);
         let (_, unpacked_steps, unpacked) = run(1);
         assert_eq!(unpacked_steps[3], (58 - 12, 58), "one record per element, twelve kept");
         assert_eq!(packed, unpacked, "packing changed the state");
@@ -3061,7 +3146,7 @@ mod tests {
             let io = node.nvme.stats();
             (io.reads, io.writes)
         };
-        let state = |eng: &ZeroEngine| {
+        let state = |eng: &mut ZeroEngine| {
             let records = eng.export_optimizer_records().unwrap();
             let rec = |name: &str| {
                 let r = &records[reg.find(name).unwrap().0];
@@ -3070,17 +3155,17 @@ mod tests {
             MIXED.map(rec)
         };
         // No member of the pack has a gradient: `a` and `w` move, two and
-        // three records, each read and written (all but the first kept for
-        // the next step), and published to the shard cache; the pack
-        // issues no request at all.
-        let built = state(&eng);
+        // three records, each read and written (and all kept for the next
+        // step), and published to the shard cache; the pack issues no
+        // request at all.
+        let built = state(&mut eng);
         let at_rest = requests();
         mixed_grads(&mut eng, &reg, &["a", "w"], 0);
         assert!(eng.step().unwrap());
         land_carry(&node, &mut eng);
         assert_eq!(requests(), (at_rest.0 + 5, at_rest.1 + 5));
         // `g`, `b` and `c` are as built; `a` and `w` are one step on.
-        let after = state(&eng);
+        let after = state(&mut eng);
         assert_eq!([&after[1], &after[3], &after[4]], [&built[1], &built[3], &built[4]]);
         assert!(after[0].0 == 1 && after[2].0 == 1 && after[0].1 != built[0].1);
         // `g` and `c` update around `b`, which shares a record with each:
@@ -3089,7 +3174,7 @@ mod tests {
             mixed_grads(&mut eng, &reg, &["g", "c"], round);
             assert!(eng.step().unwrap());
         }
-        let [_, g, _, b, c] = state(&eng);
+        let [_, g, _, b, c] = state(&mut eng);
         assert_eq!(b, after[3], "a member without a gradient changed");
         assert!(g.0 == 2 && c.0 == 2 && g.1 != after[1].1 && c.1 != after[4].1);
         eng.dispose().unwrap();

@@ -95,9 +95,6 @@ pub struct PrefetchStats {
     /// prefetch was issued too late to fully hide the nc-transfer
     /// (`late <= hits`).
     pub late: u64,
-    /// Hints for a parameter whose load was already in flight, folded
-    /// onto the pending read instead of issuing a second one.
-    pub coalesced: u64,
 }
 
 /// Upper bound on simultaneously in-flight prefetch loads. Bounds both
@@ -128,22 +125,17 @@ impl Prefetcher {
     /// resolve immediately — RAM-resident shards, and NVMe shards the
     /// shard cache holds — are left for the demand path.
     pub fn prefetch(&mut self, mgr: &OffloadManager, id: ParamId, shard: &PlacedBuf) {
-        if mgr.cached(shard, false).is_some() {
-            return;
-        }
-        if self.pending.contains_key(&id) {
-            // Coalesce onto the in-flight nc-transfer: a second device
-            // read for the same shard would waste bandwidth and staging,
-            // and would double-count the eventual hit.
-            self.stats.coalesced += 1;
-            mgr.tracer().count(Counter::PrefetchCoalesced, 1);
-            return;
-        }
-        // RAM-resident shards resolve instantly (and copy-free) on the
-        // demand path: there is nothing to start. A prefetch takes a shard
-        // buffer of the staging set and leaves one for the demand fetch, so
-        // it never waits for one: past that, it is not issued.
-        if self.pending.len() >= MAX_PENDING || !shard.is_offloaded() || mgr.staging().idle(SHARDS) <= 1
+        // A pending load already serves the demand fetch: a second read
+        // would waste bandwidth and staging. RAM-resident shards resolve
+        // instantly (and copy-free) on the demand path: there is nothing to
+        // start. A prefetch takes a shard buffer of the staging set and
+        // leaves one for the demand fetch, so it never waits for one: past
+        // that, it is not issued.
+        if self.pending.contains_key(&id)
+            || self.pending.len() >= MAX_PENDING
+            || !shard.is_offloaded()
+            || mgr.cached(shard, false).is_some()
+            || mgr.staging().idle(SHARDS) <= 1
         {
             return;
         }
@@ -190,11 +182,6 @@ impl Prefetcher {
             Err(e) if e.is_transient() => mgr.fetch_placed(shard),
             loaded => loaded,
         }
-    }
-
-    /// True if a load for `id` is in flight.
-    pub(crate) fn is_pending(&self, id: ParamId) -> bool {
-        self.pending.contains_key(&id)
     }
 
     /// Effectiveness counters.
@@ -319,7 +306,7 @@ mod tests {
         let shard_b = shard_on(&mgr, Device::nvme(), &[2.0; 16]);
         let mut pf = Prefetcher::new();
         pf.prefetch(&mgr, ParamId(0), &shard_a);
-        assert!(pf.is_pending(ParamId(0)));
+        assert!(pf.pending.contains_key(&ParamId(0)));
         // Duplicate prefetch is a no-op.
         pf.prefetch(&mgr, ParamId(0), &shard_a);
         assert_eq!(pf.stats().issued, 1);
@@ -351,7 +338,7 @@ mod tests {
         // device-served fetches only.
         for _ in 0..2 {
             pf.prefetch(&mgr, ParamId(0), &shard);
-            assert!(!pf.is_pending(ParamId(0)));
+            assert!(pf.pending.is_empty());
             let data = pf.fetch(&mgr, ParamId(0), &shard).unwrap();
             assert!(matches!(data, LoadedBytes::Cached(_)));
             assert_eq!(f32s(&data), vec![5.0; 16]);
@@ -380,8 +367,7 @@ mod tests {
         let mut pf = Prefetcher::new();
         pf.prefetch(&mgr, ParamId(0), &shard);
         pf.prefetch(&mgr, ParamId(0), &shard);
-        let st = pf.stats();
-        assert_eq!((st.issued, st.coalesced), (1, 1));
+        assert_eq!((pf.stats().issued, pf.pending.len()), (1, 1));
 
         let data = pf.fetch(&mgr, ParamId(0), &shard).unwrap();
         assert_eq!(f32s(&data), vec![6.0; 32]);
@@ -403,8 +389,7 @@ mod tests {
         for _ in 0..3 {
             pf.prefetch(&mgr, ParamId(0), &shard);
         }
-        let st = pf.stats();
-        assert_eq!((st.issued, st.coalesced), (0, 0));
+        assert_eq!((pf.stats().issued, pf.pending.len()), (0, 0));
         mgr.free_placed(shard);
     }
 
@@ -416,7 +401,7 @@ mod tests {
         let shard = shard_on(&mgr, Device::cpu(), &[3.0; 4]);
         let mut pf = Prefetcher::new();
         pf.prefetch(&mgr, ParamId(0), &shard);
-        assert!(!pf.is_pending(ParamId(0)));
+        assert!(pf.pending.is_empty());
         assert_eq!(pf.stats().issued, 0);
         // A resident shard starts no load on demand either: no miss.
         assert_eq!(f32s(&pf.fetch(&mgr, ParamId(0), &shard).unwrap()), vec![3.0; 4]);
@@ -433,7 +418,7 @@ mod tests {
         let mut pf = Prefetcher::new();
         pf.prefetch(&mgr, ParamId(0), &shard);
         pf.clear(&mgr);
-        assert!(!pf.is_pending(ParamId(0)));
+        assert!(pf.pending.is_empty());
         mgr.free_placed(shard);
     }
 }

@@ -262,6 +262,23 @@ pub fn synthetic_batch(
     (tokens, targets)
 }
 
+/// Refuse a model no rank could build or feed: an empty vocabulary,
+/// hidden size, head count or sequence, or a hidden size the heads do not
+/// divide.
+fn check_model(cfg: &GptConfig) -> Result<()> {
+    let sizes = [("vocab", cfg.vocab), ("hidden", cfg.hidden), ("heads", cfg.heads), ("seq", cfg.seq)];
+    if let Some((name, _)) = sizes.iter().find(|(_, size)| *size == 0) {
+        return Err(Error::InvalidArgument(format!("model {name} must be at least 1")));
+    }
+    if !cfg.hidden.is_multiple_of(cfg.heads) {
+        return Err(Error::InvalidArgument(format!(
+            "model hidden {} does not divide into {} heads",
+            cfg.hidden, cfg.heads
+        )));
+    }
+    Ok(())
+}
+
 /// Train a GPT with the given strategy across `spec.world` rank threads
 /// over an in-memory NVMe device.
 pub fn train_gpt(spec: &TrainSpec) -> Result<TrainOutcome> {
@@ -352,6 +369,7 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
     if spec.micro_batch == 0 {
         return Err(Error::InvalidArgument("micro_batch must be at least 1".into()));
     }
+    check_model(&spec.model)?;
     let tracer = env.tracer.clone().unwrap_or_default();
     let store = match env.store {
         Some(s) => {
@@ -734,6 +752,7 @@ pub fn train_dense_baseline(
     adam: AdamConfig,
     activation_checkpointing: bool,
 ) -> Result<(Vec<f32>, Vec<Tensor>)> {
+    check_model(model_cfg)?;
     let model = GptModel::new(*model_cfg);
     let mut store = DenseStore::new(model.registry());
     let mut adam_states: Vec<AdamShard> = model
@@ -1094,6 +1113,27 @@ mod accumulation_tests {
         let mut spec = TrainSpec::test_default(GptConfig::tiny(), Strategy::zero_3(), 1);
         spec.micro_batch = 0;
         assert!(matches!(train_gpt(&spec), Err(Error::InvalidArgument(_))));
+    }
+
+    #[test]
+    fn a_degenerate_model_is_rejected_before_any_rank_starts() {
+        // Each would panic a rank thread (a division by zero, the head
+        // split's assert, an index out of range) and come back untyped.
+        let degenerate: [fn(&mut GptConfig); 4] = [
+            |cfg| cfg.vocab = 0,
+            |cfg| cfg.heads = 0,
+            |cfg| cfg.heads = 3,
+            |cfg| cfg.seq = 0,
+        ];
+        for (case, degrade) in degenerate.iter().enumerate() {
+            let mut cfg = GptConfig::tiny();
+            degrade(&mut cfg);
+            let spec = TrainSpec::test_default(cfg, Strategy::zero_3(), 1);
+            let got = train_gpt(&spec);
+            assert!(matches!(got, Err(Error::InvalidArgument(_))), "case {case}: {:?}", got.err());
+            let baseline = train_dense_baseline(&cfg, 2, 1, AdamConfig::default(), false);
+            assert!(matches!(baseline, Err(Error::InvalidArgument(_))), "case {case}: dense baseline");
+        }
     }
 
     #[test]

@@ -318,6 +318,14 @@ pub(crate) fn gelu_grad(x: &[f32], dy: &[f32], out: &mut [f32]) {
 // ---------------------------------------------------------------------------
 // layernorm
 
+/// `v`, or the canonical quiet NaN when `v` is a NaN: which payload an
+/// operation on a NaN returns is not fixed, so every NaN layernorm writes
+/// is this one, in every backend.
+#[inline(always)]
+pub(crate) fn canonical_nan(v: f32) -> f32 {
+    if v.is_nan() { f32::NAN } else { v }
+}
+
 /// One row of layer normalization; returns `(mean, rstd)`.
 pub(crate) fn layernorm_row(
     x: &[f32],
@@ -331,9 +339,9 @@ pub(crate) fn layernorm_row(
     let var = vec_center_sumsq(x, mean) * inv_n;
     let rstd = 1.0 / (var + eps).sqrt();
     for (j, o) in out.iter_mut().enumerate() {
-        *o = ((x[j] - mean) * rstd) * gamma[j] + beta[j];
+        *o = canonical_nan(((x[j] - mean) * rstd) * gamma[j] + beta[j]);
     }
-    (mean, rstd)
+    (canonical_nan(mean), canonical_nan(rstd))
 }
 
 /// One row of the layer-norm backward pass: 8-lane reductions of
@@ -360,26 +368,45 @@ pub(crate) fn layernorm_backward_row(
             let dyg = dy[i + j] * gamma[i + j];
             la[j] += dyg;
             lb[j] += dyg * xhat;
-            dgamma[i + j] += dy[i + j] * xhat;
-            dbeta[i + j] += dy[i + j];
+            dgamma[i + j] = canonical_nan(dgamma[i + j] + dy[i + j] * xhat);
+            dbeta[i + j] = canonical_nan(dbeta[i + j] + dy[i + j]);
         }
         i += LANES;
     }
-    for j in i..n {
-        let xhat = (x[j] - mean) * rstd;
-        let dyg = dy[j] * gamma[j];
-        la[j - i] += dyg;
-        lb[j - i] += dyg * xhat;
-        dgamma[j] += dy[j] * xhat;
-        dbeta[j] += dy[j];
-    }
+    layernorm_backward_tail(x, dy, gamma, mean, rstd, i, &mut la, &mut lb, dgamma, dbeta);
     let inv_n = 1.0 / n as f32;
     let s1 = inv_n * sum8(la);
     let s2 = inv_n * sum8(lb);
     for (j, o) in dx.iter_mut().enumerate() {
         let xhat = (x[j] - mean) * rstd;
         let dyg = dy[j] * gamma[j];
-        *o = rstd * ((dyg - s1) - xhat * s2);
+        *o = canonical_nan(rstd * ((dyg - s1) - xhat * s2));
+    }
+}
+
+/// The elements from `i` on (fewer than [`LANES`]) of the layer-norm
+/// backward's reductions and dgamma/dbeta accumulation.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn layernorm_backward_tail(
+    x: &[f32],
+    dy: &[f32],
+    gamma: &[f32],
+    mean: f32,
+    rstd: f32,
+    i: usize,
+    la: &mut [f32; LANES],
+    lb: &mut [f32; LANES],
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+) {
+    for j in i..x.len() {
+        let xhat = (x[j] - mean) * rstd;
+        let dyg = dy[j] * gamma[j];
+        la[j - i] += dyg;
+        lb[j - i] += dyg * xhat;
+        dgamma[j] = canonical_nan(dgamma[j] + dy[j] * xhat);
+        dbeta[j] = canonical_nan(dbeta[j] + dy[j]);
     }
 }
 

@@ -638,6 +638,16 @@ pub unsafe fn gelu_grad(x: &[f32], dy: &[f32], out: &mut [f32]) {
 // ---------------------------------------------------------------------------
 // layernorm
 
+/// `v` with every NaN lane the canonical quiet NaN, as
+/// [`scalar::canonical_nan`] leaves it.
+#[inline(always)]
+// SAFETY: `inline(always)` helper with no feature gate of its own — must
+// only be inlined into a `target_feature(avx2)` caller, which every call
+// site in this module is.
+unsafe fn canonical_nan_v(v: __m256) -> __m256 {
+    _mm256_blendv_ps(v, _mm256_set1_ps(f32::NAN), _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v))
+}
+
 /// One row of layer normalization; returns `(mean, rstd)`.
 #[target_feature(enable = "avx2")]
 // SAFETY: gated on the `target_feature` above — the caller must ensure the
@@ -667,13 +677,13 @@ pub unsafe fn layernorm_row(
             _mm256_mul_ps(xh, _mm256_loadu_ps(gp.add(j))),
             _mm256_loadu_ps(bp.add(j)),
         );
-        _mm256_storeu_ps(op.add(j), r);
+        _mm256_storeu_ps(op.add(j), canonical_nan_v(r));
         j += LANES;
     }
     for jj in j..n {
-        out[jj] = ((x[jj] - mean) * rstd) * gamma[jj] + beta[jj];
+        out[jj] = scalar::canonical_nan(((x[jj] - mean) * rstd) * gamma[jj] + beta[jj]);
     }
-    (mean, rstd)
+    (scalar::canonical_nan(mean), scalar::canonical_nan(rstd))
 }
 
 /// One row of the layer-norm backward pass; numerics match
@@ -710,23 +720,16 @@ pub unsafe fn layernorm_backward_row(
         va = _mm256_add_ps(va, dyg);
         vb = _mm256_add_ps(vb, _mm256_mul_ps(dyg, xh));
         let dg = _mm256_add_ps(_mm256_loadu_ps(dgp.add(i)), _mm256_mul_ps(dyv, xh));
-        _mm256_storeu_ps(dgp.add(i), dg);
+        _mm256_storeu_ps(dgp.add(i), canonical_nan_v(dg));
         let db = _mm256_add_ps(_mm256_loadu_ps(dbp.add(i)), dyv);
-        _mm256_storeu_ps(dbp.add(i), db);
+        _mm256_storeu_ps(dbp.add(i), canonical_nan_v(db));
         i += LANES;
     }
     let mut la = [0f32; LANES];
     let mut lb = [0f32; LANES];
     _mm256_storeu_ps(la.as_mut_ptr(), va);
     _mm256_storeu_ps(lb.as_mut_ptr(), vb);
-    for j in i..n {
-        let xhat = (x[j] - mean) * rstd;
-        let dyg = dy[j] * gamma[j];
-        la[j - i] += dyg;
-        lb[j - i] += dyg * xhat;
-        dgamma[j] += dy[j] * xhat;
-        dbeta[j] += dy[j];
-    }
+    scalar::layernorm_backward_tail(x, dy, gamma, mean, rstd, i, &mut la, &mut lb, dgamma, dbeta);
     let inv_n = 1.0 / n as f32;
     let s1 = inv_n * scalar::sum8(la);
     let s2 = inv_n * scalar::sum8(lb);
@@ -741,13 +744,13 @@ pub unsafe fn layernorm_backward_row(
             rv,
             _mm256_sub_ps(_mm256_sub_ps(dyg, s1v), _mm256_mul_ps(xh, s2v)),
         );
-        _mm256_storeu_ps(dxp.add(j), r);
+        _mm256_storeu_ps(dxp.add(j), canonical_nan_v(r));
         j += LANES;
     }
     for jj in j..n {
         let xhat = (x[jj] - mean) * rstd;
         let dyg = dy[jj] * gamma[jj];
-        dx[jj] = rstd * ((dyg - s1) - xhat * s2);
+        dx[jj] = scalar::canonical_nan(rstd * ((dyg - s1) - xhat * s2));
     }
 }
 

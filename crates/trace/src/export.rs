@@ -40,7 +40,7 @@ pub fn chrome_trace_json(events: &[Event], counters: &CounterSnapshot) -> String
     }
     out.push_str("],\"counters\":{");
     let c = counters;
-    let fields: [(&str, u64); 20] = [
+    let fields: [(&str, u64); 19] = [
         ("nc_read_bytes", c.nc_read_bytes),
         ("nc_write_bytes", c.nc_write_bytes),
         ("cg_bytes", c.cg_bytes),
@@ -51,7 +51,6 @@ pub fn chrome_trace_json(events: &[Event], counters: &CounterSnapshot) -> String
         ("prefetch_hits", c.prefetch_hits),
         ("prefetch_misses", c.prefetch_misses),
         ("prefetch_late", c.prefetch_late),
-        ("prefetch_coalesced", c.prefetch_coalesced),
         ("retries", c.retries),
         ("degraded_transitions", c.degraded_transitions),
         ("wb_stalls", c.wb_stalls),

@@ -241,7 +241,6 @@ pub enum Counter {
     PrefetchHits,
     PrefetchMisses,
     PrefetchLate,
-    PrefetchCoalesced,
     Retries,
     DegradedTransitions,
     WbStalls,
@@ -266,7 +265,6 @@ struct Counters {
     prefetch_hits: AtomicU64,
     prefetch_misses: AtomicU64,
     prefetch_late: AtomicU64,
-    prefetch_coalesced: AtomicU64,
     retries: AtomicU64,
     degraded_transitions: AtomicU64,
     wb_stalls: AtomicU64,
@@ -292,7 +290,6 @@ impl Counters {
             Counter::PrefetchHits => &self.prefetch_hits,
             Counter::PrefetchMisses => &self.prefetch_misses,
             Counter::PrefetchLate => &self.prefetch_late,
-            Counter::PrefetchCoalesced => &self.prefetch_coalesced,
             Counter::Retries => &self.retries,
             Counter::DegradedTransitions => &self.degraded_transitions,
             Counter::WbStalls => &self.wb_stalls,
@@ -331,8 +328,6 @@ pub struct CounterSnapshot {
     /// Hits whose transfer was still in flight at demand time (the
     /// prefetch was issued but had not finished: late).
     pub prefetch_late: u64,
-    /// Redundant prefetch hints coalesced onto an in-flight load.
-    pub prefetch_coalesced: u64,
     /// I/O operations that needed at least one retry.
     pub retries: u64,
     /// NVMe→CPU degradations (device given up on).
@@ -504,7 +499,6 @@ impl Tracer {
             prefetch_hits: ld(&c.prefetch_hits),
             prefetch_misses: ld(&c.prefetch_misses),
             prefetch_late: ld(&c.prefetch_late),
-            prefetch_coalesced: ld(&c.prefetch_coalesced),
             retries: ld(&c.retries),
             degraded_transitions: ld(&c.degraded_transitions),
             wb_stalls: ld(&c.wb_stalls),

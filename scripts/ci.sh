@@ -6,6 +6,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test --workspace -q
+# The kernel unit suite again, optimized: the backends must agree bit for
+# bit (NaN payloads included) in the build that ships, not only in the
+# debug one above.
+cargo test --release -q -p zi-tensor --lib
 # Every f32 → f16 input: the F16C conversion and its NaN fix-up against
 # F16::from_f32 on all 2^32 bit patterns (the #[ignore]d sweep of the
 # conformance suite; ~15 s optimized, far longer in the debug profile).

@@ -13,11 +13,17 @@
 # but benchmark/out/. Each run is `--trace 0` for S seconds (default 10).
 #
 # Prints one line per pair — tokens_per_s, step_ms_p50 and setup_s of
-# each side — then, per metric, the median over each side's runs with
-# its quartiles, the median pair ratio (change / parent) and the pairs
-# the change won: the columns of the EXPERIMENTS.md pair tables. A run
-# that fails its correctness check stops the script. --dry-run prints
-# the first two pairs' commands and builds nothing.
+# each side, and the host's CPU steal share over each side's run — then,
+# per metric, the median over each side's runs with its quartiles, the
+# median pair ratio (change / parent) and the pairs the change won: the
+# columns of the EXPERIMENTS.md pair tables. The steal share of a run is
+# Δsteal ÷ Δtotal of the aggregate `cpu` line of /proc/stat read before
+# and after it, in percent: time the hypervisor gave this machine's
+# virtual CPUs to someone else. A pair whose two sides' shares differ by
+# more than 5 points is marked `steal`: a slow spell of the host fell on
+# one side, and the pair says little. A run that fails its correctness
+# check stops the script. --dry-run prints the first two pairs' commands
+# and builds nothing.
 set -euo pipefail
 
 dry=0
@@ -63,15 +69,25 @@ trap 'rm -rf "$work"' EXIT
 cp "$parent/benchmark/Cargo.lock" "$work/parent.lock"
 cp "$change/benchmark/Cargo.lock" "$work/change.lock"
 
-# One run of `side` (parent or change) at `seed`: its three metrics on
-# stdout, "tokens_per_s step_ms_p50 setup_s".
+# The aggregate cpu line of /proc/stat as "steal total", in clock ticks:
+# total is user + nice + system + idle + iowait + irq + softirq + steal
+# (guest time is already counted in user and nice).
+cpu_ticks() {
+    awk '$1 == "cpu" { print $9, $2 + $3 + $4 + $5 + $6 + $7 + $8 + $9; exit }' /proc/stat
+}
+
+# One run of `side` (parent or change) at `seed`: its three metrics and
+# the run's steal share on stdout, "tokens_per_s step_ms_p50 setup_s
+# steal_percent".
 run_side() { # side seed
     local dir
     if [ "$1" = parent ]; then dir="$parent"; else dir="$change"; fi
-    local out="$work/$1.$2.out" status=0
+    local out="$work/$1.$2.out" status=0 before after
+    before="$(cpu_ticks)"
     (cd "$dir" && CARGO_TARGET_DIR="$dir/.bench_build" bash benchmark/run.sh \
         --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0) >"$out" 2>"$out.err" \
         || status=$?
+    after="$(cpu_ticks)"
     cp "$work/$1.lock" "$dir/benchmark/Cargo.lock"
     local last
     last="$(tail -n 1 "$out")"
@@ -84,22 +100,27 @@ run_side() { # side seed
     for metric in tokens_per_s step_ms_p50 setup_s; do
         values="$values $(sed -n "s/.*\"$metric\": {\"value\": \([^,}]*\).*/\1/p" <<<"$last")"
     done
-    echo "$values"
+    echo "$values $(awk -v b="$before" -v a="$after" 'BEGIN {
+        split(b, x, " "); split(a, y, " ")
+        print (y[2] > x[2] ? 100 * (y[1] - x[1]) / (y[2] - x[2]) : 0)
+    }')"
 }
 
-printf '%-5s %-8s %-7s %12s %12s %10s %10s %9s %9s\n' pair seed first \
-    tok_parent tok_change step_parent step_change setup_par setup_chg
+printf '%-5s %-8s %-7s %12s %12s %10s %10s %9s %9s %9s %9s\n' pair seed first \
+    tok_parent tok_change step_parent step_change setup_par setup_chg steal%_par steal%_chg
 rows="$work/rows"
 k=0
 for seed in "$@"; do
     if [ $((k % 2)) = 0 ]; then order="parent change"; else order="change parent"; fi
     for side in $order; do
         values="$(run_side "$side" "$seed")"
-        read -r tok step setup <<<"$values"
-        eval "${side}_tok=$tok ${side}_step=$step ${side}_setup=$setup"
+        read -r tok step setup steal <<<"$values"
+        eval "${side}_tok=$tok ${side}_step=$step ${side}_setup=$setup ${side}_steal=$steal"
     done
-    printf '%-5s %-8s %-7s %12.1f %12.1f %10.2f %10.2f %9.3f %9.3f\n' "$k" "$seed" "${order%% *}" \
-        "$parent_tok" "$change_tok" "$parent_step" "$change_step" "$parent_setup" "$change_setup"
+    mark="$(awk -v p="$parent_steal" -v c="$change_steal" 'BEGIN { d = p - c; print (d > 5 || d < -5 ? "steal" : "") }')"
+    printf '%-5s %-8s %-7s %12.1f %12.1f %10.2f %10.2f %9.3f %9.3f %9.1f %9.1f %s\n' "$k" "$seed" \
+        "${order%% *}" "$parent_tok" "$change_tok" "$parent_step" "$change_step" "$parent_setup" \
+        "$change_setup" "$parent_steal" "$change_steal" "$mark"
     echo "$parent_tok $change_tok $parent_step $change_step $parent_setup $change_setup" >>"$rows"
     k=$((k + 1))
 done

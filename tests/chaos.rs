@@ -395,7 +395,7 @@ mod orchestrator {
         let mut spec = grow_spec();
         spec.max_recoveries = 2; // the kill, plus at most one device restart
         let plan = ChaosPlan::new();
-        plan.schedule(1, ChaosEvent::Corruption { reads: 2 });
+        plan.schedule(0, ChaosEvent::Corruption { reads: 2 });
         plan.schedule(2, ChaosEvent::DeviceFail);
         plan.schedule(3, ChaosEvent::CommDelay { rank: 1, ops: 2, micros: 100 });
         plan.schedule(4, ChaosEvent::RankKill { rank: 2 });

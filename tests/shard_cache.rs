@@ -193,8 +193,7 @@ fn padded(numel: usize, world: usize) -> u64 {
 
 /// Every steady-state step of a run did what the step two before it did
 /// — the record order alternates — and here both orders did the same: each
-/// rank's optimizer state is one record, the first of every step's order,
-/// which no step keeps.
+/// rank's optimizer state is one record, which every step keeps.
 fn steady(run: &Run) -> Counts {
     let apart = run.steady.iter().zip(&run.steady[2..]).all(|(step, later)| step == later);
     assert!(apart, "steps two apart differ: {:?}", run.steady);
@@ -209,13 +208,14 @@ fn the_cache_is_a_layer_by_exact_count() {
         let nvme = Strategy::infinity_nvme().with_prefetch_window(window);
         let dense = run(Strategy::data_parallel(), world, ROOMY);
         // (iii) Room for everything: in steady state no parameter crosses
-        // the device link — the optimizer stream, one read and one write
-        // per record, is all that is left — every fetch is a hit, nothing
-        // is prefetched or evicted.
+        // the device link — the optimizer stream, one write per record and
+        // no read (each rank's one record is kept for the next step), is
+        // all that is left — every fetch is a hit, nothing is prefetched
+        // or evicted.
         let all = run(nvme, world, ROOMY);
         assert_eq!(all.losses, dense.losses, "{tag}: losses with the whole image cached");
         let hit = steady(&all);
-        assert_eq!((hit.reads, hit.read_bytes), (hit.chunks, 6 * all.image), "{tag}");
+        assert_eq!((hit.reads, hit.read_bytes), (0, 0), "{tag}");
         assert_eq!((hit.writes, hit.write_bytes), (hit.chunks, 6 * all.image), "{tag}");
         assert_eq!((hit.cache_hits, hit.cache_bytes), (hit.allgathers, hit.fetched_bytes), "{tag}");
         assert_eq!((hit.evictions, hit.prefetch_issued, hit.prefetch_misses), (0, 0, 0), "{tag}");
@@ -230,22 +230,22 @@ fn the_cache_is_a_layer_by_exact_count() {
 
         // (i) No room beyond the gradients: the uncached engine. Every
         // fetch is a device read of the rank's shard (as is every hinted
-        // shard nobody then fetches), on top of the optimizer stream, and
-        // every publish is written through to the device; chunks and
-        // collectives are what they are with a cache. Every parameter
-        // read is one the prefetcher issued or one a demand fetch missed,
-        // whatever the window.
+        // shard nobody then fetches), the only reads, and every publish is
+        // written through to the device; chunks and collectives are what
+        // they are with a cache. Every parameter read is one the
+        // prefetcher issued or one a demand fetch missed, whatever the
+        // window.
         let none = run(nvme, world, firm);
         assert_eq!(none.losses, dense.losses, "{tag}: losses with nothing cached");
         let miss = steady(&none);
-        let fetch_reads = miss.reads - miss.chunks;
+        let fetch_reads = miss.reads;
         assert_eq!(fetch_reads, miss.prefetch_issued + miss.prefetch_misses, "{tag}");
         if window == 0 {
             assert_eq!(miss.prefetch_issued, 0, "{tag}: window 0 prefetches nothing");
         }
         assert!(fetch_reads >= miss.allgathers, "{tag}");
         if fetch_reads == miss.allgathers {
-            assert_eq!(miss.read_bytes, miss.fetched_bytes + 6 * none.image, "{tag}");
+            assert_eq!(miss.read_bytes, miss.fetched_bytes, "{tag}");
         }
         assert_eq!((miss.cache_hits, miss.cache_bytes, miss.evictions), (0, 0, 0), "{tag}");
         assert_eq!((none.cpu_at_rest, none.cpu_peak), (0, firm), "{tag}");
