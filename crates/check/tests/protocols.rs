@@ -780,11 +780,25 @@ fn kernel_pool_panic_releases_submitter() {
 // staging buffers the next step's first records, updated in place once
 // those writes land.
 //
-// One parameter of two records on a two-worker device that serves a read
-// before a write already on it whenever the scheduler lets it, two steps
-// in opposite orders: step 1 keeps both records, whose writes race step
-// 2's updates of the same buffers, and the checkpoint export after step 2
-// reads both back. Invariants, in every interleaving:
+// One parameter `w` of two records on a two-worker device that serves a
+// read before a write already on it whenever the scheduler lets it, two
+// steps in opposite orders: step 0 keeps both records, whose writes race
+// step 1's updates of the same buffers, and the checkpoint export after
+// step 1 reads both back.
+//
+// A step never reads a record whose write it did not keep while that
+// write is on the device: its reads and its kept records share the
+// rank's `depth + window` record buffers, so before a step's last read
+// every write it did not keep has landed, however many records the rank
+// has. What leaves an unkept write on the device for the next step to
+// read is a dropped kept set. So the second geometry registers a second
+// parameter `u` before `w` and gives it its first gradient in step 1:
+// the set of buffers to update changes, step 1 drops the records step 0
+// kept, and their writes, still on the device and no longer kept, race
+// step 1's reads of `w` — descending, `w` comes first — which wait them
+// out (`WriteBehind::settle`).
+//
+// Invariants, in every interleaving:
 //
 //   * no buffer is updated before its write landed, and every read sees
 //     only the written bytes: no read is verified against a checksum its
@@ -829,13 +843,18 @@ impl StorageBackend for ReadsFirst {
     }
 }
 
-fn carried_window_body(seen: &zi_sync::OnceLock<()>, state: &zi_sync::OnceLock<Vec<u8>>) {
+/// Protocol 11's body; with `late`, the second geometry: `u` joins in
+/// step 1 and drops the kept set.
+fn carried_window_body(late: bool, seen: &zi_sync::OnceLock<()>, state: &zi_sync::OnceLock<Vec<u8>>) {
     use zero_infinity::{NodeEnv, NodeResources, Strategy, ZeroEngine};
     use zi_memory::NodeMemorySpec;
     use zi_model::{ParamRegistry, ParamStore};
     use zi_tensor::Tensor;
 
     let mut reg = ParamRegistry::new();
+    if late {
+        reg.register("u", &[8], 6, 0.2, 0.0);
+    }
     reg.register("w", &[8], 5, 0.2, 0.0);
     let w = reg.find("w").expect("w");
     let spec = NodeMemorySpec::test_spec(1, 1 << 12, 1 << 12, 1 << 12);
@@ -855,10 +874,15 @@ fn carried_window_body(seen: &zi_sync::OnceLock<()>, state: &zi_sync::OnceLock<V
     let mut writes = 0;
     for step in 0..2 {
         let grad = Tensor::from_vec(&[8], (0..8).map(|i| (i + step) as f32 * 0.125).collect());
-        eng.add_grad(w, &grad.expect("grad")).expect("deposit");
+        let grad = grad.expect("grad");
+        eng.add_grad(w, &grad).expect("deposit");
+        if late && step == 1 {
+            eng.add_grad(reg.find("u").expect("u"), &grad).expect("deposit");
+        }
         if step == 1 && node.nvme.stats().writes < writes + 2 {
-            // Step 0's kept record's write was still on the device: this
-            // step takes its buffer once it lands.
+            // A write of step 0's — one of `w`'s records — was still on
+            // the device: this step takes its buffer once it lands, or,
+            // the kept set dropped, reads the record once it lands.
             let _ = seen.set(());
         }
         writes = node.nvme.stats().writes;
@@ -885,9 +909,21 @@ fn carried_window_never_lets_a_read_overtake_its_write() {
     let state = Arc::new(zi_sync::OnceLock::new());
     let (body_seen, body_state) = (Arc::clone(&seen), Arc::clone(&state));
     let checker = Checker { schedules: 1250, ..Checker::default() };
-    drive("carried-window", checker, move || carried_window_body(&body_seen, &body_state));
+    drive("carried-window", checker, move || carried_window_body(false, &body_seen, &body_state));
     if zi_check::enabled() {
         assert!(seen.get().is_some(), "no schedule kept a carried write on the device");
+    }
+}
+
+#[test]
+fn a_read_never_overtakes_the_unkept_write_of_its_record() {
+    let seen = Arc::new(zi_sync::OnceLock::new());
+    let state = Arc::new(zi_sync::OnceLock::new());
+    let (body_seen, body_state) = (Arc::clone(&seen), Arc::clone(&state));
+    let checker = Checker { schedules: 1250, ..Checker::default() };
+    drive("dropped-carry", checker, move || carried_window_body(true, &body_seen, &body_state));
+    if zi_check::enabled() {
+        assert!(seen.get().is_some(), "no schedule began a read with its record's write on the device");
     }
 }
 

@@ -22,7 +22,7 @@ use zi_types::{Error, Result};
 use crate::config::Strategy;
 use crate::engine::ZeroEngine;
 use crate::offload::NodeResources;
-use crate::trainer::synthetic_batch;
+use crate::trainer::{check_model, synthetic_batch};
 
 /// [`TensorReduce`] over a `zi-comm` communicator (the tensor-parallel
 /// group's allreduce).
@@ -64,6 +64,10 @@ pub fn train_gpt_2d(spec: &Spec2D) -> Result<Vec<f32>> {
             spec.mp, spec.dp
         )));
     }
+    if spec.micro_batch == 0 {
+        return Err(Error::InvalidArgument("micro_batch must be at least 1".into()));
+    }
+    check_model(&spec.model)?;
     let total = spec.mp * spec.dp;
     let node = Arc::new(NodeResources::in_memory(
         &NodeMemorySpec::test_spec(total, 1 << 24, 1 << 27, 1 << 27),

@@ -265,7 +265,7 @@ pub fn synthetic_batch(
 /// Refuse a model no rank could build or feed: an empty vocabulary,
 /// hidden size, head count or sequence, or a hidden size the heads do not
 /// divide.
-fn check_model(cfg: &GptConfig) -> Result<()> {
+pub(crate) fn check_model(cfg: &GptConfig) -> Result<()> {
     let sizes = [("vocab", cfg.vocab), ("hidden", cfg.hidden), ("heads", cfg.heads), ("seq", cfg.seq)];
     if let Some((name, _)) = sizes.iter().find(|(_, size)| *size == 0) {
         return Err(Error::InvalidArgument(format!("model {name} must be at least 1")));

@@ -13,6 +13,7 @@ use crate::layers::{
     block_backward, block_forward, embedding_backward, embedding_forward, lm_head_backward,
     lm_head_forward, BlockConfig, BlockSaved,
 };
+use crate::mp::{NoReduce, TensorReduce};
 use crate::param::{Bracket, ModulePlan, ParamId, ParamRegistry, ParamStore};
 
 /// Model architecture hyperparameters.
@@ -257,7 +258,7 @@ impl GptModel {
         let nl = self.cfg.layers;
         let (mut obs, window) = (NoopObserver, RunOptions::default().prefetch_window);
         let mut ctx = Bracket::new(store, &mut obs, &self.plans, window);
-        let fwd = forward_pass(&mut ctx, &bc, tokens, &vec![true; nl], Save::Nothing, &bc)?;
+        let fwd = forward_pass(&mut ctx, &bc, &bc, &NoReduce, tokens, &vec![true; nl], Save::Nothing)?;
         ctx.forward(nl + 2, |p| lm_head_forward(&p[0], &fwd.hstates))
     }
 
@@ -309,8 +310,8 @@ impl GptModel {
         obs: &mut dyn RunObserver,
     ) -> Result<f32> {
         let mut ctx = Bracket::new(store, obs, &self.plans, opts.prefetch_window);
-        let (active, bc) = (vec![true; self.cfg.layers], block_cfg(&self.cfg, opts.batch));
-        run_step(&self.cfg, &mut ctx, acts, tokens, targets, opts, &active, &bc)
+        let active = vec![true; self.cfg.layers];
+        run_step(&self.cfg, &mut ctx, acts, tokens, targets, opts, &active, 1, &NoReduce)
     }
 
     /// Dynamic-workflow variant: `active[l]` selects which blocks execute
@@ -336,38 +337,7 @@ impl GptModel {
         }
         let (mut acts, mut obs) = (InMemoryActStore::new(), NoopObserver);
         let mut ctx = Bracket::new(store, &mut obs, &self.plans, opts.prefetch_window);
-        let bc = block_cfg(&self.cfg, opts.batch);
-        run_step(&self.cfg, &mut ctx, &mut acts, tokens, targets, opts, active, &bc)
-    }
-}
-
-/// One block's arithmetic over its gathered parameters: all that differs
-/// between the dense runner and the tensor-sliced one of [`crate::mp`].
-pub(crate) trait BlockMath {
-    /// `(params, x) -> (y, saved)`.
-    fn forward(&self, params: &[Tensor], x: &Tensor) -> Result<(Tensor, BlockSaved)>;
-    /// `(params, saved, dy) -> (dx, grads)`, one gradient per parameter.
-    fn backward(
-        &self,
-        params: &[Tensor],
-        saved: &BlockSaved,
-        dy: &Tensor,
-    ) -> Result<(Tensor, Vec<Tensor>)>;
-}
-
-/// The unsliced block of [`crate::layers`].
-impl BlockMath for BlockConfig {
-    fn forward(&self, params: &[Tensor], x: &Tensor) -> Result<(Tensor, BlockSaved)> {
-        block_forward(self, params, x)
-    }
-
-    fn backward(
-        &self,
-        params: &[Tensor],
-        saved: &BlockSaved,
-        dy: &Tensor,
-    ) -> Result<(Tensor, Vec<Tensor>)> {
-        block_backward(self, params, saved, dy)
+        run_step(&self.cfg, &mut ctx, &mut acts, tokens, targets, opts, active, 1, &NoReduce)
     }
 }
 
@@ -377,14 +347,17 @@ fn block_cfg(cfg: &GptConfig, batch: usize) -> BlockConfig {
 }
 
 /// Embedding, the `active` blocks and the final layer norm; `save`
-/// decides what each block leaves for its backward.
+/// decides what each block leaves for its backward. `bc` is the model's
+/// full-width shape, `lc` each block's share of the heads, whose partial
+/// sums `reduce` completes.
 fn forward_pass(
     ctx: &mut Bracket<'_>,
     bc: &BlockConfig,
+    lc: &BlockConfig,
+    reduce: &dyn TensorReduce,
     tokens: &[usize],
     active: &[bool],
     mut save: Save<'_>,
-    math: &dyn BlockMath,
 ) -> Result<ForwardState> {
     let mut x = ctx.forward(0, |p| embedding_forward(bc, &p[0], &p[1], tokens))?;
     let mut blocks = Vec::with_capacity(active.len());
@@ -395,7 +368,7 @@ fn forward_pass(
             continue;
         }
         x = ctx.forward(1 + l, |p| {
-            let (y, saved) = math.forward(p, &x)?;
+            let (y, saved) = block_forward(lc, p, &x, reduce)?;
             blocks.push(match &mut save {
                 Save::Nothing => None,
                 Save::Activations => Some(BlockState::Full(Box::new(saved))),
@@ -413,7 +386,9 @@ fn forward_pass(
 }
 
 /// One forward+backward pass of a GPT whose plan is [`register_gpt`]'s
-/// over the modules `ctx` brackets; returns the mean cross-entropy loss.
+/// over the modules `ctx` brackets, its blocks sliced `mp` ways with
+/// `reduce` summing their partial results; returns the mean cross-entropy
+/// loss.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_step(
     cfg: &GptConfig,
@@ -423,9 +398,11 @@ pub(crate) fn run_step(
     targets: &[usize],
     opts: &RunOptions,
     active: &[bool],
-    math: &dyn BlockMath,
+    mp: usize,
+    reduce: &dyn TensorReduce,
 ) -> Result<f32> {
     let bc = block_cfg(cfg, opts.batch);
+    let lc = BlockConfig { hidden: cfg.hidden / mp, heads: cfg.heads / mp, ..bc };
     if tokens.len() != bc.rows() || targets.len() != bc.rows() {
         return Err(Error::shape(format!(
             "train_step: {} tokens / {} targets for batch {} x seq {}",
@@ -442,7 +419,7 @@ pub(crate) fn run_step(
     } else {
         Save::Activations
     };
-    let fwd = forward_pass(ctx, &bc, tokens, active, save, math)?;
+    let fwd = forward_pass(ctx, &bc, &lc, reduce, tokens, active, save)?;
 
     // Tied LM head (external parameter, Sec. 7.1.1: wte). The head's
     // backward is the very next user of the model's largest parameter, so
@@ -474,9 +451,9 @@ pub(crate) fn run_step(
                 // back from the store (possibly CPU memory) and recompute
                 // the block's forward to rebuild intermediate activations
                 // (the 1/3 extra compute of Sec. 3).
-                BlockState::Checkpointed => math.forward(p, &acts.load(l)?)?.1,
+                BlockState::Checkpointed => block_forward(&lc, p, &acts.load(l)?, reduce)?.1,
             };
-            math.backward(p, &saved, &dx)
+            block_backward(&lc, p, &saved, &dx, reduce)
         })?;
     }
 

@@ -8,6 +8,8 @@
 use zi_tensor::{ops, simd, Tensor};
 use zi_types::{Error, Result};
 
+use crate::mp::TensorReduce;
+
 /// Shape configuration shared by all blocks of a model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BlockConfig {
@@ -41,6 +43,16 @@ impl BlockConfig {
 /// `y = x W^T + b` with `W: [out, in]` (PyTorch convention).
 pub(crate) fn linear_forward(w: &Tensor, b: &Tensor, x: &Tensor) -> Result<Tensor> {
     let mut y = ops::matmul_nt(x, w)?;
+    ops::add_bias(&mut y, b.data())?;
+    Ok(y)
+}
+
+/// [`linear_forward`] of a layer whose input features may be sliced across
+/// a tensor-parallel group: `reduce` sums the group's partial products
+/// `x W^T` before the bias is added.
+fn linear_forward_reduced(w: &Tensor, b: &Tensor, x: &Tensor, reduce: &dyn TensorReduce) -> Result<Tensor> {
+    let mut y = ops::matmul_nt(x, w)?;
+    reduce.allreduce_tensor(&mut y)?;
     ops::add_bias(&mut y, b.data())?;
     Ok(y)
 }
@@ -187,9 +199,11 @@ fn attention_heads_backward(
     dqkv
 }
 
-/// Causal self-attention forward.
+/// Causal self-attention forward over `cfg.heads` heads of `cfg.hidden`
+/// columns; `reduce` sums the out-projection across a tensor-parallel
+/// group before its bias is added.
 ///
-/// `qkv_w: [3*hidden, hidden]`, `proj_w: [hidden, hidden]`.
+/// `qkv_w: [3*hidden, width]`, `proj_w: [width, hidden]`.
 pub(crate) fn attention_forward(
     cfg: &BlockConfig,
     qkv_w: &Tensor,
@@ -197,10 +211,11 @@ pub(crate) fn attention_forward(
     proj_w: &Tensor,
     proj_b: &Tensor,
     x: &Tensor,
+    reduce: &dyn TensorReduce,
 ) -> Result<(Tensor, AttnSaved)> {
-    // The input width is the QKV weight's column count, which exceeds
-    // `cfg.hidden` under tensor-slicing model parallelism (x stays full
-    // width while the heads are local).
+    // The input width is the QKV weight's column count: `cfg.hidden`,
+    // or the model's full width when `cfg` is one tensor-parallel rank's
+    // share of the heads.
     if x.as_2d() != (cfg.rows(), qkv_w.shape()[1]) {
         return Err(Error::shape(format!(
             "attention input {:?}, expected [{}, {}]",
@@ -211,7 +226,7 @@ pub(crate) fn attention_forward(
     }
     let qkv = linear_forward(qkv_w, qkv_b, x)?;
     let (context, probs) = attention_heads_forward(cfg, &qkv);
-    let y = linear_forward(proj_w, proj_b, &context)?;
+    let y = linear_forward_reduced(proj_w, proj_b, &context, reduce)?;
     Ok((y, AttnSaved { x: x.clone(), qkv, probs, context }))
 }
 
@@ -256,17 +271,20 @@ pub(crate) struct MlpSaved {
     a: Tensor,
 }
 
-/// MLP forward: `fc2(gelu(fc1(x)))`, `fc1_w: [4h, h]`, `fc2_w: [h, 4h]`.
+/// MLP forward: `fc2(gelu(fc1(x)))`, `fc1_w: [4h, h]`, `fc2_w: [h, 4h]`;
+/// `reduce` sums `fc2` across a tensor-parallel group before its bias is
+/// added.
 pub(crate) fn mlp_forward(
     fc1_w: &Tensor,
     fc1_b: &Tensor,
     fc2_w: &Tensor,
     fc2_b: &Tensor,
     x: &Tensor,
+    reduce: &dyn TensorReduce,
 ) -> Result<(Tensor, MlpSaved)> {
     let h1 = linear_forward(fc1_w, fc1_b, x)?;
     let a = ops::gelu(&h1);
-    let y = linear_forward(fc2_w, fc2_b, &a)?;
+    let y = linear_forward_reduced(fc2_w, fc2_b, &a, reduce)?;
     Ok((y, MlpSaved { x: x.clone(), h1, a }))
 }
 
@@ -302,42 +320,49 @@ pub(crate) fn mlp_backward(
 /// One block's gathered parameter tensors in canonical order — the order
 /// its module plan lists them and [`block_backward`] returns their
 /// gradients: `ln1_g, ln1_b, qkv_w [3h, h], qkv_b, proj_w [h, h], proj_b,
-/// ln2_g, ln2_b, fc1_w [4h, h], fc1_b, fc2_w [h, 4h], fc2_b`.
+/// ln2_g, ln2_b, fc1_w [4h, h], fc1_b, fc2_w [h, 4h], fc2_b`. A
+/// tensor-parallel rank holds `3h/mp` rows of `qkv_w` and `qkv_b`, `h/mp`
+/// columns of `proj_w`, `4h/mp` rows of `fc1_w` and `fc1_b` and `4h/mp`
+/// columns of `fc2_w`, and the rest whole.
 fn block_params(params: &[Tensor]) -> Result<&[Tensor; 12]> {
     params.try_into().map_err(|_| {
         Error::shape(format!("a block takes 12 parameter tensors, got {}", params.len()))
     })
 }
 
-/// Activations saved by a block forward pass (the tensor-sliced block of
-/// [`crate::mp`] saves the same six).
+/// Activations saved by a block forward pass for its backward.
 pub(crate) struct BlockSaved {
-    pub(crate) x: Tensor,
-    pub(crate) ln1_stats: ops::LayerNormStats,
-    pub(crate) attn: AttnSaved,
-    pub(crate) res1: Tensor,
-    pub(crate) ln2_stats: ops::LayerNormStats,
-    pub(crate) mlp: MlpSaved,
+    x: Tensor,
+    ln1_stats: ops::LayerNormStats,
+    attn: AttnSaved,
+    res1: Tensor,
+    ln2_stats: ops::LayerNormStats,
+    mlp: MlpSaved,
 }
 
 const LN_EPS: f32 = 1e-5;
 
 /// Pre-LN transformer block forward:
 /// `x + Attn(LN1(x))` then `+ MLP(LN2(·))`, over the block's twelve
-/// parameter tensors in canonical order.
+/// parameter tensors in canonical order. `cfg` is the block's share of the
+/// heads; `reduce` sums the attention out-projection and `fc2` across the
+/// tensor-parallel group, each before its bias is added (a group of one
+/// reduces nothing).
 pub(crate) fn block_forward(
     cfg: &BlockConfig,
     params: &[Tensor],
     x: &Tensor,
+    reduce: &dyn TensorReduce,
 ) -> Result<(Tensor, BlockSaved)> {
     let [ln1_g, ln1_b, qkv_w, qkv_b, proj_w, proj_b, ln2_g, ln2_b, fc1_w, fc1_b, fc2_w, fc2_b] =
         block_params(params)?;
     let (ln1_out, ln1_stats) = ops::layernorm(x, ln1_g.data(), ln1_b.data(), LN_EPS)?;
-    let (attn_out, attn_saved) = attention_forward(cfg, qkv_w, qkv_b, proj_w, proj_b, &ln1_out)?;
+    let (attn_out, attn_saved) =
+        attention_forward(cfg, qkv_w, qkv_b, proj_w, proj_b, &ln1_out, reduce)?;
     let mut res1 = x.clone();
     res1.add_assign(&attn_out)?;
     let (ln2_out, ln2_stats) = ops::layernorm(&res1, ln2_g.data(), ln2_b.data(), LN_EPS)?;
-    let (mlp_out, mlp_saved) = mlp_forward(fc1_w, fc1_b, fc2_w, fc2_b, &ln2_out)?;
+    let (mlp_out, mlp_saved) = mlp_forward(fc1_w, fc1_b, fc2_w, fc2_b, &ln2_out, reduce)?;
     let mut y = res1.clone();
     y.add_assign(&mlp_out)?;
     Ok((
@@ -347,37 +372,42 @@ pub(crate) fn block_forward(
 }
 
 /// Block backward; returns `(dx, grads)` with grads in canonical order.
+/// `reduce` sums the gradients of the two layer norms' outputs across the
+/// tensor-parallel group, each a partial sum over the rank's heads or FFN
+/// channels.
 pub(crate) fn block_backward(
     cfg: &BlockConfig,
     params: &[Tensor],
     saved: &BlockSaved,
     dy: &Tensor,
+    reduce: &dyn TensorReduce,
 ) -> Result<(Tensor, Vec<Tensor>)> {
     let [ln1_g, _, qkv_w, _, proj_w, _, ln2_g, _, fc1_w, _, fc2_w, _] = block_params(params)?;
     // y = res1 + mlp(ln2(res1))
-    let (dln2_out, mlp_grads) = mlp_backward(fc1_w, fc2_w, &saved.mlp, dy)?;
+    let (mut dln2_out, mlp_grads) = mlp_backward(fc1_w, fc2_w, &saved.mlp, dy)?;
+    reduce.allreduce_tensor(&mut dln2_out)?;
     let (dres1_from_ln2, dln2_g, dln2_b) =
         ops::layernorm_backward(&saved.res1, &dln2_out, ln2_g.data(), &saved.ln2_stats)?;
     let mut dres1 = dy.clone();
     dres1.add_assign(&dres1_from_ln2)?;
 
     // res1 = x + attn(ln1(x))
-    let (dln1_out, attn_grads) = attention_backward(cfg, qkv_w, proj_w, &saved.attn, &dres1)?;
+    let (mut dln1_out, attn_grads) = attention_backward(cfg, qkv_w, proj_w, &saved.attn, &dres1)?;
+    reduce.allreduce_tensor(&mut dln1_out)?;
     let (dx_from_ln1, dln1_g, dln1_b) =
         ops::layernorm_backward(&saved.x, &dln1_out, ln1_g.data(), &saved.ln1_stats)?;
     let mut dx = dres1.clone();
     dx.add_assign(&dx_from_ln1)?;
 
-    let h = cfg.hidden;
     let grads = vec![
-        Tensor::from_vec(&[h], dln1_g)?,
-        Tensor::from_vec(&[h], dln1_b)?,
+        Tensor::from_vec(ln1_g.shape(), dln1_g)?,
+        Tensor::from_vec(ln1_g.shape(), dln1_b)?,
         attn_grads.qkv_w,
         attn_grads.qkv_b,
         attn_grads.proj_w,
         attn_grads.proj_b,
-        Tensor::from_vec(&[h], dln2_g)?,
-        Tensor::from_vec(&[h], dln2_b)?,
+        Tensor::from_vec(ln2_g.shape(), dln2_g)?,
+        Tensor::from_vec(ln2_g.shape(), dln2_b)?,
         mlp_grads.fc1_w,
         mlp_grads.fc1_b,
         mlp_grads.fc2_w,
@@ -459,6 +489,7 @@ pub(crate) fn lm_head_backward(wte: &Tensor, x: &Tensor, dlogits: &Tensor) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mp::NoReduce;
 
     fn cfg() -> BlockConfig {
         BlockConfig { hidden: 4, heads: 2, batch: 2, seq: 3 }
@@ -541,8 +572,8 @@ mod tests {
                 x2.data_mut()[row * c.hidden + j] += 1.0;
             }
         }
-        let (y1, _) = attention_forward(&c, &qkv_w, &qkv_b, &proj_w, &proj_b, &x1).unwrap();
-        let (y2, _) = attention_forward(&c, &qkv_w, &qkv_b, &proj_w, &proj_b, &x2).unwrap();
+        let (y1, _) = attention_forward(&c, &qkv_w, &qkv_b, &proj_w, &proj_b, &x1, &NoReduce).unwrap();
+        let (y2, _) = attention_forward(&c, &qkv_w, &qkv_b, &proj_w, &proj_b, &x2, &NoReduce).unwrap();
         for b in 0..c.batch {
             for t in 0..c.seq - 1 {
                 let row = b * c.seq + t;
@@ -567,11 +598,11 @@ mod tests {
         let x = seeded(&[c.rows(), c.hidden], 24);
         let dy = seeded(&[c.rows(), c.hidden], 25);
 
-        let (_, saved) = attention_forward(&c, &qkv_w, &qkv_b, &proj_w, &proj_b, &x).unwrap();
+        let (_, saved) = attention_forward(&c, &qkv_w, &qkv_b, &proj_w, &proj_b, &x, &NoReduce).unwrap();
         let (dx, grads) = attention_backward(&c, &qkv_w, &proj_w, &saved, &dy).unwrap();
 
         let loss = |qw: &Tensor, x: &Tensor| -> f32 {
-            let (y, _) = attention_forward(&c, qw, &qkv_b, &proj_w, &proj_b, x).unwrap();
+            let (y, _) = attention_forward(&c, qw, &qkv_b, &proj_w, &proj_b, x, &NoReduce).unwrap();
             y.data().iter().zip(dy.data()).map(|(a, g)| a * g).sum()
         };
         let h = 1e-3;
@@ -694,7 +725,7 @@ mod tests {
             let x = seeded(&[c.rows(), width], 84);
             let dy = seeded(&[c.rows(), width], 85);
 
-            let (y, saved) = attention_forward(&c, &qkv_w, &qkv_b, &proj_w, &proj_b, &x).unwrap();
+            let (y, saved) = attention_forward(&c, &qkv_w, &qkv_b, &proj_w, &proj_b, &x, &NoReduce).unwrap();
             let (dx, grads) = attention_backward(&c, &qkv_w, &proj_w, &saved, &dy).unwrap();
 
             let qkv = linear_forward(&qkv_w, &qkv_b, &x).unwrap();
@@ -746,7 +777,7 @@ mod tests {
         let (ln1, _) = ops::layernorm(&x, ln1_g.data(), ln1_b.data(), LN_EPS).unwrap();
 
         let (_, saved) =
-            attention_forward(&c, qkv_w, qkv_b, proj_w, proj_b, &ln1).unwrap();
+            attention_forward(&c, qkv_w, qkv_b, proj_w, proj_b, &ln1, &NoReduce).unwrap();
         let dy = seeded(&[c.rows(), c.hidden], 90);
         let (dcontext, _, _) = linear_backward(proj_w, &saved.context, &dy).unwrap();
         let dqkv = attention_heads_backward(&c, &saved.qkv, &saved.probs, &dcontext);
@@ -772,10 +803,10 @@ mod tests {
         let fc2_b = seeded(&[h], 33);
         let x = seeded(&[3, h], 34);
         let dy = seeded(&[3, h], 35);
-        let (_, saved) = mlp_forward(&fc1_w, &fc1_b, &fc2_w, &fc2_b, &x).unwrap();
+        let (_, saved) = mlp_forward(&fc1_w, &fc1_b, &fc2_w, &fc2_b, &x, &NoReduce).unwrap();
         let (dx, grads) = mlp_backward(&fc1_w, &fc2_w, &saved, &dy).unwrap();
         let loss = |f1: &Tensor, x: &Tensor| -> f32 {
-            let (y, _) = mlp_forward(f1, &fc1_b, &fc2_w, &fc2_b, x).unwrap();
+            let (y, _) = mlp_forward(f1, &fc1_b, &fc2_w, &fc2_b, x, &NoReduce).unwrap();
             y.data().iter().zip(dy.data()).map(|(a, g)| a * g).sum()
         };
         let hh = 1e-3;
@@ -802,14 +833,14 @@ mod tests {
         let c = cfg();
         let p = seeded_block(&c, 40);
         let x = seeded(&[c.rows(), c.hidden], 50);
-        assert!(block_forward(&c, &p[1..], &x).is_err(), "11 tensors are not a block");
+        assert!(block_forward(&c, &p[1..], &x, &NoReduce).is_err(), "11 tensors are not a block");
         let dy = seeded(&[c.rows(), c.hidden], 51);
-        let (_, saved) = block_forward(&c, &p, &x).unwrap();
-        let (dx, grads) = block_backward(&c, &p, &saved, &dy).unwrap();
+        let (_, saved) = block_forward(&c, &p, &x, &NoReduce).unwrap();
+        let (dx, grads) = block_backward(&c, &p, &saved, &dy, &NoReduce).unwrap();
         assert_eq!(grads.len(), p.len());
 
         let loss = |x: &Tensor| -> f32 {
-            let (y, _) = block_forward(&c, &p, x).unwrap();
+            let (y, _) = block_forward(&c, &p, x, &NoReduce).unwrap();
             y.data().iter().zip(dy.data()).map(|(a, g)| a * g).sum()
         };
         let h = 1e-3;

@@ -49,4 +49,4 @@ pub mod param;
 
 pub use gpt::{ActivationStore, GptConfig, GptModel, InMemoryActStore, NoopObserver, Phase, RunObserver, RunOptions};
 pub use mp::{MpGptModel, TensorReduce};
-pub use param::{Bracket, DenseStore, InitKind, ModulePlan, ParamId, ParamMeta, ParamRegistry, ParamStore};
+pub use param::{Bracket, DenseStore, ModulePlan, ParamId, ParamMeta, ParamRegistry, ParamStore};

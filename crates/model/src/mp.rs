@@ -14,23 +14,24 @@
 //!   across the group (one allreduce per half-block, forward and
 //!   backward).
 //!
-//! Slicing is *exact*: with the sliced initializers of
-//! [`crate::param::InitKind`], an `mp`-way model computes the same
-//! function as the unsliced [`crate::gpt::GptModel`] built from the same
-//! seeds, which the tests verify. Layer norms, biases of row-parallel
-//! layers, and the (tied) embeddings are replicated within the group and
-//! stay synchronized because their gradients are identical on every rank.
+//! A rank runs the dense block of [`crate::gpt::GptModel`] over its slices
+//! of the same twelve tensors; the one difference is the [`TensorReduce`]
+//! hook the block calls, which here sums across the group: after the
+//! attention out-projection and after `fc2`, each before its bias is
+//! added, and in the backward on the gradients of the two layer norms'
+//! outputs. The dense model's hook does nothing.
+//!
+//! Slicing is *exact*: every rank initializes its slices from the virtual
+//! unsliced tensors, so an `mp`-way model computes the same function as
+//! the unsliced [`crate::gpt::GptModel`] built from the same seeds, which
+//! the tests verify. Layer norms, biases of row-parallel layers, and the
+//! (tied) embeddings are replicated within the group and stay
+//! synchronized because their gradients are identical on every rank.
 
-use zi_tensor::ops;
 use zi_tensor::Tensor;
 use zi_types::{Error, Result};
 
-use crate::gpt::{
-    register_gpt, run_step, weight_scale, BlockMath, GptConfig, InMemoryActStore, NoopObserver, RunOptions,
-};
-use crate::layers::{
-    attention_backward, attention_forward, mlp_backward, mlp_forward, BlockConfig, BlockSaved,
-};
+use crate::gpt::{register_gpt, run_step, weight_scale, GptConfig, InMemoryActStore, NoopObserver, RunOptions};
 use crate::param::{Bracket, ModulePlan, ParamRegistry, ParamStore};
 
 /// Elementwise sum across the tensor-parallel group.
@@ -39,6 +40,15 @@ use crate::param::{Bracket, ModulePlan, ParamRegistry, ParamStore};
 pub trait TensorReduce {
     /// Sum `t` in place across the group.
     fn allreduce_tensor(&self, t: &mut Tensor) -> Result<()>;
+}
+
+/// The reduction of a group of one: the unsliced model's.
+pub(crate) struct NoReduce;
+
+impl TensorReduce for NoReduce {
+    fn allreduce_tensor(&self, _t: &mut Tensor) -> Result<()> {
+        Ok(())
+    }
 }
 
 /// A GPT whose blocks are tensor-sliced `mp` ways; this instance holds
@@ -54,9 +64,10 @@ pub struct MpGptModel {
 impl MpGptModel {
     /// Build the slice-`mp_rank` model of an `mp`-way sliced `cfg`.
     ///
-    /// Uses the same virtual initialization seeds as
+    /// Uses the same names and virtual initialization seeds as
     /// [`crate::gpt::GptModel::new`], so the group of `mp` instances
     /// computes exactly the function of the unsliced model.
+    #[allow(clippy::single_range_in_vec_init)] // a slice's row ranges, one or three
     pub fn new(cfg: GptConfig, mp_rank: usize, mp: usize) -> Result<Self> {
         if mp == 0 || mp_rank >= mp {
             return Err(Error::InvalidArgument(format!("mp_rank {mp_rank} out of mp {mp}")));
@@ -74,64 +85,30 @@ impl MpGptModel {
         let (registry, plans) = register_gpt(&cfg, |reg, l| {
             let s = cfg.seed + 100 * (l as u64 + 1);
             let pre = format!("block{l}");
-            let r0 = mp_rank * hl;
-            let f0 = mp_rank * 4 * hl;
+            // This rank's hidden columns and FFN channels.
+            let (r0, f0) = (mp_rank * hl, mp_rank * 4 * hl);
+            let (heads, ffn) = (r0..r0 + hl, f0..f0 + 4 * hl);
+            let qkv_rows = vec![heads.clone(), h + r0..h + r0 + hl, 2 * h + r0..2 * h + r0 + hl];
+            let slice = |reg: &mut ParamRegistry, name: &str, full, rows, cols, seed| {
+                reg.register_slice(format!("{pre}.{name}"), full, rows, cols, seed, w_scale)
+            };
             vec![
                 reg.register(format!("{pre}.ln1.gamma"), &[h], 0, 0.0, 1.0),
                 reg.register(format!("{pre}.ln1.beta"), &[h], 0, 0.0, 0.0),
-                // Column-parallel fused QKV, registered as q/k/v row
-                // slices of the virtual [3h, h] weight.
-                reg.register_row_slice(format!("{pre}.attn.q.weight"), 3 * h, h, r0..r0 + hl, s, w_scale),
-                reg.register(format!("{pre}.attn.q.bias"), &[hl], 0, 0.0, 0.0),
-                reg.register_row_slice(
-                    format!("{pre}.attn.k.weight"),
-                    3 * h,
-                    h,
-                    h + r0..h + r0 + hl,
-                    s,
-                    w_scale,
-                ),
-                reg.register(format!("{pre}.attn.k.bias"), &[hl], 0, 0.0, 0.0),
-                reg.register_row_slice(
-                    format!("{pre}.attn.v.weight"),
-                    3 * h,
-                    h,
-                    2 * h + r0..2 * h + r0 + hl,
-                    s,
-                    w_scale,
-                ),
-                reg.register(format!("{pre}.attn.v.bias"), &[hl], 0, 0.0, 0.0),
-                // Row-parallel out-projection: column slice of [h, h].
-                reg.register_col_slice(
-                    format!("{pre}.attn.proj.weight"),
-                    h,
-                    h,
-                    r0..r0 + hl,
-                    s + 1,
-                    w_scale,
-                ),
+                // Column-parallel: this rank's q, k and v rows of the fused
+                // [3h, h] weight.
+                slice(reg, "attn.qkv.weight", [3 * h, h], qkv_rows, 0..h, s),
+                reg.register(format!("{pre}.attn.qkv.bias"), &[3 * hl], 0, 0.0, 0.0),
+                // Row-parallel: its columns of [h, h].
+                slice(reg, "attn.proj.weight", [h, h], vec![0..h], heads, s + 1),
                 reg.register(format!("{pre}.attn.proj.bias"), &[h], 0, 0.0, 0.0),
                 reg.register(format!("{pre}.ln2.gamma"), &[h], 0, 0.0, 1.0),
                 reg.register(format!("{pre}.ln2.beta"), &[h], 0, 0.0, 0.0),
-                // Column-parallel MLP expansion: row slice of [4h, h].
-                reg.register_row_slice(
-                    format!("{pre}.mlp.fc1.weight"),
-                    4 * h,
-                    h,
-                    f0..f0 + 4 * hl,
-                    s + 2,
-                    w_scale,
-                ),
+                // Column-parallel: its rows of [4h, h].
+                slice(reg, "mlp.fc1.weight", [4 * h, h], vec![ffn.clone()], 0..h, s + 2),
                 reg.register(format!("{pre}.mlp.fc1.bias"), &[4 * hl], 0, 0.0, 0.0),
-                // Row-parallel MLP contraction: column slice of [h, 4h].
-                reg.register_col_slice(
-                    format!("{pre}.mlp.fc2.weight"),
-                    h,
-                    4 * h,
-                    f0..f0 + 4 * hl,
-                    s + 3,
-                    w_scale,
-                ),
+                // Row-parallel: its columns of [h, 4h].
+                slice(reg, "mlp.fc2.weight", [h, 4 * h], vec![0..h], ffn, s + 3),
                 reg.register(format!("{pre}.mlp.fc2.bias"), &[h], 0, 0.0, 0.0),
             ]
         });
@@ -159,149 +136,16 @@ impl MpGptModel {
                 "activation checkpointing is not supported by the mp runner".into(),
             ));
         }
-        let (h, heads) = (self.cfg.hidden, self.cfg.heads);
-        let block = SlicedBlock {
-            lc: BlockConfig {
-                hidden: h / self.mp,
-                heads: heads / self.mp,
-                batch: opts.batch,
-                seq: self.cfg.seq,
-            },
-            hidden: h,
-            reduce,
-            zero_bias: Tensor::zeros(&[h]),
-        };
         let (mut obs, mut acts) = (NoopObserver, InMemoryActStore::new());
         let mut ctx = Bracket::new(store, &mut obs, &self.plans, opts.prefetch_window);
         let active = vec![true; self.cfg.layers];
-        run_step(&self.cfg, &mut ctx, &mut acts, tokens, targets, opts, &active, &block)
+        run_step(&self.cfg, &mut ctx, &mut acts, tokens, targets, opts, &active, self.mp, reduce)
     }
-}
-
-/// One rank's slice of a block. Parameter order: see `MpGptModel::new`.
-struct SlicedBlock<'a> {
-    /// Local heads and local hidden width.
-    lc: BlockConfig,
-    /// Full hidden width.
-    hidden: usize,
-    reduce: &'a dyn TensorReduce,
-    /// The bias of a row-parallel layer is added *after* the group sum,
-    /// so the layer itself runs with zeros.
-    zero_bias: Tensor,
-}
-
-impl BlockMath for SlicedBlock<'_> {
-    fn forward(&self, p: &[Tensor], x: &Tensor) -> Result<(Tensor, BlockSaved)> {
-        let (ln1_g, ln1_b) = (&p[0], &p[1]);
-        let qkv_w = stack(&[&p[2], &p[4], &p[6]])?;
-        let qkv_b = stack(&[&p[3], &p[5], &p[7]])?;
-        let (proj_w, proj_b) = (&p[8], &p[9]);
-        let (ln2_g, ln2_b) = (&p[10], &p[11]);
-        let (fc1_w, fc1_b) = (&p[12], &p[13]);
-        let (fc2_w, fc2_b) = (&p[14], &p[15]);
-
-        let (ln1_out, ln1_stats) = ops::layernorm(x, ln1_g.data(), ln1_b.data(), 1e-5)?;
-        // Column-parallel attention over local heads.
-        let (mut attn_part, attn) =
-            attention_forward(&self.lc, &qkv_w, &qkv_b, proj_w, &self.zero_bias, &ln1_out)?;
-        self.reduce.allreduce_tensor(&mut attn_part)?;
-        ops::add_bias(&mut attn_part, proj_b.data())?;
-        let mut res1 = x.clone();
-        res1.add_assign(&attn_part)?;
-
-        let (ln2_out, ln2_stats) = ops::layernorm(&res1, ln2_g.data(), ln2_b.data(), 1e-5)?;
-        let (mut mlp_part, mlp) = mlp_forward(fc1_w, fc1_b, fc2_w, &self.zero_bias, &ln2_out)?;
-        self.reduce.allreduce_tensor(&mut mlp_part)?;
-        ops::add_bias(&mut mlp_part, fc2_b.data())?;
-        let mut y = res1.clone();
-        y.add_assign(&mlp_part)?;
-        Ok((y, BlockSaved { x: x.clone(), ln1_stats, attn, res1, ln2_stats, mlp }))
-    }
-
-    fn backward(
-        &self,
-        p: &[Tensor],
-        sv: &BlockSaved,
-        dy: &Tensor,
-    ) -> Result<(Tensor, Vec<Tensor>)> {
-        let qkv_w = stack(&[&p[2], &p[4], &p[6]])?;
-        let proj_w = &p[8];
-        let (fc1_w, fc2_w) = (&p[12], &p[14]);
-        let (ln1_g, ln2_g) = (&p[0], &p[10]);
-
-        // y = res1 + reduce(mlp_part) + fc2_b
-        let (mut dln2_out, mlp_grads) = mlp_backward(fc1_w, fc2_w, &sv.mlp, dy)?;
-        self.reduce.allreduce_tensor(&mut dln2_out)?;
-        let (dres1_from_ln2, dln2_g, dln2_b) =
-            ops::layernorm_backward(&sv.res1, &dln2_out, ln2_g.data(), &sv.ln2_stats)?;
-        let mut dres1 = dy.clone();
-        dres1.add_assign(&dres1_from_ln2)?;
-
-        let (mut dln1_out, attn_grads) =
-            attention_backward(&self.lc, &qkv_w, proj_w, &sv.attn, &dres1)?;
-        self.reduce.allreduce_tensor(&mut dln1_out)?;
-        let (dx_from_ln1, dln1_g, dln1_b) =
-            ops::layernorm_backward(&sv.x, &dln1_out, ln1_g.data(), &sv.ln1_stats)?;
-        let mut dx = dres1.clone();
-        dx.add_assign(&dx_from_ln1)?;
-
-        // Split the fused local QKV gradients back into q/k/v slices.
-        let [dq_w, dk_w, dv_w] = split3(&attn_grads.qkv_w, self.lc.hidden)?;
-        let [dq_b, dk_b, dv_b] = split3(&attn_grads.qkv_b, self.lc.hidden)?;
-        let grads = vec![
-            Tensor::from_vec(&[self.hidden], dln1_g)?,
-            Tensor::from_vec(&[self.hidden], dln1_b)?,
-            dq_w,
-            dq_b,
-            dk_w,
-            dk_b,
-            dv_w,
-            dv_b,
-            attn_grads.proj_w,
-            attn_grads.proj_b,
-            Tensor::from_vec(&[self.hidden], dln2_g)?,
-            Tensor::from_vec(&[self.hidden], dln2_b)?,
-            mlp_grads.fc1_w,
-            mlp_grads.fc1_b,
-            mlp_grads.fc2_w,
-            mlp_grads.fc2_b,
-        ];
-        Ok((dx, grads))
-    }
-}
-
-/// Concatenate along the first dimension: `[rows_i, cols]` matrices
-/// sharing a column count, or vectors.
-fn stack(parts: &[&Tensor]) -> Result<Tensor> {
-    let mut shape = parts[0].shape().to_vec();
-    if parts.iter().any(|p| p.shape()[1..] != shape[1..]) {
-        return Err(Error::shape("stack: trailing dimensions differ"));
-    }
-    shape[0] = parts.iter().map(|p| p.shape()[0]).sum();
-    Tensor::from_vec(&shape, parts.iter().flat_map(|p| p.data()).copied().collect())
-}
-
-/// Split a `[3*hl, ..]` matrix or vector into its three `[hl, ..]` parts.
-fn split3(t: &Tensor, hl: usize) -> Result<[Tensor; 3]> {
-    let mut shape = t.shape().to_vec();
-    shape[0] = hl;
-    let len: usize = shape.iter().product();
-    let take = |i: usize| Tensor::from_vec(&shape, t.data()[i * len..(i + 1) * len].to_vec());
-    Ok([take(0)?, take(1)?, take(2)?])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Identity reduction for single-rank tensor parallelism.
-    struct NoReduce;
-
-    impl TensorReduce for NoReduce {
-        fn allreduce_tensor(&self, _t: &mut Tensor) -> Result<()> {
-            Ok(())
-        }
-    }
     use crate::gpt::GptModel;
     use crate::param::{DenseStore, ParamId};
     use std::cell::RefCell;
@@ -346,19 +190,19 @@ mod tests {
         let l1 = dense.train_step(&mut s1, &tokens, &targets, &opts).unwrap();
         let mut s2 = DenseStore::new(sliced.registry());
         let l2 = sliced.train_step(&mut s2, &NoReduce, &tokens, &targets, &opts).unwrap();
-        assert!((l1 - l2).abs() < 1e-6, "{l1} vs {l2}");
+        assert_eq!(l1.to_bits(), l2.to_bits(), "{l1} vs {l2}");
         // The loss of this step before the runner went through the bracket.
         assert_eq!(l2.to_bits(), MP1_LOSS_BITS, "the bracket must not change the math");
 
-        // Parameter-level gradient check: the fused qkv grad of the dense
-        // model must equal the stacked q/k/v grads of the mp=1 model.
-        let dense_qkv = s1.grad(dense.registry().find("block0.attn.qkv.weight").unwrap()).unwrap();
-        let q = s2.grad(sliced.registry().find("block0.attn.q.weight").unwrap()).unwrap();
-        let k = s2.grad(sliced.registry().find("block0.attn.k.weight").unwrap()).unwrap();
-        let v = s2.grad(sliced.registry().find("block0.attn.v.weight").unwrap()).unwrap();
-        let stacked = stack(&[q, k, v]).unwrap();
-        for (a, b) in dense_qkv.data().iter().zip(stacked.data()) {
-            assert!((a - b).abs() < 1e-5);
+        // The mp = 1 slices are the dense tensors under the dense names, and
+        // every gradient element — the fused qkv weight's included — is the
+        // dense model's, bit for bit.
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(dense.registry().len(), sliced.registry().len());
+        for (d, m) in dense.registry().iter().zip(sliced.registry().iter()) {
+            assert_eq!((&d.name, &d.shape), (&m.name, &m.shape));
+            let (g1, g2) = (s1.grad(d.id).unwrap(), s2.grad(m.id).unwrap());
+            assert_eq!(bits(g1), bits(g2), "gradient of {}", d.name);
         }
     }
 
@@ -430,17 +274,16 @@ mod tests {
         let mp = 2;
         let h = cfg.hidden;
         let hl = h / mp;
-        // Reassemble q/k/v from both slices and compare with the fused
-        // dense weight.
-        let mut q_rows = vec![Vec::new(); 3];
+        // Reassemble the fused weight from both ranks' q, k and v rows.
+        let mut qkv_rows = vec![Vec::new(); 3];
         let mut proj_cols: Vec<Vec<f32>> = Vec::new();
         let mut fc2_cols: Vec<Vec<f32>> = Vec::new();
         for r in 0..mp {
             let m = MpGptModel::new(cfg, r, mp).unwrap();
             let s = DenseStore::new(m.registry());
-            for (i, name) in ["q", "k", "v"].iter().enumerate() {
-                let t = s.param(m.registry().find(&format!("block0.attn.{name}.weight")).unwrap());
-                q_rows[i].extend_from_slice(t.data());
+            let qkv = s.param(m.registry().find("block0.attn.qkv.weight").unwrap());
+            for (rows, part) in qkv_rows.iter_mut().zip(qkv.data().chunks(hl * h)) {
+                rows.extend_from_slice(part);
             }
             proj_cols.push(
                 s.param(m.registry().find("block0.attn.proj.weight").unwrap()).data().to_vec(),
@@ -448,7 +291,7 @@ mod tests {
             fc2_cols
                 .push(s.param(m.registry().find("block0.mlp.fc2.weight").unwrap()).data().to_vec());
         }
-        let reassembled: Vec<f32> = q_rows.concat();
+        let reassembled: Vec<f32> = qkv_rows.concat();
         assert_eq!(reassembled, fused.data(), "row slices must tile the fused weight");
 
         // Column slices: interleave back per row.

@@ -11,7 +11,7 @@ pub struct ParamId(pub usize);
 
 /// How a parameter's deterministic initial value is produced.
 #[derive(Debug, Clone)]
-pub enum InitKind {
+pub(crate) enum InitKind {
     /// Seeded uniform noise (scale 0 = zeros) plus a constant offset.
     Uniform {
         /// Stream seed.
@@ -21,34 +21,18 @@ pub enum InitKind {
         /// Constant added after init (1.0 for layernorm gamma).
         offset: f32,
     },
-    /// Rows `[row_range)` of a *virtual* `[full_rows, cols]` uniform
-    /// tensor. Used by tensor-slicing model parallelism so that the
-    /// concatenation of every rank's slice reproduces the unsliced
-    /// initialization exactly.
-    RowSlice {
+    /// Rows `rows` (in order) × columns `cols` of a *virtual* `full`
+    /// uniform matrix. Used by tensor-slicing model parallelism so that
+    /// every rank's slices tile the unsliced initialization exactly.
+    Slice {
         /// Stream seed of the virtual full tensor.
         seed: u64,
         /// Uniform amplitude of the virtual full tensor.
         scale: f32,
-        /// Rows of the virtual tensor.
-        full_rows: usize,
-        /// Columns of the virtual tensor (1 for vectors).
-        cols: usize,
-        /// This slice's row range.
-        rows: std::ops::Range<usize>,
-    },
-    /// Columns `[col_range)` of a virtual `[rows, full_cols]` uniform
-    /// tensor (the row-parallel weight slice of Megatron-style tensor
-    /// slicing).
-    ColSlice {
-        /// Stream seed of the virtual full tensor.
-        seed: u64,
-        /// Uniform amplitude of the virtual full tensor.
-        scale: f32,
-        /// Rows of the virtual tensor.
-        rows: usize,
-        /// Columns of the virtual tensor.
-        full_cols: usize,
+        /// `[rows, cols]` of the virtual tensor.
+        full: [usize; 2],
+        /// This slice's row ranges, stacked in order.
+        rows: Vec<std::ops::Range<usize>>,
         /// This slice's column range.
         cols: std::ops::Range<usize>,
     },
@@ -64,7 +48,7 @@ pub struct ParamMeta {
     /// Tensor shape.
     pub shape: Vec<usize>,
     /// Initialization recipe.
-    pub init: InitKind,
+    pub(crate) init: InitKind,
 }
 
 impl ParamMeta {
@@ -94,31 +78,10 @@ impl ParamMeta {
                 }
                 t
             }
-            InitKind::RowSlice { seed, scale, full_rows, cols, rows } => {
-                // Row-major: rows [r0, r1) of the virtual tensor are the
-                // contiguous elements [r0*cols, r1*cols).
-                let full = if *scale == 0.0 {
-                    Tensor::zeros(&[*full_rows, *cols])
-                } else {
-                    Tensor::randn_seeded(&[*full_rows, *cols], *seed, *scale)
-                };
-                let slice = full.data()[rows.start * cols..rows.end * cols].to_vec();
-                Tensor::from_vec(&self.shape, slice)
-                    .expect("slice shape must match registered shape")
-            }
-            InitKind::ColSlice { seed, scale, rows, full_cols, cols } => {
-                let full = if *scale == 0.0 {
-                    Tensor::zeros(&[*rows, *full_cols])
-                } else {
-                    Tensor::randn_seeded(&[*rows, *full_cols], *seed, *scale)
-                };
-                let width = cols.len();
-                let mut slice = Vec::with_capacity(rows * width);
-                for r in 0..*rows {
-                    slice.extend_from_slice(
-                        &full.data()[r * full_cols + cols.start..r * full_cols + cols.end],
-                    );
-                }
+            InitKind::Slice { seed, scale, full, rows, cols } => {
+                let whole = Tensor::randn_seeded(full, *seed, *scale);
+                let row = |r: usize| &whole.data()[r * full[1] + cols.start..r * full[1] + cols.end];
+                let slice = rows.iter().cloned().flatten().flat_map(row).copied().collect();
                 Tensor::from_vec(&self.shape, slice)
                     .expect("slice shape must match registered shape")
             }
@@ -150,46 +113,21 @@ impl ParamRegistry {
         self.register_with(name, shape, InitKind::Uniform { seed, scale, offset })
     }
 
-    /// Register rows `[rows)` of a virtual `[full_rows, cols]` tensor —
-    /// the tensor-slicing initialization used by model parallelism. The
-    /// registered shape is `[rows.len(), cols]` (or `[rows.len()]` when
-    /// `cols == 1`).
-    pub(crate) fn register_row_slice(
+    /// Register rows `rows` (stacked in order) × columns `cols` of a
+    /// virtual `full` uniform matrix — one rank's slice under tensor
+    /// slicing. The registered shape is `[Σ rows, cols.len()]`.
+    pub(crate) fn register_slice(
         &mut self,
         name: impl Into<String>,
-        full_rows: usize,
-        cols: usize,
-        rows: std::ops::Range<usize>,
-        seed: u64,
-        scale: f32,
-    ) -> ParamId {
-        assert!(rows.end <= full_rows, "slice beyond virtual tensor");
-        let shape: Vec<usize> =
-            if cols == 1 { vec![rows.len()] } else { vec![rows.len(), cols] };
-        self.register_with(
-            name,
-            &shape,
-            InitKind::RowSlice { seed, scale, full_rows, cols, rows },
-        )
-    }
-
-    /// Register columns `[cols)` of a virtual `[rows, full_cols]` tensor.
-    pub(crate) fn register_col_slice(
-        &mut self,
-        name: impl Into<String>,
-        rows: usize,
-        full_cols: usize,
+        full: [usize; 2],
+        rows: Vec<std::ops::Range<usize>>,
         cols: std::ops::Range<usize>,
         seed: u64,
         scale: f32,
     ) -> ParamId {
-        assert!(cols.end <= full_cols, "slice beyond virtual tensor");
-        let shape = vec![rows, cols.len()];
-        self.register_with(
-            name,
-            &shape,
-            InitKind::ColSlice { seed, scale, rows, full_cols, cols },
-        )
+        assert!(rows.iter().all(|r| r.end <= full[0]) && cols.end <= full[1], "slice beyond virtual tensor");
+        let shape = [rows.iter().map(|r| r.len()).sum(), cols.len()];
+        self.register_with(name, &shape, InitKind::Slice { seed, scale, full, rows, cols })
     }
 
     fn register_with(

@@ -10,6 +10,10 @@ cargo test --workspace -q
 # bit (NaN payloads included) in the build that ships, not only in the
 # debug one above.
 cargo test --release -q -p zi-tensor --lib
+# The model's unit suite, optimized: the tensor-sliced model at mp = 1 is
+# the dense one bit for bit (loss and every gradient), in the build that
+# ships too.
+cargo test --release -q -p zi-model --lib
 # Every f32 → f16 input: the F16C conversion and its NaN fix-up against
 # F16::from_f32 on all 2^32 bit patterns (the #[ignore]d sweep of the
 # conformance suite; ~15 s optimized, far longer in the debug profile).
@@ -85,7 +89,8 @@ cargo run -q --release -p zi-audit -- --root . --json "$AUDIT_JSON" \
 # set of two one-buffer shelves for four holders — trace ring drain,
 # kernel worker-pool tiling, the shard cache's admit / invalidate / evict
 # across two ranks, the optimizer step's carried write-behind window
-# against the next step's reads with the rank's set at its proven bound,
+# against the next step's updates and — its kept set dropped — reads with
+# the rank's set at its proven bound,
 # and two ranks' fetches, prefetches and steps each through a set of its
 # own at that bound: with a set below it a rank waits forever, which
 # fails the harness).

@@ -76,6 +76,30 @@ fn zero_degree_grid_is_rejected() {
     }
 }
 
+/// A model no rank could build or feed, or an empty micro-batch, is
+/// rejected as a typed error before any node or rank thread is built,
+/// not a rank panic.
+#[test]
+fn degenerate_2d_model_is_rejected() {
+    let empty_vocab = GptConfig { vocab: 0, ..cfg() };
+    let empty_seq = GptConfig { seq: 0, ..cfg() };
+    for (model, micro_batch) in [(empty_vocab, 1), (empty_seq, 1), (cfg(), 0)] {
+        let spec = Spec2D {
+            model,
+            strategy: Strategy::infinity_nvme(),
+            mp: 2,
+            dp: 1,
+            micro_batch,
+            steps: 1,
+            adam: adam(),
+        };
+        assert!(
+            matches!(train_gpt_2d(&spec), Err(Error::InvalidArgument(_))),
+            "{model:?} at micro-batch {micro_batch} was not rejected"
+        );
+    }
+}
+
 /// The 2-D mp x dp grid with fp16 NVMe offload still converges.
 #[test]
 fn two_d_grid_with_fp16_offload_learns() {
