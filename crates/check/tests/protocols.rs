@@ -5,7 +5,7 @@
 //! staging-buffer hand-back and the checkpoint store's
 //! `save_async`/crash/`open` recovery (`zi-nvme`), the buffer pools
 //! (`zi-memory`), and the node-shared shard cache, the optimizer step's
-//! carried write-behind window and two ranks' staging sets
+//! kept records and carried write-behind window and two ranks' staging sets
 //! (`zero-infinity`).
 //!
 //! Under `RUSTFLAGS="--cfg zi_check"` each body is explored across
@@ -18,7 +18,7 @@ use zi_sync::Arc;
 use std::time::Duration;
 
 use zi_check::{Checker, Report};
-use zi_comm::{CommConfig, CommFaultPlan, CommGroup, Membership};
+use zi_comm::{partition_range, CommConfig, CommFaultPlan, CommGroup, Membership};
 use zi_memory::{MemoryHierarchy, NodeMemorySpec, PinnedBufferPool, PlacementPolicy, ScratchPool};
 use zi_nvme::{
     CheckpointStore, FaultPlan, FaultyBackend, MemBackend, NvmeEngine, RetryPolicy, StorageBackend,
@@ -532,14 +532,19 @@ fn join_handshake_survives_racing_rank_death() {
 //
 // Every collective deposits into the rank's own slot, crosses a barrier,
 // hands the slots to the caller's consumer as borrowed slices, and
-// crosses a second barrier before any slot may be rewritten. Invariants,
-// in every interleaving:
+// crosses a second barrier before any slot may be rewritten. A
+// reduce-scatter deposits no copy: it lends the caller's own storage to
+// the slot, and the owner takes it back after the second barrier.
+// Invariants, in every interleaving:
 //
 //   * a consumer of collective k sees exactly collective k's
 //     contributions — no rank reads before every deposit landed (first
-//     barrier), and no owner rewrites its slot for k+1 while a peer is
-//     still reading k (second barrier); the rounds differ in every byte
-//     and in length, so a misordered read cannot go unnoticed;
+//     barrier), and no owner rewrites its slot for k+1, or takes back a
+//     lent contribution, while a peer is still reading k (second
+//     barrier); the rounds differ in every byte and in length, so a
+//     misordered read cannot go unnoticed;
+//   * once a reduce-scatter returns, the slot no longer holds the
+//     contribution: the caller owns its storage alone again;
 //   * the consume phases of one collective overlap: in some schedule
 //     both ranks are reading the *same* slot at once (between the
 //     barriers the slots are only read, under shared locks — an
@@ -585,8 +590,24 @@ fn slot_table_body(overlapped: &zi_sync::OnceLock<()>) {
                     let expect: Vec<_> = (0..2).map(|from| (from, round_shard(round, from))).collect();
                     assert_eq!(seen, expect, "rank {rank} round {round} read another collective's slot");
                 }
+                for round in 0..2usize {
+                    let len = 2 + 2 * round;
+                    let value = |rank: usize, i: usize| (100 * rank + 10 * round + i) as f32;
+                    let contrib = Arc::new((0..len).map(|i| value(rank, i)).collect::<Vec<f32>>());
+                    let mut sums = Vec::new();
+                    comm.reduce_scatter_with(&contrib, len, |_, block| {
+                        sums.extend_from_slice(block);
+                        thread::yield_now();
+                        Ok(())
+                    })
+                    .expect("a healthy round");
+                    let expect: Vec<f32> =
+                        partition_range(len, 2, rank).map(|i| 0.0 + value(0, i) + value(1, i)).collect();
+                    assert_eq!(sums, expect, "rank {rank} reduce {round} read another collective's slot");
+                    assert_eq!(Arc::strong_count(&contrib), 1, "rank {rank} reduce {round}: still lent");
+                }
                 // Rank 1 dies mid-consume; rank 0 consumes cleanly.
-                comm.reduce_scatter_with(&[1.0, 2.0], 2, |_, sums| {
+                comm.reduce_scatter_with(&Arc::new(vec![1.0, 2.0]), 2, |_, sums| {
                     assert_eq!(sums, [2.0 + rank as f32 * 2.0], "rank {rank}");
                     if rank == 1 {
                         return Err(Error::Internal("dies mid-consume".into()));
@@ -775,35 +796,32 @@ fn kernel_pool_panic_releases_submitter() {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol 11: the optimizer step's carried window — the writes of the
-// records a step keeps still on the device when `step` returns, their
-// staging buffers the next step's first records, updated in place once
-// those writes land.
+// Protocol 11: the optimizer step's kept records and its carried window —
+// a step keeps its last records in their staging buffers, updated and not
+// written, and the next step takes them without a read; a changed set of
+// buffers to update drops them, written back as plain writes.
 //
-// One parameter `w` of two records on a two-worker device that serves a
-// read before a write already on it whenever the scheduler lets it, two
-// steps in opposite orders: step 0 keeps both records, whose writes race
-// step 1's updates of the same buffers, and the checkpoint export after
-// step 1 reads both back.
-//
-// A step never reads a record whose write it did not keep while that
-// write is on the device: its reads and its kept records share the
-// rank's `depth + window` record buffers, so before a step's last read
-// every write it did not keep has landed, however many records the rank
-// has. What leaves an unkept write on the device for the next step to
-// read is a dropped kept set. So the second geometry registers a second
-// parameter `u` before `w` and gives it its first gradient in step 1:
-// the set of buffers to update changes, step 1 drops the records step 0
-// kept, and their writes, still on the device and no longer kept, race
-// step 1's reads of `w` — descending, `w` comes first — which wait them
-// out (`WriteBehind::settle`).
+// Two parameters, `u` then `w`, of two records each on a two-worker
+// device that serves a read before a write already on it whenever the
+// scheduler lets it; depth 2 plus a write-behind window of 4 keep every
+// record a step updates. Two steps in opposite orders, then a checkpoint
+// export. In the first geometry `u` joins in step 1: step 1 drops the
+// records step 0 kept of `w` alone, writes them back first and reads
+// `w` — descending, `w` comes first — behind its write-back, which the
+// read waits out (`WriteBehind::settle`). In the second both leave: step
+// 0 updates both, and step 1, with no gradient, writes back the four
+// records step 0 kept and returns with the write-back on the device, in
+// the carried window; the export after it reads every record behind it.
+// (A read the step issues queues on the device behind the write-backs
+// before it, so a write-back outlives its step only when the step reads
+// nothing after it.)
 //
 // Invariants, in every interleaving:
 //
-//   * no buffer is updated before its write landed, and every read sees
-//     only the written bytes: no read is verified against a checksum its
-//     bytes do not match (a read that overtook the write of its record
-//     would be), and every schedule ends in the same state;
+//   * no read overtakes a write of its extent: no read is verified
+//     against a checksum its bytes do not match (a read that overtook
+//     the write-back of its record would be), and every schedule ends in
+//     the same state;
 //   * each staging buffer is handed back exactly once: after dispose
 //     nothing is checked out and every buffer of the rank's set — sized
 //     at its proven bound, DESIGN.md §7 — is parked, and no acquisition
@@ -843,8 +861,8 @@ impl StorageBackend for ReadsFirst {
     }
 }
 
-/// Protocol 11's body; with `late`, the second geometry: `u` joins in
-/// step 1 and drops the kept set.
+/// Protocol 11's body; with `late`, the first geometry: `u` joins in step
+/// 1, else both leave.
 fn carried_window_body(late: bool, seen: &zi_sync::OnceLock<()>, state: &zi_sync::OnceLock<Vec<u8>>) {
     use zero_infinity::{NodeEnv, NodeResources, Strategy, ZeroEngine};
     use zi_memory::NodeMemorySpec;
@@ -852,18 +870,16 @@ fn carried_window_body(late: bool, seen: &zi_sync::OnceLock<()>, state: &zi_sync
     use zi_tensor::Tensor;
 
     let mut reg = ParamRegistry::new();
-    if late {
-        reg.register("u", &[8], 6, 0.2, 0.0);
-    }
+    reg.register("u", &[8], 6, 0.2, 0.0);
     reg.register("w", &[8], 5, 0.2, 0.0);
-    let w = reg.find("w").expect("w");
+    let (u, w) = (reg.find("u").expect("u"), reg.find("w").expect("w"));
     let spec = NodeMemorySpec::test_spec(1, 1 << 12, 1 << 12, 1 << 12);
     let device = Arc::new(ReadsFirst { dev: MemBackend::new(), reads: Default::default() });
     let env = NodeEnv { nvme_workers: 2, ..NodeEnv::new(device) };
     let node = NodeResources::new(&spec, 1, env);
     // Records of four elements; two device workers make the step two
-    // reads ahead with a write-behind window of four: the step keeps both
-    // records.
+    // reads ahead with a write-behind window of four: the step keeps
+    // every record it updates.
     let strategy = Strategy::infinity_nvme()
         .with_f32_params()
         .with_prefetch_window(0)
@@ -871,22 +887,26 @@ fn carried_window_body(late: bool, seen: &zi_sync::OnceLock<()>, state: &zi_sync
     let (mgr, comm) = (node.offload_manager(), node.group.communicator(0));
     let mut eng = ZeroEngine::new(&reg, strategy, mgr, comm, Default::default()).expect("engine");
     let staging = eng.offload_manager().staging().clone();
-    let mut writes = 0;
     for step in 0..2 {
         let grad = Tensor::from_vec(&[8], (0..8).map(|i| (i + step) as f32 * 0.125).collect());
         let grad = grad.expect("grad");
-        eng.add_grad(w, &grad).expect("deposit");
-        if late && step == 1 {
-            eng.add_grad(reg.find("u").expect("u"), &grad).expect("deposit");
+        if late || step == 0 {
+            eng.add_grad(w, &grad).expect("deposit");
         }
-        if step == 1 && node.nvme.stats().writes < writes + 2 {
-            // A write of step 0's — one of `w`'s records — was still on
-            // the device: this step takes its buffer once it lands, or,
-            // the kept set dropped, reads the record once it lands.
-            let _ = seen.set(());
+        if late == (step == 1) {
+            eng.add_grad(u, &grad).expect("deposit");
         }
-        writes = node.nvme.stats().writes;
+        let writes = node.nvme.stats().writes;
+        let _ = node.tracer().take_events();
         assert!(eng.step().expect("step"), "step {step} skipped");
+        if step == 1 {
+            // A read of `w` waited for its record's write-back; or the
+            // write-back outlived the step.
+            let waited = node.tracer().take_events().iter().any(|e| e.name == "wb.settle");
+            if if late { waited } else { node.nvme.stats().writes < writes + 4 } {
+                let _ = seen.set(());
+            }
+        }
     }
     let saved = eng.save_state().expect("save");
     let health = eng.offload_manager().health();
@@ -909,9 +929,9 @@ fn carried_window_never_lets_a_read_overtake_its_write() {
     let state = Arc::new(zi_sync::OnceLock::new());
     let (body_seen, body_state) = (Arc::clone(&seen), Arc::clone(&state));
     let checker = Checker { schedules: 1250, ..Checker::default() };
-    drive("carried-window", checker, move || carried_window_body(false, &body_seen, &body_state));
+    drive("kept-set-write-back", checker, move || carried_window_body(true, &body_seen, &body_state));
     if zi_check::enabled() {
-        assert!(seen.get().is_some(), "no schedule kept a carried write on the device");
+        assert!(seen.get().is_some(), "no schedule had a read wait for a write-back");
     }
 }
 
@@ -921,9 +941,9 @@ fn a_read_never_overtakes_the_unkept_write_of_its_record() {
     let state = Arc::new(zi_sync::OnceLock::new());
     let (body_seen, body_state) = (Arc::clone(&seen), Arc::clone(&state));
     let checker = Checker { schedules: 1250, ..Checker::default() };
-    drive("dropped-carry", checker, move || carried_window_body(true, &body_seen, &body_state));
+    drive("carried-write-back", checker, move || carried_window_body(false, &body_seen, &body_state));
     if zi_check::enabled() {
-        assert!(seen.get().is_some(), "no schedule began a read with its record's write on the device");
+        assert!(seen.get().is_some(), "no schedule carried a write-back past its step");
     }
 }
 

@@ -13,8 +13,12 @@
 //! summed straight into its shard. A deposit reuses its slot's capacity;
 //! between the two barriers no slot is written, so ranks read under
 //! shared locks, concurrently; a world of one borrows the caller's own
-//! slice and deposits nothing. The `Vec`-returning forms are thin
-//! wrappers over the same bodies.
+//! slice and deposits nothing. A reduce-scatter contribution is the
+//! caller's shared storage (a gradient tensor's): it is lent to the slot,
+//! not copied — peers read the owner's own values between the barriers,
+//! and the owner takes it back after the second (a failed collective
+//! leaves it lent: a peer may still be reading it). The `Vec`-returning
+//! forms are thin wrappers over the same bodies.
 //!
 //! Unlike the first iteration of this module, a rank that *stops* issuing
 //! collectives no longer deadlocks the group. Every synchronization point
@@ -103,9 +107,19 @@ struct BarrierState {
 struct Slot {
     bytes: Vec<u8>,
     f32s: Vec<f32>,
+    /// The owner's f32 contribution, lent instead of copied into `f32s`;
+    /// taken back after the second barrier.
+    lent: Option<Arc<Vec<f32>>>,
     /// Logical length of the f32 contribution: `f32s` may be shorter, in
     /// which case it ends in implicit zeros.
     padded_len: usize,
+}
+
+impl Slot {
+    /// The f32 contribution: the lent storage, else the copy.
+    fn f32_values(&self) -> &[f32] {
+        self.lent.as_deref().unwrap_or(&self.f32s)
+    }
 }
 
 /// Elements reduced per consume call: the running sums of one block stay
@@ -500,11 +514,14 @@ impl Communicator {
     /// its partition of `padded_len` when scattering, everything
     /// otherwise — one block at a time, in order. Every rank must pass
     /// the same `padded_len`; a contribution shorter than that ends in
-    /// implicit zeros.
+    /// implicit zeros. `data` is `lend`'s values when given: then the
+    /// deposit lends that storage instead of copying it, unless the fault
+    /// plan must corrupt the contribution.
     fn reduce_with(
         &self,
         scatter: bool,
         data: &[f32],
+        lend: Option<&Arc<Vec<f32>>>,
         padded_len: usize,
         mut consume: impl FnMut(usize, &[f32]) -> Result<()>,
     ) -> Result<()> {
@@ -514,19 +531,24 @@ impl Communicator {
         let mut span = sh.tracer.span(Category::ReduceScatter, name);
         span.set_id(self.rank as u64);
         let corrupt = self.admit(context)?;
+        let lend = lend.filter(|_| corrupt.is_none());
         let deposit = self.deposits(corrupt).then_some(|slot: &mut Slot| {
+            slot.padded_len = padded_len;
+            slot.lent = lend.cloned();
+            if lend.is_some() {
+                return;
+            }
             slot.f32s.clear();
             slot.f32s.extend_from_slice(data);
-            slot.padded_len = padded_len;
             if let Some(salt) = corrupt {
                 // The flipped bit is chosen over the padded contribution.
                 slot.f32s.resize(padded_len, 0.0);
                 corrupt_f32s(&mut slot.f32s, salt);
             }
         });
-        let deposited = deposit.is_some();
+        let (deposited, lent) = (deposit.is_some(), deposit.is_some() && lend.is_some());
         let range = if scatter { partition_range(padded_len, sh.world, self.rank) } else { 0..padded_len };
-        self.exchange(context, deposit, |slots| {
+        let reduced = self.exchange(context, deposit, |slots| {
             if data.len() > padded_len {
                 return Err(Error::shape(format!(
                     "{context}: contribution of {} elements exceeds its padded length {padded_len}",
@@ -542,7 +564,7 @@ impl Communicator {
                 )));
             }
             let contribs: Vec<&[f32]> =
-                if deposited { guards.iter().map(|slot| &slot.f32s[..]).collect() } else { vec![data] };
+                if deposited { guards.iter().map(|slot| slot.f32_values()).collect() } else { vec![data] };
             let mut sums = [0f32; REDUCE_BLOCK];
             for at in range.clone().step_by(REDUCE_BLOCK) {
                 let end = range.end.min(at + REDUCE_BLOCK);
@@ -557,7 +579,14 @@ impl Communicator {
                 consume(at - range.start, sums)?;
             }
             Ok(())
-        })?;
+        });
+        if lent && reduced.is_ok() {
+            // Past the second barrier no peer reads it. A failed collective
+            // leaves it lent: a peer may still be reading, and the group,
+            // failed for good, takes no deposit again.
+            sh.slots[self.rank].write().lent = None;
+        }
+        reduced?;
         let moved = (padded_len * 4) as u64 * (sh.world as u64 - 1) / sh.world as u64;
         let (counter, bytes) = if scatter {
             (&sh.traffic.reduce_scatter_bytes, moved)
@@ -575,15 +604,16 @@ impl Communicator {
     /// `padded_len`), delivering this rank's partition of the reduced
     /// vector (per [`partition_range`]) to `consume(at, sums)` block by
     /// block, in order — the caller accumulates it straight into its own
-    /// buffer. A length disagreement, or an error from `consume`, fails
-    /// the collective on every rank.
+    /// buffer. Peers read `data` itself, lent to this rank's slot for the
+    /// collective, not a copy. A length disagreement, or an error from
+    /// `consume`, fails the collective on every rank.
     pub fn reduce_scatter_with(
         &self,
-        data: &[f32],
+        data: &Arc<Vec<f32>>,
         padded_len: usize,
         consume: impl FnMut(usize, &[f32]) -> Result<()>,
     ) -> Result<()> {
-        self.reduce_with(true, data, padded_len, consume)
+        self.reduce_with(true, data, Some(data), padded_len, consume)
     }
 
     /// Element-wise sum of every rank's equal-length `data`, delivering
@@ -594,14 +624,14 @@ impl Communicator {
         data: &[f32],
         consume: impl FnMut(usize, &[f32]) -> Result<()>,
     ) -> Result<()> {
-        self.reduce_with(false, data, data.len(), consume)
+        self.reduce_with(false, data, None, data.len(), consume)
     }
 
     /// Element-wise sum of every rank's equal-length `data`, returning this
     /// rank's partition of the reduced vector (per [`partition_range`]).
     pub fn reduce_scatter_sum(&self, data: &[f32]) -> Result<Vec<f32>> {
         let mut out = Vec::with_capacity(partition_range(data.len(), self.shared.world, self.rank).len());
-        self.reduce_scatter_with(data, data.len(), |_, sums| {
+        self.reduce_with(true, data, None, data.len(), |_, sums| {
             out.extend_from_slice(sums);
             Ok(())
         })?;

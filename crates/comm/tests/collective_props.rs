@@ -189,7 +189,7 @@ proptest! {
         });
         let with = run_planned(world, corrupting(victim, world), move |rank, comm| {
             let mut out = Vec::new();
-            comm.reduce_scatter_with(&hostile(rank, len, seed), padded_len, |at, sums| {
+            comm.reduce_scatter_with(&Arc::new(hostile(rank, len, seed)), padded_len, |at, sums| {
                 assert_eq!(at, out.len(), "blocks arrive in order, without gaps");
                 out.extend_from_slice(sums);
                 Ok(())
@@ -330,7 +330,7 @@ fn one_rank_world_does_not_skip_the_fault_hook() {
     let dirty = gather(&[0u8; 16]).unwrap();
     assert_eq!(dirty.iter().map(|b| b.count_ones()).sum::<u32>(), 1, "exactly one bit flipped");
     let mut reduced = Vec::new();
-    comm.reduce_scatter_with(&[0.0; 5], 8, |_, sums| {
+    comm.reduce_scatter_with(&Arc::new(vec![0.0; 5]), 8, |_, sums| {
         reduced.extend_from_slice(sums);
         Ok(())
     })

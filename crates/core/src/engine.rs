@@ -36,9 +36,9 @@
 //!    cache gives it up (or, without room for it, as the second write of
 //!    the same pipeline). One read-ahead queue ([`ReadAhead`]) drives
 //!    the step, in the order opposite to the last step's, and the step
-//!    keeps its last records: it returns once their writes are submitted,
-//!    those land under the next forward and backward, and the next step
-//!    starts with the same records, still in their staging buffers.
+//!    keeps its last records in their staging buffers, updated and not
+//!    written: the next step starts with them, and a kept record reaches
+//!    the device only when the kept set is dropped.
 //!    Replicated-parameter strategies (ZeRO-1/2/Offload) instead allgather
 //!    the updated slices back into every replica.
 
@@ -64,6 +64,12 @@ use crate::prefetch::{self, PrefetchStats, Prefetcher, TraceMap};
 /// State streams interleaved in one optimizer record: fp32 master,
 /// momentum, variance.
 const STATE_STREAMS: usize = 3;
+
+/// A record a step kept in its staging buffer, updated and not written
+/// (dirty): its optimizer buffer, first element, the staging buffer and
+/// its master, momentum and variance checksums as the kernel computed
+/// them.
+type Dirty = (usize, usize, ScratchVec, [u32; STATE_STREAMS]);
 
 /// Writes the chunked optimizer step queues per record: the record
 /// itself (fp32 master, momentum and variance, interleaved) and the
@@ -314,10 +320,11 @@ pub struct ZeroEngine {
     collapsed: bool,
     /// Whether the next step runs its records in descending order.
     descending: bool,
-    /// The due buffers of the last applied step, when it kept records.
-    carry: Option<Vec<usize>>,
-    /// The write-behind window the last step carried over: its kept
-    /// records' writes, still on the device or landed, and their buffers.
+    /// The due buffers of the last applied step and the records it kept,
+    /// in its order, when it kept any.
+    carry: Option<(Vec<usize>, Vec<Dirty>)>,
+    /// The write-behind window the last step carried over: its last
+    /// writes, and the write-back of a dropped kept set.
     tail: WriteBehind,
     stats: EngineStats,
 }
@@ -524,7 +531,7 @@ impl ZeroEngine {
             if part.end == layout.elems(at) {
                 if let Some(staging) = staged.take() {
                     let crcs = stream_crcs(&staging);
-                    wb.submit_staged(&self.mgr, state, first, staging, &crcs, false)?;
+                    wb.submit_staged(&self.mgr, state, first, staging, &crcs)?;
                 }
             }
             if let Some(publish) = &mut publish {
@@ -656,46 +663,51 @@ impl ZeroEngine {
         // One write-behind window and one read-ahead queue span every
         // buffer with a member to update, so the pipeline never drains
         // between two of them, in the order opposite to the last applied
-        // step's: it starts with the records that step kept — updated in
-        // their staging buffers once their writes land, never read — and
-        // keeps its own last ones (see [`ReadAhead`]). A failure reaps
-        // every request, so it surfaces as the step's own typed error with
-        // every staging buffer back in its pool. A step that succeeds
-        // returns once its kept records' writes are submitted — unless it
-        // wrote a publish through: a read of that shard, or its cache
-        // entry's write-back, could overtake a carried piece, so such a
-        // step drains, and keeps its records clean.
+        // step's: it starts with the records that step kept — dirty in
+        // their staging buffers, neither read nor waited for — and keeps
+        // its own last ones, unwritten (see [`ReadAhead`]). A changed due
+        // set writes the kept records back first. A failure reaps every
+        // request, the records the step still holds written back behind
+        // it, so it surfaces as the step's own typed error with every
+        // staging buffer back in its pool. A step that succeeds returns
+        // with its last writes still in flight — unless it wrote a publish
+        // through: a read of that shard, or its cache entry's write-back,
+        // could overtake a carried piece, so such a step drains.
         let due: Vec<usize> = (0..self.optims.len())
             .filter(|&b| {
                 let members = &self.optims[b].layout.members;
                 members.iter().any(|(idx, _)| self.shards[*idx].grad.is_some())
             })
             .collect();
-        if self.carry.as_ref().is_some_and(|carried| *carried != due) {
-            self.drop_carry("carry.drop.due_set");
-        }
         let window = self.window();
         let mut wb = std::mem::replace(&mut self.tail, WriteBehind::new(window));
+        let changed = self.carry.as_ref().is_some_and(|(carried, _)| *carried != due);
+        let dropped = if changed { self.drop_carry("carry.drop.due_set") } else { Vec::new() };
+        let kept = self.carry.take().map(|(_, kept)| kept).unwrap_or_default();
         let budget = self.depth() + window;
-        let mut ahead = ReadAhead::new(&self.optims, &due, self.descending, budget);
+        let mut ahead = ReadAhead::new(&self.optims, &due, self.descending, budget, kept);
         let pieces = wb.pieces;
-        let updated = self.stream_update(&mut ahead, &mut wb);
+        let written = write_back(&self.mgr, &self.optims, &mut wb, dropped, "carry.write_back.due_set");
+        let mut updated = written.and_then(|()| self.stream_update(&mut ahead, &mut wb));
         ahead.rewind(&self.mgr);
-        let carried = updated.is_ok() && wb.pieces == pieces;
-        let drained = if carried { Ok(()) } else { wb.drain(&self.mgr) };
-        if let Err(e) = updated.and(drained) {
-            self.carry = None;
-            wb.forget_kept();
+        if updated.is_ok() && wb.pieces != pieces {
+            updated = wb.drain(&self.mgr);
+        }
+        let mut dirty = std::mem::take(&mut ahead.deferred);
+        if let Err(e) = updated {
+            dirty.append(&mut ahead.kept);
+            let _ = write_back(&self.mgr, &self.optims, &mut wb, dirty, "carry.write_back.write");
+            let _ = wb.drain(&self.mgr);
             return Err(e);
         }
+        debug_assert!(ahead.kept.is_empty(), "a kept record was not reached");
         self.stats.steps += 1;
         self.descending = !self.descending;
-        let kept = wb.held();
-        if kept > 0 {
-            let bytes = wb.in_flight_bytes();
-            self.mgr.tracer().instant(Category::OptimStep, "carry.keep", bytes, kept as u64);
+        if !dirty.is_empty() {
+            let (bytes, kept) = (dirty_bytes(&dirty), dirty.len() as u64);
+            self.mgr.tracer().instant(Category::OptimStep, "carry.keep", bytes, kept);
+            self.carry = Some((due, dirty));
         }
-        self.carry = (kept > 0).then_some(due);
         self.tail = wb;
         self.end_iteration();
         Ok(true)
@@ -753,9 +765,9 @@ impl ZeroEngine {
     /// Stream every due record through Adam in the queue's order (Sec.
     /// 5.2.2, 6.2), one member's part at a time, opening a parameter's
     /// update at its first part; a member without a gradient is left as it
-    /// was read; the queue's tail is kept, its writes submitted last. One
-    /// staging buffer carries an NVMe record from device read (or the
-    /// window that kept it) through Adam to write-behind, and one kernel
+    /// was read; the queue's tail is kept, unwritten. One staging buffer
+    /// carries an NVMe record from device read (or the last step's kept
+    /// set) through Adam to write-behind (or this step's), and one kernel
     /// pass over each part averages the gradient, updates the record,
     /// encodes the publish piece and checksums every byte it stores, so
     /// the record's write is recorded under its three streams' checksums
@@ -877,8 +889,7 @@ impl ZeroEngine {
                     false => std::array::from_fn(|s| crcs[s]),
                 };
                 if pos < ahead.tail {
-                    let state = &self.optims[b].state;
-                    wb.submit_staged(&self.mgr, state, first, staging, &crcs, false)?;
+                    wb.submit_staged(&self.mgr, &self.optims[b].state, first, staging, &crcs)?;
                 } else {
                     ahead.deferred.push((b, first, staging, crcs));
                 }
@@ -887,11 +898,6 @@ impl ZeroEngine {
         }
         if let Some(done) = open {
             self.finish_update(done, wb)?;
-        }
-        // The kept records' writes, behind the step's last read, in the
-        // next step's order.
-        for (b, first, staging, crcs) in ahead.deferred.drain(..).rev() {
-            wb.submit_staged(&self.mgr, &self.optims[b].state, first, staging, &crcs, true)?;
         }
         Ok(())
     }
@@ -949,32 +955,32 @@ impl ZeroEngine {
 
     /// Wait out the carried window: every write the last step left on the
     /// device. A failed write is the caller's typed error, and drops the
-    /// kept records.
+    /// kept records, written back behind it.
     fn drain_tail(&mut self) -> Result<()> {
         let drained = self.tail.drain(&self.mgr);
         if drained.is_err() {
-            self.drop_carry("carry.drop.write");
+            let kept = self.drop_carry("carry.drop.write");
+            let _ = write_back(&self.mgr, &self.optims, &mut self.tail, kept, "carry.write_back.write");
         }
         drained
     }
 
-    /// Send the kept records' buffers home, those still on the device once
-    /// their writes land; instant `why`. Never the degradation latch's to
-    /// absorb: a lost record update is not a degraded read.
-    fn drop_carry(&mut self, why: &'static str) {
-        if self.carry.take().is_some() {
-            let (bytes, held) = (self.tail.in_flight_bytes(), self.tail.held() as u64);
-            self.mgr.tracer().instant(Category::OptimStep, why, bytes, held);
-        }
-        self.tail.forget_kept();
+    /// Take the kept records out of the carry; instant `why`. Never the
+    /// degradation latch's to absorb: a lost record update is not a
+    /// degraded read.
+    fn drop_carry(&mut self, why: &'static str) -> Vec<Dirty> {
+        let Some((_, kept)) = self.carry.take() else { return Vec::new() };
+        self.mgr.tracer().instant(Category::OptimStep, why, dirty_bytes(&kept), kept.len() as u64);
+        kept
     }
 
     /// Reap the requests kept between calls: the carried window's writes,
     /// whose first failure is returned, and the prefetcher's reads; the
-    /// kept records go. [`Self::dispose`] and `Drop` both come here.
+    /// kept records go unwritten. [`Self::dispose`] and `Drop` both come
+    /// here.
     fn reap(&mut self) -> Result<()> {
         let drained = self.tail.drain(&self.mgr);
-        self.drop_carry("carry.drop.dispose");
+        drop(self.drop_carry("carry.drop.dispose"));
         self.prefetcher.clear(&self.mgr);
         drained
     }
@@ -1000,20 +1006,30 @@ impl ZeroEngine {
     /// Collapse every optimizer buffer onto CPU once the node's
     /// degradation latch is set: split buffers re-publish their
     /// NVMe-resident half to CPU instead of dropping it with the store.
-    /// Waits out the carried window and drops the kept records, whose
-    /// buffers mirror the old placement. The staging set is handed back
-    /// (the prefetches holding its shard buffers reaped) before the state
-    /// moves into DRAM, which reads no staging buffer, and sized again for
-    /// what the new placement streams.
+    /// Waits out the carried window and drops the kept records, newer than
+    /// the device's copy: each is copied over its place in DRAM, and its
+    /// buffer goes home. The staging set is handed back (the prefetches
+    /// holding its shard buffers reaped) before the state moves into DRAM,
+    /// which reads no staging buffer, and sized again for what the new
+    /// placement streams.
     fn collapse_on_degradation(&mut self) -> Result<()> {
         if self.collapsed || !self.mgr.degradation_latched() {
             return Ok(());
         }
         self.drain_tail()?;
-        self.drop_carry("carry.drop.placement");
+        let kept = self.drop_carry("carry.drop.placement");
         self.prefetcher.clear(&self.mgr);
         self.mgr.release_staging();
         let moved = self.optims.iter_mut().try_for_each(|opt| self.mgr.collapse(&mut opt.state));
+        let moved = moved.and_then(|()| {
+            kept.into_iter().try_for_each(|(b, first, staging, _)| {
+                let values = staging.as_f32();
+                let place = self.optims[b].state.resident_f32_mut(first, values.len());
+                let place = place.ok_or_else(|| Error::Internal("a kept record is not in DRAM".into()))?;
+                place.copy_from_slice(values);
+                Ok(())
+            })
+        });
         // A set for the state where it now lies, also when a read failed.
         let set = self.staging_set();
         moved.and(self.mgr.provision_staging(set))?;
@@ -1022,7 +1038,7 @@ impl ZeroEngine {
     }
 
     /// Close the iteration: the prefetches reaped. The step has already
-    /// reaped its own reads, and its writes but for the kept records'.
+    /// reaped its own reads.
     fn end_iteration(&mut self) {
         self.trace.end_iteration();
         self.prefetcher.clear(&self.mgr);
@@ -1058,15 +1074,20 @@ impl ZeroEngine {
     /// at a time (checkpoint save path). Records carry the three streams
     /// contiguous, one record per parameter: how this engine packs and
     /// interleaves them never reaches a checkpoint. The carried window's
-    /// writes are waited out first; the kept records stay, as clean as the
-    /// device.
+    /// writes are waited out first; the kept records, newer than the
+    /// device's copy, are taken from their buffers and stay kept.
     pub(crate) fn export_optimizer_records(
         &mut self,
     ) -> Result<Vec<crate::checkpoint::ParamRecord>> {
         self.tail.drain(&self.mgr)?;
+        let kept = self.carry.as_ref().map_or(&[][..], |(_, kept)| kept);
         let mut out: Vec<_> = self.shards.iter().map(|_| None).collect();
-        for OptimStorage { state, layout, .. } in &self.optims {
-            let state = self.mgr.load_placed(state)?.to_f32_vec();
+        for (b, OptimStorage { state, layout, .. }) in self.optims.iter().enumerate() {
+            let mut state = self.mgr.load_placed(state)?.to_f32_vec();
+            for (_, first, staging, _) in kept.iter().filter(|record| record.0 == b) {
+                let values = staging.as_f32();
+                state[*first..first + values.len()].copy_from_slice(values);
+            }
             for (idx, member) in &layout.members {
                 let st = &self.shards[*idx];
                 out[*idx] = Some(crate::checkpoint::ParamRecord {
@@ -1104,7 +1125,8 @@ impl ZeroEngine {
             }
         }
         self.drain_tail()?;
-        self.drop_carry("carry.drop.import");
+        // Discarded unwritten: the import overwrites every record.
+        drop(self.drop_carry("carry.drop.import"));
         let tracer = self.mgr.tracer().clone();
         let mut span = tracer.span(Category::OptimStep, "engine.import");
         let (mut wb, s) = (WriteBehind::new(self.window()), self.strategy);
@@ -1215,7 +1237,7 @@ impl ParamStore for ZeroEngine {
         let scatter = self.strategy.partition_grads.then(|| self.part.padded_len(st.numel));
         let grad_device = device_for(self.strategy.placement.grads, self.gpu_index);
         let st = &mut self.shards[id.0];
-        deposit_grad(&self.mgr, &self.comm, &mut self.grad_bufs, st, grad_device, grad.data(), scatter)
+        deposit_grad(&self.mgr, &self.comm, &mut self.grad_bufs, st, grad_device, grad.storage(), scatter)
     }
 
     fn tracer(&self) -> Option<&zi_trace::Tracer> {
@@ -1276,7 +1298,7 @@ fn deposit_grad(
     free: &mut FreeList<FlatBuffer>,
     st: &mut ShardState,
     grad_device: Device,
-    grad: &[f32],
+    grad: &zi_sync::Arc<Vec<f32>>,
     scatter: Option<usize>,
 ) -> Result<()> {
     let len = if scatter.is_some() { st.shard_len } else { st.numel };
@@ -1349,6 +1371,33 @@ enum Publish {
     Stream(PublishStream),
 }
 
+/// Bytes of the kept `records`.
+fn dirty_bytes(records: &[Dirty]) -> u64 {
+    records.iter().map(|(_, _, staging, _)| staging.as_bytes().len() as u64).sum()
+}
+
+/// Write the kept `records` back through `wb` as plain writes under the
+/// checksums they were kept with, the last kept first — the next step's
+/// order — so a later read of one settles behind its write; instant `why`
+/// (bytes, records). Every record is submitted or sent home; the first
+/// failure is returned.
+fn write_back(
+    mgr: &OffloadManager,
+    optims: &[OptimStorage],
+    wb: &mut WriteBehind,
+    records: Vec<Dirty>,
+    why: &'static str,
+) -> Result<()> {
+    if records.is_empty() {
+        return Ok(());
+    }
+    mgr.tracer().instant(Category::OptimStep, why, dirty_bytes(&records), records.len() as u64);
+    let written = records.into_iter().rev().map(|(b, first, staging, crcs)| {
+        wb.submit_staged(mgr, &optims[b].state, first, staging, &crcs)
+    });
+    written.fold(Ok(()), Result::and)
+}
+
 /// The optimizer step's read-ahead: one queue over every record of every
 /// buffer with a member that has a gradient, feeding the update. It keeps
 /// `depth` records issued ahead — the one about to be taken counts —
@@ -1359,13 +1408,12 @@ enum Publish {
 /// ascending over buffers and records, then descending. A step's last
 /// `budget` device records — `depth + window`, which the rank's staging
 /// set holds record buffers for — are its *tail*: each is updated and
-/// kept, its write submitted only at
-/// the step's end, behind the step's last read, so it lands under the next
-/// forward and backward. The next step starts with those same records,
-/// taken from the carried window once their writes land, without a read:
-/// a rank whose device records fit the budget keeps them all and reads
-/// none in a steady step. A read takes a buffer of the set: reads, the
-/// tail and the window's buffers together never hold more than `budget`.
+/// kept in its staging buffer, dirty, and not written. The next step
+/// starts with those same records, taken from their buffers without a
+/// read or a wait: a rank whose device records fit the budget keeps them
+/// all and neither reads nor writes one in a steady step. A read takes a
+/// buffer of the set: reads, the kept records and the window's writes
+/// together never hold more than `budget`.
 struct ReadAhead {
     /// The records to update, in this step's order: buffer, element.
     order: Vec<(usize, usize)>,
@@ -1376,18 +1424,25 @@ struct ReadAhead {
     /// The next record to issue, a position in `order`.
     next: usize,
     /// Records issued and not yet taken: position and load — `None` for a
-    /// record the carried window keeps.
+    /// record the last step kept.
     pending: VecDeque<(usize, Option<PlacedPending>)>,
-    /// The tail records updated so far: buffer, first element, staging
-    /// buffer and its checksums.
-    deferred: Vec<(usize, usize, ScratchVec, [u32; STATE_STREAMS])>,
+    /// The records the last step kept, not yet taken.
+    kept: Vec<Dirty>,
+    /// The tail records updated so far.
+    deferred: Vec<Dirty>,
 }
 
 impl ReadAhead {
     /// The queue over the records of the `due` buffers in this step's
     /// order, its tail the last `min(budget, device records)` device
-    /// records.
-    fn new(optims: &[OptimStorage], due: &[usize], descending: bool, budget: usize) -> Self {
+    /// records, starting from the `kept` records of the last step.
+    fn new(
+        optims: &[OptimStorage],
+        due: &[usize],
+        descending: bool,
+        budget: usize,
+        kept: Vec<Dirty>,
+    ) -> Self {
         let records = |b: usize| (0..optims[b].layout.len).step_by(optims[b].layout.per);
         let mut order: Vec<_> =
             due.iter().flat_map(|&b| records(b).map(move |at| (b, at))).collect();
@@ -1403,15 +1458,22 @@ impl ReadAhead {
             staged += usize::from(on_device(record));
             staged > keep
         });
-        let (tail, pending, deferred) = (tail.map_or(0, |k| k + 1), VecDeque::new(), Vec::new());
-        ReadAhead { order, descending, tail, budget, next: 0, pending, deferred }
+        let (tail, pending, deferred) =
+            (tail.map_or(0, |k| k + 1), VecDeque::new(), Vec::with_capacity(keep));
+        ReadAhead { order, descending, tail, budget, next: 0, pending, kept, deferred }
     }
 
-    /// Issue records up to `depth`. A record the window keeps comes from
-    /// it, and a CPU-DRAM one needs no transfer; an NVMe one queues on the
-    /// device once no write of it is in flight (waiting those out) and a
-    /// buffer of the set is free: with the set out, the queue stops short
-    /// while another record is pending, else waits the oldest write out.
+    /// Where the kept record of buffer `b` starting at element `first` is
+    /// in [`Self::kept`].
+    fn kept_at(&self, b: usize, first: usize) -> Option<usize> {
+        self.kept.iter().position(|&(kb, kfirst, ..)| (kb, kfirst) == (b, first))
+    }
+
+    /// Issue records up to `depth`. A record the last step kept needs no
+    /// transfer, nor does a CPU-DRAM one; an NVMe one queues on the device
+    /// once no write of it is in flight (waiting those out) and a buffer
+    /// of the set is free: with the set out, the queue stops short while
+    /// another record is pending, else waits the oldest write out.
     fn top_up(
         &mut self,
         mgr: &OffloadManager,
@@ -1422,13 +1484,13 @@ impl ReadAhead {
         while let (true, Some(&(b, at))) = (self.pending.len() < depth, self.order.get(self.next)) {
             let OptimStorage { state, layout } = &optims[b];
             let (first, count) = layout.span(at);
-            let load = if wb.keeps(state, first) {
+            let load = if self.kept_at(b, first).is_some() {
                 None
             } else {
                 let full = |ahead: &Self, wb: &WriteBehind| {
                     let loads = ahead.pending.iter().flat_map(|(_, load)| load);
                     let reads = loads.filter(|load| load.is_read()).count();
-                    reads + ahead.deferred.len() + wb.held() >= ahead.budget
+                    reads + ahead.deferred.len() + ahead.kept.len() + wb.in_flight() >= ahead.budget
                 };
                 if state.device_offset(first, 0).is_some() && full(self, wb) {
                     wb.reap(mgr)?;
@@ -1464,8 +1526,11 @@ impl ReadAhead {
         Some(match load {
             Some(load) => load.wait(mgr).map(|staged| (pos, staged)),
             None => {
-                let (first, count) = optims[b].layout.span(at);
-                wb.take_kept(mgr, &optims[b].state, first, count).map(|kept| (pos, Some(kept)))
+                let first = optims[b].layout.span(at).0;
+                let missing = || Error::Internal(format!("no kept record of {b} starts at {first}"));
+                self.kept_at(b, first)
+                    .ok_or_else(missing)
+                    .map(|k| (pos, Some(self.kept.swap_remove(k).2)))
             }
         })
     }
@@ -1476,10 +1541,9 @@ impl ReadAhead {
     }
 
     /// Reap every read still out: the staging buffers go back to their
-    /// pool, with the tail's.
+    /// pool.
     fn rewind(&mut self, mgr: &OffloadManager) {
         self.pending.drain(..).flat_map(|(_, load)| load).for_each(|load| load.discard(mgr));
-        self.deferred.clear();
     }
 }
 
@@ -1746,12 +1810,15 @@ mod tests {
         // queue; prefetch off so every in-flight request belongs to the
         // optimizer-step pipeline. Records of four elements: `w` is three
         // 48-byte records, `b` one of 48 bytes and one of 12 — the only
-        // 12-byte read of the step.
+        // 12-byte read of the step. The step keeps all five records, so
+        // the shard cache is crowded out: each part's publish, 16 B but for
+        // `b`'s last, is the write that follows its update.
         let strategy = Strategy::infinity_nvme()
             .with_f32_params()
             .with_prefetch_window(0)
             .with_optimizer_chunk(4);
         let (node, mut eng, reg) = throttled_rank(strategy, std::time::Duration::from_millis(2), 3);
+        node.crowd_out_shard_cache();
         let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         eng.add_grad(b, &Tensor::from_vec(&[5], vec![1.0; 5]).unwrap()).unwrap();
@@ -1766,10 +1833,7 @@ mod tests {
         let peak = node.nvme.stats().in_flight_peak;
         assert!(peak >= 2, "expected ≥ 2 concurrent requests, peak was {peak} (before: {peak_before})");
         // The queue spans parameters: `b`'s reads are on the device while
-        // `w` still updates. Tickets number requests in submission order,
-        // and the step keeps all four records, whose writes go out when it
-        // returns, after its last read. The step's last writes land after
-        // it returns.
+        // `w` still updates. Tickets number requests in submission order.
         node.nvme.barrier().unwrap();
         let events = node.tracer().take_events();
         let tickets = |name: &str, bytes: u64| {
@@ -1781,11 +1845,11 @@ mod tests {
             ids.sort_unstable();
             ids
         };
-        let (record_writes, b_last_read) = (tickets("nc.write", 48), tickets("nc.read", 12));
-        assert_eq!((b_last_read.len(), record_writes.len()), (1, 4), "three records of w, one of b");
+        let (publishes, b_last_read) = (tickets("nc.write", 16), tickets("nc.read", 12));
+        assert_eq!((b_last_read.len(), publishes.len()), (1, 4), "three parts of w, one of b");
         assert!(
-            b_last_read[0] < record_writes[2],
-            "b's reads waited for w to finish: read {b_last_read:?}, writes {record_writes:?}"
+            b_last_read[0] < publishes[2],
+            "b's reads waited for w to finish: read {b_last_read:?}, publishes {publishes:?}"
         );
         eng.dispose().unwrap();
     }
@@ -1921,7 +1985,7 @@ mod tests {
         // Once the step's last writes are reaped, only the kept records
         // hold a buffer: the last nine of `w`'s twelve, every record
         // buffer of the set.
-        let carried = eng.tail.held() as u64;
+        let carried = kept_records(&eng) as u64;
         assert_eq!(carried, (depth + window) as u64);
         assert_eq!((pool.outstanding(), pool.idle(RECORDS)), (carried, 0));
         eng.dispose().unwrap();
@@ -2191,7 +2255,7 @@ mod tests {
         // `w` is one record: the step keeps it, so once the step's last
         // write is reaped its buffer is the only one out.
         land_carry(&node, &mut eng);
-        let carried = eng.tail.held();
+        let carried = kept_records(&eng);
         assert_eq!(carried, 1);
         let pool = eng.mgr.staging().clone();
         assert_eq!(pool.outstanding(), carried as u64);
@@ -2221,116 +2285,128 @@ mod tests {
     }
 
     fn death_mid_stream(write_back: bool) {
-        // Both parameters have a gradient, so with two-element records `w`
-        // is six records and `b` three, and two device workers make the
-        // kept set six: a step starts from the other order's last six and
-        // reads three, while the first read of the next parameter is on
-        // the device as the last record of one updates.
-        let grads = |eng: &mut ZeroEngine, reg: &ParamRegistry| -> Result<()> {
+        // With two-element records `w` is six records and `b` three, and
+        // two device workers make the kept set six. A step of both starts
+        // from the other order's last six, writes the three it does not
+        // keep again and reads three, while the first read of the next
+        // parameter is on the device as the last record of one updates. A
+        // step in which no parameter has a gradient drops the kept set:
+        // its write-back, six writes through a window of four, is all it
+        // does.
+        let grads = |eng: &mut ZeroEngine, reg: &ParamRegistry, both: bool| -> Result<()> {
+            if !both {
+                return Ok(());
+            }
             let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
             eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap())?;
             eng.add_grad(b, &Tensor::from_vec(&[5], vec![1.0; 5]).unwrap())
         };
         let reg = tiny_registry();
-        let (plan, node, mut eng, _) = publishing_rank(2, write_back);
-        let ops = || {
-            node.nvme.barrier().unwrap();
-            plan.ops_seen()
-        };
-        // The states a checkpoint would hold after the first, second and
-        // third step; calibrate how many device ops the second one issues.
-        grads(&mut eng, &reg).unwrap();
-        eng.step().unwrap();
-        let mut saved = vec![eng.save_state().unwrap()];
-        let kept = eng.tail.held() as u64;
-        assert_eq!(kept, (eng.depth() + eng.window()) as u64);
-        let before = ops();
-        grads(&mut eng, &reg).unwrap();
-        eng.step().unwrap();
-        let second = ops() - before;
-        // A read per record not kept, a write per record, and a publish
-        // written through.
-        let publishes = if write_back { 0 } else { 3 * 3 };
-        assert_eq!(second, (9 - kept) + 9 + publishes, "write-back {write_back}");
-        saved.push(eng.save_state().unwrap());
-        grads(&mut eng, &reg).unwrap();
-        eng.step().unwrap();
-        saved.push(eng.save_state().unwrap());
-        let strategy = eng.strategy;
-        eng.dispose().unwrap();
-        // Kill the device after every possible number of ops of a step
-        // that starts from a kept set: its kept records' writes landed,
-        // reads of later records — of `b` too, while `w` is still being
-        // written — and writes of earlier ones are in flight; past the ops
-        // the step waits for, its own kept records' writes are, landing
-        // between steps. One run killed after `alive` ops returns `None`
-        // when the step itself failed, else `Some(typed)`: `typed` when,
-        // `via_dispose`, dispose returned the device error — without it,
-        // the next step must.
-        let kill = |alive: u64, via_dispose: bool| -> Option<bool> {
+        for steady in [true, false] {
+            // The killed step is the second of three; the others train both.
+            let kinds = [true, steady, true];
             let (plan, node, mut eng, _) = publishing_rank(2, write_back);
-            grads(&mut eng, &reg).unwrap();
-            eng.step().unwrap();
-            grads(&mut eng, &reg).unwrap();
-            node.nvme.barrier().unwrap();
-            assert_eq!(eng.tail.held() as u64, kept);
-            plan.kill_after_ops(alive);
-            let outlived = match eng.step() {
-                Err(err) => {
-                    assert!(err.is_device_failure(), "death after {alive} ops of the step: {err}");
-                    false
-                }
-                Ok(_) => {
-                    // Only the kept records' writes outlive the step, and
-                    // only when it wrote no publish through.
-                    let outlived = alive + if write_back { kept } else { 0 } >= second;
-                    assert!(outlived, "{alive} ops: the step outlived its device");
-                    if !via_dispose {
-                        let next = grads(&mut eng, &reg).and_then(|()| eng.step().map(drop));
-                        let err = next.unwrap_err();
-                        assert!(err.is_device_failure(), "{alive} ops, death between steps: {err}");
-                    }
-                    true
-                }
+            let ops = || {
+                node.nvme.barrier().unwrap();
+                plan.ops_seen()
             };
-            let pool = eng.mgr.staging().clone();
-            let mut typed = false;
-            if outlived && via_dispose {
-                if let Err(err) = eng.dispose() {
-                    assert!(err.is_device_failure(), "{alive} ops, death in the window: {err}");
-                    typed = true;
+            // The states a checkpoint would hold after each step; calibrate
+            // how many device ops the second one issues.
+            let (mut saved, mut second) = (Vec::new(), 0);
+            for (k, &both) in kinds.iter().enumerate() {
+                let before = ops();
+                grads(&mut eng, &reg, both).unwrap();
+                eng.step().unwrap();
+                if k == 1 {
+                    second = ops() - before;
                 }
-            } else {
-                assert_eq!(pool.outstanding(), 0, "{alive} ops: a staging buffer is checked out");
-                eng.dispose().unwrap();
+                let kept = if both { eng.depth() + eng.window() } else { 0 };
+                assert_eq!(kept_records(&eng), kept);
+                saved.push(eng.save_state().unwrap());
             }
-            assert_eq!(pool.outstanding(), 0, "{alive} ops: a staging buffer is still checked out");
-            let idle = (RECORDS..=SHARDS).map(|shelf| pool.idle(shelf) as u64).sum::<u64>();
-            assert_eq!(idle, pool.stats().allocated, "{alive} ops: a buffer was lost");
-            drop(pool);
-            // The node has degraded: an engine rebuilt on it, all in DRAM,
-            // resumes from the last checkpoint as if nothing had happened.
-            let failed = usize::from(outlived);
-            let comm = node.group.communicator(0);
-            let mut resumed =
-                ZeroEngine::new(&reg, strategy, node.offload_manager(), comm, AdamConfig::default())
-                    .unwrap();
-            resumed.load_state(&saved[failed]).unwrap();
-            grads(&mut resumed, &reg).unwrap();
-            assert!(resumed.step().unwrap());
-            assert_eq!(resumed.save_state().unwrap(), saved[failed + 1], "{alive} ops: resume");
-            assert!(resumed.carry.is_none() && node.offload_manager().is_degraded());
-            resumed.dispose().unwrap();
-            outlived.then_some(typed)
-        };
-        let mut disposed_typed = 0;
-        for alive in 0..second {
-            if kill(alive, false).is_some() && kill(alive, true) == Some(true) {
-                disposed_typed += 1;
+            // A read and a write per record not kept, and a publish written
+            // through; or the write-back. What a successful step may leave
+            // unwaited: the writes of the records it does not keep, unless
+            // it wrote a publish through, or the write-back but for the
+            // window's back-pressure.
+            let publishes = if write_back { 0 } else { 3 * 3 };
+            let (expect, outlive) = match steady {
+                true => (2 * (9 - 6) + publishes, if write_back { 3 } else { 0 }),
+                false => (6, 4),
+            };
+            assert_eq!(second, expect, "write-back {write_back}, steady {steady}");
+            let strategy = eng.strategy;
+            eng.dispose().unwrap();
+            // Kill the device after every possible number of ops of the
+            // second step. One run killed after `alive` ops returns `None`
+            // when the step itself failed, else `Some(typed)`: `typed` when,
+            // `via_dispose`, dispose returned the device error — without
+            // it, the next step must.
+            let kill = |alive: u64, via_dispose: bool| -> Option<bool> {
+                let (plan, node, mut eng, _) = publishing_rank(2, write_back);
+                grads(&mut eng, &reg, true).unwrap();
+                eng.step().unwrap();
+                grads(&mut eng, &reg, steady).unwrap();
+                node.nvme.barrier().unwrap();
+                assert_eq!(kept_records(&eng), 6);
+                plan.kill_after_ops(alive);
+                let outlived = match eng.step() {
+                    Err(err) => {
+                        assert!(err.is_device_failure(), "death after {alive} ops of the step: {err}");
+                        false
+                    }
+                    Ok(_) => {
+                        assert!(alive + outlive >= second, "{alive} ops: the step outlived its device");
+                        if !via_dispose {
+                            let next = grads(&mut eng, &reg, true).and_then(|()| eng.step().map(drop));
+                            let err = next.unwrap_err();
+                            assert!(err.is_device_failure(), "{alive} ops, death between steps: {err}");
+                        }
+                        true
+                    }
+                };
+                let pool = eng.mgr.staging().clone();
+                let mut typed = false;
+                if outlived && via_dispose {
+                    if let Err(err) = eng.dispose() {
+                        assert!(err.is_device_failure(), "{alive} ops, death in the window: {err}");
+                        typed = true;
+                    }
+                } else {
+                    assert_eq!(pool.outstanding(), 0, "{alive} ops: a staging buffer is checked out");
+                    eng.dispose().unwrap();
+                }
+                assert_eq!(pool.outstanding(), 0, "{alive} ops: a staging buffer is still checked out");
+                let idle = (RECORDS..=SHARDS).map(|shelf| pool.idle(shelf) as u64).sum::<u64>();
+                assert_eq!(idle, pool.stats().allocated, "{alive} ops: a buffer was lost");
+                drop(pool);
+                // The node has degraded: an engine rebuilt on it, all in
+                // DRAM, resumes from the last checkpoint as if nothing had
+                // happened.
+                let failed = usize::from(outlived);
+                let comm = node.group.communicator(0);
+                let mut resumed =
+                    ZeroEngine::new(&reg, strategy, node.offload_manager(), comm, AdamConfig::default())
+                        .unwrap();
+                resumed.load_state(&saved[failed]).unwrap();
+                for &both in &kinds[failed + 1..] {
+                    grads(&mut resumed, &reg, both).unwrap();
+                    assert!(resumed.step().unwrap());
+                }
+                assert_eq!(resumed.save_state().unwrap(), saved[2], "{alive} ops: resume");
+                assert!(resumed.carry.is_none() && node.offload_manager().is_degraded());
+                resumed.dispose().unwrap();
+                outlived.then_some(typed)
+            };
+            let mut disposed_typed = 0;
+            for alive in 0..second {
+                if kill(alive, false).is_some() && kill(alive, true) == Some(true) {
+                    disposed_typed += 1;
+                }
             }
+            // The write-back is carried.
+            assert!(steady || disposed_typed > 0, "no death landed in a carried write-back");
         }
-        // Only the kept records' writes are carried.
-        assert!(!write_back || disposed_typed > 0, "no death landed in a carried write");
     }
 
     #[test]
@@ -2346,14 +2422,14 @@ mod tests {
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![f32::INFINITY; 12]).unwrap()).unwrap();
         assert!(!eng.step().unwrap());
         assert_eq!(requests(), at_rest, "a skipped step touched the device");
-        // `w` alone has a gradient: its three records are read and written
-        // (and published, to the shard cache), and nothing of `b` moves;
-        // the step keeps all three for the next one.
+        // `w` alone has a gradient: its three records are read (and
+        // published, to the shard cache), and nothing of `b` moves; the
+        // step keeps all three for the next one, unwritten.
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
         land_carry(&node, &mut eng);
-        assert_eq!(requests(), (at_rest.0 + 3, at_rest.1 + 3));
-        assert_eq!(eng.tail.held(), 3);
+        assert_eq!(requests(), (at_rest.0 + 3, at_rest.1));
+        assert_eq!(kept_records(&eng), 3);
         eng.dispose().unwrap();
     }
 
@@ -2609,9 +2685,14 @@ mod tests {
         events.iter().filter(|e| e.cat == Category::OptimStep && e.name == name).count()
     }
 
+    /// Records the last step kept.
+    fn kept_records(eng: &ZeroEngine) -> usize {
+        eng.carry.as_ref().map_or(0, |(_, kept)| kept.len())
+    }
+
     /// What the next step first does to the carried window once the
-    /// device has finished the kept records' writes: collects them, their
-    /// buffers held. Counting up to here counts a whole iteration.
+    /// device has finished its writes: collects them, their buffers home.
+    /// Counting up to here counts a whole iteration.
     fn land_carry(node: &NodeResources, eng: &mut ZeroEngine) {
         node.nvme.barrier().unwrap();
         eng.tail.reap(&eng.mgr).unwrap();
@@ -2644,7 +2725,7 @@ mod tests {
         let _ = node.tracer().take_events();
         eng.load_state(&blob).unwrap();
         assert_eq!(instants(&node.tracer().take_events(), "carry.drop.import"), 1);
-        assert_eq!((eng.carry.as_ref(), eng.tail.held()), (None, 0));
+        assert_eq!((eng.carry.is_some(), kept_records(&eng)), (false, 0));
         eng.add_grad(w, &grad(1)).unwrap();
         eng.step().unwrap();
         assert_eq!(eng.save_state().unwrap(), fresh.save_state().unwrap());
@@ -2722,8 +2803,9 @@ mod tests {
         // In records of four elements `w` is three records and `b` two:
         // five device records, fewer than depth 4 plus a write-behind
         // window of 8. The first step reads them all; every later one
-        // takes them all from the window the step before kept, writes
-        // each once and reads none. The publishes go to the shard cache.
+        // takes them all from the buffers the step before kept them in,
+        // and neither reads nor writes one. The publishes go to the shard
+        // cache.
         let strategy = Strategy::infinity_nvme()
             .with_f32_params()
             .with_prefetch_window(0)
@@ -2743,11 +2825,11 @@ mod tests {
             }
             assert!(eng.step().unwrap());
             land_carry(&node, &mut eng);
-            assert_eq!(eng.tail.held(), 5, "round {round}: the step kept fewer than all");
+            assert_eq!(kept_records(&eng), 5, "round {round}: the step kept fewer than all");
             let after = requests();
             per_step.push((after.0 - before.0, after.1 - before.1));
         }
-        assert_eq!(per_step, vec![(5, 5), (0, 5), (0, 5), (0, 5)]);
+        assert_eq!(per_step, vec![(5, 0), (0, 0), (0, 0), (0, 0)]);
         eng.dispose().unwrap();
     }
 
@@ -2844,70 +2926,178 @@ mod tests {
     }
 
     #[test]
-    fn a_kept_records_corrupted_write_is_never_read_by_the_next_step() {
-        // Records of one element, two workers: `w` is twelve records of
-        // 12 B and a step keeps its last six, whose writes go out last, in
-        // the next step's order. The tenth write of the first step — on a
-        // two-worker device one of the ninth to eleventh submitted, all
-        // kept — lands with a flipped bit.
+    fn a_kept_records_corrupted_write_back_is_never_used_by_the_next_read() {
+        // Records of one element, one device worker, which serves requests
+        // in order: `w` is twelve records of 12 B, and a step keeps its
+        // last three (depth 1 plus a write-behind window of 2). A step of
+        // `w` and `b` drops the set a step of `w` alone kept: the three go
+        // to the device as plain writes, the last kept first, and the step
+        // reads `w`'s records behind them — `b`'s five first, descending.
+        // The first write-back lands with a flipped bit in its master
+        // tile.
         let strategy = Strategy::infinity_nvme().with_f32_params().with_prefetch_window(0);
         let strategy = strategy.with_optimizer_chunk(1);
-        let grad = |round: usize| {
-            Tensor::from_vec(&[3, 4], (0..12).map(|i| (i * round) as f32 * 0.1).collect()).unwrap()
+        let grad = |shape: &[usize], round: usize| {
+            let values = (0..shape.iter().product()).map(|i: usize| (i * round) as f32 * 0.1);
+            Tensor::from_vec(shape, values.collect()).unwrap()
         };
         let rank = || {
             let dev = zi_sync::Arc::new(FlipWrite {
                 dev: zi_nvme::MemBackend::new(),
                 countdown: zi_sync::Mutex::new(0),
             });
-            let env = NodeEnv { nvme_workers: 2, ..NodeEnv::new(dev.clone()) };
+            let env = NodeEnv { nvme_workers: 1, ..NodeEnv::new(dev.clone()) };
             let (node, eng, reg) = rank_over(strategy, env);
-            (dev, node, eng, reg.find("w").unwrap())
+            (dev, node, eng, reg.find("w").unwrap(), reg.find("b").unwrap())
         };
-        let stepped = |eng: &mut ZeroEngine, w: ParamId, round: usize| {
-            eng.add_grad(w, &grad(round)).unwrap();
-            assert!(eng.step().unwrap());
+        let stepped = |eng: &mut ZeroEngine, w: ParamId, b: Option<ParamId>, round: usize| {
+            eng.add_grad(w, &grad(&[3, 4], round))?;
+            if let Some(b) = b {
+                eng.add_grad(b, &grad(&[5], round))?;
+            }
+            eng.step()
         };
-        let (_dev, _clean_node, mut clean, w) = rank();
-        stepped(&mut clean, w, 1);
-        stepped(&mut clean, w, 2);
-        let expect = clean.save_state().unwrap();
-        // The next step takes the record from its staging buffer: it reads
-        // only the six records it did not keep, sees no bad checksum, and
-        // writes the record afresh.
-        let (dev, node, mut eng, _) = rank();
-        dev.arm(10);
-        stepped(&mut eng, w, 1);
+        // A clean run: the write-back lands as sent, and the next read of
+        // every record passes its checksums.
+        let (_dev, node, mut clean, w, b) = rank();
+        stepped(&mut clean, w, None, 1).unwrap();
+        let _ = node.tracer().take_events();
+        stepped(&mut clean, w, Some(b), 2).unwrap();
+        let events = node.tracer().take_events();
+        let write_backs: Vec<_> = events.iter().filter(|e| e.name == "carry.write_back.due_set").collect();
+        assert_eq!(write_backs.len(), 1);
+        assert_eq!((write_backs[0].bytes, write_backs[0].id), (3 * 12, 3));
+        assert_eq!(clean.mgr.health().corruptions_recovered, 0);
+        clean.dispose().unwrap();
+        // The flipped bit is on the device: the read of that record
+        // re-reads its master tile alone, four bytes at a time, and ends
+        // the step in a typed error — the bad bytes are never updated.
+        let (dev, node, mut eng, w, b) = rank();
+        stepped(&mut eng, w, None, 1).unwrap();
         land_carry(&node, &mut eng);
-        assert_eq!(*dev.countdown.lock(), 0, "no write was corrupted");
-        let reads = node.nvme.stats().reads;
-        stepped(&mut eng, w, 2);
-        assert_eq!(node.nvme.stats().reads - reads, 6, "the step read a kept record");
-        let health = eng.mgr.health();
-        assert_eq!((health.corruptions_recovered, health.corruptions_unrecovered), (0, 0));
-        assert_eq!(eng.save_state().unwrap(), expect);
-        // A checkpoint export once the carry landed reads the device's
-        // copy instead: the flipped bit survives every re-read, a typed
-        // error — and the kept buffer still holds the good bytes.
-        let (dev, node, mut eng, _) = rank();
-        dev.arm(10);
-        stepped(&mut eng, w, 1);
-        land_carry(&node, &mut eng);
-        let err = eng.save_state().unwrap_err();
+        let before = node.nvme.stats();
+        dev.arm(1);
+        let err = stepped(&mut eng, w, Some(b), 2).unwrap_err();
         assert!(matches!(err, Error::Corruption { .. }), "got {err}");
-        assert_eq!(eng.mgr.health().corruptions_unrecovered, 1);
-        stepped(&mut eng, w, 2);
-        assert_eq!(eng.save_state().unwrap(), expect);
-        for engine in [eng, clean] {
+        assert_eq!(*dev.countdown.lock(), 0, "no write-back was corrupted");
+        node.nvme.barrier().unwrap();
+        let after = node.nvme.stats();
+        let rereads = u64::from(crate::offload::CORRUPTION_REREADS);
+        // `b`'s five records, `w`'s first (the corrupted one), then the
+        // re-reads.
+        assert_eq!(after.reads - before.reads, 5 + 1 + rereads);
+        assert_eq!(after.bytes_read - before.bytes_read, (5 + 1) * 12 + rereads * 4);
+        let health = eng.mgr.health();
+        assert_eq!((health.corruptions_recovered, health.corruptions_unrecovered), (0, 1));
+        let pool = eng.mgr.staging().clone();
+        assert_eq!(pool.outstanding(), 0, "a staging buffer is checked out");
+        eng.dispose().unwrap();
+    }
+
+    /// `strategy` in records of one element, f32 parameters, prefetch off:
+    /// the tiny registry's `w` and `b` are seventeen records, and a step
+    /// keeps its last twelve.
+    fn one_element_records(strategy: Strategy) -> Strategy {
+        strategy.with_f32_params().with_prefetch_window(0).with_optimizer_chunk(1)
+    }
+
+    /// Round `round`'s gradients of every parameter of `reg`.
+    fn every_grad(eng: &mut ZeroEngine, reg: &ParamRegistry, round: usize) {
+        for meta in reg.iter() {
+            let grad = (0..meta.numel()).map(|i| ((i * 5 + round) % 7) as f32 * 0.1 - 0.3).collect();
+            eng.add_grad(meta.id, &Tensor::from_vec(&meta.shape, grad).unwrap()).unwrap();
+        }
+    }
+
+    #[test]
+    fn save_and_load_over_a_dirty_set_see_the_kept_bytes_and_write_none_of_them() {
+        // CPU-resident optimizer state keeps nothing: the reference. Each
+        // of four steps, ascending and descending in turn, leaves twelve
+        // of the seventeen records dirty; a checkpoint export takes them
+        // from their buffers over the device's older copy, and keeps them.
+        let cpu_resident = one_element_records(Strategy::infinity_cpu());
+        let (_reference_node, mut reference, reg) = single_rank(cpu_resident);
+        let (node, mut eng, _) = single_rank(one_element_records(Strategy::infinity_nvme()));
+        let mut saved = Vec::new();
+        for round in 0..4 {
+            every_grad(&mut reference, &reg, round);
+            every_grad(&mut eng, &reg, round);
+            assert!(reference.step().unwrap() && eng.step().unwrap());
+            assert_eq!(kept_records(&eng), 12, "round {round}: the step kept another count");
+            let blob = eng.save_state().unwrap();
+            assert_eq!(blob, reference.save_state().unwrap(), "round {round}: not the kept bytes");
+            assert_eq!(kept_records(&eng), 12, "round {round}: the export dropped the kept set");
+            saved.push(blob);
+        }
+        // A restore over the kept set discards it unwritten: it writes what
+        // a restore into an engine that keeps nothing writes, and the
+        // next step goes on from the checkpoint.
+        let writes = |node: &NodeResources| {
+            node.nvme.barrier().unwrap();
+            node.nvme.stats().writes
+        };
+        let (fresh_node, mut fresh, _) = single_rank(one_element_records(Strategy::infinity_nvme()));
+        let before = writes(&fresh_node);
+        fresh.load_state(&saved[1]).unwrap();
+        let import = writes(&fresh_node) - before;
+        assert_eq!(import, 17, "the import writes every record once");
+        let _ = node.tracer().take_events();
+        let before = writes(&node);
+        eng.load_state(&saved[1]).unwrap();
+        assert_eq!(writes(&node) - before, import, "the restore wrote a kept record");
+        let events = node.tracer().take_events();
+        assert_eq!(instants(&events, "carry.drop.import"), 1);
+        let written_back = events.iter().filter(|e| e.name.starts_with("carry.write_back")).count();
+        assert_eq!((written_back, kept_records(&eng)), (0, 0));
+        every_grad(&mut eng, &reg, 2);
+        assert!(eng.step().unwrap());
+        assert_eq!(eng.save_state().unwrap(), saved[2]);
+        for engine in [eng, fresh, reference] {
             engine.dispose().unwrap();
         }
     }
 
     #[test]
+    fn degrading_while_a_dirty_set_is_held_collapses_it_into_dram_bit_identically() {
+        // The node degrades between steps while twelve of the seventeen
+        // records are dirty, after an ascending step or a descending one:
+        // the next step collapses the state into DRAM, the kept records
+        // copied over the device's older copy, and every later step is
+        // the reference's, CPU-resident throughout.
+        let cpu_resident = one_element_records(Strategy::infinity_cpu());
+        let (_reference_node, mut reference, reg) = single_rank(cpu_resident);
+        let mut expect = Vec::new();
+        for round in 0..4 {
+            every_grad(&mut reference, &reg, round);
+            assert!(reference.step().unwrap());
+            expect.push(reference.save_state().unwrap());
+        }
+        reference.dispose().unwrap();
+        for degrade_after in [1, 2] {
+            let (node, mut eng, _) = single_rank(one_element_records(Strategy::infinity_nvme()));
+            for (round, expect) in expect.iter().enumerate() {
+                if round == degrade_after {
+                    assert_eq!(kept_records(&eng), 12);
+                    node.degrade();
+                }
+                every_grad(&mut eng, &reg, round);
+                assert!(eng.step().unwrap());
+                let state = eng.save_state().unwrap();
+                assert_eq!(&state, expect, "degraded after {degrade_after}: round {round}");
+            }
+            assert_eq!((eng.carry.is_some(), kept_records(&eng)), (false, 0));
+            let health = eng.mgr.health();
+            assert_eq!((health.corruptions_recovered, health.corruptions_unrecovered), (0, 0));
+            eng.dispose().unwrap();
+        }
+    }
+
+    #[test]
     fn every_reader_of_optimizer_state_waits_the_carried_window_out() {
-        // Right after the step its last writes are still on a device that
-        // serves reads at once: a checkpoint export, and the collapse of a
-        // node degraded between steps, each read what those writes wrote.
+        // Right after the step its records are kept, unwritten, on a
+        // device whose writes are slow: a checkpoint export, and the
+        // collapse of a node degraded between steps, each read the kept
+        // bytes, not the device's older copy.
         let strategy = Strategy::infinity_nvme().with_f32_params().with_prefetch_window(0);
         let strategy = strategy.with_optimizer_chunk(4);
         let grad = Tensor::from_vec(&[3, 4], (0..12).map(|i| i as f32 * 0.1).collect()).unwrap();
@@ -2925,16 +3115,16 @@ mod tests {
         reference.dispose().unwrap();
         let (node, mut eng, _) = slow_write_rank(strategy);
         stepped(&mut eng);
-        assert!(eng.tail.in_flight() > 0, "the step's writes already landed");
-        assert_eq!(eng.save_state().unwrap(), after_one, "the export read before the writes");
+        assert_eq!(kept_records(&eng), 3, "the step wrote a record");
+        assert_eq!(eng.save_state().unwrap(), after_one, "the export read the device's copy");
         stepped(&mut eng);
-        assert!(eng.tail.in_flight() > 0, "the step's writes already landed");
+        assert_eq!(kept_records(&eng), 3, "the step wrote a record");
         node.degrade();
         stepped(&mut eng);
-        // The collapse dropped the kept records; DRAM-resident state keeps
+        // The collapse copied the kept records; DRAM-resident state keeps
         // none.
-        assert_eq!((eng.carry.as_ref(), eng.tail.held()), (None, 0));
-        assert_eq!(eng.save_state().unwrap(), after_three, "the collapse read before the writes");
+        assert_eq!((eng.carry.is_some(), kept_records(&eng)), (false, 0));
+        assert_eq!(eng.save_state().unwrap(), after_three, "the collapse read the device's copy");
         let health = eng.mgr.health();
         assert_eq!((health.corruptions_recovered, health.corruptions_unrecovered), (0, 0));
         eng.dispose().unwrap();
@@ -2958,15 +3148,15 @@ mod tests {
         assert_eq!(requests(), carried, "a skipped step touched the device");
         // The kept records stay, and so does the order: the next applied
         // step is the descending one.
-        assert_eq!(eng.tail.held(), 3, "the kept records went");
+        assert_eq!(kept_records(&eng), 3, "the kept records went");
         assert!(eng.carry.is_some() && eng.descending, "the skipped step flipped the order");
         // The next step takes them: all three of `w`'s records are already
-        // in their buffers, so the step reads none, writes all three (and
+        // in their buffers, so the step reads none, writes none (it
         // publishes them to the shard cache) and keeps all three again.
         eng.add_grad(w, &ones).unwrap();
         assert!(eng.step().unwrap());
         land_carry(&node, &mut eng);
-        assert_eq!(requests(), (carried.0, carried.1 + 3));
+        assert_eq!(requests(), carried);
         assert!(!eng.descending);
         eng.dispose().unwrap();
     }
@@ -2990,14 +3180,17 @@ mod tests {
         mgr.nvme().barrier().unwrap();
         assert_eq!(pool.outstanding(), 0);
         assert_eq!(mgr.nvme().in_flight(), 0);
-        // Right after a step: the carried window, `w`'s three record
-        // writes held on the device (its publish went to the shard cache).
+        // Right after a step that dropped a kept set: the carried window,
+        // the write-back of `w`'s three records held on the device, and
+        // `b`'s two records kept (the publishes went to the shard cache).
         let (door, node, mut eng, _) = held_rank(strategy);
-        door.close();
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
+        door.close();
+        eng.add_grad(b, &Tensor::from_vec(&[5], vec![1.0; 5]).unwrap()).unwrap();
+        assert!(eng.step().unwrap());
         let (mgr, pool) = (node.offload_manager(), eng.mgr.staging().clone());
-        assert_eq!((eng.tail.in_flight(), pool.outstanding()), (3, 3));
+        assert_eq!((eng.tail.in_flight(), pool.outstanding()), (3, 3 + 2));
         door.open();
         drop(eng);
         mgr.nvme().barrier().unwrap();
@@ -3036,14 +3229,15 @@ mod tests {
             eng.release(id).unwrap();
         }
         assert_eq!((node.nvme.stats().reads, eng.mgr.health().shard_cache_hits), (0, 2));
-        // A healthy step writes exactly what construction did, its last
-        // writes landing after it returns.
+        // A healthy step reads construction's five records and keeps them
+        // all: it writes nothing.
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         eng.add_grad(b, &Tensor::from_vec(&[5], vec![1.0; 5]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
         node.nvme.barrier().unwrap();
         let stepped = node.nvme.stats();
-        assert_eq!((stepped.writes - 5, stepped.bytes_written - 204), (5, 204));
+        assert_eq!((stepped.writes - 5, stepped.bytes_written - 204), (0, 0));
+        assert_eq!((stepped.reads, stepped.bytes_read), (5, 204));
         assert_eq!(eng.mgr.staging().stats().waits, 0);
         eng.dispose().unwrap();
         // Both parameters shorter than a record: one packed buffer of 17
@@ -3099,7 +3293,7 @@ mod tests {
     #[test]
     fn packed_parameters_share_records_and_train_as_if_unpacked() {
         // Per step, 8-element records: `a` two, the pack three (8, 8, 2
-        // elements), `w` three — eight reads and eight record writes — and
+        // elements), `w` three — eight reads or eight kept records — and
         // one publish per part, each into the shard cache: two of `a`, one
         // of `g`, two each of `b` and `c`, three of `w`. Records of one
         // element pack nothing.
@@ -3130,10 +3324,11 @@ mod tests {
         let (built, per_step, packed) = run(8);
         assert_eq!(built, (0, 8), "construction writes one step's requests");
         // The first step reads its records and keeps them all for the next
-        // (up to depth 4 plus a write-behind window of 8), which reads none.
-        assert_eq!(per_step, vec![(8, 8), (0, 8), (0, 8), (0, 8)]);
+        // (up to depth 4 plus a write-behind window of 8), which neither
+        // reads nor writes one.
+        assert_eq!(per_step, vec![(8, 0), (0, 0), (0, 0), (0, 0)]);
         let (_, unpacked_steps, unpacked) = run(1);
-        assert_eq!(unpacked_steps[3], (58 - 12, 58), "one record per element, twelve kept");
+        assert_eq!(unpacked_steps[3], (58 - 12, 58 - 12), "one record per element, twelve kept");
         assert_eq!(packed, unpacked, "packing changed the state");
     }
 
@@ -3155,15 +3350,15 @@ mod tests {
             MIXED.map(rec)
         };
         // No member of the pack has a gradient: `a` and `w` move, two and
-        // three records, each read and written (and all kept for the next
-        // step), and published to the shard cache; the pack issues no
+        // three records, each read (and all kept for the next step,
+        // unwritten), and published to the shard cache; the pack issues no
         // request at all.
         let built = state(&mut eng);
         let at_rest = requests();
         mixed_grads(&mut eng, &reg, &["a", "w"], 0);
         assert!(eng.step().unwrap());
         land_carry(&node, &mut eng);
-        assert_eq!(requests(), (at_rest.0 + 5, at_rest.1 + 5));
+        assert_eq!(requests(), (at_rest.0 + 5, at_rest.1));
         // `g`, `b` and `c` are as built; `a` and `w` are one step on.
         let after = state(&mut eng);
         assert_eq!([&after[1], &after[3], &after[4]], [&built[1], &built[3], &built[4]]);

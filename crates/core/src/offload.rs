@@ -60,7 +60,7 @@ use zi_types::{DType, Device, DeviceKind, Error, Result, WorldSize};
 
 /// Re-reads attempted when a checksum mismatch is detected before the
 /// corruption is surfaced as [`Error::Corruption`].
-const CORRUPTION_REREADS: u32 = 3;
+pub(crate) const CORRUPTION_REREADS: u32 = 3;
 
 /// The recorded extents tiling a device range, in order, as `(len, crc)`.
 type Tiles = Vec<(u64, u32)>;
@@ -1573,17 +1573,14 @@ fn overlap(a: (u64, u64), b: (u64, u64)) -> bool {
 /// waits out the oldest one (back-pressure), so a slow device throttles
 /// the pipeline instead of ballooning queued memory. Each buffer moves
 /// into its write request by value and goes home to the staging set
-/// when the ticket is reaped — on success and on every error path — unless
-/// the write is *kept*: then the window holds the buffer once the write
-/// lands, exactly what the device holds, until [`Self::take_kept`] hands
-/// it back or [`Self::forget_kept`] sends it home. Kept writes are outside
-/// the window's bound; whoever submits them bounds them.
+/// when the ticket is reaped — on success and on every error path.
 ///
 /// The window knows the device extent of every write in it, so no read
 /// overtakes one: a caller about to read an extent waits the window's
 /// writes over it out first ([`Self::settle`]). That lets a window outlive
-/// the call that filled it: the optimizer step returns with its kept
-/// writes still in flight and hands the window to the next step.
+/// the call that filled it: the optimizer step returns with its last
+/// writes, or the write-back of the records it no longer keeps, still in
+/// flight and hands the window to the next step.
 ///
 /// Unlike [`OffloadManager::overwrite_async_placed`]'s writes — whose
 /// failures are deferred to the manager's `flush`, which degrades the
@@ -1594,50 +1591,29 @@ fn overlap(a: (u64, u64), b: (u64, u64)) -> bool {
 /// inside the engine exactly as before.
 pub struct WriteBehind {
     window: usize,
-    /// The writes in flight, oldest first: ticket, device offset, bytes,
-    /// and whether the buffer is kept once the write lands.
-    inflight: VecDeque<(Ticket, u64, u64, bool)>,
-    /// The buffers of kept writes that landed, by device offset.
-    kept: Vec<(u64, ScratchVec)>,
+    /// The writes in flight, oldest first: ticket, device offset, bytes.
+    inflight: VecDeque<(Ticket, u64, u64)>,
     /// Bytes handed to the device so far.
     pub(crate) bytes: u64,
     /// Publish pieces handed to the device so far.
     pub(crate) pieces: u64,
 }
 
-/// Wait for `write`; a kept write's buffer joins `kept`.
-fn land(
-    mgr: &OffloadManager,
-    kept: &mut Vec<(u64, ScratchVec)>,
-    (ticket, offset, _, keep): (Ticket, u64, u64, bool),
-) -> Result<()> {
-    let buf = mgr.nvme.wait_buf(ticket)?.into_staging().filter(|_| keep);
-    kept.extend(buf.map(|buf| (offset, buf)));
-    Ok(())
+/// Wait for `write`; its staging buffer goes home.
+fn land(mgr: &OffloadManager, (ticket, ..): (Ticket, u64, u64)) -> Result<()> {
+    mgr.nvme.wait_buf(ticket).map(drop)
 }
 
 impl WriteBehind {
     /// Write-behind with at most `window` NVMe writes in flight
     /// (clamped to ≥ 1).
     pub fn new(window: usize) -> WriteBehind {
-        let (inflight, kept) = (VecDeque::new(), Vec::new());
-        WriteBehind { window: window.max(1), inflight, kept, bytes: 0, pieces: 0 }
+        WriteBehind { window: window.max(1), inflight: VecDeque::new(), bytes: 0, pieces: 0 }
     }
 
     /// NVMe writes currently in flight.
     pub fn in_flight(&self) -> usize {
         self.inflight.len()
-    }
-
-    /// Bytes of the NVMe writes currently in flight.
-    pub(crate) fn in_flight_bytes(&self) -> u64 {
-        self.inflight.iter().map(|&(_, _, len, _)| len).sum()
-    }
-
-    /// Staging buffers the window holds: its writes in flight and the
-    /// kept buffers that landed.
-    pub(crate) fn held(&self) -> usize {
-        self.inflight.len() + self.kept.len()
     }
 
     /// True while a write of this window is still on the device.
@@ -1647,9 +1623,10 @@ impl WriteBehind {
 
     /// Wait out every write of this window over elements `[start, start +
     /// len)` of `buf` — and, first in, first out, the writes queued before
-    /// it — so a read of them that follows cannot overtake one. A failure
-    /// is the first failed write's error, every write up to the last one
-    /// over the range reaped.
+    /// it — so a read of them that follows cannot overtake one. A wait on
+    /// a write still on the device is the instant `wb.settle` (the bytes
+    /// to read, the writes waited). A failure is the first failed write's
+    /// error, every write up to the last one over the range reaped.
     pub(crate) fn settle(
         &mut self,
         mgr: &OffloadManager,
@@ -1665,17 +1642,19 @@ impl WriteBehind {
 
     /// [`Self::settle`] by device extent.
     fn wait_over(&mut self, mgr: &OffloadManager, offset: u64, len: u64) -> Result<()> {
-        let over = |&(_, at, n, _): &(Ticket, u64, u64, bool)| overlap((at, n), (offset, len));
+        let over = |&(_, at, n): &(Ticket, u64, u64)| overlap((at, n), (offset, len));
         let Some(last) = self.inflight.iter().rposition(over) else { return Ok(()) };
-        let Self { inflight, kept, .. } = self;
+        if !mgr.nvme.is_ready(self.inflight[last].0) {
+            mgr.tracer.instant(Category::NcTransfer, "wb.settle", len, last as u64 + 1);
+        }
         // Every write up to the last one over the range is reaped before a
         // failure surfaces.
-        inflight.drain(..=last).map(|write| land(mgr, kept, write)).fold(Ok(()), Result::and)
+        self.inflight.drain(..=last).map(|write| land(mgr, write)).fold(Ok(()), Result::and)
     }
 
     /// Collect every write the device has finished, without blocking:
-    /// their staging buffers go home, or are kept. A failure is the first
-    /// failed write's error, once every finished one is collected.
+    /// their staging buffers go home. A failure is the first failed
+    /// write's error, once every finished one is collected.
     pub(crate) fn reap(&mut self, mgr: &OffloadManager) -> Result<()> {
         let (mut first_err, mut k) = (None, 0);
         while let Some(&write) = self.inflight.get(k) {
@@ -1684,60 +1663,27 @@ impl WriteBehind {
                 continue;
             }
             self.inflight.remove(k);
-            if let Err(e) = land(mgr, &mut self.kept, write) {
+            if let Err(e) = land(mgr, write) {
                 first_err.get_or_insert(e);
             }
         }
         first_err.map_or(Ok(()), Err)
     }
 
-    /// The buffer of the kept write of elements `[start, start + len)` of
-    /// `buf`, handed back once that write — and every write queued before
-    /// it — has landed ([`Self::settle`]).
-    pub(crate) fn take_kept(
-        &mut self,
-        mgr: &OffloadManager,
-        buf: &PlacedBuf,
-        start: usize,
-        len: usize,
-    ) -> Result<ScratchVec> {
-        self.settle(mgr, buf, start, len)?;
-        let offset = buf.device_offset(start, buf.dtype.bytes_for(len));
-        let at = self.kept.iter().position(|&(at, _)| Some(at) == offset);
-        let missing = || Error::Internal(format!("no kept buffer holds [{start}, +{len})"));
-        Ok(self.kept.swap_remove(at.ok_or_else(missing)?).1)
-    }
-
-    /// True when a kept write of this window, on the device or landed,
-    /// holds the record starting at element `start` of `buf`.
-    pub(crate) fn keeps(&self, buf: &PlacedBuf, start: usize) -> bool {
-        let Some(offset) = buf.device_offset(start, 0) else { return false };
-        self.kept.iter().any(|&(at, _)| at == offset)
-            || self.inflight.iter().any(|&(_, at, _, keep)| keep && at == offset)
-    }
-
     /// Wait out the oldest write in flight; false when there is none.
     pub(crate) fn land_oldest(&mut self, mgr: &OffloadManager) -> Result<bool> {
         let Some(write) = self.inflight.pop_front() else { return Ok(false) };
-        land(mgr, &mut self.kept, write).map(|()| true)
-    }
-
-    /// Send every kept buffer home, those still on the device once their
-    /// writes land.
-    pub(crate) fn forget_kept(&mut self) {
-        self.kept.clear();
-        self.inflight.iter_mut().for_each(|write| write.3 = false);
+        land(mgr, write).map(|()| true)
     }
 
     /// Queue `staging` as the new contents of `buf[start ..]` — a range
     /// inside one NVMe segment, normally the extent the buffer was read
-    /// from — first making room in the window unless the write is `keep`.
-    /// `crcs` are the CRC32-C of the buffer cut into that many equal tiles,
-    /// in order — an optimizer record's master, momentum and variance, as
-    /// the kernel that stored them computed them — and are recorded at
-    /// submission: the ticketed write either lands these exact bytes or a
-    /// wait surfaces the failure. A failure here drops `staging` back into
-    /// its pool.
+    /// from — first making room in the window. `crcs` are the CRC32-C of
+    /// the buffer cut into that many equal tiles, in order — an optimizer
+    /// record's master, momentum and variance, as the kernel that stored
+    /// them computed them — and are recorded at submission: the ticketed
+    /// write either lands these exact bytes or a wait surfaces the
+    /// failure. A failure here drops `staging` back into its pool.
     pub(crate) fn submit_staged(
         &mut self,
         mgr: &OffloadManager,
@@ -1745,12 +1691,11 @@ impl WriteBehind {
         start: usize,
         staging: ScratchVec,
         crcs: &[u32],
-        keep: bool,
     ) -> Result<()> {
         let offset = buf
             .device_offset(start, staging.as_bytes().len())
             .ok_or_else(|| Error::Internal("write-behind range is not one NVMe extent".into()))?;
-        self.submit_at(mgr, offset, staging, crcs, keep)
+        self.submit_at(mgr, offset, staging, crcs)
     }
 
     /// [`Self::submit_staged`] by device offset.
@@ -1760,7 +1705,6 @@ impl WriteBehind {
         offset: u64,
         staging: ScratchVec,
         crcs: &[u32],
-        keep: bool,
     ) -> Result<()> {
         let bytes = staging.as_bytes();
         let tile = bytes.len().checked_div(crcs.len()).filter(|t| t * crcs.len() == bytes.len());
@@ -1782,30 +1726,29 @@ impl WriteBehind {
         // device is genuinely behind.
         while let Some(&oldest) = self.inflight.front() {
             if !mgr.nvme.is_ready(oldest.0) {
-                let unkept = self.inflight.iter().filter(|write| !write.3).count();
-                if keep || unkept < self.window {
+                if self.inflight.len() < self.window {
                     break;
                 }
                 // Back-pressure: the device is behind the pipeline.
                 mgr.tracer.count(Counter::WbStalls, 1);
             }
             self.inflight.pop_front();
-            land(mgr, &mut self.kept, oldest)?;
+            land(mgr, oldest)?;
         }
         self.bytes += len;
         let ticket = mgr.nvme.submit_write_from(offset, staging);
-        self.inflight.push_back((ticket, offset, len, keep));
+        self.inflight.push_back((ticket, offset, len));
         Ok(())
     }
 
     /// Wait out every queued write, surfacing the first failure as a
     /// typed error. All tickets are waited regardless of earlier
     /// failures, so nothing of the window is left on the device and
-    /// every staging buffer is back in its pool, or kept.
+    /// every staging buffer is back in its pool.
     pub fn drain(&mut self, mgr: &OffloadManager) -> Result<()> {
         let mut first_err = None;
         while let Some(write) = self.inflight.pop_front() {
-            if let Err(e) = land(mgr, &mut self.kept, write) {
+            if let Err(e) = land(mgr, write) {
                 first_err.get_or_insert(e);
             }
         }
@@ -1922,7 +1865,7 @@ impl PublishStream {
             None => {
                 let piece = self.staged.take().filter(|piece| piece.as_bytes().len() == nbytes);
                 let piece = piece.ok_or_else(|| Error::Internal("no staged publish piece".into()))?;
-                wb.submit_at(&self.mgr, offset, piece, &[crc], false)?;
+                wb.submit_at(&self.mgr, offset, piece, &[crc])?;
                 wb.pieces += 1;
             }
         }
@@ -2286,7 +2229,7 @@ mod tests {
         staging: ScratchVec,
     ) -> Result<()> {
         let crc = crc32(staging.as_bytes());
-        wb.submit_staged(mgr, buf, at, staging, &[crc], false)
+        wb.submit_staged(mgr, buf, at, staging, &[crc])
     }
 
     fn staged(mgr: &OffloadManager, vals: &[f32]) -> ScratchVec {

@@ -78,6 +78,13 @@ impl Tensor {
         &self.data
     }
 
+    /// The shared storage itself, for a reader that holds it past this
+    /// borrow (a collective lending it to its peers).
+    #[inline]
+    pub fn storage(&self) -> &Arc<Vec<f32>> {
+        &self.data
+    }
+
     /// Mutable data view (copies the storage first if it is shared).
     #[inline]
     pub fn data_mut(&mut self) -> &mut [f32] {

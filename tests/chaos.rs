@@ -58,7 +58,8 @@ fn soak_spec() -> TrainSpec {
 /// zero requests given up, no degradation.
 #[test]
 fn chaos_soak_transient_faults_are_invisible() {
-    let spec = soak_spec();
+    let mut spec = soak_spec();
+    spec.strategy = spec.strategy.with_optimizer_chunk(64);
     let reference = train_gpt(&spec).expect("fault-free run");
 
     // Transient-only profile: torn writes heal on rewrite and spikes
