@@ -796,10 +796,11 @@ fn kernel_pool_panic_releases_submitter() {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol 11: the optimizer step's kept records and its carried window —
+// Protocol 11: the optimizer step's kept records and their write-back —
 // a step keeps its last records in their staging buffers, updated and not
 // written, and the next step takes them without a read; a changed set of
-// buffers to update drops them, written back as plain writes.
+// buffers to update drops them, written back as plain writes, and the
+// step returns with every write it issued landed.
 //
 // Two parameters, `u` then `w`, of two records each on a two-worker
 // device that serves a read before a write already on it whenever the
@@ -807,14 +808,11 @@ fn kernel_pool_panic_releases_submitter() {
 // record a step updates. Two steps in opposite orders, then a checkpoint
 // export. In the first geometry `u` joins in step 1: step 1 drops the
 // records step 0 kept of `w` alone, writes them back first and reads
-// `w` — descending, `w` comes first — behind its write-back, which the
-// read waits out (`WriteBehind::settle`). In the second both leave: step
-// 0 updates both, and step 1, with no gradient, writes back the four
-// records step 0 kept and returns with the write-back on the device, in
-// the carried window; the export after it reads every record behind it.
-// (A read the step issues queues on the device behind the write-backs
-// before it, so a write-back outlives its step only when the step reads
-// nothing after it.)
+// `w` — descending, `w` comes first — once the write-back has landed,
+// which the step waits out before its first read. In the second both
+// leave: step 0 updates both, and step 1, with no gradient, writes back
+// the four records step 0 kept and reads nothing after them; the export
+// after it reads every record.
 //
 // Invariants, in every interleaving:
 //
@@ -822,6 +820,8 @@ fn kernel_pool_panic_releases_submitter() {
 //     against a checksum its bytes do not match (a read that overtook
 //     the write-back of its record would be), and every schedule ends in
 //     the same state;
+//   * no write outlives its step: in the second geometry step 1 returns
+//     with its four write-backs landed;
 //   * each staging buffer is handed back exactly once: after dispose
 //     nothing is checked out and every buffer of the rank's set — sized
 //     at its proven bound, DESIGN.md §7 — is parked, and no acquisition
@@ -832,13 +832,20 @@ fn kernel_pool_panic_releases_submitter() {
 /// lands — up to 64 times, until a read has been served since it arrived:
 /// a read issued while a write of its extent is on the device overtakes
 /// it in every schedule that lets a worker serve it.
+#[derive(Default)]
 struct ReadsFirst {
     dev: MemBackend,
     reads: zi_sync::atomic::AtomicU64,
+    /// Writes landed.
+    writes: zi_sync::atomic::AtomicU64,
+    /// `writes` as the first read since this was last cleared found it.
+    first_read: zi_sync::Mutex<Option<u64>>,
 }
 
 impl StorageBackend for ReadsFirst {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> zi_types::Result<()> {
+        let landed = self.writes.load(zi_sync::atomic::Ordering::SeqCst);
+        self.first_read.lock().get_or_insert(landed);
         let read = self.dev.read_at(offset, buf);
         self.reads.fetch_add(1, zi_sync::atomic::Ordering::SeqCst);
         read
@@ -851,7 +858,9 @@ impl StorageBackend for ReadsFirst {
             }
             thread::yield_now();
         }
-        self.dev.write_at(offset, data)
+        let written = self.dev.write_at(offset, data);
+        self.writes.fetch_add(1, zi_sync::atomic::Ordering::SeqCst);
+        written
     }
     fn sync(&self) -> zi_types::Result<()> {
         self.dev.sync()
@@ -861,21 +870,23 @@ impl StorageBackend for ReadsFirst {
     }
 }
 
-/// Protocol 11's body; with `late`, the first geometry: `u` joins in step
-/// 1, else both leave.
-fn carried_window_body(late: bool, seen: &zi_sync::OnceLock<()>, state: &zi_sync::OnceLock<Vec<u8>>) {
+/// Protocol 11's body; with `seen`, the first geometry — `u` joins in step
+/// 1, and `seen` is set when its write-back landed before its first read
+/// — else both leave.
+fn kept_set_body(seen: Option<&zi_sync::OnceLock<()>>, state: &zi_sync::OnceLock<Vec<u8>>) {
     use zero_infinity::{NodeEnv, NodeResources, Strategy, ZeroEngine};
     use zi_memory::NodeMemorySpec;
     use zi_model::{ParamRegistry, ParamStore};
     use zi_tensor::Tensor;
 
+    let late = seen.is_some();
     let mut reg = ParamRegistry::new();
     reg.register("u", &[8], 6, 0.2, 0.0);
     reg.register("w", &[8], 5, 0.2, 0.0);
     let (u, w) = (reg.find("u").expect("u"), reg.find("w").expect("w"));
     let spec = NodeMemorySpec::test_spec(1, 1 << 12, 1 << 12, 1 << 12);
-    let device = Arc::new(ReadsFirst { dev: MemBackend::new(), reads: Default::default() });
-    let env = NodeEnv { nvme_workers: 2, ..NodeEnv::new(device) };
+    let device = Arc::new(ReadsFirst::default());
+    let env = NodeEnv { nvme_workers: 2, ..NodeEnv::new(device.clone()) };
     let node = NodeResources::new(&spec, 1, env);
     // Records of four elements; two device workers make the step two
     // reads ahead with a write-behind window of four: the step keeps
@@ -896,16 +907,20 @@ fn carried_window_body(late: bool, seen: &zi_sync::OnceLock<()>, state: &zi_sync
         if late == (step == 1) {
             eng.add_grad(u, &grad).expect("deposit");
         }
+        // Between steps no write is on the device: the two counts agree.
         let writes = node.nvme.stats().writes;
-        let _ = node.tracer().take_events();
+        *device.first_read.lock() = None;
         assert!(eng.step().expect("step"), "step {step} skipped");
-        if step == 1 {
-            // A read of `w` waited for its record's write-back; or the
-            // write-back outlived the step.
-            let waited = node.tracer().take_events().iter().any(|e| e.name == "wb.settle");
-            if if late { waited } else { node.nvme.stats().writes < writes + 4 } {
+        match seen {
+            // Both write-backs had landed when the first read of `w` began.
+            Some(seen) if step == 1 && device.first_read.lock().is_some_and(|at| at >= writes + 2) => {
                 let _ = seen.set(());
             }
+            None if step == 1 => {
+                let landed = node.nvme.stats().writes - writes;
+                assert_eq!(landed, 4, "the step returned before its write-back landed");
+            }
+            _ => {}
         }
     }
     let saved = eng.save_state().expect("save");
@@ -924,27 +939,23 @@ fn carried_window_body(late: bool, seen: &zi_sync::OnceLock<()>, state: &zi_sync
 }
 
 #[test]
-fn carried_window_never_lets_a_read_overtake_its_write() {
+fn a_dropped_kept_set_lands_before_the_step_reads_it() {
     let seen = Arc::new(zi_sync::OnceLock::new());
     let state = Arc::new(zi_sync::OnceLock::new());
     let (body_seen, body_state) = (Arc::clone(&seen), Arc::clone(&state));
     let checker = Checker { schedules: 1250, ..Checker::default() };
-    drive("kept-set-write-back", checker, move || carried_window_body(true, &body_seen, &body_state));
+    drive("kept-set-write-back", checker, move || kept_set_body(Some(&body_seen), &body_state));
     if zi_check::enabled() {
-        assert!(seen.get().is_some(), "no schedule had a read wait for a write-back");
+        assert!(seen.get().is_some(), "no schedule read after a landed write-back");
     }
 }
 
 #[test]
-fn a_read_never_overtakes_the_unkept_write_of_its_record() {
-    let seen = Arc::new(zi_sync::OnceLock::new());
+fn a_step_returns_with_its_write_back_landed() {
     let state = Arc::new(zi_sync::OnceLock::new());
-    let (body_seen, body_state) = (Arc::clone(&seen), Arc::clone(&state));
+    let body_state = Arc::clone(&state);
     let checker = Checker { schedules: 1250, ..Checker::default() };
-    drive("carried-write-back", checker, move || carried_window_body(false, &body_seen, &body_state));
-    if zi_check::enabled() {
-        assert!(seen.get().is_some(), "no schedule carried a write-back past its step");
-    }
+    drive("write-back-in-step", checker, move || kept_set_body(None, &body_state));
 }
 
 // ---------------------------------------------------------------------------

@@ -326,7 +326,7 @@ impl ZeroEngine {
     /// Serialize this rank's training state (master weights, Adam moments,
     /// per-parameter step counts). Pending gradients are not saved — call
     /// after `step()`, as real training loops do.
-    pub fn save_state(&mut self) -> Result<Vec<u8>> {
+    pub fn save_state(&self) -> Result<Vec<u8>> {
         let blob = Blob {
             rank: self.rank(),
             world: self.world_size(),
@@ -547,7 +547,7 @@ mod tests {
     fn wrong_model_shape_rejected() {
         let n = node();
         let small = GptModel::new(GptConfig::tiny());
-        let mut eng = engine_for(&n, &small, Strategy::zero_3().with_f32_params());
+        let eng = engine_for(&n, &small, Strategy::zero_3().with_f32_params());
         let blob = eng.save_state().unwrap();
 
         let big_cfg = GptConfig { layers: 3, ..GptConfig::tiny() };

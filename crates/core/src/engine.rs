@@ -323,9 +323,6 @@ pub struct ZeroEngine {
     /// The due buffers of the last applied step and the records it kept,
     /// in its order, when it kept any.
     carry: Option<(Vec<usize>, Vec<Dirty>)>,
-    /// The write-behind window the last step carried over: its last
-    /// writes, and the write-back of a dropped kept set.
-    tail: WriteBehind,
     stats: EngineStats,
 }
 
@@ -369,7 +366,6 @@ impl ZeroEngine {
         }
         let mut engine = ZeroEngine {
             part: Partitioner::new(comm.world_size()),
-            tail: WriteBehind::new(WRITES_PER_RECORD * mgr.nvme().worker_count()),
             strategy,
             // Read before the layout: a latch set meanwhile (a failover
             // here or on another rank) collapses at the first step.
@@ -651,7 +647,7 @@ impl ZeroEngine {
             if self.shards.iter().any(|st| st.grad_nonfinite) { 1.0f32 } else { 0.0 };
         let any_overflow = self.comm.sum_scalar(local_overflow)? > 0.0;
         if any_overflow {
-            // No optimizer state is written: what was carried stays valid.
+            // No optimizer state is written: the kept set stays valid.
             self.clear_grads();
             self.scaler.update(true);
             self.stats.skipped_steps += 1;
@@ -666,13 +662,13 @@ impl ZeroEngine {
         // step's: it starts with the records that step kept — dirty in
         // their staging buffers, neither read nor waited for — and keeps
         // its own last ones, unwritten (see [`ReadAhead`]). A changed due
-        // set writes the kept records back first. A failure reaps every
-        // request, the records the step still holds written back behind
-        // it, so it surfaces as the step's own typed error with every
-        // staging buffer back in its pool. A step that succeeds returns
-        // with its last writes still in flight — unless it wrote a publish
-        // through: a read of that shard, or its cache entry's write-back,
-        // could overtake a carried piece, so such a step drains.
+        // set writes the kept records back first, waited out before the
+        // step's first read. The step drains its window before it returns,
+        // so the kept records are the only optimizer state a step leaves
+        // outside its tier, and no request of it is in flight between two
+        // calls. A failure reaps every request, the records the step still
+        // holds written back behind it, so it surfaces as the step's own
+        // typed error with every staging buffer back in its pool.
         let due: Vec<usize> = (0..self.optims.len())
             .filter(|&b| {
                 let members = &self.optims[b].layout.members;
@@ -680,19 +676,17 @@ impl ZeroEngine {
             })
             .collect();
         let window = self.window();
-        let mut wb = std::mem::replace(&mut self.tail, WriteBehind::new(window));
+        let mut wb = WriteBehind::new(window);
         let changed = self.carry.as_ref().is_some_and(|(carried, _)| *carried != due);
         let dropped = if changed { self.drop_carry("carry.drop.due_set") } else { Vec::new() };
         let kept = self.carry.take().map(|(_, kept)| kept).unwrap_or_default();
         let budget = self.depth() + window;
-        let mut ahead = ReadAhead::new(&self.optims, &due, self.descending, budget, kept);
-        let pieces = wb.pieces;
+        let written_back = !dropped.is_empty();
+        let mut ahead = ReadAhead::new(&self.optims, &due, self.descending, budget, kept, written_back);
         let written = write_back(&self.mgr, &self.optims, &mut wb, dropped, "carry.write_back.due_set");
-        let mut updated = written.and_then(|()| self.stream_update(&mut ahead, &mut wb));
+        let updated = written.and_then(|()| self.stream_update(&mut ahead, &mut wb));
         ahead.rewind(&self.mgr);
-        if updated.is_ok() && wb.pieces != pieces {
-            updated = wb.drain(&self.mgr);
-        }
+        let updated = updated.and_then(|()| wb.drain(&self.mgr));
         let mut dirty = std::mem::take(&mut ahead.deferred);
         if let Err(e) = updated {
             dirty.append(&mut ahead.kept);
@@ -708,7 +702,6 @@ impl ZeroEngine {
             self.mgr.tracer().instant(Category::OptimStep, "carry.keep", bytes, kept);
             self.carry = Some((due, dirty));
         }
-        self.tail = wb;
         self.end_iteration();
         Ok(true)
     }
@@ -953,18 +946,6 @@ impl ZeroEngine {
         }
     }
 
-    /// Wait out the carried window: every write the last step left on the
-    /// device. A failed write is the caller's typed error, and drops the
-    /// kept records, written back behind it.
-    fn drain_tail(&mut self) -> Result<()> {
-        let drained = self.tail.drain(&self.mgr);
-        if drained.is_err() {
-            let kept = self.drop_carry("carry.drop.write");
-            let _ = write_back(&self.mgr, &self.optims, &mut self.tail, kept, "carry.write_back.write");
-        }
-        drained
-    }
-
     /// Take the kept records out of the carry; instant `why`. Never the
     /// degradation latch's to absorb: a lost record update is not a
     /// degraded read.
@@ -974,15 +955,11 @@ impl ZeroEngine {
         kept
     }
 
-    /// Reap the requests kept between calls: the carried window's writes,
-    /// whose first failure is returned, and the prefetcher's reads; the
-    /// kept records go unwritten. [`Self::dispose`] and `Drop` both come
-    /// here.
-    fn reap(&mut self) -> Result<()> {
-        let drained = self.tail.drain(&self.mgr);
+    /// Reap what is kept between calls: the prefetcher's reads; the kept
+    /// records go unwritten. [`Self::dispose`] and `Drop` both come here.
+    fn reap(&mut self) {
         drop(self.drop_carry("carry.drop.dispose"));
         self.prefetcher.clear(&self.mgr);
-        drained
     }
 
     /// [`Self::publish`] a replicated parameter from the fp32 master values
@@ -1006,17 +983,15 @@ impl ZeroEngine {
     /// Collapse every optimizer buffer onto CPU once the node's
     /// degradation latch is set: split buffers re-publish their
     /// NVMe-resident half to CPU instead of dropping it with the store.
-    /// Waits out the carried window and drops the kept records, newer than
-    /// the device's copy: each is copied over its place in DRAM, and its
-    /// buffer goes home. The staging set is handed back (the prefetches
-    /// holding its shard buffers reaped) before the state moves into DRAM,
-    /// which reads no staging buffer, and sized again for what the new
-    /// placement streams.
+    /// Drops the kept records, newer than the device's copy: each is
+    /// copied over its place in DRAM, and its buffer goes home. The
+    /// staging set is handed back (the prefetches holding its shard
+    /// buffers reaped) before the state moves into DRAM, which reads no
+    /// staging buffer, and sized again for what the new placement streams.
     fn collapse_on_degradation(&mut self) -> Result<()> {
         if self.collapsed || !self.mgr.degradation_latched() {
             return Ok(());
         }
-        self.drain_tail()?;
         let kept = self.drop_carry("carry.drop.placement");
         self.prefetcher.clear(&self.mgr);
         self.mgr.release_staging();
@@ -1073,18 +1048,19 @@ impl ZeroEngine {
     /// Read every parameter's optimizer shard out of its tier, one buffer
     /// at a time (checkpoint save path). Records carry the three streams
     /// contiguous, one record per parameter: how this engine packs and
-    /// interleaves them never reaches a checkpoint. The carried window's
-    /// writes are waited out first; the kept records, newer than the
-    /// device's copy, are taken from their buffers and stay kept.
-    pub(crate) fn export_optimizer_records(
-        &mut self,
-    ) -> Result<Vec<crate::checkpoint::ParamRecord>> {
-        self.tail.drain(&self.mgr)?;
+    /// interleaves them never reaches a checkpoint. The kept records,
+    /// newer than the device's copy, are taken from their buffers and stay
+    /// kept; every other record is read into bytes of its own — never a
+    /// staging buffer, which the kept set may hold every one of.
+    pub(crate) fn export_optimizer_records(&self) -> Result<Vec<crate::checkpoint::ParamRecord>> {
         let kept = self.carry.as_ref().map_or(&[][..], |(_, kept)| kept);
         let mut out: Vec<_> = self.shards.iter().map(|_| None).collect();
         for (b, OptimStorage { state, layout, .. }) in self.optims.iter().enumerate() {
-            let mut state = self.mgr.load_placed(state)?.to_f32_vec();
-            for (_, first, staging, _) in kept.iter().filter(|record| record.0 == b) {
+            let mine = || kept.iter().filter(move |record| record.0 == b);
+            let records = (0..layout.len).step_by(layout.per).map(|at| layout.span(at));
+            let unkept = records.filter(|&(first, _)| mine().all(|record| record.1 != first));
+            let mut state = self.mgr.load_elems(state, unkept)?.to_f32_vec();
+            for (_, first, staging, _) in mine() {
                 let values = staging.as_f32();
                 state[*first..first + values.len()].copy_from_slice(values);
             }
@@ -1124,7 +1100,6 @@ impl ZeroEngine {
                 )));
             }
         }
-        self.drain_tail()?;
         // Discarded unwritten: the import overwrites every record.
         drop(self.drop_carry("carry.drop.import"));
         let tracer = self.mgr.tracer().clone();
@@ -1142,17 +1117,17 @@ impl ZeroEngine {
     }
 
     /// Free every device allocation held by this engine. The engine is
-    /// consumed; pools return to their empty state. A carried write that
-    /// failed is the error, after everything is freed.
+    /// consumed; pools return to their empty state. No request of the
+    /// engine is in flight between calls, so nothing here can fail.
     pub fn dispose(mut self) -> Result<()> {
-        let reaped = self.reap();
+        self.reap();
         self.clear_grads();
         self.release_state();
         let gpu = self.gpu_device();
         for (_, r) in self.resident.drain() {
             self.mgr.hierarchy().free(gpu, r.gpu_block);
         }
-        reaped
+        Ok(())
     }
 
     /// Free every parameter's and optimizer shard's storage, and the
@@ -1172,7 +1147,7 @@ impl ZeroEngine {
 /// requests, silently.
 impl Drop for ZeroEngine {
     fn drop(&mut self) {
-        let _ = self.reap();
+        self.reap();
     }
 }
 
@@ -1378,9 +1353,8 @@ fn dirty_bytes(records: &[Dirty]) -> u64 {
 
 /// Write the kept `records` back through `wb` as plain writes under the
 /// checksums they were kept with, the last kept first — the next step's
-/// order — so a later read of one settles behind its write; instant `why`
-/// (bytes, records). Every record is submitted or sent home; the first
-/// failure is returned.
+/// order; instant `why` (bytes, records). Every record is submitted or
+/// sent home; the first failure is returned.
 fn write_back(
     mgr: &OffloadManager,
     optims: &[OptimStorage],
@@ -1430,18 +1404,24 @@ struct ReadAhead {
     kept: Vec<Dirty>,
     /// The tail records updated so far.
     deferred: Vec<Dirty>,
+    /// Whether the window holds the write-back of the set the last step
+    /// kept, waited out before the first device read: a read of one of
+    /// those records must not overtake its write.
+    written_back: bool,
 }
 
 impl ReadAhead {
     /// The queue over the records of the `due` buffers in this step's
     /// order, its tail the last `min(budget, device records)` device
-    /// records, starting from the `kept` records of the last step.
+    /// records, starting from the `kept` records of the last step — or,
+    /// `written_back`, behind their write-back.
     fn new(
         optims: &[OptimStorage],
         due: &[usize],
         descending: bool,
         budget: usize,
         kept: Vec<Dirty>,
+        written_back: bool,
     ) -> Self {
         let records = |b: usize| (0..optims[b].layout.len).step_by(optims[b].layout.per);
         let mut order: Vec<_> =
@@ -1460,7 +1440,7 @@ impl ReadAhead {
         });
         let (tail, pending, deferred) =
             (tail.map_or(0, |k| k + 1), VecDeque::new(), Vec::with_capacity(keep));
-        ReadAhead { order, descending, tail, budget, next: 0, pending, kept, deferred }
+        ReadAhead { order, descending, tail, budget, next: 0, pending, kept, deferred, written_back }
     }
 
     /// Where the kept record of buffer `b` starting at element `first` is
@@ -1471,9 +1451,9 @@ impl ReadAhead {
 
     /// Issue records up to `depth`. A record the last step kept needs no
     /// transfer, nor does a CPU-DRAM one; an NVMe one queues on the device
-    /// once no write of it is in flight (waiting those out) and a buffer
-    /// of the set is free: with the set out, the queue stops short while
-    /// another record is pending, else waits the oldest write out.
+    /// once a buffer of the set is free — with the set out, the queue stops
+    /// short while another record is pending, else waits the oldest write
+    /// out — and the first one once the window's write-back has landed.
     fn top_up(
         &mut self,
         mgr: &OffloadManager,
@@ -1492,14 +1472,17 @@ impl ReadAhead {
                     let reads = loads.filter(|load| load.is_read()).count();
                     reads + ahead.deferred.len() + ahead.kept.len() + wb.in_flight() >= ahead.budget
                 };
-                if state.device_offset(first, 0).is_some() && full(self, wb) {
+                let on_device = state.device_offset(first, 0).is_some();
+                if on_device && std::mem::take(&mut self.written_back) {
+                    wb.drain(mgr)?;
+                }
+                if on_device && full(self, wb) {
                     wb.reap(mgr)?;
                     if full(self, wb) && !self.pending.is_empty() {
                         break;
                     }
                     while full(self, wb) && wb.land_oldest(mgr)? {}
                 }
-                wb.settle(mgr, state, first, count)?;
                 Some(mgr.begin_load_elems(state, first, count)?)
             };
             self.pending.push_back((self.next, load));
@@ -1959,7 +1942,7 @@ mod tests {
             .with_f32_params()
             .with_prefetch_window(0)
             .with_optimizer_chunk(1);
-        let (node, mut eng, reg) = throttled_rank(strategy, std::time::Duration::from_millis(1), 3);
+        let (_node, mut eng, reg) = throttled_rank(strategy, std::time::Duration::from_millis(1), 3);
         let id = reg.find("w").unwrap();
         let step = |eng: &mut ZeroEngine| {
             eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![0.5; 12]).unwrap()).unwrap();
@@ -1969,7 +1952,6 @@ mod tests {
         step(&mut eng);
         let warm = eng.mgr.staging().stats();
         step(&mut eng);
-        land_carry(&node, &mut eng);
         let pool = eng.mgr.staging().clone();
         let st = pool.stats();
         assert!(st.reused > warm.reused, "steady-state steps must recycle chunk buffers: {st:?}");
@@ -2009,7 +1991,6 @@ mod tests {
             eng.add_grad(b, &Tensor::from_vec(&[5], g(5)).unwrap()).unwrap();
             assert!(eng.step().unwrap());
         }
-        land_carry(&node, &mut eng);
         let health = eng.mgr.health();
         let (held, peak) = (health.staging_held_bytes, health.staging_peak_buffers);
         assert_eq!((eng.mgr.staging().stats().allocated, held), (22, 12 * 48 + 9 * 8 + 24));
@@ -2155,7 +2136,7 @@ mod tests {
         let (plan, node, mut eng, id) = faulty_rank(5, 12 * 4);
         eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         eng.step().unwrap(); // publishes w in three chunks
-        // The reads the step carried are done before any flip is armed.
+        // Nothing of the step is on the device when a flip is armed.
         node.nvme.barrier().unwrap();
         let clean = eng.export_param(id).unwrap();
         // A silently corrupted fetch is caught by the whole-extent CRC the
@@ -2179,7 +2160,7 @@ mod tests {
         let (plan, node, mut eng, id) = faulty_rank(5, 1024);
         eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         eng.step().unwrap();
-        // Counted once the reads the step carried into the next are done.
+        // Counted once the device has finished every request.
         node.nvme.barrier().unwrap();
         let reads = node.nvme.stats().reads;
         plan.bitflip_next_reads(u32::MAX);
@@ -2252,9 +2233,8 @@ mod tests {
         eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         eng.step().unwrap();
         assert_eq!(eng.mgr.health().corruptions_recovered, 0);
-        // `w` is one record: the step keeps it, so once the step's last
-        // write is reaped its buffer is the only one out.
-        land_carry(&node, &mut eng);
+        // `w` is one record: the step keeps it, so its buffer is the only
+        // one out.
         let carried = kept_records(&eng);
         assert_eq!(carried, 1);
         let pool = eng.mgr.staging().clone();
@@ -2305,107 +2285,63 @@ mod tests {
         for steady in [true, false] {
             // The killed step is the second of three; the others train both.
             let kinds = [true, steady, true];
-            let (plan, node, mut eng, _) = publishing_rank(2, write_back);
-            let ops = || {
-                node.nvme.barrier().unwrap();
-                plan.ops_seen()
-            };
+            let (plan, _node, mut eng, _) = publishing_rank(2, write_back);
             // The states a checkpoint would hold after each step; calibrate
             // how many device ops the second one issues.
             let (mut saved, mut second) = (Vec::new(), 0);
             for (k, &both) in kinds.iter().enumerate() {
-                let before = ops();
+                let before = plan.ops_seen();
                 grads(&mut eng, &reg, both).unwrap();
                 eng.step().unwrap();
                 if k == 1 {
-                    second = ops() - before;
+                    second = plan.ops_seen() - before;
                 }
                 let kept = if both { eng.depth() + eng.window() } else { 0 };
                 assert_eq!(kept_records(&eng), kept);
                 saved.push(eng.save_state().unwrap());
             }
             // A read and a write per record not kept, and a publish written
-            // through; or the write-back. What a successful step may leave
-            // unwaited: the writes of the records it does not keep, unless
-            // it wrote a publish through, or the write-back but for the
-            // window's back-pressure.
+            // through; or the write-back.
             let publishes = if write_back { 0 } else { 3 * 3 };
-            let (expect, outlive) = match steady {
-                true => (2 * (9 - 6) + publishes, if write_back { 3 } else { 0 }),
-                false => (6, 4),
-            };
+            let expect = if steady { 2 * (9 - 6) + publishes } else { 6 };
             assert_eq!(second, expect, "write-back {write_back}, steady {steady}");
             let strategy = eng.strategy;
             eng.dispose().unwrap();
             // Kill the device after every possible number of ops of the
-            // second step. One run killed after `alive` ops returns `None`
-            // when the step itself failed, else `Some(typed)`: `typed` when,
-            // `via_dispose`, dispose returned the device error — without
-            // it, the next step must.
-            let kill = |alive: u64, via_dispose: bool| -> Option<bool> {
+            // second step: the step waits each of them out, so it fails
+            // itself, with the device error.
+            for alive in 0..second {
                 let (plan, node, mut eng, _) = publishing_rank(2, write_back);
                 grads(&mut eng, &reg, true).unwrap();
                 eng.step().unwrap();
                 grads(&mut eng, &reg, steady).unwrap();
-                node.nvme.barrier().unwrap();
                 assert_eq!(kept_records(&eng), 6);
                 plan.kill_after_ops(alive);
-                let outlived = match eng.step() {
-                    Err(err) => {
-                        assert!(err.is_device_failure(), "death after {alive} ops of the step: {err}");
-                        false
-                    }
-                    Ok(_) => {
-                        assert!(alive + outlive >= second, "{alive} ops: the step outlived its device");
-                        if !via_dispose {
-                            let next = grads(&mut eng, &reg, true).and_then(|()| eng.step().map(drop));
-                            let err = next.unwrap_err();
-                            assert!(err.is_device_failure(), "{alive} ops, death between steps: {err}");
-                        }
-                        true
-                    }
-                };
+                let outlived = || panic!("{alive} ops: the step outlived its device");
+                let err = eng.step().err().unwrap_or_else(outlived);
+                assert!(err.is_device_failure(), "death after {alive} ops of the step: {err}");
                 let pool = eng.mgr.staging().clone();
-                let mut typed = false;
-                if outlived && via_dispose {
-                    if let Err(err) = eng.dispose() {
-                        assert!(err.is_device_failure(), "{alive} ops, death in the window: {err}");
-                        typed = true;
-                    }
-                } else {
-                    assert_eq!(pool.outstanding(), 0, "{alive} ops: a staging buffer is checked out");
-                    eng.dispose().unwrap();
-                }
-                assert_eq!(pool.outstanding(), 0, "{alive} ops: a staging buffer is still checked out");
+                assert_eq!(pool.outstanding(), 0, "{alive} ops: a staging buffer is checked out");
+                eng.dispose().unwrap();
                 let idle = (RECORDS..=SHARDS).map(|shelf| pool.idle(shelf) as u64).sum::<u64>();
                 assert_eq!(idle, pool.stats().allocated, "{alive} ops: a buffer was lost");
                 drop(pool);
                 // The node has degraded: an engine rebuilt on it, all in
                 // DRAM, resumes from the last checkpoint as if nothing had
                 // happened.
-                let failed = usize::from(outlived);
                 let comm = node.group.communicator(0);
                 let mut resumed =
                     ZeroEngine::new(&reg, strategy, node.offload_manager(), comm, AdamConfig::default())
                         .unwrap();
-                resumed.load_state(&saved[failed]).unwrap();
-                for &both in &kinds[failed + 1..] {
+                resumed.load_state(&saved[0]).unwrap();
+                for &both in &kinds[1..] {
                     grads(&mut resumed, &reg, both).unwrap();
                     assert!(resumed.step().unwrap());
                 }
                 assert_eq!(resumed.save_state().unwrap(), saved[2], "{alive} ops: resume");
                 assert!(resumed.carry.is_none() && node.offload_manager().is_degraded());
                 resumed.dispose().unwrap();
-                outlived.then_some(typed)
-            };
-            let mut disposed_typed = 0;
-            for alive in 0..second {
-                if kill(alive, false).is_some() && kill(alive, true) == Some(true) {
-                    disposed_typed += 1;
-                }
             }
-            // The write-back is carried.
-            assert!(steady || disposed_typed > 0, "no death landed in a carried write-back");
         }
     }
 
@@ -2427,7 +2363,6 @@ mod tests {
         // step keeps all three for the next one, unwritten.
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
-        land_carry(&node, &mut eng);
         assert_eq!(requests(), (at_rest.0 + 3, at_rest.1));
         assert_eq!(kept_records(&eng), 3);
         eng.dispose().unwrap();
@@ -2454,12 +2389,10 @@ mod tests {
             let second_step = |eng: &mut ZeroEngine, node: &NodeResources, arm: &dyn Fn()| {
                 eng.add_grad(w, &grad(0)).unwrap();
                 eng.step().unwrap();
-                land_carry(node, eng);
                 arm();
                 let before = node.nvme.stats();
                 eng.add_grad(w, &grad(1)).unwrap();
                 eng.step().unwrap();
-                land_carry(node, eng);
                 let after = node.nvme.stats();
                 (after.reads - before.reads, after.bytes_read - before.bytes_read)
             };
@@ -2619,12 +2552,6 @@ mod tests {
         fn close(&self) {
             *self.arrived.lock() = 0;
         }
-
-        /// Let every held write through.
-        fn open(&self) {
-            *self.arrived.lock() = self.n;
-            self.full.notify_all();
-        }
     }
 
     impl zi_nvme::StorageBackend for Door {
@@ -2688,14 +2615,6 @@ mod tests {
     /// Records the last step kept.
     fn kept_records(eng: &ZeroEngine) -> usize {
         eng.carry.as_ref().map_or(0, |(_, kept)| kept.len())
-    }
-
-    /// What the next step first does to the carried window once the
-    /// device has finished its writes: collects them, their buffers home.
-    /// Counting up to here counts a whole iteration.
-    fn land_carry(node: &NodeResources, eng: &mut ZeroEngine) {
-        node.nvme.barrier().unwrap();
-        eng.tail.reap(&eng.mgr).unwrap();
     }
 
     #[test]
@@ -2773,9 +2692,8 @@ mod tests {
     fn a_written_through_publish_is_on_the_device_when_the_next_fetch_reads_it() {
         // The shard cache crowded out, `w`'s publish is written through,
         // and the door holds the step's writes past the step's last
-        // submission. A window holding a publish is not carried: the step
-        // waits its writes out, so the next forward's fetch of `w` reads —
-        // and verifies — the new bytes.
+        // submission. The step waits its writes out, so the next forward's
+        // fetch of `w` reads — and verifies — the new bytes.
         let strategy = Strategy::infinity_nvme().with_f32_params().with_prefetch_window(0);
         let strategy = strategy.with_optimizer_chunk(4);
         let grad = Tensor::from_vec(&[3, 4], (0..12).map(|i| i as f32 * 0.1).collect()).unwrap();
@@ -2790,7 +2708,7 @@ mod tests {
         door.close();
         eng.add_grad(w, &grad).unwrap();
         assert!(eng.step().unwrap());
-        assert_eq!(eng.tail.in_flight(), 0, "a written-through publish was carried");
+        assert_eq!(node.nvme.in_flight(), 0, "the step returned with a write in flight");
         assert_eq!(eng.get(w).unwrap().data(), expect.data());
         eng.release(w).unwrap();
         let health = eng.mgr.health();
@@ -2824,7 +2742,6 @@ mod tests {
                 eng.add_grad(meta.id, &Tensor::from_vec(&meta.shape, grad).unwrap()).unwrap();
             }
             assert!(eng.step().unwrap());
-            land_carry(&node, &mut eng);
             assert_eq!(kept_records(&eng), 5, "round {round}: the step kept fewer than all");
             let after = requests();
             per_step.push((after.0 - before.0, after.1 - before.1));
@@ -2837,9 +2754,8 @@ mod tests {
     fn a_model_shorter_than_the_carry_trains_as_if_every_step_drained() {
         // The tiny registry in records of four elements is five records,
         // fewer than depth 4 plus a write-behind window of 8: every step
-        // keeps them all, and the next one meets their writes still on a
-        // slow device, takes each buffer once its write has landed, and
-        // reads nothing.
+        // keeps them all, and the next one takes them from their buffers
+        // and reads nothing.
         // A quadratic loss pulls every parameter towards a moving target;
         // the reference leaves nothing on the device between steps, its
         // engine disposed and restored from a checkpoint after each.
@@ -2974,7 +2890,6 @@ mod tests {
         // the step in a typed error — the bad bytes are never updated.
         let (dev, node, mut eng, w, b) = rank();
         stepped(&mut eng, w, None, 1).unwrap();
-        land_carry(&node, &mut eng);
         let before = node.nvme.stats();
         dev.arm(1);
         let err = stepped(&mut eng, w, Some(b), 2).unwrap_err();
@@ -3014,7 +2929,8 @@ mod tests {
         // CPU-resident optimizer state keeps nothing: the reference. Each
         // of four steps, ascending and descending in turn, leaves twelve
         // of the seventeen records dirty; a checkpoint export takes them
-        // from their buffers over the device's older copy, and keeps them.
+        // from their buffers, and keeps them, and reads the other five
+        // alone.
         let cpu_resident = one_element_records(Strategy::infinity_cpu());
         let (_reference_node, mut reference, reg) = single_rank(cpu_resident);
         let (node, mut eng, _) = single_rank(one_element_records(Strategy::infinity_nvme()));
@@ -3024,7 +2940,11 @@ mod tests {
             every_grad(&mut eng, &reg, round);
             assert!(reference.step().unwrap() && eng.step().unwrap());
             assert_eq!(kept_records(&eng), 12, "round {round}: the step kept another count");
+            let before = node.nvme.stats();
             let blob = eng.save_state().unwrap();
+            let after = node.nvme.stats();
+            let read = (after.reads - before.reads, after.bytes_read - before.bytes_read);
+            assert_eq!(read, (5, 5 * 12), "round {round}: the export read a kept record");
             assert_eq!(blob, reference.save_state().unwrap(), "round {round}: not the kept bytes");
             assert_eq!(kept_records(&eng), 12, "round {round}: the export dropped the kept set");
             saved.push(blob);
@@ -3093,11 +3013,10 @@ mod tests {
     }
 
     #[test]
-    fn every_reader_of_optimizer_state_waits_the_carried_window_out() {
-        // Right after the step its records are kept, unwritten, on a
-        // device whose writes are slow: a checkpoint export, and the
-        // collapse of a node degraded between steps, each read the kept
-        // bytes, not the device's older copy.
+    fn every_reader_of_optimizer_state_sees_the_kept_records() {
+        // Right after the step its records are kept, unwritten: a
+        // checkpoint export, and the collapse of a node degraded between
+        // steps, each read the kept bytes, not the device's older copy.
         let strategy = Strategy::infinity_nvme().with_f32_params().with_prefetch_window(0);
         let strategy = strategy.with_optimizer_chunk(4);
         let grad = Tensor::from_vec(&[3, 4], (0..12).map(|i| i as f32 * 0.1).collect()).unwrap();
@@ -3141,7 +3060,6 @@ mod tests {
         let ones = Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap();
         eng.add_grad(w, &ones).unwrap();
         assert!(eng.step().unwrap());
-        land_carry(&node, &mut eng);
         let carried = requests();
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![f32::INFINITY; 12]).unwrap()).unwrap();
         assert!(!eng.step().unwrap());
@@ -3155,7 +3073,6 @@ mod tests {
         // publishes them to the shard cache) and keeps all three again.
         eng.add_grad(w, &ones).unwrap();
         assert!(eng.step().unwrap());
-        land_carry(&node, &mut eng);
         assert_eq!(requests(), carried);
         assert!(!eng.descending);
         eng.dispose().unwrap();
@@ -3169,7 +3086,6 @@ mod tests {
         let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
-        land_carry(&node, &mut eng);
         // Mid-iteration: the buffers of the three records of `w` the step
         // kept, and a prefetch of `b` (the shard cache has no room for it).
         eng.hint_upcoming(&[b]);
@@ -3180,22 +3096,28 @@ mod tests {
         mgr.nvme().barrier().unwrap();
         assert_eq!(pool.outstanding(), 0);
         assert_eq!(mgr.nvme().in_flight(), 0);
-        // Right after a step that dropped a kept set: the carried window,
-        // the write-back of `w`'s three records held on the device, and
-        // `b`'s two records kept (the publishes went to the shard cache).
-        let (door, node, mut eng, _) = held_rank(strategy);
+    }
+
+    #[test]
+    fn a_step_that_drops_its_kept_set_returns_with_the_write_back_landed() {
+        // A step of `w` keeps its three records; a step of `b` alone drops
+        // them and writes them back on a device whose writes are slow,
+        // then reads only `b`'s records, which no write-back is over. The
+        // step returns with all three landed: no request is in flight, and
+        // each is counted, with no barrier.
+        let strategy = Strategy::infinity_nvme().with_f32_params().with_prefetch_window(0);
+        let (node, mut eng, reg) = slow_write_rank(strategy.with_optimizer_chunk(4));
+        let (w, b) = (reg.find("w").unwrap(), reg.find("b").unwrap());
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
-        door.close();
+        assert_eq!(kept_records(&eng), 3);
+        let writes = node.nvme.stats().writes;
         eng.add_grad(b, &Tensor::from_vec(&[5], vec![1.0; 5]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
-        let (mgr, pool) = (node.offload_manager(), eng.mgr.staging().clone());
-        assert_eq!((eng.tail.in_flight(), pool.outstanding()), (3, 3 + 2));
-        door.open();
-        drop(eng);
-        mgr.nvme().barrier().unwrap();
-        assert_eq!((pool.outstanding(), mgr.nvme().in_flight()), (0, 0));
-        assert_eq!(mgr.nvme().unclaimed(), 0, "a carried write's completion was left unreaped");
+        assert_eq!(node.nvme.in_flight(), 0, "the step returned with a request in flight");
+        assert_eq!(node.nvme.stats().writes, writes + 3, "the write-back had not landed");
+        assert_eq!(kept_records(&eng), 2);
+        eng.dispose().unwrap();
     }
 
     #[test]
@@ -3311,7 +3233,6 @@ mod tests {
                 let before = requests();
                 mixed_grads(&mut eng, &reg, &MIXED, round);
                 assert!(eng.step().unwrap());
-                land_carry(&node, &mut eng);
                 let after = requests();
                 per_step.push((after.0 - before.0, after.1 - before.1));
             }
@@ -3357,7 +3278,6 @@ mod tests {
         let at_rest = requests();
         mixed_grads(&mut eng, &reg, &["a", "w"], 0);
         assert!(eng.step().unwrap());
-        land_carry(&node, &mut eng);
         assert_eq!(requests(), (at_rest.0 + 5, at_rest.1));
         // `g`, `b` and `c` are as built; `a` and `w` are one step on.
         let after = state(&mut eng);

@@ -20,8 +20,8 @@
 //! recycled [`ScratchVec`]s sized once when its engine is built and
 //! charged to the CPU pool (the paper's pinned-memory layer, Sec. 6.3;
 //! DESIGN.md §7); reads that hand their bytes to the caller to keep
-//! (`load_placed`, `take`, `collapse`, the fetch of a buffer of several
-//! segments) read into those bytes directly.
+//! (`load_elems`, `load_placed`, `take`, `collapse`, the fetch of a
+//! buffer of several segments) read into those bytes directly.
 //! Every read is verified against the checksum registry (see
 //! [`OffloadManager::verify_or_reread`]).
 //!
@@ -33,6 +33,7 @@
 //! only when the cache has to give it up, so the CPU copy is reclaimable
 //! at the price of a write.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use zi_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use zi_sync::Arc;
@@ -815,19 +816,6 @@ impl PlacedBuf {
             .then_some(seg.block.offset + lo as u64)
     }
 
-    /// The device extents `(offset, bytes)` holding elements `[start,
-    /// start + len)`: one per NVMe segment the range meets.
-    fn nvme_extents(&self, start: usize, len: usize) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let end = start + len;
-        let segments = &self.segments[self.segment_index(start)..];
-        let meets = segments.iter().take_while(move |seg| seg.start < end);
-        meets.filter(|seg| seg.ram.is_none()).map(move |seg| {
-            let (lo, hi) = (start.max(seg.start) - seg.start, end.min(seg.end()) - seg.start);
-            let bytes = |elems: usize| self.dtype.bytes_for(elems) as u64;
-            (seg.block.offset + bytes(lo), bytes(hi - lo))
-        })
-    }
-
     /// The RAM-resident F32 elements `[start, start+len)` as a mutable
     /// slice of the resident buffer itself — Adam updates a cp-path
     /// piece in place here, with no slice → decode → encode → write-back.
@@ -1359,43 +1347,59 @@ impl OffloadManager {
         }
     }
 
-    /// Load the entire buffer into a fresh [`FlatBuffer`]. Always a
-    /// device read for NVMe segments — every one in flight before the first
-    /// is waited on — straight into bytes the result keeps, no staging
-    /// buffer: optimizer state, gradients and activation checkpoints are
-    /// read once per write, so they neither consult nor fill the shard
-    /// cache. Every read is reaped before a failure surfaces.
+    /// Load the entire buffer into a fresh [`FlatBuffer`]: every segment
+    /// whole, as [`Self::load_elems`] loads a range.
     pub fn load_placed(&self, buf: &PlacedBuf) -> Result<FlatBuffer> {
-        let mut issued = Vec::with_capacity(buf.segments.len());
-        for seg in &buf.segments {
-            let read = match seg.ram {
-                Some(_) => Ok(None),
-                None => self.begin_bytes_read(seg.block.offset, seg.block.len).map(Some),
-            };
-            match read {
-                Ok(read) => issued.push(read),
+        self.load_elems(buf, buf.segments.iter().map(|seg| (seg.start, seg.len)))
+    }
+
+    /// Elements `[start, start + len)` of `buf` for each `(start, len)` of
+    /// `ranges`, each inside one segment, in a fresh [`FlatBuffer`] of the
+    /// buffer's length, zero elsewhere. A resident range is copied; an
+    /// NVMe one is one device read — every one in flight before the first
+    /// is waited on — straight into bytes of its own, no staging buffer,
+    /// verified against the recorded tiles of its extent: optimizer state,
+    /// gradients and activation checkpoints are read once per write, so
+    /// they neither consult nor fill the shard cache. Every read is reaped
+    /// before a failure surfaces.
+    pub(crate) fn load_elems(
+        &self,
+        buf: &PlacedBuf,
+        ranges: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Result<FlatBuffer> {
+        let bytes = |elems: usize| buf.dtype.bytes_for(elems);
+        let ranges = ranges.into_iter().filter(|&(_, len)| len > 0).map(|(start, len)| {
+            let seg = buf.segments.get(buf.segment_index(start)).filter(|seg| start + len <= seg.end());
+            seg.map(|seg| (start, len, seg)).ok_or_else(piece_mismatch)
+        });
+        let ranges = ranges.collect::<Result<Vec<_>>>()?;
+        let mut issued = Vec::with_capacity(ranges.len());
+        for &(start, len, seg) in ranges.iter().filter(|(.., seg)| seg.ram.is_none()) {
+            let offset = seg.block.offset + bytes(start - seg.start) as u64;
+            match self.begin_bytes_read(offset, bytes(len) as u64) {
+                Ok(ticket) => issued.push((start, offset, ticket)),
                 Err(e) => {
-                    issued.into_iter().flatten().for_each(|ticket| drop(self.nvme.wait(ticket)));
+                    issued.into_iter().for_each(|(.., ticket)| drop(self.nvme.wait(ticket)));
                     return Err(e);
                 }
             }
         }
-        let read = buf.segments.iter().zip(issued).map(|(seg, read)| {
-            read.map(|ticket| self.finish_bytes_read(seg.block.offset, ticket)).transpose()
+        let read = issued.into_iter().map(|(start, offset, ticket)| {
+            self.finish_bytes_read(offset, ticket).map(|read| (start, Cow::Owned(read)))
         });
         let mut read = read.collect::<Vec<_>>().into_iter().collect::<Result<Vec<_>>>()?;
-        if let [Some(bytes)] = &mut read[..] {
-            return FlatBuffer::from_bytes(buf.dtype, std::mem::take(bytes));
-        }
-        let mut whole = vec![0u8; buf.size_in_bytes()];
-        for (seg, bytes) in buf.segments.iter().zip(&read) {
-            let src = match (bytes, &seg.ram) {
-                (Some(bytes), _) => &bytes[..],
-                (None, Some(ram)) => ram.as_bytes(),
-                (None, None) => return Err(piece_mismatch()),
-            };
-            let lo = buf.dtype.bytes_for(seg.start);
-            whole[lo..lo + src.len()].copy_from_slice(src);
+        read.extend(ranges.iter().filter_map(|&(start, len, seg)| {
+            let lo = bytes(start - seg.start);
+            seg.ram.as_ref().map(|ram| (start, Cow::Borrowed(&ram.as_bytes()[lo..lo + bytes(len)])))
+        }));
+        // One read of the whole buffer is the result itself, and copies
+        // nothing below.
+        let mut whole = match &mut read[..] {
+            [(0, Cow::Owned(read))] if read.len() == buf.size_in_bytes() => std::mem::take(read),
+            _ => vec![0u8; buf.size_in_bytes()],
+        };
+        for (start, read) in &read {
+            whole[bytes(*start)..bytes(*start) + read.len()].copy_from_slice(read);
         }
         FlatBuffer::from_bytes(buf.dtype, whole)
     }
@@ -1560,11 +1564,6 @@ impl OffloadManager {
     }
 }
 
-/// True when the device extents `(offset, bytes)` `a` and `b` share a byte.
-fn overlap(a: (u64, u64), b: (u64, u64)) -> bool {
-    a.0 < b.0 + b.1 && b.0 < a.0 + a.1
-}
-
 /// Bounded asynchronous write-behind for chunk-streamed updates.
 ///
 /// The pipelined optimizer step hands each updated staging buffer to the
@@ -1575,40 +1574,34 @@ fn overlap(a: (u64, u64), b: (u64, u64)) -> bool {
 /// into its write request by value and goes home to the staging set
 /// when the ticket is reaped — on success and on every error path.
 ///
-/// The window knows the device extent of every write in it, so no read
-/// overtakes one: a caller about to read an extent waits the window's
-/// writes over it out first ([`Self::settle`]). That lets a window outlive
-/// the call that filled it: the optimizer step returns with its last
-/// writes, or the write-back of the records it no longer keeps, still in
-/// flight and hands the window to the next step.
-///
-/// Unlike [`OffloadManager::overwrite_async_placed`]'s writes — whose
-/// failures are deferred to the manager's `flush`, which degrades the
-/// node instead — every write-behind ticket is waited by whoever holds
-/// the window: back-pressure, [`Self::settle`], [`Self::reap`] or
-/// [`Self::drain`]. A write failure is therefore a typed error of the
-/// call that reaps it, never absorbed; transient faults are retried
-/// inside the engine exactly as before.
+/// A window lives no longer than the call that fills it: the caller
+/// drains it before it returns, so no write of it is in flight between
+/// two calls and none can be overtaken by a later read. Unlike
+/// [`OffloadManager::overwrite_async_placed`]'s writes — whose failures
+/// are deferred to the manager's `flush`, which degrades the node
+/// instead — every write-behind ticket is waited by whoever holds the
+/// window: back-pressure, [`Self::reap`] or [`Self::drain`]. A write
+/// failure is therefore a typed error of the call that issued it, never
+/// absorbed; transient faults are retried inside the engine exactly as
+/// before.
 pub struct WriteBehind {
     window: usize,
-    /// The writes in flight, oldest first: ticket, device offset, bytes.
-    inflight: VecDeque<(Ticket, u64, u64)>,
+    /// The writes in flight, oldest first.
+    inflight: VecDeque<Ticket>,
     /// Bytes handed to the device so far.
     pub(crate) bytes: u64,
-    /// Publish pieces handed to the device so far.
-    pub(crate) pieces: u64,
 }
 
 /// Wait for `write`; its staging buffer goes home.
-fn land(mgr: &OffloadManager, (ticket, ..): (Ticket, u64, u64)) -> Result<()> {
-    mgr.nvme.wait_buf(ticket).map(drop)
+fn land(mgr: &OffloadManager, write: Ticket) -> Result<()> {
+    mgr.nvme.wait_buf(write).map(drop)
 }
 
 impl WriteBehind {
     /// Write-behind with at most `window` NVMe writes in flight
     /// (clamped to ≥ 1).
     pub fn new(window: usize) -> WriteBehind {
-        WriteBehind { window: window.max(1), inflight: VecDeque::new(), bytes: 0, pieces: 0 }
+        WriteBehind { window: window.max(1), inflight: VecDeque::new(), bytes: 0 }
     }
 
     /// NVMe writes currently in flight.
@@ -1618,38 +1611,7 @@ impl WriteBehind {
 
     /// True while a write of this window is still on the device.
     pub(crate) fn writing(&self, mgr: &OffloadManager) -> bool {
-        self.inflight.iter().any(|&(ticket, ..)| !mgr.nvme.is_ready(ticket))
-    }
-
-    /// Wait out every write of this window over elements `[start, start +
-    /// len)` of `buf` — and, first in, first out, the writes queued before
-    /// it — so a read of them that follows cannot overtake one. A wait on
-    /// a write still on the device is the instant `wb.settle` (the bytes
-    /// to read, the writes waited). A failure is the first failed write's
-    /// error, every write up to the last one over the range reaped.
-    pub(crate) fn settle(
-        &mut self,
-        mgr: &OffloadManager,
-        buf: &PlacedBuf,
-        start: usize,
-        len: usize,
-    ) -> Result<()> {
-        if self.inflight.is_empty() {
-            return Ok(());
-        }
-        buf.nvme_extents(start, len).try_for_each(|(at, n)| self.wait_over(mgr, at, n))
-    }
-
-    /// [`Self::settle`] by device extent.
-    fn wait_over(&mut self, mgr: &OffloadManager, offset: u64, len: u64) -> Result<()> {
-        let over = |&(_, at, n): &(Ticket, u64, u64)| overlap((at, n), (offset, len));
-        let Some(last) = self.inflight.iter().rposition(over) else { return Ok(()) };
-        if !mgr.nvme.is_ready(self.inflight[last].0) {
-            mgr.tracer.instant(Category::NcTransfer, "wb.settle", len, last as u64 + 1);
-        }
-        // Every write up to the last one over the range is reaped before a
-        // failure surfaces.
-        self.inflight.drain(..=last).map(|write| land(mgr, write)).fold(Ok(()), Result::and)
+        self.inflight.iter().any(|&ticket| !mgr.nvme.is_ready(ticket))
     }
 
     /// Collect every write the device has finished, without blocking:
@@ -1658,7 +1620,7 @@ impl WriteBehind {
     pub(crate) fn reap(&mut self, mgr: &OffloadManager) -> Result<()> {
         let (mut first_err, mut k) = (None, 0);
         while let Some(&write) = self.inflight.get(k) {
-            if !mgr.nvme.is_ready(write.0) {
+            if !mgr.nvme.is_ready(write) {
                 k += 1;
                 continue;
             }
@@ -1725,7 +1687,7 @@ impl WriteBehind {
         // counter a true back-pressure signal — it fires only when the
         // device is genuinely behind.
         while let Some(&oldest) = self.inflight.front() {
-            if !mgr.nvme.is_ready(oldest.0) {
+            if !mgr.nvme.is_ready(oldest) {
                 if self.inflight.len() < self.window {
                     break;
                 }
@@ -1736,8 +1698,7 @@ impl WriteBehind {
             land(mgr, oldest)?;
         }
         self.bytes += len;
-        let ticket = mgr.nvme.submit_write_from(offset, staging);
-        self.inflight.push_back((ticket, offset, len));
+        self.inflight.push_back(mgr.nvme.submit_write_from(offset, staging));
         Ok(())
     }
 
@@ -1866,7 +1827,6 @@ impl PublishStream {
                 let piece = self.staged.take().filter(|piece| piece.as_bytes().len() == nbytes);
                 let piece = piece.ok_or_else(|| Error::Internal("no staged publish piece".into()))?;
                 wb.submit_at(&self.mgr, offset, piece, &[crc])?;
-                wb.pieces += 1;
             }
         }
         self.pushed += len;

@@ -195,9 +195,17 @@ impl Shared {
     }
 
     /// Hand a finished request to whoever owns it: the outcome, with its
-    /// buffer, waits in the completion map for the ticket's wait.
+    /// buffer, waits in the completion map for the ticket's wait. The
+    /// request stops counting as in flight under the same lock, so a wait
+    /// that takes the outcome finds it counted done, and the barrier —
+    /// which checks `in_flight` holding that lock — cannot miss the wakeup
+    /// (a decrement+notify slipped between its check and its wait would
+    /// leave it asleep on an already-drained engine).
     fn complete(&self, ticket: Ticket, outcome: Outcome) {
-        self.completions.lock().insert(ticket.0, outcome);
+        let mut comps = self.completions.lock();
+        comps.insert(ticket.0, outcome);
+        self.note_done();
+        self.done.notify_all();
     }
 }
 
@@ -250,15 +258,6 @@ impl NvmeEngine {
                     .spawn(move || {
                         while let Ok(req) = rx.recv() {
                             Self::serve(req, &backend, &shared, &policy);
-                            // Decrement under the completions lock: the
-                            // barrier checks `in_flight` while holding
-                            // that lock, so a decrement+notify slipped
-                            // between its check and its wait would be a
-                            // lost wakeup (it sleeps forever on an
-                            // already-drained engine).
-                            let _comps = shared.completions.lock();
-                            shared.note_done();
-                            shared.done.notify_all();
                         }
                     })
                     .expect("spawn nvme worker"),
@@ -318,9 +317,6 @@ impl NvmeEngine {
         let err = Error::Internal("nvme worker pool is gone; request dropped".into());
         let outcome = Outcome { result: Err(err), is_read: req.read_len.is_some(), buf: req.buf };
         self.shared.complete(req.ticket, outcome);
-        let _comps = self.shared.completions.lock();
-        self.shared.note_done();
-        self.shared.done.notify_all();
     }
 
     fn submit_ticketed(&self, read_len: Option<usize>, offset: u64, buf: IoBuf) -> Ticket {

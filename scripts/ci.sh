@@ -88,9 +88,9 @@ cargo run -q --release -p zi-audit -- --root . --json "$AUDIT_JSON" \
 # pool and staging set for two threads, enumerated whole, and a staging
 # set of two one-buffer shelves for four holders — trace ring drain,
 # kernel worker-pool tiling, the shard cache's admit / invalidate / evict
-# across two ranks, the optimizer step's carried write-behind window
-# against the next step's updates and — its kept set dropped — reads with
-# the rank's set at its proven bound,
+# across two ranks, the optimizer step's kept set — dropped, its
+# write-back landed before the step's first read and before the step
+# returns — with the rank's set at its proven bound,
 # and two ranks' fetches, prefetches and steps each through a set of its
 # own at that bound: with a set below it a rank waits forever, which
 # fails the harness).

@@ -109,9 +109,9 @@ impl Metered {
         out
     }
 
-    /// Device reads completed so far, counted after a barrier: the reads
-    /// the optimizer step carried into this iteration land under forward
-    /// and backward, and are not a fetch's.
+    /// Device reads completed so far, counted after a barrier: a prefetch
+    /// a call issues is counted by that call, even when it lands after the
+    /// call returns.
     fn reads(&self) -> u64 {
         let nvme = self.engine.offload_manager().nvme();
         nvme.barrier().unwrap();

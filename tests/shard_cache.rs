@@ -112,8 +112,8 @@ fn run(strategy: Strategy, world: usize, cpu: u64) -> Run {
                 };
                 let rows = cfg.seq;
                 // Between the barriers every rank is between phases, and
-                // once the reads each step carried into the next are done
-                // the node's counters stand still while they are read.
+                // once the device has finished every request issued the
+                // node's counters stand still while they are read.
                 let settled = || {
                     comm.barrier().expect("barrier");
                     node.nvme.barrier().expect("device barrier");
