@@ -24,11 +24,11 @@
 //! * [`tiling`] — memory-centric tiling (Sec. 5.1.3): linear operators
 //!   split into sequentially executed tiles so working memory stays
 //!   bounded even for huge hidden sizes.
-//! * [`trainer`] — multi-rank orchestration: spawns one thread per
-//!   data-parallel rank and trains a `zi-model` GPT end to end.
-//! * [`mp`] — Megatron-style tensor slicing composed with ZeRO (the `mp`
-//!   column of Table 1): a 2-D grid of tensor-parallel × data-parallel
-//!   groups.
+//! * [`trainer`] — multi-rank orchestration: spawns one thread per rank
+//!   and trains a `zi-model` GPT end to end, with checkpoints and
+//!   recovery. Ranks form an `mp × dp` grid: Megatron-style tensor
+//!   slicing composed with ZeRO (the `mp` column of Table 1), one
+//!   tensor-parallel group per data-parallel rank.
 //!
 //! # Example
 //!
@@ -52,7 +52,6 @@ pub mod activations;
 pub mod checkpoint;
 pub mod config;
 pub mod engine;
-pub mod mp;
 pub mod offload;
 pub mod prefetch;
 pub mod tiling;
@@ -60,7 +59,6 @@ pub mod trainer;
 
 pub use config::{Placement, Strategy};
 pub use engine::{EngineStats, ZeroEngine};
-pub use mp::{train_gpt_2d, Spec2D};
 pub use offload::{
     NodeEnv, NodeResources, OffloadHealth, OffloadManager, PlacedBuf, PublishStream, WriteBehind,
 };

@@ -1,19 +1,28 @@
 //! Multi-rank training orchestration.
 //!
-//! Spawns one OS thread per data-parallel rank, each with its own
-//! [`ZeroEngine`], and trains a `zi-model` GPT end to end. Used by the
-//! equivalence tests (every Table 2 strategy must train identically to a
-//! dense single-process baseline when parameter storage is fp32) and by
-//! the examples/benches.
+//! Spawns one OS thread per rank, each with its own [`ZeroEngine`], and
+//! trains a `zi-model` GPT end to end. Used by the equivalence tests
+//! (every Table 2 strategy must train identically to a dense
+//! single-process baseline when parameter storage is fp32) and by the
+//! examples/benches.
+//!
+//! At its largest scales the paper composes ZeRO-Infinity with
+//! Megatron-style tensor slicing (the `mp` column of Table 1). The ranks
+//! of a run form an `mp × dp` grid: each row (one data-parallel rank) is a
+//! tensor-parallel group of `mp` slices of the model
+//! ([`GptModel::sliced`]) whose block outputs are allreduced within it,
+//! and each column (one mp position) is a data-parallel group that
+//! partitions and offloads its slices as a plain run does its whole
+//! model.
 
 use zi_sync::Arc;
 use zi_sync::thread;
 use std::time::Duration;
 
 use zi_chaos::ChaosPlan;
-use zi_comm::{CommConfig, CommFaultPlan, Membership};
+use zi_comm::{CommConfig, CommFaultPlan, CommGroup, Communicator, Membership};
 use zi_memory::NodeMemorySpec;
-use zi_model::{DenseStore, GptConfig, GptModel, InMemoryActStore, NoopObserver, RunOptions};
+use zi_model::{DenseStore, GptConfig, GptModel, InMemoryActStore, NoopObserver, RunOptions, TensorReduce};
 use zi_nvme::{CheckpointStore, MemBackend, RetryPolicy, StorageBackend};
 use zi_optim::{AdamConfig, AdamShard, LrSchedule};
 use zi_tensor::Tensor;
@@ -34,7 +43,13 @@ pub struct TrainSpec {
     pub strategy: Strategy,
     /// Data-parallel degree.
     pub world: usize,
-    /// Micro-batch per rank; global batch is `world * micro_batch`.
+    /// Tensor-parallel degree: each data-parallel rank is a group of `mp`
+    /// rank threads, each holding `1/mp` of every block's heads and FFN
+    /// channels (1 = no slicing). Model hidden size and heads must divide
+    /// by it.
+    pub mp: usize,
+    /// Micro-batch per data-parallel rank (shared by its whole
+    /// tensor-parallel group); global batch is `world * micro_batch`.
     pub micro_batch: usize,
     /// Optimizer steps to run.
     pub steps: usize,
@@ -75,6 +90,7 @@ impl TrainSpec {
             model,
             strategy,
             world,
+            mp: 1,
             micro_batch: 2,
             steps: 5,
             adam: AdamConfig { lr: 0.01, ..Default::default() },
@@ -91,11 +107,13 @@ impl TrainSpec {
     }
 }
 
-/// Results of a training session (rank 0's view).
+/// Results of a training session (rank 0's view: grid position (0, 0)).
 pub struct TrainOutcome {
-    /// Mean loss across ranks, one entry per step.
+    /// Mean loss across the data-parallel ranks, one entry per step.
     pub losses: Vec<f32>,
-    /// Final full parameter values, in registry order.
+    /// Final full parameter values, in registry order. At `mp > 1` these
+    /// are grid position (0, 0)'s slices: the parameters of
+    /// [`GptModel::sliced`]`(model, 0, mp, …)`.
     pub final_params: Vec<Tensor>,
     /// Engine counters from rank 0.
     pub stats: EngineStats,
@@ -148,8 +166,9 @@ pub struct TrainEnv {
     pub policy: RetryPolicy,
     /// Fault plan injected into every collective (default: quiet).
     pub comm_faults: CommFaultPlan,
-    /// Durable checkpoint store; `None` provisions a fresh in-memory
-    /// store sized for `spec.world`. The store device is deliberately
+    /// Durable checkpoint store, one slot per rank of the grid; `None`
+    /// provisions a fresh in-memory store of `spec.world * spec.mp`
+    /// slots. The store device is deliberately
     /// distinct from `backend`: checkpoints must survive the offload
     /// device dying.
     pub store: Option<CheckpointStore>,
@@ -262,25 +281,8 @@ pub fn synthetic_batch(
     (tokens, targets)
 }
 
-/// Refuse a model no rank could build or feed: an empty vocabulary,
-/// hidden size, head count or sequence, or a hidden size the heads do not
-/// divide.
-pub(crate) fn check_model(cfg: &GptConfig) -> Result<()> {
-    let sizes = [("vocab", cfg.vocab), ("hidden", cfg.hidden), ("heads", cfg.heads), ("seq", cfg.seq)];
-    if let Some((name, _)) = sizes.iter().find(|(_, size)| *size == 0) {
-        return Err(Error::InvalidArgument(format!("model {name} must be at least 1")));
-    }
-    if !cfg.hidden.is_multiple_of(cfg.heads) {
-        return Err(Error::InvalidArgument(format!(
-            "model hidden {} does not divide into {} heads",
-            cfg.hidden, cfg.heads
-        )));
-    }
-    Ok(())
-}
-
-/// Train a GPT with the given strategy across `spec.world` rank threads
-/// over an in-memory NVMe device.
+/// Train a GPT with the given strategy across `spec.world * spec.mp` rank
+/// threads over an in-memory NVMe device.
 pub fn train_gpt(spec: &TrainSpec) -> Result<TrainOutcome> {
     train_gpt_env(spec, TrainEnv::new(Arc::new(MemBackend::new())))
 }
@@ -307,21 +309,79 @@ fn error_severity(e: &Error) -> u8 {
     }
 }
 
+/// [`TensorReduce`] over a `zi-comm` communicator: the tensor-parallel
+/// group's allreduce.
+struct MpAllReduce(Communicator);
+
+impl TensorReduce for MpAllReduce {
+    fn allreduce_tensor(&self, t: &mut Tensor) -> Result<()> {
+        self.0.allreduce_sum(t.data_mut())
+    }
+}
+
+/// One rank thread's place in an attempt's `mp × dp` grid and the groups
+/// it talks in.
+#[derive(Clone)]
+struct Seat {
+    /// Grid index `dp_rank * mp + mp_rank`: the rank's GPU and its
+    /// checkpoint slot.
+    index: usize,
+    /// Its rank in `dp`.
+    dp_rank: usize,
+    /// Its rank in `tp`.
+    mp_rank: usize,
+    /// The data-parallel group of its mp position.
+    dp: CommGroup,
+    /// The tensor-parallel group of its data-parallel rank; none at
+    /// `mp = 1`.
+    tp: Option<CommGroup>,
+}
+
+impl Seat {
+    /// The seats of a `world × mp` grid in index order. The node's group
+    /// is mp position 0's data-parallel group (the only group at
+    /// `mp = 1`); the other data-parallel groups get `comm` too, and the
+    /// tensor-parallel groups its deadline.
+    fn grid(node: &NodeResources, world: usize, mp: usize, comm: &CommConfig) -> Vec<Seat> {
+        let group =
+            |size, config: &CommConfig| CommGroup::with_config_tracer(size, config.clone(), node.tracer().clone());
+        let mut dp = vec![node.group.clone()];
+        dp.extend((1..mp).map(|_| group(world, comm)));
+        let tp_config = CommConfig { deadline: comm.deadline, ..CommConfig::default() };
+        let tp: Vec<_> = (0..world).map(|_| (mp > 1).then(|| group(mp, &tp_config))).collect();
+        let seat = |index: usize| Seat {
+            index,
+            dp_rank: index / mp,
+            mp_rank: index % mp,
+            dp: dp[index % mp].clone(),
+            tp: tp[index / mp].clone(),
+        };
+        (0..world * mp).map(seat).collect()
+    }
+
+    /// Mark the rank failed in both its groups.
+    fn abort(&self) {
+        self.dp.abort_rank(self.dp_rank);
+        if let Some(tp) = &self.tp {
+            tp.abort_rank(self.mp_rank);
+        }
+    }
+}
+
 /// Armed for the lifetime of a rank thread: any exit that is not a
 /// clean success — an error return or a panic unwinding the stack —
-/// marks the rank failed in its communication group, so sibling ranks
+/// marks the rank failed in its communication groups, so sibling ranks
 /// blocked in a collective wake with [`Error::RankFailed`] immediately
 /// instead of burning the whole deadline.
 struct AbortOnDrop {
-    node: Arc<NodeResources>,
-    rank: usize,
+    seat: Seat,
     armed: bool,
 }
 
 impl Drop for AbortOnDrop {
     fn drop(&mut self) {
         if self.armed {
-            self.node.group.abort_rank(self.rank);
+            self.seat.abort();
         }
     }
 }
@@ -358,6 +418,11 @@ impl Drop for AbortOnDrop {
 /// survivor set, then fold the joiner in (world 4 → kill → 3 survivors
 /// plus 1 joiner → 4 again, with no reshard needed at all since the
 /// checkpoint layout still matches).
+///
+/// At `mp > 1` a storage failure restarts the same grid from its newest
+/// checkpoint; there is no elastic resize. A rank failure surfaces as
+/// its classified error, and a pending join is refused at the generation
+/// turn with [`Error::IncompatibleWorld`].
 pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
     let spec = *spec;
     if spec.world == 0 {
@@ -369,15 +434,15 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
     if spec.micro_batch == 0 {
         return Err(Error::InvalidArgument("micro_batch must be at least 1".into()));
     }
-    check_model(&spec.model)?;
+    spec.model.validate(spec.mp)?;
+    let ranks = spec.world * spec.mp;
     let tracer = env.tracer.clone().unwrap_or_default();
     let store = match env.store {
         Some(s) => {
-            if s.ranks() < spec.world {
+            if s.ranks() < ranks {
                 return Err(Error::InvalidArgument(format!(
-                    "checkpoint store holds {} ranks but the spec needs {}",
+                    "checkpoint store holds {} ranks but the spec needs {ranks}",
                     s.ranks(),
-                    spec.world
                 )));
             }
             s
@@ -385,9 +450,7 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
         // The default store lives on its own in-memory device, distinct
         // from the offload backend: checkpoints must survive the offload
         // device dying.
-        None => {
-            CheckpointStore::with_tracer(Arc::new(MemBackend::new()), spec.world, 2, tracer.clone())?
-        }
+        None => CheckpointStore::with_tracer(Arc::new(MemBackend::new()), ranks, 2, tracer.clone())?,
     };
     let vault = Arc::new(DurableVault { store });
     // Session-scoped membership: outlives every per-attempt comm group,
@@ -403,13 +466,11 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
         // (and device index) for every joined rank too; widen the node
         // spec to whatever this attempt actually runs.
         let mut node_spec = spec.node;
-        node_spec.gpus = node_spec.gpus.max(world);
+        node_spec.gpus = node_spec.gpus.max(world * spec.mp);
+        let comm = CommConfig { deadline: spec.collective_deadline, faults: env.comm_faults.clone() };
         let node_env = NodeEnv {
             policy: env.policy,
-            comm: CommConfig {
-                deadline: spec.collective_deadline,
-                faults: env.comm_faults.clone(),
-            },
+            comm: comm.clone(),
             tracer: tracer.clone(),
             membership: Some(&membership),
             ..NodeEnv::new(Arc::clone(&env.backend))
@@ -419,54 +480,54 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
             node.degrade();
         }
         let resume = if spec.checkpoint_every > 0 {
-            // A version complete over ranks 0..world can still be a
-            // partial set saved at a larger world — a rank died before
+            // A version complete over every slot of the grid can still
+            // be a partial set saved at a larger world — a rank died before
             // saving, so the shrink found nothing to reshard. That is not
             // a checkpoint of this world: start over rather than load it.
-            match vault.latest_consistent(world)? {
+            match vault.latest_consistent(ranks)? {
                 Some(v) if checkpoint_world(&vault.get(0, v)?.0)? == world => Some(v),
                 _ => None,
             }
         } else {
             None
         };
-        let mut handles = Vec::with_capacity(world);
-        for rank in 0..world {
-            let node = Arc::clone(&node);
-            let vault = Arc::clone(&vault);
-            let membership = membership.clone();
-            let chaos = chaos.clone();
-            handles.push(
-                thread::Builder::new()
-                    .name(format!("zi-rank-{rank}"))
-                    .spawn(move || {
-                        let mut guard =
-                            AbortOnDrop { node: Arc::clone(&node), rank, armed: true };
-                        let res = run_rank(
-                            rank,
-                            &spec,
-                            world,
-                            &node,
-                            &vault,
-                            resume,
-                            &membership,
-                            chaos.as_ref(),
-                        );
-                        // A membership change is a voluntary group
-                        // retirement, not a failure: marking this rank
-                        // failed would cascade RankFailed onto siblings
-                        // and misclassify the grow as a shrink. Peers
-                        // blocked in collectives are already woken by
-                        // the resize latch itself.
-                        let benign = res.is_ok()
-                            || matches!(&res, Err(e) if e.is_membership_change());
-                        if benign {
-                            guard.armed = false;
-                        }
-                        res
-                    })
-                    .map_err(|e| Error::Internal(format!("spawn rank thread {rank}: {e}")))?,
-            );
+        let seats = Seat::grid(&node, world, spec.mp, &comm);
+        let mut handles = Vec::with_capacity(seats.len());
+        for seat in &seats {
+            let (node, vault) = (Arc::clone(&node), Arc::clone(&vault));
+            let (membership, chaos) = (membership.clone(), chaos.clone());
+            let seat_of_thread = seat.clone();
+            let spawned = thread::Builder::new().name(format!("zi-rank-{}", seat.index)).spawn(move || {
+                let mut guard = AbortOnDrop { seat: seat_of_thread, armed: true };
+                let res =
+                    run_rank(&guard.seat, &spec, world, &node, &vault, resume, &membership, chaos.as_ref());
+                // A membership change is a voluntary group retirement,
+                // not a failure: marking this rank failed would cascade
+                // RankFailed onto siblings and misclassify the grow as a
+                // shrink. Peers blocked in collectives are already woken
+                // by the resize latch itself — in the latched group
+                // only, so at mp > 1 the guard still wakes the rank's
+                // tensor-parallel peers.
+                let benign = res.is_ok() || spec.mp == 1 && matches!(&res, Err(e) if e.is_membership_change());
+                if benign {
+                    guard.armed = false;
+                }
+                res
+            });
+            match spawned {
+                Ok(handle) => handles.push(handle),
+                Err(e) => {
+                    // The ranks not launched never reach a collective:
+                    // abort them in their groups, as a failed rank's
+                    // guard would, so every launched rank fails fast and
+                    // is joined before the error is returned.
+                    seats[handles.len()..].iter().for_each(Seat::abort);
+                    for handle in handles {
+                        let _ = handle.join();
+                    }
+                    return Err(Error::Internal(format!("spawn rank thread {}: {e}", seat.index)));
+                }
+            }
         }
         let mut outcome = None;
         let mut first_err: Option<Error> = None;
@@ -531,13 +592,16 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
                     // trust it: start degraded (all NVMe stores on CPU).
                     degraded_start = degraded_start || health.degraded;
                     world
-                } else if e.is_rank_failure() && world > 1 {
+                } else if e.is_rank_failure() && world > 1 && spec.mp == 1 {
                     if recoveries >= spec.max_recoveries {
                         return Err(e);
                     }
                     recoveries += 1;
                     world - 1
-                } else if e.is_membership_change() {
+                } else if e.is_membership_change() || spec.mp > 1 && membership.pending_joins() > 0 {
+                    // At mp > 1 the latched group's retirement reaches
+                    // the other groups as rank failures: the pending join
+                    // is the root cause.
                     world
                 } else {
                     return Err(e);
@@ -547,6 +611,16 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
                 // survivor count (kill + join in one window cancel out).
                 let failed_rank = node.group.failed_rank();
                 let (_generation, new_world) = membership.next_generation(base_world);
+                if new_world != world && spec.mp > 1 {
+                    // Each mp position's data-parallel group is a ZeRO
+                    // partition of its own (DESIGN.md §6, elastic
+                    // world-shrink): resharding them is not built.
+                    return Err(Error::IncompatibleWorld {
+                        from: world,
+                        to: new_world,
+                        context: format!("no elastic resize of a run sliced mp {} ways", spec.mp),
+                    });
+                }
                 if new_world != world {
                     // Settle in-flight background saves first; one that
                     // failed during the crash just means an older
@@ -606,7 +680,7 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
 
 #[allow(clippy::too_many_arguments)] // internal orchestration seam, not public API
 fn run_rank(
-    rank: usize,
+    seat: &Seat,
     spec: &TrainSpec,
     world: usize,
     node: &NodeResources,
@@ -615,17 +689,23 @@ fn run_rank(
     membership: &Membership,
     chaos: Option<&ChaosPlan>,
 ) -> Result<TrainOutcome> {
-    let model = GptModel::new(spec.model);
-    let comm = node.group.communicator(rank);
-    let mut engine = ZeroEngine::new(
+    let model = match &seat.tp {
+        Some(tp) => {
+            let reduce = MpAllReduce(tp.communicator(seat.mp_rank));
+            GptModel::sliced(spec.model, seat.mp_rank, spec.mp, reduce)?
+        }
+        None => GptModel::new(spec.model),
+    };
+    let mut engine = ZeroEngine::new_with_gpu(
         model.registry(),
         // The spec's look-ahead drives both the module-level
         // `hint_upcoming` window and the engine's trace-driven
         // prefetcher.
         spec.strategy.with_prefetch_window(spec.prefetch_window),
         node.offload_manager(),
-        comm,
+        seat.dp.communicator(seat.dp_rank),
         spec.adam,
+        seat.index,
     )?;
     let opts = RunOptions {
         batch: spec.micro_batch,
@@ -647,7 +727,7 @@ fn run_rank(
     // it together.
     let start_step = match resume {
         Some(step) => {
-            let (blob, saved_losses) = vault.get(rank, step)?;
+            let (blob, saved_losses) = vault.get(seat.index, step)?;
             engine.load_state(&blob)?;
             losses = saved_losses;
             step
@@ -661,7 +741,7 @@ fn run_rank(
         // join armed here gates the whole group's progress through this
         // step's barriers, which is what makes composed schedules
         // deterministic at step granularity.
-        if rank == 0 {
+        if seat.index == 0 {
             if let Some(plan) = chaos {
                 plan.begin_step(step as u64, membership);
             }
@@ -676,7 +756,8 @@ fn run_rank(
         }
         // Each optimizer step consumes `grad_accumulation` micro-batches;
         // data is drawn from consecutive virtual steps so accumulated and
-        // non-accumulated runs see the same token stream.
+        // non-accumulated runs see the same token stream. A data-parallel
+        // rank's whole tensor-parallel group trains on its micro-batch.
         let mut loss = 0.0f32;
         {
             let mut fwdbwd = tracer.span(Category::Compute, "fwdbwd");
@@ -685,7 +766,7 @@ fn run_rank(
                 let data_step = step * spec.grad_accumulation + micro;
                 let (tokens, targets) =
                     synthetic_batch(&spec.model, world * spec.micro_batch, data_step);
-                let lo = rank * rows;
+                let lo = seat.dp_rank * rows;
                 let hi = lo + rows;
                 let acts: &mut dyn zi_model::ActivationStore = match &mut cpu_acts {
                     Some(s) => s,
@@ -703,20 +784,17 @@ fn run_rank(
         }
         let loss = loss / spec.grad_accumulation as f32;
         engine.step()?;
-        // Mean loss across ranks (collective; every rank participates).
-        let nranks = node.group.world_size() as f32;
-        let mean = {
-            // Borrow the engine's communicator indirectly: each rank holds
-            // its own handle inside the engine, so use a fresh one here.
-            node.group.communicator(rank).sum_scalar(loss)? / nranks
-        };
+        // Mean loss across the data-parallel group (collective; every
+        // rank participates). The engine holds this rank's handle, so use
+        // a fresh one here.
+        let mean = seat.dp.communicator(seat.dp_rank).sum_scalar(loss)? / world as f32;
         losses.push(mean);
         // Periodic checkpoint into the durable vault via the store's
         // background writer. State export is collective (it gathers
         // replicated parameters), and the cadence is spec-driven, so
         // ranks stay in lockstep.
         if spec.checkpoint_every > 0 && (step + 1) % spec.checkpoint_every == 0 {
-            vault.save_async(rank, step + 1, engine.save_state()?, &losses)?;
+            vault.save_async(seat.index, step + 1, engine.save_state()?, &losses)?;
         }
     }
     // Export final parameters (collective, so every rank runs it).
@@ -752,7 +830,7 @@ pub fn train_dense_baseline(
     adam: AdamConfig,
     activation_checkpointing: bool,
 ) -> Result<(Vec<f32>, Vec<Tensor>)> {
-    check_model(model_cfg)?;
+    model_cfg.validate(1)?;
     let model = GptModel::new(*model_cfg);
     let mut store = DenseStore::new(model.registry());
     let mut adam_states: Vec<AdamShard> = model
@@ -1166,6 +1244,147 @@ mod accumulation_tests {
 }
 
 #[cfg(test)]
+mod tensor_parallel_tests {
+    use super::*;
+
+    fn cfg() -> GptConfig {
+        GptConfig { vocab: 16, hidden: 8, layers: 2, heads: 2, seq: 4, seed: 99 }
+    }
+
+    /// `steps` steps of `cfg()` sliced `mp` ways on `dp` data-parallel
+    /// ranks of micro-batch `micro_batch`.
+    fn spec(strategy: Strategy, mp: usize, dp: usize, micro_batch: usize, steps: usize) -> TrainSpec {
+        TrainSpec { mp, micro_batch, steps, ..TrainSpec::test_default(cfg(), strategy, dp) }
+    }
+
+    /// The dense baseline's losses over `steps` steps of `cfg()` at
+    /// global batch `global_batch`, with the Adam of [`spec`].
+    fn baseline(global_batch: usize, steps: usize) -> Vec<f32> {
+        let adam = AdamConfig { lr: 0.01, ..Default::default() };
+        train_dense_baseline(&cfg(), global_batch, steps, adam, false).unwrap().0
+    }
+
+    /// The headline composition result: tensor slicing (mp=2) times ZeRO
+    /// data parallelism (dp=2) with NVMe offload reproduces the flat mp=1
+    /// run and the dense single-process baseline, to reduction-order
+    /// noise.
+    #[test]
+    fn mp2_dp2_matches_dense_baseline() {
+        let (dp, micro, steps) = (2, 1, 3);
+        let base = baseline(dp * micro, steps);
+        let spec = spec(Strategy::infinity_nvme().with_f32_params(), 2, dp, micro, steps);
+        let losses_2d = train_gpt(&spec).unwrap().losses;
+        let losses_flat = train_gpt(&TrainSpec { mp: 1, ..spec }).unwrap().losses;
+        for (a, b) in losses_2d.iter().zip(&losses_flat) {
+            assert!((a - b).abs() < 1e-4, "mp=2 diverged from mp=1: {losses_2d:?} vs {losses_flat:?}");
+        }
+        // The losses are the data-parallel means, so the flat run's are
+        // the dense baseline's, step for step.
+        for (a, b) in losses_flat.iter().zip(&base) {
+            assert!((a - b).abs() < 1e-4, "flat {losses_flat:?} vs baseline {base:?}");
+        }
+    }
+
+    #[test]
+    fn mp2_single_dp_matches_dense_exactly() {
+        // dp=1 removes data-parallel averaging, so the mp=2 trajectory
+        // must match the dense model's losses to reduction-order noise.
+        let steps = 3;
+        let base = baseline(1, steps);
+        let losses = train_gpt(&spec(Strategy::infinity_cpu().with_f32_params(), 2, 1, 1, steps)).unwrap().losses;
+        assert_eq!(losses.len(), base.len());
+        for (a, b) in losses.iter().zip(&base) {
+            assert!((a - b).abs() < 1e-4, "{losses:?} vs {base:?}");
+        }
+    }
+
+    #[test]
+    fn fp16_mp_training_converges() {
+        let losses = train_gpt(&spec(Strategy::infinity_nvme(), 2, 2, 2, 8)).unwrap().losses;
+        assert!(losses.last().unwrap() < &losses[0], "mp x dp fp16 training should converge: {losses:?}");
+    }
+
+    #[test]
+    fn an_mp_the_model_cannot_be_sliced_over_is_rejected() {
+        // Refused before any node or rank thread is built, like every
+        // other degenerate spec; and by the dense baseline's validation
+        // at mp = 1 for the model half of the rule.
+        for mp in [0, 3, 4] {
+            let got = train_gpt(&spec(Strategy::zero_3(), mp, 1, 1, 1));
+            assert!(matches!(got, Err(Error::InvalidArgument(_))), "mp {mp}: {:?}", got.err());
+        }
+        assert!(train_gpt(&spec(Strategy::zero_3(), 2, 1, 1, 1)).is_ok());
+    }
+
+    #[test]
+    fn a_failed_seat_wakes_its_peers_in_both_groups() {
+        // Seat (1, 1) fails while (1, 0) waits on it in their
+        // tensor-parallel group and (0, 1) in their data-parallel one:
+        // both wake long before the 600 s deadline.
+        let node = NodeResources::in_memory(&NodeMemorySpec::test_spec(4, 1 << 20, 1 << 20, 1 << 20), 2);
+        let comm = CommConfig { deadline: Duration::from_secs(600), ..CommConfig::default() };
+        let seats = Seat::grid(&node, 2, 2, &comm);
+        assert_eq!(seats.iter().map(|s| (s.index, s.dp_rank, s.mp_rank)).collect::<Vec<_>>(),
+            [(0, 0, 0), (1, 0, 1), (2, 1, 0), (3, 1, 1)]);
+        let started = zi_sync::time::Instant::now();
+        let tp_peer = seats[2].tp.clone().unwrap().communicator(0);
+        let dp_peer = seats[1].dp.communicator(0);
+        let waiters = [thread::spawn(move || tp_peer.barrier()), thread::spawn(move || dp_peer.barrier())];
+        drop(AbortOnDrop { seat: seats[3].clone(), armed: true });
+        for waiter in waiters {
+            let woke = waiter.join().unwrap();
+            assert!(woke.as_ref().is_err_and(Error::is_rank_failure), "{woke:?}");
+        }
+        assert!(started.elapsed() < Duration::from_secs(60));
+    }
+
+    #[test]
+    fn a_rank_failure_at_mp2_surfaces_without_a_shrink() {
+        let s = TrainSpec {
+            max_recoveries: 1,
+            collective_deadline: Duration::from_secs(10),
+            ..spec(Strategy::infinity_nvme().with_f32_params(), 2, 2, 1, 4)
+        };
+        let faults = CommFaultPlan::new();
+        faults.kill_rank_after_ops(1, 5);
+        let env = TrainEnv { comm_faults: faults, ..TrainEnv::new(Arc::new(MemBackend::new())) };
+        match train_gpt_env(&s, env) {
+            Err(e) => assert!(e.is_rank_failure(), "{e}"),
+            Ok(out) => panic!("a killed rank at mp 2 must fail the run, not resize it: {:?}", out.elastic),
+        }
+    }
+
+    #[test]
+    fn a_join_at_mp2_is_refused_at_the_generation_turn() {
+        let s = TrainSpec {
+            collective_deadline: Duration::from_secs(10),
+            ..spec(Strategy::infinity_nvme().with_f32_params(), 2, 2, 1, 4)
+        };
+        let plan = ChaosPlan::new();
+        plan.schedule(2, zi_chaos::ChaosEvent::RankJoin { ranks: 1 });
+        let env = TrainEnv { chaos: Some(plan), ..TrainEnv::new(Arc::new(MemBackend::new())) };
+        let got = train_gpt_env(&s, env).err();
+        assert!(matches!(got, Some(Error::IncompatibleWorld { from: 2, to: 3, .. })), "{got:?}");
+    }
+
+    #[test]
+    fn a_sliced_run_reports_its_slices_and_checkpoints_every_seat() {
+        // Final params are grid position (0, 0)'s slices; the vault holds
+        // one slot per seat of the 2 x 2 grid.
+        let store = CheckpointStore::new(Arc::new(MemBackend::new()), 3, 2).unwrap();
+        let mut s = spec(Strategy::infinity_nvme().with_f32_params(), 2, 2, 1, 2);
+        let env = TrainEnv { store: Some(store), ..TrainEnv::new(Arc::new(MemBackend::new())) };
+        assert!(matches!(train_gpt_env(&s, env), Err(Error::InvalidArgument(_))), "3 slots for 4 seats");
+        s.checkpoint_every = 1;
+        let out = train_gpt(&s).unwrap();
+        let slice = GptModel::sliced(cfg(), 0, 2, MpAllReduce(CommGroup::new(1).communicator(0))).unwrap();
+        let shapes: Vec<_> = slice.registry().iter().map(|m| m.shape.clone()).collect();
+        assert_eq!(out.final_params.iter().map(|t| t.shape().to_vec()).collect::<Vec<_>>(), shapes);
+        assert_eq!((out.final_world, out.losses.len(), out.stats.steps), (2, 2, 2));
+    }
+}
+
+#[cfg(test)]
 mod recovery_tests {
     use super::*;
     use zi_nvme::{FaultPlan, FaultyBackend};
@@ -1289,6 +1508,66 @@ mod recovery_tests {
         for (a, b) in out.final_params.iter().zip(&reference.final_params) {
             assert_eq!(a.data(), b.data(), "recovered params must match exactly");
         }
+    }
+
+    /// [`mid_run_device_death_recovers_from_checkpoint`] on a grid sliced
+    /// two ways, at data-parallel degree 1 and 2: the same-grid restart
+    /// reproduces the uninterrupted sliced run bit for bit.
+    #[test]
+    fn mid_run_device_death_recovers_from_checkpoint_at_mp2() {
+        for dp in [1, 2] {
+            let spec = TrainSpec { mp: 2, world: dp, ..spec() };
+            let reference = train_gpt(&spec).unwrap();
+
+            let quiet = FaultPlan::new();
+            let backend = Arc::new(FaultyBackend::new(MemBackend::new(), quiet.clone()));
+            train_gpt_env(&spec, fast_env(backend)).unwrap();
+            let total_ops = quiet.ops_seen();
+            assert!(total_ops > 0);
+
+            let plan = FaultPlan::new();
+            plan.kill_after_ops(total_ops * 6 / 10);
+            let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan.clone()));
+            let out = train_gpt_env(&spec, fast_env(backend)).unwrap();
+
+            assert!(out.recoveries >= 1, "dp {dp}: death mid-run must force a restart");
+            assert!(out.degraded, "dp {dp}: the replacement run must distrust the device");
+            assert!(plan.injected().dead_rejections > 0, "dp {dp}: the device really died");
+            assert_eq!(out.losses, reference.losses, "dp {dp}");
+            for (a, b) in out.final_params.iter().zip(&reference.final_params) {
+                assert_eq!(a.data(), b.data(), "dp {dp}: recovered params must match exactly");
+            }
+        }
+    }
+
+    /// A device death on a 2 x 2 grid with a 600 s collective deadline and
+    /// no recovery budget comes back as the typed storage error well
+    /// inside a minute, every rank thread joined. (Every rank here meets
+    /// the dead device in its own optimizer step; that a failed rank wakes
+    /// a tensor-parallel peer waiting on it is
+    /// `a_failed_seat_wakes_its_peers_in_both_groups`.)
+    #[test]
+    fn a_device_death_at_mp2_fails_fast_with_every_rank_joined() {
+        let spec = TrainSpec {
+            mp: 2,
+            max_recoveries: 0,
+            collective_deadline: std::time::Duration::from_secs(600),
+            ..TrainSpec::test_default(spec().model, spec().strategy, 2)
+        };
+        let quiet = FaultPlan::new();
+        let backend = Arc::new(FaultyBackend::new(MemBackend::new(), quiet.clone()));
+        train_gpt_env(&spec, fast_env(backend)).unwrap();
+
+        let plan = FaultPlan::new();
+        plan.kill_after_ops(quiet.ops_seen() / 2);
+        let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan));
+        let started = zi_sync::time::Instant::now();
+        let err = match train_gpt_env(&spec, fast_env(backend)) {
+            Err(e) => e,
+            Ok(_) => panic!("a grid over a dying device with no recovery budget must fail"),
+        };
+        assert!(err.is_device_failure(), "expected a device failure, got {err}");
+        assert!(started.elapsed() < std::time::Duration::from_secs(60), "took {:?}", started.elapsed());
     }
 
     #[test]

@@ -4,6 +4,13 @@
 //! The runner names modules and supplies their arithmetic; gathering,
 //! releasing, gradient hand-off and prefetch hints — the paper's hook
 //! injection (Sec. 7.1) — are [`crate::param::Bracket`]'s.
+//!
+//! A model may be one slice of a Megatron-style tensor-sliced GPT (the
+//! `mp` column of the paper's Table 1, [`GptModel::sliced`]): its blocks
+//! hold `1/mp` of the heads and FFN channels and run the dense block's
+//! arithmetic, with a [`TensorReduce`] hook summing their partial results
+//! across the tensor-parallel group. The unsliced model is the slice of a
+//! group of one, whose hook does nothing.
 
 use zi_tensor::ops;
 use zi_tensor::Tensor;
@@ -13,8 +20,7 @@ use crate::layers::{
     block_backward, block_forward, embedding_backward, embedding_forward, lm_head_backward,
     lm_head_forward, BlockConfig, BlockSaved,
 };
-use crate::mp::{NoReduce, TensorReduce};
-use crate::param::{Bracket, ModulePlan, ParamId, ParamRegistry, ParamStore};
+use crate::param::{Bracket, ModulePlan, ParamRegistry, ParamStore};
 
 /// Model architecture hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,6 +43,50 @@ impl GptConfig {
     /// A tiny configuration suitable for unit tests.
     pub fn tiny() -> Self {
         GptConfig { vocab: 16, hidden: 8, layers: 2, heads: 2, seq: 4, seed: 1234 }
+    }
+
+    /// Refuse a model no rank could build or feed when sliced `mp` ways:
+    /// a zero `mp`, an empty vocabulary, hidden size, head count or
+    /// sequence, a hidden size the heads do not divide, or a hidden size
+    /// or head count `mp` does not divide.
+    pub fn validate(&self, mp: usize) -> Result<()> {
+        let sizes = [("vocab", self.vocab), ("hidden", self.hidden), ("heads", self.heads), ("seq", self.seq)];
+        if let Some((name, _)) = sizes.iter().find(|(_, size)| *size == 0) {
+            return Err(Error::InvalidArgument(format!("model {name} must be at least 1")));
+        }
+        if !self.hidden.is_multiple_of(self.heads) {
+            return Err(Error::InvalidArgument(format!(
+                "model hidden {} does not divide into {} heads",
+                self.hidden, self.heads
+            )));
+        }
+        if mp == 0 {
+            return Err(Error::InvalidArgument("tensor-parallel degree mp must be at least 1".into()));
+        }
+        if !self.hidden.is_multiple_of(mp) || !self.heads.is_multiple_of(mp) {
+            return Err(Error::InvalidArgument(format!(
+                "model hidden {} and heads {} must divide by mp {mp}",
+                self.hidden, self.heads
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Elementwise sum across the tensor-parallel group.
+///
+/// Implemented over `zi-comm` by the training engine.
+pub trait TensorReduce: Send + Sync {
+    /// Sum `t` in place across the group.
+    fn allreduce_tensor(&self, t: &mut Tensor) -> Result<()>;
+}
+
+/// The reduction of a group of one: the unsliced model's.
+pub(crate) struct NoReduce;
+
+impl TensorReduce for NoReduce {
+    fn allreduce_tensor(&self, _t: &mut Tensor) -> Result<()> {
+        Ok(())
     }
 }
 
@@ -125,44 +175,15 @@ impl ActivationStore for InMemoryActStore {
     }
 }
 
-/// The registry and module plan every GPT runner brackets, in forward
-/// order: `embed`, one module per block over the parameters `block`
-/// registers for it, `ln_f`, `head`.
-pub(crate) fn register_gpt(
-    cfg: &GptConfig,
-    mut block: impl FnMut(&mut ParamRegistry, usize) -> Vec<ParamId>,
-) -> (ParamRegistry, Vec<ModulePlan>) {
-    let module = |name: String, own_params: Vec<ParamId>| ModulePlan {
-        name,
-        own_params,
-        external_params: vec![],
-    };
-    let mut reg = ParamRegistry::new();
-    let (h, w_scale) = (cfg.hidden, weight_scale(cfg));
-    let wte = reg.register("wte", &[cfg.vocab, h], cfg.seed, w_scale, 0.0);
-    let wpe = reg.register("wpe", &[cfg.seq, h], cfg.seed + 1, w_scale, 0.0);
-    let mut plans = vec![module("embed".into(), vec![wte, wpe])];
-    for l in 0..cfg.layers {
-        let ids = block(&mut reg, l);
-        plans.push(module(format!("block{l}"), ids));
-    }
-    let lnf_g = reg.register("ln_f.gamma", &[h], 0, 0.0, 1.0);
-    let lnf_b = reg.register("ln_f.beta", &[h], 0, 0.0, 0.0);
-    plans.push(module("ln_f".into(), vec![lnf_g, lnf_b]));
-    // The LM head owns no parameters: it reuses the embedding weight
-    // across module boundaries — the canonical external parameter.
-    plans.push(ModulePlan { name: "head".into(), own_params: vec![], external_params: vec![wte] });
-    (reg, plans)
-}
-
-/// Uniform amplitude of every weight matrix's initial value.
-pub(crate) fn weight_scale(cfg: &GptConfig) -> f32 {
-    0.3 / (cfg.hidden as f32).sqrt()
-}
-
-/// The model: parameter registry plus module plan.
+/// The model: parameter registry plus module plan, of the whole model
+/// or of one tensor-parallel slice of it.
 pub struct GptModel {
     cfg: GptConfig,
+    /// Tensor-parallel degree: each block holds `1/mp` of the heads and
+    /// FFN channels.
+    mp: usize,
+    /// Sums a block's partial results across the tensor-parallel group.
+    reduce: Box<dyn TensorReduce>,
     registry: ParamRegistry,
     /// Module execution plan, in forward order.
     pub(crate) plans: Vec<ModulePlan>,
@@ -197,34 +218,96 @@ struct ForwardState {
 }
 
 impl GptModel {
-    /// Build the registry and module plan for `cfg`.
+    /// Build the registry and module plan for `cfg`: the unsliced model.
     ///
     /// Construction registers metadata only — no parameter data is
     /// materialized here. Stores decide when and where tensors come to
     /// life, which is what makes init-time partitioning (Sec. 7.2)
     /// possible: the ZeRO engine initializes each rank's shard directly.
+    ///
+    /// Panics if `cfg` fails [`GptConfig::validate`] at `mp = 1`.
     pub fn new(cfg: GptConfig) -> Self {
-        assert!(cfg.hidden.is_multiple_of(cfg.heads), "hidden must divide by heads");
-        let (h, w_scale) = (cfg.hidden, weight_scale(&cfg));
-        let (registry, plans) = register_gpt(&cfg, |reg, l| {
+        let valid = cfg.validate(1);
+        assert!(valid.is_ok(), "{valid:?}");
+        Self::build(cfg, 0, 1, Box::new(NoReduce))
+    }
+
+    /// Build slice `mp_rank` of `cfg` tensor-sliced `mp` ways (Megatron
+    /// style), whose blocks' partial results `reduce` sums across the
+    /// group.
+    ///
+    /// Attention QKV and the MLP expansion are column-parallel: a slice
+    /// holds the weight rows of its share of heads and FFN channels. The
+    /// attention out-projection and `fc2` are row-parallel: it holds the
+    /// matching weight columns and produces a partial output, which the
+    /// block sums before adding the bias; the backward sums the gradients
+    /// of the two layer norms' outputs. Layer norms, row-parallel biases
+    /// and the tied embeddings are replicated in the group and stay equal,
+    /// their gradients being equal on every rank. Each slice is cut from
+    /// the virtual unsliced tensor under the unsliced name and seed, so
+    /// the group computes the function of [`GptModel::new`]'s model; a
+    /// whole-tensor slice (`mp = 1`) registers as that model's parameter.
+    pub fn sliced(
+        cfg: GptConfig,
+        mp_rank: usize,
+        mp: usize,
+        reduce: impl TensorReduce + 'static,
+    ) -> Result<Self> {
+        cfg.validate(mp)?;
+        if mp_rank >= mp {
+            return Err(Error::InvalidArgument(format!("mp_rank {mp_rank} out of mp {mp}")));
+        }
+        Ok(Self::build(cfg, mp_rank, mp, Box::new(reduce)))
+    }
+
+    /// The registry and module plan of slice `mp_rank` of a valid `cfg`,
+    /// in forward order: `embed`, one module per block, `ln_f`, `head`.
+    #[allow(clippy::single_range_in_vec_init)] // a slice's row ranges, one or three
+    fn build(cfg: GptConfig, mp_rank: usize, mp: usize, reduce: Box<dyn TensorReduce>) -> Self {
+        let module = |name: String, own_params| ModulePlan { name, own_params, external_params: vec![] };
+        let (h, hl, w_scale) = (cfg.hidden, cfg.hidden / mp, 0.3 / (cfg.hidden as f32).sqrt());
+        let mut reg = ParamRegistry::new();
+        let wte = reg.register("wte", &[cfg.vocab, h], cfg.seed, w_scale, 0.0);
+        let wpe = reg.register("wpe", &[cfg.seq, h], cfg.seed + 1, w_scale, 0.0);
+        let mut plans = vec![module("embed".into(), vec![wte, wpe])];
+        // This slice's hidden columns and FFN channels.
+        let (r0, f0) = (mp_rank * hl, mp_rank * 4 * hl);
+        let (heads, ffn) = (r0..r0 + hl, f0..f0 + 4 * hl);
+        let qkv_rows = vec![heads.clone(), h + r0..h + r0 + hl, 2 * h + r0..2 * h + r0 + hl];
+        for l in 0..cfg.layers {
             let s = cfg.seed + 100 * (l as u64 + 1);
             let pre = format!("block{l}");
-            vec![
+            let slice = |reg: &mut ParamRegistry, name: &str, full, rows, cols, seed| {
+                reg.register_slice(format!("{pre}.{name}"), full, rows, cols, seed, w_scale)
+            };
+            let ids = vec![
                 reg.register(format!("{pre}.ln1.gamma"), &[h], 0, 0.0, 1.0),
                 reg.register(format!("{pre}.ln1.beta"), &[h], 0, 0.0, 0.0),
-                reg.register(format!("{pre}.attn.qkv.weight"), &[3 * h, h], s, w_scale, 0.0),
-                reg.register(format!("{pre}.attn.qkv.bias"), &[3 * h], 0, 0.0, 0.0),
-                reg.register(format!("{pre}.attn.proj.weight"), &[h, h], s + 1, w_scale, 0.0),
+                // Column-parallel: this slice's q, k and v rows of the
+                // fused [3h, h] weight.
+                slice(&mut reg, "attn.qkv.weight", [3 * h, h], qkv_rows.clone(), 0..h, s),
+                reg.register(format!("{pre}.attn.qkv.bias"), &[3 * hl], 0, 0.0, 0.0),
+                // Row-parallel: its columns of [h, h].
+                slice(&mut reg, "attn.proj.weight", [h, h], vec![0..h], heads.clone(), s + 1),
                 reg.register(format!("{pre}.attn.proj.bias"), &[h], 0, 0.0, 0.0),
                 reg.register(format!("{pre}.ln2.gamma"), &[h], 0, 0.0, 1.0),
                 reg.register(format!("{pre}.ln2.beta"), &[h], 0, 0.0, 0.0),
-                reg.register(format!("{pre}.mlp.fc1.weight"), &[4 * h, h], s + 2, w_scale, 0.0),
-                reg.register(format!("{pre}.mlp.fc1.bias"), &[4 * h], 0, 0.0, 0.0),
-                reg.register(format!("{pre}.mlp.fc2.weight"), &[h, 4 * h], s + 3, w_scale, 0.0),
+                // Column-parallel: its rows of [4h, h].
+                slice(&mut reg, "mlp.fc1.weight", [4 * h, h], vec![ffn.clone()], 0..h, s + 2),
+                reg.register(format!("{pre}.mlp.fc1.bias"), &[4 * hl], 0, 0.0, 0.0),
+                // Row-parallel: its columns of [h, 4h].
+                slice(&mut reg, "mlp.fc2.weight", [h, 4 * h], vec![0..h], ffn.clone(), s + 3),
                 reg.register(format!("{pre}.mlp.fc2.bias"), &[h], 0, 0.0, 0.0),
-            ]
-        });
-        GptModel { cfg, registry, plans }
+            ];
+            plans.push(module(pre, ids));
+        }
+        let lnf_g = reg.register("ln_f.gamma", &[h], 0, 0.0, 1.0);
+        let lnf_b = reg.register("ln_f.beta", &[h], 0, 0.0, 0.0);
+        plans.push(module("ln_f".into(), vec![lnf_g, lnf_b]));
+        // The LM head owns no parameters: it reuses the embedding weight
+        // across module boundaries — the canonical external parameter.
+        plans.push(ModulePlan { name: "head".into(), own_params: vec![], external_params: vec![wte] });
+        GptModel { cfg, mp, reduce, registry: reg, plans }
     }
 
     /// Architecture config.
@@ -247,7 +330,7 @@ impl GptModel {
         tokens: &[usize],
         batch: usize,
     ) -> Result<Tensor> {
-        let bc = block_cfg(&self.cfg, batch);
+        let (bc, lc) = self.block_cfgs(batch);
         if tokens.len() != bc.rows() {
             return Err(Error::shape(format!(
                 "forward_logits: {} tokens for batch {batch} x seq {}",
@@ -258,7 +341,7 @@ impl GptModel {
         let nl = self.cfg.layers;
         let (mut obs, window) = (NoopObserver, RunOptions::default().prefetch_window);
         let mut ctx = Bracket::new(store, &mut obs, &self.plans, window);
-        let fwd = forward_pass(&mut ctx, &bc, &bc, &NoReduce, tokens, &vec![true; nl], Save::Nothing)?;
+        let fwd = forward_pass(&mut ctx, &bc, &lc, &*self.reduce, tokens, &vec![true; nl], Save::Nothing)?;
         ctx.forward(nl + 2, |p| lm_head_forward(&p[0], &fwd.hstates))
     }
 
@@ -310,8 +393,7 @@ impl GptModel {
         obs: &mut dyn RunObserver,
     ) -> Result<f32> {
         let mut ctx = Bracket::new(store, obs, &self.plans, opts.prefetch_window);
-        let active = vec![true; self.cfg.layers];
-        run_step(&self.cfg, &mut ctx, acts, tokens, targets, opts, &active, 1, &NoReduce)
+        self.run_step(&mut ctx, acts, tokens, targets, opts, &vec![true; self.cfg.layers])
     }
 
     /// Dynamic-workflow variant: `active[l]` selects which blocks execute
@@ -337,13 +419,91 @@ impl GptModel {
         }
         let (mut acts, mut obs) = (InMemoryActStore::new(), NoopObserver);
         let mut ctx = Bracket::new(store, &mut obs, &self.plans, opts.prefetch_window);
-        run_step(&self.cfg, &mut ctx, &mut acts, tokens, targets, opts, active, 1, &NoReduce)
+        self.run_step(&mut ctx, &mut acts, tokens, targets, opts, active)
     }
-}
 
-/// The full-width block shape of `cfg` at micro-batch `batch`.
-fn block_cfg(cfg: &GptConfig, batch: usize) -> BlockConfig {
-    BlockConfig { hidden: cfg.hidden, heads: cfg.heads, batch, seq: cfg.seq }
+    /// The model's full-width block shape at micro-batch `batch`, and its
+    /// blocks' share of it.
+    fn block_cfgs(&self, batch: usize) -> (BlockConfig, BlockConfig) {
+        let bc = BlockConfig { hidden: self.cfg.hidden, heads: self.cfg.heads, batch, seq: self.cfg.seq };
+        (bc, BlockConfig { hidden: bc.hidden / self.mp, heads: bc.heads / self.mp, ..bc })
+    }
+
+    /// One forward+backward pass over the modules `ctx` brackets, the
+    /// `active` blocks' partial results summed by the model's reduce;
+    /// returns the mean cross-entropy loss.
+    fn run_step(
+        &self,
+        ctx: &mut Bracket<'_>,
+        acts: &mut dyn ActivationStore,
+        tokens: &[usize],
+        targets: &[usize],
+        opts: &RunOptions,
+        active: &[bool],
+    ) -> Result<f32> {
+        let (cfg, reduce) = (&self.cfg, &*self.reduce);
+        let (bc, lc) = self.block_cfgs(opts.batch);
+        if tokens.len() != bc.rows() || targets.len() != bc.rows() {
+            return Err(Error::shape(format!(
+                "train_step: {} tokens / {} targets for batch {} x seq {}",
+                tokens.len(),
+                targets.len(),
+                opts.batch,
+                cfg.seq
+            )));
+        }
+        let (h, lnf, head) = (cfg.hidden, active.len() + 1, active.len() + 2);
+
+        let save = if opts.activation_checkpointing {
+            Save::Checkpoints(&mut *acts)
+        } else {
+            Save::Activations
+        };
+        let fwd = forward_pass(ctx, &bc, &lc, reduce, tokens, active, save)?;
+
+        // Tied LM head (external parameter, Sec. 7.1.1: wte). The head's
+        // backward is the very next user of the model's largest parameter,
+        // so it stays gathered from the head's forward through the loss to
+        // its backward.
+        let (loss, dh) = ctx.held(head, |ctx| {
+            let logits = ctx.forward(head, |p| lm_head_forward(&p[0], &fwd.hstates))?;
+            let (loss, dlogits) = ops::cross_entropy(&logits, targets)?;
+            let dh = ctx.backward(head, |p| {
+                let (dh, dwte) = lm_head_backward(&p[0], &fwd.hstates, &dlogits)?;
+                Ok((dh, vec![dwte]))
+            })?;
+            Ok((loss, dh))
+        })?;
+
+        let mut dx = ctx.backward(lnf, |p| {
+            let (dx, dg, db) =
+                ops::layernorm_backward(&fwd.lnf_input, &dh, p[0].data(), &fwd.lnf_stats)?;
+            Ok((dx, vec![Tensor::from_vec(&[h], dg)?, Tensor::from_vec(&[h], db)?]))
+        })?;
+
+        for (l, state) in fwd.blocks.into_iter().enumerate().rev() {
+            // A skipped block passes the gradient through unchanged.
+            let Some(state) = state else { continue };
+            dx = ctx.backward(1 + l, |p| {
+                let saved = match state {
+                    BlockState::Full(s) => *s,
+                    // Activation checkpointing: fetch the checkpointed
+                    // input back from the store (possibly CPU memory) and
+                    // recompute the block's forward to rebuild intermediate
+                    // activations (the 1/3 extra compute of Sec. 3).
+                    BlockState::Checkpointed => block_forward(&lc, p, &acts.load(l)?, reduce)?.1,
+                };
+                block_backward(&lc, p, &saved, &dx, reduce)
+            })?;
+        }
+
+        // Second gradient deposit for the tied weight.
+        ctx.backward_unfetched(0, || {
+            let (dwte, dwpe) = embedding_backward(&bc, cfg.vocab, tokens, &dx)?;
+            Ok(vec![dwte, dwpe])
+        })?;
+        Ok(loss)
+    }
 }
 
 /// Embedding, the `active` blocks and the final layer norm; `save`
@@ -385,90 +545,10 @@ fn forward_pass(
     Ok(ForwardState { blocks, lnf_input: x, lnf_stats, hstates })
 }
 
-/// One forward+backward pass of a GPT whose plan is [`register_gpt`]'s
-/// over the modules `ctx` brackets, its blocks sliced `mp` ways with
-/// `reduce` summing their partial results; returns the mean cross-entropy
-/// loss.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_step(
-    cfg: &GptConfig,
-    ctx: &mut Bracket<'_>,
-    acts: &mut dyn ActivationStore,
-    tokens: &[usize],
-    targets: &[usize],
-    opts: &RunOptions,
-    active: &[bool],
-    mp: usize,
-    reduce: &dyn TensorReduce,
-) -> Result<f32> {
-    let bc = block_cfg(cfg, opts.batch);
-    let lc = BlockConfig { hidden: cfg.hidden / mp, heads: cfg.heads / mp, ..bc };
-    if tokens.len() != bc.rows() || targets.len() != bc.rows() {
-        return Err(Error::shape(format!(
-            "train_step: {} tokens / {} targets for batch {} x seq {}",
-            tokens.len(),
-            targets.len(),
-            opts.batch,
-            cfg.seq
-        )));
-    }
-    let (h, lnf, head) = (cfg.hidden, active.len() + 1, active.len() + 2);
-
-    let save = if opts.activation_checkpointing {
-        Save::Checkpoints(&mut *acts)
-    } else {
-        Save::Activations
-    };
-    let fwd = forward_pass(ctx, &bc, &lc, reduce, tokens, active, save)?;
-
-    // Tied LM head (external parameter, Sec. 7.1.1: wte). The head's
-    // backward is the very next user of the model's largest parameter, so
-    // it stays gathered from the head's forward through the loss to its
-    // backward.
-    let (loss, dh) = ctx.held(head, |ctx| {
-        let logits = ctx.forward(head, |p| lm_head_forward(&p[0], &fwd.hstates))?;
-        let (loss, dlogits) = ops::cross_entropy(&logits, targets)?;
-        let dh = ctx.backward(head, |p| {
-            let (dh, dwte) = lm_head_backward(&p[0], &fwd.hstates, &dlogits)?;
-            Ok((dh, vec![dwte]))
-        })?;
-        Ok((loss, dh))
-    })?;
-
-    let mut dx = ctx.backward(lnf, |p| {
-        let (dx, dg, db) =
-            ops::layernorm_backward(&fwd.lnf_input, &dh, p[0].data(), &fwd.lnf_stats)?;
-        Ok((dx, vec![Tensor::from_vec(&[h], dg)?, Tensor::from_vec(&[h], db)?]))
-    })?;
-
-    for (l, state) in fwd.blocks.into_iter().enumerate().rev() {
-        // A skipped block passes the gradient through unchanged.
-        let Some(state) = state else { continue };
-        dx = ctx.backward(1 + l, |p| {
-            let saved = match state {
-                BlockState::Full(s) => *s,
-                // Activation checkpointing: fetch the checkpointed input
-                // back from the store (possibly CPU memory) and recompute
-                // the block's forward to rebuild intermediate activations
-                // (the 1/3 extra compute of Sec. 3).
-                BlockState::Checkpointed => block_forward(&lc, p, &acts.load(l)?, reduce)?.1,
-            };
-            block_backward(&lc, p, &saved, &dx, reduce)
-        })?;
-    }
-
-    // Second gradient deposit for the tied weight.
-    ctx.backward_unfetched(0, || {
-        let (dwte, dwpe) = embedding_backward(&bc, cfg.vocab, tokens, &dx)?;
-        Ok(vec![dwte, dwpe])
-    })?;
-    Ok(loss)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::param::DenseStore;
+    use crate::param::{DenseStore, ParamId};
 
     fn data_for(cfg: &GptConfig, batch: usize, step: u64) -> (Vec<usize>, Vec<usize>) {
         // Deterministic "shifted token" task: target is (token + 1) % vocab.
@@ -789,7 +869,7 @@ mod dynamic_tests {
 #[cfg(test)]
 mod inference_tests {
     use super::*;
-    use crate::param::DenseStore;
+    use crate::param::{DenseStore, ParamId};
 
     #[test]
     fn trained_model_actually_learned_the_task() {
@@ -910,7 +990,7 @@ mod inference_tests {
 #[cfg(test)]
 mod protocol_pin {
     use super::*;
-    use crate::param::DenseStore;
+    use crate::param::{DenseStore, ParamId};
 
     /// Ascending runs of `ids`, `.`-joined: `[2, 3, 4, 9]` is `2-4.9`.
     fn runs(ids: &[usize]) -> String {
@@ -1012,5 +1092,198 @@ mod protocol_pin {
              h26-27.14-25 a0 r0 h14-25.2-13 g26-27 a26-27 r26-27 \
              h2-13.0-1 g14-25 a14-25 r14-25 a0-1"
         );
+    }
+}
+
+#[cfg(test)]
+mod sliced_tests {
+    use super::*;
+    use crate::param::{DenseStore, ParamId};
+    use zi_sync::atomic::{AtomicUsize, Ordering};
+    use zi_sync::Arc;
+
+    /// A group of one that counts its reductions.
+    struct RecordingReduce {
+        calls: Arc<AtomicUsize>,
+    }
+
+    impl TensorReduce for RecordingReduce {
+        fn allreduce_tensor(&self, _t: &mut Tensor) -> Result<()> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        }
+    }
+
+    /// `GptModel::sliced(cfg, 0, 1, …)`, seed 9, batch 2 of [`data`]: the
+    /// loss of its first step.
+    const MP1_LOSS_BITS: u32 = 0x4038_15e6;
+
+    fn data(cfg: &GptConfig, batch: usize) -> (Vec<usize>, Vec<usize>) {
+        let rows = batch * cfg.seq;
+        let tokens: Vec<usize> = (0..rows).map(|i| (i * 5 + 1) % cfg.vocab).collect();
+        let targets: Vec<usize> = tokens.iter().map(|&t| (t + 1) % cfg.vocab).collect();
+        (tokens, targets)
+    }
+
+    #[test]
+    fn mp1_matches_dense_gpt_exactly() {
+        let cfg = GptConfig { vocab: 16, hidden: 8, layers: 2, heads: 2, seq: 4, seed: 9 };
+        let dense = GptModel::new(cfg);
+        let sliced = GptModel::sliced(cfg, 0, 1, NoReduce).unwrap();
+        let (tokens, targets) = data(&cfg, 2);
+        let opts = RunOptions { batch: 2, ..Default::default() };
+
+        let mut s1 = DenseStore::new(dense.registry());
+        let l1 = dense.train_step(&mut s1, &tokens, &targets, &opts).unwrap();
+        let mut s2 = DenseStore::new(sliced.registry());
+        let l2 = sliced.train_step(&mut s2, &tokens, &targets, &opts).unwrap();
+        assert_eq!(l1.to_bits(), l2.to_bits(), "{l1} vs {l2}");
+        // The loss of this step before the runner went through the bracket.
+        assert_eq!(l2.to_bits(), MP1_LOSS_BITS, "the bracket must not change the math");
+
+        // The mp = 1 slices are the dense tensors under the dense names and
+        // init recipes, and every gradient element — the fused qkv
+        // weight's included — is the dense model's, bit for bit.
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(dense.registry().len(), sliced.registry().len());
+        for (d, m) in dense.registry().iter().zip(sliced.registry().iter()) {
+            assert_eq!((&d.name, &d.shape), (&m.name, &m.shape));
+            assert_eq!(format!("{:?}", d.init), format!("{:?}", m.init), "init of {}", d.name);
+            assert!(matches!(m.init, crate::param::InitKind::Uniform { .. }), "{} copies a slice", m.name);
+            let (g1, g2) = (s1.grad(d.id).unwrap(), s2.grad(m.id).unwrap());
+            assert_eq!(bits(g1), bits(g2), "gradient of {}", d.name);
+        }
+    }
+
+    #[test]
+    fn tied_weight_is_fetched_twice_held_across_the_loss_and_hinted() {
+        // As `GptModel`: one `wte` fetch for the embedding, one for the
+        // head, kept from its forward through the loss to its backward;
+        // and the same hints, so a prefetching store sees this runner too.
+        struct FetchCounter {
+            inner: DenseStore,
+            wte: ParamId,
+            gets: usize,
+            held: usize,
+            max_held: usize,
+            hints: Vec<Vec<ParamId>>,
+        }
+        impl ParamStore for FetchCounter {
+            fn get(&mut self, id: ParamId) -> Result<Tensor> {
+                if id == self.wte {
+                    self.gets += 1;
+                    self.held += 1;
+                    self.max_held = self.max_held.max(self.held);
+                }
+                self.inner.get(id)
+            }
+            fn release(&mut self, id: ParamId) -> Result<()> {
+                if id == self.wte {
+                    self.held -= 1;
+                }
+                self.inner.release(id)
+            }
+            fn add_grad(&mut self, id: ParamId, grad: &Tensor) -> Result<()> {
+                self.inner.add_grad(id, grad)
+            }
+            fn hint_upcoming(&mut self, ids: &[ParamId]) {
+                self.hints.push(ids.to_vec());
+            }
+        }
+        let cfg = GptConfig { vocab: 16, hidden: 8, layers: 2, heads: 2, seq: 4, seed: 9 };
+        let sliced = GptModel::sliced(cfg, 0, 1, NoReduce).unwrap();
+        let (tokens, targets) = data(&cfg, 2);
+        let opts = RunOptions { batch: 2, prefetch_window: 1, ..Default::default() };
+        let mut store = FetchCounter {
+            inner: DenseStore::new(sliced.registry()),
+            wte: sliced.registry().find("wte").unwrap(),
+            gets: 0,
+            held: 0,
+            max_held: 0,
+            hints: Vec::new(),
+        };
+        let loss = sliced.train_step(&mut store, &tokens, &targets, &opts).unwrap();
+        assert_eq!(store.gets, 2, "wte: one fetch for the embedding, one for the head");
+        assert_eq!((store.held, store.max_held), (0, 1), "every fetch released, never nested");
+        assert_eq!(loss.to_bits(), MP1_LOSS_BITS, "neither holding nor hinting changes the math");
+        assert_eq!(store.hints[0], sliced.plans[1].all_params(), "embed announces block0");
+        assert!(store.hints.len() > sliced.plans.len(), "hints in the backward pass too");
+    }
+
+    #[test]
+    fn sliced_init_reassembles_dense_weights() {
+        let cfg = GptConfig { vocab: 16, hidden: 8, layers: 1, heads: 2, seq: 4, seed: 3 };
+        let dense = GptModel::new(cfg);
+        let dense_store = DenseStore::new(dense.registry());
+        let fused =
+            dense_store.param(dense.registry().find("block0.attn.qkv.weight").unwrap());
+        let proj = dense_store.param(dense.registry().find("block0.attn.proj.weight").unwrap());
+        let fc2 = dense_store.param(dense.registry().find("block0.mlp.fc2.weight").unwrap());
+
+        let mp = 2;
+        let h = cfg.hidden;
+        let hl = h / mp;
+        // Reassemble the fused weight from both ranks' q, k and v rows.
+        let mut qkv_rows = vec![Vec::new(); 3];
+        let mut proj_cols: Vec<Vec<f32>> = Vec::new();
+        let mut fc2_cols: Vec<Vec<f32>> = Vec::new();
+        for r in 0..mp {
+            let m = GptModel::sliced(cfg, r, mp, NoReduce).unwrap();
+            let s = DenseStore::new(m.registry());
+            let qkv = s.param(m.registry().find("block0.attn.qkv.weight").unwrap());
+            for (rows, part) in qkv_rows.iter_mut().zip(qkv.data().chunks(hl * h)) {
+                rows.extend_from_slice(part);
+            }
+            proj_cols.push(
+                s.param(m.registry().find("block0.attn.proj.weight").unwrap()).data().to_vec(),
+            );
+            fc2_cols
+                .push(s.param(m.registry().find("block0.mlp.fc2.weight").unwrap()).data().to_vec());
+        }
+        let reassembled: Vec<f32> = qkv_rows.concat();
+        assert_eq!(reassembled, fused.data(), "row slices must tile the fused weight");
+
+        // Column slices: interleave back per row.
+        let mut proj_full = vec![0f32; h * h];
+        for (r, cols) in proj_cols.iter().enumerate() {
+            for row in 0..h {
+                proj_full[row * h + r * hl..row * h + (r + 1) * hl]
+                    .copy_from_slice(&cols[row * hl..(row + 1) * hl]);
+            }
+        }
+        assert_eq!(proj_full, proj.data(), "col slices must tile the proj weight");
+
+        let mut fc2_full = vec![0f32; h * 4 * h];
+        for (r, cols) in fc2_cols.iter().enumerate() {
+            for row in 0..h {
+                fc2_full[row * 4 * h + r * 4 * hl..row * 4 * h + (r + 1) * 4 * hl]
+                    .copy_from_slice(&cols[row * 4 * hl..(row + 1) * 4 * hl]);
+            }
+        }
+        assert_eq!(fc2_full, fc2.data(), "col slices must tile the fc2 weight");
+    }
+
+    #[test]
+    fn reductions_happen_per_half_block() {
+        let cfg = GptConfig { vocab: 16, hidden: 8, layers: 3, heads: 2, seq: 4, seed: 9 };
+        let calls = Arc::new(AtomicUsize::new(0));
+        let m = GptModel::sliced(cfg, 0, 1, RecordingReduce { calls: Arc::clone(&calls) }).unwrap();
+        let mut store = DenseStore::new(m.registry());
+        let (tokens, targets) = data(&cfg, 1);
+        m.train_step(&mut store, &tokens, &targets, &RunOptions::default()).unwrap();
+        // 2 reduces per block forward + 2 per block backward.
+        assert_eq!(calls.load(Ordering::Relaxed), 4 * cfg.layers);
+    }
+
+    #[test]
+    fn invalid_configurations_rejected() {
+        let cfg = GptConfig { vocab: 16, hidden: 8, layers: 1, heads: 2, seq: 4, seed: 1 };
+        let rejected =
+            |mp_rank, mp| matches!(GptModel::sliced(cfg, mp_rank, mp, NoReduce), Err(Error::InvalidArgument(_)));
+        assert!(rejected(2, 2), "rank out of range");
+        assert!(rejected(0, 3), "hidden not divisible");
+        assert!(rejected(0, 0), "mp 0");
+        assert!(rejected(0, 4), "heads not divisible");
+        assert!(GptModel::sliced(cfg, 1, 2, NoReduce).is_ok());
     }
 }

@@ -8,7 +8,7 @@
 use zi_tensor::{ops, simd, Tensor};
 use zi_types::{Error, Result};
 
-use crate::mp::TensorReduce;
+use crate::gpt::TensorReduce;
 
 /// Shape configuration shared by all blocks of a model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -489,7 +489,7 @@ pub(crate) fn lm_head_backward(wte: &Tensor, x: &Tensor, dlogits: &Tensor) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mp::NoReduce;
+    use crate::gpt::NoReduce;
 
     fn cfg() -> BlockConfig {
         BlockConfig { hidden: 4, heads: 2, batch: 2, seq: 3 }

@@ -44,9 +44,10 @@
 
 pub mod gpt;
 mod layers;
-pub mod mp;
 pub mod param;
 
-pub use gpt::{ActivationStore, GptConfig, GptModel, InMemoryActStore, NoopObserver, Phase, RunObserver, RunOptions};
-pub use mp::{MpGptModel, TensorReduce};
+pub use gpt::{
+    ActivationStore, GptConfig, GptModel, InMemoryActStore, NoopObserver, Phase, RunObserver, RunOptions,
+    TensorReduce,
+};
 pub use param::{Bracket, DenseStore, ModulePlan, ParamId, ParamMeta, ParamRegistry, ParamStore};

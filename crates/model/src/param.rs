@@ -115,7 +115,8 @@ impl ParamRegistry {
 
     /// Register rows `rows` (stacked in order) × columns `cols` of a
     /// virtual `full` uniform matrix — one rank's slice under tensor
-    /// slicing. The registered shape is `[Σ rows, cols.len()]`.
+    /// slicing. The registered shape is `[Σ rows, cols.len()]`; a slice
+    /// that is the whole matrix in order registers as the matrix itself.
     pub(crate) fn register_slice(
         &mut self,
         name: impl Into<String>,
@@ -126,6 +127,9 @@ impl ParamRegistry {
         scale: f32,
     ) -> ParamId {
         assert!(rows.iter().all(|r| r.end <= full[0]) && cols.end <= full[1], "slice beyond virtual tensor");
+        if cols == (0..full[1]) && rows.iter().cloned().flatten().eq(0..full[0]) {
+            return self.register(name, &full, seed, scale, 0.0);
+        }
         let shape = [rows.iter().map(|r| r.len()).sum(), cols.len()];
         self.register_with(name, &shape, InitKind::Slice { seed, scale, full, rows, cols })
     }

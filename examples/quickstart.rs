@@ -25,6 +25,7 @@ fn main() {
         model,
         strategy: Strategy::infinity_nvme(),
         world: 4,
+        mp: 1,
         micro_batch: 2,
         steps: 20,
         adam: AdamConfig { lr: 0.01, ..Default::default() },

@@ -35,6 +35,7 @@ fn main() {
             model,
             strategy: strategy.with_f32_params(),
             world,
+            mp: 1,
             micro_batch: micro,
             steps,
             adam,

@@ -14,6 +14,10 @@ cargo test --release -q -p zi-tensor --lib
 # the dense one bit for bit (loss and every gradient), in the build that
 # ships too.
 cargo test --release -q -p zi-model --lib
+# The 2-D grid end to end: mp=2 x dp=2 through `train_gpt`, which asserts
+# that the sliced run follows the flat mp=1 run's loss trajectory.
+cargo run -q --release --example tensor_parallel >/dev/null \
+    || { echo "tensor_parallel example failed: the sliced grid left the flat trajectory"; exit 1; }
 # Every f32 → f16 input: the F16C conversion and its NaN fix-up against
 # F16::from_f32 on all 2^32 bit patterns (the #[ignore]d sweep of the
 # conformance suite; ~15 s optimized, far longer in the debug profile).

@@ -16,6 +16,7 @@ fn spec(strategy: Strategy, world: usize, micro: usize) -> TrainSpec {
         model: cfg(),
         strategy,
         world,
+        mp: 1,
         micro_batch: micro,
         steps: 4,
         adam: AdamConfig { lr: 0.02, ..Default::default() },
