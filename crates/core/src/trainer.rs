@@ -421,8 +421,8 @@ impl Drop for AbortOnDrop {
 ///
 /// At `mp > 1` a storage failure restarts the same grid from its newest
 /// checkpoint; there is no elastic resize. A rank failure surfaces as
-/// its classified error, and a pending join is refused at the generation
-/// turn with [`Error::IncompatibleWorld`].
+/// its classified error, and a pending join is refused with
+/// [`Error::IncompatibleWorld`].
 pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
     let spec = *spec;
     if spec.world == 0 {
@@ -480,11 +480,11 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
             node.degrade();
         }
         let resume = if spec.checkpoint_every > 0 {
-            // A version complete over every slot of the grid can still
-            // be a partial set saved at a larger world — a rank died before
+            // A version complete over this attempt's grid can still be
+            // a partial set saved at a larger world — a rank died before
             // saving, so the shrink found nothing to reshard. That is not
             // a checkpoint of this world: start over rather than load it.
-            match vault.latest_consistent(ranks)? {
+            match vault.latest_consistent(world * spec.mp)? {
                 Some(v) if checkpoint_world(&vault.get(0, v)?.0)? == world => Some(v),
                 _ => None,
             }
@@ -505,12 +505,18 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
                 // not a failure: marking this rank failed would cascade
                 // RankFailed onto siblings and misclassify the grow as a
                 // shrink. Peers blocked in collectives are already woken
-                // by the resize latch itself — in the latched group
-                // only, so at mp > 1 the guard still wakes the rank's
-                // tensor-parallel peers.
-                let benign = res.is_ok() || spec.mp == 1 && matches!(&res, Err(e) if e.is_membership_change());
-                if benign {
-                    guard.armed = false;
+                // by the resize latch itself, in the latched group only:
+                // the rank's tensor-parallel peers (none at mp = 1) still
+                // need the abort.
+                match &res {
+                    Ok(_) => guard.armed = false,
+                    Err(e) if e.is_membership_change() => {
+                        guard.armed = false;
+                        if let Some(tp) = &guard.seat.tp {
+                            tp.abort_rank(guard.seat.mp_rank);
+                        }
+                    }
+                    Err(_) => {}
                 }
                 res
             });
@@ -577,6 +583,25 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
                 out.trace_dropped_events = tracer.snapshot().events_dropped;
                 return Ok(out);
             }
+            Some(e) if spec.mp > 1 => {
+                // Each mp position's data-parallel group is a ZeRO
+                // partition of its own (DESIGN.md §6, elastic
+                // world-shrink): resharding them is not built, so a sliced
+                // run only restarts its same grid, after a storage failure.
+                let joins = membership.pending_joins();
+                if joins > 0 {
+                    return Err(Error::IncompatibleWorld {
+                        from: world,
+                        to: world + joins,
+                        context: format!("no elastic resize of a run sliced mp {} ways", spec.mp),
+                    });
+                }
+                if !(saw_storage_failure || is_storage_failure(&e)) || recoveries >= spec.max_recoveries {
+                    return Err(e);
+                }
+                recoveries += 1;
+                degraded_start = degraded_start || health.degraded;
+            }
             Some(e) => {
                 // First decide the surviving base world (and spend the
                 // recovery budget); then fold pending joins in through
@@ -592,16 +617,13 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
                     // trust it: start degraded (all NVMe stores on CPU).
                     degraded_start = degraded_start || health.degraded;
                     world
-                } else if e.is_rank_failure() && world > 1 && spec.mp == 1 {
+                } else if e.is_rank_failure() && world > 1 {
                     if recoveries >= spec.max_recoveries {
                         return Err(e);
                     }
                     recoveries += 1;
                     world - 1
-                } else if e.is_membership_change() || spec.mp > 1 && membership.pending_joins() > 0 {
-                    // At mp > 1 the latched group's retirement reaches
-                    // the other groups as rank failures: the pending join
-                    // is the root cause.
+                } else if e.is_membership_change() {
                     world
                 } else {
                     return Err(e);
@@ -611,16 +633,6 @@ pub fn train_gpt_env(spec: &TrainSpec, env: TrainEnv) -> Result<TrainOutcome> {
                 // survivor count (kill + join in one window cancel out).
                 let failed_rank = node.group.failed_rank();
                 let (_generation, new_world) = membership.next_generation(base_world);
-                if new_world != world && spec.mp > 1 {
-                    // Each mp position's data-parallel group is a ZeRO
-                    // partition of its own (DESIGN.md §6, elastic
-                    // world-shrink): resharding them is not built.
-                    return Err(Error::IncompatibleWorld {
-                        from: world,
-                        to: new_world,
-                        context: format!("no elastic resize of a run sliced mp {} ways", spec.mp),
-                    });
-                }
                 if new_world != world {
                     // Settle in-flight background saves first; one that
                     // failed during the crash just means an older
@@ -1355,7 +1367,7 @@ mod tensor_parallel_tests {
     }
 
     #[test]
-    fn a_join_at_mp2_is_refused_at_the_generation_turn() {
+    fn a_join_at_mp2_is_refused_with_a_typed_error() {
         let s = TrainSpec {
             collective_deadline: Duration::from_secs(10),
             ..spec(Strategy::infinity_nvme().with_f32_params(), 2, 2, 1, 4)
@@ -1568,6 +1580,50 @@ mod recovery_tests {
         };
         assert!(err.is_device_failure(), "expected a device failure, got {err}");
         assert!(started.elapsed() < std::time::Duration::from_secs(60), "took {:?}", started.elapsed());
+    }
+
+    /// A storage failure after a shrink restarts from the newest
+    /// checkpoint of the shrunken world. Four ranks checkpoint every step;
+    /// a kill at step 3 shrinks them to three, which save versions 4..6 —
+    /// pushing the shrink's version out of their two-version slots while
+    /// the dead rank's slot still holds only older ones — before the
+    /// device dies at step 6. The run must resume a world-3 version, not
+    /// start over, and so train exactly as the kill alone does.
+    #[test]
+    fn a_device_death_after_a_shrink_resumes_the_shrunken_worlds_checkpoint() {
+        let spec = TrainSpec {
+            steps: 8,
+            checkpoint_every: 1,
+            max_recoveries: 2,
+            collective_deadline: std::time::Duration::from_secs(10),
+            // Records of 16 elements outnumber the ones a step keeps
+            // staged, so every step streams optimizer state off the device.
+            ..TrainSpec::test_default(spec().model, spec().strategy.with_optimizer_chunk(16), 4)
+        };
+        let run = |device_fail: bool| {
+            let plan = ChaosPlan::new();
+            plan.schedule(3, zi_chaos::ChaosEvent::RankKill { rank: 2 });
+            if device_fail {
+                plan.schedule(6, zi_chaos::ChaosEvent::DeviceFail);
+            }
+            let backend = Arc::new(FaultyBackend::new(MemBackend::new(), plan.storage_plan()));
+            let env = TrainEnv { comm_faults: plan.comm_plan(), chaos: Some(plan.clone()), ..fast_env(backend) };
+            (train_gpt_env(&spec, env).unwrap(), plan)
+        };
+        let (reference, _) = run(false);
+        let (out, plan) = run(true);
+        assert!(plan.storage_plan().injected().dead_rejections > 0, "the device really died");
+        assert_eq!(out.recoveries, 2, "the kill and the device death each restart");
+        let transitions: Vec<_> = out.elastic.iter().map(|e| (e.from_world, e.to_world)).collect();
+        assert_eq!(transitions, [(4, 3)], "one shrink, and a same-world restart");
+        assert_eq!(out.final_world, 3);
+        // The last attempt resumes a version saved at world 3 (6, or an
+        // earlier one when a save raced the death), not step 0.
+        assert!(out.stats.steps < spec.steps as u64 - 3, "the last attempt ran {} steps", out.stats.steps);
+        assert_eq!(out.losses, reference.losses);
+        for (a, b) in out.final_params.iter().zip(&reference.final_params) {
+            assert_eq!(a.data(), b.data(), "recovered params must match exactly");
+        }
     }
 
     #[test]

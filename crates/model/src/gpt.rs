@@ -1126,40 +1126,11 @@ mod sliced_tests {
     }
 
     #[test]
-    fn mp1_matches_dense_gpt_exactly() {
-        let cfg = GptConfig { vocab: 16, hidden: 8, layers: 2, heads: 2, seq: 4, seed: 9 };
-        let dense = GptModel::new(cfg);
-        let sliced = GptModel::sliced(cfg, 0, 1, NoReduce).unwrap();
-        let (tokens, targets) = data(&cfg, 2);
-        let opts = RunOptions { batch: 2, ..Default::default() };
-
-        let mut s1 = DenseStore::new(dense.registry());
-        let l1 = dense.train_step(&mut s1, &tokens, &targets, &opts).unwrap();
-        let mut s2 = DenseStore::new(sliced.registry());
-        let l2 = sliced.train_step(&mut s2, &tokens, &targets, &opts).unwrap();
-        assert_eq!(l1.to_bits(), l2.to_bits(), "{l1} vs {l2}");
-        // The loss of this step before the runner went through the bracket.
-        assert_eq!(l2.to_bits(), MP1_LOSS_BITS, "the bracket must not change the math");
-
-        // The mp = 1 slices are the dense tensors under the dense names and
-        // init recipes, and every gradient element — the fused qkv
-        // weight's included — is the dense model's, bit for bit.
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(dense.registry().len(), sliced.registry().len());
-        for (d, m) in dense.registry().iter().zip(sliced.registry().iter()) {
-            assert_eq!((&d.name, &d.shape), (&m.name, &m.shape));
-            assert_eq!(format!("{:?}", d.init), format!("{:?}", m.init), "init of {}", d.name);
-            assert!(matches!(m.init, crate::param::InitKind::Uniform { .. }), "{} copies a slice", m.name);
-            let (g1, g2) = (s1.grad(d.id).unwrap(), s2.grad(m.id).unwrap());
-            assert_eq!(bits(g1), bits(g2), "gradient of {}", d.name);
-        }
-    }
-
-    #[test]
     fn tied_weight_is_fetched_twice_held_across_the_loss_and_hinted() {
-        // As `GptModel`: one `wte` fetch for the embedding, one for the
-        // head, kept from its forward through the loss to its backward;
-        // and the same hints, so a prefetching store sees this runner too.
+        // As the whole model, on slice 1 of 2: one `wte` fetch for the
+        // embedding, one for the head, kept from its forward through the
+        // loss to its backward; and the same hints, so a prefetching store
+        // sees a sliced run too.
         struct FetchCounter {
             inner: DenseStore,
             wte: ParamId,
@@ -1191,7 +1162,8 @@ mod sliced_tests {
             }
         }
         let cfg = GptConfig { vocab: 16, hidden: 8, layers: 2, heads: 2, seq: 4, seed: 9 };
-        let sliced = GptModel::sliced(cfg, 0, 1, NoReduce).unwrap();
+        let calls = Arc::new(AtomicUsize::new(0));
+        let sliced = GptModel::sliced(cfg, 1, 2, RecordingReduce { calls }).unwrap();
         let (tokens, targets) = data(&cfg, 2);
         let opts = RunOptions { batch: 2, prefetch_window: 1, ..Default::default() };
         let mut store = FetchCounter {
@@ -1202,10 +1174,9 @@ mod sliced_tests {
             max_held: 0,
             hints: Vec::new(),
         };
-        let loss = sliced.train_step(&mut store, &tokens, &targets, &opts).unwrap();
+        sliced.train_step(&mut store, &tokens, &targets, &opts).unwrap();
         assert_eq!(store.gets, 2, "wte: one fetch for the embedding, one for the head");
         assert_eq!((store.held, store.max_held), (0, 1), "every fetch released, never nested");
-        assert_eq!(loss.to_bits(), MP1_LOSS_BITS, "neither holding nor hinting changes the math");
         assert_eq!(store.hints[0], sliced.plans[1].all_params(), "embed announces block0");
         assert!(store.hints.len() > sliced.plans.len(), "hints in the backward pass too");
     }
@@ -1267,7 +1238,7 @@ mod sliced_tests {
     fn reductions_happen_per_half_block() {
         let cfg = GptConfig { vocab: 16, hidden: 8, layers: 3, heads: 2, seq: 4, seed: 9 };
         let calls = Arc::new(AtomicUsize::new(0));
-        let m = GptModel::sliced(cfg, 0, 1, RecordingReduce { calls: Arc::clone(&calls) }).unwrap();
+        let m = GptModel::sliced(cfg, 1, 2, RecordingReduce { calls: Arc::clone(&calls) }).unwrap();
         let mut store = DenseStore::new(m.registry());
         let (tokens, targets) = data(&cfg, 1);
         m.train_step(&mut store, &tokens, &targets, &RunOptions::default()).unwrap();
@@ -1285,5 +1256,16 @@ mod sliced_tests {
         assert!(rejected(0, 0), "mp 0");
         assert!(rejected(0, 4), "heads not divisible");
         assert!(GptModel::sliced(cfg, 1, 2, NoReduce).is_ok());
+
+        // A slice of one is the whole model: it copies no slice at set-up,
+        // and its first step is the loss the model trained before slicing
+        // went through it.
+        let cfg = GptConfig { seed: 9, layers: 2, ..cfg };
+        let whole = GptModel::sliced(cfg, 0, 1, NoReduce).unwrap();
+        assert!(whole.registry().iter().all(|m| matches!(m.init, crate::param::InitKind::Uniform { .. })));
+        let (tokens, targets) = data(&cfg, 2);
+        let mut store = DenseStore::new(whole.registry());
+        let loss = whole.train_step(&mut store, &tokens, &targets, &RunOptions { batch: 2, ..Default::default() });
+        assert_eq!(loss.unwrap().to_bits(), MP1_LOSS_BITS);
     }
 }
