@@ -4,9 +4,9 @@
 //! slot table (`zi-comm`), the write-behind engine's completion barrier and
 //! staging-buffer hand-back and the checkpoint store's
 //! `save_async`/crash/`open` recovery (`zi-nvme`), the buffer pools
-//! (`zi-memory`), and the node-shared shard cache, the optimizer step's
-//! kept records and carried write-behind window and two ranks' staging sets
-//! (`zero-infinity`).
+//! (`zi-memory`), and the node's host write-back cache — parameter images
+//! and the optimizer step's kept records in one map — the kept set's
+//! write-back and two ranks' staging sets (`zero-infinity`).
 //!
 //! Under `RUSTFLAGS="--cfg zi_check"` each body is explored across
 //! thousands of distinct interleavings with deadlock, lost-wakeup, and
@@ -645,54 +645,91 @@ fn collective_slot_table_orders_writers_and_overlaps_readers() {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol 10: the node-shared shard cache — admit, publish, write back,
-// evict.
+// Protocol 10: the node's host write-back cache — one map of parameter
+// images and kept optimizer records: admit, publish, write back, evict.
 //
-// Rank A owns a parameter shard on the NVMe tier: it fetches it (a miss
-// fills the cache by moving the verified staging buffer in), fetches it
-// again, and publishes new values over it. While the pool has room the
-// publish is write-back: its image takes over the old entry's charge and
-// becomes a dirty entry, the only current copy, the device still holding
-// the bytes it superseded; without room it is written through. Rank B
-// meanwhile stores a CPU tenant the pool has no room for while the cache
-// holds A's shard, so in some schedules its store must evict — writing
-// A's dirty image back first, or taking the charge of A's publish in
-// flight, which then writes its image back as it finishes.
-// Invariants, in every interleaving:
+// Rank C's engine steps first: its one optimizer record on the device is
+// kept, updated and unwritten, as an entry of the map, where it stays
+// while the two others race. Rank A owns a parameter shard on the NVMe
+// tier: it fetches it (a miss fills the cache by moving the verified
+// staging buffer in), fetches it again, and publishes new values over it.
+// While the pool has room the publish is write-back: its image takes over
+// the old entry's charge and becomes a dirty entry, the only current
+// copy, the device still holding the bytes it superseded; without room it
+// is written through. A's first publish is dropped halfway, after a
+// fetch of the shard while it is in flight, which finds room beside the
+// publish's image but must not fill the cache with the bytes the publish
+// supersedes. Rank B meanwhile stores a CPU tenant the pool has no room
+// for while the cache holds A's shard, so in some schedules its store
+// must evict — writing A's dirty image back first, or taking the charge
+// of A's publish in flight, which then writes its image back as it
+// finishes — and never C's kept record, which holds no room it could
+// return. Invariants, in every interleaving:
 //
-//   * a fetch returns the shard's current image, whole — never a torn
-//     entry, never the image a publish has superseded — whether the cache
-//     serves it or the device after a write-back: the last publish is
-//     current, and every device read of it verifies;
+//   * a fetch outside a publish returns the shard's current image, whole
+//     — never a torn entry, never the image a publish has superseded —
+//     whether the cache serves it or the device after a write-back: the
+//     last publish, as far as it was pushed, is current, and every device
+//     read of it verifies;
 //   * bytes a reader holds stay intact across an eviction or an
 //     invalidation of their entry (no use-after-evict);
 //   * B's store succeeds — by eviction when the cache is in its way —
-//     and is never `Error::OutOfMemory`;
-//   * when both are done every pool is back at zero: no charge is lost
+//     and is never `Error::OutOfMemory`; it evicts A's entry at most, and
+//     C's next step finds its record where it kept it, moving no byte;
+//   * when all are done every pool is back at zero: no charge is lost
 //     between the cache's lock, the checksum registry's and the pool's.
 
 fn shard_cache_body(seen: &[zi_sync::OnceLock<()>; 3]) {
-    use zero_infinity::{NodeEnv, NodeResources, WriteBehind};
+    use zero_infinity::{NodeEnv, NodeResources, Placement, Strategy, WriteBehind, ZeroEngine};
     use zi_memory::NodeMemorySpec;
-    use zi_tensor::FlatBuffer;
-    use zi_types::{DType, Device};
+    use zi_model::{ParamRegistry, ParamStore};
+    use zi_tensor::{FlatBuffer, Tensor};
+    use zi_types::{DType, Device, DeviceKind};
 
     const ELEMS: usize = 8;
     let image = |round: usize| -> Vec<f32> { (0..ELEMS).map(|i| (round * 100 + i) as f32).collect() };
     let stored = |vals: &[f32]| FlatBuffer::from_f32(DType::F32, vals);
-    // Beside rank A's staging set — two publish pieces (a window of one
-    // write-through piece and the one being staged) and one shard buffer
-    // for a fetch — room for the shard's cache entry or for B's tenant,
-    // not for both.
     let shard_bytes = (ELEMS * 4) as u64;
+    // Rank A's staging set: two publish pieces (a window of one
+    // write-through piece and the one being staged) and one shard buffer
+    // for a fetch.
     let set = [(0, 0), (2, ELEMS / 2 * 4), (1, ELEMS * 4)];
-    let spec = NodeMemorySpec::test_spec(2, 1 << 10, shard_bytes + 8 + 2 * 16 + 32, 1 << 12);
+    let a_set = 2 * 16 + shard_bytes;
+    // Rank C: one f32 parameter of four elements in DRAM, its optimizer
+    // record of 48 B on the device, four record buffers in its set (one
+    // device worker: a pipeline one deep, a window of two, and the
+    // construction bound of the window plus two).
+    let (c_param, c_set) = (16, 4 * 48);
+    // Beside every other tenant at its peak, room for two images or for
+    // B's tenant of 48 B, but not for an image and the tenant.
+    let room = 2 * shard_bytes + 8;
+    let spec = NodeMemorySpec::test_spec(2, 1 << 10, c_set + c_param + a_set + room, 1 << 12);
     let env = NodeEnv { nvme_workers: 1, ..NodeEnv::in_memory() };
     let node = Arc::new(NodeResources::new(&spec, 2, env));
+
+    let mut reg = ParamRegistry::new();
+    reg.register("c", &[4], 3, 0.2, 0.0);
+    let c = reg.find("c").expect("c");
+    let (params, grads, optimizer) = (DeviceKind::Cpu, DeviceKind::Cpu, DeviceKind::Nvme);
+    let placement = Placement { params, grads, optimizer };
+    let strategy = Strategy { placement, ..Strategy::infinity_nvme() }
+        .with_f32_params()
+        .with_prefetch_window(0)
+        .with_optimizer_chunk(4);
+    // A rank of its own data-parallel group.
+    let (mgr, comm) = (node.offload_manager(), CommGroup::new(1).communicator(0));
+    let mut rank_c = ZeroEngine::new(&reg, strategy, mgr, comm, Default::default()).expect("rank C");
+    let c_grad = || Tensor::from_vec(&[4], vec![0.25; 4]).expect("grad");
+    rank_c.add_grad(c, &c_grad()).expect("deposit");
+    assert!(rank_c.step().expect("rank C's step"), "rank C's step skipped");
+    let c_staging = rank_c.offload_manager().staging().clone();
+    assert_eq!(c_staging.outstanding(), 1, "rank C keeps its record");
+    let cpu = || node.hierarchy.stats(Device::cpu()).in_use;
+    assert_eq!((c_staging.held_bytes(), cpu()), (c_set, c_set + c_param), "rank C's footprint");
+
     // B's tenant arrives once the cache holds A's shard: from then on its
     // store races everything A does.
     let (filled, wait_filled) = zi_sync::channel::unbounded::<()>();
-
     let rank_a = {
         let node = Arc::clone(&node);
         thread::spawn(move || {
@@ -700,8 +737,20 @@ fn shard_cache_body(seen: &[zi_sync::OnceLock<()>; 3]) {
             mgr.provision_staging(set).expect("rank A's staging set");
             let policy = PlacementPolicy::all_nvme();
             let mut shard = mgr.store_placed(Device::nvme(), &policy, stored(&image(0))).expect("store");
+            // Before B can come: a fill, then a publish dropped after its
+            // first half, a fetch racing it in the pool's room beside its
+            // image. What the publish pushed is current after it.
+            drop(mgr.fetch_placed(&shard).expect("fetch"));
+            let mut wb = WriteBehind::new(1);
+            let mut publish = mgr.begin_publish(&shard);
+            let half = &image(7)[..ELEMS / 2];
+            publish.push_values(&mut wb, &mut shard, 0, half).expect("push");
+            wb.drain(&mgr).expect("drain");
+            drop(mgr.fetch_placed(&shard).expect("a fetch racing the publish"));
+            drop(publish);
+            let mut current = stored(&[half, &image(0)[ELEMS / 2..]].concat());
             for round in 0..2 {
-                let want = stored(&image(round));
+                let want = current;
                 for _ in 0..2 {
                     let got = mgr.fetch_placed(&shard).expect("fetch");
                     assert_eq!(got.as_bytes(), want.as_bytes(), "round {round}: torn or stale fetch");
@@ -717,9 +766,10 @@ fn shard_cache_body(seen: &[zi_sync::OnceLock<()>; 3]) {
                 );
                 wb.drain(&mgr).expect("drain");
                 pushed.and_then(|()| publish.finish(&shard)).expect("publish");
+                current = stored(&image(round + 1));
             }
             let last = mgr.fetch_placed(&shard).expect("fetch");
-            assert_eq!(last.as_bytes(), stored(&image(2)).as_bytes(), "the last publish is current");
+            assert_eq!(last.as_bytes(), current.as_bytes(), "the last publish is current");
             drop(last);
             mgr.free_placed(shard);
             assert_eq!(mgr.health().staging_waits, 0, "rank A waited for a staging buffer");
@@ -731,7 +781,7 @@ fn shard_cache_body(seen: &[zi_sync::OnceLock<()>; 3]) {
             let mgr = node.offload_manager();
             wait_filled.recv().expect("rank A fills first");
             let tenant = mgr
-                .store_placed(Device::cpu(), &PlacementPolicy::all_nvme(), stored(&[0.0; ELEMS]))
+                .store_placed(Device::cpu(), &PlacementPolicy::all_nvme(), stored(&[0.0; 12]))
                 .expect("a store that fits without the cache fits with it");
             thread::yield_now();
             mgr.free_placed(tenant);
@@ -739,6 +789,16 @@ fn shard_cache_body(seen: &[zi_sync::OnceLock<()>; 3]) {
     };
     rank_a.join().expect("rank A");
     rank_b.join().expect("rank B");
+    // C's record is where it kept it: the next step neither reads nor
+    // writes it.
+    let before = node.nvme.stats();
+    rank_c.add_grad(c, &c_grad()).expect("deposit");
+    assert!(rank_c.step().expect("rank C's step"), "rank C's step skipped");
+    let after = node.nvme.stats();
+    assert_eq!((after.reads, after.writes), (before.reads, before.writes), "rank C lost its record");
+    rank_c.dispose().expect("dispose");
+    assert_eq!(c_staging.outstanding(), 0, "a staging buffer of rank C was never handed back");
+    drop(c_staging);
     for device in [Device::cpu(), Device::nvme()] {
         assert_eq!(node.hierarchy.stats(device).in_use, 0, "{device}: a charge was lost");
     }

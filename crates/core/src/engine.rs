@@ -36,9 +36,9 @@
 //!    cache gives it up (or, without room for it, as the second write of
 //!    the same pipeline). One read-ahead queue ([`ReadAhead`]) drives
 //!    the step, in the order opposite to the last step's, and the step
-//!    keeps its last records in their staging buffers, updated and not
-//!    written: the next step starts with them, and a kept record reaches
-//!    the device only when the kept set is dropped.
+//!    keeps its last records, updated and not written, in the node's
+//!    cache beside the images: the next step starts with them, and a kept
+//!    record reaches the device only when the kept set is dropped.
 //!    Replicated-parameter strategies (ZeRO-1/2/Offload) instead allgather
 //!    the updated slices back into every replica.
 
@@ -64,12 +64,6 @@ use crate::prefetch::{self, PrefetchStats, Prefetcher, TraceMap};
 /// State streams interleaved in one optimizer record: fp32 master,
 /// momentum, variance.
 const STATE_STREAMS: usize = 3;
-
-/// A record a step kept in its staging buffer, updated and not written
-/// (dirty): its optimizer buffer, first element, the staging buffer and
-/// its master, momentum and variance checksums as the kernel computed
-/// them.
-type Dirty = (usize, usize, ScratchVec, [u32; STATE_STREAMS]);
 
 /// Writes the chunked optimizer step queues per record: the record
 /// itself (fp32 master, momentum and variance, interleaved) and the
@@ -320,9 +314,9 @@ pub struct ZeroEngine {
     collapsed: bool,
     /// Whether the next step runs its records in descending order.
     descending: bool,
-    /// The due buffers of the last applied step and the records it kept,
-    /// in its order, when it kept any.
-    carry: Option<(Vec<usize>, Vec<Dirty>)>,
+    /// The due buffers of the last applied step, and the bytes and count
+    /// of the records it kept in the node's cache, when it kept any.
+    carry: Option<(Vec<usize>, u64, usize)>,
     stats: EngineStats,
 }
 
@@ -659,16 +653,17 @@ impl ZeroEngine {
         // One write-behind window and one read-ahead queue span every
         // buffer with a member to update, so the pipeline never drains
         // between two of them, in the order opposite to the last applied
-        // step's: it starts with the records that step kept — dirty in
-        // their staging buffers, neither read nor waited for — and keeps
-        // its own last ones, unwritten (see [`ReadAhead`]). A changed due
-        // set writes the kept records back first, waited out before the
-        // step's first read. The step drains its window before it returns,
-        // so the kept records are the only optimizer state a step leaves
-        // outside its tier, and no request of it is in flight between two
-        // calls. A failure reaps every request, the records the step still
-        // holds written back behind it, so it surfaces as the step's own
-        // typed error with every staging buffer back in its pool.
+        // step's: it starts with the records that step kept — dirty
+        // entries of the node's cache, neither read nor waited for — and
+        // keeps its own last ones there, unwritten (see [`ReadAhead`]). A
+        // changed due set writes the kept records back first, waited out
+        // before the step's first read. The step drains its window before
+        // it returns, so the kept records are the only optimizer state a
+        // step leaves outside its tier, and no request of it is in flight
+        // between two calls. A failure reaps every request, every record
+        // the rank keeps written back behind it, so it surfaces as the
+        // step's own typed error with every staging buffer back in its
+        // pool.
         let due: Vec<usize> = (0..self.optims.len())
             .filter(|&b| {
                 let members = &self.optims[b].layout.members;
@@ -677,30 +672,29 @@ impl ZeroEngine {
             .collect();
         let window = self.window();
         let mut wb = WriteBehind::new(window);
-        let changed = self.carry.as_ref().is_some_and(|(carried, _)| *carried != due);
-        let dropped = if changed { self.drop_carry("carry.drop.due_set") } else { Vec::new() };
-        let kept = self.carry.take().map(|(_, kept)| kept).unwrap_or_default();
+        let changed = self.carry.as_ref().is_some_and(|(carried, ..)| *carried != due);
+        let written_back = changed && self.drop_carry("carry.drop.due_set");
+        let held = self.carry.take().map_or(0, |(.., kept)| kept);
         let budget = self.depth() + window;
-        let written_back = !dropped.is_empty();
-        let mut ahead = ReadAhead::new(&self.optims, &due, self.descending, budget, kept, written_back);
-        let written = write_back(&self.mgr, &self.optims, &mut wb, dropped, "carry.write_back.due_set");
+        let mut ahead = ReadAhead::new(&self.optims, &due, self.descending, budget, held, written_back);
+        let written = match written_back {
+            true => self.write_back_kept(&mut wb, "carry.write_back.due_set"),
+            false => Ok(()),
+        };
         let updated = written.and_then(|()| self.stream_update(&mut ahead, &mut wb));
-        ahead.rewind(&self.mgr);
-        let updated = updated.and_then(|()| wb.drain(&self.mgr));
-        let mut dirty = std::mem::take(&mut ahead.deferred);
-        if let Err(e) = updated {
-            dirty.append(&mut ahead.kept);
-            let _ = write_back(&self.mgr, &self.optims, &mut wb, dirty, "carry.write_back.write");
+        ahead.rewind(&self.mgr, &self.optims);
+        if let Err(e) = updated.and_then(|()| wb.drain(&self.mgr)) {
+            let _ = self.write_back_kept(&mut wb, "carry.write_back.write");
             let _ = wb.drain(&self.mgr);
             return Err(e);
         }
-        debug_assert!(ahead.kept.is_empty(), "a kept record was not reached");
+        debug_assert_eq!(ahead.held, 0, "a kept record was not reached");
         self.stats.steps += 1;
         self.descending = !self.descending;
-        if !dirty.is_empty() {
-            let (bytes, kept) = (dirty_bytes(&dirty), dirty.len() as u64);
-            self.mgr.tracer().instant(Category::OptimStep, "carry.keep", bytes, kept);
-            self.carry = Some((due, dirty));
+        if ahead.kept > 0 {
+            let (bytes, kept) = (ahead.kept_bytes, ahead.kept);
+            self.mgr.tracer().instant(Category::OptimStep, "carry.keep", bytes, kept as u64);
+            self.carry = Some((due, bytes, kept));
         }
         self.end_iteration();
         Ok(true)
@@ -884,7 +878,9 @@ impl ZeroEngine {
                 if pos < ahead.tail {
                     wb.submit_staged(&self.mgr, &self.optims[b].state, first, staging, &crcs)?;
                 } else {
-                    ahead.deferred.push((b, first, staging, crcs));
+                    ahead.kept_bytes += staging.as_bytes().len() as u64;
+                    ahead.kept += 1;
+                    self.mgr.keep(&self.optims[b].state, first, staging, &crcs)?;
                 }
             }
             self.stats.optimizer_chunks += 1;
@@ -946,19 +942,38 @@ impl ZeroEngine {
         }
     }
 
-    /// Take the kept records out of the carry; instant `why`. Never the
-    /// degradation latch's to absorb: a lost record update is not a
-    /// degraded read.
-    fn drop_carry(&mut self, why: &'static str) -> Vec<Dirty> {
-        let Some((_, kept)) = self.carry.take() else { return Vec::new() };
-        self.mgr.tracer().instant(Category::OptimStep, why, dirty_bytes(&kept), kept.len() as u64);
-        kept
+    /// Close the kept set, instant `why`; true when there was one. Its
+    /// records stay in the node's cache for the caller to write back,
+    /// discard or read. Never the degradation latch's to absorb: a lost
+    /// record update is not a degraded read.
+    fn drop_carry(&mut self, why: &'static str) -> bool {
+        let Some((_, bytes, kept)) = self.carry.take() else { return false };
+        self.mgr.tracer().instant(Category::OptimStep, why, bytes, kept as u64);
+        true
+    }
+
+    /// Put every record this rank keeps in the node's cache on `wb`, in the
+    /// step's order; instant `why` (bytes, records) when there were any.
+    fn write_back_kept(&self, wb: &mut WriteBehind, why: &'static str) -> Result<()> {
+        let states = self.optims.iter().map(|opt| &opt.state);
+        let (bytes, kept) = self.mgr.unkeep(states, self.descending, Some(wb))?;
+        if kept > 0 {
+            self.mgr.tracer().instant(Category::OptimStep, why, bytes, kept);
+        }
+        Ok(())
+    }
+
+    /// Send every record this rank keeps in the node's cache home to the
+    /// staging set unwritten.
+    fn discard_kept(&self) {
+        let _ = self.mgr.unkeep(self.optims.iter().map(|opt| &opt.state), false, None);
     }
 
     /// Reap what is kept between calls: the prefetcher's reads; the kept
     /// records go unwritten. [`Self::dispose`] and `Drop` both come here.
     fn reap(&mut self) {
-        drop(self.drop_carry("carry.drop.dispose"));
+        self.drop_carry("carry.drop.dispose");
+        self.discard_kept();
         self.prefetcher.clear(&self.mgr);
     }
 
@@ -983,28 +998,20 @@ impl ZeroEngine {
     /// Collapse every optimizer buffer onto CPU once the node's
     /// degradation latch is set: split buffers re-publish their
     /// NVMe-resident half to CPU instead of dropping it with the store.
-    /// Drops the kept records, newer than the device's copy: each is
-    /// copied over its place in DRAM, and its buffer goes home. The
-    /// staging set is handed back (the prefetches holding its shard
-    /// buffers reaped) before the state moves into DRAM, which reads no
-    /// staging buffer, and sized again for what the new placement streams.
+    /// Drops the kept set: the collapse reads the kept records, newer than
+    /// the device's copy, from the node's cache, and frees them with their
+    /// extents, their buffers home. The staging set is handed back (the
+    /// prefetches holding its shard buffers reaped) before the state moves
+    /// into DRAM, which reads no staging buffer, and sized again for what
+    /// the new placement streams.
     fn collapse_on_degradation(&mut self) -> Result<()> {
         if self.collapsed || !self.mgr.degradation_latched() {
             return Ok(());
         }
-        let kept = self.drop_carry("carry.drop.placement");
+        self.drop_carry("carry.drop.placement");
         self.prefetcher.clear(&self.mgr);
         self.mgr.release_staging();
         let moved = self.optims.iter_mut().try_for_each(|opt| self.mgr.collapse(&mut opt.state));
-        let moved = moved.and_then(|()| {
-            kept.into_iter().try_for_each(|(b, first, staging, _)| {
-                let values = staging.as_f32();
-                let place = self.optims[b].state.resident_f32_mut(first, values.len());
-                let place = place.ok_or_else(|| Error::Internal("a kept record is not in DRAM".into()))?;
-                place.copy_from_slice(values);
-                Ok(())
-            })
-        });
         // A set for the state where it now lies, also when a read failed.
         let set = self.staging_set();
         moved.and(self.mgr.provision_staging(set))?;
@@ -1048,22 +1055,16 @@ impl ZeroEngine {
     /// Read every parameter's optimizer shard out of its tier, one buffer
     /// at a time (checkpoint save path). Records carry the three streams
     /// contiguous, one record per parameter: how this engine packs and
-    /// interleaves them never reaches a checkpoint. The kept records,
-    /// newer than the device's copy, are taken from their buffers and stay
-    /// kept; every other record is read into bytes of its own — never a
-    /// staging buffer, which the kept set may hold every one of.
+    /// interleaves them never reaches a checkpoint. Each record is one
+    /// read into bytes of its own — never a staging buffer, which the kept
+    /// set may hold every one of — and a kept record, newer than the
+    /// device's copy, is served by its entry in the node's cache, and
+    /// stays kept.
     pub(crate) fn export_optimizer_records(&self) -> Result<Vec<crate::checkpoint::ParamRecord>> {
-        let kept = self.carry.as_ref().map_or(&[][..], |(_, kept)| kept);
         let mut out: Vec<_> = self.shards.iter().map(|_| None).collect();
-        for (b, OptimStorage { state, layout, .. }) in self.optims.iter().enumerate() {
-            let mine = || kept.iter().filter(move |record| record.0 == b);
+        for OptimStorage { state, layout } in &self.optims {
             let records = (0..layout.len).step_by(layout.per).map(|at| layout.span(at));
-            let unkept = records.filter(|&(first, _)| mine().all(|record| record.1 != first));
-            let mut state = self.mgr.load_elems(state, unkept)?.to_f32_vec();
-            for (_, first, staging, _) in mine() {
-                let values = staging.as_f32();
-                state[*first..first + values.len()].copy_from_slice(values);
-            }
+            let state = self.mgr.load_elems(state, records)?.to_f32_vec();
             for (idx, member) in &layout.members {
                 let st = &self.shards[*idx];
                 out[*idx] = Some(crate::checkpoint::ParamRecord {
@@ -1101,7 +1102,8 @@ impl ZeroEngine {
             }
         }
         // Discarded unwritten: the import overwrites every record.
-        drop(self.drop_carry("carry.drop.import"));
+        self.drop_carry("carry.drop.import");
+        self.discard_kept();
         let tracer = self.mgr.tracer().clone();
         let mut span = tracer.span(Category::OptimStep, "engine.import");
         let (mut wb, s) = (WriteBehind::new(self.window()), self.strategy);
@@ -1346,32 +1348,6 @@ enum Publish {
     Stream(PublishStream),
 }
 
-/// Bytes of the kept `records`.
-fn dirty_bytes(records: &[Dirty]) -> u64 {
-    records.iter().map(|(_, _, staging, _)| staging.as_bytes().len() as u64).sum()
-}
-
-/// Write the kept `records` back through `wb` as plain writes under the
-/// checksums they were kept with, the last kept first — the next step's
-/// order; instant `why` (bytes, records). Every record is submitted or
-/// sent home; the first failure is returned.
-fn write_back(
-    mgr: &OffloadManager,
-    optims: &[OptimStorage],
-    wb: &mut WriteBehind,
-    records: Vec<Dirty>,
-    why: &'static str,
-) -> Result<()> {
-    if records.is_empty() {
-        return Ok(());
-    }
-    mgr.tracer().instant(Category::OptimStep, why, dirty_bytes(&records), records.len() as u64);
-    let written = records.into_iter().rev().map(|(b, first, staging, crcs)| {
-        wb.submit_staged(mgr, &optims[b].state, first, staging, &crcs)
-    });
-    written.fold(Ok(()), Result::and)
-}
-
 /// The optimizer step's read-ahead: one queue over every record of every
 /// buffer with a member that has a gradient, feeding the update. It keeps
 /// `depth` records issued ahead — the one about to be taken counts —
@@ -1382,12 +1358,12 @@ fn write_back(
 /// ascending over buffers and records, then descending. A step's last
 /// `budget` device records — `depth + window`, which the rank's staging
 /// set holds record buffers for — are its *tail*: each is updated and
-/// kept in its staging buffer, dirty, and not written. The next step
-/// starts with those same records, taken from their buffers without a
-/// read or a wait: a rank whose device records fit the budget keeps them
-/// all and neither reads nor writes one in a steady step. A read takes a
-/// buffer of the set: reads, the kept records and the window's writes
-/// together never hold more than `budget`.
+/// kept in its staging buffer as a dirty entry of the node's cache, and
+/// not written. The next step starts with those same records, taken out
+/// of the cache without a read or a wait: a rank whose device records fit
+/// the budget keeps them all and neither reads nor writes one in a steady
+/// step. A read takes a buffer of the set: reads, the kept records and
+/// the window's writes together never hold more than `budget`.
 struct ReadAhead {
     /// The records to update, in this step's order: buffer, element.
     order: Vec<(usize, usize)>,
@@ -1397,30 +1373,40 @@ struct ReadAhead {
     budget: usize,
     /// The next record to issue, a position in `order`.
     next: usize,
-    /// Records issued and not yet taken: position and load — `None` for a
-    /// record the last step kept.
-    pending: VecDeque<(usize, Option<PlacedPending>)>,
-    /// The records the last step kept, not yet taken.
-    kept: Vec<Dirty>,
-    /// The tail records updated so far.
-    deferred: Vec<Dirty>,
+    /// Records issued and not yet taken: position and load.
+    pending: VecDeque<(usize, Load)>,
+    /// Records the last step kept that this one has not reached yet: still
+    /// in the node's cache.
+    held: usize,
+    /// The tail records this step has kept so far, and their bytes.
+    kept: usize,
+    kept_bytes: u64,
     /// Whether the window holds the write-back of the set the last step
     /// kept, waited out before the first device read: a read of one of
     /// those records must not overtake its write.
     written_back: bool,
 }
 
+/// A record the read-ahead has issued.
+enum Load {
+    /// A device read in flight, or a record resident in CPU DRAM.
+    Read(PlacedPending),
+    /// Taken out of the node's cache, where the last step kept it, with
+    /// the checksums it was kept under.
+    Kept(ScratchVec, Vec<u32>),
+}
+
 impl ReadAhead {
     /// The queue over the records of the `due` buffers in this step's
     /// order, its tail the last `min(budget, device records)` device
-    /// records, starting from the `kept` records of the last step — or,
+    /// records, starting from the `held` records the last step kept — or,
     /// `written_back`, behind their write-back.
     fn new(
         optims: &[OptimStorage],
         due: &[usize],
         descending: bool,
         budget: usize,
-        kept: Vec<Dirty>,
+        held: usize,
         written_back: bool,
     ) -> Self {
         let records = |b: usize| (0..optims[b].layout.len).step_by(optims[b].layout.per);
@@ -1438,22 +1424,17 @@ impl ReadAhead {
             staged += usize::from(on_device(record));
             staged > keep
         });
-        let (tail, pending, deferred) =
-            (tail.map_or(0, |k| k + 1), VecDeque::new(), Vec::with_capacity(keep));
-        ReadAhead { order, descending, tail, budget, next: 0, pending, kept, deferred, written_back }
+        let (tail, pending) = (tail.map_or(0, |k| k + 1), VecDeque::new());
+        let (next, kept, kept_bytes) = (0, 0, 0);
+        ReadAhead { order, descending, tail, budget, next, pending, held, kept, kept_bytes, written_back }
     }
 
-    /// Where the kept record of buffer `b` starting at element `first` is
-    /// in [`Self::kept`].
-    fn kept_at(&self, b: usize, first: usize) -> Option<usize> {
-        self.kept.iter().position(|&(kb, kfirst, ..)| (kb, kfirst) == (b, first))
-    }
-
-    /// Issue records up to `depth`. A record the last step kept needs no
-    /// transfer, nor does a CPU-DRAM one; an NVMe one queues on the device
-    /// once a buffer of the set is free — with the set out, the queue stops
-    /// short while another record is pending, else waits the oldest write
-    /// out — and the first one once the window's write-back has landed.
+    /// Issue records up to `depth`. A record the last step kept is taken
+    /// out of the node's cache, with no transfer, and a CPU-DRAM one needs
+    /// none either; an NVMe one queues on the device once a buffer of the
+    /// set is free — with the set out, the queue stops short while another
+    /// record is pending, else waits the oldest write out — and the first
+    /// one once the window's write-back has landed.
     fn top_up(
         &mut self,
         mgr: &OffloadManager,
@@ -1464,26 +1445,33 @@ impl ReadAhead {
         while let (true, Some(&(b, at))) = (self.pending.len() < depth, self.order.get(self.next)) {
             let OptimStorage { state, layout } = &optims[b];
             let (first, count) = layout.span(at);
-            let load = if self.kept_at(b, first).is_some() {
-                None
-            } else {
-                let full = |ahead: &Self, wb: &WriteBehind| {
-                    let loads = ahead.pending.iter().flat_map(|(_, load)| load);
-                    let reads = loads.filter(|load| load.is_read()).count();
-                    reads + ahead.deferred.len() + ahead.kept.len() + wb.in_flight() >= ahead.budget
-                };
-                let on_device = state.device_offset(first, 0).is_some();
-                if on_device && std::mem::take(&mut self.written_back) {
-                    wb.drain(mgr)?;
+            let kept = if self.held > 0 { mgr.take_kept(state, first) } else { None };
+            let load = match kept {
+                Some((staging, crcs)) => {
+                    self.held -= 1;
+                    Load::Kept(staging, crcs)
                 }
-                if on_device && full(self, wb) {
-                    wb.reap(mgr)?;
-                    if full(self, wb) && !self.pending.is_empty() {
-                        break;
+                None => {
+                    let full = |ahead: &Self, wb: &WriteBehind| {
+                        let out = ahead.pending.iter().filter(|(_, load)| match load {
+                            Load::Read(read) => read.is_read(),
+                            Load::Kept(..) => true,
+                        });
+                        out.count() + ahead.kept + ahead.held + wb.in_flight() >= ahead.budget
+                    };
+                    let on_device = state.device_offset(first, 0).is_some();
+                    if on_device && std::mem::take(&mut self.written_back) {
+                        wb.drain(mgr)?;
                     }
-                    while full(self, wb) && wb.land_oldest(mgr)? {}
+                    if on_device && full(self, wb) {
+                        wb.reap(mgr)?;
+                        if full(self, wb) && !self.pending.is_empty() {
+                            break;
+                        }
+                        while full(self, wb) && wb.land_oldest(mgr)? {}
+                    }
+                    Load::Read(mgr.begin_load_elems(state, first, count)?)
                 }
-                Some(mgr.begin_load_elems(state, first, count)?)
             };
             self.pending.push_back((self.next, load));
             self.next += 1;
@@ -1505,28 +1493,30 @@ impl ReadAhead {
             return Some(Err(e));
         }
         let (pos, load) = self.pending.pop_front()?;
-        let (b, at) = self.order[pos];
         Some(match load {
-            Some(load) => load.wait(mgr).map(|staged| (pos, staged)),
-            None => {
-                let first = optims[b].layout.span(at).0;
-                let missing = || Error::Internal(format!("no kept record of {b} starts at {first}"));
-                self.kept_at(b, first)
-                    .ok_or_else(missing)
-                    .map(|k| (pos, Some(self.kept.swap_remove(k).2)))
-            }
+            Load::Read(read) => read.wait(mgr).map(|staged| (pos, staged)),
+            Load::Kept(staging, _) => Ok((pos, Some(staging))),
         })
     }
 
     /// True while a read this queue issued is still on the device.
     fn reading(&self, mgr: &OffloadManager) -> bool {
-        self.pending.iter().flat_map(|(_, load)| load).any(|load| !load.ready(mgr))
+        self.pending.iter().any(|(_, load)| matches!(load, Load::Read(read) if !read.ready(mgr)))
     }
 
-    /// Reap every read still out: the staging buffers go back to their
-    /// pool.
-    fn rewind(&mut self, mgr: &OffloadManager) {
-        self.pending.drain(..).flat_map(|(_, load)| load).for_each(|load| load.discard(mgr));
+    /// Reap every read still out, its staging buffer back in its pool, and
+    /// put every kept record taken and not reached back in the node's
+    /// cache.
+    fn rewind(&mut self, mgr: &OffloadManager, optims: &[OptimStorage]) {
+        for (pos, load) in self.pending.drain(..) {
+            match load {
+                Load::Read(read) => read.discard(mgr),
+                Load::Kept(staging, crcs) => {
+                    let (b, at) = self.order[pos];
+                    let _ = mgr.keep(&optims[b].state, optims[b].layout.span(at).0, staging, &crcs);
+                }
+            }
+        }
     }
 }
 
@@ -2614,7 +2604,7 @@ mod tests {
 
     /// Records the last step kept.
     fn kept_records(eng: &ZeroEngine) -> usize {
-        eng.carry.as_ref().map_or(0, |(_, kept)| kept.len())
+        eng.carry.as_ref().map_or(0, |(.., kept)| *kept)
     }
 
     #[test]
@@ -3009,6 +2999,92 @@ mod tests {
             let health = eng.mgr.health();
             assert_eq!((health.corruptions_recovered, health.corruptions_unrecovered), (0, 0));
             eng.dispose().unwrap();
+        }
+    }
+
+    /// One rank of `one_element_records(strategy)` over a scriptable
+    /// device that does not retry, four workers deep: a step keeps twelve
+    /// of the seventeen records.
+    fn flipping_rank(strategy: Strategy) -> (zi_nvme::FaultPlan, NodeResources, ZeroEngine) {
+        let plan = zi_nvme::FaultPlan::new();
+        let backend =
+            zi_sync::Arc::new(zi_nvme::FaultyBackend::new(zi_nvme::MemBackend::new(), plan.clone()));
+        let env = NodeEnv { policy: zi_nvme::RetryPolicy::none(), ..NodeEnv::new(backend) };
+        let (node, eng, _) = rank_over(one_element_records(strategy), env);
+        (plan, node, eng)
+    }
+
+    #[test]
+    fn an_export_rereads_a_corrupted_record_alone_and_reads_no_kept_one() {
+        // Twelve of the seventeen records kept: the export reads the other
+        // five, one request each, and serves the twelve from the cache. The
+        // first read comes back with a flipped bit: its tile alone is read
+        // again, once. A flip that persists is a typed error. Either way
+        // no kept record is read, and the kept set stays.
+        let (_reference_node, mut reference, reg) =
+            single_rank(one_element_records(Strategy::infinity_cpu()));
+        let (plan, node, mut eng) = flipping_rank(Strategy::infinity_nvme());
+        every_grad(&mut reference, &reg, 0);
+        every_grad(&mut eng, &reg, 0);
+        assert!(reference.step().unwrap() && eng.step().unwrap());
+        assert_eq!(kept_records(&eng), 12);
+        node.nvme.barrier().unwrap();
+        let before = node.nvme.stats();
+        plan.bitflip_next_reads(1);
+        assert_eq!(eng.save_state().unwrap(), reference.save_state().unwrap());
+        let after = node.nvme.stats();
+        // Five records of 12 B, then one 4 B tile of the flipped one.
+        let read = (after.reads - before.reads, after.bytes_read - before.bytes_read);
+        assert_eq!(read, (5 + 1, 5 * 12 + 4));
+        assert_eq!(eng.mgr.health().corruptions_recovered, 1);
+        plan.bitflip_next_reads(u32::MAX);
+        let err = eng.save_state().unwrap_err();
+        plan.bitflip_next_reads(0);
+        assert!(matches!(err, Error::Corruption { .. }), "got {err}");
+        assert_eq!(kept_records(&eng), 12, "the export dropped the kept set");
+        // The next step takes the kept set as the first one left it.
+        every_grad(&mut reference, &reg, 1);
+        every_grad(&mut eng, &reg, 1);
+        assert!(reference.step().unwrap() && eng.step().unwrap());
+        assert_eq!(eng.save_state().unwrap(), reference.save_state().unwrap());
+        for engine in [eng, reference] {
+            engine.dispose().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_collapse_over_a_kept_set_verifies_each_segment_read_whole() {
+        // The node degrades while twelve of the seventeen records are kept:
+        // the collapse reads each optimizer buffer's segment — `w`'s twelve
+        // records and `b`'s five — whole, one request verified under every
+        // record's checksums, the kept records' bytes taken from the
+        // cache. The first read comes back with a flipped bit, and its
+        // tile alone is read again. The state is the CPU-resident
+        // reference's.
+        let (_reference_node, mut reference, reg) =
+            single_rank(one_element_records(Strategy::infinity_cpu()));
+        let (plan, node, mut eng) = flipping_rank(Strategy::infinity_nvme());
+        every_grad(&mut reference, &reg, 0);
+        every_grad(&mut eng, &reg, 0);
+        assert!(reference.step().unwrap() && eng.step().unwrap());
+        assert_eq!(kept_records(&eng), 12);
+        node.nvme.barrier().unwrap();
+        node.degrade();
+        every_grad(&mut reference, &reg, 1);
+        every_grad(&mut eng, &reg, 1);
+        let before = node.nvme.stats();
+        plan.bitflip_next_reads(1);
+        assert!(reference.step().unwrap() && eng.step().unwrap());
+        plan.bitflip_next_reads(0);
+        node.nvme.barrier().unwrap();
+        let after = node.nvme.stats();
+        let read = (after.reads - before.reads, after.bytes_read - before.bytes_read);
+        assert_eq!(read, (2 + 1, (12 + 5) * 12 + 4));
+        assert_eq!(eng.mgr.health().corruptions_recovered, 1);
+        assert_eq!((eng.carry.is_some(), kept_records(&eng)), (false, 0));
+        assert_eq!(eng.save_state().unwrap(), reference.save_state().unwrap());
+        for engine in [eng, reference] {
+            engine.dispose().unwrap();
         }
     }
 

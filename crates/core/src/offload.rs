@@ -53,7 +53,7 @@ pub(crate) const RECORDS: usize = 0;
 pub(crate) const PIECES: usize = 1;
 pub(crate) const SHARDS: usize = 2;
 use zi_nvme::checksum::crc32;
-use zi_nvme::{MemBackend, NvmeEngine, RetryPolicy, StorageBackend, Ticket};
+use zi_nvme::{IoBuf, MemBackend, NvmeEngine, RetryPolicy, StorageBackend, Ticket};
 use zi_tensor::storage::{accumulate_f32, encode_f32};
 use zi_tensor::FlatBuffer;
 use zi_trace::{Category, Counter, Tracer};
@@ -89,20 +89,55 @@ type Registry = BTreeMap<u64, (u64, u32)>;
 /// last reader drops it, and is then freed.
 type CachedShard = Arc<Vec<u8>>;
 
-/// One entry of the shard cache: the bytes of one NVMe extent. An entry
-/// charges its length to the CPU pool until the moment it leaves the
-/// cache.
+/// What an entry of the node's cache holds: a parameter shard's image,
+/// charged to the CPU pool's free room, or an optimizer record the step
+/// kept, a buffer of its rank's staging set charged with that set.
+enum Held {
+    Image(CachedShard),
+    Kept(ScratchVec),
+}
+
+/// One entry of the node's cache: the bytes of one NVMe extent.
 struct Entry {
-    shard: CachedShard,
-    /// Set while the entry is the extent's only current copy — a publish
-    /// wrote it here and not to the device: the checksums of its pieces,
-    /// in order, as the kernel that encoded them computed them. The
-    /// registry then holds nothing over the extent.
+    bytes: Held,
+    /// Set while the entry is newer than the device — a publish or an
+    /// optimizer step wrote it here and not to the device: the checksums
+    /// of its tiles, in order, as the kernel that wrote them computed
+    /// them. The registry meanwhile still describes the device's bytes.
     dirty: Option<Tiles>,
 }
 
+impl Entry {
+    fn as_bytes(&self) -> &[u8] {
+        match &self.bytes {
+            Held::Image(image) => image,
+            Held::Kept(record) => record.as_bytes(),
+        }
+    }
+
+    fn image(&self) -> Option<&CachedShard> {
+        match &self.bytes {
+            Held::Image(image) => Some(image),
+            Held::Kept(_) => None,
+        }
+    }
+
+    /// A kept record's staging buffer and checksums.
+    fn into_kept(self) -> Option<(ScratchVec, Vec<u32>)> {
+        let Held::Kept(record) = self.bytes else { return None };
+        Some((record, self.dirty?.into_iter().map(|(_, crc)| crc).collect()))
+    }
+}
+
 fn entry_len(entry: &Entry) -> u64 {
-    entry.shard.len() as u64
+    entry.as_bytes().len() as u64
+}
+
+/// Drop the registry's extents overlapping `[offset, offset + len)`.
+fn forget(map: &mut Registry, offset: u64, len: u64) {
+    for start in overlapping(map, |&(elen, _)| elen, offset, len) {
+        map.remove(&start);
+    }
 }
 
 /// What the shard cache's lock guards.
@@ -113,7 +148,7 @@ struct CacheState {
     /// The write-back publishes in flight, by device offset: the length
     /// each has charged for its image.
     publishing: BTreeMap<u64, u64>,
-    /// CPU-pool bytes charged to the cache: the sum over its entries and
+    /// CPU-pool bytes charged to the cache: the sum over its images and
     /// the publishes in flight.
     charged: u64,
     /// High-water mark of what the CPU pool's *other* tenants had in use
@@ -124,10 +159,13 @@ struct CacheState {
 }
 
 impl CacheState {
-    /// Drop the entry at `start`, returning its charge to the CPU pool.
+    /// Drop the entry at `start`, returning an image's charge to the CPU
+    /// pool.
     fn remove(&mut self, hierarchy: &MemoryHierarchy, start: u64) -> Option<Entry> {
         let entry = self.entries.remove(&start)?;
-        self.release(hierarchy, entry_len(&entry));
+        if entry.image().is_some() {
+            self.release(hierarchy, entry_len(&entry));
+        }
         Some(entry)
     }
 
@@ -151,50 +189,47 @@ impl CacheState {
         self.charged -= len;
         hierarchy.unreserve(Device::cpu(), len);
     }
-
-    /// True when a dirty entry overlaps `[offset, offset + len)`.
-    fn dirty_over(&self, offset: u64, len: u64) -> bool {
-        let starts = overlapping(&self.entries, entry_len, offset, len);
-        starts.iter().any(|start| self.entries[start].dirty.is_some())
-    }
 }
 
-/// The node's cache of **parameter-shard bytes**, in free CPU memory,
-/// keyed by the shard's NVMe extent.
+/// The node's host write-back cache, keyed by NVMe extent: **parameter
+/// images** in whatever CPU memory the other tenants leave free, and the
+/// **optimizer records** each rank's step keeps in its staging set.
 ///
-/// * **Filled by copy or in place.** A fetch that misses copies the
-///   verified staging buffer into an image the cache allocates and charges
-///   (a clean entry); a publish encodes the new fp16 image straight into
-///   the entry it will become ([`PublishStream`]), so the first fetch
-///   after an update is a hit.
-/// * **Write-back.** A published entry is dirty: the device still holds
-///   the bytes it superseded, and the entry is the shard's authoritative
-///   copy. It reaches the device only when something other than a fetch
-///   needs it there — eviction, a read that bypasses the cache, a
-///   non-publish overwrite — as one request, waited, under the checksums
-///   of its pieces. A free drops it unwritten: the extent dies with it.
+/// * **Two kinds of entry, one map.** A fetch that misses copies the
+///   verified staging buffer into an image the cache charges (a clean
+///   entry); a publish encodes the new image straight into the entry it
+///   will become ([`PublishStream`]), so the first fetch after an update
+///   is a hit. A kept record is a buffer of its rank's staging set,
+///   charged with the set, which the step moves in
+///   ([`OffloadManager::keep`]) and the next step moves out
+///   ([`OffloadManager::take_kept`]); no other rank touches its extent.
+/// * **Write-back.** A dirty entry is newer than the device. One routine
+///   ([`ResilienceState::submit_back`]) records its tiles and submits its
+///   bytes: an eviction or a write over part of its extent waits the
+///   request under the lock, a step puts a dropped kept set on its window
+///   ([`OffloadManager::unkeep`]). A free drops a dirty entry unwritten.
+/// * **One read rule.** The registry always describes the device's bytes.
+///   A read serves the bytes under an entry from the entry — with no
+///   device read when one entry holds the whole range — and reads the rest
+///   from the device, verified.
 /// * **Admission only.** Parameter access is a fixed cycle; on a cycle
 ///   any recency policy evicts the shard about to be re-read, while
 ///   keeping what was admitted hits on every use of every cached shard.
-///   An entry leaves by invalidation or under CPU pressure, never to make
+///   An image leaves by invalidation or under CPU pressure, never to make
 ///   room for another entry.
-/// * **Never stale.** Each extent is clean or dirty, never both. A clean
-///   entry is installed only while the checksum registry still holds
-///   exactly the checksums its bytes were verified against, and every
-///   later write to — or free of — an overlapping extent drops it inside
-///   the registry's own `record`/`invalidate`. A dirty entry's extent has
-///   no checksum in the registry, so no read that bypasses the cache can
-///   verify the device's stale bytes and pass. A hit is never checked
-///   again.
-/// * **Reclaimable.** Entries and the images of publishes in flight are
+/// * **Never stale.** A clean image is installed only while the checksum
+///   registry still holds exactly the checksums its bytes were verified
+///   against, and no publish of its extent is in flight; every later write
+///   to — or free of — an overlapping extent drops it inside the write's
+///   own critical section. A hit is never checked again.
+/// * **Reclaimable.** Images and the images of publishes in flight are
 ///   charged to the CPU pool's capacity like every tenant, but take no
 ///   place in its address space; a CPU store the pool refuses writes the
-///   dirty entries back, evicts the whole cache, takes the publishes'
-///   charges (each writes its image back when it finishes) and retries,
-///   in one critical section, against a pool that is then exactly what it
-///   would be without a cache — so nothing that fits without one fails
-///   with one for lack of room. The budget is the pool itself: there is
-///   no option.
+///   dirty images back, evicts every image, takes the publishes' charges
+///   (each writes its image back when it finishes) and retries, in one
+///   critical section, against a pool that is then exactly what it would
+///   be without a cache. Kept records stay: they hold no room an eviction
+///   could return. The budget is the pool itself: there is no option.
 #[derive(Default)]
 struct ShardCache {
     shards: Mutex<CacheState>,
@@ -204,7 +239,7 @@ struct ShardCache {
     hit_bytes: AtomicU64,
     /// Entries dropped because another CPU tenant needed the room.
     evictions: AtomicU64,
-    /// Dirty entries written back to the device.
+    /// Dirty images written back to the device.
     write_backs: AtomicU64,
 }
 
@@ -266,31 +301,21 @@ impl ResilienceState {
         }
     }
 
-    /// Record the checksum of an extent about to be (or just) written,
-    /// invalidating any previously recorded extent — and dropping any
-    /// cached shard — it overlaps.
-    fn record(&self, offset: u64, data: &[u8]) -> Result<()> {
-        self.record_tiles(offset, data.len() as u64, &[crc32(data)])
-    }
-
-    /// [`Self::record`] for an extent written as back-to-back tiles of
-    /// `tile` bytes from `offset`, with checksums `crcs` in order: each
-    /// is verified on its own when a read meets it (see [`Self::tiles`]).
-    /// A dirty entry the write overlaps is written back first; failing
-    /// that, nothing is recorded and the write must not be issued.
-    fn record_tiles(&self, offset: u64, tile: u64, crcs: &[u32]) -> Result<()> {
-        let len = tile * crcs.len() as u64;
+    /// Write `bytes` over the extent at `offset` as the back-to-back tiles
+    /// `tiles`, each verified on its own when a read meets it (see
+    /// [`Self::tiles`]), recorded at submission. A dirty entry the write
+    /// overlaps is written back first, and every entry it overlaps
+    /// dropped; failing the write-back, nothing is recorded or submitted.
+    fn write_over(&self, offset: u64, tiles: &[(u64, u32)], bytes: IoBuf) -> Result<Ticket> {
+        let len = tiles.iter().map(|&(len, _)| len).sum();
         let mut map = self.checksums.lock();
         let mut cache = self.cache.shards.lock();
         self.write_back_over(&mut map, &mut cache, offset, len)?;
         self.invalidate_locked(&mut map, &mut cache, offset, len);
-        for (k, &crc) in crcs.iter().enumerate() {
-            map.insert(offset + k as u64 * tile, (tile, crc));
-        }
-        Ok(())
+        Ok(self.submit_back(&mut map, offset, tiles, bytes))
     }
 
-    /// Forget checksums, and cached shards, overlapping
+    /// Forget checksums, and cached entries, overlapping
     /// `[offset, offset + len)`: the extent is being freed, so a dirty
     /// entry goes unwritten.
     fn invalidate(&self, offset: u64, len: u64) {
@@ -299,27 +324,10 @@ impl ResilienceState {
     }
 
     fn invalidate_locked(&self, map: &mut Registry, cache: &mut CacheState, offset: u64, len: u64) {
-        for start in overlapping(map, |&(elen, _)| elen, offset, len) {
-            map.remove(&start);
-        }
+        forget(map, offset, len);
         for start in overlapping(&cache.entries, entry_len, offset, len) {
             cache.remove(&self.hierarchy, start);
         }
-    }
-
-    /// Write back every dirty entry overlapping `[offset, offset + len)`,
-    /// which stay cached, clean: a read that bypasses the cache must find
-    /// their bytes on the device.
-    fn settle(&self, offset: u64, len: u64) -> Result<()> {
-        let dirty = {
-            let cache = self.cache.shards.lock();
-            cache.dirty_over(offset, len)
-        };
-        if !dirty {
-            return Ok(());
-        }
-        let mut map = self.checksums.lock();
-        self.write_back_over(&mut map, &mut self.cache.shards.lock(), offset, len)
     }
 
     fn write_back_over(
@@ -335,15 +343,14 @@ impl ResilienceState {
         Ok(())
     }
 
-    /// Make the entry at `start` clean if it is dirty: one request, its
-    /// tiles recorded at submission and the request waited, so no device
-    /// read can overtake it. A failed write is the caller's error, with
-    /// the entry still dirty and the registry as it was: the bytes are
-    /// never dropped.
+    /// Make the entry at `start` clean if it is dirty: its write-back
+    /// waited, so no device read can overtake it. A failed write is the
+    /// caller's error, with the entry still dirty: the bytes are never
+    /// dropped.
     fn write_back(&self, map: &mut Registry, cache: &mut CacheState, start: u64) -> Result<()> {
         let Some(entry) = cache.entries.get_mut(&start) else { return Ok(()) };
         let Some(tiles) = entry.dirty.take() else { return Ok(()) };
-        let bytes = &entry.shard[..];
+        let bytes = entry.as_bytes();
         if let Err(e) = self.write_extent(map, start, bytes, &tiles) {
             entry.dirty = Some(tiles);
             return Err(e);
@@ -357,9 +364,33 @@ impl ResilienceState {
         self.cache.write_backs.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Write `bytes` to the extent at `offset`, over which the registry
-    /// holds nothing, as one request under `tiles`, recorded at
-    /// submission, and wait for it. A failed write takes them out again.
+    /// The one write-back: `tiles` recorded as the registry's account of
+    /// the extent at `offset`, in place of what it held there, and `bytes`
+    /// submitted as one request. The caller waits the ticket under the
+    /// locks ([`Self::write_extent`]) or puts it on a step's window
+    /// ([`WriteBehind`]).
+    fn submit_back(
+        &self,
+        map: &mut Registry,
+        offset: u64,
+        tiles: &[(u64, u32)],
+        bytes: IoBuf,
+    ) -> Ticket {
+        let mut at = offset;
+        forget(map, offset, tiles.iter().map(|&(len, _)| len).sum());
+        for &(len, crc) in tiles {
+            map.insert(at, (len, crc));
+            at += len;
+        }
+        match bytes {
+            IoBuf::Bytes(bytes) => self.nvme.submit_write(offset, bytes),
+            IoBuf::Staging(staging) => self.nvme.submit_write_from(offset, staging),
+        }
+    }
+
+    /// Write `bytes` to the extent at `offset` under `tiles`
+    /// ([`Self::submit_back`]) and wait for it. A failed write takes its
+    /// checksums out again: the extent is then unverified.
     fn write_extent(
         &self,
         map: &mut Registry,
@@ -367,16 +398,10 @@ impl ResilienceState {
         bytes: &[u8],
         tiles: &[(u64, u32)],
     ) -> Result<()> {
-        let mut at = offset;
-        for &(len, crc) in tiles {
-            map.insert(at, (len, crc));
-            at += len;
-        }
-        let written = self.nvme.wait_buf(self.nvme.submit_write(offset, bytes.to_vec())).map(drop);
+        let ticket = self.submit_back(map, offset, tiles, IoBuf::Bytes(bytes.to_vec()));
+        let written = self.nvme.wait_buf(ticket).map(drop);
         if written.is_err() {
-            for start in overlapping(map, |&(elen, _)| elen, offset, at - offset) {
-                map.remove(&start);
-            }
+            forget(map, offset, bytes.len() as u64);
         }
         written
     }
@@ -404,71 +429,94 @@ impl ResilienceState {
         (at == end && !tiles.is_empty()).then_some(tiles)
     }
 
-    /// The cached bytes of the extent `[offset, offset + len)`, counted
+    /// The read rule's cache half: the bytes of every entry over `bytes`,
+    /// just read from the extent at `offset` and verified against the
+    /// device's checksums, copied in. True when an entry met them.
+    fn overlay(&self, offset: u64, bytes: &mut [u8]) -> bool {
+        let (cache, end) = (self.cache.shards.lock(), offset + bytes.len() as u64);
+        let starts = overlapping(&cache.entries, entry_len, offset, bytes.len() as u64);
+        for start in &starts {
+            let held = cache.entries[start].as_bytes();
+            let (lo, hi) = (offset.max(*start), end.min(start + held.len() as u64));
+            let from = |at: u64, base: u64| (at - base) as usize;
+            bytes[from(lo, offset)..from(hi, offset)]
+                .copy_from_slice(&held[from(lo, *start)..from(hi, *start)]);
+        }
+        !starts.is_empty()
+    }
+
+    /// A copy of `[offset, offset + len)` when one entry holds all of it:
+    /// a read the device need not serve.
+    fn served(&self, offset: u64, len: u64) -> Option<Vec<u8>> {
+        let cache = self.cache.shards.lock();
+        let (&start, entry) = cache.entries.range(..=offset).next_back()?;
+        let lo = (offset - start) as usize;
+        entry.as_bytes().get(lo..lo + len as usize).map(<[u8]>::to_vec)
+    }
+
+    /// The cached image of the extent `[offset, offset + len)`, counted
     /// as a hit when `hit` is set (a probe passes `false`).
     fn cached(&self, offset: u64, len: u64, hit: bool) -> Option<CachedShard> {
         let cache = self.cache.shards.lock();
         let entry = cache.entries.get(&offset).filter(|entry| entry_len(entry) == len)?;
+        let image = Arc::clone(entry.image()?);
         if hit {
             self.cache.hits.fetch_add(1, Ordering::Relaxed);
             self.cache.hit_bytes.fetch_add(len, Ordering::Relaxed);
         }
-        Some(Arc::clone(&entry.shard))
+        Some(image)
     }
 
     /// Install a copy of `bytes` — checked against `tiles` — as the clean
-    /// cache entry of the extent at `offset`, charging the CPU pool for
-    /// it. Refused when the registry no longer holds exactly `tiles` for
-    /// the extent, or the pool has no room beside its other tenants.
+    /// image of the extent at `offset`, charging the CPU pool for it.
+    /// Refused when the registry no longer holds exactly `tiles` for the
+    /// extent, a publish of it is in flight (its device bytes are about to
+    /// be superseded), or the pool has no room beside its other tenants.
     fn admit(&self, offset: u64, tiles: &[(u64, u32)], bytes: &[u8]) -> Option<CachedShard> {
         let len = bytes.len() as u64;
         let registry = self.checksums.lock();
         let mut cache = self.cache.shards.lock();
-        if Self::tiles_locked(&registry, offset, len).is_none_or(|now| now != tiles) {
+        let publishing = !overlapping(&cache.publishing, |&len| len, offset, len).is_empty();
+        if publishing || Self::tiles_locked(&registry, offset, len).is_none_or(|now| now != tiles) {
             return None;
         }
         if let Some(entry) = cache.entries.get(&offset) {
             // Two fills of one extent: the first one's entry stands.
-            return Some(Arc::clone(&entry.shard));
+            return entry.image().cloned();
         }
         if !cache.charge(&self.hierarchy, len) {
             return None;
         }
         let shard = Arc::new(bytes.to_vec());
-        cache.entries.insert(offset, Entry { shard: Arc::clone(&shard), dirty: None });
+        cache.entries.insert(offset, Entry { bytes: Held::Image(Arc::clone(&shard)), dirty: None });
         Some(shard)
     }
 
     /// Begin a write-back publish over the extent `[offset, offset + len)`,
-    /// charging its image now: the entry it supersedes hands its charge
+    /// charging its image now: the image it supersedes hands its charge
     /// over, so the pool is never charged for two images of one shard, and
     /// — when no reader still holds it — its storage, holding the current
-    /// bytes, becomes the new image. The extent's checksums go: it is
-    /// dirty from here on. `None` when the pool has no room for the image:
-    /// the publish is then written through, and the first piece's write
-    /// replaces the old entry (see [`Self::record_tiles`]).
+    /// bytes, becomes the new image. `None` when the pool has no room for
+    /// the image: the publish is then written through, and the first
+    /// piece's write replaces the old entry (see [`Self::write_over`]).
     fn begin_deposit(&self, offset: u64, len: u64) -> Option<Deposit> {
-        let mut map = self.checksums.lock();
         let mut cache = self.cache.shards.lock();
-        let granted = if cache.entries.contains_key(&offset) {
-            cache.has_room(&self.hierarchy, 0)
-        } else {
-            cache.charge(&self.hierarchy, len)
+        let cached = cache.entries.get(&offset).is_some_and(|entry| entry.image().is_some());
+        let granted = match cached {
+            true => cache.has_room(&self.hierarchy, 0),
+            false => cache.charge(&self.hierarchy, len),
         };
         if !granted {
             return None;
         }
-        let old = cache.entries.remove(&offset).map(|entry| entry.shard);
+        let old = if cached { cache.entries.remove(&offset) } else { None };
         cache.publishing.insert(offset, len);
-        for start in overlapping(&map, |&(elen, _)| elen, offset, len) {
-            map.remove(&start);
-        }
         drop(cache);
-        drop(map);
-        let (image, seeded) = match old.map(Arc::try_unwrap) {
-            Some(Ok(image)) => (image, true),
-            Some(Err(shared)) => (shared.to_vec(), true),
-            None => (vec![0; len as usize], false),
+        let (image, seeded) = match old.map(|entry| entry.bytes) {
+            Some(Held::Image(image)) => {
+                (Arc::try_unwrap(image).unwrap_or_else(|shared| shared.to_vec()), true)
+            }
+            _ => (vec![0; len as usize], false),
         };
         Some(Deposit { offset, image, tiles: Vec::new(), covered: 0..0, seeded })
     }
@@ -486,10 +534,9 @@ impl ResilienceState {
             self.count_write_back(offset, image.len() as u64);
             return Ok(());
         }
-        let entry = Entry { shard: Arc::new(image), dirty: Some(tiles) };
-        if let Some(displaced) = cache.entries.insert(offset, entry) {
-            cache.release(&self.hierarchy, entry_len(&displaced));
-        }
+        cache.remove(&self.hierarchy, offset);
+        let entry = Entry { bytes: Held::Image(Arc::new(image)), dirty: Some(tiles) };
+        cache.entries.insert(offset, entry);
         Ok(())
     }
 
@@ -519,14 +566,15 @@ impl ResilienceState {
         }
     }
 
-    /// Evict every entry, each dirty one written back first, and take the
+    /// Evict every image, each dirty one written back first, and take the
     /// charge of every publish in flight (each writes its image back when
     /// it finishes), so the CPU pool is exactly what it would be without a
-    /// cache. Returns how many entries and publishes gave up room; a
-    /// failed write-back is the error, its entry and those after it still
-    /// cached.
+    /// cache. Kept records stay: their room is their rank's staging set's.
+    /// Returns how many images and publishes gave up room; a failed
+    /// write-back is the error, its entry and those after it still cached.
     fn evict_all(&self, map: &mut Registry, cache: &mut CacheState) -> Result<usize> {
-        let starts: Vec<u64> = cache.entries.keys().copied().collect();
+        let images = cache.entries.iter().filter(|(_, entry)| entry.image().is_some());
+        let starts: Vec<u64> = images.map(|(&start, _)| start).collect();
         for &start in &starts {
             self.write_back(map, cache, start)?;
             if let Some(entry) = cache.remove(&self.hierarchy, start) {
@@ -543,7 +591,7 @@ impl ResilienceState {
 
     /// CPU-pool room for a tenant other than the cache, as `take` charges
     /// it. The cache holds CPU memory only while nobody else wants it: a
-    /// charge the pool refuses evicts every entry and asks again, with
+    /// charge the pool refuses evicts every image and asks again, with
     /// admissions locked out in between.
     fn cpu_tenant<T>(&self, take: impl Fn() -> Result<T>) -> Result<T> {
         let mut map = self.checksums.lock();
@@ -577,8 +625,8 @@ pub struct OffloadHealth {
     pub shard_cache_bytes: u64,
     /// Cached shards dropped because another CPU tenant needed the room.
     pub shard_cache_evictions: u64,
-    /// Dirty cached shards written back to the device, by an eviction or
-    /// by an access that bypasses the cache.
+    /// Dirty cached shards written back to the device: by an eviction, a
+    /// write over part of their extent, or a publish that lost its room.
     pub shard_cache_write_backs: u64,
     /// The most buffers of this rank's staging set ever checked out at
     /// once: device reads in flight or in hand, writes, kept records.
@@ -849,12 +897,15 @@ impl PlacedPending {
     }
 
     /// [`Self::wait`], also handing back the checksums the buffer was
-    /// verified against (`None` for a range the registry does not tile).
+    /// verified against (`None` for a range the registry does not tile,
+    /// or one a cache entry met).
     fn wait_verified(self, mgr: &OffloadManager) -> Result<Option<(ScratchVec, Option<Tiles>)>> {
         let Some((ticket, offset)) = self.read else { return Ok(None) };
         let mut buf = mgr.nvme.wait_buf(ticket)?.into_staging().ok_or_else(wrong_buf_kind)?;
         let tiles = mgr.verify_or_reread(offset, buf.as_bytes_mut())?;
-        Ok(Some((buf, tiles)))
+        // Bytes a cache entry held are the entry's, not what was verified.
+        let served = mgr.resilience.overlay(offset, buf.as_bytes_mut());
+        Ok(Some((buf, tiles.filter(|_| !served))))
     }
 
     /// True once [`Self::wait`] will not block: the NVMe read completed
@@ -1053,18 +1104,20 @@ impl OffloadManager {
         }
         let piece = stripe.max(1).saturating_mul(data.dtype().size_in_bytes());
         let at = |i: usize| block.offset + (i * piece) as u64;
-        let pieces = data.as_bytes().chunks(piece).enumerate();
-        let tickets: Vec<Ticket> =
-            pieces.clone().map(|(i, p)| self.nvme.submit_write(at(i), p.to_vec())).collect();
+        let tickets: Vec<_> = (data.as_bytes().chunks(piece).enumerate())
+            .map(|(i, p)| {
+                let tiles = [(p.len() as u64, crc32(p))];
+                self.resilience.write_over(at(i), &tiles, IoBuf::Bytes(p.to_vec()))
+            })
+            .collect();
         // Every request is reaped before a failure surfaces.
-        let waited = tickets.into_iter().map(|ticket| self.nvme.wait(ticket).map(drop));
+        let waited =
+            tickets.into_iter().map(|ticket| ticket.and_then(|t| self.nvme.wait(t).map(drop)));
         let Err(e) = waited.fold(Ok(()), Result::and) else {
-            for (i, p) in pieces {
-                self.resilience.record(at(i), p)?;
-            }
             return Ok(Segment { start, len, device, block, ram: None });
         };
-        self.hierarchy.free(device, block);
+        // The extent goes, and the checksums recorded over it with it.
+        self.free_segment(Segment { start, len, device, block, ram: None });
         if !e.is_device_failure() {
             return Err(e);
         }
@@ -1073,9 +1126,9 @@ impl OffloadManager {
     }
 
     /// Issue the device read behind elements `[lo, lo+len)` of `seg`
-    /// (segment-relative) into a buffer of the staging set's `shelf`, once
-    /// any dirty cached shard it meets is written back; a resident segment
-    /// has nothing to read.
+    /// (segment-relative) into a buffer of the staging set's `shelf`; a
+    /// resident segment has nothing to read. Waiting it serves what a cache
+    /// entry holds from the entry ([`ShardCache`]'s read rule).
     fn begin_segment_read(
         &self,
         shelf: usize,
@@ -1088,23 +1141,32 @@ impl OffloadManager {
             return Ok(PlacedPending { read: None });
         }
         let offset = seg.block.offset + dtype.bytes_for(lo) as u64;
-        let nbytes = dtype.bytes_for(len);
-        self.resilience.settle(offset, nbytes as u64)?;
-        let staging = self.staging.acquire(shelf, nbytes)?;
+        let staging = self.staging.acquire(shelf, dtype.bytes_for(len))?;
         Ok(PlacedPending { read: Some((self.nvme.submit_read_into(offset, staging), offset)) })
     }
 
-    /// Issue a read of the extent `[offset, offset + len)` into bytes of
-    /// its own, once any dirty cached shard it meets is written back.
-    fn begin_bytes_read(&self, offset: u64, len: u64) -> Result<Ticket> {
-        self.resilience.settle(offset, len)?;
-        Ok(self.nvme.submit_read(offset, len as usize))
+    /// A read of the extent `[offset, offset + len)` into bytes of its
+    /// own: a copy of the cache entry that holds all of it, else issued to
+    /// the device.
+    fn begin_bytes_read(&self, offset: u64, len: u64) -> std::result::Result<Vec<u8>, Ticket> {
+        self.resilience.served(offset, len).ok_or_else(|| self.nvme.submit_read(offset, len as usize))
     }
 
-    /// The verified bytes of [`Self::begin_bytes_read`]'s read of `offset`.
-    fn finish_bytes_read(&self, offset: u64, ticket: Ticket) -> Result<Vec<u8>> {
+    /// The bytes of [`Self::begin_bytes_read`]'s read of `offset`: a device
+    /// read verified against the registry, then the bytes of any cache
+    /// entry over it copied in ([`ShardCache`]'s read rule).
+    fn finish_bytes_read(
+        &self,
+        offset: u64,
+        read: std::result::Result<Vec<u8>, Ticket>,
+    ) -> Result<Vec<u8>> {
+        let ticket = match read {
+            Ok(served) => return Ok(served),
+            Err(ticket) => ticket,
+        };
         let mut bytes = self.nvme.wait(ticket)?.ok_or_else(wrong_buf_kind)?;
         self.verify_or_reread(offset, &mut bytes)?;
+        self.resilience.overlay(offset, &mut bytes);
         Ok(bytes)
     }
 
@@ -1155,8 +1217,9 @@ impl OffloadManager {
             // Record the CRC at submission: the write either lands these
             // exact bytes or reports failure (here, or at `flush` when
             // unwaited). The one copy hands the engine bytes it owns.
-            self.resilience.record(seg.block.offset, bytes)?;
-            let ticket = self.nvme.submit_write(seg.block.offset, bytes.to_vec());
+            let tiles = [(bytes.len() as u64, crc32(bytes))];
+            let ticket =
+                self.resilience.write_over(seg.block.offset, &tiles, IoBuf::Bytes(bytes.to_vec()))?;
             if wait {
                 return self.nvme.wait(ticket).map(drop);
             }
@@ -1183,8 +1246,8 @@ impl OffloadManager {
             let read = self.begin_segment_read(RECORDS, DType::F32, seg, lo, delta.len())?;
             let mut sums = read.wait(self)?.ok_or_else(piece_mismatch)?;
             nonfinite |= accumulate_f32(sums.as_f32_mut(), delta);
-            self.resilience.record(off, sums.as_bytes())?;
-            self.nvme.wait_buf(self.nvme.submit_write_from(off, sums))?;
+            let tiles = [(sums.as_bytes().len() as u64, crc32(sums.as_bytes()))];
+            self.nvme.wait_buf(self.resilience.write_over(off, &tiles, IoBuf::Staging(sums))?)?;
         }
         Ok(nonfinite)
     }
@@ -1356,12 +1419,13 @@ impl OffloadManager {
     /// Elements `[start, start + len)` of `buf` for each `(start, len)` of
     /// `ranges`, each inside one segment, in a fresh [`FlatBuffer`] of the
     /// buffer's length, zero elsewhere. A resident range is copied; an
-    /// NVMe one is one device read — every one in flight before the first
-    /// is waited on — straight into bytes of its own, no staging buffer,
-    /// verified against the recorded tiles of its extent: optimizer state,
-    /// gradients and activation checkpoints are read once per write, so
-    /// they neither consult nor fill the shard cache. Every read is reaped
-    /// before a failure surfaces.
+    /// NVMe one is served by the cache entry that holds all of it — a
+    /// record the step kept — else is one device read — every one in
+    /// flight before the first is waited on — straight into bytes of its
+    /// own, no staging buffer, verified against the recorded tiles of its
+    /// extent, the bytes of any entry over it copied in. Such reads never
+    /// fill the shard cache. Every read is reaped before a failure
+    /// surfaces.
     pub(crate) fn load_elems(
         &self,
         buf: &PlacedBuf,
@@ -1373,19 +1437,14 @@ impl OffloadManager {
             seg.map(|seg| (start, len, seg)).ok_or_else(piece_mismatch)
         });
         let ranges = ranges.collect::<Result<Vec<_>>>()?;
-        let mut issued = Vec::with_capacity(ranges.len());
-        for &(start, len, seg) in ranges.iter().filter(|(.., seg)| seg.ram.is_none()) {
-            let offset = seg.block.offset + bytes(start - seg.start) as u64;
-            match self.begin_bytes_read(offset, bytes(len) as u64) {
-                Ok(ticket) => issued.push((start, offset, ticket)),
-                Err(e) => {
-                    issued.into_iter().for_each(|(.., ticket)| drop(self.nvme.wait(ticket)));
-                    return Err(e);
-                }
-            }
-        }
-        let read = issued.into_iter().map(|(start, offset, ticket)| {
-            self.finish_bytes_read(offset, ticket).map(|read| (start, Cow::Owned(read)))
+        let issued: Vec<_> = (ranges.iter().filter(|(.., seg)| seg.ram.is_none()))
+            .map(|&(start, len, seg)| {
+                let offset = seg.block.offset + bytes(start - seg.start) as u64;
+                (start, offset, self.begin_bytes_read(offset, bytes(len) as u64))
+            })
+            .collect();
+        let read = issued.into_iter().map(|(start, offset, read)| {
+            self.finish_bytes_read(offset, read).map(|read| (start, Cow::Owned(read)))
         });
         let mut read = read.collect::<Vec<_>>().into_iter().collect::<Result<Vec<_>>>()?;
         read.extend(ranges.iter().filter_map(|&(start, len, seg)| {
@@ -1509,22 +1568,89 @@ impl OffloadManager {
     /// while the device still answers reads (explicit degrade,
     /// health-driven collapse), the NVMe-resident *half* of a split
     /// buffer is preserved rather than dropped with the store. Each
-    /// segment is read straight into the bytes its DRAM copy keeps,
-    /// checksum-verified; a dead device surfaces its typed error so the
-    /// caller falls back to checkpoint recovery.
+    /// segment is read whole straight into the bytes its DRAM copy keeps,
+    /// checksum-verified, with what the cache holds over it — records a
+    /// step kept — copied in, then freed with those entries; a dead device
+    /// surfaces its typed error so the caller falls back to checkpoint
+    /// recovery.
     pub(crate) fn collapse(&self, buf: &mut PlacedBuf) -> Result<()> {
         for seg in &mut buf.segments {
             if seg.ram.is_some() {
                 continue;
             }
             let (offset, len) = (seg.block.offset, seg.block.len);
-            let bytes = self.finish_bytes_read(offset, self.begin_bytes_read(offset, len)?)?;
+            let bytes = self.finish_bytes_read(offset, self.begin_bytes_read(offset, len))?;
             let data = FlatBuffer::from_bytes(buf.dtype, bytes)?;
             let cpu = self.store_segment(Device::cpu(), seg.start, data, seg.len)?;
             self.resilience.failovers.fetch_add(1, Ordering::Relaxed);
             self.free_segment(std::mem::replace(seg, cpu));
         }
         Ok(())
+    }
+
+    /// Keep `staging`, the updated record at elements `[start, ..)` of
+    /// `buf`, in the node's cache as the dirty entry of its extent, under
+    /// its checksums `crcs` (equal tiles, in order): it stays off the
+    /// device, and every read of the extent is served from it, until
+    /// [`Self::take_kept`] or [`Self::unkeep`] takes it out, or the buffer
+    /// is freed with it.
+    pub(crate) fn keep(
+        &self,
+        buf: &PlacedBuf,
+        start: usize,
+        staging: ScratchVec,
+        crcs: &[u32],
+    ) -> Result<()> {
+        let len = staging.as_bytes().len();
+        let not_one = || Error::Internal("a kept record is not one NVMe extent".into());
+        let offset = buf.device_offset(start, len).ok_or_else(not_one)?;
+        let tiles = crcs.iter().map(|&crc| ((len / crcs.len()) as u64, crc)).collect();
+        let entry = Entry { bytes: Held::Kept(staging), dirty: Some(tiles) };
+        self.resilience.cache.shards.lock().entries.insert(offset, entry);
+        Ok(())
+    }
+
+    /// Take the record kept at elements `[start, ..)` of `buf` back out of
+    /// the cache: its staging buffer and the checksums it was kept under.
+    pub(crate) fn take_kept(&self, buf: &PlacedBuf, start: usize) -> Option<(ScratchVec, Vec<u32>)> {
+        let offset = buf.device_offset(start, 0)?;
+        let mut cache = self.resilience.cache.shards.lock();
+        cache.entries.get(&offset)?.image().is_none().then_some(())?;
+        cache.entries.remove(&offset)?.into_kept()
+    }
+
+    /// Take every record kept over `bufs` out of the cache, in buffer and
+    /// element order — reversed when `descending` — onto `wb`, a step's
+    /// window, to the device under the checksums they were kept with, or
+    /// without one home to the staging set unwritten. Returns their bytes
+    /// and count. Every record is submitted or sent home; the first
+    /// failure is returned.
+    pub(crate) fn unkeep<'a>(
+        &self,
+        bufs: impl IntoIterator<Item = &'a PlacedBuf>,
+        descending: bool,
+        wb: Option<&mut WriteBehind>,
+    ) -> Result<(u64, u64)> {
+        let mut records = Vec::new();
+        let mut cache = self.resilience.cache.shards.lock();
+        for seg in bufs.into_iter().flat_map(|buf| &buf.segments).filter(|seg| seg.ram.is_none()) {
+            let extent = seg.block.offset..seg.block.offset + seg.block.len;
+            let kept = cache.entries.range(extent).filter(|(_, entry)| entry.image().is_none());
+            for start in kept.map(|(&start, _)| start).collect::<Vec<_>>() {
+                let kept = cache.entries.remove(&start).and_then(Entry::into_kept);
+                records.extend(kept.map(|kept| (start, kept)));
+            }
+        }
+        drop(cache);
+        if descending {
+            records.reverse();
+        }
+        let bytes = records.iter().map(|(_, (staging, _))| staging.as_bytes().len() as u64).sum();
+        let count = records.len() as u64;
+        let Some(wb) = wb else { return Ok((bytes, count)) };
+        let written = (records.into_iter())
+            .map(|(offset, (staging, crcs))| wb.submit_at(self, offset, staging, &crcs));
+        written.fold(Ok(()), Result::and).map(|()| (bytes, count))
     }
 
     /// Release every segment of a buffer.
@@ -1678,7 +1804,6 @@ impl WriteBehind {
             "write-behind checksums are not those of the bytes"
         );
         let len = bytes.len() as u64;
-        mgr.resilience.record_tiles(offset, tile as u64, crcs)?;
         // Harvest writes that already completed before deciding to
         // block: FIFO service completes the oldest tickets first, so
         // reaping from the front retires everything the device has
@@ -1697,8 +1822,9 @@ impl WriteBehind {
             self.inflight.pop_front();
             land(mgr, oldest)?;
         }
+        let tiles: Tiles = crcs.iter().map(|&crc| (tile as u64, crc)).collect();
+        self.inflight.push_back(mgr.resilience.write_over(offset, &tiles, IoBuf::Staging(staging))?);
         self.bytes += len;
-        self.inflight.push_back(mgr.nvme.submit_write_from(offset, staging));
         Ok(())
     }
 
@@ -2342,6 +2468,9 @@ mod tests {
         ] {
             publish_chunked(&mgr, &mut chunked, &vals).unwrap();
             assert_eq!(mgr.load_placed(&chunked).unwrap(), whole_overwrite, "tier {tier}");
+            // Written back, as an eviction leaves it: a read of what the
+            // cache holds is served by the cache, not the device.
+            evict_shard_cache(&mgr);
             // The chunk checksums tile every NVMe segment a parameter
             // fetch reads: corruption of each is caught.
             for seg in chunked.segments.iter().filter(|s| s.ram.is_none()) {
@@ -2629,12 +2758,21 @@ mod tests {
         publish_chunked(&mgr, &mut buf, &vals).unwrap();
         assert_eq!((writes() - before, cpu()), (0, 400), "the image went to the cache alone");
         assert_eq!(mgr.fetch_placed(&buf).unwrap().as_bytes(), buf_f32(&vals).as_bytes());
-        // A read that bypasses the cache finds the image on the device:
-        // one request, verified under the publish's twenty pieces.
+        // A write over part of the extent — its first piece again — finds
+        // the image on the device: one request first, which leaves the
+        // extent verified under the publish's twenty pieces.
+        let offset = buf.extent().unwrap().0;
+        let published = mgr.resilience.cache.shards.lock().entries[&offset].dirty.clone();
+        let mut wb = WriteBehind::new(1);
+        let piece = staged(&mgr, &vals[..5]);
+        let crc = crc32(piece.as_bytes());
+        wb.submit_staged(&mgr, &buf, 0, piece, &[crc]).unwrap();
+        wb.drain(&mgr).unwrap();
+        assert_eq!((writes() - before, mgr.health().shard_cache_write_backs), (2, 1));
+        let tiles = mgr.resilience.tiles(offset, 400);
+        assert_eq!(tiles.as_ref().map(Vec::len), Some(20));
+        assert_eq!((tiles, cpu()), (published, 0), "the publish's pieces, and out of the cache");
         assert_eq!(mgr.load_placed(&buf).unwrap().to_f32_vec(), vals);
-        assert_eq!((writes() - before, mgr.health().shard_cache_write_backs), (1, 1));
-        let tiles = mgr.resilience.tiles(buf.extent().unwrap().0, 400).map(|t| t.len());
-        assert_eq!((tiles, cpu()), (Some(20), 400), "clean now, and still cached");
 
         // A tenant that needs the room while a publish is in flight takes
         // the publish's charge; the finished publish goes to the device.
@@ -2648,7 +2786,7 @@ mod tests {
         wb.drain(&mgr).unwrap();
         publish.finish(&buf).unwrap();
         assert!(mgr.cached(&buf, false).is_none());
-        assert_eq!((writes() - before, mgr.health().shard_cache_write_backs), (2, 2));
+        assert_eq!((writes() - before, mgr.health().shard_cache_write_backs), (3, 2));
         plan.bitflip_next_reads(1);
         assert_eq!(mgr.fetch_placed(&buf).unwrap().as_bytes(), buf_f32(&next).as_bytes());
         assert_eq!(mgr.health().corruptions_recovered, 1, "verified under the piece checksums");

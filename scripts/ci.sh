@@ -91,10 +91,13 @@ cargo run -q --release -p zi-audit -- --root . --json "$AUDIT_JSON" \
 # checkpoint crash recovery, pool checkout/return — a one-buffer pinned
 # pool and staging set for two threads, enumerated whole, and a staging
 # set of two one-buffer shelves for four holders — trace ring drain,
-# kernel worker-pool tiling, the shard cache's admit / invalidate / evict
-# across two ranks, the optimizer step's kept set — dropped, its
-# write-back landed before the step's first read and before the step
-# returns — with the rank's set at its proven bound,
+# kernel worker-pool tiling, the node's host write-back cache — one map
+# of parameter images and kept optimizer records: admit / invalidate /
+# evict across two ranks, a third rank's kept record beside them, which
+# no eviction writes back, and no fill admitted while a publish of its
+# extent is in flight — the optimizer step's kept set in that map —
+# dropped, its write-back landed before the step's first read and before
+# the step returns — with the rank's set at its proven bound,
 # and two ranks' fetches, prefetches and steps each through a set of its
 # own at that bound: with a set below it a rank waits forever, which
 # fails the harness).
@@ -167,7 +170,9 @@ timeout --kill-after=10s 120s \
 # leaves them. The equivalence and shard-cache integration suites ride
 # along too: the step schedule they pin bit for bit, the last records a
 # step keeps in staging and the next step updates first without a read
-# included, then meets the scalar kernels and the two-worker pool; so do
+# included, then meets the scalar kernels and the two-worker pool; so
+# does the tight-memory suite, whose pools below the model states pin the
+# same schedule's device traffic by closed form; so do
 # checkpoint restore and the file-backed full stack, construction
 # included, which write model state the way a step does, and the mp × dp
 # grid cross-check, whose multi-rank steps each flush only their own I/O. So do the per-strategy footprint
@@ -181,13 +186,13 @@ timeout --kill-after=10s 120s \
 # reference's bits under either kernel set.
 ZI_SIMD=scalar cargo test -q -p zi-tensor -p zi-optim -p zi-model \
     && ZI_SIMD=scalar cargo test -q -p zero-infinity --lib -- mp:: tiling:: engine:: offload:: checkpoint:: trainer:: \
-    && ZI_SIMD=scalar cargo test -q --test equivalence --test shard_cache --test end_to_end --test parallelism \
+    && ZI_SIMD=scalar cargo test -q --test equivalence --test shard_cache --test tight_memory --test end_to_end --test parallelism \
         --test memory_footprint --test alloc_budget --test trace_accounting --test chaos --test paper_claims \
         --test config_matrix \
     || { echo "scalar-forced unit suites failed"; exit 1; }
 ZI_KERNEL_THREADS=2 cargo test -q -p zi-tensor -p zi-optim -p zi-model \
     && ZI_KERNEL_THREADS=2 cargo test -q -p zero-infinity --lib -- mp:: tiling:: engine:: offload:: checkpoint:: trainer:: \
-    && ZI_KERNEL_THREADS=2 cargo test -q --test equivalence --test shard_cache --test end_to_end --test parallelism \
+    && ZI_KERNEL_THREADS=2 cargo test -q --test equivalence --test shard_cache --test tight_memory --test end_to_end --test parallelism \
         --test memory_footprint --test alloc_budget --test trace_accounting --test chaos --test paper_claims \
         --test config_matrix \
     || { echo "parallel-pool unit suites failed"; exit 1; }
