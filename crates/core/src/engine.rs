@@ -285,6 +285,25 @@ pub struct EngineStats {
     pub prefetch: PrefetchStats,
 }
 
+/// This rank's device traffic in a steady [`ZeroEngine::step`] — one whose
+/// parameters with a gradient are the last applied step's, which ran in
+/// the other order — as [`ZeroEngine::traffic_plan`] states it. Each array
+/// is indexed by the step's record order, ascending then descending, and
+/// holds a count and its bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TrafficPlan {
+    /// Device reads: every device record the last step did not keep.
+    pub reads: [(u64, u64); 2],
+    /// Device writes: every device record the step does not keep, and one
+    /// per publish piece of every offloaded shard the cache does not hold.
+    pub writes: [(u64, u64); 2],
+    /// The device records the step keeps.
+    pub kept: [(u64, u64); 2],
+    /// Per parameter, the bytes one fetch reads from the device: 0 when
+    /// its shard is resident or cached.
+    pub fetch_bytes: Vec<u64>,
+}
+
 /// Per-rank ZeRO / ZeRO-Infinity engine.
 pub struct ZeroEngine {
     strategy: Strategy,
@@ -314,9 +333,9 @@ pub struct ZeroEngine {
     collapsed: bool,
     /// Whether the next step runs its records in descending order.
     descending: bool,
-    /// The due buffers of the last applied step, and the bytes and count
-    /// of the records it kept in the node's cache, when it kept any.
-    carry: Option<(Vec<usize>, u64, usize)>,
+    /// The due buffers of the last applied step, when it kept records in
+    /// the node's cache: which ones, [`step_order`] says.
+    carry: Option<Vec<usize>>,
     stats: EngineStats,
 }
 
@@ -672,9 +691,9 @@ impl ZeroEngine {
             .collect();
         let window = self.window();
         let mut wb = WriteBehind::new(window);
-        let changed = self.carry.as_ref().is_some_and(|(carried, ..)| *carried != due);
+        let changed = self.carry.as_ref().is_some_and(|carried| *carried != due);
         let written_back = changed && self.drop_carry("carry.drop.due_set");
-        let held = self.carry.take().map_or(0, |(.., kept)| kept);
+        let held = self.carry.take().is_some();
         let budget = self.depth() + window;
         let mut ahead = ReadAhead::new(&self.optims, &due, self.descending, budget, held, written_back);
         let written = match written_back {
@@ -694,7 +713,7 @@ impl ZeroEngine {
         if ahead.kept > 0 {
             let (bytes, kept) = (ahead.kept_bytes, ahead.kept);
             self.mgr.tracer().instant(Category::OptimStep, "carry.keep", bytes, kept as u64);
-            self.carry = Some((due, bytes, kept));
+            self.carry = Some(due);
         }
         self.end_iteration();
         Ok(true)
@@ -714,6 +733,39 @@ impl ZeroEngine {
     /// writes of every record in the pipeline.
     fn window(&self) -> usize {
         WRITES_PER_RECORD * self.depth()
+    }
+
+    /// The device traffic of a steady [`Self::step`] on this rank, by the
+    /// step's own rule: the records and kept tail [`step_order`] gives, for
+    /// the last applied step's due buffers (every buffer before the first),
+    /// the publish mode and the shard cache's images as they stand. It does
+    /// no I/O and counts nothing: the cache is probed as the prefetcher
+    /// probes it, with no hit counted.
+    pub fn traffic_plan(&self) -> TrafficPlan {
+        let due = self.carry.clone().unwrap_or_else(|| (0..self.optims.len()).collect());
+        let budget = self.depth() + self.window();
+        let orders = [false, true].map(|descending| step_order(&self.optims, &due, descending, budget));
+        let (records, bytes) = device_records(&self.optims, &orders[0].0);
+        let kept = orders.map(|(order, tail)| device_records(&self.optims, &order[tail..]));
+        // A due shard on the device publishes one piece per record its
+        // update range meets — a replica in one — into its cached image,
+        // else each as a write.
+        let (mut pieces, mut fetch_bytes) = ((0, 0), Vec::new());
+        for st in &self.shards {
+            let cached = self.mgr.cached(&st.param, false).is_some();
+            let read = if st.param.is_offloaded() && !cached { st.param.size_in_bytes() as u64 } else { 0 };
+            if read > 0 && due.contains(&st.optim.0) {
+                let parts = self.optims[st.optim.0].layout.starts(&st.optim.1).count() as u64;
+                pieces = (pieces.0 + if self.strategy.partition_params { parts } else { 1 }, pieces.1 + read);
+            }
+            fetch_bytes.push(read);
+        }
+        TrafficPlan {
+            reads: [kept[1], kept[0]].map(|(n, b)| (records - n, bytes - b)),
+            writes: kept.map(|(n, b)| (records - n + pieces.0, bytes - b + pieces.1)),
+            kept,
+            fetch_bytes,
+        }
     }
 
     /// The rank's staging set, per shelf `(count, bytes)`, sized once from
@@ -947,8 +999,10 @@ impl ZeroEngine {
     /// discard or read. Never the degradation latch's to absorb: a lost
     /// record update is not a degraded read.
     fn drop_carry(&mut self, why: &'static str) -> bool {
-        let Some((_, bytes, kept)) = self.carry.take() else { return false };
-        self.mgr.tracer().instant(Category::OptimStep, why, bytes, kept as u64);
+        let Some(due) = self.carry.take() else { return false };
+        let (order, tail) = step_order(&self.optims, &due, !self.descending, self.depth() + self.window());
+        let (kept, bytes) = device_records(&self.optims, &order[tail..]);
+        self.mgr.tracer().instant(Category::OptimStep, why, bytes, kept);
         true
     }
 
@@ -1332,6 +1386,42 @@ fn device_for(kind: DeviceKind, rank: usize) -> Device {
     }
 }
 
+/// A step's records of the `due` buffers in its order — ascending over
+/// buffers and records, or `descending` — as buffer and element, and where
+/// its tail starts: the last `min(budget, device records)` device records,
+/// which the step keeps. The one rule [`ReadAhead`] runs and
+/// [`ZeroEngine::traffic_plan`] counts.
+fn step_order(
+    optims: &[OptimStorage],
+    due: &[usize],
+    descending: bool,
+    budget: usize,
+) -> (Vec<(usize, usize)>, usize) {
+    let records = |b: usize| (0..optims[b].layout.len).step_by(optims[b].layout.per);
+    let mut order: Vec<_> = due.iter().flat_map(|&b| records(b).map(move |at| (b, at))).collect();
+    if descending {
+        order.reverse();
+    }
+    let keep = budget.min(order.iter().filter(|&&r| on_device(optims, r)).count());
+    let mut staged = 0;
+    let tail = order.iter().rposition(|&record| {
+        staged += usize::from(on_device(optims, record));
+        staged > keep
+    });
+    (order, tail.map_or(0, |k| k + 1))
+}
+
+/// Whether the record at element `at` of buffer `b` lies on the device.
+fn on_device(optims: &[OptimStorage], (b, at): (usize, usize)) -> bool {
+    optims[b].state.device_offset(optims[b].layout.span(at).0, 0).is_some()
+}
+
+/// How many of `records` lie on the device, and their bytes.
+fn device_records(optims: &[OptimStorage], records: &[(usize, usize)]) -> (u64, u64) {
+    let spans = records.iter().filter(|&&r| on_device(optims, r)).map(|&(b, at)| optims[b].layout.span(at));
+    spans.fold((0, 0), |(n, bytes), (_, count)| (n + 1, bytes + DType::F32.bytes_for(count) as u64))
+}
+
 /// The parameter the streamed step is updating.
 struct Update {
     idx: usize,
@@ -1398,34 +1488,20 @@ enum Load {
 
 impl ReadAhead {
     /// The queue over the records of the `due` buffers in this step's
-    /// order, its tail the last `min(budget, device records)` device
-    /// records, starting from the `held` records the last step kept — or,
-    /// `written_back`, behind their write-back.
+    /// order, its tail as [`step_order`] says, starting — when `held` —
+    /// from the records the last step, of the same buffers, kept: as many
+    /// as this one keeps. Or, `written_back`, behind their write-back.
     fn new(
         optims: &[OptimStorage],
         due: &[usize],
         descending: bool,
         budget: usize,
-        held: usize,
+        held: bool,
         written_back: bool,
     ) -> Self {
-        let records = |b: usize| (0..optims[b].layout.len).step_by(optims[b].layout.per);
-        let mut order: Vec<_> =
-            due.iter().flat_map(|&b| records(b).map(move |at| (b, at))).collect();
-        if descending {
-            order.reverse();
-        }
-        let on_device = |&(b, at): &(usize, usize)| {
-            optims[b].state.device_offset(optims[b].layout.span(at).0, 0).is_some()
-        };
-        let keep = budget.min(order.iter().filter(|r| on_device(r)).count());
-        let mut staged = 0;
-        let tail = order.iter().rposition(|record| {
-            staged += usize::from(on_device(record));
-            staged > keep
-        });
-        let (tail, pending) = (tail.map_or(0, |k| k + 1), VecDeque::new());
-        let (next, kept, kept_bytes) = (0, 0, 0);
+        let (order, tail) = step_order(optims, due, descending, budget);
+        let held = if held { device_records(optims, &order[tail..]).0 as usize } else { 0 };
+        let (next, pending, kept, kept_bytes) = (0, VecDeque::new(), 0, 0);
         ReadAhead { order, descending, tail, budget, next, pending, held, kept, kept_bytes, written_back }
     }
 
@@ -2150,12 +2226,14 @@ mod tests {
         let (plan, node, mut eng, id) = faulty_rank(5, 1024);
         eng.add_grad(id, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         eng.step().unwrap();
-        // Counted once the device has finished every request.
+        // Counted once the device has finished every request; each fetch
+        // reads what the plan says.
         node.nvme.barrier().unwrap();
-        let reads = node.nvme.stats().reads;
+        let (before, planned) = (node.nvme.stats(), eng.traffic_plan().fetch_bytes[id.0]);
         plan.bitflip_next_reads(u32::MAX);
         let cached = eng.export_param(id).unwrap();
-        assert_eq!(node.nvme.stats().reads, reads, "a cached shard was read from the device");
+        let read = node.nvme.stats().bytes_read - before.bytes_read;
+        assert_eq!(read, planned, "a cached shard was read from the device");
         plan.bitflip_next_reads(0);
         let health = eng.mgr.health();
         assert_eq!((health.shard_cache_hits, health.shard_cache_bytes), (1, 12 * 4));
@@ -2167,8 +2245,10 @@ mod tests {
         let tenant =
             eng.mgr.store_placed(Device::cpu(), &PlacementPolicy::all_nvme(), tenant).unwrap();
         eng.mgr.free_placed(tenant);
+        let planned = eng.traffic_plan().fetch_bytes[id.0];
         assert_eq!(eng.export_param(id).unwrap().data(), cached.data());
-        assert_eq!(node.nvme.stats().reads, reads + 1);
+        let after = node.nvme.stats();
+        assert_eq!((after.reads, after.bytes_read), (before.reads + 1, before.bytes_read + planned));
         let health = eng.mgr.health();
         assert_eq!((health.shard_cache_evictions, health.shard_cache_write_backs), (2, 2));
         eng.dispose().unwrap();
@@ -2192,11 +2272,11 @@ mod tests {
         node.nvme.barrier().unwrap();
         // A flipped bit in the fetch of the written-back extent: the piece
         // it hit is re-read once, and the fetch is the published image.
-        let before = node.nvme.stats();
+        let (before, fetch) = (node.nvme.stats(), eng.traffic_plan().fetch_bytes[id.0]);
         plan.bitflip_next_reads(1);
         assert_eq!(eng.export_param(id).unwrap().data(), published.data());
         let after = node.nvme.stats();
-        let reread = after.bytes_read - before.bytes_read - 12 * 4;
+        let reread = after.bytes_read - before.bytes_read - fetch;
         assert_eq!(after.reads - before.reads, 2, "the flipped read and one re-read");
         assert!(reread == 5 * 4 || reread == 2 * 4, "re-read {reread} B: not one piece");
         assert_eq!(eng.mgr.health().corruptions_recovered, 1);
@@ -2278,9 +2358,11 @@ mod tests {
             let (plan, _node, mut eng, _) = publishing_rank(2, write_back);
             // The states a checkpoint would hold after each step; calibrate
             // how many device ops the second one issues.
-            let (mut saved, mut second) = (Vec::new(), 0);
+            let (mut saved, mut second, mut planned) = (Vec::new(), 0, 0);
             for (k, &both) in kinds.iter().enumerate() {
                 let before = plan.ops_seen();
+                let steady = eng.traffic_plan();
+                planned = if k == 1 { steady.reads[1].0 + steady.writes[1].0 } else { planned };
                 grads(&mut eng, &reg, both).unwrap();
                 eng.step().unwrap();
                 if k == 1 {
@@ -2291,9 +2373,8 @@ mod tests {
                 saved.push(eng.save_state().unwrap());
             }
             // A read and a write per record not kept, and a publish written
-            // through; or the write-back.
-            let publishes = if write_back { 0 } else { 3 * 3 };
-            let expect = if steady { 2 * (9 - 6) + publishes } else { 6 };
+            // through, as planned; or the write-back.
+            let expect = if steady { planned } else { 6 };
             assert_eq!(second, expect, "write-back {write_back}, steady {steady}");
             let strategy = eng.strategy;
             eng.dispose().unwrap();
@@ -2338,22 +2419,17 @@ mod tests {
     #[test]
     fn a_skipped_step_and_a_parameter_without_a_gradient_issue_no_device_request() {
         let (_plan, node, mut eng, w) = faulty_rank(5, 1 << 22);
-        let requests = || {
-            node.nvme.barrier().unwrap();
-            let io = node.nvme.stats();
-            (io.reads, io.writes)
-        };
         // The loss scaler skips the step: no optimizer state is read.
-        let at_rest = requests();
+        let at_rest = requests(&node);
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![f32::INFINITY; 12]).unwrap()).unwrap();
         assert!(!eng.step().unwrap());
-        assert_eq!(requests(), at_rest, "a skipped step touched the device");
+        assert_eq!(requests(&node), at_rest, "a skipped step touched the device");
         // `w` alone has a gradient: its three records are read (and
         // published, to the shard cache), and nothing of `b` moves; the
         // step keeps all three for the next one, unwritten.
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap()).unwrap();
         assert!(eng.step().unwrap());
-        assert_eq!(requests(), (at_rest.0 + 3, at_rest.1));
+        assert_eq!(requests(&node), (at_rest.0 + 3, at_rest.1));
         assert_eq!(kept_records(&eng), 3);
         eng.dispose().unwrap();
     }
@@ -2375,25 +2451,27 @@ mod tests {
                 let eng = faulty_engine(&node, 1, permille).unwrap();
                 (plan, node, eng)
             };
-            // The device reads and bytes of the second step, `arm`ed first.
+            // The device reads and bytes of the second step, `arm`ed first,
+            // and those it plans.
             let second_step = |eng: &mut ZeroEngine, node: &NodeResources, arm: &dyn Fn()| {
                 eng.add_grad(w, &grad(0)).unwrap();
                 eng.step().unwrap();
                 arm();
-                let before = node.nvme.stats();
+                let (before, plan) = (node.nvme.stats(), eng.traffic_plan());
                 eng.add_grad(w, &grad(1)).unwrap();
                 eng.step().unwrap();
                 let after = node.nvme.stats();
-                (after.reads - before.reads, after.bytes_read - before.bytes_read)
+                let read = (after.reads - before.reads, after.bytes_read - before.bytes_read);
+                (read, plan.reads[1])
             };
             // Two steps on a healthy device: the reference.
             let (_plan, clean_node, mut clean) = rank();
-            let (reads, bytes) = second_step(&mut clean, &clean_node, &|| {});
-            assert!(reads > 0 && bytes == 12 * reads, "{permille}‰: the second step read {reads}");
+            let ((reads, bytes), planned) = second_step(&mut clean, &clean_node, &|| {});
+            assert!(reads > 0 && (reads, bytes) == planned, "{permille}‰: the second step read {reads}");
             let expect = clean.export_optimizer_records().unwrap();
             let (plan, node, mut eng) = rank();
             let flip = || plan.bitflip_next_reads(1);
-            let (got_reads, got_bytes) = second_step(&mut eng, &node, &flip);
+            let ((got_reads, got_bytes), _) = second_step(&mut eng, &node, &flip);
             assert_eq!(got_reads, reads + 1, "{permille}‰: one re-read");
             assert_eq!(got_bytes - bytes, 4, "{permille}‰: the re-read is not one stream tile");
             assert_eq!(eng.mgr.health().corruptions_recovered, 1);
@@ -2602,9 +2680,15 @@ mod tests {
         events.iter().filter(|e| e.cat == Category::OptimStep && e.name == name).count()
     }
 
-    /// Records the last step kept.
+    /// The device's reads and writes once it has finished every request.
+    fn requests(node: &NodeResources) -> (u64, u64) {
+        node.nvme.barrier().unwrap();
+        (node.nvme.stats().reads, node.nvme.stats().writes)
+    }
+
+    /// Records the last step kept, by the step's rule.
     fn kept_records(eng: &ZeroEngine) -> usize {
-        eng.carry.as_ref().map_or(0, |(.., kept)| *kept)
+        eng.carry.as_ref().map_or(0, |_| eng.traffic_plan().kept[usize::from(!eng.descending)].0 as usize)
     }
 
     #[test]
@@ -2712,31 +2796,25 @@ mod tests {
         // five device records, fewer than depth 4 plus a write-behind
         // window of 8. The first step reads them all; every later one
         // takes them all from the buffers the step before kept them in,
-        // and neither reads nor writes one. The publishes go to the shard
-        // cache.
+        // and neither reads nor writes one, as the plan says. The
+        // publishes go to the shard cache.
         let strategy = Strategy::infinity_nvme()
             .with_f32_params()
             .with_prefetch_window(0)
             .with_optimizer_chunk(4);
         let (node, mut eng, reg) = single_rank(strategy);
-        let requests = || {
-            node.nvme.barrier().unwrap();
-            let io = node.nvme.stats();
-            (io.reads, io.writes)
-        };
-        let mut per_step = Vec::new();
         for round in 0..4 {
-            let before = requests();
+            let (before, plan) = (requests(&node), eng.traffic_plan());
             for meta in reg.iter() {
                 let grad = (0..meta.numel()).map(|i| (i + round) as f32 * 0.1).collect();
                 eng.add_grad(meta.id, &Tensor::from_vec(&meta.shape, grad).unwrap()).unwrap();
             }
             assert!(eng.step().unwrap());
             assert_eq!(kept_records(&eng), 5, "round {round}: the step kept fewer than all");
-            let after = requests();
-            per_step.push((after.0 - before.0, after.1 - before.1));
+            let after = requests(&node);
+            let planned = if round == 0 { (5, 0) } else { (plan.reads[round % 2].0, plan.writes[round % 2].0) };
+            assert_eq!((after.0 - before.0, after.1 - before.1), planned, "round {round}");
         }
-        assert_eq!(per_step, vec![(5, 0), (0, 0), (0, 0), (0, 0)]);
         eng.dispose().unwrap();
     }
 
@@ -2755,7 +2833,7 @@ mod tests {
             let (node, mut eng, reg) = slow_write_rank(strategy);
             let mut losses = Vec::new();
             for step in 0..4 {
-                let reads = node.nvme.stats().reads;
+                let (reads, plan) = (node.nvme.stats().reads, eng.traffic_plan());
                 let mut loss = 0f32;
                 for meta in reg.iter() {
                     let param = eng.get(meta.id).unwrap();
@@ -2772,7 +2850,8 @@ mod tests {
                 assert!(eng.step().unwrap());
                 if !drained && step > 0 {
                     let read = node.nvme.stats().reads - reads;
-                    assert_eq!(read, 0, "step {step} read a kept record");
+                    let planned = (plan.reads[step % 2].0, 5);
+                    assert_eq!((read, kept_records(&eng)), planned, "step {step} read a kept record");
                 }
                 if drained {
                     let blob = eng.save_state().unwrap();
@@ -3128,28 +3207,25 @@ mod tests {
     #[test]
     fn a_skipped_step_keeps_the_carried_queue_and_touches_no_device() {
         let (_plan, node, mut eng, w) = faulty_rank(5, 1 << 22);
-        let requests = || {
-            node.nvme.barrier().unwrap();
-            let io = node.nvme.stats();
-            (io.reads, io.writes)
-        };
         let ones = Tensor::from_vec(&[3, 4], vec![1.0; 12]).unwrap();
         eng.add_grad(w, &ones).unwrap();
         assert!(eng.step().unwrap());
-        let carried = requests();
+        let carried = requests(&node);
         eng.add_grad(w, &Tensor::from_vec(&[3, 4], vec![f32::INFINITY; 12]).unwrap()).unwrap();
         assert!(!eng.step().unwrap());
-        assert_eq!(requests(), carried, "a skipped step touched the device");
+        assert_eq!(requests(&node), carried, "a skipped step touched the device");
         // The kept records stay, and so does the order: the next applied
         // step is the descending one.
         assert_eq!(kept_records(&eng), 3, "the kept records went");
         assert!(eng.carry.is_some() && eng.descending, "the skipped step flipped the order");
         // The next step takes them: all three of `w`'s records are already
         // in their buffers, so the step reads none, writes none (it
-        // publishes them to the shard cache) and keeps all three again.
+        // publishes them to the shard cache) and keeps all three again,
+        // as planned.
+        let plan = eng.traffic_plan();
         eng.add_grad(w, &ones).unwrap();
         assert!(eng.step().unwrap());
-        assert_eq!(requests(), carried);
+        assert_eq!(requests(&node), (carried.0 + plan.reads[1].0, carried.1 + plan.writes[1].0));
         assert!(!eng.descending);
         eng.dispose().unwrap();
     }
@@ -3294,23 +3370,21 @@ mod tests {
         // elements), `w` three — eight reads or eight kept records — and
         // one publish per part, each into the shard cache: two of `a`, one
         // of `g`, two each of `b` and `c`, three of `w`. Records of one
-        // element pack nothing.
+        // element pack nothing. Every step after the first moves what the
+        // plan says.
         let run = |chunk: usize| {
             let strategy = Strategy::infinity_nvme().with_f32_params().with_optimizer_chunk(chunk);
             let (node, mut eng, reg) = mixed_rank(strategy);
-            let requests = || {
-                node.nvme.barrier().unwrap();
-                let io = node.nvme.stats();
-                (io.reads, io.writes)
-            };
-            let built = requests();
+            let built = requests(&node);
             let mut per_step = Vec::new();
             for round in 0..4 {
-                let before = requests();
+                let (before, plan) = (requests(&node), eng.traffic_plan());
                 mixed_grads(&mut eng, &reg, &MIXED, round);
                 assert!(eng.step().unwrap());
-                let after = requests();
+                let after = requests(&node);
+                let planned = (plan.reads[round % 2].0, plan.writes[round % 2].0);
                 per_step.push((after.0 - before.0, after.1 - before.1));
+                assert!(round == 0 || per_step[round] == planned, "{chunk}: round {round}");
             }
             let params: Vec<_> = reg.iter().map(|m| eng.export_param(m.id).unwrap()).collect();
             let params: Vec<Vec<f32>> = params.iter().map(|p| p.data().to_vec()).collect();
@@ -3323,7 +3397,7 @@ mod tests {
         // The first step reads its records and keeps them all for the next
         // (up to depth 4 plus a write-behind window of 8), which neither
         // reads nor writes one.
-        assert_eq!(per_step, vec![(8, 0), (0, 0), (0, 0), (0, 0)]);
+        assert_eq!(per_step[..2], [(8, 0), (0, 0)]);
         let (_, unpacked_steps, unpacked) = run(1);
         assert_eq!(unpacked_steps[3], (58 - 12, 58 - 12), "one record per element, twelve kept");
         assert_eq!(packed, unpacked, "packing changed the state");
@@ -3333,11 +3407,6 @@ mod tests {
     fn a_packed_member_without_a_gradient_keeps_its_state_and_an_idle_pack_moves_nothing() {
         let strategy = Strategy::infinity_nvme().with_f32_params().with_optimizer_chunk(8);
         let (node, mut eng, reg) = mixed_rank(strategy);
-        let requests = || {
-            node.nvme.barrier().unwrap();
-            let io = node.nvme.stats();
-            (io.reads, io.writes)
-        };
         let state = |eng: &mut ZeroEngine| {
             let records = eng.export_optimizer_records().unwrap();
             let rec = |name: &str| {
@@ -3351,10 +3420,10 @@ mod tests {
         // unwritten), and published to the shard cache; the pack issues no
         // request at all.
         let built = state(&mut eng);
-        let at_rest = requests();
+        let at_rest = requests(&node);
         mixed_grads(&mut eng, &reg, &["a", "w"], 0);
         assert!(eng.step().unwrap());
-        assert_eq!(requests(), (at_rest.0 + 5, at_rest.1));
+        assert_eq!(requests(&node), (at_rest.0 + 5, at_rest.1));
         // `g`, `b` and `c` are as built; `a` and `w` are one step on.
         let after = state(&mut eng);
         assert_eq!([&after[1], &after[3], &after[4]], [&built[1], &built[3], &built[4]]);
@@ -3505,24 +3574,28 @@ mod tests {
     /// step's record reads found no exact tiling and went unverified until
     /// the step had written each record itself. The first step after
     /// `prepare`, run clean and then with one of its reads flipped: the
-    /// flip is caught and re-read, and the state is the clean run's.
+    /// flip is caught and its tile alone (five elements of `w`'s first
+    /// record) read again, once, and the state is the clean run's.
     fn first_step_reads_verified_records(prepare: impl Fn(&mut ZeroEngine)) {
         let first_step = |flip: bool| {
             let (plan, node, mut eng, w) = faulty_rank(5, 1 << 22);
             prepare(&mut eng);
             node.nvme.barrier().unwrap();
+            let before = node.nvme.stats();
             plan.bitflip_next_reads(u32::from(flip));
             eng.add_grad(w, &w_grad()).unwrap();
             assert!(eng.step().unwrap());
             node.nvme.barrier().unwrap();
             plan.bitflip_next_reads(0);
-            let seen = (eng.save_state().unwrap(), eng.mgr.health().corruptions_recovered);
+            let after = node.nvme.stats();
+            let read = (after.reads - before.reads, after.bytes_read - before.bytes_read);
+            let seen = (eng.save_state().unwrap(), eng.mgr.health().corruptions_recovered, read);
             eng.dispose().unwrap();
             seen
         };
-        let (clean, recovered) = first_step(false);
+        let (clean, recovered, (reads, bytes)) = first_step(false);
         assert_eq!(recovered, 0);
-        assert_eq!(first_step(true), (clean, 1));
+        assert_eq!(first_step(true), (clean, 1, (reads + 1, bytes + 5 * 4)));
     }
 
     #[test]
@@ -3538,6 +3611,30 @@ mod tests {
         let blob = saved.save_state().unwrap();
         saved.dispose().unwrap();
         first_step_reads_verified_records(|eng| eng.load_state(&blob).unwrap());
+    }
+
+    #[test]
+    fn a_construction_write_landed_corrupted_fails_the_first_step_typed() {
+        // Records of one element, one device worker: construction's first
+        // write, `w`'s first record, lands with a flipped bit in its master
+        // tile. The first step reads it first, re-reads that tile alone
+        // until the re-reads run out and fails typed, every buffer home.
+        let countdown = zi_sync::Mutex::new(1);
+        let dev = zi_sync::Arc::new(FlipWrite { dev: zi_nvme::MemBackend::new(), countdown });
+        let env = NodeEnv { nvme_workers: 1, ..NodeEnv::new(dev.clone()) };
+        let (node, mut eng, reg) = rank_over(one_element_records(Strategy::infinity_nvme()), env);
+        assert_eq!(*dev.countdown.lock(), 0, "no construction write was corrupted");
+        let before = node.nvme.stats();
+        every_grad(&mut eng, &reg, 0);
+        let err = eng.step().unwrap_err();
+        assert!(matches!(err, Error::Corruption { .. }), "got {err}");
+        node.nvme.barrier().unwrap();
+        let (after, rereads) = (node.nvme.stats(), u64::from(crate::offload::CORRUPTION_REREADS));
+        let read = (after.reads - before.reads, after.bytes_read - before.bytes_read);
+        assert_eq!(read, (1 + rereads, 12 + rereads * 4));
+        assert_eq!(eng.mgr.health().corruptions_unrecovered, 1);
+        assert_eq!(eng.mgr.staging().outstanding(), 0, "a staging buffer is checked out");
+        eng.dispose().unwrap();
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub mod tiling;
 pub mod trainer;
 
 pub use config::{Placement, Strategy};
-pub use engine::{EngineStats, ZeroEngine};
+pub use engine::{EngineStats, TrafficPlan, ZeroEngine};
 pub use offload::{
     NodeEnv, NodeResources, OffloadHealth, OffloadManager, PlacedBuf, PublishStream, WriteBehind,
 };

@@ -9,7 +9,10 @@
 // momentum and variance.
 pub(crate) const PARAM_BYTES: u64 = 2;
 pub(crate) const GRAD_BYTES: u64 = 2;
-pub(crate) const OPTIM_BYTES: u64 = 16;
+/// Bytes per parameter of the optimizer states: the fp32 parameter,
+/// gradient, momentum and variance, which Eq. (10) reads and writes once
+/// per step.
+pub const OPTIM_BYTES: u64 = 16;
 
 /// Architecture of a Transformer model, as the paper parameterizes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

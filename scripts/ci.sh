@@ -163,8 +163,9 @@ timeout --kill-after=10s 120s \
 # built on them keep full coverage on AVX2 machines), then with two pool
 # workers (under test the pool defaults to one thread, so the GEMM
 # row-range split and the claim/completion path run only when forced).
-# The mp / tiling runners of zi-core go through the same module
-# bracket as zi-model's, so their unit suites ride along; so do the
+# The tiling runners of zi-core and its tensor-sliced trainer tests
+# (under `trainer::`) go through the same module bracket as zi-model's,
+# so their unit suites ride along; so do the
 # engine and offload suites, whose streamed step hands the Adam kernel
 # the three slices of one record at whatever alignment the record size
 # leaves them. The equivalence and shard-cache integration suites ride
@@ -172,7 +173,8 @@ timeout --kill-after=10s 120s \
 # step keeps in staging and the next step updates first without a read
 # included, then meets the scalar kernels and the two-worker pool; so
 # does the tight-memory suite, whose pools below the model states pin the
-# same schedule's device traffic by closed form; so do
+# same schedule's device traffic to the engine's plan and a closed form;
+# so do
 # checkpoint restore and the file-backed full stack, construction
 # included, which write model state the way a step does, and the mp × dp
 # grid cross-check, whose multi-rank steps each flush only their own I/O. So do the per-strategy footprint
@@ -185,13 +187,13 @@ timeout --kill-after=10s 120s \
 # the configuration matrix, every cell of which must stay the dense
 # reference's bits under either kernel set.
 ZI_SIMD=scalar cargo test -q -p zi-tensor -p zi-optim -p zi-model \
-    && ZI_SIMD=scalar cargo test -q -p zero-infinity --lib -- mp:: tiling:: engine:: offload:: checkpoint:: trainer:: \
+    && ZI_SIMD=scalar cargo test -q -p zero-infinity --lib -- tiling:: engine:: offload:: checkpoint:: trainer:: \
     && ZI_SIMD=scalar cargo test -q --test equivalence --test shard_cache --test tight_memory --test end_to_end --test parallelism \
         --test memory_footprint --test alloc_budget --test trace_accounting --test chaos --test paper_claims \
         --test config_matrix \
     || { echo "scalar-forced unit suites failed"; exit 1; }
 ZI_KERNEL_THREADS=2 cargo test -q -p zi-tensor -p zi-optim -p zi-model \
-    && ZI_KERNEL_THREADS=2 cargo test -q -p zero-infinity --lib -- mp:: tiling:: engine:: offload:: checkpoint:: trainer:: \
+    && ZI_KERNEL_THREADS=2 cargo test -q -p zero-infinity --lib -- tiling:: engine:: offload:: checkpoint:: trainer:: \
     && ZI_KERNEL_THREADS=2 cargo test -q --test equivalence --test shard_cache --test tight_memory --test end_to_end --test parallelism \
         --test memory_footprint --test alloc_budget --test trace_accounting --test chaos --test paper_claims \
         --test config_matrix \

@@ -7,8 +7,10 @@
 #   scripts/surface.sh --check   fail if the committed SURFACE.md is stale
 #
 # "code" = lines before the first `#[cfg(test)]` attribute line of each
-# tracked .rs file (comments and blanks included: the number is a trend,
-# not a measure of density); "pub" = `pub fn|struct|enum|trait|const|type`
+# tracked .rs file outside a `tests/` directory (comments and blanks
+# included: the number is a trend, not a measure of density); an
+# integration test under `tests/` has no `#[cfg(test)]` and is all test
+# lines, like a unit test in `src/`; "pub" = `pub fn|struct|enum|trait|const|type`
 # items among them; "unexported" = those `pub` items whose name appears as
 # a word in no tracked .rs file outside the crate's own src/ (other
 # crates, the root src/tests/examples, benchmark/src, and the crate's own
@@ -50,6 +52,7 @@ render() {
         FILENAME ~ /^benchmark\// { next }
         FNR == 1 {
             in_test = 0
+            test_file = FILENAME ~ /(^|\/)tests\//
             crate = crate_of(FILENAME)
             if (!(crate in files)) crates[++ncrates] = crate
             files[crate]++
@@ -68,7 +71,7 @@ render() {
             }
         }
         { lines[crate]++; all++ }
-        !in_test {
+        !in_test && !test_file {
             code[crate]++; file_code[FILENAME]++
             if ($0 ~ /^[ \t]*pub (fn|struct|enum|trait|const|type)[^A-Za-z0-9_]/) {
                 pub[crate]++; file_pub[FILENAME]++
@@ -83,7 +86,8 @@ render() {
             print "# Surface"
             print ""
             print "Generated by `scripts/surface.sh`; `scripts/ci.sh` fails when this file is stale."
-            print "`code` counts the lines before the first `#[cfg(test)]` of each file, `pub` the"
+            print "`code` counts the lines before the first `#[cfg(test)]` of each file (none of a"
+            print "file under `tests/`: an integration test is all test lines), `pub` the"
             print "`pub fn|struct|enum|trait|const|type` items among them, `unexported` the"
             print "`pub` items whose name no tracked `.rs` file outside the crate'"'"'s `src/` names"
             print "(listed below the tables). `vendor/` and `benchmark/` are not counted;"

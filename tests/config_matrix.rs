@@ -16,18 +16,21 @@
 //! accumulation and checkpointing, and a healthy device reports no
 //! corruption and no shard-cache anomaly. Each rank stages through a
 //! fixed set of its own: from the first two steps on it allocates no
-//! staging buffer, and no acquisition of it waits.
+//! staging buffer, and no acquisition of it waits. In the last two steps
+//! the device traffic is what the ranks' `traffic_plan()`s add up to, as
+//! exact integers, and nothing is evicted.
 
 use std::fmt;
 
 use zi_sync::Arc;
 
-use zero_infinity_suite::model::{GptConfig, GptModel, RunOptions};
+use zero_infinity_suite::model::{GptConfig, GptModel, ParamId, ParamStore, RunOptions};
 use zero_infinity_suite::optim::AdamConfig;
 use zero_infinity_suite::zero::trainer::{synthetic_batch, train_dense_baseline};
 use zero_infinity_suite::zero::{NodeEnv, NodeResources, OffloadHealth, Strategy, ZeroEngine};
 use zi_memory::NodeMemorySpec;
-use zi_types::{Device, DeviceKind};
+use zi_tensor::Tensor;
+use zi_types::{Device, DeviceKind, Result};
 
 /// The sample's seed: fixed here, so every run checks the same cells.
 const SEED: u64 = 0x0c0f_f1ce_5eed_0038;
@@ -126,12 +129,42 @@ fn sample(seed: u64) -> Vec<Cell> {
         .collect()
 }
 
-/// What a run leaves: losses and final parameters as bits, and the
-/// node's health.
+/// One step's device reads, read bytes, writes, write bytes and cache
+/// evictions, measured node-wide and as planned.
+type Traffic = ([u64; 5], [u64; 5]);
+
+/// What a run leaves: losses and final parameters as bits, the node's
+/// health, and the last two steps' traffic.
 struct Trained {
     losses: Vec<u32>,
     params: Vec<Vec<u32>>,
     health: OffloadHealth,
+    traffic: Vec<Traffic>,
+}
+
+/// The engine, counting each parameter's fetches: a `get` no module holds.
+struct Counted<'a> {
+    engine: &'a mut ZeroEngine,
+    held: Vec<usize>,
+    fetches: Vec<u64>,
+}
+
+impl ParamStore for Counted<'_> {
+    fn get(&mut self, id: ParamId) -> Result<Tensor> {
+        self.fetches[id.0] += u64::from(self.held[id.0] == 0);
+        self.held[id.0] += 1;
+        self.engine.get(id)
+    }
+    fn release(&mut self, id: ParamId) -> Result<()> {
+        self.held[id.0] -= 1;
+        self.engine.release(id)
+    }
+    fn add_grad(&mut self, id: ParamId, grad: &Tensor) -> Result<()> {
+        self.engine.add_grad(id, grad)
+    }
+    fn hint_upcoming(&mut self, ids: &[ParamId]) {
+        self.engine.hint_upcoming(ids)
+    }
 }
 
 fn bits(values: &[f32]) -> Vec<u32> {
@@ -172,7 +205,7 @@ fn train(cell: Cell, strategy: Strategy) -> Trained {
     let handles: Vec<_> = (0..cell.world)
         .map(|rank| {
             let node = Arc::clone(&node);
-            zi_sync::thread::spawn(move || -> (Vec<f32>, Vec<Vec<u32>>) {
+            zi_sync::thread::spawn(move || -> (Vec<f32>, Vec<Vec<u32>>, Vec<Traffic>) {
                 let model = GptModel::new(cfg());
                 let (comm, mgr) = (node.group.communicator(rank), node.offload_manager());
                 let mut engine =
@@ -189,7 +222,23 @@ fn train(cell: Cell, strategy: Strategy) -> Trained {
                 // The staging buffers this rank's set has allocated once
                 // warm.
                 let mut warm = None;
+                // The node's counters and the rank's plan, read while every
+                // rank is between steps and the device is idle.
+                let comm = node.group.communicator(rank);
+                let settled = |engine: &ZeroEngine| {
+                    comm.barrier().expect("barrier");
+                    node.nvme.barrier().expect("device barrier");
+                    let h = node.offload_manager().health();
+                    let io = [h.io.reads, h.io.bytes_read, h.io.writes, h.io.bytes_written, h.shard_cache_evictions];
+                    let plan = engine.traffic_plan();
+                    comm.barrier().expect("barrier");
+                    (io, plan)
+                };
+                let mut traffic = Vec::new();
                 for step in 0..STEPS {
+                    let ((at_start, plan), prefetched) = (settled(&engine), engine.stats().prefetch);
+                    let n = model.registry().len();
+                    let mut counted = Counted { engine: &mut engine, held: vec![0; n], fetches: vec![0; n] };
                     let mut loss = 0.0f32;
                     for micro in 0..cell.accumulation {
                         let data_step = step * cell.accumulation + micro;
@@ -197,10 +246,21 @@ fn train(cell: Cell, strategy: Strategy) -> Trained {
                             synthetic_batch(&cfg(), cell.world * MICRO_BATCH, data_step);
                         let (lo, hi) = (rank * rows, (rank + 1) * rows);
                         loss += model
-                            .train_step(&mut engine, &tokens[lo..hi], &targets[lo..hi], &opts)
+                            .train_step(&mut counted, &tokens[lo..hi], &targets[lo..hi], &opts)
                             .unwrap_or_else(|e| panic!("{cell}: step {step}: {e}"));
                     }
+                    // Every fetch the plan says reads reads once, and each
+                    // prefetch no fetch took is one more read.
+                    let fetches = counted.fetches.iter().zip(&plan.fetch_bytes);
+                    let (n, bytes) = fetches.fold((0, 0), |(n, sum), (&k, &b)| (n + k * u64::from(b > 0), sum + k * b));
+                    let wasted = engine.stats().prefetch.issued - prefetched.issued - (engine.stats().prefetch.hits - prefetched.hits);
                     assert!(engine.step().unwrap_or_else(|e| panic!("{cell}: step {step}: {e}")));
+                    let ((reads, read_bytes), (writes, write_bytes)) = (plan.reads[step % 2], plan.writes[step % 2]);
+                    if step + 2 >= STEPS {
+                        let at_end = settled(&engine).0;
+                        let measured = std::array::from_fn(|i| at_end[i] - at_start[i]);
+                        traffic.push((measured, [reads + n + wasted, read_bytes + bytes, writes, write_bytes, 0]));
+                    }
                     let loss = loss / cell.accumulation as f32;
                     // The mean over ranks, as the trainer takes it.
                     let sum = node.group.communicator(rank).sum_scalar(loss).expect("loss");
@@ -225,16 +285,19 @@ fn train(cell: Cell, strategy: Strategy) -> Trained {
                 assert_eq!(Some(staging.allocated), warm, "{grew}");
                 assert_eq!(staging.waits, 0, "{cell}: rank {rank}: a staging acquisition waited");
                 engine.dispose().unwrap_or_else(|e| panic!("{cell}: dispose: {e}"));
-                (losses, params)
+                (losses, params, traffic)
             })
         })
         .collect();
     let mut ranks: Vec<_> = handles.into_iter().map(|h| h.join().expect("rank thread")).collect();
-    let (losses, params) = ranks.swap_remove(0);
+    // The node's traffic, and the ranks' plans added up.
+    let planned = |k: usize| std::array::from_fn(|i| ranks.iter().map(|(.., t)| t[k].1[i]).sum());
+    let traffic = (0..2).map(|k| (ranks[0].2[k].0, planned(k))).collect();
+    let (losses, params, _) = ranks.swap_remove(0);
     for device in (0..cell.world).map(Device::gpu).chain([Device::cpu(), Device::nvme()]) {
         assert_eq!(node.hierarchy.stats(device).in_use, 0, "{cell}: {device} leak after dispose");
     }
-    Trained { losses: bits(&losses), params, health: node.offload_manager().health() }
+    Trained { losses: bits(&losses), params, health: node.offload_manager().health(), traffic }
 }
 
 /// The dense baseline's numerics at `cell`'s world, accumulation and
@@ -269,5 +332,8 @@ fn every_sampled_cell_trains_bit_for_bit_as_the_dense_baseline() {
         assert_eq!(corrupt, (0, 0), "{cell}: corruption on a healthy device: {h:?}");
         assert!(!h.degraded && h.failovers == 0, "{cell}: a healthy device degraded: {h:?}");
         assert!(cell.tight || h.shard_cache_evictions == 0, "{cell}: a roomy cache evicted: {h:?}");
+        for (k, (measured, planned)) in got.traffic.iter().enumerate() {
+            assert_eq!(measured, planned, "{cell}: step {}: device traffic is not the plan", STEPS - 2 + k);
+        }
     }
 }

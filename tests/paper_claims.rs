@@ -5,9 +5,14 @@
 use zi_sim::ait::{ait_optimizer_states, ait_params_grads};
 use zi_sim::cluster::ClusterSpec;
 use zi_sim::efficiency::{bandwidth_for_efficiency, V100_PEAK_TP};
-use zi_sim::memory::{ModelShape, TrainingShape};
+use zi_sim::memory::{ModelShape, TrainingShape, OPTIM_BYTES};
 use zi_sim::figures;
 use zi_sim::model_cfg::SimStrategy;
+
+use zero_infinity_suite::model::{GptConfig, GptModel};
+use zero_infinity_suite::optim::AdamConfig;
+use zero_infinity_suite::zero::{NodeEnv, NodeResources, Strategy, TrafficPlan, ZeroEngine};
+use zi_memory::NodeMemorySpec;
 
 /// Sec. 5.2 bandwidth thresholds: 70 GB/s (params), ~1.5 TB/s
 /// (optimizer) — and the DGX-2 hardware provides them via GPU-GPU links
@@ -113,5 +118,38 @@ fn threed_oom_point_is_consistent() {
                 threed_ceiling
             );
         }
+    }
+}
+
+/// Item 16(d): the plan of the ledger's WIDE rows (`benchmark/src/
+/// workloads.rs`, four device workers), never trained, against Eq. 10: a
+/// step and the one before read every record once, 12 of its 16 B per
+/// parameter (not yet the fp32 gradient). At dp2 under a 500‰ split each
+/// rank keeps all of its records.
+#[test]
+fn the_wide_plan_streams_twelve_sixteenths_of_eq_10() {
+    let model = GptModel::new(GptConfig { vocab: 2048, hidden: 256, layers: 2, heads: 4, seq: 16, seed: 1 });
+    let plans = |world: usize, strategy: Strategy| -> Vec<TrafficPlan> {
+        let spec = NodeMemorySpec::test_spec(world, 1 << 28, 1 << 30, 1 << 30);
+        let node = NodeResources::new(&spec, world, NodeEnv { nvme_workers: 4, ..NodeEnv::in_memory() });
+        let engine = |rank| {
+            let (mgr, comm) = (node.offload_manager(), node.group.communicator(rank));
+            ZeroEngine::new(model.registry(), strategy, mgr, comm, AdamConfig::default()).expect("engine")
+        };
+        let engines: Vec<_> = (0..world).map(engine).collect();
+        let plans = engines.iter().map(ZeroEngine::traffic_plan).collect();
+        engines.into_iter().for_each(|engine| engine.dispose().expect("dispose"));
+        plans
+    };
+    let params: u64 = model.registry().iter().map(|p| p.numel() as u64).sum();
+    let plan = &plans(1, Strategy::infinity_nvme())[0];
+    assert_eq!(plan.reads, [(21, 16_515_072), (21, 15_863_808)], "{plan:?}");
+    assert_eq!(plan.writes, [(21, 15_863_808), (21, 16_515_072)], "{plan:?}");
+    for o in 0..2 {
+        let streamed = plan.reads[o].1 + plan.kept[1 - o].1;
+        assert_eq!((streamed, streamed), (25_300_992, 12 * OPTIM_BYTES * params / 16));
+    }
+    for plan in plans(2, Strategy::infinity_nvme().with_optimizer_cpu_permille(500)) {
+        assert_eq!((plan.reads, plan.writes), ([(0, 0); 2], [(0, 0); 2]), "{plan:?}");
     }
 }

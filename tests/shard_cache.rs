@@ -2,7 +2,8 @@
 //! uncached engine, with room for everything no parameter crosses the
 //! device link in steady state, in between it serves exactly the bytes it
 //! was granted room for — and in every case the losses are the dense
-//! reference's, bit for bit, and every pool drains to zero.
+//! reference's, bit for bit, every steady step moves what the engines'
+//! `traffic_plan()`s say, and every pool drains to zero.
 //!
 //! The budget is the node's CPU pool (there is no option), so each case
 //! is a pool size: a roomy run measures what the other CPU tenants (the
@@ -27,6 +28,12 @@ fn cfg() -> GptConfig {
     GptConfig { vocab: 32, hidden: 16, layers: 2, heads: 4, seq: 8, seed: 17 }
 }
 
+/// Fetches of a parameter shard per step: the forward's and the
+/// backward's — but the position embedding's backward reads no weight.
+fn fetches(name: &str) -> u64 {
+    if name == "wpe" { 1 } else { 2 }
+}
+
 /// What one step added to the node's and the engines' counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Counts {
@@ -46,6 +53,7 @@ struct Counts {
     /// start itself.
     prefetch_issued: u64,
     prefetch_misses: u64,
+    prefetch_hits: u64,
 }
 
 impl Counts {
@@ -63,6 +71,7 @@ impl Counts {
             evictions: self.evictions - earlier.evictions,
             prefetch_issued: self.prefetch_issued - earlier.prefetch_issued,
             prefetch_misses: self.prefetch_misses - earlier.prefetch_misses,
+            prefetch_hits: self.prefetch_hits - earlier.prefetch_hits,
         }
     }
 }
@@ -114,15 +123,16 @@ fn run(strategy: Strategy, world: usize, cpu: u64) -> Run {
                 // Between the barriers every rank is between phases, and
                 // once the device has finished every request issued the
                 // node's counters stand still while they are read.
-                let settled = || {
+                let settled = |engine: &ZeroEngine| {
                     comm.barrier().expect("barrier");
                     node.nvme.barrier().expect("device barrier");
-                    let at_rest = (node.offload_manager().health(), node.hierarchy.stats(Device::cpu()).in_use);
+                    let health = node.offload_manager().health();
+                    let at_rest = (health, node.hierarchy.stats(Device::cpu()).in_use, engine.traffic_plan());
                     comm.barrier().expect("barrier");
                     at_rest
                 };
                 // What construction and the first forward and backward did.
-                let mut first = vec![settled().0.io];
+                let mut first = vec![settled(&engine).0.io];
                 let mut per_step = Vec::new();
                 for step in 0..STEPS {
                     let (tokens, targets) = synthetic_batch(&cfg, world, step);
@@ -131,12 +141,12 @@ fn run(strategy: Strategy, world: usize, cpu: u64) -> Run {
                         .train_step(&mut engine, &tokens[lo..lo + rows], &targets[lo..lo + rows], &opts)
                         .expect("train step");
                     if step == 0 {
-                        first.push(settled().0.io);
+                        first.push(settled(&engine).0.io);
                     }
                     assert!(engine.step().expect("optimizer step"), "step {step} skipped");
                     let mean = comm.sum_scalar(loss).expect("loss") / world as f32;
-                    let (health, cpu_at_rest) = settled();
-                    per_step.push((mean.to_bits(), engine.stats(), health, cpu_at_rest));
+                    let (health, cpu_at_rest, plan) = settled(&engine);
+                    per_step.push((mean.to_bits(), engine.stats(), health, cpu_at_rest, plan));
                 }
                 let staging = engine.offload_manager().staging().clone();
                 engine.dispose().expect("dispose");
@@ -167,9 +177,27 @@ fn run(strategy: Strategy, world: usize, cpu: u64) -> Run {
                 evictions: health.shard_cache_evictions,
                 prefetch_issued: engines().map(|s| s.prefetch.issued).sum(),
                 prefetch_misses: engines().map(|s| s.prefetch.misses).sum(),
+                prefetch_hits: engines().map(|s| s.prefetch.hits).sum(),
             }
         })
         .collect();
+    // Every steady step moves what the ranks' plans from the step before
+    // add up to, in the step's order, with a read of each shard the plan
+    // says a fetch reads, per fetch, and one per prefetch no fetch took.
+    let names: Vec<_> = GptModel::new(cfg).registry().iter().map(|p| p.name.clone()).collect();
+    for s in WARM_UP..STEPS {
+        let planned = per_rank.iter().map(|steps| &steps[s - 1].4).fold([0; 4], |[r, rb, w, wb], plan| {
+            let fetched = names.iter().zip(&plan.fetch_bytes).map(|(name, &b)| (fetches(name), b));
+            let (n, bytes) = fetched.fold((0, 0), |(n, sum), (k, b)| (n + k * u64::from(b > 0), sum + k * b));
+            let ((pr, prb), (pw, pwb)) = (plan.reads[s % 2], plan.writes[s % 2]);
+            [r + pr + n, rb + prb + bytes, w + pw, wb + pwb]
+        });
+        let step = cumulative[s].since(cumulative[s - 1]);
+        let reads = step.reads + step.prefetch_hits - step.prefetch_issued;
+        let measured = [reads, step.read_bytes, step.writes, step.write_bytes];
+        let tag = format!("{} (window {}), world {world}, {cpu} B", strategy.name, strategy.prefetch_window);
+        assert_eq!(measured, planned, "{tag}: step {s} is not the plan");
+    }
     // (v) dispose leaves every pool at zero.
     for device in (0..world).map(Device::gpu).chain([Device::cpu(), Device::nvme()]) {
         assert_eq!(node.hierarchy.stats(device).in_use, 0, "{device} leak after dispose");

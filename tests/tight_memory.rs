@@ -7,9 +7,9 @@
 //! fp16 image the shard cache holds at rest and the ranks' staging sets.
 //! At every pool and world the losses are the roomy run's bit for bit,
 //! the CPU peak stays inside the pool, steady steps evict nothing, and
-//! each step's device traffic is a closed form of the record layout: the
-//! records not kept, once each way, plus a read per fetch and one write of
-//! every parameter shard the cache does not hold.
+//! each step's device traffic is what the ranks' `traffic_plan()`s say and
+//! a closed form of the record layout: the records not kept, once each way,
+//! plus a read per fetch and one write of every shard the cache lacks.
 
 use zi_sync::Arc;
 
@@ -102,6 +102,8 @@ struct Step {
     hits: u64,
     hit_bytes: u64,
     evictions: u64,
+    /// The ranks' plans added up: reads, read bytes, writes, write bytes.
+    planned: [u64; 4],
 }
 
 struct Run {
@@ -140,14 +142,15 @@ fn run(world: usize, cpu: u64, tenant: Option<u64>) -> Run {
                 let rows = cfg.seq;
                 // Between the barriers every rank is between steps and the
                 // device has finished every request.
-                let settled = || {
+                let settled = |engine: &ZeroEngine| {
                     comm.barrier().expect("barrier");
                     node.nvme.barrier().expect("device barrier");
-                    let at_rest = (node.offload_manager().health(), node.hierarchy.stats(Device::cpu()).in_use);
+                    let health = node.offload_manager().health();
+                    let at_rest = (health, node.hierarchy.stats(Device::cpu()).in_use, engine.traffic_plan());
                     comm.barrier().expect("barrier");
                     at_rest
                 };
-                let mut per_step = vec![(0, engine.stats(), settled())];
+                let mut per_step = vec![(0, engine.stats(), settled(&engine))];
                 for step in 0..WARM_UP + MEASURED {
                     let (tokens, targets) = synthetic_batch(&cfg, world, step);
                     let lo = rank * rows;
@@ -165,7 +168,7 @@ fn run(world: usize, cpu: u64, tenant: Option<u64>) -> Run {
                         }
                     }
                     let mean = comm.sum_scalar(loss).expect("loss") / world as f32;
-                    per_step.push((mean.to_bits(), engine.stats(), settled()));
+                    per_step.push((mean.to_bits(), engine.stats(), settled(&engine)));
                 }
                 let staging = engine.offload_manager().staging().clone();
                 engine.dispose().expect("dispose");
@@ -179,8 +182,17 @@ fn run(world: usize, cpu: u64, tenant: Option<u64>) -> Run {
         assert_eq!(node.hierarchy.stats(device).in_use, 0, "{device} leak after dispose");
     }
     let sets = ranks.iter().map(|(_, set)| set).sum::<u64>();
+    let names: Vec<_> = GptModel::new(cfg).registry().iter().map(|p| p.name.clone()).collect();
     let step = |s: usize| {
         let (before, after) = (&ranks[0].0[s].2 .0, &ranks[0].0[s + 1].2 .0);
+        // Each rank's plan at the step's start, in the step's order, and
+        // its fetches: a read of each shard the plan says a fetch reads.
+        let planned = ranks.iter().map(|(steps, ..)| &steps[s].2 .2).fold([0; 4], |[r, rb, w, wb], plan| {
+            let fetched = names.iter().zip(&plan.fetch_bytes).map(|(name, &b)| (fetches(name), b));
+            let (n, bytes) = fetched.fold((0, 0), |(n, sum), (k, b)| (n + k * u64::from(b > 0), sum + k * b));
+            let ((pr, prb), (pw, pwb)) = (plan.reads[s % 2], plan.writes[s % 2]);
+            [r + pr + n, rb + prb + bytes, w + pw, wb + pwb]
+        });
         let fetches = |s: usize| ranks.iter().map(|(steps, ..)| steps[s].1.allgathers).sum::<u64>();
         Step {
             reads: after.io.reads - before.io.reads,
@@ -191,6 +203,7 @@ fn run(world: usize, cpu: u64, tenant: Option<u64>) -> Run {
             hits: after.shard_cache_hits - before.shard_cache_hits,
             hit_bytes: after.shard_cache_bytes - before.shard_cache_bytes,
             evictions: after.shard_cache_evictions - before.shard_cache_evictions,
+            planned,
         }
     };
     let params = GptModel::new(cfg).registry().iter().map(|p| padded(p.numel(), world)).sum::<u64>();
@@ -251,6 +264,8 @@ fn a_cpu_pool_below_the_model_states_trains_bit_identically_by_closed_form() {
                 let descending = k % 2 == 1;
                 let tag = format!("{tag}, measured step {k}");
                 assert_eq!(step.evictions, 0, "{tag}: a steady step evicted");
+                let measured = [step.reads, step.read_bytes, step.writes, step.write_bytes];
+                assert_eq!(measured, step.planned, "{tag}: not the plan");
                 assert_eq!(step.fetches, fetch_calls, "{tag}: fetches");
                 // Every fetch the cache does not serve is one device read
                 // of the rank's shard; a cached shard serves each of its
