@@ -18,6 +18,12 @@ use zi_types::Result;
 /// Fragment size, the scaled-down analogue of the paper's 2 GB chunks.
 pub const FRAGMENT_BYTES: u64 = 256 * 1024;
 
+/// The strategy the sweep trains under: parameters offloaded to CPU
+/// memory and gathered in their fp16 storage dtype.
+pub fn sweep_strategy() -> Strategy {
+    Strategy::infinity_cpu()
+}
+
 /// One row of the Fig. 6b sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct Fig6bRow {
@@ -42,7 +48,7 @@ pub fn layer_fits(hidden: usize, tiles: usize) -> Result<bool> {
     let tl = TiledLinear::register(&mut reg, "ffn", hidden, 4 * hidden, tiles, 7, 0.02)?;
     let mut engine = ZeroEngine::new(
         &reg,
-        Strategy::infinity_cpu(),
+        sweep_strategy(),
         node.offload_manager(),
         node.group.communicator(0),
         AdamConfig::default(),

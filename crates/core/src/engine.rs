@@ -17,8 +17,11 @@
 //!    prefetched reads are consumed), all shards are allgathered
 //!    (bandwidth-centric partitioning, Sec. 6.1: every rank's PCIe/NVMe
 //!    link carries 1/dp of the parameter) and each rank's bytes are
-//!    decoded once, straight into the f32 compute tensor, which is
-//!    charged against GPU working memory.
+//!    copied, in the storage dtype and never decoded, into the gathered
+//!    tensor, which is charged against GPU working memory at that
+//!    dtype's bytes (2 B per fp16 parameter, Eq. 4), beside the kernels'
+//!    fixed decode buffer (`zi_tensor::ops::DECODE_BYTES`) while any fp16
+//!    parameter is gathered.
 //! 3. **Release** — the gathered tensor's GPU working memory is freed
 //!    and its storage recycled for the next fetch of that size; only the
 //!    shard remains.
@@ -50,8 +53,9 @@ use zi_model::{ParamId, ParamRegistry, ParamStore};
 use zi_nvme::checksum::{crc32, crc32_update};
 use zi_optim::{adam_update, AdamConfig, LossScaler};
 use zi_tensor::simd::{GradScale, PublishTo};
-use zi_tensor::storage::{accumulate_f32, decode_f32, encode_f32};
-use zi_tensor::{FlatBuffer, Tensor};
+use zi_tensor::ops::DECODE_BYTES;
+use zi_tensor::storage::{accumulate_f32, copy_f16, decode_f32, encode_f32};
+use zi_tensor::{FlatBuffer, Tensor, F16};
 use zi_trace::{Category, Counter};
 use zi_types::{DType, Device, DeviceKind, Error, Result};
 
@@ -251,11 +255,11 @@ impl<T> FreeList<T> {
     }
 }
 
-impl FreeList<Vec<f32>> {
+impl<T: Copy + Default> FreeList<Vec<T>> {
     /// A vector of exactly `len` elements.
-    fn take_f32(&mut self, len: usize) -> Vec<f32> {
+    fn take_vec(&mut self, len: usize) -> Vec<T> {
         let mut buf = self.take(len).unwrap_or_default();
-        buf.resize(len, 0.0);
+        buf.resize(len, T::default());
         buf
     }
 }
@@ -322,8 +326,13 @@ pub struct ZeroEngine {
     /// Extra gradient divisor for multi-micro-batch accumulation.
     grad_accum_steps: f32,
     resident: HashMap<ParamId, Resident>,
-    /// Storage of released compute tensors (and published masters).
+    /// The GPU charge of the kernels' fp16 decode buffer, held while any
+    /// fp16 parameter is resident.
+    decode_buffer: Option<Block>,
+    /// Storage of released f32 parameters (and published masters).
     f32_bufs: FreeList<Vec<f32>>,
+    /// Storage of released fp16 parameters.
+    f16_bufs: FreeList<Vec<F16>>,
     /// Gradient buffers the optimizer step has consumed.
     grad_bufs: FreeList<FlatBuffer>,
     prefetcher: Prefetcher,
@@ -392,7 +401,9 @@ impl ZeroEngine {
             optims: Vec::with_capacity(registry.len()),
             grad_accum_steps: 1.0,
             resident: HashMap::new(),
+            decode_buffer: None,
             f32_bufs: FreeList::new(),
+            f16_bufs: FreeList::new(),
             grad_bufs: FreeList::new(),
             prefetcher: Prefetcher::new(),
             trace: TraceMap::new(),
@@ -588,6 +599,30 @@ impl ZeroEngine {
         Device::gpu(self.gpu_index)
     }
 
+    /// Charge `bytes` of a gathered `dtype` parameter to the GPU pool, and
+    /// the kernels' decode buffer with an fp16 one when it is not charged
+    /// yet; on failure nothing the call charged stays charged.
+    fn charge_gathered(&mut self, dtype: DType, bytes: u64) -> Result<Block> {
+        let gpu = self.gpu_device();
+        if dtype == DType::F16 && self.decode_buffer.is_none() {
+            self.decode_buffer = Some(self.mgr.hierarchy().alloc(gpu, DECODE_BYTES as u64)?);
+        }
+        let block = self.mgr.hierarchy().alloc(gpu, bytes);
+        if block.is_err() {
+            self.uncharge_decode_buffer();
+        }
+        block
+    }
+
+    /// Free the decode buffer's charge once no parameter is resident.
+    fn uncharge_decode_buffer(&mut self) {
+        if self.resident.is_empty() {
+            if let Some(block) = self.decode_buffer.take() {
+                self.mgr.hierarchy().free(self.gpu_device(), block);
+            }
+        }
+    }
+
     /// Elements of the buffer `id` is gathered into: every rank's padded
     /// shard, or the replica itself.
     fn gathered_len(&self, id: ParamId) -> usize {
@@ -595,25 +630,48 @@ impl ZeroEngine {
         if self.strategy.partition_params { st.shard_len * self.part.world } else { st.numel }
     }
 
-    /// Fetch the full f32 values of a parameter from wherever they live,
-    /// decoding the stored bytes once, into a recycled buffer.
-    fn gather_values(&mut self, id: ParamId) -> Result<Vec<f32>> {
-        let mut vals = self.f32_bufs.take_f32(self.gathered_len(id));
+    /// Gather parameter `id` in its storage dtype from wherever it lives,
+    /// into a recycled buffer: every rank's stored elements copied in rank
+    /// order — an allgather of the shards, or the replica itself — and
+    /// never decoded.
+    fn gather(&mut self, id: ParamId) -> Result<Tensor> {
+        let (len, shape) = (self.gathered_len(id), self.shards[id.0].shape.clone());
+        match self.strategy.param_dtype {
+            DType::F32 => {
+                let mut vals = self.f32_bufs.take_vec(len);
+                self.gather_into(id, &mut vals, |bytes, out| decode_f32(DType::F32, bytes, out))?;
+                Tensor::from_vec(&shape, vals)
+            }
+            DType::F16 => {
+                let mut halves = self.f16_bufs.take_vec(len);
+                self.gather_into(id, &mut halves, copy_f16)?;
+                Tensor::from_f16(&shape, halves)
+            }
+        }
+    }
+
+    /// Land `id`'s stored elements in `dest`, [`Self::gathered_len`] long,
+    /// through `land` (bytes into elements of the storage dtype), and cut
+    /// it to the parameter.
+    fn gather_into<T>(
+        &mut self,
+        id: ParamId,
+        dest: &mut Vec<T>,
+        land: impl Fn(&[u8], &mut [T]) -> Result<()>,
+    ) -> Result<()> {
         let st = &self.shards[id.0];
-        let dtype = self.strategy.param_dtype;
         if !self.strategy.partition_params {
-            decode_f32(dtype, self.mgr.fetch_placed(&st.param)?.as_bytes(), &mut vals)?;
-            return Ok(vals);
+            return land(self.mgr.fetch_placed(&st.param)?.as_bytes(), dest);
         }
         // A resident shard is borrowed for the collective, an NVMe one is
         // the staging buffer its (pre)fetch filled.
         let shard = self.prefetcher.fetch(&self.mgr, id, &st.param)?;
-        gather_decode(&self.comm, dtype, shard.as_bytes(), st.shard_len, &mut vals)?;
+        gather_shards(&self.comm, shard.as_bytes(), st.shard_len, dest, land)?;
         drop(shard);
         self.stats.allgathers += 1;
-        self.stats.gathered_elems += vals.len() as u64;
-        vals.truncate(st.numel);
-        Ok(vals)
+        self.stats.gathered_elems += dest.len() as u64;
+        dest.truncate(st.numel);
+        Ok(())
     }
 
     /// Start an asynchronous load of `id`'s shard unless it is resident
@@ -711,8 +769,8 @@ impl ZeroEngine {
         self.stats.steps += 1;
         self.descending = !self.descending;
         if ahead.kept > 0 {
-            let (bytes, kept) = (ahead.kept_bytes, ahead.kept);
-            self.mgr.tracer().instant(Category::OptimStep, "carry.keep", bytes, kept as u64);
+            let (kept, bytes) = device_records(&self.optims, &ahead.order[ahead.tail..]);
+            self.mgr.tracer().instant(Category::OptimStep, "carry.keep", bytes, kept);
             self.carry = Some(due);
         }
         self.end_iteration();
@@ -930,7 +988,6 @@ impl ZeroEngine {
                 if pos < ahead.tail {
                     wb.submit_staged(&self.mgr, &self.optims[b].state, first, staging, &crcs)?;
                 } else {
-                    ahead.kept_bytes += staging.as_bytes().len() as u64;
                     ahead.kept += 1;
                     self.mgr.keep(&self.optims[b].state, first, staging, &crcs)?;
                 }
@@ -974,7 +1031,7 @@ impl ZeroEngine {
         let publish = if self.strategy.partition_params {
             Publish::Stream(self.mgr.begin_publish(&st.param))
         } else {
-            Publish::Whole(self.f32_bufs.take_f32(len))
+            Publish::Whole(self.f32_bufs.take_vec(len))
         };
         Ok(Update { idx, grad, publish })
     }
@@ -1042,8 +1099,9 @@ impl ZeroEngine {
         let (dtype, shard_len) = (self.strategy.param_dtype, master.len());
         let mut mine = self.mgr.staging().acquire(SHARDS, dtype.bytes_for(shard_len))?;
         encode_f32(dtype, master, mine.as_bytes_mut())?;
-        let mut full = self.f32_bufs.take_f32(shard_len * self.part.world);
-        gather_decode(&self.comm, dtype, mine.as_bytes(), shard_len, &mut full)?;
+        let mut full = self.f32_bufs.take_vec(shard_len * self.part.world);
+        let decode = |bytes: &[u8], out: &mut [f32]| decode_f32(dtype, bytes, out);
+        gather_shards(&self.comm, mine.as_bytes(), shard_len, &mut full, decode)?;
         let published = self.publish(idx, &full[..self.shards[idx].numel], wb);
         self.f32_bufs.put(full.len(), full);
         published
@@ -1080,12 +1138,10 @@ impl ZeroEngine {
         self.prefetcher.clear(&self.mgr);
     }
 
-    /// Gather the full f32 value of a parameter (collective: every rank
-    /// must call this in the same order).
+    /// Gather the full value of a parameter, in f32 (collective: every
+    /// rank must call this in the same order).
     pub fn export_param(&mut self, id: ParamId) -> Result<Tensor> {
-        let vals = self.gather_values(id)?;
-        let shape = self.shards[id.0].shape.clone();
-        Tensor::from_vec(&shape, vals)
+        Ok(self.gather(id)?.to_f32())
     }
 
     /// Number of parameters managed by this engine.
@@ -1183,6 +1239,9 @@ impl ZeroEngine {
         for (_, r) in self.resident.drain() {
             self.mgr.hierarchy().free(gpu, r.gpu_block);
         }
+        if let Some(block) = self.decode_buffer.take() {
+            self.mgr.hierarchy().free(gpu, block);
+        }
         Ok(())
     }
 
@@ -1215,20 +1274,21 @@ impl ParamStore for ZeroEngine {
             self.stats.cache_hits += 1;
             return Ok(r.tensor.clone());
         }
-        let vals = self.gather_values(id)?;
-        let st = &self.shards[id.0];
-        // Charge the gathered compute tensor against GPU working memory;
-        // failure here is the OOM that memory-centric tiling exists to
-        // avoid (Sec. 5.1.3).
-        let bytes = (st.numel * 4) as u64;
-        // The cg hop: the gathered f32 values land in GPU working memory.
-        let mut span = self.mgr.tracer().span(Category::CgTransfer, "cg.upload");
+        let tensor = self.gather(id)?;
+        // Charge the gathered parameter against GPU working memory at its
+        // storage dtype's bytes — 2 B per fp16 element, the paper's Eq. 4
+        // — beside, with the first fp16 one, the buffer the kernels decode
+        // it into; failure here is the OOM that memory-centric tiling
+        // exists to avoid (Sec. 5.1.3).
+        let bytes = tensor.dtype().bytes_for(tensor.numel()) as u64;
+        // The cg hop: the gathered elements land in GPU working memory.
+        let tracer = self.mgr.tracer().clone();
+        let mut span = tracer.span(Category::CgTransfer, "cg.upload");
         span.set_bytes(bytes);
         span.set_id(id.0 as u64);
-        let gpu_block = self.mgr.hierarchy().alloc(self.gpu_device(), bytes)?;
-        let tensor = Tensor::from_vec(&st.shape, vals)?;
+        let gpu_block = self.charge_gathered(tensor.dtype(), bytes)?;
         drop(span);
-        self.mgr.tracer().count(Counter::CgBytes, bytes);
+        tracer.count(Counter::CgBytes, bytes);
         self.resident.insert(id, Resident { tensor: tensor.clone(), refcount: 1, gpu_block });
         self.prefetch_ahead();
         Ok(tensor)
@@ -1244,9 +1304,16 @@ impl ParamStore for ZeroEngine {
                 self.mgr.hierarchy().free(self.gpu_device(), r.gpu_block);
                 // Recycle the storage if every user dropped its handle
                 // before releasing (the runner does).
-                if let Ok(vals) = r.tensor.try_into_vec() {
-                    self.f32_bufs.put(self.gathered_len(id), vals);
+                let len = self.gathered_len(id);
+                match r.tensor.try_into_vec() {
+                    Ok(vals) => self.f32_bufs.put(len, vals),
+                    Err(tensor) => {
+                        if let Ok(halves) = tensor.try_into_f16_vec() {
+                            self.f16_bufs.put(len, halves);
+                        }
+                    }
                 }
+                self.uncharge_decode_buffer();
             }
         }
         Ok(())
@@ -1290,22 +1357,22 @@ fn f32_view(buf: &mut FlatBuffer) -> Result<&mut [f32]> {
     buf.as_f32_mut().ok_or_else(|| Error::Internal("not an aligned f32 buffer".into()))
 }
 
-/// Allgather `shard` — this rank's `shard_len` elements stored as `dtype`
-/// — decoding every rank's contribution once, straight into
-/// `dest[rank * shard_len ..]`. A contribution of any other length is a
-/// typed error on every rank.
-fn gather_decode(
+/// Allgather `shard` — this rank's `shard_len` stored elements — landing
+/// every rank's contribution once, through `land` (a decode, or a copy in
+/// the storage dtype), straight into `dest[rank * shard_len ..]`. A
+/// contribution of any other length is a typed error on every rank.
+fn gather_shards<T>(
     comm: &Communicator,
-    dtype: DType,
     shard: &[u8],
     shard_len: usize,
-    dest: &mut [f32],
+    dest: &mut [T],
+    land: impl Fn(&[u8], &mut [T]) -> Result<()>,
 ) -> Result<()> {
     comm.allgather_with(shard, |rank, bytes| {
         let out = dest
             .get_mut(rank * shard_len..(rank + 1) * shard_len)
             .ok_or_else(|| Error::Internal("gather destination shorter than the world".into()))?;
-        decode_f32(dtype, bytes, out)
+        land(bytes, out)
     })
 }
 
@@ -1468,9 +1535,8 @@ struct ReadAhead {
     /// Records the last step kept that this one has not reached yet: still
     /// in the node's cache.
     held: usize,
-    /// The tail records this step has kept so far, and their bytes.
+    /// The tail records this step has kept so far.
     kept: usize,
-    kept_bytes: u64,
     /// Whether the window holds the write-back of the set the last step
     /// kept, waited out before the first device read: a read of one of
     /// those records must not overtake its write.
@@ -1501,8 +1567,8 @@ impl ReadAhead {
     ) -> Self {
         let (order, tail) = step_order(optims, due, descending, budget);
         let held = if held { device_records(optims, &order[tail..]).0 as usize } else { 0 };
-        let (next, pending, kept, kept_bytes) = (0, VecDeque::new(), 0, 0);
-        ReadAhead { order, descending, tail, budget, next, pending, held, kept, kept_bytes, written_back }
+        let (next, pending, kept) = (0, VecDeque::new(), 0);
+        ReadAhead { order, descending, tail, budget, next, pending, held, kept, written_back }
     }
 
     /// Issue records up to `depth`. A record the last step kept is taken
@@ -1602,6 +1668,7 @@ mod tests {
     use crate::offload::{NodeEnv, NodeResources};
     use zi_memory::NodeMemorySpec;
     use zi_model::ParamRegistry;
+    use zi_nvme::StorageBackend;
 
     fn tiny_registry() -> ParamRegistry {
         let mut reg = ParamRegistry::new();
@@ -1647,8 +1714,9 @@ mod tests {
         let (_node, mut eng, reg) = single_rank(Strategy::infinity_nvme());
         let id = reg.find("w").unwrap();
         let got = eng.get(id).unwrap();
+        assert_eq!(got.dtype(), DType::F16, "a gathered parameter keeps its storage dtype");
         let expect = reg.meta(id).init_tensor();
-        for (a, b) in got.data().iter().zip(expect.data()) {
+        for (a, b) in got.to_f32().data().iter().zip(expect.data()) {
             assert!((a - b).abs() < 1e-3 + b.abs() * 1e-3);
         }
         eng.release(id).unwrap();
@@ -1924,7 +1992,7 @@ mod tests {
                 .with_optimizer_cpu_permille(cpu_permille)
         };
         let node_and_engine = |cpu: u64, cpu_permille: usize| {
-            let relay = zi_sync::Arc::new(Relay::default());
+            let relay = zi_sync::Arc::new(Over::from(Relay::default()));
             let tracer = relay.tracer.clone();
             let env = NodeEnv { nvme_workers: 2, tracer, ..NodeEnv::new(relay.clone()) };
             let spec = NodeMemorySpec::test_spec(1, 1 << 22, cpu, 1 << 22);
@@ -2506,15 +2574,15 @@ mod tests {
 
     /// One rank of `strategy` over a [`Door`] `n` writes wide.
     fn door_rank(strategy: Strategy, n: usize) -> (NodeResources, ZeroEngine, ParamRegistry) {
-        rank_over(strategy, NodeEnv::new(zi_sync::Arc::new(Door::new(n, 0))))
+        rank_over(strategy, NodeEnv::new(zi_sync::Arc::new(Over::from(Door::new(n, 0)))))
     }
 
     /// One rank of `strategy` over a [`Door`] wider than any step, built
     /// open: once [`Door::close`]d, every write waits its second.
     fn held_rank(
         strategy: Strategy,
-    ) -> (zi_sync::Arc<Door>, NodeResources, ZeroEngine, ParamRegistry) {
-        let door = zi_sync::Arc::new(Door::new(1 << 10, 1 << 10));
+    ) -> (zi_sync::Arc<Over<Door>>, NodeResources, ZeroEngine, ParamRegistry) {
+        let door = zi_sync::Arc::new(Over::from(Door::new(1 << 10, 1 << 10)));
         let (node, engine, reg) = rank_over(strategy, NodeEnv::new(door.clone()));
         (door, node, engine, reg)
     }
@@ -2531,6 +2599,52 @@ mod tests {
         (node, engine, reg)
     }
 
+    /// What a test device does with a request on its way to the in-memory
+    /// device it wraps: by default, nothing.
+    trait Intercept: Send + Sync {
+        fn read(&self, dev: &zi_nvme::MemBackend, offset: u64, buf: &mut [u8]) -> Result<()> {
+            dev.read_at(offset, buf)
+        }
+        fn write(&self, dev: &zi_nvme::MemBackend, offset: u64, data: &[u8]) -> Result<()> {
+            dev.write_at(offset, data)
+        }
+    }
+
+    /// A test device: `on`'s interceptions over an in-memory device, which
+    /// answers `sync` and `len` itself. Derefs to `on`.
+    struct Over<I> {
+        dev: zi_nvme::MemBackend,
+        on: I,
+    }
+
+    impl<I> From<I> for Over<I> {
+        fn from(on: I) -> Self {
+            Over { dev: zi_nvme::MemBackend::new(), on }
+        }
+    }
+
+    impl<I> std::ops::Deref for Over<I> {
+        type Target = I;
+        fn deref(&self) -> &I {
+            &self.on
+        }
+    }
+
+    impl<I: Intercept> StorageBackend for Over<I> {
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            self.on.read(&self.dev, offset, buf)
+        }
+        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+            self.on.write(&self.dev, offset, data)
+        }
+        fn sync(&self) -> Result<()> {
+            self.dev.sync()
+        }
+        fn len(&self) -> Result<u64> {
+            self.dev.len()
+        }
+    }
+
     /// An in-memory device that, while closed, holds each write until the
     /// next one arrives (or a second passes), and logs each write's stay
     /// on its tracer's clock: while the writes keep coming it holds one,
@@ -2540,7 +2654,6 @@ mod tests {
         tracer: zi_trace::Tracer,
         state: zi_sync::Mutex<RelayState>,
         next: zi_sync::Condvar,
-        dev: zi_nvme::MemBackend,
     }
 
     /// Whether a [`Relay`] holds writes, how many have arrived, and each
@@ -2569,11 +2682,8 @@ mod tests {
         }
     }
 
-    impl zi_nvme::StorageBackend for Relay {
-        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-            self.dev.read_at(offset, buf)
-        }
-        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+    impl Intercept for Relay {
+        fn write(&self, dev: &zi_nvme::MemBackend, offset: u64, data: &[u8]) -> Result<()> {
             let mut state = self.state.lock();
             if state.closed {
                 let arrived = self.tracer.now_ns();
@@ -2588,13 +2698,7 @@ mod tests {
                 state.stays.push((arrived, left));
             }
             drop(state);
-            self.dev.write_at(offset, data)
-        }
-        fn sync(&self) -> Result<()> {
-            self.dev.sync()
-        }
-        fn len(&self) -> Result<u64> {
-            self.dev.len()
+            dev.write_at(offset, data)
         }
     }
 
@@ -2606,14 +2710,12 @@ mod tests {
         arrived: zi_sync::Mutex<usize>,
         full: zi_sync::Condvar,
         n: usize,
-        dev: zi_nvme::MemBackend,
     }
 
     impl Door {
         /// A door `n` writes wide that `arrived` writes have reached.
         fn new(n: usize, arrived: usize) -> Self {
-            let (full, dev) = (zi_sync::Condvar::new(), zi_nvme::MemBackend::new());
-            Door { arrived: zi_sync::Mutex::new(arrived), full, n, dev }
+            Door { arrived: zi_sync::Mutex::new(arrived), full: zi_sync::Condvar::new(), n }
         }
 
         /// Hold the writes from here on, as if none had arrived.
@@ -2622,11 +2724,8 @@ mod tests {
         }
     }
 
-    impl zi_nvme::StorageBackend for Door {
-        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-            self.dev.read_at(offset, buf)
-        }
-        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+    impl Intercept for Door {
+        fn write(&self, dev: &zi_nvme::MemBackend, offset: u64, data: &[u8]) -> Result<()> {
             let mut arrived = self.arrived.lock();
             *arrived += 1;
             self.full.notify_all();
@@ -2635,43 +2734,27 @@ mod tests {
                 let _ = self.full.wait_for(&mut arrived, std::time::Duration::from_millis(10));
             }
             drop(arrived);
-            self.dev.write_at(offset, data)
-        }
-        fn sync(&self) -> Result<()> {
-            self.dev.sync()
-        }
-        fn len(&self) -> Result<u64> {
-            self.dev.len()
+            dev.write_at(offset, data)
         }
     }
 
     /// An in-memory device whose writes each take `delay` and whose reads
     /// take none: a read issued under a write of its extent overtakes it.
     struct SlowWrites {
-        dev: zi_nvme::MemBackend,
         delay: std::time::Duration,
     }
 
-    impl zi_nvme::StorageBackend for SlowWrites {
-        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-            self.dev.read_at(offset, buf)
-        }
-        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+    impl Intercept for SlowWrites {
+        fn write(&self, dev: &zi_nvme::MemBackend, offset: u64, data: &[u8]) -> Result<()> {
             zi_sync::thread::sleep(self.delay);
-            self.dev.write_at(offset, data)
-        }
-        fn sync(&self) -> Result<()> {
-            self.dev.sync()
-        }
-        fn len(&self) -> Result<u64> {
-            self.dev.len()
+            dev.write_at(offset, data)
         }
     }
 
     /// One rank of `strategy` over [`SlowWrites`] of two milliseconds.
     fn slow_write_rank(strategy: Strategy) -> (NodeResources, ZeroEngine, ParamRegistry) {
         let delay = std::time::Duration::from_millis(2);
-        let device = SlowWrites { dev: zi_nvme::MemBackend::new(), delay };
+        let device = Over::from(SlowWrites { delay });
         rank_over(strategy, NodeEnv::new(zi_sync::Arc::new(device)))
     }
 
@@ -2875,7 +2958,6 @@ mod tests {
     /// An in-memory device that silently flips one bit of the `n`-th write
     /// after [`FlipWrite::arm`] (0: none): what lands is not what was sent.
     struct FlipWrite {
-        dev: zi_nvme::MemBackend,
         countdown: zi_sync::Mutex<u64>,
     }
 
@@ -2885,28 +2967,19 @@ mod tests {
         }
     }
 
-    impl zi_nvme::StorageBackend for FlipWrite {
-        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-            self.dev.read_at(offset, buf)
-        }
-        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+    impl Intercept for FlipWrite {
+        fn write(&self, dev: &zi_nvme::MemBackend, offset: u64, data: &[u8]) -> Result<()> {
             let mut countdown = self.countdown.lock();
             if *countdown == 0 || data.is_empty() {
-                return self.dev.write_at(offset, data);
+                return dev.write_at(offset, data);
             }
             *countdown -= 1;
             if *countdown > 0 {
-                return self.dev.write_at(offset, data);
+                return dev.write_at(offset, data);
             }
             let mut flipped = data.to_vec();
             flipped[0] ^= 1;
-            self.dev.write_at(offset, &flipped)
-        }
-        fn sync(&self) -> Result<()> {
-            self.dev.sync()
-        }
-        fn len(&self) -> Result<u64> {
-            self.dev.len()
+            dev.write_at(offset, &flipped)
         }
     }
 
@@ -2927,10 +3000,7 @@ mod tests {
             Tensor::from_vec(shape, values.collect()).unwrap()
         };
         let rank = || {
-            let dev = zi_sync::Arc::new(FlipWrite {
-                dev: zi_nvme::MemBackend::new(),
-                countdown: zi_sync::Mutex::new(0),
-            });
+            let dev = zi_sync::Arc::new(Over::from(FlipWrite { countdown: zi_sync::Mutex::new(0) }));
             let env = NodeEnv { nvme_workers: 1, ..NodeEnv::new(dev.clone()) };
             let (node, eng, reg) = rank_over(strategy, env);
             (dev, node, eng, reg.find("w").unwrap(), reg.find("b").unwrap())
@@ -2991,6 +3061,30 @@ mod tests {
             let grad = (0..meta.numel()).map(|i| ((i * 5 + round) % 7) as f32 * 0.1 - 0.3).collect();
             eng.add_grad(meta.id, &Tensor::from_vec(&meta.shape, grad).unwrap()).unwrap();
         }
+    }
+
+    #[test]
+    fn a_traced_steps_carry_keep_instant_is_the_plans_kept_tail() {
+        // Seventeen one-element records, more than a step keeps: each
+        // step's `carry.keep` instant names the records and bytes the plan
+        // states for that step's order, ascending then descending.
+        let (node, mut eng, reg) = single_rank(one_element_records(Strategy::infinity_nvme()));
+        for round in 0..3 {
+            every_grad(&mut eng, &reg, round);
+            let (plan, order) = (eng.traffic_plan(), usize::from(eng.descending));
+            let _ = node.tracer().take_events();
+            assert!(eng.step().unwrap());
+            let keep: Vec<(u64, u64)> = node
+                .tracer()
+                .take_events()
+                .iter()
+                .filter(|e| e.cat == Category::OptimStep && e.name == "carry.keep")
+                .map(|e| (e.id, e.bytes))
+                .collect();
+            assert_eq!(keep, [plan.kept[order]], "step {round}");
+            assert!((1..17).contains(&plan.kept[order].0), "a proper tail: {plan:?}");
+        }
+        eng.dispose().unwrap();
     }
 
     #[test]
@@ -3505,29 +3599,19 @@ mod tests {
 
     /// An in-memory device whose reads of `held` bytes wait until it opens.
     struct Gate {
-        dev: zi_nvme::MemBackend,
         held: usize,
         open: zi_sync::Mutex<bool>,
         opened: zi_sync::Condvar,
     }
 
-    impl zi_nvme::StorageBackend for Gate {
-        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+    impl Intercept for Gate {
+        fn read(&self, dev: &zi_nvme::MemBackend, offset: u64, buf: &mut [u8]) -> Result<()> {
             let mut open = self.open.lock();
             while buf.len() == self.held && !*open {
                 self.opened.wait(&mut open);
             }
             drop(open);
-            self.dev.read_at(offset, buf)
-        }
-        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-            self.dev.write_at(offset, data)
-        }
-        fn sync(&self) -> Result<()> {
-            self.dev.sync()
-        }
-        fn len(&self) -> Result<u64> {
-            self.dev.len()
+            dev.read_at(offset, buf)
         }
     }
 
@@ -3538,12 +3622,11 @@ mod tests {
         // step reads it, updates it and writes it: nothing else of this
         // rank's is on the device while it updates.
         const HELD: usize = 4096;
-        let gate = zi_sync::Arc::new(Gate {
-            dev: zi_nvme::MemBackend::new(),
+        let gate = zi_sync::Arc::new(Over::from(Gate {
             held: HELD,
             open: zi_sync::Mutex::new(false),
             opened: zi_sync::Condvar::new(),
-        });
+        }));
         let strategy = Strategy::infinity_nvme().with_f32_params().with_prefetch_window(0);
         let env = NodeEnv { nvme_workers: 2, ..NodeEnv::new(gate.clone()) };
         let (node, mut eng, reg) = rank_over(strategy, env);
@@ -3620,7 +3703,7 @@ mod tests {
         // tile. The first step reads it first, re-reads that tile alone
         // until the re-reads run out and fails typed, every buffer home.
         let countdown = zi_sync::Mutex::new(1);
-        let dev = zi_sync::Arc::new(FlipWrite { dev: zi_nvme::MemBackend::new(), countdown });
+        let dev = zi_sync::Arc::new(Over::from(FlipWrite { countdown }));
         let env = NodeEnv { nvme_workers: 1, ..NodeEnv::new(dev.clone()) };
         let (node, mut eng, reg) = rank_over(one_element_records(Strategy::infinity_nvme()), env);
         assert_eq!(*dev.countdown.lock(), 0, "no construction write was corrupted");
@@ -3845,8 +3928,9 @@ mod tests {
 
     #[test]
     fn gpu_oom_on_gather_surfaces() {
-        // GPU pool too small to hold the gathered w (12 f32 = 48 bytes).
-        let spec = NodeMemorySpec::test_spec(1, 40, 1 << 20, 1 << 20);
+        // GPU pool too small to hold the gathered w (12 fp16 = 24 bytes)
+        // beside the kernels' decode buffer.
+        let spec = NodeMemorySpec::test_spec(1, DECODE_BYTES as u64 + 20, 1 << 20, 1 << 20);
         let node = NodeResources::in_memory(&spec, 1);
         let reg = tiny_registry();
         let mut eng = ZeroEngine::new(
@@ -3859,7 +3943,8 @@ mod tests {
         .unwrap();
         let err = eng.get(reg.find("w").unwrap()).unwrap_err();
         assert!(err.is_oom());
-        // The small bias still fits.
+        assert_eq!(node.hierarchy.stats(Device::gpu(0)).in_use, 0, "a failed gather charges nothing");
+        // The small bias (10 bytes) still fits.
         assert!(eng.get(reg.find("b").unwrap()).is_ok());
         eng.release(reg.find("b").unwrap()).unwrap();
         eng.dispose().unwrap();

@@ -111,7 +111,7 @@ impl TiledLinear {
                 let mut span =
                     tracer.as_ref().map(|tr| tr.span(Category::Compute, "tile_matmul"));
                 if let Some(s) = &mut span {
-                    s.set_bytes((w.numel() * 4) as u64);
+                    s.set_bytes(w.dtype().bytes_for(w.numel()) as u64);
                     // 2 flops (mul + add) per weight element per input row.
                     s.set_flops(2 * (w.numel() * m) as u64);
                     s.set_id(self.plans[t].own_params[0].0 as u64);
@@ -120,7 +120,7 @@ impl TiledLinear {
             })?;
             write_cols(&mut y, &yt, partition_range(self.out_dim, self.tiles(), t).start);
         }
-        ctx.forward(self.tiles(), |p| ops::add_bias(&mut y, p[0].data()))?;
+        ctx.forward(self.tiles(), |p| ops::add_bias(&mut y, &p[0]))?;
         Ok(y)
     }
 
@@ -149,7 +149,7 @@ impl TiledLinear {
                 let mut span =
                     tracer.as_ref().map(|tr| tr.span(Category::Compute, "tile_matmul_bwd"));
                 if let Some(s) = &mut span {
-                    s.set_bytes((w.numel() * 4) as u64);
+                    s.set_bytes(w.dtype().bytes_for(w.numel()) as u64);
                     // dx and dw matmuls: 2 * 2 flops per weight element per row.
                     s.set_flops(4 * (w.numel() * m) as u64);
                     s.set_id(self.plans[t].own_params[0].0 as u64);

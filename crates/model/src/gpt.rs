@@ -477,7 +477,7 @@ impl GptModel {
 
         let mut dx = ctx.backward(lnf, |p| {
             let (dx, dg, db) =
-                ops::layernorm_backward(&fwd.lnf_input, &dh, p[0].data(), &fwd.lnf_stats)?;
+                ops::layernorm_backward(&fwd.lnf_input, &dh, &p[0], &fwd.lnf_stats)?;
             Ok((dx, vec![Tensor::from_vec(&[h], dg)?, Tensor::from_vec(&[h], db)?]))
         })?;
 
@@ -541,7 +541,7 @@ fn forward_pass(
         })?;
     }
     let (hstates, lnf_stats) =
-        ctx.forward(active.len() + 1, |p| ops::layernorm(&x, p[0].data(), p[1].data(), 1e-5))?;
+        ctx.forward(active.len() + 1, |p| ops::layernorm(&x, &p[0], &p[1], 1e-5))?;
     Ok(ForwardState { blocks, lnf_input: x, lnf_stats, hstates })
 }
 

@@ -43,7 +43,7 @@ impl BlockConfig {
 /// `y = x W^T + b` with `W: [out, in]` (PyTorch convention).
 pub(crate) fn linear_forward(w: &Tensor, b: &Tensor, x: &Tensor) -> Result<Tensor> {
     let mut y = ops::matmul_nt(x, w)?;
-    ops::add_bias(&mut y, b.data())?;
+    ops::add_bias(&mut y, b)?;
     Ok(y)
 }
 
@@ -53,7 +53,7 @@ pub(crate) fn linear_forward(w: &Tensor, b: &Tensor, x: &Tensor) -> Result<Tenso
 fn linear_forward_reduced(w: &Tensor, b: &Tensor, x: &Tensor, reduce: &dyn TensorReduce) -> Result<Tensor> {
     let mut y = ops::matmul_nt(x, w)?;
     reduce.allreduce_tensor(&mut y)?;
-    ops::add_bias(&mut y, b.data())?;
+    ops::add_bias(&mut y, b)?;
     Ok(y)
 }
 
@@ -356,12 +356,12 @@ pub(crate) fn block_forward(
 ) -> Result<(Tensor, BlockSaved)> {
     let [ln1_g, ln1_b, qkv_w, qkv_b, proj_w, proj_b, ln2_g, ln2_b, fc1_w, fc1_b, fc2_w, fc2_b] =
         block_params(params)?;
-    let (ln1_out, ln1_stats) = ops::layernorm(x, ln1_g.data(), ln1_b.data(), LN_EPS)?;
+    let (ln1_out, ln1_stats) = ops::layernorm(x, ln1_g, ln1_b, LN_EPS)?;
     let (attn_out, attn_saved) =
         attention_forward(cfg, qkv_w, qkv_b, proj_w, proj_b, &ln1_out, reduce)?;
     let mut res1 = x.clone();
     res1.add_assign(&attn_out)?;
-    let (ln2_out, ln2_stats) = ops::layernorm(&res1, ln2_g.data(), ln2_b.data(), LN_EPS)?;
+    let (ln2_out, ln2_stats) = ops::layernorm(&res1, ln2_g, ln2_b, LN_EPS)?;
     let (mlp_out, mlp_saved) = mlp_forward(fc1_w, fc1_b, fc2_w, fc2_b, &ln2_out, reduce)?;
     let mut y = res1.clone();
     y.add_assign(&mlp_out)?;
@@ -387,7 +387,7 @@ pub(crate) fn block_backward(
     let (mut dln2_out, mlp_grads) = mlp_backward(fc1_w, fc2_w, &saved.mlp, dy)?;
     reduce.allreduce_tensor(&mut dln2_out)?;
     let (dres1_from_ln2, dln2_g, dln2_b) =
-        ops::layernorm_backward(&saved.res1, &dln2_out, ln2_g.data(), &saved.ln2_stats)?;
+        ops::layernorm_backward(&saved.res1, &dln2_out, ln2_g, &saved.ln2_stats)?;
     let mut dres1 = dy.clone();
     dres1.add_assign(&dres1_from_ln2)?;
 
@@ -395,7 +395,7 @@ pub(crate) fn block_backward(
     let (mut dln1_out, attn_grads) = attention_backward(cfg, qkv_w, proj_w, &saved.attn, &dres1)?;
     reduce.allreduce_tensor(&mut dln1_out)?;
     let (dx_from_ln1, dln1_g, dln1_b) =
-        ops::layernorm_backward(&saved.x, &dln1_out, ln1_g.data(), &saved.ln1_stats)?;
+        ops::layernorm_backward(&saved.x, &dln1_out, ln1_g, &saved.ln1_stats)?;
     let mut dx = dres1.clone();
     dx.add_assign(&dx_from_ln1)?;
 
@@ -427,8 +427,6 @@ pub(crate) fn embedding_forward(
     wpe: &Tensor,
     tokens: &[usize],
 ) -> Result<Tensor> {
-    let h = cfg.hidden;
-    let vocab = wte.shape()[0];
     if tokens.len() != cfg.rows() {
         return Err(Error::shape(format!(
             "embedding: {} tokens for {} rows",
@@ -436,19 +434,7 @@ pub(crate) fn embedding_forward(
             cfg.rows()
         )));
     }
-    let mut out = vec![0f32; cfg.rows() * h];
-    for (r, &tok) in tokens.iter().enumerate() {
-        if tok >= vocab {
-            return Err(Error::InvalidArgument(format!("token {tok} out of vocab {vocab}")));
-        }
-        let pos = r % cfg.seq;
-        let dst = &mut out[r * h..(r + 1) * h];
-        dst.copy_from_slice(&wte.data()[tok * h..(tok + 1) * h]);
-        for (d, w) in dst.iter_mut().zip(&wpe.data()[pos * h..(pos + 1) * h]) {
-            *d += w;
-        }
-    }
-    Tensor::from_vec(&[cfg.rows(), h], out)
+    ops::embedding(wte, wpe, tokens)
 }
 
 /// Embedding backward: scatter-add into `(dwte, dwpe)`.

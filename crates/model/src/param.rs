@@ -197,8 +197,10 @@ impl ModulePlan {
 
 /// The seam between model execution and the training engine.
 ///
-/// `get` must return the *full* (gathered) parameter tensor; `release`
-/// tells the store the module is done with it; `add_grad` deposits the
+/// `get` must return the *full* (gathered) parameter tensor, in the dtype
+/// the store keeps it in — fp16 under mixed precision, which the kernels
+/// that read a parameter decode as they consume it; `release` tells the
+/// store the module is done with it; `add_grad` deposits the
 /// module's locally computed full gradient. A classic data-parallel engine
 /// keeps everything resident; the ZeRO-Infinity engine gathers from
 /// partitions/offload on `get`, re-partitions on `release`, and
@@ -208,7 +210,7 @@ impl ModulePlan {
 /// runner reaches a store through a [`Bracket`], which is the one place
 /// that pairs each `get` with its `release` on every path.
 pub trait ParamStore {
-    /// Gather and return the full parameter tensor.
+    /// Gather and return the full parameter tensor in its storage dtype.
     fn get(&mut self, id: ParamId) -> Result<Tensor>;
 
     /// The runner is done with this parameter for the current module pass.

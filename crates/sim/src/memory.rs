@@ -4,10 +4,10 @@
 //! here once; the capacity solver, the iteration-time model and the
 //! figures call these methods rather than restating them.
 
-// Bytes per parameter of each model state under mixed-precision Adam,
-// Eq. (2): the fp16 parameter, the fp16 gradient, and the fp32 master,
-// momentum and variance.
-pub(crate) const PARAM_BYTES: u64 = 2;
+/// Bytes per parameter of the fp16 parameter, Eq. (2), and of each
+/// gathered parameter in GPU working memory, Eq. (4).
+pub const PARAM_BYTES: u64 = 2;
+// Bytes per parameter of the fp16 gradient, Eq. (2).
 pub(crate) const GRAD_BYTES: u64 = 2;
 /// Bytes per parameter of the optimizer states: the fp32 parameter,
 /// gradient, momentum and variance, which Eq. (10) reads and writes once

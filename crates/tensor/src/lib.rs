@@ -5,8 +5,10 @@
 //! Provides the pieces a CUDA/PyTorch stack would normally supply:
 //! a from-scratch IEEE binary16 type ([`f16::F16`]), dtype-tagged flat
 //! byte buffers for model-state storage ([`storage::FlatBuffer`]), a dense
-//! f32 compute tensor ([`tensor::Tensor`]) and the kernels needed by a
-//! GPT-like transformer ([`ops`]).
+//! tensor ([`tensor::Tensor`]: f32 for compute, fp16 for a parameter as
+//! the GPU tier stores it) and the kernels needed by a GPT-like
+//! transformer ([`ops`]), which decode an fp16 parameter operand as they
+//! consume it.
 //!
 //! Compute happens in f32 (mirroring tensor-core fp32 accumulation) while
 //! persistent model states are stored in [`FlatBuffer`]s whose dtype is
@@ -26,4 +28,4 @@ pub mod tensor;
 
 pub use f16::F16;
 pub use storage::FlatBuffer;
-pub use tensor::Tensor;
+pub use tensor::{Elems, Tensor};

@@ -8,12 +8,27 @@
 //! model-checkable under `zi-check`. Each forward kernel has a matching
 //! hand-derived backward. All backends produce bit-identical results by
 //! construction; `ZI_SIMD=scalar` forces the fallback for debugging.
+//!
+//! # Parameter operands
+//!
+//! The operands a parameter feeds — the `B` of [`matmul`] and
+//! [`matmul_nt`], the tables of [`embedding`], the bias of [`add_bias`]
+//! and the γ/β of [`layernorm`] and [`layernorm_backward`] — may be fp16,
+//! as the GPU tier stores a parameter. An fp16 operand is decoded a block
+//! at a time into the calling thread's working buffer of
+//! [`DECODE_BYTES`]: a GEMM splits its output rows over the kernel pool
+//! in one dispatch, as for f32, and each row range decodes the blocks of
+//! `B` it consumes into its own share of the buffer; an f32 operand is
+//! read in place with no decode step. The decode is exact, so an fp16
+//! operand gives the bits of its f32 decode.
+
+use std::cell::RefCell;
 
 use zi_types::{Error, Result};
 
 use crate::pool;
 use crate::simd;
-use crate::tensor::Tensor;
+use crate::tensor::{Elems, Tensor};
 
 /// Threshold below which matmuls run sequentially (pool scheduling
 /// overhead dominates for the tiny models used in tests).
@@ -28,27 +43,181 @@ const ELEMWISE_CHUNK: usize = 1 << 13;
 /// Rows per pool task for the parallel layernorm forward.
 const LN_ROWS_PER_TASK: usize = 8;
 
+/// Bytes of the working buffer an fp16 operand is decoded into, a block
+/// at a time: one buffer per thread that submits a kernel over one (a
+/// training rank's), shared out among the row ranges of a GEMM, which the
+/// training engine charges to the rank's GPU pool while a parameter is
+/// gathered.
+pub const DECODE_BYTES: usize = 128 * 1024;
+
+/// [`DECODE_BYTES`] in f32 elements.
+const DECODE_ELEMS: usize = DECODE_BYTES / 4;
+
+thread_local! {
+    /// This thread's decode working buffer, sized at its first use.
+    static DECODED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `f` over this thread's decode working buffer, [`DECODE_ELEMS`] long.
+/// No kernel calls another while it holds the buffer, and the pool runs
+/// only the submitter's own tasks on it (which reach it through disjoint
+/// shares, never through this borrow), so the borrow never nests.
+fn with_decode_buffer<R>(f: impl FnOnce(&mut [f32]) -> R) -> R {
+    DECODED.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        buf.resize(DECODE_ELEMS, 0.0);
+        f(&mut buf)
+    })
+}
+
+/// The typed error for an fp16 operand piece the working buffer cannot
+/// hold whole.
+fn past_decode_buffer(what: &str, elems: usize) -> Error {
+    Error::shape(format!(
+        "{what}: {elems} fp16 elements needed at once, past the {DECODE_ELEMS}-element decode buffer"
+    ))
+}
+
+/// `f` over `operands` as f32: an f32 one in place, the fp16 ones decoded
+/// side by side into the working buffer, which must hold them all.
+fn as_f32<const N: usize, R>(
+    what: &str,
+    operands: [Elems<'_>; N],
+    f: impl FnOnce([&[f32]; N]) -> R,
+) -> Result<R> {
+    let halves: usize = operands.iter().filter(|e| matches!(e, Elems::F16(_))).map(Elems::len).sum();
+    if halves > DECODE_ELEMS {
+        return Err(past_decode_buffer(what, halves));
+    }
+    let decode = |buf: &mut [f32]| {
+        let mut rest = buf;
+        let views = operands.map(|operand| match operand {
+            Elems::F32(v) => v,
+            Elems::F16(h) => {
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(h.len());
+                simd::f16_to_f32_slice(h, head);
+                rest = tail;
+                &*head
+            }
+        });
+        f(views)
+    };
+    if halves == 0 {
+        return Ok(decode(&mut []));
+    }
+    Ok(with_decode_buffer(decode))
+}
+
+/// How many of an fp16 operand's `lines` (rows of `len` elements, or
+/// columns of `len` rows) a share of `room` elements holds: all of them
+/// when they fit, else whole register tiles' worth.
+fn lines_per_block(what: &str, lines: usize, len: usize, room: usize) -> Result<usize> {
+    let fit = room / len.max(1);
+    if fit == 0 {
+        return Err(past_decode_buffer(what, len));
+    }
+    let tile = simd::scalar::GEMM_NR;
+    Ok(if fit >= lines { lines } else if fit >= tile { fit - fit % tile } else { fit })
+}
+
+/// How `for_row_ranges` splits `rows` output rows, `work` multiply-adds
+/// each: rows per range, and whether the ranges go to the pool.
+fn row_split(rows: usize, work: usize) -> (usize, bool) {
+    let parallel = rows.saturating_mul(work) >= PAR_FLOP_THRESHOLD;
+    let threads = if parallel { pool::global().workers() + 1 } else { 1 };
+    // Whole register tiles per range, so only the last range has edge rows.
+    (rows.div_ceil(threads).next_multiple_of(simd::scalar::GEMM_MR), parallel)
+}
+
 /// Run `gemm(first_row, block)` over the row-major `[rows, n]` output
-/// `out`: as one call, or — when the FLOP volume `rows·k·n` clears the
-/// threshold and the pool has workers — as one contiguous row range per
-/// participating thread (workers + the submitter). Rows of a GEMM are
-/// independent, so the split never changes a byte.
-fn for_row_ranges<F>(out: &mut [f32], n: usize, k: usize, gemm: F)
+/// `out`: as one call, or — when the FLOP volume `rows·work` (`work` the
+/// multiply-adds of one row) clears the threshold and the pool has
+/// workers — as one contiguous row range per participating thread
+/// (workers + the submitter). Rows of a GEMM are independent, so the
+/// split never changes a byte.
+fn for_row_ranges<F>(out: &mut [f32], n: usize, work: usize, gemm: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
     if out.is_empty() {
         return;
     }
-    let rows = out.len() / n;
-    let parallel = rows.saturating_mul(k).saturating_mul(n) >= PAR_FLOP_THRESHOLD;
-    let threads = if parallel { pool::global().workers() + 1 } else { 1 };
-    // Whole register tiles per range, so only the last range has edge rows.
-    let per = rows.div_ceil(threads).next_multiple_of(simd::scalar::GEMM_MR);
+    let (per, parallel) = row_split(out.len() / n, work);
     pool::for_chunks(out, per * n, parallel, |i, block| gemm(i * per, block));
 }
 
-/// `C[m,n] = A[m,k] * B[k,n]`.
+/// How a GEMM's `B` operand is laid out: `[n, k]` (`C = A·Bᵀ`, a block is
+/// rows of `B`, contiguous) or `[k, n]` (`C = A·B`, a block is columns).
+#[derive(Clone, Copy)]
+enum BLayout {
+    Rows,
+    Cols,
+}
+
+/// [`for_row_ranges`] over a GEMM whose `B` (`n` output columns, `k` deep)
+/// may be fp16: `gemm(first_row, j0, cols, bv, ldb, block)` computes the
+/// output columns `[j0, j0 + cols)` of a row range from the `k × cols`
+/// view `bv` of `B`. An f32 `B` is one block read in place. An fp16 one
+/// is walked in blocks, each row range decoding the blocks it consumes
+/// into its own share of the working buffer — in the one pool dispatch
+/// of the GEMM, so a block costs no dispatch of its own.
+fn for_b_blocks<G>(what: &str, out: &mut [f32], n: usize, k: usize, b: Elems<'_>, layout: BLayout, gemm: G) -> Result<()>
+where
+    G: Fn(usize, usize, usize, &[f32], usize, &mut [f32]) + Sync,
+{
+    let whole_ld = match layout {
+        BLayout::Rows => k,
+        BLayout::Cols => n,
+    };
+    let halves = match b {
+        Elems::F32(bv) => {
+            for_row_ranges(out, n, k * n, |row, block| gemm(row, 0, n, bv, whole_ld, block));
+            return Ok(());
+        }
+        Elems::F16(halves) => halves,
+    };
+    if out.is_empty() {
+        return Ok(());
+    }
+    let rows = out.len() / n;
+    let (mut per, mut parallel) = row_split(rows, k * n);
+    if k * rows.div_ceil(per) > DECODE_ELEMS {
+        // Shares too small for one line each: one range takes it all, so
+        // what fits never depends on the pool's width.
+        (per, parallel) = (rows, false);
+    }
+    let share = DECODE_ELEMS / rows.div_ceil(per);
+    let lines = lines_per_block(what, n, k, share)?;
+    with_decode_buffer(|buf| {
+        let shares = pool::SendPtr::new(buf.as_mut_ptr());
+        pool::for_chunks(out, per * n, parallel, |i, block| {
+            let row = i * per;
+            // SAFETY: range `i` alone takes elements `[i·share,
+            // (i+1)·share)` of the buffer, which the ranges never exceed
+            // in number, and the buffer outlives the dispatch.
+            let mine = unsafe { std::slice::from_raw_parts_mut(shares.get().add(i * share), share) };
+            for j0 in (0..n).step_by(lines) {
+                let cols = lines.min(n - j0);
+                let bv = &mut mine[..k * cols];
+                let ldb = match layout {
+                    BLayout::Rows => {
+                        simd::f16_to_f32_slice(&halves[j0 * k..(j0 + cols) * k], bv);
+                        k
+                    }
+                    BLayout::Cols => {
+                        simd::f16_to_f32_rows(&halves[j0..], n, k, cols, bv);
+                        cols
+                    }
+                };
+                gemm(row, j0, cols, bv, ldb, block);
+            }
+        });
+    });
+    Ok(())
+}
+
+/// `C[m,n] = A[m,k] * B[k,n]`. `B` may be fp16: decoded by blocks of
+/// columns.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, ka) = a.as_2d();
     let (kb, n) = b.as_2d();
@@ -56,10 +225,11 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         return Err(Error::shape(format!("matmul inner dims {ka} vs {kb}")));
     }
     let mut out = vec![0f32; m * n];
-    let (adata, bdata) = (a.data(), b.data());
-    for_row_ranges(&mut out, n, ka, |row, block| {
-        simd::gemm(block.len() / n, n, ka, &adata[row * ka..], ka, 1, bdata, n, block, n);
-    });
+    let adata = a.data();
+    for_b_blocks("matmul", &mut out, n, ka, b.elems(), BLayout::Cols, |row, j0, cols, bv, ldb, block| {
+        let rows = block.len() / n;
+        simd::gemm(rows, cols, ka, &adata[row * ka..], ka, 1, bv, ldb, &mut block[j0..], n);
+    })?;
     Tensor::from_vec(&[m, n], out)
 }
 
@@ -67,7 +237,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 ///
 /// This is the PyTorch `Linear` convention: `y = x W^T`. Both operands
 /// are traversed unit-stride, so each output element is a SIMD dot
-/// product.
+/// product. `B` may be fp16: decoded by blocks of rows.
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, ka) = a.as_2d();
     let (n, kb) = b.as_2d();
@@ -75,10 +245,11 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         return Err(Error::shape(format!("matmul_nt inner dims {ka} vs {kb}")));
     }
     let mut out = vec![0f32; m * n];
-    let (adata, bdata) = (a.data(), b.data());
-    for_row_ranges(&mut out, n, ka, |row, block| {
-        simd::gemm_nt(block.len() / n, n, ka, &adata[row * ka..], ka, bdata, ka, block, n);
-    });
+    let adata = a.data();
+    for_b_blocks("matmul_nt", &mut out, n, ka, b.elems(), BLayout::Rows, |row, j0, rows, bv, ldb, block| {
+        let m = block.len() / n;
+        simd::gemm_nt(m, rows, ka, &adata[row * ka..], ka, bv, ldb, &mut block[j0..], n);
+    })?;
     Tensor::from_vec(&[m, n], out)
 }
 
@@ -93,24 +264,54 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (adata, bdata) = (a.data(), b.data());
     // Output row `r` reads column `r` of A: the transposed view of the
     // same tile kernel `matmul` runs.
-    for_row_ranges(&mut out, n, m, |row, block| {
+    for_row_ranges(&mut out, n, m * n, |row, block| {
         simd::gemm(block.len() / n, n, m, &adata[row..], 1, k, bdata, n, block, n);
     });
     Tensor::from_vec(&[k, n], out)
 }
 
-/// Add a bias row-vector to every row of `x` in place.
-pub fn add_bias(x: &mut Tensor, bias: &[f32]) -> Result<()> {
+/// Add a bias row-vector (f32 or fp16) to every row of `x` in place.
+pub fn add_bias<'b>(x: &mut Tensor, bias: impl Into<Elems<'b>>) -> Result<()> {
     let (_, n) = x.as_2d();
+    let bias = bias.into();
     if bias.len() != n {
         return Err(Error::shape(format!("bias len {} vs row width {n}", bias.len())));
     }
-    for row in x.data_mut().chunks_exact_mut(n) {
-        for (v, b) in row.iter_mut().zip(bias) {
-            *v += b;
+    let rows = x.data_mut();
+    as_f32("add_bias", [bias], |[bias]| {
+        for row in rows.chunks_exact_mut(n) {
+            for (v, b) in row.iter_mut().zip(bias) {
+                *v += b;
+            }
         }
+    })
+}
+
+/// Token plus position embedding: row `r` of the result is row
+/// `tokens[r]` of `table` (`[vocab, h]`) plus row `r % seq` of
+/// `positions` (`[seq, h]`), either table f32 or fp16. A token row is
+/// decoded straight into the output, a position row through the working
+/// buffer.
+pub fn embedding(table: &Tensor, positions: &Tensor, tokens: &[usize]) -> Result<Tensor> {
+    let (vocab, h) = table.as_2d();
+    let (seq, hp) = positions.as_2d();
+    if hp != h || seq == 0 {
+        return Err(Error::shape(format!("embedding: table width {h}, positions {:?}", positions.shape())));
     }
-    Ok(())
+    let mut out = vec![0f32; tokens.len() * h];
+    let (table, positions) = (table.elems(), positions.elems());
+    for (r, (&tok, dst)) in tokens.iter().zip(out.chunks_exact_mut(h.max(1))).enumerate() {
+        if tok >= vocab {
+            return Err(Error::InvalidArgument(format!("token {tok} out of vocab {vocab}")));
+        }
+        table.decode_into(tok * h, dst);
+        as_f32("embedding", [positions.slice((r % seq) * h, h)], |[pos]| {
+            for (d, w) in dst.iter_mut().zip(pos) {
+                *d += w;
+            }
+        })?;
+    }
+    Tensor::from_vec(&[tokens.len(), h], out)
 }
 
 /// Sum of each column — the bias gradient for a linear layer.
@@ -171,14 +372,16 @@ pub struct LayerNormStats {
     pub rstd: Vec<f32>,
 }
 
-/// Layer normalization over the last dimension with affine parameters.
-pub fn layernorm(
+/// Layer normalization over the last dimension with affine parameters
+/// (each f32 or fp16).
+pub fn layernorm<'p>(
     x: &Tensor,
-    gamma: &[f32],
-    beta: &[f32],
+    gamma: impl Into<Elems<'p>>,
+    beta: impl Into<Elems<'p>>,
     eps: f32,
 ) -> Result<(Tensor, LayerNormStats)> {
     let (rows, n) = x.as_2d();
+    let (gamma, beta) = (gamma.into(), beta.into());
     if gamma.len() != n || beta.len() != n {
         return Err(Error::shape(format!(
             "layernorm: width {n} but gamma {} beta {}",
@@ -192,35 +395,38 @@ pub fn layernorm(
     let xd = x.data();
     let mean_ptr = pool::SendPtr::new(mean.as_mut_ptr());
     let rstd_ptr = pool::SendPtr::new(rstd.as_mut_ptr());
-    pool::for_chunks(
-        &mut out,
-        LN_ROWS_PER_TASK * n,
-        rows * n >= ELEMWISE_PAR_THRESHOLD,
-        |task, out_block| {
-            let r0 = task * LN_ROWS_PER_TASK;
-            for (i, row_out) in out_block.chunks_exact_mut(n).enumerate() {
-                let r = r0 + i;
-                let (m, rs) = simd::layernorm_row(&xd[r * n..(r + 1) * n], gamma, beta, eps, row_out);
-                // SAFETY: each task writes a disjoint range of rows.
-                unsafe {
-                    *mean_ptr.get().add(r) = m;
-                    *rstd_ptr.get().add(r) = rs;
+    as_f32("layernorm", [gamma, beta], |[gamma, beta]| {
+        pool::for_chunks(
+            &mut out,
+            LN_ROWS_PER_TASK * n,
+            rows * n >= ELEMWISE_PAR_THRESHOLD,
+            |task, out_block| {
+                let r0 = task * LN_ROWS_PER_TASK;
+                for (i, row_out) in out_block.chunks_exact_mut(n).enumerate() {
+                    let r = r0 + i;
+                    let (m, rs) = simd::layernorm_row(&xd[r * n..(r + 1) * n], gamma, beta, eps, row_out);
+                    // SAFETY: each task writes a disjoint range of rows.
+                    unsafe {
+                        *mean_ptr.get().add(r) = m;
+                        *rstd_ptr.get().add(r) = rs;
+                    }
                 }
-            }
-        },
-    );
+            },
+        )
+    })?;
     Ok((Tensor::from_vec(x.shape(), out)?, LayerNormStats { mean, rstd }))
 }
 
-/// Layer-norm backward. Returns `(dx, dgamma, dbeta)`.
+/// Layer-norm backward (`gamma` f32 or fp16). Returns `(dx, dgamma,
+/// dbeta)`.
 ///
 /// Rows run sequentially (vectorized within each row) because
 /// `dgamma`/`dbeta` accumulate across rows and their accumulation order
 /// is part of the bit-identity contract.
-pub fn layernorm_backward(
+pub fn layernorm_backward<'p>(
     x: &Tensor,
     dy: &Tensor,
-    gamma: &[f32],
+    gamma: impl Into<Elems<'p>>,
     stats: &LayerNormStats,
 ) -> Result<(Tensor, Vec<f32>, Vec<f32>)> {
     let (rows, n) = x.as_2d();
@@ -230,18 +436,20 @@ pub fn layernorm_backward(
     let mut dx = vec![0f32; rows * n];
     let mut dgamma = vec![0f32; n];
     let mut dbeta = vec![0f32; n];
-    for r in 0..rows {
-        simd::layernorm_backward_row(
-            &x.data()[r * n..(r + 1) * n],
-            &dy.data()[r * n..(r + 1) * n],
-            gamma,
-            stats.mean[r],
-            stats.rstd[r],
-            &mut dx[r * n..(r + 1) * n],
-            &mut dgamma,
-            &mut dbeta,
-        );
-    }
+    as_f32("layernorm_backward", [gamma.into()], |[gamma]| {
+        for r in 0..rows {
+            simd::layernorm_backward_row(
+                &x.data()[r * n..(r + 1) * n],
+                &dy.data()[r * n..(r + 1) * n],
+                gamma,
+                stats.mean[r],
+                stats.rstd[r],
+                &mut dx[r * n..(r + 1) * n],
+                &mut dgamma,
+                &mut dbeta,
+            );
+        }
+    })?;
     Ok((Tensor::from_vec(x.shape(), dx)?, dgamma, dbeta))
 }
 
@@ -373,10 +581,10 @@ mod tests {
     #[test]
     fn bias_and_column_sums() {
         let mut x = t(&[2, 3], vec![1., 2., 3., 4., 5., 6.]);
-        add_bias(&mut x, &[10., 20., 30.]).unwrap();
+        add_bias(&mut x, &[10., 20., 30.][..]).unwrap();
         assert_eq!(x.data(), &[11., 22., 33., 14., 25., 36.]);
         assert_eq!(column_sums(&x), vec![25., 47., 69.]);
-        assert!(add_bias(&mut x, &[1., 2.]).is_err());
+        assert!(add_bias(&mut x, &[1., 2.][..]).is_err());
     }
 
     #[test]

@@ -177,6 +177,22 @@ pub fn f16_to_f32_slice(src: &[F16], dst: &mut [f32]) {
     )
 }
 
+/// Exact f16 → f32 conversion of the `rows × cols` view `A(i, j) =
+/// src[i*ld + j]` into `dst`, row-major and packed (`ld = cols`): a block
+/// of columns of a wider fp16 matrix, one dispatch for all its rows.
+pub fn f16_to_f32_rows(src: &[F16], ld: usize, rows: usize, cols: usize, dst: &mut [f32]) {
+    assert_eq!(dst.len(), rows * cols, "f16→f32 block length mismatch");
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    assert!(ld >= cols && view_fits(src.len(), rows, ld, cols, 1), "f16→f32 block out of bounds");
+    let lines = dst.chunks_exact_mut(cols).enumerate().map(|(i, out)| (&src[i * ld..i * ld + cols], out));
+    dispatch!(
+        lines.for_each(|(src, out)| x86::f16_to_f32(src, out)),
+        lines.for_each(|(src, out)| scalar::f16_to_f32(src, out))
+    )
+}
+
 /// `C[m,n] = A·B` over strided views: `A(i,p) = a[i*a_rs + p*a_ks]`
 /// (so `a_rs = lda, a_ks = 1` reads `A` and `a_rs = 1, a_ks = lda` reads
 /// `Aᵀ`), `B(p,j) = b[p*ldb + j]`, `C(i,j) = c[i*ldc + j]`. A view is a

@@ -134,6 +134,24 @@ pub fn decode_f32(dtype: DType, bytes: &[u8], out: &mut [f32]) -> Result<()> {
     Ok(())
 }
 
+/// Copy little-endian fp16 elements in `bytes` into `out` (exactly
+/// `bytes.len() / 2` elements), undecoded — how a gathered parameter
+/// keeps its storage dtype.
+pub fn copy_f16(bytes: &[u8], out: &mut [F16]) -> Result<()> {
+    if bytes.len() != DType::F16.bytes_for(out.len()) {
+        return Err(Error::shape(format!("copy_f16: {} bytes into {} halves", bytes.len(), out.len())));
+    }
+    match bytes_as_f16(bytes) {
+        Some(halves) => out.copy_from_slice(halves),
+        None => {
+            for (o, chunk) in out.iter_mut().zip(bytes.chunks_exact(2)) {
+                *o = F16::from_bits(u16::from_le_bytes([chunk[0], chunk[1]]));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// `sums[i] += delta[i]` over the common length; true when any resulting
 /// element is non-finite — gradient accumulation with the overflow scan
 /// fused in, on any f32 destination (a resident shard, a staging buffer

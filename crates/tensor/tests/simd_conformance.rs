@@ -870,3 +870,115 @@ fn softmax_and_cross_entropy_are_bit_identical_across_backends() {
         (loss.to_bits(), bits(&grad))
     });
 }
+
+// ---------------------------------------------------------------------------
+// fp16 parameter operands: decoded as consumed, the bits of decode-then-f32.
+
+/// The decode working buffer in f32 elements: where the fp16 operand
+/// kernels cut their blocks.
+const DECODE_ELEMS: usize = ops::DECODE_BYTES / 4;
+
+/// `n` halves: the f16 rounding of a wide random stream, with every fifth
+/// one a special — ±0, the smallest and largest subnormals of either
+/// sign, ±Inf and NaNs (quiet, signalling, negative, with payloads).
+fn hostile_halves(n: usize, seed: u64) -> Vec<F16> {
+    const SPECIALS: [u16; 11] =
+        [0x0000, 0x8000, 0x0001, 0x8001, 0x03ff, 0x83ff, 0x7c00, 0xfc00, 0x7e00, 0x7d01, 0xfe37];
+    lcg_f32s(n, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(i, x)| if i % 5 == 2 { F16::from_bits(SPECIALS[(i / 5) % SPECIALS.len()]) } else { F16::from_f32(x) })
+        .collect()
+}
+
+/// An fp16 tensor of `shape`, and its decode to f32 by the canonical
+/// per-element conversion (no kernel under test involved).
+fn fp16_and_decoded(shape: &[usize], seed: u64) -> (Tensor, Tensor) {
+    let halves = hostile_halves(shape.iter().product(), seed);
+    let decoded = halves.iter().map(|h| h.to_f32()).collect();
+    (Tensor::from_f16(shape, halves).unwrap(), Tensor::from_vec(shape, decoded).unwrap())
+}
+
+/// `run(fp16 operands)` equals `run(their f32 decode)` byte for byte on
+/// the scalar backend and the auto-detected one, which agree.
+fn assert_fp16_operand_is_its_decode<T: PartialEq + std::fmt::Debug>(
+    name: &str,
+    run: impl Fn(bool) -> T,
+) {
+    for backend in [Some(Backend::Scalar), None] {
+        let (half, full) = with_backend(backend, || (run(true), run(false)));
+        assert_eq!(half, full, "{name} ({backend:?}): the fp16 operand is not its decode");
+    }
+    assert_backend_bit_identity(name, || run(true));
+}
+
+#[test]
+fn fp16_operands_equal_their_f32_decode_in_every_consumer() {
+    // The GEMMs at odd shapes and at the decode buffer's block edges: one
+    // block, whole register tiles of rows or columns with an odd
+    // remainder, and blocks narrower than a tile (k past DECODE_ELEMS/16).
+    let wide = DECODE_ELEMS / 33;
+    for (m, k, n) in [
+        (3, 5, 7),
+        (17, 33, 29),
+        (5, 33, wide + 9),
+        (5, 33, 2 * (wide - wide % 16) + 1),
+        (7, DECODE_ELEMS / 10 + 3, 23),
+        (1, DECODE_ELEMS, 3),
+    ] {
+        let a = Tensor::from_vec(&[m, k], lcg_f32s(m * k, 5)).unwrap();
+        let (bt16, bt32) = fp16_and_decoded(&[n, k], 6);
+        assert_fp16_operand_is_its_decode(&format!("matmul_nt {m}x{k}x{n}"), |half| {
+            bits(&ops::matmul_nt(&a, if half { &bt16 } else { &bt32 }).unwrap())
+        });
+        let dy = Tensor::from_vec(&[m, n], lcg_f32s(m * n, 7)).unwrap();
+        assert_fp16_operand_is_its_decode(&format!("matmul {m}x{n}x{k}"), |half| {
+            bits(&ops::matmul(&dy, if half { &bt16 } else { &bt32 }).unwrap())
+        });
+    }
+    // A row or column longer than the buffer is a typed error, never a
+    // partial product.
+    let (long, _) = fp16_and_decoded(&[2, DECODE_ELEMS + 1], 8);
+    let a = Tensor::from_vec(&[1, DECODE_ELEMS + 1], lcg_f32s(DECODE_ELEMS + 1, 9)).unwrap();
+    assert!(ops::matmul_nt(&a, &long).is_err());
+    let (tall, _) = fp16_and_decoded(&[DECODE_ELEMS + 1, 2], 10);
+    assert!(ops::matmul(&a, &tall).is_err());
+
+    // Embedding: both tables fp16, odd widths, a token stream longer than
+    // the position table.
+    for h in [1usize, 13, 256] {
+        let (vocab, seq) = (7, 5);
+        let (wte16, wte32) = fp16_and_decoded(&[vocab, h], 11);
+        let (wpe16, wpe32) = fp16_and_decoded(&[seq, h], 12);
+        let tokens: Vec<usize> = (0..11).map(|i| (i * 3 + 1) % vocab).collect();
+        assert_fp16_operand_is_its_decode(&format!("embedding h={h}"), |half| {
+            let (wte, wpe) = if half { (&wte16, &wpe16) } else { (&wte32, &wpe32) };
+            bits(&ops::embedding(wte, wpe, &tokens).unwrap())
+        });
+    }
+
+    // Bias and layer norm: odd widths, the whole buffer, and past it.
+    for n in [1usize, 13, 100, DECODE_ELEMS / 2] {
+        let rows = 3;
+        let x = Tensor::from_vec(&[rows, n], lcg_f32s(rows * n, 13)).unwrap();
+        let dy = Tensor::from_vec(&[rows, n], lcg_f32s(rows * n, 14)).unwrap();
+        let (g16, g32) = fp16_and_decoded(&[n], 15);
+        let (b16, b32) = fp16_and_decoded(&[n], 16);
+        assert_fp16_operand_is_its_decode(&format!("add_bias n={n}"), |half| {
+            let mut y = x.clone();
+            ops::add_bias(&mut y, if half { &b16 } else { &b32 }).unwrap();
+            bits(&y)
+        });
+        assert_fp16_operand_is_its_decode(&format!("layernorm n={n}"), |half| {
+            let (g, b) = if half { (&g16, &b16) } else { (&g32, &b32) };
+            let (y, stats) = ops::layernorm(&x, g, b, 1e-5).unwrap();
+            let (dx, dg, db) = ops::layernorm_backward(&x, &dy, g, &stats).unwrap();
+            let stat_bits = stats.mean.iter().chain(&stats.rstd).map(|v| v.to_bits()).collect::<Vec<_>>();
+            let grad_bits = dg.iter().chain(&db).map(|v| v.to_bits()).collect::<Vec<_>>();
+            (bits(&y), stat_bits, bits(&dx), grad_bits)
+        });
+    }
+    let x = Tensor::from_vec(&[1, DECODE_ELEMS + 1], lcg_f32s(DECODE_ELEMS + 1, 17)).unwrap();
+    let (g, _) = fp16_and_decoded(&[DECODE_ELEMS + 1], 18);
+    assert!(ops::layernorm(&x, &g, &g, 1e-5).is_err(), "γ and β past the buffer");
+}

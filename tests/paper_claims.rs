@@ -5,13 +5,15 @@
 use zi_sim::ait::{ait_optimizer_states, ait_params_grads};
 use zi_sim::cluster::ClusterSpec;
 use zi_sim::efficiency::{bandwidth_for_efficiency, V100_PEAK_TP};
-use zi_sim::memory::{ModelShape, TrainingShape, OPTIM_BYTES};
+use zi_sim::memory::{ModelShape, TrainingShape, OPTIM_BYTES, PARAM_BYTES};
 use zi_sim::figures;
 use zi_sim::model_cfg::SimStrategy;
 
-use zero_infinity_suite::model::{GptConfig, GptModel};
+use zero_infinity_suite::model::{GptConfig, GptModel, ParamRegistry};
 use zero_infinity_suite::optim::AdamConfig;
-use zero_infinity_suite::zero::{NodeEnv, NodeResources, Strategy, TrafficPlan, ZeroEngine};
+use zero_infinity_suite::tensor::{ops::DECODE_BYTES, Tensor};
+use zero_infinity_suite::types::Device;
+use zero_infinity_suite::zero::{NodeEnv, NodeResources, Strategy, TiledLinear, TrafficPlan, ZeroEngine};
 use zi_memory::NodeMemorySpec;
 
 /// Sec. 5.2 bandwidth thresholds: 70 GB/s (params), ~1.5 TB/s
@@ -76,12 +78,39 @@ fn tiling_scaling_matches_mswm_formula() {
     // sqrt(16) = 4 with doubling granularity.
     assert_eq!(h16 / h1, 4, "h1={h1} h16={h16}");
     // And the untiled ceiling is what the fragment size implies:
-    // largest h with 16*h^2*4 bytes (f32 working copy of the 4h×h tile
-    // set) ≤ fragment.
+    // largest h whose 4h×h tile set, gathered in the parameter dtype's
+    // bytes, fits a fragment: 4·h²·b ≤ fragment.
     let frag = zi_bench::fig6b::FRAGMENT_BYTES as f64;
-    let predicted = (frag / 16.0).sqrt() as usize;
+    let b = zi_bench::fig6b::sweep_strategy().param_dtype.size_in_bytes() as f64;
+    let predicted = (frag / (4.0 * b)).sqrt() as usize;
     // h1 is the largest power of two ≤ predicted.
     assert!(h1 <= predicted && h1 * 2 > predicted, "h1={h1} predicted={predicted}");
+}
+
+/// Eq. 4's parameter term on the real engine: one hd→4hd linear, gathered
+/// for its forward, holds `PARAM_BYTES·4·hd²` bytes of GPU working memory
+/// under an fp16 strategy — the paper's 2 B per gathered parameter —
+/// beside the kernels' fixed decode buffer, and twice the term, with no
+/// decode buffer, when the parameters are fp32.
+#[test]
+fn a_gathered_linear_holds_eq_4s_parameter_term() {
+    let hd = 64;
+    let peak = |strategy: Strategy| -> u64 {
+        let node = NodeResources::in_memory(&NodeMemorySpec::test_spec(1, 1 << 24, 1 << 24, 1 << 24), 1);
+        let mut reg = ParamRegistry::new();
+        let tl = TiledLinear::register(&mut reg, "ffn", hd, 4 * hd, 1, 7, 0.02).expect("register");
+        let (mgr, comm) = (node.offload_manager(), node.group.communicator(0));
+        let mut engine = ZeroEngine::new(&reg, strategy, mgr, comm, AdamConfig::default()).expect("engine");
+        let y = tl.forward(&mut engine, &Tensor::randn_seeded(&[2, hd], 3, 0.1)).expect("forward");
+        assert_eq!(y.shape(), &[2, 4 * hd]);
+        let gpu = node.hierarchy.stats(Device::gpu(0));
+        assert_eq!(gpu.in_use, 0, "nothing stays gathered");
+        engine.dispose().expect("dispose");
+        gpu.peak_in_use
+    };
+    let term = PARAM_BYTES * 4 * (hd * hd) as u64;
+    assert_eq!(peak(Strategy::infinity_nvme()), term + DECODE_BYTES as u64);
+    assert_eq!(peak(Strategy::infinity_nvme().with_f32_params()), 2 * term);
 }
 
 /// The activation working-memory expression (Eq. 5) dominates the
